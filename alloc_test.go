@@ -1,7 +1,8 @@
 package strtree
 
 // Allocation-regression gate at the public API level: steady-state Search
-// and Count through the strtree wrappers must not allocate. The same gate
+// and Count through the strtree wrappers must not allocate, nor a warm
+// in-place Insert+Delete pair. The same gate
 // exists inside internal/rtree (TestSearchZeroAlloc there); this level
 // additionally catches regressions in the root wrappers — a closure that
 // starts escaping, a stats path that starts boxing — that the inner gate
@@ -73,6 +74,23 @@ func TestSearchViewZeroAlloc(t *testing.T) {
 	}
 }
 
+// churnTree mutates a packed tree: enough inserts to split leaves and
+// enough deletes to patch MBRs in place, leaving leaves with room.
+func churnTree(t *testing.T, tr *Tree) {
+	t.Helper()
+	items := randItems(2000, 99)
+	for _, it := range items {
+		if err := tr.Insert(it.Rect, it.ID+1<<32); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, it := range items[:1000] {
+		if found, err := tr.Delete(it.Rect, it.ID+1<<32); err != nil || !found {
+			t.Fatalf("churn delete of id %d: found %v, err %v", it.ID, found, err)
+		}
+	}
+}
+
 // TestSearchMutatedViewZeroAlloc is the write path's read-side guarantee:
 // a tree that has been mutated (in-place appends, patched MBRs, splits,
 // condensations) and re-verified must serve warm Search and Count at zero
@@ -89,23 +107,7 @@ func TestSearchMutatedViewZeroAlloc(t *testing.T) {
 			t.Error(err)
 		}
 	}()
-	// Churn the tree: enough inserts to split leaves and enough deletes
-	// to patch MBRs in place, then prove it is still structurally sound.
-	items := randItems(2000, 99)
-	for _, it := range items {
-		if err := tr.Insert(it.Rect, it.ID+1<<32); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, it := range items[:1000] {
-		found, err := tr.Delete(it.Rect, it.ID+1<<32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found {
-			t.Fatalf("churn delete of id %d not found", it.ID)
-		}
-	}
+	churnTree(t, tr)
 	ms := tr.MutatePathStats()
 	if ms.InPlaceInserts == 0 || ms.InPlaceDeletes == 0 {
 		t.Fatalf("churn exercised no in-place mutations: %+v", ms)
@@ -123,6 +125,46 @@ func TestSearchMutatedViewZeroAlloc(t *testing.T) {
 	if countAllocs != 0 {
 		t.Errorf("warm Count on a mutated tree allocated %.1f times per query, want 0", countAllocs)
 	}
+}
+
+// TestMutateInPlaceZeroAlloc is the write path's allocation gate at the
+// public API: on a churned tree a warm Insert that finishes in place and the Delete that takes the
+// item out again allocate nothing — descent, FindLeaf's candidate banking,
+// page patches, meta write and the root wrappers included. The same gate
+// exists inside internal/rtree; "Mutate" in the name places it in
+// check.sh's race list, where it skips.
+func TestMutateInPlaceZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	tr := zeroAllocTree(t)
+	defer func() {
+		if err := tr.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	churnTree(t, tr)
+	for _, it := range randItems(64, 100) {
+		pair := func() {
+			if err := tr.Insert(it.Rect, 1<<40); err != nil {
+				t.Fatal(err)
+			}
+			if found, err := tr.Delete(it.Rect, 1<<40); err != nil || !found {
+				t.Fatalf("delete of the item just inserted: found %v, err %v", found, err)
+			}
+		}
+		before := tr.MutatePathStats()
+		pair() // warms the scratch, and shows whether this rectangle stays in place
+		after := tr.MutatePathStats()
+		if after.InPlaceInserts == before.InPlaceInserts || after.InPlaceDeletes == before.InPlaceDeletes {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
+			t.Errorf("warm in-place Insert+Delete allocated %.1f times per pair, want 0", allocs)
+		}
+		return
+	}
+	t.Fatal("no probe rectangle stayed in place")
 }
 
 // BenchmarkSearchZeroAlloc is the benchmark-suite guard: it fails outright

@@ -32,6 +32,11 @@
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
 #                     assertions: race instrumentation allocates.
+#   7. ledger         scripts/ledger.sh: go vet and the smoke tests of the
+#                     performance ledger, bench/ — a separate module that
+#                     imports strtree/internal/..., which steps 2-6 never
+#                     compile, so only this step sees an internal API
+#                     change break the benchmark.
 #
 # The script is plain POSIX sh with no interactive steps, so CI runs it
 # verbatim (.github/workflows/ci.yml). It needs only a Go toolchain on
@@ -64,5 +69,8 @@ echo "== go test -race (buffer, pack, psort, extsort, query, server, router, his
 go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
 go test -race -run 'Mutate' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate' .
+
+echo "== ledger module (bench/): go vet, smoke run of every workload"
+./scripts/ledger.sh
 
 echo "All checks passed."

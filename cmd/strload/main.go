@@ -420,8 +420,8 @@ func runMutate(args []string) error {
 	ms := tree.MutatePathStats()
 	fmt.Printf("mutated %s: %d inserts, %d deletes (seed %d), %d items, height %d\n",
 		*idx, inserts, deletes, *seed, tree.Len(), tree.Height())
-	fmt.Printf("write path: %d in-place / %d structural inserts, %d in-place / %d structural deletes\n",
-		ms.InPlaceInserts, ms.StructuralInserts, ms.InPlaceDeletes, ms.StructuralDeletes)
+	fmt.Printf("write path: %d inserts and %d deletes finished by page patches alone; %d and %d rebuilt a node (split, reinsert, condense, root change)\n",
+		ms.InPlaceInserts, ms.InPlaceDeletes, ms.StructuralInserts, ms.StructuralDeletes)
 	fmt.Println("invariants:  ok")
 	return nil
 }

@@ -215,7 +215,7 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 
 // FetchMut pins the page exclusively for in-place mutation, reading it from
 // the pager on a miss. The write pin asserts the single-writer contract the
-// mutation fast path relies on: if the frame already carries any pin — a
+// mutation path relies on: if the frame already carries any pin — a
 // reader's, or another write pin — FetchMut fails with ErrReadPinned or
 // ErrWritePinned instead of letting the caller patch bytes a concurrent
 // traversal may be decoding. While the write pin is held, Fetch on the same

@@ -2,12 +2,13 @@ package node
 
 // MutableView is the write-side counterpart of View: a window over the
 // serialized bytes of one page that patches individual entry slots — append,
-// rect update, removal — and the header CRC in place, without the
-// Unmarshal → mutate → Marshal round trip the slow write path takes. The
-// dynamic-mutation fast paths in internal/rtree use it for the common case
-// (a leaf append or an ancestor-MBR patch on a node that does not split);
-// structural changes (splits, condensation, forced reinsertion) still
-// materialize the node, where the full entry set is needed anyway.
+// rect update, removal — and the header CRC in place, without an
+// Unmarshal → mutate → Marshal round trip. It is how internal/rtree's Insert
+// and Delete write every node on a mutation's path that still has room or
+// stays adequately full: a leaf append, an entry removed, an ancestor's
+// rectangle brought up to its child's new MBR. Only the one node a mutation
+// splits, force-reinserts from or dissolves is materialized instead, because
+// that needs the full entry set on the heap anyway.
 //
 // Byte determinism is the load-bearing contract: after any sequence of
 // MutableView operations the page bytes are exactly what Marshal would have
@@ -94,7 +95,7 @@ func (m *MutableView) AppendEntry(r geom.Rect, ref uint64) error {
 }
 
 // SetEntryRect overwrites entry i's rectangle and recomputes the payload
-// CRC. The ancestor-MBR patch of the mutation fast path: the child pointer
+// CRC. The ancestor-MBR patch of a mutation's fix-up: the child pointer
 // stays, only the box grows or shrinks.
 func (m *MutableView) SetEntryRect(i int, r geom.Rect) error {
 	if i < 0 || i >= m.count {

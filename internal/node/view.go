@@ -14,9 +14,9 @@ package node
 // internal/rtree creates a View per visited page and lets it die inside
 // the pin scope.
 //
-// Write paths (insert, delete, bulk load) keep using Unmarshal: they
-// mutate entries in place and re-marshal, which needs the materialized
-// form anyway, and their cost is dominated by page writes, not decoding.
+// Insert and Delete descend through Views too and write through
+// MutableView; Unmarshal remains for the code that needs a whole node on
+// the heap — a split, a dissolved node, Walk, validation.
 
 import (
 	"encoding/binary"

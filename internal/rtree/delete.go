@@ -18,47 +18,40 @@ func (t *Tree) Delete(r geom.Rect, ref uint64) (bool, error) {
 	if t.height == 0 {
 		return false, nil
 	}
-	// Common case first: an in-place leaf removal under write pins
-	// (mutate.go), byte-identical to the slow path below. It declines
-	// when the leaf would fall under minFill (condensation) or the root
-	// would empty.
-	if handled, found, err := t.deleteFast(r, ref); err != nil {
+	t.mutScratch()
+	t.mut.path, t.mut.cands = t.mut.path[:0], t.mut.cands[:0]
+	found, err := t.findLeaf(t.root, r, ref)
+	if err != nil || !found {
 		return false, err
-	} else if handled {
-		return found, nil
-	}
-	t.mutStats.structuralDeletes.Add(1)
-	var orphans []orphan
-	found, _, _, err := t.delete(t.root, r, ref, &orphans)
-	if err != nil {
-		return false, err
-	}
-	if !found {
-		return false, nil
 	}
 	t.count--
 
-	// Collapse the root: an internal root with one child is replaced by
-	// that child; an empty leaf root empties the tree.
-	for {
-		var root node.Node
-		if err := t.readNode(t.root, &root); err != nil {
+	// CondenseTree, bottom-up along the path. Losing the entry may leave
+	// the leaf underfull, its dissolution the parent, and so on: a chain
+	// of non-root nodes from the leaf up dissolves into orphans.
+	path := t.mut.path
+	var orphans []orphan
+	j := len(path) - 1
+	for ; j > 0 && path[j].count-1 < t.minFill; j-- {
+		if orphans, err = t.dissolve(path[j], orphans); err != nil {
 			return false, err
 		}
-		if root.IsLeaf() {
-			if len(root.Entries) == 0 && t.count == 0 {
-				t.freePage(t.root)
-				t.root = storage.NilPage
-				t.height = 0
-			}
-			break
+	}
+	structural := j < len(path)-1
+	// The first node that survives loses the entry in place; above it
+	// rectangles tighten until one is already exact.
+	rootShrank := j == 0
+	for fix, changed := fixGone, true; j >= 0 && changed; j, fix = j-1, fixRect {
+		if changed, err = t.patchNode(path[j], fix, &t.mut.mbr, nil); err != nil {
+			return false, err
 		}
-		if len(root.Entries) != 1 {
-			break
+	}
+	if rootShrank {
+		collapsed, err := t.collapseRoot()
+		if err != nil {
+			return false, err
 		}
-		t.freePage(t.root)
-		t.root = storage.PageID(root.Entries[0].Ref)
-		t.height--
+		structural = structural || collapsed
 	}
 
 	// Reinsert orphaned entries at their original levels, processed as a
@@ -68,112 +61,138 @@ func (t *Tree) Delete(r geom.Rect, ref uint64) (bool, error) {
 	for len(orphans) > 0 {
 		o := orphans[len(orphans)-1]
 		orphans = orphans[:len(orphans)-1]
-		if t.height == 0 {
+		switch {
+		case t.height == 0:
 			// Tree emptied; orphans can only be leaf entries in that case.
-			id, err := t.newPage()
-			if err != nil {
-				return false, err
-			}
-			n := node.Node{Level: 0, Dims: t.dims, Entries: []node.Entry{o.entry}}
-			if err := t.writeNode(id, &n); err != nil {
-				return false, err
-			}
-			t.root = id
-			t.height = 1
-			continue
-		}
-		level := o.level
-		if level >= t.height {
+			err = t.plantRoot(o.entry)
+		case o.level >= t.height:
 			// The tree shrank below the orphan's level; re-add its
 			// children instead. (Rare: only when the root collapsed.)
-			var n node.Node
-			if err := t.readNode(storage.PageID(o.entry.Ref), &n); err != nil {
-				return false, err
-			}
-			t.freePage(storage.PageID(o.entry.Ref))
-			for _, e := range n.Entries {
-				orphans = append(orphans, orphan{level: n.Level, entry: e})
-			}
-			continue
+			orphans, err = t.dissolve(mutStep{id: storage.PageID(o.entry.Ref), idx: -1}, orphans)
+		default:
+			_, err = t.insertAt(o.entry, o.level)
 		}
-		if err := t.insertAtLevel(o.entry, level); err != nil {
+		if err != nil {
 			return false, err
 		}
+	}
+	if structural {
+		t.mutStats.structuralDeletes.Add(1)
+	} else {
+		t.mutStats.inPlaceDeletes.Add(1)
 	}
 	return true, t.writeMeta()
 }
 
-// orphan is an entry displaced by CondenseTree, remembered with the level
-// it must be reinserted at. For level 0 the entry is a data entry; for
-// level L > 0 it points at a subtree of height L.
+// orphan is an entry displaced by CondenseTree or forced reinsertion,
+// remembered with the level it must be reinserted at. For level 0 the entry
+// is a data entry; for level L > 0 it points at a subtree of height L.
 type orphan struct {
 	level int
 	entry node.Entry
 }
 
-// delete searches the subtree on page id for the entry. It returns whether
-// the entry was found, the subtree's new MBR, and whether the node on id
-// became underfull and was dissolved (in which case its surviving entries
-// are queued in orphans and the page freed; the caller must drop its entry
-// for id).
-func (t *Tree) delete(id storage.PageID, r geom.Rect, ref uint64, orphans *[]orphan) (found bool, mbr geom.Rect, dissolved bool, err error) {
-	var n node.Node
-	if err := t.readNode(id, &n); err != nil {
-		return false, geom.Rect{}, false, err
-	}
-	if n.IsLeaf() {
-		at := -1
-		for i := range n.Entries {
-			if n.Entries[i].Ref == ref && n.Entries[i].Rect.Equal(r) {
-				at = i
-				break
-			}
-		}
-		if at < 0 {
-			return false, geom.Rect{}, false, nil
-		}
-		n.Entries = append(n.Entries[:at], n.Entries[at+1:]...)
-		return t.afterRemoval(id, &n, orphans)
-	}
-	for i := range n.Entries {
-		if !n.Entries[i].Rect.Intersects(r) {
-			continue
-		}
-		childID := storage.PageID(n.Entries[i].Ref)
-		found, childMBR, childGone, err := t.delete(childID, r, ref, orphans)
-		if err != nil {
-			return false, geom.Rect{}, false, err
-		}
-		if !found {
-			continue
-		}
-		if childGone {
-			n.Entries = append(n.Entries[:i], n.Entries[i+1:]...)
-		} else {
-			n.Entries[i].Rect = childMBR
-		}
-		return t.afterRemoval(id, &n, orphans)
-	}
-	return false, geom.Rect{}, false, nil
+// cand is an entry of an internal node that FindLeaf has yet to explore:
+// its index in the node and the child page it points to.
+type cand struct {
+	idx int
+	id  storage.PageID
 }
 
-// afterRemoval finishes a node one of whose entries changed or vanished:
-// if the node is the root or still adequately full it is written back;
-// otherwise it dissolves into orphans.
-func (t *Tree) afterRemoval(id storage.PageID, n *node.Node, orphans *[]orphan) (bool, geom.Rect, bool, error) {
-	isRoot := id == t.root
-	if !isRoot && len(n.Entries) < t.minFill {
-		for _, e := range n.Entries {
-			*orphans = append(*orphans, orphan{level: n.Level, entry: e})
+// findLeaf is Guttman's FindLeaf: depth-first over the children whose
+// rectangles intersect r, in entry order, appending to t.mut.path the path
+// to the first leaf holding (r, ref). A node's candidate children are
+// banked in t.mut.cands — one slab used as a stack, each frame above its
+// caller's — while the node is pinned, so at most one pin is held at any
+// moment and a warm search allocates nothing.
+func (t *Tree) findLeaf(id storage.PageID, r geom.Rect, ref uint64) (bool, error) {
+	f, v, err := t.fetchView(id)
+	if err != nil {
+		return false, err
+	}
+	s := mutStep{id: id, idx: -1, count: v.Count()}
+	if v.IsLeaf() {
+		for i := 0; i < s.count && s.idx < 0; i++ {
+			if v.EntryRef(i) == ref {
+				v.EntryRectInto(i, &t.mut.rect)
+				if t.mut.rect.Equal(r) {
+					s.idx = i
+				}
+			}
 		}
-		t.freePage(id)
-		return true, geom.Rect{}, true, nil
+		t.pool.Release(f)
+		if s.idx < 0 {
+			return false, nil
+		}
+		t.mut.path = append(t.mut.path, s)
+		return true, nil
 	}
-	if err := t.writeNode(id, n); err != nil {
-		return false, geom.Rect{}, false, err
+	base := len(t.mut.cands)
+	for i := 0; i < s.count; i++ {
+		if v.IntersectsQuery(r, i) {
+			t.mut.cands = append(t.mut.cands, cand{idx: i, id: storage.PageID(v.EntryRef(i))})
+		}
 	}
-	if len(n.Entries) == 0 {
-		return true, geom.UnitCube(t.dims), false, nil // empty root; MBR unused
+	t.pool.Release(f)
+	end, depth := len(t.mut.cands), len(t.mut.path)
+	t.mut.path = append(t.mut.path, s)
+	for k := base; k < end; k++ {
+		c := t.mut.cands[k]
+		t.mut.path[depth].idx = c.idx
+		found, err := t.findLeaf(c.id, r, ref)
+		if err != nil || found {
+			return found, err
+		}
 	}
-	return true, n.MBR(), false, nil
+	t.mut.path, t.mut.cands = t.mut.path[:depth], t.mut.cands[:base]
+	return false, nil
+}
+
+// dissolve frees the node of step s and queues its entries, all but the
+// one the step followed (already gone), for reinsertion at the node's
+// level. The caller drops the parent's entry for it.
+func (t *Tree) dissolve(s mutStep, orphans []orphan) ([]orphan, error) {
+	var n node.Node
+	if err := t.readNode(s.id, &n); err != nil {
+		return orphans, err
+	}
+	for i, e := range n.Entries {
+		if i != s.idx {
+			orphans = append(orphans, orphan{level: n.Level, entry: e})
+		}
+	}
+	t.freePage(s.id)
+	return orphans, nil
+}
+
+// collapseRoot shortens the tree after its root lost an entry: an internal
+// root left with one child is replaced by that child, repeatedly, and an
+// empty leaf root empties the tree. It reports whether the root changed.
+func (t *Tree) collapseRoot() (bool, error) {
+	collapsed := false
+	for {
+		f, v, err := t.fetchView(t.root)
+		if err != nil {
+			return collapsed, err
+		}
+		leaf, count := v.IsLeaf(), v.Count()
+		only := storage.NilPage
+		if !leaf && count == 1 {
+			only = storage.PageID(v.EntryRef(0))
+		}
+		t.pool.Release(f)
+		switch {
+		case leaf && count == 0 && t.count == 0:
+			t.freePage(t.root)
+			t.root, t.height = storage.NilPage, 0
+			return true, nil
+		case only != storage.NilPage:
+			t.freePage(t.root)
+			t.root = only
+			t.height--
+			collapsed = true
+		default:
+			return collapsed, nil
+		}
+	}
 }

@@ -11,163 +11,202 @@ import (
 
 // Insert adds one data entry using Guttman's dynamic insertion algorithm:
 // ChooseLeaf descends by least area enlargement, overflowing nodes split
-// (linear or quadratic per the tree's configuration), and MBRs are adjusted
-// up the path. This is the one-object-at-a-time loading whose shortcomings
-// — load time, space utilization and query quality — motivate packing in
-// the paper's introduction.
+// (linear, quadratic or R* per the tree's configuration), and MBRs are
+// adjusted up the path. This is the one-object-at-a-time loading whose
+// shortcomings — load time, space utilization and query quality — motivate
+// packing in the paper's introduction.
 func (t *Tree) Insert(r geom.Rect, ref uint64) error {
 	if err := t.checkEntry(r); err != nil {
 		return err
 	}
-	// Common case first: an in-place leaf append under write pins
-	// (mutate.go), byte-identical to the slow path below but with no
-	// decode/re-encode. It declines when the chosen leaf is full.
-	if done, err := t.insertFast(r, ref); err != nil {
-		return err
-	} else if done {
-		return nil
-	}
-	t.mutStats.structuralInserts.Add(1)
-	e := node.Entry{Rect: r.Clone(), Ref: ref}
+	e := node.Entry{Rect: r, Ref: ref}
 	if t.height == 0 {
-		id, err := t.newPage()
-		if err != nil {
+		t.mutStats.structuralInserts.Add(1)
+		if err := t.plantRoot(e); err != nil {
 			return err
 		}
-		root := node.Node{Level: 0, Dims: t.dims, Entries: []node.Entry{e}}
-		if err := t.writeNode(id, &root); err != nil {
-			return err
-		}
-		t.root = id
-		t.height = 1
 		t.count = 1
 		return t.writeMeta()
 	}
-	if t.forcedReinsert {
-		t.reinsert.active = true
-		t.reinsert.done = make(map[int]bool)
-		defer func() {
-			t.reinsert.active = false
-			t.reinsert.done = nil
-			// On an error path undrained evictions must not leak into
-			// the next insertion.
-			t.reinsert.pending = t.reinsert.pending[:0]
-		}()
-	}
-	if err := t.insertAtLevel(e, 0); err != nil {
-		return err
-	}
+	t.reinsert.active = t.forcedReinsert
+	defer func() {
+		t.reinsert.active = false
+		clear(t.reinsert.done)
+		// On an error path undrained evictions must not leak into the
+		// next insertion.
+		t.reinsert.pending = t.reinsert.pending[:0]
+	}()
+	structural, err := t.insertAt(e, 0)
 	// Forced reinsertion: entries evicted from overflowing nodes go back
 	// in now; their levels are marked done, so a second overflow there
 	// splits normally.
-	for len(t.reinsert.pending) > 0 {
+	for err == nil && len(t.reinsert.pending) > 0 {
 		o := t.reinsert.pending[len(t.reinsert.pending)-1]
 		t.reinsert.pending = t.reinsert.pending[:len(t.reinsert.pending)-1]
-		if err := t.insertAtLevel(o.entry, o.level); err != nil {
-			return err
-		}
+		_, err = t.insertAt(o.entry, o.level)
+	}
+	if err != nil {
+		return err
 	}
 	t.count++
+	if structural {
+		t.mutStats.structuralInserts.Add(1)
+	} else {
+		t.mutStats.inPlaceInserts.Add(1)
+	}
 	return t.writeMeta()
 }
 
-// insertAtLevel places e at the given level (0 = leaf), growing the tree if
-// the root splits. Reinsertion during deletion uses level > 0 to put
-// orphaned subtrees back at their original height.
-func (t *Tree) insertAtLevel(e node.Entry, level int) error {
-	_, split, err := t.insert(t.root, e, level)
+// plantRoot makes e the only entry of a fresh leaf root: an empty tree's
+// first entry.
+func (t *Tree) plantRoot(e node.Entry) error {
+	id, err := t.newPage()
 	if err != nil {
 		return err
 	}
-	if split == nil {
-		return nil
-	}
-	// Root split: the tree grows a level.
-	var oldRoot node.Node
-	if err := t.readNode(t.root, &oldRoot); err != nil {
+	root := node.Node{Level: 0, Dims: t.dims, Entries: []node.Entry{e}}
+	if err := t.writeNode(id, &root); err != nil {
 		return err
 	}
-	newRootID, err := t.newPage()
-	if err != nil {
-		return err
-	}
-	newRoot := node.Node{
-		Level: t.height,
-		Dims:  t.dims,
-		Entries: []node.Entry{
-			{Rect: oldRoot.MBR(), Ref: uint64(t.root)},
-			*split,
-		},
-	}
-	if err := t.writeNode(newRootID, &newRoot); err != nil {
-		return err
-	}
-	t.root = newRootID
-	t.height++
+	t.root, t.height = id, 1
 	return nil
 }
 
-// insert recursively places e in the subtree rooted at page id. It returns
-// the subtree's new MBR and, if the node on id overflowed and split, the
-// entry for the freshly created sibling page.
-func (t *Tree) insert(id storage.PageID, e node.Entry, targetLevel int) (geom.Rect, *node.Entry, error) {
-	var n node.Node
-	if err := t.readNode(id, &n); err != nil {
-		return geom.Rect{}, nil, err
-	}
-	if n.Level == targetLevel {
-		n.Entries = append(n.Entries, e)
-		return t.finishNode(id, &n)
-	}
-	// ChooseSubtree: least enlargement, ties by least area.
-	best := chooseSubtree(n.Entries, e.Rect)
-	childRect, split, err := t.insert(storage.PageID(n.Entries[best].Ref), e, targetLevel)
+// insertAt places e in a node of the given level (0 = leaf; Delete puts
+// orphaned subtrees back at level > 0, forced reinsertion likewise) and
+// repairs the path above it, growing the tree if the root splits. It
+// reports whether the insertion was structural: some node overflowed.
+func (t *Tree) insertAt(e node.Entry, level int) (structural bool, err error) {
+	path, err := t.choosePath(e.Rect, level)
 	if err != nil {
-		return geom.Rect{}, nil, err
+		return false, err
 	}
-	n.Entries[best].Rect = childRect
-	if split != nil {
-		n.Entries = append(n.Entries, *split)
+	// Bottom-up: add is what the node at hand must take in — e itself,
+	// then the sibling a split below produced — and mbr the new MBR of
+	// the child just handled.
+	mbr, add, fix := &t.mut.mbr, &e, fixNone
+	for j := len(path) - 1; j >= 0; j, fix = j-1, fixRect {
+		changed := true
+		if add != nil && path[j].count >= t.capacity {
+			structural = true
+			add, err = t.overflow(path[j], fix, mbr, *add)
+		} else {
+			changed, err = t.patchNode(path[j], fix, mbr, add)
+			add = nil
+		}
+		if err != nil || !changed {
+			return structural, err
+		}
 	}
-	return t.finishNode(id, &n)
+	if add == nil {
+		return structural, nil
+	}
+	// Root split: the tree grows a level.
+	id, err := t.newPage()
+	if err != nil {
+		return true, err
+	}
+	root := node.Node{
+		Level:   t.height,
+		Dims:    t.dims,
+		Entries: []node.Entry{{Rect: *mbr, Ref: uint64(t.root)}, *add},
+	}
+	if err := t.writeNode(id, &root); err != nil {
+		return true, err
+	}
+	t.root = id
+	t.height++
+	return true, nil
 }
 
-// finishNode writes n back to page id, splitting first if it overflowed.
-// With forced reinsertion enabled, the first overflow at each level of an
-// insertion evicts the 30% of entries farthest from the node center for
-// reinsertion instead of splitting (R*-tree OverflowTreatment).
-func (t *Tree) finishNode(id storage.PageID, n *node.Node) (geom.Rect, *node.Entry, error) {
-	if len(n.Entries) <= t.capacity {
-		if err := t.writeNode(id, n); err != nil {
-			return geom.Rect{}, nil, err
+// choosePath is Guttman's ChooseLeaf generalized to a target level: from
+// the root, follow the entry needing least enlargement to cover r until a
+// node of that level is reached, recording every node visited in the
+// reusable path scratch. One page is pinned at a time.
+func (t *Tree) choosePath(r geom.Rect, level int) ([]mutStep, error) {
+	t.mutScratch()
+	path := t.mut.path[:0]
+	for id, at := t.root, -1; at != level; {
+		f, v, err := t.fetchView(id)
+		if err != nil {
+			return nil, err
 		}
-		return n.MBR(), nil, nil
+		at = v.Level()
+		s := mutStep{id: id, count: v.Count()}
+		if at != level {
+			s.idx = chooseSubtreeView(v, r, &t.mut.rect)
+			id = storage.PageID(v.EntryRef(s.idx))
+		}
+		t.pool.Release(f)
+		path = append(path, s)
 	}
-	if t.reinsert.active && id != t.root && !t.reinsert.done[n.Level] {
+	t.mut.path = path
+	return path, nil
+}
+
+// chooseSubtreeView returns the index of the entry needing least
+// enlargement to cover r, breaking ties by smallest area (Guttman's
+// ChooseLeaf step CL3).
+func chooseSubtreeView(v node.View, r geom.Rect, scratch *geom.Rect) int {
+	best := 0
+	bestEnl := math.Inf(1)
+	bestArea := math.Inf(1)
+	for i := 0; i < v.Count(); i++ {
+		v.EntryRectInto(i, scratch)
+		enl := scratch.Enlargement(r)
+		area := scratch.Area()
+		//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
+		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
+}
+
+// overflow handles the full node of step s that must still take in e: the
+// node is materialized with the followed child's rectangle brought up to
+// *mbr and e appended, then relieved. With forced reinsertion enabled, the
+// first overflow at each level of an insertion evicts the 30% of entries
+// farthest from the node center for reinsertion instead of splitting
+// (R*-tree OverflowTreatment); otherwise the node splits and the new
+// sibling's entry is returned for the parent. *mbr becomes the node's new
+// MBR. Pages are written child before parent and the sibling page is
+// allocated after the node is rewritten: page numbering depends on it.
+func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (*node.Entry, error) {
+	var n node.Node
+	if err := t.readNode(s.id, &n); err != nil {
+		return nil, err
+	}
+	if fix == fixRect {
+		n.Entries[s.idx].Rect = mbr.Clone()
+	}
+	n.Entries = append(n.Entries, e)
+	if t.reinsert.active && s.id != t.root && !t.reinsert.done[n.Level] {
+		if t.reinsert.done == nil {
+			t.reinsert.done = make(map[int]bool)
+		}
 		t.reinsert.done[n.Level] = true
-		evicted := evictFarthest(n, len(n.Entries)*3/10)
-		for _, e := range evicted {
-			t.reinsert.pending = append(t.reinsert.pending, orphan{level: n.Level, entry: e})
+		for _, ev := range evictFarthest(&n, len(n.Entries)*3/10) {
+			t.reinsert.pending = append(t.reinsert.pending, orphan{level: n.Level, entry: ev})
 		}
-		if err := t.writeNode(id, n); err != nil {
-			return geom.Rect{}, nil, err
-		}
-		return n.MBR(), nil, nil
+		*mbr = n.MBR()
+		return nil, t.writeNode(s.id, &n)
 	}
 	left, right := t.splitEntries(n.Entries)
 	n.Entries = left
-	if err := t.writeNode(id, n); err != nil {
-		return geom.Rect{}, nil, err
+	if err := t.writeNode(s.id, &n); err != nil {
+		return nil, err
 	}
 	sibID, err := t.newPage()
 	if err != nil {
-		return geom.Rect{}, nil, err
+		return nil, err
 	}
 	sib := node.Node{Level: n.Level, Dims: n.Dims, Entries: right}
 	if err := t.writeNode(sibID, &sib); err != nil {
-		return geom.Rect{}, nil, err
+		return nil, err
 	}
-	return n.MBR(), &node.Entry{Rect: sib.MBR(), Ref: uint64(sibID)}, nil
+	*mbr = n.MBR()
+	return &node.Entry{Rect: sib.MBR(), Ref: uint64(sibID)}, nil
 }
 
 // evictFarthest removes the count entries whose centers are farthest from
@@ -215,23 +254,6 @@ func evictFarthest(n *node.Node, count int) []node.Entry {
 	}
 	n.Entries = kept
 	return evicted
-}
-
-// chooseSubtree returns the index of the entry needing least enlargement to
-// cover r, breaking ties by smallest area (Guttman's ChooseLeaf step CL3).
-func chooseSubtree(entries []node.Entry, r geom.Rect) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i := range entries {
-		enl := entries[i].Rect.Enlargement(r)
-		area := entries[i].Rect.Area()
-		//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
 }
 
 // splitEntries divides an overflowing entry set (capacity+1 long) into two

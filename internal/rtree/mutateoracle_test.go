@@ -10,6 +10,7 @@ package rtree_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"slices"
@@ -104,7 +105,12 @@ type mutOracleConfig struct {
 	dupHeavy   bool    // snap coordinates to a coarse grid: many equal keys
 	pInsert    float64 // probability an op is an insert
 	queryEvery int     // compare queries every n ops (1 = every op)
-	slowOnly   bool    // force the structural path (differential reference)
+	checkEvery int     // verify invariants every n ops and after the last (0 = every op)
+	// swing > 0 alternates grow and drain phases: every swing ops the insert
+	// probability flips between pInsert and 0.1, so one tape climbs through
+	// root splits and falls back through condensation and root collapse,
+	// down to the empty tree and its bootstrap, several times.
+	swing int
 }
 
 func (c mutOracleConfig) String() string {
@@ -140,14 +146,12 @@ func newMutTree(t testing.TB, c mutOracleConfig) *rtree.Tree {
 	if err != nil {
 		t.Fatalf("%v: create: %v", c, err)
 	}
-	if c.slowOnly {
-		tr.SetInPlaceMutation(false)
-	}
 	return tr
 }
 
 // runMutateOracle drives the op sequence, checking invariants after every
-// op and query equivalence every queryEvery ops. It returns the tree for
+// op (every checkEvery ops if set) and query equivalence every queryEvery
+// ops. It returns the tree for
 // caller-side final assertions.
 func runMutateOracle(t *testing.T, c mutOracleConfig) *rtree.Tree {
 	t.Helper()
@@ -157,8 +161,12 @@ func runMutateOracle(t *testing.T, c mutOracleConfig) *rtree.Tree {
 	nextRef := uint64(1)
 
 	for op := 0; op < c.ops; op++ {
+		pInsert := c.pInsert
+		if c.swing > 0 && (op/c.swing)%2 == 1 {
+			pInsert = 0.1
+		}
 		switch {
-		case len(o.entries) == 0 || rng.Float64() < c.pInsert:
+		case len(o.entries) == 0 || rng.Float64() < pInsert:
 			var r geom.Rect
 			var ref uint64
 			switch {
@@ -196,8 +204,10 @@ func runMutateOracle(t *testing.T, c mutOracleConfig) *rtree.Tree {
 			o.delete(e.rect, e.ref)
 		}
 
-		if err := invariant.Check(tr, invariant.Config{RoundTrip: true}); err != nil {
-			t.Fatalf("%v: op %d: invariants violated: %v", c, op, err)
+		if c.checkEvery == 0 || op%c.checkEvery == 0 || op == c.ops-1 {
+			if err := invariant.Check(tr, invariant.Config{RoundTrip: true}); err != nil {
+				t.Fatalf("%v: op %d: invariants violated: %v", c, op, err)
+			}
 		}
 		if tr.Len() != len(o.entries) {
 			t.Fatalf("%v: op %d: tree holds %d entries, oracle %d", c, op, tr.Len(), len(o.entries))
@@ -298,47 +308,73 @@ func TestMutateOracleMatrix(t *testing.T) {
 	}
 }
 
-// TestMutateFastSlowByteIdentity replays one op sequence into two trees —
-// fast paths on and forced off — and requires byte-identical pagers: the
-// MutableView shortcut must be a pure encoding change, invisible in the
-// stored bytes.
-func TestMutateFastSlowByteIdentity(t *testing.T) {
-	base := mutOracleConfig{
-		seed: 3001, ops: 3000, dims: 2, pageSize: 256, bufPages: 64,
-		split: rtree.SplitQuadratic, pInsert: 0.55, queryEvery: 0,
-	}
-	slow := base
-	slow.slowOnly = true
+// goldenTapes are the seeded op tapes of TestMutateGoldenBytes with the
+// FNV-64a digest of the flushed pager (every page, in page order) each one
+// must leave behind. The digests were recorded at the last commit that still
+// had a separate materializing mutation tier, before it was collapsed into
+// the single path: they pin every stored byte, the page allocation order and
+// the free-list order of Guttman- and R*-built trees to what that commit
+// wrote. A digest changes only with an intentional change to the on-disk
+// format or to a placement decision; regenerate by running the test with
+// -v, which logs each tape's actual digest.
+var goldenTapes = []struct {
+	cfg  mutOracleConfig
+	want uint64
+}{
+	{mutOracleConfig{seed: 4001, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitLinear, pInsert: 0.55}, 0x431ab2e162e0145a},
+	{mutOracleConfig{seed: 3001, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitQuadratic, pInsert: 0.55}, 0x752fabe336205713},
+	{mutOracleConfig{seed: 4003, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitRStar, reinsert: true, pInsert: 0.55}, 0x9810a7dc416b0f66},
+	{mutOracleConfig{seed: 4004, ops: 4000, dims: 2, pageSize: 4096, split: rtree.SplitQuadratic, pInsert: 0.75}, 0x0f84b446a58d7c65},
+	{mutOracleConfig{seed: 4005, ops: 4000, dims: 2, pageSize: 4096, split: rtree.SplitRStar, reinsert: true, pInsert: 0.75}, 0xc3376daae06e1ca6},
+	{mutOracleConfig{seed: 4006, ops: 3000, dims: 3, pageSize: 256, split: rtree.SplitLinear, pInsert: 0.55}, 0x323ab0c20a7a0137},
+	{mutOracleConfig{seed: 4007, ops: 4000, dims: 3, pageSize: 4096, split: rtree.SplitQuadratic, pInsert: 0.75}, 0x4d4b43bcc93e0a9a},
+	{mutOracleConfig{seed: 4008, ops: 3000, dims: 3, pageSize: 256, split: rtree.SplitRStar, reinsert: true, pInsert: 0.55}, 0x4f234305c47ab64d},
+	{mutOracleConfig{seed: 4009, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitQuadratic, dupHeavy: true, pInsert: 0.55}, 0x6fe0b92c878c16ab},
+	{mutOracleConfig{seed: 4010, ops: 4000, dims: 2, pageSize: 256, split: rtree.SplitQuadratic, pInsert: 0.8, swing: 800}, 0xf443f8691fe74ca1},
+	{mutOracleConfig{seed: 4011, ops: 4000, dims: 2, pageSize: 256, split: rtree.SplitRStar, reinsert: true, pInsert: 0.8, swing: 800}, 0xc5b838b4a13cfa48},
+	{mutOracleConfig{seed: 4012, ops: 4000, dims: 3, pageSize: 256, split: rtree.SplitLinear, pInsert: 0.8, swing: 800}, 0x469e5fc937bfdb4c},
+}
 
-	fastTr := runMutateOracle(t, base)
-	slowTr := runMutateOracle(t, slow)
-	if n := fastTr.MutateStats().InPlaceInserts; n == 0 {
-		t.Fatal("fast tree never took the in-place path")
-	}
-	if n := slowTr.MutateStats().InPlaceInserts; n != 0 {
-		t.Fatalf("slow tree took the in-place path %d times", n)
-	}
-	if err := fastTr.Flush(); err != nil {
+// pagerDigest flushes the tree and returns the FNV-64a of every pager page
+// in page order (meta page, live nodes and freed pages alike).
+func pagerDigest(t *testing.T, tr *rtree.Tree) uint64 {
+	t.Helper()
+	if err := tr.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := slowTr.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	pf, ps := fastTr.Pool().Pager(), slowTr.Pool().Pager()
-	if pf.NumPages() != ps.NumPages() {
-		t.Fatalf("page counts diverge: fast %d, slow %d", pf.NumPages(), ps.NumPages())
-	}
-	bf := make([]byte, base.pageSize)
-	bs := make([]byte, base.pageSize)
-	for id := 0; id < pf.NumPages(); id++ {
-		if err := pf.ReadPage(storage.PageID(id), bf); err != nil {
+	pager := tr.Pool().Pager()
+	h := fnv.New64a()
+	page := make([]byte, pager.PageSize())
+	for id := 0; id < pager.NumPages(); id++ {
+		if err := pager.ReadPage(storage.PageID(id), page); err != nil {
 			t.Fatal(err)
 		}
-		if err := ps.ReadPage(storage.PageID(id), bs); err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(bf, bs) {
-			t.Fatalf("page %d differs between fast and slow mutation paths", id)
-		}
+		h.Write(page)
+	}
+	return h.Sum64()
+}
+
+// TestMutateGoldenBytes replays each golden tape and requires the flushed
+// pager to hash to the recorded digest: the mutation path may change how it
+// reaches a tree, never the bytes it stores. Invariants are sampled, not
+// checked per op — that is the oracle matrix's job, and the verifier's
+// full walk per op would dominate these longer tapes.
+func TestMutateGoldenBytes(t *testing.T) {
+	for _, g := range goldenTapes {
+		c := g.cfg
+		c.bufPages, c.checkEvery = 64, 64
+		t.Run(c.String(), func(t *testing.T) {
+			tr := runMutateOracle(t, c)
+			ms := tr.MutateStats()
+			if ms.InPlaceInserts == 0 || ms.StructuralInserts == 0 || ms.InPlaceDeletes == 0 || ms.StructuralDeletes == 0 {
+				t.Fatalf("tape left a kind of mutation unexercised: %+v", ms)
+			}
+			got := pagerDigest(t, tr)
+			t.Logf("digest %#016x, height %d, %d entries, %d pages, %d free, %+v",
+				got, tr.Height(), tr.Len(), tr.Pool().Pager().NumPages(), len(tr.FreePages()), ms)
+			if got != g.want {
+				t.Errorf("pager digest %#016x, want %#016x", got, g.want)
+			}
+		})
 	}
 }

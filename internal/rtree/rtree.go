@@ -82,10 +82,11 @@ type Config struct {
 // immutable tree fields, per-query pooled traversal state, and the buffer
 // manager, whose pin protocol keeps a fetched page's bytes stable until
 // release (queries decode them in place through node.View inside that pin
-// scope; write paths copy them out with node.Unmarshal). Use a sharded
-// manager (buffer.Sharded) so concurrent readers
-// do not serialize behind one buffer mutex, or independent Trees sharing a
-// pager for fully separate buffer accounting.
+// scope; Insert and Delete descend the same way and patch pages through
+// node.MutableView under exclusive write pins, see mutate.go). Use a
+// sharded manager (buffer.Sharded) so concurrent readers do not serialize
+// behind one buffer mutex, or independent Trees sharing a pager for fully
+// separate buffer accounting.
 type Tree struct {
 	pool           buffer.Manager
 	dims           int
@@ -106,18 +107,18 @@ type Tree struct {
 	// flight (single-writer, like all mutations).
 	reinsert struct {
 		active  bool
-		done    map[int]bool
+		done    map[int]bool // levels that already evicted; made on first use
 		pending []orphan
 	}
 
-	// noInPlace disables the MutableView mutation fast paths (mutate.go);
-	// the zero value keeps them on. Toggled by SetInPlaceMutation.
-	noInPlace bool
-	// mut is the reusable scratch of the mutation fast paths
-	// (single-writer, like all mutations).
+	// mut is the reusable scratch of Insert and Delete (single-writer,
+	// like all mutations; see mutate.go): the recorded path, FindLeaf's
+	// candidate stack, the MBR carried up the path and a rectangle to
+	// decode entries into.
 	mut struct {
-		path   []mutStep
-		r1, r2 geom.Rect
+		path      []mutStep
+		cands     []cand
+		mbr, rect geom.Rect
 	}
 	// mutStats counts in-place vs structural mutations. Atomic so a
 	// serving layer can snapshot them while a writer runs; see
@@ -456,14 +457,17 @@ func (t *Tree) Bounds() (geom.Rect, bool, error) {
 	if t.height == 0 {
 		return geom.Rect{}, false, nil
 	}
-	var root node.Node
-	if err := t.readNode(t.root, &root); err != nil {
+	f, v, err := t.fetchView(t.root)
+	if err != nil {
 		return geom.Rect{}, false, err
 	}
-	if len(root.Entries) == 0 {
+	defer t.pool.Release(f)
+	if v.Count() == 0 {
 		return geom.Rect{}, false, nil
 	}
-	return root.MBR(), true, nil
+	mbr := geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)}
+	v.MBRInto(&mbr)
+	return mbr, true, nil
 }
 
 // NumNodes counts the pages occupied by tree nodes (excluding the meta

@@ -3,7 +3,6 @@ package rtree
 import (
 	"strtree/internal/geom"
 	"strtree/internal/node"
-	"strtree/internal/storage"
 )
 
 // Search reports every data entry whose rectangle intersects q, using the
@@ -15,60 +14,15 @@ import (
 // The traversal runs on the zero-copy read path (traverse.go): pages are
 // decoded in place through node.View and all traversal state is pooled, so
 // a steady-state Search allocates nothing. Node visits happen in exactly
-// the order of the recursive reference implementation (SearchUnmarshal),
-// so the pool's DiskReads delta after a Search is still exactly the
-// paper's "number of disk accesses to satisfy the query".
+// the order of the paper's recursive procedure (the tests keep a
+// materializing reference implementation and compare fetch sequences), so
+// the pool's DiskReads delta after a Search is still exactly the paper's
+// "number of disk accesses to satisfy the query".
 //
 // The entry passed to fn aliases pooled traversal storage and is valid
 // only during the callback; Clone its rectangle to retain it.
 func (t *Tree) Search(q geom.Rect, fn func(e node.Entry) bool) error {
 	return t.searchView(nil, q, fn)
-}
-
-// SearchUnmarshal is the recursive, materializing reference
-// implementation of Search: every visited page is decoded with
-// node.Unmarshal into a fresh node.Node. It visits the same pages in the
-// same order and reports the same entries as Search, which the
-// differential tests (TestSearchResultsIdentical) assert; it is retained
-// as the oracle for those tests and allocates per visited node, so query
-// paths should use Search.
-func (t *Tree) SearchUnmarshal(q geom.Rect, fn func(e node.Entry) bool) error {
-	if err := t.checkEntry(q); err != nil {
-		return err
-	}
-	if t.height == 0 {
-		return nil
-	}
-	_, err := t.searchRec(t.root, q, fn)
-	return err
-}
-
-func (t *Tree) searchRec(id storage.PageID, q geom.Rect, fn func(node.Entry) bool) (more bool, err error) {
-	var n node.Node
-	if err := t.readNode(id, &n); err != nil {
-		return false, err
-	}
-	if n.IsLeaf() {
-		for _, e := range n.Entries {
-			if !q.Intersects(e.Rect) {
-				continue
-			}
-			if !fn(e) {
-				return false, nil
-			}
-		}
-		return true, nil
-	}
-	for _, e := range n.Entries {
-		if !q.Intersects(e.Rect) {
-			continue
-		}
-		more, err := t.searchRec(storage.PageID(e.Ref), q, fn)
-		if err != nil || !more {
-			return more, err
-		}
-	}
-	return true, nil
 }
 
 // SearchWithin reports every data entry whose rectangle is fully

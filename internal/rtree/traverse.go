@@ -6,19 +6,20 @@
 // slabs results are banked into — lives in a pooled traverser that is
 // reused across queries.
 //
-// Pin discipline is identical to the Unmarshal path: at most one frame is
-// pinned at a time, and no user callback runs while a pin is held (leaf
-// matches are banked into the traverser's slab, the pin is released, then
-// the callback sees rectangles sliced out of the slab). That keeps
-// reentrant queries from callbacks working on a single-frame buffer pool
-// and keeps the fetch sequence — and therefore the paper's disk-access
-// counts and LRU behavior — byte-identical to the recursive reference
-// implementation (SearchUnmarshal), which the differential tests pin.
+// Pin discipline: at most one frame is pinned at a time, and no user
+// callback runs while a pin is held (leaf matches are banked into the
+// traverser's slab, the pin is released, then the callback sees rectangles
+// sliced out of the slab). That keeps reentrant queries from callbacks
+// working on a single-frame buffer pool and keeps the fetch sequence — and
+// therefore the paper's disk-access counts and LRU behavior — identical to
+// the recursive, materializing reference implementation the tests keep
+// (SearchUnmarshal in search_ref_test.go), which the differential tests pin.
 //
 // Emitted node.Entry rectangles alias the traverser's slab and are valid
-// only during the callback; Clone to retain. Write paths (insert.go,
-// delete.go, build.go) keep node.Unmarshal: they mutate entries in place
-// and re-marshal, which needs the materialized form anyway.
+// only during the callback; Clone to retain. The mutation descents
+// (mutate.go) read pages through the same fetchView. node.Unmarshal is left
+// to the code that needs a whole node on the heap: Walk, Validate, and the
+// one node a mutation splits or dissolves; the bulk loader only marshals.
 package rtree
 
 import (
@@ -38,8 +39,9 @@ type ReadStats struct {
 	// Queries is the number of view-path traversals started
 	// (Search/Count/Nearest/Scan families, plus one per side of a Join).
 	Queries uint64
-	// ViewPages is the number of pages decoded through node.View —
-	// the read path's unit of decode work, one per node visit.
+	// ViewPages is the number of pages decoded through node.View — the
+	// unit of decode work, one per node visit of a query and of an Insert
+	// or Delete descent.
 	ViewPages uint64
 	// TraverserAllocs is the number of traverser pool misses, i.e. heap
 	// allocations of traversal state. After warm-up this stays flat:

@@ -82,7 +82,7 @@ func (s *Server) buildRegistry() *obs.Registry {
 	// regressed from allocation-free operation.
 	r.CounterFunc("strserve_read_queries_total", "View-path query traversals started.",
 		func() uint64 { return s.tree.ReadPathStats().Queries })
-	r.CounterFunc("strserve_view_pages_total", "Pages decoded in place through node views (one per node visit on the read path).",
+	r.CounterFunc("strserve_view_pages_total", "Pages decoded in place through node views (one per node visit of a query or of a mutation's descent).",
 		func() uint64 { return s.tree.ReadPathStats().ViewPages })
 	r.CounterFunc("strserve_traverser_allocs_total", "Traversal-state pool misses, i.e. heap allocations of query state.",
 		func() uint64 { return s.tree.ReadPathStats().TraverserAllocs })

@@ -220,7 +220,12 @@ func TestServerOverload(t *testing.T) {
 	if err := <-slowDone; err != nil {
 		t.Fatalf("parked query failed after gate opened: %v", err)
 	}
-	// The rejected client's connection must still work.
+	// The rejected client's connection must still work — once the server
+	// has given the slot back, which it does after answering the parked
+	// client, so the answer alone does not order the two.
+	waitFor(t, "the parked query's slot to be released", func() bool {
+		return srv.inFlight.Load() == 0
+	})
 	if _, err := fast.Count(geom.R2(0, 0, 1, 1)); err != nil {
 		t.Fatalf("retry on same connection: %v", err)
 	}

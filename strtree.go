@@ -521,16 +521,17 @@ type ReadPathStats = rtree.ReadStats
 // are allocating). The serving layer exposes these on /metrics.
 func (t *Tree) ReadPathStats() ReadPathStats { return t.inner.ReadStats() }
 
-// MutatePathStats counts how dynamic mutations executed: InPlaceInserts
-// and InPlaceDeletes patched the affected pages directly through mutable
-// views (no decode/re-encode), while the Structural counters took the
-// full Guttman path because the op split a node, condensed one, or
-// collapsed the root; see Tree.MutatePathStats.
+// MutatePathStats counts how dynamic mutations finished. Every Insert
+// and Delete runs the same algorithm — one descent, one bottom-up
+// fix-up — and InPlaceInserts and InPlaceDeletes count the ops it
+// finished by patching the affected pages through mutable views alone,
+// while the Structural counters count the ops that also had to rebuild
+// a node: a split, a forced reinsertion, an underfull node dissolved,
+// the root grown, collapsed or first planted; see Tree.MutatePathStats.
 type MutatePathStats = rtree.MutateStats
 
-// MutatePathStats snapshots the write path's counters for this tree.
-// Both paths produce byte-identical trees; the split tells how often the
-// cheap in-place case applied under a given workload.
+// MutatePathStats snapshots the write path's counters for this tree:
+// how often the cheap in-place case applied under a given workload.
 func (t *Tree) MutatePathStats() MutatePathStats { return t.inner.MutateStats() }
 
 // BuildStats is the phase breakdown of a bulk load; see LastBuildStats.
