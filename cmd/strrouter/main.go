@@ -41,15 +41,13 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"strtree/internal/router"
 	"strtree/internal/router/shardmap"
+	"strtree/internal/server"
 )
 
 func main() {
@@ -153,8 +151,7 @@ func applyBackends(m *shardmap.Map, backends string) error {
 }
 
 // serve loads the manifest, builds the router and runs it until a
-// termination signal starts the drain — the same readiness-first
-// sequence strserve uses.
+// termination signal starts the drain (server.Run, as strserve does).
 func serve(mapPath, backends, addr string, cfg serveConfig) error {
 	m, err := shardmap.Load(mapPath)
 	if err != nil {
@@ -183,73 +180,18 @@ func serve(mapPath, backends, addr string, cfg serveConfig) error {
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		shutdownRouter(r)
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		_ = r.Shutdown(ctx) // nothing is in flight: stops the probe loop, closes the pools
 		return err
 	}
 	fmt.Printf("strrouter: routing %d shards (%d backends) on %s\n",
 		len(m.Shards), len(r.BackendStats()), ln.Addr())
-
-	var adminSrv *http.Server
-	adminDone := make(chan struct{})
-	if cfg.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", cfg.adminAddr)
-		if err != nil {
-			_ = ln.Close()
-			shutdownRouter(r)
-			return fmt.Errorf("admin listen: %w", err)
-		}
-		adminSrv = &http.Server{Handler: r.AdminHandler()}
-		go func() {
-			defer close(adminDone)
-			if err := adminSrv.Serve(adminLn); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "strrouter: admin: %v\n", err)
-			}
-		}()
-		fmt.Printf("strrouter: admin endpoint on http://%s\n", adminLn.Addr())
-	}
-	// The admin endpoint outlives the drain — it must answer 503 and
-	// serve final metrics while fan-outs finish — and closes last.
-	defer func() {
-		if adminSrv != nil {
-			_ = adminSrv.Close()
-			<-adminDone
-		}
-	}()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- r.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		if cfg.drainGrace > 0 {
-			fmt.Printf("strrouter: %v: not ready; draining in %v\n", sig, cfg.drainGrace)
-			r.MarkNotReady()
-			time.Sleep(cfg.drainGrace)
-		}
-		fmt.Printf("strrouter: %v: draining (up to %v)\n", sig, cfg.drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		drainErr := r.Shutdown(ctx)
-		if err := <-serveErr; err != nil {
-			return err
-		}
-		if drainErr != nil {
-			return fmt.Errorf("drain: %w", drainErr)
-		}
-		fmt.Println("strrouter: drained cleanly")
-		return nil
-	case err := <-serveErr:
-		shutdownRouter(r)
-		return err
-	}
-}
-
-// shutdownRouter tears a router down with a short bound, for error paths
-// where no drain is in progress.
-func shutdownRouter(r *router.Router) {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = r.Shutdown(ctx)
+	return server.Run(context.Background(), r, ln, server.RunConfig{
+		Name:         "strrouter",
+		Out:          os.Stdout,
+		AdminAddr:    cfg.adminAddr,
+		DrainGrace:   cfg.drainGrace,
+		DrainTimeout: cfg.drainTimeout,
+	}, nil)
 }

@@ -40,12 +40,9 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"strtree"
@@ -166,8 +163,8 @@ func resolveShardIndex(mapPath string, shardID int, idx string) (string, error) 
 	return m.IndexPath(mapPath, shardID), nil
 }
 
-// serve opens the index read-only-shaped (queries only) and runs the
-// server until a termination signal starts the drain.
+// serve opens the index and runs the server on it until a termination
+// signal starts the drain (server.Run).
 func serve(idx, addr string, cfg serveConfig) error {
 	tree, err := strtree.Open(idx, strtree.Options{
 		BufferPages:  cfg.bufPages,
@@ -215,70 +212,13 @@ func serve(idx, addr string, cfg serveConfig) error {
 	}
 	fmt.Printf("strserve: serving %s (%d items, height %d, %s) on %s\n",
 		idx, tree.Len(), tree.Height(), mode, ln.Addr())
-
-	var adminSrv *http.Server
-	adminDone := make(chan struct{})
-	if cfg.adminAddr != "" {
-		adminLn, err := net.Listen("tcp", cfg.adminAddr)
-		if err != nil {
-			_ = ln.Close()
-			_ = tree.Close()
-			return fmt.Errorf("admin listen: %w", err)
-		}
-		adminSrv = &http.Server{Handler: srv.AdminHandler()}
-		go func() {
-			defer close(adminDone)
-			if err := adminSrv.Serve(adminLn); err != nil && err != http.ErrServerClosed {
-				fmt.Fprintf(os.Stderr, "strserve: admin: %v\n", err)
-			}
-		}()
-		fmt.Printf("strserve: admin endpoint on http://%s\n", adminLn.Addr())
-	}
-	// The admin endpoint outlives the drain — it must answer 503 and
-	// serve final metrics while requests finish — and closes last.
-	defer func() {
-		if adminSrv != nil {
-			_ = adminSrv.Close()
-			<-adminDone
-		}
-	}()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	sigCh := make(chan os.Signal, 1)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
-	select {
-	case sig := <-sigCh:
-		if cfg.drainGrace > 0 {
-			// Readiness-first shutdown: flip /healthz to 503, keep serving
-			// for the grace period so routers drain us, then stop.
-			fmt.Printf("strserve: %v: not ready; draining in %v\n", sig, cfg.drainGrace)
-			srv.MarkNotReady()
-			time.Sleep(cfg.drainGrace)
-		}
-		fmt.Printf("strserve: %v: draining (up to %v)\n", sig, cfg.drainTimeout)
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-		defer cancel()
-		drainErr := srv.Shutdown(ctx)
-		if err := <-serveErr; err != nil {
-			return err
-		}
-		if err := tree.Close(); err != nil {
-			return err
-		}
-		if drainErr != nil {
-			return fmt.Errorf("drain: %w", drainErr)
-		}
-		fmt.Println("strserve: drained cleanly")
-		return nil
-	case err := <-serveErr:
-		closeErr := tree.Close()
-		if err != nil {
-			return err
-		}
-		return closeErr
-	}
+	return server.Run(context.Background(), srv, ln, server.RunConfig{
+		Name:         "strserve",
+		Out:          os.Stdout,
+		AdminAddr:    cfg.adminAddr,
+		DrainGrace:   cfg.drainGrace,
+		DrainTimeout: cfg.drainTimeout,
+	}, tree.Close)
 }
 
 // runClientQuery runs one window query against a running server.

@@ -1,50 +1,19 @@
 package router
 
-// This file is the router's admin endpoint, the same operational surface
-// strserve exposes (-admin): Prometheus metrics, a JSON snapshot, a
-// drain-aware health check, pprof. The router-specific series are the
-// fan-out's vital signs: per-backend request/error/retry/ejection
+// This file registers the router's own series next to the frame's: the
+// fan-out's vital signs — per-backend request/error/retry/ejection
 // counters, the fan-out width distribution (how well the shard MBRs
-// prune), and merge latency.
+// prune), and merge latency. The admin endpoint that serves them is the
+// frame's.
 
-import (
-	"io"
-	"net/http"
-	"net/http/pprof"
+import "strtree/internal/obs"
 
-	"strtree/internal/obs"
-)
-
-// buildRegistry wires the router's counters into an obs.Registry. Every
-// series is Func-backed: scrapes sample the live atomics the fan-out
-// path maintains, never adding work to a request.
-func (r *Router) buildRegistry() *obs.Registry {
-	reg := obs.NewRegistry()
-
-	// Front-side admission and outcomes.
-	reg.GaugeFunc("strrouter_inflight_requests", "Client requests currently executing.",
-		func() float64 { return float64(r.inFlight.Load()) })
-	reg.CounterFunc("strrouter_accepted_total", "Client requests admitted past the admission semaphore.", r.accepted.Load)
-	reg.CounterFunc("strrouter_rejected_total", "Client requests refused with StatusOverloaded.", r.rejected.Load)
-	reg.CounterFunc("strrouter_completed_total", "Client requests answered with StatusOK.", r.completed.Load)
-	reg.CounterFunc("strrouter_timedout_total", "Client requests that exceeded their deadline.", r.timedOut.Load)
-	reg.CounterFunc("strrouter_failed_total", "Client requests answered with an internal error.", r.failed.Load)
+// registerFanoutSeries adds the fan-out's counters to the frame's registry,
+// Func-backed like the frame's own.
+func (r *Router) registerFanoutSeries() {
+	reg := r.Registry()
 	reg.CounterFunc("strrouter_unavailable_total", "Client requests refused because a needed shard had no healthy replica.", r.unavailable.Load)
 	reg.CounterFunc("strrouter_retries_total", "Shard calls retried on another replica after a failure.", r.retriesTot.Load)
-	reg.GaugeFunc("strrouter_draining", "1 while the router refuses new work (drain in progress), else 0.",
-		func() float64 {
-			if r.Draining() {
-				return 1
-			}
-			return 0
-		})
-	reg.GaugeFunc("strrouter_ready", "1 while the health endpoint reports ready, else 0.",
-		func() float64 {
-			if r.Ready() {
-				return 1
-			}
-			return 0
-		})
 
 	// Shape of the topology, for dashboards joining load to fleet size.
 	reg.GaugeFunc("strrouter_shards", "Shards in the routing map.",
@@ -83,73 +52,6 @@ func (r *Router) buildRegistry() *obs.Registry {
 	// Latency and fan-out distributions. Fan-out width is recorded as
 	// whole "seconds" so the summary's second-valued quantiles read
 	// directly in shards: a 3.0 quantile means 3 shards contacted.
-	reg.HistogramFunc("strrouter_latency_seconds", "Client request latency through scatter, gather and merge.", &r.latAll)
 	reg.HistogramFunc("strrouter_merge_seconds", "Merge-step latency alone.", &r.mergeLat)
 	reg.HistogramFunc("strrouter_fanout_width_shards", "Shards contacted per request (unit: shards, not seconds).", &r.fanWidth)
-	return reg
-}
-
-// Registry returns the router's metrics registry.
-func (r *Router) Registry() *obs.Registry { return r.reg }
-
-// AdminHandler returns the admin HTTP surface, mirroring strserve's:
-//
-//	/metrics        Prometheus text exposition (0.0.4)
-//	/stats          the same series as JSON, wrapped in an object whose
-//	                "percentiles" field is "upper-bound": any series this
-//	                process derives by folding per-shard digests (the
-//	                OpStats fan-out, mergeSummary) reports P50/P95/P99 as
-//	                the max across shards — an upper bound, since exact
-//	                quantiles of independent digests cannot be combined
-//	/healthz        200 "ok" while ready; 503 "draining" once
-//	                MarkNotReady or Shutdown has run
-//	/debug/pprof/   the stdlib profiles
-//
-// Bind it to loopback or a trusted network; it stays functional during
-// and after a drain.
-func (r *Router) AdminHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := r.reg.WritePrometheus(w); err != nil {
-			r.logf("strrouter: admin: write /metrics: %v", err)
-		}
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		// The wrapper names the fold semantics so dashboards cannot
-		// mistake merged tail latencies for exact cluster quantiles:
-		// mergeSummary combines per-shard digests by taking the larger
-		// quantile, so every folded P50/P95/P99 is an upper bound.
-		if _, err := io.WriteString(w, `{"percentiles":"upper-bound","families":`); err != nil {
-			r.logf("strrouter: admin: write /stats: %v", err)
-			return
-		}
-		if err := r.reg.WriteJSON(w); err != nil {
-			r.logf("strrouter: admin: write /stats: %v", err)
-			return
-		}
-		if _, err := io.WriteString(w, "}\n"); err != nil {
-			r.logf("strrouter: admin: write /stats: %v", err)
-		}
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if !r.Ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			if _, err := w.Write([]byte("draining\n")); err != nil {
-				r.logf("strrouter: admin: write /healthz: %v", err)
-			}
-			return
-		}
-		if _, err := w.Write([]byte("ok\n")); err != nil {
-			r.logf("strrouter: admin: write /healthz: %v", err)
-		}
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	return mux
 }

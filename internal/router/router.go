@@ -6,9 +6,11 @@
 // shards it overlaps — the same pruning argument that makes an STR-packed
 // node hierarchy cheap makes the fan-out narrow.
 //
-// The router is production-shaped, mirroring internal/server:
+// The front — listener, admission control, per-request deadlines,
+// readiness, drain and the admin endpoint — is the serving frame the
+// backends run on too (internal/server's Frame). The router is the
+// handler behind it:
 //
-//   - admission control and per-request deadlines on the front;
 //   - scatter-gather on the back over pooled protocol clients with
 //     bounded per-backend concurrency and transport timeouts, so a hung
 //     backend costs bounded time, never a parked goroutine;
@@ -19,20 +21,19 @@
 //     k-way merge by (distance, ID), field-wise stats aggregation;
 //   - a shard with no healthy replica answers StatusUnavailable in-band
 //     — fast, never a hang;
-//   - observability (admin.go) and graceful drain, like the backends.
+//   - its own series next to the frame's (admin.go), and a Shutdown
+//     that closes the backend pools once the frame has drained.
 package router
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"strtree/internal/histo"
-	"strtree/internal/obs"
 	"strtree/internal/router/shardmap"
 	"strtree/internal/server"
 	"strtree/internal/server/wire"
@@ -43,13 +44,11 @@ import (
 type Config struct {
 	// Map is the shard map: every shard must list at least one address.
 	Map *shardmap.Map
-	// MaxInFlight caps concurrently executing client requests — the
-	// front-side admission semaphore. 0 means 64.
-	MaxInFlight int
-	// DefaultTimeout applies to requests carrying no deadline. 0 means 5s.
+	// MaxInFlight, DefaultTimeout and MaxTimeout are the frame's
+	// admission limits (server.FrameConfig), defaults included.
+	MaxInFlight    int
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines. 0 means 60s.
-	MaxTimeout time.Duration
+	MaxTimeout     time.Duration
 	// BackendConcurrency is each backend's client-pool size: the most
 	// requests in flight to one backend at once. 0 means 4.
 	BackendConcurrency int
@@ -69,15 +68,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
 	if c.BackendConcurrency <= 0 {
 		c.BackendConcurrency = 4
 	}
@@ -90,16 +80,15 @@ func (c Config) withDefaults() Config {
 	if c.DialTimeout <= 0 {
 		c.DialTimeout = 2 * time.Second
 	}
-	if c.IOTimeout <= 0 {
-		c.IOTimeout = c.MaxTimeout + 5*time.Second
-	}
 	return c
 }
 
 // Router fans client requests out to shard backends and merges the
-// answers. Create with New, run with Serve, stop with Shutdown. All
-// exported methods are safe for concurrent use.
+// answers: a server.Frame whose handler is the scatter-gather. Create
+// with New, run with Serve, stop with Shutdown. All exported methods are
+// safe for concurrent use.
 type Router struct {
+	*server.Frame
 	cfg Config
 	m   *shardmap.Map
 
@@ -109,41 +98,17 @@ type Router struct {
 	replicas [][]*backend
 	backends []*backend
 
-	// sem is the front-side admission semaphore.
-	sem chan struct{}
-
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	mu       sync.Mutex
-	ln       net.Listener          // guarded by mu
-	conns    map[net.Conn]struct{} // guarded by mu
-	draining bool                  // guarded by mu
-
-	reqWG     sync.WaitGroup // admitted requests (through response write)
-	connWG    sync.WaitGroup // connection handler goroutines
 	scatterWG sync.WaitGroup // scatter goroutines (may outlive their request)
 	probeDone chan struct{}  // closed when the probe loop exits
 
-	inFlight    atomic.Int64
-	accepted    atomic.Uint64
-	rejected    atomic.Uint64
-	completed   atomic.Uint64
-	timedOut    atomic.Uint64
-	failed      atomic.Uint64
 	unavailable atomic.Uint64
 	retriesTot  atomic.Uint64
 
-	notReady atomic.Bool
-
-	latAll   histo.Histogram // front-side request latency
 	mergeLat histo.Histogram // merge step alone
 	// fanWidth records each request's fan-out width (shards contacted),
 	// encoded as whole seconds so the exposition's second-valued summary
 	// reads directly in shards: a 3.0 quantile means 3 shards.
 	fanWidth histo.Histogram
-
-	reg *obs.Registry
 }
 
 // New builds a router over a validated shard map. Every shard must carry
@@ -156,24 +121,37 @@ func New(cfg Config) (*Router, error) {
 	if err := cfg.Map.Validate(); err != nil {
 		return nil, err
 	}
-	//strlint:ignore ctxprop the router owns its lifecycle root context; Shutdown cancels it
-	ctx, cancel := context.WithCancel(context.Background())
+	for i, s := range cfg.Map.Shards {
+		if len(s.Addrs) == 0 {
+			return nil, fmt.Errorf("router: shard %d has no backend address", i)
+		}
+	}
+	front := server.FrameConfig{
+		Name:           "strrouter",
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Logf:           cfg.Logf,
+		// /stats names the fold semantics so dashboards cannot mistake
+		// merged tail latencies for exact cluster quantiles: any series
+		// this process derives by folding per-shard digests (the OpStats
+		// fan-out, mergeSummary) reports P50/P95/P99 as the max across
+		// shards — an upper bound, since exact quantiles of independent
+		// digests cannot be combined.
+		StatsPrefix: `{"percentiles":"upper-bound","families":`,
+		StatsSuffix: "}\n",
+	}.WithDefaults()
+	if cfg.IOTimeout <= 0 {
+		cfg.IOTimeout = front.MaxTimeout + 5*time.Second
+	}
 	r := &Router{
-		cfg:        cfg,
-		m:          cfg.Map,
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		baseCtx:    ctx,
-		cancelBase: cancel,
-		conns:      map[net.Conn]struct{}{},
-		probeDone:  make(chan struct{}),
+		cfg:       cfg,
+		m:         cfg.Map,
+		probeDone: make(chan struct{}),
 	}
 	byAddr := map[string]*backend{}
 	r.replicas = make([][]*backend, len(r.m.Shards))
 	for i, s := range r.m.Shards {
-		if len(s.Addrs) == 0 {
-			cancel()
-			return nil, fmt.Errorf("router: shard %d has no backend address", i)
-		}
 		for _, addr := range s.Addrs {
 			b, ok := byAddr[addr]
 			if !ok {
@@ -184,28 +162,23 @@ func New(cfg Config) (*Router, error) {
 			r.replicas[i] = append(r.replicas[i], b)
 		}
 	}
-	r.reg = r.buildRegistry()
+	r.Frame = server.NewFrame(front, r.handle)
+	r.registerFanoutSeries()
 	//strlint:ignore waitpair probeLoop closes r.probeDone on exit; Shutdown waits on it
 	go r.probeLoop()
 	return r, nil
 }
 
-func (r *Router) logf(format string, args ...any) {
-	if r.cfg.Logf != nil {
-		r.cfg.Logf(format, args...)
-	}
-}
-
 // probeLoop periodically re-probes ejected backends with a stats ping
-// and restores the ones that answer. It exits when Shutdown cancels the
-// router's base context.
+// and restores the ones that answer. It exits when the frame's Shutdown
+// is done.
 func (r *Router) probeLoop() {
 	defer close(r.probeDone)
 	t := time.NewTicker(r.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
 		select {
-		case <-r.baseCtx.Done():
+		case <-r.Done():
 			return
 		case <-t.C:
 		}
@@ -222,81 +195,10 @@ func (r *Router) probeLoop() {
 				continue
 			}
 			b.noteSuccess()
-			r.logf("strrouter: backend %s restored", b.addr)
+			r.Logf("backend %s restored", b.addr)
 		}
 	}
 }
-
-// ErrAlreadyServing is returned by a second Serve call.
-var ErrAlreadyServing = errors.New("router: already serving")
-
-// Serve accepts client connections on ln until Shutdown. It blocks,
-// returning nil after a drain-initiated stop or the first fatal accept
-// error otherwise. The router takes ownership of ln.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.ln != nil {
-		r.mu.Unlock()
-		return ErrAlreadyServing
-	}
-	if r.draining {
-		r.mu.Unlock()
-		_ = ln.Close()
-		return nil
-	}
-	r.ln = ln
-	r.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if r.Draining() {
-				return nil
-			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			r.logf("strrouter: accept: %v", err)
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		r.conns[conn] = struct{}{}
-		r.connWG.Add(1)
-		r.mu.Unlock()
-		go r.handleConn(conn)
-	}
-}
-
-// Addr returns the listener's address, or nil before Serve.
-func (r *Router) Addr() net.Addr {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.ln == nil {
-		return nil
-	}
-	return r.ln.Addr()
-}
-
-// Draining reports whether Shutdown has begun.
-func (r *Router) Draining() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.draining
-}
-
-// MarkNotReady flips the admin /healthz endpoint to 503 without starting
-// the drain, mirroring the backend server's readiness sequence.
-func (r *Router) MarkNotReady() { r.notReady.Store(true) }
-
-// Ready reports whether the admin health endpoint should answer 200.
-func (r *Router) Ready() bool { return !r.notReady.Load() && !r.Draining() }
 
 // BackendStats snapshots every backend's health and counters, in the
 // manifest's first-appearance address order.
@@ -308,87 +210,29 @@ func (r *Router) BackendStats() []BackendStats {
 	return out
 }
 
-// handleConn serves one client connection, frames answered in order.
-func (r *Router) handleConn(conn net.Conn) {
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		_ = conn.Close()
-		r.connWG.Done()
-	}()
-	h := server.NewConnIO(conn)
-	var inBuf []byte
-	for {
-		payload, err := h.ReadFrame(inBuf)
-		if err != nil {
-			return
-		}
-		inBuf = payload
-		if !r.serveOne(h, payload) {
-			return
-		}
-	}
-}
-
-// serveOne parses, admits, fans out and answers one request, returning
-// whether the connection should stay open.
-func (r *Router) serveOne(h *server.ConnIO, payload []byte) bool {
-	req, err := wire.ParseRequest(payload)
-	if err != nil {
-		_ = h.WriteResponse(&wire.Response{
-			Status: wire.StatusBadRequest,
-			Op:     wire.OpSearch,
-			Err:    err.Error(),
-		})
-		return false
-	}
+// handle is the frame's Handler: it refuses what the router cannot serve
+// and fans the rest out.
+func (r *Router) handle(ctx context.Context, req *wire.Request) *wire.Response {
 	if req.Op == wire.OpInsert || req.Op == wire.OpDelete {
 		// The router serves the read path only: a mutation would have to
 		// pick (and possibly re-balance) a shard, which the static shard
 		// map cannot express. Mutate the owning strserve directly.
-		return h.WriteResponse(&wire.Response{
+		return &wire.Response{
 			Status: wire.StatusBadRequest,
 			Op:     req.Op,
 			Err:    "router is read-only: send mutations to a backend server directly",
-		})
+		}
 	}
 	if err := r.checkDims(req); err != nil {
 		// Wrong dimensionality is a client error the backends would each
-		// reject; answer once here and keep the connection (the frame
-		// itself was well-formed).
-		return h.WriteResponse(&wire.Response{
-			Status: wire.StatusBadRequest,
-			Op:     req.Op,
-			Err:    err.Error(),
-		})
+		// reject; answer once here, before any of them sees it.
+		return &wire.Response{Status: wire.StatusBadRequest, Op: req.Op, Err: err.Error()}
 	}
-
-	release, status := r.admit()
-	if status != wire.StatusOK {
-		ok := h.WriteResponse(&wire.Response{Status: status, Op: req.Op, Err: status.String()})
-		return ok && status == wire.StatusOverloaded
-	}
-	defer release()
-
-	ctx, cancel := context.WithTimeout(r.baseCtx, r.timeoutFor(req))
-	start := time.Now()
 	resp := r.fanout(ctx, req)
-	cancel()
-	r.latAll.Observe(time.Since(start))
-
-	switch resp.Status {
-	case wire.StatusOK:
-		r.completed.Add(1)
-	case wire.StatusDeadline:
-		r.timedOut.Add(1)
-	case wire.StatusUnavailable:
+	if resp.Status == wire.StatusUnavailable {
 		r.unavailable.Add(1)
-	default:
-		r.failed.Add(1)
-		r.logf("strrouter: %v request failed: %s", req.Op, resp.Err)
 	}
-	return h.WriteResponse(resp)
+	return resp
 }
 
 // checkDims rejects geometry whose dimensionality does not match the
@@ -414,45 +258,6 @@ func (r *Router) checkDims(req *wire.Request) error {
 		}
 	}
 	return nil
-}
-
-// admit applies front-side admission control, mirroring the backend
-// server's semantics.
-func (r *Router) admit() (release func(), status wire.Status) {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return nil, wire.StatusDraining
-	}
-	select {
-	case r.sem <- struct{}{}:
-		r.reqWG.Add(1)
-		r.mu.Unlock()
-		r.inFlight.Add(1)
-		r.accepted.Add(1)
-		return func() {
-			<-r.sem
-			r.inFlight.Add(-1)
-			r.reqWG.Done()
-		}, wire.StatusOK
-	default:
-		r.mu.Unlock()
-		r.rejected.Add(1)
-		return nil, wire.StatusOverloaded
-	}
-}
-
-// timeoutFor resolves a request's deadline: its own if set, else the
-// default, never above the maximum.
-func (r *Router) timeoutFor(req *wire.Request) time.Duration {
-	d := r.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		d = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if d > r.cfg.MaxTimeout {
-		d = r.cfg.MaxTimeout
-	}
-	return d
 }
 
 // targetsFor prunes the fan-out: the shards a request must visit, in
@@ -591,7 +396,7 @@ func (r *Router) tryBackend(ctx context.Context, b *backend, req *wire.Request) 
 	if err != nil {
 		b.errors.Add(1)
 		if b.noteFailure(r.cfg.FailureThreshold) {
-			r.logf("strrouter: backend %s ejected after %d consecutive failures: %v",
+			r.Logf("backend %s ejected after %d consecutive failures: %v",
 				b.addr, r.cfg.FailureThreshold, err)
 		}
 		return nil, true
@@ -602,7 +407,7 @@ func (r *Router) tryBackend(ctx context.Context, b *backend, req *wire.Request) 
 		// loop notices when (if) it returns.
 		b.errors.Add(1)
 		if b.noteFailure(r.cfg.FailureThreshold) {
-			r.logf("strrouter: backend %s ejected: draining", b.addr)
+			r.Logf("backend %s ejected: draining", b.addr)
 		}
 		return nil, true
 	}
@@ -612,65 +417,15 @@ func (r *Router) tryBackend(ctx context.Context, b *backend, req *wire.Request) 
 	return out, false
 }
 
-// Shutdown drains the router: it stops accepting connections, refuses
-// new requests with StatusDraining, waits for in-flight requests to
-// finish writing their responses, stops the probe loop, then closes
-// every connection and backend client. If ctx expires first, outstanding
-// fan-outs are cancelled and ctx's error is returned.
+// Shutdown drains the frame, then finishes what is the router's own: the
+// probe loop stops, scatter goroutines are waited out and every backend
+// client closes. If ctx expires first, outstanding fan-outs are cancelled
+// and ctx's error is returned.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		return errors.New("router: already shut down")
+	err := r.Frame.Shutdown(ctx)
+	if errors.Is(err, server.ErrAlreadyShutDown) {
+		return err
 	}
-	r.draining = true
-	ln := r.ln
-	r.mu.Unlock()
-	r.notReady.Store(true)
-
-	if ln != nil {
-		_ = ln.Close()
-	}
-
-	done := make(chan struct{})
-	go func() {
-		r.reqWG.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = ctx.Err()
-		r.cancelBase()
-		select {
-		case <-done:
-		case <-time.After(time.Second):
-			r.logf("strrouter: drain deadline passed with requests still running")
-		}
-	}
-
-	r.mu.Lock()
-	for c := range r.conns {
-		_ = c.Close()
-	}
-	r.mu.Unlock()
-
-	if drainErr == nil {
-		r.connWG.Wait()
-	} else {
-		handlers := make(chan struct{})
-		go func() {
-			r.connWG.Wait()
-			close(handlers)
-		}()
-		select {
-		case <-handlers:
-		case <-time.After(time.Second):
-			r.logf("strrouter: handlers still running after forced drain")
-		}
-	}
-	r.cancelBase()
 	<-r.probeDone
 
 	// Scatter goroutines outliving their request (a deadline answered
@@ -687,7 +442,7 @@ func (r *Router) Shutdown(ctx context.Context) error {
 			b.close()
 		}
 	case <-time.After(5 * time.Second):
-		r.logf("strrouter: scatter goroutines still running; leaving backend connections to the OS")
+		r.Logf("scatter goroutines still running; leaving backend connections to the OS")
 	}
-	return drainErr
+	return err
 }

@@ -2,14 +2,19 @@ package router
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"strtree/internal/geom"
+	"strtree/internal/router/shardmap"
 	"strtree/internal/server"
+	"strtree/internal/server/wire"
 )
 
 // TestSelftest runs the full in-process topology proof: identity with
@@ -70,7 +75,11 @@ func TestRouterEdges(t *testing.T) {
 	if _, err := cl.Count(geom.Rect{Min: geom.Point{0}, Max: geom.Point{1}}); !errors.Is(err, server.ErrBadRequest) {
 		t.Fatalf("1-d query against 2-d map: got %v, want ErrBadRequest", err)
 	}
-	// The connection survives a dims rejection.
+	// So does a mutation: the router serves the read path only.
+	if _, err := cl.Insert(geom.R2(0, 0, 1, 1), 1); !errors.Is(err, server.ErrBadRequest) {
+		t.Fatalf("insert through the router: got %v, want ErrBadRequest", err)
+	}
+	// The connection survives both refusals.
 	if _, err := cl.Count(geom.R2(0, 0, 1, 1)); err != nil {
 		t.Fatalf("count after dims rejection: %v", err)
 	}
@@ -154,5 +163,103 @@ func TestRouterAdminSurface(t *testing.T) {
 	topo.router.MarkNotReady()
 	if code, _ := get("/healthz"); code != 503 {
 		t.Fatalf("/healthz after MarkNotReady = %d", code)
+	}
+}
+
+// TestRouterOverloadAndDrain drives a real Router's front through the
+// methods it gets from the serving frame: with its one admission slot
+// held by a fan-out parked on a stub backend, the next client request is
+// refused as overloaded; a drain then refuses new requests in-band, lets
+// the parked fan-out deliver its answer, and leaves a second Shutdown
+// nothing to do.
+func TestRouterOverloadAndDrain(t *testing.T) {
+	// The backend is a bare frame whose handler parks on gate.
+	entered, gate := make(chan struct{}, 4), make(chan struct{})
+	backend := server.NewFrame(server.FrameConfig{Name: "stub"}, func(_ context.Context, req *wire.Request) *wire.Response {
+		entered <- struct{}{}
+		<-gate
+		return &wire.Response{Status: wire.StatusOK, Op: req.Op, Count: 7}
+	})
+	serve := func(s interface{ Serve(net.Listener) error }) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = s.Serve(ln) }()
+		return ln.Addr().String()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	defer func() { _ = backend.Shutdown(ctx) }()
+
+	rt, err := New(Config{
+		MaxInFlight: 1,
+		Map: &shardmap.Map{
+			Version: shardmap.FormatVersion,
+			Dims:    2,
+			Shards: []shardmap.Shard{{
+				MBR:   shardmap.RectJSON{Min: []float64{0, 0}, Max: []float64{1, 1}},
+				Count: 7,
+				Addrs: []string{serve(backend)},
+			}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serve(rt)
+	if !rt.Ready() {
+		t.Fatal("router not ready while serving")
+	}
+
+	slow, fast := server.Dial(addr), server.Dial(addr)
+	defer func() { _ = slow.Close(); _ = fast.Close() }()
+	type result struct {
+		n   uint64
+		err error
+	}
+	slowDone := make(chan result, 1)
+	go func() {
+		n, err := slow.Count(geom.R2(0, 0, 1, 1))
+		slowDone <- result{n, err}
+	}()
+	<-entered
+
+	if _, err := fast.Count(geom.R2(0, 0, 1, 1)); !errors.Is(err, server.ErrOverloaded) {
+		t.Fatalf("request past the admission cap: %v, want ErrOverloaded", err)
+	}
+	var metrics bytes.Buffer
+	if err := rt.Registry().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"strrouter_rejected_total 1\n", "strrouter_inflight_requests 1\n"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+
+	shutdownDone := make(chan error, 1)
+	go func() { shutdownDone <- rt.Shutdown(ctx) }()
+	for !rt.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := fast.Count(geom.R2(0, 0, 1, 1)); !errors.Is(err, server.ErrDraining) {
+		t.Fatalf("request during drain: %v, want ErrDraining", err)
+	}
+	select {
+	case err := <-shutdownDone:
+		t.Fatalf("Shutdown returned %v with a fan-out still in flight", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+
+	close(gate)
+	if res := <-slowDone; res.err != nil || res.n != 7 {
+		t.Fatalf("parked fan-out during drain = %d, %v; want 7, nil", res.n, res.err)
+	}
+	if err := <-shutdownDone; err != nil {
+		t.Fatalf("clean drain returned %v", err)
+	}
+	if err := rt.Shutdown(ctx); !errors.Is(err, server.ErrAlreadyShutDown) {
+		t.Fatalf("second Shutdown = %v, want ErrAlreadyShutDown", err)
 	}
 }

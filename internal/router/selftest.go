@@ -23,9 +23,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"net/http"
 	"sort"
-	"strings"
 	"time"
 
 	"strtree"
@@ -48,9 +46,10 @@ type SelftestConfig struct {
 	// Seed fixes data and workload generation.
 	Seed int64
 	// AdminAddr, when non-empty, binds the router's admin endpoint there
-	// and extends the selftest into an admin smoke test: /healthz must
-	// answer 200, /metrics must expose per-backend series, and the
-	// ejection counter must turn non-zero after the kill.
+	// and extends the selftest into the admin smoke test strserve's
+	// selftest runs (server.AdminSmoke): /healthz 200 then 503 through the
+	// drain, one /metrics request series per backend, a non-zero ejection
+	// counter after the kill, and the upper-bound wrapper on /stats.
 	AdminAddr string
 }
 
@@ -235,27 +234,20 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	}
 	defer topo.close()
 
-	var adminURL string
-	var adminShutdown func()
-	if cfg.AdminAddr != "" {
-		ln, err := net.Listen("tcp", cfg.AdminAddr)
-		if err != nil {
-			return fmt.Errorf("selftest: admin listen: %w", err)
-		}
-		adminSrv := &http.Server{Handler: topo.router.AdminHandler()}
-		adminDone := make(chan struct{})
-		go func() {
-			defer close(adminDone)
-			_ = adminSrv.Serve(ln) // returns http.ErrServerClosed on Close
-		}()
-		adminShutdown = func() {
-			_ = adminSrv.Close()
-			<-adminDone
-		}
-		defer adminShutdown()
-		adminURL = "http://" + ln.Addr().String()
+	err = server.AdminSmoke(w, topo.router, cfg.AdminAddr, []server.SeriesExpect{
+		{Name: "strrouter_backend_requests_total", Type: "counter", Samples: len(topo.router.backends)},
+		{Name: "strrouter_backend_ejections_total", Type: "counter", NonZero: true},
+	}, `{"percentiles":"upper-bound","families":[`, func() error { return prove(w, cfg, ref, topo) })
+	if err != nil {
+		return err
 	}
+	fmt.Fprintf(w, "  drain: router shut down cleanly\n")
+	return nil
+}
 
+// prove is the selftest's body: the identity, pruning and failure proofs
+// against a serving topology.
+func prove(w io.Writer, cfg SelftestConfig, ref *strtree.Tree, topo *selftestTopology) error {
 	// ------------------------------------------------ identity + pruning
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
 	expected := make([]uint64, len(topo.router.backends)) // predicted per-backend requests
@@ -413,12 +405,6 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	fmt.Fprintf(w, "  pruning: per-backend requests match shard-MBR prediction (%v); %d/%d windows skipped a shard\n",
 		expected, narrow, cfg.Queries)
 
-	if adminURL != "" {
-		if err := verifyRouterAdmin(w, adminURL, len(bs), false); err != nil {
-			return fmt.Errorf("selftest: %w", err)
-		}
-	}
-
 	// ------------------------------------------------------------ failure
 	// Kill backend 0 hard: stop its server so its port refuses connections.
 	//strlint:ignore ctxprop kill sequence of a self-contained harness
@@ -460,55 +446,5 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	fmt.Fprintf(w, "  failure: killed backend 0 -> StatusUnavailable in %v, ejections=%d, healthy shards still serving\n",
 		elapsed.Round(time.Millisecond), bs[0].Ejections)
 
-	if adminURL != "" {
-		if err := verifyRouterAdmin(w, adminURL, len(bs), true); err != nil {
-			return fmt.Errorf("selftest: %w", err)
-		}
-	}
-
-	// Drain the router cleanly; remaining backends go down in close().
-	//strlint:ignore ctxprop drain of a self-contained harness
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelDrain()
-	if err := topo.router.Shutdown(drainCtx); err != nil {
-		return fmt.Errorf("selftest: drain: %w", err)
-	}
-	fmt.Fprintf(w, "  drain: router shut down cleanly\n")
-	return nil
-}
-
-// verifyRouterAdmin asserts the admin endpoint's contract: /healthz
-// answers, /metrics exposes one request series per backend, and — after
-// the kill — a non-zero ejection count.
-func verifyRouterAdmin(w io.Writer, adminURL string, backends int, afterKill bool) error {
-	resp, err := http.Get(adminURL + "/metrics")
-	if err != nil {
-		return fmt.Errorf("admin /metrics: %w", err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	_ = resp.Body.Close()
-	if err != nil {
-		return fmt.Errorf("admin /metrics: %w", err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("admin /metrics = %d, want 200", resp.StatusCode)
-	}
-	text := string(body)
-	if n := strings.Count(text, "strrouter_backend_requests_total{"); n != backends {
-		return fmt.Errorf("admin /metrics: %d backend request series, want %d", n, backends)
-	}
-	if afterKill {
-		ejected := false
-		for _, line := range strings.Split(text, "\n") {
-			if strings.HasPrefix(line, "strrouter_backend_ejections_total{") && !strings.HasSuffix(line, " 0") {
-				ejected = true
-			}
-		}
-		if !ejected {
-			return fmt.Errorf("admin /metrics: no non-zero ejection counter after kill")
-		}
-	}
-	fmt.Fprintf(w, "  admin: /metrics ok (%d backend series%s)\n", backends,
-		map[bool]string{true: ", ejection counter non-zero", false: ""}[afterKill])
 	return nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -31,13 +32,17 @@ type logBuf struct {
 func (l *logBuf) logf(format string, args ...any) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.lines = append(l.lines, format)
+	l.lines = append(l.lines, fmt.Sprintf(format, args...))
+}
+
+func (l *logBuf) all() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.lines...)
 }
 
 func (l *logBuf) contains(substr string) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, ln := range l.lines {
+	for _, ln := range l.all() {
 		if strings.Contains(ln, substr) {
 			return true
 		}

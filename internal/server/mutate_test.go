@@ -71,7 +71,7 @@ func TestServerMutateOps(t *testing.T) {
 func TestServerMutateRejectedWhenReadOnly(t *testing.T) {
 	tree := buildTree(t, 100)
 	defer func() { _ = tree.Close() }()
-	_, addr := startServer(t, tree, Config{})
+	srv, addr := startServer(t, tree, Config{})
 	cl := Dial(addr)
 	defer func() { _ = cl.Close() }()
 
@@ -84,6 +84,11 @@ func TestServerMutateRejectedWhenReadOnly(t *testing.T) {
 	}
 	if tree.Len() != before {
 		t.Fatalf("read-only server mutated the tree: %d -> %d", before, tree.Len())
+	}
+	// A refusal is an answer, not a completed request.
+	if st := srv.Stats(); st.Accepted != 2 || st.Completed != 0 || st.Failed != 0 {
+		t.Fatalf("refused mutations counted accepted/completed/failed = %d/%d/%d, want 2/0/0",
+			st.Accepted, st.Completed, st.Failed)
 	}
 }
 

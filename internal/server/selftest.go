@@ -112,30 +112,6 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 	go func() { serveErr <- srv.Serve(ln) }()
 	addr := ln.Addr().String()
 
-	var adminURL string
-	if cfg.AdminAddr != "" {
-		adminLn, err := net.Listen("tcp", cfg.AdminAddr)
-		if err != nil {
-			return fmt.Errorf("selftest: admin listen: %w", err)
-		}
-		adminSrv := &http.Server{Handler: srv.AdminHandler()}
-		adminDone := make(chan struct{})
-		go func() {
-			defer close(adminDone)
-			_ = adminSrv.Serve(adminLn) // returns http.ErrServerClosed on Close
-		}()
-		defer func() {
-			_ = adminSrv.Close()
-			<-adminDone
-		}()
-		adminURL = "http://" + adminLn.Addr().String()
-		if status, body, err := httpGet(adminURL + "/healthz"); err != nil {
-			return fmt.Errorf("selftest: admin /healthz: %w", err)
-		} else if status != http.StatusOK || body != "ok\n" {
-			return fmt.Errorf("selftest: admin /healthz before drain = %d %q, want 200 \"ok\"", status, body)
-		}
-	}
-
 	// Workload: the paper's 1% region queries, a disjoint slice per client.
 	total := cfg.Clients * cfg.QueriesPerClient
 	qs := query.Regions(total, query.Extent1Pct, cfg.Seed+1)
@@ -146,61 +122,42 @@ func Selftest(w io.Writer, cfg SelftestConfig) error {
 		firstErr   error
 		errOnce    sync.Once
 		wg         sync.WaitGroup
+		elapsed    time.Duration
 	)
-	start := time.Now()
-	for c := 0; c < cfg.Clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			cl := Dial(addr)
-			defer func() { _ = cl.Close() }()
-			for _, q := range qs[c*cfg.QueriesPerClient : (c+1)*cfg.QueriesPerClient] {
-				t0 := time.Now()
-				_, err := cl.Count(q)
-				lat.Observe(time.Since(t0))
-				if errors.Is(err, ErrOverloaded) {
-					overloaded.Add(1)
-					continue
+	err = AdminSmoke(w, srv, cfg.AdminAddr, []SeriesExpect{
+		{Name: "strserve_requests_total", Type: "counter", NonZero: true},
+		{Name: "strserve_op_latency_seconds", Type: "summary"},
+		{Name: "strserve_buffer_hits_total", Type: "counter", Samples: cfg.Shards},
+		{Name: "strserve_buffer_pinned_frames", Type: "gauge"},
+	}, "[", func() error {
+		start := time.Now()
+		for c := 0; c < cfg.Clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				cl := Dial(addr)
+				defer func() { _ = cl.Close() }()
+				for _, q := range qs[c*cfg.QueriesPerClient : (c+1)*cfg.QueriesPerClient] {
+					t0 := time.Now()
+					_, err := cl.Count(q)
+					lat.Observe(time.Since(t0))
+					if errors.Is(err, ErrOverloaded) {
+						overloaded.Add(1)
+						continue
+					}
+					if err != nil {
+						errOnce.Do(func() { firstErr = fmt.Errorf("client %d: %w", c, err) })
+						return
+					}
 				}
-				if err != nil {
-					errOnce.Do(func() { firstErr = fmt.Errorf("client %d: %w", c, err) })
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	if adminURL != "" {
-		if err := verifyAdmin(w, adminURL, cfg.Shards); err != nil {
-			return fmt.Errorf("selftest: %w", err)
+			}(c)
 		}
-		// The k8s readiness sequence: flip /healthz before draining so
-		// routers stop sending traffic, then verify the flip is visible.
-		srv.MarkNotReady()
-		if status, _, err := httpGet(adminURL + "/healthz"); err != nil {
-			return fmt.Errorf("selftest: admin /healthz: %w", err)
-		} else if status != http.StatusServiceUnavailable {
-			return fmt.Errorf("selftest: admin /healthz after MarkNotReady = %d, want 503", status)
-		}
-	}
-
-	//strlint:ignore ctxprop selftest is a self-contained harness; its shutdown deadline is the root
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("selftest: drain: %w", err)
-	}
-	if adminURL != "" {
-		// The admin endpoint outlives the drain — scraping a draining
-		// server is exactly when the numbers matter — and keeps saying 503.
-		if status, _, err := httpGet(adminURL + "/healthz"); err != nil {
-			return fmt.Errorf("selftest: admin /healthz: %w", err)
-		} else if status != http.StatusServiceUnavailable {
-			return fmt.Errorf("selftest: admin /healthz during drain = %d, want 503", status)
-		}
-		fmt.Fprintf(w, "  admin: /healthz flipped to 503 before and during drain\n")
+		wg.Wait()
+		elapsed = time.Since(start)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := <-serveErr; err != nil {
 		return fmt.Errorf("selftest: serve: %w", err)
@@ -251,61 +208,114 @@ func httpGet(url string) (int, string, error) {
 	return resp.StatusCode, string(body), nil
 }
 
-// verifyAdmin asserts the admin endpoint's post-load contract: /metrics
-// is Prometheus text with non-zero request counters and one buffer
-// series per shard, and /stats serves a JSON array.
-func verifyAdmin(w io.Writer, adminURL string, shards int) error {
-	status, body, err := httpGet(adminURL + "/metrics")
+// SeriesExpect is one series family the admin smoke looks for on
+// /metrics after the load.
+type SeriesExpect struct {
+	Name string
+	// Type, when set, is the family's kind on its "# TYPE" line.
+	Type string
+	// Samples, when positive, is how many samples the family must carry.
+	Samples int
+	// NonZero requires at least one sample with a non-zero value.
+	NonZero bool
+}
+
+// AdminSmoke runs load against a serving svc and drains it afterwards,
+// whatever load returned. With adminAddr set ("127.0.0.1:0" for an
+// ephemeral port) it binds the admin endpoint there and checks its
+// contract around the load: /healthz answers 200 while serving, /metrics
+// carries series after the load, /stats begins with statsPrefix, and
+// /healthz answers 503 from MarkNotReady through the drain.
+func AdminSmoke(w io.Writer, svc Service, adminAddr string, series []SeriesExpect, statsPrefix string, load func() error) error {
+	url, stopAdmin, err := serveAdmin(svc, adminAddr)
+	// The admin endpoint outlives the drain — scraping a draining server
+	// is exactly when the numbers matter.
+	defer stopAdmin()
+	healthz := func(when string, want int) error {
+		if url == "" {
+			return nil
+		}
+		status, body, err := httpGet(url + "/healthz")
+		if err != nil {
+			return fmt.Errorf("selftest: admin /healthz: %w", err)
+		}
+		if status != want {
+			return fmt.Errorf("selftest: admin /healthz %s = %d %q, want %d", when, status, body, want)
+		}
+		return nil
+	}
+
+	if err == nil {
+		err = healthz("while serving", http.StatusOK)
+	}
+	if err == nil {
+		err = load()
+	}
+	if err == nil && url != "" {
+		err = checkAdmin(w, url, series, statsPrefix)
+	}
+	if err == nil {
+		// The k8s readiness sequence: flip /healthz before draining so
+		// routers stop sending traffic, then verify the flip is visible.
+		svc.MarkNotReady()
+		err = healthz("after MarkNotReady", http.StatusServiceUnavailable)
+	}
+	//strlint:ignore ctxprop selftest is a self-contained harness; its shutdown deadline is the root
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if drainErr := svc.Shutdown(ctx); err == nil && drainErr != nil {
+		err = fmt.Errorf("selftest: drain: %w", drainErr)
+	}
+	if err == nil && url != "" {
+		if err = healthz("during drain", http.StatusServiceUnavailable); err == nil {
+			fmt.Fprintf(w, "  admin: /healthz flipped to 503 before and during drain\n")
+		}
+	}
+	return err
+}
+
+// checkAdmin asserts the admin endpoint's post-load contract: /metrics
+// is Prometheus text carrying every expected family, and /stats serves
+// JSON of the expected shape.
+func checkAdmin(w io.Writer, url string, series []SeriesExpect, statsPrefix string) error {
+	status, body, err := httpGet(url + "/metrics")
 	if err != nil {
-		return fmt.Errorf("admin /metrics: %w", err)
+		return fmt.Errorf("selftest: admin /metrics: %w", err)
 	}
 	if status != http.StatusOK {
-		return fmt.Errorf("admin /metrics = %d, want 200", status)
+		return fmt.Errorf("selftest: admin /metrics = %d, want 200", status)
 	}
-	for _, typeLine := range []string{
-		"# TYPE strserve_requests_total counter",
-		"# TYPE strserve_op_latency_seconds summary",
-		"# TYPE strserve_buffer_hits_total counter",
-		"# TYPE strserve_buffer_pinned_frames gauge",
-	} {
-		if !strings.Contains(body, typeLine+"\n") {
-			return fmt.Errorf("admin /metrics: missing %q", typeLine)
+	lines := strings.Split(body, "\n")
+	for _, want := range series {
+		if typeLine := "# TYPE " + want.Name + " " + want.Type + "\n"; want.Type != "" && !strings.Contains(body, typeLine) {
+			return fmt.Errorf("selftest: admin /metrics: missing %q", typeLine)
 		}
-	}
-	var requests float64
-	hitShards := 0
-	for _, line := range strings.Split(body, "\n") {
-		val := func() (float64, error) {
-			i := strings.LastIndexByte(line, ' ')
-			return strconv.ParseFloat(line[i+1:], 64)
-		}
-		switch {
-		case strings.HasPrefix(line, "strserve_requests_total{"):
-			v, err := val()
+		samples, nonZero := 0, false
+		for _, line := range lines {
+			if !strings.HasPrefix(line, want.Name+"{") && !strings.HasPrefix(line, want.Name+" ") {
+				continue
+			}
+			v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
 			if err != nil {
-				return fmt.Errorf("admin /metrics: bad sample %q: %w", line, err)
+				return fmt.Errorf("selftest: admin /metrics: bad sample %q: %w", line, err)
 			}
-			requests += v
-		case strings.HasPrefix(line, "strserve_buffer_hits_total{"):
-			if _, err := val(); err != nil {
-				return fmt.Errorf("admin /metrics: bad sample %q: %w", line, err)
-			}
-			hitShards++
+			samples++
+			nonZero = nonZero || v > 0
+		}
+		if want.Samples > 0 && samples != want.Samples {
+			return fmt.Errorf("selftest: admin /metrics: %d %s samples, want %d", samples, want.Name, want.Samples)
+		}
+		if want.NonZero && !nonZero {
+			return fmt.Errorf("selftest: admin /metrics: %s is zero after load", want.Name)
 		}
 	}
-	if requests < 0.5 { // counters are integral; < 0.5 means none
-		return fmt.Errorf("admin /metrics: strserve_requests_total is zero after load")
-	}
-	if hitShards != shards {
-		return fmt.Errorf("admin /metrics: %d buffer hit series, want one per shard (%d)", hitShards, shards)
-	}
-	status, statsBody, err := httpGet(adminURL + "/stats")
+	status, stats, err := httpGet(url + "/stats")
 	if err != nil {
-		return fmt.Errorf("admin /stats: %w", err)
+		return fmt.Errorf("selftest: admin /stats: %w", err)
 	}
-	if status != http.StatusOK || !strings.HasPrefix(strings.TrimSpace(statsBody), "[") {
-		return fmt.Errorf("admin /stats = %d %.40q, want a 200 JSON array", status, statsBody)
+	if status != http.StatusOK || !strings.HasPrefix(stats, statsPrefix) {
+		return fmt.Errorf("selftest: admin /stats = %d %.40q, want 200 and JSON starting %q", status, stats, statsPrefix)
 	}
-	fmt.Fprintf(w, "  admin: /metrics ok (%.0f requests, %d shard series), /stats ok\n", requests, hitShards)
+	fmt.Fprintf(w, "  admin: /metrics ok (%d series families checked), /stats ok\n", len(series))
 	return nil
 }

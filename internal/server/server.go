@@ -20,9 +20,12 @@
 //     StatusDraining, lets in-flight requests finish under a deadline,
 //     and only then closes connections.
 //
+// The connection lifecycle — everything in that list but the executor —
+// is the serving frame (frame.go), which strrouter shares; this file is
+// the handler the frame calls: one request executed against the tree.
 // The wire protocol lives in internal/server/wire; a Go client with
-// connection reuse in client.go; an in-process load harness in
-// selftest.go.
+// connection reuse in client.go; the run-until-signal loop of both
+// binaries in run.go; an in-process load harness in selftest.go.
 package server
 
 import (
@@ -30,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -38,7 +40,6 @@ import (
 
 	"strtree"
 	"strtree/internal/histo"
-	"strtree/internal/obs"
 	"strtree/internal/server/wire"
 )
 
@@ -81,41 +82,14 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 64
-	}
-	if c.DefaultTimeout <= 0 {
-		c.DefaultTimeout = 5 * time.Second
-	}
-	if c.MaxTimeout <= 0 {
-		c.MaxTimeout = 60 * time.Second
-	}
-	if c.BatchWorkers <= 0 {
-		c.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
-	return c
-}
-
-// Server serves queries against one opened tree. Create with New, run
-// with Serve, stop with Shutdown. All exported methods are safe for
+// Server serves queries against one opened tree: a Frame whose handler
+// executes each request against the tree. Create with New, run with
+// Serve, stop with Shutdown. All exported methods are safe for
 // concurrent use.
 type Server struct {
+	*Frame
 	tree *strtree.Tree
 	cfg  Config
-
-	// sem is the admission semaphore: one slot per executing request.
-	sem chan struct{}
-
-	// baseCtx parents every request context; cancelled as a last resort
-	// when a drain deadline expires with requests still running.
-	baseCtx    context.Context
-	cancelBase context.CancelFunc
-
-	mu       sync.Mutex
-	ln       net.Listener          // guarded by mu
-	conns    map[net.Conn]struct{} // guarded by mu
-	draining bool                  // guarded by mu
 
 	// treeMu serializes mutations against queries: the tree's contract is
 	// one writer OR many readers. Queries hold it shared for the duration
@@ -126,21 +100,7 @@ type Server struct {
 	// guarded by treeMu
 	mutApplied uint64
 
-	reqWG  sync.WaitGroup // admitted requests (through response write)
-	connWG sync.WaitGroup // connection handler goroutines
-
-	inFlight  atomic.Int64
-	accepted  atomic.Uint64
-	rejected  atomic.Uint64
-	timedOut  atomic.Uint64
-	failed    atomic.Uint64
-	completed atomic.Uint64
-	slow      atomic.Uint64
-
-	// notReady flips the admin /healthz endpoint to 503 ahead of the
-	// actual drain (MarkNotReady), so load balancers stop routing before
-	// requests start being refused.
-	notReady atomic.Bool
+	slow atomic.Uint64
 
 	// Per-op breakdowns, indexed by Op-1: requests executed, failures
 	// (internal errors), and deadline/cancellation expiries.
@@ -148,12 +108,7 @@ type Server struct {
 	errOp      [wire.NumOps]atomic.Uint64
 	deadlineOp [wire.NumOps]atomic.Uint64
 
-	latAll histo.Histogram
-	latOp  [wire.NumOps]histo.Histogram
-
-	// reg is the admin endpoint's metrics registry, built once in New;
-	// its series sample the atomics above at scrape time.
-	reg *obs.Registry
+	latOp [wire.NumOps]histo.Histogram
 
 	// slowLog, when non-nil, receives one JSON record per slow query.
 	slowLog *slowLogger
@@ -162,212 +117,51 @@ type Server struct {
 // New builds a server over an opened tree. The server does not own the
 // tree: the caller closes it after Shutdown returns.
 func New(tree *strtree.Tree, cfg Config) *Server {
-	cfg = cfg.withDefaults()
-	//strlint:ignore ctxprop the server owns its lifecycle root context; Shutdown cancels it
-	ctx, cancel := context.WithCancel(context.Background())
-	s := &Server{
-		tree:       tree,
-		cfg:        cfg,
-		sem:        make(chan struct{}, cfg.MaxInFlight),
-		baseCtx:    ctx,
-		cancelBase: cancel,
-		conns:      map[net.Conn]struct{}{},
+	if cfg.BatchWorkers <= 0 {
+		cfg.BatchWorkers = runtime.GOMAXPROCS(0)
 	}
-	s.reg = s.buildRegistry()
+	s := &Server{tree: tree, cfg: cfg}
+	s.Frame = NewFrame(FrameConfig{
+		Name:           "strserve",
+		MaxInFlight:    cfg.MaxInFlight,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		Logf:           cfg.Logf,
+	}, s.handle)
+	s.registerTreeSeries()
 	if cfg.SlowLogJSON != nil {
 		s.slowLog = &slowLogger{w: cfg.SlowLogJSON}
 	}
 	return s
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
-}
-
-// ErrAlreadyServing is returned by a second Serve call.
-var ErrAlreadyServing = errors.New("server: already serving")
-
-// Serve accepts connections on ln until Shutdown. It blocks, returning
-// nil after a drain-initiated stop or the first fatal accept error
-// otherwise. The server takes ownership of ln.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.ln != nil {
-		s.mu.Unlock()
-		return ErrAlreadyServing
-	}
-	if s.draining {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return nil
-	}
-	s.ln = ln
-	s.mu.Unlock()
-
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			if s.Draining() {
-				return nil
-			}
-			// Transient accept failures (fd pressure) should not kill
-			// the server; anything else is fatal.
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				time.Sleep(10 * time.Millisecond)
-				continue
-			}
-			s.logf("strserve: accept: %v", err)
-			return err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			_ = conn.Close()
-			continue
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
-}
-
-// Addr returns the listener's address, or nil before Serve.
-func (s *Server) Addr() net.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return nil
-	}
-	return s.ln.Addr()
-}
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// MarkNotReady flips the admin /healthz endpoint to 503 without starting
-// the drain: queries keep being served. Call it a grace period before
-// Shutdown so load balancers and orchestrators stop routing new clients
-// here while the ones already connected finish normally (strserve's
-// -drain-grace does exactly this). Shutdown implies it.
-func (s *Server) MarkNotReady() { s.notReady.Store(true) }
-
-// Ready reports whether the admin health endpoint should answer 200:
-// neither marked not-ready nor draining.
-func (s *Server) Ready() bool { return !s.notReady.Load() && !s.Draining() }
-
-// handleConn serves one connection: frames are read and answered in
-// order. Any transport or framing error closes the connection; request-
-// level failures are answered in-band and keep the connection alive.
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-		s.connWG.Done()
-	}()
-	h := &connHandler{srv: s, io: NewConnIO(conn)}
-	h.io.Logf = func(format string, args ...any) {
-		s.logf("strserve: "+format, args...)
-	}
-	var inBuf []byte
-	for {
-		payload, err := h.io.ReadFrame(inBuf)
-		if err != nil {
-			// EOF: client went away (or drain closed the socket). Either
-			// way the conversation is over; nothing to answer.
-			return
-		}
-		inBuf = payload
-		if !h.serveOne(payload) {
-			return
-		}
-	}
-}
-
-// connHandler carries one connection's framing through its requests.
-type connHandler struct {
-	srv *Server
-	io  *ConnIO
-}
-
-// writeResp writes one response frame, reporting whether the connection
-// is still healthy. For admitted requests it runs before the request
-// slot is released, so a clean drain never closes a connection with a
-// response still unwritten.
-func (h *connHandler) writeResp(resp *wire.Response) bool {
-	return h.io.WriteResponse(resp)
-}
-
-// serveOne parses, admits, executes and answers one request, returning
-// whether the connection should stay open.
-func (h *connHandler) serveOne(payload []byte) (keep bool) {
-	s := h.srv
-	req, err := wire.ParseRequest(payload)
-	if err != nil {
-		// Parse errors get an in-band answer, then the connection drops:
-		// after a malformed frame the stream cannot be trusted.
-		_ = h.writeResp(&wire.Response{
-			Status: wire.StatusBadRequest,
-			Op:     wire.OpSearch,
-			Err:    err.Error(),
-		})
-		return false
-	}
-
-	release, status := s.admit()
-	if status != wire.StatusOK {
-		// Draining closes the connection after answering; overload keeps
-		// it (the client is expected to back off and retry).
-		ok := h.writeResp(&wire.Response{Status: status, Op: req.Op, Err: status.String()})
-		return ok &&
-			status == wire.StatusOverloaded
-	}
-	// release only after the response frame is written: a draining
-	// Shutdown waits on this slot and must not close the connection with
-	// the answer still buffered.
-	defer release()
-
-	ctx, cancel := context.WithTimeout(s.baseCtx, s.timeoutFor(req))
-	defer cancel()
-
+// handle is the frame's Handler: it executes one admitted request and
+// turns an execution error into the in-band answer the frame counts.
+func (s *Server) handle(ctx context.Context, req *wire.Request) *wire.Response {
 	start := time.Now()
 	resp, err := s.execute(ctx, req)
 	elapsed := time.Since(start)
-	s.latAll.Observe(elapsed)
 	s.latOp[req.Op-1].Observe(elapsed)
 	s.reqOp[req.Op-1].Add(1)
 
 	switch {
 	case err == nil:
-		s.completed.Add(1)
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled):
-		s.timedOut.Add(1)
 		s.deadlineOp[req.Op-1].Add(1)
 		resp = &wire.Response{Status: wire.StatusDeadline, Op: req.Op, Err: err.Error()}
 	default:
-		s.failed.Add(1)
 		s.errOp[req.Op-1].Add(1)
-		s.logf("strserve: %v request failed: %v", req.Op, err)
 		resp = &wire.Response{Status: wire.StatusInternal, Op: req.Op, Err: err.Error()}
 	}
 	if t := s.cfg.SlowQueryThreshold; t > 0 && elapsed >= t {
 		s.slow.Add(1)
-		s.logf("strserve: slow query: op=%v dur=%v results=%d status=%v",
+		s.Logf("slow query: op=%v dur=%v results=%d status=%v",
 			req.Op, elapsed, resultCount(resp), resp.Status)
 		if s.slowLog != nil {
 			s.slowLog.log(s, slowRecord(req, resp, elapsed))
 		}
 	}
-	return h.writeResp(resp)
+	return resp
 }
 
 // resultCount is the slow-query log's result-size figure: matches for
@@ -390,49 +184,6 @@ func resultCount(resp *wire.Response) uint64 {
 	default:
 		return uint64(len(resp.Items))
 	}
-}
-
-// admit applies admission control: a full semaphore fast-fails with
-// StatusOverloaded, a draining server with StatusDraining. On StatusOK
-// the caller must invoke release exactly once after the response is
-// written — the drain path waits on it.
-func (s *Server) admit() (release func(), status wire.Status) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, wire.StatusDraining
-	}
-	select {
-	case s.sem <- struct{}{}:
-		// reqWG.Add must happen under mu, before Shutdown can flip
-		// draining and call reqWG.Wait.
-		s.reqWG.Add(1)
-		s.mu.Unlock()
-		s.inFlight.Add(1)
-		s.accepted.Add(1)
-		return func() {
-			<-s.sem
-			s.inFlight.Add(-1)
-			s.reqWG.Done()
-		}, wire.StatusOK
-	default:
-		s.mu.Unlock()
-		s.rejected.Add(1)
-		return nil, wire.StatusOverloaded
-	}
-}
-
-// timeoutFor resolves a request's deadline: its own if set, else the
-// default, never above the maximum.
-func (s *Server) timeoutFor(req *wire.Request) time.Duration {
-	d := s.cfg.DefaultTimeout
-	if req.TimeoutMillis > 0 {
-		d = time.Duration(req.TimeoutMillis) * time.Millisecond
-	}
-	if d > s.cfg.MaxTimeout {
-		d = s.cfg.MaxTimeout
-	}
-	return d
 }
 
 // execute runs one admitted request against the tree. Queries hold the
@@ -578,76 +329,4 @@ func (s *Server) Stats() wire.Stats {
 		st.PerOp[i] = wire.Summary(s.latOp[i].Summarize())
 	}
 	return st
-}
-
-// Shutdown drains the server: it stops accepting connections, refuses
-// new requests with StatusDraining, waits for in-flight requests to
-// finish writing their responses, then closes every connection. If ctx
-// expires first, outstanding request contexts are cancelled (queries
-// unwind at their next node visit) and ctx's error is returned; on a
-// clean drain it returns nil. After Shutdown returns nil every handler
-// has exited and the tree is safe to Close.
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return errors.New("server: already shut down")
-	}
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	s.notReady.Store(true)
-
-	// Stop accepting. Serve's Accept unblocks with an error, sees
-	// draining, and returns nil.
-	if ln != nil {
-		_ = ln.Close()
-	}
-
-	// Wait for admitted requests (through their response writes).
-	done := make(chan struct{})
-	go func() {
-		s.reqWG.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		drainErr = ctx.Err()
-		// Force outstanding queries to unwind, then give them a moment
-		// to observe the cancellation.
-		s.cancelBase()
-		select {
-		case <-done:
-		case <-time.After(time.Second):
-			s.logf("strserve: drain deadline passed with requests still running")
-		}
-	}
-
-	// Close every connection: parked readers get EOF and handlers exit.
-	s.mu.Lock()
-	for c := range s.conns {
-		_ = c.Close()
-	}
-	s.mu.Unlock()
-
-	if drainErr == nil {
-		s.connWG.Wait()
-	} else {
-		// A stuck request (e.g. storage that never returns) can pin its
-		// handler; bound the wait so a forced shutdown stays bounded.
-		handlers := make(chan struct{})
-		go func() {
-			s.connWG.Wait()
-			close(handlers)
-		}()
-		select {
-		case <-handlers:
-		case <-time.After(time.Second):
-			s.logf("strserve: handlers still running after forced drain")
-		}
-	}
-	s.cancelBase()
-	return drainErr
 }

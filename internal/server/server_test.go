@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -151,29 +150,6 @@ func TestServerOps(t *testing.T) {
 	}
 }
 
-// gatedTree builds a tree on a faulty pager whose disk reads park on
-// gate until it is closed. The hook is armed only after the build and a
-// DropCaches, so queries are guaranteed to hit it.
-func gatedTree(t *testing.T, gate chan struct{}) *strtree.Tree {
-	t.Helper()
-	fp := storage.NewFaultyPager(storage.NewMemPager(4096))
-	tree, err := strtree.NewOnPager(fp, strtree.Options{Capacity: 16, BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.BulkLoad(uniformItems(500, 42), strtree.PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	fp.FailReads(func(storage.PageID) error {
-		<-gate
-		return nil
-	})
-	return tree
-}
-
 // waitFor polls cond for up to 2s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -187,53 +163,12 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestServerOverload parks one slow query in the single admission slot
-// and checks the next request fast-fails with ErrOverloaded — and that
-// the connection survives the rejection.
-func TestServerOverload(t *testing.T) {
-	gate := make(chan struct{})
-	tree := gatedTree(t, gate)
-	defer func() { _ = tree.Close() }()
-	srv, addr := startServer(t, tree, Config{MaxInFlight: 1})
-
-	slow := Dial(addr)
-	defer func() { _ = slow.Close() }()
-	slowDone := make(chan error, 1)
-	go func() {
-		_, err := slow.Count(geom.R2(0, 0, 1, 1))
-		slowDone <- err
-	}()
-	waitFor(t, "slow query to occupy the slot", func() bool {
-		return srv.inFlight.Load() == 1
-	})
-
-	fast := Dial(addr)
-	defer func() { _ = fast.Close() }()
-	if _, err := fast.Count(geom.R2(0, 0, 1, 1)); !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("second query err = %v, want ErrOverloaded", err)
-	}
-	if got := srv.rejected.Load(); got != 1 {
-		t.Fatalf("rejected counter = %d, want 1", got)
-	}
-
-	close(gate)
-	if err := <-slowDone; err != nil {
-		t.Fatalf("parked query failed after gate opened: %v", err)
-	}
-	// The rejected client's connection must still work — once the server
-	// has given the slot back, which it does after answering the parked
-	// client, so the answer alone does not order the two.
-	waitFor(t, "the parked query's slot to be released", func() bool {
-		return srv.inFlight.Load() == 0
-	})
-	if _, err := fast.Count(geom.R2(0, 0, 1, 1)); err != nil {
-		t.Fatalf("retry on same connection: %v", err)
-	}
-}
-
-// TestServerDeadline delays every disk read past the request deadline
-// and checks the server answers StatusDeadline within one node visit.
-func TestServerDeadline(t *testing.T) {
+// TestServerExecutionErrors pins how the handler turns the executor's
+// errors into in-band answers: a query that outlives its deadline (every
+// disk read delayed past it) answers StatusDeadline within one node
+// visit, a storage failure answers StatusInternal, and each lands in its
+// per-op counter next to the frame's outcome counter.
+func TestServerExecutionErrors(t *testing.T) {
 	fp := storage.NewFaultyPager(storage.NewMemPager(4096))
 	tree, err := strtree.NewOnPager(fp, strtree.Options{Capacity: 16, BufferPages: 64})
 	if err != nil {
@@ -246,182 +181,35 @@ func TestServerDeadline(t *testing.T) {
 	if err := tree.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
+	logs := &logBuf{}
+	srv, addr := startServer(t, tree, Config{Logf: logs.logf})
+	cl := Dial(addr)
+	defer func() { _ = cl.Close() }()
+
 	fp.FailReads(func(storage.PageID) error {
 		time.Sleep(5 * time.Millisecond)
 		return nil
 	})
-
-	srv, addr := startServer(t, tree, Config{})
-	cl := Dial(addr)
-	defer func() { _ = cl.Close() }()
 	cl.SetRequestTimeout(time.Millisecond)
 	if _, err := cl.Count(geom.R2(0, 0, 1, 1)); !errors.Is(err, ErrDeadline) {
 		t.Fatalf("err = %v, want ErrDeadline", err)
 	}
-	waitFor(t, "timeout counter", func() bool { return srv.timedOut.Load() == 1 })
-}
-
-// TestServerDrain is the drain-semantics proof: with a query parked on
-// faulty storage, Shutdown must refuse new connections and new requests
-// while letting the parked query finish and deliver its response.
-func TestServerDrain(t *testing.T) {
-	gate := make(chan struct{})
-	tree := gatedTree(t, gate)
-	defer func() { _ = tree.Close() }()
-	srv, addr := startServer(t, tree, Config{})
-
-	// An idle connection opened before the drain begins.
-	idle := Dial(addr)
-	defer func() { _ = idle.Close() }()
-	if _, err := idle.Stats(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Park a query on the storage gate.
-	slow := Dial(addr)
-	defer func() { _ = slow.Close() }()
-	type result struct {
-		n   uint64
-		err error
-	}
-	slowDone := make(chan result, 1)
-	go func() {
-		n, err := slow.Count(geom.R2(0, 0, 1, 1))
-		slowDone <- result{n, err}
-	}()
-	waitFor(t, "slow query to start", func() bool { return srv.inFlight.Load() == 1 })
-
-	// Begin the drain; it must block on the parked query.
-	shutdownDone := make(chan error, 1)
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		shutdownDone <- srv.Shutdown(ctx)
-	}()
-	waitFor(t, "drain to begin", srv.Draining)
-
-	// New connections are refused: the listener is closed.
-	waitFor(t, "listener to close", func() bool {
-		conn, err := net.DialTimeout("tcp", addr, 100*time.Millisecond)
-		if err != nil {
-			return true
-		}
-		// Connection races ahead of the close on some kernels: a request
-		// on it must still be refused or the socket dropped.
-		_ = conn.Close()
-		return false
+	waitFor(t, "timeout counters", func() bool {
+		return srv.timedOut.Load() == 1 && srv.deadlineOp[wire.OpCount-1].Load() == 1
 	})
 
-	// The pre-existing idle connection gets an in-band draining refusal.
-	if _, err := idle.Stats(); !errors.Is(err, ErrDraining) {
-		t.Fatalf("request during drain: err = %v, want ErrDraining", err)
+	fp.FailReads(func(storage.PageID) error { return errors.New("disk on fire") })
+	cl.SetRequestTimeout(0)
+	if _, err := cl.Count(geom.R2(0, 0, 1, 1)); err == nil || errors.Is(err, ErrDeadline) {
+		t.Fatalf("err = %v, want the storage failure", err)
 	}
-
-	// Shutdown is still waiting on the parked query.
-	select {
-	case err := <-shutdownDone:
-		t.Fatalf("shutdown returned %v with a query still in flight", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// Release the storage gate: the parked query completes and its
-	// response is delivered before the connection closes.
-	close(gate)
-	res := <-slowDone
-	if res.err != nil {
-		t.Fatalf("in-flight query failed during drain: %v", res.err)
-	}
-	if res.n != 500 {
-		t.Fatalf("in-flight query returned %d matches, want 500", res.n)
-	}
-	if err := <-shutdownDone; err != nil {
-		t.Fatalf("clean drain returned %v", err)
-	}
-}
-
-// TestServerDrainDeadline forces the drain deadline with a query that
-// never unparks on its own: Shutdown must cancel it and return ctx's
-// error instead of hanging.
-func TestServerDrainDeadline(t *testing.T) {
-	gate := make(chan struct{})
-	fp := storage.NewFaultyPager(storage.NewMemPager(4096))
-	tree, err := strtree.NewOnPager(fp, strtree.Options{Capacity: 16, BufferPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = tree.Close() }()
-	if err := tree.BulkLoad(uniformItems(500, 42), strtree.PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	// Every read waits on the gate; the query re-parks on each node, so
-	// without cancellation the drain would never finish. One release per
-	// read lets exactly the in-progress read complete.
-	var reads atomic.Int64
-	fp.FailReads(func(storage.PageID) error {
-		reads.Add(1)
-		<-gate
-		return nil
+	waitFor(t, "failure counters", func() bool {
+		return srv.failed.Load() == 1 && srv.errOp[wire.OpCount-1].Load() == 1
 	})
-
-	srv, addr := startServer(t, tree, Config{})
-	cl := Dial(addr)
-	defer func() { _ = cl.Close() }()
-	done := make(chan error, 1)
-	go func() {
-		_, err := cl.Count(geom.R2(0, 0, 1, 1))
-		done <- err
-	}()
-	waitFor(t, "query to park", func() bool { return reads.Load() >= 1 })
-
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err = srv.Shutdown(ctx)
-	// Unpark the read so the cancelled traversal can observe its context.
-	close(gate)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("forced drain err = %v, want DeadlineExceeded", err)
+	if !logs.contains("strserve: count request failed") {
+		t.Errorf("storage failure not logged: %q", logs.all())
 	}
-	if err := <-done; err == nil {
-		t.Fatal("cancelled in-flight query reported success")
-	}
-	// The unparked handler may still be unwinding its traversal; wait for
-	// it to release its slot before the deferred tree.Close.
-	waitFor(t, "handler to unwind", func() bool { return srv.inFlight.Load() == 0 })
-}
-
-// TestServerBadRequest sends garbage and checks for an in-band
-// bad-request answer followed by connection close.
-func TestServerBadRequest(t *testing.T) {
-	tree := buildTree(t, 100)
-	defer func() { _ = tree.Close() }()
-	_, addr := startServer(t, tree, Config{})
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	if err := wire.WriteFrame(conn, []byte{0xFF, 0xFF, 0xFF}); err != nil {
-		t.Fatal(err)
-	}
-	frame, err := wire.ReadFrame(conn, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := wire.ParseResponse(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Status != wire.StatusBadRequest {
-		t.Fatalf("status = %v, want bad request", resp.Status)
-	}
-	// The server closes the connection after a protocol violation.
-	if _, err := wire.ReadFrame(conn, nil); err == nil {
-		t.Fatal("connection stayed open after bad request")
-	}
+	fp.FailReads(nil)
 }
 
 // TestSelftest smoke-runs the in-process harness with small parameters.

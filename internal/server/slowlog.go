@@ -68,7 +68,7 @@ type slowLogger struct {
 func (l *slowLogger) log(s *Server, rec *SlowQuery) {
 	line, err := json.Marshal(rec)
 	if err != nil {
-		s.logf("strserve: slowlog: marshal: %v", err)
+		s.Logf("slowlog: marshal: %v", err)
 		return
 	}
 	line = append(line, '\n')
@@ -76,7 +76,7 @@ func (l *slowLogger) log(s *Server, rec *SlowQuery) {
 	_, err = l.w.Write(line)
 	l.mu.Unlock()
 	if err != nil {
-		s.logf("strserve: slowlog: write: %v", err)
+		s.Logf("slowlog: write: %v", err)
 	}
 }
 
