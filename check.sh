@@ -27,7 +27,10 @@
 #                     router (scatter-gather, health probing, drain), the
 #                     dynamic write path's differential oracle harness
 #                     (internal/rtree …Mutate… and the root-package
-#                     equivalent), and the root package's concurrent
+#                     equivalent), internal/rtree's cold-buffer concurrent
+#                     readers over a sharded pool (…ConcurrentReaders…: the
+#                     per-frame validation mark read and set by racing
+#                     traversals), and the root package's concurrent
 #                     Search/SearchBatch tests. The zero-alloc gates
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
@@ -67,7 +70,7 @@ go test ./...
 
 echo "== go test -race (buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, concurrent root tests)"
 go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
-go test -race -run 'Mutate' ./internal/rtree
+go test -race -run 'Mutate|ConcurrentReaders' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate' .
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"

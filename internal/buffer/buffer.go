@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"strtree/internal/storage"
 )
@@ -85,10 +86,27 @@ func (p Policy) String() string {
 // bytes and must die before the Release — never stored, never returned
 // upward — because after the unpin the frame can be evicted and its
 // backing array handed to a different page.
+//
+// A frame also carries the verdict of its consumer's validation, so a page
+// is validated once per buffer residency instead of once per visit. The
+// invariant: Checked reports true only if the current byte image passed the
+// consumer's full check (node.MakeView, for a tree page) since it last
+// changed. The consumer sets the mark with SetChecked, under the pin the
+// check ran under and only after it succeeded. The pool clears it at every
+// point the pin protocol lets the bytes change: a miss load (before
+// ReadPage, so a read that fails halfway leaves it clear too), Create,
+// MarkDirty and ReleaseMut. Release, a hit, FlushAll and SetResident leave
+// the bytes alone and so leave the mark. A stray write to Data outside the
+// protocol (no MarkDirty, no write pin) is invisible to the mark; only the
+// checkers that always fully decode (rtree.Validate, internal/invariant)
+// catch it.
 type Frame struct {
 	id   storage.PageID
 	data []byte
-	pins int
+	// checked is the validation mark. Atomic because concurrent readers of
+	// one resident page read it, and may both set it, outside the pool mutex.
+	checked atomic.Bool
+	pins    int
 	// writePin marks the single pin as exclusive: the holder is patching
 	// Data in place and no reader may pin the frame until ReleaseMut.
 	writePin bool
@@ -106,9 +124,21 @@ func (f *Frame) ID() storage.PageID { return f.id }
 // Data returns the page bytes. Valid only while the frame is pinned.
 func (f *Frame) Data() []byte { return f.data }
 
-// MarkDirty records that the caller modified Data, so the page must reach
-// the pager before eviction.
-func (f *Frame) MarkDirty() { f.dirty = true }
+// MarkDirty records that the caller modifies Data, so the page must reach
+// the pager before eviction, and clears the validation mark: the bytes are
+// no longer the image that was checked.
+func (f *Frame) MarkDirty() {
+	f.dirty = true
+	f.checked.Store(false)
+}
+
+// Checked reports whether the frame's current bytes passed the consumer's
+// full validation since they last changed (see Frame). Read it under a pin.
+func (f *Frame) Checked() bool { return f.checked.Load() }
+
+// SetChecked records that the frame's bytes just passed the consumer's full
+// validation. Call it only under the pin the check ran under.
+func (f *Frame) SetChecked() { f.checked.Store(true) }
 
 // Pool is a fixed-capacity LRU cache of pages over a storage.Pager. It is
 // safe for concurrent use. The zero value is not usable; call NewPool.
@@ -177,40 +207,7 @@ func (p *Pool) Pager() storage.Pager { return p.pager }
 // Fetch pins the page in the pool, reading it from the pager on a miss, and
 // returns its frame. Every Fetch must be paired with a Release.
 func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.LogicalReads++
-	if f, ok := p.frames[id]; ok {
-		if f.writePin {
-			return nil, fmt.Errorf("%w: page %d", ErrWritePinned, id)
-		}
-		f.pins++
-		p.touchLocked(f)
-		if p.tracer != nil {
-			p.tracer(id, true)
-		}
-		return f, nil
-	}
-	if p.tracer != nil {
-		p.tracer(id, false)
-	}
-	f, err := p.allocFrameLocked()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.pager.ReadPage(id, f.data); err != nil {
-		p.freeFrameLocked(f)
-		return nil, err
-	}
-	p.stats.DiskReads++
-	f.id = id
-	f.pins = 1
-	f.writePin = false
-	f.dirty = false
-	f.resident = false
-	p.frames[id] = f
-	p.linkLocked(f)
-	return f, nil
+	return p.fetch(id, false)
 }
 
 // FetchMut pins the page exclusively for in-place mutation, reading it from
@@ -222,44 +219,69 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 // page fails with ErrWritePinned. Every FetchMut must be paired with a
 // ReleaseMut.
 func (p *Pool) FetchMut(id storage.PageID) (*Frame, error) {
+	return p.fetch(id, true)
+}
+
+// fetch is Fetch (write false) and FetchMut (write true): the hit path
+// differs in the pin it takes, the miss path is loadLocked for both.
+func (p *Pool) fetch(id storage.PageID, write bool) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.stats.LogicalReads++
-	if f, ok := p.frames[id]; ok {
+	f, hit := p.frames[id]
+	if hit {
 		if f.writePin {
 			return nil, fmt.Errorf("%w: page %d", ErrWritePinned, id)
 		}
-		if f.pins > 0 {
+		if write && f.pins > 0 {
 			return nil, fmt.Errorf("%w: page %d has %d read pins", ErrReadPinned, id, f.pins)
 		}
-		f.pins = 1
-		f.writePin = true
+		f.pins++
 		p.touchLocked(f)
-		if p.tracer != nil {
-			p.tracer(id, true)
-		}
-		return f, nil
 	}
 	if p.tracer != nil {
-		p.tracer(id, false)
+		p.tracer(id, hit)
 	}
+	if !hit {
+		var err error
+		if f, err = p.loadLocked(id); err != nil {
+			return nil, err
+		}
+	}
+	f.writePin = write
+	return f, nil
+}
+
+// loadLocked is the miss path: it takes a frame (evicting if the pool is
+// full), reads page id into it and publishes it with one pin. It is the one
+// place a resident frame's bytes are replaced from the pager, so it is where
+// the validation mark of the frame's previous page dies — before ReadPage
+// overwrites the bytes, so a read that fails halfway leaves it clear too.
+func (p *Pool) loadLocked(id storage.PageID) (*Frame, error) {
 	f, err := p.allocFrameLocked()
 	if err != nil {
 		return nil, err
 	}
+	f.checked.Store(false)
 	if err := p.pager.ReadPage(id, f.data); err != nil {
 		p.freeFrameLocked(f)
 		return nil, err
 	}
 	p.stats.DiskReads++
+	p.publishLocked(f, id, false)
+	return f, nil
+}
+
+// publishLocked enters a frame that just received page id's bytes into the
+// table with one read pin.
+func (p *Pool) publishLocked(f *Frame, id storage.PageID, dirty bool) {
 	f.id = id
 	f.pins = 1
-	f.writePin = true
-	f.dirty = false
+	f.writePin = false
+	f.dirty = dirty
 	f.resident = false
 	p.frames[id] = f
 	p.linkLocked(f)
-	return f, nil
 }
 
 // ReleaseMut drops a write pin obtained from FetchMut, marking the frame
@@ -278,6 +300,7 @@ func (p *Pool) ReleaseMut(f *Frame) error {
 	}
 	f.writePin = false
 	f.dirty = true
+	f.checked.Store(false)
 	f.pins = 0
 	return nil
 }
@@ -304,16 +327,11 @@ func (p *Pool) adopt(id storage.PageID) (*Frame, error) {
 	if err != nil {
 		return nil, err
 	}
+	f.checked.Store(false)
 	for i := range f.data {
 		f.data[i] = 0
 	}
-	f.id = id
-	f.pins = 1
-	f.writePin = false
-	f.dirty = true
-	f.resident = false
-	p.frames[id] = f
-	p.linkLocked(f)
+	p.publishLocked(f, id, true)
 	return f, nil
 }
 

@@ -167,9 +167,9 @@ func TestShardedConcurrentEviction(t *testing.T) {
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(trace []storage.PageID, dirty bool) {
+		go func(trace []storage.PageID, w int) {
 			defer wg.Done()
-			for i, id := range trace {
+			for _, id := range trace {
 				f, err := s.Fetch(id)
 				if err != nil {
 					errs <- err
@@ -183,13 +183,19 @@ func TestShardedConcurrentEviction(t *testing.T) {
 					errs <- errTornRead
 					return
 				}
-				if dirty && i%16 == 0 {
-					f.Data()[1] = f.Data()[0] // idempotent self-write
+				// Read pins are shared, so writing under one is only safe
+				// for a page's single writer: each page is dirtied by one
+				// worker, always the same. (Any worker dirtying any page
+				// was a data race on the byte and on the dirty flag — rare
+				// until MarkDirty grew an atomic store and widened the
+				// window.)
+				if int(id)%(2*workers) == w {
+					f.Data()[1] = f.Data()[0]
 					f.MarkDirty()
 				}
 				s.Release(f)
 			}
-		}(traces[w], w%2 == 0)
+		}(traces[w], w)
 	}
 	wg.Wait()
 	close(errs)

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"strtree/internal/geom"
 )
 
 // FuzzViewEquivalence throws arbitrary bytes at both page parsers and
@@ -15,6 +17,10 @@ import (
 // pinned by internal/rtree's differential tests. The committed corpus
 // under testdata/fuzz/FuzzViewEquivalence seeds valid pages of several
 // shapes plus targeted mutations (header fields, payload, truncation).
+//
+// The same inputs hold the header-only constructor to its two promises
+// (checkTrustedView): it never hands out a view an accessor can run off the
+// page with, and it never disagrees with MakeView about a page both accept.
 func FuzzViewEquivalence(f *testing.F) {
 	// Valid pages across levels, dimensionalities and fills.
 	for _, tc := range []struct{ level, dims, count int }{
@@ -44,6 +50,7 @@ func FuzzViewEquivalence(f *testing.F) {
 		var n Node
 		uErr := Unmarshal(page, &n)
 		v, vErr := MakeView(page)
+		checkTrustedView(t, page, v, vErr)
 
 		if (uErr == nil) != (vErr == nil) {
 			t.Fatalf("acceptance disagrees: Unmarshal err %v, MakeView err %v", uErr, vErr)
@@ -78,4 +85,46 @@ func FuzzViewEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkTrustedView holds MakeTrustedView to what its callers rely on. It
+// skips the payload checks, so it accepts pages MakeView rejects — garbage
+// entries behind a sane header — and on any page it accepts, every accessor
+// must stay inside the page for i < Count() (a panic fails the fuzz run).
+// It shares MakeView's header gates, so it accepts every page MakeView
+// accepts, with the same level, dims and count, and a page it rejects
+// MakeView rejects with the same sentinel.
+func checkTrustedView(t *testing.T, page []byte, v View, vErr error) {
+	tv, tErr := MakeTrustedView(page)
+	if tErr != nil {
+		for _, sentinel := range []error{ErrBadMagic, ErrBadVersion, ErrBadChecksum, ErrCorrupt} {
+			if errors.Is(tErr, sentinel) != errors.Is(vErr, sentinel) {
+				t.Fatalf("header gate disagrees for %v: MakeTrustedView %v, MakeView %v", sentinel, tErr, vErr)
+			}
+		}
+		return
+	}
+	if vErr == nil && (tv.Level() != v.Level() || tv.Dims() != v.Dims() || tv.Count() != v.Count()) {
+		t.Fatalf("header disagrees: trusted (%d,%d,%d), validated (%d,%d,%d)",
+			tv.Level(), tv.Dims(), tv.Count(), v.Level(), v.Dims(), v.Count())
+	}
+	dims := tv.Dims()
+	q := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	scratch := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	var coords []float64
+	for i := 0; i < tv.Count(); i++ {
+		_, _ = tv.EntryRef(i), tv.EntryID(i)
+		for d := 0; d < dims; d++ {
+			_, _ = tv.EntryMin(i, d), tv.EntryMax(i, d)
+		}
+		_ = tv.EntryRect(i)
+		tv.EntryRectInto(i, &scratch)
+		coords = tv.AppendEntryCoords(coords[:0], i)
+		_ = tv.IntersectsQuery(q, i)
+		_ = tv.MinDist(q.Min, i)
+	}
+	if tv.Count() > 0 {
+		tv.MBRInto(&scratch)
+	}
+	_, _ = tv.IsLeaf(), coords
 }

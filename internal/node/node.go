@@ -95,7 +95,9 @@ func (n *Node) Reset(level, dims int) {
 }
 
 // Marshal serializes the node into page, which must be large enough for the
-// header plus all entries.
+// header plus all entries. Every precondition is checked before the first
+// byte is written: a failing Marshal leaves page untouched, never a new
+// header over half of the old entries.
 func Marshal(n *Node, page []byte) error {
 	if n.Dims <= 0 || n.Dims > 255 {
 		return fmt.Errorf("node: dims %d out of range", n.Dims)
@@ -110,6 +112,11 @@ func Marshal(n *Node, page []byte) error {
 	if need > len(page) {
 		return fmt.Errorf("node: %d entries need %d bytes, page is %d", len(n.Entries), need, len(page))
 	}
+	for i := range n.Entries {
+		if r := n.Entries[i].Rect; r.Dim() != n.Dims || len(r.Max) != n.Dims {
+			return fmt.Errorf("node: entry %d has dim %d, node has %d", i, r.Dim(), n.Dims)
+		}
+	}
 	binary.LittleEndian.PutUint16(page[0:], Magic)
 	page[2] = Version
 	page[3] = uint8(n.Dims)
@@ -118,9 +125,6 @@ func Marshal(n *Node, page []byte) error {
 	off := HeaderSize
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		if e.Rect.Dim() != n.Dims {
-			return fmt.Errorf("node: entry %d has dim %d, node has %d", i, e.Rect.Dim(), n.Dims)
-		}
 		for d := 0; d < n.Dims; d++ {
 			binary.LittleEndian.PutUint64(page[off:], math.Float64bits(e.Rect.Min[d]))
 			off += 8

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -110,6 +111,41 @@ func TestMarshalErrors(t *testing.T) {
 	big := sampleNode(0, 2, 100, rand.New(rand.NewSource(3)))
 	if err := Marshal(big, make([]byte, 256)); err == nil {
 		t.Error("overfull page accepted")
+	}
+}
+
+// TestMarshalFailureLeavesPageUntouched pins Marshal's all-or-nothing
+// contract: whatever makes it fail — including a dimension mismatch on the
+// last entry, found only after every earlier one checked out — the page
+// keeps its previous bytes, still a valid image of the previous node.
+func TestMarshalFailureLeavesPageUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	page := make([]byte, 4096)
+	if err := Marshal(sampleNode(1, 2, 60, rng), page); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), page...)
+
+	late := sampleNode(0, 2, 30, rng)
+	late.Entries[29].Rect = geom.UnitCube(3)
+	short := sampleNode(0, 2, 30, rng)
+	short.Entries[7].Rect.Max = short.Entries[7].Rect.Max[:1]
+	for name, n := range map[string]*Node{
+		"last entry has 3 dims":   late,
+		"an entry's Max is short": short,
+		"too many entries":        sampleNode(0, 2, 200, rng),
+		"level out of range":      {Level: -1, Dims: 2},
+		"dims out of range":       {Level: 0, Dims: 256},
+	} {
+		if err := Marshal(n, page); err == nil {
+			t.Errorf("%s: Marshal succeeded", name)
+		}
+		if !bytes.Equal(page, before) {
+			t.Fatalf("%s: failed Marshal changed the page", name)
+		}
+	}
+	if _, err := MakeView(page); err != nil {
+		t.Fatalf("page no longer validates: %v", err)
 	}
 }
 

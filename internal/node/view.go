@@ -17,6 +17,13 @@ package node
 // Insert and Delete descend through Views too and write through
 // MutableView; Unmarshal remains for the code that needs a whole node on
 // the heap — a split, a dissolved node, Walk, validation.
+//
+// Validation: MakeView is the one validating constructor (MakeMutableView
+// wraps it; Unmarshal is its materializing twin). internal/rtree runs it on
+// the first visit of a page's buffer residency, records the verdict on the
+// buffer frame, and builds later views of the same unchanged bytes with
+// MakeTrustedView, which repeats only the O(1) header gates. Whoever
+// changes the bytes clears the verdict (see internal/buffer.Frame).
 
 import (
 	"encoding/binary"
@@ -29,7 +36,8 @@ import (
 
 // View is a lazily-decoded, read-only view over one serialized page.
 // The zero View is invalid; construct with MakeView, which performs the
-// same corruption checks as Unmarshal exactly once per page. A View is a
+// same corruption checks as Unmarshal, or — over bytes MakeView already
+// accepted and that have not changed since — with MakeTrustedView. A View is a
 // small value (slice header plus three ints) intended to live on the
 // stack; methods use value receivers so no View ever escapes to the heap.
 type View struct {
@@ -48,6 +56,34 @@ type View struct {
 // float once but retains nothing: after MakeView returns, accessors read
 // straight from the page bytes.
 func MakeView(page []byte) (View, error) {
+	v, err := MakeTrustedView(page)
+	if err != nil {
+		return View{}, err
+	}
+	end := v.entryOff(v.count)
+	if got, want := crc32.ChecksumIEEE(page[HeaderSize:end]), binary.LittleEndian.Uint32(page[8:]); got != want {
+		return View{}, fmt.Errorf("%w: crc %08x, header says %08x", ErrBadChecksum, got, want)
+	}
+	for i := 0; i < v.count; i++ {
+		if !v.entryValid(i) {
+			// Materialize the offending rectangle only on the error path,
+			// to match Unmarshal's diagnostic.
+			return View{}, fmt.Errorf("%w: entry %d has invalid rectangle %v", ErrCorrupt, i, v.EntryRect(i))
+		}
+	}
+	return v, nil
+}
+
+// MakeTrustedView returns a view over a page whose payload the caller
+// already knows to be valid: these exact bytes passed MakeView and have not
+// changed since. It runs MakeView's O(1) header gates — length, magic,
+// version, dimensionality, entry count fits the page — which are what keep
+// every accessor in bounds for i < Count(), and skips only the two linear
+// passes, the payload CRC and the per-entry rectangle check. It is not a
+// validator: the one caller outside this package is internal/rtree's
+// viewOf, which reaches it only for a buffer frame whose Checked mark is
+// set (see buffer.Frame for who sets and who clears that mark).
+func MakeTrustedView(page []byte) (View, error) {
 	if len(page) < HeaderSize {
 		return View{}, fmt.Errorf("%w: page shorter than header", ErrCorrupt)
 	}
@@ -63,26 +99,10 @@ func MakeView(page []byte) (View, error) {
 	}
 	level := int(binary.LittleEndian.Uint16(page[4:]))
 	count := int(binary.LittleEndian.Uint16(page[6:]))
-	end := HeaderSize + count*EntrySize(dims)
-	if end > len(page) {
+	if HeaderSize+count*EntrySize(dims) > len(page) {
 		return View{}, fmt.Errorf("%w: %d entries overflow the page", ErrCorrupt, count)
 	}
-	if got, want := crc32.ChecksumIEEE(page[HeaderSize:end]), binary.LittleEndian.Uint32(page[8:]); got != want {
-		return View{}, fmt.Errorf("%w: crc %08x, header says %08x", ErrBadChecksum, got, want)
-	}
-	v := View{page: page, dims: dims, level: level, count: count}
-	for i := 0; i < count; i++ {
-		if !v.entryValid(i) {
-			// Materialize the offending rectangle only on the error path,
-			// to match Unmarshal's diagnostic.
-			var r geom.Rect
-			r.Min = make(geom.Point, dims)
-			r.Max = make(geom.Point, dims)
-			v.EntryRectInto(i, &r)
-			return View{}, fmt.Errorf("%w: entry %d has invalid rectangle %v", ErrCorrupt, i, r)
-		}
-	}
-	return v, nil
+	return View{page: page, dims: dims, level: level, count: count}, nil
 }
 
 // entryValid reports whether entry i decodes to a well-formed rectangle:

@@ -21,14 +21,13 @@ import (
 // context.DeadlineExceeded — is returned as soon as it is observed.
 // Matches already emitted stay emitted; the traversal simply stops.
 func (t *Tree) SearchContext(ctx context.Context, q geom.Rect, fn func(e node.Entry) bool) error {
-	return t.searchView(ctx, q, fn)
+	_, err := t.searchView(ctx, q, fn)
+	return err
 }
 
 // CountContext is Count under a context.
 func (t *Tree) CountContext(ctx context.Context, q geom.Rect) (int, error) {
-	n := 0
-	err := t.SearchContext(ctx, q, func(node.Entry) bool { n++; return true })
-	return n, err
+	return t.searchView(ctx, q, nil)
 }
 
 // NearestContext is Nearest with cooperative cancellation, checked once

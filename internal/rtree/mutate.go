@@ -89,7 +89,11 @@ func (t *Tree) patchNode(s mutStep, fix childFix, mbr *geom.Rect, add *node.Entr
 	if err != nil {
 		return false, err
 	}
-	mv, err := node.MakeMutableView(f.Data())
+	// The descent validated this page moments ago and marked its frame, so
+	// viewOf normally builds the view from the header alone; a frame that
+	// lost its mark since (evicted and reloaded) is validated in full here.
+	v, err := t.viewOf(f)
+	mv := node.MutableView{View: v}
 	if err == nil {
 		switch fix {
 		case fixRect:

@@ -111,6 +111,8 @@ type mutOracleConfig struct {
 	// root splits and falls back through condensation and root collapse,
 	// down to the empty tree and its bootstrap, several times.
 	swing int
+	// wrap, when set, interposes on the tree's buffer manager.
+	wrap func(buffer.Manager) buffer.Manager
 }
 
 func (c mutOracleConfig) String() string {
@@ -137,7 +139,10 @@ func randOpRect(rng *rand.Rand, dims int, dupHeavy bool) geom.Rect {
 // newMutTree builds an empty dynamic tree per the config.
 func newMutTree(t testing.TB, c mutOracleConfig) *rtree.Tree {
 	t.Helper()
-	pool := buffer.NewPool(storage.NewMemPager(c.pageSize), c.bufPages)
+	var pool buffer.Manager = buffer.NewPool(storage.NewMemPager(c.pageSize), c.bufPages)
+	if c.wrap != nil {
+		pool = c.wrap(pool)
+	}
 	tr, err := rtree.Create(pool, rtree.Config{
 		Dims:           c.dims,
 		Split:          c.split,
@@ -287,6 +292,84 @@ func TestMutateOracle10kOps(t *testing.T) {
 	if ms.StructuralInserts == 0 || ms.StructuralDeletes == 0 {
 		t.Fatalf("structural path never ran (splits/condensation untested): %+v", ms)
 	}
+}
+
+// clearCounter counts, from outside the pool, the events that clear a
+// frame's validation mark on the write path: Create, ReleaseMut, and a
+// MarkDirty under a read pin (writeNode) — seen as a frame that was marked
+// at Fetch and is not at Release. A MarkDirty on a frame that was already
+// unmarked goes unseen, and needs no counting: it clears nothing, so no
+// validation can be owed to it.
+type clearCounter struct {
+	buffer.Manager
+	creates, releaseMuts, markDirties uint64
+	marked                            map[*buffer.Frame]bool
+}
+
+func (c *clearCounter) Fetch(id storage.PageID) (*buffer.Frame, error) {
+	f, err := c.Manager.Fetch(id)
+	if err == nil {
+		c.marked[f] = f.Checked()
+	}
+	return f, err
+}
+
+func (c *clearCounter) Release(f *buffer.Frame) {
+	if c.marked[f] && !f.Checked() {
+		c.markDirties++
+	}
+	delete(c.marked, f)
+	c.Manager.Release(f)
+}
+
+func (c *clearCounter) Create() (*buffer.Frame, error) {
+	c.creates++
+	return c.Manager.Create()
+}
+
+func (c *clearCounter) ReleaseMut(f *buffer.Frame) error {
+	c.releaseMuts++
+	return c.Manager.ReleaseMut(f)
+}
+
+// TestMutateCheckedPagesBound holds the write path to "one validation per
+// changed page": over the oracle tape, under eviction pressure, every full
+// validation is owed to a distinct event that put new bytes under a frame —
+// a load from the pager, a Create, a MarkDirty, a ReleaseMut — so their sum
+// bounds CheckedPages. Before the mark every visit validated, and patchNode
+// validated each path page a second time: CheckedPages would have been
+// ViewPages plus one per write pin.
+func TestMutateCheckedPagesBound(t *testing.T) {
+	cc := &clearCounter{marked: map[*buffer.Frame]bool{}}
+	tr := runMutateOracle(t, mutOracleConfig{
+		seed:       1103,
+		ops:        3000,
+		dims:       2,
+		pageSize:   256,
+		bufPages:   24,
+		split:      rtree.SplitQuadratic,
+		pInsert:    0.6,
+		queryEvery: 3,
+		checkEvery: 50,
+		wrap: func(m buffer.Manager) buffer.Manager {
+			cc.Manager = m
+			return cc
+		},
+	})
+	st, io := tr.ReadStats(), cc.Stats()
+	if io.Evictions == 0 {
+		t.Fatal("no eviction pressure: loads never cleared a mark")
+	}
+	events := uint64(io.DiskReads) + cc.creates + cc.releaseMuts + cc.markDirties
+	if st.CheckedPages > events {
+		t.Fatalf("CheckedPages %d exceeds the %d events that could have cleared a mark (%d loads, %d creates, %d write pins, %d dirtied)",
+			st.CheckedPages, events, io.DiskReads, cc.creates, cc.releaseMuts, cc.markDirties)
+	}
+	if st.CheckedPages == 0 || st.CheckedPages >= st.ViewPages {
+		t.Fatalf("CheckedPages %d of %d visits: the mark saved nothing", st.CheckedPages, st.ViewPages)
+	}
+	t.Logf("%d visits, %d validated; %d loads, %d creates, %d write pins, %d dirtied",
+		st.ViewPages, st.CheckedPages, io.DiskReads, cc.creates, cc.releaseMuts, cc.markDirties)
 }
 
 // TestMutateOracleMatrix sweeps page sizes, dimensionalities, split

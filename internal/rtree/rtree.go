@@ -132,9 +132,10 @@ type Tree struct {
 
 	// Zero-copy read-path counters (traverse.go). Atomic because
 	// concurrent Search calls are allowed; see ReadStats.
-	readQueries atomic.Uint64
-	viewPages   atomic.Uint64
-	travAllocs  atomic.Uint64
+	readQueries  atomic.Uint64
+	viewPages    atomic.Uint64
+	checkedPages atomic.Uint64
+	travAllocs   atomic.Uint64
 }
 
 const (
@@ -361,16 +362,18 @@ func (t *Tree) readNode(id storage.PageID, dst *node.Node) error {
 	return nil
 }
 
-// writeNode serializes n onto page id.
+// writeNode serializes n onto page id. MarkDirty comes first: it clears the
+// frame's validation mark before Marshal touches a byte, so no visit can
+// trust the old verdict over the new image. A Marshal that fails has written
+// nothing (its contract), which leaves a dirty frame with its old bytes —
+// at worst one redundant write-back.
 func (t *Tree) writeNode(id storage.PageID, n *node.Node) error {
 	f, err := t.pool.Fetch(id)
 	if err != nil {
 		return err
 	}
+	f.MarkDirty()
 	err = node.Marshal(n, f.Data())
-	if err == nil {
-		f.MarkDirty()
-	}
 	t.pool.Release(f)
 	return err
 }

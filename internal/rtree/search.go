@@ -22,7 +22,8 @@ import (
 // The entry passed to fn aliases pooled traversal storage and is valid
 // only during the callback; Clone its rectangle to retain it.
 func (t *Tree) Search(q geom.Rect, fn func(e node.Entry) bool) error {
-	return t.searchView(nil, q, fn)
+	_, err := t.searchView(nil, q, fn)
+	return err
 }
 
 // SearchWithin reports every data entry whose rectangle is fully
@@ -44,12 +45,11 @@ func (t *Tree) SearchPoint(p geom.Point, fn func(e node.Entry) bool) error {
 	return t.Search(geom.PointRect(p), fn)
 }
 
-// Count returns the number of data entries intersecting q. Like Search it
-// runs on the zero-copy read path and allocates nothing at steady state.
+// Count returns the number of data entries intersecting q. It is Search's
+// traversal — same node visits in the same order — with the leaf arm
+// counting matches in place instead of banking and emitting them.
 func (t *Tree) Count(q geom.Rect) (int, error) {
-	n := 0
-	err := t.Search(q, func(node.Entry) bool { n++; return true })
-	return n, err
+	return t.searchView(nil, q, nil)
 }
 
 // All collects every data entry intersecting q. For large result sets

@@ -9,7 +9,8 @@
 // Pin discipline: at most one frame is pinned at a time, and no user
 // callback runs while a pin is held (leaf matches are banked into the
 // traverser's slab, the pin is released, then the callback sees rectangles
-// sliced out of the slab). That keeps reentrant queries from callbacks
+// sliced out of the slab; a Count runs no callback and tallies under the
+// pin). That keeps reentrant queries from callbacks
 // working on a single-frame buffer pool and keeps the fetch sequence — and
 // therefore the paper's disk-access counts and LRU behavior — identical to
 // the recursive, materializing reference implementation the tests keep
@@ -20,6 +21,12 @@
 // (mutate.go) read pages through the same fetchView. node.Unmarshal is left
 // to the code that needs a whole node on the heap: Walk, Validate, and the
 // one node a mutation splits or dissolves; the bulk loader only marshals.
+//
+// Validation: a traversal trusts a byte image only if it passed the full
+// node.MakeView since it last changed. viewOf, below, is where that rule
+// lives: it validates a page on the first visit of each buffer residency
+// and caches the verdict in the frame's Checked mark, which the buffer pool
+// clears whenever the bytes can change.
 package rtree
 
 import (
@@ -43,6 +50,13 @@ type ReadStats struct {
 	// unit of decode work, one per node visit of a query and of an Insert
 	// or Delete descent.
 	ViewPages uint64
+	// CheckedPages is the number of full page validations (node.MakeView:
+	// payload CRC plus a rectangle check of every entry) those visits ran.
+	// A page is validated once per buffer residency, on the first visit
+	// after its bytes were loaded or changed, so over a read-only workload
+	// this equals the buffer's DiskReads, not its LogicalReads; ViewPages -
+	// CheckedPages visits trusted a frame's Checked mark instead.
+	CheckedPages uint64
 	// TraverserAllocs is the number of traverser pool misses, i.e. heap
 	// allocations of traversal state. After warm-up this stays flat:
 	// a growing value under steady load means queries are allocating.
@@ -54,6 +68,7 @@ func (t *Tree) ReadStats() ReadStats {
 	return ReadStats{
 		Queries:         t.readQueries.Load(),
 		ViewPages:       t.viewPages.Load(),
+		CheckedPages:    t.checkedPages.Load(),
 		TraverserAllocs: t.travAllocs.Load(),
 	}
 }
@@ -115,7 +130,7 @@ func (tr *traverser) rectScratch(dims int) geom.Rect {
 	return geom.Rect{Min: tr.min[:dims], Max: tr.max[:dims]}
 }
 
-// fetchView pins page id and returns a validated view over its bytes.
+// fetchView pins page id and returns a view over its validated bytes.
 // The caller must Release the frame on every exit path; the view aliases
 // the frame's bytes and dies with the pin. Corruption errors carry the
 // same page-tagged wrapping as readNode; raw fetch errors propagate
@@ -125,16 +140,51 @@ func (t *Tree) fetchView(id storage.PageID) (*buffer.Frame, node.View, error) {
 	if err != nil {
 		return nil, node.View{}, err
 	}
-	v, err := node.MakeView(f.Data())
-	if err == nil && v.Dims() != t.dims {
-		err = fmt.Errorf("%w: page dimensionality %d, tree dimensionality %d", node.ErrCorrupt, v.Dims(), t.dims)
-	}
+	v, err := t.viewOf(f)
 	if err != nil {
 		t.pool.Release(f)
 		return nil, node.View{}, fmt.Errorf("rtree: page %d: %w", id, err)
 	}
 	t.viewPages.Add(1)
 	return f, v, nil
+}
+
+// viewOf builds the view of a node visit over pinned frame f, validating
+// the page once per buffer residency rather than once per visit. The rule:
+// a traversal trusts a byte image only if it passed the full node.MakeView
+// since it last changed. A frame whose Checked mark is set holds such an
+// image, so its view is built by the header-only node.MakeTrustedView; any
+// other frame goes through MakeView and, on success, gets the mark. The
+// buffer pool clears the mark wherever the bytes can change (see
+// buffer.Frame), so the first visit after a load or a write always pays the
+// full check, and a corrupt image is never marked. This is the only caller
+// of MakeTrustedView.
+//
+// What the mark cannot see is a write to a resident frame outside the pin
+// protocol (no MarkDirty, no write pin): the next visit no longer
+// re-checksums it. The checkers that exist to distrust memory — readNode
+// and with it Walk, Validate and internal/invariant — never consult the
+// mark and always fully decode.
+func (t *Tree) viewOf(f *buffer.Frame) (node.View, error) {
+	checked := f.Checked()
+	var v node.View
+	var err error
+	if checked {
+		v, err = node.MakeTrustedView(f.Data())
+	} else {
+		t.checkedPages.Add(1)
+		v, err = node.MakeView(f.Data())
+	}
+	if err == nil && v.Dims() != t.dims {
+		err = fmt.Errorf("%w: page dimensionality %d, tree dimensionality %d", node.ErrCorrupt, v.Dims(), t.dims)
+	}
+	if err != nil {
+		return node.View{}, err
+	}
+	if !checked {
+		f.SetChecked()
+	}
+	return v, nil
 }
 
 // slabRect slices entry i's rectangle out of a coordinate slab laid out by
@@ -144,31 +194,35 @@ func slabRect(slab []float64, i, dims int) geom.Rect {
 	return geom.Rect{Min: geom.Point(slab[off : off+dims]), Max: geom.Point(slab[off+dims : off+2*dims])}
 }
 
-// searchView is the shared implementation behind Search and SearchContext:
-// an explicit-stack depth-first traversal that visits nodes in exactly the
-// recursive reference order (children of a node are expanded leftmost
-// first). A nil ctx skips cancellation checks; a non-nil ctx is consulted
-// once per node visit, before the fetch, like searchRec's context variant
-// always did.
-func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) bool) error {
+// searchView is the shared implementation behind Search, Count and their
+// context variants: an explicit-stack depth-first traversal that visits
+// nodes in exactly the recursive reference order (children of a node are
+// expanded leftmost first). A nil ctx skips cancellation checks; a non-nil
+// ctx is consulted once per node visit, before the fetch, like searchRec's
+// context variant always did. A nil fn makes it a count: the leaf arm
+// tallies matches under the pin and banks nothing — no user code runs, so
+// there is nothing to release the pin for — and the tally is returned. With
+// an fn the returned count is unused.
+func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) bool) (int, error) {
 	if err := t.checkEntry(q); err != nil {
-		return err
+		return 0, err
 	}
 	if t.height == 0 {
 		if ctx != nil {
-			return ctx.Err()
+			return 0, ctx.Err()
 		}
-		return nil
+		return 0, nil
 	}
 	t.readQueries.Add(1)
 	tr := t.getTraverser()
 	defer putTraverser(tr)
 	dims := t.dims
+	matches := 0
 	tr.stack = append(tr.stack[:0], t.root)
 	for len(tr.stack) > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
-				return err
+				return matches, err
 			}
 		}
 		top := len(tr.stack) - 1
@@ -176,7 +230,17 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 		tr.stack = tr.stack[:top]
 		f, v, err := t.fetchView(id)
 		if err != nil {
-			return err
+			return matches, err
+		}
+		if v.IsLeaf() && fn == nil {
+			// Count: no callback will run, so tally under the pin.
+			for i := 0; i < v.Count(); i++ {
+				if v.IntersectsQuery(q, i) {
+					matches++
+				}
+			}
+			t.pool.Release(f)
+			continue
 		}
 		if v.IsLeaf() {
 			// Bank the matches, release the pin, then emit: callbacks run
@@ -193,7 +257,7 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 			t.pool.Release(f)
 			for i, ref := range tr.refs {
 				if !fn(node.Entry{Rect: slabRect(tr.slab, i, dims), Ref: ref}) {
-					return nil
+					return 0, nil
 				}
 			}
 			continue
@@ -210,7 +274,7 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 		t.pool.Release(f)
 		reversePages(tr.stack[base:])
 	}
-	return nil
+	return matches, nil
 }
 
 // reversePages reverses s in place.

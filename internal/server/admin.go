@@ -53,6 +53,8 @@ func (s *Server) registerTreeSeries() {
 		func() uint64 { return s.tree.ReadPathStats().Queries })
 	r.CounterFunc("strserve_view_pages_total", "Pages decoded in place through node views (one per node visit of a query or of a mutation's descent).",
 		func() uint64 { return s.tree.ReadPathStats().ViewPages })
+	r.CounterFunc("strserve_checked_pages_total", "Full page validations (payload CRC and every entry's rectangle): one per buffer residency of a page, not one per visit.",
+		func() uint64 { return s.tree.ReadPathStats().CheckedPages })
 	r.CounterFunc("strserve_traverser_allocs_total", "Traversal-state pool misses, i.e. heap allocations of query state.",
 		func() uint64 { return s.tree.ReadPathStats().TraverserAllocs })
 

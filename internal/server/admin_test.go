@@ -124,6 +124,7 @@ func TestAdminRoundTrip(t *testing.T) {
 		"# TYPE strserve_read_queries_total counter\n",
 		"strserve_read_queries_total 6\n",
 		"# TYPE strserve_view_pages_total counter\n",
+		"# TYPE strserve_checked_pages_total counter\n",
 		"# TYPE strserve_traverser_allocs_total counter\n",
 		"strserve_draining 0\n",
 		"strserve_ready 1\n",

@@ -516,9 +516,12 @@ type ReadPathStats = rtree.ReadStats
 
 // ReadPathStats snapshots the zero-copy read path's counters for this
 // tree: Queries (view-path traversals started), ViewPages (pages decoded
-// in place, one per node visit), and TraverserAllocs (traversal-state
-// pool misses — flat under steady load once warm; growth means queries
-// are allocating). The serving layer exposes these on /metrics.
+// in place, one per node visit), CheckedPages (full page validations: a
+// page is checksummed and its rectangles checked once per buffer
+// residency, so over reads this tracks buffer misses, not visits), and
+// TraverserAllocs (traversal-state pool misses — flat under steady load
+// once warm; growth means queries are allocating). The serving layer
+// exposes these on /metrics.
 func (t *Tree) ReadPathStats() ReadPathStats { return t.inner.ReadStats() }
 
 // MutatePathStats counts how dynamic mutations finished. Every Insert
