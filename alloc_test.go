@@ -193,3 +193,36 @@ func BenchmarkSearchZeroAlloc(b *testing.B) {
 		}
 	}
 }
+
+// TestBulkLoadExternalViewAllocBound gates the external build's
+// allocations: a sort comparator (or a per-entry rectangle copy) that
+// escapes to the heap costs tens of allocations per entry — the builder
+// this pipeline replaced made about 81 — where the pipeline itself needs
+// well under one: run buffers, sort-kernel scratch, read-ahead batches and
+// pages, each amortised over hundreds of entries (measured: 0.09).
+func TestBulkLoadExternalAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const perEntryBound = 0.5
+	items := randItems(20000, 7)
+	dir := t.TempDir()
+	allocs := testing.AllocsPerRun(3, func() {
+		tr, err := New(Options{Capacity: 102, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// RunSize 2048: the x-sort spills ten runs and merges them.
+		if err := tr.BulkLoadExternal(itemSource(items), ExternalOptions{RunSize: 2048, TmpDir: dir}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perEntry := allocs / float64(len(items)); perEntry > perEntryBound {
+		t.Errorf("external build allocated %.2f times per entry, bound %.2f", perEntry, perEntryBound)
+	} else {
+		t.Logf("external build: %.3f allocations per entry", perEntry)
+	}
+}

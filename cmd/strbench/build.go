@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"runtime"
+	"slices"
 	"text/tabwriter"
 	"time"
 
@@ -86,6 +88,45 @@ func checkIdentical(rs []buildResult) error {
 	return nil
 }
 
+// sweep runs load once per worker count on a fresh in-memory tree and
+// returns one row per count; load times itself (set-up excluded) and fills
+// in the phase split it knows.
+func sweep(cfg buildConfig, workers []int, load func(tr *rtree.Tree, workers int, r *buildResult) error) ([]buildResult, error) {
+	var results []buildResult
+	for _, w := range workers {
+		pg := storage.NewMemPager(storage.DefaultPageSize)
+		pool := buffer.NewPool(pg, 1024)
+		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, Workers: w})
+		if err != nil {
+			return nil, err
+		}
+		r := buildResult{workers: w}
+		if err := load(tr, w, &r); err != nil {
+			return nil, err
+		}
+		if r.checksum, err = treeChecksum(pg); err != nil {
+			return nil, err
+		}
+		r.write = tr.LastBuildStats().Write
+		results = append(results, r)
+	}
+	return results, nil
+}
+
+// loadInMemory is the in-memory STR build of a copy of entries.
+func loadInMemory(entries []node.Entry) func(*rtree.Tree, int, *buildResult) error {
+	return func(tr *rtree.Tree, workers int, r *buildResult) error {
+		timing := &pack.STRTiming{}
+		cp := slices.Clone(entries)
+		t0 := time.Now()
+		err := tr.BulkLoad(cp, pack.STR{Workers: workers, Timing: timing})
+		r.wall = time.Since(t0)
+		r.sort = time.Duration(timing.SortNanos.Load())
+		r.tile = time.Duration(timing.TileNanos.Load())
+		return err
+	}
+}
+
 // runBuildBench sweeps the worker counts over the in-memory STR build and
 // (when cfg.ExtN > 0) the external STR build, reporting throughput, the
 // sort/tile/write phase split, and the tree checksum per worker count.
@@ -93,36 +134,9 @@ func runBuildBench(w io.Writer, cfg buildConfig) error {
 	entries := datagen.UniformSquares(cfg.N, 5.0, cfg.Seed)
 	fmt.Fprintf(w, "== build throughput: in-memory STR, %d entries, capacity %d, GOMAXPROCS=%d ==\n",
 		cfg.N, cfg.Capacity, runtime.GOMAXPROCS(0))
-
-	var results []buildResult
-	for _, workers := range cfg.Workers {
-		pg := storage.NewMemPager(storage.DefaultPageSize)
-		pool := buffer.NewPool(pg, 1024)
-		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, Workers: workers})
-		if err != nil {
-			return err
-		}
-		timing := &pack.STRTiming{}
-		cp := make([]node.Entry, len(entries))
-		copy(cp, entries)
-		t0 := time.Now()
-		if err := tr.BulkLoad(cp, pack.STR{Workers: workers, Timing: timing}); err != nil {
-			return err
-		}
-		wall := time.Since(t0)
-		sum, err := treeChecksum(pg)
-		if err != nil {
-			return err
-		}
-		stats := tr.LastBuildStats()
-		results = append(results, buildResult{
-			workers:  workers,
-			wall:     wall,
-			sort:     time.Duration(timing.SortNanos.Load()),
-			tile:     time.Duration(timing.TileNanos.Load()),
-			write:    stats.Write,
-			checksum: sum,
-		})
+	results, err := sweep(cfg, cfg.Workers, loadInMemory(entries))
+	if err != nil {
+		return err
 	}
 	printSweep(w, cfg.N, results)
 	if err := checkIdentical(results); err != nil {
@@ -135,67 +149,43 @@ func runBuildBench(w io.Writer, cfg buildConfig) error {
 	extEntries := datagen.UniformSquares(cfg.ExtN, 5.0, cfg.Seed+1)
 	fmt.Fprintf(w, "\n== build throughput: external STR, %d entries, run size %d, capacity %d ==\n",
 		cfg.ExtN, cfg.RunSize, cfg.Capacity)
-	var extResults []buildResult
-	for _, workers := range cfg.Workers {
-		pg := storage.NewMemPager(storage.DefaultPageSize)
-		pool := buffer.NewPool(pg, 1024)
-		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, Workers: workers})
-		if err != nil {
-			return err
-		}
-		packer := pack.STRExternal{RunSize: cfg.RunSize, Workers: workers}
+	// The same wiring strtree.BulkLoadExternal uses.
+	extResults, err := sweep(cfg, cfg.Workers, func(tr *rtree.Tree, workers int, r *buildResult) error {
 		t0 := time.Now()
-		if err := loadExternal(tr, packer, extEntries, workers); err != nil {
-			return err
-		}
-		wall := time.Since(t0)
-		sum, err := treeChecksum(pg)
+		defer func() { r.wall = time.Since(t0) }()
+		i := 0
+		ordered, err := pack.STRExternal{RunSize: cfg.RunSize, Workers: workers}.Open(tr.Capacity(),
+			func() (node.Entry, bool, error) {
+				if i == len(extEntries) {
+					return node.Entry{}, false, nil
+				}
+				i++
+				return extEntries[i-1], true, nil
+			})
 		if err != nil {
 			return err
 		}
-		stats := tr.LastBuildStats()
-		extResults = append(extResults, buildResult{
-			workers:  workers,
-			wall:     wall,
-			write:    stats.Write,
-			checksum: sum,
-		})
+		err = tr.BulkLoadOrdered(ordered.Next, pack.STR{Workers: workers})
+		return errors.Join(err, ordered.Close())
+	})
+	if err != nil {
+		return err
 	}
 	// The external path has no sort/tile split (ordering happens inside
 	// the external merge sorts), so those columns read as zero.
 	printSweep(w, cfg.ExtN, extResults)
-	return checkIdentical(extResults)
-}
-
-// loadExternal packs entries through the external sorter into tr, the
-// same wiring strtree.BulkLoadExternal uses.
-func loadExternal(tr *rtree.Tree, packer pack.STRExternal, entries []node.Entry, workers int) error {
-	i := 0
-	src := func() (node.Entry, bool) {
-		if i >= len(entries) {
-			return node.Entry{}, false
-		}
-		e := entries[i]
-		i++
-		return e, true
+	if err := checkIdentical(extResults); err != nil {
+		return err
 	}
-	ch := make(chan node.Entry, 256)
-	errc := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		errc <- packer.Pack(tr.Capacity(), src, func(e node.Entry) error {
-			ch <- e
-			return nil
-		})
-	}()
-	loadErr := tr.BulkLoadOrdered(func() (node.Entry, bool, error) {
-		e, ok := <-ch
-		return e, ok, nil
-	}, pack.STR{Workers: workers})
-	for range ch {
+	// The external builder must write the tree the in-memory builder
+	// writes from the same entries, not merely the same tree every time.
+	ref, err := sweep(cfg, cfg.Workers[:1], loadInMemory(extEntries))
+	if err != nil {
+		return err
 	}
-	if packErr := <-errc; packErr != nil {
-		return packErr
+	fmt.Fprintf(w, "in-memory STR build of the same %d entries: checksum %016x\n", cfg.ExtN, ref[0].checksum)
+	if ext := extResults[0].checksum; ext != ref[0].checksum {
+		return fmt.Errorf("tree checksum mismatch: external build gave %016x, in-memory build gave %016x", ext, ref[0].checksum)
 	}
-	return loadErr
+	return nil
 }

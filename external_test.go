@@ -1,7 +1,17 @@
 package strtree
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
+
+	"strtree/internal/storage"
 )
 
 func itemSource(items []Item) func() (Item, bool) {
@@ -16,63 +26,138 @@ func itemSource(items []Item) func() (Item, bool) {
 	}
 }
 
-func TestBulkLoadExternalMatchesInMemory(t *testing.T) {
-	items := randItems(8000, 61)
-	inMem, err := New(Options{Capacity: 100})
-	if err != nil {
-		t.Fatal(err)
+// gridItems places equal squares on the nodes of a cells x cells grid, so
+// many items share a centre coordinate exactly and the sorts' tie-breaks
+// decide the packing order.
+func gridItems(n, cells int, seed int64) []Item {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Item, n)
+	for i := range out {
+		x, y := float64(rng.Intn(cells+1))/float64(cells), float64(rng.Intn(cells+1))/float64(cells)
+		out[i] = Item{Rect: R2(x, y, x+0.001, y+0.001), ID: uint64(i)}
 	}
-	if err := inMem.BulkLoad(append([]Item(nil), items...), PackSTR); err != nil {
-		t.Fatal(err)
-	}
+	return out
+}
 
-	ext, err := New(Options{Capacity: 100})
+// indexFile builds an index file with load and returns its bytes.
+func indexFile(t *testing.T, workers int, load func(*Tree) error) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "index.str")
+	tree, err := Create(path, Options{Capacity: 100, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// RunSize 500 forces multiple spill runs for 8000 items.
-	if err := ext.BulkLoadExternal(itemSource(items), ExternalOptions{RunSize: 500, TmpDir: t.TempDir()}); err != nil {
+	if err := load(tree); err != nil {
 		t.Fatal(err)
 	}
-	if ext.Len() != inMem.Len() || ext.Height() != inMem.Height() {
-		t.Fatalf("external len %d height %d, in-memory len %d height %d",
-			ext.Len(), ext.Height(), inMem.Len(), inMem.Height())
-	}
-	if err := ext.Validate(); err != nil {
+	if err := tree.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The bounded-memory path must produce the same packed structure.
-	if err := ext.CheckPackedInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// Same structure quality: leaf metrics match the in-memory build.
-	a, err := inMem.Metrics()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ext.Metrics()
-	if err != nil {
-		t.Fatal(err)
+	return data
+}
+
+// TestBulkLoadExternalMatchesInMemory is the external builder's
+// differential: the index file it writes is byte for byte the file
+// BulkLoad(PackSTR) writes from the same items — on tied centre
+// coordinates too, since every sort on both paths is stable — whether
+// nothing spills, only the x-sort spills, or the y-sorts of single slabs
+// (900 items here) spill as well, at any worker count. On tie-free input
+// the file is also the one the two-pass builder this pipeline replaced
+// wrote: parentSHA256 was recorded at that commit.
+func TestBulkLoadExternalMatchesInMemory(t *testing.T) {
+	inputs := []struct {
+		name         string
+		items        []Item
+		parentSHA256 string
+	}{
+		{"uniform seed 61", randItems(8000, 61), "5dd56d44d9356eff2defda4b743079d15ffd3e8c38e69f55051a99621387cc2a"},
+		{"uniform seed 62", randItems(8000, 62), "af5435a0f12482fb694fdd5e35645a5a1f9c6aaa8f19b897a640caef95a5c760"},
+		{"uniform seed 63", randItems(8000, 63), "82b3f844ab02f8620a223916d73a76335a01320222de1ccd6e39fe21c1bfe058"},
+		{"grid 1/200", gridItems(8000, 200, 64), ""},
+		{"grid 1/20", gridItems(8000, 20, 65), ""},
 	}
-	if a.LeafNodes != b.LeafNodes {
-		t.Fatalf("leaf nodes %d vs %d", a.LeafNodes, b.LeafNodes)
+	for _, in := range inputs {
+		want := indexFile(t, 1, func(tree *Tree) error {
+			return tree.BulkLoad(append([]Item(nil), in.items...), PackSTR)
+		})
+		if sum := fmt.Sprintf("%x", sha256.Sum256(want)); in.parentSHA256 != "" && sum != in.parentSHA256 {
+			t.Errorf("%s: in-memory file has SHA-256 %s, the parent commit wrote %s", in.name, sum, in.parentSHA256)
+		}
+		for _, runSize := range []int{1 << 20, 999, 64} {
+			for _, workers := range []int{1, 4} {
+				var stats ExternalSortStats
+				got := indexFile(t, workers, func(tree *Tree) error {
+					err := tree.BulkLoadExternal(itemSource(in.items), ExternalOptions{RunSize: runSize, TmpDir: t.TempDir()})
+					stats = tree.LastExternalSortStats()
+					return err
+				})
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s, RunSize %d, Workers %d: external index file differs from the in-memory one", in.name, runSize, workers)
+				}
+				// One x-sort of ceil(8000/RunSize) runs; nine y-sorts of up
+				// to 900 items, spilled only at RunSize 64.
+				wantStats := map[int]ExternalSortStats{
+					1 << 20: {Sorts: 10, EntriesSorted: 16000},
+					999:     {Sorts: 10, EntriesSorted: 16000, RunsSpilled: 9, Merges: 1},
+					64:      {Sorts: 10, EntriesSorted: 16000, RunsSpilled: 125 + 8*15 + 13, Merges: 10},
+				}[runSize]
+				if stats != wantStats {
+					t.Errorf("%s, RunSize %d, Workers %d: sort stats %+v, want %+v", in.name, runSize, workers, stats, wantStats)
+				}
+			}
+		}
 	}
-	if diff := b.LeafArea - a.LeafArea; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("leaf areas differ: %g vs %g", a.LeafArea, b.LeafArea)
-	}
-	// Same answers.
-	for _, q := range []Rect{R2(0, 0, 0.2, 0.9), R2(0.3, 0.3, 0.7, 0.7)} {
-		ca, err := inMem.Count(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cb, err := ext.Count(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ca != cb {
-			t.Fatalf("counts for %v differ: %d vs %d", q, ca, cb)
-		}
+}
+
+// TestBulkLoadExternalFaultLeavesNothingBehind fails the load partway
+// through a slab, while the x-merge and a y-sort hold run files open and
+// their readers are running: the error comes back in-band, the temp
+// directory is empty and no goroutine outlives the call.
+func TestBulkLoadExternalFaultLeavesNothingBehind(t *testing.T) {
+	boom := errors.New("injected allocation failure")
+	bad := randItems(8000, 66)
+	bad[4000].Rect.Min[0], bad[4000].Rect.Max[0] = 1, 0 // sorts normally, fails the loader's check
+	for name, tc := range map[string]struct {
+		items  []Item
+		allocs int // page allocations that succeed before boom; 0 = all
+	}{
+		"invalid rectangle mid-stream": {items: bad},
+		"leaf page allocation fails":   {items: randItems(8000, 66), allocs: 30},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fp := storage.NewFaultyPager(storage.NewMemPager(4096))
+			tree, err := NewOnPager(fp, Options{Capacity: 100, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			left := tc.allocs
+			if left > 0 {
+				fp.FailAllocs(func() error {
+					if left--; left < 0 {
+						return boom
+					}
+					return nil
+				})
+			}
+			dir, before := t.TempDir(), runtime.NumGoroutine()
+			err = tree.BulkLoadExternal(itemSource(tc.items), ExternalOptions{RunSize: 64, TmpDir: dir})
+			if err == nil || tc.allocs > 0 && !errors.Is(err, boom) {
+				t.Fatalf("faulted load returned %v", err)
+			}
+			if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+				t.Errorf("%d run files left behind (ReadDir error %v)", len(names), err)
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 1000 {
+					t.Fatalf("%d goroutines live, %d before the load", runtime.NumGoroutine(), before)
+				}
+				runtime.Gosched()
+			}
+		})
 	}
 }
 

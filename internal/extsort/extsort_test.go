@@ -74,22 +74,32 @@ func TestSortSpillsAndMerges(t *testing.T) {
 	checkSorted(t, got, entries, 1)
 }
 
-func TestSortSliceMatchesStdSort(t *testing.T) {
-	s, err := NewSorter(2, 50, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := randEntries(777, 3)
+// TestSortMatchesStableSort pins the merge's tie-break: on heavily tied
+// keys the merged stream is the stable sort of the whole input, at run
+// sizes from "never spills" down to many short runs.
+func TestSortMatchesStableSort(t *testing.T) {
+	entries := dupEntries(3000)
 	want := append([]node.Entry(nil), entries...)
 	sort.SliceStable(want, func(i, j int) bool {
 		return want[i].Rect.CenterAxis(0) < want[j].Rect.CenterAxis(0)
 	})
-	if err := s.SortSlice(entries, ByCenter(0)); err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if entries[i].Ref != want[i].Ref {
-			t.Fatalf("order differs from stable sort at %d", i)
+	for _, runSize := range []int{4096, 999, 128, 7} {
+		s, err := NewSorter(2, runSize, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := 0
+		if err := s.Sort(ByCenter(0), sliceSource(entries), func(e node.Entry) error {
+			if e.Ref != want[i].Ref {
+				t.Fatalf("run size %d: position %d holds ref %d, a stable sort puts ref %d there", runSize, i, e.Ref, want[i].Ref)
+			}
+			i++
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i != len(want) {
+			t.Fatalf("run size %d: emitted %d of %d", runSize, i, len(want))
 		}
 	}
 }

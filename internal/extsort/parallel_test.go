@@ -3,8 +3,11 @@ package extsort
 import (
 	"errors"
 	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"strtree/internal/geom"
 	"strtree/internal/node"
 )
 
@@ -56,87 +59,159 @@ func TestSortWorkerSweepIdentical(t *testing.T) {
 	}
 }
 
-// countFiles returns how many entries dir currently holds.
-func countFiles(t *testing.T, dir string) int {
+// checkReleased fails the test if dir still holds a run file or more
+// goroutines are live than before the sort started. Close waits for the
+// prefetch readers, so at most their final return is still in flight.
+func checkReleased(t *testing.T, dir string, goroutinesBefore int) {
 	t.Helper()
 	names, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return len(names)
+	if len(names) != 0 {
+		t.Errorf("%d temp files left behind", len(names))
+	}
+	for i := 0; runtime.NumGoroutine() > goroutinesBefore; i++ {
+		if i == 1000 {
+			t.Fatalf("%d goroutines live, %d before the sort", runtime.NumGoroutine(), goroutinesBefore)
+		}
+		runtime.Gosched()
+	}
 }
 
-// TestSortEmitErrorCleansSpills fails the sort mid-merge (after runs have
-// spilled) and checks that the error is returned and every temp file is
-// gone.
-func TestSortEmitErrorCleansSpills(t *testing.T) {
-	dir := t.TempDir()
+// spillingSorter is a 2-D sorter that cuts a 1000-entry input into ~16
+// runs, sorted and spilled by four workers.
+func spillingSorter(t *testing.T, dir string) *Sorter {
+	t.Helper()
 	s, err := NewSorter(2, 64, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Workers = 4
+	return s
+}
+
+func streamSource(entries []node.Entry) func() (node.Entry, bool, error) {
+	next := sliceSource(entries)
+	return func() (node.Entry, bool, error) {
+		e, ok := next()
+		return e, ok, nil
+	}
+}
+
+// TestSortEmitErrorCleansSpills stops a merge partway — an emit error, a
+// stream abandoned with Close, a second sort fed from the live merge that
+// cannot spill — and checks that the error comes back in-band and every
+// run file and prefetch reader is gone.
+func TestSortEmitErrorCleansSpills(t *testing.T) {
 	boom := errors.New("emit failed")
-	emitted := 0
-	err = s.Sort(ByCenter(0), sliceSource(randEntries(1000, 2)), func(node.Entry) error {
-		emitted++
-		if emitted == 100 {
-			return boom
+	t.Run("emit error", func(t *testing.T) {
+		dir, before := t.TempDir(), runtime.NumGoroutine()
+		emitted := 0
+		err := spillingSorter(t, dir).Sort(ByCenter(0), sliceSource(randEntries(1000, 2)), func(node.Entry) error {
+			emitted++
+			if emitted == 100 {
+				return boom
+			}
+			return nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("got error %v, want %v", err, boom)
 		}
-		return nil
+		checkReleased(t, dir, before)
 	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("got error %v, want %v", err, boom)
-	}
-	if n := countFiles(t, dir); n != 0 {
-		t.Fatalf("%d temp files left after emit failure", n)
-	}
+	t.Run("abandoned stream", func(t *testing.T) {
+		dir, before := t.TempDir(), runtime.NumGoroutine()
+		st, err := spillingSorter(t, dir).Ingest(ByCenter(0), streamSource(randEntries(1000, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Len() != 1000 {
+			t.Fatalf("Len() = %d before the first Next, want 1000", st.Len())
+		}
+		for i := 0; i < 100; i++ {
+			if _, ok, err := st.Next(); !ok || err != nil {
+				t.Fatalf("entry %d: ok %v, err %v", i, ok, err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkReleased(t, dir, before)
+		if err := st.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+	})
+	t.Run("downstream sort cannot spill", func(t *testing.T) {
+		// The external build's shape: a slab of the live x-merge feeds a
+		// y-sort whose own spill fails while the x-run files are open.
+		dir, before := t.TempDir(), runtime.NumGoroutine()
+		s := spillingSorter(t, dir)
+		x, err := s.Ingest(ByCenter(0), streamSource(randEntries(1000, 2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.tmpDir = filepath.Join(dir, "gone")
+		take := 300
+		y, err := s.Ingest(ByCenter(1), func() (node.Entry, bool, error) {
+			if take == 0 {
+				return node.Entry{}, false, nil
+			}
+			take--
+			return x.Next()
+		})
+		if !errors.Is(err, os.ErrNotExist) || y != nil {
+			t.Fatalf("y-sort into a missing directory: stream %v, error %v", y, err)
+		}
+		if err := x.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkReleased(t, dir, before)
+	})
 }
 
 // TestSortIngestErrorCleansSpills kills the source mid-stream — after
-// several runs have already spilled — via a dim mismatch, and checks the
-// spilled runs are removed.
+// several runs have already spilled — with an error of its own and with a
+// dim mismatch, and checks the spilled runs are removed.
 func TestSortIngestErrorCleansSpills(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewSorter(2, 64, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Workers = 4
-	good := randEntries(400, 3)
-	i := 0
-	src := func() (node.Entry, bool) {
-		if i >= len(good) {
-			// A 3-D straggler into the 2-D sorter: rejected at ingest,
-			// well after the first runs spilled.
-			return node.Entry{Rect: newRect(3)}, true
-		}
-		e := good[i]
-		i++
-		return e, true
-	}
-	err = s.Sort(ByCenter(0), src, func(node.Entry) error { return nil })
-	if err == nil {
-		t.Fatal("dim mismatch not reported")
-	}
-	if n := countFiles(t, dir); n != 0 {
-		t.Fatalf("%d temp files left after ingest failure", n)
+	boom := errors.New("source failed")
+	for name, last := range map[string]func() (node.Entry, bool, error){
+		"source error": func() (node.Entry, bool, error) { return node.Entry{}, false, boom },
+		// A 3-D straggler into the 2-D sorter: rejected at ingest.
+		"dim mismatch": func() (node.Entry, bool, error) {
+			return node.Entry{Rect: geom.PointRect(geom.Point{0, 0, 0})}, true, nil
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir, before := t.TempDir(), runtime.NumGoroutine()
+			good := streamSource(randEntries(400, 3))
+			st, err := spillingSorter(t, dir).Ingest(ByCenter(0), func() (node.Entry, bool, error) {
+				if e, ok, _ := good(); ok {
+					return e, true, nil
+				}
+				return last()
+			})
+			if err == nil || st != nil {
+				t.Fatalf("failed ingest returned stream %v, error %v", st, err)
+			}
+			if name == "source error" && !errors.Is(err, boom) {
+				t.Fatalf("got error %v, want %v", err, boom)
+			}
+			checkReleased(t, dir, before)
+		})
 	}
 }
 
 // TestSortLeavesNoTempFiles pins the other half of the cleanup contract:
 // a successful spilling sort removes every run file it created.
 func TestSortLeavesNoTempFiles(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewSorter(2, 64, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Workers = 4
+	dir, before := t.TempDir(), runtime.NumGoroutine()
+	s := spillingSorter(t, dir)
 	if err := s.Sort(ByCenter(0), sliceSource(randEntries(1000, 4)), func(node.Entry) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if n := countFiles(t, dir); n != 0 {
-		t.Fatalf("%d temp files left after successful sort", n)
+	if got := s.Stats(); got != (Stats{Sorts: 1, EntriesSorted: 1000, RunsSpilled: 16, Merges: 1}) {
+		t.Fatalf("stats after one spilling sort: %+v", got)
 	}
+	checkReleased(t, dir, before)
 }

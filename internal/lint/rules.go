@@ -53,7 +53,8 @@ var deterministicLayers = map[string]bool{
 //	obs                                -> histo
 //	query                              -> geom, node
 //	buffer, trace                      -> storage
-//	datagen, extsort, psort            -> geom, node
+//	datagen, psort                     -> geom, node
+//	extsort                            -> geom, node, psort
 //	pack                               -> extsort, geom, hilbert, node, psort
 //	rtree                              -> buffer, geom, node, storage
 //	metrics, invariant                 -> rtree and below
@@ -90,7 +91,7 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/buffer":  {"internal/storage": true},
 	"internal/trace":   {"internal/storage": true},
 	"internal/datagen": {"internal/geom": true, "internal/node": true},
-	"internal/extsort": {"internal/geom": true, "internal/node": true},
+	"internal/extsort": {"internal/geom": true, "internal/node": true, "internal/psort": true},
 	"internal/psort":   {"internal/geom": true, "internal/node": true},
 	"internal/pack": {
 		"internal/extsort": true,

@@ -1,23 +1,17 @@
 package pack
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"math"
-	"os"
 
 	"strtree/internal/extsort"
-	"strtree/internal/geom"
 	"strtree/internal/node"
 )
 
 // STRExternal performs the 2-D STR ordering without ever holding more
-// than RunSize entries in memory: input spills to a temporary file, the
-// x phase is an external merge sort, and each vertical slice is
-// external-sorted by y as it streams out. Combined with
+// than RunSize entries in memory: the x phase is an external merge sort
+// fed straight from the source, and each vertical slice is pulled off the
+// live x-merge and external-sorted by y as it streams out. Combined with
 // rtree.BulkLoadOrdered this lets a tree be packed from data sets far
 // larger than RAM — the preprocessing-over-files setting the paper's
 // packing algorithms are meant for.
@@ -31,26 +25,11 @@ type STRExternal struct {
 	// sorting/spilling with input streaming (< 1 means 1). The emitted
 	// order is identical for every setting.
 	Workers int
-	// StatsOut, when non-nil, receives the external sorter's cumulative
-	// activity after a successful Pack — how often the RunSize budget
-	// forced spills, and how much was merged. It exists so callers above
-	// this layer can report sort behavior without importing extsort.
-	StatsOut *SortStats
 }
 
-// SortStats mirrors extsort.Stats for consumers above the pack layer.
-type SortStats struct {
-	// Sorts counts completed external-sort invocations (one for the x
-	// phase plus one per y slab).
-	Sorts uint64
-	// EntriesSorted is the total entries ingested across those sorts.
-	EntriesSorted uint64
-	// RunsSpilled is the number of sorted runs written to temp files;
-	// zero means every phase fit within RunSize.
-	RunsSpilled uint64
-	// Merges counts k-way merge phases (one per sort that spilled).
-	Merges uint64
-}
+// SortStats is extsort.Stats for consumers above the pack layer, which
+// report sort behavior without importing extsort.
+type SortStats = extsort.Stats
 
 func (s STRExternal) runSize() int {
 	if s.RunSize <= 0 {
@@ -59,187 +38,85 @@ func (s STRExternal) runSize() int {
 	return s.RunSize
 }
 
-// Pack consumes 2-D entries from src (until it reports false), orders
-// them by STR for node capacity n, and streams them to emit in packing
-// order. The number of entries is discovered during the spill phase.
-func (s STRExternal) Pack(n int, src func() (node.Entry, bool), emit func(node.Entry) error) (err error) {
+// Open consumes 2-D entries from src (until it reports false or an error)
+// into the x-sort and returns them as a stream in STR packing order for
+// node capacity n. The number of entries is the x-sort's count once its
+// ingest ends. The stream must be closed.
+func (s STRExternal) Open(n int, src func() (node.Entry, bool, error)) (*STRStream, error) {
 	if n < 1 {
-		return fmt.Errorf("pack: node capacity %d < 1", n)
+		return nil, fmt.Errorf("pack: node capacity %d < 1", n)
 	}
-	// Phase 0: spill the input while counting.
-	spill, err := newSpill(s.TmpDir)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, spill.cleanup()) }()
-	count := 0
-	for {
-		e, ok := src()
-		if !ok {
-			break
-		}
-		if e.Rect.Dim() != 2 {
-			return fmt.Errorf("pack: STRExternal is 2-D, got %d-D entry", e.Rect.Dim())
-		}
-		if err := spill.write(&e); err != nil {
-			return err
-		}
-		count++
-	}
-	if count == 0 {
-		return nil
-	}
-
-	// Phase 1: external sort by center x into a second spill file.
 	sorter, err := extsort.NewSorter(2, s.runSize(), s.TmpDir)
-	if err != nil {
-		return err
-	}
-	sorter.Workers = s.Workers
-	xsorted, err := newSpill(s.TmpDir)
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, xsorted.cleanup()) }()
-	read := spill.reader()
-	var readErr error
-	if err := sorter.Sort(extsort.ByCenter(0),
-		func() (node.Entry, bool) {
-			e, ok, err2 := read()
-			if err2 != nil {
-				readErr = err2
-				return node.Entry{}, false
-			}
-			if !ok {
-				return node.Entry{}, false
-			}
-			return e, true
-		},
-		xsorted.write2); err != nil {
-		return err
-	}
-	if readErr != nil {
-		return readErr
-	}
-
-	// Phase 2: slice into slabs of n*ceil(sqrt(P)) and external-sort each
-	// slab by center y, streaming straight to the caller.
-	p := (count + n - 1) / n
-	slab := n * int(math.Ceil(math.Sqrt(float64(p))-1e-9))
-	if slab < n {
-		slab = n
-	}
-	readX := xsorted.reader()
-	remaining := count
-	for remaining > 0 {
-		take := slab
-		if take > remaining {
-			take = remaining
-		}
-		left := take
-		var slabErr error
-		if err := sorter.Sort(extsort.ByCenter(1),
-			func() (node.Entry, bool) {
-				if left == 0 {
-					return node.Entry{}, false
-				}
-				e, ok, err2 := readX()
-				if err2 != nil {
-					slabErr = err2
-					return node.Entry{}, false
-				}
-				if !ok {
-					return node.Entry{}, false
-				}
-				left--
-				return e, true
-			},
-			emit); err != nil {
-			return err
-		}
-		if slabErr != nil {
-			return slabErr
-		}
-		if left != 0 {
-			return fmt.Errorf("pack: slab short by %d entries", left)
-		}
-		remaining -= take
-	}
-	if s.StatsOut != nil {
-		st := sorter.Stats()
-		*s.StatsOut = SortStats{
-			Sorts:         st.Sorts,
-			EntriesSorted: st.EntriesSorted,
-			RunsSpilled:   st.RunsSpilled,
-			Merges:        st.Merges,
-		}
-	}
-	return nil
-}
-
-// spill is an append-then-scan temporary file of fixed-width 2-D entries.
-type spill struct {
-	f *os.File
-	w *bufio.Writer
-}
-
-const spillEntrySize = 16*2 + 8
-
-func newSpill(dir string) (*spill, error) {
-	f, err := os.CreateTemp(dir, "strpack-*")
 	if err != nil {
 		return nil, err
 	}
-	return &spill{f: f, w: bufio.NewWriterSize(f, 1<<16)}, nil
+	sorter.Workers = s.Workers
+	x, err := sorter.Ingest(extsort.ByCenter(0), src)
+	if err != nil {
+		return nil, err
+	}
+	// Slabs of n*ceil(sqrt(P)) entries, as STR.slabs cuts them.
+	p := (x.Len() + n - 1) / n
+	slab := max(n*ceilPow(p, 0.5), n)
+	return &STRStream{sorter: sorter, x: x, left: x.Len(), slab: slab}, nil
 }
 
-func (s *spill) write(e *node.Entry) error {
-	var buf [spillEntrySize]byte
-	binary.LittleEndian.PutUint64(buf[0:], math.Float64bits(e.Rect.Min[0]))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(e.Rect.Max[0]))
-	binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(e.Rect.Min[1]))
-	binary.LittleEndian.PutUint64(buf[24:], math.Float64bits(e.Rect.Max[1]))
-	binary.LittleEndian.PutUint64(buf[32:], e.Ref)
-	_, err := s.w.Write(buf[:])
-	return err
+// STRStream yields entries in STR packing order: it cuts the x-sorted
+// merge into slabs and external-sorts each by center y as it is reached.
+// Entries it returns are the caller's to keep.
+type STRStream struct {
+	sorter *extsort.Sorter
+	x      *extsort.Stream // the whole input by center x
+	y      *extsort.Stream // the current slab by center y; nil between slabs
+	left   int             // entries of x no slab has taken yet
+	slab   int
 }
 
-// write2 adapts write to the emit signature.
-func (s *spill) write2(e node.Entry) error { return s.write(&e) }
+// Stats is the cumulative activity of the stream's sorts so far — one for
+// the x phase plus one per y slab reached: how often the RunSize budget
+// forced spills, and how much was merged.
+func (p *STRStream) Stats() SortStats { return p.sorter.Stats() }
 
-// reader flushes and returns a sequential scanner over the file.
-func (s *spill) reader() func() (node.Entry, bool, error) {
-	if err := s.w.Flush(); err != nil {
-		return func() (node.Entry, bool, error) { return node.Entry{}, false, err }
-	}
-	if _, err := s.f.Seek(0, io.SeekStart); err != nil {
-		return func() (node.Entry, bool, error) { return node.Entry{}, false, err }
-	}
-	r := bufio.NewReaderSize(s.f, 1<<16)
-	return func() (node.Entry, bool, error) {
-		var buf [spillEntrySize]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			if err == io.EOF {
+// Next returns the next entry in packing order, false at the end.
+func (p *STRStream) Next() (node.Entry, bool, error) {
+	for {
+		if p.y != nil {
+			e, ok, err := p.y.Next()
+			if ok || err != nil {
+				return e, ok, err
+			}
+			err = p.y.Close()
+			p.y = nil
+			if err != nil {
+				return node.Entry{}, false, err
+			}
+		}
+		if p.left == 0 {
+			return node.Entry{}, false, nil
+		}
+		take := min(p.slab, p.left)
+		p.left -= take
+		var err error
+		p.y, err = p.sorter.Ingest(extsort.ByCenter(1), func() (node.Entry, bool, error) {
+			if take == 0 {
 				return node.Entry{}, false, nil
 			}
+			take--
+			return p.x.Next()
+		})
+		if err != nil {
 			return node.Entry{}, false, err
 		}
-		e := node.Entry{Rect: geom.Rect{Min: make(geom.Point, 2), Max: make(geom.Point, 2)}}
-		e.Rect.Min[0] = math.Float64frombits(binary.LittleEndian.Uint64(buf[0:]))
-		e.Rect.Max[0] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8:]))
-		e.Rect.Min[1] = math.Float64frombits(binary.LittleEndian.Uint64(buf[16:]))
-		e.Rect.Max[1] = math.Float64frombits(binary.LittleEndian.Uint64(buf[24:]))
-		e.Ref = binary.LittleEndian.Uint64(buf[32:])
-		return e, true, nil
 	}
 }
 
-// cleanup closes and removes the spill file, reporting rather than
-// dropping either failure.
-func (s *spill) cleanup() error {
-	err := s.f.Close()
-	if rmErr := os.Remove(s.f.Name()); rmErr != nil {
-		err = errors.Join(err, rmErr)
+// Close releases both sorts' run files; it may be called at any point of
+// the stream, and more than once.
+func (p *STRStream) Close() error {
+	err := p.x.Close()
+	if p.y != nil {
+		err = errors.Join(err, p.y.Close())
+		p.y = nil
 	}
 	return err
 }

@@ -1,6 +1,8 @@
 package pack
 
 import (
+	"math/rand"
+	"os"
 	"testing"
 
 	"strtree/internal/geom"
@@ -9,70 +11,113 @@ import (
 
 func cube3() geom.Rect { return geom.UnitCube(3) }
 
-func collectPack(t *testing.T, s STRExternal, n int, entries []node.Entry) []node.Entry {
-	t.Helper()
+func sliceSource(entries []node.Entry) func() (node.Entry, bool, error) {
 	i := 0
-	src := func() (node.Entry, bool) {
+	return func() (node.Entry, bool, error) {
 		if i >= len(entries) {
-			return node.Entry{}, false
+			return node.Entry{}, false, nil
 		}
-		e := entries[i]
 		i++
-		return e, true
+		return entries[i-1], true, nil
 	}
-	var out []node.Entry
-	if err := s.Pack(n, src, func(e node.Entry) error {
-		out = append(out, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
-		return nil
-	}); err != nil {
+}
+
+func collectPack(t *testing.T, s STRExternal, n int, entries []node.Entry) ([]node.Entry, SortStats) {
+	t.Helper()
+	ordered, err := s.Open(n, sliceSource(entries))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return out
+	var out []node.Entry
+	for {
+		e, ok, err := ordered.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, e)
+	}
+	if err := ordered.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out, ordered.Stats()
 }
 
 func TestExternalSTRMatchesInMemory(t *testing.T) {
-	// Random continuous coordinates: no ties, so the stable external sort
-	// and the unstable in-memory sort agree exactly.
-	base := uniformSquares(5000, 91)
+	// Both sorts are stable, so the orders agree on tied center
+	// coordinates (the snapped input) as well as on tie-free ones, whether
+	// only the x phase spills (256) or the y slabs do too (16).
 	const n = 100
-	inMem := append([]node.Entry(nil), base...)
-	STR{}.Order(inMem, n, 0)
-
-	ext := collectPack(t, STRExternal{RunSize: 256, TmpDir: t.TempDir()}, n, base)
-	if len(ext) != len(inMem) {
-		t.Fatalf("external emitted %d of %d", len(ext), len(inMem))
+	rng := rand.New(rand.NewSource(91))
+	snapped := make([]node.Entry, 5000)
+	for i := range snapped {
+		// Equal squares centred on a 21x21 grid: about eleven entries share
+		// each centre exactly.
+		x, y := float64(rng.Intn(21))/20, float64(rng.Intn(21))/20
+		snapped[i] = node.Entry{Rect: geom.R2(x-0.01, y-0.01, x+0.01, y+0.01), Ref: uint64(i)}
 	}
-	for i := range inMem {
-		if ext[i].Ref != inMem[i].Ref {
-			t.Fatalf("orders diverge at position %d: %d vs %d", i, ext[i].Ref, inMem[i].Ref)
+	for name, base := range map[string][]node.Entry{"tie-free": uniformSquares(5000, 91), "snapped": snapped} {
+		inMem := append([]node.Entry(nil), base...)
+		STR{}.Order(inMem, n, 0)
+		for _, runSize := range []int{256, 16} {
+			ext, stats := collectPack(t, STRExternal{RunSize: runSize, TmpDir: t.TempDir()}, n, base)
+			if len(ext) != len(inMem) {
+				t.Fatalf("%s, run size %d: external emitted %d of %d", name, runSize, len(ext), len(inMem))
+			}
+			for i := range inMem {
+				if ext[i].Ref != inMem[i].Ref {
+					t.Fatalf("%s, run size %d: orders diverge at position %d: %d vs %d", name, runSize, i, ext[i].Ref, inMem[i].Ref)
+				}
+			}
+			// One x-sort plus one y-sort per slab of n*ceil(sqrt(50)) entries.
+			if want := uint64(1 + 7); stats.Sorts != want || stats.EntriesSorted != 2*5000 {
+				t.Fatalf("%s, run size %d: stats %+v, want %d sorts of %d entries", name, runSize, stats, want, 2*5000)
+			}
 		}
+	}
+}
+
+// TestExternalSTRAbandonedMidSlab closes the stream while both the x-merge
+// and a spilled y-sort hold run files open.
+func TestExternalSTRAbandonedMidSlab(t *testing.T) {
+	dir := t.TempDir()
+	ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: 4}.Open(100, sliceSource(uniformSquares(5000, 93)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, ok, err := ordered.Next(); !ok || err != nil {
+			t.Fatalf("entry %d: ok %v, err %v", i, ok, err)
+		}
+	}
+	if err := ordered.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+		t.Fatalf("%d run files left after Close (ReadDir error %v)", len(names), err)
 	}
 }
 
 func TestExternalSTRTinyAndEmpty(t *testing.T) {
 	s := STRExternal{RunSize: 16, TmpDir: t.TempDir()}
-	if got := collectPack(t, s, 10, nil); len(got) != 0 {
+	if got, _ := collectPack(t, s, 10, nil); len(got) != 0 {
 		t.Fatalf("empty input emitted %d", len(got))
 	}
 	one := uniformSquares(1, 92)
-	if got := collectPack(t, s, 10, one); len(got) != 1 || got[0].Ref != one[0].Ref {
+	if got, _ := collectPack(t, s, 10, one); len(got) != 1 || got[0].Ref != one[0].Ref {
 		t.Fatalf("single entry mishandled: %v", got)
 	}
 }
 
 func TestExternalSTRRejects3D(t *testing.T) {
 	s := STRExternal{RunSize: 16, TmpDir: t.TempDir()}
-	three := []node.Entry{{Rect: cube3()}}
-	i := 0
-	err := s.Pack(10, func() (node.Entry, bool) {
-		if i > 0 {
-			return node.Entry{}, false
-		}
-		i++
-		return three[0], true
-	}, func(node.Entry) error { return nil })
-	if err == nil {
+	if _, err := s.Open(10, sliceSource([]node.Entry{{Rect: cube3()}})); err == nil {
 		t.Fatal("3-D entry accepted")
+	}
+	if _, err := s.Open(0, sliceSource(nil)); err == nil {
+		t.Fatal("node capacity 0 accepted")
 	}
 }
 

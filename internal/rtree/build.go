@@ -75,29 +75,35 @@ func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) (err error) {
 			err = cerr
 		}
 	}()
+	return t.packUp(w, entries, 0, uint64(len(entries)), o)
+}
+
+// packUp is the General Algorithm's loop from a given level to the root,
+// and the build's epilogue. cur holds the entries destined for nodes at
+// level: the data entries for level 0, else the (MBR, page) entries of the
+// nodes already written one level down. Data entries always need a node;
+// above the leaves a level is packed only while more than one node remains
+// below it, and the last node standing is the root. count is the number of
+// data entries in the tree.
+func (t *Tree) packUp(w *pageWriter, cur []node.Entry, level int, count uint64, o Orderer) error {
 	var stats BuildStats
-	level := 0
-	cur := entries
-	for {
+	for level == 0 || len(cur) > 1 {
 		t0 := time.Now()
 		o.Order(cur, t.capacity, level)
 		stats.Order += time.Since(t0)
-		parents, perr := t.packLevel(w, cur, level)
-		if perr != nil {
-			return perr
-		}
-		if len(parents) == 1 {
-			t.root = storage.PageID(parents[0].Ref)
-			t.height = level + 1
-			break
+		parents, err := t.packLevel(w, cur, level)
+		if err != nil {
+			return err
 		}
 		cur = parents
 		level++
 	}
-	if cerr := w.close(); cerr != nil {
-		return cerr
+	if err := w.close(); err != nil {
+		return err
 	}
-	t.count = uint64(len(entries))
+	t.root = storage.PageID(cur[0].Ref)
+	t.height = level
+	t.count = count
 	stats.Write = w.writeTime()
 	stats.Pages = w.pages
 	stats.QueuePeak = w.queuePeak
@@ -107,27 +113,35 @@ func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) (err error) {
 
 // packLevel cuts the ordered entries into nodes of capacity t.capacity at
 // the given level, emits each through the page writer, and returns the
-// parent entries (MBR, page) for the next level up. The MBR is computed
-// before emitting because emit transfers ownership of the entry slice to
-// the (possibly asynchronous) writer.
+// parent entries (MBR, page) for the next level up.
 func (t *Tree) packLevel(w *pageWriter, entries []node.Entry, level int) ([]node.Entry, error) {
 	numNodes := (len(entries) + t.capacity - 1) / t.capacity
 	parents := make([]node.Entry, 0, numNodes)
 	for start := 0; start < len(entries); start += t.capacity {
-		end := start + t.capacity
-		if end > len(entries) {
-			end = len(entries)
-		}
-		n := node.Node{Level: level, Dims: t.dims, Entries: entries[start:end]}
-		id, err := t.newPage()
+		end := min(start+t.capacity, len(entries))
+		parent, err := t.emitNode(w, entries[start:end], level, false)
 		if err != nil {
 			return nil, err
 		}
-		mbr := n.MBR()
-		if err := w.emit(id, &n, false); err != nil {
-			return nil, err
-		}
-		parents = append(parents, node.Entry{Rect: mbr, Ref: uint64(id)})
+		parents = append(parents, parent)
 	}
 	return parents, nil
+}
+
+// emitNode allocates a page for one finished node, hands the node to the
+// page writer and returns its parent entry (MBR, page). The MBR is
+// computed before emitting because emit transfers ownership of the entry
+// slice to the (possibly asynchronous) writer, which with recycle set
+// hands it back through its free list once the page is written.
+func (t *Tree) emitNode(w *pageWriter, entries []node.Entry, level int, recycle bool) (node.Entry, error) {
+	n := node.Node{Level: level, Dims: t.dims, Entries: entries}
+	id, err := t.newPage()
+	if err != nil {
+		return node.Entry{}, err
+	}
+	mbr := n.MBR()
+	if err := w.emit(id, &n, recycle); err != nil {
+		return node.Entry{}, err
+	}
+	return node.Entry{Rect: mbr, Ref: uint64(id)}, nil
 }

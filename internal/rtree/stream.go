@@ -2,20 +2,22 @@ package rtree
 
 import (
 	"fmt"
-	"time"
 
 	"strtree/internal/node"
-	"strtree/internal/storage"
 )
 
 // BulkLoadOrdered builds the tree bottom-up from a stream of leaf entries
-// that are already in packing order (e.g. produced by pack.STRExternal).
-// Only one node of leaf entries plus the parent entries of the levels
-// above are held in memory — at fan-out 100 that is under 2% of the data
-// set — so trees can be packed from inputs far larger than RAM. Levels
-// above the leaves are ordered by o, exactly as in BulkLoad. With
-// Workers > 1, finished leaves are written behind the stream consumption;
-// the resulting tree bytes are identical either way.
+// that are already in packing order (e.g. a pack.STRStream). Only one
+// node of leaf entries plus the parent entries of the levels above are
+// held in memory — at fan-out 100 that is under 2% of the data set — so
+// trees can be packed from inputs far larger than RAM. Levels above the
+// leaves are ordered by o, exactly as in BulkLoad. With Workers > 1,
+// finished leaves are written behind the stream consumption; the
+// resulting tree bytes are identical either way.
+//
+// Ownership: each entry next yields is placed in its leaf as is and read
+// again when the leaf's page is written, so next must not reuse or modify
+// the rectangle storage of an entry it has returned.
 func (t *Tree) BulkLoadOrdered(next func() (node.Entry, bool, error), o Orderer) (err error) {
 	if t.height != 0 {
 		return ErrNotEmpty
@@ -28,79 +30,37 @@ func (t *Tree) BulkLoadOrdered(next func() (node.Entry, bool, error), o Orderer)
 	}()
 	var (
 		parents []node.Entry
-		n       = node.Node{Level: 0, Dims: t.dims}
+		leaf    []node.Entry
 		count   uint64
 	)
-	flush := func() error {
-		if len(n.Entries) == 0 {
-			return nil
-		}
-		id, err := t.newPage()
-		if err != nil {
-			return err
-		}
-		// The MBR must be taken before emit: the entry buffer rides the
-		// job into the background writer, which recycles it via the free
-		// list once the page is on disk.
-		mbr := n.MBR()
-		if err := w.emit(id, &n, true); err != nil {
-			return err
-		}
-		parents = append(parents, node.Entry{Rect: mbr, Ref: uint64(id)})
-		n.Entries = w.recycleOrNew(n.Entries, t.capacity)
-		return nil
-	}
 	for {
 		e, ok, rerr := next()
 		if rerr != nil {
 			return rerr
 		}
+		if ok {
+			if cerr := t.checkEntry(e.Rect); cerr != nil {
+				return fmt.Errorf("entry %d: %w", count, cerr)
+			}
+			leaf = append(leaf, e)
+			count++
+		}
+		if len(leaf) == t.capacity || !ok && len(leaf) > 0 {
+			parent, perr := t.emitNode(w, leaf, 0, true)
+			if perr != nil {
+				return perr
+			}
+			parents = append(parents, parent)
+			leaf = w.recycleOrNew(leaf, t.capacity)
+		}
 		if !ok {
 			break
 		}
-		if cerr := t.checkEntry(e.Rect); cerr != nil {
-			return fmt.Errorf("entry %d: %w", count, cerr)
-		}
-		n.Entries = append(n.Entries, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
-		count++
-		if len(n.Entries) == t.capacity {
-			if ferr := flush(); ferr != nil {
-				return ferr
-			}
-		}
-	}
-	if ferr := flush(); ferr != nil {
-		return ferr
 	}
 	if count == 0 {
 		return t.writeMeta()
 	}
-
 	// Upper levels fit in memory (a factor of capacity smaller per level);
-	// reuse the in-memory packing path.
-	var stats BuildStats
-	level := 1
-	cur := parents
-	for len(cur) > 1 {
-		t0 := time.Now()
-		o.Order(cur, t.capacity, level)
-		stats.Order += time.Since(t0)
-		up, perr := t.packLevel(w, cur, level)
-		if perr != nil {
-			return perr
-		}
-		cur = up
-		level++
-	}
-	if cerr := w.close(); cerr != nil {
-		return cerr
-	}
-	t.root = storage.PageID(cur[0].Ref)
-	t.height = level
-	t.count = count
-	stats.Write = w.writeTime()
-	stats.Pages = w.pages
-	stats.QueuePeak = w.queuePeak
-	t.buildStats = stats
-	return t.Flush()
+	// they go through the in-memory packing path.
+	return t.packUp(w, parents, 1, count, o)
 }

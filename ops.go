@@ -1,6 +1,7 @@
 package strtree
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -198,9 +199,9 @@ type ExternalOptions struct {
 
 // BulkLoadExternal packs the tree with STR from a stream of items,
 // keeping memory bounded by ExternalOptions.RunSize regardless of input
-// size: items spill to temporary files, the STR sort phases run as
-// external merge sorts, and leaves are written as the ordered stream
-// arrives. Use it when the data set does not fit in RAM; for in-memory
+// size: the STR sort phases run as external merge sorts that spill sorted
+// runs to temporary files, and leaves are written as the ordered stream
+// is pulled off the merge. Use it when the data set does not fit in RAM; for in-memory
 // slices BulkLoad is faster. 2-D trees only. The tree must be empty.
 func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) error {
 	if t.readonly {
@@ -213,34 +214,17 @@ func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) 
 	if workers == 0 {
 		workers = t.inner.Workers()
 	}
-	packer := pack.STRExternal{RunSize: opts.RunSize, TmpDir: opts.TmpDir, Workers: workers, StatsOut: &t.extSortStats}
-	ch := make(chan node.Entry, 256)
-	errc := make(chan error, 1)
-	go func() {
-		defer close(ch)
-		errc <- packer.Pack(t.Capacity(),
-			func() (node.Entry, bool) {
-				it, ok := next()
-				if !ok {
-					return node.Entry{}, false
-				}
-				return node.Entry{Rect: it.Rect, Ref: it.ID}, true
-			},
-			func(e node.Entry) error {
-				ch <- e
-				return nil
-			})
-	}()
-	loadErr := t.inner.BulkLoadOrdered(func() (node.Entry, bool, error) {
-		e, ok := <-ch
-		return e, ok, nil
-	}, pack.STR{Workers: workers})
-	// Drain so the packer goroutine can finish even if loading failed.
-	for range ch {
+	packer := pack.STRExternal{RunSize: opts.RunSize, TmpDir: opts.TmpDir, Workers: workers}
+	ordered, err := packer.Open(t.Capacity(), func() (node.Entry, bool, error) {
+		it, ok := next()
+		return node.Entry{Rect: it.Rect, Ref: it.ID}, ok, nil
+	})
+	if err != nil {
+		return err
 	}
-	packErr := <-errc
-	if packErr != nil {
-		return packErr
+	err = errors.Join(t.inner.BulkLoadOrdered(ordered.Next, pack.STR{Workers: workers}), ordered.Close())
+	if err == nil {
+		t.extSortStats = ordered.Stats()
 	}
-	return loadErr
+	return err
 }
