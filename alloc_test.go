@@ -1,14 +1,15 @@
 package strtree
 
-// Allocation-regression gate at the public API level: steady-state Search
-// and Count through the strtree wrappers must not allocate, nor a warm
-// in-place Insert+Delete pair. The same gate
+// Allocation-regression gate at the public API level: steady-state Search,
+// SearchPoint and Count through the strtree wrappers must not allocate, nor
+// a warm in-place Insert+Delete pair. The same gate
 // exists inside internal/rtree (TestSearchZeroAlloc there); this level
 // additionally catches regressions in the root wrappers — a closure that
 // starts escaping, a stats path that starts boxing — that the inner gate
 // cannot see.
 
 import (
+	"context"
 	"testing"
 )
 
@@ -71,6 +72,27 @@ func TestSearchViewZeroAlloc(t *testing.T) {
 	}
 	if countAllocs != 0 {
 		t.Errorf("warm Count allocated %.1f times per query, want 0", countAllocs)
+	}
+	// The point query, and its context twin: the degenerate rectangle they
+	// build must not cost what geom.PointRect's two clones did.
+	p, matched := Pt2(0.45, 0.45), 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tr.SearchPoint(p, func(Item) bool { matched++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm SearchPoint allocated %.1f times per query, want 0", allocs)
+	}
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tr.SearchPointContext(ctx, p, func(Item) bool { matched++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm SearchPointContext allocated %.1f times per query, want 0", allocs)
+	}
+	if matched == 0 {
+		t.Fatal("point query matched nothing; the gate exercised no emission path")
 	}
 }
 

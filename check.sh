@@ -35,9 +35,13 @@
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
 #                     assertions: race instrumentation allocates.
-#   7. ledger         scripts/ledger.sh: go vet and the smoke tests of the
+#   7. go test -bench internal/node's BenchmarkViewScan, one iteration: the
+#                     page kernel's and the per-entry predicate's ns/entry
+#                     benchmark must keep compiling and running (nightly.yml
+#                     runs it for real).
+#   8. ledger         scripts/ledger.sh: go vet and the smoke tests of the
 #                     performance ledger, bench/ — a separate module that
-#                     imports strtree/internal/..., which steps 2-6 never
+#                     imports strtree/internal/..., which steps 2-7 never
 #                     compile, so only this step sees an internal API
 #                     change break the benchmark.
 #
@@ -72,6 +76,9 @@ echo "== go test -race (buffer, pack, psort, extsort, query, server, router, his
 go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
 go test -race -run 'Mutate|ConcurrentReaders' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate' .
+
+echo "== go test -bench BenchmarkViewScan -benchtime 1x (internal/node)"
+go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"
 ./scripts/ledger.sh

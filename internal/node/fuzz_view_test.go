@@ -12,9 +12,12 @@ import (
 // requires them to agree byte-for-byte: MakeView accepts exactly the pages
 // Unmarshal accepts (and rejects with the same sentinel error), and on
 // accepted pages every View accessor returns exactly what the
-// materialized Node holds. This is the corruption-safety half of the
-// zero-copy read path's correctness argument — the traversal half is
-// pinned by internal/rtree's differential tests. The committed corpus
+// materialized Node holds — including both intersection predicates, the
+// page kernel against the per-entry one against geom over the decoded
+// entries (checkScan), for queries cut from the page itself. This is the
+// corruption-safety half of the zero-copy read path's correctness argument
+// — the traversal half is pinned by internal/rtree's differential tests.
+// The committed corpus
 // under testdata/fuzz/FuzzViewEquivalence seeds valid pages of several
 // shapes plus targeted mutations (header fields, payload, truncation).
 //
@@ -24,7 +27,7 @@ import (
 func FuzzViewEquivalence(f *testing.F) {
 	// Valid pages across levels, dimensionalities and fills.
 	for _, tc := range []struct{ level, dims, count int }{
-		{0, 2, 0}, {0, 2, 1}, {0, 2, 50}, {2, 2, 102}, {0, 1, 5}, {1, 8, 3},
+		{0, 2, 0}, {0, 2, 1}, {0, 2, 50}, {2, 2, 102}, {0, 1, 5}, {1, 8, 3}, {0, 3, 72}, {1, 4, 10},
 	} {
 		page := make([]byte, 4096)
 		n := sampleNode(tc.level, tc.dims, tc.count, rand.New(rand.NewSource(int64(tc.level+tc.dims+tc.count))))
@@ -84,6 +87,12 @@ func FuzzViewEquivalence(f *testing.F) {
 				}
 			}
 		}
+		checkScan(t, v, n.Entries, geom.Rect{Min: make(geom.Point, n.Dims), Max: make(geom.Point, n.Dims)})
+		for i := 0; i < len(n.Entries); i += 1 + len(n.Entries)/4 {
+			e := n.Entries[i]
+			checkScan(t, v, n.Entries, e.Rect)
+			checkScan(t, v, n.Entries, geom.Rect{Min: e.Rect.Max, Max: e.Rect.Max})
+		}
 	})
 }
 
@@ -120,10 +129,13 @@ func checkTrustedView(t *testing.T, page []byte, v View, vErr error) {
 		_ = tv.EntryRect(i)
 		tv.EntryRectInto(i, &scratch)
 		coords = tv.AppendEntryCoords(coords[:0], i)
-		_ = tv.IntersectsQuery(q, i)
 		_ = tv.MinDist(q.Min, i)
 	}
+	// Unvalidated words, NaNs included: the page kernel still stays on the
+	// page and still agrees with the per-entry predicate.
+	checkScan(t, tv, nil, q)
 	if tv.Count() > 0 {
+		checkScan(t, tv, nil, scratch) // the last entry's words as the query
 		tv.MBRInto(&scratch)
 	}
 	_, _ = tv.IsLeaf(), coords

@@ -3,16 +3,18 @@ package node
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"strtree/internal/geom"
 )
 
 // marshalSample serializes a sample node into a fresh page.
-func marshalSample(t *testing.T, level, dims, count int, seed int64) ([]byte, *Node) {
+func marshalSample(t testing.TB, level, dims, count int, seed int64) ([]byte, *Node) {
 	t.Helper()
 	n := sampleNode(level, dims, count, rand.New(rand.NewSource(seed)))
 	page := make([]byte, 4096)
@@ -83,33 +85,121 @@ func TestViewAccessorsMatchUnmarshal(t *testing.T) {
 	}
 }
 
+// checkScan holds the page kernel to both references for one query:
+// AppendIntersecting returns exactly {i : IntersectsQuery(q, i)}, ascending,
+// appended after a stale dst prefix it leaves alone, and — when the decoded
+// entries are given — IntersectsQuery equals geom.Rect.Intersects.
+func checkScan(t *testing.T, v View, entries []Entry, q geom.Rect) {
+	t.Helper()
+	var want []int32
+	for i := 0; i < v.Count(); i++ {
+		hit := v.IntersectsQuery(q, i)
+		if entries != nil && hit != q.Intersects(entries[i].Rect) {
+			t.Fatalf("dims %d entry %d query %v: IntersectsQuery=%v, geom=%v", v.Dims(), i, q, hit, !hit)
+		}
+		if hit {
+			want = append(want, int32(i))
+		}
+	}
+	stale := []int32{-7, -8, -9}
+	got := v.AppendIntersecting(append(make([]int32, 0, len(stale)+v.Count()/2), stale...), q)
+	if len(got) < len(stale) || !slices.Equal(got[:len(stale)], stale) {
+		t.Fatalf("dims %d query %v: dst prefix overwritten: %v", v.Dims(), q, got)
+	}
+	if !slices.Equal(got[len(stale):], want) {
+		t.Fatalf("dims %d count %d query %v: AppendIntersecting=%v, per-entry=%v", v.Dims(), v.Count(), q, got[len(stale):], want)
+	}
+	if got := v.AppendIntersecting(nil, q); !slices.Equal(got, want) {
+		t.Fatalf("dims %d query %v: into nil dst: %v, want %v", v.Dims(), q, got, want)
+	}
+}
+
+// TestViewIntersectsQueryMatchesGeom pins both intersection predicates —
+// the page kernel's k = 2 arm and its k-dimensional fallback — to
+// geom.Rect.Intersects over Unmarshal's entries: empty, single-entry and
+// full pages; random, touching-edge, just-missing, point, infinite and
+// signed-zero queries; entries with infinite and signed-zero bounds.
 func TestViewIntersectsQueryMatchesGeom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, dims := range []int{1, 2, 3, 5} {
-		page, n := marshalSample(t, 0, dims, 30, int64(dims))
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	for _, dims := range []int{1, 2, 3, 4} {
+		for _, count := range []int{0, 1, Capacity(4096, dims)} {
+			n := sampleNode(0, dims, count, rand.New(rand.NewSource(int64(dims*1000+count))))
+			if count > 0 {
+				n.Entries[0].Rect.Min[0], n.Entries[0].Rect.Max[0] = -inf, inf
+			}
+			if count > 2 {
+				n.Entries[1].Rect.Min[dims-1], n.Entries[1].Rect.Max[dims-1] = negZero, 0
+				n.Entries[2].Rect.Min[0], n.Entries[2].Rect.Max[0] = inf, inf
+			}
+			page := make([]byte, 4096)
+			if err := Marshal(n, page); err != nil {
+				t.Fatal(err)
+			}
+			v, err := MakeView(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill := func(lo, hi float64) geom.Rect {
+				q := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+				for d := range q.Min {
+					q.Min[d], q.Max[d] = lo, hi
+				}
+				return q
+			}
+			queries := []geom.Rect{
+				fill(-inf, inf), fill(inf, inf), fill(-inf, -inf), fill(-inf, 0.5),
+				fill(0, 0), fill(negZero, negZero), fill(negZero, 0), fill(0.5, 0.5),
+			}
+			for trial := 0; trial < 100; trial++ {
+				q := fill(0, 0)
+				for d := range q.Min {
+					q.Min[d] = rng.Float64() * 1.5
+					q.Max[d] = q.Min[d] + rng.Float64()*0.5
+				}
+				queries = append(queries, q)
+			}
+			for _, e := range n.Entries {
+				// Closed boxes: a point on a corner intersects, one a single
+				// ulp outside on any axis does not.
+				queries = append(queries,
+					geom.Rect{Min: e.Rect.Max, Max: e.Rect.Max},
+					geom.Rect{Min: e.Rect.Min, Max: e.Rect.Min})
+				beyond := e.Rect.Max.Clone()
+				beyond[dims-1] = math.Nextafter(beyond[dims-1], inf)
+				queries = append(queries, geom.Rect{Min: beyond, Max: beyond})
+			}
+			for _, q := range queries {
+				checkScan(t, v, n.Entries, q)
+			}
+			if count > 0 {
+				if got := v.AppendIntersecting(nil, geom.Rect{Min: n.Entries[count-1].Rect.Max, Max: n.Entries[count-1].Rect.Max}); !slices.Contains(got, int32(count-1)) {
+					t.Fatalf("dims %d: touching corner of entry %d did not intersect: %v", dims, count-1, got)
+				}
+			}
+		}
+	}
+}
+
+// TestViewScanZeroAlloc: with a warm dst the page kernel allocates nothing,
+// on the k = 2 arm and on the fallback.
+func TestViewScanZeroAlloc(t *testing.T) {
+	for _, dims := range []int{2, 3} {
+		page, _ := marshalSample(t, 1, dims, Capacity(4096, dims), int64(dims))
 		v, err := MakeView(page)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 200; trial++ {
-			lo := make(geom.Point, dims)
-			hi := make(geom.Point, dims)
-			for d := range lo {
-				lo[d] = rng.Float64() * 1.5
-				hi[d] = lo[d] + rng.Float64()*0.5
-			}
-			q := geom.Rect{Min: lo, Max: hi}
-			for i, e := range n.Entries {
-				if got, want := v.IntersectsQuery(q, i), q.Intersects(e.Rect); got != want {
-					t.Fatalf("dims %d entry %d query %v: IntersectsQuery=%v, geom=%v", dims, i, q, got, want)
-				}
-			}
+		q := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+		for d := range q.Min {
+			q.Min[d], q.Max[d] = 0.2, 1.4
 		}
-		// Touching edges intersect (closed-box semantics).
-		e0 := n.Entries[0].Rect
-		touch := geom.Rect{Min: e0.Max.Clone(), Max: e0.Max.Clone()}
-		if !v.IntersectsQuery(touch, 0) {
-			t.Fatal("touching edge did not intersect")
+		hits := v.AppendIntersecting(nil, q)
+		if len(hits) == 0 {
+			t.Fatal("query matched nothing; the gate exercised no append")
+		}
+		if allocs := testing.AllocsPerRun(100, func() { hits = v.AppendIntersecting(hits[:0], q) }); allocs != 0 {
+			t.Fatalf("dims %d: AppendIntersecting allocated %.1f times per page", dims, allocs)
 		}
 	}
 }
@@ -235,4 +325,52 @@ func TestViewZeroAllocAccess(t *testing.T) {
 		t.Fatalf("view iteration allocated %.1f times per run", allocs)
 	}
 	_ = sink
+}
+
+// BenchmarkViewScan prices the two intersection predicates on one full page
+// per dimensionality: "per-entry" is the reference loop of IntersectsQuery
+// calls, "page" the AppendIntersecting kernel every traversal runs. Both
+// report ns/entry. The queries rotate so the branch predictor cannot learn
+// one answer vector.
+func BenchmarkViewScan(b *testing.B) {
+	for _, dims := range []int{2, 3} {
+		count := Capacity(4096, dims)
+		page, _ := marshalSample(b, 1, dims, count, int64(dims))
+		v, err := MakeView(page)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(17))
+		queries := make([]geom.Rect, 64)
+		for k := range queries {
+			q := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+			for d := 0; d < dims; d++ {
+				q.Min[d] = rng.Float64() * 2
+				q.Max[d] = q.Min[d] + rng.Float64()*0.1
+			}
+			queries[k] = q
+		}
+		hits := make([]int32, 0, count)
+		report := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*count), "ns/entry")
+		}
+		b.Run(fmt.Sprintf("dims=%d/per-entry", dims), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				q := queries[n%len(queries)]
+				hits = hits[:0]
+				for i := 0; i < count; i++ {
+					if v.IntersectsQuery(q, i) {
+						hits = append(hits, int32(i))
+					}
+				}
+			}
+			report(b)
+		})
+		b.Run(fmt.Sprintf("dims=%d/page", dims), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				hits = v.AppendIntersecting(hits[:0], queries[n%len(queries)])
+			}
+			report(b)
+		})
+	}
 }

@@ -19,6 +19,7 @@ func (t *Tree) Delete(r geom.Rect, ref uint64) (bool, error) {
 		return false, nil
 	}
 	t.mutScratch()
+	defer t.publish(&t.mut.n)
 	t.mut.path, t.mut.cands = t.mut.path[:0], t.mut.cands[:0]
 	found, err := t.findLeaf(t.root, r, ref)
 	if err != nil || !found {
@@ -106,7 +107,7 @@ type cand struct {
 // caller's — while the node is pinned, so at most one pin is held at any
 // moment and a warm search allocates nothing.
 func (t *Tree) findLeaf(id storage.PageID, r geom.Rect, ref uint64) (bool, error) {
-	f, v, err := t.fetchView(id)
+	f, v, err := t.fetchView(id, &t.mut.n)
 	if err != nil {
 		return false, err
 	}
@@ -128,10 +129,9 @@ func (t *Tree) findLeaf(id storage.PageID, r geom.Rect, ref uint64) (bool, error
 		return true, nil
 	}
 	base := len(t.mut.cands)
-	for i := 0; i < s.count; i++ {
-		if v.IntersectsQuery(r, i) {
-			t.mut.cands = append(t.mut.cands, cand{idx: i, id: storage.PageID(v.EntryRef(i))})
-		}
+	t.mut.hits = v.AppendIntersecting(t.mut.hits[:0], r)
+	for _, i := range t.mut.hits {
+		t.mut.cands = append(t.mut.cands, cand{idx: int(i), id: storage.PageID(v.EntryRef(int(i)))})
 	}
 	t.pool.Release(f)
 	end, depth := len(t.mut.cands), len(t.mut.path)
@@ -171,7 +171,7 @@ func (t *Tree) dissolve(s mutStep, orphans []orphan) ([]orphan, error) {
 func (t *Tree) collapseRoot() (bool, error) {
 	collapsed := false
 	for {
-		f, v, err := t.fetchView(t.root)
+		f, v, err := t.fetchView(t.root, &t.mut.n)
 		if err != nil {
 			return collapsed, err
 		}

@@ -30,6 +30,7 @@ func (t *Tree) Insert(r geom.Rect, ref uint64) error {
 	}
 	t.reinsert.active = t.forcedReinsert
 	defer func() {
+		t.publish(&t.mut.n)
 		t.reinsert.active = false
 		clear(t.reinsert.done)
 		// On an error path undrained evictions must not leak into the
@@ -127,7 +128,7 @@ func (t *Tree) choosePath(r geom.Rect, level int) ([]mutStep, error) {
 	t.mutScratch()
 	path := t.mut.path[:0]
 	for id, at := t.root, -1; at != level; {
-		f, v, err := t.fetchView(id)
+		f, v, err := t.fetchView(id, &t.mut.n)
 		if err != nil {
 			return nil, err
 		}

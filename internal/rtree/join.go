@@ -44,7 +44,9 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 	a.readQueries.Add(1)
 	b.readQueries.Add(1)
 	tr := a.getTraverser()
-	defer putTraverser(tr)
+	defer a.putTraverser(tr)
+	var visitsB visitTally // tr.n holds a's
+	defer b.publish(&visitsB)
 	dims := a.dims
 	filter := tr.rectScratch(dims)
 	tr.pairs = append(tr.pairs[:0], pagePair{a: a.root, b: b.root})
@@ -52,10 +54,10 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 		top := len(tr.pairs) - 1
 		pr := tr.pairs[top]
 		tr.pairs = tr.pairs[:top]
-		if err := a.bankNode(pr.a, &tr.bankA); err != nil {
+		if err := a.bankNode(pr.a, &tr.bankA, &tr.n); err != nil {
 			return err
 		}
-		if err := b.bankNode(pr.b, &tr.bankB); err != nil {
+		if err := b.bankNode(pr.b, &tr.bankB, &visitsB); err != nil {
 			return err
 		}
 		na, nb := &tr.bankA, &tr.bankB

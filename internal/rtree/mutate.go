@@ -92,7 +92,7 @@ func (t *Tree) patchNode(s mutStep, fix childFix, mbr *geom.Rect, add *node.Entr
 	// The descent validated this page moments ago and marked its frame, so
 	// viewOf normally builds the view from the header alone; a frame that
 	// lost its mark since (evicted and reloaded) is validated in full here.
-	v, err := t.viewOf(f)
+	v, err := t.viewOf(f, &t.mut.n)
 	mv := node.MutableView{View: v}
 	if err == nil {
 		switch fix {

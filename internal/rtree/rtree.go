@@ -118,7 +118,9 @@ type Tree struct {
 	mut struct {
 		path      []mutStep
 		cands     []cand
+		hits      []int32 // FindLeaf: one node's intersecting entries
 		mbr, rect geom.Rect
+		n         visitTally // published when Insert or Delete returns
 	}
 	// mutStats counts in-place vs structural mutations. Atomic so a
 	// serving layer can snapshot them while a writer runs; see
@@ -460,7 +462,9 @@ func (t *Tree) Bounds() (geom.Rect, bool, error) {
 	if t.height == 0 {
 		return geom.Rect{}, false, nil
 	}
-	f, v, err := t.fetchView(t.root)
+	var n visitTally
+	defer t.publish(&n)
+	f, v, err := t.fetchView(t.root, &n)
 	if err != nil {
 		return geom.Rect{}, false, err
 	}

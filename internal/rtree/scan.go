@@ -17,14 +17,14 @@ func (t *Tree) Scan(fn func(e node.Entry) bool) error {
 	}
 	t.readQueries.Add(1)
 	tr := t.getTraverser()
-	defer putTraverser(tr)
+	defer t.putTraverser(tr)
 	dims := t.dims
 	tr.stack = append(tr.stack[:0], t.root)
 	for len(tr.stack) > 0 {
 		top := len(tr.stack) - 1
 		id := tr.stack[top]
 		tr.stack = tr.stack[:top]
-		f, v, err := t.fetchView(id)
+		f, v, err := t.fetchView(id, &tr.n)
 		if err != nil {
 			return err
 		}

@@ -40,9 +40,11 @@ func (t *Tree) SearchWithin(q geom.Rect, fn func(e node.Entry) bool) error {
 }
 
 // SearchPoint reports every data entry whose rectangle contains p: the
-// paper's "point query".
+// paper's "point query". The query rectangle aliases p on both corners — no
+// traversal writes its query — where geom.PointRect's two clones would
+// escape through checkEntry's error path and allocate on every call.
 func (t *Tree) SearchPoint(p geom.Point, fn func(e node.Entry) bool) error {
-	return t.Search(geom.PointRect(p), fn)
+	return t.Search(geom.Rect{Min: p, Max: p}, fn)
 }
 
 // Count returns the number of data entries intersecting q. It is Search's

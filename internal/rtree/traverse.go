@@ -42,6 +42,8 @@ import (
 
 // ReadStats counts zero-copy read-path activity. All fields are cumulative
 // since the Tree was opened; the serving layer samples them at scrape time.
+// An operation adds its ViewPages and CheckedPages when it ends, not per
+// visit, so a sample taken mid-query does not include that query yet.
 type ReadStats struct {
 	// Queries is the number of view-path traversals started
 	// (Search/Count/Nearest/Scan families, plus one per side of a Join).
@@ -80,12 +82,26 @@ type traverser struct {
 	stack []storage.PageID // DFS work list (search, scan)
 	pairs []pagePair       // synchronized-traversal work list (join)
 	pq    distHeap         // best-first queue (nearest)
+	hits  []int32          // one page's intersecting entry indices (search)
 	slab  []float64        // banked rectangle coordinates (mins then maxes per entry)
 	refs  []uint64         // banked refs parallel to slab
 	bankA banked           // join: node from tree a
 	bankB banked           // join: node from tree b
 	min   geom.Point       // scratch rectangle backing (join MBR filters)
 	max   geom.Point
+	n     visitTally // this query's node visits, published by putTraverser
+}
+
+// visitTally counts one operation's node visits and full validations off
+// the shared cache line; publish adds them to the tree's ReadStats once.
+type visitTally struct{ views, checked uint64 }
+
+func (t *Tree) publish(n *visitTally) {
+	t.viewPages.Add(n.views)
+	if n.checked != 0 { // a warm buffer validates nothing: skip the second shared line
+		t.checkedPages.Add(n.checked)
+	}
+	*n = visitTally{}
 }
 
 // pagePair is one node pair of a synchronized join traversal.
@@ -109,9 +125,11 @@ func (t *Tree) getTraverser() *traverser {
 	return v.(*traverser)
 }
 
-// putTraverser returns tr to the pool with lengths reset but capacities
-// kept, so the next query reuses the grown buffers.
-func putTraverser(tr *traverser) {
+// putTraverser publishes tr's visit tally and returns it to the pool with
+// lengths reset but capacities kept, so the next query reuses the grown
+// buffers.
+func (t *Tree) putTraverser(tr *traverser) {
+	t.publish(&tr.n)
 	tr.stack = tr.stack[:0]
 	tr.pairs = tr.pairs[:0]
 	tr.pq = tr.pq[:0]
@@ -135,17 +153,17 @@ func (tr *traverser) rectScratch(dims int) geom.Rect {
 // the frame's bytes and dies with the pin. Corruption errors carry the
 // same page-tagged wrapping as readNode; raw fetch errors propagate
 // unwrapped, exactly like the Unmarshal path.
-func (t *Tree) fetchView(id storage.PageID) (*buffer.Frame, node.View, error) {
+func (t *Tree) fetchView(id storage.PageID, n *visitTally) (*buffer.Frame, node.View, error) {
 	f, err := t.pool.Fetch(id)
 	if err != nil {
 		return nil, node.View{}, err
 	}
-	v, err := t.viewOf(f)
+	v, err := t.viewOf(f, n)
 	if err != nil {
 		t.pool.Release(f)
 		return nil, node.View{}, fmt.Errorf("rtree: page %d: %w", id, err)
 	}
-	t.viewPages.Add(1)
+	n.views++
 	return f, v, nil
 }
 
@@ -165,14 +183,14 @@ func (t *Tree) fetchView(id storage.PageID) (*buffer.Frame, node.View, error) {
 // re-checksums it. The checkers that exist to distrust memory — readNode
 // and with it Walk, Validate and internal/invariant — never consult the
 // mark and always fully decode.
-func (t *Tree) viewOf(f *buffer.Frame) (node.View, error) {
+func (t *Tree) viewOf(f *buffer.Frame, n *visitTally) (node.View, error) {
 	checked := f.Checked()
 	var v node.View
 	var err error
 	if checked {
 		v, err = node.MakeTrustedView(f.Data())
 	} else {
-		t.checkedPages.Add(1)
+		n.checked++
 		v, err = node.MakeView(f.Data())
 	}
 	if err == nil && v.Dims() != t.dims {
@@ -215,7 +233,7 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 	}
 	t.readQueries.Add(1)
 	tr := t.getTraverser()
-	defer putTraverser(tr)
+	defer t.putTraverser(tr)
 	dims := t.dims
 	matches := 0
 	tr.stack = append(tr.stack[:0], t.root)
@@ -228,17 +246,14 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 		top := len(tr.stack) - 1
 		id := tr.stack[top]
 		tr.stack = tr.stack[:top]
-		f, v, err := t.fetchView(id)
+		f, v, err := t.fetchView(id, &tr.n)
 		if err != nil {
 			return matches, err
 		}
+		tr.hits = v.AppendIntersecting(tr.hits[:0], q)
 		if v.IsLeaf() && fn == nil {
 			// Count: no callback will run, so tally under the pin.
-			for i := 0; i < v.Count(); i++ {
-				if v.IntersectsQuery(q, i) {
-					matches++
-				}
-			}
+			matches += len(tr.hits)
 			t.pool.Release(f)
 			continue
 		}
@@ -248,11 +263,9 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 			// single-frame buffer pool.
 			tr.slab = tr.slab[:0]
 			tr.refs = tr.refs[:0]
-			for i := 0; i < v.Count(); i++ {
-				if v.IntersectsQuery(q, i) {
-					tr.slab = v.AppendEntryCoords(tr.slab, i)
-					tr.refs = append(tr.refs, v.EntryRef(i))
-				}
+			for _, i := range tr.hits {
+				tr.slab = v.AppendEntryCoords(tr.slab, int(i))
+				tr.refs = append(tr.refs, v.EntryRef(int(i)))
 			}
 			t.pool.Release(f)
 			for i, ref := range tr.refs {
@@ -266,10 +279,8 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 		// segment so the leftmost child pops first — the exact recursive
 		// preorder, and therefore the exact fetch sequence.
 		base := len(tr.stack)
-		for i := 0; i < v.Count(); i++ {
-			if v.IntersectsQuery(q, i) {
-				tr.stack = append(tr.stack, storage.PageID(v.EntryRef(i)))
-			}
+		for _, i := range tr.hits {
+			tr.stack = append(tr.stack, storage.PageID(v.EntryRef(int(i))))
 		}
 		t.pool.Release(f)
 		reversePages(tr.stack[base:])
@@ -302,7 +313,7 @@ func (t *Tree) nearestView(ctx context.Context, p geom.Point, fn func(e node.Ent
 	}
 	t.readQueries.Add(1)
 	tr := t.getTraverser()
-	defer putTraverser(tr)
+	defer t.putTraverser(tr)
 	dims := t.dims
 	tr.pq = tr.pq[:0]
 	tr.slab = tr.slab[:0]
@@ -325,7 +336,7 @@ func (t *Tree) nearestView(ctx context.Context, p geom.Point, fn func(e node.Ent
 			}
 			continue
 		}
-		f, v, err := t.fetchView(storage.PageID(it.ref))
+		f, v, err := t.fetchView(storage.PageID(it.ref), &tr.n)
 		if err != nil {
 			return err
 		}
@@ -429,8 +440,8 @@ type banked struct {
 
 // bankNode fetches page id and copies its level, refs, and coordinates
 // into dst, releasing the pin before returning.
-func (t *Tree) bankNode(id storage.PageID, dst *banked) error {
-	f, v, err := t.fetchView(id)
+func (t *Tree) bankNode(id storage.PageID, dst *banked, n *visitTally) error {
+	f, v, err := t.fetchView(id, n)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package rtree
 import (
 	"container/heap"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -141,27 +142,60 @@ func TestSearchResultsIdentical(t *testing.T) {
 }
 
 // TestCountMatchesReference pins Count (view path) to counting through the
-// Unmarshal reference.
+// Unmarshal reference — same tally, same fetch sequence — and Search to the
+// reference's entries on the same trees. The 3-D tree runs every visit
+// through the page kernel's k-dimensional fallback arm.
 func TestCountMatchesReference(t *testing.T) {
-	tr := newTree(t, 16)
-	if err := tr.BulkLoad(randRects(1500, 8), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 30; i++ {
-		x, y := rng.Float64(), rng.Float64()
-		q := geom.R2(x, y, x+rng.Float64()*0.3, y+rng.Float64()*0.3)
-		got, err := tr.Count(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := 0
-		if err := tr.SearchUnmarshal(q, func(node.Entry) bool { want++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("query %d: Count=%d, reference=%d", i, got, want)
-		}
+	for _, dims := range []int{2, 3} {
+		t.Run(fmt.Sprintf("dims=%d", dims), func(t *testing.T) {
+			tr, err := Create(buffer.NewPool(storage.NewMemPager(4096), 256), Config{Dims: dims, Capacity: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(9))
+			box := func(side float64) geom.Rect {
+				r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+				for d := range r.Min {
+					r.Min[d] = rng.Float64()
+					r.Max[d] = r.Min[d] + rng.Float64()*side
+				}
+				return r
+			}
+			entries := make([]node.Entry, 1500)
+			for i := range entries {
+				entries[i] = node.Entry{Rect: box(0.02), Ref: uint64(i)}
+			}
+			if err := tr.BulkLoad(entries, xSortOrderer{}); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 30; i++ {
+				q := box(0.4)
+				var got, want []node.Entry
+				n := 0
+				gotSeq := traceFetches(tr.Pool(), func() {
+					if n, err = tr.Count(q); err != nil {
+						t.Fatal(err)
+					}
+				})
+				wantSeq := traceFetches(tr.Pool(), func() {
+					if err := tr.SearchUnmarshal(q, collect(&want)); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if n != len(want) {
+					t.Fatalf("query %d: Count=%d, reference=%d", i, n, len(want))
+				}
+				if !samePages(gotSeq, wantSeq) {
+					t.Fatalf("query %d: fetch sequence diverged: count %v, reference %v", i, gotSeq, wantSeq)
+				}
+				if err := tr.Search(q, collect(&got)); err != nil {
+					t.Fatal(err)
+				}
+				if !sameEntries(got, want) {
+					t.Fatalf("query %d: Search returned %d entries, reference %d (or contents differ)", i, len(got), len(want))
+				}
+			}
+		})
 	}
 }
 
@@ -506,8 +540,8 @@ func TestViewPathNoPinLeaks(t *testing.T) {
 
 // TestSearchZeroAlloc is the allocation-regression gate from the issue's
 // acceptance criteria: with a warm traverser pool and a buffer pool big
-// enough to hold the tree, steady-state Search and Count perform zero heap
-// allocations per query.
+// enough to hold the tree, steady-state Search, SearchPoint and Count
+// perform zero heap allocations per query.
 func TestSearchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -532,6 +566,14 @@ func TestSearchZeroAlloc(t *testing.T) {
 	}
 	if found == 0 {
 		t.Fatal("query matched nothing; the gate exercised no emission path")
+	}
+	p := geom.Pt2(0.45, 0.45)
+	if allocs := testing.AllocsPerRun(50, func() {
+		if err := tr.SearchPoint(p, func(node.Entry) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm SearchPoint allocated %.1f times per query, want 0", allocs)
 	}
 	n := 0
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -578,29 +620,162 @@ func TestNearestZeroAlloc(t *testing.T) {
 }
 
 // TestReadStatsCount checks the observability counters: one query, one
-// page decode per visited node, and a flat TraverserAllocs once warm.
+// page decode per visited node, a flat TraverserAllocs once warm — and that
+// a traversal, which tallies its visits locally and publishes them once
+// when it ends, publishes however it ends. The mixed tape's totals are the
+// ones per-visit atomic increments produced for the same seeded tape (a
+// small buffer, so pages are evicted, reloaded and re-validated throughout).
 func TestReadStatsCount(t *testing.T) {
-	tr := newTree(t, 8)
-	if err := tr.BulkLoad(randRects(300, 5), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Count(geom.UnitSquare()); err != nil { // warm pool
-		t.Fatal(err)
-	}
-	before := tr.ReadStats()
-	fetched := traceFetches(tr.Pool(), func() {
-		if _, err := tr.Count(geom.UnitSquare()); err != nil {
+	build := func(t *testing.T, frames int) (*Tree, []node.Entry) {
+		tr, err := Create(buffer.NewPool(storage.NewMemPager(4096), frames), Config{Dims: 2, Capacity: 8})
+		if err != nil {
 			t.Fatal(err)
 		}
+		entries := randRects(300, 5)
+		if err := tr.BulkLoad(append([]node.Entry(nil), entries...), xSortOrderer{}); err != nil {
+			t.Fatal(err)
+		}
+		return tr, entries
+	}
+	sink := func(node.Entry) bool { return true }
+
+	t.Run("warm count", func(t *testing.T) {
+		tr, _ := build(t, 256)
+		if _, err := tr.Count(geom.UnitSquare()); err != nil { // warm pool
+			t.Fatal(err)
+		}
+		before := tr.ReadStats()
+		fetched := traceFetches(tr.Pool(), func() {
+			if _, err := tr.Count(geom.UnitSquare()); err != nil {
+				t.Fatal(err)
+			}
+		})
+		after := tr.ReadStats()
+		if after.Queries != before.Queries+1 {
+			t.Fatalf("Queries went %d -> %d, want +1", before.Queries, after.Queries)
+		}
+		if got := after.ViewPages - before.ViewPages; got != uint64(len(fetched)) {
+			t.Fatalf("ViewPages delta %d, fetched %d pages", got, len(fetched))
+		}
+		if after.TraverserAllocs != before.TraverserAllocs {
+			t.Fatalf("warm query allocated a traverser (%d -> %d)", before.TraverserAllocs, after.TraverserAllocs)
+		}
 	})
-	after := tr.ReadStats()
-	if after.Queries != before.Queries+1 {
-		t.Fatalf("Queries went %d -> %d, want +1", before.Queries, after.Queries)
-	}
-	if got := after.ViewPages - before.ViewPages; got != uint64(len(fetched)) {
-		t.Fatalf("ViewPages delta %d, fetched %d pages", got, len(fetched))
-	}
-	if after.TraverserAllocs != before.TraverserAllocs {
-		t.Fatalf("warm query allocated a traverser (%d -> %d)", before.TraverserAllocs, after.TraverserAllocs)
-	}
+
+	t.Run("mixed tape", func(t *testing.T) {
+		tr, entries := build(t, 12)
+		rng := rand.New(rand.NewSource(41))
+		for op := 0; op < 600; op++ {
+			x, y := rng.Float64(), rng.Float64()
+			q := geom.R2(x, y, x+0.1, y+0.1)
+			var err error
+			switch op % 6 {
+			case 0:
+				err = tr.Search(q, sink)
+			case 1:
+				_, err = tr.Count(q)
+			case 2:
+				_, _, err = tr.NearestK(geom.Pt2(x, y), 4)
+			case 3:
+				err = tr.Insert(geom.R2(x, y, x+0.01, y+0.01), uint64(1000+op))
+			case 4:
+				e := entries[op/6]
+				var found bool
+				if found, err = tr.Delete(e.Rect, e.Ref); err == nil && !found {
+					err = fmt.Errorf("entry %d not found", e.Ref)
+				}
+			case 5:
+				err = tr.SearchPoint(geom.Pt2(x, y), sink)
+			}
+			if err != nil {
+				t.Fatalf("op %d: %v", op, err)
+			}
+		}
+		if _, _, err := tr.Bounds(); err != nil {
+			t.Fatal(err)
+		}
+		pairs := 0
+		if err := Join(tr, tr, func(a, b node.Entry) bool { pairs++; return pairs < 200 }); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Scan(sink); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		got := tr.ReadStats()
+		got.TraverserAllocs = 0 // depends on what earlier tests left in the pool
+		if want := (ReadStats{Queries: mixedTapeQueries, ViewPages: mixedTapeViewPages, CheckedPages: mixedTapeCheckedPages}); got != want {
+			t.Fatalf("ReadStats after the tape: %+v, want %+v", got, want)
+		}
+	})
+
+	t.Run("abandoned by fn", func(t *testing.T) {
+		tr, _ := build(t, 256)
+		before := tr.ReadStats()
+		fetched := traceFetches(tr.Pool(), func() {
+			if err := tr.Search(geom.UnitSquare(), func(node.Entry) bool { return false }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		after := tr.ReadStats()
+		if len(fetched) != tr.Height() {
+			t.Fatalf("abandoned search fetched %d pages, want one per level (%d)", len(fetched), tr.Height())
+		}
+		if after.Queries != before.Queries+1 || after.ViewPages-before.ViewPages != uint64(len(fetched)) {
+			t.Fatalf("abandoned search: %+v -> %+v, fetched %d pages", before, after, len(fetched))
+		}
+	})
+
+	t.Run("fails mid-descent", func(t *testing.T) {
+		tr, _ := build(t, 256)
+		if err := tr.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// Break the first leaf the descent reaches, on disk, and drop every
+		// frame: the root and the internal node above it are visited and
+		// validated, the leaf is fetched and validated but never viewed.
+		path := traceFetches(tr.Pool(), func() {
+			if err := tr.Search(geom.UnitSquare(), func(node.Entry) bool { return false }); err != nil {
+				t.Fatal(err)
+			}
+		})
+		leaf := path[len(path)-1]
+		pager := tr.Pool().Pager()
+		page := make([]byte, pager.PageSize())
+		if err := pager.ReadPage(leaf, page); err != nil {
+			t.Fatal(err)
+		}
+		page[node.HeaderSize+3] ^= 0xFF
+		if err := pager.WritePage(leaf, page); err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.Pool().Invalidate(); err != nil {
+			t.Fatal(err)
+		}
+		before := tr.ReadStats()
+		var err error
+		fetched := traceFetches(tr.Pool(), func() { err = tr.Search(geom.UnitSquare(), sink) })
+		if !errors.Is(err, node.ErrBadChecksum) {
+			t.Fatalf("search over a corrupt leaf: err %v, want %v", err, node.ErrBadChecksum)
+		}
+		after := tr.ReadStats()
+		if !samePages(fetched, path) {
+			t.Fatalf("failing search fetched %v, want %v", fetched, path)
+		}
+		if after.Queries != before.Queries+1 ||
+			after.ViewPages-before.ViewPages != uint64(len(path)-1) ||
+			after.CheckedPages-before.CheckedPages != uint64(len(path)) {
+			t.Fatalf("failing search: %+v -> %+v over %d fetches", before, after, len(path))
+		}
+	})
 }
+
+// Totals of TestReadStatsCount's mixed tape, recorded when fetchView and
+// viewOf still incremented the tree's atomics once per visit.
+const (
+	mixedTapeQueries      = 403
+	mixedTapeViewPages    = 4445
+	mixedTapeCheckedPages = 2860
+)

@@ -361,7 +361,7 @@ func (t *Tree) Search(q Rect, fn func(Item) bool) error {
 
 // SearchPoint streams every item whose rectangle contains p.
 func (t *Tree) SearchPoint(p Point, fn func(Item) bool) error {
-	return t.Search(geom.PointRect(p), fn)
+	return t.Search(Rect{Min: p, Max: p}, fn) // aliases p: see rtree.SearchPoint
 }
 
 // batchExecutor builds the worker pool for one batch call.
