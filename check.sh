@@ -35,10 +35,13 @@
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
 #                     assertions: race instrumentation allocates.
-#   7. go test -bench internal/node's BenchmarkViewScan, one iteration: the
-#                     page kernel's and the per-entry predicate's ns/entry
-#                     benchmark must keep compiling and running (nightly.yml
-#                     runs it for real).
+#   7. go test -bench one iteration each of the kernel benchmarks, which
+#                     must keep compiling and running (nightly.yml times
+#                     them): internal/node's BenchmarkViewScan (the page
+#                     kernel's and the per-entry predicate's ns/entry),
+#                     internal/psort's BenchmarkByCenter (the radix sort
+#                     kernel) and internal/pack's BenchmarkSTROrder100k
+#                     (STR's one-permutation order).
 #   8. ledger         scripts/ledger.sh: go vet and the smoke tests of the
 #                     performance ledger, bench/ — a separate module that
 #                     imports strtree/internal/..., which steps 2-7 never
@@ -77,8 +80,10 @@ go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./i
 go test -race -run 'Mutate|ConcurrentReaders' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate' .
 
-echo "== go test -bench BenchmarkViewScan -benchtime 1x (internal/node)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
+go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
+go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"
 ./scripts/ledger.sh

@@ -10,10 +10,12 @@
 // only in how the rectangles are ordered at each level"; the surrounding
 // bottom-up build is shared and lives in internal/rtree.
 //
-// All sorting goes through internal/psort: keys are precomputed once per
-// entry and the sort itself is a parallel merge sort with an index
-// tie-break, so every orderer produces byte-for-byte the same permutation
-// at any Workers setting.
+// All sorting goes through internal/psort: keys are computed once per
+// entry and axis, a stable radix sort orders (key, index) pairs, and the
+// entries themselves move once, when the order is final — STR sorts one
+// permutation axis by axis, slab by slab, before it moves anything. A
+// stable sort has one answer, so every orderer produces byte-for-byte the
+// same permutation at any Workers setting.
 package pack
 
 import (
@@ -123,11 +125,6 @@ type HS struct {
 	// MaxOrder caps the curve order (bits per axis). Zero means the finest
 	// order whose index fits in 64 bits (31 for 2-D data).
 	MaxOrder int
-	// Exact switches 2-D data to the paper's lazy bitwise comparison at 52
-	// bits per axis — "one does not store or compute all bit values on the
-	// hypothetical grid" — so points closer than the 31-bit grid still
-	// order correctly. Ignored for other dimensionalities.
-	Exact bool
 	// Workers > 1 computes Hilbert keys and sorts with that many
 	// goroutines; the output is identical for every setting.
 	Workers int
@@ -143,10 +140,6 @@ func (h HS) Order(entries []node.Entry, n, level int) {
 	}
 	workers := normWorkers(h.Workers)
 	dims := entries[0].Rect.Dim()
-	if h.Exact && dims == 2 {
-		h.orderExact2D(entries, workers)
-		return
-	}
 	order := 64 / dims
 	if order > 31 {
 		order = 31
@@ -190,63 +183,16 @@ func (h HS) Order(entries []node.Entry, n, level int) {
 	psort.ByKeys(entries, keys, workers)
 }
 
-// cell2 is an exact-mode Hilbert key: a 52-bit grid cell compared lazily
-// along the curve.
-type cell2 struct {
-	x, y uint64
-}
-
-// orderExact2D sorts by curve position using lazy 52-bit comparison, the
-// paper's in-practice method for arbitrary float coordinates.
-func (h HS) orderExact2D(entries []node.Entry, workers int) {
-	const order = 52 // float64 mantissa precision
-	lo := [2]float64{math.Inf(1), math.Inf(1)}
-	hi := [2]float64{math.Inf(-1), math.Inf(-1)}
-	for i := range entries {
-		for d := 0; d < 2; d++ {
-			c := entries[i].Rect.CenterAxis(d)
-			lo[d] = math.Min(lo[d], c)
-			hi[d] = math.Max(hi[d], c)
-		}
-	}
-	cells := float64(uint64(1)<<order - 1)
-	scale := [2]float64{}
-	for d := 0; d < 2; d++ {
-		if ext := hi[d] - lo[d]; ext > 0 {
-			scale[d] = cells / ext
-		}
-	}
-	cell := func(e *node.Entry, d int) uint64 {
-		v := (e.Rect.CenterAxis(d) - lo[d]) * scale[d]
-		switch {
-		case v <= 0:
-			return 0
-		case v >= cells:
-			return uint64(cells)
-		default:
-			return uint64(v)
-		}
-	}
-	// Precompute the grid cells once, then sort with the lazy comparator.
-	keys := make([]cell2, len(entries))
-	psort.Chunks(len(entries), workers, func(clo, chi int) {
-		for i := clo; i < chi; i++ {
-			keys[i] = cell2{x: cell(&entries[i], 0), y: cell(&entries[i], 1)}
-		}
-	})
-	psort.ByKeysFunc(entries, keys, func(a, b cell2) int {
-		return hilbert.Compare2D(order, a.x, a.y, b.x, b.y)
-	}, workers)
-}
-
 // STRTiming accumulates the wall time an STR build spends in its two
-// ordering phases, for strbench's per-phase breakdown. Counters are
-// atomic so one STRTiming can be shared across levels and goroutines.
+// ordering phases, for strbench's per-phase breakdown; the two add up to
+// the time spent in Order. Counters are atomic so one STRTiming can be
+// shared across levels and goroutines.
 type STRTiming struct {
 	// SortNanos is the time in the dominant first-axis sort.
 	SortNanos atomic.Int64
-	// TileNanos is the time spent tiling: slab partitioning plus the
-	// per-slab sorts on the remaining axes.
+	// TileNanos is the time spent tiling — slab partitioning plus the
+	// per-slab sorts on the remaining axes — and in the one move of the
+	// entries into the finished order.
 	TileNanos atomic.Int64
 }
 
@@ -259,6 +205,10 @@ type STRTiming struct {
 // realizes the tiling. For k > 2 the first coordinate splits the input
 // into S = ceil(P^(1/k)) slabs of n*ceil(P^((k-1)/k)) rectangles, each
 // processed recursively as a (k-1)-dimensional data set.
+//
+// Every sort is a stable sort of a range of one index permutation
+// (psort.Perm), so the recursion runs over index ranges and the entries
+// are moved once, after the last axis.
 type STR struct {
 	// Workers > 1 parallelizes the first-axis sort through the psort
 	// kernel and sorts slabs concurrently (the parallel packing the
@@ -283,53 +233,37 @@ func (s STR) Order(entries []node.Entry, n, level int) {
 	}
 	dims := entries[0].Rect.Dim()
 	t0 := time.Now()
-	sortByCenter(entries, 0, s.workers())
+	p := psort.NewPerm(entries)
+	p.SortByCenter(0, len(entries), 0, s.workers())
 	if s.Timing != nil {
 		s.Timing.SortNanos.Add(int64(time.Since(t0)))
 	}
-	if dims <= 1 {
-		return
-	}
 	t0 = time.Now()
-	s.slabs(entries, n, 0, dims)
+	if dims > 1 {
+		s.tile(p, 0, len(entries), n, 1, dims, s.workers())
+	}
+	p.Apply(s.workers())
 	if s.Timing != nil {
 		s.Timing.TileNanos.Add(int64(time.Since(t0)))
 	}
 }
 
-// slabs cuts entries (already sorted on axis) into the STR slab sizes and
-// tiles each slab over the remaining axes. Slab contents are independent
-// after the partitioning sort, so slabs run concurrently (sequentially
-// inside each) with output identical to the sequential schedule.
-func (s STR) slabs(entries []node.Entry, n, axis, dims int) {
-	rem := dims - axis // coordinates still to process
-	p := (len(entries) + n - 1) / n
+// tile cuts positions [lo, hi) of p, sorted on axis-1, into the STR slab
+// sizes, sorts each slab on axis and recurses on it while axes remain.
+// Slab contents are independent after the partitioning sort, so the
+// outermost call runs its slabs on up to workers goroutines, everything
+// inside a slab sequentially, with output identical to the sequential
+// schedule.
+func (s STR) tile(p *psort.Perm, lo, hi, n, axis, dims, workers int) {
+	rem := dims - axis + 1 // coordinates still to process, this cut's included
+	pages := (hi - lo + n - 1) / n
 	// Slab size: n * ceil(P^((rem-1)/rem)) consecutive rectangles.
-	slab := n * ceilPow(p, float64(rem-1)/float64(rem))
-	if slab < n {
-		slab = n
-	}
-	forEachSlab(len(entries), slab, s.workers(), func(start, end, _ int) {
-		s.tile(entries[start:end], n, axis+1, dims)
-	})
-}
-
-// tile applies the STR step for one axis and recurses on each slab.
-// It always runs sequentially: concurrency comes from the slab pool one
-// level up, which keeps the schedule simple and the output deterministic.
-func (s STR) tile(entries []node.Entry, n, axis, dims int) {
-	rem := dims - axis
-	sortByCenter(entries, axis, 1)
-	if rem <= 1 {
-		return
-	}
-	p := (len(entries) + n - 1) / n
-	slab := n * ceilPow(p, float64(rem-1)/float64(rem))
-	if slab < n {
-		slab = n
-	}
-	forEachSlab(len(entries), slab, 1, func(start, end, _ int) {
-		s.tile(entries[start:end], n, axis+1, dims)
+	slab := max(n*ceilPow(pages, float64(rem-1)/float64(rem)), n)
+	forEachSlab(hi-lo, slab, workers, func(start, end, _ int) {
+		p.SortByCenter(lo+start, lo+end, axis, 1)
+		if axis+1 < dims {
+			s.tile(p, lo+start, lo+end, n, axis+1, dims, 1)
+		}
 	})
 }
 

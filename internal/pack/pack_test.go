@@ -31,7 +31,7 @@ func allOrderers() []interface {
 		Order(entries []node.Entry, n, level int)
 		Name() string
 	}{
-		NX{}, YSort{}, HS{}, HS{Exact: true}, STR{}, STR{Workers: 4}, Serpentine{},
+		NX{}, YSort{}, HS{}, HS{MaxOrder: 4}, STR{}, STR{Workers: 4}, Serpentine{},
 		SliceFactor{Num: 1, Den: 2}, SliceFactor{Num: 2, Den: 1},
 		TGS{}, TGS{UseMargin: true},
 	}
@@ -303,49 +303,6 @@ func TestNames(t *testing.T) {
 	for got, exp := range want {
 		if got != exp {
 			t.Fatalf("name %q != %q", got, exp)
-		}
-	}
-}
-
-func TestHSExactMatchesKeyedOnCoarseData(t *testing.T) {
-	// On data whose centers fall exactly on a coarse grid both variants
-	// produce the same node memberships (key collisions are absent).
-	var entries []node.Entry
-	for x := 0; x < 32; x++ {
-		for y := 0; y < 32; y++ {
-			p := geom.Pt2(float64(x)/31, float64(y)/31)
-			entries = append(entries, node.Entry{Rect: geom.PointRect(p), Ref: uint64(x*32 + y)})
-		}
-	}
-	const n = 16
-	a := append([]node.Entry(nil), entries...)
-	HS{}.Order(a, n, 0)
-	b := append([]node.Entry(nil), entries...)
-	HS{Exact: true}.Order(b, n, 0)
-	for i := range a {
-		if a[i].Ref != b[i].Ref {
-			t.Fatalf("orders diverge at %d: %d vs %d", i, a[i].Ref, b[i].Ref)
-		}
-	}
-}
-
-func TestHSExactResolvesSubgridTies(t *testing.T) {
-	// Points packed within one cell of the default 31-bit grid: the keyed
-	// variant sees identical keys; the exact comparator still orders them
-	// along the curve (verified via permutation + determinism).
-	base := geom.Pt2(0.5, 0.5)
-	var entries []node.Entry
-	for i := 0; i < 64; i++ {
-		p := geom.Pt2(base[0]+float64(i)*1e-14, base[1]+float64(i%8)*1e-14)
-		entries = append(entries, node.Entry{Rect: geom.PointRect(p), Ref: uint64(i)})
-	}
-	a := append([]node.Entry(nil), entries...)
-	HS{Exact: true}.Order(a, 8, 0)
-	b := append([]node.Entry(nil), entries...)
-	HS{Exact: true}.Order(b, 8, 0)
-	for i := range a {
-		if a[i].Ref != b[i].Ref {
-			t.Fatalf("exact order not deterministic at %d", i)
 		}
 	}
 }

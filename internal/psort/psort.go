@@ -1,45 +1,51 @@
-// Package psort is the parallel sort kernel behind every packing order.
+// Package psort is the sort kernel behind every packing order.
 //
 // The paper's bottom line — "the cost of sorting dominates the cost of the
-// packing step" — makes the sort the one phase worth parallelizing. The
-// kernel sorts entries by a key precomputed once per entry (a center
-// coordinate mapped to order-preserving bits, or a Hilbert index), so the
-// hot comparison is two loads and an integer compare instead of the
-// closure-plus-interface-dispatch CenterAxis call sort.Slice paid per
-// comparison. Work is split across workers as a merge sort: each worker
-// sorts a contiguous chunk of (key, index) pairs with slices.SortFunc,
-// then chunks are merged pairwise, each merge itself split across workers
-// by binary-searching the merge midpoint.
+// packing step" — makes the sort the one phase worth engineering. Every
+// order the packers need is an order of uint64 keys computed once per
+// entry (a center coordinate mapped to order-preserving bits, or a Hilbert
+// index), so the kernel never compares: it is a least-significant-digit
+// radix sort over (key, entry index) pairs, one counting pass and one
+// scatter pass per 8-bit digit, skipping every digit on which all keys
+// agree. The 56-byte entries are not touched until the order is final: a
+// Perm sorts the pairs, as often and over as many sub-ranges as the caller
+// likes, and Apply moves each entry once.
 //
-// Determinism: ties on the key are broken by the entry's original index,
-// which makes the (key, index) order a strict total order. The sorted
-// sequence is therefore unique — the kernel's output is byte-for-byte
-// identical for every worker count, and equal to a sequential stable sort
-// by key. Packed trees built at Workers=1 and Workers=64 are the same
-// tree.
+// Determinism: each digit pass is stable, so the result is the stable sort
+// by key — ties stay in the order the pairs had, which for a fresh Perm is
+// the entries' own. The stable sort of a sequence is unique, and the
+// parallel pass keeps it: worker w counts and scatters the w-th chunk of
+// the input, and the scatter offsets are the prefix sum over (digit value,
+// worker), so equal digits land in input order whatever the chunking. The
+// kernel's output is therefore byte-for-byte identical for every worker
+// count; packed trees built at Workers=1 and Workers=64 are the same tree.
 package psort
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"strtree/internal/node"
 )
 
 const (
-	// seqMin is the input size below which sorting runs sequentially: the
-	// goroutine handoff costs more than it saves.
+	// seqMin is the fewest items worth a goroutine of their own — below it
+	// the handoff costs more than it saves. Chunks splits nothing smaller,
+	// and a sort takes one worker per seqMin pairs.
 	seqMin = 4096
-	// mergeSeqMin is the merge piece below which a merge stops splitting.
-	mergeSeqMin = 2048
+	// insertionMax is the range length up to which a stable insertion sort
+	// beats eight passes over a 256-bucket histogram: on random keys the two
+	// cross near 128, and reversed keys double the insertion sort's cost.
+	insertionMax = 64
+	// digitBits is the radix width: 256 counters per worker stay in L1.
+	digitBits = 8
 )
 
-// pair carries one precomputed key and the index of the entry it belongs
-// to. idx doubles as the deterministic tie-break.
-type pair[K any] struct {
-	key K
-	idx int64
+// pair carries one precomputed key and the index of the entry it stands
+// for.
+type pair struct {
+	key uint64
+	idx int
 }
 
 // Float64Key maps a float64 to a uint64 whose unsigned order equals the
@@ -59,81 +65,84 @@ func Float64Key(f float64) uint64 {
 	return b | 1<<63
 }
 
-// ByCenter permutes entries into ascending order of the center coordinate
-// along one axis — the ordering every STR, NX and Y phase uses. Equivalent
-// to a stable sort; identical output for every worker count.
-func ByCenter(entries []node.Entry, axis, workers int) {
-	if len(entries) < 2 {
-		return
+// Perm is a permutation of a slice of entries under construction: position
+// i holds the index of the entry that will end up there. It starts as the
+// identity, is refined by stable sorts of whole or partial ranges, and is
+// carried out by Apply. Sorts of disjoint ranges may run concurrently.
+type Perm struct {
+	entries []node.Entry
+	ps, tmp []pair
+}
+
+// NewPerm returns the identity permutation of entries.
+func NewPerm(entries []node.Entry) *Perm {
+	n := len(entries)
+	buf := make([]pair, 2*n)
+	for i := range buf[:n] {
+		buf[i].idx = i
 	}
-	keys := make([]uint64, len(entries))
-	Chunks(len(entries), workers, func(lo, hi int) {
+	return &Perm{entries: entries, ps: buf[:n], tmp: buf[n:]}
+}
+
+// SortByCenter stably sorts positions [lo, hi) by their entries' center
+// coordinate along axis. Identical output for every worker count.
+func (p *Perm) SortByCenter(lo, hi, axis, workers int) {
+	ps := p.ps[lo:hi]
+	if workers <= 1 {
+		// No closure on this path: a caller's per-slab sorts do not allocate.
+		p.keyByCenter(ps, axis)
+	} else {
+		Chunks(len(ps), workers, func(clo, chi int) { p.keyByCenter(ps[clo:chi], axis) })
+	}
+	sortPairs(ps, p.tmp[lo:hi], workers)
+}
+
+func (p *Perm) keyByCenter(ps []pair, axis int) {
+	for i := range ps {
+		ps[i].key = Float64Key(p.entries[ps[i].idx].Rect.CenterAxis(axis))
+	}
+}
+
+// Apply moves the entries into the permuted order — the one pass in which
+// a sort touches them.
+func (p *Perm) Apply(workers int) {
+	n := len(p.entries)
+	old := make([]node.Entry, n)
+	Chunks(n, workers, func(lo, hi int) {
+		copy(old[lo:hi], p.entries[lo:hi])
+	})
+	Chunks(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			keys[i] = Float64Key(entries[i].Rect.CenterAxis(axis))
+			p.entries[i] = old[p.ps[i].idx]
 		}
 	})
-	ByKeys(entries, keys, workers)
+}
+
+// ByCenter permutes entries into ascending order of the center coordinate
+// along one axis — the ordering every NX, Y and run sort uses. Equivalent
+// to a stable sort; identical output for every worker count.
+func ByCenter(entries []node.Entry, axis, workers int) {
+	p := NewPerm(entries)
+	p.SortByCenter(0, len(entries), axis, workers)
+	p.Apply(workers)
 }
 
 // ByKeys permutes entries into ascending order of their parallel uint64
-// keys, ties broken by original position (a stable sort by key). keys is
-// consumed as scratch. Identical output for every worker count.
+// keys, ties left in their original order (a stable sort by key). keys is
+// only read. Identical output for every worker count.
 func ByKeys(entries []node.Entry, keys []uint64, workers int) {
-	ByKeysFunc(entries, keys, func(a, b uint64) int {
-		switch {
-		case a < b:
-			return -1
-		case a > b:
-			return 1
-		default:
-			return 0
-		}
-	}, workers)
-}
-
-// ByKeysFunc is ByKeys for arbitrary key types: cmp must be a total
-// preorder on K (ties are fine — the kernel breaks them by index). Used by
-// the exact Hilbert order, whose key is a grid cell compared lazily.
-func ByKeysFunc[K any](entries []node.Entry, keys []K, cmp func(a, b K) int, workers int) {
-	n := len(entries)
-	if n != len(keys) {
+	if len(keys) != len(entries) {
 		//strlint:ignore panics documented contract: mismatched key and entry slices are a caller bug, not a data condition
 		panic("psort: len(keys) != len(entries)")
 	}
-	if n < 2 {
-		return
-	}
-	ps := make([]pair[K], n)
-	Chunks(n, workers, func(lo, hi int) {
+	p := NewPerm(entries)
+	Chunks(len(keys), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ps[i] = pair[K]{key: keys[i], idx: int64(i)}
+			p.ps[i].key = keys[i]
 		}
 	})
-	pc := func(a, b pair[K]) int {
-		if c := cmp(a.key, b.key); c != 0 {
-			return c
-		}
-		// Unique index tie-break: the total order whose sorted sequence is
-		// the stable sort by key, independent of chunking and workers.
-		switch {
-		case a.idx < b.idx:
-			return -1
-		case a.idx > b.idx:
-			return 1
-		default:
-			return 0
-		}
-	}
-	sorted := sortPairs(ps, pc, workers)
-	tmp := make([]node.Entry, n)
-	Chunks(n, workers, func(lo, hi int) {
-		copy(tmp[lo:hi], entries[lo:hi])
-	})
-	Chunks(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			entries[i] = tmp[sorted[i].idx]
-		}
-	})
+	sortPairs(p.ps, p.tmp, workers)
+	p.Apply(workers)
 }
 
 // Chunks invokes f over consecutive [lo, hi) ranges covering [0, n),
@@ -150,6 +159,12 @@ func Chunks(n, workers int, f func(lo, hi int)) {
 		f(0, n)
 		return
 	}
+	eachChunk(n, workers, func(_, lo, hi int) { f(lo, hi) })
+}
+
+// eachChunk runs f(w, lo, hi) on its own goroutine for each of the workers
+// consecutive ranges n*w/workers .. n*(w+1)/workers and waits for them.
+func eachChunk(n, workers int, f func(w, lo, hi int)) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		lo, hi := n*w/workers, n*(w+1)/workers
@@ -157,141 +172,95 @@ func Chunks(n, workers int, f func(lo, hi int)) {
 			continue
 		}
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			f(lo, hi)
-		}(lo, hi)
+			f(w, lo, hi)
+		}(w, lo, hi)
 	}
 	wg.Wait()
 }
 
-// sortPairs sorts ps by pc (a strict total order thanks to the index
-// tie-break) and returns the sorted slice, which is either ps itself or
-// scratch storage of the same length.
-func sortPairs[K any](ps []pair[K], pc func(a, b pair[K]) int, workers int) []pair[K] {
+// sortPairs stably sorts ps by key, leaving the result in ps; tmp is
+// scratch of the same length.
+func sortPairs(ps, tmp []pair, workers int) {
 	n := len(ps)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < seqMin {
-		slices.SortFunc(ps, pc)
-		return ps
-	}
-
-	// Chunk sorts: workers contiguous ranges, each sorted independently.
-	offs := make([]int, workers+1)
-	for w := 0; w <= workers; w++ {
-		offs[w] = n * w / workers
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := offs[w], offs[w+1]
-		if lo == hi {
-			continue
+	if n <= insertionMax {
+		for i := 1; i < n; i++ {
+			p := ps[i]
+			j := i
+			for ; j > 0 && ps[j-1].key > p.key; j-- {
+				ps[j] = ps[j-1]
+			}
+			ps[j] = p
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			slices.SortFunc(ps[lo:hi], pc)
-		}(lo, hi)
-	}
-	wg.Wait()
-
-	// Pairwise merge rounds, runs merged left to right so the result is
-	// the unique sorted order whatever the chunk count was.
-	scratch := make([]pair[K], n)
-	src, dst := ps, scratch
-	for len(offs) > 2 {
-		next := make([]int, 0, len(offs)/2+2)
-		merges := (len(offs) - 1) / 2
-		per := workers / merges
-		if per < 1 {
-			per = 1
-		}
-		var mw sync.WaitGroup
-		i := 0
-		for ; i+2 < len(offs); i += 2 {
-			a, b, c := offs[i], offs[i+1], offs[i+2]
-			next = append(next, a)
-			mw.Add(1)
-			go func(a, b, c int) {
-				defer mw.Done()
-				mergeInto(dst[a:c], src[a:b], src[b:c], pc, per)
-			}(a, b, c)
-		}
-		if i+1 < len(offs) {
-			// Odd run out: carry it to the next round unmerged.
-			a, b := offs[i], offs[i+1]
-			next = append(next, a)
-			mw.Add(1)
-			go func(a, b int) {
-				defer mw.Done()
-				copy(dst[a:b], src[a:b])
-			}(a, b)
-		}
-		next = append(next, n)
-		mw.Wait()
-		offs = next
-		src, dst = dst, src
-	}
-	return src
-}
-
-// mergeInto merges sorted runs a and b into dst (len(dst) = len(a) +
-// len(b)), splitting the work into up to pieces parallel parts by binary
-// searching the merge midpoint.
-func mergeInto[K any](dst, a, b []pair[K], pc func(x, y pair[K]) int, pieces int) {
-	if pieces > 1 && len(dst) > mergeSeqMin {
-		half := len(dst) / 2
-		i := mergeSplit(a, b, half, pc)
-		j := half - i
-		var wg sync.WaitGroup
-		wg.Add(1)
-		left := pieces / 2
-		if left < 1 {
-			left = 1
-		}
-		go func() {
-			defer wg.Done()
-			mergeInto(dst[:half], a[:i], b[:j], pc, left)
-		}()
-		mergeInto(dst[half:], a[i:], b[j:], pc, pieces-left)
-		wg.Wait()
 		return
 	}
-	i, j, k := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if pc(a[i], b[j]) <= 0 {
-			dst[k] = a[i]
-			i++
-		} else {
-			dst[k] = b[j]
-			j++
-		}
-		k++
+	// A digit on which every key agrees with the first needs no pass.
+	var differ uint64
+	for i := range ps {
+		differ |= ps[i].key ^ ps[0].key
 	}
-	copy(dst[k:], a[i:])
-	copy(dst[k:], b[j:])
+	// The sequential sort's counters live on its stack; only a parallel
+	// sort allocates.
+	var seq [1][1 << digitBits]int
+	var par [][1 << digitBits]int
+	if workers = min(workers, n/seqMin); workers > 1 {
+		par = make([][1 << digitBits]int, workers)
+	}
+	src, dst := ps, tmp
+	for shift := 0; shift < 64; shift += digitBits {
+		if differ>>shift&(1<<digitBits-1) == 0 {
+			continue
+		}
+		if par == nil {
+			count(&seq[0], src, shift)
+			offsets(seq[:])
+			scatter(dst, src, shift, &seq[0])
+		} else {
+			parallelPass(dst, src, shift, par)
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &ps[0] {
+		copy(ps, src)
+	}
 }
 
-// mergeSplit returns i such that taking a[:i] and b[:k-i] yields the k
-// smallest elements of the merged sequence — the classic two-sorted-arrays
-// selection, well defined because pc is a strict total order.
-func mergeSplit[K any](a, b []pair[K], k int, pc func(x, y pair[K]) int) int {
-	lo, hi := k-len(b), len(a)
-	if lo < 0 {
-		lo = 0
+// parallelPass is one digit pass split over len(counts) workers, each
+// counting and then scattering its own chunk of src.
+func parallelPass(dst, src []pair, shift int, counts [][1 << digitBits]int) {
+	eachChunk(len(src), len(counts), func(w, lo, hi int) { count(&counts[w], src[lo:hi], shift) })
+	offsets(counts)
+	eachChunk(len(src), len(counts), func(w, lo, hi int) { scatter(dst, src[lo:hi], shift, &counts[w]) })
+}
+
+// count tallies the digit at shift over src.
+func count(c *[1 << digitBits]int, src []pair, shift int) {
+	*c = [1 << digitBits]int{}
+	for i := range src {
+		c[uint8(src[i].key>>shift)]++
 	}
-	if hi > k {
-		hi = k
-	}
-	for lo < hi {
-		i := int(uint(lo+hi) >> 1)
-		if pc(a[i], b[k-i-1]) < 0 {
-			lo = i + 1
-		} else {
-			hi = i
+}
+
+// offsets turns per-worker digit counts into each worker's first output
+// position per digit value: the prefix sum in (digit value, worker) order,
+// which is what keeps the scatter stable across chunks.
+func offsets(counts [][1 << digitBits]int) {
+	sum := 0
+	for d := 0; d < 1<<digitBits; d++ {
+		for w := range counts {
+			c := counts[w][d]
+			counts[w][d] = sum
+			sum += c
 		}
 	}
-	return lo
+}
+
+// scatter appends each pair of src, in order, to its digit's run in dst.
+func scatter(dst, src []pair, shift int, next *[1 << digitBits]int) {
+	for i := range src {
+		d := uint8(src[i].key >> shift)
+		dst[next[d]] = src[i]
+		next[d]++
+	}
 }

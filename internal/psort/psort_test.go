@@ -1,6 +1,7 @@
 package psort
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -57,22 +58,104 @@ func sameEntries(t *testing.T, got, want []node.Entry, label string) {
 	}
 }
 
+// keyPatterns are the inputs on which a radix sort and a comparison sort
+// could part ways: ties of every density, keys that differ in one digit
+// only (so seven passes are skipped), the float keys at the edges of the
+// order-preserving map, and the presorted shapes.
+func keyPatterns(n int, seed int64) map[string][]uint64 {
+	rng := rand.New(rand.NewSource(seed))
+	fill := func(f func(i int) uint64) []uint64 {
+		keys := make([]uint64, n)
+		for i := range keys {
+			keys[i] = f(i)
+		}
+		return keys
+	}
+	pats := map[string][]uint64{
+		"all-equal": fill(func(int) uint64 { return 0xdeadbeefcafef00d }),
+		"random":    fill(func(int) uint64 { return rng.Uint64() }),
+		"two":       fill(func(int) uint64 { return rng.Uint64() % 2 }),
+		"seven":     fill(func(int) uint64 { return rng.Uint64() % 7 }),
+		"dense":     fill(func(int) uint64 { return rng.Uint64() % (1 << 20) }),
+		"sorted":    fill(func(i int) uint64 { return uint64(i) * 977 }),
+		"reversed":  fill(func(i int) uint64 { return uint64(n-i) * 977 }),
+		"organ-pipe": fill(func(i int) uint64 {
+			return uint64(min(i, n-1-i)) << 7
+		}),
+	}
+	for b := 0; b < 8; b++ {
+		pats["byte"+itoa(b)] = fill(func(int) uint64 {
+			return 0x0123456789abcdef ^ (rng.Uint64()&0xff)<<(8*b)
+		})
+	}
+	special := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.NaN(), -math.NaN(), math.Float64frombits(0x7ff0000000000001), math.Float64frombits(0xfff8dead0000beef),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1040, -0x1p-1040,
+		1, -1, math.MaxFloat64, -math.MaxFloat64,
+	}
+	pats["float-edges"] = fill(func(int) uint64 { return Float64Key(special[rng.Intn(len(special))]) })
+	return pats
+}
+
 // TestByKeysMatchesStableSort checks the kernel against the sequential
-// stable-sort specification across sizes, key densities (heavy ties
-// included) and worker counts — the determinism contract.
+// stable-sort specification — the same permutation, not just a sorted
+// one — across every key pattern, sizes on both sides of each threshold
+// the kernel has (insertion sort, sequential fallback, one more worker
+// per seqMin entries) and worker counts: the determinism contract.
 func TestByKeysMatchesStableSort(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 7, 100, 1000, seqMin - 1, seqMin, seqMin + 1, 3*seqMin + 17, 50000} {
-		for _, keySpace := range []uint64{1, 2, 7, 1 << 20, math.MaxUint64} {
-			want, keys := randomEntries(n, keySpace, int64(n)*31+int64(keySpace%97))
-			wantKeys := slices.Clone(keys)
-			refByKeys(want, wantKeys)
-			for _, workers := range []int{1, 2, 3, 4, 8, 16, 61} {
-				got, gotKeys := randomEntries(n, keySpace, int64(n)*31+int64(keySpace%97))
-				ByKeys(got, gotKeys, workers)
-				sameEntries(t, got, want, "n="+itoa(n)+" space="+itoa(int(keySpace%1000))+" w="+itoa(workers))
+	sizes := []int{0, 1, 2, 3, insertionMax - 1, insertionMax, insertionMax + 1, 1000,
+		seqMin - 1, seqMin, seqMin + 1, 2*seqMin - 1, 2 * seqMin, 2*seqMin + 1,
+		3*seqMin - 1, 3 * seqMin, 3*seqMin + 17, 8*seqMin - 1, 8 * seqMin, 8*seqMin + 1, 1 << 17}
+	for _, n := range sizes {
+		base, _ := randomEntries(n, 1, int64(n))
+		for name, keys := range keyPatterns(n, int64(n)*31+7) {
+			if n > 4*seqMin && !slices.Contains([]string{"random", "seven", "byte3", "organ-pipe", "float-edges"}, name) {
+				continue // the large sizes are about worker chunking, not key shapes
+			}
+			want := slices.Clone(base)
+			refByKeys(want, keys)
+			for _, workers := range []int{1, 2, 3, 8} {
+				got := slices.Clone(base)
+				ByKeys(got, keys, workers)
+				sameEntries(t, got, want, name+" n="+itoa(n)+" w="+itoa(workers))
 			}
 		}
 	}
+}
+
+// FuzzByKeys holds the kernel to the stable-sort specification on keys
+// read straight from the fuzzer's bytes. The first byte picks the worker
+// count; the second, when odd, repeats the keys cyclically past the
+// parallel threshold, which also makes every key a many-way tie.
+func FuzzByKeys(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{3, 1, 0xff, 0, 0, 0, 0, 0, 0, 0x80, 1})
+	f.Add([]byte("\x07\x00the quick brown fox jumps over the lazy dog, twice over the lazy dog"))
+	f.Add(append([]byte{2, 1}, make([]byte, 64)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		workers, repeat := 1, false
+		if len(data) >= 2 {
+			workers, repeat = 1+int(data[0]%8), data[1]%2 == 1
+			data = data[2:]
+		}
+		var keys []uint64
+		for len(data) > 0 {
+			var word [8]byte
+			data = data[copy(word[:], data):]
+			keys = append(keys, binary.LittleEndian.Uint64(word[:]))
+		}
+		if m := len(keys); repeat && m > 0 {
+			for len(keys) < workers*seqMin+m {
+				keys = append(keys, keys[len(keys)-m])
+			}
+		}
+		want, _ := randomEntries(len(keys), 1, 1)
+		got := slices.Clone(want)
+		refByKeys(want, keys)
+		ByKeys(got, keys, workers)
+		sameEntries(t, got, want, "workers="+itoa(workers))
+	})
 }
 
 func itoa(n int) string {
@@ -132,45 +215,6 @@ func TestFloat64Key(t *testing.T) {
 	}
 	if Float64Key(math.Copysign(0, -1)) != Float64Key(0) {
 		t.Fatalf("-0 and +0 must share a key")
-	}
-}
-
-// TestByKeysFuncLazyComparator exercises the generic path with a
-// struct key and a comparator, as the exact Hilbert order uses it.
-func TestByKeysFuncLazyComparator(t *testing.T) {
-	type xy struct{ x, y uint64 }
-	rng := rand.New(rand.NewSource(4))
-	n := 30000
-	entries := make([]node.Entry, n)
-	keys := make([]xy, n)
-	for i := range entries {
-		entries[i] = node.Entry{Rect: geom.R2(0, 0, 1, 1), Ref: uint64(i)}
-		keys[i] = xy{rng.Uint64() % 16, rng.Uint64() % 16}
-	}
-	cmp := func(a, b xy) int {
-		if a.x != b.x {
-			if a.x < b.x {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.y < b.y:
-			return -1
-		case a.y > b.y:
-			return 1
-		default:
-			return 0
-		}
-	}
-	want := slices.Clone(entries)
-	wantKeys := slices.Clone(keys)
-	ByKeysFunc(want, wantKeys, cmp, 1)
-	for _, workers := range []int{2, 8, 16} {
-		got := slices.Clone(entries)
-		gotKeys := slices.Clone(keys)
-		ByKeysFunc(got, gotKeys, cmp, workers)
-		sameEntries(t, got, want, "workers="+itoa(workers))
 	}
 }
 

@@ -183,6 +183,7 @@ type FilePager struct {
 	mu       sync.Mutex
 	f        *os.File
 	pageSize int
+	zero     []byte // one page of zeros, what Alloc extends the file with
 	n        int
 	stats    Stats
 	closed   bool
@@ -198,7 +199,7 @@ func CreateFilePager(path string, pageSize int) (*FilePager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
-	return &FilePager{f: f, pageSize: pageSize}, nil
+	return &FilePager{f: f, pageSize: pageSize, zero: make([]byte, pageSize)}, nil
 }
 
 // OpenFilePager opens an existing page file. The file length must be a
@@ -220,7 +221,7 @@ func OpenFilePager(path string, pageSize int) (*FilePager, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s length %d not a multiple of page size %d", path, fi.Size(), pageSize)
 	}
-	return &FilePager{f: f, pageSize: pageSize, n: int(fi.Size() / int64(pageSize))}, nil
+	return &FilePager{f: f, pageSize: pageSize, zero: make([]byte, pageSize), n: int(fi.Size() / int64(pageSize))}, nil
 }
 
 // PageSize implements Pager.
@@ -237,8 +238,7 @@ func (p *FilePager) Alloc() (PageID, error) {
 		return NilPage, errors.New("storage: page space exhausted")
 	}
 	id := PageID(p.n)
-	zero := make([]byte, p.pageSize)
-	if _, err := p.f.WriteAt(zero, int64(p.n)*int64(p.pageSize)); err != nil {
+	if _, err := p.f.WriteAt(p.zero, int64(p.n)*int64(p.pageSize)); err != nil {
 		return NilPage, fmt.Errorf("storage: extend: %w", err)
 	}
 	p.n++

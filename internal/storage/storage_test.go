@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -207,6 +208,43 @@ func TestFilePagerStats(t *testing.T) {
 	s := p.Stats()
 	if s.Allocs != 1 || s.Writes != 1 || s.Reads != 1 {
 		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// TestFilePagerAllocZeroAllocs pins Alloc to the pager's own zero page: a
+// 500k-entry build allocates ~5000 pages and must not make 5000 garbage
+// slices doing it. The file still grows by one zeroed page per call.
+func TestFilePagerAllocZeroAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "z.db")
+	p, err := CreateFilePager(path, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if _, err := p.Alloc(); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	if a := testing.AllocsPerRun(runs, func() {
+		if _, err := p.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Fatalf("Alloc allocates %v times per call, want 0", a)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(p.NumPages()) * 4096; fi.Size() != want || p.NumPages() != runs+2 {
+		t.Fatalf("file is %d bytes over %d pages, want %d bytes over %d pages", fi.Size(), p.NumPages(), want, runs+2)
+	}
+	buf := make([]byte, 4096)
+	if err := p.ReadPage(PageID(p.NumPages()-1), buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf, make([]byte, 4096)) {
+		t.Fatal("freshly allocated page is not zero")
 	}
 }
 
