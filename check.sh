@@ -3,15 +3,21 @@
 # Everything here must pass before a change lands:
 #
 #   1. gofmt          every .go file is formatted
-#   2. go vet         the standard analyzer suite
+#   2. go vet         the standard analyzer suite (strlint repeats none
+#                     of it: loop-variable capture is vet's loopclosure,
+#                     locks copied by value are vet's copylocks)
 #   3. go build       the whole module compiles
 #   4. strlint        the repo's own static analyzer (internal/lint),
-#                     all ten checks: float ==, dropped errors, library
-#                     panics, loop-variable capture, cross-layer imports,
-#                     map-order and time/rand determinism, guarded-by
-#                     lock discipline, goroutine completion signals,
-#                     context propagation — gated by the committed
-#                     count-aware baseline (.strlint-baseline.json)
+#                     all nine checks plus its directive validator:
+#                     float ==, dropped errors, library panics,
+#                     cross-layer imports, map-order and time/rand
+#                     determinism, guarded-by lock discipline, goroutine
+#                     completion signals, context propagation — gated by
+#                     the committed count-aware baseline
+#                     (.strlint-baseline.json). It type-checks the module
+#                     with go/types, the standard library from source, so
+#                     the step takes seconds, not milliseconds; its wall
+#                     time is printed.
 #   5. go test        the full test suite (includes the invariant
 #                     verifier's corrupted-tree fixtures and the fuzz
 #                     seed corpora)
@@ -70,7 +76,9 @@ echo "== go build"
 go build ./...
 
 echo "== strlint"
+strlint_start=$(date +%s)
 go run ./cmd/strlint ./...
+echo "strlint: $(($(date +%s) - strlint_start)) s wall, building it included"
 
 echo "== go test"
 go test ./...

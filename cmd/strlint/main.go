@@ -1,10 +1,11 @@
 // Command strlint runs the repository's custom static analyzer (package
-// internal/lint) over the module. Ten checks cover float equality,
-// dropped errors, library panics, loop-variable capture, cross-layer
-// imports, map-iteration order and time/rand use in the deterministic
-// build layers, guarded-by lock discipline, goroutine completion
-// signals, and context propagation; an eleventh validates the ignore
-// directives themselves.
+// internal/lint) over the module. Nine checks cover float equality,
+// dropped errors, library panics, cross-layer imports, map-iteration
+// order and time/rand use in the deterministic build layers, guarded-by
+// lock discipline, goroutine completion signals, and context
+// propagation; a tenth validates the ignore directives themselves. Type
+// information comes from go/types: the module is type-checked first, the
+// standard library it imports from source.
 //
 // Usage:
 //
@@ -13,7 +14,8 @@
 // Packages are module-relative paths or Go-style patterns: "./...", ".",
 // "./internal/geom", "internal/geom". With no arguments, the whole module
 // is checked. Exit status is 1 when findings are reported, 2 on usage or
-// load errors.
+// load errors — a module that does not parse or type-check is a load
+// error, printed one file:line:col line per error.
 //
 // -fix applies every suggested fix and re-runs the analysis; applying
 // fixes twice is a no-op. -format sarif emits SARIF 2.1.0 for GitHub

@@ -2,6 +2,8 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
+	"strings"
 )
 
 var ctxpropCheck = &Check{
@@ -18,148 +20,81 @@ var ctxpropCheck = &Check{
 		if !libraryPackage(p.pkg.path) {
 			return
 		}
-		for _, f := range p.pkg.files {
-			checkBackground(p, f)
-			for _, decl := range f.ast.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					checkCtxVariants(p, f, fd)
-				}
+		p.inspect(func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
 			}
-		}
+			if fn := p.callee(call); fn != nil && (fn.FullName() == "context.Background" || fn.FullName() == "context.TODO") {
+				p.reportf(call.Pos(), "ctxprop",
+					"context.%s in library package %s severs the caller's cancellation chain; plumb a ctx parameter through instead", fn.Name(), pkgDisplay(p.pkg.path))
+			}
+			return true
+		})
+		p.eachFuncDecl(func(fd *ast.FuncDecl) { checkCtxVariants(p, fd) })
 	},
-}
-
-// checkBackground flags context.Background()/TODO() anywhere in a library
-// file.
-func checkBackground(p *pass, f *fileInfo) {
-	ast.Inspect(f.ast, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok || f.imports[id.Name] != "context" {
-			return true
-		}
-		if sel.Sel.Name == "Background" || sel.Sel.Name == "TODO" {
-			p.reportf(call.Pos(), "ctxprop",
-				"context.%s in library package %s severs the caller's cancellation chain; plumb a ctx parameter through instead", sel.Sel.Name, pkgDisplay(p.pkg.path))
-		}
-		return true
-	})
 }
 
 // checkCtxVariants flags calls inside an exported ctx-taking function to
 // callees that have a *Context sibling the function ignores.
-func checkCtxVariants(p *pass, f *fileInfo, fd *ast.FuncDecl) {
+func checkCtxVariants(p *pass, fd *ast.FuncDecl) {
 	if !fd.Name.IsExported() || fd.Body == nil {
 		return
 	}
-	ctxName, ok := ctxParam(p, f, fd)
-	if !ok {
+	// The incoming context: a named first parameter of type context.Context.
+	params := p.pkg.info.Defs[fd.Name].Type().(*types.Signature).Params()
+	if params.Len() == 0 {
 		return
 	}
-	// Best-effort scope: receiver + parameters, enough to resolve method
-	// receivers like t.Search where t is the receiver or a parameter.
-	sc := newScope(nil)
-	if fd.Recv != nil {
-		for _, fld := range fd.Recv.List {
-			t := p.a.parseTypeExpr(f, fld.Type)
-			for _, name := range fld.Names {
-				sc.set(name.Name, t)
-			}
-		}
+	ctx := params.At(0)
+	if ctx.Name() == "" || ctx.Name() == "_" || ctx.Type().String() != "context.Context" {
+		return
 	}
-	for _, fld := range fd.Type.Params.List {
-		t := p.a.parseTypeExpr(f, fld.Type)
-		for _, name := range fld.Names {
-			sc.set(name.Name, t)
-		}
-	}
-	r := &resolver{a: p.a, file: f}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		for _, arg := range call.Args {
-			if id, ok := arg.(*ast.Ident); ok && id.Name == ctxName {
+			if id, ok := arg.(*ast.Ident); ok && p.pkg.info.Uses[id] == ctx {
 				return true // the context is already passed down
 			}
 		}
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			name := fun.Name
-			if hasSuffixContext(name) {
-				return true
-			}
-			if _, shadowed := sc.lookup(name); shadowed {
-				return true
-			}
-			if p.pkg.funcs[name+"Context"] == nil {
-				return true
-			}
-			reportVariant(p, call, fun, ctxName, name)
-		case *ast.SelectorExpr:
-			name := fun.Sel.Name
-			if hasSuffixContext(name) {
-				return true
-			}
-			base, ok := fun.X.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			t := r.typeOf(sc, base)
-			if !t.known() {
-				return true
-			}
-			if sig, _ := p.a.method(t, name+"Context"); sig == nil {
-				return true
-			}
-			reportVariant(p, call, fun.Sel, ctxName, name)
+		fn := p.callee(call)
+		if fn == nil || strings.HasSuffix(fn.Name(), "Context") || !hasContextSibling(p, call, fn) {
+			return true
 		}
+		// The mechanical fix: rename the callee to its Context variant and
+		// pass the incoming context first.
+		name, id := fn.Name(), calleeIdent(call)
+		edits := []Edit{p.replaceEdit(id.Pos(), id.End(), name+"Context")}
+		if len(call.Args) > 0 {
+			edits = append(edits, p.insertEdit(call.Args[0].Pos(), ctx.Name()+", "))
+		} else {
+			edits = append(edits, p.insertEdit(call.Rparen, ctx.Name()))
+		}
+		p.report(call.Pos(), "ctxprop", &Fix{
+			Message: "call the Context variant with the incoming context",
+			Edits:   edits,
+		}, "call to %s ignores the incoming context; use %sContext(%s, ...) so cancellation propagates", name, name, ctx.Name())
 		return true
 	})
 }
 
-func hasSuffixContext(name string) bool {
-	return len(name) > len("Context") && name[len(name)-len("Context"):] == "Context"
-}
-
-// ctxParam returns the name of fd's first parameter when its type is
-// context.Context.
-func ctxParam(p *pass, f *fileInfo, fd *ast.FuncDecl) (string, bool) {
-	params := fd.Type.Params
-	if params == nil || len(params.List) == 0 {
-		return "", false
-	}
-	first := params.List[0]
-	t := p.a.parseTypeExpr(f, first.Type)
-	if t.kind != kNamed || t.pkg != "context" || t.name != "Context" || len(first.Names) == 0 {
-		return "", false
-	}
-	name := first.Names[0].Name
-	if name == "_" {
-		return "", false
-	}
-	return name, true
-}
-
-// reportVariant emits the finding with a mechanical fix: rename the callee
-// to its Context variant and pass the incoming context first.
-func reportVariant(p *pass, call *ast.CallExpr, fun *ast.Ident, ctxName, name string) {
-	edits := []Edit{p.replaceEdit(fun.Pos(), fun.End(), name+"Context")}
-	if len(call.Args) > 0 {
-		edits = append(edits, p.insertEdit(call.Args[0].Pos(), ctxName+", "))
+// hasContextSibling reports whether fn, the callee of call, has a sibling
+// named fn.Name()+"Context": a function of the package under check, or a
+// method of the value the call selects fn on.
+func hasContextSibling(p *pass, call *ast.CallExpr, fn *types.Func) bool {
+	var sibling types.Object
+	if fn.Type().(*types.Signature).Recv() == nil {
+		if fn.Pkg() != p.pkg.types {
+			return false
+		}
+		sibling = fn.Pkg().Scope().Lookup(fn.Name() + "Context")
 	} else {
-		edits = append(edits, p.insertEdit(call.Rparen, ctxName))
+		recv := ast.Unparen(call.Fun).(*ast.SelectorExpr).X // a method is only ever called through a selector
+		sibling, _, _ = types.LookupFieldOrMethod(p.pkg.info.TypeOf(recv), true, p.pkg.types, fn.Name()+"Context")
 	}
-	p.report(call.Pos(), "ctxprop", &Fix{
-		Message: "call the Context variant with the incoming context",
-		Edits:   edits,
-	}, "call to %s ignores the incoming context; use %sContext(%s, ...) so cancellation propagates", name, name, ctxName)
+	_, ok := sibling.(*types.Func)
+	return ok
 }

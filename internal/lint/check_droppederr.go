@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -14,43 +15,50 @@ var droppederrCheck = &Check{
 		"silently truncates results. Suggested fix: discard explicitly " +
 		"with a blank assignment.",
 	run: func(p *pass) {
-		for _, f := range p.pkg.files {
-			p.walkFile(f, hooks{
-				stmtCall: func(w *walker, sc *scope, call *ast.CallExpr, how string) {
-					results, pkg := w.r.callResults(sc, call)
-					if !droppedErrTargets[pkg] {
-						return
-					}
-					hasErr := false
-					for _, t := range results {
-						if t.kind == kError {
-							hasErr = true
-							break
-						}
-					}
-					if !hasErr {
-						return
-					}
-					name := calleeName(call)
-					verb := "call"
-					if how != "" {
-						verb = how + " call"
-					}
-					// A plain statement call can be fixed mechanically by
-					// blanking every result; go/defer calls need a real
-					// handler, so no fix is offered there.
-					var fix *Fix
-					if how == "" {
-						blanks := strings.Repeat("_, ", len(results)-1) + "_ = "
-						fix = &Fix{
-							Message: "discard the error explicitly",
-							Edits:   []Edit{p.insertEdit(call.Pos(), blanks)},
-						}
-					}
-					p.report(call.Pos(), "droppederr", fix,
-						"error from %s %s %s is discarded; handle it, or discard explicitly with _ =", pkg, verb, name)
-				},
-			})
-		}
+		p.inspect(func(n ast.Node) bool {
+			var call *ast.CallExpr
+			how := ""
+			switch s := n.(type) {
+			case *ast.ExprStmt:
+				call, _ = s.X.(*ast.CallExpr)
+			case *ast.DeferStmt:
+				call, how = s.Call, "defer"
+			case *ast.GoStmt:
+				call, how = s.Call, "go"
+			}
+			if call == nil {
+				return true
+			}
+			// The package that declares the callee — for a method called
+			// through an interface, the interface's package.
+			fn := p.callee(call)
+			if fn == nil || fn.Pkg() == nil {
+				return true
+			}
+			pkg, _ := p.a.relImport(fn.Pkg().Path())
+			results := fn.Type().(*types.Signature).Results()
+			if !droppedErrTargets[pkg] || results.Len() == 0 ||
+				!types.Identical(results.At(results.Len()-1).Type(), types.Universe.Lookup("error").Type()) {
+				return true
+			}
+			verb := "call"
+			if how != "" {
+				verb = how + " call"
+			}
+			// A plain statement call can be fixed mechanically by
+			// blanking every result; go/defer calls need a real
+			// handler, so no fix is offered there.
+			var fix *Fix
+			if how == "" {
+				blanks := strings.Repeat("_, ", results.Len()-1) + "_ = "
+				fix = &Fix{
+					Message: "discard the error explicitly",
+					Edits:   []Edit{p.insertEdit(call.Pos(), blanks)},
+				}
+			}
+			p.report(call.Pos(), "droppederr", fix,
+				"error from %s %s %s is discarded; handle it, or discard explicitly with _ =", pkg, verb, calleeName(call))
+			return true
+		})
 	},
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 )
 
 var floateqCheck = &Check{
@@ -12,18 +13,23 @@ var floateqCheck = &Check{
 		"compare with a tolerance, or annotate the rare exact-equality " +
 		"contract with //strlint:ignore floateq <reason>.",
 	run: func(p *pass) {
-		for _, f := range p.pkg.files {
-			p.walkFile(f, hooks{
-				binary: func(w *walker, sc *scope, x *ast.BinaryExpr) {
-					if x.Op != token.EQL && x.Op != token.NEQ {
-						return
-					}
-					if p.a.isFloat(w.r.typeOf(sc, x.X)) || p.a.isFloat(w.r.typeOf(sc, x.Y)) {
-						p.reportf(x.OpPos, "floateq",
-							"%s on float operands; compare with a tolerance, or add //strlint:ignore floateq <reason> if exact equality is the contract", x.Op)
-					}
-				},
-			})
-		}
+		p.inspect(func(n ast.Node) bool {
+			x, ok := n.(*ast.BinaryExpr)
+			if !ok || (x.Op != token.EQL && x.Op != token.NEQ) {
+				return true
+			}
+			if p.isFloat(x.X) || p.isFloat(x.Y) {
+				p.reportf(x.OpPos, "floateq",
+					"%s on float operands; compare with a tolerance, or add //strlint:ignore floateq <reason> if exact equality is the contract", x.Op)
+			}
+			return true
+		})
 	},
+}
+
+// isFloat reports whether e's type is float32/float64, a defined type
+// whose underlying type is, or an untyped float constant.
+func (p *pass) isFloat(e ast.Expr) bool {
+	b, ok := p.pkg.info.TypeOf(e).Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsFloat != 0
 }

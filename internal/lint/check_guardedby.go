@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -15,9 +16,9 @@ var guardedbyCheck = &Check{
 		"set, Unlock/RUnlock removes it, `defer mu.Unlock()` keeps it held " +
 		"to the end, and effects inside branches are discarded on exit. " +
 		"Methods whose name ends in Locked are callee-holds-lock by " +
-		"convention and are skipped. The check also flags mutex-by-value: " +
-		"receivers or parameters whose type contains a sync.Mutex/RWMutex " +
-		"passed by value, and annotations naming a nonexistent field.",
+		"convention and are skipped. An annotation naming a nonexistent " +
+		"field is itself a finding. (Copying a lock by value is go vet's " +
+		"copylocks, not repeated here.)",
 	run: runGuardedby,
 }
 
@@ -31,35 +32,24 @@ func runGuardedby(p *pass) {
 		return
 	}
 	annotated := collectGuards(p)
-	for _, f := range p.pkg.files {
-		for _, decl := range f.ast.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			checkMutexByValue(p, f, fd)
-			if fd.Recv == nil || len(fd.Recv.List) == 0 || fd.Body == nil {
-				continue
-			}
-			if strings.HasSuffix(fd.Name.Name, "Locked") {
-				continue // callee-holds-lock convention
-			}
-			recvType := deref(p.a.parseTypeExpr(f, fd.Recv.List[0].Type))
-			if recvType.kind != kNamed || recvType.pkg != p.pkg.path {
-				continue
-			}
-			gt, ok := annotated[recvType.name]
-			if !ok || len(fd.Recv.List[0].Names) == 0 {
-				continue
-			}
-			recvName := fd.Recv.List[0].Names[0].Name
-			if recvName == "_" {
-				continue
-			}
-			g := &guardScan{p: p, recv: recvName, guards: gt.guards, method: fd.Name.Name}
+	p.eachFuncDecl(func(fd *ast.FuncDecl) {
+		if fd.Recv == nil || fd.Body == nil || strings.HasSuffix(fd.Name.Name, "Locked") {
+			return // not a method, or callee-holds-lock by convention
+		}
+		recv := p.pkg.info.Defs[fd.Name].Type().(*types.Signature).Recv()
+		t := recv.Type()
+		if ptr, ok := t.(*types.Pointer); ok {
+			t = ptr.Elem()
+		}
+		named, ok := t.(*types.Named)
+		if !ok || recv.Name() == "" || recv.Name() == "_" {
+			return
+		}
+		if gt, ok := annotated[named.Obj().Name()]; ok {
+			g := &guardScan{p: p, recv: recv, guards: gt.guards, method: fd.Name.Name}
 			g.stmts(fd.Body.List, map[string]bool{})
 		}
-	}
+	})
 }
 
 // collectGuards parses `// guarded by <mu>` comments on struct fields and
@@ -155,64 +145,10 @@ func isIdent(s string) bool {
 	return true
 }
 
-// checkMutexByValue flags receivers and parameters whose type directly
-// contains a by-value sync.Mutex or sync.RWMutex but is itself passed by
-// value, silently copying the lock.
-func checkMutexByValue(p *pass, f *fileInfo, fd *ast.FuncDecl) {
-	report := func(fl *ast.FieldList, what string) {
-		if fl == nil {
-			return
-		}
-		for _, fld := range fl.List {
-			t := p.a.parseTypeExpr(f, fld.Type)
-			if t.kind == kPointer {
-				continue
-			}
-			mu := mutexFieldOf(p.a, t)
-			if mu == "" {
-				continue
-			}
-			p.reportf(fld.Type.Pos(), "guardedby",
-				"%s %s passes %s by value, copying its lock %s; use a pointer", fd.Name.Name, what, deref(t).name, mu)
-		}
-	}
-	report(fd.Recv, "receiver")
-	report(fd.Type.Params, "parameter")
-}
-
-// mutexFieldOf returns the name of a direct by-value sync.Mutex/RWMutex
-// field of t, or "".
-func mutexFieldOf(a *Analyzer, t typeRef) string {
-	t = deref(t)
-	if t.kind != kNamed {
-		return ""
-	}
-	pkg := a.pkgs[t.pkg]
-	if pkg == nil {
-		return ""
-	}
-	ti := pkg.types[t.name]
-	if ti == nil {
-		return ""
-	}
-	var names []string
-	for name := range ti.fields {
-		names = append(names, name)
-	}
-	sortStrings(names)
-	for _, name := range names {
-		ft := ti.fields[name]
-		if ft.kind == kNamed && ft.pkg == "sync" && (ft.name == "Mutex" || ft.name == "RWMutex") {
-			return name
-		}
-	}
-	return ""
-}
-
 // guardScan walks one method body tracking which mutexes are held.
 type guardScan struct {
 	p        *pass
-	recv     string
+	recv     *types.Var        // the method's receiver
 	guards   map[string]string // field -> mutex
 	method   string
 	reported map[token.Pos]bool
@@ -248,7 +184,7 @@ func (g *guardScan) lockOp(e ast.Expr) (string, string) {
 		return "", ""
 	}
 	base, ok := inner.X.(*ast.Ident)
-	if !ok || base.Name != g.recv {
+	if !ok || g.p.pkg.info.Uses[base] != g.recv {
 		return "", ""
 	}
 	switch sel.Sel.Name {
@@ -380,7 +316,7 @@ func (g *guardScan) check(e ast.Expr, held map[string]bool) {
 			return true
 		}
 		base, ok := sel.X.(*ast.Ident)
-		if !ok || base.Name != g.recv {
+		if !ok || g.p.pkg.info.Uses[base] != g.recv {
 			return true
 		}
 		mu, guarded := g.guards[sel.Sel.Name]
@@ -396,7 +332,7 @@ func (g *guardScan) check(e ast.Expr, held map[string]bool) {
 		g.reported[sel.Pos()] = true
 		g.p.reportf(sel.Sel.Pos(), "guardedby",
 			"%s.%s is guarded by %s but accessed in %s without it held; lock %s first or rename the method with a Locked suffix",
-			g.recv, sel.Sel.Name, mu, g.method, mu)
+			g.recv.Name(), sel.Sel.Name, mu, g.method, mu)
 		return true
 	})
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -22,14 +23,7 @@ var importsCheck = &Check{
 			}
 			for _, imp := range f.ast.Imports {
 				path := strings.Trim(imp.Path.Value, `"`)
-				rel, inModule := cutModulePrefix(path, p.a.module)
-				if path == p.a.module {
-					rel, inModule = "", true
-				}
-				if !inModule {
-					continue
-				}
-				if !allowed[rel] {
+				if rel, inModule := p.a.relImport(path); inModule && !allowed[rel] {
 					p.reportf(imp.Pos(), "imports",
 						"layering violation: %s must not import %s (allowed: %s)",
 						pkgDisplay(p.pkg.path), pkgDisplay(rel), allowedList(allowed))
@@ -47,14 +41,6 @@ func allowedList(allowed map[string]bool) string {
 	for p := range allowed {
 		names = append(names, pkgDisplay(p))
 	}
-	sortStrings(names)
+	slices.Sort(names)
 	return strings.Join(names, ", ")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strings"
 )
 
@@ -27,33 +28,41 @@ var maporderCheck = &Check{
 		if !deterministicLayers[p.pkg.path] {
 			return
 		}
-		for _, f := range p.pkg.files {
-			p.walkFile(f, hooks{
-				rangeOver: func(w *walker, sc *scope, s *ast.RangeStmt, rest []ast.Stmt) {
-					if !isMapType(p.a, w.r.typeOf(sc, s.X)) {
-						return
+		// A range statement always sits in a statement list; the
+		// statements after it there decide "sorted afterwards".
+		p.inspect(func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch b := n.(type) {
+			case *ast.BlockStmt:
+				list = b.List
+			case *ast.CaseClause:
+				list = b.Body
+			case *ast.CommClause:
+				list = b.Body
+			}
+			for i, st := range list {
+				if l, ok := st.(*ast.LabeledStmt); ok {
+					st = l.Stmt
+				}
+				s, ok := st.(*ast.RangeStmt)
+				if !ok {
+					continue
+				}
+				if _, isMap := p.pkg.info.TypeOf(s.X).Underlying().(*types.Map); !isMap {
+					continue
+				}
+				for _, em := range findEmissions(s.Body) {
+					if em.collectVar != "" && sortedAfter(em.collectVar, list[i+1:]) {
+						continue
 					}
-					for _, em := range findEmissions(s.Body) {
-						if em.collectVar != "" && sortedAfter(em.collectVar, rest) {
-							continue
-						}
-						p.reportf(em.pos, "maporder",
-							"map iteration order reaches ordered output (%s) in deterministic layer %s; sort the keys first",
-							em.desc, pkgDisplay(p.pkg.path))
-					}
-				},
-			})
-		}
+					p.reportf(em.pos, "maporder",
+						"map iteration order reaches ordered output (%s) in deterministic layer %s; sort the keys first",
+						em.desc, pkgDisplay(p.pkg.path))
+				}
+			}
+			return true
+		})
 	},
-}
-
-// isMapType reports whether t is a map, following named types.
-func isMapType(a *Analyzer, t typeRef) bool {
-	t = deref(t)
-	if t.kind == kNamed {
-		t = deref(a.underlying(t))
-	}
-	return t.kind == kMap
 }
 
 // emission is one ordered-output site inside a range-over-map body.
@@ -109,11 +118,8 @@ func findEmissions(body *ast.BlockStmt) []emission {
 
 // calleeBase returns the bare function or method name of a call.
 func calleeBase(call *ast.CallExpr) string {
-	switch f := call.Fun.(type) {
-	case *ast.Ident:
-		return f.Name
-	case *ast.SelectorExpr:
-		return f.Sel.Name
+	if id := calleeIdent(call); id != nil {
+		return id.Name
 	}
 	return ""
 }

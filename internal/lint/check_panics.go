@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -15,25 +16,26 @@ var panicsCheck = &Check{
 		if !libraryPackage(p.pkg.path) {
 			return
 		}
-		for _, f := range p.pkg.files {
-			p.walkFile(f, hooks{
-				call: func(w *walker, sc *scope, call *ast.CallExpr) {
-					id, ok := call.Fun.(*ast.Ident)
-					if !ok || id.Name != "panic" {
-						return
-					}
-					if _, shadowed := sc.lookup("panic"); shadowed {
-						return
-					}
-					name := w.funcName()
-					lower := strings.ToLower(name)
-					if strings.HasPrefix(lower, "must") || name == "init" {
-						return
-					}
+		p.eachFuncDecl(func(fd *ast.FuncDecl) {
+			name := fd.Name.Name
+			if strings.HasPrefix(strings.ToLower(name), "must") || name == "init" {
+				return
+			}
+			ast.Inspect(fd, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				id, ok := call.Fun.(*ast.Ident)
+				if !ok || id.Name != "panic" {
+					return true
+				}
+				if _, builtin := p.pkg.info.Uses[id].(*types.Builtin); builtin {
 					p.reportf(call.Pos(), "panics",
 						"panic in library function %s; return an error, or mark a documented contract with //strlint:ignore panics <reason>", name)
-				},
+				}
+				return true
 			})
-		}
+		})
 	},
 }

@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/types"
 )
 
 // clockFuncs are the time-package functions whose value differs between
@@ -22,34 +23,30 @@ var timerandCheck = &Check{
 		if !deterministicLayers[p.pkg.path] {
 			return
 		}
-		for _, f := range p.pkg.files {
-			p.walkFile(f, hooks{
-				call: func(w *walker, sc *scope, call *ast.CallExpr) {
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok {
-						return
-					}
-					id, ok := sel.X.(*ast.Ident)
-					if !ok {
-						return
-					}
-					if _, shadowed := sc.lookup(id.Name); shadowed {
-						return
-					}
-					switch w.file.imports[id.Name] {
-					case "time":
-						if clockFuncs[sel.Sel.Name] {
-							p.reportf(call.Pos(), "timerand",
-								"time.%s in deterministic layer %s; wall-clock values must not influence build output (baseline it if it only feeds stats)",
-								sel.Sel.Name, pkgDisplay(p.pkg.path))
-						}
-					case "math/rand", "math/rand/v2":
-						p.reportf(call.Pos(), "timerand",
-							"math/rand call %s in deterministic layer %s; randomness must not influence build output",
-							calleeName(call), pkgDisplay(p.pkg.path))
-					}
-				},
-			})
-		}
+		p.inspect(func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			// Package-level functions only: a method (t.Since, or Intn on a
+			// seeded *rand.Rand handed in by the caller) reads no global state.
+			fn := p.callee(call)
+			if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+				return true
+			}
+			switch fn.Pkg().Path() {
+			case "time":
+				if clockFuncs[fn.Name()] {
+					p.reportf(call.Pos(), "timerand",
+						"time.%s in deterministic layer %s; wall-clock values must not influence build output (baseline it if it only feeds stats)",
+						fn.Name(), pkgDisplay(p.pkg.path))
+				}
+			case "math/rand", "math/rand/v2":
+				p.reportf(call.Pos(), "timerand",
+					"math/rand call %s in deterministic layer %s; randomness must not influence build output",
+					calleeName(call), pkgDisplay(p.pkg.path))
+			}
+			return true
+		})
 	},
 }

@@ -14,44 +14,28 @@ var waitpairCheck = &Check{
 		"shutdown and races teardown; the checksum tests cannot catch a " +
 		"leak that only bites under load. Intraprocedural.",
 	run: func(p *pass) {
-		for _, f := range p.pkg.files {
-			// addSeen tracks whether a WaitGroup.Add call has appeared
-			// earlier (lexically) in the current top-level function. The
-			// walk is lexical, so resetting on function-name change is
-			// exact for top-level declarations.
+		p.eachFuncDecl(func(fd *ast.FuncDecl) {
+			// ast.Inspect visits in source order, so addSeen is "a
+			// WaitGroup.Add call appears earlier in this declaration".
 			addSeen := false
-			var curFunc string
-			enter := func(w *walker) {
-				if len(w.funcNames) > 0 && w.funcNames[0] != curFunc {
-					curFunc = w.funcNames[0]
-					addSeen = false
-				}
-			}
-			p.walkFile(f, hooks{
-				call: func(w *walker, sc *scope, call *ast.CallExpr) {
-					enter(w)
-					sel, ok := call.Fun.(*ast.SelectorExpr)
-					if !ok || sel.Sel.Name != "Add" {
-						return
-					}
-					t := deref(w.r.typeOf(sc, sel.X))
-					if t.kind == kNamed && t.pkg == "sync" && t.name == "WaitGroup" {
+			ast.Inspect(fd, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					if fn := p.callee(x); fn != nil && fn.FullName() == "(*sync.WaitGroup).Add" {
 						addSeen = true
 					}
-				},
-				goStmt: func(w *walker, sc *scope, s *ast.GoStmt) {
-					enter(w)
-					if lit, ok := s.Call.Fun.(*ast.FuncLit); ok && signalsCompletion(lit.Body) {
-						return
+				case *ast.GoStmt:
+					if lit, ok := x.Call.Fun.(*ast.FuncLit); ok && signalsCompletion(lit.Body) {
+						return true
 					}
-					if addSeen {
-						return
+					if !addSeen {
+						p.reportf(x.Pos(), "waitpair",
+							"goroutine in %s has no completion signal (no WaitGroup Add/Done pairing, channel send, or close); callers cannot wait for it", fd.Name.Name)
 					}
-					p.reportf(s.Pos(), "waitpair",
-						"goroutine in %s has no completion signal (no WaitGroup Add/Done pairing, channel send, or close); callers cannot wait for it", w.funcName())
-				},
+				}
+				return true
 			})
-		}
+		})
 	},
 }
 

@@ -1,21 +1,25 @@
 // Package lint implements strlint, the repository's own static analyzer
 // (run as `go run ./cmd/strlint ./...`). It is built on the standard
-// library only — go/parser, go/ast, go/token — matching the module's
-// stdlib-only rule, and its checks are tuned to this codebase rather than
-// to Go in general.
+// library only, matching the module's stdlib-only rule: go/parser and
+// go/ast for syntax, go/build for build constraints, and go/types —
+// with the standard library type-checked from source — as the only source
+// of type information (load.go). Its checks are tuned to this codebase
+// rather than to Go in general, and it leaves to `go vet`, which check.sh
+// runs first, what vet already enforces: loop variables captured by
+// go/defer literals (loopclosure; moot since go 1.22) and locks copied by
+// value (copylocks).
 //
 // The package is organized as an analyzer registry (registry.go): each
 // check is a self-contained analyzer with a name, a doc string, and a
-// per-package run function over the shared AST and best-effort type
-// tables, optionally attaching suggested fixes that `strlint -fix`
-// applies as text edits. The registered checks:
+// per-package run function over the package's AST and types.Info,
+// optionally attaching suggested fixes that `strlint -fix` applies as
+// text edits. The registered checks:
 //
 //	floateq     ==/!= between floating-point values.
 //	droppederr  discarded errors from the error-critical packages
 //	            (storage, buffer, query, server, extsort, pack,
 //	            encoding/binary).
 //	panics      panic() in library code outside must*/Must*/init.
-//	loopcapture go/defer literals capturing loop variables.
 //	imports     cross-layer imports violating the table in rules.go.
 //	maporder    range over a map that emits ordered output (appends,
 //	            page writes, channel sends) in the deterministic build
@@ -23,7 +27,7 @@
 //	timerand    time.Now/Since/Until or math/rand in the deterministic
 //	            build layers.
 //	guardedby   fields annotated `// guarded by <mu>` accessed without
-//	            the lock held, and mutex-by-value copies.
+//	            the lock held.
 //	waitpair    goroutines with no completion signal (no WaitGroup
 //	            Add/Done pairing, channel send, or close).
 //	ctxprop     context-taking exported functions that call a
@@ -102,27 +106,22 @@ func (a *Analyzer) Run(pkgPaths, checks []string) ([]Finding, error) {
 			enabled = append(enabled, c)
 		}
 	}
-	var pkgs []*pkgInfo
 	if len(pkgPaths) == 0 {
-		for _, p := range a.pkgs {
-			if !p.synthetic {
-				pkgs = append(pkgs, p)
-			}
+		pkgPaths = a.Packages()
+	}
+	var pkgs []*pkgInfo
+	for _, path := range pkgPaths {
+		p, ok := a.pkgs[path]
+		if !ok {
+			return nil, fmt.Errorf("lint: package %q not found in module %s", path, a.module)
 		}
-	} else {
-		for _, path := range pkgPaths {
-			p, ok := a.pkgs[path]
-			if !ok || p.synthetic {
-				return nil, fmt.Errorf("lint: package %q not found in module %s", path, a.module)
-			}
-			pkgs = append(pkgs, p)
-		}
+		pkgs = append(pkgs, p)
 	}
 	slices.SortFunc(pkgs, func(a, b *pkgInfo) int { return strings.Compare(a.path, b.path) })
 
-	// One goroutine per package, bounded by GOMAXPROCS. The symbol tables
-	// are read-only after Load, so checks for different packages never
-	// share mutable state.
+	// One goroutine per package, bounded by GOMAXPROCS. The syntax and the
+	// type information are read-only after Load, so checks for different
+	// packages never share mutable state.
 	perPkg := make([][]Finding, len(pkgs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup

@@ -8,16 +8,6 @@ import (
 	"strtree/internal/lint"
 )
 
-// loadDemo parses the fixture module once per test.
-func loadDemo(t *testing.T) *lint.Analyzer {
-	t.Helper()
-	a, err := lint.Load(filepath.Join("testdata", "demo"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
 func runAll(t *testing.T, a *lint.Analyzer) []lint.Finding {
 	t.Helper()
 	findings, err := a.Run(nil, nil)
@@ -37,7 +27,7 @@ func byCheck(findings []lint.Finding) map[string][]lint.Finding {
 }
 
 func TestLoadDemoModule(t *testing.T) {
-	a := loadDemo(t)
+	a := lint.DemoModule(t)
 	if a.Module() != "demo" {
 		t.Fatalf("module = %q", a.Module())
 	}
@@ -53,22 +43,26 @@ func TestLoadDemoModule(t *testing.T) {
 	}
 }
 
-// TestEveryCheckFires proves all ten checks plus the directive validator
-// are live, with the exact finding count each fixture was written for.
+// TestEveryCheckFires proves every registered check is live, with the
+// exact finding count each fixture was written for.
 func TestEveryCheckFires(t *testing.T) {
-	found := byCheck(runAll(t, loadDemo(t)))
+	found := byCheck(runAll(t, lint.DemoModule(t)))
 	wantCounts := map[string]int{
-		"floateq":     3, // two live in demo.go + one under the malformed directive
-		"droppederr":  7, // plain call, defer, encoding/binary, go call, goroutine body, intra-package call, dropped write-pin release
-		"panics":      1, // widget.Explode only; Must*/init exempt
-		"loopcapture": 2, // goroutine capture + defer capture
-		"imports":     3, // geom->storage violation + router->rtree violation + widget missing from table
-		"directive":   4, // missing reason, unknown check, unknown verb, empty list entry
-		"maporder":    2, // unsorted key collection + in-range write (sorted collection exempt)
-		"timerand":    3, // time.Now, time.Since, rand.Intn in a build layer
-		"guardedby":   3, // unguarded access, store-by-value, annotation naming a non-field
-		"waitpair":    2, // named-function goroutine + signal-free literal
-		"ctxprop":     3, // ignored Context method + function variants, context.Background
+		"floateq":    5, // two live in demo.go + promoted field of a map element + one under the malformed directive + the platform file
+		"droppederr": 8, // plain call, defer, encoding/binary, go call, goroutine body, intra-package call, dropped write-pin release, embedded-interface method
+		"panics":     1, // widget.Explode only; Must*/init exempt
+		"imports":    3, // geom->storage violation + router->rtree violation + widget missing from table
+		"directive":  4, // missing reason, unknown check, unknown verb, empty list entry
+		"maporder":   2, // unsorted key collection + in-range write (sorted collection exempt)
+		"timerand":   3, // time.Now, time.Since, rand.Intn in a build layer (Intn on a caller-seeded *rand.Rand exempt)
+		"guardedby":  2, // unguarded access, annotation naming a non-field
+		"waitpair":   2, // named-function goroutine + signal-free literal
+		"ctxprop":    3, // ignored Context method + function variants, context.Background (a sibling in another package exempt)
+	}
+	for _, check := range lint.AllChecks() {
+		if _, ok := wantCounts[check]; !ok {
+			t.Errorf("registered check %q has no fixture count", check)
+		}
 	}
 	for check, want := range wantCounts {
 		if got := len(found[check]); got != want {
@@ -87,11 +81,9 @@ func TestEveryCheckFires(t *testing.T) {
 }
 
 func TestFindingDetails(t *testing.T) {
-	findings := runAll(t, loadDemo(t))
+	findings := runAll(t, lint.DemoModule(t))
 	wantSubstrings := []string{
 		"panic in library function Explode",
-		"loop variable i captured by go literal",
-		"loop variable x captured by defer literal",
 		"internal/geom must not import internal/storage",
 		"internal/router must not import internal/rtree",
 		"package internal/widget missing from the strlint layering table",
@@ -99,6 +91,10 @@ func TestFindingDetails(t *testing.T) {
 		"error from encoding/binary call binary.Write is discarded",
 		"error from internal/query go call ex.Run is discarded",
 		"error from internal/server call Shutdown is discarded",
+		// The two cases below need exact types: a method reached through
+		// an embedded interface, a promoted field of a map element.
+		"demo.go:110:2: droppederr: error from internal/storage call d.Flush is discarded",
+		"demo.go:124:21: floateq: == on float operands",
 		"malformed directive",
 		`unknown check "floatqe"`,
 		`unknown strlint directive "ignored"`,
@@ -107,7 +103,6 @@ func TestFindingDetails(t *testing.T) {
 		"time.Now in deterministic layer",
 		"math/rand call rand.Intn in deterministic layer",
 		"s.pages is guarded by mu but accessed in Get without it held",
-		"Snapshot parameter passes Store by value, copying its lock mu",
 		`guarded-by annotation names "lock", which is not a field of Store`,
 		"goroutine in FireAndForget has no completion signal",
 		"call to Scan ignores the incoming context; use ScanContext(ctx, ...)",
@@ -129,7 +124,7 @@ func TestFindingDetails(t *testing.T) {
 // the preceding line and a file-ignore both silence findings, while a
 // malformed one silences nothing.
 func TestSuppression(t *testing.T) {
-	findings := runAll(t, loadDemo(t))
+	findings := runAll(t, lint.DemoModule(t))
 	for _, f := range findings {
 		base := filepath.Base(f.Pos.Filename)
 		if base == "fileignore.go" {
@@ -148,7 +143,7 @@ func TestSuppression(t *testing.T) {
 
 // TestCheckSelection proves the -checks filter restricts the run.
 func TestCheckSelection(t *testing.T) {
-	a := loadDemo(t)
+	a := lint.DemoModule(t)
 	findings, err := a.Run(nil, []string{"panics"})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +163,7 @@ func TestCheckSelection(t *testing.T) {
 
 // TestPackageSelection proves the package filter restricts the run.
 func TestPackageSelection(t *testing.T) {
-	a := loadDemo(t)
+	a := lint.DemoModule(t)
 	findings, err := a.Run([]string{"internal/widget"}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -196,14 +191,7 @@ func TestRealModuleIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := lint.Load(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings, err := a.Run(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	findings := runAll(t, lint.RealModule(t))
 	entries, err := lint.LoadBaseline(filepath.Join(root, ".strlint-baseline.json"))
 	if err != nil {
 		t.Fatal(err)

@@ -3,7 +3,7 @@ package lint
 // The analyzer registry. Every check is a self-contained analyzer: a
 // name, a one-paragraph doc string (surfaced by `strlint -list` and as
 // the rule description in SARIF output), and a run function invoked once
-// per package against the shared AST and best-effort type information.
+// per package against its AST and go/types information.
 // Checks report through the pass and may attach suggested fixes, which
 // `strlint -fix` applies as text edits.
 
@@ -30,7 +30,6 @@ func init() {
 		floateqCheck,
 		droppederrCheck,
 		panicsCheck,
-		loopcaptureCheck,
 		importsCheck,
 		maporderCheck,
 		timerandCheck,

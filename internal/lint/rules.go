@@ -53,11 +53,12 @@ var deterministicLayers = map[string]bool{
 //	obs                                -> histo
 //	query                              -> geom, node
 //	buffer, trace                      -> storage
-//	datagen, psort                     -> geom, node
+//	datagen                            -> geom, node
+//	psort                              -> node
 //	extsort                            -> geom, node, psort
 //	pack                               -> extsort, geom, hilbert, node, psort
 //	rtree                              -> buffer, geom, node, storage
-//	metrics, invariant                 -> rtree and below
+//	metrics, invariant                 -> node, rtree, storage
 //	experiments                        -> everything below
 //	strtree (root)                     -> the public surface's needs
 //	router/shardmap                    -> geom, node, pack
@@ -92,7 +93,7 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/trace":   {"internal/storage": true},
 	"internal/datagen": {"internal/geom": true, "internal/node": true},
 	"internal/extsort": {"internal/geom": true, "internal/node": true, "internal/psort": true},
-	"internal/psort":   {"internal/geom": true, "internal/node": true},
+	"internal/psort":   {"internal/node": true},
 	"internal/pack": {
 		"internal/extsort": true,
 		"internal/geom":    true,
@@ -112,8 +113,6 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/storage": true,
 	},
 	"internal/invariant": {
-		"internal/buffer":  true,
-		"internal/geom":    true,
 		"internal/node":    true,
 		"internal/rtree":   true,
 		"internal/storage": true,

@@ -102,27 +102,24 @@ func DropHandled(p *storage.Pager) error {
 	return nil
 }
 
-// CaptureLoop fires loopcapture for the goroutine and the defer.
-func CaptureLoop(xs []int) {
-	for i := range xs {
-		//strlint:ignore waitpair fixture isolates loopcapture
-		go func() {
-			_ = xs[i] // want loopcapture
-		}()
-	}
-	for _, x := range xs {
-		defer func() {
-			_ = x // want loopcapture
-		}()
-	}
+// DropThroughInterface fires droppederr on a method reached through an
+// embedded interface: storage.Device does not list Flush itself, it
+// embeds storage.Flusher, so naming the package that declares the callee
+// takes Device's full method set.
+func DropThroughInterface(d storage.Device) {
+	d.Flush() // want droppederr
 }
 
-// CaptureSafely must not fire: the loop variable is passed as an argument.
-func CaptureSafely(xs []int) {
-	for i := range xs {
-		//strlint:ignore waitpair fixture isolates loopcapture
-		go func(i int) {
-			_ = xs[i]
-		}(i)
-	}
+// reading is embedded in sample, which makes sample.weight a promoted
+// field.
+type reading struct{ weight float64 }
+
+type sample struct{ reading }
+
+// Weightless fires floateq on a promoted field of a map element: the
+// float is two steps of type information away (the map's element type,
+// then the embedded struct's field set), and the other operand is an
+// untyped integer constant.
+func Weightless(m map[string]sample, k string) bool {
+	return m[k].weight == 0 // want floateq
 }

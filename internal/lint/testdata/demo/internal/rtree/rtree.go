@@ -1,5 +1,5 @@
 // Package rtree fixtures the guardedby check: annotated fields must only
-// be touched with their mutex held, and a mutex must never be copied.
+// be touched with their mutex held.
 package rtree
 
 import "sync"
@@ -38,8 +38,3 @@ func (s *Store) Len() int {
 // countLocked must not fire: the Locked suffix marks the caller as the
 // lock holder.
 func (s *Store) countLocked() int { return s.count }
-
-// Snapshot fires guardedby: it receives the Store by value, copying mu.
-func Snapshot(s Store) int { // want guardedby
-	return len(s.pages)
-}

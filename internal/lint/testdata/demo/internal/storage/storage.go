@@ -13,3 +13,13 @@ func (p *Pager) Close() error { return nil }
 
 // Open pretends to open a pager.
 func Open(path string) (*Pager, error) { return &Pager{}, nil }
+
+// Flusher is the one-method interface Device embeds.
+type Flusher interface{ Flush() error }
+
+// Device reaches Flush only through the embedded Flusher: the method is
+// declared in this package but is not in Device's own method list.
+type Device interface {
+	Flusher
+	Name() string
+}
