@@ -176,8 +176,8 @@ func BenchmarkAblationPinning(b *testing.B) {
 		tr := build(10)
 		// Collect internal pages and pin them after the cold start.
 		var internal []storage.PageID
-		if err := tr.Walk(func(id storage.PageID, n *node.Node) bool {
-			if !n.IsLeaf() {
+		if err := tr.Walk(func(id storage.PageID, v node.View) bool {
+			if !v.IsLeaf() {
 				internal = append(internal, id)
 			}
 			return true

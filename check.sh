@@ -6,7 +6,11 @@
 #   2. go vet         the standard analyzer suite (strlint repeats none
 #                     of it: loop-variable capture is vet's loopclosure,
 #                     locks copied by value are vet's copylocks)
-#   3. go build       the whole module compiles
+#   3. go build       the whole module compiles, and one grep: no non-test
+#                     .go file outside internal/node and bench/ mentions
+#                     node.Unmarshal or readNode — library code reads a
+#                     page through node.View only, so the second decoder
+#                     cannot creep back
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -18,9 +22,9 @@
 #                     with go/types, the standard library from source, so
 #                     the step takes seconds, not milliseconds; its wall
 #                     time is printed.
-#   5. go test        the full test suite (includes the invariant
-#                     verifier's corrupted-tree fixtures and the fuzz
-#                     seed corpora)
+#   5. go test        the full test suite (includes the structural
+#                     verifier's corrupted-tree fixtures in internal/rtree
+#                     and the fuzz seed corpora)
 #   6. go test -race  the concurrency-sensitive packages: the buffer pool
 #                     (incl. the sharded pool's eviction hammer and the
 #                     write-pin protocol), the packers, the parallel sort
@@ -74,6 +78,7 @@ go vet ./...
 
 echo "== go build"
 go build ./...
+if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

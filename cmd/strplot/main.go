@@ -84,11 +84,12 @@ func plotLeaves(dir, name, label string, o rtree.Orderer, seed int64, n int) err
 		return err
 	}
 	c := svg.New(640, 640)
-	err = tr.Walk(func(_ storage.PageID, nd *node.Node) bool {
-		if !nd.IsLeaf() {
+	m := geom.Rect{Min: make(geom.Point, 2), Max: make(geom.Point, 2)}
+	err = tr.Walk(func(_ storage.PageID, v node.View) bool {
+		if !v.IsLeaf() {
 			return true
 		}
-		m := nd.MBR()
+		v.MBRInto(&m)
 		c.Rect(m.Min[0], m.Min[1], m.Max[0], m.Max[1], "black", 0.7, "none")
 		return true
 	})

@@ -98,8 +98,7 @@ func (p Policy) String() string {
 // MarkDirty and ReleaseMut. Release, a hit, FlushAll and SetResident leave
 // the bytes alone and so leave the mark. A stray write to Data outside the
 // protocol (no MarkDirty, no write pin) is invisible to the mark; only the
-// checkers that always fully decode (rtree.Validate, internal/invariant)
-// catch it.
+// readers that always validate in full (rtree's Walk and Check) catch it.
 type Frame struct {
 	id   storage.PageID
 	data []byte

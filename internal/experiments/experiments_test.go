@@ -9,6 +9,7 @@ import (
 	"strtree/internal/datagen"
 	"strtree/internal/pack"
 	"strtree/internal/query"
+	"strtree/internal/rtree"
 )
 
 // tinyConfig keeps every experiment fast enough for the unit-test suite.
@@ -141,12 +142,12 @@ func TestBuildPackedAndAvgAccesses(t *testing.T) {
 	if tr.Len() != 2000 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(rtree.CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// Stats arrive zeroed.
 	if s := tr.Pool().Stats(); s.DiskReads != 0 {
-		// Validate walks the tree, so reset before measuring.
+		// Check walks the tree, so reset before measuring.
 		tr.Pool().ResetStats()
 	}
 	qs := query.Points(100, 2)

@@ -44,8 +44,8 @@ func ExtLevels(cfg Config) (*Table, error) {
 		}
 		// Map pages to levels.
 		leafPage := map[storage.PageID]bool{}
-		if err := tr.Walk(func(id storage.PageID, n *node.Node) bool {
-			leafPage[id] = n.IsLeaf()
+		if err := tr.Walk(func(id storage.PageID, v node.View) bool {
+			leafPage[id] = v.IsLeaf()
 			return true
 		}); err != nil {
 			return nil, err

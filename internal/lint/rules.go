@@ -58,7 +58,7 @@ var deterministicLayers = map[string]bool{
 //	extsort                            -> geom, node, psort
 //	pack                               -> extsort, geom, hilbert, node, psort
 //	rtree                              -> buffer, geom, node, storage
-//	metrics, invariant                 -> node, rtree, storage
+//	metrics                            -> geom, node, rtree, storage
 //	experiments                        -> everything below
 //	strtree (root)                     -> the public surface's needs
 //	router/shardmap                    -> geom, node, pack
@@ -108,11 +108,7 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/storage": true,
 	},
 	"internal/metrics": {
-		"internal/node":    true,
-		"internal/rtree":   true,
-		"internal/storage": true,
-	},
-	"internal/invariant": {
+		"internal/geom":    true,
 		"internal/node":    true,
 		"internal/rtree":   true,
 		"internal/storage": true,
@@ -155,14 +151,13 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/server/wire": true,
 	},
 	"": { // the root strtree package
-		"internal/buffer":    true,
-		"internal/geom":      true,
-		"internal/invariant": true,
-		"internal/metrics":   true,
-		"internal/node":      true,
-		"internal/pack":      true,
-		"internal/query":     true,
-		"internal/rtree":     true,
-		"internal/storage":   true,
+		"internal/buffer":  true,
+		"internal/geom":    true,
+		"internal/metrics": true,
+		"internal/node":    true,
+		"internal/pack":    true,
+		"internal/query":   true,
+		"internal/rtree":   true,
+		"internal/storage": true,
 	},
 }

@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"strtree/internal/geom"
 	"strtree/internal/node"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
@@ -39,11 +40,12 @@ type TreeMetrics struct {
 // not considered" (see the extmodel experiment).
 func ExpectedAccesses(t *rtree.Tree, extents []float64) (float64, error) {
 	expected := 0.0
-	err := t.Walk(func(_ storage.PageID, n *node.Node) bool {
-		if len(n.Entries) == 0 {
+	mbr := geom.Rect{Min: make(geom.Point, t.Dims()), Max: make(geom.Point, t.Dims())}
+	err := t.Walk(func(_ storage.PageID, v node.View) bool {
+		if v.Count() == 0 {
 			return true
 		}
-		mbr := n.MBR()
+		v.MBRInto(&mbr)
 		p := 1.0
 		for d := 0; d < mbr.Dim(); d++ {
 			q := 0.0
@@ -67,16 +69,17 @@ func ExpectedAccesses(t *rtree.Tree, extents []float64) (float64, error) {
 // the buffer-pool statistics afterwards.
 func Measure(t *rtree.Tree) (TreeMetrics, error) {
 	var m TreeMetrics
-	err := t.Walk(func(_ storage.PageID, n *node.Node) bool {
-		if len(n.Entries) == 0 {
+	mbr := geom.Rect{Min: make(geom.Point, t.Dims()), Max: make(geom.Point, t.Dims())}
+	err := t.Walk(func(_ storage.PageID, v node.View) bool {
+		if v.Count() == 0 {
 			return true
 		}
-		mbr := n.MBR()
+		v.MBRInto(&mbr)
 		a, p := mbr.Area(), mbr.Margin()
 		m.TotalArea += a
 		m.TotalMargin += p
 		m.Nodes++
-		if n.IsLeaf() {
+		if v.IsLeaf() {
 			m.LeafArea += a
 			m.LeafMargin += p
 			m.LeafNodes++

@@ -12,8 +12,8 @@ package node
 //
 // Byte determinism is the load-bearing contract: after any sequence of
 // MutableView operations the page bytes are exactly what Marshal would have
-// produced for the equivalent Node. The invariant verifier's RoundTrip check
-// re-marshals every decoded node and compares byte-for-byte against the raw
+// produced for the equivalent Node. The structural verifier's RoundTrip check
+// (rtree.Check) re-marshals every page's entries and compares byte-for-byte against the raw
 // page, so any divergence — a stale CRC, a non-zeroed vacated slot — is a
 // test failure, not a latent mismatch. That works because Marshal zeroes the
 // page tail, so the bytes beyond the payload are zero on every page this

@@ -15,15 +15,18 @@ package node
 // the pin scope.
 //
 // Insert and Delete descend through Views too and write through
-// MutableView; Unmarshal remains for the code that needs a whole node on
-// the heap — a split, a dissolved node, Walk, validation.
+// MutableView, and so do the whole-tree walk and the structural verifier:
+// View is the one page decoder of the library. Unmarshal, its materializing
+// twin, is kept as the reference the tests hold View to (FuzzViewEquivalence)
+// and for the benchmark probe that times it.
 //
 // Validation: MakeView is the one validating constructor (MakeMutableView
-// wraps it; Unmarshal is its materializing twin). internal/rtree runs it on
-// the first visit of a page's buffer residency, records the verdict on the
-// buffer frame, and builds later views of the same unchanged bytes with
-// MakeTrustedView, which repeats only the O(1) header gates. Whoever
-// changes the bytes clears the verdict (see internal/buffer.Frame).
+// wraps it). internal/rtree's query path runs it on the first visit of a
+// page's buffer residency, records the verdict on the buffer frame, and
+// builds later views of the same unchanged bytes with MakeTrustedView, which
+// repeats only the O(1) header gates; its Walk and Check run it on every
+// visit. Whoever changes the bytes clears the verdict (see
+// internal/buffer.Frame).
 
 import (
 	"encoding/binary"

@@ -55,7 +55,7 @@ func (s STRExternal) Open(n int, src func() (node.Entry, bool, error)) (*STRStre
 	if err != nil {
 		return nil, err
 	}
-	// Slabs of n*ceil(sqrt(P)) entries, as STR.slabs cuts them.
+	// Slabs of n*ceil(sqrt(P)) entries, as STR.tile cuts them.
 	p := (x.Len() + n - 1) / n
 	slab := max(n*ceilPow(p, 0.5), n)
 	return &STRStream{sorter: sorter, x: x, left: x.Len(), slab: slab}, nil

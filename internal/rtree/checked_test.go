@@ -260,7 +260,7 @@ func TestCorruptionRejectedAfterEveryChange(t *testing.T) {
 						}
 					}
 				}
-				if err := tr.Validate(); err == nil {
+				if err := tr.Check(CheckConfig{}); err == nil {
 					t.Fatal("Validate accepted the page")
 				}
 			})
@@ -287,7 +287,7 @@ func TestStrayWriteCaughtByFullDecode(t *testing.T) {
 	}
 	f.Data()[100] ^= 0xFF
 	tr.Pool().Release(f)
-	if err := tr.Validate(); !errors.Is(err, node.ErrBadChecksum) {
+	if err := tr.Check(CheckConfig{}); !errors.Is(err, node.ErrBadChecksum) {
 		t.Fatalf("Validate: err %v, want %v", err, node.ErrBadChecksum)
 	}
 }

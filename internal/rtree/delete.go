@@ -152,15 +152,16 @@ func (t *Tree) findLeaf(id storage.PageID, r geom.Rect, ref uint64) (bool, error
 // one the step followed (already gone), for reinsertion at the node's
 // level. The caller drops the parent's entry for it.
 func (t *Tree) dissolve(s mutStep, orphans []orphan) ([]orphan, error) {
-	var n node.Node
-	if err := t.readNode(s.id, &n); err != nil {
+	f, v, err := t.fetchView(s.id, &t.mut.n)
+	if err != nil {
 		return orphans, err
 	}
-	for i, e := range n.Entries {
+	for i, e := range appendEntries(nil, v) {
 		if i != s.idx {
-			orphans = append(orphans, orphan{level: n.Level, entry: e})
+			orphans = append(orphans, orphan{level: v.Level(), entry: e})
 		}
 	}
+	t.pool.Release(f)
 	t.freePage(s.id)
 	return orphans, nil
 }

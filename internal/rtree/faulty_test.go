@@ -128,7 +128,7 @@ func TestValidateSurfacesChecksumCorruption(t *testing.T) {
 	if err := inner.WritePage(victim, buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err == nil {
+	if err := tr.Check(CheckConfig{}); err == nil {
 		t.Fatal("validation accepted a corrupted page")
 	} else if !errors.Is(err, node.ErrBadChecksum) {
 		t.Fatalf("expected checksum error, got: %v", err)

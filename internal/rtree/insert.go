@@ -174,10 +174,12 @@ func chooseSubtreeView(v node.View, r geom.Rect, scratch *geom.Rect) int {
 // MBR. Pages are written child before parent and the sibling page is
 // allocated after the node is rewritten: page numbering depends on it.
 func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (*node.Entry, error) {
-	var n node.Node
-	if err := t.readNode(s.id, &n); err != nil {
+	f, v, err := t.fetchView(s.id, &t.mut.n)
+	if err != nil {
 		return nil, err
 	}
+	n := node.Node{Level: v.Level(), Dims: t.dims, Entries: appendEntries(nil, v)}
+	t.pool.Release(f)
 	if fix == fixRect {
 		n.Entries[s.idx].Rect = mbr.Clone()
 	}
@@ -208,6 +210,21 @@ func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (
 	}
 	*mbr = n.MBR()
 	return &node.Entry{Rect: sib.MBR(), Ref: uint64(sibID)}, nil
+}
+
+// appendEntries appends owned copies of v's entries to dst: the one place a
+// page's whole entry set is brought onto the heap, for the node a mutation
+// splits or dissolves and for Check's round trip. The rectangles share one
+// fresh coordinate slab, so they outlive the pin.
+func appendEntries(dst []node.Entry, v node.View) []node.Entry {
+	dims := v.Dims()
+	dst = slices.Grow(dst, v.Count())
+	slab := make([]float64, 0, 2*dims*v.Count())
+	for i := 0; i < v.Count(); i++ {
+		slab = v.AppendEntryCoords(slab, i)
+		dst = append(dst, node.Entry{Rect: slabRect(slab, i, dims), Ref: v.EntryRef(i)})
+	}
+	return dst
 }
 
 // evictFarthest removes the count entries whose centers are farthest from

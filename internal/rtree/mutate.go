@@ -10,8 +10,9 @@ package rtree
 // rectangle overwritten — and the walk stops at the first ancestor whose
 // stored rectangle is already right. Only the node that actually overflows
 // (overflow: split or forced reinsertion) or falls under minFill (dissolve)
-// is materialized with node.Unmarshal, because those need the whole entry
-// set on the heap anyway. MutableView leaves exactly the bytes Marshal
+// has its whole entry set copied onto the heap (appendEntries, out of the
+// same fetchView the descents use), and only overflow stages a node.Node
+// for node.Marshal. MutableView leaves exactly the bytes Marshal
 // would, so which of the two touched a page is invisible in the file
 // (TestMutateGoldenBytes pins the stored bytes, the page allocation order
 // and the free-list order).

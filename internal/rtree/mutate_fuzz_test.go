@@ -1,4 +1,4 @@
-package rtree_test
+package rtree
 
 // FuzzMutateInvariants drives byte-decoded insert/delete sequences against
 // the differential oracle and the invariant verifier: whatever op sequence
@@ -14,9 +14,7 @@ import (
 	"testing"
 
 	"strtree/internal/geom"
-	"strtree/internal/invariant"
 	"strtree/internal/node"
-	"strtree/internal/rtree"
 )
 
 // fuzzOps caps the ops decoded from one input so a single case stays fast
@@ -67,7 +65,7 @@ func FuzzMutateInvariants(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := newMutTree(t, mutOracleConfig{
-			dims: 2, pageSize: 256, bufPages: 32, split: rtree.SplitQuadratic,
+			dims: 2, pageSize: 256, bufPages: 32, split: SplitQuadratic,
 		})
 		var o oracle
 		nextRef := uint64(1)
@@ -103,7 +101,7 @@ func FuzzMutateInvariants(f *testing.F) {
 					}
 				}
 			}
-			if err := invariant.Check(tr, invariant.Config{RoundTrip: true}); err != nil {
+			if err := tr.Check(CheckConfig{RoundTrip: true}); err != nil {
 				t.Fatalf("op %d: invariants violated: %v", op, err)
 			}
 			if tr.Len() != len(o.entries) {

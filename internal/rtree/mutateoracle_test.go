@@ -1,26 +1,21 @@
-package rtree_test
+package rtree
 
 // Differential mutation-oracle harness: deterministic seeded random
 // insert/delete sequences applied simultaneously to a Tree and to a plain
 // slice oracle, with the tree held to the slice's answers — Search, Count,
-// Nearest — and to a clean invariant.Check after every op. Everything is
-// replayable from the printed seed. The external test package is deliberate:
-// it exercises the exported surface and lets the harness import
-// internal/invariant (which imports rtree) without a cycle.
+// Nearest — and to a clean Check after every op. Everything is replayable
+// from the printed seed.
 
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
-	"strtree/internal/invariant"
 	"strtree/internal/node"
-	"strtree/internal/rtree"
 	"strtree/internal/storage"
 )
 
@@ -63,23 +58,6 @@ func (o *oracle) searchRefs(q geom.Rect) []uint64 {
 	return refs
 }
 
-// minDist replicates the tree's point-to-rectangle distance kernel
-// (node.View.MinDist) so distances compare exactly.
-func minDist(p geom.Point, r geom.Rect) float64 {
-	sum := 0.0
-	for d := range p {
-		var dd float64
-		switch {
-		case p[d] < r.Min[d]:
-			dd = r.Min[d] - p[d]
-		case p[d] > r.Max[d]:
-			dd = p[d] - r.Max[d]
-		}
-		sum += dd * dd
-	}
-	return math.Sqrt(sum)
-}
-
 // nearestDists returns the k smallest entry distances from p, sorted.
 func (o *oracle) nearestDists(p geom.Point, k int) []float64 {
 	dists := make([]float64, 0, len(o.entries))
@@ -100,7 +78,7 @@ type mutOracleConfig struct {
 	dims       int
 	pageSize   int
 	bufPages   int
-	split      rtree.SplitAlgorithm
+	split      SplitAlgorithm
 	reinsert   bool
 	dupHeavy   bool    // snap coordinates to a coarse grid: many equal keys
 	pInsert    float64 // probability an op is an insert
@@ -137,13 +115,13 @@ func randOpRect(rng *rand.Rand, dims int, dupHeavy bool) geom.Rect {
 }
 
 // newMutTree builds an empty dynamic tree per the config.
-func newMutTree(t testing.TB, c mutOracleConfig) *rtree.Tree {
+func newMutTree(t testing.TB, c mutOracleConfig) *Tree {
 	t.Helper()
 	var pool buffer.Manager = buffer.NewPool(storage.NewMemPager(c.pageSize), c.bufPages)
 	if c.wrap != nil {
 		pool = c.wrap(pool)
 	}
-	tr, err := rtree.Create(pool, rtree.Config{
+	tr, err := Create(pool, Config{
 		Dims:           c.dims,
 		Split:          c.split,
 		ForcedReinsert: c.reinsert,
@@ -158,7 +136,7 @@ func newMutTree(t testing.TB, c mutOracleConfig) *rtree.Tree {
 // op (every checkEvery ops if set) and query equivalence every queryEvery
 // ops. It returns the tree for
 // caller-side final assertions.
-func runMutateOracle(t *testing.T, c mutOracleConfig) *rtree.Tree {
+func runMutateOracle(t *testing.T, c mutOracleConfig) *Tree {
 	t.Helper()
 	rng := rand.New(rand.NewSource(c.seed))
 	tr := newMutTree(t, c)
@@ -210,7 +188,7 @@ func runMutateOracle(t *testing.T, c mutOracleConfig) *rtree.Tree {
 		}
 
 		if c.checkEvery == 0 || op%c.checkEvery == 0 || op == c.ops-1 {
-			if err := invariant.Check(tr, invariant.Config{RoundTrip: true}); err != nil {
+			if err := tr.Check(CheckConfig{RoundTrip: true}); err != nil {
 				t.Fatalf("%v: op %d: invariants violated: %v", c, op, err)
 			}
 		}
@@ -226,7 +204,7 @@ func runMutateOracle(t *testing.T, c mutOracleConfig) *rtree.Tree {
 
 // compareQueries holds the tree to the oracle's answers for one random
 // region query (Search and Count) and one nearest-neighbor probe.
-func compareQueries(t *testing.T, c mutOracleConfig, op int, rng *rand.Rand, tr *rtree.Tree, o *oracle) {
+func compareQueries(t *testing.T, c mutOracleConfig, op int, rng *rand.Rand, tr *Tree, o *oracle) {
 	t.Helper()
 	q := randOpRect(rng, c.dims, false)
 	var got []uint64
@@ -281,7 +259,7 @@ func TestMutateOracle10kOps(t *testing.T) {
 		dims:       2,
 		pageSize:   256,
 		bufPages:   64,
-		split:      rtree.SplitQuadratic,
+		split:      SplitQuadratic,
 		pInsert:    0.55,
 		queryEvery: 1,
 	})
@@ -347,7 +325,7 @@ func TestMutateCheckedPagesBound(t *testing.T) {
 		dims:       2,
 		pageSize:   256,
 		bufPages:   24,
-		split:      rtree.SplitQuadratic,
+		split:      SplitQuadratic,
 		pInsert:    0.6,
 		queryEvery: 3,
 		checkEvery: 50,
@@ -376,12 +354,12 @@ func TestMutateCheckedPagesBound(t *testing.T) {
 // algorithms, forced reinsertion, and duplicate-heavy key distributions.
 func TestMutateOracleMatrix(t *testing.T) {
 	cases := []mutOracleConfig{
-		{seed: 2001, ops: 1500, dims: 2, pageSize: 256, split: rtree.SplitLinear},
-		{seed: 2002, ops: 1500, dims: 2, pageSize: 512, split: rtree.SplitQuadratic, dupHeavy: true},
-		{seed: 2003, ops: 1200, dims: 3, pageSize: 512, split: rtree.SplitQuadratic},
-		{seed: 2004, ops: 1200, dims: 2, pageSize: 4096, split: rtree.SplitQuadratic},
-		{seed: 2005, ops: 1200, dims: 2, pageSize: 256, split: rtree.SplitRStar, reinsert: true},
-		{seed: 2006, ops: 1200, dims: 1, pageSize: 256, split: rtree.SplitLinear, dupHeavy: true},
+		{seed: 2001, ops: 1500, dims: 2, pageSize: 256, split: SplitLinear},
+		{seed: 2002, ops: 1500, dims: 2, pageSize: 512, split: SplitQuadratic, dupHeavy: true},
+		{seed: 2003, ops: 1200, dims: 3, pageSize: 512, split: SplitQuadratic},
+		{seed: 2004, ops: 1200, dims: 2, pageSize: 4096, split: SplitQuadratic},
+		{seed: 2005, ops: 1200, dims: 2, pageSize: 256, split: SplitRStar, reinsert: true},
+		{seed: 2006, ops: 1200, dims: 1, pageSize: 256, split: SplitLinear, dupHeavy: true},
 	}
 	for _, c := range cases {
 		c.pInsert = 0.55
@@ -404,23 +382,23 @@ var goldenTapes = []struct {
 	cfg  mutOracleConfig
 	want uint64
 }{
-	{mutOracleConfig{seed: 4001, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitLinear, pInsert: 0.55}, 0x431ab2e162e0145a},
-	{mutOracleConfig{seed: 3001, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitQuadratic, pInsert: 0.55}, 0x752fabe336205713},
-	{mutOracleConfig{seed: 4003, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitRStar, reinsert: true, pInsert: 0.55}, 0x9810a7dc416b0f66},
-	{mutOracleConfig{seed: 4004, ops: 4000, dims: 2, pageSize: 4096, split: rtree.SplitQuadratic, pInsert: 0.75}, 0x0f84b446a58d7c65},
-	{mutOracleConfig{seed: 4005, ops: 4000, dims: 2, pageSize: 4096, split: rtree.SplitRStar, reinsert: true, pInsert: 0.75}, 0xc3376daae06e1ca6},
-	{mutOracleConfig{seed: 4006, ops: 3000, dims: 3, pageSize: 256, split: rtree.SplitLinear, pInsert: 0.55}, 0x323ab0c20a7a0137},
-	{mutOracleConfig{seed: 4007, ops: 4000, dims: 3, pageSize: 4096, split: rtree.SplitQuadratic, pInsert: 0.75}, 0x4d4b43bcc93e0a9a},
-	{mutOracleConfig{seed: 4008, ops: 3000, dims: 3, pageSize: 256, split: rtree.SplitRStar, reinsert: true, pInsert: 0.55}, 0x4f234305c47ab64d},
-	{mutOracleConfig{seed: 4009, ops: 3000, dims: 2, pageSize: 256, split: rtree.SplitQuadratic, dupHeavy: true, pInsert: 0.55}, 0x6fe0b92c878c16ab},
-	{mutOracleConfig{seed: 4010, ops: 4000, dims: 2, pageSize: 256, split: rtree.SplitQuadratic, pInsert: 0.8, swing: 800}, 0xf443f8691fe74ca1},
-	{mutOracleConfig{seed: 4011, ops: 4000, dims: 2, pageSize: 256, split: rtree.SplitRStar, reinsert: true, pInsert: 0.8, swing: 800}, 0xc5b838b4a13cfa48},
-	{mutOracleConfig{seed: 4012, ops: 4000, dims: 3, pageSize: 256, split: rtree.SplitLinear, pInsert: 0.8, swing: 800}, 0x469e5fc937bfdb4c},
+	{mutOracleConfig{seed: 4001, ops: 3000, dims: 2, pageSize: 256, split: SplitLinear, pInsert: 0.55}, 0x431ab2e162e0145a},
+	{mutOracleConfig{seed: 3001, ops: 3000, dims: 2, pageSize: 256, split: SplitQuadratic, pInsert: 0.55}, 0x752fabe336205713},
+	{mutOracleConfig{seed: 4003, ops: 3000, dims: 2, pageSize: 256, split: SplitRStar, reinsert: true, pInsert: 0.55}, 0x9810a7dc416b0f66},
+	{mutOracleConfig{seed: 4004, ops: 4000, dims: 2, pageSize: 4096, split: SplitQuadratic, pInsert: 0.75}, 0x0f84b446a58d7c65},
+	{mutOracleConfig{seed: 4005, ops: 4000, dims: 2, pageSize: 4096, split: SplitRStar, reinsert: true, pInsert: 0.75}, 0xc3376daae06e1ca6},
+	{mutOracleConfig{seed: 4006, ops: 3000, dims: 3, pageSize: 256, split: SplitLinear, pInsert: 0.55}, 0x323ab0c20a7a0137},
+	{mutOracleConfig{seed: 4007, ops: 4000, dims: 3, pageSize: 4096, split: SplitQuadratic, pInsert: 0.75}, 0x4d4b43bcc93e0a9a},
+	{mutOracleConfig{seed: 4008, ops: 3000, dims: 3, pageSize: 256, split: SplitRStar, reinsert: true, pInsert: 0.55}, 0x4f234305c47ab64d},
+	{mutOracleConfig{seed: 4009, ops: 3000, dims: 2, pageSize: 256, split: SplitQuadratic, dupHeavy: true, pInsert: 0.55}, 0x6fe0b92c878c16ab},
+	{mutOracleConfig{seed: 4010, ops: 4000, dims: 2, pageSize: 256, split: SplitQuadratic, pInsert: 0.8, swing: 800}, 0xf443f8691fe74ca1},
+	{mutOracleConfig{seed: 4011, ops: 4000, dims: 2, pageSize: 256, split: SplitRStar, reinsert: true, pInsert: 0.8, swing: 800}, 0xc5b838b4a13cfa48},
+	{mutOracleConfig{seed: 4012, ops: 4000, dims: 3, pageSize: 256, split: SplitLinear, pInsert: 0.8, swing: 800}, 0x469e5fc937bfdb4c},
 }
 
 // pagerDigest flushes the tree and returns the FNV-64a of every pager page
 // in page order (meta page, live nodes and freed pages alike).
-func pagerDigest(t *testing.T, tr *rtree.Tree) uint64 {
+func pagerDigest(t *testing.T, tr *Tree) uint64 {
 	t.Helper()
 	if err := tr.Flush(); err != nil {
 		t.Fatal(err)

@@ -363,7 +363,7 @@ func TestCompactInto(t *testing.T) {
 	if dst.Len() != 400 {
 		t.Fatalf("compacted len = %d", dst.Len())
 	}
-	if err := dst.Validate(); err != nil {
+	if err := dst.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	dstNodes, err := dst.NumNodes()

@@ -46,7 +46,7 @@ func TestForcedReinsertInsertCorrect(t *testing.T) {
 	if tr.Len() != 1500 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	checkSearchAgainstBrute(t, tr, entries, 86)
@@ -65,13 +65,15 @@ func TestForcedReinsertImprovesQuality(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tr.Validate(); err != nil {
+		if err := tr.Check(CheckConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		area := 0.0
-		if err := tr.Walk(func(_ storage.PageID, n *node.Node) bool {
-			if n.IsLeaf() {
-				area += n.MBR().Area()
+		mbr := geom.R2(0, 0, 0, 0)
+		if err := tr.Walk(func(_ storage.PageID, v node.View) bool {
+			if v.IsLeaf() {
+				v.MBRInto(&mbr)
+				area += mbr.Area()
 			}
 			return true
 		}); err != nil {
@@ -128,7 +130,7 @@ func TestForcedReinsertWithDeletes(t *testing.T) {
 			t.Fatalf("ref %d missing", e.Ref)
 		}
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	checkSearchAgainstBrute(t, tr, entries[250:], 89)

@@ -69,7 +69,7 @@ func TestInsertWithRStarSplit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	checkSearchAgainstBrute(t, tr, entries, 74)
@@ -94,13 +94,15 @@ func TestRStarBeatsLinearOnOverlap(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tr.Validate(); err != nil {
+		if err := tr.Check(CheckConfig{}); err != nil {
 			t.Fatal(err)
 		}
 		area := 0.0
-		if err := tr.Walk(func(_ storage.PageID, n *node.Node) bool {
-			if n.IsLeaf() {
-				area += n.MBR().Area()
+		mbr := geom.R2(0, 0, 0, 0)
+		if err := tr.Walk(func(_ storage.PageID, v node.View) bool {
+			if v.IsLeaf() {
+				v.MBRInto(&mbr)
+				area += mbr.Area()
 			}
 			return true
 		}); err != nil {

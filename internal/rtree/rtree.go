@@ -350,20 +350,6 @@ func (t *Tree) Flush() error {
 	return t.pool.FlushAll()
 }
 
-// readNode loads the node stored on page id into dst.
-func (t *Tree) readNode(id storage.PageID, dst *node.Node) error {
-	f, err := t.pool.Fetch(id)
-	if err != nil {
-		return err
-	}
-	err = node.Unmarshal(f.Data(), dst)
-	t.pool.Release(f)
-	if err != nil {
-		return fmt.Errorf("rtree: page %d: %w", id, err)
-	}
-	return nil
-}
-
 // writeNode serializes n onto page id. MarkDirty comes first: it clears the
 // frame's validation mark before Marshal touches a byte, so no visit can
 // trust the old verdict over the new image. A Marshal that fails has written
@@ -402,8 +388,8 @@ func (t *Tree) freePage(id storage.PageID) {
 }
 
 // FreePages returns a copy of the free-page list: pages released by
-// deletes and splits-gone-wrong, awaiting recycling by newPage. The
-// invariant verifier asserts it is disjoint from the live tree.
+// deletes and splits-gone-wrong, awaiting recycling by newPage. Check
+// asserts it is disjoint from the live tree.
 func (t *Tree) FreePages() []storage.PageID {
 	out := make([]storage.PageID, len(t.free))
 	copy(out, t.free)
@@ -417,41 +403,6 @@ func (t *Tree) checkEntry(r geom.Rect) error {
 	}
 	if !r.Valid() {
 		return fmt.Errorf("rtree: invalid rectangle %v", r)
-	}
-	return nil
-}
-
-// Walk visits every node in the tree in depth-first order, passing the page
-// id and decoded node. Returning false from fn stops the walk. The walk
-// goes through the buffer pool and therefore counts as accesses; callers
-// measuring queries should reset pool stats afterwards.
-func (t *Tree) Walk(fn func(id storage.PageID, n *node.Node) bool) error {
-	if t.height == 0 {
-		return nil
-	}
-	stop := false
-	return t.walk(t.root, fn, &stop)
-}
-
-func (t *Tree) walk(id storage.PageID, fn func(storage.PageID, *node.Node) bool, stop *bool) error {
-	var n node.Node
-	if err := t.readNode(id, &n); err != nil {
-		return err
-	}
-	if !fn(id, &n) {
-		*stop = true
-		return nil
-	}
-	if n.IsLeaf() {
-		return nil
-	}
-	for _, e := range n.Entries {
-		if *stop {
-			return nil
-		}
-		if err := t.walk(storage.PageID(e.Ref), fn, stop); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -481,7 +432,7 @@ func (t *Tree) Bounds() (geom.Rect, bool, error) {
 // page). It walks the tree.
 func (t *Tree) NumNodes() (int, error) {
 	n := 0
-	err := t.Walk(func(storage.PageID, *node.Node) bool { n++; return true })
+	err := t.Walk(func(storage.PageID, node.View) bool { n++; return true })
 	return n, err
 }
 
@@ -493,8 +444,8 @@ func (t *Tree) Utilization() (float64, error) {
 		return 0, nil
 	}
 	leaves := 0
-	err := t.Walk(func(_ storage.PageID, n *node.Node) bool {
-		if n.IsLeaf() {
+	err := t.Walk(func(_ storage.PageID, v node.View) bool {
+		if v.IsLeaf() {
 			leaves++
 		}
 		return true
@@ -512,8 +463,8 @@ func (t *Tree) NodesPerLevel() ([]int, error) {
 		return nil, nil
 	}
 	counts := make([]int, t.height)
-	err := t.Walk(func(_ storage.PageID, n *node.Node) bool {
-		counts[t.height-1-n.Level]++
+	err := t.Walk(func(_ storage.PageID, v node.View) bool {
+		counts[t.height-1-v.Level()]++
 		return true
 	})
 	return counts, err

@@ -136,7 +136,7 @@ func TestBulkLoadSmall(t *testing.T) {
 	if tr.Height() != 3 {
 		t.Fatalf("Height = %d", tr.Height())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	checkSearchAgainstBrute(t, tr, entries, 2)
@@ -150,7 +150,7 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	if tr.Height() != 0 || tr.Len() != 0 {
 		t.Fatalf("empty load: height %d len %d", tr.Height(), tr.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := treeSearch(t, tr, geom.UnitSquare()); len(got) != 0 {
@@ -165,7 +165,7 @@ func TestBulkLoadEmptyAndSingle(t *testing.T) {
 	if tr2.Height() != 1 || tr2.Len() != 1 {
 		t.Fatalf("single load: height %d len %d", tr2.Height(), tr2.Len())
 	}
-	if err := tr2.Validate(); err != nil {
+	if err := tr2.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -210,8 +210,8 @@ func TestBulkLoadUtilization(t *testing.T) {
 		}
 	}
 	full := 0
-	if err := tr.Walk(func(_ storage.PageID, n *node.Node) bool {
-		if len(n.Entries) == 10 {
+	if err := tr.Walk(func(_ storage.PageID, v node.View) bool {
+		if v.Count() == 10 {
 			full++
 		}
 		return true
@@ -243,7 +243,7 @@ func TestInsertSearchMatchesBrute(t *testing.T) {
 			if tr.Height() < 3 {
 				t.Fatalf("height = %d, expected >= 3 with capacity 8", tr.Height())
 			}
-			if err := tr.Validate(); err != nil {
+			if err := tr.Check(CheckConfig{}); err != nil {
 				t.Fatal(err)
 			}
 			checkSearchAgainstBrute(t, tr, entries, 7)
@@ -282,7 +282,7 @@ func TestDeleteHalf(t *testing.T) {
 	if tr.Len() != 200 {
 		t.Fatalf("Len after deletes = %d", tr.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	var kept []node.Entry
@@ -319,7 +319,7 @@ func TestDeleteAllEmptiesTree(t *testing.T) {
 		if !ok {
 			t.Fatalf("ref %d not found", e.Ref)
 		}
-		if err := tr.Validate(); err != nil {
+		if err := tr.Check(CheckConfig{}); err != nil {
 			t.Fatalf("after deleting ref %d: %v", e.Ref, err)
 		}
 	}
@@ -369,7 +369,7 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 			delete(live, ref)
 		}
 		if op%100 == 99 {
-			if err := tr.Validate(); err != nil {
+			if err := tr.Check(CheckConfig{}); err != nil {
 				t.Fatalf("op %d: %v", op, err)
 			}
 			if tr.Len() != len(live) {
@@ -425,7 +425,7 @@ func TestDeleteDeepCollapseStress(t *testing.T) {
 			}
 			delete(live, ref)
 		}
-		if err := tr.Validate(); err != nil {
+		if err := tr.Check(CheckConfig{}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if tr.Len() != len(live) {
@@ -548,7 +548,7 @@ func TestPersistenceAcrossReopen(t *testing.T) {
 	if tr2.Len() != 300 || tr2.Capacity() != 16 || tr2.Dims() != 2 {
 		t.Fatalf("reopened: len %d cap %d dims %d", tr2.Len(), tr2.Capacity(), tr2.Dims())
 	}
-	if err := tr2.Validate(); err != nil {
+	if err := tr2.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	checkSearchAgainstBrute(t, tr2, entries, 16)
@@ -621,7 +621,7 @@ func TestWalkStops(t *testing.T) {
 		t.Fatal(err)
 	}
 	visits := 0
-	if err := tr.Walk(func(storage.PageID, *node.Node) bool {
+	if err := tr.Walk(func(storage.PageID, node.View) bool {
 		visits++
 		return visits < 3
 	}); err != nil {
@@ -714,12 +714,12 @@ func TestSplitDistributionRespectsMinFill(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := tr.Validate(); err != nil {
+			if err := tr.Check(CheckConfig{}); err != nil {
 				t.Fatal(err)
 			}
 			short := 0
-			if err := tr.Walk(func(id storage.PageID, n *node.Node) bool {
-				if id != tr.Root() && len(n.Entries) < 4 {
+			if err := tr.Walk(func(id storage.PageID, v node.View) bool {
+				if id != tr.Root() && v.Count() < 4 {
 					short++
 				}
 				return true
@@ -766,7 +766,7 @@ func TestFreePageRecycling(t *testing.T) {
 	if after := tr.pool.Pager().NumPages(); after > grown+grown/2 {
 		t.Fatalf("pages grew from %d to %d despite free list", grown, after)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -814,7 +814,7 @@ func TestMetaPersistsFreeList(t *testing.T) {
 	if len(tr2.free) != freeBefore {
 		t.Fatalf("free list: %d persisted, %d before", len(tr2.free), freeBefore)
 	}
-	if err := tr2.Validate(); err != nil {
+	if err := tr2.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -835,7 +835,7 @@ func TestBulkLoad3D(t *testing.T) {
 	if err := tr.BulkLoad(append([]node.Entry(nil), entries...), xSortOrderer{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err != nil {
+	if err := tr.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	// Brute-force check on a few 3-D queries.
@@ -861,14 +861,14 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	// Corrupt: inflate the root's first entry rectangle.
 	var root node.Node
-	if err := tr.readNode(tr.Root(), &root); err != nil {
+	if err := tr.unmarshalNode(tr.Root(), &root); err != nil {
 		t.Fatal(err)
 	}
 	root.Entries[0].Rect = geom.UnitSquare().Clone()
 	if err := tr.writeNode(tr.Root(), &root); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Validate(); err == nil {
+	if err := tr.Check(CheckConfig{}); err == nil {
 		t.Fatal("validation passed on corrupted tree")
 	}
 }

@@ -36,7 +36,7 @@ func TestBulkLoadOrderedMatchesBulkLoad(t *testing.T) {
 	if b.Len() != a.Len() || b.Height() != a.Height() {
 		t.Fatalf("stream build: len %d/%d height %d/%d", b.Len(), a.Len(), b.Height(), a.Height())
 	}
-	if err := b.Validate(); err != nil {
+	if err := b.Check(CheckConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range []geom.Rect{

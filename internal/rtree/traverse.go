@@ -18,9 +18,10 @@
 //
 // Emitted node.Entry rectangles alias the traverser's slab and are valid
 // only during the callback; Clone to retain. The mutation descents
-// (mutate.go) read pages through the same fetchView. node.Unmarshal is left
-// to the code that needs a whole node on the heap: Walk, Validate, and the
-// one node a mutation splits or dissolves; the bulk loader only marshals.
+// (mutate.go) read pages through the same fetchView, the one node a mutation
+// splits or dissolves included; Walk and Check read through views too
+// (walk.go). Nothing in the library decodes a page into a node.Node: that
+// type is the write side's staging, for the bulk loader and a split.
 //
 // Validation: a traversal trusts a byte image only if it passed the full
 // node.MakeView since it last changed. viewOf, below, is where that rule
@@ -150,9 +151,8 @@ func (tr *traverser) rectScratch(dims int) geom.Rect {
 
 // fetchView pins page id and returns a view over its validated bytes.
 // The caller must Release the frame on every exit path; the view aliases
-// the frame's bytes and dies with the pin. Corruption errors carry the
-// same page-tagged wrapping as readNode; raw fetch errors propagate
-// unwrapped, exactly like the Unmarshal path.
+// the frame's bytes and dies with the pin. Corruption errors are tagged
+// with the page; raw fetch errors propagate unwrapped.
 func (t *Tree) fetchView(id storage.PageID, n *visitTally) (*buffer.Frame, node.View, error) {
 	f, err := t.pool.Fetch(id)
 	if err != nil {
@@ -180,9 +180,9 @@ func (t *Tree) fetchView(id storage.PageID, n *visitTally) (*buffer.Frame, node.
 //
 // What the mark cannot see is a write to a resident frame outside the pin
 // protocol (no MarkDirty, no write pin): the next visit no longer
-// re-checksums it. The checkers that exist to distrust memory — readNode
-// and with it Walk, Validate and internal/invariant — never consult the
-// mark and always fully decode.
+// re-checksums it. The checkers that exist to distrust memory — Walk and
+// Check, through fetchFull — never consult the mark and always validate in
+// full.
 func (t *Tree) viewOf(f *buffer.Frame, n *visitTally) (node.View, error) {
 	checked := f.Checked()
 	var v node.View
@@ -194,7 +194,7 @@ func (t *Tree) viewOf(f *buffer.Frame, n *visitTally) (node.View, error) {
 		v, err = node.MakeView(f.Data())
 	}
 	if err == nil && v.Dims() != t.dims {
-		err = fmt.Errorf("%w: page dimensionality %d, tree dimensionality %d", node.ErrCorrupt, v.Dims(), t.dims)
+		err = t.dimsError(v)
 	}
 	if err != nil {
 		return node.View{}, err

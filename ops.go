@@ -166,16 +166,20 @@ func (t *Tree) DumpDOT(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, `  node [shape=box, fontname="monospace"];`); err != nil {
 		return err
 	}
-	err := t.inner.Walk(func(id storage.PageID, n *node.Node) bool {
-		fmt.Fprintf(w, "  p%d [label=\"page %d\\nlevel %d\\n%d/%d entries\"];\n",
-			id, id, n.Level, len(n.Entries), t.Capacity())
-		if !n.IsLeaf() {
-			for _, e := range n.Entries {
-				fmt.Fprintf(w, "  p%d -> p%d;\n", id, storage.PageID(e.Ref))
+	var werr error
+	err := t.inner.Walk(func(id storage.PageID, v node.View) bool {
+		_, werr = fmt.Fprintf(w, "  p%d [label=\"page %d\\nlevel %d\\n%d/%d entries\"];\n",
+			id, id, v.Level(), v.Count(), t.Capacity())
+		if !v.IsLeaf() {
+			for i := 0; i < v.Count() && werr == nil; i++ {
+				_, werr = fmt.Fprintf(w, "  p%d -> p%d;\n", id, storage.PageID(v.EntryRef(i)))
 			}
 		}
-		return true
+		return werr == nil
 	})
+	if err == nil {
+		err = werr
+	}
 	if err != nil {
 		return err
 	}

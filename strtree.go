@@ -26,7 +26,6 @@ import (
 
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
-	"strtree/internal/invariant"
 	"strtree/internal/metrics"
 	"strtree/internal/node"
 	"strtree/internal/pack"
@@ -577,7 +576,7 @@ func (t *Tree) Metrics() (Metrics, error) {
 
 // Validate checks the tree's structural invariants (balance, tight MBRs,
 // fill bounds, no page shared between subtrees).
-func (t *Tree) Validate() error { return t.inner.Validate() }
+func (t *Tree) Validate() error { return t.inner.Check(rtree.CheckConfig{}) }
 
 // CheckInvariants runs the full structural verifier over every page of the
 // tree: height balance, exact MBR tightness at every internal entry, fill
@@ -587,7 +586,7 @@ func (t *Tree) Validate() error { return t.inner.Validate() }
 // invariant and the offending page. The walk reads the whole tree, so it
 // perturbs Stats.
 func (t *Tree) CheckInvariants() error {
-	return invariant.Check(t.inner, invariant.Config{RoundTrip: true})
+	return t.inner.Check(rtree.CheckConfig{RoundTrip: true})
 }
 
 // CheckPackedInvariants runs CheckInvariants plus the STR packing fill
@@ -597,7 +596,7 @@ func (t *Tree) CheckInvariants() error {
 // trees later mutated by Insert or Delete keep the universal invariants
 // but generally lose this one.
 func (t *Tree) CheckPackedInvariants() error {
-	return invariant.Check(t.inner, invariant.Config{Packed: true, RoundTrip: true})
+	return t.inner.Check(rtree.CheckConfig{Packed: true, RoundTrip: true})
 }
 
 // Flush writes all buffered dirty pages and metadata through to storage.
