@@ -10,6 +10,7 @@
 package strtree_test
 
 import (
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -420,6 +421,35 @@ func BenchmarkBuild(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(entries))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mentries/s")
+}
+
+// BenchmarkBulkLoad500k is the ledger's build workload as a go test
+// benchmark: Create on a file, BulkLoad(PackSTR) of 500 000 uniform squares
+// at Workers: 2, Close — the public API end to end, the Item -> Entry pass,
+// the input check, the sort, the packing, the write-behind and the file
+// included. check.sh runs it once so it cannot rot; nightly.yml times it.
+func BenchmarkBulkLoad500k(b *testing.B) {
+	entries := datagen.UniformSquares(500000, 5.0, 1)
+	items := make([]strtree.Item, len(entries))
+	for i, e := range entries {
+		items[i] = strtree.Item{Rect: strtree.Rect(e.Rect), ID: e.Ref}
+	}
+	path := filepath.Join(b.TempDir(), "build.str")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tree, err := strtree.Create(path, strtree.Options{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := tree.BulkLoad(items, strtree.PackSTR); err != nil {
+			b.Fatal(err)
+		}
+		if err := tree.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 }
 
 // BenchmarkBuildExternal measures the bounded-memory pipeline: concurrent

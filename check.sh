@@ -40,8 +40,13 @@
 #                     equivalent), internal/rtree's cold-buffer concurrent
 #                     readers over a sharded pool (…ConcurrentReaders…: the
 #                     per-frame validation mark read and set by racing
-#                     traversals), and the root package's concurrent
-#                     Search/SearchBatch tests. The zero-alloc gates
+#                     traversals), the bulk loader's write-behind goroutine
+#                     — the one place a build shares the buffer pool, the
+#                     pager and the job queue across goroutines
+#                     (internal/rtree …BulkLoad…, the root package's
+#                     …BulkLoad… and …Parallel…BuildByteIdentical) — and
+#                     the root package's concurrent Search/SearchBatch
+#                     tests. The zero-alloc gates
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
 #                     assertions: race instrumentation allocates.
@@ -50,8 +55,10 @@
 #                     them): internal/node's BenchmarkViewScan (the page
 #                     kernel's and the per-entry predicate's ns/entry),
 #                     internal/psort's BenchmarkByCenter (the radix sort
-#                     kernel) and internal/pack's BenchmarkSTROrder100k
-#                     (STR's one-permutation order).
+#                     kernel), internal/pack's BenchmarkSTROrder100k
+#                     (STR's one-permutation order) and the root package's
+#                     BenchmarkBulkLoad500k (the ledger's build workload:
+#                     a 500k-entry file build at Workers: 2, entries/s).
 #   8. ledger         scripts/ledger.sh: go vet and the smoke tests of the
 #                     performance ledger, bench/ — a separate module that
 #                     imports strtree/internal/..., which steps 2-7 never
@@ -88,15 +95,16 @@ echo "strlint: $(($(date +%s) - strlint_start)) s wall, building it included"
 echo "== go test"
 go test ./...
 
-echo "== go test -race (buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, concurrent root tests)"
+echo "== go test -race (buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, write-behind builds, concurrent root tests)"
 go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
-go test -race -run 'Mutate|ConcurrentReaders' ./internal/rtree
-go test -race -run 'Concurrent|Batch|Sharded|View|Mutate' .
+go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
+go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
 go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
+go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"
 ./scripts/ledger.sh

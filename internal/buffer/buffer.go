@@ -304,37 +304,39 @@ func (p *Pool) ReleaseMut(f *Frame) error {
 	return nil
 }
 
-// Create pins a brand-new page: it allocates a page in the pager and a
-// zeroed frame for it without performing a disk read (the page contents are
-// about to be written). The returned frame is dirty.
+// Create pins a brand-new page: it allocates a page in the pager and
+// adopts it. The returned frame is dirty.
 func (p *Pool) Create() (*Frame, error) {
 	id, err := p.pager.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	return p.adopt(id)
+	return p.Adopt(id)
 }
 
-// adopt pins a zeroed dirty frame for page id, which the caller just
-// allocated from the pager. It is Create minus the allocation, so a
-// Sharded pool can allocate centrally and hand the page to its owning
-// shard.
-func (p *Pool) adopt(id storage.PageID) (*Frame, error) {
+// Adopt pins a zeroed dirty frame for page id without reading the pager:
+// the page was allocated and never written, and the caller is about to
+// fill it. Making room may evict — and write back — another page, so a
+// caller that allocates on one goroutine and adopts on another moves that
+// I/O off the first. A page the pool already holds cannot be adopted; a
+// page that may be cached (a recycled one) is pinned with Fetch.
+func (p *Pool) Adopt(id storage.PageID) (*Frame, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if _, cached := p.frames[id]; cached {
+		return nil, fmt.Errorf("buffer: adopt of cached page %d", id)
+	}
 	f, err := p.allocFrameLocked()
 	if err != nil {
 		return nil, err
 	}
 	f.checked.Store(false)
-	for i := range f.data {
-		f.data[i] = 0
-	}
+	clear(f.data)
 	p.publishLocked(f, id, true)
 	return f, nil
 }
 
-// Release unpins a frame obtained from Fetch or Create. Releasing an
+// Release unpins a frame obtained from Fetch, Create or Adopt. Releasing an
 // unpinned frame panics: it indicates a double-release bug in the caller.
 func (p *Pool) Release(f *Frame) {
 	p.mu.Lock()

@@ -181,6 +181,63 @@ func TestCreate(t *testing.T) {
 	}
 }
 
+// TestAdopt: a page allocated on one side is adopted — zeroed, dirty, one
+// pin, no read — on another; the eviction it causes, and that victim's
+// write-back, happen inside Adopt; and a page the pool already holds is
+// refused rather than mapped twice. On a Pool and through a Sharded's
+// routing alike.
+func TestAdopt(t *testing.T) {
+	pg := storage.NewMemPager(64)
+	sharded, err := NewSharded(pg, 4, 4) // one frame per shard
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, m := range map[string]Manager{"pool": NewPool(pg, 1), "sharded": sharded} {
+		base := pg.Stats()
+		first, _ := pg.Alloc()
+		f, err := m.Adopt(first)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if f.ID() != first || !f.dirty || f.pins != 1 || f.Checked() {
+			t.Fatalf("%s: adopted frame: id %d dirty %v pins %d checked %v", name, f.ID(), f.dirty, f.pins, f.Checked())
+		}
+		for _, b := range f.Data() {
+			if b != 0 {
+				t.Fatalf("%s: adopted frame is not zeroed", name)
+			}
+		}
+		if _, err := m.Adopt(first); err == nil {
+			t.Fatalf("%s: adopting a cached page succeeded", name)
+		}
+		f.Data()[0] = 0x5A
+		m.Release(f)
+		if got := pg.Stats(); got.Reads != base.Reads || got.Writes != base.Writes {
+			t.Fatalf("%s: Adopt touched the pager: %+v, before %+v", name, got, base)
+		}
+		// Adopt pages until one lands where the first lives: that Adopt
+		// evicts it and writes it back.
+		for i := 0; pg.Stats().Writes == base.Writes; i++ {
+			if i == 64 {
+				t.Fatalf("%s: 64 adoptions and the first page was never evicted", name)
+			}
+			id, _ := pg.Alloc()
+			f, err := m.Adopt(id)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			m.Release(f)
+		}
+		back := make([]byte, 64)
+		if err := pg.ReadPage(first, back); err != nil || back[0] != 0x5A {
+			t.Fatalf("%s: evicted adopted page: %v, first byte %#x", name, err, back[0])
+		}
+		if err := m.Invalidate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestSetResident(t *testing.T) {
 	p, _ := newPoolN(t, 3, 6)
 	if err := p.SetResident([]storage.PageID{0, 1}); err != nil {

@@ -15,7 +15,7 @@ import "strtree/internal/storage"
 //     unchanged. With one shard it is byte-for-byte the deterministic Pool.
 //
 // All implementations are safe for concurrent use. The pin protocol is the
-// concurrency contract: a frame returned by Fetch or Create stays pinned —
+// concurrency contract: a frame returned by Fetch, Create or Adopt stays pinned —
 // and therefore cannot be evicted or have its bytes reused under the caller
 // — until the matching Release.
 type Manager interface {
@@ -24,9 +24,15 @@ type Manager interface {
 	// early stops and context cancellation: zero-copy views over the
 	// frame's bytes are only valid inside that pin scope.
 	Fetch(id storage.PageID) (*Frame, error)
-	// Create pins a zeroed frame for a freshly allocated page.
+	// Create pins a zeroed frame for a freshly allocated page: the pager's
+	// Alloc, then Adopt.
 	Create() (*Frame, error)
-	// Release unpins a frame obtained from Fetch or Create.
+	// Adopt pins a zeroed dirty frame for a page the caller allocated
+	// from the pager and nobody has written or fetched, without a read.
+	// Eviction and its write-back happen here, on the adopting goroutine,
+	// which need not be the allocating one.
+	Adopt(id storage.PageID) (*Frame, error)
+	// Release unpins a frame obtained from Fetch, Create or Adopt.
 	Release(f *Frame)
 	// FetchMut pins the page exclusively for in-place mutation: it fails
 	// if the frame carries any other pin, and while it is held Fetch on

@@ -83,17 +83,22 @@ func (s *Sharded) Fetch(id storage.PageID) (*Frame, error) {
 	return s.shard(id).Fetch(id)
 }
 
-// Create allocates a page from the pager and pins a zeroed dirty frame for
-// it in the owning shard.
+// Create allocates a page from the pager and adopts it.
 func (s *Sharded) Create() (*Frame, error) {
 	id, err := s.pager.Alloc()
 	if err != nil {
 		return nil, err
 	}
-	return s.shard(id).adopt(id)
+	return s.Adopt(id)
 }
 
-// Release unpins a frame obtained from Fetch or Create.
+// Adopt pins a zeroed dirty frame for the allocated, never-written page id
+// in its owning shard, without reading the pager.
+func (s *Sharded) Adopt(id storage.PageID) (*Frame, error) {
+	return s.shard(id).Adopt(id)
+}
+
+// Release unpins a frame obtained from Fetch, Create or Adopt.
 func (s *Sharded) Release(f *Frame) {
 	s.shard(f.ID()).Release(f)
 }

@@ -57,7 +57,7 @@ var deterministicLayers = map[string]bool{
 //	psort                              -> node
 //	extsort                            -> geom, node, psort
 //	pack                               -> extsort, geom, hilbert, node, psort
-//	rtree                              -> buffer, geom, node, storage
+//	rtree                              -> buffer, geom, node, psort, storage
 //	metrics                            -> geom, node, rtree, storage
 //	experiments                        -> everything below
 //	strtree (root)                     -> the public surface's needs
@@ -105,6 +105,7 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/buffer":  true,
 		"internal/geom":    true,
 		"internal/node":    true,
+		"internal/psort":   true, // Chunks: the bulk loader's parallel input check
 		"internal/storage": true,
 	},
 	"internal/metrics": {
@@ -156,6 +157,7 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/metrics": true,
 		"internal/node":    true,
 		"internal/pack":    true,
+		"internal/psort":   true, // Chunks: BulkLoad's parallel Item -> Entry pass
 		"internal/query":   true,
 		"internal/rtree":   true,
 		"internal/storage": true,

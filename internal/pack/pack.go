@@ -12,8 +12,9 @@
 //
 // All sorting goes through internal/psort: keys are computed once per
 // entry and axis, a stable radix sort orders (key, index) pairs, and the
-// entries themselves move once, when the order is final — STR sorts one
-// permutation axis by axis, slab by slab, before it moves anything. A
+// entries themselves move once, their coordinates with them, when the order
+// is final — STR sorts one permutation axis by axis, slab by slab, before it
+// moves anything — so what an orderer returns reads sequentially. A
 // stable sort has one answer, so every orderer produces byte-for-byte the
 // same permutation at any Workers setting.
 package pack

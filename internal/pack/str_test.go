@@ -77,13 +77,13 @@ func TestSTROrderMatchesTwoSortReference(t *testing.T) {
 }
 
 // TestSTROrderAllocBound keeps STR's scratch per call, not per slab: the
-// pairs, the permutation header, the moved copy of the entries and three
-// closures, however many slabs the level has.
+// pairs, the permutation header, the coordinate slab and the refs the one
+// move gathers into, and three closures, however many slabs the level has.
 func TestSTROrderAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const bound = 6
+	const bound = 7
 	for _, size := range []int{25000, 100000} { // 16 and 32 slabs of capacity-100 nodes
 		base := uniformSquares(size, 3)
 		work := make([]node.Entry, size)

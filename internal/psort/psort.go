@@ -7,9 +7,16 @@
 // index), so the kernel never compares: it is a least-significant-digit
 // radix sort over (key, entry index) pairs, one counting pass and one
 // scatter pass per 8-bit digit, skipping every digit on which all keys
-// agree. The 56-byte entries are not touched until the order is final: a
-// Perm sorts the pairs, as often and over as many sub-ranges as the caller
-// likes, and Apply moves each entry once.
+// agree. Neither the 56-byte entries nor their coordinates are touched
+// until the order is final: a Perm sorts the pairs, as often and over as
+// many sub-ranges as the caller likes, and Apply moves each entry once —
+// header and coordinates together. An entry is a header of two slices
+// pointing at coordinates the caller allocated one rectangle at a time;
+// moving only the headers would leave everything downstream of the sort
+// (the node MBRs, node.Marshal, an external run's encoder) chasing two
+// pointers per entry into memory in the order the data arrived. Apply
+// therefore gathers the coordinates into one pointer-free slab laid out in
+// the final order, so what follows a sort streams.
 //
 // Determinism: each digit pass is stable, so the result is the stable sort
 // by key — ties stay in the order the pairs had, which for a fresh Perm is
@@ -104,16 +111,39 @@ func (p *Perm) keyByCenter(ps []pair, axis int) {
 }
 
 // Apply moves the entries into the permuted order — the one pass in which
-// a sort touches them.
+// a sort touches them — and their coordinates with them: position i's Min
+// and Max become the i-th 2k floats (min₀…min_{k−1}, max₀…max_{k−1}) of one
+// slab Apply allocates, each with cap == len, so the entries no longer
+// share memory with the rectangles they were built over and an append to
+// one cannot reach its neighbour. The gather finishes before the first
+// header is rewritten, so no copy of the old headers is needed. All entries
+// must be of one dimensionality, which every caller has checked by the time
+// it sorts (rtree.BulkLoad, extsort's Ingest).
 func (p *Perm) Apply(workers int) {
 	n := len(p.entries)
-	old := make([]node.Entry, n)
+	if n == 0 {
+		return
+	}
+	k := p.entries[0].Rect.Dim()
+	coords := make([]float64, 2*k*n)
+	refs := make([]uint64, n)
 	Chunks(n, workers, func(lo, hi int) {
-		copy(old[lo:hi], p.entries[lo:hi])
+		for i := lo; i < hi; i++ {
+			e := &p.entries[p.ps[i].idx]
+			if len(e.Rect.Min) != k || len(e.Rect.Max) != k {
+				//strlint:ignore panics documented contract: sorting entries of mixed dimensionality is a caller bug; the loaders reject such input before they sort
+				panic("psort: entries of mixed dimensionality")
+			}
+			copy(coords[2*k*i:], e.Rect.Min)
+			copy(coords[2*k*i+k:], e.Rect.Max)
+			refs[i] = e.Ref
+		}
 	})
 	Chunks(n, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.entries[i] = old[p.ps[i].idx]
+			c := coords[2*k*i : 2*k*(i+1) : 2*k*(i+1)]
+			e := &p.entries[i]
+			e.Rect.Min, e.Rect.Max, e.Ref = c[:k:k], c[k:], refs[i]
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"strtree/internal/geom"
@@ -259,4 +260,153 @@ func BenchmarkByCenter(b *testing.B) {
 			}
 		})
 	}
+}
+
+// kEntries makes n k-dimensional entries on a coarse grid (ties are common),
+// each over two slices of its own, as a caller's rectangles are.
+func kEntries(n, k int, seed int64) []node.Entry {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]node.Entry, n)
+	for i := range out {
+		r := geom.Rect{Min: make(geom.Point, k), Max: make(geom.Point, k)}
+		for d := 0; d < k; d++ {
+			r.Min[d] = float64(rng.Intn(32))
+			r.Max[d] = r.Min[d] + float64(1+rng.Intn(4))
+		}
+		out[i] = node.Entry{Rect: r, Ref: uint64(i)}
+	}
+	return out
+}
+
+// deepClone copies entries and the coordinates under them.
+func deepClone(entries []node.Entry) []node.Entry {
+	out := make([]node.Entry, len(entries))
+	for i, e := range entries {
+		out[i] = node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref}
+	}
+	return out
+}
+
+// refByCenter is the specification of a center sort: sort.SliceStable over
+// the entries themselves.
+func refByCenter(entries []node.Entry, axis int) {
+	sort.SliceStable(entries, func(a, b int) bool {
+		return entries[a].Rect.CenterAxis(axis) < entries[b].Rect.CenterAxis(axis)
+	})
+}
+
+// TestApplyMovesCoordinates is the contract of the one move: whatever route
+// led to Apply — ByCenter, ByKeys, or a Perm refined over nested sub-ranges
+// — the entries equal the stable-sort reference by value, at k = 2 and 3,
+// for one entry and for none, identically at every worker count; and their
+// coordinates sit in storage of Apply's own, each slice with cap == len, so
+// neither the caller's rectangles nor a neighbouring entry can be reached
+// through them.
+func TestApplyMovesCoordinates(t *testing.T) {
+	routes := map[string]struct {
+		sort func(entries []node.Entry, workers int)
+		ref  func(entries []node.Entry)
+	}{
+		"ByCenter": {
+			func(e []node.Entry, w int) { ByCenter(e, 1, w) },
+			func(e []node.Entry) { refByCenter(e, 1) },
+		},
+		"ByKeys": {
+			func(e []node.Entry, w int) { ByKeys(e, refKeys(e), w) },
+			func(e []node.Entry) { refByKeys(e, refKeys(e)) },
+		},
+		// STR's shape: the whole range on axis 0, thirds of it on axis 1,
+		// halves of each third on the last axis, then one Apply.
+		"nested Perm": {
+			func(e []node.Entry, w int) {
+				p := NewPerm(e)
+				p.SortByCenter(0, len(e), 0, w)
+				eachNestedRange(len(e), func(lo, hi, depth int) { p.SortByCenter(lo, hi, axisAt(e, depth), 1) })
+				p.Apply(w)
+			},
+			func(e []node.Entry) {
+				refByCenter(e, 0)
+				eachNestedRange(len(e), func(lo, hi, depth int) { refByCenter(e[lo:hi], axisAt(e, depth)) })
+			},
+		},
+	}
+	for name, r := range routes {
+		for _, k := range []int{2, 3} {
+			for _, n := range []int{0, 1, 2, 300, 3 * seqMin} {
+				label := name + " k=" + itoa(k) + " n=" + itoa(n)
+				orig := kEntries(n, k, int64(31*n+k))
+				want := deepClone(orig)
+				r.ref(want)
+				for _, workers := range []int{1, 2, 8} {
+					input := deepClone(orig)
+					got := slices.Clone(input)
+					r.sort(got, workers)
+					sameEntries(t, got, want, label+" workers="+itoa(workers))
+					for i := range got {
+						if len(got[i].Rect.Min) != k || len(got[i].Rect.Max) != k {
+							t.Fatalf("%s: entry %d has dims %d/%d", label, i, len(got[i].Rect.Min), len(got[i].Rect.Max))
+						}
+						if cap(got[i].Rect.Min) != k || cap(got[i].Rect.Max) != k {
+							t.Fatalf("%s: entry %d: cap(Min) %d, cap(Max) %d, want %d: an append would reach the next coordinates",
+								label, i, cap(got[i].Rect.Min), cap(got[i].Rect.Max), k)
+						}
+					}
+					// The caller's rectangles are no longer what the entries
+					// read, and an append to one entry stays its own.
+					for i := range input {
+						for d := 0; d < k; d++ {
+							input[i].Rect.Min[d], input[i].Rect.Max[d] = math.NaN(), math.NaN()
+						}
+					}
+					for i := range got {
+						_ = append(got[i].Rect.Min, -1)
+						_ = append(got[i].Rect.Max, -1)
+					}
+					sameEntries(t, got, want, label+" workers="+itoa(workers)+" after mutating the originals")
+				}
+			}
+		}
+	}
+}
+
+// refKeys derives a tie-heavy key per entry from its own coordinates, so
+// the sort under test and the reference compute the same keys.
+func refKeys(entries []node.Entry) []uint64 {
+	keys := make([]uint64, len(entries))
+	for i, e := range entries {
+		keys[i] = uint64(e.Rect.Min[0])%7<<8 | uint64(e.Rect.Max[len(e.Rect.Max)-1])%5
+	}
+	return keys
+}
+
+// eachNestedRange calls f on the thirds of [0, n) at depth 1 and on the
+// halves of every third at depth 2.
+func eachNestedRange(n int, f func(lo, hi, depth int)) {
+	for t := 0; t < 3; t++ {
+		lo, hi := n*t/3, n*(t+1)/3
+		f(lo, hi, 1)
+		mid := lo + (hi-lo)/2
+		f(lo, mid, 2)
+		f(mid, hi, 2)
+	}
+}
+
+// axisAt is the axis sorted at a nesting depth: the last axis stands in
+// where the entries have no axis that deep.
+func axisAt(entries []node.Entry, depth int) int {
+	if len(entries) == 0 {
+		return 0
+	}
+	return min(depth, entries[0].Rect.Dim()-1)
+}
+
+// TestApplyRejectsMixedDimensions: the slab has one stride.
+func TestApplyRejectsMixedDimensions(t *testing.T) {
+	entries := append(kEntries(4, 2, 1), kEntries(1, 3, 2)...)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("sorting 2-D and 3-D entries together did not panic")
+		}
+	}()
+	ByCenter(entries, 0, 1)
 }

@@ -2,9 +2,11 @@ package rtree
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"strtree/internal/node"
+	"strtree/internal/psort"
 	"strtree/internal/storage"
 )
 
@@ -16,7 +18,11 @@ import (
 // of the paper's algorithms do.
 type Orderer interface {
 	// Order permutes entries in place. n is the node capacity; level is the
-	// tree level being packed (0 = leaf).
+	// tree level being packed (0 = leaf). After Order an entry's rectangle
+	// may live in storage the orderer allocated rather than where the
+	// caller built it (psort moves the coordinates with the entries, so
+	// the packing that follows reads them in order); only the values are
+	// the caller's.
 	Order(entries []node.Entry, n int, level int)
 	// Name identifies the algorithm in reports ("STR", "HS", "NX", ...).
 	Name() string
@@ -26,9 +32,11 @@ type Orderer interface {
 type BuildStats struct {
 	// Order is the wall time inside Orderer.Order across all levels.
 	Order time.Duration
-	// Write is the cumulative time serializing nodes onto pages. With
-	// Workers > 1 the writes run behind the packing, so Write overlaps
-	// Order instead of adding to the build's wall time.
+	// Write is the cumulative time filling pages: pinning a frame for each
+	// (which evicts another page once the pool is full, and writes it back)
+	// and serializing the node into it. With Workers > 1 all of that runs
+	// behind the packing, so Write overlaps Order instead of adding to the
+	// build's wall time.
 	Write time.Duration
 	// Pages is the number of node pages written.
 	Pages int
@@ -55,27 +63,56 @@ func (t *Tree) LastBuildStats() BuildStats { return t.buildStats }
 // Packed nodes are filled to exactly n entries (the last node per level may
 // hold fewer), which yields the near-100% space utilization the paper
 // credits packing for. The tree must be empty. The input slice is permuted
-// in place. With Workers > 1, page writes run behind the packing on a
-// background goroutine; the resulting tree bytes are identical either way.
+// in place (and see Orderer on where its rectangles then live). The packing
+// goroutine validates (on Workers goroutines), orders, reserves page ids and
+// computes MBRs; pinning frames, evicting, writing back and serializing are
+// the page writer's, which with Workers > 1 is a background goroutine. The
+// resulting tree bytes are identical either way, and a build reads no page
+// and writes each once.
 func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) (err error) {
 	if t.height != 0 {
 		return ErrNotEmpty
 	}
-	for i := range entries {
-		if err := t.checkEntry(entries[i].Rect); err != nil {
-			return fmt.Errorf("entry %d: %w", i, err)
-		}
+	if err := t.checkEntries(entries); err != nil {
+		return err
 	}
 	if len(entries) == 0 {
 		return t.writeMeta()
 	}
-	w := t.newPageWriter()
+	w, err := t.newPageWriter()
+	if err != nil {
+		return err
+	}
 	defer func() {
 		if cerr := w.close(); err == nil {
 			err = cerr
 		}
 	}()
 	return t.packUp(w, entries, 0, uint64(len(entries)), o)
+}
+
+// checkEntries validates the data entries of a bulk load, split over the
+// tree's workers. The error is the lowest-indexed bad entry's, as a
+// sequential scan's would be.
+func (t *Tree) checkEntries(entries []node.Entry) error {
+	var (
+		mu    sync.Mutex
+		first = len(entries)
+		err   error
+	)
+	psort.Chunks(len(entries), t.workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if cerr := t.checkEntry(entries[i].Rect); cerr != nil {
+				mu.Lock()
+				if i < first {
+					first, err = i, fmt.Errorf("entry %d: %w", i, cerr)
+				}
+				mu.Unlock()
+				return
+			}
+		}
+	})
+	return err
 }
 
 // packUp is the General Algorithm's loop from a given level to the root,
@@ -128,19 +165,21 @@ func (t *Tree) packLevel(w *pageWriter, entries []node.Entry, level int) ([]node
 	return parents, nil
 }
 
-// emitNode allocates a page for one finished node, hands the node to the
-// page writer and returns its parent entry (MBR, page). The MBR is
+// emitNode reserves a page for one finished node, hands the node to the
+// page writer and returns its parent entry (MBR, page). Reserving costs no
+// I/O and no frame — those are the writer's — so between two sorts the
+// packing goroutine only streams the entries for their MBRs. The MBR is
 // computed before emitting because emit transfers ownership of the entry
-// slice to the (possibly asynchronous) writer, which with recycle set
-// hands it back through its free list once the page is written.
+// slice to the (possibly asynchronous) writer, which with recycle set hands
+// it back through its free list once the page is written.
 func (t *Tree) emitNode(w *pageWriter, entries []node.Entry, level int, recycle bool) (node.Entry, error) {
 	n := node.Node{Level: level, Dims: t.dims, Entries: entries}
-	id, err := t.newPage()
+	id, fresh, err := t.reservePage()
 	if err != nil {
 		return node.Entry{}, err
 	}
 	mbr := n.MBR()
-	if err := w.emit(id, &n, recycle); err != nil {
+	if err := w.emit(pageJob{id: id, fresh: fresh, n: n, recycle: recycle}); err != nil {
 		return node.Entry{}, err
 	}
 	return node.Entry{Rect: mbr, Ref: uint64(id)}, nil

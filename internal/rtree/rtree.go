@@ -350,13 +350,30 @@ func (t *Tree) Flush() error {
 	return t.pool.FlushAll()
 }
 
-// writeNode serializes n onto page id. MarkDirty comes first: it clears the
-// frame's validation mark before Marshal touches a byte, so no visit can
-// trust the old verdict over the new image. A Marshal that fails has written
-// nothing (its contract), which leaves a dirty frame with its old bytes —
-// at worst one redundant write-back.
+// writeNode serializes n onto page id, which holds a node already or came
+// from newPage.
 func (t *Tree) writeNode(id storage.PageID, n *node.Node) error {
-	f, err := t.pool.Fetch(id)
+	return t.fillPage(id, false, n)
+}
+
+// fillPage pins page id, serializes n onto it and releases it. A fresh page
+// (reservePage's word for it) has never been written or fetched, so its
+// frame is adopted without a read; any other may be cached and is fetched.
+// MarkDirty comes first: it clears the frame's validation mark before
+// Marshal touches a byte, so no visit can trust the old verdict over the
+// new image. A Marshal that fails has written nothing (its contract), which
+// leaves a dirty frame with its old bytes — at worst one redundant
+// write-back.
+func (t *Tree) fillPage(id storage.PageID, fresh bool, n *node.Node) error {
+	var (
+		f   *buffer.Frame
+		err error
+	)
+	if fresh {
+		f, err = t.pool.Adopt(id)
+	} else {
+		f, err = t.pool.Fetch(id)
+	}
 	if err != nil {
 		return err
 	}
@@ -366,18 +383,30 @@ func (t *Tree) writeNode(id storage.PageID, n *node.Node) error {
 	return err
 }
 
-// newPage allocates a page for a new node, recycling freed pages first.
-func (t *Tree) newPage() (storage.PageID, error) {
+// reservePage takes a page id for a new node, recycling freed pages first,
+// and does no I/O either way: a fresh id is the pager's bookkeeping, and the
+// frame for it is whoever fills the page's to pin (fillPage).
+func (t *Tree) reservePage() (id storage.PageID, fresh bool, err error) {
 	if n := len(t.free); n > 0 {
-		id := t.free[n-1]
+		id = t.free[n-1]
 		t.free = t.free[:n-1]
-		return id, nil
+		return id, false, nil
 	}
-	f, err := t.pool.Create()
+	id, err = t.pool.Pager().Alloc()
+	return id, true, err
+}
+
+// newPage reserves a page for a new node of the dynamic write path, which
+// fills it with writeNode: a fresh page enters the pool here.
+func (t *Tree) newPage() (storage.PageID, error) {
+	id, fresh, err := t.reservePage()
+	if err != nil || !fresh {
+		return id, err
+	}
+	f, err := t.pool.Adopt(id)
 	if err != nil {
 		return storage.NilPage, err
 	}
-	id := f.ID()
 	t.pool.Release(f)
 	return id, nil
 }

@@ -22,7 +22,10 @@ func (t *Tree) BulkLoadOrdered(next func() (node.Entry, bool, error), o Orderer)
 	if t.height != 0 {
 		return ErrNotEmpty
 	}
-	w := t.newPageWriter()
+	w, err := t.newPageWriter()
+	if err != nil {
+		return err
+	}
 	defer func() {
 		if cerr := w.close(); err == nil {
 			err = cerr

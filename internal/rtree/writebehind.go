@@ -1,10 +1,12 @@
 package rtree
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"strtree/internal/buffer"
 	"strtree/internal/node"
 	"strtree/internal/storage"
 )
@@ -15,31 +17,45 @@ import (
 // without letting memory grow with the tree.
 const writeBehindQueue = 64
 
-// pageJob is one finished node waiting to be serialized onto its page.
-// Ownership of n.Entries transfers to the writer with the job: the
-// producer must not touch the slice afterwards (it computes the node MBR
-// before emitting for exactly this reason).
+// pageJob is one finished node waiting to be serialized onto the page
+// reserved for it. Ownership of n.Entries transfers to the writer with the
+// job: the producer must not touch the slice afterwards (it computes the
+// node MBR before emitting for exactly this reason).
 type pageJob struct {
 	id      storage.PageID
+	fresh   bool // reservePage's: the page was never written, adopt its frame
 	n       node.Node
 	recycle bool // hand n.Entries back through the free list after writing
 }
 
-// pageWriter emits finished nodes during a bulk load. With t.workers > 1
-// it serializes and writes pages on a background goroutine behind a
-// bounded queue, so packing the next node overlaps page I/O; otherwise it
-// writes inline. Errors are first-error-wins: after a write fails,
-// remaining jobs are drained without touching the pager and close()
-// returns the first failure.
+// pageWriter emits finished nodes during a bulk load. The packing goroutine
+// only reserves a page id per node (bookkeeping, no I/O) and computes its
+// MBR; everything that touches the buffer pool or the pager — pinning a
+// frame for the page, evicting another page to make room and writing it
+// back, serializing the node — is t.fillPage, which with t.workers > 1 runs
+// on a background goroutine behind a bounded queue, so it overlaps packing
+// the next node, and otherwise runs inline. Errors are first-error-wins:
+// after a page fails, remaining jobs are drained without touching the pager
+// and close() returns the first failure.
 //
 // The split of tree state is strict: the build goroutine owns page
-// allocation (t.newPage, t.free) and tree metadata; the writer goroutine
-// only calls t.writeNode, which goes through the buffer manager's own
-// locking. The jobs channel provides the happens-before edge between
+// reservation (t.reservePage, t.free) and tree metadata; the writer
+// goroutine only calls t.fillPage, which goes through the buffer manager's
+// own locking. The jobs channel provides the happens-before edge between
 // filling a node's entries and the writer reading them.
+//
+// The build holds a pin on the tree's meta page from start to close, so the
+// epilogue's writeMeta finds it resident however small the pool: a bulk
+// load reads nothing and writes each page once. That takes two frames where
+// the meta page lives — that one and the page being filled; a pool with
+// only one there gives the pin up at the first fill it blocks (fill) and
+// pays what it saved: one write-back of the meta page and one read.
 type pageWriter struct {
 	t     *Tree
 	async bool
+	// meta is the build's pin on the meta page; nil once given up. The
+	// writer owns it until close has waited for it.
+	meta *buffer.Frame
 
 	jobs chan pageJob
 	free chan []node.Entry
@@ -57,15 +73,32 @@ type pageWriter struct {
 	writeNanos atomic.Int64
 }
 
-func (t *Tree) newPageWriter() *pageWriter {
-	w := &pageWriter{t: t, async: t.workers > 1}
+func (t *Tree) newPageWriter() (*pageWriter, error) {
+	meta, err := t.pool.Fetch(t.metaPage)
+	if err != nil {
+		return nil, err
+	}
+	w := &pageWriter{t: t, async: t.workers > 1, meta: meta}
 	if w.async {
 		w.jobs = make(chan pageJob, writeBehindQueue)
 		w.free = make(chan []node.Entry, writeBehindQueue+1)
 		w.wg.Add(1)
 		go w.run()
 	}
-	return w
+	return w, nil
+}
+
+// fill is the one page-fill step of both arms, timed.
+func (w *pageWriter) fill(job *pageJob) error {
+	t0 := time.Now()
+	err := w.t.fillPage(job.id, job.fresh, &job.n)
+	if w.meta != nil && errors.Is(err, buffer.ErrPoolExhausted) {
+		w.t.pool.Release(w.meta)
+		w.meta = nil
+		err = w.t.fillPage(job.id, job.fresh, &job.n)
+	}
+	w.writeNanos.Add(int64(time.Since(t0)))
+	return err
 }
 
 func (w *pageWriter) fail(err error) {
@@ -87,11 +120,9 @@ func (w *pageWriter) run() {
 	defer w.wg.Done()
 	for job := range w.jobs {
 		if w.firstErr() == nil {
-			t0 := time.Now()
-			if err := w.t.writeNode(job.id, &job.n); err != nil {
+			if err := w.fill(&job); err != nil {
 				w.fail(err)
 			}
-			w.writeNanos.Add(int64(time.Since(t0)))
 		}
 		if job.recycle {
 			select {
@@ -102,17 +133,14 @@ func (w *pageWriter) run() {
 	}
 }
 
-// emit hands a finished node to the writer. In async mode ownership of
-// n.Entries transfers with the call; the producer must have read
-// everything it needs (the MBR) beforehand and must not reuse the slice
-// except via recycleOrNew.
-func (w *pageWriter) emit(id storage.PageID, n *node.Node, recycle bool) error {
+// emit hands a finished node and the page reserved for it to the writer.
+// In async mode ownership of n.Entries transfers with the call; the
+// producer must have read everything it needs (the MBR) beforehand and must
+// not reuse the slice except via recycleOrNew.
+func (w *pageWriter) emit(job pageJob) error {
 	w.pages++
 	if !w.async {
-		t0 := time.Now()
-		err := w.t.writeNode(id, n)
-		w.writeNanos.Add(int64(time.Since(t0)))
-		return err
+		return w.fill(&job)
 	}
 	if err := w.firstErr(); err != nil {
 		return err
@@ -123,7 +151,7 @@ func (w *pageWriter) emit(id storage.PageID, n *node.Node, recycle bool) error {
 	if d := len(w.jobs) + 1; d > w.queuePeak {
 		w.queuePeak = d
 	}
-	w.jobs <- pageJob{id: id, n: node.Node{Level: n.Level, Dims: n.Dims, Entries: n.Entries}, recycle: recycle}
+	w.jobs <- job
 	return nil
 }
 
@@ -143,24 +171,30 @@ func (w *pageWriter) recycleOrNew(old []node.Entry, capHint int) []node.Entry {
 	}
 }
 
-// close drains the queue, stops the background writer and returns the
-// first write error. It is idempotent, so bulk loads both defer it (for
-// early error returns) and call it explicitly before flushing.
+// close drains the queue, stops the background writer, drops the meta
+// page's pin and returns the first write error. It is idempotent, so bulk
+// loads both defer it (for early error returns) and call it explicitly
+// before flushing.
 func (w *pageWriter) close() error {
 	w.mu.Lock()
 	already := w.closed
 	w.closed = true
 	w.mu.Unlock()
-	if w.async && !already {
-		close(w.jobs)
-		w.wg.Wait()
+	if !already {
+		if w.async {
+			close(w.jobs)
+			w.wg.Wait()
+		}
+		if w.meta != nil {
+			w.t.pool.Release(w.meta)
+		}
 	}
 	return w.firstErr()
 }
 
-// writeTime reports the cumulative wall time spent serializing and
-// writing pages. In async mode this overlaps the ordering time rather
-// than adding to it.
+// writeTime reports the cumulative wall time spent in fillPage: pinning
+// frames (eviction and its write-back included) and serializing nodes. In
+// async mode this overlaps the ordering time rather than adding to it.
 func (w *pageWriter) writeTime() time.Duration {
 	return time.Duration(w.writeNanos.Load())
 }

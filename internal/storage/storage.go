@@ -15,6 +15,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -42,7 +43,11 @@ var ErrClosed = errors.New("storage: pager closed")
 type Pager interface {
 	// PageSize returns the fixed size in bytes of every page.
 	PageSize() int
-	// Alloc reserves a new zeroed page and returns its id.
+	// Alloc reserves the next page id and returns it. It is bookkeeping:
+	// an implementation need not touch its medium until the page is
+	// written, so a caller that is about to overwrite the page pays for
+	// one write, not two. An allocated page that was never written reads
+	// as zeros.
 	Alloc() (PageID, error)
 	// ReadPage copies page id into buf, which must be PageSize() long.
 	ReadPage(id PageID, buf []byte) error
@@ -50,7 +55,8 @@ type Pager interface {
 	WritePage(id PageID, buf []byte) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
-	// Sync flushes any buffered state to stable storage.
+	// Sync flushes any buffered state to stable storage, allocated pages
+	// nobody wrote included.
 	Sync() error
 	// Close releases resources. The pager is unusable afterwards.
 	Close() error
@@ -179,14 +185,31 @@ func (m *MemPager) Stats() Stats { return m.stats.snapshot() }
 // FilePager stores pages in a regular file, page i at byte offset
 // i*PageSize. It gives the index durable persistence (cmd/strload) and a
 // faithful stand-in for the paper's raw partition.
+//
+// Alloc does no I/O: it hands out the next id, and the file grows when a
+// page past its end is written. Between an Alloc and that write the file
+// is shorter than NumPages × PageSize (or holds a hole, when a later page
+// was written first); ReadPage returns zeros for such a page, and Sync and
+// Close extend the file to exactly NumPages × PageSize before they return,
+// so a file at rest always has the length OpenFilePager expects.
 type FilePager struct {
 	mu       sync.Mutex
-	f        *os.File
+	f        file
 	pageSize int
-	zero     []byte // one page of zeros, what Alloc extends the file with
-	n        int
+	n        int // pages allocated
+	filed    int // pages the file is long enough to hold; <= n
 	stats    Stats
 	closed   bool
+}
+
+// file is what FilePager needs of *os.File; tests substitute one that
+// fails.
+type file interface {
+	io.ReaderAt
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 // CreateFilePager creates or truncates the file at path and returns an
@@ -199,7 +222,7 @@ func CreateFilePager(path string, pageSize int) (*FilePager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: create %s: %w", path, err)
 	}
-	return &FilePager{f: f, pageSize: pageSize, zero: make([]byte, pageSize)}, nil
+	return &FilePager{f: f, pageSize: pageSize}, nil
 }
 
 // OpenFilePager opens an existing page file. The file length must be a
@@ -221,13 +244,14 @@ func OpenFilePager(path string, pageSize int) (*FilePager, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s length %d not a multiple of page size %d", path, fi.Size(), pageSize)
 	}
-	return &FilePager{f: f, pageSize: pageSize, zero: make([]byte, pageSize), n: int(fi.Size() / int64(pageSize))}, nil
+	n := int(fi.Size() / int64(pageSize))
+	return &FilePager{f: f, pageSize: pageSize, n: n, filed: n}, nil
 }
 
 // PageSize implements Pager.
 func (p *FilePager) PageSize() int { return p.pageSize }
 
-// Alloc implements Pager.
+// Alloc implements Pager. No I/O: see FilePager.
 func (p *FilePager) Alloc() (PageID, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -238,15 +262,13 @@ func (p *FilePager) Alloc() (PageID, error) {
 		return NilPage, errors.New("storage: page space exhausted")
 	}
 	id := PageID(p.n)
-	if _, err := p.f.WriteAt(p.zero, int64(p.n)*int64(p.pageSize)); err != nil {
-		return NilPage, fmt.Errorf("storage: extend: %w", err)
-	}
 	p.n++
 	p.stats.Allocs++
 	return id, nil
 }
 
-// ReadPage implements Pager.
+// ReadPage implements Pager. An allocated page beyond the file's end, or
+// in a hole of it, was never written and reads as zeros.
 func (p *FilePager) ReadPage(id PageID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -256,14 +278,16 @@ func (p *FilePager) ReadPage(id PageID, buf []byte) error {
 	if err := p.check(id, buf); err != nil {
 		return err
 	}
-	if _, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize)); err != nil {
+	got, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize))
+	if err != nil && err != io.EOF {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
+	clear(buf[got:])
 	p.stats.Reads++
 	return nil
 }
 
-// WritePage implements Pager.
+// WritePage implements Pager. Writing past the file's end extends it.
 func (p *FilePager) WritePage(id PageID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -276,6 +300,7 @@ func (p *FilePager) WritePage(id PageID, buf []byte) error {
 	if _, err := p.f.WriteAt(buf, int64(id)*int64(p.pageSize)); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", id, err)
 	}
+	p.filed = max(p.filed, int(id)+1)
 	p.stats.Writes++
 	return nil
 }
@@ -297,12 +322,27 @@ func (p *FilePager) NumPages() int {
 	return p.n
 }
 
+// extendLocked grows the file over allocated pages no write has reached.
+func (p *FilePager) extendLocked() error {
+	if p.filed == p.n {
+		return nil
+	}
+	if err := p.f.Truncate(int64(p.n) * int64(p.pageSize)); err != nil {
+		return fmt.Errorf("storage: extend to %d pages: %w", p.n, err)
+	}
+	p.filed = p.n
+	return nil
+}
+
 // Sync implements Pager.
 func (p *FilePager) Sync() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
+	}
+	if err := p.extendLocked(); err != nil {
+		return err
 	}
 	return p.f.Sync()
 }
@@ -315,7 +355,7 @@ func (p *FilePager) Close() error {
 		return nil
 	}
 	p.closed = true
-	return p.f.Close()
+	return errors.Join(p.extendLocked(), p.f.Close())
 }
 
 // Stats returns a snapshot of the physical I/O counters.

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -211,9 +212,10 @@ func TestFilePagerStats(t *testing.T) {
 	}
 }
 
-// TestFilePagerAllocZeroAllocs pins Alloc to the pager's own zero page: a
-// 500k-entry build allocates ~5000 pages and must not make 5000 garbage
-// slices doing it. The file still grows by one zeroed page per call.
+// TestFilePagerAllocZeroAllocs pins Alloc to bookkeeping: a 500k-entry
+// build allocates ~5000 pages and must make neither 5000 garbage slices nor
+// 5000 writes doing it. The file does not grow until a page is written or
+// the pager is synced; the allocated pages read as zeros meanwhile.
 func TestFilePagerAllocZeroAllocs(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "z.db")
 	p, err := CreateFilePager(path, 4096)
@@ -232,19 +234,187 @@ func TestFilePagerAllocZeroAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Fatalf("Alloc allocates %v times per call, want 0", a)
 	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
+	if p.NumPages() != runs+2 {
+		t.Fatalf("NumPages = %d, want %d", p.NumPages(), runs+2)
 	}
-	if want := int64(p.NumPages()) * 4096; fi.Size() != want || p.NumPages() != runs+2 {
-		t.Fatalf("file is %d bytes over %d pages, want %d bytes over %d pages", fi.Size(), p.NumPages(), want, runs+2)
+	if got := fileLen(t, path); got != 0 {
+		t.Fatalf("file is %d bytes after %d Allocs and no write, want 0: Alloc does no I/O", got, p.NumPages())
 	}
-	buf := make([]byte, 4096)
+	buf := bytes.Repeat([]byte{0xAA}, 4096)
 	if err := p.ReadPage(PageID(p.NumPages()-1), buf); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf, make([]byte, 4096)) {
 		t.Fatal("freshly allocated page is not zero")
+	}
+	if err := p.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fileLen(t, path), int64(p.NumPages())*4096; got != want {
+		t.Fatalf("file is %d bytes after Sync over %d pages, want %d", got, p.NumPages(), want)
+	}
+}
+
+func fileLen(t *testing.T, path string) int64 {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestPagerAllocatedUnwrittenPages is the Alloc contract on both pagers: an
+// allocated page nobody wrote reads as zeros and counts one read — whether
+// it lies past everything written or in a hole below a written page — and
+// a FilePager's file is exactly NumPages × PageSize long after Sync, after
+// Close and on reopen, the unwritten highest pages included.
+func TestPagerAllocatedUnwrittenPages(t *testing.T) {
+	const size, pages, written = 128, 9, 5 // page 5 written; 0-4 a hole, 6-8 past the end
+	path := filepath.Join(t.TempDir(), "pages.db")
+	fp, err := CreateFilePager(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem := NewMemPager(size)
+	reads := func(p Pager) int64 {
+		if m, ok := p.(*MemPager); ok {
+			return m.Stats().Reads
+		}
+		return p.(*FilePager).Stats().Reads
+	}
+	for name, p := range map[string]Pager{"mem": mem, "file": fp} {
+		for i := 0; i < pages; i++ {
+			if id, err := p.Alloc(); err != nil || int(id) != i {
+				t.Fatalf("%s: Alloc %d = %d, %v", name, i, id, err)
+			}
+		}
+		if err := p.WritePage(written, bytes.Repeat([]byte{7}, size)); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, id := range []PageID{0, written - 1, written + 1, pages - 1} {
+			buf := bytes.Repeat([]byte{0xAA}, size)
+			before := reads(p)
+			if err := p.ReadPage(id, buf); err != nil {
+				t.Fatalf("%s: read of unwritten page %d: %v", name, id, err)
+			}
+			if !bytes.Equal(buf, make([]byte, size)) {
+				t.Fatalf("%s: unwritten page %d is not zero", name, id)
+			}
+			if got := reads(p) - before; got != 1 {
+				t.Fatalf("%s: read of unwritten page %d counted %d reads, want 1", name, id, got)
+			}
+		}
+		if err := p.ReadPage(pages, make([]byte, size)); !errors.Is(err, ErrPageOutOfRange) {
+			t.Fatalf("%s: read past NumPages: %v, want ErrPageOutOfRange", name, err)
+		}
+		if p.NumPages() != pages {
+			t.Fatalf("%s: NumPages = %d, want %d", name, p.NumPages(), pages)
+		}
+	}
+
+	if got := fileLen(t, path); got != (written+1)*size {
+		t.Fatalf("file is %d bytes before Sync, want %d: only the write extends it", got, (written+1)*size)
+	}
+	if err := fp.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileLen(t, path); got != pages*size {
+		t.Fatalf("file is %d bytes after Sync, want %d", got, pages*size)
+	}
+	// Two more pages, never written, then Close without a Sync.
+	for i := 0; i < 2; i++ {
+		if _, err := fp.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileLen(t, path); got != (pages+2)*size {
+		t.Fatalf("file is %d bytes after Close, want %d", got, (pages+2)*size)
+	}
+	re, err := OpenFilePager(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.NumPages() != pages+2 {
+		t.Fatalf("reopened NumPages = %d, want %d", re.NumPages(), pages+2)
+	}
+	buf := make([]byte, size)
+	if err := re.ReadPage(written, buf); err != nil || buf[0] != 7 {
+		t.Fatalf("reopened written page: %v, first byte %d", err, buf[0])
+	}
+	if err := re.ReadPage(pages+1, buf); err != nil || !bytes.Equal(buf, make([]byte, size)) {
+		t.Fatalf("reopened unwritten last page: %v, zero %v", err, bytes.Equal(buf, make([]byte, size)))
+	}
+	if got := fileLen(t, path); got != (pages+2)*size {
+		t.Fatalf("file is %d bytes after reopen and reads, want %d", got, (pages+2)*size)
+	}
+}
+
+// shortFile is a file whose writes past a byte limit stop short, as a full
+// disk's do.
+type shortFile struct {
+	*os.File
+	limit int64
+}
+
+func (f shortFile) WriteAt(b []byte, off int64) (int, error) {
+	if end := off + int64(len(b)); end > f.limit {
+		n, _ := f.File.WriteAt(b[:max(f.limit-off, 0)], off)
+		return n, io.ErrShortWrite
+	}
+	return f.File.WriteAt(b, off)
+}
+
+func (f shortFile) Truncate(size int64) error {
+	if size > f.limit {
+		return io.ErrShortWrite
+	}
+	return f.File.Truncate(size)
+}
+
+// TestFilePagerShortWriteWhileExtending: Alloc cannot fail for lack of
+// space any more, so the write that extends the file must, and Sync and
+// Close must when it is they who extend it. None of them panics, and a
+// page below the limit stays readable.
+func TestFilePagerShortWriteWhileExtending(t *testing.T) {
+	const size = 128
+	path := filepath.Join(t.TempDir(), "short.db")
+	p, err := CreateFilePager(path, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.f = shortFile{File: p.f.(*os.File), limit: 2*size + size/2}
+	for i := 0; i < 4; i++ {
+		if _, err := p.Alloc(); err != nil {
+			t.Fatalf("Alloc %d: %v (Alloc does no I/O and cannot run out of space)", i, err)
+		}
+	}
+	page := bytes.Repeat([]byte{9}, size)
+	if err := p.WritePage(1, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.WritePage(2, page); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("write cut short while extending: %v, want io.ErrShortWrite", err)
+	}
+	if err := p.WritePage(3, page); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("write wholly past the limit: %v, want io.ErrShortWrite", err)
+	}
+	got := make([]byte, size)
+	if err := p.ReadPage(1, got); err != nil || !bytes.Equal(got, page) {
+		t.Fatalf("page below the limit after failed writes: %v", err)
+	}
+	if err := p.Sync(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Sync that cannot extend the file: %v, want io.ErrShortWrite", err)
+	}
+	if err := p.Close(); !errors.Is(err, io.ErrShortWrite) {
+		t.Fatalf("Close that cannot extend the file: %v, want io.ErrShortWrite", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 

@@ -29,6 +29,7 @@ import (
 	"strtree/internal/metrics"
 	"strtree/internal/node"
 	"strtree/internal/pack"
+	"strtree/internal/psort"
 	"strtree/internal/query"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
@@ -327,9 +328,11 @@ func (t *Tree) BulkLoad(items []Item, p Packing) error {
 		return err
 	}
 	entries := make([]node.Entry, len(items))
-	for i, it := range items {
-		entries[i] = node.Entry{Rect: it.Rect, Ref: it.ID}
-	}
+	psort.Chunks(len(items), t.inner.Workers(), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			entries[i] = node.Entry{Rect: items[i].Rect, Ref: items[i].ID}
+		}
+	})
 	return t.inner.BulkLoad(entries, o)
 }
 
@@ -541,9 +544,10 @@ type BuildStats = rtree.BuildStats
 
 // LastBuildStats returns where the most recent BulkLoad or
 // BulkLoadExternal on this tree spent its time (zero if none ran): wall
-// time inside the packing sort, cumulative page-write time (overlapping
-// the sort when Workers > 1), pages written, and the write-behind
-// queue's high-water mark.
+// time inside the packing sort, cumulative page-fill time (frame
+// adoption, eviction write-back and serialization, all overlapping the
+// sort when Workers > 1), pages written, and the write-behind queue's
+// high-water mark.
 func (t *Tree) LastBuildStats() BuildStats { return t.inner.LastBuildStats() }
 
 // ExternalSortStats reports the external sorter's activity during a
