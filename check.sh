@@ -56,9 +56,13 @@
 #                     kernel's and the per-entry predicate's ns/entry),
 #                     internal/psort's BenchmarkByCenter (the radix sort
 #                     kernel), internal/pack's BenchmarkSTROrder100k
-#                     (STR's one-permutation order) and the root package's
+#                     (STR's one-permutation order), the root package's
 #                     BenchmarkBulkLoad500k (the ledger's build workload:
-#                     a 500k-entry file build at Workers: 2, entries/s).
+#                     a 500k-entry file build at Workers: 2, entries/s)
+#                     and internal/router's BenchmarkRoutedRoundTrip (the
+#                     ledger's serve workload in small: client -> router
+#                     -> 3 shards over loopback, µs and allocations per
+#                     request at fan-out 1 and 3).
 #   8. ledger         scripts/ledger.sh: go vet and the smoke tests of the
 #                     performance ledger, bench/ — a separate module that
 #                     imports strtree/internal/..., which steps 2-7 never
@@ -100,11 +104,12 @@ go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./i
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, router BenchmarkRoutedRoundTrip)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
 go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
 go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkRoutedRoundTrip$' -benchtime 1x ./internal/router
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"
 ./scripts/ledger.sh

@@ -112,9 +112,12 @@ func (e *BatchExecutor) workers(n int) int {
 func (e *BatchExecutor) Run(qs []geom.Rect) ([][]node.Entry, error) {
 	results := make([][]node.Entry, len(qs))
 	err := e.run(qs, func(i int, q geom.Rect) error {
+		// A match's rectangle lives in a pinned page: it is copied out, all
+		// of one query's into one slab (a query runs on one worker).
+		var slab geom.Slab
 		var out []node.Entry
 		if err := e.Search(q, func(ent node.Entry) bool {
-			ent.Rect = ent.Rect.Clone()
+			ent.Rect = slab.Clone(ent.Rect)
 			out = append(out, ent)
 			return true
 		}); err != nil {
@@ -153,6 +156,8 @@ func (e *BatchExecutor) RunCount(qs []geom.Rect) ([]int, error) {
 // and stops everyone. Distinct workers never touch the same index, so the
 // per-slot writes need no lock. Errors are wrapped with the failing
 // query's index ("query %d: ...") — errors.Is/As still reach the cause.
+// (Making the caller worker 0 of the pool, as the router's fan-out does,
+// was measured and not kept: EXPERIMENTS.md, PR 23.)
 func (e *BatchExecutor) run(qs []geom.Rect, do func(i int, q geom.Rect) error) error {
 	n := len(qs)
 	if n == 0 {

@@ -213,8 +213,16 @@ func TestBatchErrorStopsBatch(t *testing.T) {
 	ex := BatchExecutor{
 		Workers: 4,
 		Search: func(q geom.Rect, emit func(node.Entry) bool) error {
-			if calls.Add(1) == 5 {
+			n := calls.Add(1)
+			if n == 5 {
 				return fmt.Errorf("boom")
+			}
+			if n > 5 {
+				// 10 000 empty calls are 0.2 ms of work: less than a loaded
+				// box may keep the failing worker's thread off the CPU
+				// between its error and the stop flag. Calls after the
+				// error take long enough for that not to decide the test.
+				time.Sleep(20 * time.Microsecond)
 			}
 			return nil
 		},

@@ -20,8 +20,9 @@ type backend struct {
 	addr string
 
 	// pool holds the backend's protocol clients; its capacity is the
-	// per-backend concurrency bound. A scatter goroutine takes a client
-	// for one round trip and puts it back, so at most cap(pool) requests
+	// per-backend concurrency bound. A shard call takes a client for one
+	// round trip and puts it back — at the request's deadline at the
+	// latest, whatever the backend does — so at most cap(pool) requests
 	// are in flight to this backend at once and the rest wait (or give
 	// up when the request deadline expires first).
 	pool chan *server.Client
@@ -47,7 +48,11 @@ type backend struct {
 }
 
 // newBackend builds a backend with a pool of conc clients, each with the
-// given transport bounds so a hung peer costs bounded time.
+// given transport bounds so a hung peer costs bounded time. The prober
+// has no request deadline to end its round trip early, so its transport
+// bound is the budget its ping asks the backend for (dial) twice over: a
+// backend that hangs holds up the probe loop, and a Shutdown waiting for
+// it, that long and no longer.
 func newBackend(addr string, conc int, dial, io time.Duration) *backend {
 	b := &backend{addr: addr, pool: make(chan *server.Client, conc)}
 	for i := 0; i < conc; i++ {
@@ -56,7 +61,7 @@ func newBackend(addr string, conc int, dial, io time.Duration) *backend {
 		b.pool <- c
 	}
 	b.probe = server.Dial(addr)
-	b.probe.SetTransportTimeouts(dial, io)
+	b.probe.SetTransportTimeouts(dial, 2*dial)
 	return b
 }
 

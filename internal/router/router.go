@@ -12,11 +12,15 @@
 // handler behind it:
 //
 //   - scatter-gather on the back over pooled protocol clients with
-//     bounded per-backend concurrency and transport timeouts, so a hung
-//     backend costs bounded time, never a parked goroutine;
-//   - per-backend health: consecutive transport failures eject a backend
-//     from rotation, a probe loop re-admits it when it answers again,
-//     and idempotent reads get one retry on another replica;
+//     bounded per-backend concurrency: the first shard's call is made on
+//     the connection's own goroutine, goroutines start only for further
+//     shards, and every call ends at the request's deadline at the
+//     latest, so a hung backend costs a request its budget and the pool
+//     a slot until then — never a parked goroutine;
+//   - per-backend health: consecutive transport failures — a round trip
+//     the backend let run into the request's deadline among them — eject
+//     a backend from rotation, a probe loop re-admits it when it answers
+//     again, and idempotent reads get one retry on another replica;
 //   - deterministic merges: concatenation in shard-manifest order, kNN
 //     k-way merge by (distance, ID), field-wise stats aggregation;
 //   - a shard with no healthy replica answers StatusUnavailable in-band
@@ -98,7 +102,7 @@ type Router struct {
 	replicas [][]*backend
 	backends []*backend
 
-	scatterWG sync.WaitGroup // scatter goroutines (may outlive their request)
+	scatterWG sync.WaitGroup // scatter goroutines (may outlive their request by a moment)
 	probeDone chan struct{}  // closed when the probe loop exits
 
 	unavailable atomic.Uint64
@@ -288,10 +292,28 @@ func (r *Router) targetsFor(req *wire.Request) []int {
 	}
 }
 
+// budgetMargin is how much sooner than the router's own deadline a
+// backend's in-band budget ends (rounding down to the wire's milliseconds
+// adds up to one more). A runtime timer fires up to a millisecond late,
+// on either side, so one millisecond would leave a slow backend's
+// StatusDeadline racing the router's interruption of the same round trip.
+const budgetMargin = 2 * time.Millisecond
+
+// backendBudget is the in-band deadline, in the wire's milliseconds, for
+// a backend called with remaining left of the router's own: never 0,
+// which means "server default".
+func backendBudget(remaining time.Duration) uint32 {
+	return uint32(max((remaining-budgetMargin)/time.Millisecond, 1))
+}
+
 // fanout scatters one admitted request to its target shards, gathers,
-// and merges. The gather respects ctx: a deadline that expires with
-// shard calls still in flight answers StatusDeadline immediately while
-// the stragglers unwind on their own transport bounds.
+// and merges. A request changes goroutine only where there is parallel
+// work to be had: the handler's own goroutine makes the first target's
+// call and goroutines are started for the rest, so a request that reaches
+// one shard — most do, the shard map being an STR tiling — never leaves
+// the connection's goroutine. Every shard call ends at ctx's deadline
+// (tryBackend), so the gather answers StatusDeadline at the deadline
+// even if a backend never answers.
 func (r *Router) fanout(ctx context.Context, req *wire.Request) *wire.Response {
 	targets := r.targetsFor(req)
 	r.fanWidth.Observe(time.Duration(len(targets)) * time.Second)
@@ -300,32 +322,31 @@ func (r *Router) fanout(ctx context.Context, req *wire.Request) *wire.Response {
 		return emptyResponse(req)
 	}
 
-	// Propagate the remaining budget to the backends in-band, so their
-	// own deadline enforcement lines up with ours.
+	// Propagate the remaining budget to the backends in-band, ending
+	// budgetMargin before ours: a backend that is merely slow then says
+	// StatusDeadline itself — a sign of life — before the router gives up
+	// on the round trip, which counts against it.
 	sub := *req
 	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl) / time.Millisecond
-		if ms < 1 {
-			ms = 1
-		}
-		sub.TimeoutMillis = uint32(ms)
+		sub.TimeoutMillis = backendBudget(time.Until(dl))
 	}
 
 	results := make([]*wire.Response, len(targets))
-	done := make(chan struct{}, len(targets))
-	for i, sid := range targets {
+	done := make(chan struct{}, len(targets)-1)
+	for i, sid := range targets[1:] {
 		r.scatterWG.Add(1)
 		go func(i, sid int) {
 			defer r.scatterWG.Done()
-			results[i] = r.shardCall(ctx, sid, sub)
+			results[i] = r.shardCall(ctx, sid, &sub)
 			done <- struct{}{}
-		}(i, sid)
+		}(i+1, sid)
 	}
-	for range targets {
+	results[0] = r.shardCall(ctx, targets[0], &sub)
+	for range targets[1:] {
 		select {
 		case <-done:
 		case <-ctx.Done():
-			return &wire.Response{Status: wire.StatusDeadline, Op: req.Op, Err: ctx.Err().Error()}
+			return deadlineResponse(ctx, req)
 		}
 	}
 
@@ -333,6 +354,11 @@ func (r *Router) fanout(ctx context.Context, req *wire.Request) *wire.Response {
 	resp := mergeResponses(req, results, int(req.K))
 	r.mergeLat.Observe(time.Since(t0))
 	return resp
+}
+
+// deadlineResponse is the answer when ctx ended before a shard's did.
+func deadlineResponse(ctx context.Context, req *wire.Request) *wire.Response {
+	return &wire.Response{Status: wire.StatusDeadline, Op: req.Op, Err: ctx.Err().Error()}
 }
 
 // emptyResponse is the answer when no shard overlaps the query.
@@ -349,7 +375,7 @@ func emptyResponse(req *wire.Request) *wire.Response {
 // failure or draining answer (every protocol op is an idempotent read,
 // so the retry is always safe). No healthy replica left means an in-band
 // StatusUnavailable — fast-fail, never a hang.
-func (r *Router) shardCall(ctx context.Context, shardID int, req wire.Request) *wire.Response {
+func (r *Router) shardCall(ctx context.Context, shardID int, req *wire.Request) *wire.Response {
 	attempts := 0
 	for _, b := range r.replicas[shardID] {
 		if !b.healthy() {
@@ -359,7 +385,7 @@ func (r *Router) shardCall(ctx context.Context, shardID int, req wire.Request) *
 			b.retries.Add(1)
 			r.retriesTot.Add(1)
 		}
-		resp, retryable := r.tryBackend(ctx, b, &req)
+		resp, retryable := r.tryBackend(ctx, b, req)
 		if resp != nil {
 			return resp
 		}
@@ -381,23 +407,32 @@ func (r *Router) shardCall(ctx context.Context, shardID int, req wire.Request) *
 // tryBackend runs one round trip against one backend. It returns a
 // response to forward, or nil with retryable=true when the attempt
 // failed in a way another replica might answer (transport failure,
-// draining backend). A deadline expiring while waiting for a pool slot
-// returns the deadline response directly.
+// draining backend). The round trip ends when ctx does: the client drops
+// its connection and the pool slot is free again at the request's
+// deadline, not at the transport timeout far above it. Such an overrun
+// — the backend was given a budget ending before ctx's and sent nothing —
+// is the transport timeout it pre-empts, arrived early, and counts
+// toward ejection like one; a StatusDeadline reply does not, being a
+// reply. A deadline expiring while waiting for a pool slot returns the
+// deadline response directly and is charged to nobody.
 func (r *Router) tryBackend(ctx context.Context, b *backend, req *wire.Request) (resp *wire.Response, retryable bool) {
 	var cl *server.Client
 	select {
 	case cl = <-b.pool:
 	case <-ctx.Done():
-		return &wire.Response{Status: wire.StatusDeadline, Op: req.Op, Err: ctx.Err().Error()}, false
+		return deadlineResponse(ctx, req), false
 	}
 	b.requests.Add(1)
-	out, err := cl.Do(req)
+	out, err := cl.DoContext(ctx, req)
 	b.pool <- cl
 	if err != nil {
 		b.errors.Add(1)
 		if b.noteFailure(r.cfg.FailureThreshold) {
 			r.Logf("backend %s ejected after %d consecutive failures: %v",
 				b.addr, r.cfg.FailureThreshold, err)
+		}
+		if ctx.Err() != nil {
+			return deadlineResponse(ctx, req), false // no budget left for a replica
 		}
 		return nil, true
 	}
@@ -428,9 +463,9 @@ func (r *Router) Shutdown(ctx context.Context) error {
 	}
 	<-r.probeDone
 
-	// Scatter goroutines outliving their request (a deadline answered
-	// early) are bounded by the transport timeouts; wait them out so the
-	// backend pools are quiescent before closing their connections.
+	// A scatter goroutine outlives a request answered at its deadline only
+	// until its own round trip notices the same deadline; wait them out so
+	// the backend pools are quiescent before closing their connections.
 	scatter := make(chan struct{})
 	go func() {
 		r.scatterWG.Wait()

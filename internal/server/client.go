@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -34,7 +35,15 @@ var (
 // reused TCP connection, redialing transparently after transport
 // failures. Methods are safe for concurrent use; requests serialize on
 // the connection (the protocol is strictly request/response, so one
-// socket carries one request at a time).
+// socket carries one request at a time). A request is one Write on the
+// socket: the frame is assembled whole in the client's buffer.
+//
+// Do and the typed methods wait for the answer as long as the transport
+// timeouts allow. DoContext also gives up when its context ends: the
+// blocked read or write is failed from the outside and the connection
+// dropped — a reply arriving later would be taken for the next request's
+// — so the client is free for its next caller at that moment, and the
+// next request redials.
 type Client struct {
 	addr string
 
@@ -117,41 +126,78 @@ func (c *Client) connectLocked() error {
 // the raw exchange the fan-out router forwards. A transport or protocol
 // failure returns an error and drops the connection so the next call
 // redials; per the protocol, draining and bad-request answers also drop
-// it (the server closes its side after those).
+// it (the server closes its side after those). req is only read.
 func (c *Client) Do(req *wire.Request) (*wire.Response, error) {
+	//strlint:ignore ctxprop Do is the round trip of a caller that has no context; Background's nil Done arms nothing in DoContext
+	return c.DoContext(context.Background(), req)
+}
+
+// longAgo is a socket deadline that has always passed.
+var longAgo = time.Unix(1, 0)
+
+// DoContext is Do for a caller that may give up: when ctx ends with the
+// request in flight, the socket's deadline is pulled into the past, the
+// blocked read or write fails, the connection is dropped and the error
+// returned wraps ctx's. Nothing is armed for a context that can never
+// end.
+func (c *Client) DoContext(ctx context.Context, req *wire.Request) (resp *wire.Response, err error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if req.TimeoutMillis == 0 && c.timeout > 0 {
-		req.TimeoutMillis = uint32(c.timeout / time.Millisecond)
-		if req.TimeoutMillis == 0 {
-			req.TimeoutMillis = 1
-		}
+	// The effective timeout goes into a copy: the caller's request may be
+	// in use by another client, or again later under another default.
+	eff := *req
+	if eff.TimeoutMillis == 0 && c.timeout > 0 {
+		eff.TimeoutMillis = max(uint32(c.timeout/time.Millisecond), 1)
 	}
-	payload, err := wire.AppendRequest(c.outBuf[:0], req)
+	frame, err := wire.AppendRequest(wire.BeginFrame(c.outBuf), &eff)
 	if err != nil {
 		return nil, err
 	}
-	c.outBuf = payload
+	if frame, err = wire.EndFrame(frame); err != nil {
+		return nil, err
+	}
+	c.outBuf = frame
 	if err := c.connectLocked(); err != nil {
 		return nil, err
 	}
+	conn := c.conn
 	if c.ioTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
+		if err := conn.SetDeadline(time.Now().Add(c.ioTimeout)); err != nil {
 			_ = c.dropLocked()
 			return nil, err
 		}
 	}
-	if err := wire.WriteFrame(c.conn, payload); err != nil {
+	if ctx.Done() != nil {
+		// The closure holds the connection itself, not the field: when it
+		// runs, the client may already be on its next one.
+		stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(longAgo) })
+		defer func() {
+			if stop() {
+				return
+			}
+			// It ran or is about to: the deadline it sets would fail some
+			// later request, so the connection is not used again, whatever
+			// became of this one.
+			_ = c.dropLocked()
+			if err != nil {
+				err = fmt.Errorf("strserve: round trip interrupted: %w (%v)", ctx.Err(), err)
+			}
+		}()
+	}
+	if _, err := conn.Write(frame); err != nil {
 		_ = c.dropLocked()
 		return nil, err
 	}
-	frame, err := wire.ReadFrame(c.br, c.inBuf)
+	in, err := wire.ReadFrame(c.br, c.inBuf)
 	if err != nil {
 		_ = c.dropLocked()
 		return nil, err
 	}
-	c.inBuf = frame
-	resp, err := wire.ParseResponse(frame)
+	c.inBuf = in
+	resp, err = wire.ParseResponse(in)
 	if err != nil {
 		_ = c.dropLocked()
 		return nil, err

@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -235,7 +236,7 @@ func (f *Frame) handleConn(conn net.Conn) {
 		_ = conn.Close()
 		f.connWG.Done()
 	}()
-	c := &connIO{br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
+	c := &connIO{conn: conn, br: bufio.NewReader(conn)}
 	for {
 		payload, err := wire.ReadFrame(c.br, c.inBuf)
 		if err != nil {
@@ -250,26 +251,49 @@ func (f *Frame) handleConn(conn net.Conn) {
 	}
 }
 
-// connIO is one connection's buffered framing with its reusable frame
-// buffers. The protocol is strictly request/response per connection, so
-// the handler goroutine alone owns it.
+// connIO is one connection's framing with its reusable frame buffers:
+// reads are buffered, a response is assembled whole in outBuf and written
+// to the socket in one call. The protocol is strictly request/response
+// per connection, so the handler goroutine alone owns it.
 type connIO struct {
+	conn          net.Conn
 	br            *bufio.Reader
-	bw            *bufio.Writer
 	inBuf, outBuf []byte
 }
 
-// respond encodes and flushes one response frame, reporting whether the
-// connection is still healthy. A response that cannot be encoded is a
-// handler bug worth a log line; a failed write is a client gone away.
-func (f *Frame) respond(c *connIO, resp *wire.Response) bool {
-	out, err := wire.AppendResponse(c.outBuf[:0], resp)
+// encode assembles resp's frame in the connection's write buffer. A
+// response that cannot be encoded is a handler bug; one that encodes past
+// wire.MaxFrame (ErrFrameTooLarge) is a query that matched too much, and
+// its buffer is let go rather than kept for the connection's lifetime.
+func (c *connIO) encode(resp *wire.Response) ([]byte, error) {
+	out, err := wire.AppendResponse(wire.BeginFrame(c.outBuf), resp)
 	if err != nil {
-		f.Logf("encode response: %v", err)
-		return false
+		return nil, err
+	}
+	if out, err = wire.EndFrame(out); err != nil {
+		c.outBuf = nil
+		return nil, err
 	}
 	c.outBuf = out
-	return wire.WriteFrame(c.bw, out) == nil && c.bw.Flush() == nil
+	return out, nil
+}
+
+// respond encodes one response and sends it.
+func (f *Frame) respond(c *connIO, resp *wire.Response) bool {
+	frame, err := c.encode(resp)
+	return f.send(c, frame, err)
+}
+
+// send puts one encoded frame on the socket in a single Write, reporting
+// whether the connection is still healthy. A response that could not be
+// encoded is worth a log line; a failed write is a client gone away.
+func (f *Frame) send(c *connIO, frame []byte, encodeErr error) bool {
+	if encodeErr != nil {
+		f.Logf("encode response: %v", encodeErr)
+		return false
+	}
+	_, err := c.conn.Write(frame)
+	return err == nil
 }
 
 // serveOne parses, admits, hands to the handler and answers one request,
@@ -306,6 +330,17 @@ func (f *Frame) serveOne(c *connIO, payload []byte) (keep bool) {
 	resp := f.handler(ctx, req)
 	f.latAll.Observe(time.Since(start))
 
+	// An answer that does not fit a frame cannot be sent and must not be
+	// counted as one: the client is told so in-band, on a connection that
+	// stays usable, and the outcome below is a failure.
+	frame, err := c.encode(resp)
+	if errors.Is(err, wire.ErrFrameTooLarge) {
+		resp = &wire.Response{Status: wire.StatusInternal, Op: req.Op, Err: fmt.Sprintf(
+			"response of %d items exceeds the frame limit of %d bytes: narrow the query",
+			resultCount(resp), wire.MaxFrame)}
+		frame, err = c.encode(resp)
+	}
+
 	// The one place outcomes are classified. Every other in-band answer
 	// (a bad request, an unavailable shard) is neither completed nor failed.
 	switch resp.Status {
@@ -317,7 +352,7 @@ func (f *Frame) serveOne(c *connIO, payload []byte) (keep bool) {
 		f.failed.Add(1)
 		f.Logf("%v request failed: %s", req.Op, resp.Err)
 	}
-	return f.respond(c, resp)
+	return f.send(c, frame, err)
 }
 
 // admit applies admission control: a full semaphore fast-fails with

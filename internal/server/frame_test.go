@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
@@ -252,6 +253,16 @@ func TestFrameDrainDeadline(t *testing.T) {
 	}
 }
 
+// writeFrame frames payload as every writer does and writes it in one call.
+func writeFrame(w io.Writer, payload []byte) error {
+	frame, err := wire.EndFrame(append(wire.BeginFrame(nil), payload...))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 // TestFrameBadFrame sends garbage and checks for an in-band bad-request
 // answer followed by connection close, without the handler being asked.
 func TestFrameBadFrame(t *testing.T) {
@@ -264,7 +275,7 @@ func TestFrameBadFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = conn.Close() }()
-	if err := wire.WriteFrame(conn, []byte{0xFF, 0xFF, 0xFF}); err != nil {
+	if err := writeFrame(conn, []byte{0xFF, 0xFF, 0xFF}); err != nil {
 		t.Fatal(err)
 	}
 	frame, err := wire.ReadFrame(conn, nil)

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"strtree"
+	"strtree/internal/geom"
 	"strtree/internal/histo"
 	"strtree/internal/server/wire"
 )
@@ -198,22 +199,21 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 	defer s.treeMu.RUnlock()
 	resp := &wire.Response{Status: wire.StatusOK, Op: req.Op}
 	switch req.Op {
-	case wire.OpSearch:
+	case wire.OpSearch, wire.OpSearchPoint:
+		// A hit's rectangle lives in a pinned page: it is copied out, all of
+		// one response's into one slab.
+		var slab geom.Slab
 		var items []wire.Item
-		err := s.tree.SearchContext(ctx, req.Query, func(it strtree.Item) bool {
-			items = append(items, wire.Item{Rect: it.Rect.Clone(), ID: it.ID})
+		collect := func(it strtree.Item) bool {
+			items = append(items, wire.Item{Rect: slab.Clone(it.Rect), ID: it.ID})
 			return true
-		})
-		if err != nil {
-			return nil, err
 		}
-		resp.Items = items
-	case wire.OpSearchPoint:
-		var items []wire.Item
-		err := s.tree.SearchPointContext(ctx, req.Point, func(it strtree.Item) bool {
-			items = append(items, wire.Item{Rect: it.Rect.Clone(), ID: it.ID})
-			return true
-		})
+		var err error
+		if req.Op == wire.OpSearch {
+			err = s.tree.SearchContext(ctx, req.Query, collect)
+		} else {
+			err = s.tree.SearchPointContext(ctx, req.Point, collect)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,12 @@
 //	offset 0  uint32  payload length (little endian, <= MaxFrame)
 //	offset 4  payload
 //
+// A writer assembles the whole frame in one buffer (BeginFrame, an
+// Append* encoder, EndFrame) and hands it to the socket in one Write: with
+// TCP_NODELAY a header written on its own is a segment of its own, and the
+// peer wakes for it, finds no payload and parks again. A reader assumes
+// nothing of the kind: ReadFrame accepts a frame split at any byte.
+//
 // Request payload:
 //
 //	offset 0  uint8   protocol version (1)
@@ -28,6 +34,12 @@
 // bounded (MaxDims, MaxBatch, MaxFrame), and the payload consumed
 // exactly, so a parsed message re-encodes to identical bytes — the
 // round-trip property FuzzWireRoundTrip hammers.
+//
+// A parsed message shares nothing with the payload it was parsed from
+// (the frame buffer is reused for the next message), and all its points
+// and rectangles share one coordinate slab (geom.Slab): every corner has
+// cap == len, and the message costs a handful of allocations whatever
+// the number of items it carries.
 package wire
 
 import (
@@ -228,25 +240,31 @@ type Response struct {
 
 // ------------------------------------------------------------- framing
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return ErrFrameTooLarge
+// frameHeader is the size of a frame's length prefix.
+const frameHeader = 4
+
+// BeginFrame starts a frame in buf's storage: the length prefix reserved,
+// the payload to be appended behind it by an Append* encoder.
+func BeginFrame(buf []byte) []byte {
+	return append(buf[:0], 0, 0, 0, 0)
+}
+
+// EndFrame back-fills the length prefix of a frame started with
+// BeginFrame; the result goes to the connection in a single Write.
+func EndFrame(frame []byte) ([]byte, error) {
+	n := len(frame) - frameHeader
+	if n > MaxFrame {
+		return nil, ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	binary.LittleEndian.PutUint32(frame, uint32(n))
+	return frame, nil
 }
 
 // ReadFrame reads one frame, reusing buf when it is large enough. It
 // returns io.EOF only on a clean boundary (no bytes read); a frame cut
 // short mid-message surfaces io.ErrUnexpectedEOF.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
+	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
@@ -271,9 +289,23 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 
 // reader is a bounds-checked cursor over one payload.
 type reader struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	err  error
+	slab geom.Slab // the coordinates of every point and rectangle parsed
+}
+
+// left is how many more values of at least size bytes each the payload
+// can still hold: the bound on any pre-allocation, so that a hostile
+// count costs no more memory than the frame that carried it.
+func (r *reader) left(size int) int {
+	return (len(r.buf) - r.off) / size
+}
+
+// coords carves n coordinates out of the message's slab, whose chunks
+// are sized by the coordinates the rest of the payload can hold.
+func (r *reader) coords(n int) []float64 {
+	return r.slab.Alloc(n, r.left(8))
 }
 
 func (r *reader) fail(err error) {
@@ -341,7 +373,7 @@ func (r *reader) point() geom.Point {
 		r.fail(ErrBadGeometry)
 		return nil
 	}
-	p := make(geom.Point, dims)
+	p := geom.Point(r.coords(dims))
 	for i := range p {
 		p[i] = r.finite(r.f64())
 	}
@@ -360,8 +392,8 @@ func (r *reader) rect() geom.Rect {
 		r.fail(ErrBadGeometry)
 		return geom.Rect{}
 	}
-	lo := make(geom.Point, dims)
-	hi := make(geom.Point, dims)
+	c := r.coords(2 * dims)
+	lo, hi := geom.Point(c[:dims:dims]), geom.Point(c[dims:])
 	for i := range lo {
 		lo[i] = r.finite(r.f64())
 	}
@@ -551,7 +583,7 @@ func ParseRequest(payload []byte) (*Request, error) {
 			return nil, ErrTooLarge
 		}
 		if r.err == nil && n > 0 {
-			req.Batch = make([]geom.Rect, 0, min(int(n), 1024))
+			req.Batch = make([]geom.Rect, 0, min(int(n), r.left(1+2*8)))
 			for i := uint32(0); i < n && r.err == nil; i++ {
 				req.Batch = append(req.Batch, r.rect())
 			}
@@ -582,6 +614,9 @@ func appendItems(dst []byte, items []Item) ([]byte, error) {
 	return dst, nil
 }
 
+// minItemBytes is the shortest item on the wire: a 1-d rectangle and an ID.
+const minItemBytes = 1 + 2*8 + 8
+
 func (r *reader) items() []Item {
 	n := r.u32()
 	if r.err != nil {
@@ -589,7 +624,7 @@ func (r *reader) items() []Item {
 	}
 	// Bound the pre-allocation, not the count: large result sets arrive
 	// in frames already capped by MaxFrame.
-	out := make([]Item, 0, min(int(n), 1024))
+	out := make([]Item, 0, min(int(n), r.left(minItemBytes)))
 	for i := uint32(0); i < n && r.err == nil; i++ {
 		rect := r.rect()
 		id := r.u64()
@@ -761,7 +796,7 @@ func ParseResponse(payload []byte) (*Response, error) {
 	case OpNearest:
 		n := r.u32()
 		if r.err == nil {
-			out := make([]Neighbor, 0, min(int(n), 1024))
+			out := make([]Neighbor, 0, min(int(n), r.left(minItemBytes+8)))
 			for i := uint32(0); i < n && r.err == nil; i++ {
 				rect := r.rect()
 				id := r.u64()
@@ -778,7 +813,7 @@ func ParseResponse(payload []byte) (*Response, error) {
 			return nil, ErrTooLarge
 		}
 		if r.err == nil {
-			resp.Batch = make([][]Item, 0, min(int(n), 1024))
+			resp.Batch = make([][]Item, 0, min(int(n), r.left(4)))
 			for i := uint32(0); i < n && r.err == nil; i++ {
 				resp.Batch = append(resp.Batch, r.items())
 			}

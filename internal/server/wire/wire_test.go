@@ -178,13 +178,24 @@ func TestEncodeRejectsInvalid(t *testing.T) {
 	}
 }
 
+// writeFrame frames payload the way every writer does — BeginFrame,
+// payload, EndFrame — and writes it to w in one call.
+func writeFrame(w io.Writer, payload []byte) error {
+	frame, err := EndFrame(append(BeginFrame(nil), payload...))
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(frame)
+	return err
+}
+
 // TestFraming pins the length-prefix transport: clean EOF between frames,
 // unexpected EOF inside one, size cap enforced before allocation.
 func TestFraming(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{1, 2, 3}, {}, bytes.Repeat([]byte{0xCC}, 1000)}
 	for _, p := range payloads {
-		if err := WriteFrame(&buf, p); err != nil {
+		if err := writeFrame(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,7 +216,7 @@ func TestFraming(t *testing.T) {
 
 	// Mid-frame truncation.
 	var cut bytes.Buffer
-	if err := WriteFrame(&cut, []byte{1, 2, 3, 4}); err != nil {
+	if err := writeFrame(&cut, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
 	trunc := cut.Bytes()[:cut.Len()-2]
@@ -219,7 +230,7 @@ func TestFraming(t *testing.T) {
 	if _, err := ReadFrame(&huge, nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: %v", err)
 	}
-	if err := WriteFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := writeFrame(io.Discard, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write: %v", err)
 	}
 }
