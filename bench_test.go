@@ -10,11 +10,15 @@
 package strtree_test
 
 import (
+	"math"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"strtree"
 	"strtree/internal/buffer"
@@ -285,13 +289,13 @@ func BenchmarkPackedVsDynamic(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationSplits compares the dynamic split heuristics (linear,
-// quadratic, R*) on insert throughput and resulting query cost.
+// BenchmarkAblationSplits compares the dynamic split heuristics (the tile
+// cut, R*) on insert throughput and resulting query cost.
 func BenchmarkAblationSplits(b *testing.B) {
 	b.ReportAllocs()
 	entries := datagen.UniformSquares(5000, 5.0, 1)
 	qs := query.Regions(200, query.Extent1Pct, 2)
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitLinear, rtree.SplitQuadratic, rtree.SplitRStar} {
+	for _, split := range []rtree.SplitAlgorithm{rtree.SplitTile, rtree.SplitRStar} {
 		b.Run(split.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			var acc float64
@@ -450,6 +454,119 @@ func BenchmarkBulkLoad500k(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+}
+
+// BenchmarkMutateChurn is the ledger's mutate workload in small, through the
+// public API: an STR-packed file of 100 000 unit-density squares reopened
+// behind a warm 1 024-page pool, then a shuffled tape of a quarter inserts, a
+// quarter deletes of random live items and half reads (points and windows of
+// side 0.01), flushed every 8 192 ops. Every op is timed: besides the mean it
+// reports the worst op and the share of mutations that rebuilt a node, the
+// numbers the default split policy is answerable for. check.sh runs it once
+// so it cannot rot; nightly.yml times it.
+func BenchmarkMutateChurn(b *testing.B) {
+	const items, ops, flushEvery = 100000, 32768, 8192
+	type churnOp struct {
+		kind byte // 'i', 'd', or a read: 'p', 'r'
+		item strtree.Item
+	}
+	rng := rand.New(rand.NewSource(24))
+	square := func(id uint64) strtree.Item {
+		x, y := rng.Float64(), rng.Float64()
+		side := math.Sqrt(rng.Float64() * 2 / items)
+		return strtree.Item{Rect: strtree.R2(x, y, math.Min(x+side, 1), math.Min(y+side, 1)), ID: id}
+	}
+	live := make([]strtree.Item, items)
+	for i := range live {
+		live[i] = square(uint64(i))
+	}
+	dir := b.TempDir()
+	base, work := filepath.Join(dir, "base.str"), filepath.Join(dir, "work.str")
+	tree, err := strtree.Create(base, strtree.Options{Workers: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tree.BulkLoad(live, strtree.PackSTR); err != nil {
+		b.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		b.Fatal(err)
+	}
+	image, err := os.ReadFile(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tape := make([]churnOp, ops)
+	for i := range tape {
+		tape[i].kind = "idpr"[i*4/ops]
+	}
+	rng.Shuffle(ops, func(i, j int) { tape[i], tape[j] = tape[j], tape[i] })
+	for i := range tape {
+		switch o := &tape[i]; o.kind {
+		case 'i':
+			o.item = square(uint64(items + i))
+			live = append(live, o.item)
+		case 'd':
+			j := rng.Intn(len(live))
+			o.item, live[j] = live[j], live[len(live)-1]
+			live = live[:len(live)-1]
+		case 'p':
+			x, y := rng.Float64(), rng.Float64()
+			o.item.Rect = strtree.R2(x, y, x, y)
+		default:
+			x, y := rng.Float64(), rng.Float64()
+			o.item.Rect = strtree.R2(x, y, math.Min(x+0.01, 1), math.Min(y+0.01, 1))
+		}
+	}
+
+	var total, worst time.Duration
+	var stats strtree.MutatePathStats
+	sink := func(strtree.Item) bool { return true }
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		if err := os.WriteFile(work, image, 0o644); err != nil {
+			b.Fatal(err)
+		}
+		tree, err := strtree.Open(work, strtree.Options{BufferPages: 1024})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tree.Count(strtree.R2(0, 0, 1, 1)); err != nil { // every page into the pool
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for i, o := range tape {
+			found, t0 := true, time.Now()
+			switch o.kind {
+			case 'i':
+				err = tree.Insert(o.item.Rect, o.item.ID)
+			case 'd':
+				found, err = tree.Delete(o.item.Rect, o.item.ID)
+			default:
+				err = tree.Search(o.item.Rect, sink)
+			}
+			d := time.Since(t0)
+			total, worst = total+d, max(worst, d)
+			if err != nil || !found {
+				b.Fatalf("op %d (%c): found %v, err %v", i, o.kind, found, err)
+			}
+			if (i+1)%flushEvery == 0 {
+				if err := tree.Flush(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		stats = tree.MutatePathStats()
+		if err := tree.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	structural := stats.StructuralInserts + stats.StructuralDeletes
+	b.ReportMetric(float64(total.Nanoseconds())/float64(b.N*ops)/1e3, "us/op")
+	b.ReportMetric(float64(worst.Nanoseconds())/1e3, "worst-us")
+	b.ReportMetric(float64(structural)/float64(structural+stats.InPlaceInserts+stats.InPlaceDeletes), "structural-share")
+	b.ReportMetric(float64(stats.StructuralDeletes), "dissolves")
 }
 
 // BenchmarkBuildExternal measures the bounded-memory pipeline: concurrent

@@ -6,11 +6,15 @@
 #   2. go vet         the standard analyzer suite (strlint repeats none
 #                     of it: loop-variable capture is vet's loopclosure,
 #                     locks copied by value are vet's copylocks)
-#   3. go build       the whole module compiles, and one grep: no non-test
+#   3. go build       the whole module compiles, and two greps: no non-test
 #                     .go file outside internal/node and bench/ mentions
 #                     node.Unmarshal or readNode — library code reads a
 #                     page through node.View only, so the second decoder
-#                     cannot creep back
+#                     cannot creep back — and none mentions splitLinear,
+#                     splitQuadratic or distribute( — the Guttman splits
+#                     the tile cut displaced are test baselines
+#                     (internal/rtree/guttman_test.go), not a second and
+#                     third overflow policy
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -59,7 +63,14 @@
 #                     (STR's one-permutation order), the root package's
 #                     BenchmarkBulkLoad500k (the ledger's build workload:
 #                     a 500k-entry file build at Workers: 2, entries/s)
-#                     and internal/router's BenchmarkRoutedRoundTrip (the
+#                     and BenchmarkMutateChurn (the ledger's mutate
+#                     workload in small: a packed 100k-item file behind a
+#                     1 024-page pool under the quarter/quarter/half mix;
+#                     µs/op, the worst op, the structural share — nightly
+#                     also times internal/rtree's BenchmarkSplitPolicies
+#                     and BenchmarkShrink, which price one split under
+#                     each policy and the underflow side), and
+#                     internal/router's BenchmarkRoutedRoundTrip (the
 #                     ledger's serve workload in small: client -> router
 #                     -> 3 shards over loopback, µs and allocations per
 #                     request at fan-out 1 and 3).
@@ -90,6 +101,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
+if grep -rn 'splitLinear\|splitQuadratic\|distribute(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "the Guttman splits are test baselines: the write path splits by the tile cut or R*" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)
@@ -104,11 +116,12 @@ go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./i
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, router BenchmarkRoutedRoundTrip)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k and BenchmarkMutateChurn, router BenchmarkRoutedRoundTrip)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
 go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
 go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkMutateChurn$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkRoutedRoundTrip$' -benchtime 1x ./internal/router
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"

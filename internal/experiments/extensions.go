@@ -109,8 +109,9 @@ func min1(v float64) float64 {
 	return v
 }
 
-// ExtDynamic quantifies the paper's motivation: Guttman one-at-a-time
-// loading versus STR packing, on space utilization and query accesses.
+// ExtDynamic quantifies the paper's motivation: one-at-a-time loading
+// (Guttman's insertion with the default tile split) versus STR packing, on
+// space utilization and query accesses.
 func ExtDynamic(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Extension Dynamic",
@@ -130,7 +131,7 @@ func ExtDynamic(cfg Config) (*Table, error) {
 		}
 
 		pool := buffer.NewPool(storage.NewMemPager(4096), buf)
-		dynamic, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, Split: rtree.SplitQuadratic})
+		dynamic, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity})
 		if err != nil {
 			return nil, err
 		}
@@ -262,8 +263,9 @@ func ExtModel(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// ExtSplits compares the three dynamic split heuristics (linear,
-// quadratic, R*) on query accesses after a pure-insert load.
+// ExtSplits compares the two dynamic split heuristics (the tile cut and R*)
+// on query accesses after a pure-insert load. Guttman's linear and quadratic
+// splits, which the tile cut displaced, are on record in EXPERIMENTS.md.
 func ExtSplits(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Extension Splits",
@@ -275,7 +277,7 @@ func ExtSplits(cfg Config) (*Table, error) {
 	r := cfg.size(25000)
 	entries := datagen.UniformSquares(r, 5.0, cfg.Seed)
 	buf := cfg.bufPages(50)
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitLinear, rtree.SplitQuadratic, rtree.SplitRStar} {
+	for _, split := range []rtree.SplitAlgorithm{rtree.SplitTile, rtree.SplitRStar} {
 		pool := buffer.NewPool(storage.NewMemPager(4096), buf)
 		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, Split: split})
 		if err != nil {

@@ -254,6 +254,54 @@ func (v View) AppendIntersecting(dst []int32, q geom.Rect) []int32 {
 	return dst
 }
 
+// LeastEnlargement returns the index of the entry whose rectangle needs the
+// least enlargement to cover r, ties broken by smaller area and then by lower
+// index (Guttman's ChooseLeaf step CL3): the one choice an insert's descent
+// makes per visited page. At k = 2 r is loaded once and the entry array walked
+// by stride, computing what geom.Rect.Enlargement and Area compute, operation
+// for operation — the conversions keep a compiler from fusing the multiply
+// into the subtract — so the choice is the per-entry loop's on any words.
+// Any other k runs that loop, decoding each entry into scratch (Dims long).
+// An empty page answers 0.
+func (v View) LeastEnlargement(r geom.Rect, scratch *geom.Rect) int {
+	if v.dims != 2 || len(r.Min) != 2 || len(r.Max) != 2 {
+		return v.leastEnlargementEach(r, scratch)
+	}
+	const size = 2*16 + 8 // EntrySize(2)
+	rx0, ry0, rx1, ry1 := r.Min[0], r.Min[1], r.Max[0], r.Max[1]
+	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
+	ents := v.page[HeaderSize : HeaderSize+v.count*size]
+	for i := 0; len(ents) >= size; i, ents = i+1, ents[size:] {
+		x0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[0:]))
+		x1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[8:]))
+		y0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[16:]))
+		y1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[24:]))
+		area := float64((x1 - x0) * (y1 - y0))
+		enl := float64((max(x1, rx1)-min(x0, rx0))*(max(y1, ry1)-min(y0, ry0))) - area
+		//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
+		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
+}
+
+// leastEnlargementEach is LeastEnlargement for any dimensionality, one
+// decoded entry at a time: the fallback, and the reference the k = 2 arm is
+// tested against.
+func (v View) leastEnlargementEach(r geom.Rect, scratch *geom.Rect) int {
+	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
+	for i := 0; i < v.count; i++ {
+		v.EntryRectInto(i, scratch)
+		enl, area := scratch.Enlargement(r), scratch.Area()
+		//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
+		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
+			best, bestEnl, bestArea = i, enl, area
+		}
+	}
+	return best
+}
+
 // MinDist returns the minimum Euclidean distance from point p to entry
 // i's rectangle (0 if p is inside), decoded in place — the best-first
 // nearest-neighbor traversal's distance kernel.

@@ -142,7 +142,8 @@ func (t *Tree) Check(cfg CheckConfig) error {
 			return fmt.Errorf("%w: page %d", ErrEmptyNode, id)
 		}
 		if cfg.RoundTrip {
-			staged = node.Node{Level: v.Level(), Dims: v.Dims(), Entries: appendEntries(staged.Entries[:0], v)}
+			staged.Level, staged.Dims = v.Level(), v.Dims()
+			staged.Entries, _ = appendEntries(staged.Entries[:0], nil, v)
 			if merr := node.Marshal(&staged, scratch); merr != nil {
 				return fmt.Errorf("%w: page %d: %v", ErrPageRoundTrip, id, merr)
 			}

@@ -374,7 +374,7 @@ func TestWalkMatchesUnmarshal(t *testing.T) {
 		trees[fmt.Sprintf("packed k=%d", dims)] = tr
 		trees[fmt.Sprintf("mutated k=%d", dims)] = runMutateOracle(t, mutOracleConfig{
 			seed: 5000 + int64(dims), ops: 1500, dims: dims, pageSize: 256, bufPages: 16,
-			split: SplitQuadratic, pInsert: 0.6, checkEvery: 500,
+			pInsert: 0.6, checkEvery: 500,
 		})
 	}
 	for name, tr := range trees {
@@ -396,7 +396,8 @@ func TestWalkMatchesUnmarshal(t *testing.T) {
 			var got, want []visit
 			gotSeq := coldTrace(func() {
 				if err := tr.Walk(func(id storage.PageID, v node.View) bool {
-					got = append(got, visit{id, v.Level(), appendEntries(nil, v)})
+					entries, _ := appendEntries(nil, nil, v)
+					got = append(got, visit{id, v.Level(), entries})
 					return true
 				}); err != nil {
 					t.Fatal(err)

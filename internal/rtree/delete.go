@@ -156,7 +156,8 @@ func (t *Tree) dissolve(s mutStep, orphans []orphan) ([]orphan, error) {
 	if err != nil {
 		return orphans, err
 	}
-	for i, e := range appendEntries(nil, v) {
+	entries, _ := appendEntries(nil, nil, v)
+	for i, e := range entries {
 		if i != s.idx {
 			orphans = append(orphans, orphan{level: v.Level(), entry: e})
 		}

@@ -1,7 +1,6 @@
 package rtree
 
 import (
-	"math"
 	"slices"
 
 	"strtree/internal/geom"
@@ -11,7 +10,7 @@ import (
 
 // Insert adds one data entry using Guttman's dynamic insertion algorithm:
 // ChooseLeaf descends by least area enlargement, overflowing nodes split
-// (linear, quadratic or R* per the tree's configuration), and MBRs are
+// (the tile cut, or R* per the tree's configuration), and MBRs are
 // adjusted up the path. This is the one-object-at-a-time loading whose
 // shortcomings — load time, space utilization and query quality — motivate
 // packing in the paper's introduction.
@@ -135,7 +134,7 @@ func (t *Tree) choosePath(r geom.Rect, level int) ([]mutStep, error) {
 		at = v.Level()
 		s := mutStep{id: id, count: v.Count()}
 		if at != level {
-			s.idx = chooseSubtreeView(v, r, &t.mut.rect)
+			s.idx = v.LeastEnlargement(r, &t.mut.rect)
 			id = storage.PageID(v.EntryRef(s.idx))
 		}
 		t.pool.Release(f)
@@ -145,45 +144,29 @@ func (t *Tree) choosePath(r geom.Rect, level int) ([]mutStep, error) {
 	return path, nil
 }
 
-// chooseSubtreeView returns the index of the entry needing least
-// enlargement to cover r, breaking ties by smallest area (Guttman's
-// ChooseLeaf step CL3).
-func chooseSubtreeView(v node.View, r geom.Rect, scratch *geom.Rect) int {
-	best := 0
-	bestEnl := math.Inf(1)
-	bestArea := math.Inf(1)
-	for i := 0; i < v.Count(); i++ {
-		v.EntryRectInto(i, scratch)
-		enl := scratch.Enlargement(r)
-		area := scratch.Area()
-		//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
 // overflow handles the full node of step s that must still take in e: the
-// node is materialized with the followed child's rectangle brought up to
-// *mbr and e appended, then relieved. With forced reinsertion enabled, the
-// first overflow at each level of an insertion evicts the 30% of entries
-// farthest from the node center for reinsertion instead of splitting
+// node is staged in the tree's scratch with the followed child's rectangle
+// brought up to *mbr and e appended, then relieved. With forced reinsertion
+// enabled, the first overflow at each level of an insertion evicts the 30% of
+// entries farthest from the node center for reinsertion instead of splitting
 // (R*-tree OverflowTreatment); otherwise the node splits and the new
-// sibling's entry is returned for the parent. *mbr becomes the node's new
-// MBR. Pages are written child before parent and the sibling page is
-// allocated after the node is rewritten: page numbering depends on it.
+// sibling's entry is returned for the parent — in scratch too, good until the
+// next overflow. *mbr becomes the node's new MBR. Pages are written child
+// before parent and the sibling page is allocated after the node is
+// rewritten: page numbering depends on it.
 func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (*node.Entry, error) {
 	f, v, err := t.fetchView(s.id, &t.mut.n)
 	if err != nil {
 		return nil, err
 	}
-	n := node.Node{Level: v.Level(), Dims: t.dims, Entries: appendEntries(nil, v)}
+	st := &t.mut.stage
+	st.load(v, e)
+	n := node.Node{Level: v.Level(), Dims: t.dims, Entries: st.entries}
 	t.pool.Release(f)
 	if fix == fixRect {
-		n.Entries[s.idx].Rect = mbr.Clone()
+		copy(n.Entries[s.idx].Rect.Min, mbr.Min)
+		copy(n.Entries[s.idx].Rect.Max, mbr.Max)
 	}
-	n.Entries = append(n.Entries, e)
 	if t.reinsert.active && s.id != t.root && !t.reinsert.done[n.Level] {
 		if t.reinsert.done == nil {
 			t.reinsert.done = make(map[int]bool)
@@ -192,11 +175,15 @@ func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (
 		for _, ev := range evictFarthest(&n, len(n.Entries)*3/10) {
 			t.reinsert.pending = append(t.reinsert.pending, orphan{level: n.Level, entry: ev})
 		}
-		*mbr = n.MBR()
+		mbrInto(mbr, n.Entries)
 		return nil, t.writeNode(s.id, &n)
 	}
-	left, right := t.splitEntries(n.Entries)
-	n.Entries = left
+	var right []node.Entry
+	if t.split == SplitRStar {
+		n.Entries, right = splitRStar(st.entries, t.minFill)
+	} else {
+		n.Entries, right = st.splitTile()
+	}
 	if err := t.writeNode(s.id, &n); err != nil {
 		return nil, err
 	}
@@ -208,23 +195,37 @@ func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (
 	if err := t.writeNode(sibID, &sib); err != nil {
 		return nil, err
 	}
-	*mbr = n.MBR()
-	return &node.Entry{Rect: sib.MBR(), Ref: uint64(sibID)}, nil
+	mbrInto(mbr, n.Entries)
+	mbrInto(&t.mut.sib.Rect, right)
+	t.mut.sib.Ref = uint64(sibID)
+	return &t.mut.sib, nil
 }
 
-// appendEntries appends owned copies of v's entries to dst: the one place a
-// page's whole entry set is brought onto the heap, for the node a mutation
-// splits or dissolves and for Check's round trip. The rectangles share one
-// fresh coordinate slab, so they outlive the pin.
-func appendEntries(dst []node.Entry, v node.View) []node.Entry {
+// mbrInto computes the MBR of entries into dst, which already has their
+// dimensionality: node.Node.MBR without the allocation.
+func mbrInto(dst *geom.Rect, entries []node.Entry) {
+	copy(dst.Min, entries[0].Rect.Min)
+	copy(dst.Max, entries[0].Rect.Max)
+	for _, e := range entries[1:] {
+		dst.UnionInPlace(e.Rect)
+	}
+}
+
+// appendEntries appends copies of v's entries to dst, their coordinates in
+// slab, which is empty and lends its capacity: the one place a page's whole
+// entry set leaves the page, for the node a mutation splits (into the tree's
+// scratch) or dissolves and for Check's round trip (onto the heap, slab nil).
+// slab is grown before the first rectangle is sliced out of it, so the copies
+// outlive the pin.
+func appendEntries(dst []node.Entry, slab []float64, v node.View) ([]node.Entry, []float64) {
 	dims := v.Dims()
 	dst = slices.Grow(dst, v.Count())
-	slab := make([]float64, 0, 2*dims*v.Count())
+	slab = slices.Grow(slab, 2*dims*v.Count())
 	for i := 0; i < v.Count(); i++ {
 		slab = v.AppendEntryCoords(slab, i)
 		dst = append(dst, node.Entry{Rect: slabRect(slab, i, dims), Ref: v.EntryRef(i)})
 	}
-	return dst
+	return dst, slab
 }
 
 // evictFarthest removes the count entries whose centers are farthest from
@@ -272,154 +273,4 @@ func evictFarthest(n *node.Node, count int) []node.Entry {
 	}
 	n.Entries = kept
 	return evicted
-}
-
-// splitEntries divides an overflowing entry set (capacity+1 long) into two
-// groups per the configured heuristic. Both groups receive at least
-// minFill entries.
-func (t *Tree) splitEntries(entries []node.Entry) (left, right []node.Entry) {
-	switch t.split {
-	case SplitQuadratic:
-		return splitQuadratic(entries, t.minFill)
-	case SplitRStar:
-		return splitRStar(entries, t.minFill)
-	default:
-		return splitLinear(entries, t.minFill)
-	}
-}
-
-// splitLinear is Guttman's linear split: pick the two seeds with greatest
-// normalized separation along any axis, then assign the rest in input
-// order to the group needing least enlargement.
-func splitLinear(entries []node.Entry, minFill int) (left, right []node.Entry) {
-	dims := entries[0].Rect.Dim()
-	seedA, seedB := 0, 1
-	bestSep := math.Inf(-1)
-	for d := 0; d < dims; d++ {
-		// Highest low side and lowest high side, plus the axis extent.
-		hiLow, loHigh := 0, 0
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range entries {
-			r := entries[i].Rect
-			if r.Min[d] > entries[hiLow].Rect.Min[d] {
-				hiLow = i
-			}
-			if r.Max[d] < entries[loHigh].Rect.Max[d] {
-				loHigh = i
-			}
-			lo = math.Min(lo, r.Min[d])
-			hi = math.Max(hi, r.Max[d])
-		}
-		if hiLow == loHigh {
-			continue
-		}
-		sep := entries[hiLow].Rect.Min[d] - entries[loHigh].Rect.Max[d]
-		if width := hi - lo; width > 0 {
-			sep /= width
-		}
-		if sep > bestSep {
-			bestSep = sep
-			seedA, seedB = loHigh, hiLow
-		}
-	}
-	return distribute(entries, seedA, seedB, minFill)
-}
-
-// splitQuadratic is Guttman's quadratic split: seeds are the pair wasting
-// the most area if grouped together; remaining entries are assigned one at
-// a time, each time picking the entry with the strongest preference.
-func splitQuadratic(entries []node.Entry, minFill int) (left, right []node.Entry) {
-	seedA, seedB := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].Rect.Union(entries[j].Rect).Area() -
-				entries[i].Rect.Area() - entries[j].Rect.Area()
-			if d > worst {
-				worst = d
-				seedA, seedB = i, j
-			}
-		}
-	}
-	la := entries[seedA].Rect.Clone()
-	lb := entries[seedB].Rect.Clone()
-	left = append(left, entries[seedA])
-	right = append(right, entries[seedB])
-	rest := make([]node.Entry, 0, len(entries)-2)
-	for i := range entries {
-		if i != seedA && i != seedB {
-			rest = append(rest, entries[i])
-		}
-	}
-	for len(rest) > 0 {
-		// Force-assign when one group must take everything left to reach
-		// minFill.
-		if len(left)+len(rest) == minFill {
-			left = append(left, rest...)
-			break
-		}
-		if len(right)+len(rest) == minFill {
-			right = append(right, rest...)
-			break
-		}
-		// PickNext: the entry with maximum |d1 - d2|.
-		pick, pickDiff := 0, -1.0
-		for i := range rest {
-			d1 := la.Enlargement(rest[i].Rect)
-			d2 := lb.Enlargement(rest[i].Rect)
-			if diff := math.Abs(d1 - d2); diff > pickDiff {
-				pick, pickDiff = i, diff
-			}
-		}
-		e := rest[pick]
-		rest = append(rest[:pick], rest[pick+1:]...)
-		d1, d2 := la.Enlargement(e.Rect), lb.Enlargement(e.Rect)
-		switch {
-		case d1 < d2, d1 == d2 && la.Area() < lb.Area(), //strlint:ignore floateq exact tie-break on equal enlargement and area, per Guttman
-			d1 == d2 && la.Area() == lb.Area() && len(left) <= len(right):
-			left = append(left, e)
-			la.UnionInPlace(e.Rect)
-		default:
-			right = append(right, e)
-			lb.UnionInPlace(e.Rect)
-		}
-	}
-	return left, right
-}
-
-// distribute assigns entries to the groups seeded by seedA and seedB by
-// least enlargement, forcing assignment when a group must absorb the rest
-// to reach minFill (shared by the linear split).
-func distribute(entries []node.Entry, seedA, seedB, minFill int) (left, right []node.Entry) {
-	la := entries[seedA].Rect.Clone()
-	lb := entries[seedB].Rect.Clone()
-	left = append(left, entries[seedA])
-	right = append(right, entries[seedB])
-	remaining := len(entries) - 2
-	for i := range entries {
-		if i == seedA || i == seedB {
-			continue
-		}
-		e := entries[i]
-		switch {
-		case len(left)+remaining == minFill:
-			left = append(left, e)
-			la.UnionInPlace(e.Rect)
-		case len(right)+remaining == minFill:
-			right = append(right, e)
-			lb.UnionInPlace(e.Rect)
-		default:
-			d1, d2 := la.Enlargement(e.Rect), lb.Enlargement(e.Rect)
-			//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman
-			if d1 < d2 || (d1 == d2 && len(left) <= len(right)) {
-				left = append(left, e)
-				la.UnionInPlace(e.Rect)
-			} else {
-				right = append(right, e)
-				lb.UnionInPlace(e.Rect)
-			}
-		}
-		remaining--
-	}
-	return left, right
 }

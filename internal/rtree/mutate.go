@@ -10,9 +10,11 @@ package rtree
 // rectangle overwritten — and the walk stops at the first ancestor whose
 // stored rectangle is already right. Only the node that actually overflows
 // (overflow: split or forced reinsertion) or falls under minFill (dissolve)
-// has its whole entry set copied onto the heap (appendEntries, out of the
-// same fetchView the descents use), and only overflow stages a node.Node
-// for node.Marshal. MutableView leaves exactly the bytes Marshal
+// has its whole entry set copied off the page (appendEntries, out of the
+// same fetchView the descents use) — an overflowing node's into scratch the
+// tree keeps (stage, tilesplit.go), so a split allocates nothing, a dissolved
+// node's onto the heap, where its orphans wait — and only overflow stages a
+// node.Node for node.Marshal. MutableView leaves exactly the bytes Marshal
 // would, so which of the two touched a page is invisible in the file
 // (TestMutateGoldenBytes pins the stored bytes, the page allocation order
 // and the free-list order).
@@ -74,6 +76,7 @@ func (t *Tree) mutScratch() {
 	if t.mut.mbr.Dim() != t.dims {
 		t.mut.mbr = geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)}
 		t.mut.rect = geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)}
+		t.mut.sib.Rect = geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)}
 	}
 }
 

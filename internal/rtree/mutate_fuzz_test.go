@@ -65,7 +65,7 @@ func FuzzMutateInvariants(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr := newMutTree(t, mutOracleConfig{
-			dims: 2, pageSize: 256, bufPages: 32, split: SplitQuadratic,
+			dims: 2, pageSize: 256, bufPages: 32,
 		})
 		var o oracle
 		nextRef := uint64(1)

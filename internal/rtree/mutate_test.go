@@ -42,7 +42,7 @@ func TestMutateInPlaceZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	for _, cfg := range []Config{
-		{Split: SplitQuadratic},
+		{},
 		{Split: SplitRStar, ForcedReinsert: true},
 	} {
 		tr, _ := growTree(t, cfg, 3, 11)
@@ -83,7 +83,7 @@ func TestMutateInPlaceZeroAlloc(t *testing.T) {
 // bounds (11 and 16 where these allow 9 and 13).
 func TestMutateSingleDescent(t *testing.T) {
 	const h = 3
-	tr, live := growTree(t, Config{Split: SplitQuadratic}, h, 21)
+	tr, live := growTree(t, Config{}, h, 21)
 	pager := tr.Pool().Pager()
 	requests := func(op func()) int {
 		before := tr.Pool().Stats().LogicalReads

@@ -25,24 +25,15 @@ import (
 	"strtree/internal/storage"
 )
 
-// SplitAlgorithm selects the node-splitting heuristic for dynamic inserts.
+// SplitAlgorithm selects the node-splitting heuristic for dynamic inserts:
+// SplitTile (tilesplit.go), the zero value, or SplitRStar (rstar.go).
 type SplitAlgorithm uint8
-
-const (
-	// SplitLinear is Guttman's linear-cost split.
-	SplitLinear SplitAlgorithm = iota
-	// SplitQuadratic is Guttman's quadratic-cost split, the variant his
-	// paper recommends.
-	SplitQuadratic
-)
 
 // String returns the split algorithm's name.
 func (s SplitAlgorithm) String() string {
 	switch s {
-	case SplitLinear:
-		return "linear"
-	case SplitQuadratic:
-		return "quadratic"
+	case SplitTile:
+		return "tile"
 	case SplitRStar:
 		return "rstar"
 	default:
@@ -113,13 +104,16 @@ type Tree struct {
 
 	// mut is the reusable scratch of Insert and Delete (single-writer,
 	// like all mutations; see mutate.go): the recorded path, FindLeaf's
-	// candidate stack, the MBR carried up the path and a rectangle to
-	// decode entries into.
+	// candidate stack, the MBR carried up the path, a rectangle to decode
+	// entries into, and the node an overflow stages with the sibling entry
+	// its split hands the parent.
 	mut struct {
 		path      []mutStep
 		cands     []cand
 		hits      []int32 // FindLeaf: one node's intersecting entries
 		mbr, rect geom.Rect
+		stage     stage
+		sib       node.Entry
 		n         visitTally // published when Insert or Delete returns
 	}
 	// mutStats counts in-place vs structural mutations. Atomic so a

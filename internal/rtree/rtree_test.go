@@ -224,10 +224,16 @@ func TestBulkLoadUtilization(t *testing.T) {
 }
 
 func TestInsertSearchMatchesBrute(t *testing.T) {
-	for _, split := range []SplitAlgorithm{SplitLinear, SplitQuadratic} {
-		t.Run(split.String(), func(t *testing.T) {
+	// Two rows, named for the Guttman splits they ran until the tile cut
+	// displaced those (PR 24): the default now, cutting an odd and an even
+	// number of entries (9 into 5/4, 10 into 5/5).
+	for _, row := range []struct {
+		name     string
+		capacity int
+	}{{"linear", 8}, {"quadratic", 9}} {
+		t.Run(row.name, func(t *testing.T) {
 			pool := buffer.NewPool(storage.NewMemPager(4096), 256)
-			tr, err := Create(pool, Config{Dims: 2, Capacity: 8, Split: split})
+			tr, err := Create(pool, Config{Dims: 2, Capacity: row.capacity})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -241,7 +247,7 @@ func TestInsertSearchMatchesBrute(t *testing.T) {
 				t.Fatalf("Len = %d", tr.Len())
 			}
 			if tr.Height() < 3 {
-				t.Fatalf("height = %d, expected >= 3 with capacity 8", tr.Height())
+				t.Fatalf("height = %d, expected >= 3 with capacity %d", tr.Height(), row.capacity)
 			}
 			if err := tr.Check(CheckConfig{}); err != nil {
 				t.Fatal(err)
@@ -337,7 +343,7 @@ func TestDeleteAllEmptiesTree(t *testing.T) {
 
 func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 	pool := buffer.NewPool(storage.NewMemPager(4096), 256)
-	tr, err := Create(pool, Config{Dims: 2, Capacity: 6, Split: SplitQuadratic})
+	tr, err := Create(pool, Config{Dims: 2, Capacity: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -700,15 +706,16 @@ func TestNumNodes(t *testing.T) {
 }
 
 func TestSplitDistributionRespectsMinFill(t *testing.T) {
-	for _, split := range []SplitAlgorithm{SplitLinear, SplitQuadratic} {
-		t.Run(split.String(), func(t *testing.T) {
+	// Pathological input: identical rectangles, which stress the
+	// tie-breaking paths. The tile cut through the tree, at the default
+	// minimum fill and at the largest legal one, capacity/2.
+	for _, minFill := range []int{4, 5} {
+		t.Run(fmt.Sprintf("tile/minfill=%d", minFill), func(t *testing.T) {
 			pool := buffer.NewPool(storage.NewMemPager(4096), 256)
-			tr, err := Create(pool, Config{Dims: 2, Capacity: 10, MinFill: 4, Split: split})
+			tr, err := Create(pool, Config{Dims: 2, Capacity: 10, MinFill: minFill})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Pathological input: identical rectangles, which stress the
-			// tie-breaking paths.
 			for i := 0; i < 200; i++ {
 				if err := tr.Insert(geom.R2(0.5, 0.5, 0.6, 0.6), uint64(i)); err != nil {
 					t.Fatal(err)
@@ -719,7 +726,7 @@ func TestSplitDistributionRespectsMinFill(t *testing.T) {
 			}
 			short := 0
 			if err := tr.Walk(func(id storage.PageID, v node.View) bool {
-				if id != tr.Root() && v.Count() < 4 {
+				if id != tr.Root() && v.Count() < minFill {
 					short++
 				}
 				return true
@@ -731,10 +738,26 @@ func TestSplitDistributionRespectsMinFill(t *testing.T) {
 			}
 		})
 	}
+	// The Guttman baselines (guttman_test.go), held to the same contract on
+	// the same input so what the tile cut is compared with stays sound.
+	for name, split := range map[string]func([]node.Entry, int) ([]node.Entry, []node.Entry){
+		"linear": splitLinear, "quadratic": splitQuadratic,
+	} {
+		t.Run(name, func(t *testing.T) {
+			entries := make([]node.Entry, 11)
+			for i := range entries {
+				entries[i] = node.Entry{Rect: geom.R2(0.5, 0.5, 0.6, 0.6), Ref: uint64(i)}
+			}
+			left, right := split(entries, 4)
+			if len(left) < 4 || len(right) < 4 || len(left)+len(right) != len(entries) {
+				t.Fatalf("11 entries split %d/%d with min fill 4", len(left), len(right))
+			}
+		})
+	}
 }
 
 func TestSplitAlgorithmString(t *testing.T) {
-	if SplitLinear.String() != "linear" || SplitQuadratic.String() != "quadratic" {
+	if SplitAlgorithm(0).String() != "tile" || SplitRStar.String() != "rstar" {
 		t.Fatal("split names wrong")
 	}
 	if s := SplitAlgorithm(9).String(); s != "SplitAlgorithm(9)" {

@@ -128,18 +128,21 @@ type SplitAlgorithm = rtree.SplitAlgorithm
 
 // Split heuristics for dynamic insertion.
 const (
-	// SplitLinear is Guttman's linear-cost split.
-	SplitLinear = rtree.SplitLinear
-	// SplitQuadratic is Guttman's quadratic-cost split.
-	SplitQuadratic = rtree.SplitQuadratic
-	// SplitRStar is the R*-tree topological split of Beckmann et al.,
-	// the strongest of the three for dynamic loads.
+	// SplitTile, the default, is the paper's tile cut applied to one
+	// overflowing node: sort its entries by centre, cut the sequence in
+	// the middle, on the axis whose halves have the smaller total margin.
+	// The halves are balanced, so a fresh node is far from underflowing,
+	// and a split costs one sort and allocates nothing.
+	SplitTile = rtree.SplitTile
+	// SplitRStar is the R*-tree topological split of Beckmann et al.: the
+	// quality reference, 0.5-4 % fewer accesses per query than the tile
+	// cut on a pure-insert load at some fifty times the cost per split.
 	SplitRStar = rtree.SplitRStar
 )
 
 // Options configures a tree. The zero value gives a 2-dimensional
 // in-memory tree with 4 KiB pages, node fan-out filling the page (102
-// entries), a 256-page LRU buffer and quadratic splits.
+// entries), a 256-page LRU buffer and tile splits.
 type Options struct {
 	// Dims is the dimensionality; 0 means 2.
 	Dims int
@@ -162,7 +165,9 @@ type Options struct {
 	// MinFill is the minimum entries per non-root node maintained by
 	// deletes; 0 means 40% of Capacity.
 	MinFill int
-	// Split selects the dynamic-insert split heuristic.
+	// Split selects the dynamic-insert split heuristic: SplitTile (the
+	// zero value) or SplitRStar. It is stored in the index file; a file
+	// written under a retired policy splits by the tile cut from now on.
 	Split SplitAlgorithm
 	// ForcedReinsert enables R*-style forced reinsertion on overflow,
 	// improving dynamic-load tree quality at some insert cost.

@@ -212,15 +212,15 @@ func compareMutQueries(t *testing.T, op int, tree *Tree, o *mutOracle, rng *rand
 // and both empty and bulk-loaded starting trees.
 func TestMutateOraclePublicAPI(t *testing.T) {
 	configs := []mutHarnessConfig{
-		{seed: 4001, ops: 900, dims: 2, pageSize: 256, split: SplitQuadratic,
+		{seed: 4001, ops: 900, dims: 2, pageSize: 256,
 			pInsert: 0.55, queryEvery: 7},
-		{seed: 4002, ops: 700, dims: 2, pageSize: 4096, split: SplitQuadratic,
+		{seed: 4002, ops: 700, dims: 2, pageSize: 4096,
 			seedItems: 1500, pInsert: 0.45, queryEvery: 7},
-		{seed: 4003, ops: 700, dims: 3, pageSize: 512, split: SplitLinear,
+		{seed: 4003, ops: 700, dims: 3, pageSize: 512,
 			pInsert: 0.6, queryEvery: 7},
 		{seed: 4004, ops: 700, dims: 2, pageSize: 256, split: SplitRStar,
 			reinsert: true, dupHeavy: true, pInsert: 0.5, queryEvery: 7},
-		{seed: 4005, ops: 600, dims: 2, pageSize: 1024, split: SplitQuadratic,
+		{seed: 4005, ops: 600, dims: 2, pageSize: 1024, split: SplitRStar,
 			seedItems: 800, dupHeavy: true, pInsert: 0.35, queryEvery: 7},
 	}
 	for _, cfg := range configs {

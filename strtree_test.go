@@ -114,7 +114,7 @@ func TestUnknownPackingRejected(t *testing.T) {
 }
 
 func TestDynamicInsertDelete(t *testing.T) {
-	tree, err := New(Options{Capacity: 16, Split: SplitQuadratic})
+	tree, err := New(Options{Capacity: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
