@@ -85,43 +85,19 @@ func accessesPerQuery(b *testing.B, entries []node.Entry, o rtree.Orderer, capac
 	return acc
 }
 
-// BenchmarkAblationPackers compares every packing order, including the
-// repository's serpentine extension and the Y-sort control, on uniform
+// BenchmarkAblationPackers compares every packing order on uniform
 // density-5 data with 1% region queries and a small buffer.
 func BenchmarkAblationPackers(b *testing.B) {
 	b.ReportAllocs()
 	entries := datagen.UniformSquares(20000, 5.0, 1)
 	qs := query.Regions(200, query.Extent1Pct, 2)
-	orders := []rtree.Orderer{
-		pack.STR{}, pack.Serpentine{}, pack.TGS{}, pack.HS{}, pack.NX{}, pack.YSort{},
-	}
+	orders := []rtree.Orderer{pack.STR{}, pack.HS{}, pack.NX{}, pack.TGS{}}
 	for _, o := range orders {
 		b.Run(o.Name(), func(b *testing.B) {
 			b.ReportAllocs()
 			var acc float64
 			for i := 0; i < b.N; i++ {
 				acc = accessesPerQuery(b, entries, o, 100, 10, qs)
-			}
-			b.ReportMetric(acc, "accesses/query")
-		})
-	}
-}
-
-// BenchmarkAblationSliceCount checks the paper's S = ceil(sqrt(P)) slice
-// choice against halved and doubled slice counts.
-func BenchmarkAblationSliceCount(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(20000, 5.0, 1)
-	qs := query.Regions(200, query.Extent1Pct, 2)
-	factors := []pack.SliceFactor{
-		{Num: 1, Den: 2}, {Num: 1, Den: 1}, {Num: 2, Den: 1},
-	}
-	for _, f := range factors {
-		b.Run("S*"+strconv.Itoa(f.Num)+"/"+strconv.Itoa(f.Den), func(b *testing.B) {
-			b.ReportAllocs()
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				acc = accessesPerQuery(b, entries, f, 100, 10, qs)
 			}
 			b.ReportMetric(acc, "accesses/query")
 		})
@@ -144,69 +120,6 @@ func BenchmarkAblationFanout(b *testing.B) {
 			b.ReportMetric(acc, "accesses/query")
 		})
 	}
-}
-
-// BenchmarkAblationPinning contrasts plain LRU with pinning all internal
-// levels resident — the policy the paper discusses and sets aside in
-// Section 3.
-func BenchmarkAblationPinning(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(20000, 5.0, 1)
-	qs := query.Regions(200, query.Extent1Pct, 2)
-	build := func(bufPages int) *rtree.Tree {
-		tr, err := experiments.BuildPacked(entries, pack.STR{}, bufPages, 100)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return tr
-	}
-	run := func(b *testing.B, tr *rtree.Tree) float64 {
-		acc, err := experiments.AvgAccesses(tr, qs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return acc
-	}
-	b.Run("lru", func(b *testing.B) {
-		b.ReportAllocs()
-		tr := build(10)
-		var acc float64
-		for i := 0; i < b.N; i++ {
-			acc = run(b, tr)
-		}
-		b.ReportMetric(acc, "accesses/query")
-	})
-	b.Run("pin-internal", func(b *testing.B) {
-		b.ReportAllocs()
-		tr := build(10)
-		// Collect internal pages and pin them after the cold start.
-		var internal []storage.PageID
-		if err := tr.Walk(func(id storage.PageID, v node.View) bool {
-			if !v.IsLeaf() {
-				internal = append(internal, id)
-			}
-			return true
-		}); err != nil {
-			b.Fatal(err)
-		}
-		var acc float64
-		for i := 0; i < b.N; i++ {
-			if err := tr.Pool().Invalidate(); err != nil {
-				b.Fatal(err)
-			}
-			if err := tr.Pool().SetResident(internal); err != nil {
-				b.Fatal(err)
-			}
-			tr.Pool().ResetStats()
-			for _, q := range qs {
-				if err := tr.Search(q, func(node.Entry) bool { return true }); err != nil {
-					b.Fatal(err)
-				}
-			}
-			acc = float64(tr.Pool().Stats().DiskReads) / float64(len(qs))
-		}
-		b.ReportMetric(acc, "accesses/query")
-	})
 }
 
 // BenchmarkPackedVsDynamic measures the paper's motivating comparison:
@@ -287,68 +200,6 @@ func BenchmarkPackedVsDynamic(b *testing.B) {
 		}
 		queryBench(b, tree)
 	})
-}
-
-// BenchmarkAblationSplits compares the dynamic split heuristics (the tile
-// cut, R*) on insert throughput and resulting query cost.
-func BenchmarkAblationSplits(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(5000, 5.0, 1)
-	qs := query.Regions(200, query.Extent1Pct, 2)
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitTile, rtree.SplitRStar} {
-		b.Run(split.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				pool := buffer.NewPool(storage.NewMemPager(4096), 4096)
-				tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: 100, Split: split})
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, e := range entries {
-					if err := tr.Insert(e.Rect, e.Ref); err != nil {
-						b.Fatal(err)
-					}
-				}
-				acc, err = experiments.AvgAccesses(tr, qs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(acc, "accesses/query")
-		})
-	}
-}
-
-// BenchmarkAblationReplacement compares LRU against its Clock
-// approximation at the paper's small-buffer operating point.
-func BenchmarkAblationReplacement(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(20000, 5.0, 1)
-	qs := query.Regions(200, query.Extent1Pct, 2)
-	for _, policy := range []buffer.Policy{buffer.LRU, buffer.Clock} {
-		b.Run(policy.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			pool := buffer.NewPoolWithPolicy(storage.NewMemPager(4096), 10, policy)
-			tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: 100})
-			if err != nil {
-				b.Fatal(err)
-			}
-			cp := make([]node.Entry, len(entries))
-			copy(cp, entries)
-			if err := tr.BulkLoad(cp, pack.STR{}); err != nil {
-				b.Fatal(err)
-			}
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				acc, err = experiments.AvgAccesses(tr, qs)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(acc, "accesses/query")
-		})
-	}
 }
 
 // BenchmarkExternalBulkLoad measures the bounded-memory STR build against

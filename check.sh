@@ -10,11 +10,15 @@
 #                     .go file outside internal/node and bench/ mentions
 #                     node.Unmarshal or readNode — library code reads a
 #                     page through node.View only, so the second decoder
-#                     cannot creep back — and none mentions splitLinear,
-#                     splitQuadratic or distribute( — the Guttman splits
-#                     the tile cut displaced are test baselines
-#                     (internal/rtree/guttman_test.go), not a second and
-#                     third overflow policy
+#                     cannot creep back — and none mentions a variant the
+#                     measurements retired (DESIGN.md, "Tried and
+#                     dropped"): splitLinear, splitQuadratic, distribute(
+#                     and splitRStar — test baselines in internal/rtree's
+#                     guttman_test.go and rstar_test.go, the tile cut is
+#                     the one overflow policy — NewPoolWithPolicy and
+#                     evictClock (the pool evicts by LRU; trace.SimulateClock
+#                     is the one Clock), SetResident (level pinning),
+#                     Serpentine and SliceFactor (STR slices one way)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -68,8 +72,9 @@
 #                     1 024-page pool under the quarter/quarter/half mix;
 #                     µs/op, the worst op, the structural share — nightly
 #                     also times internal/rtree's BenchmarkSplitPolicies
-#                     and BenchmarkShrink, which price one split under
-#                     each policy and the underflow side), and
+#                     and BenchmarkShrink, which price one split by the
+#                     tile cut and by each test baseline, and the
+#                     underflow side), and
 #                     internal/router's BenchmarkRoutedRoundTrip (the
 #                     ledger's serve workload in small: client -> router
 #                     -> 3 shards over loopback, µs and allocations per
@@ -101,7 +106,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
-if grep -rn 'splitLinear\|splitQuadratic\|distribute(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "the Guttman splits are test baselines: the write path splits by the tile cut or R*" >&2; exit 1; fi
+if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU, STR slices one way (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

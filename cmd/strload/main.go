@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	strload build -in rects.csv -out index.str [-pack STR|HS|NX] [-cap 100] [-workers N] [-metrics]
+//	strload build -in rects.csv -out index.str [-pack STR|HS|NX|TGS] [-cap 100] [-workers N] [-metrics]
 //	strload build -in rects.csv -out index.str -shards 3
 //	strload query -idx index.str -rect x0,y0,x1,y1 [-buffer 256]
 //	strload stats -idx index.str
@@ -68,13 +68,37 @@ func usage() {
 	os.Exit(2)
 }
 
+// packingNames lists the library's packings by Packing.String, in enum
+// order: the values are dense from 0 and the first without a name of its own
+// ends them, so the tool offers exactly what the library has.
+func packingNames() []string {
+	var names []string
+	for p := strtree.Packing(0); ; p++ {
+		if p.String() == fmt.Sprintf("Packing(%d)", int(p)) {
+			return names
+		}
+		names = append(names, p.String())
+	}
+}
+
+// parsePacking resolves a -pack value, case-insensitively.
+func parsePacking(name string) (strtree.Packing, error) {
+	names := packingNames()
+	for p, n := range names {
+		if strings.EqualFold(n, name) {
+			return strtree.Packing(p), nil
+		}
+	}
+	return 0, fmt.Errorf("build: unknown packing %q (have %s)", name, strings.Join(names, ", "))
+}
+
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	in := fs.String("in", "", "input CSV of rectangles (x0,y0,x1,y1[,id])")
 	wktIn := fs.String("wkt", "", "input file of WKT geometries, one per line (optional leading \"id<TAB>\")")
 	geojsonIn := fs.String("geojson", "", "input GeoJSON file (FeatureCollection, Feature, or Geometry)")
 	out := fs.String("out", "index.str", "output index file")
-	packName := fs.String("pack", "STR", "packing algorithm: STR, HS, NX")
+	packName := fs.String("pack", "STR", "packing algorithm: "+strings.Join(packingNames(), ", "))
 	capacity := fs.Int("cap", 100, "node capacity (entries per page)")
 	external := fs.Bool("external", false, "bounded-memory STR build (for inputs larger than RAM; STR only)")
 	runSize := fs.Int("runsize", 1<<20, "max items in memory during an -external build")
@@ -96,26 +120,19 @@ func runBuild(args []string) error {
 		return fmt.Errorf("build: -external works with -in CSV input only")
 	}
 
-	var packing strtree.Packing
-	switch strings.ToUpper(*packName) {
-	case "STR":
-		packing = strtree.PackSTR
-	case "HS":
-		packing = strtree.PackHilbert
-	case "NX":
-		packing = strtree.PackNearestX
-	default:
-		return fmt.Errorf("build: unknown packing %q", *packName)
+	packing, err := parsePacking(*packName)
+	if err != nil {
+		return err
 	}
 	if *external && packing != strtree.PackSTR {
-		return fmt.Errorf("build: -external supports only STR packing")
+		return fmt.Errorf("build: -external is a bounded-memory STR build; -pack %s needs the in-memory build", packing)
 	}
 	if *shards > 0 {
 		if *external {
 			return fmt.Errorf("build: -shards requires an in-memory build (drop -external)")
 		}
 		if packing != strtree.PackSTR {
-			return fmt.Errorf("build: -shards uses STR slab partitioning; only -pack STR is supported")
+			return fmt.Errorf("build: -shards partitions by STR slabs and packs each shard by STR; -pack %s is not supported with it", packing)
 		}
 		var items []strtree.Item
 		var err error

@@ -255,6 +255,39 @@ func TestRunBuildErrors(t *testing.T) {
 	}
 }
 
+// TestParsePacking holds -pack to the library's enum: every Packing value is
+// reachable by its own name in any case, nothing else is, and a packing only
+// the in-memory build has is refused by -external and -shards by name.
+func TestParsePacking(t *testing.T) {
+	all := []strtree.Packing{strtree.PackSTR, strtree.PackHilbert, strtree.PackNearestX, strtree.PackTGS}
+	if got := packingNames(); len(got) != len(all) {
+		t.Fatalf("packingNames() = %v, want the %d Packing values", got, len(all))
+	}
+	for _, p := range all {
+		for _, name := range []string{p.String(), strings.ToLower(p.String())} {
+			if got, err := parsePacking(name); err != nil || got != p {
+				t.Errorf("parsePacking(%q) = %v, %v; want %v", name, got, err, p)
+			}
+		}
+	}
+	for _, name := range []string{"", "BOGUS", "STR-serp", "Packing(4)", "Packing(0)"} {
+		if _, err := parsePacking(name); err == nil || !strings.Contains(err.Error(), "TGS") {
+			t.Errorf("parsePacking(%q) = %v, want an error listing the packings", name, err)
+		}
+	}
+	csvPath := writeCSV(t, "0,0,1,1\n0.5,0.5,0.6,0.6\n0.2,0.7,0.3,0.8\n")
+	idx := filepath.Join(t.TempDir(), "tgs.str")
+	if err := runBuild([]string{"-in", csvPath, "-out", idx, "-pack", "tgs", "-cap", "2", "-verify"}); err != nil {
+		t.Fatalf("build -pack tgs: %v", err)
+	}
+	for _, extra := range [][]string{{"-external"}, {"-shards", "2"}} {
+		args := append([]string{"-in", csvPath, "-out", idx, "-pack", "TGS"}, extra...)
+		if err := runBuild(args); err == nil || !strings.Contains(err.Error(), "TGS") {
+			t.Errorf("build -pack TGS %v = %v, want a refusal naming TGS", extra, err)
+		}
+	}
+}
+
 func TestMutateEndToEnd(t *testing.T) {
 	var rows strings.Builder
 	for i := 0; i < 400; i++ {

@@ -6,10 +6,10 @@
 // evicted node "is immediately written to disk and not false-buffered by
 // the operating system's virtual memory manager".
 //
-// The paper uses plain LRU for all nodes regardless of level. It discusses
-// , and cites [8] to reject, pinning the root and the first few levels; the
-// Pool supports such pinning anyway (SetResident) so the repository can
-// reproduce that ablation.
+// The paper uses plain LRU for all nodes regardless of level; it discusses,
+// and cites [8] to reject, pinning the root and the first few levels. So
+// does the Pool: LRU is its one replacement policy (package trace simulates
+// the alternatives offline from a recorded fetch sequence).
 package buffer
 
 import (
@@ -56,29 +56,6 @@ type Stats struct {
 	Pinned       int64 // frames pinned right now (gauge, not a counter)
 }
 
-// Policy selects the pool's replacement algorithm.
-type Policy uint8
-
-const (
-	// LRU evicts the least recently used page — the paper's policy.
-	LRU Policy = iota
-	// Clock is the second-chance approximation of LRU common in real
-	// buffer managers; provided for the replacement-policy ablation.
-	Clock
-)
-
-// String names the policy.
-func (p Policy) String() string {
-	switch p {
-	case LRU:
-		return "lru"
-	case Clock:
-		return "clock"
-	default:
-		return fmt.Sprintf("Policy(%d)", uint8(p))
-	}
-}
-
 // Frame is a buffered page. The frame's bytes are owned by the pool; a
 // caller may read and write Data between Fetch and Release but must not
 // retain it afterwards. This pin scope is the lifetime contract of the
@@ -95,8 +72,8 @@ func (p Policy) String() string {
 // check ran under and only after it succeeded. The pool clears it at every
 // point the pin protocol lets the bytes change: a miss load (before
 // ReadPage, so a read that fails halfway leaves it clear too), Create,
-// MarkDirty and ReleaseMut. Release, a hit, FlushAll and SetResident leave
-// the bytes alone and so leave the mark. A stray write to Data outside the
+// MarkDirty and ReleaseMut. Release, a hit and FlushAll leave the bytes
+// alone and so leave the mark. A stray write to Data outside the
 // protocol (no MarkDirty, no write pin) is invisible to the mark; only the
 // readers that always validate in full (rtree's Walk and Check) catch it.
 type Frame struct {
@@ -108,13 +85,9 @@ type Frame struct {
 	pins    int
 	// writePin marks the single pin as exclusive: the holder is patching
 	// Data in place and no reader may pin the frame until ReleaseMut.
-	writePin bool
-	dirty    bool
-	// resident frames are never evicted (pinned-levels ablation).
-	resident   bool
+	writePin   bool
+	dirty      bool
 	prev, next *Frame // LRU list links, guarded by the pool mutex
-	ref        bool   // Clock reference bit
-	slot       int    // Clock frame index
 }
 
 // ID returns the page the frame holds.
@@ -145,16 +118,10 @@ type Pool struct {
 	mu       sync.Mutex
 	pager    storage.Pager
 	capacity int
-	policy   Policy
 	frames   map[storage.PageID]*Frame // guarded by mu
 	// guarded by mu. Intrusive LRU list with a sentinel: head.next is most
-	// recently used, head.prev is least recently used. Maintained only
-	// under LRU.
-	head Frame
-	// guarded by mu. Clock state: fixed frame slots and the sweep hand.
-	// Maintained only under Clock.
-	clock []*Frame
-	hand  int   // guarded by mu
+	// recently used, head.prev is least recently used.
+	head  Frame
 	stats Stats // guarded by mu
 	// guarded by mu. tracer, when set, observes every Fetch (page id and
 	// whether it hit).
@@ -174,11 +141,6 @@ func (p *Pool) SetTracer(fn func(id storage.PageID, hit bool)) {
 // NewPool creates an LRU pool with room for capacity pages. Capacity must
 // be at least 1; the paper's experiments range from 10 to 500 pages.
 func NewPool(pager storage.Pager, capacity int) *Pool {
-	return NewPoolWithPolicy(pager, capacity, LRU)
-}
-
-// NewPoolWithPolicy creates a pool using the given replacement policy.
-func NewPoolWithPolicy(pager storage.Pager, capacity int, policy Policy) *Pool {
 	if capacity < 1 {
 		//strlint:ignore panics documented contract: a pool with no frames is a programming error
 		panic(fmt.Sprintf("buffer: capacity %d < 1", capacity))
@@ -186,16 +148,12 @@ func NewPoolWithPolicy(pager storage.Pager, capacity int, policy Policy) *Pool {
 	p := &Pool{
 		pager:    pager,
 		capacity: capacity,
-		policy:   policy,
 		frames:   make(map[storage.PageID]*Frame, capacity),
 	}
 	p.head.next = &p.head
 	p.head.prev = &p.head
 	return p
 }
-
-// Policy returns the pool's replacement policy.
-func (p *Pool) Policy() Policy { return p.policy }
 
 // Capacity returns the pool size in pages.
 func (p *Pool) Capacity() int { return p.capacity }
@@ -236,7 +194,7 @@ func (p *Pool) fetch(id storage.PageID, write bool) (*Frame, error) {
 			return nil, fmt.Errorf("%w: page %d has %d read pins", ErrReadPinned, id, f.pins)
 		}
 		f.pins++
-		p.touchLocked(f)
+		p.moveToFrontLocked(f)
 	}
 	if p.tracer != nil {
 		p.tracer(id, hit)
@@ -263,7 +221,6 @@ func (p *Pool) loadLocked(id storage.PageID) (*Frame, error) {
 	}
 	f.checked.Store(false)
 	if err := p.pager.ReadPage(id, f.data); err != nil {
-		p.freeFrameLocked(f)
 		return nil, err
 	}
 	p.stats.DiskReads++
@@ -278,9 +235,8 @@ func (p *Pool) publishLocked(f *Frame, id storage.PageID, dirty bool) {
 	f.pins = 1
 	f.writePin = false
 	f.dirty = dirty
-	f.resident = false
 	p.frames[id] = f
-	p.linkLocked(f)
+	p.pushFrontLocked(f)
 }
 
 // ReleaseMut drops a write pin obtained from FetchMut, marking the frame
@@ -352,27 +308,6 @@ func (p *Pool) Release(f *Frame) {
 	f.pins--
 }
 
-// SetResident loads the given pages (counting any misses as disk reads) and
-// marks them permanently resident: they are never evicted. This implements
-// the pin-the-top-levels policy the paper discusses in Section 3. The
-// resident set must be smaller than the pool capacity.
-func (p *Pool) SetResident(ids []storage.PageID) error {
-	if len(ids) >= p.capacity {
-		return fmt.Errorf("buffer: resident set %d >= capacity %d", len(ids), p.capacity)
-	}
-	for _, id := range ids {
-		f, err := p.Fetch(id)
-		if err != nil {
-			return err
-		}
-		p.mu.Lock()
-		f.resident = true
-		f.pins--
-		p.mu.Unlock()
-	}
-	return nil
-}
-
 // FlushAll writes every dirty frame to the pager. Frames stay cached.
 func (p *Pool) FlushAll() error {
 	p.mu.Lock()
@@ -405,14 +340,8 @@ func (p *Pool) Invalidate() error {
 			}
 			p.stats.DiskWrites++
 		}
-		if p.policy == LRU {
-			p.unlinkLocked(f)
-		}
+		p.unlinkLocked(f)
 		delete(p.frames, id)
-	}
-	if p.policy == Clock {
-		p.clock = p.clock[:0]
-		p.hand = 0
 	}
 	return nil
 }
@@ -446,60 +375,21 @@ func (p *Pool) Len() int {
 	return len(p.frames)
 }
 
-// allocFrameLocked returns a frame not in the table, evicting per the
-// pool's policy if it is full.
+// allocFrameLocked returns a frame not in the table: a new one while the
+// pool has room, else the least recently used unpinned frame, written back
+// if dirty.
 func (p *Pool) allocFrameLocked() (*Frame, error) {
-	if p.policy == Clock {
-		// Reuse a slot orphaned by a failed read before growing the ring
-		// or evicting: ring slots, not the frame table, bound Clock
-		// capacity.
-		for _, f := range p.clock {
-			if f.id == storage.NilPage && f.pins == 0 {
-				return f, nil
-			}
-		}
-		if len(p.clock) < p.capacity {
-			return &Frame{data: make([]byte, p.pager.PageSize()), slot: -1}, nil
-		}
-		return p.evictClockLocked()
-	}
 	if len(p.frames) < p.capacity {
-		return &Frame{data: make([]byte, p.pager.PageSize()), slot: -1}, nil
+		return &Frame{data: make([]byte, p.pager.PageSize())}, nil
 	}
-	// LRU: walk from least recently used towards the front looking for an
-	// unpinned, non-resident victim.
 	for f := p.head.prev; f != &p.head; f = f.prev {
-		if f.pins > 0 || f.resident {
+		if f.pins > 0 {
 			continue
 		}
 		if err := p.writeBackLocked(f); err != nil {
 			return nil, err
 		}
 		p.unlinkLocked(f)
-		delete(p.frames, f.id)
-		p.stats.Evictions++
-		return f, nil
-	}
-	return nil, ErrPoolExhausted
-}
-
-// evictClockLocked sweeps the clock hand, giving referenced frames a
-// second chance, and evicts the first unreferenced unpinned frame. Two
-// full sweeps with no victim means everything is pinned or resident.
-func (p *Pool) evictClockLocked() (*Frame, error) {
-	for i := 0; i <= 2*len(p.clock); i++ {
-		f := p.clock[p.hand]
-		p.hand = (p.hand + 1) % len(p.clock)
-		if f.pins > 0 || f.resident {
-			continue
-		}
-		if f.ref {
-			f.ref = false
-			continue
-		}
-		if err := p.writeBackLocked(f); err != nil {
-			return nil, err
-		}
 		delete(p.frames, f.id)
 		p.stats.Evictions++
 		return f, nil
@@ -518,39 +408,6 @@ func (p *Pool) writeBackLocked(f *Frame) error {
 	f.dirty = false
 	p.stats.DiskWrites++
 	return nil
-}
-
-// touch records a hit per the policy.
-func (p *Pool) touchLocked(f *Frame) {
-	if p.policy == Clock {
-		f.ref = true
-		return
-	}
-	p.moveToFrontLocked(f)
-}
-
-// link publishes a frame that just received a page.
-func (p *Pool) linkLocked(f *Frame) {
-	if p.policy == Clock {
-		f.ref = true
-		if f.slot < 0 {
-			f.slot = len(p.clock)
-			p.clock = append(p.clock, f)
-		}
-		return
-	}
-	p.pushFrontLocked(f)
-}
-
-// freeFrameLocked discards a frame allocated by allocFrameLocked that was
-// never published (e.g. the pager read failed). A Clock-evicted frame
-// stays in the ring, so its stale id must be neutralized: otherwise a
-// later sweep of this slot would delete the mapping of whichever frame
-// now legitimately holds that page.
-func (p *Pool) freeFrameLocked(f *Frame) {
-	f.id = storage.NilPage
-	f.ref = false
-	f.dirty = false
 }
 
 func (p *Pool) pushFrontLocked(f *Frame) {

@@ -238,36 +238,6 @@ func TestAdopt(t *testing.T) {
 	}
 }
 
-func TestSetResident(t *testing.T) {
-	p, _ := newPoolN(t, 3, 6)
-	if err := p.SetResident([]storage.PageID{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Hammer other pages through the one remaining frame.
-	for i := 0; i < 10; i++ {
-		f, err := p.Fetch(storage.PageID(2 + i%4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Release(f)
-	}
-	p.ResetStats()
-	for _, id := range []storage.PageID{0, 1} {
-		f, err := p.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.Release(f)
-	}
-	if p.Stats().DiskReads != 0 {
-		t.Fatal("resident pages were evicted")
-	}
-	// Resident set must be smaller than capacity.
-	if err := p.SetResident([]storage.PageID{0, 1, 2}); err == nil {
-		t.Fatal("oversized resident set accepted")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	p, _ := newPoolN(t, 4, 4)
 	for id := storage.PageID(0); id < 4; id++ {

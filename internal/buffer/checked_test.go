@@ -49,16 +49,6 @@ func TestCheckedMarkLifecycle(t *testing.T) {
 			}
 			return f0
 		}},
-		{"SetResident", true, func(t *testing.T, p *Pool, _ *storage.FaultyPager, f0 *Frame) *Frame {
-			big := NewPool(p.Pager(), 2)
-			f := mustFetch(t, big, 0)
-			f.SetChecked()
-			big.Release(f)
-			if err := big.SetResident([]storage.PageID{0}); err != nil {
-				t.Fatal(err)
-			}
-			return f
-		}},
 		{"evict and reuse", false, func(t *testing.T, p *Pool, _ *storage.FaultyPager, f0 *Frame) *Frame {
 			f := mustFetch(t, p, 1)
 			p.Release(f)
@@ -126,28 +116,26 @@ func TestCheckedMarkLifecycle(t *testing.T) {
 			return f
 		}},
 	}
-	for _, policy := range []Policy{LRU, Clock} {
-		for _, tc := range cases {
-			t.Run(policy.String()+"/"+tc.name, func(t *testing.T) {
-				inner := storage.NewMemPager(64)
-				for i := 0; i < 3; i++ {
-					if _, err := inner.Alloc(); err != nil {
-						t.Fatal(err)
-					}
+	for _, tc := range cases {
+		t.Run("lru/"+tc.name, func(t *testing.T) {
+			inner := storage.NewMemPager(64)
+			for i := 0; i < 3; i++ {
+				if _, err := inner.Alloc(); err != nil {
+					t.Fatal(err)
 				}
-				fp := storage.NewFaultyPager(inner)
-				p := NewPoolWithPolicy(fp, 1, policy)
-				f0 := mustFetch(t, p, 0)
-				if f0.Checked() {
-					t.Fatal("a freshly loaded frame is already marked")
-				}
-				f0.SetChecked()
-				p.Release(f0)
-				if got := tc.step(t, p, fp, f0).Checked(); got != tc.want {
-					t.Fatalf("Checked() = %v after %s, want %v", got, tc.name, tc.want)
-				}
-			})
-		}
+			}
+			fp := storage.NewFaultyPager(inner)
+			p := NewPool(fp, 1)
+			f0 := mustFetch(t, p, 0)
+			if f0.Checked() {
+				t.Fatal("a freshly loaded frame is already marked")
+			}
+			f0.SetChecked()
+			p.Release(f0)
+			if got := tc.step(t, p, fp, f0).Checked(); got != tc.want {
+				t.Fatalf("Checked() = %v after %s, want %v", got, tc.name, tc.want)
+			}
+		})
 	}
 }
 

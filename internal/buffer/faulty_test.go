@@ -94,64 +94,6 @@ func TestFlushAllSurfacesWriteError(t *testing.T) {
 	}
 }
 
-// TestClockFailedReadDoesNotPoisonRing reproduces the stale-slot hazard:
-// a Clock eviction whose replacement read fails leaves the frame in the
-// ring; if its old id were kept, a later sweep of that slot would delete
-// the live mapping of whichever frame reloaded the page.
-func TestClockFailedReadDoesNotPoisonRing(t *testing.T) {
-	inner := storage.NewMemPager(64)
-	for i := 0; i < 8; i++ {
-		if _, err := inner.Alloc(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fp := storage.NewFaultyPager(inner)
-	p := NewPoolWithPolicy(fp, 2, Clock)
-	touch := func(id storage.PageID) error {
-		f, err := p.Fetch(id)
-		if err != nil {
-			return err
-		}
-		p.Release(f)
-		return nil
-	}
-	if err := touch(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := touch(1); err != nil {
-		t.Fatal(err)
-	}
-	// Evict page 0's slot but fail the replacement read of page 2.
-	fp.FailReads(func(id storage.PageID) error {
-		if id == 2 {
-			return errInjected
-		}
-		return nil
-	})
-	if err := touch(2); !errors.Is(err, errInjected) {
-		t.Fatalf("expected injected error, got %v", err)
-	}
-	fp.FailReads(nil)
-	// Reload page 0: it lands in a fresh frame while the poisoned slot
-	// still sits in the ring. Hammer evictions; page 0's mapping must
-	// survive sweeps of the stale slot.
-	if err := touch(0); err != nil {
-		t.Fatal(err)
-	}
-	for id := storage.PageID(3); id < 8; id++ {
-		if err := touch(id); err != nil {
-			t.Fatalf("fetch %d: %v", id, err)
-		}
-		// Keep 0 hot so only the stale slot and streaming pages recycle.
-		if err := touch(0); err != nil {
-			t.Fatalf("refetch 0 after %d: %v", id, err)
-		}
-	}
-	if p.Len() > 2 {
-		t.Fatalf("pool holds %d frames, capacity 2: ring grew", p.Len())
-	}
-}
-
 func TestCreateSurfacesAllocError(t *testing.T) {
 	p, fp := faultyPool(t, 4, 0)
 	fp.FailAllocs(func() error { return errInjected })

@@ -5,7 +5,7 @@ import "strtree/internal/storage"
 // Manager is the page-buffer interface the tree layers program against.
 // Two implementations exist:
 //
-//   - Pool: a single LRU (or Clock) cache behind one mutex. Its replacement
+//   - Pool: a single LRU cache behind one mutex. Its replacement
 //     decisions are a deterministic function of the fetch sequence, which is
 //     what the paper-reproduction experiments rely on: the same trace always
 //     produces the same miss counts.
@@ -48,8 +48,6 @@ type Manager interface {
 	FlushAll() error
 	// Invalidate drops every frame, writing back dirty ones first.
 	Invalidate() error
-	// SetResident loads the given pages and pins them permanently.
-	SetResident(ids []storage.PageID) error
 	// SetTracer installs an observer for every Fetch. With more than one
 	// shard the callback may run concurrently from different shards and
 	// must be safe for concurrent use.

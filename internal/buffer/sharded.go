@@ -136,25 +136,6 @@ func (s *Sharded) Invalidate() error {
 	return nil
 }
 
-// SetResident loads the given pages and marks them permanently resident in
-// their owning shards. Each shard's resident set must stay below that
-// shard's capacity.
-func (s *Sharded) SetResident(ids []storage.PageID) error {
-	perShard := make(map[*Pool][]storage.PageID, len(s.shards))
-	for _, id := range ids {
-		p := s.shard(id)
-		perShard[p] = append(perShard[p], id)
-	}
-	for _, p := range s.shards {
-		if group := perShard[p]; len(group) > 0 {
-			if err := p.SetResident(group); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // SetTracer installs fn on every shard. With more than one shard the
 // callback can run concurrently from different shards; it must be safe for
 // concurrent use. Pass nil to remove.

@@ -274,31 +274,3 @@ func TestShardedCreateFlush(t *testing.T) {
 		t.Fatalf("Len after invalidate = %d", s.Len())
 	}
 }
-
-// TestShardedResident pins pages resident across shards and checks they
-// survive eviction traffic.
-func TestShardedResident(t *testing.T) {
-	s, _ := newShardedN(t, 16, 4, 32)
-	resident := []storage.PageID{0, 1, 2, 3}
-	if err := s.SetResident(resident); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 200; i++ {
-		f, err := s.Fetch(storage.PageID(4 + i%28))
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Release(f)
-	}
-	s.ResetStats()
-	for _, id := range resident {
-		f, err := s.Fetch(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Release(f)
-	}
-	if got := s.Stats().DiskReads; got != 0 {
-		t.Fatalf("resident pages re-read from disk %d times", got)
-	}
-}

@@ -13,6 +13,7 @@ import (
 	"strtree/internal/query"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
+	"strtree/internal/trace"
 )
 
 func init() {
@@ -168,7 +169,10 @@ func ExtDynamic(cfg Config) (*Table, error) {
 // ExtWarmup traces the LRU warm-up transient the paper's methodology
 // accounts for (it cites Bhide, Dan & Dias on exactly this effect): mean
 // disk accesses per point query over successive windows of the batch,
-// starting from a cold buffer, for LRU and its Clock approximation.
+// starting from a cold buffer, for LRU and its Clock approximation. The LRU
+// column is the pool's own miss count; the Clock column replays the same
+// recorded fetch sequence through trace.SimulateClock, a window's misses
+// being the difference between two prefixes of the trace.
 func ExtWarmup(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Extension Warm-up",
@@ -177,52 +181,31 @@ func ExtWarmup(cfg Config) (*Table, error) {
 		Header: []string{"Query Window", "LRU", "Clock", "Clock/LRU"},
 	}
 	r := cfg.size(100000)
-	entries := datagen.UniformPoints(r, cfg.Seed)
 	buf := cfg.bufPages(250)
 	qs := query.Points(cfg.Queries, cfg.Seed+500)
-	const windows = 5
-	win := len(qs) / windows
-	if win == 0 {
-		win = 1
+	win := max(len(qs)/5, 1)
+	tr, err := BuildPacked(datagen.UniformPoints(r, cfg.Seed), pack.STR{}, buf, cfg.Capacity)
+	if err != nil {
+		return nil, err
 	}
-	series := make([][]float64, 2)
-	for pi, policy := range []buffer.Policy{buffer.LRU, buffer.Clock} {
-		pool := buffer.NewPoolWithPolicy(storage.NewMemPager(4096), buf, policy)
-		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity})
-		if err != nil {
-			return nil, err
-		}
-		cp := make([]node.Entry, len(entries))
-		copy(cp, entries)
-		if err := tr.BulkLoad(cp, pack.STR{}); err != nil {
-			return nil, err
-		}
-		if err := pool.Invalidate(); err != nil {
-			return nil, err
-		}
-		pool.ResetStats()
-		prev := int64(0)
-		for start := 0; start < len(qs); start += win {
-			end := start + win
-			if end > len(qs) {
-				end = len(qs)
+	pool := tr.Pool() // cold, counters zeroed
+	var rec trace.Recorder
+	pool.SetTracer(rec.Observe)
+	var lruPrev, clockPrev int
+	for start := 0; start < len(qs); start += win {
+		end := min(start+win, len(qs))
+		for _, q := range qs[start:end] {
+			if err := tr.Search(q, func(node.Entry) bool { return true }); err != nil {
+				return nil, err
 			}
-			for _, q := range qs[start:end] {
-				if err := tr.Search(q, func(node.Entry) bool { return true }); err != nil {
-					return nil, err
-				}
-			}
-			cur := pool.Stats().DiskReads
-			series[pi] = append(series[pi], float64(cur-prev)/float64(end-start))
-			prev = cur
 		}
-	}
-	for w := range series[0] {
+		lruSoFar, clockSoFar := int(pool.Stats().DiskReads), rec.Trace().SimulateClock(buf)
+		lru := float64(lruSoFar-lruPrev) / float64(end-start)
+		clock := float64(clockSoFar-clockPrev) / float64(end-start)
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d-%d", w*win+1, (w+1)*win),
-			f2(series[0][w]), f2(series[1][w]),
-			ratio(series[1][w], series[0][w]),
+			fmt.Sprintf("%d-%d", start+1, start+win), f2(lru), f2(clock), ratio(clock, lru),
 		})
+		lruPrev, clockPrev = lruSoFar, clockSoFar
 	}
 	return t, nil
 }
@@ -263,23 +246,27 @@ func ExtModel(cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// ExtSplits compares the two dynamic split heuristics (the tile cut and R*)
-// on query accesses after a pure-insert load. Guttman's linear and quadratic
-// splits, which the tile cut displaced, are on record in EXPERIMENTS.md.
+// ExtSplits measures what forced reinsertion buys a pure-insert load: leaf
+// count and query accesses for the tile cut alone and with ForcedReinsert. The
+// splits the tile cut displaced — Guttman's linear and quadratic, then R* —
+// are on record in EXPERIMENTS.md.
 func ExtSplits(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Extension Splits",
-		Title:  "Dynamic Split Heuristics, Density-5 Data, 1% Region Queries",
+		Title:  "Dynamic Overflow Handling, Density-5 Data, 1% Region Queries",
 		Note:   scaleNote(cfg),
-		Header: []string{"Data Size", "Split", "Leaf Nodes", "Accesses/Query"},
+		Header: []string{"Data Size", "Overflow", "Leaf Nodes", "Accesses/Query"},
 	}
 	qs := query.Regions(cfg.Queries, query.Extent1Pct, cfg.Seed+400)
 	r := cfg.size(25000)
 	entries := datagen.UniformSquares(r, 5.0, cfg.Seed)
 	buf := cfg.bufPages(50)
-	for _, split := range []rtree.SplitAlgorithm{rtree.SplitTile, rtree.SplitRStar} {
+	for _, c := range []struct {
+		name     string
+		reinsert bool
+	}{{"tile", false}, {"tile + reinsert", true}} {
 		pool := buffer.NewPool(storage.NewMemPager(4096), buf)
-		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, Split: split})
+		tr, err := rtree.Create(pool, rtree.Config{Dims: 2, Capacity: cfg.Capacity, ForcedReinsert: c.reinsert})
 		if err != nil {
 			return nil, err
 		}
@@ -297,7 +284,7 @@ func ExtSplits(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r), split.String(),
+			fmt.Sprintf("%d", r), c.name,
 			fmt.Sprintf("%d", perLevel[len(perLevel)-1]),
 			f2(acc),
 		})

@@ -14,15 +14,13 @@ func init() {
 }
 
 // ExtPackers runs the full packing-algorithm roster — the paper's three
-// plus TGS (the same authors' follow-up) and serpentine STR — across all
-// four data-set families at one small-buffer operating point. It answers
-// the paper's concluding question ("developing a new algorithm that works
-// well for all types of data is a challenge") for the algorithms this
-// repository implements.
+// plus TGS (the same authors' follow-up) — across all four data-set
+// families at one small-buffer operating point. It answers the paper's
+// concluding question ("developing a new algorithm that works well for all
+// types of data is a challenge") for the algorithms this repository
+// implements.
 func ExtPackers(cfg Config) (*Table, error) {
-	packers := []rtree.Orderer{
-		pack.STR{}, pack.HS{}, pack.NX{}, pack.TGS{}, pack.Serpentine{},
-	}
+	packers := []rtree.Orderer{pack.STR{}, pack.HS{}, pack.NX{}, pack.TGS{}}
 	header := []string{"Data Set", "Query Class"}
 	for _, p := range packers {
 		header = append(header, p.Name())

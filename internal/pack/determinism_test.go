@@ -19,14 +19,9 @@ func workered(w int) []interface {
 		Name() string
 	}{
 		NX{Workers: w},
-		YSort{Workers: w},
 		HS{Workers: w},
-		HS{MaxOrder: 4, Workers: w}, // a 16x16 grid: nearly every key is a many-way tie
 		STR{Workers: w},
-		Serpentine{Workers: w},
-		SliceFactor{Num: 2, Den: 1, Workers: w},
 		TGS{Workers: w},
-		TGS{UseMargin: true, Workers: w},
 	}
 }
 

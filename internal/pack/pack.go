@@ -1,8 +1,8 @@
 // Package pack implements the three R-tree packing algorithms the STR
 // paper compares — Sort-Tile-Recursive (the paper's contribution),
 // Nearest-X [Roussopoulos & Leifker 85] and Hilbert Sort [Kamel &
-// Faloutsos 93] — plus two ablation orderings used by the repository's
-// extra benchmarks.
+// Faloutsos 93] — plus TGS (tgs.go), the same authors' follow-up, which
+// wins skewed point data.
 //
 // Each algorithm is an rtree.Orderer: it permutes the entries of one tree
 // level into the sequence in which the builder cuts them into nodes of
@@ -49,27 +49,6 @@ func (o NX) Order(entries []node.Entry, n, level int) {
 	sortByCenter(entries, 0, normWorkers(o.Workers))
 }
 
-// YSort orders by the y-coordinate of the centers. It is NX rotated 90
-// degrees, included as an ablation control: any difference between NX and
-// YSort on a data set measures the set's axis anisotropy, not algorithm
-// quality.
-type YSort struct {
-	// Workers > 1 sorts with that many goroutines; the output is identical
-	// for every setting.
-	Workers int
-}
-
-// Name implements rtree.Orderer.
-func (YSort) Name() string { return "Y" }
-
-// Order implements rtree.Orderer.
-func (o YSort) Order(entries []node.Entry, n, level int) {
-	if len(entries) < 2 {
-		return
-	}
-	sortByCenter(entries, len(entries[0].Rect.Min)-1, normWorkers(o.Workers))
-}
-
 func sortByCenter(entries []node.Entry, axis, workers int) {
 	psort.ByCenter(entries, axis, workers)
 }
@@ -85,47 +64,33 @@ func normWorkers(w int) int {
 // (the last one short) and invokes fn for each, running up to workers
 // slabs concurrently. Slabs are disjoint, so the concurrent and
 // sequential schedules produce identical data.
-func forEachSlab(total, slab, workers int, fn func(start, end, idx int)) {
+func forEachSlab(total, slab, workers int, fn func(start, end int)) {
 	if workers <= 1 {
-		idx := 0
 		for start := 0; start < total; start += slab {
-			end := start + slab
-			if end > total {
-				end = total
-			}
-			fn(start, end, idx)
-			idx++
+			fn(start, min(start+slab, total))
 		}
 		return
 	}
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, workers)
-	idx := 0
 	for start := 0; start < total; start += slab {
-		end := start + slab
-		if end > total {
-			end = total
-		}
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(start, end, idx int) {
+		go func(start, end int) {
 			defer wg.Done()
-			fn(start, end, idx)
+			fn(start, end)
 			<-sem
-		}(start, end, idx)
-		idx++
+		}(start, min(start+slab, total))
 	}
 	wg.Wait()
 }
 
 // HS is the Hilbert-Sort packing order: rectangle centers sorted by their
 // distance from the origin along the Hilbert curve. The curve grid is
-// fitted to the bounding box of the centers at each level, realizing the
+// fitted to the bounding box of the centers at each level and is the finest
+// whose index fits in 64 bits (31 bits an axis for 2-D data), realizing the
 // paper's arbitrarily-fine conceptual grid for float coordinates.
 type HS struct {
-	// MaxOrder caps the curve order (bits per axis). Zero means the finest
-	// order whose index fits in 64 bits (31 for 2-D data).
-	MaxOrder int
 	// Workers > 1 computes Hilbert keys and sorts with that many
 	// goroutines; the output is identical for every setting.
 	Workers int
@@ -141,13 +106,7 @@ func (h HS) Order(entries []node.Entry, n, level int) {
 	}
 	workers := normWorkers(h.Workers)
 	dims := entries[0].Rect.Dim()
-	order := 64 / dims
-	if order > 31 {
-		order = 31
-	}
-	if h.MaxOrder > 0 && h.MaxOrder < order {
-		order = h.MaxOrder
-	}
+	order := min(64/dims, 31)
 	// Fit the grid to the centers.
 	lo := make([]float64, dims)
 	hi := make([]float64, dims)
@@ -260,7 +219,7 @@ func (s STR) tile(p *psort.Perm, lo, hi, n, axis, dims, workers int) {
 	pages := (hi - lo + n - 1) / n
 	// Slab size: n * ceil(P^((rem-1)/rem)) consecutive rectangles.
 	slab := max(n*ceilPow(pages, float64(rem-1)/float64(rem)), n)
-	forEachSlab(hi-lo, slab, workers, func(start, end, _ int) {
+	forEachSlab(hi-lo, slab, workers, func(start, end int) {
 		p.SortByCenter(lo+start, lo+end, axis, 1)
 		if axis+1 < dims {
 			s.tile(p, lo+start, lo+end, n, axis+1, dims, 1)
@@ -276,84 +235,4 @@ func (s STR) workers() int {
 // powers (e.g. 100^0.5 must be exactly 10, not 11).
 func ceilPow(p int, e float64) int {
 	return int(math.Ceil(math.Pow(float64(p), e) - 1e-9))
-}
-
-// Serpentine is STR with the y-order reversed in every other slice, so the
-// packing order snakes through the tiles instead of jumping from the top
-// of one slice to the bottom of the next. It is a natural locality
-// refinement of STR (in the spirit of the paper's future-work search for
-// better orders) and is measured by the ablation benchmarks. Only the 2-D
-// case differs from STR; higher dimensions fall back to plain STR.
-type Serpentine struct {
-	// Workers > 1 parallelizes the x-sort and runs slices concurrently;
-	// the output is identical for every setting.
-	Workers int
-}
-
-// Name implements rtree.Orderer.
-func (Serpentine) Name() string { return "STR-serp" }
-
-// Order implements rtree.Orderer.
-func (o Serpentine) Order(entries []node.Entry, n, level int) {
-	if len(entries) < 2 {
-		return
-	}
-	workers := normWorkers(o.Workers)
-	if entries[0].Rect.Dim() != 2 {
-		STR{Workers: o.Workers}.Order(entries, n, level)
-		return
-	}
-	sortByCenter(entries, 0, workers)
-	p := (len(entries) + n - 1) / n
-	slab := n * ceilPow(p, 0.5)
-	forEachSlab(len(entries), slab, workers, func(start, end, idx int) {
-		part := entries[start:end]
-		sortByCenter(part, 1, 1)
-		if idx%2 == 1 {
-			for i, j := 0, len(part)-1; i < j; i, j = i+1, j-1 {
-				part[i], part[j] = part[j], part[i]
-			}
-		}
-	})
-}
-
-// SliceFactor scales the number of STR slices by Num/Den, for the ablation
-// that checks S = ceil(sqrt(P)) is the right slice count in 2-D. Factor
-// 1/1 reproduces STR exactly.
-type SliceFactor struct {
-	Num, Den int
-	// Workers > 1 parallelizes the x-sort and runs slices concurrently;
-	// the output is identical for every setting.
-	Workers int
-}
-
-// Name implements rtree.Orderer.
-func (f SliceFactor) Name() string { return "STRx" }
-
-// Order implements rtree.Orderer.
-func (f SliceFactor) Order(entries []node.Entry, n, level int) {
-	if len(entries) < 2 {
-		return
-	}
-	workers := normWorkers(f.Workers)
-	num, den := f.Num, f.Den
-	if num < 1 {
-		num = 1
-	}
-	if den < 1 {
-		den = 1
-	}
-	sortByCenter(entries, 0, workers)
-	p := (len(entries) + n - 1) / n
-	slices := ceilPow(p, 0.5) * num / den
-	if slices < 1 {
-		slices = 1
-	}
-	slab := (len(entries) + slices - 1) / slices
-	// Round the slab to whole nodes so only the final node per slice can
-	// be short.
-	slab = ((slab + n - 1) / n) * n
-	forEachSlab(len(entries), slab, workers, func(start, end, _ int) {
-		sortByCenter(entries[start:end], 1, 1)
-	})
 }

@@ -31,9 +31,7 @@ func allOrderers() []interface {
 		Order(entries []node.Entry, n, level int)
 		Name() string
 	}{
-		NX{}, YSort{}, HS{}, HS{MaxOrder: 4}, STR{}, STR{Workers: 4}, Serpentine{},
-		SliceFactor{Num: 1, Den: 2}, SliceFactor{Num: 2, Den: 1},
-		TGS{}, TGS{UseMargin: true},
+		NX{}, HS{}, HS{Workers: 4}, STR{}, STR{Workers: 4}, TGS{},
 	}
 }
 
@@ -76,16 +74,6 @@ func TestNXSortsByCenterX(t *testing.T) {
 	for i := 1; i < len(entries); i++ {
 		if entries[i].Rect.CenterAxis(0) < entries[i-1].Rect.CenterAxis(0) {
 			t.Fatalf("not sorted by x at %d", i)
-		}
-	}
-}
-
-func TestYSortSortsByCenterY(t *testing.T) {
-	entries := uniformSquares(200, 5)
-	YSort{}.Order(entries, 10, 0)
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Rect.CenterAxis(1) < entries[i-1].Rect.CenterAxis(1) {
-			t.Fatalf("not sorted by y at %d", i)
 		}
 	}
 }
@@ -234,89 +222,17 @@ func TestSTR3D(t *testing.T) {
 	_ = strArea
 }
 
-func TestSerpentineMatchesSTRTiles(t *testing.T) {
-	// Serpentine must produce the same node contents as STR (same tiles),
-	// only the within-level order of some slices reversed. Compare the
-	// sets of node memberships.
-	base := uniformSquares(2000, 12)
-	const n = 50
-	str := append([]node.Entry(nil), base...)
-	STR{}.Order(str, n, 0)
-	serp := append([]node.Entry(nil), base...)
-	Serpentine{}.Order(serp, n, 0)
-
-	nodeSet := func(entries []node.Entry) map[uint64]int {
-		m := make(map[uint64]int)
-		for i, e := range entries {
-			m[e.Ref] = i / n
-		}
-		return m
-	}
-	a, b := nodeSet(str), nodeSet(serp)
-	// Every STR node must map to exactly one serpentine node.
-	pairing := map[int]int{}
-	for ref, na := range a {
-		nb := b[ref]
-		if prev, ok := pairing[na]; ok && prev != nb {
-			t.Fatalf("STR node %d split across serpentine nodes %d and %d", na, prev, nb)
-		}
-		pairing[na] = nb
-	}
-}
-
-func TestSliceFactorUnitIsSTRQuality(t *testing.T) {
-	base := uniformSquares(5000, 13)
-	const n = 100
-	str := append([]node.Entry(nil), base...)
-	STR{}.Order(str, n, 0)
-	strArea, _ := leafMBRStats(str, n)
-
-	sf := append([]node.Entry(nil), base...)
-	SliceFactor{Num: 1, Den: 1}.Order(sf, n, 0)
-	sfArea, _ := leafMBRStats(sf, n)
-
-	if math.Abs(strArea-sfArea) > strArea*0.05 {
-		t.Fatalf("SliceFactor 1/1 area %.4f differs from STR %.4f", sfArea, strArea)
-	}
-	// Doubling or halving the slice count should not beat STR by much on
-	// uniform data (S = sqrt(P) is the right choice).
-	for _, f := range []SliceFactor{{Num: 2, Den: 1}, {Num: 1, Den: 2}} {
-		alt := append([]node.Entry(nil), base...)
-		f.Order(alt, n, 0)
-		altArea, _ := leafMBRStats(alt, n)
-		if altArea < strArea*0.9 {
-			t.Fatalf("slice factor %d/%d area %.4f beats STR %.4f by >10%%",
-				f.Num, f.Den, altArea, strArea)
-		}
-	}
-}
-
 func TestNames(t *testing.T) {
 	want := map[string]string{
-		NX{}.Name():          "NX",
-		YSort{}.Name():       "Y",
-		HS{}.Name():          "HS",
-		STR{}.Name():         "STR",
-		Serpentine{}.Name():  "STR-serp",
-		SliceFactor{}.Name(): "STRx",
+		NX{}.Name():  "NX",
+		HS{}.Name():  "HS",
+		STR{}.Name(): "STR",
+		TGS{}.Name(): "TGS",
 	}
 	for got, exp := range want {
 		if got != exp {
 			t.Fatalf("name %q != %q", got, exp)
 		}
-	}
-}
-
-func TestHSMaxOrderOverride(t *testing.T) {
-	entries := uniformSquares(500, 14)
-	coarse := append([]node.Entry(nil), entries...)
-	HS{MaxOrder: 2}.Order(coarse, 10, 0) // 4x4 grid: heavy key collisions, still a valid permutation
-	seen := map[uint64]bool{}
-	for _, e := range coarse {
-		if seen[e.Ref] {
-			t.Fatal("duplicate after coarse HS")
-		}
-		seen[e.Ref] = true
 	}
 }
 

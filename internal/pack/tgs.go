@@ -16,15 +16,13 @@ import (
 // Where STR tiles bottom-up by sorting, TGS works top-down: to pack a set
 // needing more than one node it repeatedly applies the best *binary*
 // split — over every axis ordering and every node-aligned split point —
-// minimizing the total cost of the two resulting MBRs, then recurses on
-// both halves. The result here is expressed as a leaf ordering (the
-// recursion flattened left to right), so it plugs into the same General
-// Algorithm builder as the other packers; applying it at every level
-// reproduces the top-down structure.
+// minimizing the total area of the two resulting MBRs (García et al. also
+// examine perimeter; area is their default), then recurses on both halves.
+// The result here is expressed as a leaf ordering (the recursion flattened
+// left to right), so it plugs into the same General Algorithm builder as the
+// other packers; applying it at every level reproduces the top-down
+// structure.
 type TGS struct {
-	// UseMargin selects perimeter as the split cost instead of area.
-	// García et al. examine both; area is the default.
-	UseMargin bool
 	// Workers > 1 parallelizes the candidate-cut sorts and recurses on
 	// the two halves concurrently; the output is identical for every
 	// setting because the halves are disjoint after the cut.
@@ -32,12 +30,7 @@ type TGS struct {
 }
 
 // Name implements rtree.Orderer.
-func (t TGS) Name() string {
-	if t.UseMargin {
-		return "TGS-margin"
-	}
-	return "TGS"
-}
+func (TGS) Name() string { return "TGS" }
 
 // Order implements rtree.Orderer.
 func (t TGS) Order(entries []node.Entry, n, level int) {
@@ -92,7 +85,7 @@ func (t TGS) bestCut(entries []node.Entry, n, workers int) int {
 		prefix := prefixMBRs(entries, n)
 		suffix := suffixMBRs(entries, n)
 		for k := 1; k < nodes; k++ {
-			cost := t.cost(prefix[k-1]) + t.cost(suffix[k])
+			cost := prefix[k-1].Area() + suffix[k].Area()
 			if cost < bestCost {
 				bestCost = cost
 				bestAxis, bestCutIdx = d, k
@@ -105,13 +98,6 @@ func (t TGS) bestCut(entries []node.Entry, n, workers int) int {
 		sortByCenter(entries, bestAxis, workers)
 	}
 	return bestCutIdx * n
-}
-
-func (t TGS) cost(r geom.Rect) float64 {
-	if t.UseMargin {
-		return r.Margin()
-	}
-	return r.Area()
 }
 
 // prefixMBRs returns, for each node-aligned prefix (first k*n entries,

@@ -10,19 +10,17 @@ import (
 
 func TestTGSIsPermutation(t *testing.T) {
 	base := uniformSquares(1234, 21)
-	for _, tgs := range []TGS{{}, {UseMargin: true}} {
-		entries := append([]node.Entry(nil), base...)
-		tgs.Order(entries, 10, 0)
-		seen := make(map[uint64]bool, len(entries))
-		for _, e := range entries {
-			if seen[e.Ref] {
-				t.Fatalf("%s duplicated ref %d", tgs.Name(), e.Ref)
-			}
-			seen[e.Ref] = true
+	entries := append([]node.Entry(nil), base...)
+	TGS{}.Order(entries, 10, 0)
+	seen := make(map[uint64]bool, len(entries))
+	for _, e := range entries {
+		if seen[e.Ref] {
+			t.Fatalf("duplicated ref %d", e.Ref)
 		}
-		if len(seen) != len(base) {
-			t.Fatalf("%s lost entries", tgs.Name())
-		}
+		seen[e.Ref] = true
+	}
+	if len(seen) != len(base) {
+		t.Fatal("lost entries")
 	}
 }
 
@@ -98,26 +96,6 @@ func TestTGSFullNodesExceptLast(t *testing.T) {
 	}
 	if full != 20 {
 		t.Fatalf("unexpected arithmetic: %d full nodes", full)
-	}
-}
-
-func TestTGSMarginVariant(t *testing.T) {
-	base := uniformSquares(2000, 27)
-	const n = 50
-	tgs := append([]node.Entry(nil), base...)
-	TGS{UseMargin: true}.Order(tgs, n, 0)
-	_, margin := leafMBRStats(tgs, n)
-	// Greedy binary splits trail STR's balanced tiles on perimeter for
-	// uniform data; the bar is staying far below the one-dimensional
-	// degenerate case (NX's strips).
-	nx := append([]node.Entry(nil), base...)
-	NX{}.Order(nx, n, 0)
-	_, nxMargin := leafMBRStats(nx, n)
-	if margin > nxMargin/1.5 {
-		t.Fatalf("TGS-margin perimeter %.1f too close to NX strips %.1f", margin, nxMargin)
-	}
-	if (TGS{UseMargin: true}).Name() != "TGS-margin" || (TGS{}).Name() != "TGS" {
-		t.Fatal("names wrong")
 	}
 }
 

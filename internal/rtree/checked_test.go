@@ -78,8 +78,8 @@ func readTape(t testing.TB, tr *Tree, seed int64) {
 
 // TestCheckedPagesEqualDiskReads is the exact-count form of the claim: over
 // a read-only tape every miss is followed by one full validation and no hit
-// by any, so CheckedPages == DiskReads whatever the buffer size, policy or
-// manager, and a tape replayed over a buffer that holds the whole tree
+// by any, so CheckedPages == DiskReads whatever the buffer size or manager,
+// and a tape replayed over a buffer that holds the whole tree
 // validates nothing at all.
 func TestCheckedPagesEqualDiskReads(t *testing.T) {
 	pager, _ := packedPager(t, 6000, 16)
@@ -87,8 +87,7 @@ func TestCheckedPagesEqualDiskReads(t *testing.T) {
 	// splits the pages exactly evenly.
 	whole := 4 * pager.NumPages()
 	managers := map[string]func(pages int) buffer.Manager{
-		"pool-lru":   func(n int) buffer.Manager { return buffer.NewPool(pager, n) },
-		"pool-clock": func(n int) buffer.Manager { return buffer.NewPoolWithPolicy(pager, n, buffer.Clock) },
+		"pool-lru": func(n int) buffer.Manager { return buffer.NewPool(pager, n) },
 		"sharded-4": func(n int) buffer.Manager {
 			s, err := buffer.NewSharded(pager, n, 4)
 			if err != nil {

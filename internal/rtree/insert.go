@@ -10,10 +10,10 @@ import (
 
 // Insert adds one data entry using Guttman's dynamic insertion algorithm:
 // ChooseLeaf descends by least area enlargement, overflowing nodes split
-// (the tile cut, or R* per the tree's configuration), and MBRs are
-// adjusted up the path. This is the one-object-at-a-time loading whose
-// shortcomings — load time, space utilization and query quality — motivate
-// packing in the paper's introduction.
+// by the tile cut (tilesplit.go), and MBRs are adjusted up the path. This
+// is the one-object-at-a-time loading whose shortcomings — load time, space
+// utilization and query quality — motivate packing in the paper's
+// introduction.
 func (t *Tree) Insert(r geom.Rect, ref uint64) error {
 	if err := t.checkEntry(r); err != nil {
 		return err
@@ -179,11 +179,7 @@ func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (
 		return nil, t.writeNode(s.id, &n)
 	}
 	var right []node.Entry
-	if t.split == SplitRStar {
-		n.Entries, right = splitRStar(st.entries, t.minFill)
-	} else {
-		n.Entries, right = st.splitTile()
-	}
+	n.Entries, right = st.splitTile()
 	if err := t.writeNode(s.id, &n); err != nil {
 		return nil, err
 	}

@@ -43,7 +43,7 @@ func TestMutateInPlaceZeroAlloc(t *testing.T) {
 	}
 	for _, cfg := range []Config{
 		{},
-		{Split: SplitRStar, ForcedReinsert: true},
+		{ForcedReinsert: true},
 	} {
 		tr, _ := growTree(t, cfg, 3, 11)
 		measured := false
@@ -63,14 +63,14 @@ func TestMutateInPlaceZeroAlloc(t *testing.T) {
 				continue
 			}
 			if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
-				t.Errorf("%v reinsert=%v: warm in-place Insert+Delete allocated %.1f times per pair, want 0",
-					cfg.Split, cfg.ForcedReinsert, allocs)
+				t.Errorf("reinsert=%v: warm in-place Insert+Delete allocated %.1f times per pair, want 0",
+					cfg.ForcedReinsert, allocs)
 			}
 			measured = true
 			break
 		}
 		if !measured {
-			t.Fatalf("%v: no probe rectangle stayed in place", cfg.Split)
+			t.Fatalf("reinsert=%v: no probe rectangle stayed in place", cfg.ForcedReinsert)
 		}
 	}
 }

@@ -78,11 +78,10 @@ type mutOracleConfig struct {
 	dims     int
 	pageSize int
 	bufPages int
-	split    SplitAlgorithm
-	// row, when set, stands in for the split's name in String(). The tapes
-	// first pinned under Guttman's linear and quadratic splits run the
-	// default since the tile cut displaced those (PR 24) and keep their
-	// subtest names, so a tape's history stays under one id.
+	// row is the split= field of String(). Every tape runs the tile cut;
+	// the ones first pinned under Guttman's linear and quadratic splits
+	// (until PR 24) and under the R* split (until PR 26) keep those names,
+	// so a tape's history stays under one subtest id.
 	row        string
 	reinsert   bool
 	dupHeavy   bool    // snap coordinates to a coarse grid: many equal keys
@@ -96,15 +95,14 @@ type mutOracleConfig struct {
 	swing int
 	// wrap, when set, interposes on the tree's buffer manager.
 	wrap func(buffer.Manager) buffer.Manager
+	// reopen, when set, replaces the tree halfway through the tape: the
+	// caller flushes it, does what it will to the file and opens it again.
+	reopen func(*Tree) *Tree
 }
 
 func (c mutOracleConfig) String() string {
-	split := c.split.String()
-	if c.row != "" {
-		split = c.row
-	}
 	return fmt.Sprintf("seed=%d ops=%d dims=%d page=%d split=%s reinsert=%v dup=%v",
-		c.seed, c.ops, c.dims, c.pageSize, split, c.reinsert, c.dupHeavy)
+		c.seed, c.ops, c.dims, c.pageSize, c.row, c.reinsert, c.dupHeavy)
 }
 
 // randOpRect draws a rectangle; dup-heavy configs snap to a 5^dims grid of
@@ -132,7 +130,6 @@ func newMutTree(t testing.TB, c mutOracleConfig) *Tree {
 	}
 	tr, err := Create(pool, Config{
 		Dims:           c.dims,
-		Split:          c.split,
 		ForcedReinsert: c.reinsert,
 	})
 	if err != nil {
@@ -153,6 +150,9 @@ func runMutateOracle(t *testing.T, c mutOracleConfig) *Tree {
 	nextRef := uint64(1)
 
 	for op := 0; op < c.ops; op++ {
+		if c.reopen != nil && op == c.ops/2 {
+			tr = c.reopen(tr)
+		}
 		pInsert := c.pInsert
 		if c.swing > 0 && (op/c.swing)%2 == 1 {
 			pInsert = 0.1
@@ -365,7 +365,7 @@ func TestMutateOracleMatrix(t *testing.T) {
 		{seed: 2002, ops: 1500, dims: 2, pageSize: 512, row: "quadratic", dupHeavy: true},
 		{seed: 2003, ops: 1200, dims: 3, pageSize: 512, row: "quadratic"},
 		{seed: 2004, ops: 1200, dims: 2, pageSize: 4096, row: "quadratic"},
-		{seed: 2005, ops: 1200, dims: 2, pageSize: 256, split: SplitRStar, reinsert: true},
+		{seed: 2005, ops: 1200, dims: 2, pageSize: 256, row: "rstar", reinsert: true},
 		{seed: 2006, ops: 1200, dims: 1, pageSize: 256, row: "linear", dupHeavy: true},
 	}
 	for _, c := range cases {
@@ -379,18 +379,22 @@ func TestMutateOracleMatrix(t *testing.T) {
 // goldenTapes are the seeded op tapes of TestMutateGoldenBytes with the
 // FNV-64a digest of the flushed pager (every page, in page order) each one
 // must leave behind: they pin every stored byte, the page allocation order
-// and the free-list order. The R* rows' digests were recorded at the last
-// commit that still had a separate materializing mutation tier and have not
-// moved since — through the single mutation path, the staging scratch and the
-// ChooseLeaf page kernel. The rows named linear and quadratic ran Guttman's
-// splits until PR 24 made the tile cut the default; they run it now, and were
-// re-pinned then, once, with these mutation counts ({in-place, structural}
-// inserts, then deletes):
+// and the free-list order. Every tape runs the tile cut. The rows named
+// linear and quadratic ran Guttman's splits until PR 24 made the tile cut the
+// default and were re-pinned then, once, with these mutation counts
+// ({in-place, structural} inserts, then deletes); they have not moved since:
 //
 //	4001 {1441, 213} {1111, 101}    4007 {2026, 172} {1472, 162}
 //	3001 {1462, 225} {1091, 103}    4009 {1340, 342} {968, 222}
 //	4004 {2016, 165} {1463, 159}    4010 {1705, 452} {1308, 333}
 //	4006 {1387, 286} {1121, 86}     4012 {1525, 638} {1190, 461}
+//
+// The rows named rstar ran the R* split with forced reinsertion until PR 26
+// removed that split; they are the tile cut with forced reinsertion now — the
+// only pin on what ForcedReinsert stores — re-pinned then, once:
+//
+//	4003 {1392, 300} {1079, 78}     4008 {1322, 322} {1166, 62}
+//	4005 {2922, 82} {887, 1}        4011 {1577, 573} {1340, 342}
 //
 // 4004 and 4007 gained their swing in the same re-pin: at fan-out 102 and
 // 72 a tile-cut node underflows on its twelfth and ninth delete at the
@@ -404,15 +408,15 @@ var goldenTapes = []struct {
 }{
 	{mutOracleConfig{seed: 4001, ops: 3000, dims: 2, pageSize: 256, row: "linear", pInsert: 0.55}, 0x1431c1a13502d107},
 	{mutOracleConfig{seed: 3001, ops: 3000, dims: 2, pageSize: 256, row: "quadratic", pInsert: 0.55}, 0xb25fe0dd06cac6ed},
-	{mutOracleConfig{seed: 4003, ops: 3000, dims: 2, pageSize: 256, split: SplitRStar, reinsert: true, pInsert: 0.55}, 0x9810a7dc416b0f66},
+	{mutOracleConfig{seed: 4003, ops: 3000, dims: 2, pageSize: 256, row: "rstar", reinsert: true, pInsert: 0.55}, 0x28f7e97938c85cd9},
 	{mutOracleConfig{seed: 4004, ops: 4000, dims: 2, pageSize: 4096, row: "quadratic", pInsert: 0.75, swing: 1500}, 0x0fa083511c9ef58d},
-	{mutOracleConfig{seed: 4005, ops: 4000, dims: 2, pageSize: 4096, split: SplitRStar, reinsert: true, pInsert: 0.75}, 0xc3376daae06e1ca6},
+	{mutOracleConfig{seed: 4005, ops: 4000, dims: 2, pageSize: 4096, row: "rstar", reinsert: true, pInsert: 0.75}, 0x5d37f7ffd84ca8ba},
 	{mutOracleConfig{seed: 4006, ops: 3000, dims: 3, pageSize: 256, row: "linear", pInsert: 0.55}, 0x700cb5d3bcc1b0a7},
 	{mutOracleConfig{seed: 4007, ops: 4000, dims: 3, pageSize: 4096, row: "quadratic", pInsert: 0.75, swing: 1500}, 0x4eef8a2fb219cb63},
-	{mutOracleConfig{seed: 4008, ops: 3000, dims: 3, pageSize: 256, split: SplitRStar, reinsert: true, pInsert: 0.55}, 0x4f234305c47ab64d},
+	{mutOracleConfig{seed: 4008, ops: 3000, dims: 3, pageSize: 256, row: "rstar", reinsert: true, pInsert: 0.55}, 0xb583fda1aaad5756},
 	{mutOracleConfig{seed: 4009, ops: 3000, dims: 2, pageSize: 256, row: "quadratic", dupHeavy: true, pInsert: 0.55}, 0x0f1d5392cafbcdb1},
 	{mutOracleConfig{seed: 4010, ops: 4000, dims: 2, pageSize: 256, row: "quadratic", pInsert: 0.8, swing: 800}, 0xc181d9f7865091cc},
-	{mutOracleConfig{seed: 4011, ops: 4000, dims: 2, pageSize: 256, split: SplitRStar, reinsert: true, pInsert: 0.8, swing: 800}, 0xc5b838b4a13cfa48},
+	{mutOracleConfig{seed: 4011, ops: 4000, dims: 2, pageSize: 256, row: "rstar", reinsert: true, pInsert: 0.8, swing: 800}, 0x216797b6f74a1379},
 	{mutOracleConfig{seed: 4012, ops: 4000, dims: 3, pageSize: 256, row: "linear", pInsert: 0.8, swing: 800}, 0x28adc9607dd22f10},
 }
 

@@ -33,7 +33,7 @@ func TestEvictFarthest(t *testing.T) {
 
 func TestForcedReinsertInsertCorrect(t *testing.T) {
 	pool := buffer.NewPool(storage.NewMemPager(4096), 512)
-	tr, err := Create(pool, Config{Dims: 2, Capacity: 10, Split: SplitRStar, ForcedReinsert: true})
+	tr, err := Create(pool, Config{Dims: 2, Capacity: 10, ForcedReinsert: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,8 +81,8 @@ func TestForcedReinsertImprovesQuality(t *testing.T) {
 		}
 		return area
 	}
-	plain := leafArea(Config{Dims: 2, Capacity: 16, Split: SplitRStar})
-	reins := leafArea(Config{Dims: 2, Capacity: 16, Split: SplitRStar, ForcedReinsert: true})
+	plain := leafArea(Config{Dims: 2, Capacity: 16})
+	reins := leafArea(Config{Dims: 2, Capacity: 16, ForcedReinsert: true})
 	if reins > plain*1.10 {
 		t.Fatalf("forced reinsert leaf area %.4f much worse than plain %.4f", reins, plain)
 	}
@@ -111,7 +111,7 @@ func TestForcedReinsertPersists(t *testing.T) {
 
 func TestForcedReinsertWithDeletes(t *testing.T) {
 	pool := buffer.NewPool(storage.NewMemPager(4096), 512)
-	tr, err := Create(pool, Config{Dims: 2, Capacity: 8, Split: SplitRStar, ForcedReinsert: true})
+	tr, err := Create(pool, Config{Dims: 2, Capacity: 8, ForcedReinsert: true})
 	if err != nil {
 		t.Fatal(err)
 	}

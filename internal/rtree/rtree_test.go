@@ -756,15 +756,6 @@ func TestSplitDistributionRespectsMinFill(t *testing.T) {
 	}
 }
 
-func TestSplitAlgorithmString(t *testing.T) {
-	if SplitAlgorithm(0).String() != "tile" || SplitRStar.String() != "rstar" {
-		t.Fatal("split names wrong")
-	}
-	if s := SplitAlgorithm(9).String(); s != "SplitAlgorithm(9)" {
-		t.Fatalf("unknown split name %q", s)
-	}
-}
-
 func TestFreePageRecycling(t *testing.T) {
 	tr := newTree(t, 4)
 	entries := randRects(100, 19)

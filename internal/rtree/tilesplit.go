@@ -9,14 +9,14 @@ import (
 	"strtree/internal/node"
 )
 
-// SplitTile is the paper's tile cut as the overflow policy, and the default:
-// sort the overflowing node's entries by centre and cut the sequence in the
-// middle, on the axis whose two halves have the smaller total margin. Both
-// halves hold at least floor((capacity+1)/2) >= MinFill entries, so a fresh
-// node is many deletes away from dissolving, where Guttman's seed-and-grow
-// splits leave one half at exactly MinFill. A file written under a retired
-// policy's value runs this one.
-const SplitTile SplitAlgorithm = 0
+// The overflow policy is the paper's tile cut: sort the overflowing node's
+// entries by centre and cut the sequence in the middle, on the axis whose two
+// halves have the smaller total margin. Both halves hold at least
+// floor((capacity+1)/2) >= MinFill entries, so a fresh node is many deletes
+// away from dissolving, where Guttman's seed-and-grow splits leave one half at
+// exactly MinFill. It is the only policy: Guttman's splits and the R* split
+// are baselines in guttman_test.go and rstar_test.go, and a file whose meta
+// page names one of them runs this one.
 
 // stage is overflow's scratch, kept by the tree beside the mutation path: the
 // overflowing node's capacity+1 entries (headers in entries, coordinates in

@@ -89,29 +89,19 @@ func TestSimulateLRUMatchesRealPool(t *testing.T) {
 	}
 }
 
-// TestSimulateClockMatchesRealPool does the same for the Clock policy.
+// TestSimulateClockMatchesRealPool holds SimulateClock to the live Clock pool
+// it was verified against miss for miss until PR 26 removed that pool
+// (buffer.NewPoolWithPolicy(pg, capacity, buffer.Clock)): the counts below are
+// that pool's DiskReads over this trace, recorded at the last commit that had
+// it. The simulator is the one Clock left; extpolicy, extwarmup and strtrace
+// rely on it.
 func TestSimulateClockMatchesRealPool(t *testing.T) {
-	const pages = 60
-	tr := randTrace(5000, pages, 3)
-	for _, capacity := range []int{1, 3, 8, 20} {
-		pg := storage.NewMemPager(64)
-		for i := 0; i < pages; i++ {
-			if _, err := pg.Alloc(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		pool := buffer.NewPoolWithPolicy(pg, capacity, buffer.Clock)
-		for _, id := range tr {
-			f, err := pool.Fetch(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pool.Release(f)
-		}
-		real := int(pool.Stats().DiskReads)
-		sim := tr.SimulateClock(capacity)
-		if real != sim {
-			t.Fatalf("capacity %d: pool %d misses, simulator %d", capacity, real, sim)
+	tr := randTrace(5000, 60, 3)
+	for _, tc := range []struct{ capacity, misses int }{
+		{1, 4851}, {3, 4554}, {8, 3926}, {20, 2563},
+	} {
+		if sim := tr.SimulateClock(tc.capacity); sim != tc.misses {
+			t.Errorf("capacity %d: simulator %d misses, the live Clock pool had %d", tc.capacity, sim, tc.misses)
 		}
 	}
 }

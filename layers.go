@@ -172,7 +172,7 @@ func (ls *LayerSet) names() []string {
 func (ls *LayerSet) Names() []string { return ls.names() }
 
 // Create adds a new empty layer and returns its tree. Structural options
-// (Dims, Capacity, MinFill, Split, ForcedReinsert) come from the set's
+// (Dims, Capacity, MinFill, ForcedReinsert) come from the set's
 // Options. The name must be non-empty, at most 32 bytes, and unused.
 func (ls *LayerSet) Create(name string) (*Tree, error) {
 	if name == "" || len(name) > layerNameMax {
@@ -189,7 +189,6 @@ func (ls *LayerSet) Create(name string) (*Tree, error) {
 		Dims:           ls.opts.Dims,
 		Capacity:       ls.opts.Capacity,
 		MinFill:        ls.opts.MinFill,
-		Split:          ls.opts.Split,
 		ForcedReinsert: ls.opts.ForcedReinsert,
 	})
 	if err != nil {

@@ -37,15 +37,16 @@ func (m *refModel) countWithin(q Rect) int {
 }
 
 func TestModelRandomOps(t *testing.T) {
-	// The first two rows are named for the Guttman splits they ran until the
-	// tile cut displaced those (PR 24); they run the default, at two fan-outs.
+	// The rows are named for the splits they ran until the tile cut displaced
+	// those (Guttman's in PR 24, R* in PR 26); they run it, at three fan-outs,
+	// the last with forced reinsertion.
 	configs := []struct {
 		name string
 		opts Options
 	}{
 		{"linear", Options{Capacity: 6}},
 		{"quadratic", Options{Capacity: 10}},
-		{"rstar", Options{Capacity: 8, Split: SplitRStar, ForcedReinsert: true}},
+		{"rstar", Options{Capacity: 8, ForcedReinsert: true}},
 	}
 	for ci, c := range configs {
 		opts := c.opts

@@ -45,8 +45,7 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 		items[i] = strtree.Item{Rect: strtree.Rect(e.Rect), ID: e.Ref}
 	}
 	packings := []strtree.Packing{
-		strtree.PackSTR, strtree.PackHilbert, strtree.PackNearestX,
-		strtree.PackSTRSerpentine, strtree.PackTGS,
+		strtree.PackSTR, strtree.PackHilbert, strtree.PackNearestX, strtree.PackTGS,
 	}
 	for _, p := range packings {
 		t.Run(p.String(), func(t *testing.T) {

@@ -79,9 +79,6 @@ const (
 	// It is simple but uncompetitive for region queries; provided for
 	// completeness and comparison.
 	PackNearestX
-	// PackSTRSerpentine is STR with alternating slice direction, a
-	// locality refinement measured in this repository's ablations.
-	PackSTRSerpentine
 	// PackTGS is the Top-down Greedy Split loader of García, López and
 	// Leutenegger (CIKM 1998), the follow-up to the STR paper. It often
 	// wins on highly skewed point data at some cost on region queries.
@@ -97,8 +94,6 @@ func (p Packing) String() string {
 		return "HS"
 	case PackNearestX:
 		return "NX"
-	case PackSTRSerpentine:
-		return "STR-serp"
 	case PackTGS:
 		return "TGS"
 	default:
@@ -114,8 +109,6 @@ func (p Packing) orderer(workers int) (rtree.Orderer, error) {
 		return pack.HS{Workers: workers}, nil
 	case PackNearestX:
 		return pack.NX{Workers: workers}, nil
-	case PackSTRSerpentine:
-		return pack.Serpentine{Workers: workers}, nil
 	case PackTGS:
 		return pack.TGS{Workers: workers}, nil
 	default:
@@ -123,26 +116,11 @@ func (p Packing) orderer(workers int) (rtree.Orderer, error) {
 	}
 }
 
-// SplitAlgorithm selects the node-split heuristic for dynamic inserts.
-type SplitAlgorithm = rtree.SplitAlgorithm
-
-// Split heuristics for dynamic insertion.
-const (
-	// SplitTile, the default, is the paper's tile cut applied to one
-	// overflowing node: sort its entries by centre, cut the sequence in
-	// the middle, on the axis whose halves have the smaller total margin.
-	// The halves are balanced, so a fresh node is far from underflowing,
-	// and a split costs one sort and allocates nothing.
-	SplitTile = rtree.SplitTile
-	// SplitRStar is the R*-tree topological split of Beckmann et al.: the
-	// quality reference, 0.5-4 % fewer accesses per query than the tile
-	// cut on a pure-insert load at some fifty times the cost per split.
-	SplitRStar = rtree.SplitRStar
-)
-
 // Options configures a tree. The zero value gives a 2-dimensional
 // in-memory tree with 4 KiB pages, node fan-out filling the page (102
-// entries), a 256-page LRU buffer and tile splits.
+// entries) and a 256-page LRU buffer. A node that overflows under Insert is
+// split by the paper's tile cut: its entries sorted by centre and cut in the
+// middle, on the axis whose halves have the smaller total margin.
 type Options struct {
 	// Dims is the dimensionality; 0 means 2.
 	Dims int
@@ -165,12 +143,15 @@ type Options struct {
 	// MinFill is the minimum entries per non-root node maintained by
 	// deletes; 0 means 40% of Capacity.
 	MinFill int
-	// Split selects the dynamic-insert split heuristic: SplitTile (the
-	// zero value) or SplitRStar. It is stored in the index file; a file
-	// written under a retired policy splits by the tile cut from now on.
-	Split SplitAlgorithm
-	// ForcedReinsert enables R*-style forced reinsertion on overflow,
-	// improving dynamic-load tree quality at some insert cost.
+	// ForcedReinsert enables R*-style forced reinsertion: the first time a
+	// node overflows at each level during one Insert, the 30 % of its
+	// entries farthest from its centre are inserted again instead of the
+	// node splitting. It is stored in the index file. What it buys, on a
+	// pure-insert load of 25 000 rectangles over six seeds (EXPERIMENTS.md,
+	// "Overflow handling over seeds"): 7 % fewer disk accesses per 1 %
+	// region query (7.80 against 8.39, lower on every seed) and 9 % fewer
+	// leaves. What it costs: twice the time per insert (11.7 us against
+	// 5.3).
 	ForcedReinsert bool
 	// Workers bounds the goroutines a bulk load may use: the packing
 	// algorithms' parallel sorts plus the builder's write-behind page
@@ -289,7 +270,6 @@ func create(pg storage.Pager, opts Options) (*Tree, error) {
 		Dims:           opts.Dims,
 		Capacity:       opts.Capacity,
 		MinFill:        opts.MinFill,
-		Split:          opts.Split,
 		ForcedReinsert: opts.ForcedReinsert,
 		Workers:        resolveWorkers(opts.Workers),
 	})

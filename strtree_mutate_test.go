@@ -54,7 +54,6 @@ type mutHarnessConfig struct {
 	ops      int
 	dims     int
 	pageSize int
-	split    SplitAlgorithm
 	reinsert bool
 	// seedItems bulk-loads this many items before mutating (0 starts
 	// empty); the packed invariants must hold before the first op.
@@ -99,7 +98,6 @@ func runMutHarness(t *testing.T, cfg mutHarnessConfig) {
 		Dims:           cfg.dims,
 		PageSize:       cfg.pageSize,
 		BufferPages:    64,
-		Split:          cfg.split,
 		ForcedReinsert: cfg.reinsert,
 	})
 	if err != nil {
@@ -208,7 +206,7 @@ func compareMutQueries(t *testing.T, op int, tree *Tree, o *mutOracle, rng *rand
 }
 
 // TestMutateOraclePublicAPI runs the seeded differential harness across
-// page sizes, dimensionalities, split heuristics, duplicate-heavy keys,
+// page sizes, dimensionalities, forced reinsertion, duplicate-heavy keys,
 // and both empty and bulk-loaded starting trees.
 func TestMutateOraclePublicAPI(t *testing.T) {
 	configs := []mutHarnessConfig{
@@ -218,9 +216,9 @@ func TestMutateOraclePublicAPI(t *testing.T) {
 			seedItems: 1500, pInsert: 0.45, queryEvery: 7},
 		{seed: 4003, ops: 700, dims: 3, pageSize: 512,
 			pInsert: 0.6, queryEvery: 7},
-		{seed: 4004, ops: 700, dims: 2, pageSize: 256, split: SplitRStar,
+		{seed: 4004, ops: 700, dims: 2, pageSize: 256,
 			reinsert: true, dupHeavy: true, pInsert: 0.5, queryEvery: 7},
-		{seed: 4005, ops: 600, dims: 2, pageSize: 1024, split: SplitRStar,
+		{seed: 4005, ops: 600, dims: 2, pageSize: 1024,
 			seedItems: 800, dupHeavy: true, pInsert: 0.35, queryEvery: 7},
 	}
 	for _, cfg := range configs {

@@ -63,7 +63,7 @@ func TestAllPackingsBuildEquivalentContent(t *testing.T) {
 	items := randItems(2000, 2)
 	q := R2(0.1, 0.1, 0.35, 0.35)
 	var counts []int
-	for _, p := range []Packing{PackSTR, PackHilbert, PackNearestX, PackSTRSerpentine, PackTGS} {
+	for _, p := range []Packing{PackSTR, PackHilbert, PackNearestX, PackTGS} {
 		tree, err := New(Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +93,7 @@ func TestAllPackingsBuildEquivalentContent(t *testing.T) {
 func TestPackingString(t *testing.T) {
 	cases := map[Packing]string{
 		PackSTR: "STR", PackHilbert: "HS", PackNearestX: "NX",
-		PackSTRSerpentine: "STR-serp", PackTGS: "TGS",
+		PackTGS:     "TGS",
 		Packing(99): "Packing(99)",
 	}
 	for p, want := range cases {

@@ -156,18 +156,3 @@ func TestSearchWithinPublic(t *testing.T) {
 		t.Fatalf("SearchWithin = %v", got)
 	}
 }
-
-func TestSplitRStarPublic(t *testing.T) {
-	tree, err := New(Options{Capacity: 16, Split: SplitRStar})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, it := range randItems(400, 54) {
-		if err := tree.Insert(it.Rect, it.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
