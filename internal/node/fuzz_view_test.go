@@ -12,9 +12,9 @@ import (
 // requires them to agree byte-for-byte: MakeView accepts exactly the pages
 // Unmarshal accepts (and rejects with the same sentinel error), and on
 // accepted pages every View accessor returns exactly what the
-// materialized Node holds — including both intersection predicates, the
-// page kernel against the per-entry one against geom over the decoded
-// entries (checkScan), for queries cut from the page itself. This is the
+// materialized Node holds — including the page kernels, each against the
+// per-entry accessors and those against geom over the decoded entries
+// (checkScan, checkDists), for queries and points cut from the page itself. This is the
 // corruption-safety half of the zero-copy read path's correctness argument
 // — the traversal half is pinned by internal/rtree's differential tests.
 // The committed corpus
@@ -92,6 +92,7 @@ func FuzzViewEquivalence(f *testing.F) {
 			e := n.Entries[i]
 			checkScan(t, v, n.Entries, e.Rect)
 			checkScan(t, v, n.Entries, geom.Rect{Min: e.Rect.Max, Max: e.Rect.Max})
+			checkDists(t, v, e.Rect.Min)
 		}
 	})
 }
@@ -131,11 +132,13 @@ func checkTrustedView(t *testing.T, page []byte, v View, vErr error) {
 		coords = tv.AppendEntryCoords(coords[:0], i)
 		_ = tv.MinDist(q.Min, i)
 	}
-	// Unvalidated words, NaNs included: the page kernel still stays on the
-	// page and still agrees with the per-entry predicate.
+	// Unvalidated words, NaNs included: the page kernels still stay on the
+	// page and still agree with the per-entry accessors, bit for bit.
 	checkScan(t, tv, nil, q)
+	checkDists(t, tv, q.Min)
 	if tv.Count() > 0 {
 		checkScan(t, tv, nil, scratch) // the last entry's words as the query
+		checkDists(t, tv, scratch.Max) // and as the point
 		tv.MBRInto(&scratch)
 	}
 	_, _ = tv.IsLeaf(), coords

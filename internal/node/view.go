@@ -6,6 +6,18 @@ package node
 // Views over buffer-pinned pages, so a traversal touches exactly the
 // float64 words its predicate needs and allocates nothing per page.
 //
+// Page kernels: a traversal reads a visited page with one call that walks
+// the whole entry array — AppendIntersecting (which entries meet a window),
+// AppendMatches (the same test, banking each match's coordinates and ref as
+// it is found: the leaf arm of a search), AppendMinDist (every entry's
+// distance to a point: nearest-neighbour search) and LeastEnlargement (an
+// insert's descent). Each has a k = 2 arm that loads its argument once and
+// walks the entries by stride with no bounds check in the loop, and a
+// fallback for any other k built on the per-entry accessors below it
+// (IntersectsQuery, AppendEntryCoords, EntryRef, MinDist), which are also
+// the references the arms are tested against, word for word, on arbitrary
+// page bytes (view_test.go, FuzzViewEquivalence).
+//
 // Lifetime contract: a View aliases the page slice it was created over and
 // is valid only as long as those bytes are stable — for a buffer-managed
 // page, between the buffer Fetch that pinned the frame and the matching
@@ -222,8 +234,9 @@ func (v View) IntersectsQuery(q geom.Rect, i int) bool {
 
 // AppendIntersecting appends to dst the indices, ascending, of the entries
 // whose rectangles intersect q — {i : IntersectsQuery(q, i)} — and returns
-// the extended slice: the one predicate every traversal runs, once per
-// visited page, into scratch it owns. At k = 2 the query bounds are loaded
+// the extended slice: the window test of every visited page whose matches
+// are wanted by index (internal nodes, a count's leaves, FindLeaf), into
+// scratch the caller owns. At k = 2 the query bounds are loaded
 // once and the entry array, sliced once, is walked by stride with no bounds
 // check in the loop: 1.7 ns per entry. Any other k goes entry by entry
 // through IntersectsQuery. The comparisons are IntersectsQuery's own, so
@@ -252,6 +265,60 @@ func (v View) AppendIntersecting(dst []int32, q geom.Rect) []int32 {
 		dst = append(dst, i)
 	}
 	return dst
+}
+
+// AppendMatches is AppendIntersecting for a page whose matches are about to
+// be copied out: it runs the same test over the same words, in the same
+// order, and banks each entry that passes as it finds it — its coordinates
+// appended to slab in AppendEntryCoords' layout (Min[0..dims) then
+// Max[0..dims)), its ref to refs — so a leaf is read once instead of once
+// for the test and twice more per match. It returns both extended slices;
+// match j's rectangle is slab[2*dims*j : 2*dims*(j+1)] past slab's old
+// length. The k = 2 arm shares AppendIntersecting's loop; any other k goes
+// entry by entry through IntersectsQuery, AppendEntryCoords and EntryRef.
+func (v View) AppendMatches(slab []float64, refs []uint64, q geom.Rect) ([]float64, []uint64) {
+	if v.dims != 2 || len(q.Min) != 2 || len(q.Max) != 2 {
+		for i := 0; i < v.count; i++ {
+			if v.IntersectsQuery(q, i) {
+				slab = v.AppendEntryCoords(slab, i)
+				refs = append(refs, v.EntryRef(i))
+			}
+		}
+		return slab, refs
+	}
+	const size = 2*16 + 8 // EntrySize(2)
+	qx0, qy0, qx1, qy1 := q.Min[0], q.Min[1], q.Max[0], q.Max[1]
+	ents := v.page[HeaderSize : HeaderSize+v.count*size]
+	for ; len(ents) >= size; ents = ents[size:] {
+		x0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[0:]))
+		x1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[8:]))
+		y0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[16:]))
+		y1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[24:]))
+		if x0 > qx1 || qx0 > x1 || y0 > qy1 || qy0 > y1 {
+			continue
+		}
+		slab = append(slab, x0, y0, x1, y1)
+		refs = append(refs, binary.LittleEndian.Uint64(ents[32:]))
+	}
+	return slab, refs
+}
+
+// CoveredBy reports whether entry i's rectangle lies wholly inside q
+// (closed boxes: q.Min <= Min and Max <= q.Max on every axis; any NaN word
+// answers false). A window search asks it of the few entries of an internal
+// node that intersect its window: everything below a covered entry matches
+// the window, so the subtree needs no further tests (internal/rtree's
+// searchView).
+func (v View) CoveredBy(q geom.Rect, i int) bool {
+	off := v.entryOff(i)
+	in := true
+	for d := 0; d < v.dims; d++ {
+		lo := math.Float64frombits(binary.LittleEndian.Uint64(v.page[off:]))
+		hi := math.Float64frombits(binary.LittleEndian.Uint64(v.page[off+8:]))
+		in = in && q.Min[d] <= lo && hi <= q.Max[d]
+		off += 16
+	}
+	return in
 }
 
 // LeastEnlargement returns the index of the entry whose rectangle needs the
@@ -303,8 +370,9 @@ func (v View) leastEnlargementEach(r geom.Rect, scratch *geom.Rect) int {
 }
 
 // MinDist returns the minimum Euclidean distance from point p to entry
-// i's rectangle (0 if p is inside), decoded in place — the best-first
-// nearest-neighbor traversal's distance kernel.
+// i's rectangle (0 if p is inside), decoded in place: the reference
+// AppendMinDist, the nearest-neighbour traversal's page kernel, is tested
+// against, and the inner step of its k-dimensional fallback.
 func (v View) MinDist(p geom.Point, i int) float64 {
 	off := v.entryOff(i)
 	sum := 0.0
@@ -322,6 +390,46 @@ func (v View) MinDist(p geom.Point, i int) float64 {
 		off += 16
 	}
 	return math.Sqrt(sum)
+}
+
+// AppendMinDist appends MinDist(p, i) for every entry of the page, in entry
+// order, to dst and returns the extended slice: the one pass a best-first
+// nearest-neighbour search makes over a visited page, after which it touches
+// only the entries that can still win. At k = 2 p is loaded once and the
+// entry array walked by stride, computing what MinDist computes, operation
+// for operation, so the two agree on any words; any other k calls MinDist
+// per entry.
+func (v View) AppendMinDist(dst []float64, p geom.Point) []float64 {
+	if v.dims != 2 || len(p) != 2 {
+		for i := 0; i < v.count; i++ {
+			dst = append(dst, v.MinDist(p, i))
+		}
+		return dst
+	}
+	const size = 2*16 + 8 // EntrySize(2)
+	px, py := p[0], p[1]
+	ents := v.page[HeaderSize : HeaderSize+v.count*size]
+	for ; len(ents) >= size; ents = ents[size:] {
+		x0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[0:]))
+		x1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[8:]))
+		y0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[16:]))
+		y1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[24:]))
+		var dx, dy float64
+		switch {
+		case px < x0:
+			dx = x0 - px
+		case px > x1:
+			dx = px - x1
+		}
+		switch {
+		case py < y0:
+			dy = y0 - py
+		case py > y1:
+			dy = py - y1
+		}
+		dst = append(dst, math.Sqrt(dx*dx+dy*dy))
+	}
+	return dst
 }
 
 // MBRInto computes the minimum bounding rectangle of the page's entries

@@ -85,13 +85,20 @@ func TestViewAccessorsMatchUnmarshal(t *testing.T) {
 	}
 }
 
-// checkScan holds the page kernel to both references for one query:
+// checkScan holds the window kernels to their references for one query:
 // AppendIntersecting returns exactly {i : IntersectsQuery(q, i)}, ascending,
-// appended after a stale dst prefix it leaves alone, and — when the decoded
-// entries are given — IntersectsQuery equals geom.Rect.Intersects.
+// appended after a stale dst prefix it leaves alone; AppendMatches banks
+// exactly those entries' AppendEntryCoords words and EntryRefs, bit for bit,
+// after stale prefixes of its own; and — when the decoded entries are given
+// — IntersectsQuery equals geom.Rect.Intersects and CoveredBy equals
+// geom.Rect.Contains. Without entries the words may be anything (a trusted
+// view over fuzzed bytes), NaNs included: CoveredBy must then still say no
+// for an entry with a NaN word.
 func checkScan(t *testing.T, v View, entries []Entry, q geom.Rect) {
 	t.Helper()
 	var want []int32
+	var wantSlab []float64
+	var wantRefs []uint64
 	for i := 0; i < v.Count(); i++ {
 		hit := v.IntersectsQuery(q, i)
 		if entries != nil && hit != q.Intersects(entries[i].Rect) {
@@ -99,6 +106,18 @@ func checkScan(t *testing.T, v View, entries []Entry, q geom.Rect) {
 		}
 		if hit {
 			want = append(want, int32(i))
+			wantSlab = v.AppendEntryCoords(wantSlab, i)
+			wantRefs = append(wantRefs, v.EntryRef(i))
+		}
+		covered := v.CoveredBy(q, i)
+		if entries != nil && covered != q.Contains(entries[i].Rect) {
+			t.Fatalf("dims %d entry %d query %v: CoveredBy=%v, geom=%v", v.Dims(), i, q, covered, !covered)
+		}
+		if entries != nil && covered && !hit {
+			t.Fatalf("dims %d entry %d query %v: covered but not intersecting", v.Dims(), i, q)
+		}
+		if covered && slices.ContainsFunc(v.AppendEntryCoords(nil, i), math.IsNaN) {
+			t.Fatalf("dims %d entry %d query %v: an entry with a NaN word is covered", v.Dims(), i, q)
 		}
 	}
 	stale := []int32{-7, -8, -9}
@@ -112,11 +131,51 @@ func checkScan(t *testing.T, v View, entries []Entry, q geom.Rect) {
 	if got := v.AppendIntersecting(nil, q); !slices.Equal(got, want) {
 		t.Fatalf("dims %d query %v: into nil dst: %v, want %v", v.Dims(), q, got, want)
 	}
+
+	staleSlab, staleRefs := []float64{-1, -2, -3}, []uint64{7}
+	slab, refs := v.AppendMatches(slices.Clone(staleSlab), slices.Clone(staleRefs), q)
+	if len(slab) < len(staleSlab) || !sameBits(slab[:len(staleSlab)], staleSlab) ||
+		len(refs) < len(staleRefs) || !slices.Equal(refs[:len(staleRefs)], staleRefs) {
+		t.Fatalf("dims %d query %v: AppendMatches overwrote a prefix: %v %v", v.Dims(), q, slab, refs)
+	}
+	if !sameBits(slab[len(staleSlab):], wantSlab) || !slices.Equal(refs[len(staleRefs):], wantRefs) {
+		t.Fatalf("dims %d count %d query %v: AppendMatches banked %v %v, per-entry %v %v",
+			v.Dims(), v.Count(), q, slab[len(staleSlab):], refs[len(staleRefs):], wantSlab, wantRefs)
+	}
+	if slab, refs := v.AppendMatches(nil, nil, q); !sameBits(slab, wantSlab) || !slices.Equal(refs, wantRefs) {
+		t.Fatalf("dims %d query %v: AppendMatches into nil: %v %v, want %v %v", v.Dims(), q, slab, refs, wantSlab, wantRefs)
+	}
 }
 
-// TestViewIntersectsQueryMatchesGeom pins both intersection predicates —
-// the page kernel's k = 2 arm and its k-dimensional fallback — to
-// geom.Rect.Intersects over Unmarshal's entries: empty, single-entry and
+// sameBits reports whether a and b hold the same words: float equality that
+// tells -0 from 0 and lets a NaN equal itself.
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// checkDists holds the distance kernel to its reference for one point:
+// AppendMinDist appends exactly MinDist(p, i) for i = 0..Count-1, bit for
+// bit, after a stale prefix it leaves alone.
+func checkDists(t *testing.T, v View, p geom.Point) {
+	t.Helper()
+	var want []float64
+	for i := 0; i < v.Count(); i++ {
+		want = append(want, v.MinDist(p, i))
+	}
+	stale := []float64{-1, -2}
+	got := v.AppendMinDist(slices.Clone(stale), p)
+	if len(got) < len(stale) || !sameBits(got[:len(stale)], stale) {
+		t.Fatalf("dims %d point %v: dst prefix overwritten: %v", v.Dims(), p, got)
+	}
+	if !sameBits(got[len(stale):], want) {
+		t.Fatalf("dims %d count %d point %v: AppendMinDist=%v, per-entry=%v", v.Dims(), v.Count(), p, got[len(stale):], want)
+	}
+}
+
+// TestViewIntersectsQueryMatchesGeom pins the page kernels — each one's
+// k = 2 arm and its k-dimensional fallback — to the per-entry accessors and
+// those to geom over Unmarshal's entries (checkScan; checkDists takes every
+// query's corners as points): empty, single-entry and
 // full pages; random, touching-edge, just-missing, point, infinite and
 // signed-zero queries; entries with infinite and signed-zero bounds.
 func TestViewIntersectsQueryMatchesGeom(t *testing.T) {
@@ -171,6 +230,8 @@ func TestViewIntersectsQueryMatchesGeom(t *testing.T) {
 			}
 			for _, q := range queries {
 				checkScan(t, v, n.Entries, q)
+				checkDists(t, v, q.Min)
+				checkDists(t, v, q.Max)
 			}
 			if count > 0 {
 				if got := v.AppendIntersecting(nil, geom.Rect{Min: n.Entries[count-1].Rect.Max, Max: n.Entries[count-1].Rect.Max}); !slices.Contains(got, int32(count-1)) {
@@ -181,8 +242,8 @@ func TestViewIntersectsQueryMatchesGeom(t *testing.T) {
 	}
 }
 
-// TestViewScanZeroAlloc: with a warm dst the page kernel allocates nothing,
-// on the k = 2 arm and on the fallback.
+// TestViewScanZeroAlloc: with warm destinations the page kernels allocate
+// nothing, on the k = 2 arm and on the fallback.
 func TestViewScanZeroAlloc(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		page, _ := marshalSample(t, 1, dims, Capacity(4096, dims), int64(dims))
@@ -201,6 +262,14 @@ func TestViewScanZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(100, func() { hits = v.AppendIntersecting(hits[:0], q) }); allocs != 0 {
 			t.Fatalf("dims %d: AppendIntersecting allocated %.1f times per page", dims, allocs)
 		}
+		slab, refs := v.AppendMatches(nil, nil, q)
+		if allocs := testing.AllocsPerRun(100, func() { slab, refs = v.AppendMatches(slab[:0], refs[:0], q) }); allocs != 0 {
+			t.Fatalf("dims %d: AppendMatches allocated %.1f times per page", dims, allocs)
+		}
+		dists := v.AppendMinDist(nil, q.Min)
+		if allocs := testing.AllocsPerRun(100, func() { dists = v.AppendMinDist(dists[:0], q.Min) }); allocs != 0 {
+			t.Fatalf("dims %d: AppendMinDist allocated %.1f times per page", dims, allocs)
+		}
 	}
 }
 
@@ -213,6 +282,7 @@ func TestViewMinDistMatchesRect(t *testing.T) {
 	}
 	for trial := 0; trial < 300; trial++ {
 		p := geom.Point{rng.Float64()*3 - 1, rng.Float64()*3 - 1}
+		checkDists(t, v, p)
 		for i, e := range n.Entries {
 			want := refMinDist(p, e.Rect)
 			//strlint:ignore floateq both sides run the identical float sequence on identical words
@@ -327,10 +397,11 @@ func TestViewZeroAllocAccess(t *testing.T) {
 	_ = sink
 }
 
-// BenchmarkViewScan prices the two intersection predicates on one full page
-// per dimensionality: "per-entry" is the reference loop of IntersectsQuery
-// calls, "page" the AppendIntersecting kernel every traversal runs. Both
-// report ns/entry. The queries rotate so the branch predictor cannot learn
+// BenchmarkViewScan prices the page kernels on one full page per
+// dimensionality: "per-entry" is the reference loop of IntersectsQuery
+// calls, "page" the AppendIntersecting kernel, "AppendMatches" the same test
+// banking its matches (a search's leaves), "AppendMinDist" the distance pass
+// of a nearest-neighbour visit. All report ns/entry. The queries rotate so the branch predictor cannot learn
 // one answer vector.
 func BenchmarkViewScan(b *testing.B) {
 	for _, dims := range []int{2, 3} {
@@ -369,6 +440,21 @@ func BenchmarkViewScan(b *testing.B) {
 		b.Run(fmt.Sprintf("dims=%d/page", dims), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				hits = v.AppendIntersecting(hits[:0], queries[n%len(queries)])
+			}
+			report(b)
+		})
+		var slab []float64
+		var refs []uint64
+		b.Run(fmt.Sprintf("dims=%d/AppendMatches", dims), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				slab, refs = v.AppendMatches(slab[:0], refs[:0], queries[n%len(queries)])
+			}
+			report(b)
+		})
+		var dists []float64
+		b.Run(fmt.Sprintf("dims=%d/AppendMinDist", dims), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				dists = v.AppendMinDist(dists[:0], queries[n%len(queries)].Min)
 			}
 			report(b)
 		})

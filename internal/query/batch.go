@@ -24,13 +24,21 @@ import (
 // (see rtree.Tree.Search).
 type SearchFunc func(q geom.Rect, emit func(e node.Entry) bool) error
 
+// CountFunc answers one window query with its number of matches, under
+// SearchFunc's concurrency contract (rtree.Tree.Count: Search's node visits
+// in Search's order, no match copied out).
+type CountFunc func(q geom.Rect) (int, error)
+
 // BatchExecutor fans batches of queries across a fixed worker pool. The
-// zero value is not usable: Search must be set. One executor may run many
-// batches; it keeps no per-batch state.
+// zero value is not usable: Run needs Search, RunCount needs Count. One
+// executor may run many batches; it keeps no per-batch state.
 type BatchExecutor struct {
 	// Search executes a single query. Typically a closure over
 	// rtree.Tree.Search with the tree behind a sharded buffer.
 	Search SearchFunc
+	// Count executes a single query for RunCount; typically
+	// rtree.Tree.Count of the same tree.
+	Count CountFunc
 	// Workers is the number of concurrent query goroutines; values < 1
 	// mean GOMAXPROCS. One worker executes the batch strictly
 	// sequentially, preserving deterministic buffer accounting.
@@ -138,12 +146,9 @@ func (e *BatchExecutor) Run(qs []geom.Rect) ([][]node.Entry, error) {
 func (e *BatchExecutor) RunCount(qs []geom.Rect) ([]int, error) {
 	counts := make([]int, len(qs))
 	err := e.run(qs, func(i int, q geom.Rect) error {
-		n := 0
-		if err := e.Search(q, func(node.Entry) bool { n++; return true }); err != nil {
-			return err
-		}
+		n, err := e.Count(q)
 		counts[i] = n
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -27,6 +27,16 @@ func bruteSearch(items []node.Entry) SearchFunc {
 	}
 }
 
+// countOf is the CountFunc that counts what search emits: the executor's
+// tests drive RunCount through the same stand-in searches as Run.
+func countOf(search SearchFunc) CountFunc {
+	return func(q geom.Rect) (int, error) {
+		n := 0
+		err := search(q, func(node.Entry) bool { n++; return true })
+		return n, err
+	}
+}
+
 // grid returns n*n unit-cell entries tiling [0,n)x[0,n).
 func grid(n int) []node.Entry {
 	out := make([]node.Entry, 0, n*n)
@@ -94,7 +104,7 @@ func TestBatchRunCount(t *testing.T) {
 		geom.R2(0.5, 0.5, 1, 1), // one cell's interior plus 3 neighbors' edges
 		geom.R2(-5, -5, -1, -1), // nothing
 	}
-	ex := BatchExecutor{Search: bruteSearch(items), Workers: 4}
+	ex := BatchExecutor{Count: countOf(bruteSearch(items)), Workers: 4}
 	got, err := ex.RunCount(qs)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +149,7 @@ func TestBatchErrorPropagates(t *testing.T) {
 			t.Fatalf("workers=%d: Run err = %v, want sentinel", workers, err)
 		}
 		calls.Store(0)
+		ex.Count = countOf(ex.Search)
 		if _, err := ex.RunCount(qs); !errors.Is(err, sentinel) {
 			t.Fatalf("workers=%d: RunCount err = %v, want sentinel", workers, err)
 		}
@@ -182,7 +193,7 @@ func TestBatchObserve(t *testing.T) {
 		var total atomic.Int64
 		ex := BatchExecutor{
 			Workers: workers,
-			Search:  bruteSearch(items),
+			Count:   countOf(bruteSearch(items)),
 			Observe: func(i int, d time.Duration) {
 				seen[i].Add(1)
 				total.Add(1)
@@ -212,10 +223,10 @@ func TestBatchErrorStopsBatch(t *testing.T) {
 	var calls atomic.Int64
 	ex := BatchExecutor{
 		Workers: 4,
-		Search: func(q geom.Rect, emit func(node.Entry) bool) error {
+		Count: func(geom.Rect) (int, error) {
 			n := calls.Add(1)
 			if n == 5 {
-				return fmt.Errorf("boom")
+				return 0, fmt.Errorf("boom")
 			}
 			if n > 5 {
 				// 10 000 empty calls are 0.2 ms of work: less than a loaded
@@ -224,7 +235,7 @@ func TestBatchErrorStopsBatch(t *testing.T) {
 				// error take long enough for that not to decide the test.
 				time.Sleep(20 * time.Microsecond)
 			}
-			return nil
+			return 0, nil
 		},
 	}
 	if _, err := ex.RunCount(Points(total, 13)); err == nil {
@@ -244,7 +255,7 @@ func TestBatchConcurrentStress(t *testing.T) {
 	base := bruteSearch(items)
 	ex := BatchExecutor{
 		Workers: 8,
-		Search: func(q geom.Rect, emit func(node.Entry) bool) error {
+		Count: countOf(func(q geom.Rect, emit func(node.Entry) bool) error {
 			cur := inFlight.Add(1)
 			for {
 				p := peak.Load()
@@ -254,7 +265,7 @@ func TestBatchConcurrentStress(t *testing.T) {
 			}
 			defer inFlight.Add(-1)
 			return base(q, emit)
-		},
+		}),
 	}
 	counts, err := ex.RunCount(qs)
 	if err != nil {

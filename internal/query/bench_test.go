@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkBatchRunCount measures the executor's per-batch overhead and
-// allocation profile over a constant-work search function, at the worker
+// allocation profile over a constant-work count function, at the worker
 // counts the serving layer uses. RunCount is the alloc-sensitive variant:
 // it returns one int per query, so everything else it allocates is
 // executor overhead.
@@ -23,7 +23,7 @@ func BenchmarkBatchRunCount(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			ex := BatchExecutor{Search: bruteSearch(items), Workers: workers}
+			ex := BatchExecutor{Count: countOf(bruteSearch(items)), Workers: workers}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ex.RunCount(qs); err != nil {

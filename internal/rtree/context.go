@@ -21,33 +21,22 @@ import (
 // context.DeadlineExceeded — is returned as soon as it is observed.
 // Matches already emitted stay emitted; the traversal simply stops.
 func (t *Tree) SearchContext(ctx context.Context, q geom.Rect, fn func(e node.Entry) bool) error {
-	_, err := t.searchView(ctx, q, fn)
+	_, err := t.searchView(ctx, q, false, fn)
 	return err
 }
 
 // CountContext is Count under a context.
 func (t *Tree) CountContext(ctx context.Context, q geom.Rect) (int, error) {
-	return t.searchView(ctx, q, nil)
+	return t.searchView(ctx, q, false, nil)
 }
 
 // NearestContext is Nearest with cooperative cancellation, checked once
 // per priority-queue pop — i.e. at least once per node read.
 func (t *Tree) NearestContext(ctx context.Context, p geom.Point, fn func(e node.Entry, dist float64) bool) error {
-	return t.nearestView(ctx, p, fn)
+	return t.nearestView(ctx, p, 0, fn)
 }
 
-// NearestKContext collects the k nearest entries to p under a context.
-// The returned entries are deep copies and safe to retain.
+// NearestKContext is NearestK under a context, checked like NearestContext.
 func (t *Tree) NearestKContext(ctx context.Context, p geom.Point, k int) ([]node.Entry, []float64, error) {
-	if k <= 0 {
-		return nil, nil, nil
-	}
-	entries := make([]node.Entry, 0, k)
-	dists := make([]float64, 0, k)
-	err := t.NearestContext(ctx, p, func(e node.Entry, d float64) bool {
-		entries = append(entries, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
-		dists = append(dists, d)
-		return len(entries) < k
-	})
-	return entries, dists, err
+	return t.nearestK(ctx, p, k)
 }

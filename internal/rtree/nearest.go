@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"context"
 	"math"
 
 	"strtree/internal/geom"
@@ -18,24 +19,49 @@ import (
 // queue and the coordinate slab backing emitted rectangles are pooled, so
 // a steady-state Nearest allocates nothing. The entry passed to fn aliases
 // that pooled storage and is valid only during the callback; Clone its
-// rectangle to retain it (NearestK does).
+// rectangle to retain it (NearestK copies it out).
+//
+// Entries at equal distance arrive in ascending Ref order, and an entry
+// before any node at its distance is opened, so the stream — and the pages
+// read to produce a prefix of it — is a function of the tree and p alone.
 //
 // Like Search, every node visited costs one buffer fetch, so the pool's
 // DiskReads delta measures the query's I/O.
 func (t *Tree) Nearest(p geom.Point, fn func(e node.Entry, dist float64) bool) error {
-	return t.nearestView(nil, p, fn)
+	return t.nearestView(nil, p, 0, fn)
 }
 
-// NearestK collects the k nearest entries to p. The returned entries are
-// deep copies and safe to retain.
+// NearestK collects the k nearest entries to p, nearest first, with their
+// distances: exactly the first k entries Nearest streams, ties and
+// duplicates included, found by reading the same pages in the same order.
+// Knowing k lets the traversal skip what cannot be among them: once k
+// entries are queued, an entry or subtree strictly farther than the k-th
+// nearest of them is neither copied nor queued (one tied with it is kept,
+// so ties resolve as in Nearest). The returned entries are deep copies,
+// their coordinates in one geom.Slab chunk allocated with the result (more
+// than one past 4096 coordinates), and safe to retain.
 func (t *Tree) NearestK(p geom.Point, k int) ([]node.Entry, []float64, error) {
+	return t.nearestK(nil, p, k)
+}
+
+// nearestK is NearestK and NearestKContext; a nil ctx is never consulted.
+func (t *Tree) nearestK(ctx context.Context, p geom.Point, k int) ([]node.Entry, []float64, error) {
 	if k <= 0 {
 		return nil, nil, nil
 	}
-	entries := make([]node.Entry, 0, k)
-	dists := make([]float64, 0, k)
-	err := t.Nearest(p, func(e node.Entry, d float64) bool {
-		entries = append(entries, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
+	n := k
+	if uint64(n) > t.count {
+		n = int(t.count)
+	}
+	dims := t.dims
+	entries := make([]node.Entry, 0, n)
+	dists := make([]float64, 0, n)
+	var slab geom.Slab // one chunk for all n rectangles, allocated by the first
+	err := t.nearestView(ctx, p, k, func(e node.Entry, d float64) bool {
+		c := slab.Alloc(2*dims, 2*dims*n)
+		copy(c, e.Rect.Min)
+		copy(c[dims:], e.Rect.Max)
+		entries = append(entries, node.Entry{Rect: geom.Rect{Min: c[:dims:dims], Max: c[dims:]}, Ref: e.Ref})
 		dists = append(dists, d)
 		return len(entries) < k
 	})

@@ -9,6 +9,7 @@ import (
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/pack"
 	"strtree/internal/storage"
 )
 
@@ -406,6 +407,31 @@ func BenchmarkNearestK10(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := tr.NearestK(geom.Pt2(rng.Float64(), rng.Float64()), 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCount1pct is the ledger's count op in small: the paper's 1 %
+// window (side 0.1) over an STR-packed tree of 250 000 squares at the
+// paper's node size, every page buffered. Most of the leaves such a window
+// touches lie wholly inside it and are counted by page header.
+func BenchmarkCount1pct(b *testing.B) {
+	b.ReportAllocs()
+	tr, err := Create(buffer.NewPool(storage.NewMemPager(4096), 4096), Config{Dims: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tr.BulkLoad(densitySquares(rand.New(rand.NewSource(52)), 250000, 0), pack.STR{Workers: 1}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	q := geom.R2(0, 0, 0, 0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q.Min[0], q.Min[1] = rng.Float64(), rng.Float64()
+		q.Max[0], q.Max[1] = math.Min(q.Min[0]+0.1, 1), math.Min(q.Min[1]+0.1, 1)
+		if _, err := tr.Count(q); err != nil {
 			b.Fatal(err)
 		}
 	}

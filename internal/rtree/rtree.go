@@ -72,6 +72,7 @@ type Tree struct {
 	forcedReinsert bool
 	workers        int
 	buildStats     BuildStats
+	everywhere     geom.Rect // the window holding every rectangle (Scan, bankNode); read-only
 
 	metaPage storage.PageID
 	root     storage.PageID
@@ -172,6 +173,7 @@ func CreateAt(pool buffer.Manager, cfg Config) (*Tree, error) {
 		minFill:        cfg.MinFill,
 		forcedReinsert: cfg.ForcedReinsert,
 		workers:        workers,
+		everywhere:     everywhere(cfg.Dims),
 		metaPage:       f.ID(),
 		root:           storage.NilPage,
 	}
@@ -201,6 +203,7 @@ func OpenAt(pool buffer.Manager, metaPage storage.PageID) (*Tree, error) {
 	if err := t.decodeMeta(f.Data()); err != nil {
 		return nil, err
 	}
+	t.everywhere = everywhere(t.dims)
 	return t, nil
 }
 

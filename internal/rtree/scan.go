@@ -1,56 +1,18 @@
 package rtree
 
-import (
-	"strtree/internal/node"
-	"strtree/internal/storage"
-)
+import "strtree/internal/node"
 
 // Scan streams every data entry in the tree in leaf order (for packed
-// trees, the packing order). Returning false from fn stops the scan. The
-// scan runs on the zero-copy read path with a pooled explicit stack,
-// visiting nodes in the same depth-first preorder as Walk. The entry's
-// rectangle aliases pooled traversal storage and is only valid during the
-// callback; Clone it to retain it (Entries does).
+// trees, the packing order). Returning false from fn stops the scan. It is
+// the window traversal (searchView) over the window that covers everything,
+// started from a covered root: every page is visited, in the depth-first
+// preorder of Walk, no internal node tests its entries, and the pooled
+// state makes a steady-state Scan allocation-free. The entry's rectangle
+// aliases pooled traversal storage and is only valid during the callback;
+// Clone it to retain it (Entries does).
 func (t *Tree) Scan(fn func(e node.Entry) bool) error {
-	if t.height == 0 {
-		return nil
-	}
-	t.readQueries.Add(1)
-	tr := t.getTraverser()
-	defer t.putTraverser(tr)
-	dims := t.dims
-	tr.stack = append(tr.stack[:0], t.root)
-	for len(tr.stack) > 0 {
-		top := len(tr.stack) - 1
-		id := tr.stack[top]
-		tr.stack = tr.stack[:top]
-		f, v, err := t.fetchView(id, &tr.n)
-		if err != nil {
-			return err
-		}
-		if v.IsLeaf() {
-			tr.slab = tr.slab[:0]
-			tr.refs = tr.refs[:0]
-			for i := 0; i < v.Count(); i++ {
-				tr.slab = v.AppendEntryCoords(tr.slab, i)
-				tr.refs = append(tr.refs, v.EntryRef(i))
-			}
-			t.pool.Release(f)
-			for i, ref := range tr.refs {
-				if !fn(node.Entry{Rect: slabRect(tr.slab, i, dims), Ref: ref}) {
-					return nil
-				}
-			}
-			continue
-		}
-		base := len(tr.stack)
-		for i := 0; i < v.Count(); i++ {
-			tr.stack = append(tr.stack, storage.PageID(v.EntryRef(i)))
-		}
-		t.pool.Release(f)
-		reversePages(tr.stack[base:])
-	}
-	return nil
+	_, err := t.searchView(nil, t.everywhere, true, fn)
+	return err
 }
 
 // Entries collects deep copies of every data entry in the tree, the input

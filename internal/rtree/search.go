@@ -22,7 +22,7 @@ import (
 // The entry passed to fn aliases pooled traversal storage and is valid
 // only during the callback; Clone its rectangle to retain it.
 func (t *Tree) Search(q geom.Rect, fn func(e node.Entry) bool) error {
-	_, err := t.searchView(nil, q, fn)
+	_, err := t.searchView(nil, q, false, fn)
 	return err
 }
 
@@ -48,10 +48,15 @@ func (t *Tree) SearchPoint(p geom.Point, fn func(e node.Entry) bool) error {
 }
 
 // Count returns the number of data entries intersecting q. It is Search's
-// traversal — same node visits in the same order — with the leaf arm
-// counting matches in place instead of banking and emitting them.
+// traversal — same node visits in the same order — that copies nothing out
+// and skips the tests whose answer is already known: when the rectangle a
+// parent holds for a subtree lies inside q, every entry below it intersects
+// q, so such a leaf adds the entry count in its page header and such an
+// internal node passes all its children on, untested. That relies on a
+// parent's rectangle containing its child's rectangles, which Check
+// verifies; on a tree that breaks it, Count and Search can disagree.
 func (t *Tree) Count(q geom.Rect) (int, error) {
-	return t.searchView(nil, q, nil)
+	return t.searchView(nil, q, false, nil)
 }
 
 // All collects every data entry intersecting q. For large result sets

@@ -17,7 +17,23 @@
 // (SearchUnmarshal in search_ref_test.go), which the differential tests pin.
 //
 // Emitted node.Entry rectangles alias the traverser's slab and are valid
-// only during the callback; Clone to retain. The mutation descents
+// only during the callback; Clone to retain.
+//
+// What a visit reads. The pages a query fetches, and their order, are the
+// paper's procedure and the tests' references; how many words of a fetched
+// page it looks at is this file's business, and two rules keep that to what
+// the answer needs. A test whose outcome the parent already decided is not
+// made: a subtree whose parent rectangle lies inside the window is counted
+// by page header and descended without testing (searchView, "covered"), on
+// the strength of the one invariant every tree here keeps — a parent's
+// rectangle contains its child's. And what will not be returned is not
+// copied: a leaf's matches are tested and banked in one pass
+// (node.View.AppendMatches), and a NearestK that knows its k banks and
+// queues only what can still be among the first k (nearestView). Neither
+// rule skips a fetch: every page the reference visits is still pinned,
+// validated on first residency, and counted.
+//
+// The mutation descents
 // (mutate.go) read pages through the same fetchView, the one node a mutation
 // splits or dissolves included; Walk and Check read through views too
 // (walk.go). Nothing in the library decodes a page into a node.Node: that
@@ -33,6 +49,7 @@ package rtree
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 
 	"strtree/internal/buffer"
@@ -80,15 +97,17 @@ func (t *Tree) ReadStats() ReadStats {
 // out of travPool, uses it, and returns it; none of its buffers shrink, so
 // after a few queries of a given shape no traversal allocates.
 type traverser struct {
-	stack []storage.PageID // DFS work list (search, scan)
-	pairs []pagePair       // synchronized-traversal work list (join)
-	pq    distHeap         // best-first queue (nearest)
-	hits  []int32          // one page's intersecting entry indices (search)
-	slab  []float64        // banked rectangle coordinates (mins then maxes per entry)
-	refs  []uint64         // banked refs parallel to slab
-	bankA banked           // join: node from tree a
-	bankB banked           // join: node from tree b
-	min   geom.Point       // scratch rectangle backing (join MBR filters)
+	stack []pageRef  // DFS work list (search, count, scan)
+	pairs []pagePair // synchronized-traversal work list (join)
+	pq    distHeap   // best-first queue (nearest)
+	kth   kthHeap    // the k smallest entry distances queued (bounded nearest)
+	dists []float64  // one page's entry distances (nearest)
+	hits  []int32    // one page's intersecting entry indices (search, count)
+	slab  []float64  // banked rectangle coordinates (mins then maxes per entry)
+	refs  []uint64   // banked refs parallel to slab
+	bankA banked     // join: node from tree a
+	bankB banked     // join: node from tree b
+	min   geom.Point // scratch rectangle backing (join MBR filters)
 	max   geom.Point
 	n     visitTally // this query's node visits, published by putTraverser
 }
@@ -206,22 +225,55 @@ func (t *Tree) viewOf(f *buffer.Frame, n *visitTally) (node.View, error) {
 }
 
 // slabRect slices entry i's rectangle out of a coordinate slab laid out by
-// node.View.AppendEntryCoords (dims mins then dims maxes per entry).
+// node.View.AppendMatches (dims mins then dims maxes per entry).
 func slabRect(slab []float64, i, dims int) geom.Rect {
 	off := i * 2 * dims
 	return geom.Rect{Min: geom.Point(slab[off : off+dims]), Max: geom.Point(slab[off+dims : off+2*dims])}
 }
 
-// searchView is the shared implementation behind Search, Count and their
-// context variants: an explicit-stack depth-first traversal that visits
-// nodes in exactly the recursive reference order (children of a node are
-// expanded leftmost first). A nil ctx skips cancellation checks; a non-nil
-// ctx is consulted once per node visit, before the fetch, like searchRec's
-// context variant always did. A nil fn makes it a count: the leaf arm
-// tallies matches under the pin and banks nothing — no user code runs, so
-// there is nothing to release the pin for — and the tally is returned. With
-// an fn the returned count is unused.
-func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) bool) (int, error) {
+// everywhere returns the rectangle every rectangle of the given
+// dimensionality lies inside and intersects: the window of a Scan, and of a
+// join's bankNode, which take a whole page through the window kernels.
+func everywhere(dims int) geom.Rect {
+	r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	for d := range r.Min {
+		r.Min[d], r.Max[d] = math.Inf(-1), math.Inf(1)
+	}
+	return r
+}
+
+// pageRef is one entry of the window traversal's work list: a page to visit
+// and whether the parent's rectangle for it lies wholly inside the window.
+type pageRef struct {
+	id      storage.PageID
+	covered bool
+}
+
+// searchView is the shared implementation behind Search, Count, their
+// context variants and Scan: an explicit-stack depth-first traversal that
+// visits nodes in exactly the recursive reference order (a node's children
+// are pushed last to first, so the leftmost pops first). A nil ctx skips
+// cancellation checks; a non-nil ctx is consulted once per node visit,
+// before the fetch, like searchRec's context variant always did. A nil fn
+// makes it a count: the leaf arm tallies matches under the pin and banks
+// nothing — no user code runs, so there is nothing to release the pin for —
+// and the tally is returned. With an fn the returned count is unused.
+//
+// Covered subtrees. Each work-list entry says whether the rectangle its
+// parent holds for it lies inside q (node.View.CoveredBy, asked at the
+// parent of the entries that intersect q only; covered says it of the root,
+// which has no parent: Scan's whole-tree window). That rectangle contains
+// every rectangle stored below it — the invariant Check verifies and every
+// write path keeps, loosely after a delete, never the other way — so every
+// entry of a covered subtree intersects q and the answer to each test is
+// known before it is made: a covered internal node pushes all its children,
+// covered, without testing them, and a covered leaf reached by a count adds
+// the entry count of the header fetchView just validated and reads no
+// entry. The page is still fetched, in the same order, through the same
+// fetchView: the paper's metric counts node visits, and a visit saved here
+// would be a different tree, not a faster read. A covered leaf that is
+// emitted takes the same AppendMatches pass as any other.
+func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn func(node.Entry) bool) (int, error) {
 	if err := t.checkEntry(q); err != nil {
 		return 0, err
 	}
@@ -236,72 +288,74 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, fn func(node.Entry) 
 	defer t.putTraverser(tr)
 	dims := t.dims
 	matches := 0
-	tr.stack = append(tr.stack[:0], t.root)
+	tr.stack = append(tr.stack[:0], pageRef{t.root, covered})
 	for len(tr.stack) > 0 {
 		if ctx != nil {
 			if err := ctx.Err(); err != nil {
 				return matches, err
 			}
 		}
-		top := len(tr.stack) - 1
-		id := tr.stack[top]
-		tr.stack = tr.stack[:top]
-		f, v, err := t.fetchView(id, &tr.n)
+		top := tr.stack[len(tr.stack)-1]
+		tr.stack = tr.stack[:len(tr.stack)-1]
+		f, v, err := t.fetchView(top.id, &tr.n)
 		if err != nil {
 			return matches, err
 		}
-		tr.hits = v.AppendIntersecting(tr.hits[:0], q)
-		if v.IsLeaf() && fn == nil {
+		switch {
+		case v.IsLeaf() && fn == nil:
 			// Count: no callback will run, so tally under the pin.
-			matches += len(tr.hits)
+			if top.covered {
+				matches += v.Count()
+			} else {
+				tr.hits = v.AppendIntersecting(tr.hits[:0], q)
+				matches += len(tr.hits)
+			}
 			t.pool.Release(f)
-			continue
-		}
-		if v.IsLeaf() {
+		case v.IsLeaf():
 			// Bank the matches, release the pin, then emit: callbacks run
 			// unpinned, so they may issue queries of their own even on a
 			// single-frame buffer pool.
-			tr.slab = tr.slab[:0]
-			tr.refs = tr.refs[:0]
-			for _, i := range tr.hits {
-				tr.slab = v.AppendEntryCoords(tr.slab, int(i))
-				tr.refs = append(tr.refs, v.EntryRef(int(i)))
-			}
+			tr.slab, tr.refs = v.AppendMatches(tr.slab[:0], tr.refs[:0], q)
 			t.pool.Release(f)
 			for i, ref := range tr.refs {
 				if !fn(node.Entry{Rect: slabRect(tr.slab, i, dims), Ref: ref}) {
 					return 0, nil
 				}
 			}
-			continue
+		case top.covered:
+			for i := v.Count() - 1; i >= 0; i-- {
+				tr.stack = append(tr.stack, pageRef{storage.PageID(v.EntryRef(i)), true})
+			}
+			t.pool.Release(f)
+		default:
+			tr.hits = v.AppendIntersecting(tr.hits[:0], q)
+			for j := len(tr.hits) - 1; j >= 0; j-- {
+				i := int(tr.hits[j])
+				tr.stack = append(tr.stack, pageRef{storage.PageID(v.EntryRef(i)), v.CoveredBy(q, i)})
+			}
+			t.pool.Release(f)
 		}
-		// Internal node: push matching children, then reverse the pushed
-		// segment so the leftmost child pops first — the exact recursive
-		// preorder, and therefore the exact fetch sequence.
-		base := len(tr.stack)
-		for _, i := range tr.hits {
-			tr.stack = append(tr.stack, storage.PageID(v.EntryRef(int(i))))
-		}
-		t.pool.Release(f)
-		reversePages(tr.stack[base:])
 	}
 	return matches, nil
 }
 
-// reversePages reverses s in place.
-func reversePages(s []storage.PageID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-// nearestView is the shared implementation behind Nearest and
-// NearestContext: best-first search over a pooled typed heap. Leaf entry
-// coordinates are banked into the traverser's slab at push time (the heap
-// outlives the pin), and the heap replicates container/heap's sift
-// algorithm exactly, so pop order — and with it the fetch sequence — is
-// identical to the reference implementation's.
-func (t *Tree) nearestView(ctx context.Context, p geom.Point, fn func(e node.Entry, dist float64) bool) error {
+// nearestView is the shared implementation behind Nearest, NearestK and
+// their context variants: best-first search over a pooled typed heap. A
+// visited page is read once, by node.View.AppendMinDist; a data entry's
+// coordinates are banked into the traverser's slab when it is pushed (the
+// heap outlives the pin).
+//
+// k > 0 says the caller stops after k entries (NearestK) and lets the
+// traversal prune: it keeps the k-th smallest distance of the data entries
+// pushed so far (tr.kth, a k-slot max-heap) and neither banks nor pushes a
+// data entry or a child whose distance is strictly greater — k entries at
+// least as near are already queued, so it could only be popped after the
+// k-th result. Strictly: an entry tied with the k-th distance is kept, and
+// because distHeap pops in a total order that does not depend on what else
+// is queued, the first k entries emitted — and the pages fetched to find
+// them — are exactly those of the unpruned stream, ties included. k <= 0
+// (the streaming Nearest, whose caller may stop anywhere) prunes nothing.
+func (t *Tree) nearestView(ctx context.Context, p geom.Point, k int, fn func(e node.Entry, dist float64) bool) error {
 	if len(p) != t.dims {
 		return t.checkEntry(geom.PointRect(p)) // produces the dimension error
 	}
@@ -317,6 +371,8 @@ func (t *Tree) nearestView(ctx context.Context, p geom.Point, fn func(e node.Ent
 	dims := t.dims
 	tr.pq = tr.pq[:0]
 	tr.slab = tr.slab[:0]
+	tr.kth = tr.kth[:0]
+	bound := math.Inf(1)
 	tr.pq.push(heapItem{dist: 0, ref: uint64(t.root), isNode: true})
 	for len(tr.pq) > 0 {
 		if ctx != nil {
@@ -326,12 +382,7 @@ func (t *Tree) nearestView(ctx context.Context, p geom.Point, fn func(e node.Ent
 		}
 		it := tr.pq.pop()
 		if !it.isNode {
-			off := it.slabOff
-			e := node.Entry{
-				Rect: geom.Rect{Min: geom.Point(tr.slab[off : off+dims]), Max: geom.Point(tr.slab[off+dims : off+2*dims])},
-				Ref:  it.ref,
-			}
-			if !fn(e, it.dist) {
+			if !fn(node.Entry{Rect: slabRect(tr.slab[it.slabOff:], 0, dims), Ref: it.ref}, it.dist) {
 				return nil
 			}
 			continue
@@ -340,21 +391,70 @@ func (t *Tree) nearestView(ctx context.Context, p geom.Point, fn func(e node.Ent
 		if err != nil {
 			return err
 		}
-		if v.IsLeaf() {
-			for i := 0; i < v.Count(); i++ {
-				d := v.MinDist(p, i)
-				off := len(tr.slab)
-				tr.slab = v.AppendEntryCoords(tr.slab, i)
-				tr.pq.push(heapItem{dist: d, ref: v.EntryRef(i), slabOff: off})
+		tr.dists = v.AppendMinDist(tr.dists[:0], p)
+		leaf := v.IsLeaf()
+		for i, d := range tr.dists {
+			if d > bound {
+				continue
 			}
-		} else {
-			for i := 0; i < v.Count(); i++ {
-				tr.pq.push(heapItem{dist: v.MinDist(p, i), ref: v.EntryRef(i), isNode: true})
+			if !leaf {
+				tr.pq.push(heapItem{dist: d, ref: v.EntryRef(i), isNode: true})
+				continue
+			}
+			off := len(tr.slab)
+			tr.slab = v.AppendEntryCoords(tr.slab, i)
+			tr.pq.push(heapItem{dist: d, ref: v.EntryRef(i), slabOff: off})
+			if k > 0 {
+				bound = tr.kth.offer(d, k)
 			}
 		}
 		t.pool.Release(f)
 	}
 	return nil
+}
+
+// kthHeap is a max-heap of the k smallest data-entry distances a bounded
+// nearest search has pushed: its root is the distance beyond which nothing
+// can be among the first k results.
+type kthHeap []float64
+
+// offer records distance d, which is at most the current bound, and returns
+// the new one: +Inf until k distances are held, their largest afterwards.
+func (h *kthHeap) offer(d float64, k int) float64 {
+	q := *h
+	if len(q) < k {
+		q = append(q, d)
+		*h = q
+		for j := len(q) - 1; j > 0; {
+			i := (j - 1) / 2
+			if q[i] >= q[j] {
+				break
+			}
+			q[i], q[j] = q[j], q[i]
+			j = i
+		}
+		if len(q) < k {
+			return math.Inf(1)
+		}
+		return q[0]
+	}
+	// Full: d <= q[0] replaces the largest and sinks to its place.
+	q[0] = d
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= len(q) {
+			break
+		}
+		if j+1 < len(q) && q[j+1] > q[j] {
+			j++
+		}
+		if q[i] >= q[j] {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	return q[0]
 }
 
 // heapItem is a prioritized node page or banked data entry. Nodes carry
@@ -367,19 +467,31 @@ type heapItem struct {
 	isNode  bool
 }
 
-// distHeap is a min-heap on (dist, entries-before-nodes). It replicates
-// container/heap's sift-up/sift-down exactly — same comparisons, same
-// swaps — so for any push sequence its pop order is identical to the
-// container/heap implementation it replaced, without the interface boxing
-// that allocated on every Push.
+// distHeap is a min-heap of heapItems under a total order: distance, then
+// data entries before nodes, then ref, then slabOff (push order, which tells
+// apart two entries stored under one ref at one distance; two nodes equal in
+// the first three keys are one page). Because the order is total, what pops
+// next is a function of what is queued, not of how it was sifted there — so
+// a search that declined to queue some far items (nearestView's pruning)
+// pops the rest in the order the full search does, and the test oracle
+// (refNearest, container/heap under the same keys) agrees with both. The
+// sift loops are container/heap's, without its interface boxing, which
+// allocated on every Push.
 type distHeap []heapItem
 
 func (h distHeap) less(i, j int) bool {
-	//strlint:ignore floateq exact tie-break: only precisely equal distances defer to the entry-kind rule
-	if h[i].dist != h[j].dist {
-		return h[i].dist < h[j].dist
+	a, b := &h[i], &h[j]
+	//strlint:ignore floateq exact tie-break: only precisely equal distances defer to the later keys
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
-	return !h[i].isNode && h[j].isNode
+	if a.isNode != b.isNode {
+		return b.isNode
+	}
+	if a.ref != b.ref {
+		return a.ref < b.ref
+	}
+	return a.slabOff < b.slabOff
 }
 
 func (h *distHeap) push(it heapItem) {
@@ -447,12 +559,7 @@ func (t *Tree) bankNode(id storage.PageID, dst *banked, n *visitTally) error {
 	}
 	dst.level = v.Level()
 	dst.count = v.Count()
-	dst.coords = dst.coords[:0]
-	dst.refs = dst.refs[:0]
-	for i := 0; i < v.Count(); i++ {
-		dst.coords = v.AppendEntryCoords(dst.coords, i)
-		dst.refs = append(dst.refs, v.EntryRef(i))
-	}
+	dst.coords, dst.refs = v.AppendMatches(dst.coords[:0], dst.refs[:0], t.everywhere)
 	t.pool.Release(f)
 	return nil
 }

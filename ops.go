@@ -23,7 +23,9 @@ func (t *Tree) Nearest(p Point, fn func(it Item, dist float64) bool) error {
 }
 
 // NearestK returns the k items nearest to p and their distances, closest
-// first.
+// first: exactly the first k items Nearest streams (items at one distance
+// come in ascending ID order), found by a traversal that, knowing k, skips
+// what lies strictly beyond the k-th. The items are copies, safe to retain.
 func (t *Tree) NearestK(p Point, k int) ([]Item, []float64, error) {
 	entries, dists, err := t.inner.NearestK(p, k)
 	if err != nil {

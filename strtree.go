@@ -356,6 +356,7 @@ func (t *Tree) batchExecutor(workers int) *query.BatchExecutor {
 	return &query.BatchExecutor{
 		Workers: workers,
 		Search:  t.inner.Search,
+		Count:   t.inner.Count,
 		Metrics: &t.batchMetrics,
 	}
 }
