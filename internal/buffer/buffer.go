@@ -368,7 +368,8 @@ func (p *Pool) ResetStats() {
 	p.stats = Stats{}
 }
 
-// Resident returns how many frames are currently cached (for tests).
+// Len returns how many frames are currently cached (the Manager method;
+// Sharded.Len sums it over the shards).
 func (p *Pool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -1,8 +1,11 @@
 package node
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"strtree/internal/geom"
@@ -19,7 +22,9 @@ import (
 // — the traversal half is pinned by internal/rtree's differential tests.
 // The committed corpus
 // under testdata/fuzz/FuzzViewEquivalence seeds valid pages of several
-// shapes plus targeted mutations (header fields, payload, truncation).
+// shapes plus targeted mutations (header fields, payload, truncation). A
+// mutated payload fails the CRC before its rectangles are looked at;
+// FuzzViewRectCheck runs the same check behind a recomputed CRC.
 //
 // The same inputs hold the header-only constructor to its two promises
 // (checkTrustedView): it never hands out a view an accessor can run off the
@@ -49,52 +54,91 @@ func FuzzViewEquivalence(f *testing.F) {
 	f.Add(base[:HeaderSize-1])
 	f.Add([]byte{})
 
-	f.Fuzz(func(t *testing.T, page []byte) {
-		var n Node
-		uErr := Unmarshal(page, &n)
-		v, vErr := MakeView(page)
-		checkTrustedView(t, page, v, vErr)
+	f.Fuzz(checkParsersAgree)
+}
 
-		if (uErr == nil) != (vErr == nil) {
-			t.Fatalf("acceptance disagrees: Unmarshal err %v, MakeView err %v", uErr, vErr)
-		}
-		if uErr != nil {
-			// Same sentinel class on rejection.
-			for _, sentinel := range []error{ErrBadMagic, ErrBadVersion, ErrBadChecksum, ErrCorrupt} {
-				if errors.Is(uErr, sentinel) != errors.Is(vErr, sentinel) {
-					t.Fatalf("rejection class disagrees for %v: Unmarshal %v, MakeView %v", sentinel, uErr, vErr)
-				}
-			}
+// FuzzViewRectCheck reaches the branch FuzzViewEquivalence cannot: a fuzzed
+// payload almost never carries its own CRC, so there both parsers stop at
+// the checksum and the rectangle check never runs. Here the harness writes a
+// valid magic and version, drops the inputs whose header MakeTrustedView
+// still refuses (zero dims, a count that overflows the page), recomputes the
+// payload CRC and holds the two parsers to each other (checkParsersAgree):
+// the same verdict, and on a rejected rectangle the same message, so the
+// first invalid entry MakeView's k = 2 arm names is Unmarshal's. Seeded with
+// the rectCheckCases table.
+func FuzzViewRectCheck(f *testing.F) {
+	for _, tc := range rectCheckCases(f) {
+		f.Add(tc.page)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) < HeaderSize {
 			return
 		}
-
-		// Accepted: every accessor must match the materialized node.
-		if v.Level() != n.Level || v.Dims() != n.Dims || v.Count() != len(n.Entries) {
-			t.Fatalf("header disagrees: view (%d,%d,%d), node (%d,%d,%d)",
-				v.Level(), v.Dims(), v.Count(), n.Level, n.Dims, len(n.Entries))
+		page := slices.Clone(in)
+		binary.LittleEndian.PutUint16(page[0:], Magic)
+		page[2] = Version
+		v, err := MakeTrustedView(page)
+		if err != nil {
+			return
 		}
-		for i, e := range n.Entries {
-			if v.EntryRef(i) != e.Ref {
-				t.Fatalf("entry %d ref disagrees", i)
-			}
-			if !v.EntryRect(i).Equal(e.Rect) {
-				t.Fatalf("entry %d rect disagrees", i)
-			}
-			for d := 0; d < n.Dims; d++ {
-				//strlint:ignore floateq decode must be bit-exact
-				if v.EntryMin(i, d) != e.Rect.Min[d] || v.EntryMax(i, d) != e.Rect.Max[d] {
-					t.Fatalf("entry %d axis %d disagrees", i, d)
-				}
-			}
-		}
-		checkScan(t, v, n.Entries, geom.Rect{Min: make(geom.Point, n.Dims), Max: make(geom.Point, n.Dims)})
-		for i := 0; i < len(n.Entries); i += 1 + len(n.Entries)/4 {
-			e := n.Entries[i]
-			checkScan(t, v, n.Entries, e.Rect)
-			checkScan(t, v, n.Entries, geom.Rect{Min: e.Rect.Max, Max: e.Rect.Max})
-			checkDists(t, v, e.Rect.Min)
-		}
+		end := HeaderSize + v.Count()*EntrySize(v.Dims())
+		binary.LittleEndian.PutUint32(page[8:], crc32.ChecksumIEEE(page[HeaderSize:end]))
+		checkParsersAgree(t, page)
 	})
+}
+
+// checkParsersAgree is the fuzz targets' check of one page: MakeView and
+// Unmarshal accept and reject alike — the same sentinel and the same
+// message — and on an accepted page every accessor and kernel matches the
+// materialized node.
+func checkParsersAgree(t *testing.T, page []byte) {
+	var n Node
+	uErr := Unmarshal(page, &n)
+	v, vErr := MakeView(page)
+	checkTrustedView(t, page, v, vErr)
+
+	if (uErr == nil) != (vErr == nil) {
+		t.Fatalf("acceptance disagrees: Unmarshal err %v, MakeView err %v", uErr, vErr)
+	}
+	if uErr != nil {
+		// Same sentinel class on rejection, and the same diagnostic.
+		for _, sentinel := range []error{ErrBadMagic, ErrBadVersion, ErrBadChecksum, ErrCorrupt} {
+			if errors.Is(uErr, sentinel) != errors.Is(vErr, sentinel) {
+				t.Fatalf("rejection class disagrees for %v: Unmarshal %v, MakeView %v", sentinel, uErr, vErr)
+			}
+		}
+		if uErr.Error() != vErr.Error() {
+			t.Fatalf("rejection message disagrees: Unmarshal %q, MakeView %q", uErr, vErr)
+		}
+		return
+	}
+
+	// Accepted: every accessor must match the materialized node.
+	if v.Level() != n.Level || v.Dims() != n.Dims || v.Count() != len(n.Entries) {
+		t.Fatalf("header disagrees: view (%d,%d,%d), node (%d,%d,%d)",
+			v.Level(), v.Dims(), v.Count(), n.Level, n.Dims, len(n.Entries))
+	}
+	for i, e := range n.Entries {
+		if v.EntryRef(i) != e.Ref {
+			t.Fatalf("entry %d ref disagrees", i)
+		}
+		if !v.EntryRect(i).Equal(e.Rect) {
+			t.Fatalf("entry %d rect disagrees", i)
+		}
+		for d := 0; d < n.Dims; d++ {
+			//strlint:ignore floateq decode must be bit-exact
+			if v.EntryMin(i, d) != e.Rect.Min[d] || v.EntryMax(i, d) != e.Rect.Max[d] {
+				t.Fatalf("entry %d axis %d disagrees", i, d)
+			}
+		}
+	}
+	checkScan(t, v, n.Entries, geom.Rect{Min: make(geom.Point, n.Dims), Max: make(geom.Point, n.Dims)})
+	for i := 0; i < len(n.Entries); i += 1 + len(n.Entries)/4 {
+		e := n.Entries[i]
+		checkScan(t, v, n.Entries, e.Rect)
+		checkScan(t, v, n.Entries, geom.Rect{Min: e.Rect.Max, Max: e.Rect.Max})
+		checkDists(t, v, e.Rect.Min)
+	}
 }
 
 // checkTrustedView holds MakeTrustedView to what its callers rely on. It

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"strtree/internal/geom"
@@ -372,6 +373,95 @@ func writeInvertedEntry(page []byte) {
 	binary.LittleEndian.PutUint32(page[8:], crc32.ChecksumIEEE(page[HeaderSize:end]))
 }
 
+// rectCase is a page with a correct CRC whose rectangles are what is under
+// test: bad is the index of its first invalid entry, -1 if every entry is
+// valid.
+type rectCase struct {
+	name string
+	page []byte
+	bad  int
+}
+
+// rectCheckCases is the rectangle check's table, on a full page at k = 2
+// (MakeView's strided arm) and k = 3 (its per-entry loop): a NaN, quiet or
+// negative, in each word of an entry; an inversion on axis 0 and on axis 1;
+// a bad entry at the last index; the first of two bad entries; and ±Inf and
+// signed-zero bounds, which are valid (+0 <= -0), beside an inverted
+// infinite interval, which is not. Marshal writes any words and their CRC.
+func rectCheckCases(t testing.TB) []rectCase {
+	nan, negNaN := math.NaN(), math.Float64frombits(0xFFF8000000000001)
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	var cases []rectCase
+	for _, dims := range []int{2, 3} {
+		add := func(name string, bad int, edit func(e []Entry)) {
+			n := sampleNode(0, dims, Capacity(4096, dims), rand.New(rand.NewSource(int64(dims))))
+			edit(n.Entries)
+			page := make([]byte, 4096)
+			if err := Marshal(n, page); err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, rectCase{fmt.Sprintf("dims=%d/%s", dims, name), page, bad})
+		}
+		for w := 0; w < 2*dims; w++ {
+			word := nan
+			if w%2 == 1 {
+				word = negNaN
+			}
+			add(fmt.Sprintf("NaN word %d", w), 5, func(e []Entry) {
+				if w%2 == 0 {
+					e[5].Rect.Min[w/2] = word
+				} else {
+					e[5].Rect.Max[w/2] = word
+				}
+			})
+		}
+		for axis := 0; axis < 2; axis++ {
+			add(fmt.Sprintf("inverted axis %d", axis), 7, func(e []Entry) {
+				e[7].Rect.Min[axis], e[7].Rect.Max[axis] = 2, 1
+			})
+		}
+		last := Capacity(4096, dims) - 1
+		add("last entry", last, func(e []Entry) { e[last].Rect.Max[dims-1] = nan })
+		add("first of two", 3, func(e []Entry) {
+			e[3].Rect.Min[dims-1] = 9
+			e[9].Rect.Min[0] = nan
+		})
+		add("infinite and signed-zero bounds", -1, func(e []Entry) {
+			e[0].Rect.Min[0], e[0].Rect.Max[0] = -inf, inf
+			e[1].Rect.Min[1], e[1].Rect.Max[1] = negZero, 0
+			e[2].Rect.Min[1], e[2].Rect.Max[1] = 0, negZero
+			e[3].Rect.Min[0], e[3].Rect.Max[0] = inf, inf
+			e[4].Rect.Min[dims-1], e[4].Rect.Max[dims-1] = -inf, -inf
+		})
+		add("inverted infinities", 6, func(e []Entry) { e[6].Rect.Min[1], e[6].Rect.Max[1] = inf, -inf })
+	}
+	return cases
+}
+
+// TestViewRectCheckMatchesUnmarshal holds MakeView's rectangle check to
+// Unmarshal's independent per-entry check on every rectCheckCases row: both
+// accept the valid pages, and both reject the others with ErrCorrupt and the
+// same message, which names the same first invalid entry.
+func TestViewRectCheckMatchesUnmarshal(t *testing.T) {
+	for _, tc := range rectCheckCases(t) {
+		_, vErr := MakeView(tc.page)
+		var n Node
+		uErr := Unmarshal(tc.page, &n)
+		if tc.bad < 0 {
+			if vErr != nil || uErr != nil {
+				t.Errorf("%s: a valid page was rejected: MakeView %v, Unmarshal %v", tc.name, vErr, uErr)
+			}
+			continue
+		}
+		want := fmt.Sprintf("entry %d has invalid rectangle", tc.bad)
+		if !errors.Is(vErr, ErrCorrupt) || !errors.Is(uErr, ErrCorrupt) {
+			t.Errorf("%s: MakeView %v, Unmarshal %v, want ErrCorrupt from both", tc.name, vErr, uErr)
+		} else if vErr.Error() != uErr.Error() || !strings.Contains(vErr.Error(), want) {
+			t.Errorf("%s: MakeView %q, Unmarshal %q, want both to say %q", tc.name, vErr, uErr, want)
+		}
+	}
+}
+
 // TestViewZeroAllocAccess pins the zero-copy property: iterating a page
 // through a View with reused scratch performs no heap allocations.
 func TestViewZeroAllocAccess(t *testing.T) {
@@ -401,8 +491,10 @@ func TestViewZeroAllocAccess(t *testing.T) {
 // dimensionality: "per-entry" is the reference loop of IntersectsQuery
 // calls, "page" the AppendIntersecting kernel, "AppendMatches" the same test
 // banking its matches (a search's leaves), "AppendMinDist" the distance pass
-// of a nearest-neighbour visit. All report ns/entry. The queries rotate so the branch predictor cannot learn
-// one answer vector.
+// of a nearest-neighbour visit, "MakeView" the validation a buffer miss pays
+// (CRC and rectangle check; also in ns/page, the in-package twin of the
+// ledger's node.makeview_ns_per_page). All report ns/entry. The queries
+// rotate so the branch predictor cannot learn one answer vector.
 func BenchmarkViewScan(b *testing.B) {
 	for _, dims := range []int{2, 3} {
 		count := Capacity(4096, dims)
@@ -456,6 +548,15 @@ func BenchmarkViewScan(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				dists = v.AppendMinDist(dists[:0], queries[n%len(queries)].Min)
 			}
+			report(b)
+		})
+		b.Run(fmt.Sprintf("dims=%d/MakeView", dims), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				if _, err := MakeView(page); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/page")
 			report(b)
 		})
 	}

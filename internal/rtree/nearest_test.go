@@ -417,7 +417,29 @@ func BenchmarkNearestK10(b *testing.B) {
 // paper's node size, every page buffered. Most of the leaves such a window
 // touches lie wholly inside it and are counted by page header.
 func BenchmarkCount1pct(b *testing.B) {
-	b.ReportAllocs()
+	benchCount1pct(b, count1pctTree(b))
+}
+
+// BenchmarkCount1pctCold is BenchmarkCount1pct's tree and windows behind a
+// pool of 2.5 % of its pages (the paper's buffer) over the same MemPager:
+// most visits miss, so every count pays the miss path's CPU — eviction, the
+// page copy, MakeView's CRC and rectangle check — without a system call.
+func BenchmarkCount1pctCold(b *testing.B) {
+	warm := count1pctTree(b)
+	if err := warm.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	pager := warm.Pool().Pager()
+	tr, err := Open(buffer.NewPool(pager, pager.NumPages()*25/1000))
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchCount1pct(b, tr)
+}
+
+// count1pctTree is the Count1pct benchmarks' tree: 250 000 STR-packed
+// squares at the paper's node size over a MemPager, every page buffered.
+func count1pctTree(b *testing.B) *Tree {
 	tr, err := Create(buffer.NewPool(storage.NewMemPager(4096), 4096), Config{Dims: 2})
 	if err != nil {
 		b.Fatal(err)
@@ -425,6 +447,12 @@ func BenchmarkCount1pct(b *testing.B) {
 	if err := tr.BulkLoad(densitySquares(rand.New(rand.NewSource(52)), 250000, 0), pack.STR{Workers: 1}); err != nil {
 		b.Fatal(err)
 	}
+	return tr
+}
+
+// benchCount1pct times tr.Count over a fixed sequence of 0.1 × 0.1 windows.
+func benchCount1pct(b *testing.B, tr *Tree) {
+	b.ReportAllocs()
 	rng := rand.New(rand.NewSource(53))
 	q := geom.R2(0, 0, 0, 0)
 	b.ResetTimer()
