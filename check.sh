@@ -68,7 +68,10 @@
 #                     ops in small: covered subtrees counted by page
 #                     header, the same counts behind the paper's 2.5 %
 #                     buffer — the miss path's CPU without a system call —
-#                     NearestK's pruning and its three allocations),
+#                     NearestK's pruning and its three allocations) and
+#                     BenchmarkInsertPacked (the ledger's splitting insert
+#                     in small: inserts into a freshly STR-packed tree,
+#                     about half of them splitting a full leaf),
 #                     internal/psort's BenchmarkByCenter (the radix sort
 #                     kernel), internal/pack's BenchmarkSTROrder100k
 #                     (STR's one-permutation order), the root package's
@@ -128,9 +131,9 @@ go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./i
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold and BenchmarkNearestK10, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k and BenchmarkMutateChurn, router BenchmarkRoutedRoundTrip)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k and BenchmarkMutateChurn, router BenchmarkRoutedRoundTrip)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
-go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10)$' -benchtime 1x ./internal/rtree
+go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10|BenchmarkInsertPacked)$' -benchtime 1x ./internal/rtree
 go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
 go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
 go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .

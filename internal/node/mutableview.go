@@ -6,9 +6,10 @@ package node
 // Unmarshal → mutate → Marshal round trip. It is how internal/rtree's Insert
 // and Delete write every node on a mutation's path that still has room or
 // stays adequately full: a leaf append, an entry removed, an ancestor's
-// rectangle brought up to its child's new MBR. Only the one node a mutation
-// splits, force-reinserts from or dissolves is materialized instead, because
-// that needs the full entry set on the heap anyway.
+// rectangle brought up to its child's new MBR. The one node a mutation
+// splits or force-reinserts from is rewritten whole instead, from its
+// records staged off the page (FillRecords), and the one it dissolves is
+// materialized, because its entries outlive the page as orphans.
 //
 // Byte determinism is the load-bearing contract: after any sequence of
 // MutableView operations the page bytes are exactly what Marshal would have

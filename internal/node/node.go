@@ -117,11 +117,6 @@ func Marshal(n *Node, page []byte) error {
 			return fmt.Errorf("node: entry %d has dim %d, node has %d", i, r.Dim(), n.Dims)
 		}
 	}
-	binary.LittleEndian.PutUint16(page[0:], Magic)
-	page[2] = Version
-	page[3] = uint8(n.Dims)
-	binary.LittleEndian.PutUint16(page[4:], uint16(n.Level))
-	binary.LittleEndian.PutUint16(page[6:], uint16(len(n.Entries)))
 	off := HeaderSize
 	for i := range n.Entries {
 		e := &n.Entries[i]
@@ -134,11 +129,60 @@ func Marshal(n *Node, page []byte) error {
 		binary.LittleEndian.PutUint64(page[off:], e.Ref)
 		off += 8
 	}
-	binary.LittleEndian.PutUint32(page[8:], crc32.ChecksumIEEE(page[HeaderSize:off]))
-	// Zero the tail so pages are deterministic byte-for-byte.
-	for i := off; i < len(page); i++ {
-		page[i] = 0
+	seal(page, n.Level, n.Dims, len(n.Entries), off)
+	return nil
+}
+
+// seal finishes a page whose entry payload occupies page[HeaderSize:end]:
+// the header fields, the payload CRC, and a zeroed tail, so pages are
+// deterministic byte for byte. Marshal and FillRecords both end here, which
+// is what keeps their images identical.
+func seal(page []byte, level, dims, count, end int) {
+	binary.LittleEndian.PutUint16(page[0:], Magic)
+	page[2] = Version
+	page[3] = uint8(dims)
+	binary.LittleEndian.PutUint16(page[4:], uint16(level))
+	binary.LittleEndian.PutUint16(page[6:], uint16(count))
+	binary.LittleEndian.PutUint32(page[8:], crc32.ChecksumIEEE(page[HeaderSize:end]))
+	clear(page[end:])
+}
+
+// FillRecords writes a fresh node image onto page from records already in
+// the page layout: recs is a run of whole entries, EntrySize(dims) bytes
+// each (per axis the Min then the Max word, then the ref), in the order the
+// node stores them. The image is one header, one copy of recs, the payload
+// CRC and a zeroed tail — byte for byte what Marshal writes for the entries
+// recs decodes to, without a detour through Entry headers: the dynamic write
+// path's one page writer (internal/rtree's split, forced reinsertion and
+// root growth). It keeps every check Marshal and MutableView.AppendEntry
+// make — dims, level and count in range, the records fit the page, every
+// record a valid rectangle (the stride walk MakeView runs) — and makes all
+// of them before the first byte is written, so a failing fill leaves page
+// untouched. recs must not overlap page.
+func FillRecords(page []byte, level, dims int, recs []byte) error {
+	if dims <= 0 || dims > 255 {
+		return fmt.Errorf("node: dims %d out of range", dims)
 	}
+	if level < 0 || level > math.MaxUint16 {
+		return fmt.Errorf("node: level %d out of range", level)
+	}
+	size := EntrySize(dims)
+	if len(recs)%size != 0 {
+		return fmt.Errorf("node: %d record bytes are not whole %d-byte entries", len(recs), size)
+	}
+	count := len(recs) / size
+	if count > math.MaxUint16 {
+		return fmt.Errorf("node: %d entries exceed format limit", count)
+	}
+	end := HeaderSize + len(recs)
+	if end > len(page) {
+		return fmt.Errorf("node: %d entries need %d bytes, page is %d", count, end, len(page))
+	}
+	if i := firstInvalid(recs, dims); i < count {
+		return fmt.Errorf("%w: record %d has an invalid rectangle", ErrCorrupt, i)
+	}
+	copy(page[HeaderSize:end], recs)
+	seal(page, level, dims, count, end)
 	return nil
 }
 

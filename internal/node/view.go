@@ -18,7 +18,8 @@ package node
 // the references the arms are tested against, word for word, on arbitrary
 // page bytes (view_test.go, FuzzViewEquivalence). MakeView's rectangle check
 // is the fifth kernel, with the same two arms (firstInvalid over
-// entryValid); Unmarshal keeps its own per-entry check, because it is the
+// recordValid), and FillRecords (node.go) runs it on the records it is
+// about to write; Unmarshal keeps its own per-entry check, because it is the
 // independent reference MakeView's verdicts are held to (FuzzViewRectCheck).
 //
 // Lifetime contract: a View aliases the page slice it was created over and
@@ -84,7 +85,7 @@ func MakeView(page []byte) (View, error) {
 	if got, want := crc32.ChecksumIEEE(page[HeaderSize:end]), binary.LittleEndian.Uint32(page[8:]); got != want {
 		return View{}, fmt.Errorf("%w: crc %08x, header says %08x", ErrBadChecksum, got, want)
 	}
-	if i := v.firstInvalid(); i < v.count {
+	if i := firstInvalid(page[HeaderSize:end], v.dims); i < v.count {
 		// Materialize the offending rectangle only on the error path,
 		// to match Unmarshal's diagnostic.
 		return View{}, fmt.Errorf("%w: entry %d has invalid rectangle %v", ErrCorrupt, i, v.EntryRect(i))
@@ -92,25 +93,28 @@ func MakeView(page []byte) (View, error) {
 	return v, nil
 }
 
-// firstInvalid returns the index of the first entry that is not a
-// well-formed rectangle (entryValid false), or Count() if every entry is:
-// MakeView's rectangle check. At k = 2 the entry array is walked by stride
-// with no bounds check in the loop and one !(lo <= hi) per axis, which is
-// true for a NaN on either side and for an inversion — entryValid's three
+// firstInvalid returns the index of the first record of recs — whole entries
+// of dims axes in the page layout — that is not a well-formed rectangle
+// (recordValid false), or the number of records if every one is: MakeView's
+// rectangle check, and FillRecords'. At k = 2 the records are walked by
+// stride with no bounds check in the loop and one !(lo <= hi) per axis, which
+// is true for a NaN on either side and for an inversion — recordValid's three
 // tests in one comparison, so the two agree on any words: 1.7 ns per entry.
-// Any other k runs entryValid per entry.
-func (v View) firstInvalid() int {
-	if v.dims != 2 {
-		for i := 0; i < v.count; i++ {
-			if !v.entryValid(i) {
+// Any other k runs recordValid per record.
+func firstInvalid(recs []byte, dims int) int {
+	if dims != 2 {
+		size := EntrySize(dims)
+		n := len(recs) / size
+		for i := 0; i < n; i++ {
+			if !recordValid(recs[i*size:], dims) {
 				return i
 			}
 		}
-		return v.count
+		return n
 	}
-	const size = 2*16 + 8 // EntrySize(2)
-	ents := v.page[HeaderSize : HeaderSize+v.count*size]
-	for i := 0; len(ents) >= size; i, ents = i+1, ents[size:] {
+	const size = 2*16 + 8 // EntrySize(2): a constant stride proves every load in bounds
+	i := 0
+	for ents := recs; len(ents) >= size; i, ents = i+1, ents[size:] {
 		x0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[0:]))
 		x1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[8:]))
 		y0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[16:]))
@@ -119,7 +123,7 @@ func (v View) firstInvalid() int {
 			return i
 		}
 	}
-	return v.count
+	return i
 }
 
 // MakeTrustedView returns a view over a page whose payload the caller
@@ -153,19 +157,17 @@ func MakeTrustedView(page []byte) (View, error) {
 	return View{page: page, dims: dims, level: level, count: count}, nil
 }
 
-// entryValid reports whether entry i decodes to a well-formed rectangle:
-// no NaN coordinates and Min <= Max on every axis (geom.Rect.Valid over
-// the wire words, without building the rectangle): firstInvalid's step
-// for k != 2.
-func (v View) entryValid(i int) bool {
-	off := HeaderSize + i*EntrySize(v.dims)
-	for d := 0; d < v.dims; d++ {
-		lo := math.Float64frombits(binary.LittleEndian.Uint64(v.page[off:]))
-		hi := math.Float64frombits(binary.LittleEndian.Uint64(v.page[off+8:]))
+// recordValid reports whether the record rec starts with decodes to a
+// well-formed rectangle: no NaN coordinates and Min <= Max on every axis
+// (geom.Rect.Valid over the wire words, without building the rectangle):
+// firstInvalid's step for k != 2.
+func recordValid(rec []byte, dims int) bool {
+	for d := 0; d < dims; d++ {
+		lo := math.Float64frombits(binary.LittleEndian.Uint64(rec[16*d:]))
+		hi := math.Float64frombits(binary.LittleEndian.Uint64(rec[16*d+8:]))
 		if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
 			return false
 		}
-		off += 16
 	}
 	return true
 }

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -294,10 +295,12 @@ func TestStrayWriteCaughtByFullDecode(t *testing.T) {
 	}
 }
 
-// TestWriteNodeFailedMarshalKeepsPage: a node writeNode cannot serialize
-// leaves the resident page byte-identical and still a valid, visitable
-// node, not a fresh header over half of the old entries.
-func TestWriteNodeFailedMarshalKeepsPage(t *testing.T) {
+// TestFillNodeFailedKeepsPage: records fillNode cannot write — an entry of
+// the wrong dimensionality, which tears the record run, or an invalid
+// rectangle after valid ones — leave the resident page byte-identical and
+// still a valid, visitable node, not a fresh header over half of the old
+// entries.
+func TestFillNodeFailedKeepsPage(t *testing.T) {
 	tr := newTree(t, 8)
 	entries := randRects(300, 5)
 	if err := tr.BulkLoad(entries, xSortOrderer{}); err != nil {
@@ -312,15 +315,19 @@ func TestWriteNodeFailedMarshalKeepsPage(t *testing.T) {
 		return append([]byte(nil), f.Data()...)
 	}
 	before := image()
-	bad := node.Node{Level: tr.Height() - 1, Dims: 2, Entries: []node.Entry{
-		{Rect: geom.R2(0, 0, 1, 1), Ref: 1},
-		{Rect: geom.UnitCube(3), Ref: 2},
-	}}
-	if err := tr.writeNode(tr.Root(), &bad); err == nil {
-		t.Fatal("writeNode accepted an entry of the wrong dimensionality")
-	}
-	if !bytes.Equal(image(), before) {
-		t.Fatal("failed writeNode changed the page")
+	good := appendRecord(nil, geom.R2(0, 0, 1, 1), 1)
+	nan := geom.R2(0, 0, 1, 1)
+	nan.Max[1] = math.NaN()
+	for name, recs := range map[string][]byte{
+		"wrong dimensionality": appendRecord(slices.Clone(good), geom.UnitCube(3), 2),
+		"invalid rectangle":    appendRecord(slices.Clone(good), nan, 2),
+	} {
+		if err := tr.fillNode(tr.Root(), tr.Height()-1, recs); err == nil {
+			t.Fatalf("%s: fillNode accepted the records", name)
+		}
+		if !bytes.Equal(image(), before) {
+			t.Fatalf("%s: failed fillNode changed the page", name)
+		}
 	}
 	q := geom.R2(0.2, 0.2, 0.6, 0.6)
 	n, err := tr.Count(q)

@@ -145,14 +145,12 @@ func TestMutateLedgerMixNeverDissolves(t *testing.T) {
 	}
 
 	atMinFill := 0
-	var st stage
 	for _, set := range overflows {
 		left, right := splitLinear(set, tr.MinFill())
 		if min(len(left), len(right)) == tr.MinFill() {
 			atMinFill++
 		}
-		st.entries = append(st.entries[:0], set...)
-		if left, right = st.splitTile(); len(right) != tr.Capacity()/2 || len(left)+len(right) != len(set) {
+		if left, right = tileCut(set); len(right) != tr.Capacity()/2 || len(left)+len(right) != len(set) {
 			t.Fatalf("tile cut %d entries %d/%d", len(set), len(left), len(right))
 		}
 	}
@@ -195,4 +193,44 @@ func BenchmarkShrink(b *testing.B) {
 	b.ReportMetric(float64(worst.Nanoseconds())/1e3, "worst-us")
 	b.ReportMetric(float64(structural)/float64(b.N), "dissolves")
 	b.ReportMetric(float64(structuralNs.Nanoseconds())/float64(max(structural, 1))/1e3, "us/dissolve")
+}
+
+// BenchmarkInsertPacked is the ledger's splitting insert in-package: inserts
+// of density squares into a freshly STR-packed tree of 100 000 over a
+// MemPager behind a 1 024-page pool (strPackedTree), where every leaf is full,
+// so the first insert into each leaf splits it. As inserts land in leaves
+// already split the share that split drifts down; the tree is rebuilt, with
+// the timer stopped, every 1.6 leaf-counts of inserts, which holds it near
+// the ledger's half. Reported: ns/insert and splits/insert (structural
+// inserts: each split at least one node).
+func BenchmarkInsertPacked(b *testing.B) {
+	const items = 100000
+	rng := rand.New(rand.NewSource(30))
+	base := densitySquares(rng, items, 0)
+	tr := strPackedTree(b, base)
+	perLevel, err := tr.NodesPerLevel()
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch := perLevel[len(perLevel)-1] * 8 / 5
+	fresh := densitySquares(rng, batch, items)
+	var splits uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%batch == 0 {
+			b.StopTimer()
+			splits += tr.MutateStats().StructuralInserts
+			tr = strPackedTree(b, base)
+			b.StartTimer()
+		}
+		e := fresh[i%batch]
+		if err := tr.Insert(e.Rect, e.Ref); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	splits += tr.MutateStats().StructuralInserts
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/insert")
+	b.ReportMetric(float64(splits)/float64(b.N), "splits/insert")
 }

@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"slices"
+
 	"strtree/internal/geom"
 	"strtree/internal/node"
 	"strtree/internal/storage"
@@ -197,4 +199,20 @@ func (t *Tree) collapseRoot() (bool, error) {
 			return collapsed, nil
 		}
 	}
+}
+
+// appendEntries appends copies of v's entries to dst, their coordinates in
+// slab, which is empty and lends its capacity: the one place a page's whole
+// entry set leaves the page as entries, for the node a delete dissolves and
+// for Check's round trip (onto the heap, slab nil). slab is grown before the
+// first rectangle is sliced out of it, so the copies outlive the pin.
+func appendEntries(dst []node.Entry, slab []float64, v node.View) ([]node.Entry, []float64) {
+	dims := v.Dims()
+	dst = slices.Grow(dst, v.Count())
+	slab = slices.Grow(slab, 2*dims*v.Count())
+	for i := 0; i < v.Count(); i++ {
+		slab = v.AppendEntryCoords(slab, i)
+		dst = append(dst, node.Entry{Rect: slabRect(slab, i, dims), Ref: v.EntryRef(i)})
+	}
+	return dst, slab
 }

@@ -1,7 +1,8 @@
 package rtree
 
 import (
-	"slices"
+	"errors"
+	"fmt"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
@@ -64,8 +65,9 @@ func (t *Tree) plantRoot(e node.Entry) error {
 	if err != nil {
 		return err
 	}
-	root := node.Node{Level: 0, Dims: t.dims, Entries: []node.Entry{e}}
-	if err := t.writeNode(id, &root); err != nil {
+	st := &t.mut.stage
+	st.recs = appendRecord(st.recs[:0], e.Rect, e.Ref)
+	if err := t.fillNode(id, 0, st.recs); err != nil {
 		return err
 	}
 	t.root, t.height = id, 1
@@ -106,12 +108,9 @@ func (t *Tree) insertAt(e node.Entry, level int) (structural bool, err error) {
 	if err != nil {
 		return true, err
 	}
-	root := node.Node{
-		Level:   t.height,
-		Dims:    t.dims,
-		Entries: []node.Entry{{Rect: *mbr, Ref: uint64(t.root)}, *add},
-	}
-	if err := t.writeNode(id, &root); err != nil {
+	st := &t.mut.stage
+	st.recs = appendRecord(appendRecord(st.recs[:0], *mbr, uint64(t.root)), add.Rect, add.Ref)
+	if err := t.fillNode(id, t.height, st.recs); err != nil {
 		return true, err
 	}
 	t.root = id
@@ -145,128 +144,68 @@ func (t *Tree) choosePath(r geom.Rect, level int) ([]mutStep, error) {
 }
 
 // overflow handles the full node of step s that must still take in e: the
-// node is staged in the tree's scratch with the followed child's rectangle
-// brought up to *mbr and e appended, then relieved. With forced reinsertion
-// enabled, the first overflow at each level of an insertion evicts the 30% of
-// entries farthest from the node center for reinsertion instead of splitting
-// (R*-tree OverflowTreatment); otherwise the node splits and the new
-// sibling's entry is returned for the parent — in scratch too, good until the
-// next overflow. *mbr becomes the node's new MBR. Pages are written child
-// before parent and the sibling page is allocated after the node is
-// rewritten: page numbering depends on it.
+// node's records are staged in the tree's scratch (stage, tilesplit.go) with
+// the followed child's rectangle brought up to *mbr and e's record appended,
+// then relieved. With forced reinsertion enabled, the first overflow at each
+// level of an insertion evicts the 30% of entries farthest from the node
+// center for reinsertion instead of splitting (R*-tree OverflowTreatment);
+// otherwise the node splits by the tile cut and the new sibling's entry is
+// returned for the parent — in scratch too, good until the next overflow.
+// *mbr becomes the node's new MBR. Each page written is one fillNode. Pages
+// are written child before parent and the sibling page is allocated after the
+// node is rewritten: page numbering depends on it.
 func (t *Tree) overflow(s mutStep, fix childFix, mbr *geom.Rect, e node.Entry) (*node.Entry, error) {
 	f, v, err := t.fetchView(s.id, &t.mut.n)
 	if err != nil {
 		return nil, err
 	}
 	st := &t.mut.stage
-	st.load(v, e)
-	n := node.Node{Level: v.Level(), Dims: t.dims, Entries: st.entries}
+	level, count := v.Level(), v.Count()
+	st.load(f.Data(), count, t.dims, e)
 	t.pool.Release(f)
 	if fix == fixRect {
-		copy(n.Entries[s.idx].Rect.Min, mbr.Min)
-		copy(n.Entries[s.idx].Rect.Max, mbr.Max)
+		putRecordRect(st.recs[s.idx*node.EntrySize(t.dims):], *mbr)
 	}
-	if t.reinsert.active && s.id != t.root && !t.reinsert.done[n.Level] {
+	if t.reinsert.active && s.id != t.root && !t.reinsert.done[level] {
 		if t.reinsert.done == nil {
 			t.reinsert.done = make(map[int]bool)
 		}
-		t.reinsert.done[n.Level] = true
-		for _, ev := range evictFarthest(&n, len(n.Entries)*3/10) {
-			t.reinsert.pending = append(t.reinsert.pending, orphan{level: n.Level, entry: ev})
+		t.reinsert.done[level] = true
+		evicted, kept := st.evictFarthest(t.dims, (count+1)*3/10, mbr)
+		for _, ev := range evicted {
+			t.reinsert.pending = append(t.reinsert.pending, orphan{level: level, entry: ev})
 		}
-		mbrInto(mbr, n.Entries)
-		return nil, t.writeNode(s.id, &n)
+		return nil, t.fillNode(s.id, level, kept)
 	}
-	var right []node.Entry
-	n.Entries, right = st.splitTile()
-	if err := t.writeNode(s.id, &n); err != nil {
+	left, right, _ := st.splitTile(t.dims, mbr, &t.mut.sib.Rect)
+	if err := t.fillNode(s.id, level, left); err != nil {
 		return nil, err
 	}
 	sibID, err := t.newPage()
 	if err != nil {
 		return nil, err
 	}
-	sib := node.Node{Level: n.Level, Dims: n.Dims, Entries: right}
-	if err := t.writeNode(sibID, &sib); err != nil {
+	if err := t.fillNode(sibID, level, right); err != nil {
 		return nil, err
 	}
-	mbrInto(mbr, n.Entries)
-	mbrInto(&t.mut.sib.Rect, right)
 	t.mut.sib.Ref = uint64(sibID)
 	return &t.mut.sib, nil
 }
 
-// mbrInto computes the MBR of entries into dst, which already has their
-// dimensionality: node.Node.MBR without the allocation.
-func mbrInto(dst *geom.Rect, entries []node.Entry) {
-	copy(dst.Min, entries[0].Rect.Min)
-	copy(dst.Max, entries[0].Rect.Max)
-	for _, e := range entries[1:] {
-		dst.UnionInPlace(e.Rect)
+// fillNode write-pins page id — a node on the mutation's path, or one newPage
+// just reserved — and makes it a node of the given level holding recs, whole
+// entry records in the page layout: one node.FillRecords, a header, one copy
+// and one CRC over the frame. The write pin is what a patch takes too
+// (patchNode): it fails with buffer.ErrReadPinned while a reader holds the
+// page, before a byte changes, and its release marks the frame dirty and
+// clears its validation mark. A fill that fails has written nothing.
+func (t *Tree) fillNode(id storage.PageID, level int, recs []byte) error {
+	f, err := t.pool.FetchMut(id)
+	if err != nil {
+		return err
 	}
-}
-
-// appendEntries appends copies of v's entries to dst, their coordinates in
-// slab, which is empty and lends its capacity: the one place a page's whole
-// entry set leaves the page, for the node a mutation splits (into the tree's
-// scratch) or dissolves and for Check's round trip (onto the heap, slab nil).
-// slab is grown before the first rectangle is sliced out of it, so the copies
-// outlive the pin.
-func appendEntries(dst []node.Entry, slab []float64, v node.View) ([]node.Entry, []float64) {
-	dims := v.Dims()
-	dst = slices.Grow(dst, v.Count())
-	slab = slices.Grow(slab, 2*dims*v.Count())
-	for i := 0; i < v.Count(); i++ {
-		slab = v.AppendEntryCoords(slab, i)
-		dst = append(dst, node.Entry{Rect: slabRect(slab, i, dims), Ref: v.EntryRef(i)})
+	if err = node.FillRecords(f.Data(), level, t.dims, recs); err != nil {
+		err = fmt.Errorf("rtree: page %d: %w", id, err)
 	}
-	return dst, slab
-}
-
-// evictFarthest removes the count entries whose centers are farthest from
-// the node MBR's center, returning them (deep-copied) for reinsertion. At
-// least one entry is evicted so the node drops below capacity.
-func evictFarthest(n *node.Node, count int) []node.Entry {
-	if count < 1 {
-		count = 1
-	}
-	center := n.MBR().Center()
-	type scored struct {
-		idx  int
-		dist float64
-	}
-	scores := make([]scored, len(n.Entries))
-	for i := range n.Entries {
-		d := 0.0
-		for axis := range center {
-			delta := n.Entries[i].Rect.CenterAxis(axis) - center[axis]
-			d += delta * delta
-		}
-		scores[i] = scored{idx: i, dist: d}
-	}
-	slices.SortFunc(scores, func(a, b scored) int {
-		switch {
-		case a.dist > b.dist:
-			return -1
-		case a.dist < b.dist:
-			return 1
-		default:
-			return 0
-		}
-	})
-	evictSet := make(map[int]bool, count)
-	for _, s := range scores[:count] {
-		evictSet[s.idx] = true
-	}
-	var evicted, kept []node.Entry
-	for i := range n.Entries {
-		if evictSet[i] {
-			evicted = append(evicted, node.Entry{Rect: n.Entries[i].Rect.Clone(), Ref: n.Entries[i].Ref})
-		} else {
-			kept = append(kept, n.Entries[i])
-		}
-	}
-	n.Entries = kept
-	return evicted
+	return errors.Join(err, t.pool.ReleaseMut(f))
 }

@@ -10,12 +10,15 @@ package rtree
 // rectangle overwritten — and the walk stops at the first ancestor whose
 // stored rectangle is already right. Only the node that actually overflows
 // (overflow: split or forced reinsertion) or falls under minFill (dissolve)
-// has its whole entry set copied off the page (appendEntries, out of the
-// same fetchView the descents use) — an overflowing node's into scratch the
-// tree keeps (stage, tilesplit.go), so a split allocates nothing, a dissolved
-// node's onto the heap, where its orphans wait — and only overflow stages a
-// node.Node for node.Marshal. MutableView leaves exactly the bytes Marshal
-// would, so which of the two touched a page is invisible in the file
+// has its whole entry set copied off the page, out of the same fetchView the
+// descents use. An overflowing node's records are copied as the page holds
+// them into scratch the tree keeps (stage, tilesplit.go), cut there and
+// written back as whole pages (fillNode: one node.FillRecords under a write
+// pin), so a split allocates nothing and builds no node.Entry; a new root is
+// written the same way. A dissolved node's entries go onto the heap
+// (appendEntries), where its orphans wait. The dynamic write path never calls
+// node.Marshal: MutableView and FillRecords leave exactly the bytes Marshal
+// would, so which of them touched a page is invisible in the file
 // (TestMutateGoldenBytes pins the stored bytes, the page allocation order
 // and the free-list order).
 

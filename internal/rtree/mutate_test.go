@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -152,4 +154,55 @@ func TestMutateSingleDescent(t *testing.T) {
 	if !dissolveSeen {
 		t.Fatal("no delete dissolved exactly one leaf on a single search path")
 	}
+}
+
+// TestSplitRespectsReadPin: a split rewrites its node under a write pin, as
+// every patch does, so an Insert that would split a leaf a reader holds fails
+// with buffer.ErrReadPinned before it changes a byte — the leaf, the entry
+// count, the page count and the tree's invariants are as they were — and the
+// same Insert goes through once the reader lets go. (Under a read pin the
+// rewrite would change the bytes under the reader.)
+func TestSplitRespectsReadPin(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	tr := strPackedTree(t, densitySquares(rng, 3000, 0))
+	e := densitySquares(rng, 1, 3000)[0]
+	path, err := tr.choosePath(e.Rect, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf := path[len(path)-1]
+	if leaf.count != tr.Capacity() {
+		t.Fatalf("packed leaf holds %d of %d entries: the insert would not split", leaf.count, tr.Capacity())
+	}
+	check := func() {
+		t.Helper()
+		if err := tr.Check(CheckConfig{RoundTrip: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check()
+	f, err := tr.Pool().Fetch(leaf.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, n, pages := bytes.Clone(f.Data()), tr.Len(), tr.Pool().Pager().NumPages()
+	if err := tr.Insert(e.Rect, e.Ref); !errors.Is(err, buffer.ErrReadPinned) {
+		t.Fatalf("insert splitting a read-pinned leaf: err %v, want %v", err, buffer.ErrReadPinned)
+	}
+	if !bytes.Equal(f.Data(), before) {
+		t.Fatal("the refused split changed the pinned leaf's bytes")
+	}
+	if tr.Len() != n || tr.Pool().Pager().NumPages() != pages {
+		t.Fatalf("the refused split left %d entries on %d pages, was %d on %d", tr.Len(), tr.Pool().Pager().NumPages(), n, pages)
+	}
+	check()
+	tr.Pool().Release(f)
+	structural := tr.MutateStats().StructuralInserts
+	if err := tr.Insert(e.Rect, e.Ref); err != nil {
+		t.Fatalf("the same insert after the reader released: %v", err)
+	}
+	if tr.Len() != n+1 || tr.MutateStats().StructuralInserts != structural+1 {
+		t.Fatalf("after the insert: %d entries, %+v; want %d and one more structural insert", tr.Len(), tr.MutateStats(), n+1)
+	}
+	check()
 }

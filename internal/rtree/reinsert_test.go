@@ -10,23 +10,26 @@ import (
 )
 
 func TestEvictFarthest(t *testing.T) {
-	n := &node.Node{Level: 0, Dims: 2, Entries: []node.Entry{
+	entries := []node.Entry{
 		{Rect: geom.R2(0.49, 0.49, 0.51, 0.51), Ref: 1}, // center
-		{Rect: geom.R2(0.48, 0.48, 0.52, 0.52), Ref: 2}, // center
 		{Rect: geom.R2(0.0, 0.0, 0.02, 0.02), Ref: 3},   // far corner
+		{Rect: geom.R2(0.48, 0.48, 0.52, 0.52), Ref: 2}, // center
 		{Rect: geom.R2(0.97, 0.97, 1.0, 1.0), Ref: 4},   // far corner
-	}}
-	evicted := evictFarthest(n, 2)
-	if len(evicted) != 2 || len(n.Entries) != 2 {
-		t.Fatalf("evicted %d, kept %d", len(evicted), len(n.Entries))
 	}
-	for _, e := range evicted {
-		if e.Ref != 3 && e.Ref != 4 {
-			t.Fatalf("evicted central entry %d", e.Ref)
-		}
+	st := &stage{recs: recordsOf(entries)}
+	box := geom.UnitSquare()
+	evicted, kept := st.evictFarthest(2, 2, &box)
+	if len(evicted) != 2 || len(kept) != 2*node.EntrySize(2) {
+		t.Fatalf("evicted %d, kept %d record bytes", len(evicted), len(kept))
+	}
+	if evicted[0].Ref != 3 || evicted[1].Ref != 4 {
+		t.Fatalf("evicted %v, want the far corners 3 and 4 in entry order", evicted)
+	}
+	if want := []node.Entry{entries[0], entries[2]}; !sameEntries(entriesOf(kept, 2), want) || !sameBits(box, geom.MBR(rects(want))) {
+		t.Fatalf("kept %v with MBR %v, want the central two in entry order", entriesOf(kept, 2), box)
 	}
 	// At least one entry is always evicted.
-	if got := evictFarthest(n, 0); len(got) != 1 {
+	if got, _ := st.evictFarthest(2, 0, &box); len(got) != 1 {
 		t.Fatalf("zero-count eviction returned %d", len(got))
 	}
 }

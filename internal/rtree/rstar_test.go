@@ -164,7 +164,7 @@ func TestRStarBeatsLinearOnOverlap(t *testing.T) {
 		overlapR, areaR = overlapR+o, areaR+a
 		o, _ = measure(splitLinear(slices.Clone(entries), 6))
 		overlapL += o
-		_, a = measure((&stage{entries: slices.Clone(entries)}).splitTile())
+		_, a = measure(tileCut(entries))
 		areaT += a
 	}
 	if overlapR > overlapL {

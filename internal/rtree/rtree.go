@@ -91,8 +91,8 @@ type Tree struct {
 	// mut is the reusable scratch of Insert and Delete (single-writer,
 	// like all mutations; see mutate.go): the recorded path, FindLeaf's
 	// candidate stack, the MBR carried up the path, a rectangle to decode
-	// entries into, and the node an overflow stages with the sibling entry
-	// its split hands the parent.
+	// entries into, and the records an overflow or a new root stages with
+	// the sibling entry a split hands the parent.
 	mut struct {
 		path      []mutStep
 		cands     []cand
@@ -352,15 +352,12 @@ func (t *Tree) Flush() error {
 	return t.pool.FlushAll()
 }
 
-// writeNode serializes n onto page id, which holds a node already or came
-// from newPage.
-func (t *Tree) writeNode(id storage.PageID, n *node.Node) error {
-	return t.fillPage(id, false, n)
-}
-
-// fillPage pins page id, serializes n onto it and releases it. A fresh page
-// (reservePage's word for it) has never been written or fetched, so its
-// frame is adopted without a read; any other may be cached and is fetched.
+// fillPage is the bulk loader's page writer (writebehind.go): it pins page
+// id, serializes n onto it and releases it. A fresh page (reservePage's word
+// for it) has never been written or fetched, so its frame is adopted without
+// a read; a recycled one may be cached and is fetched. A bulk load runs on
+// an empty tree no reader is visiting, so a read pin suffices; the dynamic
+// write path fills its pages under write pins instead (fillNode, insert.go).
 // MarkDirty comes first: it clears the frame's validation mark before
 // Marshal touches a byte, so no visit can trust the old verdict over the
 // new image. A Marshal that fails has written nothing (its contract), which
@@ -399,7 +396,7 @@ func (t *Tree) reservePage() (id storage.PageID, fresh bool, err error) {
 }
 
 // newPage reserves a page for a new node of the dynamic write path, which
-// fills it with writeNode: a fresh page enters the pool here.
+// fills it with fillNode: a fresh page enters the pool here.
 func (t *Tree) newPage() (storage.PageID, error) {
 	id, fresh, err := t.reservePage()
 	if err != nil || !fresh {

@@ -879,7 +879,7 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.Entries[0].Rect = geom.UnitSquare().Clone()
-	if err := tr.writeNode(tr.Root(), &root); err != nil {
+	if err := tr.fillPage(tr.Root(), false, &root); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Check(CheckConfig{}); err == nil {

@@ -1,7 +1,9 @@
 package rtree
 
 import (
+	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -35,33 +37,84 @@ func refTileSplit(entries []node.Entry) (left, right []node.Entry, axis int, sum
 	return orders[axis][:h], orders[axis][h:], axis, sums
 }
 
-// checkTileSplit runs the tile cut over entries (distinct refs) through st and
-// holds it to its contract: halves of ceil(m/2) and floor(m/2), equal entry
-// for entry to the reference's — so they are a permutation of the input, as the
-// reference's sorted clone is, and the axis is the one with the least margin
-// sum, computed independently — and the same again on a second call. It
-// returns the halves joined, in order.
+// recordsOf encodes entries as the stage holds them: page records, in order.
+func recordsOf(entries []node.Entry) []byte {
+	var recs []byte
+	for _, e := range entries {
+		recs = appendRecord(recs, e.Rect, e.Ref)
+	}
+	return recs
+}
+
+// entriesOf decodes a run of page records of dims axes into entries.
+func entriesOf(recs []byte, dims int) []node.Entry {
+	size := node.EntrySize(dims)
+	out := make([]node.Entry, 0, len(recs)/size)
+	for ; len(recs) > 0; recs = recs[size:] {
+		out = append(out, recordEntry(recs, dims))
+	}
+	return out
+}
+
+// sameBits reports whether a and b are the same rectangle word for word:
+// -0 is not +0 here, since the MBR a split hands the parent is stored.
+func sameBits(a, b geom.Rect) bool {
+	for d := range a.Min {
+		if math.Float64bits(a.Min[d]) != math.Float64bits(b.Min[d]) || math.Float64bits(a.Max[d]) != math.Float64bits(b.Max[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// tileCut runs the tile cut over entries on a fresh stage and returns the
+// halves as entries: the cut as the baseline comparisons see it.
+func tileCut(entries []node.Entry) (left, right []node.Entry) {
+	dims := entries[0].Rect.Dim()
+	st := &stage{recs: recordsOf(entries)}
+	lbox, rbox := geom.UnitCube(dims), geom.UnitCube(dims)
+	l, r, _ := st.splitTile(dims, &lbox, &rbox)
+	return entriesOf(l, dims), entriesOf(r, dims)
+}
+
+// checkTileSplit stages entries (distinct refs) as page records in st, runs
+// the tile cut over them and holds it to its contract: halves of ceil(m/2)
+// and floor(m/2) records, byte for byte the reference's halves in the
+// reference's order — so they are a permutation of the input, as the
+// reference's sorted clone is — the same axis, the one with the least margin
+// sum computed independently, and the halves' MBRs word for word geom.MBR of
+// the reference's; the staged records untouched, and the same again on a
+// second call. It returns the halves joined, in order, as entries.
 func checkTileSplit(t testing.TB, st *stage, entries []node.Entry) []node.Entry {
 	t.Helper()
-	m := len(entries)
-	st.entries = append(st.entries[:0], entries...)
-	left, right := st.splitTile()
-	if len(left) != (m+1)/2 || len(right) != m/2 {
-		t.Fatalf("%d entries cut %d/%d, want %d/%d", m, len(left), len(right), (m+1)/2, m/2)
+	m, dims := len(entries), entries[0].Rect.Dim()
+	input := recordsOf(entries)
+	st.recs = append(st.recs[:0], input...)
+	lbox, rbox := geom.UnitCube(dims), geom.UnitCube(dims)
+	left, right, axis := st.splitTile(dims, &lbox, &rbox)
+	size := node.EntrySize(dims)
+	if len(left) != (m+1)/2*size || len(right) != m/2*size {
+		t.Fatalf("%d entries cut %d/%d records, want %d/%d", m, len(left)/size, len(right)/size, (m+1)/2, m/2)
+	}
+	wantL, wantR, wantAxis, sums := refTileSplit(entries)
+	if !bytes.Equal(left, recordsOf(wantL)) || !bytes.Equal(right, recordsOf(wantR)) {
+		t.Fatalf("%d entries, margin sums %v: halves differ from the reference's cut on axis %d", m, sums, wantAxis)
+	}
+	if axis != wantAxis {
+		t.Fatalf("%d entries, margin sums %v: cut on axis %d, the reference on %d", m, sums, axis, wantAxis)
+	}
+	if !sameBits(lbox, geom.MBR(rects(wantL))) || !sameBits(rbox, geom.MBR(rects(wantR))) {
+		t.Fatalf("%d entries: half MBRs %v and %v, the reference's %v and %v", m, lbox, rbox, geom.MBR(rects(wantL)), geom.MBR(rects(wantR)))
+	}
+	if !bytes.Equal(st.recs, input) {
+		t.Fatal("the split changed the staged records")
 	}
 	got := append(slices.Clone(left), right...)
-	wantL, wantR, axis, sums := refTileSplit(entries)
-	if !sameEntries(left, wantL) || !sameEntries(right, wantR) {
-		t.Fatalf("%d entries, margin sums %v: halves differ from the reference's cut on axis %d", m, sums, axis)
+	left, right, _ = st.splitTile(dims, &lbox, &rbox)
+	if again := append(slices.Clone(left), right...); !bytes.Equal(again, got) {
+		t.Fatal("a second call over the same records cut differently")
 	}
-	if !sameEntries(st.entries, entries) {
-		t.Fatal("the split reordered its input")
-	}
-	left, right = st.splitTile()
-	if again := append(slices.Clone(left), right...); !sameEntries(again, got) {
-		t.Fatal("a second call over the same entries cut differently")
-	}
-	return got
+	return entriesOf(got, dims)
 }
 
 // tileShape is one family of overflowing entry sets; distinct says every
@@ -136,6 +189,32 @@ var tileShapes = []tileShape{
 	{"reversed", true, func(_ *rand.Rand, dims, i, m int) geom.Rect {
 		return boxRect(dims, func(d int) (float64, float64) { return float64((m - i) * (d + 1)), float64((m-i)*(d+1)) + 0.5 })
 	}},
+	// Sides of a quarter of MaxFloat64 on either side of 0: the margins are
+	// finite near the top of the range, and their sums may overflow to +Inf
+	// on some axes and not on others.
+	{"near max", false, func(rng *rand.Rand, dims, _, _ int) geom.Rect {
+		return boxRect(dims, func(int) (float64, float64) {
+			return -math.MaxFloat64 / 8 * (0.5 + rng.Float64()/2), math.MaxFloat64 / 8 * (0.5 + rng.Float64()/2)
+		})
+	}},
+	// Sides built from -0 and +0, which compare equal but are stored apart:
+	// which zero an MBR keeps depends on the order it grows in.
+	{"signed zeros", false, func(rng *rand.Rand, dims, _, _ int) geom.Rect {
+		negZero := math.Copysign(0, -1)
+		return boxRect(dims, func(int) (float64, float64) {
+			switch rng.Intn(5) {
+			case 0:
+				return negZero, 0
+			case 1:
+				return 0, negZero
+			case 2:
+				return negZero, negZero
+			case 3:
+				return -1, 1
+			}
+			return 0, 0
+		})
+	}},
 }
 
 func (s tileShape) entries(rng *rand.Rand, dims, m int) []node.Entry {
@@ -181,17 +260,95 @@ func TestSplitTileEdges(t *testing.T) {
 	}
 }
 
-// TestSplitTileZeroAlloc: once the stage is warm a split allocates nothing,
-// in any dimensionality, whatever the input.
+// TestSortPairs holds the split's sort to a stable comparison sort on key
+// sets of every shape it can meet: random, few distinct keys, sorted with a
+// tail appended, reversed, one outlier beside a tight cluster, all keys
+// equal; up to 700 pairs, so buckets of the counting pass hold many.
+func TestSortPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, shape := range []struct {
+		name string
+		key  func(i, n int) uint64
+	}{
+		{"random", func(int, int) uint64 { return rng.Uint64() }},
+		{"few", func(int, int) uint64 { return uint64(rng.Intn(5)) << 60 }},
+		{"appended", func(i, n int) uint64 {
+			if i < n*9/10 {
+				return uint64(i) << 40
+			}
+			return rng.Uint64()
+		}},
+		{"reversed", func(i, n int) uint64 { return uint64(n - i) }},
+		{"outlier", func(i, _ int) uint64 {
+			if i == 0 {
+				return math.MaxUint64
+			}
+			return 1<<40 + uint64(rng.Intn(1000))
+		}},
+		{"equal", func(int, int) uint64 { return 7 }},
+	} {
+		for _, n := range []int{2, 3, 8, 9, 17, 103, 257, 700} {
+			ps := make([]tilePair, n)
+			for i := range ps {
+				ps[i] = tilePair{key: shape.key(i, n), idx: int32(i)}
+			}
+			want := slices.Clone(ps)
+			slices.SortStableFunc(want, func(a, b tilePair) int { return cmp.Compare(a.key, b.key) })
+			sortPairs(ps, make([]tilePair, n))
+			if !slices.Equal(ps, want) {
+				t.Fatalf("%s, %d pairs: sortPairs differs from a stable sort", shape.name, n)
+			}
+		}
+	}
+}
+
+// overflowRun is the record path of one overflow as fillNode-free code can
+// run it: stage a full page's records and one incoming entry's, cut them,
+// fill the two halves' pages.
+type overflowRun struct {
+	st                stage
+	page, left, right []byte
+	count, dims       int
+	e                 node.Entry
+	lbox, rbox        geom.Rect
+}
+
+// newOverflowRun marshals all of entries but the last onto a page, which the
+// last then overflows.
+func newOverflowRun(t testing.TB, entries []node.Entry) *overflowRun {
+	m, dims := len(entries), entries[0].Rect.Dim()
+	size := node.HeaderSize + m*node.EntrySize(dims)
+	o := &overflowRun{
+		page: make([]byte, size), left: make([]byte, size), right: make([]byte, size),
+		count: m - 1, dims: dims, e: entries[m-1],
+		lbox: geom.UnitCube(dims), rbox: geom.UnitCube(dims),
+	}
+	if err := node.Marshal(&node.Node{Dims: dims, Entries: entries[:m-1]}, o.page); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+func (o *overflowRun) run() error {
+	o.st.load(o.page, o.count, o.dims, o.e)
+	left, right, _ := o.st.splitTile(o.dims, &o.lbox, &o.rbox)
+	return errors.Join(node.FillRecords(o.left, 0, o.dims, left), node.FillRecords(o.right, 0, o.dims, right))
+}
+
+// TestSplitTileZeroAlloc: once the stage is warm the record path of a split —
+// staging from a page, the cut, two page fills — allocates nothing, in any
+// dimensionality, whatever the input.
 func TestSplitTileZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	for dims := 1; dims <= 4; dims++ {
 		for _, shape := range tileShapes {
-			st := &stage{entries: shape.entries(rand.New(rand.NewSource(9)), dims, 103)}
-			st.splitTile()
-			if allocs := testing.AllocsPerRun(20, func() { st.splitTile() }); allocs != 0 {
+			o := newOverflowRun(t, shape.entries(rand.New(rand.NewSource(9)), dims, 103))
+			if err := o.run(); err != nil {
+				t.Fatal(err)
+			}
+			if allocs := testing.AllocsPerRun(20, func() { _ = o.run() }); allocs != 0 {
 				t.Errorf("shape %q dims %d: a warm split allocated %.1f times, want 0", shape.name, dims, allocs)
 			}
 		}
@@ -270,32 +427,53 @@ func FuzzSplitTile(f *testing.F) {
 
 // BenchmarkSplitPolicies prices one split of a full 2-D page's 103 entries
 // under each policy: the tile cut and R*, and the Guttman baselines the tile
-// cut displaced. Each iteration splits a fresh copy of the same entries (R*
-// sorts its input in place); the copy is in every arm's time.
+// cut displaced. The tile arm is the record path the tree runs — the page's
+// records and the incoming one's staged, the cut, both halves' pages filled
+// (overflowRun) — so its time includes the staging and the two page writes.
+// The baselines split a fresh copy of the entries each iteration (R* sorts
+// its input in place), and the copy is in their time; writing their halves
+// would add two node.Marshal calls. Iterations cycle through 64 different
+// entry sets: over one set repeated, the branch predictor learns the sort's
+// comparisons and a split reads up to three times faster than it runs.
 func BenchmarkSplitPolicies(b *testing.B) {
-	pristine := randRects(103, 24)
-	entries := make([]node.Entry, len(pristine))
-	var st stage
+	const sets = 64
+	pristine := make([][]node.Entry, sets)
+	tile := make([]*overflowRun, sets)
+	for i := range pristine {
+		pristine[i] = randRects(103, 24+int64(i))
+		tile[i] = newOverflowRun(b, pristine[i])
+	}
+	entries := make([]node.Entry, 103)
+	baseline := func(split func([]node.Entry, int) ([]node.Entry, []node.Entry)) func(int) error {
+		return func(i int) error {
+			copy(entries, pristine[i%sets])
+			return checkHalves(split(entries, 40))
+		}
+	}
 	for _, policy := range []struct {
 		name  string
-		split func() (left, right []node.Entry)
+		split func(i int) error
 	}{
-		{"tile", func() ([]node.Entry, []node.Entry) {
-			st.entries = append(st.entries[:0], entries...)
-			return st.splitTile()
-		}},
-		{"linear", func() ([]node.Entry, []node.Entry) { return splitLinear(entries, 40) }},
-		{"quadratic", func() ([]node.Entry, []node.Entry) { return splitQuadratic(entries, 40) }},
-		{"rstar", func() ([]node.Entry, []node.Entry) { return splitRStar(entries, 40) }},
+		{"tile", func(i int) error { return tile[i%sets].run() }},
+		{"linear", baseline(splitLinear)},
+		{"quadratic", baseline(splitQuadratic)},
+		{"rstar", baseline(splitRStar)},
 	} {
 		b.Run(policy.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				copy(entries, pristine)
-				if left, right := policy.split(); len(left)+len(right) != len(pristine) {
-					b.Fatalf("split %d/%d", len(left), len(right))
+				if err := policy.split(i); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})
 	}
+}
+
+// checkHalves is a baseline split's sanity check: nothing lost.
+func checkHalves(left, right []node.Entry) error {
+	if len(left)+len(right) != 103 {
+		return fmt.Errorf("split %d/%d", len(left), len(right))
+	}
+	return nil
 }
