@@ -130,17 +130,29 @@ func TestSearchBatchShardedStats(t *testing.T) {
 	}
 }
 
-// TestBufferShardsValidation pins the Options contract.
+// TestBufferShardsValidation pins the Options contract: a bad buffer size
+// or shard count from the caller is an error from every constructor that
+// builds a buffer, never a panic.
 func TestBufferShardsValidation(t *testing.T) {
-	if _, err := New(Options{BufferShards: 3}); err == nil {
-		t.Fatal("non-power-of-two shard count accepted")
-	}
-	if _, err := New(Options{BufferPages: 2, BufferShards: 4}); err == nil {
-		t.Fatal("more shards than buffer pages accepted")
+	for _, opts := range []Options{
+		{BufferPages: -1},
+		{BufferShards: -2},
+		{BufferShards: 3},                 // not a power of two
+		{BufferPages: 3, BufferShards: 4}, // more shards than pages
+	} {
+		if _, err := New(opts); err == nil {
+			t.Errorf("New(%+v) accepted", opts)
+		}
+		if _, err := NewLayers(opts); err == nil {
+			t.Errorf("NewLayers(%+v) accepted", opts)
+		}
 	}
 	tree, err := New(Options{BufferPages: 64, BufferShards: 16})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, err := tree.View(-1); err == nil {
+		t.Error("View(-1) accepted")
 	}
 	if err := tree.BulkLoad(randItems(500, 63), PackSTR); err != nil {
 		t.Fatal(err)

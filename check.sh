@@ -18,7 +18,9 @@
 #                     the one overflow policy — NewPoolWithPolicy and
 #                     evictClock (the pool evicts by LRU; trace.SimulateClock
 #                     is the one Clock), SetResident (level pinning),
-#                     Serpentine and SliceFactor (STR slices one way)
+#                     Serpentine and SliceFactor (STR slices one way),
+#                     buffer.Sharded and type Sharded (buffer.Pool is the
+#                     one buffer type at any shard count)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -116,7 +118,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
-if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU, STR slices one way (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

@@ -112,9 +112,36 @@ func (f *Frame) Checked() bool { return f.checked.Load() }
 // validation. Call it only under the pin the check ran under.
 func (f *Frame) SetChecked() { f.checked.Store(true) }
 
-// Pool is a fixed-capacity LRU cache of pages over a storage.Pager. It is
-// safe for concurrent use. The zero value is not usable; call NewPool.
+// Pool is a fixed-capacity LRU buffer of pages over a storage.Pager. It is
+// safe for concurrent use. The zero value is not usable; call NewPool or
+// NewSharded.
+//
+// The pool is split into a power-of-two number of shards selected by a
+// page-number hash. Each shard is one LRU list behind its own mutex with
+// its own counters, so fetches of pages in different shards proceed in
+// parallel — the property the concurrent read path (package query's
+// BatchExecutor) needs to scale past one core. With one shard every
+// eviction decision, and therefore every counter, is a deterministic
+// function of the fetch sequence: the same trace always produces the same
+// miss counts, which is what the paper-reproduction experiments rely on.
+// More shards change which page is evicted (each shard runs LRU over its
+// own subset rather than globally), so miss counts under memory pressure
+// can differ slightly from one LRU of the same total capacity.
+//
+// A shard never evicts a pinned frame, so every concurrently pinned page
+// that hashes to one shard occupies a frame there: a shard must have room
+// for the worst-case pins it can receive. Tree traversals pin one page per
+// goroutine at a time; keep capacity/shards comfortably above the worker
+// count.
 type Pool struct {
+	pager  storage.Pager
+	shards []*shard
+	shift  uint // 64 - log2(len(shards)); selects the hash's top bits
+	total  int  // total capacity across shards
+}
+
+// shard is one LRU cache of the pool's pages behind one mutex.
+type shard struct {
 	mu       sync.Mutex
 	pager    storage.Pager
 	capacity int
@@ -128,43 +155,88 @@ type Pool struct {
 	tracer func(id storage.PageID, hit bool)
 }
 
-// SetTracer installs an observer called on every Fetch with the page id
-// and whether the request hit the pool. Used to record access traces for
-// offline replacement-policy simulation (package trace). Pass nil to
-// remove. The callback runs under the pool mutex: keep it trivial.
-func (p *Pool) SetTracer(fn func(id storage.PageID, hit bool)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tracer = fn
-}
-
-// NewPool creates an LRU pool with room for capacity pages. Capacity must
-// be at least 1; the paper's experiments range from 10 to 500 pages.
+// NewPool creates a single-shard LRU pool with room for capacity pages: the
+// deterministic buffer of the paper's experiments, which range from 10 to
+// 500 pages. Capacity must be at least 1.
 func NewPool(pager storage.Pager, capacity int) *Pool {
-	if capacity < 1 {
+	p, err := NewSharded(pager, capacity, 1)
+	if err != nil {
 		//strlint:ignore panics documented contract: a pool with no frames is a programming error
-		panic(fmt.Sprintf("buffer: capacity %d < 1", capacity))
+		panic(err.Error())
 	}
-	p := &Pool{
-		pager:    pager,
-		capacity: capacity,
-		frames:   make(map[storage.PageID]*Frame, capacity),
-	}
-	p.head.next = &p.head
-	p.head.prev = &p.head
 	return p
 }
 
-// Capacity returns the pool size in pages.
-func (p *Pool) Capacity() int { return p.capacity }
+// NewSharded creates an LRU pool of the given total capacity split into
+// shards, which must be a power of two and at most capacity; shards == 1
+// is NewPool. Capacity is divided as evenly as possible, earlier shards
+// taking the remainder.
+func NewSharded(pager storage.Pager, capacity, shards int) (*Pool, error) {
+	if shards < 1 || shards&(shards-1) != 0 {
+		return nil, fmt.Errorf("buffer: shard count %d is not a power of two", shards)
+	}
+	if capacity < shards {
+		return nil, fmt.Errorf("buffer: capacity %d < %d shards", capacity, shards)
+	}
+	p := &Pool{
+		pager:  pager,
+		shards: make([]*shard, shards),
+		shift:  64,
+		total:  capacity,
+	}
+	for bits := 0; 1<<bits < shards; bits++ {
+		p.shift--
+	}
+	base, rem := capacity/shards, capacity%shards
+	for i := range p.shards {
+		c := base
+		if i < rem {
+			c++
+		}
+		s := &shard{
+			pager:    pager,
+			capacity: c,
+			frames:   make(map[storage.PageID]*Frame, c),
+		}
+		s.head.next = &s.head
+		s.head.prev = &s.head
+		p.shards[i] = s
+	}
+	return p, nil
+}
 
-// Pager returns the underlying pager.
+// shard returns the shard owning page id. The Fibonacci multiplicative hash
+// spreads the tree's densely allocated, level-clustered page numbers
+// across shards; its top bits select the shard. A shift of 64 (one shard)
+// yields index 0 by Go's defined >=width shift semantics.
+func (p *Pool) shard(id storage.PageID) *shard {
+	return p.shards[(uint64(id)*0x9E3779B97F4A7C15)>>p.shift]
+}
+
+// Capacity returns the pool size in pages, summed over the shards.
+func (p *Pool) Capacity() int { return p.total }
+
+// Pager returns the underlying pager shared by all shards.
 func (p *Pool) Pager() storage.Pager { return p.pager }
+
+// SetTracer installs an observer called on every Fetch with the page id
+// and whether the request hit the pool. Used to record access traces for
+// offline replacement-policy simulation (package trace). Pass nil to
+// remove. The callback runs under a shard mutex: keep it trivial. With
+// more than one shard it can run concurrently from different shards and
+// must be safe for concurrent use.
+func (p *Pool) SetTracer(fn func(id storage.PageID, hit bool)) {
+	for _, s := range p.shards {
+		s.mu.Lock()
+		s.tracer = fn
+		s.mu.Unlock()
+	}
+}
 
 // Fetch pins the page in the pool, reading it from the pager on a miss, and
 // returns its frame. Every Fetch must be paired with a Release.
 func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
-	return p.fetch(id, false)
+	return p.shard(id).fetch(id, false)
 }
 
 // FetchMut pins the page exclusively for in-place mutation, reading it from
@@ -176,16 +248,16 @@ func (p *Pool) Fetch(id storage.PageID) (*Frame, error) {
 // page fails with ErrWritePinned. Every FetchMut must be paired with a
 // ReleaseMut.
 func (p *Pool) FetchMut(id storage.PageID) (*Frame, error) {
-	return p.fetch(id, true)
+	return p.shard(id).fetch(id, true)
 }
 
 // fetch is Fetch (write false) and FetchMut (write true): the hit path
 // differs in the pin it takes, the miss path is loadLocked for both.
-func (p *Pool) fetch(id storage.PageID, write bool) (*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats.LogicalReads++
-	f, hit := p.frames[id]
+func (s *shard) fetch(id storage.PageID, write bool) (*Frame, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.stats.LogicalReads++
+	f, hit := s.frames[id]
 	if hit {
 		if f.writePin {
 			return nil, fmt.Errorf("%w: page %d", ErrWritePinned, id)
@@ -194,14 +266,14 @@ func (p *Pool) fetch(id storage.PageID, write bool) (*Frame, error) {
 			return nil, fmt.Errorf("%w: page %d has %d read pins", ErrReadPinned, id, f.pins)
 		}
 		f.pins++
-		p.moveToFrontLocked(f)
+		s.moveToFrontLocked(f)
 	}
-	if p.tracer != nil {
-		p.tracer(id, hit)
+	if s.tracer != nil {
+		s.tracer(id, hit)
 	}
 	if !hit {
 		var err error
-		if f, err = p.loadLocked(id); err != nil {
+		if f, err = s.loadLocked(id); err != nil {
 			return nil, err
 		}
 	}
@@ -209,34 +281,34 @@ func (p *Pool) fetch(id storage.PageID, write bool) (*Frame, error) {
 	return f, nil
 }
 
-// loadLocked is the miss path: it takes a frame (evicting if the pool is
+// loadLocked is the miss path: it takes a frame (evicting if the shard is
 // full), reads page id into it and publishes it with one pin. It is the one
 // place a resident frame's bytes are replaced from the pager, so it is where
 // the validation mark of the frame's previous page dies — before ReadPage
 // overwrites the bytes, so a read that fails halfway leaves it clear too.
-func (p *Pool) loadLocked(id storage.PageID) (*Frame, error) {
-	f, err := p.allocFrameLocked()
+func (s *shard) loadLocked(id storage.PageID) (*Frame, error) {
+	f, err := s.allocFrameLocked()
 	if err != nil {
 		return nil, err
 	}
 	f.checked.Store(false)
-	if err := p.pager.ReadPage(id, f.data); err != nil {
+	if err := s.pager.ReadPage(id, f.data); err != nil {
 		return nil, err
 	}
-	p.stats.DiskReads++
-	p.publishLocked(f, id, false)
+	s.stats.DiskReads++
+	s.publishLocked(f, id, false)
 	return f, nil
 }
 
 // publishLocked enters a frame that just received page id's bytes into the
 // table with one read pin.
-func (p *Pool) publishLocked(f *Frame, id storage.PageID, dirty bool) {
+func (s *shard) publishLocked(f *Frame, id storage.PageID, dirty bool) {
 	f.id = id
 	f.pins = 1
 	f.writePin = false
 	f.dirty = dirty
-	p.frames[id] = f
-	p.pushFrontLocked(f)
+	s.frames[id] = f
+	s.pushFrontLocked(f)
 }
 
 // ReleaseMut drops a write pin obtained from FetchMut, marking the frame
@@ -248,8 +320,9 @@ func (p *Pool) publishLocked(f *Frame, id storage.PageID, dirty bool) {
 // page's consistency is in question; dropping it is a bug (the strlint
 // droppederr check covers this package's callers).
 func (p *Pool) ReleaseMut(f *Frame) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	s := p.shard(f.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !f.writePin || f.pins != 1 {
 		return fmt.Errorf("%w: page %d (pins=%d)", ErrNotWritePinned, f.id, f.pins)
 	}
@@ -277,26 +350,28 @@ func (p *Pool) Create() (*Frame, error) {
 // I/O off the first. A page the pool already holds cannot be adopted; a
 // page that may be cached (a recycled one) is pinned with Fetch.
 func (p *Pool) Adopt(id storage.PageID) (*Frame, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if _, cached := p.frames[id]; cached {
+	s := p.shard(id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, cached := s.frames[id]; cached {
 		return nil, fmt.Errorf("buffer: adopt of cached page %d", id)
 	}
-	f, err := p.allocFrameLocked()
+	f, err := s.allocFrameLocked()
 	if err != nil {
 		return nil, err
 	}
 	f.checked.Store(false)
 	clear(f.data)
-	p.publishLocked(f, id, true)
+	s.publishLocked(f, id, true)
 	return f, nil
 }
 
 // Release unpins a frame obtained from Fetch, Create or Adopt. Releasing an
 // unpinned frame panics: it indicates a double-release bug in the caller.
 func (p *Pool) Release(f *Frame) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	s := p.shard(f.id)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if f.pins <= 0 {
 		//strlint:ignore panics documented contract: releasing an unpinned frame is a double-release bug in the caller
 		panic(fmt.Sprintf("buffer: release of unpinned page %d", f.id))
@@ -310,122 +385,170 @@ func (p *Pool) Release(f *Frame) {
 
 // FlushAll writes every dirty frame to the pager. Frames stay cached.
 func (p *Pool) FlushAll() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, f := range p.frames {
+	for _, s := range p.shards {
+		if err := s.flushAll(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s *shard) flushAll() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, f := range s.frames {
 		if !f.dirty {
 			continue
 		}
-		if err := p.pager.WritePage(f.id, f.data); err != nil {
+		if err := s.pager.WritePage(f.id, f.data); err != nil {
 			return err
 		}
 		f.dirty = false
-		p.stats.DiskWrites++
+		s.stats.DiskWrites++
 	}
 	return nil
 }
 
 // Invalidate drops every frame, writing back dirty ones first. Used between
-// experiment phases to cold-start the buffer.
+// experiment phases to cold-start the buffer. It fails if any frame is
+// pinned.
 func (p *Pool) Invalidate() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id, f := range p.frames {
-		if f.pins > 0 {
-			return fmt.Errorf("buffer: invalidate with page %d pinned", id)
+	for _, s := range p.shards {
+		if err := s.invalidate(); err != nil {
+			return err
 		}
-		if f.dirty {
-			if err := p.pager.WritePage(f.id, f.data); err != nil {
-				return err
-			}
-			p.stats.DiskWrites++
-		}
-		p.unlinkLocked(f)
-		delete(p.frames, id)
 	}
 	return nil
 }
 
-// Stats returns a snapshot of the counters, with Pinned sampled from the
-// frame table at call time.
-func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	for _, f := range p.frames {
+func (s *shard) invalidate() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for id, f := range s.frames {
 		if f.pins > 0 {
-			s.Pinned++
+			return fmt.Errorf("buffer: invalidate with page %d pinned", id)
+		}
+		if f.dirty {
+			if err := s.pager.WritePage(f.id, f.data); err != nil {
+				return err
+			}
+			s.stats.DiskWrites++
+		}
+		s.unlinkLocked(f)
+		delete(s.frames, id)
+	}
+	return nil
+}
+
+// Stats returns a snapshot of the counters summed over the shards, so
+// callers account for a sharded pool exactly as for a single LRU.
+func (p *Pool) Stats() Stats {
+	var sum Stats
+	for _, s := range p.shards {
+		st := s.snapshot()
+		sum.LogicalReads += st.LogicalReads
+		sum.DiskReads += st.DiskReads
+		sum.DiskWrites += st.DiskWrites
+		sum.Evictions += st.Evictions
+		sum.Pinned += st.Pinned
+	}
+	return sum
+}
+
+// ShardStats returns each shard's own counters, for balance diagnostics.
+func (p *Pool) ShardStats() []Stats {
+	out := make([]Stats, len(p.shards))
+	for i, s := range p.shards {
+		out[i] = s.snapshot()
+	}
+	return out
+}
+
+// snapshot returns the shard's counters, with Pinned sampled from the
+// frame table at call time.
+func (s *shard) snapshot() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.stats
+	for _, f := range s.frames {
+		if f.pins > 0 {
+			st.Pinned++
 		}
 	}
-	return s
+	return st
 }
 
 // ResetStats zeroes the counters. The experiments build the tree, reset,
 // then measure queries only.
 func (p *Pool) ResetStats() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.stats = Stats{}
+	for _, s := range p.shards {
+		s.mu.Lock()
+		s.stats = Stats{}
+		s.mu.Unlock()
+	}
 }
 
-// Len returns how many frames are currently cached (the Manager method;
-// Sharded.Len sums it over the shards).
+// Len returns how many frames are currently cached across the shards.
 func (p *Pool) Len() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.frames)
+	n := 0
+	for _, s := range p.shards {
+		s.mu.Lock()
+		n += len(s.frames)
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // allocFrameLocked returns a frame not in the table: a new one while the
-// pool has room, else the least recently used unpinned frame, written back
+// shard has room, else the least recently used unpinned frame, written back
 // if dirty.
-func (p *Pool) allocFrameLocked() (*Frame, error) {
-	if len(p.frames) < p.capacity {
-		return &Frame{data: make([]byte, p.pager.PageSize())}, nil
+func (s *shard) allocFrameLocked() (*Frame, error) {
+	if len(s.frames) < s.capacity {
+		return &Frame{data: make([]byte, s.pager.PageSize())}, nil
 	}
-	for f := p.head.prev; f != &p.head; f = f.prev {
+	for f := s.head.prev; f != &s.head; f = f.prev {
 		if f.pins > 0 {
 			continue
 		}
-		if err := p.writeBackLocked(f); err != nil {
+		if err := s.writeBackLocked(f); err != nil {
 			return nil, err
 		}
-		p.unlinkLocked(f)
-		delete(p.frames, f.id)
-		p.stats.Evictions++
+		s.unlinkLocked(f)
+		delete(s.frames, f.id)
+		s.stats.Evictions++
 		return f, nil
 	}
 	return nil, ErrPoolExhausted
 }
 
 // writeBackLocked flushes a dirty victim before eviction.
-func (p *Pool) writeBackLocked(f *Frame) error {
+func (s *shard) writeBackLocked(f *Frame) error {
 	if !f.dirty {
 		return nil
 	}
-	if err := p.pager.WritePage(f.id, f.data); err != nil {
+	if err := s.pager.WritePage(f.id, f.data); err != nil {
 		return err
 	}
 	f.dirty = false
-	p.stats.DiskWrites++
+	s.stats.DiskWrites++
 	return nil
 }
 
-func (p *Pool) pushFrontLocked(f *Frame) {
-	f.next = p.head.next
-	f.prev = &p.head
-	p.head.next.prev = f
-	p.head.next = f
+func (s *shard) pushFrontLocked(f *Frame) {
+	f.next = s.head.next
+	f.prev = &s.head
+	s.head.next.prev = f
+	s.head.next = f
 }
 
-func (p *Pool) unlinkLocked(f *Frame) {
+func (s *shard) unlinkLocked(f *Frame) {
 	f.prev.next = f.next
 	f.next.prev = f.prev
 	f.prev = nil
 	f.next = nil
 }
 
-func (p *Pool) moveToFrontLocked(f *Frame) {
-	p.unlinkLocked(f)
-	p.pushFrontLocked(f)
+func (s *shard) moveToFrontLocked(f *Frame) {
+	s.unlinkLocked(f)
+	s.pushFrontLocked(f)
 }

@@ -8,25 +8,11 @@ import (
 	"strtree/internal/storage"
 )
 
-// newPoolN returns a pool of the given capacity over a fresh MemPager with
-// n pre-allocated pages, page i filled with byte(i).
+// newPoolN returns a single-shard pool of the given capacity over a fresh
+// MemPager with n pre-allocated pages, page i filled with byte(i).
 func newPoolN(t *testing.T, capacity, n int) (*Pool, *storage.MemPager) {
 	t.Helper()
-	pg := storage.NewMemPager(64)
-	buf := make([]byte, 64)
-	for i := 0; i < n; i++ {
-		id, err := pg.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range buf {
-			buf[j] = byte(i)
-		}
-		if err := pg.WritePage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return NewPool(pg, capacity), pg
+	return newShardedN(t, capacity, 1, n)
 }
 
 func TestFetchHitAndMiss(t *testing.T) {
@@ -154,37 +140,53 @@ func TestPinnedFramesNotEvicted(t *testing.T) {
 	}
 }
 
+// TestCreate allocates pages through the pool, writes through them, and
+// checks FlushAll lands the bytes in the pager without a disk read.
 func TestCreate(t *testing.T) {
-	p, pg := newPoolN(t, 4, 0)
-	f, err := p.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.ID() != 0 {
-		t.Fatalf("created page id = %d", f.ID())
-	}
-	copy(f.Data(), []byte("hello"))
-	p.Release(f)
-	if err := p.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	got := make([]byte, 64)
-	if err := pg.ReadPage(0, got); err != nil {
-		t.Fatal(err)
-	}
-	if string(got[:5]) != "hello" {
-		t.Fatal("created page contents lost")
-	}
-	// Create performs no disk read.
-	if s := p.Stats(); s.DiskReads != 0 {
-		t.Fatalf("Create incurred %d disk reads", s.DiskReads)
+	for _, sc := range shardCases {
+		t.Run(sc.name, func(t *testing.T) {
+			p, pg := newShardedN(t, 16, sc.shards, 0)
+			for i := 0; i < 8; i++ {
+				f, err := p.Create()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if f.ID() != storage.PageID(i) {
+					t.Fatalf("created page id = %d, want %d", f.ID(), i)
+				}
+				f.Data()[0] = 0xA0 | byte(i)
+				p.Release(f)
+			}
+			if err := p.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64)
+			for i := 0; i < 8; i++ {
+				if err := pg.ReadPage(storage.PageID(i), buf); err != nil {
+					t.Fatal(err)
+				}
+				if buf[0] != 0xA0|byte(i) {
+					t.Fatalf("page %d lost its created contents", i)
+				}
+			}
+			// Create performs no disk read.
+			if s := p.Stats(); s.DiskReads != 0 {
+				t.Fatalf("Create incurred %d disk reads", s.DiskReads)
+			}
+			if err := p.Invalidate(); err != nil {
+				t.Fatal(err)
+			}
+			if p.Len() != 0 {
+				t.Fatalf("Len after invalidate = %d", p.Len())
+			}
+		})
 	}
 }
 
 // TestAdopt: a page allocated on one side is adopted — zeroed, dirty, one
 // pin, no read — on another; the eviction it causes, and that victim's
 // write-back, happen inside Adopt; and a page the pool already holds is
-// refused rather than mapped twice. On a Pool and through a Sharded's
+// refused rather than mapped twice. On one shard and through the shard
 // routing alike.
 func TestAdopt(t *testing.T) {
 	pg := storage.NewMemPager(64)

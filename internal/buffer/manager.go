@@ -3,18 +3,10 @@ package buffer
 import "strtree/internal/storage"
 
 // Manager is the page-buffer interface the tree layers program against.
-// Two implementations exist:
+// Pool is its implementation; the interface exists so a caller can wrap
+// the pool (a timing or counting decorator) without the tree knowing.
 //
-//   - Pool: a single LRU cache behind one mutex. Its replacement
-//     decisions are a deterministic function of the fetch sequence, which is
-//     what the paper-reproduction experiments rely on: the same trace always
-//     produces the same miss counts.
-//   - Sharded: N independent Pools selected by a page-number hash, for
-//     concurrent query serving. Fetches on different shards proceed in
-//     parallel; Stats aggregates the shards so experiment accounting is
-//     unchanged. With one shard it is byte-for-byte the deterministic Pool.
-//
-// All implementations are safe for concurrent use. The pin protocol is the
+// Implementations are safe for concurrent use. The pin protocol is the
 // concurrency contract: a frame returned by Fetch, Create or Adopt stays pinned —
 // and therefore cannot be evicted or have its bytes reused under the caller
 // — until the matching Release.
@@ -64,8 +56,4 @@ type Manager interface {
 	Len() int
 }
 
-// Both buffer implementations must satisfy the interface.
-var (
-	_ Manager = (*Pool)(nil)
-	_ Manager = (*Sharded)(nil)
-)
+var _ Manager = (*Pool)(nil)

@@ -8,9 +8,9 @@ import (
 	"strtree/internal/storage"
 )
 
-// newShardedN returns a sharded pool over a fresh MemPager with n
-// pre-allocated pages, page i filled with byte(i).
-func newShardedN(t *testing.T, capacity, shards, n int) (*Sharded, *storage.MemPager) {
+// newShardedN returns a pool of the given capacity and shard count over a
+// fresh MemPager with n pre-allocated pages, page i filled with byte(i).
+func newShardedN(t *testing.T, capacity, shards, n int) (*Pool, *storage.MemPager) {
 	t.Helper()
 	pg := storage.NewMemPager(64)
 	buf := make([]byte, 64)
@@ -31,6 +31,24 @@ func newShardedN(t *testing.T, capacity, shards, n int) (*Sharded, *storage.MemP
 		t.Fatal(err)
 	}
 	return s, pg
+}
+
+// shardCases are the shard counts the pin-protocol tests run over, named
+// as subtests: the single deterministic LRU and a 4-shard pool.
+var shardCases = []struct {
+	name   string
+	shards int
+}{{"lru", 1}, {"sharded-4", 4}}
+
+// sameShard returns the first n page ids that hash to page 0's shard.
+func sameShard(p *Pool, n int) []storage.PageID {
+	var ids []storage.PageID
+	for id := storage.PageID(0); len(ids) < n; id++ {
+		if p.shard(id) == p.shard(0) {
+			ids = append(ids, id)
+		}
+	}
+	return ids
 }
 
 // randTrace returns ops page ids over [0, pages) with Zipf-ish skew, the
@@ -75,24 +93,9 @@ func TestShardedValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSharded(64, %d): %v", ok, err)
 		}
-		if s.NumShards() != ok || s.Capacity() != 64 {
-			t.Fatalf("shards=%d capacity=%d, want %d/64", s.NumShards(), s.Capacity(), ok)
+		if len(s.shards) != ok || s.Capacity() != 64 {
+			t.Fatalf("shards=%d capacity=%d, want %d/64", len(s.shards), s.Capacity(), ok)
 		}
-	}
-}
-
-// TestSingleShardMatchesPool is the determinism gate for paper-reproduction
-// runs: with one shard, every counter matches the plain deterministic Pool
-// on the same trace, byte for byte.
-func TestSingleShardMatchesPool(t *testing.T) {
-	const pages, capacity, ops = 40, 7, 5000
-	s, _ := newShardedN(t, capacity, 1, pages)
-	p, _ := newPoolN(t, capacity, pages)
-	trace := randTrace(pages, ops, 123)
-	replay(t, s, trace)
-	replay(t, p, trace)
-	if got, want := s.Stats(), p.Stats(); got != want {
-		t.Fatalf("single-shard stats %+v, pool stats %+v", got, want)
 	}
 }
 
@@ -239,38 +242,4 @@ type tornReadError struct{}
 
 func (*tornReadError) Error() string {
 	return "buffer: pinned frame observed bytes from another page"
-}
-
-// TestShardedCreateFlush allocates pages through the sharded manager,
-// writes through them, and checks FlushAll lands the bytes in the pager.
-func TestShardedCreateFlush(t *testing.T) {
-	s, pg := newShardedN(t, 16, 4, 0)
-	var ids []storage.PageID
-	for i := 0; i < 8; i++ {
-		f, err := s.Create()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Data()[0] = 0xA0 | byte(i)
-		ids = append(ids, f.ID())
-		s.Release(f)
-	}
-	if err := s.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	for i, id := range ids {
-		if err := pg.ReadPage(id, buf); err != nil {
-			t.Fatal(err)
-		}
-		if buf[0] != 0xA0|byte(i) {
-			t.Fatalf("page %d lost its created contents", id)
-		}
-	}
-	if err := s.Invalidate(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("Len after invalidate = %d", s.Len())
-	}
 }

@@ -8,10 +8,13 @@ import (
 )
 
 // newWritePinPool sets up a pool over a mem pager with n pre-allocated pages.
-func newWritePinPool(t *testing.T, capacity, pages int) (*Pool, []storage.PageID) {
+func newWritePinPool(t *testing.T, capacity, shards, pages int) (*Pool, []storage.PageID) {
 	t.Helper()
 	pager := storage.NewMemPager(128)
-	p := NewPool(pager, capacity)
+	p, err := NewSharded(pager, capacity, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ids := make([]storage.PageID, pages)
 	for i := range ids {
 		f, err := p.Create()
@@ -27,8 +30,16 @@ func newWritePinPool(t *testing.T, capacity, pages int) (*Pool, []storage.PageID
 	return p, ids
 }
 
+// TestWritePinExclusivity pins the write-pin protocol on one shard and,
+// routed by page hash, on four.
 func TestWritePinExclusivity(t *testing.T) {
-	p, ids := newWritePinPool(t, 4, 2)
+	for _, sc := range shardCases {
+		t.Run(sc.name, func(t *testing.T) { testWritePinExclusivity(t, sc.shards) })
+	}
+}
+
+func testWritePinExclusivity(t *testing.T, shards int) {
+	p, ids := newWritePinPool(t, 4*shards, shards, 2)
 
 	// A write pin on a read-pinned page must fail.
 	rf, err := p.Fetch(ids[0])
@@ -63,6 +74,14 @@ func TestWritePinExclusivity(t *testing.T) {
 	if err := p.ReleaseMut(wf); err != nil {
 		t.Fatalf("ReleaseMut: %v", err)
 	}
+	rf, err = p.Fetch(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rf.Data()[0] != 0xAB {
+		t.Fatalf("patched byte lost across the write pin: %#x", rf.Data()[0])
+	}
+	p.Release(rf)
 
 	// The write-released frame is dirty: flushing persists the patch.
 	if err := p.FlushAll(); err != nil {
@@ -78,7 +97,7 @@ func TestWritePinExclusivity(t *testing.T) {
 }
 
 func TestReleaseMutProtocolErrors(t *testing.T) {
-	p, ids := newWritePinPool(t, 4, 1)
+	p, ids := newWritePinPool(t, 4, 1, 1)
 
 	// ReleaseMut of a read pin is a pairing bug.
 	rf, err := p.Fetch(ids[0])
@@ -104,7 +123,7 @@ func TestReleaseMutProtocolErrors(t *testing.T) {
 }
 
 func TestReleaseOfWritePinPanics(t *testing.T) {
-	p, ids := newWritePinPool(t, 4, 1)
+	p, ids := newWritePinPool(t, 4, 1, 1)
 	wf, err := p.FetchMut(ids[0])
 	if err != nil {
 		t.Fatal(err)
@@ -123,64 +142,34 @@ func TestReleaseOfWritePinPanics(t *testing.T) {
 }
 
 // TestWritePinMiss covers the FetchMut miss path: the page is read from the
-// pager, write-pinned immediately, and the pin blocks eviction.
+// pager, write-pinned immediately, and the pin blocks eviction. The two
+// pages share a one-frame shard.
 func TestWritePinMiss(t *testing.T) {
-	p, ids := newWritePinPool(t, 1, 2)
-	wf, err := p.FetchMut(ids[0])
-	if err != nil {
-		t.Fatal(err)
+	for _, sc := range shardCases {
+		t.Run(sc.name, func(t *testing.T) {
+			p, _ := newWritePinPool(t, sc.shards, sc.shards, 16)
+			ids := sameShard(p, 2)
+			wf, err := p.FetchMut(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The shard's only frame write-pinned: another fetch cannot
+			// evict it.
+			if _, err := p.Fetch(ids[1]); !errors.Is(err, ErrPoolExhausted) {
+				t.Fatalf("Fetch with the sole frame write-pinned: got %v, want ErrPoolExhausted", err)
+			}
+			if err := p.ReleaseMut(wf); err != nil {
+				t.Fatal(err)
+			}
+			f, err := p.Fetch(ids[1])
+			if err != nil {
+				t.Fatalf("Fetch after ReleaseMut: %v", err)
+			}
+			p.Release(f)
+			s := p.Stats()
+			if s.DiskReads != 2 {
+				t.Fatalf("DiskReads = %d, want 2 (one per miss)", s.DiskReads)
+			}
+		})
 	}
-	// Capacity 1 and the only frame write-pinned: another fetch cannot
-	// evict it.
-	if _, err := p.Fetch(ids[1]); !errors.Is(err, ErrPoolExhausted) {
-		t.Fatalf("Fetch with the sole frame write-pinned: got %v, want ErrPoolExhausted", err)
-	}
-	if err := p.ReleaseMut(wf); err != nil {
-		t.Fatal(err)
-	}
-	f, err := p.Fetch(ids[1])
-	if err != nil {
-		t.Fatalf("Fetch after ReleaseMut: %v", err)
-	}
-	p.Release(f)
-	s := p.Stats()
-	if s.DiskReads != 2 {
-		t.Fatalf("DiskReads = %d, want 2 (one per miss)", s.DiskReads)
-	}
-}
-
-// TestShardedWritePin proves the sharded manager routes write pins to the
-// owning shard with the same protocol.
-func TestShardedWritePin(t *testing.T) {
-	pager := storage.NewMemPager(128)
-	s, err := NewSharded(pager, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := s.Create()
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := f.ID()
-	s.Release(f)
-
-	wf, err := s.FetchMut(id)
-	if err != nil {
-		t.Fatalf("sharded FetchMut: %v", err)
-	}
-	if _, err := s.Fetch(id); !errors.Is(err, ErrWritePinned) {
-		t.Fatalf("sharded Fetch during write pin: got %v, want ErrWritePinned", err)
-	}
-	wf.Data()[1] = 0x5A
-	if err := s.ReleaseMut(wf); err != nil {
-		t.Fatalf("sharded ReleaseMut: %v", err)
-	}
-	rf, err := s.Fetch(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rf.Data()[1] != 0x5A {
-		t.Fatalf("patched byte lost across sharded write pin: %#x", rf.Data()[1])
-	}
-	s.Release(rf)
 }

@@ -340,7 +340,7 @@ func TestFillNodeFailedKeepsPage(t *testing.T) {
 }
 
 // TestConcurrentReadersColdSharded hammers the mark's concurrent edge:
-// several readers over one Sharded manager far smaller than the tree, so
+// several readers over one 4-shard pool far smaller than the tree, so
 // frames are evicted, reloaded and re-validated constantly while other
 // readers hit, read the mark and trust it. Every answer is held to the
 // linear-scan oracle; check.sh runs this under -race.

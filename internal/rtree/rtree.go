@@ -60,10 +60,10 @@ type Config struct {
 // manager, whose pin protocol keeps a fetched page's bytes stable until
 // release (queries decode them in place through node.View inside that pin
 // scope; Insert and Delete descend the same way and patch pages through
-// node.MutableView under exclusive write pins, see mutate.go). Use a
-// sharded manager (buffer.Sharded) so concurrent readers do not serialize
-// behind one buffer mutex, or independent Trees sharing a pager for fully
-// separate buffer accounting.
+// node.MutableView under exclusive write pins, see mutate.go). Give the
+// buffer.Pool more than one shard (buffer.NewSharded) so concurrent readers
+// do not serialize behind one buffer mutex, or use independent Trees
+// sharing a pager for fully separate buffer accounting.
 type Tree struct {
 	pool           buffer.Manager
 	dims           int

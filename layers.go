@@ -59,7 +59,10 @@ func CreateLayers(path string, opts Options) (*LayerSet, error) {
 }
 
 func newLayerSet(pg storage.Pager, opts Options) (*LayerSet, error) {
-	pool := buffer.NewPool(pg, opts.BufferPages)
+	pool, err := newBuffer(pg, opts)
+	if err != nil {
+		return nil, err
+	}
 	ls := &LayerSet{
 		pager:   pg,
 		pool:    pool,
@@ -78,16 +81,19 @@ func newLayerSet(pg storage.Pager, opts Options) (*LayerSet, error) {
 	return ls, nil
 }
 
-// OpenLayers opens a layer set written by CreateLayers. Only PageSize and
-// BufferPages of opts are used for the file; structural options apply to
-// layers created afterwards.
+// OpenLayers opens a layer set written by CreateLayers. Only PageSize,
+// BufferPages and BufferShards of opts are used for the file; structural
+// options apply to layers created afterwards.
 func OpenLayers(path string, opts Options) (*LayerSet, error) {
 	opts = opts.withDefaults()
 	pg, err := storage.OpenFilePager(path, opts.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	pool := buffer.NewPool(pg, opts.BufferPages)
+	pool, err := newBuffer(pg, opts)
+	if err != nil {
+		return nil, errors.Join(err, pg.Close())
+	}
 	ls := &LayerSet{
 		pager:   pg,
 		pool:    pool,

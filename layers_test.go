@@ -218,6 +218,24 @@ func TestLayersSharedStats(t *testing.T) {
 	}
 }
 
+// TestLayersBufferShards: a layer set builds its buffer like a Tree does,
+// so Options.BufferShards reaches every layer's ShardStats.
+func TestLayersBufferShards(t *testing.T) {
+	for _, c := range []struct{ shards, want int }{{0, 1}, {4, 4}} {
+		ls, err := NewLayers(Options{BufferShards: c.shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree, err := ls.Create("a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(tree.ShardStats()); got != c.want {
+			t.Errorf("BufferShards %d: layer has %d buffer shards, want %d", c.shards, got, c.want)
+		}
+	}
+}
+
 // tracePager records the sequence of WritePage calls passing through it.
 type tracePager struct {
 	storage.Pager

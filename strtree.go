@@ -130,13 +130,14 @@ type Options struct {
 	BufferPages int
 	// BufferShards splits the LRU buffer into this power-of-two number of
 	// independently locked shards so concurrent queries (SearchBatch,
-	// Views, goroutines sharing the tree) stop serializing behind one
-	// buffer mutex. 0 or 1 keeps the single deterministic LRU whose miss
-	// counts reproduce the paper's tables; sharding changes eviction
-	// locality, so access counts under memory pressure can differ
-	// slightly. BufferPages must be at least BufferShards, and each
-	// shard's slice of the buffer must cover the worst-case concurrently
-	// pinned pages (one per querying goroutine).
+	// goroutines sharing the tree) stop serializing behind one buffer
+	// mutex; a LayerSet's shared buffer is split the same way. 0 means 1:
+	// the single deterministic LRU whose miss counts reproduce the paper's
+	// tables; more shards change eviction locality, so access counts under
+	// memory pressure can differ slightly. BufferPages must be at least
+	// BufferShards, and each shard's slice of the buffer must cover the
+	// worst-case concurrently pinned pages (one per querying goroutine).
+	// A bad value is an error from the constructor, not a panic.
 	BufferShards int
 	// Capacity caps entries per node (the paper's n); 0 fills the page.
 	Capacity int
@@ -184,6 +185,9 @@ func (o Options) withDefaults() Options {
 	if o.BufferPages == 0 {
 		o.BufferPages = 256
 	}
+	if o.BufferShards == 0 {
+		o.BufferShards = 1
+	}
 	return o
 }
 
@@ -214,7 +218,7 @@ type Metrics struct {
 // own View.
 type Tree struct {
 	inner    *rtree.Tree
-	pool     buffer.Manager
+	pool     *buffer.Pool
 	pager    storage.Pager
 	readonly bool
 	// shared trees (views, layers) do not own the pager; Close releases
@@ -252,13 +256,10 @@ func Create(path string, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// newBuffer builds the tree's buffer manager per opts: a single
-// deterministic LRU by default, a sharded one when BufferShards > 1.
-func newBuffer(pg storage.Pager, opts Options) (buffer.Manager, error) {
-	if opts.BufferShards > 1 {
-		return buffer.NewSharded(pg, opts.BufferPages, opts.BufferShards)
-	}
-	return buffer.NewPool(pg, opts.BufferPages), nil
+// newBuffer builds the buffer of a tree or layer set per opts (after
+// withDefaults). The constructor rejects a bad page or shard count.
+func newBuffer(pg storage.Pager, opts Options) (*buffer.Pool, error) {
+	return buffer.NewSharded(pg, opts.BufferPages, opts.BufferShards)
 }
 
 func create(pg storage.Pager, opts Options) (*Tree, error) {
@@ -448,18 +449,13 @@ type ShardIOStats struct {
 	Pinned int64
 }
 
-// ShardStats returns per-shard buffer counters — one element per shard
-// for a tree opened with Options.BufferShards > 1, a single element for
-// the default unsharded buffer. The snapshot is taken shard by shard, so
+// ShardStats returns per-shard buffer counters, one element per shard of
+// Options.BufferShards (a single element for the default one-shard
+// buffer). The snapshot is taken shard by shard, so
 // concurrent queries may move counters between elements mid-read; totals
 // remain consistent with Stats to within in-flight fetches.
 func (t *Tree) ShardStats() []ShardIOStats {
-	var per []buffer.Stats
-	if s, ok := t.pool.(*buffer.Sharded); ok {
-		per = s.ShardStats()
-	} else {
-		per = []buffer.Stats{t.pool.Stats()}
-	}
+	per := t.pool.ShardStats()
 	out := make([]ShardIOStats, len(per))
 	for i, s := range per {
 		out[i] = ShardIOStats{
@@ -626,10 +622,13 @@ func (t *Tree) View(bufferPages int) (*Tree, error) {
 	if bufferPages == 0 {
 		bufferPages = 256
 	}
+	pool, err := buffer.NewSharded(t.pager, bufferPages, 1)
+	if err != nil {
+		return nil, err
+	}
 	if err := t.Flush(); err != nil {
 		return nil, err
 	}
-	pool := buffer.NewPool(t.pager, bufferPages)
 	inner, err := rtree.Open(pool)
 	if err != nil {
 		return nil, err
