@@ -10,7 +10,10 @@ package strtree
 
 import (
 	"context"
+	"runtime"
 	"testing"
+
+	"strtree/internal/storage"
 )
 
 // zeroAllocTree builds a packed 2-d tree big enough to be multi-level,
@@ -246,5 +249,41 @@ func TestBulkLoadExternalAllocBound(t *testing.T) {
 		t.Errorf("external build allocated %.2f times per entry, bound %.2f", perEntry, perEntryBound)
 	} else {
 		t.Logf("external build: %.3f allocations per entry", perEntry)
+	}
+}
+
+// TestBulkLoadAllocBound gates the in-memory build's allocations at the
+// public API: a level costs its record arrays, its sort's scratch and the
+// closures and goroutines of its parallel passes, never anything per page or
+// per entry. The build runs on a MemPager behind an 8-frame pool, so the
+// pager's page allocations (subtracted) and the pool's frames are all that
+// grow with the data outside the loader. The 100 000 items fill 992 pages:
+// one allocation per page would triple the bound.
+func TestBulkLoadAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const perLevel = 100
+	items := randItems(100000, 41)
+	for _, workers := range []int{1, 2} {
+		tr, err := New(Options{BufferPages: 8, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pager := tr.pager.(*storage.MemPager)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pages := pager.Stats().Allocs
+		if err := tr.BulkLoad(items, PackSTR); err != nil {
+			t.Fatal(err)
+		}
+		pages = pager.Stats().Allocs - pages
+		runtime.ReadMemStats(&after)
+		allocs, levels := after.Mallocs-before.Mallocs-uint64(pages), tr.inner.Height()
+		t.Logf("workers %d: %d allocations besides the pager's %d pages, %d levels", workers, allocs, pages, levels)
+		if allocs > uint64(perLevel*levels) {
+			t.Errorf("workers %d: BulkLoad of %d items allocated %d times besides the pager's pages, want <= %d per level (%d levels)",
+				workers, len(items), allocs, perLevel, levels)
+		}
 	}
 }

@@ -280,8 +280,8 @@ func BenchmarkBuild(b *testing.B) {
 
 // BenchmarkBulkLoad500k is the ledger's build workload as a go test
 // benchmark: Create on a file, BulkLoad(PackSTR) of 500 000 uniform squares
-// at Workers: 2, Close — the public API end to end, the Item -> Entry pass,
-// the input check, the sort, the packing, the write-behind and the file
+// at Workers: 2, Close — the public API end to end, the checked Item ->
+// record encoding, the sort, the packing, the write-behind and the file
 // included. check.sh runs it once so it cannot rot; nightly.yml times it.
 func BenchmarkBulkLoad500k(b *testing.B) {
 	entries := datagen.UniformSquares(500000, 5.0, 1)

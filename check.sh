@@ -6,11 +6,16 @@
 #   2. go vet         the standard analyzer suite (strlint repeats none
 #                     of it: loop-variable capture is vet's loopclosure,
 #                     locks copied by value are vet's copylocks)
-#   3. go build       the whole module compiles, and two greps: no non-test
+#   3. go build       the whole module compiles, and three greps: no non-test
 #                     .go file outside internal/node and bench/ mentions
 #                     node.Unmarshal or readNode — library code reads a
 #                     page through node.View only, so the second decoder
-#                     cannot creep back — and none mentions a variant the
+#                     cannot creep back — none outside internal/node,
+#                     bench/ and internal/rtree/check.go (Check's round
+#                     trip) mentions node.Marshal — every page the library
+#                     writes is filled from page records (node.FillRecords,
+#                     MutableView), so no builder stages node.Nodes again —
+#                     and none mentions a variant the
 #                     measurements retired (DESIGN.md, "Tried and
 #                     dropped"): splitLinear, splitQuadratic, distribute(
 #                     and splitRStar — test baselines in internal/rtree's
@@ -118,6 +123,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
+if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/\|^./internal/rtree/check\.go:'; then echo "library code writes pages from records; only Check's round trip may call node.Marshal" >&2; exit 1; fi
 if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 
 echo "== strlint"

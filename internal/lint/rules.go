@@ -54,7 +54,7 @@ var deterministicLayers = map[string]bool{
 //	query                              -> geom, node
 //	buffer, trace                      -> storage
 //	datagen                            -> geom, node
-//	psort                              -> node
+//	psort                              -> geom, node
 //	extsort                            -> geom, node, psort
 //	pack                               -> extsort, geom, hilbert, node, psort
 //	rtree                              -> buffer, geom, node, psort, storage
@@ -93,7 +93,7 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/trace":   {"internal/storage": true},
 	"internal/datagen": {"internal/geom": true, "internal/node": true},
 	"internal/extsort": {"internal/geom": true, "internal/node": true, "internal/psort": true},
-	"internal/psort":   {"internal/node": true},
+	"internal/psort":   {"internal/geom": true, "internal/node": true},
 	"internal/pack": {
 		"internal/extsort": true,
 		"internal/geom":    true,
@@ -105,7 +105,7 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/buffer":  true,
 		"internal/geom":    true,
 		"internal/node":    true,
-		"internal/psort":   true, // Chunks: the bulk loader's parallel input check
+		"internal/psort":   true, // Chunks: the bulk loader's parallel encode and check
 		"internal/storage": true,
 	},
 	"internal/metrics": {
@@ -157,7 +157,6 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/metrics": true,
 		"internal/node":    true,
 		"internal/pack":    true,
-		"internal/psort":   true, // Chunks: BulkLoad's parallel Item -> Entry pass
 		"internal/query":   true,
 		"internal/rtree":   true,
 		"internal/storage": true,

@@ -9,6 +9,7 @@ import (
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
 )
@@ -20,6 +21,15 @@ func (xOrder) Order(entries []node.Entry, n, level int) {
 	sort.Slice(entries, func(i, j int) bool {
 		return entries[i].Rect.CenterAxis(0) < entries[j].Rect.CenterAxis(0)
 	})
+}
+
+// OrderRecords runs Order over the records decoded into entries.
+func (o xOrder) OrderRecords(recs []byte, dims, n, level int) []byte {
+	entries := make([]node.Entry, len(recs)/node.EntrySize(dims))
+	psort.Decode(entries, recs, dims, 1)
+	o.Order(entries, n, level)
+	recs, _ = psort.Encode(entries, 1)
+	return recs
 }
 
 func TestMeasureHandComputed(t *testing.T) {

@@ -5,18 +5,20 @@
 // wins skewed point data.
 //
 // Each algorithm is an rtree.Orderer: it permutes the entries of one tree
-// level into the sequence in which the builder cuts them into nodes of
-// capacity n. Per the paper (Section 2.2) "the three algorithms differ
-// only in how the rectangles are ordered at each level"; the surrounding
-// bottom-up build is shared and lives in internal/rtree.
+// level — page records, as the builder holds them — into the sequence in
+// which the builder cuts them into nodes of capacity n. Per the paper
+// (Section 2.2) "the three algorithms differ only in how the rectangles are
+// ordered at each level"; the surrounding bottom-up build is shared and
+// lives in internal/rtree.
 //
 // All sorting goes through internal/psort: keys are computed once per
-// entry and axis, a stable radix sort orders (key, index) pairs, and the
-// entries themselves move once, their coordinates with them, when the order
-// is final — STR sorts one permutation axis by axis, slab by slab, before it
-// moves anything — so what an orderer returns reads sequentially. A
-// stable sort has one answer, so every orderer produces byte-for-byte the
-// same permutation at any Workers setting.
+// record and axis, a stable radix sort orders (key, index) pairs, and the
+// records move once, into one new array, when the order is final — STR
+// sorts one permutation axis by axis, slab by slab, before it moves
+// anything — so what an orderer returns reads sequentially. A stable sort
+// has one answer, so every orderer produces byte-for-byte the same
+// permutation at any Workers setting. Each orderer's Order, the entry form,
+// is its OrderRecords behind psort.OrderEntries.
 package pack
 
 import (
@@ -45,12 +47,35 @@ type NX struct {
 func (NX) Name() string { return "NX" }
 
 // Order implements rtree.Orderer.
-func (o NX) Order(entries []node.Entry, n, level int) {
-	sortByCenter(entries, 0, normWorkers(o.Workers))
+func (o NX) Order(entries []node.Entry, n, level int) { orderEntries(o, entries, n, level, o.Workers) }
+
+// OrderRecords implements rtree.Orderer.
+func (o NX) OrderRecords(recs []byte, dims, n, level int) []byte {
+	return sortByCenter(recs, dims, 0, normWorkers(o.Workers))
 }
 
-func sortByCenter(entries []node.Entry, axis, workers int) {
-	psort.ByCenter(entries, axis, workers)
+// orderEntries is every orderer's Order: its OrderRecords over the entries
+// encoded as records, decoded back by psort.OrderEntries.
+func orderEntries(o interface {
+	OrderRecords(recs []byte, dims, n, level int) []byte
+}, entries []node.Entry, n, level, workers int) {
+	psort.OrderEntries(entries, normWorkers(workers), func(recs []byte, dims int) []byte {
+		return o.OrderRecords(recs, dims, n, level)
+	})
+}
+
+// sortByCenter returns recs in the stable order of their centres on axis.
+func sortByCenter(recs []byte, dims, axis, workers int) []byte {
+	p := psort.NewPerm(recs, dims)
+	p.SortByCenter(0, p.Len(), axis, workers)
+	return p.Apply(workers)
+}
+
+// recordCenter returns the centre on axis d of the record rec starts with,
+// as geom.Rect.CenterAxis computes it.
+func recordCenter(rec []byte, d int) float64 {
+	lo, hi := node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
+	return lo + (hi-lo)/2
 }
 
 func normWorkers(w int) int {
@@ -100,12 +125,16 @@ type HS struct {
 func (HS) Name() string { return "HS" }
 
 // Order implements rtree.Orderer.
-func (h HS) Order(entries []node.Entry, n, level int) {
-	if len(entries) < 2 {
-		return
+func (h HS) Order(entries []node.Entry, n, level int) { orderEntries(h, entries, n, level, h.Workers) }
+
+// OrderRecords implements rtree.Orderer.
+func (h HS) OrderRecords(recs []byte, dims, n, level int) []byte {
+	size := node.EntrySize(dims)
+	count := len(recs) / size
+	if count < 2 {
+		return recs
 	}
 	workers := normWorkers(h.Workers)
-	dims := entries[0].Rect.Dim()
 	order := min(64/dims, 31)
 	// Fit the grid to the centers.
 	lo := make([]float64, dims)
@@ -114,9 +143,10 @@ func (h HS) Order(entries []node.Entry, n, level int) {
 		lo[d] = math.Inf(1)
 		hi[d] = math.Inf(-1)
 	}
-	for i := range entries {
+	for i := 0; i < count; i++ {
+		rec := recs[i*size:]
 		for d := 0; d < dims; d++ {
-			c := entries[i].Rect.CenterAxis(d)
+			c := recordCenter(rec, d)
 			lo[d] = math.Min(lo[d], c)
 			hi[d] = math.Max(hi[d], c)
 		}
@@ -125,22 +155,22 @@ func (h HS) Order(entries []node.Entry, n, level int) {
 	if err != nil {
 		// Bounds come from the data itself, so this is unreachable for
 		// valid entries; fall back to NX rather than corrupt the build.
-		sortByCenter(entries, 0, workers)
-		return
+		return sortByCenter(recs, dims, 0, workers)
 	}
-	keys := make([]uint64, len(entries))
-	psort.Chunks(len(entries), workers, func(clo, chi int) {
+	keys := make([]uint64, count)
+	psort.Chunks(count, workers, func(clo, chi int) {
 		center := make([]float64, dims)
 		cell := make([]uint32, dims)
 		for i := clo; i < chi; i++ {
+			rec := recs[i*size:]
 			for d := 0; d < dims; d++ {
-				center[d] = entries[i].Rect.CenterAxis(d)
+				center[d] = recordCenter(rec, d)
 			}
 			m.CellInto(center, cell)
 			keys[i] = hilbert.Index(order, cell)
 		}
 	})
-	psort.ByKeys(entries, keys, workers)
+	return psort.ByKeys(recs, dims, keys, workers)
 }
 
 // STRTiming accumulates the wall time an STR build spends in its two
@@ -152,7 +182,7 @@ type STRTiming struct {
 	SortNanos atomic.Int64
 	// TileNanos is the time spent tiling — slab partitioning plus the
 	// per-slab sorts on the remaining axes — and in the one move of the
-	// entries into the finished order.
+	// records into the finished order.
 	TileNanos atomic.Int64
 }
 
@@ -167,7 +197,7 @@ type STRTiming struct {
 // processed recursively as a (k-1)-dimensional data set.
 //
 // Every sort is a stable sort of a range of one index permutation
-// (psort.Perm), so the recursion runs over index ranges and the entries
+// (psort.Perm), so the recursion runs over index ranges and the records
 // are moved once, after the last axis.
 type STR struct {
 	// Workers > 1 parallelizes the first-axis sort through the psort
@@ -183,29 +213,32 @@ type STR struct {
 func (STR) Name() string { return "STR" }
 
 // Order implements rtree.Orderer.
-func (s STR) Order(entries []node.Entry, n, level int) {
-	if len(entries) < 2 {
-		return
+func (s STR) Order(entries []node.Entry, n, level int) { orderEntries(s, entries, n, level, s.Workers) }
+
+// OrderRecords implements rtree.Orderer.
+func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
+	if len(recs) < 2*node.EntrySize(dims) {
+		return recs
 	}
 	if n < 1 {
 		//strlint:ignore panics documented contract: a capacity below 1 is a builder bug, not a data condition
 		panic("pack: node capacity < 1")
 	}
-	dims := entries[0].Rect.Dim()
 	t0 := time.Now()
-	p := psort.NewPerm(entries)
-	p.SortByCenter(0, len(entries), 0, s.workers())
+	p := psort.NewPerm(recs, dims)
+	p.SortByCenter(0, p.Len(), 0, s.workers())
 	if s.Timing != nil {
 		s.Timing.SortNanos.Add(int64(time.Since(t0)))
 	}
 	t0 = time.Now()
 	if dims > 1 {
-		s.tile(p, 0, len(entries), n, 1, dims, s.workers())
+		s.tile(p, 0, p.Len(), n, 1, dims, s.workers())
 	}
-	p.Apply(s.workers())
+	out := p.Apply(s.workers())
 	if s.Timing != nil {
 		s.Timing.TileNanos.Add(int64(time.Since(t0)))
 	}
+	return out
 }
 
 // tile cuts positions [lo, hi) of p, sorted on axis-1, into the STR slab

@@ -7,6 +7,7 @@ import (
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 )
 
 // refSTR is the STR order as the paper states it and as this package
@@ -77,23 +78,21 @@ func TestSTROrderMatchesTwoSortReference(t *testing.T) {
 }
 
 // TestSTROrderAllocBound keeps STR's scratch per call, not per slab: the
-// pairs, the permutation header, the coordinate slab and the refs the one
-// move gathers into, and three closures, however many slabs the level has.
+// permutation header and its pairs, the one record array the move gathers
+// into, and the tiling closure, however many slabs the level has.
 func TestSTROrderAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	const bound = 7
+	const bound = 4
 	for _, size := range []int{25000, 100000} { // 16 and 32 slabs of capacity-100 nodes
-		base := uniformSquares(size, 3)
-		work := make([]node.Entry, size)
+		recs, dims := psort.Encode(uniformSquares(size, 3), 1)
 		allocs := testing.AllocsPerRun(3, func() {
-			copy(work, base)
-			STR{Workers: 1}.Order(work, 100, 0)
+			STR{Workers: 1}.OrderRecords(recs, dims, 100, 0)
 		})
-		t.Logf("%d entries: %v allocations per Order", size, allocs)
+		t.Logf("%d entries: %v allocations per OrderRecords", size, allocs)
 		if allocs > bound {
-			t.Fatalf("%d entries: STR.Order allocates %v times, want <= %d whatever the slab count", size, allocs, bound)
+			t.Fatalf("%d entries: STR.OrderRecords allocates %v times, want <= %d whatever the slab count", size, allocs, bound)
 		}
 	}
 }

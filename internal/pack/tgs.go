@@ -33,57 +33,62 @@ type TGS struct {
 func (TGS) Name() string { return "TGS" }
 
 // Order implements rtree.Orderer.
-func (t TGS) Order(entries []node.Entry, n, level int) {
-	if len(entries) < 2 {
-		return
+func (t TGS) Order(entries []node.Entry, n, level int) { orderEntries(t, entries, n, level, t.Workers) }
+
+// OrderRecords implements rtree.Orderer. It reorders recs in place and
+// returns it.
+func (t TGS) OrderRecords(recs []byte, dims, n, level int) []byte {
+	if len(recs) < 2*node.EntrySize(dims) {
+		return recs
 	}
 	if n < 1 {
 		//strlint:ignore panics documented contract: a capacity below 1 is a builder bug, not a data condition
 		panic("pack: node capacity < 1")
 	}
-	t.split(entries, n, normWorkers(t.Workers))
+	t.split(recs, dims, n, normWorkers(t.Workers))
+	return recs
 }
 
-// split recursively partitions entries (destined for ceil(len/n) nodes)
-// until each partition fits one node. The two halves are disjoint, so
-// they recurse concurrently when workers remain.
-func (t TGS) split(entries []node.Entry, n, workers int) {
-	if len(entries) <= n {
+// split recursively partitions the records of recs (destined for
+// ceil(len/n) nodes) until each partition fits one node. The two halves are
+// disjoint, so they recurse concurrently when workers remain.
+func (t TGS) split(recs []byte, dims, n, workers int) {
+	size := node.EntrySize(dims)
+	if len(recs) <= n*size {
 		return
 	}
 	// Split points must keep the left side a multiple of the node size so
 	// packed nodes stay full.
-	cut := t.bestCut(entries, n, workers)
-	left, right := entries[:cut], entries[cut:]
-	if workers > 1 && len(left) > n && len(right) > n {
+	cut := t.bestCut(recs, dims, n, workers) * size
+	left, right := recs[:cut], recs[cut:]
+	if workers > 1 && len(left) > n*size && len(right) > n*size {
 		lw := workers / 2
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			t.split(left, n, lw)
+			t.split(left, dims, n, lw)
 		}()
-		t.split(right, n, workers-lw)
+		t.split(right, dims, n, workers-lw)
 		wg.Wait()
 		return
 	}
-	t.split(left, n, workers)
-	t.split(right, n, workers)
+	t.split(left, dims, n, workers)
+	t.split(right, dims, n, workers)
 }
 
-// bestCut reorders entries along the best axis and returns the best
-// node-aligned split position.
-func (t TGS) bestCut(entries []node.Entry, n, workers int) int {
-	dims := entries[0].Rect.Dim()
-	nodes := (len(entries) + n - 1) / n
+// bestCut reorders recs along the best axis and returns the best
+// node-aligned split position, in records.
+func (t TGS) bestCut(recs []byte, dims, n, workers int) int {
+	nodes := (len(recs)/node.EntrySize(dims) + n - 1) / n
 	// Candidate cuts: multiples of n. To bound the O(axes * cuts * N)
 	// prefix work we precompute prefix/suffix MBRs per ordering.
 	bestAxis, bestCutIdx := 0, 1
 	bestCost := math.Inf(1)
 	for d := 0; d < dims; d++ {
-		sortByCenter(entries, d, workers)
-		prefix := prefixMBRs(entries, n)
-		suffix := suffixMBRs(entries, n)
+		copy(recs, sortByCenter(recs, dims, d, workers))
+		prefix := prefixMBRs(recs, dims, n)
+		suffix := suffixMBRs(recs, dims, n)
 		for k := 1; k < nodes; k++ {
 			cost := prefix[k-1].Area() + suffix[k].Area()
 			if cost < bestCost {
@@ -93,42 +98,68 @@ func (t TGS) bestCut(entries []node.Entry, n, workers int) int {
 		}
 	}
 	if bestAxis != dims-1 {
-		// Entries are currently sorted by the last axis examined; restore
-		// the winning order.
-		sortByCenter(entries, bestAxis, workers)
+		// The records are currently sorted by the last axis examined;
+		// restore the winning order.
+		copy(recs, sortByCenter(recs, dims, bestAxis, workers))
 	}
 	return bestCutIdx * n
 }
 
-// prefixMBRs returns, for each node-aligned prefix (first k*n entries,
-// k = 1..nodes-?), the MBR of that prefix. prefix[i] covers entries
-// [0, (i+1)*n).
-func prefixMBRs(entries []node.Entry, n int) []geom.Rect {
-	nodes := (len(entries) + n - 1) / n
+// prefixMBRs returns, for each node-aligned prefix, the MBR of that prefix:
+// prefix[i] covers records [0, (i+1)*n).
+func prefixMBRs(recs []byte, dims, n int) []geom.Rect {
+	size := node.EntrySize(dims)
+	count := len(recs) / size
+	nodes := (count + n - 1) / n
 	out := make([]geom.Rect, 0, nodes-1)
-	cur := entries[0].Rect.Clone()
-	for i := 1; i < len(entries); i++ {
+	cur := recordRect(recs, dims)
+	for i := 1; i < count; i++ {
 		if i%n == 0 {
 			out = append(out, cur.Clone())
 		}
-		cur.UnionInPlace(entries[i].Rect)
+		unionRecord(&cur, recs[i*size:])
 	}
 	return out
 }
 
 // suffixMBRs returns suffix MBRs aligned the same way: suffix[k] covers
-// entries [k*n, len).
-func suffixMBRs(entries []node.Entry, n int) []geom.Rect {
-	nodes := (len(entries) + n - 1) / n
+// records [k*n, len).
+func suffixMBRs(recs []byte, dims, n int) []geom.Rect {
+	size := node.EntrySize(dims)
+	count := len(recs) / size
+	nodes := (count + n - 1) / n
 	out := make([]geom.Rect, nodes)
-	cur := entries[len(entries)-1].Rect.Clone()
+	cur := recordRect(recs[(count-1)*size:], dims)
 	next := nodes - 1
-	for i := len(entries) - 1; i >= 0; i-- {
-		cur.UnionInPlace(entries[i].Rect)
+	for i := count - 1; i >= 0; i-- {
+		unionRecord(&cur, recs[i*size:])
 		if i == next*n {
 			out[next] = cur.Clone()
 			next--
 		}
 	}
 	return out
+}
+
+// recordRect returns the rectangle of the record rec starts with, in
+// storage of its own.
+func recordRect(rec []byte, dims int) geom.Rect {
+	r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	for d := 0; d < dims; d++ {
+		r.Min[d], r.Max[d] = node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
+	}
+	return r
+}
+
+// unionRecord grows r to cover the record rec starts with, comparing as
+// geom.Rect.UnionInPlace does.
+func unionRecord(r *geom.Rect, rec []byte) {
+	for d := range r.Min {
+		if lo := node.RecordWord(rec, 2*d); lo < r.Min[d] {
+			r.Min[d] = lo
+		}
+		if hi := node.RecordWord(rec, 2*d+1); hi > r.Max[d] {
+			r.Max[d] = hi
+		}
+	}
 }

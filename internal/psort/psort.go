@@ -7,16 +7,14 @@
 // index), so the kernel never compares: it is a least-significant-digit
 // radix sort over (key, entry index) pairs, one counting pass and one
 // scatter pass per 8-bit digit, skipping every digit on which all keys
-// agree. Neither the 56-byte entries nor their coordinates are touched
-// until the order is final: a Perm sorts the pairs, as often and over as
-// many sub-ranges as the caller likes, and Apply moves each entry once —
-// header and coordinates together. An entry is a header of two slices
-// pointing at coordinates the caller allocated one rectangle at a time;
-// moving only the headers would leave everything downstream of the sort
-// (the node MBRs, node.Marshal, an external run's encoder) chasing two
-// pointers per entry into memory in the order the data arrived. Apply
-// therefore gathers the coordinates into one pointer-free slab laid out in
-// the final order, so what follows a sort streams.
+// agree. What it sorts is an array of page records — each entry as a page
+// stores it, node.EntrySize(k) bytes with no pointer in them — and no record
+// moves until the order is final: a Perm sorts the pairs, as often and over
+// as many sub-ranges as the caller likes, reading each key by stride off the
+// array, and Apply copies each record once into one new array in the final
+// order, so what follows a sort (the node MBRs, the page fills) streams.
+// Callers that hold node.Entry headers go through OrderEntries, which
+// encodes them into records and decodes the result.
 //
 // Determinism: each digit pass is stable, so the result is the stable sort
 // by key — ties stay in the order the pairs had, which for a fresh Perm is
@@ -29,9 +27,11 @@
 package psort
 
 import (
+	"encoding/binary"
 	"math"
 	"sync"
 
+	"strtree/internal/geom"
 	"strtree/internal/node"
 )
 
@@ -72,26 +72,31 @@ func Float64Key(f float64) uint64 {
 	return b | 1<<63
 }
 
-// Perm is a permutation of a slice of entries under construction: position
-// i holds the index of the entry that will end up there. It starts as the
-// identity, is refined by stable sorts of whole or partial ranges, and is
-// carried out by Apply. Sorts of disjoint ranges may run concurrently.
+// Perm is a permutation of an array of page records under construction:
+// position i holds the index of the record that will end up there. It starts
+// as the identity, is refined by stable sorts of whole or partial ranges, and
+// is carried out by Apply. Sorts of disjoint ranges may run concurrently.
 type Perm struct {
-	entries []node.Entry
+	recs    []byte
+	dims    int
 	ps, tmp []pair
 }
 
-// NewPerm returns the identity permutation of entries.
-func NewPerm(entries []node.Entry) *Perm {
-	n := len(entries)
+// NewPerm returns the identity permutation of recs, whole page records of
+// dims axes (node.EntrySize(dims) bytes each). recs is only read.
+func NewPerm(recs []byte, dims int) *Perm {
+	n := len(recs) / node.EntrySize(dims)
 	buf := make([]pair, 2*n)
 	for i := range buf[:n] {
 		buf[i].idx = i
 	}
-	return &Perm{entries: entries, ps: buf[:n], tmp: buf[n:]}
+	return &Perm{recs: recs, dims: dims, ps: buf[:n], tmp: buf[n:]}
 }
 
-// SortByCenter stably sorts positions [lo, hi) by their entries' center
+// Len returns the number of records permuted.
+func (p *Perm) Len() int { return len(p.ps) }
+
+// SortByCenter stably sorts positions [lo, hi) by their records' center
 // coordinate along axis. Identical output for every worker count.
 func (p *Perm) SortByCenter(lo, hi, axis, workers int) {
 	ps := p.ps[lo:hi]
@@ -104,75 +109,149 @@ func (p *Perm) SortByCenter(lo, hi, axis, workers int) {
 	sortPairs(ps, p.tmp[lo:hi], workers)
 }
 
+// keyByCenter keys each pair by its record's centre on axis, Min + (Max −
+// Min)/2 as geom.Rect.CenterAxis computes it, read by stride off the record
+// array: two words per key, no pointer to chase.
 func (p *Perm) keyByCenter(ps []pair, axis int) {
+	size, off := node.EntrySize(p.dims), 16*axis
 	for i := range ps {
-		ps[i].key = Float64Key(p.entries[ps[i].idx].Rect.CenterAxis(axis))
+		j := ps[i].idx*size + off
+		w := p.recs[j : j+16 : j+16]
+		lo := math.Float64frombits(binary.LittleEndian.Uint64(w))
+		hi := math.Float64frombits(binary.LittleEndian.Uint64(w[8:]))
+		ps[i].key = Float64Key(lo + (hi-lo)/2)
 	}
 }
 
-// Apply moves the entries into the permuted order — the one pass in which
-// a sort touches them — and their coordinates with them: position i's Min
-// and Max become the i-th 2k floats (min₀…min_{k−1}, max₀…max_{k−1}) of one
-// slab Apply allocates, each with cap == len, so the entries no longer
-// share memory with the rectangles they were built over and an append to
-// one cannot reach its neighbour. The gather finishes before the first
-// header is rewritten, so no copy of the old headers is needed. All entries
-// must be of one dimensionality, which every caller has checked by the time
-// it sorts (rtree.BulkLoad, extsort's Ingest).
-func (p *Perm) Apply(workers int) {
-	n := len(p.entries)
-	if n == 0 {
+// Apply carries out the permutation — the one pass in which a sort moves
+// records — and returns the records in their new order: one new array,
+// each record copied whole, the input left as it was.
+func (p *Perm) Apply(workers int) []byte {
+	out := make([]byte, len(p.recs))
+	if workers <= 1 {
+		p.gather(out, 0, len(p.ps))
+	} else {
+		Chunks(len(p.ps), workers, func(lo, hi int) { p.gather(out, lo, hi) })
+	}
+	return out
+}
+
+// gather copies the records of positions [lo, hi) into out. At k = 2 a
+// record is a fixed 40-byte array, so the copy is five word moves rather
+// than a call.
+func (p *Perm) gather(out []byte, lo, hi int) {
+	const size2 = 2*16 + 8 // node.EntrySize(2)
+	if p.dims == 2 {
+		for i := lo; i < hi; i++ {
+			*(*[size2]byte)(out[i*size2:]) = *(*[size2]byte)(p.recs[p.ps[i].idx*size2:])
+		}
 		return
 	}
-	k := p.entries[0].Rect.Dim()
-	coords := make([]float64, 2*k*n)
-	refs := make([]uint64, n)
-	Chunks(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			e := &p.entries[p.ps[i].idx]
-			if len(e.Rect.Min) != k || len(e.Rect.Max) != k {
-				//strlint:ignore panics documented contract: sorting entries of mixed dimensionality is a caller bug; the loaders reject such input before they sort
-				panic("psort: entries of mixed dimensionality")
-			}
-			copy(coords[2*k*i:], e.Rect.Min)
-			copy(coords[2*k*i+k:], e.Rect.Max)
-			refs[i] = e.Ref
-		}
-	})
-	Chunks(n, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			c := coords[2*k*i : 2*k*(i+1) : 2*k*(i+1)]
-			e := &p.entries[i]
-			e.Rect.Min, e.Rect.Max, e.Ref = c[:k:k], c[k:], refs[i]
-		}
-	})
+	size := node.EntrySize(p.dims)
+	for i := lo; i < hi; i++ {
+		j := p.ps[i].idx * size
+		copy(out[i*size:(i+1)*size], p.recs[j:j+size])
+	}
+}
+
+// ByKeys returns recs, whole records of dims axes, in ascending order of
+// their parallel uint64 keys, ties left in their original order (a stable
+// sort by key). recs and keys are only read. Identical output for every
+// worker count.
+func ByKeys(recs []byte, dims int, keys []uint64, workers int) []byte {
+	p := NewPerm(recs, dims)
+	if len(keys) != len(p.ps) {
+		//strlint:ignore panics documented contract: mismatched key and record slices are a caller bug, not a data condition
+		panic("psort: len(keys) != number of records")
+	}
+	for i := range keys {
+		p.ps[i].key = keys[i]
+	}
+	sortPairs(p.ps, p.tmp, workers)
+	return p.Apply(workers)
 }
 
 // ByCenter permutes entries into ascending order of the center coordinate
-// along one axis — the ordering every NX, Y and run sort uses. Equivalent
-// to a stable sort; identical output for every worker count.
+// along one axis: the stable sort by center, identical output for every
+// worker count. It is OrderEntries around Perm.SortByCenter, except that
+// the entries are decoded straight from the permutation, so the records are
+// never gathered; their rectangles end up in storage of its own all the
+// same.
 func ByCenter(entries []node.Entry, axis, workers int) {
-	p := NewPerm(entries)
-	p.SortByCenter(0, len(entries), axis, workers)
-	p.Apply(workers)
+	if len(entries) == 0 {
+		return
+	}
+	recs, dims := Encode(entries, workers)
+	p := NewPerm(recs, dims)
+	p.SortByCenter(0, p.Len(), axis, workers)
+	decode(entries, recs, dims, p.ps, workers)
 }
 
-// ByKeys permutes entries into ascending order of their parallel uint64
-// keys, ties left in their original order (a stable sort by key). keys is
-// only read. Identical output for every worker count.
-func ByKeys(entries []node.Entry, keys []uint64, workers int) {
-	if len(keys) != len(entries) {
-		//strlint:ignore panics documented contract: mismatched key and entry slices are a caller bug, not a data condition
-		panic("psort: len(keys) != len(entries)")
+// OrderEntries runs a record order over entries: it encodes them as one
+// array of page records, passes it to order, which returns the records in
+// their new order, and decodes the result back into entries. It is the one
+// adapter between the entry form of an order (rtree.Orderer.Order) and the
+// record form every order is written in. Afterwards the
+// entries' coordinates live in one slab OrderEntries allocated, each Min
+// and Max with cap == len, so they share no memory with the rectangles the
+// caller built or with each other. All entries must be of one
+// dimensionality; a mix panics.
+func OrderEntries(entries []node.Entry, workers int, order func(recs []byte, dims int) []byte) {
+	if len(entries) == 0 {
+		return
 	}
-	p := NewPerm(entries)
-	Chunks(len(keys), workers, func(lo, hi int) {
+	recs, dims := Encode(entries, workers)
+	Decode(entries, order(recs, dims), dims, workers)
+}
+
+// Encode returns entries as one array of page records and their
+// dimensionality, which must be every entry's.
+func Encode(entries []node.Entry, workers int) (recs []byte, dims int) {
+	if len(entries) == 0 {
+		return nil, 0
+	}
+	dims = entries[0].Rect.Dim()
+	size := node.EntrySize(dims)
+	recs = make([]byte, len(entries)*size)
+	Chunks(len(entries), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			p.ps[i].key = keys[i]
+			r := entries[i].Rect
+			if len(r.Min) != dims || len(r.Max) != dims {
+				//strlint:ignore panics documented contract: sorting entries of mixed dimensionality is a caller bug; the loaders reject such input before they sort
+				panic("psort: entries of mixed dimensionality")
+			}
+			node.PutRecord(recs[i*size:], r, entries[i].Ref)
 		}
 	})
-	sortPairs(p.ps, p.tmp, workers)
-	p.Apply(workers)
+	return recs, dims
+}
+
+// Decode overwrites entries with the records of recs, one per entry, their
+// coordinates in one new slab: position i's Min and Max are the i-th 2k
+// floats (min₀…min_{k−1}, max₀…max_{k−1}), each with cap == len.
+func Decode(entries []node.Entry, recs []byte, dims, workers int) {
+	decode(entries, recs, dims, nil, workers)
+}
+
+// decode is Decode of the records ps names in order, or of recs in order
+// when ps is nil.
+func decode(entries []node.Entry, recs []byte, dims int, ps []pair, workers int) {
+	size, w := node.EntrySize(dims), 2*dims
+	coords := make([]float64, w*len(entries))
+	Chunks(len(entries), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			j := i
+			if ps != nil {
+				j = ps[i].idx
+			}
+			rec := recs[j*size : (j+1)*size]
+			c := coords[w*i : w*(i+1) : w*(i+1)]
+			for d := 0; d < dims; d++ {
+				c[d], c[dims+d] = node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
+			}
+			entries[i] = node.Entry{Rect: geom.Rect{Min: c[:dims:dims], Max: c[dims:]}, Ref: node.RecordRef(rec, dims)}
+		}
+	})
 }
 
 // Chunks invokes f over consecutive [lo, hi) ranges covering [0, n),

@@ -35,6 +35,11 @@ func refByKeys(entries []node.Entry, keys []uint64) {
 	copy(entries, out)
 }
 
+// byKeys is ByKeys over entries, through their records.
+func byKeys(entries []node.Entry, keys []uint64, workers int) {
+	OrderEntries(entries, workers, func(recs []byte, dims int) []byte { return ByKeys(recs, dims, keys, workers) })
+}
+
 func randomEntries(n int, keySpace uint64, seed int64) ([]node.Entry, []uint64) {
 	rng := rand.New(rand.NewSource(seed))
 	entries := make([]node.Entry, n)
@@ -118,7 +123,7 @@ func TestByKeysMatchesStableSort(t *testing.T) {
 			refByKeys(want, keys)
 			for _, workers := range []int{1, 2, 3, 8} {
 				got := slices.Clone(base)
-				ByKeys(got, keys, workers)
+				byKeys(got, keys, workers)
 				sameEntries(t, got, want, name+" n="+itoa(n)+" w="+itoa(workers))
 			}
 		}
@@ -154,7 +159,7 @@ func FuzzByKeys(f *testing.F) {
 		want, _ := randomEntries(len(keys), 1, 1)
 		got := slices.Clone(want)
 		refByKeys(want, keys)
-		ByKeys(got, keys, workers)
+		byKeys(got, keys, workers)
 		sameEntries(t, got, want, "workers="+itoa(workers))
 	})
 }
@@ -295,13 +300,13 @@ func refByCenter(entries []node.Entry, axis int) {
 	})
 }
 
-// TestApplyMovesCoordinates is the contract of the one move: whatever route
-// led to Apply — ByCenter, ByKeys, or a Perm refined over nested sub-ranges
-// — the entries equal the stable-sort reference by value, at k = 2 and 3,
-// for one entry and for none, identically at every worker count; and their
-// coordinates sit in storage of Apply's own, each slice with cap == len, so
-// neither the caller's rectangles nor a neighbouring entry can be reached
-// through them.
+// TestApplyMovesCoordinates is the contract of the one move and of the entry
+// adapter around it: whatever route led to Apply — ByCenter, ByKeys, or a
+// Perm refined over nested sub-ranges — the entries equal the stable-sort
+// reference by value, at k = 2 and 3, for one entry and for none,
+// identically at every worker count; and their coordinates sit in storage of
+// OrderEntries' own, each slice with cap == len, so neither the caller's
+// rectangles nor a neighbouring entry can be reached through them.
 func TestApplyMovesCoordinates(t *testing.T) {
 	routes := map[string]struct {
 		sort func(entries []node.Entry, workers int)
@@ -312,17 +317,19 @@ func TestApplyMovesCoordinates(t *testing.T) {
 			func(e []node.Entry) { refByCenter(e, 1) },
 		},
 		"ByKeys": {
-			func(e []node.Entry, w int) { ByKeys(e, refKeys(e), w) },
+			func(e []node.Entry, w int) { byKeys(e, refKeys(e), w) },
 			func(e []node.Entry) { refByKeys(e, refKeys(e)) },
 		},
 		// STR's shape: the whole range on axis 0, thirds of it on axis 1,
 		// halves of each third on the last axis, then one Apply.
 		"nested Perm": {
 			func(e []node.Entry, w int) {
-				p := NewPerm(e)
-				p.SortByCenter(0, len(e), 0, w)
-				eachNestedRange(len(e), func(lo, hi, depth int) { p.SortByCenter(lo, hi, axisAt(e, depth), 1) })
-				p.Apply(w)
+				OrderEntries(e, w, func(recs []byte, dims int) []byte {
+					p := NewPerm(recs, dims)
+					p.SortByCenter(0, p.Len(), 0, w)
+					eachNestedRange(p.Len(), func(lo, hi, depth int) { p.SortByCenter(lo, hi, axisAt(e, depth), 1) })
+					return p.Apply(w)
+				})
 			},
 			func(e []node.Entry) {
 				refByCenter(e, 0)

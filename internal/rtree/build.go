@@ -1,10 +1,12 @@
 package rtree
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
 
+	"strtree/internal/geom"
 	"strtree/internal/node"
 	"strtree/internal/psort"
 	"strtree/internal/storage"
@@ -17,12 +19,17 @@ import (
 // lets an implementation behave differently above the leaves, though none
 // of the paper's algorithms do.
 type Orderer interface {
-	// Order permutes entries in place. n is the node capacity; level is the
-	// tree level being packed (0 = leaf). After Order an entry's rectangle
-	// may live in storage the orderer allocated rather than where the
-	// caller built it (psort moves the coordinates with the entries, so
-	// the packing that follows reads them in order); only the values are
-	// the caller's.
+	// OrderRecords orders recs, whole page records of dims axes
+	// (node.EntrySize(dims) bytes each, per axis the Min then the Max word,
+	// then the ref), and returns them in packing order: in a new array or
+	// in recs itself, which it may reorder in place. n is the node
+	// capacity; level is the tree level being packed (0 = leaf). It is what
+	// the bulk loader calls.
+	OrderRecords(recs []byte, dims, n, level int) []byte
+	// Order is OrderRecords for entries: it permutes them in place, and
+	// afterwards their rectangles live in one slab the call allocated
+	// (psort.OrderEntries is the shared adapter); only the values are the
+	// caller's.
 	Order(entries []node.Entry, n int, level int)
 	// Name identifies the algorithm in reports ("STR", "HS", "NX", ...).
 	Name() string
@@ -30,13 +37,13 @@ type Orderer interface {
 
 // BuildStats reports where the last bulk load on a Tree spent its time.
 type BuildStats struct {
-	// Order is the wall time inside Orderer.Order across all levels.
+	// Order is the wall time inside Orderer.OrderRecords across all levels.
 	Order time.Duration
 	// Write is the cumulative time filling pages: pinning a frame for each
 	// (which evicts another page once the pool is full, and writes it back)
-	// and serializing the node into it. With Workers > 1 all of that runs
-	// behind the packing, so Write overlaps Order instead of adding to the
-	// build's wall time.
+	// and copying the node's records onto it. With Workers > 1 all of that
+	// runs behind the packing, so Write overlaps Order instead of adding to
+	// the build's wall time.
 	Write time.Duration
 	// Pages is the number of node pages written.
 	Pages int
@@ -62,21 +69,31 @@ func (t *Tree) LastBuildStats() BuildStats { return t.buildStats }
 //
 // Packed nodes are filled to exactly n entries (the last node per level may
 // hold fewer), which yields the near-100% space utilization the paper
-// credits packing for. The tree must be empty. The input slice is permuted
-// in place (and see Orderer on where its rectangles then live). The packing
-// goroutine validates (on Workers goroutines), orders, reserves page ids and
-// computes MBRs; pinning frames, evicting, writing back and serializing are
-// the page writer's, which with Workers > 1 is a background goroutine. The
-// resulting tree bytes are identical either way, and a build reads no page
-// and writes each once.
-func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) (err error) {
+// credits packing for. The tree must be empty; entries are only read. It is
+// BulkLoadFunc over the slice.
+func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) error {
+	return t.BulkLoadFunc(len(entries), func(i int) (geom.Rect, uint64) { return entries[i].Rect, entries[i].Ref }, o)
+}
+
+// BulkLoadFunc is BulkLoad over the n data entries at(0) … at(n-1) returns,
+// which it may call concurrently. The build holds one representation from
+// here to the page: at's rectangles are validated and encoded, on Workers
+// goroutines, into one array of page records, which the orderer sorts, the
+// packing cuts into nodes (writing each node's MBR into its parent's record)
+// and the page writer copies onto pages (node.FillRecords). The packing
+// goroutine orders, reserves page ids and computes MBRs; pinning frames,
+// evicting and writing back are the page writer's, which with Workers > 1 is
+// a background goroutine. The resulting tree bytes are identical either
+// way, and a build reads no page and writes each once.
+func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer) (err error) {
 	if t.height != 0 {
 		return ErrNotEmpty
 	}
-	if err := t.checkEntries(entries); err != nil {
+	recs, err := t.encodeRecords(n, at)
+	if err != nil {
 		return err
 	}
-	if len(entries) == 0 {
+	if n == 0 {
 		return t.writeMeta()
 	}
 	w, err := t.newPageWriter()
@@ -88,21 +105,25 @@ func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) (err error) {
 			err = cerr
 		}
 	}()
-	return t.packUp(w, entries, 0, uint64(len(entries)), o)
+	return t.packUp(w, recs, 0, uint64(n), o)
 }
 
-// checkEntries validates the data entries of a bulk load, split over the
-// tree's workers. The error is the lowest-indexed bad entry's, as a
-// sequential scan's would be.
-func (t *Tree) checkEntries(entries []node.Entry) error {
+// encodeRecords validates the n data entries at returns, as Insert would,
+// and encodes them into one array of page records, split over the tree's
+// workers. The error is the lowest-indexed bad entry's, as a sequential
+// scan's would be.
+func (t *Tree) encodeRecords(n int, at func(i int) (geom.Rect, uint64)) ([]byte, error) {
 	var (
+		size  = node.EntrySize(t.dims)
+		recs  = make([]byte, n*size)
 		mu    sync.Mutex
-		first = len(entries)
+		first = n
 		err   error
 	)
-	psort.Chunks(len(entries), t.workers, func(lo, hi int) {
+	psort.Chunks(n, t.workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			if cerr := t.checkEntry(entries[i].Rect); cerr != nil {
+			r, ref := at(i)
+			if cerr := t.checkEntry(r); cerr != nil {
 				mu.Lock()
 				if i < first {
 					first, err = i, fmt.Errorf("entry %d: %w", i, cerr)
@@ -110,35 +131,37 @@ func (t *Tree) checkEntries(entries []node.Entry) error {
 				mu.Unlock()
 				return
 			}
+			node.PutRecord(recs[i*size:], r, ref)
 		}
 	})
-	return err
+	return recs, err
 }
 
 // packUp is the General Algorithm's loop from a given level to the root,
-// and the build's epilogue. cur holds the entries destined for nodes at
-// level: the data entries for level 0, else the (MBR, page) entries of the
+// and the build's epilogue. recs holds the records destined for nodes at
+// level: the data entries for level 0, else the (MBR, page) records of the
 // nodes already written one level down. Data entries always need a node;
 // above the leaves a level is packed only while more than one node remains
 // below it, and the last node standing is the root. count is the number of
 // data entries in the tree.
-func (t *Tree) packUp(w *pageWriter, cur []node.Entry, level int, count uint64, o Orderer) error {
+func (t *Tree) packUp(w *pageWriter, recs []byte, level int, count uint64, o Orderer) error {
 	var stats BuildStats
-	for level == 0 || len(cur) > 1 {
+	size := node.EntrySize(t.dims)
+	for level == 0 || len(recs) > size {
 		t0 := time.Now()
-		o.Order(cur, t.capacity, level)
+		recs = o.OrderRecords(recs, t.dims, t.capacity, level)
 		stats.Order += time.Since(t0)
-		parents, err := t.packLevel(w, cur, level)
+		parents, err := t.packLevel(w, recs, level)
 		if err != nil {
 			return err
 		}
-		cur = parents
+		recs = parents
 		level++
 	}
 	if err := w.close(); err != nil {
 		return err
 	}
-	t.root = storage.PageID(cur[0].Ref)
+	t.root = storage.PageID(node.RecordRef(recs, t.dims))
 	t.height = level
 	t.count = count
 	stats.Write = w.writeTime()
@@ -148,39 +171,58 @@ func (t *Tree) packUp(w *pageWriter, cur []node.Entry, level int, count uint64, 
 	return t.Flush()
 }
 
-// packLevel cuts the ordered entries into nodes of capacity t.capacity at
+// packLevel cuts the ordered records into nodes of capacity t.capacity at
 // the given level, emits each through the page writer, and returns the
-// parent entries (MBR, page) for the next level up.
-func (t *Tree) packLevel(w *pageWriter, entries []node.Entry, level int) ([]node.Entry, error) {
-	numNodes := (len(entries) + t.capacity - 1) / t.capacity
-	parents := make([]node.Entry, 0, numNodes)
-	for start := 0; start < len(entries); start += t.capacity {
-		end := min(start+t.capacity, len(entries))
-		parent, err := t.emitNode(w, entries[start:end], level, false)
-		if err != nil {
+// parent records (MBR, page) for the next level up. The page writer only
+// reads the runs it is handed, and nothing writes recs again, so a run
+// needs no copy however far the writer lags.
+func (t *Tree) packLevel(w *pageWriter, recs []byte, level int) ([]byte, error) {
+	run := t.capacity * node.EntrySize(t.dims)
+	parents := make([]byte, 0, (len(recs)+run-1)/run*node.EntrySize(t.dims))
+	for start := 0; start < len(recs); start += run {
+		var err error
+		if parents, err = t.emitNode(w, parents, recs[start:min(start+run, len(recs))], level); err != nil {
 			return nil, err
 		}
-		parents = append(parents, parent)
 	}
 	return parents, nil
 }
 
-// emitNode reserves a page for one finished node, hands the node to the
-// page writer and returns its parent entry (MBR, page). Reserving costs no
-// I/O and no frame — those are the writer's — so between two sorts the
-// packing goroutine only streams the entries for their MBRs. The MBR is
-// computed before emitting because emit transfers ownership of the entry
-// slice to the (possibly asynchronous) writer, which with recycle set hands
-// it back through its free list once the page is written.
-func (t *Tree) emitNode(w *pageWriter, entries []node.Entry, level int, recycle bool) (node.Entry, error) {
-	n := node.Node{Level: level, Dims: t.dims, Entries: entries}
+// emitNode reserves a page for one finished node, the records recs, hands
+// it to the page writer and appends the node's parent record (MBR, page) to
+// parents. Reserving costs no I/O and no frame — those are the writer's —
+// so between two sorts the packing goroutine only streams the records for
+// their MBRs.
+func (t *Tree) emitNode(w *pageWriter, parents, recs []byte, level int) ([]byte, error) {
 	id, fresh, err := t.reservePage()
 	if err != nil {
-		return node.Entry{}, err
+		return parents, err
 	}
-	mbr := n.MBR()
-	if err := w.emit(pageJob{id: id, fresh: fresh, n: n, recycle: recycle}); err != nil {
-		return node.Entry{}, err
+	if err := w.emit(pageJob{id: id, fresh: fresh, level: level, recs: recs}); err != nil {
+		return parents, err
 	}
-	return node.Entry{Rect: mbr, Ref: uint64(id)}, nil
+	return appendMBR(parents, recs, t.dims, uint64(id)), nil
+}
+
+// appendMBR appends to dst the record (MBR of recs, ref): per axis the
+// least Min and the greatest Max, read by stride and compared in record
+// order as geom.Rect.UnionInPlace grows a clone of the first rectangle, so
+// the stored words are exactly those of that MBR.
+func appendMBR(dst, recs []byte, dims int, ref uint64) []byte {
+	size := node.EntrySize(dims)
+	at := len(dst)
+	dst = append(dst, recs[:size]...)
+	mbr := dst[at : at+size]
+	for rec := recs[size:]; len(rec) >= size; rec = rec[size:] {
+		for w := 0; w < 2*dims; w += 2 {
+			if lo := node.RecordWord(rec, w); lo < node.RecordWord(mbr, w) {
+				copy(mbr[8*w:8*w+8], rec[8*w:])
+			}
+			if hi := node.RecordWord(rec, w+1); hi > node.RecordWord(mbr, w+1) {
+				copy(mbr[8*w+8:8*w+16], rec[8*w+8:])
+			}
+		}
+	}
+	binary.LittleEndian.PutUint64(mbr[16*dims:], ref)
+	return dst
 }

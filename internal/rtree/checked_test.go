@@ -315,12 +315,12 @@ func TestFillNodeFailedKeepsPage(t *testing.T) {
 		return append([]byte(nil), f.Data()...)
 	}
 	before := image()
-	good := appendRecord(nil, geom.R2(0, 0, 1, 1), 1)
+	good := node.AppendRecord(nil, geom.R2(0, 0, 1, 1), 1)
 	nan := geom.R2(0, 0, 1, 1)
 	nan.Max[1] = math.NaN()
 	for name, recs := range map[string][]byte{
-		"wrong dimensionality": appendRecord(slices.Clone(good), geom.UnitCube(3), 2),
-		"invalid rectangle":    appendRecord(slices.Clone(good), nan, 2),
+		"wrong dimensionality": node.AppendRecord(slices.Clone(good), geom.UnitCube(3), 2),
+		"invalid rectangle":    node.AppendRecord(slices.Clone(good), nan, 2),
 	} {
 		if err := tr.fillNode(tr.Root(), tr.Height()-1, recs); err == nil {
 			t.Fatalf("%s: fillNode accepted the records", name)

@@ -66,7 +66,7 @@ func (t *Tree) plantRoot(e node.Entry) error {
 		return err
 	}
 	st := &t.mut.stage
-	st.recs = appendRecord(st.recs[:0], e.Rect, e.Ref)
+	st.recs = node.AppendRecord(st.recs[:0], e.Rect, e.Ref)
 	if err := t.fillNode(id, 0, st.recs); err != nil {
 		return err
 	}
@@ -109,7 +109,7 @@ func (t *Tree) insertAt(e node.Entry, level int) (structural bool, err error) {
 		return true, err
 	}
 	st := &t.mut.stage
-	st.recs = appendRecord(appendRecord(st.recs[:0], *mbr, uint64(t.root)), add.Rect, add.Ref)
+	st.recs = node.AppendRecord(node.AppendRecord(st.recs[:0], *mbr, uint64(t.root)), add.Rect, add.Ref)
 	if err := t.fillNode(id, t.height, st.recs); err != nil {
 		return true, err
 	}

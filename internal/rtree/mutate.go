@@ -16,9 +16,10 @@ package rtree
 // written back as whole pages (fillNode: one node.FillRecords under a write
 // pin), so a split allocates nothing and builds no node.Entry; a new root is
 // written the same way. A dissolved node's entries go onto the heap
-// (appendEntries), where its orphans wait. The dynamic write path never calls
-// node.Marshal: MutableView and FillRecords leave exactly the bytes Marshal
-// would, so which of them touched a page is invisible in the file
+// (appendEntries), where its orphans wait. No write path serializes a
+// node.Node: MutableView and FillRecords leave exactly the bytes the
+// reference serializer would, so which of them touched a page is invisible
+// in the file
 // (TestMutateGoldenBytes pins the stored bytes, the page allocation order
 // and the free-list order).
 

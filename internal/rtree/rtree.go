@@ -352,32 +352,33 @@ func (t *Tree) Flush() error {
 	return t.pool.FlushAll()
 }
 
-// fillPage is the bulk loader's page writer (writebehind.go): it pins page
-// id, serializes n onto it and releases it. A fresh page (reservePage's word
-// for it) has never been written or fetched, so its frame is adopted without
-// a read; a recycled one may be cached and is fetched. A bulk load runs on
-// an empty tree no reader is visiting, so a read pin suffices; the dynamic
-// write path fills its pages under write pins instead (fillNode, insert.go).
-// MarkDirty comes first: it clears the frame's validation mark before
-// Marshal touches a byte, so no visit can trust the old verdict over the
-// new image. A Marshal that fails has written nothing (its contract), which
-// leaves a dirty frame with its old bytes — at worst one redundant
-// write-back.
-func (t *Tree) fillPage(id storage.PageID, fresh bool, n *node.Node) error {
+// fillPage is the bulk loader's page writer (writebehind.go): it pins the
+// job's page, copies the node's records onto it (node.FillRecords: header,
+// one copy, one CRC, every rectangle checked) and releases it. A fresh page
+// (reservePage's word for it) has never been written or fetched, so its
+// frame is adopted without a read; a recycled one may be cached and is
+// fetched. A bulk load runs on an empty tree no reader is visiting, so a
+// read pin suffices; the dynamic write path fills its pages under write
+// pins instead (fillNode, insert.go). MarkDirty comes first: it clears the
+// frame's validation mark before the fill touches a byte, so no visit can
+// trust the old verdict over the new image. A fill that fails has written
+// nothing (its contract), which leaves a dirty frame with its old bytes — at
+// worst one redundant write-back.
+func (t *Tree) fillPage(job *pageJob) error {
 	var (
 		f   *buffer.Frame
 		err error
 	)
-	if fresh {
-		f, err = t.pool.Adopt(id)
+	if job.fresh {
+		f, err = t.pool.Adopt(job.id)
 	} else {
-		f, err = t.pool.Fetch(id)
+		f, err = t.pool.Fetch(job.id)
 	}
 	if err != nil {
 		return err
 	}
 	f.MarkDirty()
-	err = node.Marshal(n, f.Data())
+	err = node.FillRecords(f.Data(), job.level, t.dims, job.recs)
 	t.pool.Release(f)
 	return err
 }

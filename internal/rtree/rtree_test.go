@@ -11,6 +11,7 @@ import (
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 	"strtree/internal/storage"
 )
 
@@ -23,6 +24,15 @@ func (xSortOrderer) Order(entries []node.Entry, n, level int) {
 	sort.Slice(entries, func(i, j int) bool {
 		return entries[i].Rect.CenterAxis(0) < entries[j].Rect.CenterAxis(0)
 	})
+}
+
+// OrderRecords runs Order over the records decoded into entries.
+func (o xSortOrderer) OrderRecords(recs []byte, dims, n, level int) []byte {
+	entries := make([]node.Entry, len(recs)/node.EntrySize(dims))
+	psort.Decode(entries, recs, dims, 1)
+	o.Order(entries, n, level)
+	recs, _ = psort.Encode(entries, 1)
+	return recs
 }
 
 func newTree(t testing.TB, capacity int) *Tree {
@@ -879,7 +889,8 @@ func TestValidateDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	root.Entries[0].Rect = geom.UnitSquare().Clone()
-	if err := tr.fillPage(tr.Root(), false, &root); err != nil {
+	recs, _ := psort.Encode(root.Entries, 1)
+	if err := tr.fillPage(&pageJob{id: tr.Root(), level: root.Level, recs: recs}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Check(CheckConfig{}); err == nil {

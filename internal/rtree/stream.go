@@ -7,17 +7,16 @@ import (
 )
 
 // BulkLoadOrdered builds the tree bottom-up from a stream of leaf entries
-// that are already in packing order (e.g. a pack.STRStream). Only one
-// node of leaf entries plus the parent entries of the levels above are
-// held in memory — at fan-out 100 that is under 2% of the data set — so
-// trees can be packed from inputs far larger than RAM. Levels above the
-// leaves are ordered by o, exactly as in BulkLoad. With Workers > 1,
-// finished leaves are written behind the stream consumption; the
-// resulting tree bytes are identical either way.
+// that are already in packing order (e.g. a pack.STRStream). Only the
+// records of the leaves the page writer has not yet written plus the parent
+// records of the levels above are held in memory — at fan-out 100 that is
+// under 2% of the data set — so trees can be packed from inputs far larger
+// than RAM. Levels above the leaves are ordered by o, exactly as in
+// BulkLoad. With Workers > 1, finished leaves are written behind the stream
+// consumption; the resulting tree bytes are identical either way.
 //
-// Ownership: each entry next yields is placed in its leaf as is and read
-// again when the leaf's page is written, so next must not reuse or modify
-// the rectangle storage of an entry it has returned.
+// Each entry next yields is validated and copied into its leaf's records
+// before next is called again, so next may reuse its rectangle storage.
 func (t *Tree) BulkLoadOrdered(next func() (node.Entry, bool, error), o Orderer) (err error) {
 	if t.height != 0 {
 		return ErrNotEmpty
@@ -32,9 +31,14 @@ func (t *Tree) BulkLoadOrdered(next func() (node.Entry, bool, error), o Orderer)
 		}
 	}()
 	var (
-		parents []node.Entry
-		leaf    []node.Entry
-		count   uint64
+		leafRun = t.capacity * node.EntrySize(t.dims)
+		parents []byte
+		// buf holds leaves' records, the leaf being filled from start on. A
+		// full buf is left to the writer, which may still be reading its
+		// leaves, and a new one begun.
+		buf   []byte
+		start int
+		count uint64
 	)
 	for {
 		e, ok, rerr := next()
@@ -45,16 +49,17 @@ func (t *Tree) BulkLoadOrdered(next func() (node.Entry, bool, error), o Orderer)
 			if cerr := t.checkEntry(e.Rect); cerr != nil {
 				return fmt.Errorf("entry %d: %w", count, cerr)
 			}
-			leaf = append(leaf, e)
+			if len(buf) == cap(buf) {
+				buf, start = make([]byte, 0, writeBehindQueue*leafRun), 0
+			}
+			buf = node.AppendRecord(buf, e.Rect, e.Ref)
 			count++
 		}
-		if len(leaf) == t.capacity || !ok && len(leaf) > 0 {
-			parent, perr := t.emitNode(w, leaf, 0, true)
-			if perr != nil {
-				return perr
+		if leaf := buf[start:]; len(leaf) == leafRun || !ok && len(leaf) > 0 {
+			if parents, err = t.emitNode(w, parents, leaf, 0); err != nil {
+				return err
 			}
-			parents = append(parents, parent)
-			leaf = w.recycleOrNew(leaf, t.capacity)
+			start = len(buf)
 		}
 		if !ok {
 			break

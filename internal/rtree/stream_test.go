@@ -4,8 +4,10 @@ import (
 	"errors"
 	"testing"
 
+	"strtree/internal/buffer"
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/storage"
 )
 
 func sliceStream(entries []node.Entry) func() (node.Entry, bool, error) {
@@ -52,6 +54,43 @@ func TestBulkLoadOrderedMatchesBulkLoad(t *testing.T) {
 		}
 		if ca != cb {
 			t.Fatalf("counts differ for %v: %d vs %d", q, ca, cb)
+		}
+	}
+}
+
+// TestBulkLoadOrderedSourceMayReuseRect: a source may yield every entry on
+// one rectangle it overwrites between calls. The loader copies each entry
+// into its leaf's records as it arrives, so the file is the one a source of
+// fresh rectangles gives, written inline and behind the write-behind queue
+// alike.
+func TestBulkLoadOrderedSourceMayReuseRect(t *testing.T) {
+	entries := randRects(3000, 83)
+	xSortOrderer{}.Order(entries, 16, 0)
+	for _, workers := range []int{1, 2} {
+		build := func(next func() (node.Entry, bool, error)) uint64 {
+			tr, err := Create(buffer.NewPool(storage.NewMemPager(4096), 64), Config{Dims: 2, Capacity: 16, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.BulkLoadOrdered(next, xSortOrderer{}); err != nil {
+				t.Fatal(err)
+			}
+			return pagerDigest(t, tr)
+		}
+		scratch := geom.Rect{Min: make(geom.Point, 2), Max: make(geom.Point, 2)}
+		i := 0
+		reusing := func() (node.Entry, bool, error) {
+			if i == len(entries) {
+				return node.Entry{}, false, nil
+			}
+			e := entries[i]
+			i++
+			copy(scratch.Min, e.Rect.Min)
+			copy(scratch.Max, e.Rect.Max)
+			return node.Entry{Rect: scratch, Ref: e.Ref}, true, nil
+		}
+		if want, got := build(sliceStream(entries)), build(reusing); got != want {
+			t.Fatalf("workers %d: a source reusing one rectangle wrote digest %#016x, fresh rectangles %#016x", workers, got, want)
 		}
 	}
 }

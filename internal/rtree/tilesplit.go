@@ -64,16 +64,6 @@ type scored struct {
 	dist float64
 }
 
-// appendRecord appends (r, ref) to dst as one page record: per axis the Min
-// then the Max word, then the ref — the layout node.FillRecords copies.
-func appendRecord(dst []byte, r geom.Rect, ref uint64) []byte {
-	for d := range r.Min {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Min[d]))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Max[d]))
-	}
-	return binary.LittleEndian.AppendUint64(dst, ref)
-}
-
 // putRecordRect overwrites the rectangle of the record rec starts with.
 func putRecordRect(rec []byte, r geom.Rect) {
 	for d := range r.Min {
@@ -82,21 +72,15 @@ func putRecordRect(rec []byte, r geom.Rect) {
 	}
 }
 
-// recordWord returns word w of the record rec starts with: axis d's Min is
-// word 2d, its Max word 2d+1.
-func recordWord(rec []byte, w int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(rec[8*w:]))
-}
-
 // recordEntry decodes the record rec starts with into an entry that owns its
 // rectangle: a record that leaves the stage for good (forced reinsertion's
 // evictions).
 func recordEntry(rec []byte, dims int) node.Entry {
 	e := node.Entry{Rect: geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}}
 	for d := 0; d < dims; d++ {
-		e.Rect.Min[d], e.Rect.Max[d] = recordWord(rec, 2*d), recordWord(rec, 2*d+1)
+		e.Rect.Min[d], e.Rect.Max[d] = node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
 	}
-	e.Ref = binary.LittleEndian.Uint64(rec[16*dims:])
+	e.Ref = node.RecordRef(rec, dims)
 	return e
 }
 
@@ -105,7 +89,7 @@ func recordEntry(rec []byte, dims int) node.Entry {
 // on to overwrite, so it is copied too.
 func (st *stage) load(page []byte, count, dims int, e node.Entry) {
 	st.recs = append(st.recs[:0], page[node.HeaderSize:node.HeaderSize+count*node.EntrySize(dims)]...)
-	st.recs = appendRecord(st.recs, e.Rect, e.Ref)
+	st.recs = node.AppendRecord(st.recs, e.Rect, e.Ref)
 }
 
 // scratch sizes the stage's rectangles and pair slices to m records of dims
@@ -140,7 +124,7 @@ func (st *stage) splitTile(dims int, lbox, rbox *geom.Rect) (left, right []byte,
 	for a := 0; a < dims; a++ {
 		for i := range st.cur {
 			rec := st.recs[i*size:]
-			lo, hi := recordWord(rec, 2*a), recordWord(rec, 2*a+1)
+			lo, hi := node.RecordWord(rec, 2*a), node.RecordWord(rec, 2*a+1)
 			key := uint64(0)
 			if c := lo + (hi-lo)/2; !math.IsNaN(c) {
 				key = psort.Float64Key(c)
@@ -173,15 +157,15 @@ func (st *stage) mbr(ps []tilePair, dims int, box *geom.Rect) float64 {
 	size := node.EntrySize(dims)
 	rec := st.recs[int(ps[0].idx)*size:]
 	for d := 0; d < dims; d++ {
-		box.Min[d], box.Max[d] = recordWord(rec, 2*d), recordWord(rec, 2*d+1)
+		box.Min[d], box.Max[d] = node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
 	}
 	for _, p := range ps[1:] {
 		rec := st.recs[int(p.idx)*size:]
 		for d := 0; d < dims; d++ {
-			if lo := recordWord(rec, 2*d); lo < box.Min[d] {
+			if lo := node.RecordWord(rec, 2*d); lo < box.Min[d] {
 				box.Min[d] = lo
 			}
-			if hi := recordWord(rec, 2*d+1); hi > box.Max[d] {
+			if hi := node.RecordWord(rec, 2*d+1); hi > box.Max[d] {
 				box.Max[d] = hi
 			}
 		}
@@ -306,7 +290,7 @@ func (st *stage) evictFarthest(dims, count int, box *geom.Rect) (evicted []node.
 		rec := st.recs[i*size:]
 		d := 0.0
 		for axis := 0; axis < dims; axis++ {
-			lo, hi := recordWord(rec, 2*axis), recordWord(rec, 2*axis+1)
+			lo, hi := node.RecordWord(rec, 2*axis), node.RecordWord(rec, 2*axis+1)
 			center := all.Min[axis] + (all.Max[axis]-all.Min[axis])/2
 			delta := lo + (hi-lo)/2 - center
 			d += delta * delta

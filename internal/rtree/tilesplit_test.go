@@ -41,7 +41,7 @@ func refTileSplit(entries []node.Entry) (left, right []node.Entry, axis int, sum
 func recordsOf(entries []node.Entry) []byte {
 	var recs []byte
 	for _, e := range entries {
-		recs = appendRecord(recs, e.Rect, e.Ref)
+		recs = node.AppendRecord(recs, e.Rect, e.Ref)
 	}
 	return recs
 }

@@ -7,34 +7,33 @@ import (
 	"time"
 
 	"strtree/internal/buffer"
-	"strtree/internal/node"
 	"strtree/internal/storage"
 )
 
 // writeBehindQueue is how many finished nodes may wait for the background
 // writer before packing blocks. At fan-out 100 and a 4 KiB page this is
-// a few hundred KiB of queued entries — enough to ride out a slow write
+// a few hundred KiB of queued records — enough to ride out a slow write
 // without letting memory grow with the tree.
 const writeBehindQueue = 64
 
-// pageJob is one finished node waiting to be serialized onto the page
-// reserved for it. Ownership of n.Entries transfers to the writer with the
-// job: the producer must not touch the slice afterwards (it computes the
-// node MBR before emitting for exactly this reason).
+// pageJob is one finished node waiting to be copied onto the page reserved
+// for it: its records, in the order the page stores them. The writer only
+// reads recs, and the producer must not write them again until close has
+// returned.
 type pageJob struct {
-	id      storage.PageID
-	fresh   bool // reservePage's: the page was never written, adopt its frame
-	n       node.Node
-	recycle bool // hand n.Entries back through the free list after writing
+	id    storage.PageID
+	fresh bool // reservePage's: the page was never written, adopt its frame
+	level int
+	recs  []byte
 }
 
 // pageWriter emits finished nodes during a bulk load. The packing goroutine
 // only reserves a page id per node (bookkeeping, no I/O) and computes its
 // MBR; everything that touches the buffer pool or the pager — pinning a
 // frame for the page, evicting another page to make room and writing it
-// back, serializing the node — is t.fillPage, which with t.workers > 1 runs
-// on a background goroutine behind a bounded queue, so it overlaps packing
-// the next node, and otherwise runs inline. Errors are first-error-wins:
+// back, copying the node's records onto it — is t.fillPage, which with
+// t.workers > 1 runs on a background goroutine behind a bounded queue, so it
+// overlaps packing the next node, and otherwise runs inline. Errors are first-error-wins:
 // after a page fails, remaining jobs are drained without touching the pager
 // and close() returns the first failure.
 //
@@ -42,7 +41,7 @@ type pageJob struct {
 // reservation (t.reservePage, t.free) and tree metadata; the writer
 // goroutine only calls t.fillPage, which goes through the buffer manager's
 // own locking. The jobs channel provides the happens-before edge between
-// filling a node's entries and the writer reading them.
+// writing a node's records and the writer reading them.
 //
 // The build holds a pin on the tree's meta page from start to close, so the
 // epilogue's writeMeta finds it resident however small the pool: a bulk
@@ -58,7 +57,6 @@ type pageWriter struct {
 	meta *buffer.Frame
 
 	jobs chan pageJob
-	free chan []node.Entry
 	wg   sync.WaitGroup
 
 	mu     sync.Mutex
@@ -81,7 +79,6 @@ func (t *Tree) newPageWriter() (*pageWriter, error) {
 	w := &pageWriter{t: t, async: t.workers > 1, meta: meta}
 	if w.async {
 		w.jobs = make(chan pageJob, writeBehindQueue)
-		w.free = make(chan []node.Entry, writeBehindQueue+1)
 		w.wg.Add(1)
 		go w.run()
 	}
@@ -91,11 +88,11 @@ func (t *Tree) newPageWriter() (*pageWriter, error) {
 // fill is the one page-fill step of both arms, timed.
 func (w *pageWriter) fill(job *pageJob) error {
 	t0 := time.Now()
-	err := w.t.fillPage(job.id, job.fresh, &job.n)
+	err := w.t.fillPage(job)
 	if w.meta != nil && errors.Is(err, buffer.ErrPoolExhausted) {
 		w.t.pool.Release(w.meta)
 		w.meta = nil
-		err = w.t.fillPage(job.id, job.fresh, &job.n)
+		err = w.t.fillPage(job)
 	}
 	w.writeNanos.Add(int64(time.Since(t0)))
 	return err
@@ -124,19 +121,10 @@ func (w *pageWriter) run() {
 				w.fail(err)
 			}
 		}
-		if job.recycle {
-			select {
-			case w.free <- job.n.Entries[:0]:
-			default:
-			}
-		}
 	}
 }
 
 // emit hands a finished node and the page reserved for it to the writer.
-// In async mode ownership of n.Entries transfers with the call; the
-// producer must have read everything it needs (the MBR) beforehand and must
-// not reuse the slice except via recycleOrNew.
 func (w *pageWriter) emit(job pageJob) error {
 	w.pages++
 	if !w.async {
@@ -153,22 +141,6 @@ func (w *pageWriter) emit(job pageJob) error {
 	}
 	w.jobs <- job
 	return nil
-}
-
-// recycleOrNew returns an entry buffer for the producer's next node. In
-// sync mode the write has already completed, so the old buffer is simply
-// truncated; in async mode the old buffer now belongs to the writer, so a
-// recycled buffer (or a fresh one) comes back instead.
-func (w *pageWriter) recycleOrNew(old []node.Entry, capHint int) []node.Entry {
-	if !w.async {
-		return old[:0]
-	}
-	select {
-	case b := <-w.free:
-		return b
-	default:
-		return make([]node.Entry, 0, capHint)
-	}
 }
 
 // close drains the queue, stops the background writer, drops the meta
@@ -193,7 +165,7 @@ func (w *pageWriter) close() error {
 }
 
 // writeTime reports the cumulative wall time spent in fillPage: pinning
-// frames (eviction and its write-back included) and serializing nodes. In
+// frames (eviction and its write-back included) and filling them. In
 // async mode this overlaps the ordering time rather than adding to it.
 func (w *pageWriter) writeTime() time.Duration {
 	return time.Duration(w.writeNanos.Load())

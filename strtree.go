@@ -29,7 +29,6 @@ import (
 	"strtree/internal/metrics"
 	"strtree/internal/node"
 	"strtree/internal/pack"
-	"strtree/internal/psort"
 	"strtree/internal/query"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
@@ -313,13 +312,7 @@ func (t *Tree) BulkLoad(items []Item, p Packing) error {
 	if err != nil {
 		return err
 	}
-	entries := make([]node.Entry, len(items))
-	psort.Chunks(len(items), t.inner.Workers(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			entries[i] = node.Entry{Rect: items[i].Rect, Ref: items[i].ID}
-		}
-	})
-	return t.inner.BulkLoad(entries, o)
+	return t.inner.BulkLoadFunc(len(items), func(i int) (Rect, uint64) { return items[i].Rect, items[i].ID }, o)
 }
 
 // Insert adds one item dynamically (Guttman's algorithm).
@@ -527,8 +520,8 @@ type BuildStats = rtree.BuildStats
 // LastBuildStats returns where the most recent BulkLoad or
 // BulkLoadExternal on this tree spent its time (zero if none ran): wall
 // time inside the packing sort, cumulative page-fill time (frame
-// adoption, eviction write-back and serialization, all overlapping the
-// sort when Workers > 1), pages written, and the write-behind queue's
+// adoption, eviction write-back and the copy of each node's records, all
+// overlapping the sort when Workers > 1), pages written, and the write-behind queue's
 // high-water mark.
 func (t *Tree) LastBuildStats() BuildStats { return t.inner.LastBuildStats() }
 
