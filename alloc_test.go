@@ -252,6 +252,36 @@ func TestBulkLoadExternalAllocBound(t *testing.T) {
 	}
 }
 
+// TestBulkLoadExternalBytesBound gates the bytes an external build
+// allocates at the default RunSize (1 << 20), which a count of allocations
+// cannot see: a run allocated at RunSize rather than grown as it fills
+// costs 40 MB per sort — the first-axis sort and each of the ten slab
+// sorts here — where 10 000 items need a few MB in all (run arrays, sort
+// scratch, leaf records, pages). Entry-header runs preallocated this way
+// cost about 65 kB per entry.
+func TestBulkLoadExternalBytesBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const perEntryBound = 2048
+	items := randItems(10000, 8)
+	tr, err := New(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := tr.BulkLoadExternal(itemSource(items), ExternalOptions{TmpDir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if perEntry := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(items)); perEntry > perEntryBound {
+		t.Errorf("external build allocated %.0f bytes per entry, bound %d", perEntry, perEntryBound)
+	} else {
+		t.Logf("external build: %.0f bytes per entry", perEntry)
+	}
+}
+
 // TestBulkLoadAllocBound gates the in-memory build's allocations at the
 // public API: a level costs its record arrays, its sort's scratch and the
 // closures and goroutines of its parallel passes, never anything per page or

@@ -25,7 +25,12 @@
 #                     is the one Clock), SetResident (level pinning),
 #                     Serpentine and SliceFactor (STR slices one way),
 #                     buffer.Sharded and type Sharded (buffer.Pool is the
-#                     one buffer type at any shard count)
+#                     one buffer type at any shard count) — and a fourth:
+#                     the external build holds page records from source
+#                     to leaf, so no non-test file of internal/extsort but
+#                     entries.go (Sorter.Sort, the one entry adapter),
+#                     internal/pack/external.go or internal/rtree/stream.go
+#                     mentions node.Entry
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -91,7 +96,10 @@
 #                     also times internal/rtree's BenchmarkSplitPolicies
 #                     and BenchmarkShrink, which price one split by the
 #                     tile cut and by each test baseline, and the
-#                     underflow side), and
+#                     underflow side), BenchmarkBuildExternal (the
+#                     ledger's external build in small: 100k items
+#                     through extsort's record runs, the slab sorts and
+#                     the streaming loader at RunSize 16 384), and
 #                     internal/router's BenchmarkRoutedRoundTrip (the
 #                     ledger's serve workload in small: client -> router
 #                     -> 3 shards over loopback, µs and allocations per
@@ -125,6 +133,7 @@ go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
 if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/\|^./internal/rtree/check\.go:'; then echo "library code writes pages from records; only Check's round trip may call node.Marshal" >&2; exit 1; fi
 if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -nw 'node\.Entry' internal/extsort/*.go internal/pack/external.go internal/rtree/stream.go | grep -v '_test\.go:\|^internal/extsort/entries\.go:'; then echo "the external build moves page records, not node.Entry values; only extsort's Sort adapter (entries.go) takes entries" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)
@@ -139,13 +148,14 @@ go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./i
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k and BenchmarkMutateChurn, router BenchmarkRoutedRoundTrip)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10|BenchmarkInsertPacked)$' -benchtime 1x ./internal/rtree
 go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
 go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
 go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkMutateChurn$' -benchtime 1x .
+go test -run '^$' -bench '^BenchmarkBuildExternal$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkRoutedRoundTrip$' -benchtime 1x ./internal/router
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"

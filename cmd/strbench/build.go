@@ -153,14 +153,15 @@ func runBuildBench(w io.Writer, cfg buildConfig) error {
 	extResults, err := sweep(cfg, cfg.Workers, func(tr *rtree.Tree, workers int, r *buildResult) error {
 		t0 := time.Now()
 		defer func() { r.wall = time.Since(t0) }()
-		i := 0
-		ordered, err := pack.STRExternal{RunSize: cfg.RunSize, Workers: workers}.Open(tr.Capacity(),
-			func() (node.Entry, bool, error) {
+		i, rec := 0, make([]byte, node.EntrySize(2))
+		ordered, err := pack.STRExternal{RunSize: cfg.RunSize, Workers: workers}.Open(2, tr.Capacity(),
+			func() ([]byte, bool, error) {
 				if i == len(extEntries) {
-					return node.Entry{}, false, nil
+					return nil, false, nil
 				}
+				node.PutRecord(rec, extEntries[i].Rect, extEntries[i].Ref)
 				i++
-				return extEntries[i-1], true, nil
+				return rec, true, nil
 			})
 		if err != nil {
 			return err

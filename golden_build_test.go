@@ -10,13 +10,15 @@ import (
 	"testing"
 )
 
-// TestBulkLoadGoldenDigests pins the index file every in-memory bulk load
-// writes, across commits: each case builds a fixed input and compares the
-// FNV-64a of the whole file with a constant recorded when the case was
-// added. The other identity tests compare builds within one commit (worker
-// counts, the external builder against the in-memory one); only this one
-// notices a loader that writes a different but valid tree. A changed digest
-// means the packing order, an MBR or the page image changed: regenerate the
+// TestBulkLoadGoldenDigests pins the index file every bulk load writes,
+// across commits: each case builds a fixed input and compares the FNV-64a of
+// the whole file with a constant recorded when the case was added. The
+// other identity tests compare builds within one commit (worker counts, the
+// external builder against the in-memory one); only this one notices a
+// loader that writes a different but valid tree. The external rows
+// (BulkLoadExternal at a RunSize) share their in-memory STR row's constant:
+// spilling or not, the two loaders write one file. A changed digest means
+// the packing order, an MBR or the page image changed: regenerate the
 // constants only for a change that means to.
 func TestBulkLoadGoldenDigests(t *testing.T) {
 	squares := uniformSquareItems(20000, 32)
@@ -26,20 +28,27 @@ func TestBulkLoadGoldenDigests(t *testing.T) {
 		items   []Item
 		packing Packing
 		want    string
+		runSize int // > 0: BulkLoadExternal at this RunSize instead of BulkLoad(packing)
 	}{
-		{"STR/w1", Options{Workers: 1}, squares, PackSTR, "70761f0a19c1203e"},
-		{"STR/w4", Options{Workers: 4}, squares, PackSTR, "70761f0a19c1203e"},
-		{"HS/w1", Options{Workers: 1}, squares, PackHilbert, "96a2326b295d94b8"},
-		{"HS/w4", Options{Workers: 4}, squares, PackHilbert, "96a2326b295d94b8"},
-		{"NX/w1", Options{Workers: 1}, squares, PackNearestX, "1000526ca48cbc8d"},
-		{"NX/w4", Options{Workers: 4}, squares, PackNearestX, "1000526ca48cbc8d"},
-		{"TGS/w1", Options{Workers: 1}, squares, PackTGS, "87c2c555a0d8498e"},
-		{"TGS/w4", Options{Workers: 4}, squares, PackTGS, "87c2c555a0d8498e"},
-		{"STR-3d-tied/w2", Options{Dims: 3, Workers: 2}, tiedCubeItems(9000, 33), PackSTR, "3ccae6391d140d37"},
-		{"STR-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackSTR, "d0fd046aacb64060"},
-		{"HS-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackHilbert, "a1ac549ec5ed1eee"},
-		{"NX-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackNearestX, "4a6a9fcbe753ec77"},
-		{"TGS-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackTGS, "b2000967e9526cb5"},
+		{"STR/w1", Options{Workers: 1}, squares, PackSTR, "70761f0a19c1203e", 0},
+		{"STR/w4", Options{Workers: 4}, squares, PackSTR, "70761f0a19c1203e", 0},
+		{"HS/w1", Options{Workers: 1}, squares, PackHilbert, "96a2326b295d94b8", 0},
+		{"HS/w4", Options{Workers: 4}, squares, PackHilbert, "96a2326b295d94b8", 0},
+		{"NX/w1", Options{Workers: 1}, squares, PackNearestX, "1000526ca48cbc8d", 0},
+		{"NX/w4", Options{Workers: 4}, squares, PackNearestX, "1000526ca48cbc8d", 0},
+		{"TGS/w1", Options{Workers: 1}, squares, PackTGS, "87c2c555a0d8498e", 0},
+		{"TGS/w4", Options{Workers: 4}, squares, PackTGS, "87c2c555a0d8498e", 0},
+		{"STR-3d-tied/w2", Options{Dims: 3, Workers: 2}, tiedCubeItems(9000, 33), PackSTR, "3ccae6391d140d37", 0},
+		{"STR-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackSTR, "d0fd046aacb64060", 0},
+		{"HS-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackHilbert, "a1ac549ec5ed1eee", 0},
+		{"NX-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackNearestX, "4a6a9fcbe753ec77", 0},
+		{"TGS-edges/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackTGS, "b2000967e9526cb5", 0},
+		{"STR-external-run64/w1", Options{Workers: 1}, squares, PackSTR, "70761f0a19c1203e", 64},
+		{"STR-external-run64/w4", Options{Workers: 4}, squares, PackSTR, "70761f0a19c1203e", 64},
+		{"STR-external-run1M/w1", Options{Workers: 1}, squares, PackSTR, "70761f0a19c1203e", 1 << 20},
+		{"STR-external-run1M/w4", Options{Workers: 4}, squares, PackSTR, "70761f0a19c1203e", 1 << 20},
+		{"STR-3d-tied-external-run999/w2", Options{Dims: 3, Workers: 2}, tiedCubeItems(9000, 33), PackSTR, "3ccae6391d140d37", 999},
+		{"STR-edges-external-run64/w1", Options{Capacity: 8, Workers: 1}, edgeItems(600, 34), PackSTR, "d0fd046aacb64060", 64},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -48,7 +57,12 @@ func TestBulkLoadGoldenDigests(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tree.BulkLoad(append([]Item(nil), c.items...), c.packing); err != nil {
+			if c.runSize > 0 {
+				err = tree.BulkLoadExternal(itemSource(c.items), ExternalOptions{RunSize: c.runSize, TmpDir: t.TempDir()})
+			} else {
+				err = tree.BulkLoad(append([]Item(nil), c.items...), c.packing)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if err := tree.Close(); err != nil {

@@ -1,38 +1,31 @@
-// Package extsort provides external-memory sorting of R-tree entries, so
-// STR packing scales past main memory — the regime the paper targets
-// ("data sets likely to be used by near term future applications" exceed
-// the buffer, and packing is preprocessing over files).
+// Package extsort sorts R-tree entries externally, so STR packing scales
+// past main memory — the regime the paper targets ("data sets likely to be
+// used by near term future applications" exceed the buffer).
 //
-// The implementation is the classical two-phase external merge sort,
-// exposed as one pull-based primitive: Ingest reads a source into sorted
-// runs and returns a Stream over their k-way merge. During ingest the loop
-// keeps streaming while a bounded worker pool sorts (with the psort kernel
-// every in-memory packing order uses) and spills completed runs; run
-// buffers are recycled through a free list. During the merge each run gets
-// a background prefetch reader that keeps a couple of decoded batches
-// ahead of the k-way heap. Entries are serialized with the same
-// fixed-width binary layout the node pages use; this package is the only
-// one that writes entries to temporary files.
+// It is the classical two-phase external merge sort behind one pull-based
+// primitive: Ingest reads a source into sorted runs and returns a Stream
+// over their k-way merge. It sorts page records (node.EntrySize(dims)
+// bytes, the layout pages store) and never decodes one: a run is one record
+// array, sorted by the psort kernel and spilled with one Write by a bounded
+// worker pool while ingest keeps streaming; each spilled run's prefetch
+// reader keeps raw record batches ahead of a heap of (key, run) pairs. Only
+// this package writes entries to temporary files.
 //
-// Determinism: run boundaries depend only on the input order and the run
-// size, runs are sorted stably, and the merge breaks key ties by run
-// sequence number — so the merged stream is the stable sort of the whole
-// input by key: identical for every Workers setting and every run size,
-// and identical to psort.ByCenter over the same entries in memory.
+// Determinism: runs are cut by input order and run size alone and sorted
+// stably, and the merge breaks key ties by run sequence number, so the
+// stream is the stable sort of the input by key at every Workers setting
+// and run size: psort.Perm.SortByCenter's order of the same records.
 package extsort
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
-	"strtree/internal/geom"
 	"strtree/internal/node"
 	"strtree/internal/psort"
 )
@@ -44,14 +37,17 @@ type Key struct{ axis int }
 // ByCenter orders entries by the center coordinate of one axis.
 func ByCenter(axis int) Key { return Key{axis: axis} }
 
-func (k Key) of(e *node.Entry) uint64 { return psort.Float64Key(e.Rect.CenterAxis(k.axis)) }
+// of keys the record rec starts with by its centre, as psort.Perm does.
+func (k Key) of(rec []byte) uint64 {
+	lo, hi := node.RecordWord(rec, 2*k.axis), node.RecordWord(rec, 2*k.axis+1)
+	return psort.Float64Key(lo + (hi-lo)/2)
+}
 
-// prefetchBatch is how many decoded entries one merge read-ahead batch
-// holds; each run keeps up to two batches in flight. Rectangle storage is
-// carved from arrays of the same number of entries.
+// prefetchBatch is how many records one merge read-ahead batch holds; each
+// run keeps up to two batches in flight.
 const prefetchBatch = 512
 
-// Sorter sorts streams of entries, spilling to disk when a run exceeds
+// Sorter sorts streams of page records, spilling to disk when a run exceeds
 // the in-memory budget.
 type Sorter struct {
 	dims    int
@@ -63,10 +59,13 @@ type Sorter struct {
 	// byte-for-byte identical for every setting; only wall time changes.
 	Workers int
 
-	// Cumulative activity counters across every sort on this Sorter
-	// (external builds reuse one Sorter for the x phase and every slab's
-	// y phase). Atomics, so a monitoring goroutine may snapshot them with
-	// Stats while a sort runs.
+	// spare holds sorted runs' arrays for any sort's next run, so one is
+	// allocated only when none is spare: 8 slots cover 7 Workers' runs.
+	spare chan []byte
+
+	// Cumulative counters across every sort on this Sorter (a build reuses
+	// one for every axis and slab). Atomics, so a monitoring goroutine may
+	// snapshot them with Stats while a sort runs.
 	sorts         atomic.Uint64
 	entriesSorted atomic.Uint64
 	runsSpilled   atomic.Uint64
@@ -100,8 +99,8 @@ func (s *Sorter) Stats() Stats {
 	}
 }
 
-// NewSorter creates a sorter for entries of the given dimensionality that
-// keeps at most runSize entries in memory per run. Temporary run files
+// NewSorter creates a sorter for records of the given dimensionality that
+// keeps at most runSize records in memory per run. Temporary run files
 // are created in tmpDir ("" means the OS default).
 func NewSorter(dims, runSize int, tmpDir string) (*Sorter, error) {
 	if dims <= 0 {
@@ -110,11 +109,8 @@ func NewSorter(dims, runSize int, tmpDir string) (*Sorter, error) {
 	if runSize < 2 {
 		return nil, fmt.Errorf("extsort: run size %d too small", runSize)
 	}
-	return &Sorter{dims: dims, runSize: runSize, tmpDir: tmpDir}, nil
+	return &Sorter{dims: dims, runSize: runSize, tmpDir: tmpDir, spare: make(chan []byte, 8)}, nil
 }
-
-// entrySize is the on-disk size of one entry.
-func (s *Sorter) entrySize() int { return 16*s.dims + 8 }
 
 func (s *Sorter) workers() int {
 	if s.Workers < 1 {
@@ -123,30 +119,34 @@ func (s *Sorter) workers() int {
 	return s.Workers
 }
 
-// rectSlab hands out rectangle storage carved from arrays of
-// prefetchBatch rectangles that are never handed out twice: ingest and
-// decode allocate once per batch instead of twice per entry, and an entry
-// built on a slab stays valid for as long as anyone holds it.
-type rectSlab struct {
-	dims int
-	buf  []float64
+// getRun returns a spare run array, else nil, which grows as the run fills.
+func (s *Sorter) getRun() []byte {
+	select {
+	case run := <-s.spare:
+		return run[:0]
+	default:
+		return nil
+	}
 }
 
-func (a *rectSlab) rect() geom.Rect {
-	d := a.dims
-	if cap(a.buf)-len(a.buf) < 2*d {
-		a.buf = make([]float64, 0, 2*d*prefetchBatch)
+// sortRun returns the records of run in key order, stably, in a new array,
+// and offers run's array to the next run.
+func (s *Sorter) sortRun(run []byte, key Key) []byte {
+	p := psort.NewPerm(run, s.dims)
+	p.SortByCenter(0, p.Len(), key.axis, 1)
+	sorted := p.Apply(1)
+	select {
+	case s.spare <- run:
+	default:
 	}
-	k := len(a.buf)
-	a.buf = a.buf[:k+2*d]
-	return geom.Rect{Min: a.buf[k : k+d : k+d], Max: a.buf[k+d : k+2*d : k+2*d]}
+	return sorted
 }
 
 // spillRun sorts a completed run and writes it to a fresh temp file. On
 // any failure the temp file is closed and removed before returning; the
 // caller only ever owns a fully written file.
-func (s *Sorter) spillRun(run []node.Entry, key Key) (_ *os.File, err error) {
-	psort.ByCenter(run, key.axis, 1)
+func (s *Sorter) spillRun(run []byte, key Key) (_ *os.File, err error) {
+	sorted := s.sortRun(run, key)
 	f, err := os.CreateTemp(s.tmpDir, "extsort-run-*")
 	if err != nil {
 		return nil, err
@@ -159,36 +159,27 @@ func (s *Sorter) spillRun(run []node.Entry, key Key) (_ *os.File, err error) {
 			}
 		}
 	}()
-	w := bufio.NewWriterSize(f, 1<<16)
-	buf := make([]byte, s.entrySize())
-	for i := range run {
-		s.encode(&run[i], buf)
-		if _, werr := w.Write(buf); werr != nil {
-			return nil, werr
-		}
-	}
-	if ferr := w.Flush(); ferr != nil {
-		return nil, ferr
+	if _, err = f.Write(sorted); err != nil {
+		return nil, err
 	}
 	return f, nil
 }
 
-// Stream is a sorted sequence: the k-way merge of one sort's spilled runs
-// (or its single in-memory run). It yields each entry once, on storage it
-// never reuses, so the consumer may keep what Next returns. A Stream must
-// be closed, on every path, to release its run files and readers.
+// Stream is a sorted sequence: the k-way merge of one sort's spilled runs,
+// or its in-memory run as the one batch of a run without a file; the zero
+// Stream is empty. It must be closed, on every path, to release its files.
 type Stream struct {
+	size    int // bytes per record
 	total   int
 	emitted int
-	mem     []node.Entry // the sorted input when it fit in one run
-	files   []*os.File   // spilled runs, in spill order
-	readers []*prefetch  // one per file
+	files   []*os.File  // spilled runs, in spill order
+	readers []*prefetch // one per run
 	rwg     sync.WaitGroup
 	key     Key
 	heap    mergeHeap
 }
 
-// Len is the number of entries the stream holds in total, known as soon
+// Len is the number of records the stream holds in total, known as soon
 // as Ingest returns.
 func (st *Stream) Len() int { return st.total }
 
@@ -199,38 +190,28 @@ type spill struct {
 	err error
 }
 
-// Ingest consumes entries from next (until it reports false or an error)
-// into sorted runs and returns the stream of their merge. Entries are
-// copied on ingest, so next may reuse the storage of what it returns.
-// next is always called from the calling goroutine — the internal
-// concurrency never touches it. On error every run file is already gone.
-func (s *Sorter) Ingest(key Key, next func() (node.Entry, bool, error)) (_ *Stream, err error) {
-	st := &Stream{key: key}
+// Ingest consumes page records from next (until it reports false or an
+// error) into sorted runs and returns the stream of their merge. Records are
+// copied on ingest, so next may reuse its buffer; one of the wrong length is
+// an error. next is only called from the calling goroutine. On error every
+// run file is already gone.
+func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, err error) {
+	size := node.EntrySize(s.dims)
+	st := &Stream{size: size, key: key}
 	defer func() {
 		if err != nil {
 			err = errors.Join(err, st.Close())
 		}
 	}()
 
-	// Run generation. The loop below keeps calling next while up to
-	// `workers` goroutines sort and spill completed runs.
-	workers := s.workers()
+	// The loop keeps calling next while up to `workers` goroutines spill.
 	var (
 		wg     sync.WaitGroup
 		spills []*spill // by run sequence number: merge order = spill order
 		failed atomic.Bool
 	)
-	sem := make(chan struct{}, workers)
-	freeBufs := make(chan []node.Entry, workers+1) // every run in flight plus the one being filled
-	newRun := func() []node.Entry {
-		select {
-		case b := <-freeBufs:
-			return b
-		default:
-			return make([]node.Entry, 0, s.runSize)
-		}
-	}
-	spawnSpill := func(run []node.Entry) {
+	sem := make(chan struct{}, s.workers())
+	spawnSpill := func(run []byte) {
 		sp := &spill{}
 		spills = append(spills, sp)
 		wg.Add(1)
@@ -243,33 +224,30 @@ func (s *Sorter) Ingest(key Key, next func() (node.Entry, bool, error)) (_ *Stre
 					failed.Store(true)
 				}
 			}
-			select {
-			case freeBufs <- run[:0]:
-			default:
-			}
 		}()
 	}
 
-	rects := rectSlab{dims: s.dims}
-	run := newRun()
+	run, full := s.getRun(), s.runSize*size
 	for !failed.Load() {
-		e, ok, nerr := next()
+		rec, ok, nerr := next()
 		if nerr != nil || !ok {
 			err = nerr
 			break
 		}
-		if e.Rect.Dim() != s.dims {
-			err = fmt.Errorf("extsort: entry dim %d, sorter dim %d", e.Rect.Dim(), s.dims)
+		if len(rec) != size {
+			err = fmt.Errorf("extsort: record of %d bytes, a %d-D sorter's are %d", len(rec), s.dims, size)
 			break
 		}
-		r := rects.rect()
-		copy(r.Min, e.Rect.Min)
-		copy(r.Max, e.Rect.Max)
-		run = append(run, node.Entry{Rect: r, Ref: e.Ref})
+		if cap(run)-len(run) < size {
+			// Double, up to a full run: append's gentler growth of a large
+			// slice would copy a run five times over on its way up.
+			run = slices.Grow(run, min(max(cap(run), prefetchBatch*size), full-len(run)))
+		}
+		run = append(run, rec...)
 		st.total++
-		if len(run) >= s.runSize {
+		if len(run) >= full {
 			spawnSpill(run)
-			run = newRun()
+			run = s.getRun()
 		}
 	}
 	if len(spills) > 0 && len(run) > 0 && err == nil && !failed.Load() {
@@ -288,40 +266,39 @@ func (s *Sorter) Ingest(key Key, next func() (node.Entry, bool, error)) (_ *Stre
 	s.sorts.Add(1)
 	s.entriesSorted.Add(uint64(st.total))
 
-	// Everything fit in one in-memory run: no files, no merge.
 	if len(spills) == 0 {
-		psort.ByCenter(run, key.axis, 1)
-		st.mem = run
-		return st, nil
+		// One in-memory run: no file, no reader, one batch.
+		p := newPrefetch()
+		p.batches <- runBatch{recs: s.sortRun(run, key)}
+		close(p.batches)
+		st.readers = append(st.readers, p)
+	} else {
+		s.runsSpilled.Add(uint64(len(spills)))
+		s.merges.Add(1)
 	}
-	s.runsSpilled.Add(uint64(len(spills)))
-	s.merges.Add(1)
 
 	// K-way merge with per-run read-ahead. Each run file gets a background
-	// reader that stays up to two decoded batches ahead of the heap, so
-	// merge CPU overlaps run I/O.
+	// reader that stays up to two batches ahead of the heap, so merge CPU
+	// overlaps run I/O.
 	for _, f := range st.files {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			return nil, err
 		}
-		p := &prefetch{
-			batches: make(chan runBatch, 2), // the read-ahead depth
-			stop:    make(chan struct{}),
-		}
+		p := newPrefetch()
 		st.readers = append(st.readers, p)
 		st.rwg.Add(1)
 		go func(f *os.File) {
 			defer st.rwg.Done()
-			s.readRun(f, p)
+			p.read(f, size)
 		}(f)
 	}
 	for src, p := range st.readers {
-		e, ok, err := p.next()
+		ok, err := p.advance(size)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			st.heap = append(st.heap, mergeItem{key: key.of(&e), src: src, entry: e})
+			st.heap = append(st.heap, mergeItem{key: key.of(p.head(size)), src: src})
 		}
 	}
 	for i := len(st.heap)/2 - 1; i >= 0; i-- {
@@ -330,26 +307,25 @@ func (s *Sorter) Ingest(key Key, next func() (node.Entry, bool, error)) (_ *Stre
 	return st, nil
 }
 
-// Next returns the next entry in order, false at the end of the stream,
-// or the read error that cut a run short.
-func (st *Stream) Next() (node.Entry, bool, error) {
-	if st.emitted < len(st.mem) {
-		st.emitted++
-		return st.mem[st.emitted-1], true, nil
-	}
+// Next returns the next record in order, false at the end of the stream,
+// or the read error that cut a run short. The stream never reuses the
+// storage of a record it returned.
+func (st *Stream) Next() ([]byte, bool, error) {
 	if len(st.heap) == 0 {
 		if st.emitted != st.total {
-			return node.Entry{}, false, fmt.Errorf("extsort: emitted %d of %d entries", st.emitted, st.total)
+			return nil, false, fmt.Errorf("extsort: emitted %d of %d records", st.emitted, st.total)
 		}
-		return node.Entry{}, false, nil
+		return nil, false, nil
 	}
-	top := st.heap[0]
-	e, ok, err := st.readers[top.src].next()
+	top := &st.heap[0]
+	p := st.readers[top.src]
+	rec := p.head(st.size)
+	ok, err := p.advance(st.size)
 	if err != nil {
-		return node.Entry{}, false, err
+		return nil, false, err
 	}
 	if ok {
-		st.heap[0] = mergeItem{key: st.key.of(&e), src: top.src, entry: e}
+		top.key = st.key.of(p.head(st.size))
 	} else {
 		last := len(st.heap) - 1
 		st.heap[0] = st.heap[last]
@@ -357,7 +333,7 @@ func (st *Stream) Next() (node.Entry, bool, error) {
 	}
 	st.heap.down(0)
 	st.emitted++
-	return top.entry, true, nil
+	return rec, true, nil
 }
 
 // Close stops the run readers, then closes and removes every run file,
@@ -379,123 +355,76 @@ func (st *Stream) Close() (err error) {
 	return err
 }
 
-// Sort ingests next and drains the merged stream into emit: the push
-// form of Ingest, for callers with nothing to do between entries.
-func (s *Sorter) Sort(key Key, next func() (node.Entry, bool), emit func(node.Entry) error) (err error) {
-	st, err := s.Ingest(key, func() (node.Entry, bool, error) {
-		e, ok := next()
-		return e, ok, nil
-	})
-	if err != nil {
-		return err
-	}
-	defer func() { err = errors.Join(err, st.Close()) }()
-	for {
-		e, ok, err := st.Next()
-		if err != nil || !ok {
-			return err
-		}
-		if err := emit(e); err != nil {
-			return err
-		}
-	}
-}
-
-// runBatch is one block of decoded entries handed from a prefetch reader
-// to the merge loop; err terminates the run.
+// runBatch is one block of whole records handed from a prefetch reader to
+// the merge loop; err terminates the run.
 type runBatch struct {
-	entries []node.Entry
-	err     error
+	recs []byte
+	err  error
 }
 
 // prefetch is the merge loop's view of one run: a channel of read-ahead
-// batches plus the batch currently being consumed.
+// batches and the rest of the batch being consumed, the run's head record
+// first.
 type prefetch struct {
 	batches chan runBatch
 	stop    chan struct{}
-	cur     []node.Entry
-	pos     int
+	batch   []byte
 }
 
-// next returns the run's next entry, blocking on the reader only when the
-// read-ahead is empty.
-func (p *prefetch) next() (node.Entry, bool, error) {
-	for p.pos >= len(p.cur) {
+func newPrefetch() *prefetch {
+	return &prefetch{batches: make(chan runBatch, 2) /* the read-ahead depth */, stop: make(chan struct{})}
+}
+
+// head returns the run's head record.
+func (p *prefetch) head(size int) []byte { return p.batch[:size:size] }
+
+// advance drops the run's head record (none on the first call), waiting on
+// the reader only when the read-ahead is empty; false at the run's end.
+func (p *prefetch) advance(size int) (bool, error) {
+	if len(p.batch) > 0 {
+		p.batch = p.batch[size:]
+	}
+	for len(p.batch) == 0 {
 		b, ok := <-p.batches
 		if !ok {
-			return node.Entry{}, false, nil
+			return false, nil
 		}
 		if b.err != nil {
-			return node.Entry{}, false, b.err
+			return false, b.err
 		}
-		p.cur, p.pos = b.entries, 0
+		p.batch = b.recs
 	}
-	e := p.cur[p.pos]
-	p.pos++
-	return e, true, nil
+	return true, nil
 }
 
-// readRun is the body of one run's prefetch goroutine: it decodes f batch
-// by batch into p.batches until the run ends, a read fails, or p.stop is
-// closed.
-func (s *Sorter) readRun(f *os.File, p *prefetch) {
+// read is a run file's prefetch goroutine: it sends f's records, batch by
+// batch, until the run ends, a read fails, or p.stop is closed.
+func (p *prefetch) read(f *os.File, size int) {
 	defer close(p.batches)
-	r := bufio.NewReaderSize(f, 1<<16)
-	buf := make([]byte, s.entrySize())
-	rects := rectSlab{dims: s.dims}
 	for {
-		entries := make([]node.Entry, 0, prefetchBatch)
-		var err error
-		for len(entries) < prefetchBatch && err == nil {
-			if _, err = io.ReadFull(r, buf); err == nil {
-				entries = append(entries, s.decode(buf, rects.rect()))
-			}
-		}
-		batch := runBatch{entries: entries}
-		if err != nil && err != io.EOF {
-			batch = runBatch{err: err}
-		} else if len(entries) == 0 {
+		buf := make([]byte, prefetchBatch*size)
+		n, err := io.ReadFull(f, buf)
+		if err == io.EOF {
 			return
 		}
+		if err == io.ErrUnexpectedEOF && n%size == 0 {
+			err = nil // the run's last batch; the next read reports EOF
+		}
 		select {
-		case p.batches <- batch:
+		case p.batches <- runBatch{recs: buf[:n], err: err}:
 		case <-p.stop:
 			return
 		}
 		if err != nil {
-			return // the run is over
+			return
 		}
 	}
 }
 
-func (s *Sorter) encode(e *node.Entry, buf []byte) {
-	off := 0
-	for d := 0; d < s.dims; d++ {
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Min[d]))
-		off += 8
-		binary.LittleEndian.PutUint64(buf[off:], math.Float64bits(e.Rect.Max[d]))
-		off += 8
-	}
-	binary.LittleEndian.PutUint64(buf[off:], e.Ref)
-}
-
-// decode is encode's inverse, into rectangle storage the caller provides.
-func (s *Sorter) decode(buf []byte, r geom.Rect) node.Entry {
-	off := 0
-	for d := 0; d < s.dims; d++ {
-		r.Min[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-		r.Max[d] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-	}
-	return node.Entry{Rect: r, Ref: binary.LittleEndian.Uint64(buf[off:])}
-}
-
-// mergeItem is one head-of-run entry in the merge heap.
+// mergeItem is one run's place in the merge heap: its head record's key.
 type mergeItem struct {
-	key   uint64
-	src   int // run sequence number, the tie-break that makes the merge stable
-	entry node.Entry
+	key uint64
+	src int // run sequence number, the tie-break that makes the merge stable
 }
 
 // mergeHeap is a binary min-heap on (key, src) — a strict total order, so

@@ -1,12 +1,14 @@
 package extsort
 
 import (
+	"bytes"
 	"math/rand"
 	"sort"
 	"testing"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 )
 
 func randEntries(n int, seed int64) []node.Entry {
@@ -100,6 +102,51 @@ func TestSortMatchesStableSort(t *testing.T) {
 		}
 		if i != len(want) {
 			t.Fatalf("run size %d: emitted %d of %d", runSize, i, len(want))
+		}
+	}
+}
+
+// TestIngestYieldsSortedRecords holds the record pipeline to the in-memory
+// kernel byte for byte: at every run size — one in-memory run, runs of
+// several read-ahead batches, runs shorter than one — and worker count, the
+// stream yields exactly the records psort.Perm's stable sort gathers.
+func TestIngestYieldsSortedRecords(t *testing.T) {
+	entries := dupEntries(3000)
+	recs, _ := psort.Encode(entries, 1)
+	p := psort.NewPerm(recs, 2)
+	p.SortByCenter(0, p.Len(), 0, 1)
+	want := p.Apply(1)
+	size := node.EntrySize(2)
+	for _, runSize := range []int{4096, 1500, 999, 100} {
+		for _, workers := range []int{1, 3} {
+			s, err := NewSorter(2, runSize, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Workers = workers
+			st, err := s.Ingest(ByCenter(0), recordSource(entries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			i := 0
+			for ; ; i++ {
+				rec, ok, err := st.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				if i >= len(entries) || !bytes.Equal(rec, want[i*size:(i+1)*size]) {
+					t.Fatalf("run size %d, workers %d: record %d differs from the in-memory sort's", runSize, workers, i)
+				}
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if i != len(entries) {
+				t.Fatalf("run size %d, workers %d: %d of %d records", runSize, workers, i, len(entries))
+			}
 		}
 	}
 }

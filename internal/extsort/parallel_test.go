@@ -98,11 +98,18 @@ func spillingSorter(t *testing.T, dir string) *Sorter {
 	return s
 }
 
-func streamSource(entries []node.Entry) func() (node.Entry, bool, error) {
+// recordSource yields entries as page records, all in one buffer it
+// overwrites between calls.
+func recordSource(entries []node.Entry) func() ([]byte, bool, error) {
 	next := sliceSource(entries)
-	return func() (node.Entry, bool, error) {
+	var rec []byte
+	return func() ([]byte, bool, error) {
 		e, ok := next()
-		return e, ok, nil
+		if !ok {
+			return nil, false, nil
+		}
+		rec = node.AppendRecord(rec[:0], e.Rect, e.Ref)
+		return rec, true, nil
 	}
 }
 
@@ -129,7 +136,7 @@ func TestSortEmitErrorCleansSpills(t *testing.T) {
 	})
 	t.Run("abandoned stream", func(t *testing.T) {
 		dir, before := t.TempDir(), runtime.NumGoroutine()
-		st, err := spillingSorter(t, dir).Ingest(ByCenter(0), streamSource(randEntries(1000, 2)))
+		st, err := spillingSorter(t, dir).Ingest(ByCenter(0), recordSource(randEntries(1000, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,15 +161,15 @@ func TestSortEmitErrorCleansSpills(t *testing.T) {
 		// y-sort whose own spill fails while the x-run files are open.
 		dir, before := t.TempDir(), runtime.NumGoroutine()
 		s := spillingSorter(t, dir)
-		x, err := s.Ingest(ByCenter(0), streamSource(randEntries(1000, 2)))
+		x, err := s.Ingest(ByCenter(0), recordSource(randEntries(1000, 2)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		s.tmpDir = filepath.Join(dir, "gone")
 		take := 300
-		y, err := s.Ingest(ByCenter(1), func() (node.Entry, bool, error) {
+		y, err := s.Ingest(ByCenter(1), func() ([]byte, bool, error) {
 			if take == 0 {
-				return node.Entry{}, false, nil
+				return nil, false, nil
 			}
 			take--
 			return x.Next()
@@ -179,22 +186,22 @@ func TestSortEmitErrorCleansSpills(t *testing.T) {
 
 // TestSortIngestErrorCleansSpills kills the source mid-stream — after
 // several runs have already spilled — with an error of its own and with a
-// dim mismatch, and checks the spilled runs are removed.
+// record of the wrong size, and checks the spilled runs are removed.
 func TestSortIngestErrorCleansSpills(t *testing.T) {
 	boom := errors.New("source failed")
-	for name, last := range map[string]func() (node.Entry, bool, error){
-		"source error": func() (node.Entry, bool, error) { return node.Entry{}, false, boom },
+	for name, last := range map[string]func() ([]byte, bool, error){
+		"source error": func() ([]byte, bool, error) { return nil, false, boom },
 		// A 3-D straggler into the 2-D sorter: rejected at ingest.
-		"dim mismatch": func() (node.Entry, bool, error) {
-			return node.Entry{Rect: geom.PointRect(geom.Point{0, 0, 0})}, true, nil
+		"dim mismatch": func() ([]byte, bool, error) {
+			return node.AppendRecord(nil, geom.PointRect(geom.Point{0, 0, 0}), 0), true, nil
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir, before := t.TempDir(), runtime.NumGoroutine()
-			good := streamSource(randEntries(400, 3))
-			st, err := spillingSorter(t, dir).Ingest(ByCenter(0), func() (node.Entry, bool, error) {
-				if e, ok, _ := good(); ok {
-					return e, true, nil
+			good := recordSource(randEntries(400, 3))
+			st, err := spillingSorter(t, dir).Ingest(ByCenter(0), func() ([]byte, bool, error) {
+				if rec, ok, _ := good(); ok {
+					return rec, true, nil
 				}
 				return last()
 			})

@@ -18,7 +18,7 @@ package node
 // the references the arms are tested against, word for word, on arbitrary
 // page bytes (view_test.go, FuzzViewEquivalence). MakeView's rectangle check
 // is the fifth kernel, with the same two arms (firstInvalid over
-// recordValid), and FillRecords (node.go) runs it on the records it is
+// RecordValid), and FillRecords (node.go) runs it on the records it is
 // about to write; Unmarshal keeps its own per-entry check, because it is the
 // independent reference MakeView's verdicts are held to (FuzzViewRectCheck).
 //
@@ -95,18 +95,18 @@ func MakeView(page []byte) (View, error) {
 
 // firstInvalid returns the index of the first record of recs — whole entries
 // of dims axes in the page layout — that is not a well-formed rectangle
-// (recordValid false), or the number of records if every one is: MakeView's
+// (RecordValid false), or the number of records if every one is: MakeView's
 // rectangle check, and FillRecords'. At k = 2 the records are walked by
 // stride with no bounds check in the loop and one !(lo <= hi) per axis, which
-// is true for a NaN on either side and for an inversion — recordValid's three
+// is true for a NaN on either side and for an inversion — RecordValid's three
 // tests in one comparison, so the two agree on any words: 1.7 ns per entry.
-// Any other k runs recordValid per record.
+// Any other k runs RecordValid per record.
 func firstInvalid(recs []byte, dims int) int {
 	if dims != 2 {
 		size := EntrySize(dims)
 		n := len(recs) / size
 		for i := 0; i < n; i++ {
-			if !recordValid(recs[i*size:], dims) {
+			if !RecordValid(recs[i*size:], dims) {
 				return i
 			}
 		}
@@ -157,11 +157,11 @@ func MakeTrustedView(page []byte) (View, error) {
 	return View{page: page, dims: dims, level: level, count: count}, nil
 }
 
-// recordValid reports whether the record rec starts with decodes to a
+// RecordValid reports whether the record rec starts with decodes to a
 // well-formed rectangle: no NaN coordinates and Min <= Max on every axis
 // (geom.Rect.Valid over the wire words, without building the rectangle):
-// firstInvalid's step for k != 2.
-func recordValid(rec []byte, dims int) bool {
+// firstInvalid's step for k != 2, and the streaming bulk loader's check.
+func RecordValid(rec []byte, dims int) bool {
 	for d := 0; d < dims; d++ {
 		lo := math.Float64frombits(binary.LittleEndian.Uint64(rec[16*d:]))
 		hi := math.Float64frombits(binary.LittleEndian.Uint64(rec[16*d+8:]))

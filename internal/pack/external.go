@@ -5,18 +5,16 @@ import (
 	"fmt"
 
 	"strtree/internal/extsort"
-	"strtree/internal/node"
 )
 
-// STRExternal performs the 2-D STR ordering without ever holding more
-// than RunSize entries in memory: the x phase is an external merge sort
-// fed straight from the source, and each vertical slice is pulled off the
-// live x-merge and external-sorted by y as it streams out. Combined with
-// rtree.BulkLoadOrdered this lets a tree be packed from data sets far
-// larger than RAM — the preprocessing-over-files setting the paper's
-// packing algorithms are meant for.
+// STRExternal performs the STR ordering of k-D page records without ever
+// holding more than RunSize of them in memory: STR.tile's recursion over
+// external merge sorts, each slab pulled off the live merge of the axis
+// before it. Combined with rtree.BulkLoadOrdered this packs a tree from
+// data sets far larger than RAM — the preprocessing-over-files setting the
+// paper's packing algorithms are meant for.
 type STRExternal struct {
-	// RunSize is the maximum number of entries held in memory during any
+	// RunSize is the maximum number of records held in memory during any
 	// sort phase. Zero means 1 << 20.
 	RunSize int
 	// TmpDir hosts the spill files ("" = OS default).
@@ -38,15 +36,14 @@ func (s STRExternal) runSize() int {
 	return s.RunSize
 }
 
-// Open consumes 2-D entries from src (until it reports false or an error)
-// into the x-sort and returns them as a stream in STR packing order for
-// node capacity n. The number of entries is the x-sort's count once its
-// ingest ends. The stream must be closed.
-func (s STRExternal) Open(n int, src func() (node.Entry, bool, error)) (*STRStream, error) {
+// Open consumes page records of dims axes from src (until it reports false
+// or an error) into the first-axis sort and returns them as a stream in STR
+// packing order for node capacity n. The stream must be closed.
+func (s STRExternal) Open(dims, n int, src func() ([]byte, bool, error)) (*STRStream, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("pack: node capacity %d < 1", n)
 	}
-	sorter, err := extsort.NewSorter(2, s.runSize(), s.TmpDir)
+	sorter, err := extsort.NewSorter(dims, s.runSize(), s.TmpDir)
 	if err != nil {
 		return nil, err
 	}
@@ -55,68 +52,85 @@ func (s STRExternal) Open(n int, src func() (node.Entry, bool, error)) (*STRStre
 	if err != nil {
 		return nil, err
 	}
-	// Slabs of n*ceil(sqrt(P)) entries, as STR.tile cuts them.
-	p := (x.Len() + n - 1) / n
-	slab := max(n*ceilPow(p, 0.5), n)
-	return &STRStream{sorter: sorter, x: x, left: x.Len(), slab: slab}, nil
+	p := &STRStream{sorter: sorter, n: n, levels: make([]level, dims)}
+	for a := range p.levels {
+		p.levels[a].st = new(extsort.Stream) // empty: the first Next refills it
+	}
+	p.setLevel(0, x)
+	return p, nil
 }
 
-// STRStream yields entries in STR packing order: it cuts the x-sorted
-// merge into slabs and external-sorts each by center y as it is reached.
-// Entries it returns are the caller's to keep.
+// STRStream yields page records in STR packing order, off the last of its
+// levels: levels[a] is sorted on axis a, the whole input at a = 0, else the
+// current slab of level a−1, sorted when it is reached.
 type STRStream struct {
 	sorter *extsort.Sorter
-	x      *extsort.Stream // the whole input by center x
-	y      *extsort.Stream // the current slab by center y; nil between slabs
-	left   int             // entries of x no slab has taken yet
-	slab   int
+	n      int
+	levels []level
 }
 
-// Stats is the cumulative activity of the stream's sorts so far — one for
-// the x phase plus one per y slab reached: how often the RunSize budget
-// forced spills, and how much was merged.
+// level is one axis of the recursion.
+type level struct {
+	st   *extsort.Stream // the current range sorted on the level's axis
+	left int             // records of st no slab of the next level has taken yet
+	slab int             // the size of the next level's slabs
+}
+
+// setLevel makes st level a's range, cut below in STR.tile's slab sizes.
+func (p *STRStream) setLevel(a int, st *extsort.Stream) {
+	p.levels[a] = level{st: st, left: st.Len(), slab: slabSize(st.Len(), p.n, len(p.levels)-a)}
+}
+
+// Stats is the cumulative activity of the stream's sorts so far: one for
+// the first axis plus one per slab reached on every later axis.
 func (p *STRStream) Stats() SortStats { return p.sorter.Stats() }
 
-// Next returns the next entry in packing order, false at the end.
-func (p *STRStream) Next() (node.Entry, bool, error) {
+// Next returns the next record in packing order, false at the end.
+func (p *STRStream) Next() ([]byte, bool, error) {
+	last := len(p.levels) - 1
 	for {
-		if p.y != nil {
-			e, ok, err := p.y.Next()
-			if ok || err != nil {
-				return e, ok, err
-			}
-			err = p.y.Close()
-			p.y = nil
-			if err != nil {
-				return node.Entry{}, false, err
-			}
+		if rec, ok, err := p.levels[last].st.Next(); ok || err != nil {
+			return rec, ok, err
 		}
-		if p.left == 0 {
-			return node.Entry{}, false, nil
-		}
-		take := min(p.slab, p.left)
-		p.left -= take
-		var err error
-		p.y, err = p.sorter.Ingest(extsort.ByCenter(1), func() (node.Entry, bool, error) {
-			if take == 0 {
-				return node.Entry{}, false, nil
-			}
-			take--
-			return p.x.Next()
-		})
-		if err != nil {
-			return node.Entry{}, false, err
+		if ok, err := p.refill(last); !ok || err != nil {
+			return nil, false, err
 		}
 	}
 }
 
-// Close releases both sorts' run files; it may be called at any point of
+// refill replaces level a's spent range by the next slab of level a−1,
+// refilling that first if it is spent; false once level 0 is spent.
+func (p *STRStream) refill(a int) (bool, error) {
+	if err := p.levels[a].st.Close(); err != nil || a == 0 {
+		return false, err
+	}
+	up := &p.levels[a-1]
+	if up.left == 0 {
+		if ok, err := p.refill(a - 1); !ok || err != nil {
+			return ok, err
+		}
+	}
+	take := min(up.slab, up.left)
+	up.left -= take
+	st, err := p.sorter.Ingest(extsort.ByCenter(a), func() ([]byte, bool, error) {
+		if take == 0 {
+			return nil, false, nil
+		}
+		take--
+		return up.st.Next()
+	})
+	if err != nil {
+		return false, err
+	}
+	p.setLevel(a, st)
+	return true, nil
+}
+
+// Close releases every level's run files; it may be called at any point of
 // the stream, and more than once.
-func (p *STRStream) Close() error {
-	err := p.x.Close()
-	if p.y != nil {
-		err = errors.Join(err, p.y.Close())
-		p.y = nil
+func (p *STRStream) Close() (err error) {
+	for _, lv := range p.levels {
+		err = errors.Join(err, lv.st.Close())
 	}
 	return err
 }

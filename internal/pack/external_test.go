@@ -1,43 +1,51 @@
 package pack
 
 import (
+	"bytes"
 	"math/rand"
 	"os"
 	"testing"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 )
 
 func cube3() geom.Rect { return geom.UnitCube(3) }
 
-func sliceSource(entries []node.Entry) func() (node.Entry, bool, error) {
+// sliceSource yields entries as page records, all in one buffer it
+// overwrites between calls.
+func sliceSource(entries []node.Entry) func() ([]byte, bool, error) {
 	i := 0
-	return func() (node.Entry, bool, error) {
+	var rec []byte
+	return func() ([]byte, bool, error) {
 		if i >= len(entries) {
-			return node.Entry{}, false, nil
+			return nil, false, nil
 		}
+		rec = node.AppendRecord(rec[:0], entries[i].Rect, entries[i].Ref)
 		i++
-		return entries[i-1], true, nil
+		return rec, true, nil
 	}
 }
 
-func collectPack(t *testing.T, s STRExternal, n int, entries []node.Entry) ([]node.Entry, SortStats) {
+// collectPack drains the external STR order of entries into one record
+// array.
+func collectPack(t *testing.T, s STRExternal, dims, n int, entries []node.Entry) ([]byte, SortStats) {
 	t.Helper()
-	ordered, err := s.Open(n, sliceSource(entries))
+	ordered, err := s.Open(dims, n, sliceSource(entries))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []node.Entry
+	var out []byte
 	for {
-		e, ok, err := ordered.Next()
+		rec, ok, err := ordered.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		out = append(out, e)
+		out = append(out, rec...)
 	}
 	if err := ordered.Close(); err != nil {
 		t.Fatal(err)
@@ -45,10 +53,12 @@ func collectPack(t *testing.T, s STRExternal, n int, entries []node.Entry) ([]no
 	return out, ordered.Stats()
 }
 
+// TestExternalSTRMatchesInMemory: the external order is STR.OrderRecords'
+// byte for byte. Both sorts are stable, so the orders agree on tied centre
+// coordinates (the snapped input) as well as on tie-free ones, whether only
+// the first-axis sort spills (256) or the slab sorts do too (16), and at
+// k = 3 the slabs of slabs are cut as STR.tile cuts them.
 func TestExternalSTRMatchesInMemory(t *testing.T) {
-	// Both sorts are stable, so the orders agree on tied center
-	// coordinates (the snapped input) as well as on tie-free ones, whether
-	// only the x phase spills (256) or the y slabs do too (16).
 	const n = 100
 	rng := rand.New(rand.NewSource(91))
 	snapped := make([]node.Entry, 5000)
@@ -58,22 +68,34 @@ func TestExternalSTRMatchesInMemory(t *testing.T) {
 		x, y := float64(rng.Intn(21))/20, float64(rng.Intn(21))/20
 		snapped[i] = node.Entry{Rect: geom.R2(x-0.01, y-0.01, x+0.01, y+0.01), Ref: uint64(i)}
 	}
-	for name, base := range map[string][]node.Entry{"tie-free": uniformSquares(5000, 91), "snapped": snapped} {
-		inMem := append([]node.Entry(nil), base...)
-		STR{}.Order(inMem, n, 0)
+	cubes := make([]node.Entry, 5000)
+	for i := range cubes {
+		// Unit cubes on a 9x9x9 grid: centres tie on every axis.
+		lo := geom.Point{float64(rng.Intn(9)), float64(rng.Intn(9)), float64(rng.Intn(9))}
+		cubes[i] = node.Entry{Rect: geom.Rect{Min: lo, Max: geom.Point{lo[0] + 1, lo[1] + 1, lo[2] + 1}}, Ref: uint64(i)}
+	}
+	for _, in := range []struct {
+		name    string
+		entries []node.Entry
+		sorts   uint64 // one on the first axis plus one per slab reached
+	}{
+		{"tie-free", uniformSquares(5000, 91), 1 + 7},
+		{"snapped", snapped, 1 + 7},
+		// P = 50: 4 slabs of n*ceil(50^(2/3)) = 1400 (the last 800); a
+		// full one is cut into 4 sub-slabs of n*ceil(14^(1/2)) = 400, the
+		// last into 3 of n*ceil(8^(1/2)) = 300.
+		{"3-D tied", cubes, 1 + 4 + 3*4 + 3},
+	} {
+		dims := in.entries[0].Rect.Dim()
+		recs, _ := psort.Encode(in.entries, 1)
+		want := STR{}.OrderRecords(recs, dims, n, 0)
 		for _, runSize := range []int{256, 16} {
-			ext, stats := collectPack(t, STRExternal{RunSize: runSize, TmpDir: t.TempDir()}, n, base)
-			if len(ext) != len(inMem) {
-				t.Fatalf("%s, run size %d: external emitted %d of %d", name, runSize, len(ext), len(inMem))
+			got, stats := collectPack(t, STRExternal{RunSize: runSize, TmpDir: t.TempDir()}, dims, n, in.entries)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s, run size %d: external order (%d bytes) differs from STR.OrderRecords (%d bytes)", in.name, runSize, len(got), len(want))
 			}
-			for i := range inMem {
-				if ext[i].Ref != inMem[i].Ref {
-					t.Fatalf("%s, run size %d: orders diverge at position %d: %d vs %d", name, runSize, i, ext[i].Ref, inMem[i].Ref)
-				}
-			}
-			// One x-sort plus one y-sort per slab of n*ceil(sqrt(50)) entries.
-			if want := uint64(1 + 7); stats.Sorts != want || stats.EntriesSorted != 2*5000 {
-				t.Fatalf("%s, run size %d: stats %+v, want %d sorts of %d entries", name, runSize, stats, want, 2*5000)
+			if stats.Sorts != in.sorts || stats.EntriesSorted != uint64(dims)*5000 {
+				t.Fatalf("%s, run size %d: stats %+v, want %d sorts of %d entries", in.name, runSize, stats, in.sorts, dims*5000)
 			}
 		}
 	}
@@ -83,7 +105,7 @@ func TestExternalSTRMatchesInMemory(t *testing.T) {
 // and a spilled y-sort hold run files open.
 func TestExternalSTRAbandonedMidSlab(t *testing.T) {
 	dir := t.TempDir()
-	ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: 4}.Open(100, sliceSource(uniformSquares(5000, 93)))
+	ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: 4}.Open(2, 100, sliceSource(uniformSquares(5000, 93)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,21 +124,28 @@ func TestExternalSTRAbandonedMidSlab(t *testing.T) {
 
 func TestExternalSTRTinyAndEmpty(t *testing.T) {
 	s := STRExternal{RunSize: 16, TmpDir: t.TempDir()}
-	if got, _ := collectPack(t, s, 10, nil); len(got) != 0 {
-		t.Fatalf("empty input emitted %d", len(got))
+	for dims := 1; dims <= 3; dims++ {
+		if got, _ := collectPack(t, s, dims, 10, nil); len(got) != 0 {
+			t.Fatalf("%d-D: empty input emitted %d bytes", dims, len(got))
+		}
 	}
 	one := uniformSquares(1, 92)
-	if got, _ := collectPack(t, s, 10, one); len(got) != 1 || got[0].Ref != one[0].Ref {
+	if got, _ := collectPack(t, s, 2, 10, one); !bytes.Equal(got, node.AppendRecord(nil, one[0].Rect, one[0].Ref)) {
 		t.Fatalf("single entry mishandled: %v", got)
 	}
 }
 
+// TestExternalSTRRejects3D: a 3-D record in a 2-D stream is refused at
+// ingest, as are a capacity below 1 and a dimensionality below 1.
 func TestExternalSTRRejects3D(t *testing.T) {
 	s := STRExternal{RunSize: 16, TmpDir: t.TempDir()}
-	if _, err := s.Open(10, sliceSource([]node.Entry{{Rect: cube3()}})); err == nil {
+	if _, err := s.Open(2, 10, sliceSource([]node.Entry{{Rect: cube3()}})); err == nil {
 		t.Fatal("3-D entry accepted")
 	}
-	if _, err := s.Open(0, sliceSource(nil)); err == nil {
+	if _, err := s.Open(0, 10, sliceSource(nil)); err == nil {
+		t.Fatal("0-D stream accepted")
+	}
+	if _, err := s.Open(2, 0, sliceSource(nil)); err == nil {
 		t.Fatal("node capacity 0 accepted")
 	}
 }

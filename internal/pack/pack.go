@@ -248,16 +248,21 @@ func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
 // inside a slab sequentially, with output identical to the sequential
 // schedule.
 func (s STR) tile(p *psort.Perm, lo, hi, n, axis, dims, workers int) {
-	rem := dims - axis + 1 // coordinates still to process, this cut's included
-	pages := (hi - lo + n - 1) / n
-	// Slab size: n * ceil(P^((rem-1)/rem)) consecutive rectangles.
-	slab := max(n*ceilPow(pages, float64(rem-1)/float64(rem)), n)
-	forEachSlab(hi-lo, slab, workers, func(start, end int) {
+	forEachSlab(hi-lo, slabSize(hi-lo, n, dims-axis+1), workers, func(start, end int) {
 		p.SortByCenter(lo+start, lo+end, axis, 1)
 		if axis+1 < dims {
 			s.tile(p, lo+start, lo+end, n, axis+1, dims, 1)
 		}
 	})
+}
+
+// slabSize is how many of count records, sorted on one axis, STR puts in
+// each slab it cuts them into when rem axes are still to process, this
+// cut's included: n * ceil(P^((rem-1)/rem)) for P = ceil(count/n) pages,
+// and at least n.
+func slabSize(count, n, rem int) int {
+	pages := (count + n - 1) / n
+	return max(n*ceilPow(pages, float64(rem-1)/float64(rem)), n)
 }
 
 func (s STR) workers() int {

@@ -2,6 +2,8 @@ package rtree
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"strtree/internal/buffer"
@@ -10,15 +12,22 @@ import (
 	"strtree/internal/storage"
 )
 
-func sliceStream(entries []node.Entry) func() (node.Entry, bool, error) {
+// sliceStream yields entries as page records, each a fresh slice of one
+// array holding them all.
+func sliceStream(entries []node.Entry) func() ([]byte, bool, error) {
+	var recs []byte
+	for _, e := range entries {
+		recs = node.AppendRecord(recs, e.Rect, e.Ref)
+	}
 	i := 0
-	return func() (node.Entry, bool, error) {
-		if i >= len(entries) {
-			return node.Entry{}, false, nil
+	return func() ([]byte, bool, error) {
+		if i == len(entries) {
+			return nil, false, nil
 		}
-		e := entries[i]
-		i++
-		return e, true, nil
+		size := node.EntrySize(entries[i].Rect.Dim())
+		rec := recs[:size:size]
+		recs, i = recs[size:], i+1
+		return rec, true, nil
 	}
 }
 
@@ -58,16 +67,16 @@ func TestBulkLoadOrderedMatchesBulkLoad(t *testing.T) {
 	}
 }
 
-// TestBulkLoadOrderedSourceMayReuseRect: a source may yield every entry on
-// one rectangle it overwrites between calls. The loader copies each entry
-// into its leaf's records as it arrives, so the file is the one a source of
-// fresh rectangles gives, written inline and behind the write-behind queue
+// TestBulkLoadOrderedSourceMayReuseRect: a source may yield every record in
+// one buffer it overwrites between calls. The loader appends each record to
+// its leaf's records as it arrives, so the file is the one a source of
+// fresh records gives, written inline and behind the write-behind queue
 // alike.
 func TestBulkLoadOrderedSourceMayReuseRect(t *testing.T) {
 	entries := randRects(3000, 83)
 	xSortOrderer{}.Order(entries, 16, 0)
 	for _, workers := range []int{1, 2} {
-		build := func(next func() (node.Entry, bool, error)) uint64 {
+		build := func(next func() ([]byte, bool, error)) uint64 {
 			tr, err := Create(buffer.NewPool(storage.NewMemPager(4096), 64), Config{Dims: 2, Capacity: 16, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
@@ -77,20 +86,18 @@ func TestBulkLoadOrderedSourceMayReuseRect(t *testing.T) {
 			}
 			return pagerDigest(t, tr)
 		}
-		scratch := geom.Rect{Min: make(geom.Point, 2), Max: make(geom.Point, 2)}
+		scratch := make([]byte, node.EntrySize(2))
 		i := 0
-		reusing := func() (node.Entry, bool, error) {
+		reusing := func() ([]byte, bool, error) {
 			if i == len(entries) {
-				return node.Entry{}, false, nil
+				return nil, false, nil
 			}
-			e := entries[i]
+			node.PutRecord(scratch, entries[i].Rect, entries[i].Ref)
 			i++
-			copy(scratch.Min, e.Rect.Min)
-			copy(scratch.Max, e.Rect.Max)
-			return node.Entry{Rect: scratch, Ref: e.Ref}, true, nil
+			return scratch, true, nil
 		}
 		if want, got := build(sliceStream(entries)), build(reusing); got != want {
-			t.Fatalf("workers %d: a source reusing one rectangle wrote digest %#016x, fresh rectangles %#016x", workers, got, want)
+			t.Fatalf("workers %d: a source reusing one buffer wrote digest %#016x, fresh records %#016x", workers, got, want)
 		}
 	}
 }
@@ -113,22 +120,31 @@ func TestBulkLoadOrderedEmptyAndErrors(t *testing.T) {
 	// Stream error propagates.
 	tr2 := newTree(t, 8)
 	boom := errors.New("boom")
-	n := 0
-	err := tr2.BulkLoadOrdered(func() (node.Entry, bool, error) {
-		n++
-		if n > 3 {
-			return node.Entry{}, false, boom
+	good := sliceStream(randRects(3, 84))
+	err := tr2.BulkLoadOrdered(func() ([]byte, bool, error) {
+		if rec, ok, _ := good(); ok {
+			return rec, true, nil
 		}
-		return randRects(1, int64(n))[0], true, nil
+		return nil, false, boom
 	}, xSortOrderer{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("stream error lost: %v", err)
 	}
-	// Bad entry rejected.
-	tr3 := newTree(t, 8)
-	bad := []node.Entry{{Rect: geom.UnitCube(3), Ref: 1}}
-	if err := tr3.BulkLoadOrdered(sliceStream(bad), xSortOrderer{}); err == nil {
-		t.Fatal("3-D entry accepted")
+	// Bad records rejected: a 3-D one, and 2-D ones the stride check
+	// refuses — an inverted side and a NaN on either side of one.
+	nan := math.NaN()
+	for name, bad := range map[string]geom.Rect{
+		"3-D":      geom.UnitCube(3),
+		"inverted": {Min: geom.Point{0, 0.5}, Max: geom.Point{1, 0.25}},
+		"NaN low":  {Min: geom.Point{0, nan}, Max: geom.Point{1, 1}},
+		"NaN high": {Min: geom.Point{0, 0}, Max: geom.Point{nan, 1}},
+		"NaN both": {Min: geom.Point{nan, 0}, Max: geom.Point{nan, 1}},
+	} {
+		tr3 := newTree(t, 8)
+		entries := append(randRects(20, 85), node.Entry{Rect: bad, Ref: 1})
+		if err := tr3.BulkLoadOrdered(sliceStream(entries), xSortOrderer{}); err == nil || !strings.HasPrefix(err.Error(), "entry 20: ") {
+			t.Fatalf("%s record: got error %v, want one naming entry 20", name, err)
+		}
 	}
 }
 

@@ -192,7 +192,10 @@ func (t *Tree) DumpDOT(w io.Writer) error {
 // ExternalOptions bound the memory used by BulkLoadExternal.
 type ExternalOptions struct {
 	// RunSize is the maximum number of items held in memory during the
-	// sort phases. Zero means 1 << 20 (about 40 MB of 2-D items).
+	// sort phases. A run holds each item as a page record of 16·dims + 8
+	// bytes, so the default, 1 << 20, is 40 MB of 2-D records a run;
+	// sorting one takes as much again plus 32 B an item, and up to
+	// Workers runs are sorted while the next one fills.
 	RunSize int
 	// TmpDir hosts the spill files ("" = the OS temporary directory).
 	TmpDir string
@@ -207,23 +210,32 @@ type ExternalOptions struct {
 // keeping memory bounded by ExternalOptions.RunSize regardless of input
 // size: the STR sort phases run as external merge sorts that spill sorted
 // runs to temporary files, and leaves are written as the ordered stream
-// is pulled off the merge. Use it when the data set does not fit in RAM; for in-memory
-// slices BulkLoad is faster. 2-D trees only. The tree must be empty.
+// is pulled off the merge. It writes the file BulkLoad(PackSTR) writes from
+// the same items, at any dimensionality. Use it when the data set does not
+// fit in RAM; for in-memory slices BulkLoad is faster. The tree must be
+// empty.
 func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) error {
 	if t.readonly {
 		return ErrReadOnly
-	}
-	if t.Dims() != 2 {
-		return fmt.Errorf("strtree: BulkLoadExternal supports 2-D trees, this tree is %d-D", t.Dims())
 	}
 	workers := opts.Workers
 	if workers == 0 {
 		workers = t.inner.Workers()
 	}
+	dims := t.Dims()
+	rec, items := make([]byte, node.EntrySize(dims)), 0
 	packer := pack.STRExternal{RunSize: opts.RunSize, TmpDir: opts.TmpDir, Workers: workers}
-	ordered, err := packer.Open(t.Capacity(), func() (node.Entry, bool, error) {
+	ordered, err := packer.Open(dims, t.Capacity(), func() ([]byte, bool, error) {
 		it, ok := next()
-		return node.Entry{Rect: it.Rect, Ref: it.ID}, ok, nil
+		if !ok {
+			return nil, false, nil
+		}
+		if len(it.Rect.Min) != dims || len(it.Rect.Max) != dims {
+			return nil, false, fmt.Errorf("strtree: item %d: rectangle dimension %d, tree dimension %d", items, it.Rect.Dim(), dims)
+		}
+		items++
+		node.PutRecord(rec, it.Rect, it.ID)
+		return rec, true, nil
 	})
 	if err != nil {
 		return err
