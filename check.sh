@@ -25,7 +25,11 @@
 #                     is the one Clock), SetResident (level pinning),
 #                     Serpentine and SliceFactor (STR slices one way),
 #                     buffer.Sharded and type Sharded (buffer.Pool is the
-#                     one buffer type at any shard count) — and a fourth:
+#                     one buffer type at any shard count), parallelPass
+#                     (the sort splits on its top digit, then finishes
+#                     each bucket in cache) and fillPage( (a build writes
+#                     runs of pages past the pool, pinning no frame) —
+#                     and a fourth:
 #                     the external build holds page records from source
 #                     to leaf, so no non-test file of internal/extsort but
 #                     entries.go (Sorter.Sort, the one entry adapter),
@@ -85,7 +89,10 @@
 #                     in small: inserts into a freshly STR-packed tree,
 #                     about half of them splitting a full leaf),
 #                     internal/psort's BenchmarkByCenter (the radix sort
-#                     kernel), internal/pack's BenchmarkSTROrder100k
+#                     kernel) and BenchmarkSortPairs (the kernel alone,
+#                     ns/pair, at one leaf slab's 7 242 pairs and at a
+#                     500 000-pair first-axis sort, workers 1 and 2),
+#                     internal/pack's BenchmarkSTROrder100k
 #                     (STR's one-permutation order), the root package's
 #                     BenchmarkBulkLoad500k (the ledger's build workload:
 #                     a 500k-entry file build at Workers: 2, entries/s)
@@ -132,7 +139,7 @@ echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
 if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/\|^./internal/rtree/check\.go:'; then echo "library code writes pages from records; only Check's round trip may call node.Marshal" >&2; exit 1; fi
-if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded\|parallelPass\|fillPage(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way, the sort splits on its top digit, a build writes page runs past the pool (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -nw 'node\.Entry' internal/extsort/*.go internal/pack/external.go internal/rtree/stream.go | grep -v '_test\.go:\|^internal/extsort/entries\.go:'; then echo "the external build moves page records, not node.Entry values; only extsort's Sort adapter (entries.go) takes entries" >&2; exit 1; fi
 
 echo "== strlint"
@@ -148,10 +155,10 @@ go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./i
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10|BenchmarkInsertPacked)$' -benchtime 1x ./internal/rtree
-go test -run '^$' -bench '^BenchmarkByCenter$' -benchtime 1x ./internal/psort
+go test -run '^$' -bench '^(BenchmarkByCenter|BenchmarkSortPairs)$' -benchtime 1x ./internal/psort
 go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
 go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkMutateChurn$' -benchtime 1x .

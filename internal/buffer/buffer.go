@@ -13,8 +13,10 @@
 package buffer
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -383,7 +385,49 @@ func (p *Pool) Release(f *Frame) {
 	f.pins--
 }
 
-// FlushAll writes every dirty frame to the pager. Frames stay cached.
+// WritePages writes data, a run of whole pages, to the pager from page
+// first on as one call, past the cache. The caller owns the pages and
+// writes them whole, so a cached frame of any of them holds a stale image
+// and is dropped unwritten before the write (a failed write leaves none
+// behind); a pinned one fails the call first. Each page counts one
+// DiskWrite on its own shard.
+func (p *Pool) WritePages(first storage.PageID, data []byte) error {
+	end := first + storage.PageID(len(data)/p.pager.PageSize())
+	for id := first; id < end; id++ {
+		if err := p.shard(id).drop(id); err != nil {
+			return err
+		}
+	}
+	if err := p.pager.WritePage(first, data); err != nil {
+		return err
+	}
+	for id := first; id < end; id++ {
+		s := p.shard(id)
+		s.mu.Lock()
+		s.stats.DiskWrites++
+		s.mu.Unlock()
+	}
+	return nil
+}
+
+// drop forgets page id's frame, if cached, without writing it back; a
+// pinned frame is an error.
+func (s *shard) drop(id storage.PageID) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if f, ok := s.frames[id]; ok {
+		if f.pins > 0 {
+			return fmt.Errorf("buffer: write past the cache to pinned page %d", id)
+		}
+		s.unlinkLocked(f)
+		delete(s.frames, id)
+	}
+	return nil
+}
+
+// FlushAll writes every dirty frame to the pager, shard by shard and
+// within a shard in page order, so a failure after the n-th write has
+// always written the same n pages. Frames stay cached.
 func (p *Pool) FlushAll() error {
 	for _, s := range p.shards {
 		if err := s.flushAll(); err != nil {
@@ -396,22 +440,17 @@ func (p *Pool) FlushAll() error {
 func (s *shard) flushAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, f := range s.frames {
-		if !f.dirty {
-			continue
-		}
-		if err := s.pager.WritePage(f.id, f.data); err != nil {
+	for _, f := range s.byPageLocked() {
+		if err := s.writeBackLocked(f); err != nil {
 			return err
 		}
-		f.dirty = false
-		s.stats.DiskWrites++
 	}
 	return nil
 }
 
-// Invalidate drops every frame, writing back dirty ones first. Used between
-// experiment phases to cold-start the buffer. It fails if any frame is
-// pinned.
+// Invalidate drops every frame, writing back dirty ones first, in page
+// order. Used between experiment phases to cold-start the buffer. It fails
+// if any frame is pinned.
 func (p *Pool) Invalidate() error {
 	for _, s := range p.shards {
 		if err := s.invalidate(); err != nil {
@@ -424,20 +463,27 @@ func (p *Pool) Invalidate() error {
 func (s *shard) invalidate() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, f := range s.frames {
+	for _, f := range s.byPageLocked() {
 		if f.pins > 0 {
-			return fmt.Errorf("buffer: invalidate with page %d pinned", id)
+			return fmt.Errorf("buffer: invalidate with page %d pinned", f.id)
 		}
-		if f.dirty {
-			if err := s.pager.WritePage(f.id, f.data); err != nil {
-				return err
-			}
-			s.stats.DiskWrites++
+		if err := s.writeBackLocked(f); err != nil {
+			return err
 		}
 		s.unlinkLocked(f)
-		delete(s.frames, id)
+		delete(s.frames, f.id)
 	}
 	return nil
+}
+
+// byPageLocked returns the shard's frames in page order.
+func (s *shard) byPageLocked() []*Frame {
+	fs := make([]*Frame, 0, len(s.frames))
+	for _, f := range s.frames {
+		fs = append(fs, f)
+	}
+	slices.SortFunc(fs, func(a, b *Frame) int { return cmp.Compare(a.id, b.id) })
+	return fs
 }
 
 // Stats returns a snapshot of the counters summed over the shards, so
@@ -521,7 +567,7 @@ func (s *shard) allocFrameLocked() (*Frame, error) {
 	return nil, ErrPoolExhausted
 }
 
-// writeBackLocked flushes a dirty victim before eviction.
+// writeBackLocked writes a dirty frame back to the pager.
 func (s *shard) writeBackLocked(f *Frame) error {
 	if !f.dirty {
 		return nil

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -384,5 +385,79 @@ func BenchmarkFetchMissEvict(b *testing.B) {
 			b.Fatal(err)
 		}
 		p.Release(f)
+	}
+}
+
+// TestWritePages is the run write past the cache: the pager gets the run as
+// one call and every page of it lands; a cached frame of a page in the run
+// — a recycled page left dirty by the dynamic write path — is dropped
+// unwritten, so no later flush puts its stale image back; a pinned one
+// fails the run before anything is written; a ragged length is refused;
+// and each page counts one DiskWrite on its own shard.
+func TestWritePages(t *testing.T) {
+	for _, sc := range shardCases {
+		t.Run(sc.name, func(t *testing.T) {
+			p, pg := newShardedN(t, 8, sc.shards, 12)
+			stale, err := p.Fetch(5) // a recycled page, cached and dirty
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale.MarkDirty()
+			p.Release(stale)
+			pinned, err := p.Fetch(9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := bytes.Repeat([]byte{0xEE}, 6*64)
+			before := pg.Stats()
+			if err := p.WritePages(6, run); err == nil { // pages 6..11 take in pinned page 9
+				t.Fatal("a run over a pinned page was written")
+			}
+			if err := p.WritePages(2, run[:3*64+1]); err == nil {
+				t.Fatal("a run of three pages and a byte was written")
+			}
+			if got := pg.Stats(); got.Writes != before.Writes || p.Len() != 2 {
+				t.Fatalf("refused runs wrote %d pages, pool holds %d frames (want 0 and 2)", got.Writes-before.Writes, p.Len())
+			}
+			p.Release(pinned)
+			if err := p.WritePages(3, run[:4*64]); err != nil { // pages 3..6, 5 cached and dirty
+				t.Fatal(err)
+			}
+			if got := pg.Stats().Writes - before.Writes; got != 4 {
+				t.Fatalf("the run wrote %d pages, want 4", got)
+			}
+			if p.Len() != 1 {
+				t.Fatalf("pool holds %d frames after the run, want page 9's alone: page 5's stale frame stays", p.Len())
+			}
+			if err := p.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			buf := make([]byte, 64)
+			for id := storage.PageID(2); id <= 7; id++ {
+				if err := pg.ReadPage(id, buf); err != nil {
+					t.Fatal(err)
+				}
+				want := byte(id)
+				if id >= 3 && id <= 6 {
+					want = 0xEE
+				}
+				if buf[0] != want {
+					t.Fatalf("page %d starts %#x after the run and a flush, want %#x", id, buf[0], want)
+				}
+			}
+			want := make([]int64, sc.shards)
+			for id := storage.PageID(3); id <= 6; id++ {
+				for i, s := range p.shards {
+					if s == p.shard(id) {
+						want[i]++
+					}
+				}
+			}
+			for i, st := range p.ShardStats() {
+				if st.DiskWrites != want[i] {
+					t.Fatalf("shard %d counted %d writes, its pages in the run are %d", i, st.DiskWrites, want[i])
+				}
+			}
+		})
 	}
 }

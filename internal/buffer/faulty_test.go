@@ -2,6 +2,8 @@ package buffer
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"strtree/internal/storage"
@@ -99,5 +101,76 @@ func TestCreateSurfacesAllocError(t *testing.T) {
 	fp.FailAllocs(func() error { return errInjected })
 	if _, err := p.Create(); !errors.Is(err, errInjected) {
 		t.Fatalf("alloc error not surfaced: %v", err)
+	}
+}
+
+// TestWriteBackInPageOrder: FlushAll and Invalidate write dirty frames in
+// page order, shard by shard, so a pager that fails the k-th write has seen
+// the same k−1 pages written before it on every run — the schedule a crash
+// test replays — whatever order the pages were dirtied in and whatever
+// order Go's map ranges in. A flush that does not fail writes each dirty
+// page once.
+func TestWriteBackInPageOrder(t *testing.T) {
+	const pages, dirty, failAt = 96, 40, 17
+	for _, shards := range []int{1, 4} {
+		for _, op := range []string{"FlushAll", "Invalidate"} {
+			var want []storage.PageID
+			for run := 0; run < 5; run++ {
+				inner := storage.NewMemPager(64)
+				for i := 0; i < pages; i++ {
+					if _, err := inner.Alloc(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				fp := storage.NewFaultyPager(inner)
+				p, err := NewSharded(fp, pages, shards)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// One dirty set, dirtied in another order on every run.
+				set := rand.New(rand.NewSource(1)).Perm(pages)[:dirty]
+				rand.New(rand.NewSource(int64(run))).Shuffle(dirty, func(i, j int) { set[i], set[j] = set[j], set[i] })
+				for _, id := range set {
+					f, err := p.Fetch(storage.PageID(id))
+					if err != nil {
+						t.Fatal(err)
+					}
+					f.MarkDirty()
+					p.Release(f)
+				}
+				flush := p.FlushAll
+				if op == "Invalidate" {
+					flush = p.Invalidate
+				}
+				var written []storage.PageID
+				fp.FailWrites(func(id storage.PageID) error {
+					if len(written) == failAt-1 {
+						return errInjected
+					}
+					written = append(written, id)
+					return nil
+				})
+				if err := flush(); !errors.Is(err, errInjected) {
+					t.Fatalf("%s, %d shards: %v, want the failure of write %d", op, shards, err, failAt)
+				}
+				if run == 0 {
+					want = written
+				} else if fmt.Sprint(written) != fmt.Sprint(want) {
+					t.Fatalf("%s, %d shards, run %d: pages written before write %d failed %v, run 0 wrote %v",
+						op, shards, run, failAt, written, want)
+				}
+				fp.FailWrites(nil)
+				before := inner.Stats().Writes
+				if err := flush(); err != nil {
+					t.Fatal(err)
+				}
+				if got := inner.Stats().Writes - before; got != dirty-(failAt-1) {
+					t.Fatalf("%s, %d shards: the retry wrote %d pages, want the %d still dirty", op, shards, got, dirty-(failAt-1))
+				}
+				if got := p.Stats().DiskWrites; got != dirty {
+					t.Fatalf("%s, %d shards: %d writes counted for %d dirty pages", op, shards, got, dirty)
+				}
+			}
+		}
 	}
 }

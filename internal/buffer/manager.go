@@ -36,7 +36,13 @@ type Manager interface {
 	// reports a pin-protocol violation (the frame was not write-pinned);
 	// callers must not drop it.
 	ReleaseMut(f *Frame) error
-	// FlushAll writes every dirty frame to the pager; frames stay cached.
+	// WritePages writes data, a run of whole pages, to the pager from page
+	// first on, past the cache, as one pager write: a cached frame of any
+	// page in the run is dropped unwritten, and a pinned one is an error.
+	// Each page counts one DiskWrite.
+	WritePages(first storage.PageID, data []byte) error
+	// FlushAll writes every dirty frame to the pager in page order; frames
+	// stay cached.
 	FlushAll() error
 	// Invalidate drops every frame, writing back dirty ones first.
 	Invalidate() error

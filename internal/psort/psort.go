@@ -4,9 +4,11 @@
 // packing step" — makes the sort the one phase worth engineering. Every
 // order the packers need is an order of uint64 keys computed once per
 // entry (a center coordinate mapped to order-preserving bits, or a Hilbert
-// index), so the kernel never compares: it is a least-significant-digit
-// radix sort over (key, entry index) pairs, one counting pass and one
-// scatter pass per 8-bit digit, skipping every digit on which all keys
+// index), so the kernel never compares: it is a radix sort over (key,
+// entry index) pairs with 8-bit digits. A range too big for cache is split
+// once on the top digit on which its keys differ; a range that fits is
+// sorted by LSD passes, its eight digit histograms taken in one read and
+// no pass spent on a digit on which all keys
 // agree. What it sorts is an array of page records — each entry as a page
 // stores it, node.EntrySize(k) bytes with no pointer in them — and no record
 // moves until the order is final: a Perm sorts the pairs, as often and over
@@ -19,17 +21,20 @@
 // Determinism: each digit pass is stable, so the result is the stable sort
 // by key — ties stay in the order the pairs had, which for a fresh Perm is
 // the entries' own. The stable sort of a sequence is unique, and the
-// parallel pass keeps it: worker w counts and scatters the w-th chunk of
-// the input, and the scatter offsets are the prefix sum over (digit value,
-// worker), so equal digits land in input order whatever the chunking. The
-// kernel's output is therefore byte-for-byte identical for every worker
-// count; packed trees built at Workers=1 and Workers=64 are the same tree.
+// parallel split keeps it: worker w counts and scatters the w-th chunk of
+// the input at the prefix sum over (digit value, worker), so equal digits
+// land in input order whatever the chunking, and the workers then sort
+// whole buckets, disjoint ranges. The kernel's output is therefore
+// byte-for-byte identical for every worker count; packed trees built at
+// Workers=1 and Workers=64 are the same tree.
 package psort
 
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
@@ -44,8 +49,13 @@ const (
 	// beats eight passes over a 256-bucket histogram: on random keys the two
 	// cross near 128, and reversed keys double the insertion sort's cost.
 	insertionMax = 64
-	// digitBits is the radix width: 256 counters per worker stay in L1.
+	// msdMin is the fewest pairs (256 KiB) split on their top digit first: a
+	// smaller range stays in cache through all its LSD passes.
+	msdMin = 1 << 14
+	// digitBits is the radix width: 256 counters per digit stay in L1.
 	digitBits = 8
+	// digits is the number of digit positions in a key.
+	digits = 64 / digitBits
 )
 
 // pair carries one precomputed key and the index of the entry it stands
@@ -106,7 +116,7 @@ func (p *Perm) SortByCenter(lo, hi, axis, workers int) {
 	} else {
 		Chunks(len(ps), workers, func(clo, chi int) { p.keyByCenter(ps[clo:chi], axis) })
 	}
-	sortPairs(ps, p.tmp[lo:hi], workers)
+	sortPairs(ps, p.tmp[lo:hi], false, workers)
 }
 
 // keyByCenter keys each pair by its record's centre on axis, Min + (Max −
@@ -167,7 +177,7 @@ func ByKeys(recs []byte, dims int, keys []uint64, workers int) []byte {
 	for i := range keys {
 		p.ps[i].key = keys[i]
 	}
-	sortPairs(p.ps, p.tmp, workers)
+	sortPairs(p.ps, p.tmp, false, workers)
 	return p.Apply(workers)
 }
 
@@ -289,80 +299,155 @@ func eachChunk(n, workers int, f func(w, lo, hi int)) {
 	wg.Wait()
 }
 
-// sortPairs stably sorts ps by key, leaving the result in ps; tmp is
-// scratch of the same length.
-func sortPairs(ps, tmp []pair, workers int) {
-	n := len(ps)
-	if n <= insertionMax {
-		for i := 1; i < n; i++ {
-			p := ps[i]
-			j := i
-			for ; j > 0 && ps[j-1].key > p.key; j-- {
-				ps[j] = ps[j-1]
-			}
-			ps[j] = p
-		}
+// sortPairs stably sorts the pairs of a by key and leaves them in b when
+// toB is set, else in a; the other slice, as long, is scratch.
+func sortPairs(a, b []pair, toB bool, workers int) {
+	if len(a) >= msdMin {
+		split(a, b, toB, workers)
 		return
 	}
-	// A digit on which every key agrees with the first needs no pass.
+	inB := false
+	if len(a) <= insertionMax {
+		for i := 1; i < len(a); i++ {
+			p, j := a[i], i
+			for ; j > 0 && a[j-1].key > p.key; j-- {
+				a[j] = a[j-1]
+			}
+			a[j] = p
+		}
+	} else { // in cache: one scatter per differing digit, a to b and back
+		var h [1]histogram // on the stack: a slab sort does not allocate
+		differ := tally(&h[0], a, a[0].key)
+		src, dst := a, b
+		for d := 0; d < digits; d++ {
+			if differ>>(d*digitBits)&(1<<digitBits-1) != 0 {
+				offsets(h[:], d, len(a))
+				scatter(dst, src, d*digitBits, &h[0][d])
+				src, dst, inB = dst, src, !inB
+			}
+		}
+	}
+	switch {
+	case inB && !toB:
+		copy(a, b)
+	case !inB && toB:
+		copy(b, a)
+	}
+}
+
+// split sorts a range too big for cache: one stable scatter from a into b
+// on the most significant digit on which its keys differ, then each of the
+// 256 buckets on its own, in b with a as scratch.
+func split(a, b []pair, toB bool, workers int) {
+	var (
+		bound bounds // bucket v is bound[v]:bound[v+1]
+		ok    bool   // false when all keys are equal
+	)
+	if workers = min(workers, len(a)/seqMin); workers > 1 {
+		bound, ok = scatterParallel(a, b, workers)
+	} else {
+		var h [1]histogram // on the stack: the one-worker split does not allocate
+		if differ := tally(&h[0], a, a[0].key); differ != 0 {
+			d := (63 - bits.LeadingZeros64(differ)) / digitBits
+			bound, ok = offsets(h[:], d, len(a)), true
+			scatter(b, a, d*digitBits, &h[0][d])
+		}
+	}
+	switch {
+	case !ok: // the input order is the stable order
+		if toB {
+			copy(b, a)
+		}
+	case workers > 1:
+		sortBuckets(a, b, bound, toB, workers)
+	default:
+		for v := 0; v < 1<<digitBits; v++ {
+			sortPairs(b[bound[v]:bound[v+1]], a[bound[v]:bound[v+1]], !toB, 1)
+		}
+	}
+}
+
+// scatterParallel is split's scatter with each of workers chunks of a
+// counted and scattered on its own goroutine.
+func scatterParallel(a, b []pair, workers int) (bound bounds, ok bool) {
+	hs := make([]histogram, workers)
+	diffs := make([]uint64, workers)
+	eachChunk(len(a), workers, func(w, lo, hi int) { diffs[w] = tally(&hs[w], a[lo:hi], a[0].key) })
 	var differ uint64
-	for i := range ps {
-		differ |= ps[i].key ^ ps[0].key
+	for _, d := range diffs {
+		differ |= d
 	}
-	// The sequential sort's counters live on its stack; only a parallel
-	// sort allocates.
-	var seq [1][1 << digitBits]int
-	var par [][1 << digitBits]int
-	if workers = min(workers, n/seqMin); workers > 1 {
-		par = make([][1 << digitBits]int, workers)
+	if differ == 0 {
+		return bound, false
 	}
-	src, dst := ps, tmp
-	for shift := 0; shift < 64; shift += digitBits {
-		if differ>>shift&(1<<digitBits-1) == 0 {
-			continue
-		}
-		if par == nil {
-			count(&seq[0], src, shift)
-			offsets(seq[:])
-			scatter(dst, src, shift, &seq[0])
-		} else {
-			parallelPass(dst, src, shift, par)
-		}
-		src, dst = dst, src
-	}
-	if &src[0] != &ps[0] {
-		copy(ps, src)
-	}
+	d := (63 - bits.LeadingZeros64(differ)) / digitBits
+	bound = offsets(hs, d, len(a))
+	eachChunk(len(a), workers, func(w, lo, hi int) { scatter(b, a[lo:hi], d*digitBits, &hs[w][d]) })
+	return bound, true
 }
 
-// parallelPass is one digit pass split over len(counts) workers, each
-// counting and then scattering its own chunk of src.
-func parallelPass(dst, src []pair, shift int, counts [][1 << digitBits]int) {
-	eachChunk(len(src), len(counts), func(w, lo, hi int) { count(&counts[w], src[lo:hi], shift) })
-	offsets(counts)
-	eachChunk(len(src), len(counts), func(w, lo, hi int) { scatter(dst, src[lo:hi], shift, &counts[w]) })
+// sortBuckets sorts split's buckets on workers goroutines, each taking the
+// next bucket off a shared counter. A bucket of more than 1/workers of the
+// pairs would keep one worker busy while the others idle — centres in
+// [0, 1) differ in their top digit only below 2⁻¹⁶ — so it goes first, to
+// all workers.
+func sortBuckets(a, b []pair, bound bounds, toB bool, workers int) {
+	big := len(a) / workers
+	for v := 0; v < 1<<digitBits; v++ {
+		if lo, hi := bound[v], bound[v+1]; hi-lo > big {
+			sortPairs(b[lo:hi], a[lo:hi], !toB, workers)
+		}
+	}
+	var next atomic.Int32
+	eachChunk(workers, workers, func(int, int, int) {
+		for v := next.Add(1) - 1; v < 1<<digitBits; v = next.Add(1) - 1 {
+			if lo, hi := bound[v], bound[v+1]; hi-lo <= big {
+				sortPairs(b[lo:hi], a[lo:hi], !toB, 1)
+			}
+		}
+	})
 }
 
-// count tallies the digit at shift over src.
-func count(c *[1 << digitBits]int, src []pair, shift int) {
-	*c = [1 << digitBits]int{}
+// histogram counts, per digit position, the keys holding each digit value.
+type histogram = [digits][1 << digitBits]int
+
+// bounds are the 257 bounds of the 256 runs of a scatter.
+type bounds = [1<<digitBits + 1]int
+
+// tally adds src's keys to h, every digit position in one pass, and
+// returns the bits on which some key differs from ref.
+func tally(h *histogram, src []pair, ref uint64) (differ uint64) {
 	for i := range src {
-		c[uint8(src[i].key>>shift)]++
+		k := src[i].key
+		differ |= k ^ ref
+		h[0][uint8(k)]++
+		h[1][uint8(k>>8)]++
+		h[2][uint8(k>>16)]++
+		h[3][uint8(k>>24)]++
+		h[4][uint8(k>>32)]++
+		h[5][uint8(k>>40)]++
+		h[6][uint8(k>>48)]++
+		h[7][uint8(k>>56)]++
 	}
+	return differ
 }
 
-// offsets turns per-worker digit counts into each worker's first output
-// position per digit value: the prefix sum in (digit value, worker) order,
-// which is what keeps the scatter stable across chunks.
-func offsets(counts [][1 << digitBits]int) {
+// offsets turns the workers' counts of n keys at digit position d into each
+// worker's first output position per digit value — the prefix sum in (digit
+// value, worker) order, which keeps the scatter stable across chunks — and
+// returns the bounds of the digit values' runs.
+func offsets(hs []histogram, d, n int) (bound bounds) {
 	sum := 0
-	for d := 0; d < 1<<digitBits; d++ {
-		for w := range counts {
-			c := counts[w][d]
-			counts[w][d] = sum
+	for v := 0; v < 1<<digitBits; v++ {
+		bound[v] = sum
+		for w := range hs {
+			c := hs[w][d][v]
+			hs[w][d][v] = sum
 			sum += c
 		}
 	}
+	bound[1<<digitBits] = n
+	return bound
 }
 
 // scatter appends each pair of src, in order, to its digit's run in dst.

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
@@ -101,23 +102,35 @@ func keyPatterns(n int, seed int64) map[string][]uint64 {
 		1, -1, math.MaxFloat64, -math.MaxFloat64,
 	}
 	pats["float-edges"] = fill(func(int) uint64 { return Float64Key(special[rng.Intn(len(special))]) })
+	// More than msdMin keys share one top-digit bucket whenever n > 2·msdMin,
+	// so the split must split that bucket again; the rest spread out.
+	pats["crowded-top"] = fill(func(i int) uint64 {
+		if i%2 == 0 {
+			return 0x42<<56 | rng.Uint64()>>8
+		}
+		return rng.Uint64()
+	})
+	// Keys that differ only in the lowest digit: one scatter, on digit 0,
+	// and a split whose buckets are all ties.
+	pats["low-digit"] = fill(func(int) uint64 { return 0xfedcba9876543200 | rng.Uint64()&0xff })
 	return pats
 }
 
 // TestByKeysMatchesStableSort checks the kernel against the sequential
 // stable-sort specification — the same permutation, not just a sorted
 // one — across every key pattern, sizes on both sides of each threshold
-// the kernel has (insertion sort, sequential fallback, one more worker
-// per seqMin entries) and worker counts: the determinism contract.
+// the kernel has (insertion sort, one more worker per seqMin entries, the
+// top-digit split at msdMin) and worker counts: the determinism contract.
 func TestByKeysMatchesStableSort(t *testing.T) {
 	sizes := []int{0, 1, 2, 3, insertionMax - 1, insertionMax, insertionMax + 1, 1000,
 		seqMin - 1, seqMin, seqMin + 1, 2*seqMin - 1, 2 * seqMin, 2*seqMin + 1,
-		3*seqMin - 1, 3 * seqMin, 3*seqMin + 17, 8*seqMin - 1, 8 * seqMin, 8*seqMin + 1, 1 << 17}
+		3*seqMin - 1, 3 * seqMin, 3*seqMin + 17, msdMin - 1, msdMin, msdMin + 1,
+		4 * msdMin, 8*seqMin - 1, 8 * seqMin, 8*seqMin + 1, 1 << 17}
 	for _, n := range sizes {
 		base, _ := randomEntries(n, 1, int64(n))
 		for name, keys := range keyPatterns(n, int64(n)*31+7) {
-			if n > 4*seqMin && !slices.Contains([]string{"random", "seven", "byte3", "organ-pipe", "float-edges"}, name) {
-				continue // the large sizes are about worker chunking, not key shapes
+			if n > msdMin+1 && !slices.Contains([]string{"random", "seven", "byte3", "organ-pipe", "float-edges", "crowded-top", "low-digit"}, name) {
+				continue // the sizes past the split are about worker chunking and nested splits
 			}
 			want := slices.Clone(base)
 			refByKeys(want, keys)
@@ -133,7 +146,8 @@ func TestByKeysMatchesStableSort(t *testing.T) {
 // FuzzByKeys holds the kernel to the stable-sort specification on keys
 // read straight from the fuzzer's bytes. The first byte picks the worker
 // count; the second, when odd, repeats the keys cyclically past the
-// parallel threshold, which also makes every key a many-way tie.
+// parallel threshold and the top-digit split's, which also makes every key
+// a many-way tie.
 func FuzzByKeys(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 0xff, 0, 0, 0, 0, 0, 0, 0x80, 1})
@@ -152,7 +166,7 @@ func FuzzByKeys(f *testing.F) {
 			keys = append(keys, binary.LittleEndian.Uint64(word[:]))
 		}
 		if m := len(keys); repeat && m > 0 {
-			for len(keys) < workers*seqMin+m {
+			for len(keys) < max(workers*seqMin, msdMin)+m {
 				keys = append(keys, keys[len(keys)-m])
 			}
 		}
@@ -264,6 +278,32 @@ func BenchmarkByCenter(b *testing.B) {
 				ByCenter(work, 0, workers)
 			}
 		})
+	}
+}
+
+// BenchmarkSortPairs times the kernel alone on center keys of uniform
+// coordinates, at the size of one leaf slab of the ledger's build (7 242
+// pairs) and of its whole first-axis sort (500 000). Each iteration sorts
+// fresh keys: one key set sorted over and over trains the branch predictor
+// and reads fast.
+func BenchmarkSortPairs(b *testing.B) {
+	for _, n := range []int{7242, 500000} {
+		for _, workers := range []int{1, 2} {
+			b.Run("n="+itoa(n)+"/workers="+itoa(workers), func(b *testing.B) {
+				rng := rand.New(rand.NewSource(int64(n)))
+				ps, tmp := make([]pair, n), make([]pair, n)
+				var sorting time.Duration
+				for i := 0; i < b.N; i++ {
+					for j := range ps {
+						ps[j] = pair{key: Float64Key(rng.Float64()), idx: j}
+					}
+					t0 := time.Now()
+					sortPairs(ps, tmp, false, workers)
+					sorting += time.Since(t0)
+				}
+				b.ReportMetric(float64(sorting.Nanoseconds())/float64(b.N*n), "ns/pair")
+			})
+		}
 	}
 }
 

@@ -39,11 +39,10 @@ type Orderer interface {
 type BuildStats struct {
 	// Order is the wall time inside Orderer.OrderRecords across all levels.
 	Order time.Duration
-	// Write is the cumulative time filling pages: pinning a frame for each
-	// (which evicts another page once the pool is full, and writes it back)
-	// and copying the node's records onto it. With Workers > 1 all of that
-	// runs behind the packing, so Write overlaps Order instead of adding to
-	// the build's wall time.
+	// Write is the cumulative time filling pages — copying each node's
+	// records onto its page image — and writing runs of consecutive pages
+	// to the pager. With Workers > 1 all of that runs behind the packing,
+	// so Write overlaps Order instead of adding to the build's wall time.
 	Write time.Duration
 	// Pages is the number of node pages written.
 	Pages int
@@ -81,10 +80,11 @@ func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) error {
 // goroutines, into one array of page records, which the orderer sorts, the
 // packing cuts into nodes (writing each node's MBR into its parent's record)
 // and the page writer copies onto pages (node.FillRecords). The packing
-// goroutine orders, reserves page ids and computes MBRs; pinning frames,
-// evicting and writing back are the page writer's, which with Workers > 1 is
-// a background goroutine. The resulting tree bytes are identical either
-// way, and a build reads no page and writes each once.
+// goroutine orders, reserves page ids and computes MBRs; filling pages and
+// writing runs of consecutive ones are the page writer's, which with
+// Workers > 1 is a background goroutine. The resulting tree bytes are
+// identical either way, and a build takes no buffer frame, reads no page
+// and writes each once.
 func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer) (err error) {
 	if t.height != 0 {
 		return ErrNotEmpty
@@ -96,10 +96,7 @@ func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer
 	if n == 0 {
 		return t.writeMeta()
 	}
-	w, err := t.newPageWriter()
-	if err != nil {
-		return err
-	}
+	w := t.newPageWriter()
 	defer func() {
 		if cerr := w.close(); err == nil {
 			err = cerr
@@ -194,11 +191,11 @@ func (t *Tree) packLevel(w *pageWriter, recs []byte, level int) ([]byte, error) 
 // so between two sorts the packing goroutine only streams the records for
 // their MBRs.
 func (t *Tree) emitNode(w *pageWriter, parents, recs []byte, level int) ([]byte, error) {
-	id, fresh, err := t.reservePage()
+	id, _, err := t.reservePage()
 	if err != nil {
 		return parents, err
 	}
-	if err := w.emit(pageJob{id: id, fresh: fresh, level: level, recs: recs}); err != nil {
+	if err := w.emit(pageJob{id: id, level: level, recs: recs}); err != nil {
 		return parents, err
 	}
 	return appendMBR(parents, recs, t.dims, uint64(id)), nil

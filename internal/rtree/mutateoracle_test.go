@@ -282,7 +282,7 @@ func TestMutateOracle10kOps(t *testing.T) {
 
 // clearCounter counts, from outside the pool, the events that clear a
 // frame's validation mark on the write path: Create, ReleaseMut, and a
-// MarkDirty under a read pin (the bulk loader's fillPage) — seen as a frame that was marked
+// MarkDirty under a read pin (writeMeta) — seen as a frame that was marked
 // at Fetch and is not at Release. A MarkDirty on a frame that was already
 // unmarked goes unseen, and needs no counting: it clears nothing, so no
 // validation can be owed to it.

@@ -79,6 +79,9 @@ type Tree struct {
 	height   int // number of levels; 0 = empty, 1 = root is a leaf
 	count    uint64
 	free     []storage.PageID
+	// writeErr is the first page write a bulk load lost (pageWriter.close);
+	// every Flush after it returns it.
+	writeErr error
 
 	// reinsert carries forced-reinsertion state for the insertion in
 	// flight (single-writer, like all mutations).
@@ -344,48 +347,23 @@ func (t *Tree) Root() storage.PageID { return t.root }
 // disk-access counts the experiments report.
 func (t *Tree) Pool() buffer.Manager { return t.pool }
 
-// Flush writes all buffered dirty pages and the metadata to the pager.
+// Flush writes all buffered dirty pages and the metadata to the pager. After
+// a bulk load lost a page write it fails with that error, every time: the
+// file misses pages no frame holds any more.
 func (t *Tree) Flush() error {
+	if t.writeErr != nil {
+		return t.writeErr
+	}
 	if err := t.writeMeta(); err != nil {
 		return err
 	}
 	return t.pool.FlushAll()
 }
 
-// fillPage is the bulk loader's page writer (writebehind.go): it pins the
-// job's page, copies the node's records onto it (node.FillRecords: header,
-// one copy, one CRC, every rectangle checked) and releases it. A fresh page
-// (reservePage's word for it) has never been written or fetched, so its
-// frame is adopted without a read; a recycled one may be cached and is
-// fetched. A bulk load runs on an empty tree no reader is visiting, so a
-// read pin suffices; the dynamic write path fills its pages under write
-// pins instead (fillNode, insert.go). MarkDirty comes first: it clears the
-// frame's validation mark before the fill touches a byte, so no visit can
-// trust the old verdict over the new image. A fill that fails has written
-// nothing (its contract), which leaves a dirty frame with its old bytes — at
-// worst one redundant write-back.
-func (t *Tree) fillPage(job *pageJob) error {
-	var (
-		f   *buffer.Frame
-		err error
-	)
-	if job.fresh {
-		f, err = t.pool.Adopt(job.id)
-	} else {
-		f, err = t.pool.Fetch(job.id)
-	}
-	if err != nil {
-		return err
-	}
-	f.MarkDirty()
-	err = node.FillRecords(f.Data(), job.level, t.dims, job.recs)
-	t.pool.Release(f)
-	return err
-}
-
 // reservePage takes a page id for a new node, recycling freed pages first,
 // and does no I/O either way: a fresh id is the pager's bookkeeping, and the
-// frame for it is whoever fills the page's to pin (fillPage).
+// page is the job of whoever fills it (newPage's frame, or the bulk
+// loader's page writer).
 func (t *Tree) reservePage() (id storage.PageID, fresh bool, err error) {
 	if n := len(t.free); n > 0 {
 		id = t.free[n-1]

@@ -890,7 +890,11 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	}
 	root.Entries[0].Rect = geom.UnitSquare().Clone()
 	recs, _ := psort.Encode(root.Entries, 1)
-	if err := tr.fillPage(&pageJob{id: tr.Root(), level: root.Level, recs: recs}); err != nil {
+	page := make([]byte, tr.pool.Pager().PageSize())
+	if err := node.FillRecords(page, root.Level, tr.Dims(), recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.pool.WritePages(tr.Root(), page); err != nil {
 		t.Fatal(err)
 	}
 	if err := tr.Check(CheckConfig{}); err == nil {

@@ -20,10 +20,7 @@ func (t *Tree) BulkLoadOrdered(next func() ([]byte, bool, error), o Orderer) (er
 	if t.height != 0 {
 		return ErrNotEmpty
 	}
-	w, err := t.newPageWriter()
-	if err != nil {
-		return err
-	}
+	w := t.newPageWriter()
 	defer func() {
 		if cerr := w.close(); err == nil {
 			err = cerr

@@ -1,12 +1,11 @@
 package rtree
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"strtree/internal/buffer"
+	"strtree/internal/node"
 	"strtree/internal/storage"
 )
 
@@ -16,48 +15,46 @@ import (
 // without letting memory grow with the tree.
 const writeBehindQueue = 64
 
+// runPages is how many consecutive pages the page writer stages before it
+// writes them with one pager call: 256 KiB of 4 KiB pages.
+const runPages = 64
+
 // pageJob is one finished node waiting to be copied onto the page reserved
 // for it: its records, in the order the page stores them. The writer only
 // reads recs, and the producer must not write them again until close has
 // returned.
 type pageJob struct {
 	id    storage.PageID
-	fresh bool // reservePage's: the page was never written, adopt its frame
 	level int
 	recs  []byte
 }
 
 // pageWriter emits finished nodes during a bulk load. The packing goroutine
 // only reserves a page id per node (bookkeeping, no I/O) and computes its
-// MBR; everything that touches the buffer pool or the pager — pinning a
-// frame for the page, evicting another page to make room and writing it
-// back, copying the node's records onto it — is t.fillPage, which with
-// t.workers > 1 runs on a background goroutine behind a bounded queue, so it
-// overlaps packing the next node, and otherwise runs inline. Errors are first-error-wins:
-// after a page fails, remaining jobs are drained without touching the pager
-// and close() returns the first failure.
+// MBR; the writer fills each node's page image (node.FillRecords) into a
+// stage of runPages consecutive pages and writes the stage with one
+// WritePages call — past the pool, pinning no frame — when it is full or
+// the next id does not follow it (a recycled id from t.free). With
+// t.workers > 1 it runs on a background goroutine behind a bounded queue,
+// so it overlaps packing the next node, and otherwise inline. Errors are
+// first-error-wins: after a write fails, remaining jobs are drained without
+// touching the pager, and close() returns the failure and leaves it in
+// t.writeErr for every later Flush.
 //
-// The split of tree state is strict: the build goroutine owns page
-// reservation (t.reservePage, t.free) and tree metadata; the writer
-// goroutine only calls t.fillPage, which goes through the buffer manager's
-// own locking. The jobs channel provides the happens-before edge between
-// writing a node's records and the writer reading them.
-//
-// The build holds a pin on the tree's meta page from start to close, so the
-// epilogue's writeMeta finds it resident however small the pool: a bulk
-// load reads nothing and writes each page once. That takes two frames where
-// the meta page lives — that one and the page being filled; a pool with
-// only one there gives the pin up at the first fill it blocks (fill) and
-// pays what it saved: one write-back of the meta page and one read.
+// The build goroutine owns page reservation (t.reservePage, t.free) and
+// tree metadata; the writer owns the stage until close has waited for it.
+// The jobs channel provides the happens-before edge between writing a
+// node's records and the writer reading them.
 type pageWriter struct {
 	t     *Tree
 	async bool
-	// meta is the build's pin on the meta page; nil once given up. The
-	// writer owns it until close has waited for it.
-	meta *buffer.Frame
 
 	jobs chan pageJob
 	wg   sync.WaitGroup
+
+	stage  []byte // the images of pages first, first+1, …, staged of them
+	first  storage.PageID
+	staged int
 
 	mu     sync.Mutex
 	err    error // guarded by mu
@@ -71,31 +68,45 @@ type pageWriter struct {
 	writeNanos atomic.Int64
 }
 
-func (t *Tree) newPageWriter() (*pageWriter, error) {
-	meta, err := t.pool.Fetch(t.metaPage)
-	if err != nil {
-		return nil, err
-	}
-	w := &pageWriter{t: t, async: t.workers > 1, meta: meta}
+func (t *Tree) newPageWriter() *pageWriter {
+	w := &pageWriter{t: t, async: t.workers > 1, stage: make([]byte, runPages*t.pool.Pager().PageSize())}
 	if w.async {
 		w.jobs = make(chan pageJob, writeBehindQueue)
 		w.wg.Add(1)
 		go w.run()
 	}
-	return w, nil
+	return w
 }
 
-// fill is the one page-fill step of both arms, timed.
+// fill stages one node's page, first writing the staged run if the page
+// does not extend it; fill(nil) writes the last run. Timed.
 func (w *pageWriter) fill(job *pageJob) error {
 	t0 := time.Now()
-	err := w.t.fillPage(job)
-	if w.meta != nil && errors.Is(err, buffer.ErrPoolExhausted) {
-		w.t.pool.Release(w.meta)
-		w.meta = nil
-		err = w.t.fillPage(job)
+	defer func() { w.writeNanos.Add(int64(time.Since(t0))) }()
+	if job == nil || w.staged == runPages || w.staged > 0 && job.id != w.first+storage.PageID(w.staged) {
+		if err := w.writeRun(); err != nil || job == nil {
+			return err
+		}
 	}
-	w.writeNanos.Add(int64(time.Since(t0)))
-	return err
+	size := len(w.stage) / runPages
+	if err := node.FillRecords(w.stage[w.staged*size:(w.staged+1)*size], job.level, w.t.dims, job.recs); err != nil {
+		return err
+	}
+	if w.staged == 0 {
+		w.first = job.id
+	}
+	w.staged++
+	return nil
+}
+
+// writeRun writes the staged pages with one call and empties the stage.
+func (w *pageWriter) writeRun() error {
+	n := w.staged
+	w.staged = 0
+	if n == 0 {
+		return nil
+	}
+	return w.t.pool.WritePages(w.first, w.stage[:n*len(w.stage)/runPages])
 }
 
 func (w *pageWriter) fail(err error) {
@@ -128,7 +139,11 @@ func (w *pageWriter) run() {
 func (w *pageWriter) emit(job pageJob) error {
 	w.pages++
 	if !w.async {
-		return w.fill(&job)
+		if err := w.fill(&job); err != nil {
+			w.fail(err)
+			return err
+		}
+		return nil
 	}
 	if err := w.firstErr(); err != nil {
 		return err
@@ -143,10 +158,9 @@ func (w *pageWriter) emit(job pageJob) error {
 	return nil
 }
 
-// close drains the queue, stops the background writer, drops the meta
-// page's pin and returns the first write error. It is idempotent, so bulk
-// loads both defer it (for early error returns) and call it explicitly
-// before flushing.
+// close drains the queue, stops the background writer, writes the last run
+// and returns the first write error. It is idempotent, so bulk loads both
+// defer it (for early error returns) and call it explicitly before flushing.
 func (w *pageWriter) close() error {
 	w.mu.Lock()
 	already := w.closed
@@ -157,16 +171,21 @@ func (w *pageWriter) close() error {
 			close(w.jobs)
 			w.wg.Wait()
 		}
-		if w.meta != nil {
-			w.t.pool.Release(w.meta)
+		if w.firstErr() == nil {
+			if err := w.fill(nil); err != nil {
+				w.fail(err)
+			}
+		}
+		if err := w.firstErr(); err != nil {
+			w.t.writeErr = err
 		}
 	}
 	return w.firstErr()
 }
 
-// writeTime reports the cumulative wall time spent in fillPage: pinning
-// frames (eviction and its write-back included) and filling them. In
-// async mode this overlaps the ordering time rather than adding to it.
+// writeTime reports the cumulative wall time spent filling pages and writing
+// runs. In async mode this overlaps the ordering time rather than adding to
+// it.
 func (w *pageWriter) writeTime() time.Duration {
 	return time.Duration(w.writeNanos.Load())
 }

@@ -13,7 +13,8 @@ type FaultyPager struct {
 
 	mu sync.Mutex
 	// failRead / failWrite / failAlloc return a non-nil error to inject a
-	// failure for the given page; nil passes the call through.
+	// failure for the given page (each page of a written run); nil passes
+	// the call through.
 	failRead  func(id PageID) error
 	failWrite func(id PageID) error
 	failAlloc func() error
@@ -74,14 +75,17 @@ func (f *FaultyPager) ReadPage(id PageID, buf []byte) error {
 	return f.inner.ReadPage(id, buf)
 }
 
-// WritePage implements Pager.
+// WritePage implements Pager. The write hook sees each page of a run in
+// turn; a failure on any of them fails the run, and nothing is written.
 func (f *FaultyPager) WritePage(id PageID, buf []byte) error {
 	f.mu.Lock()
 	hook := f.failWrite
 	f.mu.Unlock()
 	if hook != nil {
-		if err := hook(id); err != nil {
-			return err
+		for i := 0; i < max(len(buf)/f.inner.PageSize(), 1); i++ {
+			if err := hook(id + PageID(i)); err != nil {
+				return err
+			}
 		}
 	}
 	return f.inner.WritePage(id, buf)

@@ -51,7 +51,10 @@ type Pager interface {
 	Alloc() (PageID, error)
 	// ReadPage copies page id into buf, which must be PageSize() long.
 	ReadPage(id PageID, buf []byte) error
-	// WritePage copies buf, which must be PageSize() long, into page id.
+	// WritePage copies buf, a whole number of pages, into the pages from
+	// id on: a run of consecutive pages is one call. A run that is empty,
+	// not whole pages or reaches past NumPages is refused, and nothing of
+	// it is written.
 	WritePage(id PageID, buf []byte) error
 	// NumPages returns the number of allocated pages.
 	NumPages() int
@@ -64,7 +67,8 @@ type Pager interface {
 
 // Stats counts physical page operations at the pager level. The buffer pool
 // keeps its own counters; these exist so tests can assert that buffering
-// actually suppressed physical I/O.
+// actually suppressed physical I/O. Writes counts pages, however many calls
+// wrote them.
 type Stats struct {
 	Reads  int64
 	Writes int64
@@ -127,7 +131,7 @@ func (m *MemPager) ReadPage(id PageID, buf []byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if err := m.check(id, buf); err != nil {
+	if err := checkRead(id, buf, m.pageSize, len(m.pages)); err != nil {
 		return err
 	}
 	copy(buf, m.pages[id])
@@ -142,22 +146,40 @@ func (m *MemPager) WritePage(id PageID, buf []byte) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if err := m.check(id, buf); err != nil {
+	n, err := checkWrite(id, buf, m.pageSize, len(m.pages))
+	if err != nil {
 		return err
 	}
-	copy(m.pages[id], buf)
-	m.stats.writes.Add(1)
+	for i := 0; i < n; i++ {
+		copy(m.pages[int(id)+i], buf[i*m.pageSize:])
+	}
+	m.stats.writes.Add(int64(n))
 	return nil
 }
 
-func (m *MemPager) check(id PageID, buf []byte) error {
-	if int(id) >= len(m.pages) {
-		return fmt.Errorf("%w: page %d of %d", ErrPageOutOfRange, id, len(m.pages))
+// checkRead validates a read of page id into buf over a pager of numPages
+// pages of pageSize bytes.
+func checkRead(id PageID, buf []byte, pageSize, numPages int) error {
+	if int(id) >= numPages {
+		return fmt.Errorf("%w: page %d of %d", ErrPageOutOfRange, id, numPages)
 	}
-	if len(buf) != m.pageSize {
-		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), m.pageSize)
+	if len(buf) != pageSize {
+		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), pageSize)
 	}
 	return nil
+}
+
+// checkWrite validates a write of buf from page id on over a pager of
+// numPages pages of pageSize bytes and returns how many pages it covers.
+func checkWrite(id PageID, buf []byte, pageSize, numPages int) (int, error) {
+	n := len(buf) / pageSize
+	if n == 0 || len(buf)%pageSize != 0 {
+		return 0, fmt.Errorf("storage: write of %d bytes is not whole %d-byte pages", len(buf), pageSize)
+	}
+	if int(id)+n > numPages {
+		return 0, fmt.Errorf("%w: %d pages from page %d, pager holds %d", ErrPageOutOfRange, n, id, numPages)
+	}
+	return n, nil
 }
 
 // NumPages implements Pager.
@@ -275,7 +297,7 @@ func (p *FilePager) ReadPage(id PageID, buf []byte) error {
 	if p.closed {
 		return ErrClosed
 	}
-	if err := p.check(id, buf); err != nil {
+	if err := checkRead(id, buf, p.pageSize, p.n); err != nil {
 		return err
 	}
 	got, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize))
@@ -287,31 +309,23 @@ func (p *FilePager) ReadPage(id PageID, buf []byte) error {
 	return nil
 }
 
-// WritePage implements Pager. Writing past the file's end extends it.
+// WritePage implements Pager: one WriteAt for the whole run. Writing past
+// the file's end extends it to the run's end.
 func (p *FilePager) WritePage(id PageID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
 		return ErrClosed
 	}
-	if err := p.check(id, buf); err != nil {
+	n, err := checkWrite(id, buf, p.pageSize, p.n)
+	if err != nil {
 		return err
 	}
 	if _, err := p.f.WriteAt(buf, int64(id)*int64(p.pageSize)); err != nil {
 		return fmt.Errorf("storage: write page %d: %w", id, err)
 	}
-	p.filed = max(p.filed, int(id)+1)
-	p.stats.Writes++
-	return nil
-}
-
-func (p *FilePager) check(id PageID, buf []byte) error {
-	if int(id) >= p.n {
-		return fmt.Errorf("%w: page %d of %d", ErrPageOutOfRange, id, p.n)
-	}
-	if len(buf) != p.pageSize {
-		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), p.pageSize)
-	}
+	p.filed = max(p.filed, int(id)+n)
+	p.stats.Writes += int64(n)
 	return nil
 }
 

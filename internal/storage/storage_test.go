@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -101,8 +102,95 @@ func TestPagerBufferSizeMismatch(t *testing.T) {
 			if err := p.ReadPage(0, make([]byte, 64)); err == nil {
 				t.Fatal("short buffer accepted")
 			}
-			if err := p.WritePage(0, make([]byte, 256)); err == nil {
-				t.Fatal("long buffer accepted")
+			if err := p.ReadPage(0, make([]byte, 256)); err == nil {
+				t.Fatal("long read buffer accepted")
+			}
+			// A write is a run of whole pages: a page and a half is neither.
+			for _, size := range []int{0, 64, 192} {
+				if err := p.WritePage(0, make([]byte, size)); err == nil {
+					t.Fatalf("write of %d bytes accepted", size)
+				}
+			}
+		})
+	}
+}
+
+// TestPagerWriteRun is the run contract of WritePage on every pager: a run
+// lands in every page it covers; a length that is not whole pages, or a
+// run past NumPages, is refused and writes nothing; a FilePager grows to
+// the run's end; and a FaultyPager's hook sees every page of the run, a
+// failure on any of them failing the whole run.
+func TestPagerWriteRun(t *testing.T) {
+	pagers := pagerFactories(t)
+	var (
+		hooked []PageID
+		armed  bool
+	)
+	pagers["faulty"] = func() Pager {
+		f := NewFaultyPager(NewMemPager(128))
+		f.FailWrites(func(id PageID) error {
+			hooked = append(hooked, id)
+			if armed && id == 6 {
+				return errInjected
+			}
+			return nil
+		})
+		return f
+	}
+	page := func(b byte) []byte { return bytes.Repeat([]byte{b}, 128) }
+	for name, mk := range pagers {
+		t.Run(name, func(t *testing.T) {
+			p := mk()
+			defer p.Close()
+			for i := 0; i < 8; i++ {
+				if _, err := p.Alloc(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			hooked = nil
+			run := append(append(page(1), page(2)...), page(3)...)
+			if err := p.WritePage(2, run); err != nil {
+				t.Fatal(err)
+			}
+			if name == "faulty" && fmt.Sprint(hooked) != "[2 3 4]" {
+				t.Fatalf("write hook saw pages %v of the run 2..4", hooked)
+			}
+			if f, ok := p.(*FilePager); ok {
+				if got := fileLen(t, f.f.(*os.File).Name()); got != 5*128 {
+					t.Fatalf("file is %d bytes after a run ending at page 4, want %d", got, 5*128)
+				}
+			}
+			want := map[PageID][]byte{1: page(0), 2: page(1), 3: page(2), 4: page(3), 5: page(0), 6: page(0), 7: page(0)}
+			check := func(when string) {
+				t.Helper()
+				got := make([]byte, 128)
+				for id, w := range want {
+					if err := p.ReadPage(id, got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got, w) {
+						t.Fatalf("%s: page %d holds %x…, want %x…", when, id, got[:4], w[:4])
+					}
+				}
+			}
+			check("after the run")
+			if err := p.WritePage(5, run[:2*128+1]); err == nil {
+				t.Fatal("a run of two pages and a byte was accepted")
+			}
+			check("after a ragged run")
+			if err := p.WritePage(6, run); !errors.Is(err, ErrPageOutOfRange) {
+				t.Fatalf("run over pages 6..8 of 8: %v, want ErrPageOutOfRange", err)
+			}
+			check("after a run past the end")
+			if name == "faulty" {
+				hooked, armed = nil, true
+				if err := p.WritePage(5, run); !errors.Is(err, errInjected) {
+					t.Fatalf("run over the failing page 6: %v", err)
+				}
+				if fmt.Sprint(hooked) != "[5 6]" {
+					t.Fatalf("write hook saw pages %v, want [5 6]: the failing page ends the run", hooked)
+				}
+				check("after a failed run")
 			}
 		})
 	}
