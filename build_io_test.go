@@ -63,8 +63,10 @@ func TestBulkLoadWritesEachPageOnce(t *testing.T) {
 // TestBulkLoadRecyclesFreedPages drives the loader's other page source: a
 // tree grown by Insert and emptied by Delete is at height 0 with a free
 // list, whose pages may sit dirty in the pool or have been evicted. The
-// bulk load takes those ids first — pinning them with Fetch, not Adopt —
-// and must come out packed, complete and with no page referenced twice.
+// bulk load takes those ids first — it pins none of them: it writes them
+// with Pool.WritePages, which drops any frame the pool still caches of a
+// page — and must come out packed, complete and with no page referenced
+// twice.
 func TestBulkLoadRecyclesFreedPages(t *testing.T) {
 	churn := randItems(3000, 11)
 	items := randItems(20000, 12)

@@ -5,7 +5,12 @@
 #   1. gofmt          every .go file is formatted
 #   2. go vet         the standard analyzer suite (strlint repeats none
 #                     of it: loop-variable capture is vet's loopclosure,
-#                     locks copied by value are vet's copylocks)
+#                     locks copied by value are vet's copylocks), then two
+#                     cross-vets from GOROOT, offline: GOARCH=386 over the
+#                     whole module (it must compile where int is 32 bits)
+#                     and GOOS=darwin over internal/storage — the unmapped
+#                     read path (mmap_other.go), which no linux/amd64 build
+#                     compiles
 #   3. go build       the whole module compiles, and three greps: no non-test
 #                     .go file outside internal/node and bench/ mentions
 #                     node.Unmarshal or readNode — library code reads a
@@ -70,7 +75,8 @@
 #                     (internal/rtree …BulkLoad…, the root package's
 #                     …BulkLoad… and …Parallel…BuildByteIdentical) — and
 #                     the root package's concurrent Search/SearchBatch
-#                     tests. The zero-alloc gates
+#                     tests, and internal/storage (four readers of a
+#                     FilePager's mapping beside a writer that grows it). The zero-alloc gates
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
 #                     assertions: race instrumentation allocates.
@@ -110,7 +116,9 @@
 #                     internal/router's BenchmarkRoutedRoundTrip (the
 #                     ledger's serve workload in small: client -> router
 #                     -> 3 shards over loopback, µs and allocations per
-#                     request at fan-out 1 and 3).
+#                     request at fan-out 1 and 3) and internal/storage's
+#                     BenchmarkFilePagerReadPage (one miss below the pool:
+#                     a random page of a 9 902-page file, ns/page).
 #   8. ledger         scripts/ledger.sh: go vet and the smoke tests of the
 #                     performance ledger, bench/ — a separate module that
 #                     imports strtree/internal/..., which steps 2-7 never
@@ -132,8 +140,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet"
+echo "== go vet (and cross-vets: GOARCH=386 over the module, GOOS=darwin over internal/storage)"
 go vet ./...
+GOARCH=386 go vet ./...
+GOOS=darwin go vet ./internal/storage
 
 echo "== go build"
 go build ./...
@@ -150,12 +160,12 @@ echo "strlint: $(($(date +%s) - strlint_start)) s wall, building it included"
 echo "== go test"
 go test ./...
 
-echo "== go test -race (buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, write-behind builds, concurrent root tests)"
-go test -race ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
+echo "== go test -race (storage, buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, write-behind builds, concurrent root tests)"
+go test -race ./internal/storage/... ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip, storage BenchmarkFilePagerReadPage)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10|BenchmarkInsertPacked)$' -benchtime 1x ./internal/rtree
 go test -run '^$' -bench '^(BenchmarkByCenter|BenchmarkSortPairs)$' -benchtime 1x ./internal/psort
@@ -164,6 +174,7 @@ go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkMutateChurn$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkBuildExternal$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkRoutedRoundTrip$' -benchtime 1x ./internal/router
+go test -run '^$' -bench '^BenchmarkFilePagerReadPage$' -benchtime 1x ./internal/storage
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"
 ./scripts/ledger.sh

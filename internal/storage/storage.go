@@ -116,7 +116,7 @@ func (m *MemPager) Alloc() (PageID, error) {
 	if m.closed {
 		return NilPage, ErrClosed
 	}
-	if len(m.pages) >= int(NilPage) {
+	if uint64(len(m.pages)) >= uint64(NilPage) {
 		return NilPage, errors.New("storage: page space exhausted")
 	}
 	m.pages = append(m.pages, make([]byte, m.pageSize))
@@ -160,7 +160,7 @@ func (m *MemPager) WritePage(id PageID, buf []byte) error {
 // checkRead validates a read of page id into buf over a pager of numPages
 // pages of pageSize bytes.
 func checkRead(id PageID, buf []byte, pageSize, numPages int) error {
-	if int(id) >= numPages {
+	if int64(id) >= int64(numPages) {
 		return fmt.Errorf("%w: page %d of %d", ErrPageOutOfRange, id, numPages)
 	}
 	if len(buf) != pageSize {
@@ -176,7 +176,7 @@ func checkWrite(id PageID, buf []byte, pageSize, numPages int) (int, error) {
 	if n == 0 || len(buf)%pageSize != 0 {
 		return 0, fmt.Errorf("storage: write of %d bytes is not whole %d-byte pages", len(buf), pageSize)
 	}
-	if int(id)+n > numPages {
+	if int64(id)+int64(n) > int64(numPages) {
 		return 0, fmt.Errorf("%w: %d pages from page %d, pager holds %d", ErrPageOutOfRange, n, id, numPages)
 	}
 	return n, nil
@@ -214,12 +214,18 @@ func (m *MemPager) Stats() Stats { return m.stats.snapshot() }
 // was written first); ReadPage returns zeros for such a page, and Sync and
 // Close extend the file to exactly NumPages × PageSize before they return,
 // so a file at rest always has the length OpenFilePager expects.
+//
+// A page below filed is read by readFiled. On Linux (mmap_linux.go) that
+// copies it out of a read-only shared mapping of the file, made on the
+// first such read and grown when filed outgrows it; elsewhere
+// (mmap_other.go) it is one ReadAt. Writes are always WriteAt.
 type FilePager struct {
 	mu       sync.Mutex
 	f        file
 	pageSize int
-	n        int // pages allocated
-	filed    int // pages the file is long enough to hold; <= n
+	n        int    // pages allocated
+	filed    int    // pages the file is long enough to hold; <= n
+	mapped   []byte // the file's read-only mapping; nil until a read needs it
 	stats    Stats
 	closed   bool
 }
@@ -232,6 +238,7 @@ type file interface {
 	Truncate(size int64) error
 	Sync() error
 	Close() error
+	Fd() uintptr
 }
 
 // CreateFilePager creates or truncates the file at path and returns an
@@ -280,7 +287,7 @@ func (p *FilePager) Alloc() (PageID, error) {
 	if p.closed {
 		return NilPage, ErrClosed
 	}
-	if p.n >= int(NilPage) {
+	if uint64(p.n) >= uint64(NilPage) {
 		return NilPage, errors.New("storage: page space exhausted")
 	}
 	id := PageID(p.n)
@@ -289,8 +296,10 @@ func (p *FilePager) Alloc() (PageID, error) {
 	return id, nil
 }
 
-// ReadPage implements Pager. An allocated page beyond the file's end, or
-// in a hole of it, was never written and reads as zeros.
+// ReadPage implements Pager. An allocated page at or beyond filed, or in
+// a hole below it, was never written and reads as zeros. A page below
+// filed that the file no longer holds (it was truncated underneath) or
+// that cannot be read is an error.
 func (p *FilePager) ReadPage(id PageID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -300,11 +309,11 @@ func (p *FilePager) ReadPage(id PageID, buf []byte) error {
 	if err := checkRead(id, buf, p.pageSize, p.n); err != nil {
 		return err
 	}
-	got, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize))
-	if err != nil && err != io.EOF {
+	if int64(id) >= int64(p.filed) {
+		clear(buf)
+	} else if err := p.readFiled(id, buf); err != nil {
 		return fmt.Errorf("storage: read page %d: %w", id, err)
 	}
-	clear(buf[got:])
 	p.stats.Reads++
 	return nil
 }
@@ -369,7 +378,7 @@ func (p *FilePager) Close() error {
 		return nil
 	}
 	p.closed = true
-	return errors.Join(p.extendLocked(), p.f.Close())
+	return errors.Join(p.extendLocked(), p.unmap(), p.f.Close())
 }
 
 // Stats returns a snapshot of the physical I/O counters.

@@ -354,7 +354,8 @@ func fileLen(t *testing.T, path string) int64 {
 
 // TestPagerAllocatedUnwrittenPages is the Alloc contract on both pagers: an
 // allocated page nobody wrote reads as zeros and counts one read — whether
-// it lies past everything written or in a hole below a written page — and
+// it lies past everything written (no read reaches the file) or in a hole
+// below a written page (read from the file, through its mapping on Linux) — and
 // a FilePager's file is exactly NumPages × PageSize long after Sync, after
 // Close and on reopen, the unwritten highest pages included.
 func TestPagerAllocatedUnwrittenPages(t *testing.T) {

@@ -2,7 +2,9 @@ package strtree
 
 import (
 	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -215,6 +217,35 @@ func TestFileBackedCreateOpen(t *testing.T) {
 func TestOpenErrors(t *testing.T) {
 	if _, err := Open(filepath.Join(t.TempDir(), "missing.str"), Options{}); err == nil {
 		t.Fatal("missing file opened")
+	}
+}
+
+// TestSearchAfterTruncation: a file cut short underneath an open tree
+// fails the search that misses on a page it no longer holds, with an
+// error, not a crash and not an empty page.
+func TestSearchAfterTruncation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cut.str")
+	tree, err := Create(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(randItems(20000, 7), PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(path, Options{BufferPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if err := os.Truncate(path, 4096); err != nil { // one default-size page: the meta page
+		t.Fatal(err)
+	}
+	err = re.Search(R2(0, 0, 1, 1), func(Item) bool { return true })
+	if err == nil || !strings.Contains(err.Error(), "storage: read page") {
+		t.Fatalf("Search over a truncated file: %v, want a storage read error", err)
 	}
 }
 
