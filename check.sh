@@ -116,9 +116,12 @@
 #                     internal/router's BenchmarkRoutedRoundTrip (the
 #                     ledger's serve workload in small: client -> router
 #                     -> 3 shards over loopback, µs and allocations per
-#                     request at fan-out 1 and 3) and internal/storage's
+#                     request at fan-out 1 and 3), internal/storage's
 #                     BenchmarkFilePagerReadPage (one miss below the pool:
-#                     a random page of a 9 902-page file, ns/page).
+#                     a random page of a 9 902-page file, ns/page) and
+#                     internal/buffer's BenchmarkFetchHitWide (one hit in
+#                     the pool with query_hot's shape: 16 384 frames over
+#                     9 902 pages, random ids, ns/op).
 #   8. ledger         scripts/ledger.sh: go vet and the smoke tests of the
 #                     performance ledger, bench/ — a separate module that
 #                     imports strtree/internal/..., which steps 2-7 never
@@ -165,7 +168,7 @@ go test -race ./internal/storage/... ./internal/buffer/... ./internal/pack/... .
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip, storage BenchmarkFilePagerReadPage)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip, storage BenchmarkFilePagerReadPage, buffer BenchmarkFetchHitWide)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10|BenchmarkInsertPacked)$' -benchtime 1x ./internal/rtree
 go test -run '^$' -bench '^(BenchmarkByCenter|BenchmarkSortPairs)$' -benchtime 1x ./internal/psort
@@ -175,6 +178,7 @@ go test -run '^$' -bench '^BenchmarkMutateChurn$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkBuildExternal$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkRoutedRoundTrip$' -benchtime 1x ./internal/router
 go test -run '^$' -bench '^BenchmarkFilePagerReadPage$' -benchtime 1x ./internal/storage
+go test -run '^$' -bench '^BenchmarkFetchHitWide$' -benchtime 1x ./internal/buffer
 
 echo "== ledger module (bench/): go vet, smoke run of every workload"
 ./scripts/ledger.sh

@@ -13,10 +13,8 @@
 package buffer
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -89,7 +87,7 @@ type Frame struct {
 	// Data in place and no reader may pin the frame until ReleaseMut.
 	writePin   bool
 	dirty      bool
-	prev, next *Frame // LRU list links, guarded by the pool mutex
+	prev, next int32 // LRU list links: slot numbers in the shard, under its mutex
 }
 
 // ID returns the page the frame holds.
@@ -142,16 +140,27 @@ type Pool struct {
 	total  int  // total capacity across shards
 }
 
-// shard is one LRU cache of the pool's pages behind one mutex.
+// shard is one LRU cache of the pool's pages behind one mutex. Its frames
+// live in numbered slots; a page table indexed by page id maps a resident
+// page to its slot, so a hit is a bounds check, a table load and a relink
+// of slots, which the LRU list links by number.
 type shard struct {
 	mu       sync.Mutex
 	pager    storage.Pager
 	capacity int
-	frames   map[storage.PageID]*Frame // guarded by mu
-	// guarded by mu. Intrusive LRU list with a sentinel: head.next is most
-	// recently used, head.prev is least recently used.
-	head  Frame
-	stats Stats // guarded by mu
+	// guarded by mu. table[id] is the slot holding page id, 0 if none. It
+	// grows to the highest page read or adopted into the shard.
+	table []int32
+	// guarded by mu. The slots, chunkSlots to a chunk, allocated as they are
+	// first used so that a *Frame stays put.
+	chunks []*[chunkSlots]Frame
+	// guarded by mu. Slot 0, the LRU list's sentinel: head.next is the
+	// most recently used slot, head.prev the least.
+	head  *Frame
+	used  int32   // guarded by mu. slots handed out so far, the sentinel included
+	free  []int32 // guarded by mu. used slots that hold no page
+	n     int     // guarded by mu. pages in the table
+	stats Stats   // guarded by mu
 	// guarded by mu. tracer, when set, observes every Fetch (page id and
 	// whether it hit).
 	tracer func(id storage.PageID, hit bool)
@@ -195,17 +204,20 @@ func NewSharded(pager storage.Pager, capacity, shards int) (*Pool, error) {
 		if i < rem {
 			c++
 		}
-		s := &shard{
+		chunk := new([chunkSlots]Frame)
+		p.shards[i] = &shard{
 			pager:    pager,
 			capacity: c,
-			frames:   make(map[storage.PageID]*Frame, c),
+			chunks:   []*[chunkSlots]Frame{chunk},
+			head:     &chunk[0],
+			used:     1,
 		}
-		s.head.next = &s.head
-		s.head.prev = &s.head
-		p.shards[i] = s
 	}
 	return p, nil
 }
+
+// chunkSlots is the number of frames in one chunk of a shard's slots.
+const chunkSlots = 64
 
 // shard returns the shard owning page id. The Fibonacci multiplicative hash
 // spreads the tree's densely allocated, level-clustered page numbers
@@ -259,8 +271,11 @@ func (s *shard) fetch(id storage.PageID, write bool) (*Frame, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.stats.LogicalReads++
-	f, hit := s.frames[id]
+	var f *Frame
+	i := s.lookupLocked(id)
+	hit := i != 0
 	if hit {
+		f = s.frameLocked(i)
 		if f.writePin {
 			return nil, fmt.Errorf("%w: page %d", ErrWritePinned, id)
 		}
@@ -268,7 +283,10 @@ func (s *shard) fetch(id storage.PageID, write bool) (*Frame, error) {
 			return nil, fmt.Errorf("%w: page %d has %d read pins", ErrReadPinned, id, f.pins)
 		}
 		f.pins++
-		s.moveToFrontLocked(f)
+		if s.head.next != i {
+			s.unlinkLocked(f)
+			s.pushFrontLocked(i, f)
+		}
 	}
 	if s.tracer != nil {
 		s.tracer(id, hit)
@@ -289,28 +307,35 @@ func (s *shard) fetch(id storage.PageID, write bool) (*Frame, error) {
 // the validation mark of the frame's previous page dies — before ReadPage
 // overwrites the bytes, so a read that fails halfway leaves it clear too.
 func (s *shard) loadLocked(id storage.PageID) (*Frame, error) {
-	f, err := s.allocFrameLocked()
+	i, err := s.allocSlotLocked()
 	if err != nil {
 		return nil, err
 	}
+	f := s.frameLocked(i)
 	f.checked.Store(false)
 	if err := s.pager.ReadPage(id, f.data); err != nil {
+		s.free = append(s.free, i)
 		return nil, err
 	}
 	s.stats.DiskReads++
-	s.publishLocked(f, id, false)
+	s.publishLocked(i, id, false)
 	return f, nil
 }
 
-// publishLocked enters a frame that just received page id's bytes into the
-// table with one read pin.
-func (s *shard) publishLocked(f *Frame, id storage.PageID, dirty bool) {
+// publishLocked enters slot i, which just received page id's bytes, into
+// the table with one read pin.
+func (s *shard) publishLocked(i int32, id storage.PageID, dirty bool) {
+	f := s.frameLocked(i)
 	f.id = id
 	f.pins = 1
 	f.writePin = false
 	f.dirty = dirty
-	s.frames[id] = f
-	s.pushFrontLocked(f)
+	if uint(id) >= uint(len(s.table)) {
+		s.table = append(s.table, make([]int32, uint(id)+1-uint(len(s.table)))...)
+	}
+	s.table[id] = i
+	s.n++
+	s.pushFrontLocked(i, f)
 }
 
 // ReleaseMut drops a write pin obtained from FetchMut, marking the frame
@@ -355,16 +380,17 @@ func (p *Pool) Adopt(id storage.PageID) (*Frame, error) {
 	s := p.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, cached := s.frames[id]; cached {
+	if s.lookupLocked(id) != 0 {
 		return nil, fmt.Errorf("buffer: adopt of cached page %d", id)
 	}
-	f, err := s.allocFrameLocked()
+	i, err := s.allocSlotLocked()
 	if err != nil {
 		return nil, err
 	}
+	f := s.frameLocked(i)
 	f.checked.Store(false)
 	clear(f.data)
-	s.publishLocked(f, id, true)
+	s.publishLocked(i, id, true)
 	return f, nil
 }
 
@@ -389,40 +415,58 @@ func (p *Pool) Release(f *Frame) {
 // first on as one call, past the cache. The caller owns the pages and
 // writes them whole, so a cached frame of any of them holds a stale image
 // and is dropped unwritten before the write (a failed write leaves none
-// behind); a pinned one fails the call first. Each page counts one
-// DiskWrite on its own shard.
+// behind); a pinned one fails the call before any frame is dropped. Each
+// page counts one DiskWrite on its own shard.
 func (p *Pool) WritePages(first storage.PageID, data []byte) error {
 	end := first + storage.PageID(len(data)/p.pager.PageSize())
+	p.lockAll()
 	for id := first; id < end; id++ {
-		if err := p.shard(id).drop(id); err != nil {
-			return err
+		if p.shard(id).pinnedLocked(id) {
+			p.unlockAll()
+			return fmt.Errorf("buffer: write past the cache to pinned page %d", id)
 		}
 	}
+	for id := first; id < end; id++ {
+		p.shard(id).dropLocked(id)
+	}
+	p.unlockAll()
 	if err := p.pager.WritePage(first, data); err != nil {
 		return err
 	}
+	p.lockAll()
 	for id := first; id < end; id++ {
-		s := p.shard(id)
-		s.mu.Lock()
-		s.stats.DiskWrites++
-		s.mu.Unlock()
+		p.shard(id).stats.DiskWrites++
 	}
+	p.unlockAll()
 	return nil
 }
 
-// drop forgets page id's frame, if cached, without writing it back; a
-// pinned frame is an error.
-func (s *shard) drop(id storage.PageID) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if f, ok := s.frames[id]; ok {
-		if f.pins > 0 {
-			return fmt.Errorf("buffer: write past the cache to pinned page %d", id)
-		}
-		s.unlinkLocked(f)
-		delete(s.frames, id)
+// lockAll locks every shard, in shard order, for a call that must check
+// the whole pool before it changes any of it; unlockAll undoes it.
+func (p *Pool) lockAll() {
+	for _, s := range p.shards {
+		s.mu.Lock()
 	}
-	return nil
+}
+
+func (p *Pool) unlockAll() {
+	for _, s := range p.shards {
+		s.mu.Unlock()
+	}
+}
+
+// pinnedLocked reports whether page id is cached and pinned.
+func (s *shard) pinnedLocked(id storage.PageID) bool {
+	i := s.lookupLocked(id)
+	return i != 0 && s.frameLocked(i).pins > 0
+}
+
+// dropLocked forgets page id's frame, if cached, without writing it back.
+func (s *shard) dropLocked(id storage.PageID) {
+	if i := s.lookupLocked(id); i != 0 {
+		s.removeLocked(i)
+		s.free = append(s.free, i)
+	}
 }
 
 // FlushAll writes every dirty frame to the pager, shard by shard and
@@ -440,8 +484,11 @@ func (p *Pool) FlushAll() error {
 func (s *shard) flushAll() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, f := range s.byPageLocked() {
-		if err := s.writeBackLocked(f); err != nil {
+	for _, i := range s.table {
+		if i == 0 {
+			continue
+		}
+		if err := s.writeBackLocked(s.frameLocked(i)); err != nil {
 			return err
 		}
 	}
@@ -449,41 +496,38 @@ func (s *shard) flushAll() error {
 }
 
 // Invalidate drops every frame, writing back dirty ones first, in page
-// order. Used between experiment phases to cold-start the buffer. It fails
-// if any frame is pinned.
+// order. Used between experiment phases to cold-start the buffer. If any
+// frame is pinned it fails before it writes or drops a frame.
 func (p *Pool) Invalidate() error {
+	p.lockAll()
+	defer p.unlockAll()
 	for _, s := range p.shards {
-		if err := s.invalidate(); err != nil {
+		for id := range s.table {
+			if s.pinnedLocked(storage.PageID(id)) {
+				return fmt.Errorf("buffer: invalidate with page %d pinned", id)
+			}
+		}
+	}
+	for _, s := range p.shards {
+		if err := s.invalidateLocked(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (s *shard) invalidate() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, f := range s.byPageLocked() {
-		if f.pins > 0 {
-			return fmt.Errorf("buffer: invalidate with page %d pinned", f.id)
+func (s *shard) invalidateLocked() error {
+	for _, i := range s.table {
+		if i == 0 {
+			continue
 		}
+		f := s.frameLocked(i)
 		if err := s.writeBackLocked(f); err != nil {
 			return err
 		}
-		s.unlinkLocked(f)
-		delete(s.frames, f.id)
+		s.dropLocked(f.id)
 	}
 	return nil
-}
-
-// byPageLocked returns the shard's frames in page order.
-func (s *shard) byPageLocked() []*Frame {
-	fs := make([]*Frame, 0, len(s.frames))
-	for _, f := range s.frames {
-		fs = append(fs, f)
-	}
-	slices.SortFunc(fs, func(a, b *Frame) int { return cmp.Compare(a.id, b.id) })
-	return fs
 }
 
 // Stats returns a snapshot of the counters summed over the shards, so
@@ -511,13 +555,13 @@ func (p *Pool) ShardStats() []Stats {
 }
 
 // snapshot returns the shard's counters, with Pinned sampled from the
-// frame table at call time.
+// frames at call time.
 func (s *shard) snapshot() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
-	for _, f := range s.frames {
-		if f.pins > 0 {
+	for i := s.head.next; i != 0; i = s.frameLocked(i).next {
+		if s.frameLocked(i).pins > 0 {
 			st.Pinned++
 		}
 	}
@@ -539,32 +583,64 @@ func (p *Pool) Len() int {
 	n := 0
 	for _, s := range p.shards {
 		s.mu.Lock()
-		n += len(s.frames)
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n
 }
 
-// allocFrameLocked returns a frame not in the table: a new one while the
-// shard has room, else the least recently used unpinned frame, written back
-// if dirty.
-func (s *shard) allocFrameLocked() (*Frame, error) {
-	if len(s.frames) < s.capacity {
-		return &Frame{data: make([]byte, s.pager.PageSize())}, nil
+// frameLocked returns slot i's frame.
+func (s *shard) frameLocked(i int32) *Frame {
+	return &s.chunks[uint32(i)/chunkSlots][uint32(i)%chunkSlots]
+}
+
+// lookupLocked returns the slot holding page id, 0 if none.
+func (s *shard) lookupLocked(id storage.PageID) int32 {
+	if uint(id) < uint(len(s.table)) {
+		return s.table[id]
 	}
-	for f := s.head.prev; f != &s.head; f = f.prev {
+	return 0
+}
+
+// allocSlotLocked returns a slot that holds no page: a free one while the
+// shard has room, else the least recently used unpinned frame's, written
+// back if dirty. A slot's page bytes are allocated on its first use.
+func (s *shard) allocSlotLocked() (int32, error) {
+	if s.n < s.capacity {
+		if k := len(s.free); k > 0 {
+			i := s.free[k-1]
+			s.free = s.free[:k-1]
+			return i, nil
+		}
+		i := s.used
+		s.used++
+		if i%chunkSlots == 0 {
+			s.chunks = append(s.chunks, new([chunkSlots]Frame))
+		}
+		s.frameLocked(i).data = make([]byte, s.pager.PageSize())
+		return i, nil
+	}
+	for i := s.head.prev; i != 0; i = s.frameLocked(i).prev {
+		f := s.frameLocked(i)
 		if f.pins > 0 {
 			continue
 		}
 		if err := s.writeBackLocked(f); err != nil {
-			return nil, err
+			return 0, err
 		}
-		s.unlinkLocked(f)
-		delete(s.frames, f.id)
+		s.removeLocked(i)
 		s.stats.Evictions++
-		return f, nil
+		return i, nil
 	}
-	return nil, ErrPoolExhausted
+	return 0, ErrPoolExhausted
+}
+
+// removeLocked takes slot i's page out of the table and the LRU list.
+func (s *shard) removeLocked(i int32) {
+	f := s.frameLocked(i)
+	s.unlinkLocked(f)
+	s.table[f.id] = 0
+	s.n--
 }
 
 // writeBackLocked writes a dirty frame back to the pager.
@@ -580,21 +656,14 @@ func (s *shard) writeBackLocked(f *Frame) error {
 	return nil
 }
 
-func (s *shard) pushFrontLocked(f *Frame) {
-	f.next = s.head.next
-	f.prev = &s.head
-	s.head.next.prev = f
-	s.head.next = f
+// pushFrontLocked links f, slot i's frame, in as the most recently used.
+func (s *shard) pushFrontLocked(i int32, f *Frame) {
+	f.prev, f.next = 0, s.head.next
+	s.frameLocked(s.head.next).prev = i
+	s.head.next = i
 }
 
 func (s *shard) unlinkLocked(f *Frame) {
-	f.prev.next = f.next
-	f.next.prev = f.prev
-	f.prev = nil
-	f.next = nil
-}
-
-func (s *shard) moveToFrontLocked(f *Frame) {
-	s.unlinkLocked(f)
-	s.pushFrontLocked(f)
+	s.frameLocked(f.prev).next = f.next
+	s.frameLocked(f.next).prev = f.prev
 }

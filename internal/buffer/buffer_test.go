@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"strtree/internal/storage"
@@ -459,5 +460,153 @@ func TestWritePages(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWritePagesRefusedKeepsFrames: a run refused for a pinned page drops
+// no frame, so a dirty page cached ahead of the pinned one in the run keeps
+// its bytes; dropping it would lose them, since the run is never written.
+func TestWritePagesRefusedKeepsFrames(t *testing.T) {
+	for _, sc := range shardCases {
+		t.Run(sc.name, func(t *testing.T) {
+			p, pg := newShardedN(t, 8, sc.shards, 12)
+			f := mustFetch(t, p, 6)
+			f.Data()[0] = 0x66
+			f.MarkDirty()
+			p.Release(f)
+			pinned := mustFetch(t, p, 9)
+			before := pg.Stats().Writes
+			if err := p.WritePages(6, bytes.Repeat([]byte{0xEE}, 6*64)); err == nil {
+				t.Fatal("a run over pinned page 9 was written")
+			}
+			p.Release(pinned)
+			if got := pg.Stats().Writes - before; got != 0 || p.Len() != 2 {
+				t.Fatalf("the refused run wrote %d pages and left %d frames, want 0 and 2", got, p.Len())
+			}
+			f = mustFetch(t, p, 6)
+			defer p.Release(f)
+			if f.Data()[0] != 0x66 {
+				t.Fatalf("page 6 starts %#x after the refused run, want its dirty 0x66", f.Data()[0])
+			}
+		})
+	}
+}
+
+// TestInvalidateRefusedChangesNothing: an Invalidate refused for a pinned
+// page writes back and drops nothing, on any shard, whichever page the
+// pin is on. The pin sits on the page a shard-by-shard, page-ordered walk
+// reaches last.
+func TestInvalidateRefusedChangesNothing(t *testing.T) {
+	for _, sc := range shardCases {
+		t.Run(sc.name, func(t *testing.T) {
+			const pages = 8
+			p, pg := newShardedN(t, 32, sc.shards, pages)
+			shardOf := func(id storage.PageID) int { return slices.Index(p.shards, p.shard(id)) }
+			var last storage.PageID
+			for id := storage.PageID(0); id < pages; id++ {
+				f := mustFetch(t, p, id)
+				f.Data()[0] = 0xD0 | byte(id)
+				f.MarkDirty()
+				p.Release(f)
+				if shardOf(id) >= shardOf(last) {
+					last = id
+				}
+			}
+			pinned := mustFetch(t, p, last)
+			defer p.Release(pinned)
+			before := pg.Stats().Writes
+			if err := p.Invalidate(); err == nil {
+				t.Fatalf("Invalidate with page %d pinned succeeded", last)
+			}
+			if got := pg.Stats().Writes - before; got != 0 || p.Len() != pages || p.Stats().DiskWrites != 0 {
+				t.Fatalf("the refused Invalidate wrote %d pages (%d counted) and left %d frames, want 0 and %d",
+					got, p.Stats().DiskWrites, p.Len(), pages)
+			}
+		})
+	}
+}
+
+// TestPoolSteadyStateZeroAlloc: once the pool has met every page, a hit, a
+// clean miss that evicts and a dirty miss that evicts and writes back
+// allocate nothing.
+func TestPoolSteadyStateZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const pages, capacity = 64, 8
+	p, _ := newPoolN(t, capacity, pages)
+	touch := func(id storage.PageID, dirty bool) {
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dirty {
+			f.MarkDirty()
+		}
+		p.Release(f)
+	}
+	for id := storage.PageID(0); id < pages; id++ {
+		touch(id, false)
+	}
+	next := storage.PageID(0)
+	cases := []struct {
+		name            string
+		step            func()
+		misses, written int64
+	}{
+		{"hit", func() { touch(pages-1, false) }, 0, 0},
+		{"clean miss", func() { touch(next%pages, false); next++ }, 1, 0},
+		{"dirty miss", func() { touch(next%pages, true); next++ }, 1, 1},
+	}
+	const runs = 200
+	for _, tc := range cases {
+		before := p.Stats()
+		if a := testing.AllocsPerRun(runs, tc.step); a != 0 {
+			t.Errorf("%s: %v allocations per op, want 0", tc.name, a)
+		}
+		st := p.Stats()
+		ops := int64(runs + 1) // AllocsPerRun runs the step once more to warm up
+		if st.DiskReads-before.DiskReads != tc.misses*ops {
+			t.Errorf("%s: %d misses in %d ops, want %d each", tc.name, st.DiskReads-before.DiskReads, ops, tc.misses)
+		}
+		// A dirty miss writes back the page dirtied capacity misses ago,
+		// so the first capacity of them evict clean pages.
+		if w := st.DiskWrites - before.DiskWrites; tc.written == 1 && w != ops-capacity || tc.written == 0 && w != 0 {
+			t.Errorf("%s: %d write-backs in %d ops", tc.name, w, ops)
+		}
+	}
+}
+
+// BenchmarkFetchHitWide is a hit with query_hot's shape: a 16 384-frame
+// pool holding 9 902 pages, fetched in a pseudo-random order, so the page
+// table and the frames are spread over more memory than L1 holds.
+func BenchmarkFetchHitWide(b *testing.B) {
+	const frames, pages = 16384, 9902
+	pg := storage.NewMemPager(64)
+	for i := 0; i < pages; i++ {
+		if _, err := pg.Alloc(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	p := NewPool(pg, frames)
+	ids := make([]storage.PageID, 1<<16)
+	rng := rand.New(rand.NewSource(1))
+	for i := range ids {
+		ids[i] = storage.PageID(rng.Intn(pages))
+	}
+	for id := storage.PageID(0); id < pages; id++ {
+		f, err := p.Fetch(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Release(f)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := p.Fetch(ids[i&(len(ids)-1)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Release(f)
 	}
 }
