@@ -1,7 +1,7 @@
 // Top-level benchmark harness: one testing.B benchmark per table and
 // figure of the STR paper (each runs the corresponding experiment at a
 // reduced scale and reports the key access counts as custom metrics), plus
-// the ablation benchmarks DESIGN.md Section 6 calls out. Run with
+// the ablation benchmarks DESIGN.md §1 calls out. Run with
 //
 //	go test -bench=. -benchmem
 //

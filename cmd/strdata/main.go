@@ -6,7 +6,7 @@
 //
 // Available sets: uniform (density-5 squares), points, tiger, vlsi, cfd —
 // the paper's four families (tiger/vlsi/cfd are the simulated stand-ins
-// described in DESIGN.md).
+// described in DESIGN.md §1).
 package main
 
 import (

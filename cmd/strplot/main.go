@@ -11,7 +11,7 @@
 //	strplot [-fig 2|3|4|5|6|all] [-o .] [-seed 1] [-n 0]
 //
 // The Long Beach and CFD data are the repository's simulated stand-ins
-// (see DESIGN.md Section 4).
+// (see DESIGN.md §1).
 package main
 
 import (

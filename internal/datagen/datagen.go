@@ -15,7 +15,7 @@
 //
 // The real TIGER/VLSI/CFD files are not distributable with this
 // repository; each stand-in reproduces the structural properties the paper
-// identifies as driving packing performance (see DESIGN.md Section 4 for
+// identifies as driving packing performance (see DESIGN.md §1 for
 // the substitution argument). All generators are deterministic in their
 // seed.
 package datagen

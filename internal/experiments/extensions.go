@@ -249,7 +249,7 @@ func ExtModel(cfg Config) (*Table, error) {
 // ExtSplits measures what forced reinsertion buys a pure-insert load: leaf
 // count and query accesses for the tile cut alone and with ForcedReinsert. The
 // splits the tile cut displaced — Guttman's linear and quadratic, then R* —
-// are on record in EXPERIMENTS.md.
+// are on record in EXPERIMENTS.md, "Extension experiments".
 func ExtSplits(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:     "Extension Splits",

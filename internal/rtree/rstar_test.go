@@ -3,11 +3,12 @@ package rtree
 // The R*-tree's topological split (Beckmann et al.), an Options.Split value
 // until PR 26: over six seeds it read 0.8 % fewer accesses per query than the
 // tile cut, inside the tile cut's own seed-to-seed range, at three to four
-// times the time per insert (EXPERIMENTS.md, extsplits). Kept here, unchanged,
-// beside Guttman's splits (guttman_test.go) as a baseline BenchmarkSplitPolicies
-// and TestRStarBeatsLinearOnOverlap hold the tile cut against: choose the
-// split axis by minimum total margin over all distributions, then the split
-// index by minimum overlap (ties: minimum total area).
+// times the time per insert (EXPERIMENTS.md, "Overflow handling over
+// seeds"). Kept here, unchanged, beside Guttman's splits (guttman_test.go)
+// as a baseline BenchmarkSplitPolicies and TestRStarBeatsLinearOnOverlap
+// hold the tile cut against: choose the split axis by minimum total margin
+// over all distributions, then the split index by minimum overlap (ties:
+// minimum total area).
 
 import (
 	"cmp"
