@@ -1,12 +1,12 @@
-// Top-level benchmark harness: one testing.B benchmark per table and
-// figure of the STR paper (each runs the corresponding experiment at a
-// reduced scale and reports the key access counts as custom metrics), plus
-// the ablation benchmarks DESIGN.md §1 calls out. Run with
-//
-//	go test -bench=. -benchmem
-//
-// For paper-scale numbers use cmd/strbench -full instead; benchmarks stay
-// small so the whole suite finishes in minutes.
+// Root benchmarks: only the questions nothing else times. The paper's
+// tables, figures and extensions are strbench -exp (their access counts
+// pinned by strbench -ci); the packing roster, packed against dynamic
+// builds and k = 3 are its extpackers, extdynamic and ext3d; the sort
+// kernels are internal/pack's and internal/psort's benchmarks. What stays
+// here is fan-out (no experiment varies capacity), the in-memory build
+// under nightly's -cpu sweep, the ledger's build, mutate and external
+// build workloads in small, and concurrent queries through one tree.
+// alloc_test.go holds the zero-allocation gate.
 package strtree_test
 
 import (
@@ -31,79 +31,6 @@ import (
 	"strtree/internal/storage"
 )
 
-// benchCfg is the reduced scale used by every per-table benchmark.
-func benchCfg() experiments.Config {
-	return experiments.Config{Scale: 0.05, Queries: 100, Capacity: 100, Seed: 1}
-}
-
-// benchExperiment runs one registered experiment per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	b.ReportAllocs()
-	runner, ok := experiments.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %s not registered", id)
-	}
-	cfg := benchCfg()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := runner(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable1(b *testing.B)  { benchExperiment(b, "table1") }
-func BenchmarkTable2(b *testing.B)  { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B)  { benchExperiment(b, "table3") }
-func BenchmarkTable4(b *testing.B)  { benchExperiment(b, "table4") }
-func BenchmarkTable5(b *testing.B)  { benchExperiment(b, "table5") }
-func BenchmarkTable6(b *testing.B)  { benchExperiment(b, "table6") }
-func BenchmarkTable7(b *testing.B)  { benchExperiment(b, "table7") }
-func BenchmarkTable8(b *testing.B)  { benchExperiment(b, "table8") }
-func BenchmarkTable9(b *testing.B)  { benchExperiment(b, "table9") }
-func BenchmarkTable10(b *testing.B) { benchExperiment(b, "table10") }
-func BenchmarkFig7(b *testing.B)    { benchExperiment(b, "fig7") }
-func BenchmarkFig8(b *testing.B)    { benchExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)    { benchExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)   { benchExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)   { benchExperiment(b, "fig11") }
-func BenchmarkFig12(b *testing.B)   { benchExperiment(b, "fig12") }
-
-// accessesPerQuery builds a packed tree over entries behind bufPages of
-// LRU and measures mean disk accesses for the workload.
-func accessesPerQuery(b *testing.B, entries []node.Entry, o rtree.Orderer, capacity, bufPages int, qs []strtree.Rect) float64 {
-	b.Helper()
-	tr, err := experiments.BuildPacked(entries, o, bufPages, capacity)
-	if err != nil {
-		b.Fatal(err)
-	}
-	acc, err := experiments.AvgAccesses(tr, qs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return acc
-}
-
-// BenchmarkAblationPackers compares every packing order on uniform
-// density-5 data with 1% region queries and a small buffer.
-func BenchmarkAblationPackers(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(20000, 5.0, 1)
-	qs := query.Regions(200, query.Extent1Pct, 2)
-	orders := []rtree.Orderer{pack.STR{}, pack.HS{}, pack.NX{}, pack.TGS{}}
-	for _, o := range orders {
-		b.Run(o.Name(), func(b *testing.B) {
-			b.ReportAllocs()
-			var acc float64
-			for i := 0; i < b.N; i++ {
-				acc = accessesPerQuery(b, entries, o, 100, 10, qs)
-			}
-			b.ReportMetric(acc, "accesses/query")
-		})
-	}
-}
-
 // BenchmarkAblationFanout varies node capacity (the paper fixes n = 100
 // and notes most R-trees use 25-100).
 func BenchmarkAblationFanout(b *testing.B) {
@@ -115,142 +42,16 @@ func BenchmarkAblationFanout(b *testing.B) {
 			b.ReportAllocs()
 			var acc float64
 			for i := 0; i < b.N; i++ {
-				acc = accessesPerQuery(b, entries, pack.STR{}, capacity, 10, qs)
+				tr, err := experiments.BuildPacked(entries, pack.STR{}, 10, capacity)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if acc, err = experiments.AvgAccesses(tr, qs); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(acc, "accesses/query")
 		})
-	}
-}
-
-// BenchmarkPackedVsDynamic measures the paper's motivating comparison:
-// bulk loading versus Guttman insertion, on build time and query I/O.
-func BenchmarkPackedVsDynamic(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(10000, 5.0, 1)
-	items := make([]strtree.Item, len(entries))
-	for i, e := range entries {
-		items[i] = strtree.Item{Rect: e.Rect, ID: e.Ref}
-	}
-	qs := query.Regions(200, query.Extent1Pct, 2)
-
-	b.Run("build/packed", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tree, err := strtree.New(strtree.Options{Capacity: 100})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tree.BulkLoad(items, strtree.PackSTR); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("build/dynamic", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tree, err := strtree.New(strtree.Options{Capacity: 100, BufferPages: 2048})
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, it := range items {
-				if err := tree.Insert(it.Rect, it.ID); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-
-	queryBench := func(b *testing.B, tree *strtree.Tree) {
-		var acc float64
-		for i := 0; i < b.N; i++ {
-			if err := tree.DropCaches(); err != nil {
-				b.Fatal(err)
-			}
-			tree.ResetStats()
-			for _, q := range qs {
-				if _, err := tree.Count(q); err != nil {
-					b.Fatal(err)
-				}
-			}
-			acc = float64(tree.Stats().DiskReads) / float64(len(qs))
-		}
-		b.ReportMetric(acc, "accesses/query")
-	}
-	b.Run("query/packed", func(b *testing.B) {
-		b.ReportAllocs()
-		tree, err := strtree.New(strtree.Options{Capacity: 100, BufferPages: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := tree.BulkLoad(items, strtree.PackSTR); err != nil {
-			b.Fatal(err)
-		}
-		queryBench(b, tree)
-	})
-	b.Run("query/dynamic", func(b *testing.B) {
-		b.ReportAllocs()
-		tree, err := strtree.New(strtree.Options{Capacity: 100, BufferPages: 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, it := range items {
-			if err := tree.Insert(it.Rect, it.ID); err != nil {
-				b.Fatal(err)
-			}
-		}
-		queryBench(b, tree)
-	})
-}
-
-// BenchmarkExternalBulkLoad measures the bounded-memory STR build against
-// the in-memory build on the same input.
-func BenchmarkExternalBulkLoad(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(50000, 5.0, 1)
-	items := make([]strtree.Item, len(entries))
-	for i, e := range entries {
-		items[i] = strtree.Item{Rect: e.Rect, ID: e.Ref}
-	}
-	b.Run("in-memory", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tree, err := strtree.New(strtree.Options{Capacity: 100})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := tree.BulkLoad(append([]strtree.Item(nil), items...), strtree.PackSTR); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("external", func(b *testing.B) {
-		b.ReportAllocs()
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			tree, err := strtree.New(strtree.Options{Capacity: 100})
-			if err != nil {
-				b.Fatal(err)
-			}
-			j := 0
-			src := func() (strtree.Item, bool) {
-				if j >= len(items) {
-					return strtree.Item{}, false
-				}
-				it := items[j]
-				j++
-				return it, true
-			}
-			if err := tree.BulkLoadExternal(src, strtree.ExternalOptions{RunSize: 8192, TmpDir: dir}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkExtensions runs the beyond-the-paper experiments.
-func BenchmarkExtensions(b *testing.B) {
-	for _, id := range experiments.ExtensionIDs() {
-		b.Run(id, func(b *testing.B) { benchExperiment(b, id) })
 	}
 }
 
@@ -453,24 +254,6 @@ func BenchmarkBuildExternal(b *testing.B) {
 	b.ReportMetric(float64(len(items))*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mentries/s")
 }
 
-// BenchmarkParallelSTR measures the goroutine-parallel STR sort, the
-// parallel direction the paper's conclusion proposes.
-func BenchmarkParallelSTR(b *testing.B) {
-	b.ReportAllocs()
-	entries := datagen.UniformSquares(200000, 5.0, 1)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(strconv.Itoa(workers), func(b *testing.B) {
-			b.ReportAllocs()
-			work := make([]node.Entry, len(entries))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				copy(work, entries)
-				pack.STR{Workers: workers}.Order(work, 100, 0)
-			}
-		})
-	}
-}
-
 // concurrentBenchTree builds the shared fixture for the concurrent-query
 // benchmarks: a packed 50k-entry tree behind a buffer of the given shard
 // count, with a warm start so the steady-state hit/miss mix is measured.
@@ -549,34 +332,5 @@ func BenchmarkConcurrentQueryBatch(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkSTR3D exercises the k > 2 generalization of Section 2.2.
-func BenchmarkSTR3D(b *testing.B) {
-	b.ReportAllocs()
-	rngEntries := make([]node.Entry, 0, 50000)
-	base := datagen.UniformPoints(50000, 1)
-	// Lift 2-D points into 3-D with a z coordinate derived from the index.
-	for i, e := range base {
-		z := float64(i%1000) / 1000
-		r := strtree.Rect{
-			Min: strtree.Point{e.Rect.Min[0], e.Rect.Min[1], z},
-			Max: strtree.Point{e.Rect.Max[0], e.Rect.Max[1], z},
-		}
-		rngEntries = append(rngEntries, node.Entry{Rect: r, Ref: e.Ref})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pool := buffer.NewPool(storage.NewMemPager(4096), 1024)
-		tr, err := rtree.Create(pool, rtree.Config{Dims: 3, Capacity: 72})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cp := make([]node.Entry, len(rngEntries))
-		copy(cp, rngEntries)
-		if err := tr.BulkLoad(cp, pack.STR{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -45,15 +45,18 @@
 #                     float ==, dropped errors, library panics,
 #                     cross-layer imports, map-order and time/rand
 #                     determinism, guarded-by lock discipline, goroutine
-#                     completion signals, context propagation — gated by
-#                     the committed count-aware baseline
-#                     (.strlint-baseline.json). It type-checks the module
+#                     completion signals, context propagation — at zero
+#                     findings: a finding is suppressed only by a reasoned
+#                     //strlint:ignore on the line it covers. It type-checks the module
 #                     with go/types, the standard library from source, so
 #                     the step takes seconds, not milliseconds; its wall
 #                     time is printed.
 #   5. go test        the full test suite (includes the structural
-#                     verifier's corrupted-tree fixtures in internal/rtree
-#                     and the fuzz seed corpora)
+#                     verifier's corrupted-tree fixtures in internal/rtree,
+#                     the fuzz seed corpora, and ci_names_test.go: every
+#                     -run, -bench and -fuzz name this script and the two
+#                     workflows run exists, since go test exits 0 on a
+#                     pattern that matches nothing)
 #   6. go test -race  the concurrency-sensitive packages: the buffer pool
 #                     (incl. the sharded pool's eviction hammer and the
 #                     write-pin protocol), the packers, the parallel sort

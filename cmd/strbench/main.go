@@ -8,6 +8,7 @@
 //	strbench -build [-n 1000000] [-extn 200000] [-runsize 65536] [-workers 1,2,4,8]
 //	strbench -ci BENCH_CI.json [-baseline BENCH_BASELINE.json]
 //	strbench -replay slow.jsonl -idx index.str [-buffer 256] [-k 10]
+//	strbench -plot 2,3,4,5,6|all [-o .] [-seed 1] [-n 0]
 //
 // Each experiment prints the same rows the paper reports (figures are
 // emitted as their data series). By default the suite runs at one fifth of
@@ -33,9 +34,13 @@
 // against an index file and reports per-op counts, latency percentiles
 // and buffer-pool access counts — the offline half of the capture-replay
 // loop (see replay.go).
+//
+// -plot renders the paper's Figures 2-6 as SVG files into -o instead
+// (see plot.go).
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -63,7 +68,7 @@ func main() {
 		concurrencyOut = flag.String("concurrency-out", "", "with -concurrency: also write the sweep as a JSON artifact to this file")
 
 		build   = flag.Bool("build", false, "run the bulk-load throughput benchmark instead of the paper suite")
-		buildN  = flag.Int("n", 1000000, "entries for the in-memory sweep in -build mode")
+		n       = flag.Int("n", 0, "entries: of the in-memory sweep in -build mode (0 = 1000000), of each data set in -plot mode (0 = the paper's sizes)")
 		extN    = flag.Int("extn", 200000, "entries for the external sweep in -build mode (0 skips it)")
 		runSize = flag.Int("runsize", 1<<16, "external sort run size in -build mode")
 
@@ -75,6 +80,9 @@ func main() {
 		bufPages  = flag.Int("buffer", 256, "with -replay: buffer pool pages")
 		bufShards = flag.Int("bufshards", 1, "with -replay: buffer pool shards")
 		replayK   = flag.Int("k", 0, "with -replay: override k for nearest records (0 keeps the captured k)")
+
+		plot    = flag.String("plot", "", "render the paper's figures as SVG instead of the suite: 2,3,4,5,6 or all")
+		plotDir = flag.String("o", ".", "with -plot: output directory")
 	)
 	flag.Parse()
 
@@ -86,6 +94,14 @@ func main() {
 			k:        *replayK,
 		})
 		if err != nil {
+			fmt.Fprintf(os.Stderr, "strbench: %v\n", err)
+			os.Exit(1)
+		}
+		return
+	}
+
+	if *plot != "" {
+		if err := runPlot(*plot, *plotDir, *seed, *n); err != nil {
 			fmt.Fprintf(os.Stderr, "strbench: %v\n", err)
 			os.Exit(1)
 		}
@@ -107,7 +123,7 @@ func main() {
 			os.Exit(2)
 		}
 		err = runBuildBench(os.Stdout, buildConfig{
-			N:        *buildN,
+			N:        cmp.Or(*n, 1000000),
 			ExtN:     *extN,
 			RunSize:  *runSize,
 			Capacity: 100,

@@ -1,21 +1,6 @@
-// Command strplot renders the STR paper's Figures 2-6 as SVG files:
-//
-//	Figure 2: leaf bounding rectangles of the Long Beach data under NX
-//	Figure 3: the same under HS
-//	Figure 4: the same under STR (note the vertical slices)
-//	Figure 5: the full 5,088-node CFD data set
-//	Figure 6: the CFD data around the centroid (the wing cut-outs)
-//
-// Usage:
-//
-//	strplot [-fig 2|3|4|5|6|all] [-o .] [-seed 1] [-n 0]
-//
-// The Long Beach and CFD data are the repository's simulated stand-ins
-// (see DESIGN.md §1).
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -32,40 +17,39 @@ import (
 	"strtree/internal/svg"
 )
 
-func main() {
-	var (
-		fig  = flag.String("fig", "all", "figure to render: 2,3,4,5,6 or all")
-		out  = flag.String("o", ".", "output directory")
-		seed = flag.Int64("seed", 1, "data generator seed")
-		n    = flag.Int("n", 0, "override data size (0 = paper sizes)")
-	)
-	flag.Parse()
-
+// runPlot renders the STR paper's Figures 2-6 as SVG files in dir; spec
+// is a comma-separated list of 2, 3, 4, 5 and 6, or all:
+//
+//	Figure 2: leaf bounding rectangles of the Long Beach data under NX
+//	Figure 3: the same under HS
+//	Figure 4: the same under STR (note the vertical slices)
+//	Figure 5: the full 5,088-node CFD data set
+//	Figure 6: the CFD data around the centroid (the wing cut-outs)
+//
+// The Long Beach and CFD data are the repository's simulated stand-ins
+// (see DESIGN.md §1); n overrides their size (0 = the paper's).
+func runPlot(spec, dir string, seed int64, n int) error {
 	figs := map[string]func() error{
-		"2": func() error { return plotLeaves(*out, "figure2_nx.svg", "NX", pack.NX{}, *seed, *n) },
-		"3": func() error { return plotLeaves(*out, "figure3_hs.svg", "HS", pack.HS{}, *seed, *n) },
-		"4": func() error { return plotLeaves(*out, "figure4_str.svg", "STR", pack.STR{}, *seed, *n) },
-		"5": func() error { return plotCFDFull(*out, *seed, *n) },
-		"6": func() error { return plotCFDCenter(*out, *seed, *n) },
+		"2": func() error { return plotLeaves(dir, "figure2_nx.svg", "NX", pack.NX{}, seed, n) },
+		"3": func() error { return plotLeaves(dir, "figure3_hs.svg", "HS", pack.HS{}, seed, n) },
+		"4": func() error { return plotLeaves(dir, "figure4_str.svg", "STR", pack.STR{}, seed, n) },
+		"5": func() error { return plotCFDFull(dir, seed, n) },
+		"6": func() error { return plotCFDCenter(dir, seed, n) },
 	}
-
-	var ids []string
-	if *fig == "all" {
+	ids := strings.Split(spec, ",")
+	if spec == "all" {
 		ids = []string{"2", "3", "4", "5", "6"}
-	} else {
-		ids = strings.Split(*fig, ",")
 	}
 	for _, id := range ids {
 		f, ok := figs[strings.TrimSpace(id)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "strplot: unknown figure %q\n", id)
-			os.Exit(2)
+			return fmt.Errorf("unknown figure %q (want 2,3,4,5,6 or all)", id)
 		}
 		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "strplot: figure %s: %v\n", id, err)
-			os.Exit(1)
+			return fmt.Errorf("figure %s: %w", id, err)
 		}
 	}
+	return nil
 }
 
 // plotLeaves draws the leaf-level MBRs of the Long Beach data packed with
@@ -97,7 +81,7 @@ func plotLeaves(dir, name, label string, o rtree.Orderer, seed int64, n int) err
 		return err
 	}
 	c.Text(0.02, 0.97, 14, fmt.Sprintf("Leaf MBRs, Long Beach (simulated), %s", label))
-	return write(dir, name, c)
+	return writeSVG(dir, name, c)
 }
 
 // plotCFDFull draws the small CFD data set (Figure 5).
@@ -111,7 +95,7 @@ func plotCFDFull(dir string, seed int64, n int) error {
 		c.Dot(e.Rect.Min[0], e.Rect.Min[1], 1.0, "black")
 	}
 	c.Text(0.02, 0.97, 14, fmt.Sprintf("CFD data (simulated), %d nodes", n))
-	return write(dir, "figure5_cfd_full.svg", c)
+	return writeSVG(dir, "figure5_cfd_full.svg", c)
 }
 
 // plotCFDCenter zooms on the area around the data centroid, exposing the
@@ -134,7 +118,7 @@ func plotCFDCenter(dir string, seed int64, n int) error {
 		c.Dot(u, v, 1.4, "black")
 	}
 	c.Text(0.02, 0.95, 14, "CFD data around the wing ("+rectLabel(box)+")")
-	return write(dir, "figure6_cfd_center.svg", c)
+	return writeSVG(dir, "figure6_cfd_center.svg", c)
 }
 
 func rectLabel(r geom.Rect) string {
@@ -142,7 +126,7 @@ func rectLabel(r geom.Rect) string {
 	return "[" + f(r.Min[0]) + "," + f(r.Min[1]) + "]-[" + f(r.Max[0]) + "," + f(r.Max[1]) + "]"
 }
 
-func write(dir, name string, c *svg.Canvas) error {
+func writeSVG(dir, name string, c *svg.Canvas) error {
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {

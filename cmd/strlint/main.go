@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	strlint [-checks c1,c2] [-format text|json|sarif] [-fix] [packages]
+//	strlint [-checks c1,c2] [-format text|sarif] [-fix] [packages]
 //
 // Packages are module-relative paths or Go-style patterns: "./...", ".",
 // "./internal/geom", "internal/geom". With no arguments, the whole module
@@ -19,14 +19,10 @@
 //
 // -fix applies every suggested fix and re-runs the analysis; applying
 // fixes twice is a no-op. -format sarif emits SARIF 2.1.0 for GitHub
-// code-scanning annotations. Findings are suppressed with an in-source
+// code-scanning annotations. A finding is suppressed only by an in-source
 // directive on the same or the preceding line:
 //
 //	//strlint:ignore <check>[,<check>...] <reason>
-//
-// or grandfathered in the committed baseline (-baseline, default
-// .strlint-baseline.json at the module root); -write-baseline regenerates
-// that file from the current findings.
 package main
 
 import (
@@ -43,11 +39,9 @@ func main() {
 	checksFlag := flag.String("checks", "", "comma-separated checks to run (default: all)")
 	listFlag := flag.Bool("list", false, "list available checks and exit")
 	fixFlag := flag.Bool("fix", false, "apply suggested fixes, then re-run the analysis")
-	formatFlag := flag.String("format", "text", "output format: text, json or sarif")
-	baselineFlag := flag.String("baseline", ".strlint-baseline.json", "baseline file relative to the module root (missing file = empty baseline)")
-	writeBaselineFlag := flag.Bool("write-baseline", false, "write the current findings to the baseline file and exit")
+	formatFlag := flag.String("format", "text", "output format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: strlint [-checks c1,c2] [-format text|json|sarif] [-fix] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: strlint [-checks c1,c2] [-format text|sarif] [-fix] [packages]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -59,9 +53,9 @@ func main() {
 		return
 	}
 	switch *formatFlag {
-	case "text", "json", "sarif":
+	case "text", "sarif":
 	default:
-		fail(fmt.Errorf("unknown format %q (want text, json or sarif)", *formatFlag))
+		fail(fmt.Errorf("unknown format %q (want text or sarif)", *formatFlag))
 	}
 
 	root, err := findModuleRoot()
@@ -99,34 +93,11 @@ func main() {
 		}
 	}
 
-	if *writeBaselineFlag {
-		path := filepath.Join(root, *baselineFlag)
-		if err := lint.WriteBaseline(path, findings, root); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "strlint: wrote %d finding(s) to %s\n", len(findings), *baselineFlag)
-		return
-	}
-
-	entries, err := lint.LoadBaseline(filepath.Join(root, *baselineFlag))
-	if err != nil {
-		fail(err)
-	}
-	findings, stale := lint.ApplyBaseline(findings, entries, root)
-	for _, msg := range stale {
-		fmt.Fprintf(os.Stderr, "strlint: %s\n", msg)
-	}
-
-	switch *formatFlag {
-	case "json":
-		if err := lint.WriteJSON(os.Stdout, findings, root); err != nil {
-			fail(err)
-		}
-	case "sarif":
+	if *formatFlag == "sarif" {
 		if err := lint.WriteSARIF(os.Stdout, findings, root); err != nil {
 			fail(err)
 		}
-	default:
+	} else {
 		for _, f := range findings {
 			rel := f
 			if r, err := filepath.Rel(root, f.Pos.Filename); err == nil {

@@ -8,6 +8,8 @@
 //	strload query -idx index.str -rect x0,y0,x1,y1 [-buffer 256]
 //	strload stats -idx index.str
 //	strload mutate -idx index.str [-ops 1000] [-seed 1] [-verify]
+//	strload gen [-set uniform] [-n 0] [-seed 1] [-out rects.csv]
+//	strload trace record|simulate [flags]
 //
 // The CSV rows are "x0,y0,x1,y1[,id]"; a missing id defaults to the row
 // number. Query prints one matching item per line (id and rectangle)
@@ -20,7 +22,10 @@
 // the dynamic write path's smoke: it applies a seeded random insert/
 // delete sequence to the index in place (replayable by seed), verifies
 // the structural invariants, and prints how many ops took the in-place
-// page-patch path versus the structural split/condense path.
+// page-patch path versus the structural split/condense path. Gen writes
+// one of the paper's data-set families as build's CSV (gen.go); trace
+// records an index's page accesses and replays them against LRU, Clock
+// and Belady's OPT (trace.go).
 package main
 
 import (
@@ -54,6 +59,10 @@ func main() {
 		err = runStats(os.Args[2:])
 	case "mutate":
 		err = runMutate(os.Args[2:])
+	case "gen":
+		err = runGen(os.Args[2:])
+	case "trace":
+		err = runTrace(os.Args[2:])
 	default:
 		usage()
 	}
@@ -64,7 +73,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: strload build|query|stats|mutate [flags]")
+	fmt.Fprintln(os.Stderr, "usage: strload build|query|stats|mutate|gen|trace [flags]")
 	os.Exit(2)
 }
 

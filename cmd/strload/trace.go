@@ -1,15 +1,3 @@
-// Command strtrace records page-access traces from an index file and
-// replays them against simulated buffer replacement policies — the
-// trace-driven analysis behind the extpolicy experiment, as a standalone
-// tool.
-//
-//	strtrace record -idx index.str -queries 2000 -extent 0.1 -out q.trace
-//	strtrace simulate -trace q.trace -buffers 10,25,50,100,250
-//
-// Record runs uniform region queries (extent 0 = point queries) against
-// the index and writes the page-access sequence. Simulate prints the
-// per-query miss counts of LRU, Clock and Belady's optimal policy at each
-// buffer size; OPT is the unbeatable offline lower bound.
 package main
 
 import (
@@ -20,40 +8,39 @@ import (
 	"strings"
 	"text/tabwriter"
 
-	"strtree"
 	"strtree/internal/buffer"
 	"strtree/internal/node"
+	"strtree/internal/query"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
 	"strtree/internal/trace"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+// runTrace is the trace-driven analysis behind the extpolicy experiment,
+// over an index file:
+//
+//	strload trace record -idx index.str -queries 2000 -extent 0.1 -out q.trace
+//	strload trace simulate -trace q.trace -buffers 10,25,50,100,250
+//
+// Record runs the paper's uniform region queries (extent 0 = point
+// queries) against the index and writes the page-access sequence.
+// Simulate prints the per-query miss counts of LRU, Clock and Belady's
+// optimal policy at each buffer size; OPT is the unbeatable offline lower
+// bound.
+func runTrace(args []string) error {
+	if len(args) > 0 {
+		switch args[0] {
+		case "record":
+			return runRecord(args[1:])
+		case "simulate":
+			return runSimulate(args[1:])
+		}
 	}
-	var err error
-	switch os.Args[1] {
-	case "record":
-		err = runRecord(os.Args[2:])
-	case "simulate":
-		err = runSimulate(os.Args[2:])
-	default:
-		usage()
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "strtrace: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: strtrace record|simulate [flags]")
-	os.Exit(2)
+	return fmt.Errorf("usage: strload trace record|simulate [flags]")
 }
 
 func runRecord(args []string) error {
-	fs := flag.NewFlagSet("record", flag.ExitOnError)
+	fs := flag.NewFlagSet("trace record", flag.ExitOnError)
 	idx := fs.String("idx", "index.str", "index file to query")
 	queries := fs.Int("queries", 2000, "number of queries")
 	extent := fs.Float64("extent", 0.1, "query extent per axis (0 = point queries)")
@@ -73,10 +60,11 @@ func runRecord(args []string) error {
 		return err
 	}
 
+	// At extent 0 these are the points query.Points draws.
+	qs := query.Regions(*queries, *extent, *seed)
 	var rec trace.Recorder
 	pool.SetTracer(rec.Observe)
-	rects := queryRects(*queries, *extent, *seed)
-	for _, q := range rects {
+	for _, q := range qs {
 		if err := tree.Search(q, func(node.Entry) bool { return true }); err != nil {
 			return err
 		}
@@ -95,38 +83,13 @@ func runRecord(args []string) error {
 		return err
 	}
 	fmt.Printf("recorded %d page accesses from %d queries into %s\n",
-		len(rec.Trace()), len(rects), *out)
+		len(rec.Trace()), len(qs), *out)
 	return nil
 }
 
-func queryRects(n int, extent float64, seed int64) []strtree.Rect {
-	// A tiny deterministic LCG keeps the tool free of the internal query
-	// package (and documents the workload precisely).
-	state := uint64(seed)*6364136223846793005 + 1442695040888963407
-	next := func() float64 {
-		state = state*6364136223846793005 + 1442695040888963407
-		return float64(state>>11) / float64(1<<53)
-	}
-	out := make([]strtree.Rect, n)
-	for i := range out {
-		x, y := next(), next()
-		hi := strtree.Pt2(min(x+extent, 1), min(y+extent, 1))
-		r, _ := strtree.NewRect(strtree.Pt2(x, y), hi)
-		out[i] = r
-	}
-	return out
-}
-
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func runSimulate(args []string) error {
-	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
-	in := fs.String("trace", "access.trace", "trace file from 'strtrace record'")
+	fs := flag.NewFlagSet("trace simulate", flag.ExitOnError)
+	in := fs.String("trace", "access.trace", "trace file from 'strload trace record'")
 	buffers := fs.String("buffers", "10,25,50,100,250", "comma-separated buffer sizes in pages")
 	queries := fs.Int("queries", 0, "queries the trace covers (0 = report totals, not per-query)")
 	fs.Parse(args)

@@ -3,51 +3,12 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"strtree"
 	"strtree/internal/trace"
 )
-
-func TestQueryRects(t *testing.T) {
-	qs := queryRects(200, 0.1, 1)
-	if len(qs) != 200 {
-		t.Fatalf("len = %d", len(qs))
-	}
-	u := strtree.R2(0, 0, 1, 1)
-	for i, q := range qs {
-		if !u.Contains(q) {
-			t.Fatalf("query %d outside unit square: %v", i, q)
-		}
-		if q.Side(0) > 0.1+1e-12 {
-			t.Fatalf("query %d wider than extent", i)
-		}
-	}
-	// Deterministic per seed.
-	again := queryRects(200, 0.1, 1)
-	for i := range qs {
-		if !qs[i].Equal(again[i]) {
-			t.Fatal("same seed produced different queries")
-		}
-	}
-	other := queryRects(200, 0.1, 2)
-	same := true
-	for i := range qs {
-		if !qs[i].Equal(other[i]) {
-			same = false
-			break
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical queries")
-	}
-	// Point queries are points.
-	for _, q := range queryRects(10, 0, 3) {
-		if q.Area() != 0 {
-			t.Fatal("extent 0 produced non-point query")
-		}
-	}
-}
 
 func TestRecordSimulateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
@@ -70,7 +31,7 @@ func TestRecordSimulateEndToEnd(t *testing.T) {
 	}
 
 	out := filepath.Join(dir, "a.trace")
-	if err := runRecord([]string{"-idx", idx, "-queries", "100", "-extent", "0.05", "-out", out}); err != nil {
+	if err := runTrace([]string{"record", "-idx", idx, "-queries", "100", "-extent", "0.05", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -85,8 +46,7 @@ func TestRecordSimulateEndToEnd(t *testing.T) {
 	if len(tr) == 0 {
 		t.Fatal("empty trace recorded")
 	}
-	// Every access must target a page of the index.
-	if err := runSimulate([]string{"-trace", out, "-buffers", "5,10", "-queries", "100"}); err != nil {
+	if err := runTrace([]string{"simulate", "-trace", out, "-buffers", "5,10", "-queries", "100"}); err != nil {
 		t.Fatal(err)
 	}
 	// Bad inputs.
@@ -98,5 +58,25 @@ func TestRecordSimulateEndToEnd(t *testing.T) {
 	}
 	if err := runRecord([]string{"-idx", filepath.Join(dir, "missing.str"), "-out", out}); err == nil {
 		t.Fatal("missing index accepted")
+	}
+	if err := runTrace([]string{"replay"}); err == nil {
+		t.Fatal("unknown trace mode accepted")
+	}
+}
+
+func TestGenWritesBuildableCSV(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "rects.csv")
+	if err := runGen([]string{"-set", "uniform", "-n", "500", "-seed", "7", "-out", out}); err != nil {
+		t.Fatal(err)
+	}
+	items, err := readItems(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 500 {
+		t.Fatalf("read back %d items, want 500", len(items))
+	}
+	if err := runGen([]string{"-set", "nosuch"}); err == nil || !strings.Contains(err.Error(), "uniform") {
+		t.Fatalf("unknown set: err %v, want one listing the available sets", err)
 	}
 }

@@ -17,8 +17,8 @@ var timerandCheck = &Check{
 		"extsort, rtree). Wall-clock readings and random numbers must " +
 		"never influence build output — byte-identical indexes at any " +
 		"worker count is the module's headline contract. Timing that " +
-		"feeds only reporting (BuildStats durations) is grandfathered in " +
-		"the committed baseline, where the reason is recorded.",
+		"feeds only reporting (BuildStats durations) carries a reasoned " +
+		"//strlint:ignore on the line it covers.",
 	run: func(p *pass) {
 		if !deterministicLayers[p.pkg.path] {
 			return
@@ -38,7 +38,7 @@ var timerandCheck = &Check{
 			case "time":
 				if clockFuncs[fn.Name()] {
 					p.reportf(call.Pos(), "timerand",
-						"time.%s in deterministic layer %s; wall-clock values must not influence build output (baseline it if it only feeds stats)",
+						"time.%s in deterministic layer %s; wall-clock values must not influence build output (ignore it, with the reason, if it only feeds stats)",
 						fn.Name(), pkgDisplay(p.pkg.path))
 				}
 			case "math/rand", "math/rand/v2":

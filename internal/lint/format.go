@@ -6,40 +6,10 @@ import (
 	"path/filepath"
 )
 
-// This file renders findings for machines. Two formats: a flat JSON array
-// for scripting, and SARIF 2.1.0 for GitHub code scanning (PR
+// This file renders findings as SARIF 2.1.0 for GitHub code scanning (PR
 // annotations via codeql-action/upload-sarif). File paths are rendered
-// module-relative with forward slashes in both, so output is stable
-// across checkouts.
-
-// jsonFinding is the -format json shape of one finding.
-type jsonFinding struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
-	HasFix  bool   `json:"hasFix"`
-}
-
-// WriteJSON renders the findings as an indented JSON array (always an
-// array, never null) with root-relative paths.
-func WriteJSON(w io.Writer, findings []Finding, root string) error {
-	out := make([]jsonFinding, 0, len(findings))
-	for _, f := range findings {
-		out = append(out, jsonFinding{
-			File:    relSlash(root, f.Pos.Filename),
-			Line:    f.Pos.Line,
-			Column:  f.Pos.Column,
-			Check:   f.Check,
-			Message: f.Message,
-			HasFix:  f.Fix != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
+// module-relative with forward slashes, so output is stable across
+// checkouts.
 
 // SARIF 2.1.0 subset: exactly what GitHub code scanning consumes.
 

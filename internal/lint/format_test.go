@@ -15,14 +15,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from current output")
 
-// golden runs the demo module and formats its findings with fn, comparing
-// the result byte-for-byte against testdata/golden/<name>. Paths inside
-// the output are module-relative, and the platform fixture pair
+// TestFormatSARIFGolden runs the demo module and compares its SARIF
+// report byte-for-byte against testdata/golden/findings.sarif. Paths
+// inside the output are module-relative, and the platform fixture pair
 // (internal/storage/sync_{linux,other}.go, pinned by TestBuildConstraints)
 // is left out, so the golden bytes are stable across machines and
 // platforms.
-func golden(t *testing.T, name string, fn func(w *bytes.Buffer, findings []lint.Finding, root string) error) {
-	t.Helper()
+func TestFormatSARIFGolden(t *testing.T) {
 	root, err := filepath.Abs(filepath.Join("testdata", "demo"))
 	if err != nil {
 		t.Fatal(err)
@@ -35,10 +34,10 @@ func golden(t *testing.T, name string, fn func(w *bytes.Buffer, findings []lint.
 		return strings.HasPrefix(filepath.Base(f.Pos.Filename), "sync_")
 	})
 	var buf bytes.Buffer
-	if err := fn(&buf, findings, root); err != nil {
+	if err := lint.WriteSARIF(&buf, findings, root); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", "golden", name)
+	path := filepath.Join("testdata", "golden", "findings.sarif")
 	if *updateGolden {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
@@ -50,39 +49,12 @@ func golden(t *testing.T, name string, fn func(w *bytes.Buffer, findings []lint.
 		t.Fatalf("%v (run with -update to regenerate)", err)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("%s drifted from golden file; run go test ./internal/lint -run TestFormat -update\ngot:\n%s", name, buf.String())
+		t.Errorf("%s drifted from golden file; run go test ./internal/lint -run TestFormat -update\ngot:\n%s", path, buf.String())
 	}
 }
 
-func TestFormatJSONGolden(t *testing.T) {
-	golden(t, "findings.json", func(w *bytes.Buffer, findings []lint.Finding, root string) error {
-		return lint.WriteJSON(w, findings, root)
-	})
-}
-
-func TestFormatSARIFGolden(t *testing.T) {
-	golden(t, "findings.sarif", func(w *bytes.Buffer, findings []lint.Finding, root string) error {
-		return lint.WriteSARIF(w, findings, root)
-	})
-}
-
-// TestFormatJSONEmpty pins the no-findings encodings: JSON must be an
-// empty array (never null, which breaks jq pipelines), and SARIF must
-// still carry the full rules table so CI uploads validate.
-func TestFormatJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := lint.WriteJSON(&buf, nil, "/x"); err != nil {
-		t.Fatal(err)
-	}
-	var arr []json.RawMessage
-	if err := json.Unmarshal(buf.Bytes(), &arr); err != nil {
-		t.Fatalf("output is not a JSON array: %v\n%s", err, buf.String())
-	}
-	if arr == nil {
-		t.Fatalf("empty findings encoded as null, want []: %s", buf.String())
-	}
-}
-
+// TestFormatSARIFEmpty pins the no-findings encoding: SARIF must still
+// carry the full rules table so CI uploads validate.
 func TestFormatSARIFEmpty(t *testing.T) {
 	var buf bytes.Buffer
 	if err := lint.WriteSARIF(&buf, nil, "/x"); err != nil {

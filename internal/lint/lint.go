@@ -45,8 +45,7 @@
 //	//strlint:file-ignore <check> <reason>
 //
 // The reason is mandatory: every suppression documents why the flagged
-// code is deliberate. Findings may also be grandfathered in a committed
-// baseline file (baseline.go) keyed by check, file and count.
+// code is deliberate.
 package lint
 
 import (

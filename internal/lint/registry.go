@@ -10,7 +10,7 @@ package lint
 // Check is one registered analyzer.
 type Check struct {
 	// Name is the check's identifier, used in -checks selection,
-	// //strlint:ignore directives, baseline entries and SARIF rule ids.
+	// //strlint:ignore directives and SARIF rule ids.
 	Name string
 	// Doc explains what the check flags and why, in one paragraph.
 	Doc string

@@ -224,18 +224,22 @@ func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
 		//strlint:ignore panics documented contract: a capacity below 1 is a builder bug, not a data condition
 		panic("pack: node capacity < 1")
 	}
+	//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
 	t0 := time.Now()
 	p := psort.NewPerm(recs, dims)
 	p.SortByCenter(0, p.Len(), 0, s.workers())
 	if s.Timing != nil {
+		//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
 		s.Timing.SortNanos.Add(int64(time.Since(t0)))
 	}
+	//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
 	t0 = time.Now()
 	if dims > 1 {
 		s.tile(p, 0, p.Len(), n, 1, dims, s.workers())
 	}
 	out := p.Apply(s.workers())
 	if s.Timing != nil {
+		//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
 		s.Timing.TileNanos.Add(int64(time.Since(t0)))
 	}
 	return out

@@ -81,7 +81,9 @@ func (t *Tree) newPageWriter() *pageWriter {
 // fill stages one node's page, first writing the staged run if the page
 // does not extend it; fill(nil) writes the last run. Timed.
 func (w *pageWriter) fill(job *pageJob) error {
+	//strlint:ignore timerand write-behind wait/IO durations feed flush stats only; what is written, and where, is fixed before timing starts
 	t0 := time.Now()
+	//strlint:ignore timerand write-behind wait/IO durations feed flush stats only; what is written, and where, is fixed before timing starts
 	defer func() { w.writeNanos.Add(int64(time.Since(t0))) }()
 	if job == nil || w.staged == runPages || w.staged > 0 && job.id != w.first+storage.PageID(w.staged) {
 		if err := w.writeRun(); err != nil || job == nil {

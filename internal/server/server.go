@@ -57,9 +57,6 @@ type Config struct {
 	// MaxTimeout caps client-requested deadlines so a hostile client
 	// cannot park a worker forever. 0 means 60s.
 	MaxTimeout time.Duration
-	// BatchWorkers is the executor pool size for OpBatch requests;
-	// 0 means GOMAXPROCS.
-	BatchWorkers int
 	// Mutable enables the mutation ops (OpInsert/OpDelete). Mutations
 	// take an exclusive tree lock while queries share a read lock, so a
 	// mutation waits for running queries and vice versa. When false
@@ -118,9 +115,6 @@ type Server struct {
 // New builds a server over an opened tree. The server does not own the
 // tree: the caller closes it after Shutdown returns.
 func New(tree *strtree.Tree, cfg Config) *Server {
-	if cfg.BatchWorkers <= 0 {
-		cfg.BatchWorkers = runtime.GOMAXPROCS(0)
-	}
 	s := &Server{tree: tree, cfg: cfg}
 	s.Frame = NewFrame(FrameConfig{
 		Name:           "strserve",
@@ -234,7 +228,7 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 			resp.Neighbors[i] = wire.Neighbor{Item: wire.Item{Rect: it.Rect, ID: it.ID}, Dist: dists[i]}
 		}
 	case wire.OpBatch:
-		results, err := s.tree.SearchBatchContext(ctx, req.Batch, s.cfg.BatchWorkers)
+		results, err := s.tree.SearchBatchContext(ctx, req.Batch, runtime.GOMAXPROCS(0))
 		if err != nil {
 			return nil, err
 		}
