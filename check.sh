@@ -102,7 +102,10 @@
 #                     ns/pair, at one leaf slab's 7 242 pairs and at a
 #                     500 000-pair first-axis sort, workers 1 and 2),
 #                     internal/pack's BenchmarkSTROrder100k
-#                     (STR's one-permutation order), the root package's
+#                     (STR's one-permutation order) and BenchmarkSTRExternal
+#                     (the external STR stream alone at the ledger's
+#                     external shape: 131 072 squares, RunSize 16 384 at
+#                     Workers 1 and 2, and a nospill case), the root package's
 #                     BenchmarkBulkLoad500k (the ledger's build workload:
 #                     a 500k-entry file build at Workers: 2, entries/s)
 #                     and BenchmarkMutateChurn (the ledger's mutate
@@ -171,11 +174,11 @@ go test -race ./internal/storage/... ./internal/buffer/... ./internal/pack/... .
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 
-echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip, storage BenchmarkFilePagerReadPage, buffer BenchmarkFetchHitWide)"
+echo "== go test -bench -benchtime 1x (node BenchmarkViewScan, rtree BenchmarkCount1pct, BenchmarkCount1pctCold, BenchmarkNearestK10 and BenchmarkInsertPacked, psort BenchmarkByCenter and BenchmarkSortPairs, pack BenchmarkSTROrder100k and BenchmarkSTRExternal, root BenchmarkBulkLoad500k, BenchmarkMutateChurn and BenchmarkBuildExternal, router BenchmarkRoutedRoundTrip, storage BenchmarkFilePagerReadPage, buffer BenchmarkFetchHitWide)"
 go test -run '^$' -bench '^BenchmarkViewScan$' -benchtime 1x ./internal/node
 go test -run '^$' -bench '^(BenchmarkCount1pct|BenchmarkCount1pctCold|BenchmarkNearestK10|BenchmarkInsertPacked)$' -benchtime 1x ./internal/rtree
 go test -run '^$' -bench '^(BenchmarkByCenter|BenchmarkSortPairs)$' -benchtime 1x ./internal/psort
-go test -run '^$' -bench '^BenchmarkSTROrder100k$' -benchtime 1x ./internal/pack
+go test -run '^$' -bench '^(BenchmarkSTROrder100k|BenchmarkSTRExternal)$' -benchtime 1x ./internal/pack
 go test -run '^$' -bench '^BenchmarkBulkLoad500k$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkMutateChurn$' -benchtime 1x .
 go test -run '^$' -bench '^BenchmarkBuildExternal$' -benchtime 1x .

@@ -54,9 +54,10 @@ type Sorter struct {
 	runSize int
 	tmpDir  string
 
-	// Workers bounds the goroutines that sort and spill completed runs
-	// while ingest continues (< 1 means 1). The emitted order is
-	// byte-for-byte identical for every setting; only wall time changes.
+	// Workers bounds the goroutines that sort and spill completed runs,
+	// one each, while ingest continues, and sorts an input that fits one
+	// run with that many (< 1 means 1). The emitted order is byte-for-byte
+	// identical for every setting; only wall time changes.
 	Workers int
 
 	// spare holds sorted runs' arrays for any sort's next run, so one is
@@ -130,11 +131,11 @@ func (s *Sorter) getRun() []byte {
 }
 
 // sortRun returns the records of run in key order, stably, in a new array,
-// and offers run's array to the next run.
-func (s *Sorter) sortRun(run []byte, key Key) []byte {
+// sorted on workers goroutines, and offers run's array to the next run.
+func (s *Sorter) sortRun(run []byte, key Key, workers int) []byte {
 	p := psort.NewPerm(run, s.dims)
-	p.SortByCenter(0, p.Len(), key.axis, 1)
-	sorted := p.Apply(1)
+	p.SortByCenter(0, p.Len(), key.axis, workers)
+	sorted := p.Apply(workers)
 	select {
 	case s.spare <- run:
 	default:
@@ -142,11 +143,12 @@ func (s *Sorter) sortRun(run []byte, key Key) []byte {
 	return sorted
 }
 
-// spillRun sorts a completed run and writes it to a fresh temp file. On
-// any failure the temp file is closed and removed before returning; the
-// caller only ever owns a fully written file.
+// spillRun sorts a completed run on one goroutine (Workers of them run at
+// once) and writes it to a fresh temp file. On any failure the temp file is
+// closed and removed before returning; the caller only ever owns a fully
+// written file.
 func (s *Sorter) spillRun(run []byte, key Key) (_ *os.File, err error) {
-	sorted := s.sortRun(run, key)
+	sorted := s.sortRun(run, key, 1)
 	f, err := os.CreateTemp(s.tmpDir, "extsort-run-*")
 	if err != nil {
 		return nil, err
@@ -267,9 +269,10 @@ func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, 
 	s.entriesSorted.Add(uint64(st.total))
 
 	if len(spills) == 0 {
-		// One in-memory run: no file, no reader, one batch.
+		// One in-memory run, sorted by every worker: no file, no reader,
+		// one batch.
 		p := newPrefetch()
-		p.batches <- runBatch{recs: s.sortRun(run, key)}
+		p.batches <- runBatch{recs: s.sortRun(run, key, s.workers())}
 		close(p.batches)
 		st.readers = append(st.readers, p)
 	} else {

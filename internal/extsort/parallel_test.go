@@ -1,7 +1,9 @@
 package extsort
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -55,6 +57,69 @@ func TestSortWorkerSweepIdentical(t *testing.T) {
 			if got[i].Ref != want[i].Ref {
 				t.Fatalf("workers=%d position %d: ref %d, workers=1 put ref %d",
 					workers, i, got[i].Ref, want[i].Ref)
+			}
+		}
+	}
+}
+
+// TestLoneRunWorkersIdentical: an input that fits one run is sorted by
+// every worker, and its records come out byte for byte as at one worker
+// and as from a spilling sort of the same input, 2-D and 3-D, on keys
+// that tie.
+func TestLoneRunWorkersIdentical(t *testing.T) {
+	const n = 20000 // past psort's MSD split, so four workers share it
+	rng := rand.New(rand.NewSource(12))
+	for dims := 2; dims <= 3; dims++ {
+		var recs []byte
+		for i := 0; i < n; i++ {
+			var lo, hi geom.Point
+			for d := 0; d < dims; d++ {
+				x := float64(rng.Intn(64)) / 64 // 64 centres an axis: keys tie
+				lo, hi = append(lo, x), append(hi, x+rng.Float64()/100)
+			}
+			recs = node.AppendRecord(recs, geom.Rect{Min: lo, Max: hi}, uint64(i))
+		}
+		drain := func(runSize, workers int) ([]byte, Stats) {
+			s, err := NewSorter(dims, runSize, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Workers = workers
+			size, off := node.EntrySize(dims), 0
+			st, err := s.Ingest(ByCenter(dims-1), func() ([]byte, bool, error) {
+				if off == len(recs) {
+					return nil, false, nil
+				}
+				off += size
+				return recs[off-size : off], true, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out []byte
+			for {
+				rec, ok, err := st.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				out = append(out, rec...)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return out, s.Stats()
+		}
+		want, _ := drain(1024, 1)
+		for _, workers := range []int{1, 4} {
+			got, stats := drain(2*n, workers)
+			if stats.RunsSpilled != 0 {
+				t.Fatalf("%d-D, workers=%d: %d runs spilled at RunSize 2n", dims, workers, stats.RunsSpilled)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d-D, workers=%d: lone-run order differs from the spilled sort's", dims, workers)
 			}
 		}
 	}

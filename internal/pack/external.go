@@ -7,21 +7,33 @@ import (
 	"strtree/internal/extsort"
 )
 
-// STRExternal performs the STR ordering of k-D page records without ever
-// holding more than RunSize of them in memory: STR.tile's recursion over
-// external merge sorts, each slab pulled off the live merge of the axis
-// before it. Combined with rtree.BulkLoadOrdered this packs a tree from
-// data sets far larger than RAM — the preprocessing-over-files setting the
-// paper's packing algorithms are meant for.
+// STRExternal performs the STR ordering of k-D page records over external
+// merge sorts: STR.tile's recursion, each slab pulled off the live merge of
+// the axis before it and sorted when reached. Combined with
+// rtree.BulkLoadOrdered this packs a tree from data sets far larger than
+// RAM — the preprocessing-over-files setting the paper's packing
+// algorithms are meant for.
+//
+// Memory is bounded by RunSize and Workers, not by the input. A sort holds
+// the run it is filling and up to Workers runs being sorted, each of those
+// with 32 B of sort pairs a record and a sorted copy; once it has spilled,
+// its merge holds up to four 512-record batches a run (one being merged,
+// two queued, one being read). Each axis keeps its current range: one that
+// fit a single run stays in memory whole, a spilled one costs its merge
+// batches. With Workers > 1 the stream holds one slab more: the last
+// axis's next slab, sorted on a background goroutine while the current one
+// is read, at most RunSize of its records in memory and the rest spilled.
 type STRExternal struct {
-	// RunSize is the maximum number of records held in memory during any
-	// sort phase. Zero means 1 << 20.
+	// RunSize is the maximum number of records one sort run holds in
+	// memory. Zero means 1 << 20.
 	RunSize int
 	// TmpDir hosts the spill files ("" = OS default).
 	TmpDir string
-	// Workers bounds the goroutines the external sorts use to overlap run
-	// sorting/spilling with input streaming (< 1 means 1). The emitted
-	// order is identical for every setting.
+	// Workers bounds the goroutines each sort uses to sort and spill runs
+	// while its input streams on, and sorts a run that never spills with
+	// that many. Above 1, one more goroutine reads and sorts the next slab
+	// of the last axis while the current one is read. < 1 means 1. The
+	// emitted order is identical for every setting.
 	Workers int
 }
 
@@ -52,21 +64,29 @@ func (s STRExternal) Open(dims, n int, src func() ([]byte, bool, error)) (*STRSt
 	if err != nil {
 		return nil, err
 	}
-	p := &STRStream{sorter: sorter, n: n, levels: make([]level, dims)}
+	p := &STRStream{sorter: sorter, n: n, workers: s.Workers, levels: make([]level, dims)}
 	for a := range p.levels {
 		p.levels[a].st = new(extsort.Stream) // empty: the first Next refills it
 	}
 	p.setLevel(0, x)
+	p.readAhead()
 	return p, nil
 }
 
 // STRStream yields page records in STR packing order, off the last of its
 // levels: levels[a] is sorted on axis a, the whole input at a = 0, else the
 // current slab of level a−1, sorted when it is reached.
+//
+// With workers > 1 a read-ahead goroutine refills the last level one slab
+// ahead of Next. While it runs it alone touches the levels above the last,
+// and Next only the last level's stream; the hand-off over ahead orders
+// the two.
 type STRStream struct {
-	sorter *extsort.Sorter
-	n      int
-	levels []level
+	sorter  *extsort.Sorter
+	n       int
+	workers int
+	levels  []level
+	ahead   chan slab // the running read-ahead's result; nil when none runs
 }
 
 // level is one axis of the recursion.
@@ -74,6 +94,13 @@ type level struct {
 	st   *extsort.Stream // the current range sorted on the level's axis
 	left int             // records of st no slab of the next level has taken yet
 	slab int             // the size of the next level's slabs
+}
+
+// slab is one refill of the last level: the next slab sorted, or a nil
+// stream once level 0 is spent or on error.
+type slab struct {
+	st  *extsort.Stream
+	err error
 }
 
 // setLevel makes st level a's range, cut below in STR.tile's slab sizes.
@@ -92,23 +119,57 @@ func (p *STRStream) Next() ([]byte, bool, error) {
 		if rec, ok, err := p.levels[last].st.Next(); ok || err != nil {
 			return rec, ok, err
 		}
-		if ok, err := p.refill(last); !ok || err != nil {
+		if err := p.levels[last].st.Close(); err != nil {
 			return nil, false, err
 		}
+		next := p.wait()
+		if next.st == nil {
+			return nil, false, next.err
+		}
+		p.setLevel(last, next.st)
+		p.readAhead()
 	}
 }
 
-// refill replaces level a's spent range by the next slab of level a−1,
-// refilling that first if it is spent; false once level 0 is spent.
-func (p *STRStream) refill(a int) (bool, error) {
-	if err := p.levels[a].st.Close(); err != nil || a == 0 {
-		return false, err
+// readAhead starts refilling the last level on a goroutine when workers >
+// 1; wait collects the slab.
+func (p *STRStream) readAhead() {
+	if p.workers <= 1 {
+		return
+	}
+	ahead := make(chan slab, 1)
+	p.ahead = ahead
+	go func() { ahead <- p.refill(len(p.levels) - 1) }()
+}
+
+// wait returns the last level's next slab: the running read-ahead's, else
+// refilled inline.
+func (p *STRStream) wait() slab {
+	if p.ahead == nil {
+		return p.refill(len(p.levels) - 1)
+	}
+	next := <-p.ahead
+	p.ahead = nil
+	return next
+}
+
+// refill pulls the next slab of level a−1 and sorts it on axis a,
+// refilling level a−1 first if it is spent; a nil stream once level 0 is
+// spent. It touches only the levels above a.
+func (p *STRStream) refill(a int) slab {
+	if a == 0 {
+		return slab{}
 	}
 	up := &p.levels[a-1]
 	if up.left == 0 {
-		if ok, err := p.refill(a - 1); !ok || err != nil {
-			return ok, err
+		if err := up.st.Close(); err != nil {
+			return slab{err: err}
 		}
+		next := p.refill(a - 1)
+		if next.st == nil {
+			return next
+		}
+		p.setLevel(a-1, next.st)
 	}
 	take := min(up.slab, up.left)
 	up.left -= take
@@ -119,16 +180,20 @@ func (p *STRStream) refill(a int) (bool, error) {
 		take--
 		return up.st.Next()
 	})
-	if err != nil {
-		return false, err
-	}
-	p.setLevel(a, st)
-	return true, nil
+	return slab{st: st, err: err}
 }
 
-// Close releases every level's run files; it may be called at any point of
-// the stream, and more than once.
+// Close waits for a running read-ahead and closes the slab it sorted, then
+// releases every level's run files; it may be called at any point of the
+// stream, and more than once.
 func (p *STRStream) Close() (err error) {
+	if p.ahead != nil {
+		if next := p.wait(); next.st != nil {
+			err = next.st.Close()
+		} else {
+			err = next.err
+		}
+	}
 	for _, lv := range p.levels {
 		err = errors.Join(err, lv.st.Close())
 	}

@@ -2,9 +2,13 @@ package pack
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"math/rand"
 	"os"
+	"runtime"
 	"testing"
+	"time"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
@@ -104,7 +108,7 @@ func TestExternalSTRMatchesInMemory(t *testing.T) {
 // TestExternalSTRAbandonedMidSlab closes the stream while both the x-merge
 // and a spilled y-sort hold run files open.
 func TestExternalSTRAbandonedMidSlab(t *testing.T) {
-	dir := t.TempDir()
+	dir, before := t.TempDir(), runtime.NumGoroutine()
 	ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: 4}.Open(2, 100, sliceSource(uniformSquares(5000, 93)))
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +123,120 @@ func TestExternalSTRAbandonedMidSlab(t *testing.T) {
 	}
 	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
 		t.Fatalf("%d run files left after Close (ReadDir error %v)", len(names), err)
+	}
+	checkGoroutines(t, before)
+}
+
+// checkGoroutines fails the test unless the live goroutine count falls back
+// to before. Close waits for every goroutine it stops, so at most their
+// final returns are still in flight; on a loaded machine those can take a
+// while to be scheduled, so the count is polled up to a deadline.
+func checkGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live 5 s after Close, %d before Open", runtime.NumGoroutine(), before)
+		}
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// uniformBoxes returns n small boxes of dims axes in the unit cube.
+func uniformBoxes(n, dims int, seed int64) []node.Entry {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]node.Entry, n)
+	for i := range out {
+		lo, hi := make(geom.Point, dims), make(geom.Point, dims)
+		for d := range lo {
+			lo[d] = rng.Float64()
+			hi[d] = lo[d] + rng.Float64()/100
+		}
+		out[i] = node.Entry{Rect: geom.Rect{Min: lo, Max: hi}, Ref: uint64(i)}
+	}
+	return out
+}
+
+// TestExternalSTRReadAheadLifecycle closes a read-ahead stream at three
+// points: before its first Next, mid-slab while the read-ahead sorts a
+// spilled slab, and after its end. At k = 3 the read-ahead also refills
+// the slab of slabs above the last axis. Close returns nil every time, and
+// no run file and no goroutine outlives it.
+func TestExternalSTRReadAheadLifecycle(t *testing.T) {
+	const n = 100
+	for _, dims := range []int{2, 3} {
+		entries := uniformBoxes(5000, dims, 94)
+		recs, _ := psort.Encode(entries, 1)
+		want := STR{}.OrderRecords(recs, dims, n, 0)
+		for _, workers := range []int{2, 4} {
+			for _, stop := range []int{0, 1000, len(entries)} {
+				dir, before := t.TempDir(), runtime.NumGoroutine()
+				// RunSize 16 spills every slab: 800 records a slab at k = 2,
+				// 1400 a slab and 400 a sub-slab at k = 3.
+				ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: workers}.Open(dims, n, sliceSource(entries))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []byte
+				for len(got) < stop*node.EntrySize(dims) {
+					rec, ok, err := ordered.Next()
+					if !ok || err != nil {
+						t.Fatalf("%d-D, workers=%d: record %d: ok %v, err %v", dims, workers, len(got)/node.EntrySize(dims), ok, err)
+					}
+					got = append(got, rec...)
+				}
+				if !bytes.Equal(got, want[:len(got)]) {
+					t.Fatalf("%d-D, workers=%d: the first %d records differ from STR.OrderRecords'", dims, workers, stop)
+				}
+				if stop == len(entries) {
+					if _, ok, err := ordered.Next(); ok || err != nil {
+						t.Fatalf("%d-D, workers=%d: past the end: ok %v, err %v", dims, workers, ok, err)
+					}
+				}
+				if err := ordered.Close(); err != nil {
+					t.Fatalf("%d-D, workers=%d, closed after %d: %v", dims, workers, stop, err)
+				}
+				if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+					t.Fatalf("%d-D, workers=%d, closed after %d: %d run files left (ReadDir error %v)", dims, workers, stop, len(names), err)
+				}
+				checkGoroutines(t, before)
+			}
+		}
+	}
+}
+
+// TestExternalSTRSlabSortError: a slab sort that cannot spill ends the
+// stream with its error, whether the read-ahead or Next itself met it, and
+// Close still stops every goroutine.
+func TestExternalSTRSlabSortError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		dir, before := t.TempDir(), runtime.NumGoroutine()
+		ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: workers}.Open(2, 100, sliceSource(uniformSquares(5000, 95)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The open run files read on. A read-ahead may be creating files
+		// meanwhile, which fails the removal until the directory is gone.
+		for deadline := time.Now().Add(5 * time.Second); os.RemoveAll(dir) != nil; runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: the spill directory is still there after 5 s", workers)
+			}
+		}
+		for {
+			_, ok, err := ordered.Next()
+			if err != nil {
+				if !errors.Is(err, fs.ErrNotExist) {
+					t.Fatalf("workers=%d: %v, want a failed run-file create", workers, err)
+				}
+				break
+			}
+			if !ok {
+				t.Fatalf("workers=%d: the stream ended without the slab sort's error", workers)
+			}
+		}
+		_ = ordered.Close() // its run files are gone already, so removing them fails
+		checkGoroutines(t, before)
 	}
 }
 
@@ -156,5 +274,59 @@ func TestExternalSTRDefaultRunSize(t *testing.T) {
 	}
 	if (STRExternal{RunSize: 7}).runSize() != 7 {
 		t.Fatal("explicit run size ignored")
+	}
+}
+
+// BenchmarkSTRExternal times the external STR order alone, source to last
+// record, at the build ledger's external shape: 131 072 uniform squares,
+// capacity 102, RunSize 16 384 (eight first-axis runs spilled), at Workers
+// 1 and 2, plus a nospill case at RunSize 1 << 20 and Workers 2, where
+// every sort is one in-memory run. Reports entries/s.
+func BenchmarkSTRExternal(b *testing.B) {
+	entries := uniformSquares(131072, 17)
+	recs, _ := psort.Encode(entries, 1)
+	size := node.EntrySize(2)
+	for _, bc := range []struct {
+		name             string
+		runSize, workers int
+	}{
+		{"workers=1", 16384, 1},
+		{"workers=2", 16384, 2},
+		{"nospill", 1 << 20, 2},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := STRExternal{RunSize: bc.runSize, TmpDir: b.TempDir(), Workers: bc.workers}
+			for i := 0; i < b.N; i++ {
+				off := 0
+				ordered, err := s.Open(2, 102, func() ([]byte, bool, error) {
+					if off == len(recs) {
+						return nil, false, nil
+					}
+					off += size
+					return recs[off-size : off], true, nil
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				n := 0
+				for {
+					_, ok, err := ordered.Next()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					n++
+				}
+				if err := ordered.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if n != len(entries) {
+					b.Fatalf("%d of %d records", n, len(entries))
+				}
+			}
+			b.ReportMetric(float64(len(entries))*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
+		})
 	}
 }

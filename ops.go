@@ -191,29 +191,35 @@ func (t *Tree) DumpDOT(w io.Writer) error {
 
 // ExternalOptions bound the memory used by BulkLoadExternal.
 type ExternalOptions struct {
-	// RunSize is the maximum number of items held in memory during the
-	// sort phases. A run holds each item as a page record of 16·dims + 8
-	// bytes, so the default, 1 << 20, is 40 MB of 2-D records a run;
-	// sorting one takes as much again plus 32 B an item, and up to
-	// Workers runs are sorted while the next one fills.
+	// RunSize is the maximum number of items one sort run holds in memory.
+	// A run holds each item as a page record of 16·dims + 8 bytes, so the
+	// default, 1 << 20, is 40 MB of 2-D records a run; sorting one takes
+	// as much again plus 32 B an item.
 	RunSize int
 	// TmpDir hosts the spill files ("" = the OS temporary directory).
 	TmpDir string
-	// Workers bounds the goroutines the external sort phases use to
-	// overlap run sorting and spilling with input streaming. 0 means the
-	// tree's Workers setting (Options.Workers). The packed tree is
-	// byte-for-byte identical for every setting.
+	// Workers bounds the goroutines each sort phase uses: up to Workers
+	// runs are sorted and spilled, one goroutine each, while the next one
+	// fills, and a phase that fits one run is sorted by all of them. Above
+	// 1, one more goroutine sorts the next slab of the last axis while the
+	// current one is packed. 0 means the tree's Workers setting
+	// (Options.Workers). The packed tree is byte-for-byte identical for
+	// every setting.
 	Workers int
 }
 
-// BulkLoadExternal packs the tree with STR from a stream of items,
-// keeping memory bounded by ExternalOptions.RunSize regardless of input
-// size: the STR sort phases run as external merge sorts that spill sorted
-// runs to temporary files, and leaves are written as the ordered stream
-// is pulled off the merge. It writes the file BulkLoad(PackSTR) writes from
-// the same items, at any dimensionality. Use it when the data set does not
-// fit in RAM; for in-memory slices BulkLoad is faster. The tree must be
-// empty.
+// BulkLoadExternal packs the tree with STR from a stream of items, in
+// memory bounded by ExternalOptions.RunSize and Workers regardless of
+// input size: the STR sort phases run as external merge sorts that spill
+// sorted runs to temporary files, and leaves are written as the ordered
+// stream is pulled off the merge. A sort phase holds the run being filled
+// and up to Workers runs being sorted, each with its sorted copy; a
+// spilled phase's merge holds a few 512-item batches per run. With
+// Workers > 1 one more slab, sorted ahead of the loader, is held: at most
+// RunSize of its items in memory, the rest spilled. It writes the file
+// BulkLoad(PackSTR) writes from the same items, at any dimensionality. Use
+// it when the data set does not fit in RAM; for in-memory slices BulkLoad
+// is faster. The tree must be empty.
 func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) error {
 	if t.readonly {
 		return ErrReadOnly

@@ -2,6 +2,7 @@ package strtree_test
 
 import (
 	"bytes"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -61,29 +62,30 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 
 // TestParallelExternalBuildByteIdentical asserts the same guarantee for
 // the bounded-memory external build, whose sort phases spill runs from
-// concurrent workers.
+// concurrent workers and whose last axis is sorted a slab ahead on another
+// goroutine: at k = 2 and k = 3, with every slab spilled (RunSize 2048) and
+// with nothing spilled (RunSize above the item count), Workers 1, 2 and 8
+// write the file a sequential in-memory BulkLoad writes.
 func TestParallelExternalBuildByteIdentical(t *testing.T) {
 	entries := datagen.UniformSquares(20000, 5.0, 4)
-	items := make([]strtree.Item, len(entries))
+	squares := make([]strtree.Item, len(entries))
 	for i, e := range entries {
-		items[i] = strtree.Item{Rect: strtree.Rect(e.Rect), ID: e.Ref}
+		squares[i] = strtree.Item{Rect: strtree.Rect(e.Rect), ID: e.Ref}
 	}
-	build := func(workers int) []byte {
+	rng := rand.New(rand.NewSource(5))
+	cubes := make([]strtree.Item, 20000)
+	for i := range cubes {
+		lo := strtree.Point{rng.Float64(), rng.Float64(), rng.Float64()}
+		hi := strtree.Point{lo[0] + rng.Float64()/50, lo[1] + rng.Float64()/50, lo[2] + rng.Float64()/50}
+		cubes[i] = strtree.Item{Rect: strtree.Rect{Min: lo, Max: hi}, ID: uint64(i)}
+	}
+	build := func(dims int, items []strtree.Item, workers int, load func(*strtree.Tree) error) []byte {
 		path := filepath.Join(t.TempDir(), "ext.str")
-		tree, err := strtree.Create(path, strtree.Options{Capacity: 16, Workers: workers})
+		tree, err := strtree.Create(path, strtree.Options{Dims: dims, Capacity: 16, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		i := 0
-		src := func() (strtree.Item, bool) {
-			if i >= len(items) {
-				return strtree.Item{}, false
-			}
-			it := items[i]
-			i++
-			return it, true
-		}
-		if err := tree.BulkLoadExternal(src, strtree.ExternalOptions{RunSize: 2048, TmpDir: t.TempDir()}); err != nil {
+		if err := load(tree); err != nil {
 			t.Fatal(err)
 		}
 		if err := tree.Close(); err != nil {
@@ -95,10 +97,28 @@ func TestParallelExternalBuildByteIdentical(t *testing.T) {
 		}
 		return data
 	}
-	seq := build(1)
-	par := build(8)
-	if !bytes.Equal(seq, par) {
-		t.Fatalf("external build bytes differ between workers=1 (%d bytes) and workers=8 (%d bytes)",
-			len(seq), len(par))
+	for dims, items := range map[int][]strtree.Item{2: squares, 3: cubes} {
+		want := build(dims, items, 1, func(tree *strtree.Tree) error {
+			return tree.BulkLoad(append([]strtree.Item(nil), items...), strtree.PackSTR)
+		})
+		for _, runSize := range []int{2048, 1 << 20} {
+			for _, workers := range []int{1, 2, 8} {
+				got := build(dims, items, workers, func(tree *strtree.Tree) error {
+					i := 0
+					src := func() (strtree.Item, bool) {
+						if i >= len(items) {
+							return strtree.Item{}, false
+						}
+						i++
+						return items[i-1], true
+					}
+					return tree.BulkLoadExternal(src, strtree.ExternalOptions{RunSize: runSize, TmpDir: t.TempDir()})
+				})
+				if !bytes.Equal(got, want) {
+					t.Errorf("%d-D, RunSize %d, workers=%d: external build bytes (%d) differ from the sequential in-memory build's (%d)",
+						dims, runSize, workers, len(got), len(want))
+				}
+			}
+		}
 	}
 }
