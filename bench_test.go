@@ -56,8 +56,8 @@ func BenchmarkAblationFanout(b *testing.B) {
 }
 
 // BenchmarkBuild measures end-to-end bulk-load throughput — parallel
-// sort, tiling and write-behind page emission — through the in-memory STR
-// pipeline. Run with -cpu 1,4,8 to see worker scaling; the tree bytes are
+// sort, tiling and the packing of levels into pages — through the
+// in-memory STR pipeline. Run with -cpu 1,4,8 to see worker scaling; the tree bytes are
 // identical at every width.
 func BenchmarkBuild(b *testing.B) {
 	b.ReportAllocs()
@@ -82,7 +82,7 @@ func BenchmarkBuild(b *testing.B) {
 // BenchmarkBulkLoad500k is the ledger's build workload as a go test
 // benchmark: Create on a file, BulkLoad(PackSTR) of 500 000 uniform squares
 // at Workers: 2, Close — the public API end to end, the checked Item ->
-// record encoding, the sort, the packing, the write-behind and the file
+// record encoding, the sort, the packing and page writes, and the file
 // included. check.sh runs it once so it cannot rot; nightly.yml times it.
 func BenchmarkBulkLoad500k(b *testing.B) {
 	entries := datagen.UniformSquares(500000, 5.0, 1)
@@ -222,8 +222,8 @@ func BenchmarkMutateChurn(b *testing.B) {
 }
 
 // BenchmarkBuildExternal measures the bounded-memory pipeline: concurrent
-// run generation and spilling, merge read-ahead, and write-behind leaves.
-// Run with -cpu 1,4,8.
+// run generation and spilling, merge read-ahead, and leaves packed run by
+// run. Run with -cpu 1,4,8.
 func BenchmarkBuildExternal(b *testing.B) {
 	b.ReportAllocs()
 	entries := datagen.UniformSquares(100000, 5.0, 1)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"testing"
 
@@ -57,6 +58,143 @@ func TestBulkLoadWritesEachPageOnce(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestBulkLoadWriteSequence pins the order in which a bulk load writes its
+// pages. The packer fills runs of nodes on up to Workers goroutines but
+// hands them to the pager strictly in run order, one call per stretch of
+// consecutive page ids, so the sequence of WritePage calls — (first page,
+// pages) — is the same at every worker count, for the in-memory and the
+// external build alike, and the pages come out in the order the loader
+// reserved them: on a fresh file 1, 2, 3, …, so the calls ascend strictly;
+// on a tree with freed pages the free list's ids first, as it hands them
+// out, and then fresh ones.
+func TestBulkLoadWriteSequence(t *testing.T) {
+	type call struct {
+		first storage.PageID
+		pages int
+	}
+	// build bulk-loads a tree on a trace pager, after prepare, and returns
+	// the node-page writes of the load and the pages in reservation order.
+	build := func(t *testing.T, opts Options, prepare func(*Tree), load func(*Tree) error) (calls []call, reserved []storage.PageID) {
+		t.Helper()
+		tp := &tracePager{Pager: storage.NewMemPager(storage.DefaultPageSize)}
+		tr, err := NewOnPager(tp, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		if prepare != nil {
+			prepare(tr)
+		}
+		if err := tr.Flush(); err != nil { // from here on every write is the load's
+			t.Fatal(err)
+		}
+		free, next := tr.inner.FreePages(), storage.PageID(tp.NumPages())
+		tp.writes, tp.pages = nil, nil
+		if err := load(tr); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range tp.writes {
+			if id != tr.inner.MetaPage() {
+				calls = append(calls, call{id, tp.pages[i]})
+			}
+		}
+		for built := tr.LastBuildStats().Pages; len(reserved) < built; {
+			if n := len(free); n > 0 {
+				reserved, free = append(reserved, free[n-1]), free[:n-1]
+			} else {
+				reserved, next = append(reserved, next), next+1
+			}
+		}
+		return calls, reserved
+	}
+	check := func(t *testing.T, calls []call, reserved []storage.PageID) {
+		t.Helper()
+		var written []storage.PageID
+		for _, c := range calls {
+			if c.pages < 1 || c.pages > 64 {
+				t.Fatalf("a call wrote %d pages from page %d, want 1 to 64 (one run at most)", c.pages, c.first)
+			}
+			for i := range c.pages {
+				written = append(written, c.first+storage.PageID(i))
+			}
+		}
+		if len(written) != len(reserved) {
+			t.Fatalf("%d pages written, %d reserved", len(written), len(reserved))
+		}
+		for i := range written {
+			if written[i] != reserved[i] {
+				t.Fatalf("page %d written is %d, page %d reserved is %d", i, written[i], i, reserved[i])
+			}
+		}
+	}
+	items := map[int][]Item{2: randItems(20000, 21), 3: tiedCubeItems(20000, 22)}
+	loads := map[string]func(t *testing.T, dims int) func(*Tree) error{
+		"in-memory": func(_ *testing.T, dims int) func(*Tree) error {
+			return func(tr *Tree) error { return tr.BulkLoad(append([]Item(nil), items[dims]...), PackSTR) }
+		},
+		"external": func(t *testing.T, dims int) func(*Tree) error {
+			return func(tr *Tree) error {
+				return tr.BulkLoadExternal(itemSource(items[dims]), ExternalOptions{RunSize: 5000, TmpDir: t.TempDir()})
+			}
+		},
+	}
+	fresh := 0 // calls of the fresh 2-D build: one per run
+	for _, dims := range []int{2, 3} {
+		var want []call
+		for _, kind := range []string{"in-memory", "external"} {
+			for _, workers := range []int{1, 2, 8} {
+				t.Run(fmt.Sprintf("%dd/%s/workers%d", dims, kind, workers), func(t *testing.T) {
+					calls, reserved := build(t, Options{Dims: dims, Capacity: 16, Workers: workers}, nil, loads[kind](t, dims))
+					check(t, calls, reserved)
+					for i := 1; i < len(calls); i++ {
+						if end := calls[i-1].first + storage.PageID(calls[i-1].pages); calls[i].first < end {
+							t.Fatalf("call %d writes from page %d, the one before it up to page %d", i, calls[i].first, end)
+						}
+					}
+					if want == nil {
+						want = calls
+					} else if !slices.Equal(calls, want) {
+						t.Fatalf("%d calls %v, the 1-worker in-memory build made %d: %v", len(calls), calls, len(want), want)
+					}
+					if len(calls) < 20 {
+						t.Fatalf("%d calls: too few runs to pin an order", len(calls))
+					}
+					if dims == 2 {
+						fresh = len(calls)
+					}
+				})
+			}
+		}
+	}
+	churn := randItems(3000, 23)
+	var want []call
+	for _, workers := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("recycled/workers%d", workers), func(t *testing.T) {
+			calls, reserved := build(t, Options{Capacity: 16, Workers: workers}, func(tr *Tree) {
+				for _, it := range churn {
+					if err := tr.Insert(it.Rect, it.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, it := range churn {
+					if ok, err := tr.Delete(it.Rect, it.ID); err != nil || !ok {
+						t.Fatalf("delete %d: found %v, %v", it.ID, ok, err)
+					}
+				}
+			}, loads["in-memory"](t, 2))
+			check(t, calls, reserved)
+			if len(calls) <= fresh {
+				t.Fatalf("%d calls, no more than the %d runs of a fresh build: no recycled stretch was split", len(calls), fresh)
+			}
+			if want == nil {
+				want = calls
+			} else if !slices.Equal(calls, want) {
+				t.Fatalf("%d calls %v, the 1-worker build made %d: %v", len(calls), calls, len(want), want)
+			}
+		})
 	}
 }
 
@@ -140,7 +278,7 @@ func TestBulkLoadRecyclesFreedPages(t *testing.T) {
 
 // TestBulkLoadSurfacesExtendingWriteError: the pager no longer writes a
 // page when it allocates one, so a device that runs out of room says so at
-// the write that extends it — from the write-behind goroutine, from Flush
+// the write that extends it — from the packer's run writes, from Flush
 // or from Close, whichever reaches the page first. The first error wins and
 // comes back from BulkLoad; nothing panics; Close still closes.
 func TestBulkLoadSurfacesExtendingWriteError(t *testing.T) {

@@ -72,11 +72,12 @@
 #                     equivalent), internal/rtree's cold-buffer concurrent
 #                     readers over a sharded pool (…ConcurrentReaders…: the
 #                     per-frame validation mark read and set by racing
-#                     traversals), the bulk loader's write-behind goroutine
-#                     — the one place a build shares the buffer pool, the
-#                     pager and the job queue across goroutines
-#                     (internal/rtree …BulkLoad…, the root package's
-#                     …BulkLoad… and …Parallel…BuildByteIdentical) — and
+#                     traversals), the bulk loader's parallel run packer
+#                     — workers sharing a level's parent records, the
+#                     turn counter that orders their writes, the buffer
+#                     pool and the pager (internal/rtree …BulkLoad…, the
+#                     root package's …BulkLoad…, TestBulkLoadWriteSequence
+#                     among them, and …Parallel…BuildByteIdentical) — and
 #                     the root package's concurrent Search/SearchBatch
 #                     tests, and internal/storage (four readers of a
 #                     FilePager's mapping beside a writer that grows it). The zero-alloc gates
@@ -169,7 +170,7 @@ echo "strlint: $(($(date +%s) - strlint_start)) s wall, building it included"
 echo "== go test"
 go test ./...
 
-echo "== go test -race (storage, buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, write-behind builds, concurrent root tests)"
+echo "== go test -race (storage, buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, parallel run packing, concurrent root tests)"
 go test -race ./internal/storage/... ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .

@@ -14,8 +14,8 @@
 // The CSV rows are "x0,y0,x1,y1[,id]"; a missing id defaults to the row
 // number. Query prints one matching item per line (id and rectangle)
 // followed by the disk-access count for the query. -metrics appends an
-// end-of-build JSON report with phase times, the write-behind queue's
-// high-water mark, external-sort spill counts and buffer I/O counters.
+// end-of-build JSON report with phase times, pages written, external-sort
+// spill counts and buffer I/O counters.
 // -shards N STR-partitions the dataset into N spatial slabs, builds one
 // index file per slab and writes a shards.json manifest for the
 // multi-node pipeline (strserve -map/-shard behind strrouter). Mutate is
@@ -113,7 +113,7 @@ func runBuild(args []string) error {
 	runSize := fs.Int("runsize", 1<<20, "max items in memory during an -external build")
 	workers := fs.Int("workers", 0, "goroutines for the build's sort and page-write phases (0 = GOMAXPROCS); the index bytes are identical for every value")
 	verify := fs.Bool("verify", false, "after building, re-walk the index and check every structural invariant (balance, MBR tightness, packed fill, page round-trips)")
-	metricsOut := fs.Bool("metrics", false, "print an end-of-build JSON metrics report (phase times, pages, write-behind queue peak, external-sort spills, I/O counters)")
+	metricsOut := fs.Bool("metrics", false, "print an end-of-build JSON metrics report (phase times, pages, external-sort spills, I/O counters)")
 	shards := fs.Int("shards", 0, "split the dataset into N spatial shards by STR slab partitioning: writes one index file per shard plus a shards.json manifest for strserve -map and strrouter (STR packing, in-memory build only)")
 	fs.Parse(args)
 	inputs := 0
@@ -226,18 +226,17 @@ func runBuild(args []string) error {
 }
 
 // buildMetrics is the -metrics JSON report: what the observability layer
-// sees of one build — phase times, write-behind pressure, external-sort
-// spills, and the buffer's I/O counters. Durations are in seconds to
+// sees of one build — phase times, pages written, external-sort spills,
+// and the buffer's I/O counters. Durations are in seconds to
 // match the serving layer's Prometheus convention.
 type buildMetrics struct {
 	Items   int    `json:"items"`
 	Height  int    `json:"height"`
 	Packing string `json:"packing"`
 	Build   struct {
-		OrderSeconds   float64 `json:"order_seconds"`
-		WriteSeconds   float64 `json:"write_seconds"`
-		Pages          int     `json:"pages"`
-		WriteQueuePeak int     `json:"write_queue_peak"`
+		OrderSeconds float64 `json:"order_seconds"`
+		WriteSeconds float64 `json:"write_seconds"`
+		Pages        int     `json:"pages"`
 	} `json:"build"`
 	ExtSort *struct {
 		Sorts         uint64 `json:"sorts"`
@@ -264,7 +263,6 @@ func buildReport(tree *strtree.Tree, n, h int, packing strtree.Packing, external
 	m.Build.OrderSeconds = bs.Order.Seconds()
 	m.Build.WriteSeconds = bs.Write.Seconds()
 	m.Build.Pages = bs.Pages
-	m.Build.WriteQueuePeak = bs.QueuePeak
 	if external {
 		es := tree.LastExternalSortStats()
 		m.ExtSort = &struct {

@@ -1,9 +1,13 @@
 package rtree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"strtree/internal/geom"
@@ -39,17 +43,17 @@ type Orderer interface {
 type BuildStats struct {
 	// Order is the wall time inside Orderer.OrderRecords across all levels.
 	Order time.Duration
-	// Write is the cumulative time filling pages — copying each node's
-	// records onto its page image — and writing runs of consecutive pages
-	// to the pager. With Workers > 1 all of that runs behind the packing,
-	// so Write overlaps Order instead of adding to the build's wall time.
+	// Write is the time spent packing ordered levels into pages — each
+	// node's parent record (its MBR and page id), its page image and the
+	// pager writes of runs of consecutive pages — summed over the workers
+	// that packed them, so with Workers > 1 it can exceed the wall time it
+	// took. It never overlaps Order: a level is packed once it is ordered.
 	Write time.Duration
 	// Pages is the number of node pages written.
 	Pages int
-	// QueuePeak is the write-behind queue's high-water mark (0 for
-	// single-worker builds, which write inline). A peak near the queue
-	// capacity means packing outran the writer and was close to blocking
-	// on page I/O.
+	// QueuePeak is always 0: it was the depth of a write-behind queue the
+	// loader no longer has, and stays because the benchmark ledger still
+	// reports it (rtree.build_queue_peak).
 	QueuePeak int
 }
 
@@ -77,15 +81,13 @@ func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) error {
 // BulkLoadFunc is BulkLoad over the n data entries at(0) … at(n-1) returns,
 // which it may call concurrently. The build holds one representation from
 // here to the page: at's rectangles are validated and encoded, on Workers
-// goroutines, into one array of page records, which the orderer sorts, the
-// packing cuts into nodes (writing each node's MBR into its parent's record)
-// and the page writer copies onto pages (node.FillRecords). The packing
-// goroutine orders, reserves page ids and computes MBRs; filling pages and
-// writing runs of consecutive ones are the page writer's, which with
-// Workers > 1 is a background goroutine. The resulting tree bytes are
-// identical either way, and a build takes no buffer frame, reads no page
-// and writes each once.
-func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer) (err error) {
+// goroutines, into one array of page records, which the orderer sorts and
+// the packer (packer.pack) cuts into nodes, each node's MBR written into
+// its parent's record and its records copied onto its page
+// (node.FillRecords), on Workers goroutines again. The resulting tree bytes
+// and the pager calls that write them are identical at every worker count,
+// and a build takes no buffer frame, reads no page and writes each once.
+func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer) error {
 	if t.height != 0 {
 		return ErrNotEmpty
 	}
@@ -96,13 +98,7 @@ func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer
 	if n == 0 {
 		return t.writeMeta()
 	}
-	w := t.newPageWriter()
-	defer func() {
-		if cerr := w.close(); err == nil {
-			err = cerr
-		}
-	}()
-	return t.packUp(w, recs, 0, uint64(n), o)
+	return t.packUp(&packer{t: t}, recs, 0, uint64(n), o)
 }
 
 // encodeRecords validates the n data entries at returns, as Insert would,
@@ -141,78 +137,189 @@ func (t *Tree) encodeRecords(n int, at func(i int) (geom.Rect, uint64)) ([]byte,
 // above the leaves a level is packed only while more than one node remains
 // below it, and the last node standing is the root. count is the number of
 // data entries in the tree.
-func (t *Tree) packUp(w *pageWriter, recs []byte, level int, count uint64, o Orderer) error {
-	var stats BuildStats
+func (t *Tree) packUp(p *packer, recs []byte, level int, count uint64, o Orderer) error {
 	size := node.EntrySize(t.dims)
 	for level == 0 || len(recs) > size {
-		//strlint:ignore timerand build duration feeds BuildStats reporting only; tree shape and page bytes are time-independent
-		t0 := time.Now()
-		recs = o.OrderRecords(recs, t.dims, t.capacity, level)
-		//strlint:ignore timerand build duration feeds BuildStats reporting only; tree shape and page bytes are time-independent
-		stats.Order += time.Since(t0)
-		parents, err := t.packLevel(w, recs, level)
+		timed(&p.stats.Order, func() error { recs = o.OrderRecords(recs, t.dims, t.capacity, level); return nil })
+		parents, err := p.pack(nil, recs, level)
 		if err != nil {
 			return err
 		}
 		recs = parents
 		level++
 	}
-	if err := w.close(); err != nil {
-		return err
-	}
 	t.root = storage.PageID(node.RecordRef(recs, t.dims))
 	t.height = level
 	t.count = count
-	stats.Write = w.writeTime()
-	stats.Pages = w.pages
-	stats.QueuePeak = w.queuePeak
-	t.buildStats = stats
+	t.buildStats = p.stats
 	return t.Flush()
 }
 
-// packLevel cuts the ordered records into nodes of capacity t.capacity at
-// the given level, emits each through the page writer, and returns the
-// parent records (MBR, page) for the next level up. The page writer only
-// reads the runs it is handed, and nothing writes recs again, so a run
-// needs no copy however far the writer lags.
-func (t *Tree) packLevel(w *pageWriter, recs []byte, level int) ([]byte, error) {
-	run := t.capacity * node.EntrySize(t.dims)
-	parents := make([]byte, 0, (len(recs)+run-1)/run*node.EntrySize(t.dims))
-	for start := 0; start < len(recs); start += run {
-		var err error
-		if parents, err = t.emitNode(w, parents, recs[start:min(start+run, len(recs))], level); err != nil {
-			return nil, err
+// runPages is how many consecutive nodes make a run, the packer's unit of
+// work: one stage of page images (256 KiB of 4 KiB pages) and one
+// WritePages call unless recycled page ids break the sequence.
+const runPages = 64
+
+// packer packs the levels of one bulk load into pages. It keeps what
+// outlives a level: each worker's stage, the page-id scratch and the
+// build's statistics.
+type packer struct {
+	t      *Tree
+	stages [][]byte
+	ids    []storage.PageID
+	stats  BuildStats
+}
+
+// pack cuts recs, records in packing order, into nodes of t.capacity at
+// level, writes the nodes' pages and appends their parent records (MBR,
+// page id) to parents. It reserves the level's page ids first, in the order
+// a node-by-node build takes them: recycled pages, then fresh ones. Then up
+// to t.workers goroutines, the caller's among them, claim runs of runPages
+// nodes in order; each computes its run's parent records at their fixed
+// offsets and fills its pages into a stage of its own, and the runs reach
+// the pager strictly in run order, one Pool.WritePages call per stretch of
+// consecutive ids. The pager thus sees the same calls, in the same order,
+// at every worker count. No run after a failed one reaches the pager, and
+// the failure stays in t.writeErr for every later Flush.
+func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
+	t, size := p.t, node.EntrySize(p.t.dims)
+	span := t.capacity * size
+	nodes := (len(recs) + span - 1) / span
+	p.ids = p.ids[:0]
+	for range nodes {
+		id, _, err := t.reservePage()
+		if err != nil {
+			return parents, err
 		}
+		p.ids = append(p.ids, id)
 	}
+	at := len(parents)
+	parents = slices.Grow(parents, nodes*size)[:at+nodes*size]
+	out := parents[at:]
+	runs := (nodes + runPages - 1) / runPages
+	workers := min(t.workers, runs)
+	for len(p.stages) < workers {
+		p.stages = append(p.stages, make([]byte, runPages*t.pool.Pager().PageSize()))
+	}
+	var (
+		claimed atomic.Int64 // runs handed out so far
+		mu      sync.Mutex
+		turn    = sync.NewCond(&mu)
+		next    int // guarded by mu: the run whose turn it is to write
+		// err, the first failure in run order, belongs to the worker whose
+		// turn it is: it reads and sets it between seeing next reach its
+		// run and advancing next, so no lock is held across the pager.
+		err error
+	)
+	work := func(stage []byte) {
+		var spent time.Duration
+		for r := int(claimed.Add(1)) - 1; r < runs; r = int(claimed.Add(1)) - 1 {
+			lo, hi := r*runPages, min(r*runPages+runPages, nodes)
+			ferr := timed(&spent, func() error { return p.fill(stage, out, recs, lo, hi, level) })
+			mu.Lock()
+			for next != r {
+				turn.Wait()
+			}
+			mu.Unlock()
+			if err = cmp.Or(err, ferr); err == nil {
+				err = timed(&spent, func() error { return p.write(stage, p.ids[lo:hi]) })
+			}
+			if err != nil {
+				claimed.Store(int64(runs)) // no one claims another run
+			}
+			mu.Lock()
+			next++
+			turn.Broadcast()
+			mu.Unlock()
+		}
+		mu.Lock()
+		p.stats.Write += spent
+		mu.Unlock()
+	}
+	var wg sync.WaitGroup
+	for _, stage := range p.stages[1:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(stage)
+		}()
+	}
+	work(p.stages[0])
+	wg.Wait()
+	if err != nil {
+		t.writeErr = err
+		return parents, err
+	}
+	p.stats.Pages += nodes
 	return parents, nil
 }
 
-// emitNode reserves a page for one finished node, the records recs, hands
-// it to the page writer and appends the node's parent record (MBR, page) to
-// parents. Reserving costs no I/O and no frame — those are the writer's —
-// so between two sorts the packing goroutine only streams the records for
-// their MBRs.
-func (t *Tree) emitNode(w *pageWriter, parents, recs []byte, level int) ([]byte, error) {
-	id, _, err := t.reservePage()
-	if err != nil {
-		return parents, err
+// fill computes the parent records of nodes lo … hi-1 into out and their
+// page images into stage, in order.
+func (p *packer) fill(stage, out, recs []byte, lo, hi, level int) error {
+	dims, size := p.t.dims, node.EntrySize(p.t.dims)
+	span, page := p.t.capacity*size, len(stage)/runPages
+	for i := lo; i < hi; i++ {
+		n := recs[i*span : min(i*span+span, len(recs))]
+		appendMBR(out[i*size:i*size], n, dims, uint64(p.ids[i]))
+		if err := node.FillRecords(stage[(i-lo)*page:(i-lo+1)*page], level, dims, n); err != nil {
+			return err
+		}
 	}
-	if err := w.emit(pageJob{id: id, level: level, recs: recs}); err != nil {
-		return parents, err
+	return nil
+}
+
+// write writes the staged pages of the run with page ids ids, one
+// Pool.WritePages call per stretch of consecutive ids.
+func (p *packer) write(stage []byte, ids []storage.PageID) error {
+	page := len(stage) / runPages
+	for lo, hi := 0, 1; lo < len(ids); lo, hi = hi, hi+1 {
+		for hi < len(ids) && ids[hi] == ids[hi-1]+1 {
+			hi++
+		}
+		if err := p.t.pool.WritePages(ids[lo], stage[lo*page:hi*page]); err != nil {
+			return err
+		}
 	}
-	return appendMBR(parents, recs, t.dims, uint64(id)), nil
+	return nil
+}
+
+// timed runs f and adds its wall time to *d.
+func timed(d *time.Duration, f func() error) error {
+	//strlint:ignore timerand build durations feed BuildStats reporting only; tree shape and page bytes are time-independent
+	t0 := time.Now()
+	err := f()
+	//strlint:ignore timerand build durations feed BuildStats reporting only; tree shape and page bytes are time-independent
+	*d += time.Since(t0)
+	return err
 }
 
 // appendMBR appends to dst the record (MBR of recs, ref): per axis the
-// least Min and the greatest Max, read by stride and compared in record
-// order as geom.Rect.UnionInPlace grows a clone of the first rectangle, so
-// the stored words are exactly those of that MBR.
+// least Min and the greatest Max, compared in record order as
+// geom.Rect.UnionInPlace grows a clone of the first rectangle, so the
+// stored words are exactly those of that MBR. Two axes, the common case,
+// take a strided arm that holds the four bounds in registers; any other
+// count the word loop it must equal (FuzzAppendMBR).
 func appendMBR(dst, recs []byte, dims int, ref uint64) []byte {
 	size := node.EntrySize(dims)
 	at := len(dst)
 	dst = append(dst, recs[:size]...)
 	mbr := dst[at : at+size]
-	for rec := recs[size:]; len(rec) >= size; rec = rec[size:] {
+	if dims == 2 {
+		unionRecords2(mbr, recs[size:])
+	} else {
+		unionRecords(mbr, recs[size:], dims)
+	}
+	binary.LittleEndian.PutUint64(mbr[16*dims:], ref)
+	return dst
+}
+
+// unionRecords grows the MBR record mbr of dims axes over the records recs
+// word by word, copying a record's word wherever it is less than mbr's Min
+// or greater than its Max.
+func unionRecords(mbr, recs []byte, dims int) {
+	size := node.EntrySize(dims)
+	for rec := recs; len(rec) >= size; rec = rec[size:] {
 		for w := 0; w < 2*dims; w += 2 {
 			if lo := node.RecordWord(rec, w); lo < node.RecordWord(mbr, w) {
 				copy(mbr[8*w:8*w+8], rec[8*w:])
@@ -222,6 +329,31 @@ func appendMBR(dst, recs []byte, dims int, ref uint64) []byte {
 			}
 		}
 	}
-	binary.LittleEndian.PutUint64(mbr[16*dims:], ref)
-	return dst
+}
+
+// unionRecords2 is unionRecords for two axes, reading each 40-byte record
+// at a fixed stride. A comparison with NaN is false either way, so a NaN
+// bound stays and a NaN word is passed over, as in the word loop.
+func unionRecords2(mbr, recs []byte) {
+	const size = 40
+	x0, x1 := node.RecordWord(mbr, 0), node.RecordWord(mbr, 1)
+	y0, y1 := node.RecordWord(mbr, 2), node.RecordWord(mbr, 3)
+	for ; len(recs) >= size; recs = recs[size:] {
+		r := recs[:size:size]
+		if v := node.RecordWord(r, 0); v < x0 {
+			x0 = v
+		}
+		if v := node.RecordWord(r, 1); v > x1 {
+			x1 = v
+		}
+		if v := node.RecordWord(r, 2); v < y0 {
+			y0 = v
+		}
+		if v := node.RecordWord(r, 3); v > y1 {
+			y1 = v
+		}
+	}
+	for w, v := range [4]float64{x0, x1, y0, y1} {
+		binary.LittleEndian.PutUint64(mbr[8*w:], math.Float64bits(v))
+	}
 }

@@ -2,7 +2,10 @@ package rtree
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
+	"time"
 
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
@@ -82,18 +85,73 @@ func TestDeleteSurfacesReadError(t *testing.T) {
 	}
 }
 
+// callLog is a pager that records the first page and the page count of
+// every WritePage call that reaches it.
+type callLog struct {
+	storage.Pager
+	calls [][2]int
+}
+
+func (p *callLog) WritePage(id storage.PageID, buf []byte) error {
+	p.calls = append(p.calls, [2]int{int(id), len(buf) / p.PageSize()})
+	return p.Pager.WritePage(id, buf)
+}
+
+// TestBulkLoadSurfacesWriteError fails the first run a bulk load writes, a
+// middle one and the last, at Workers 1, 2 and 8, over a leaf level of 16
+// runs and a level above it of 4. BulkLoad and every later Flush return the
+// injected error; the runs before the failed one reach the pager, in order,
+// and none after it does, however far the other workers had got; and no
+// goroutine of the build outlives it.
 func TestBulkLoadSurfacesWriteError(t *testing.T) {
-	fp := storage.NewFaultyPager(storage.NewMemPager(4096))
-	// A 2-page pool forces page writes during the build.
-	pool := buffer.NewPool(fp, 2)
-	tr, err := Create(pool, Config{Dims: 2, Capacity: 8})
+	entries := randRects(4000, 62)
+	cfg := Config{Dims: 2, Capacity: 4}
+	clean := &callLog{Pager: storage.NewMemPager(4096)}
+	tr, err := Create(buffer.NewPool(clean, 64), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp.FailWrites(func(storage.PageID) error { return errInjected })
-	err = tr.BulkLoad(randRects(500, 62), xSortOrderer{})
-	if !errors.Is(err, errInjected) {
-		t.Fatalf("bulk load did not surface the write error: %v", err)
+	if err := tr.BulkLoad(entries, xSortOrderer{}); err != nil {
+		t.Fatal(err)
+	}
+	runs := clean.calls[:len(clean.calls)-1] // the last write is the meta page's
+	if len(runs) < 20 {
+		t.Fatalf("the build wrote %d runs, want 16 leaf runs and more above", len(runs))
+	}
+	for _, fail := range []int{0, len(runs) / 2, len(runs) - 1} {
+		for _, workers := range []int{1, 2, 8} {
+			before := runtime.NumGoroutine()
+			seen := &callLog{Pager: storage.NewMemPager(4096)}
+			fp := storage.NewFaultyPager(seen)
+			cfg.Workers = workers
+			tr, err := Create(buffer.NewPool(fp, 64), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fp.FailWrites(func(id storage.PageID) error {
+				if int(id) == runs[fail][0] {
+					return errInjected
+				}
+				return nil
+			})
+			if err := tr.BulkLoad(entries, xSortOrderer{}); !errors.Is(err, errInjected) {
+				t.Fatalf("run %d, workers %d: BulkLoad = %v, want the injected error", fail, workers, err)
+			}
+			for range 2 {
+				if err := tr.Flush(); !errors.Is(err, errInjected) {
+					t.Fatalf("run %d, workers %d: Flush = %v, want the injected error", fail, workers, err)
+				}
+			}
+			if got := seen.calls; !slices.Equal(got, runs[:fail]) {
+				t.Fatalf("run %d, workers %d: the pager saw the writes %v, want the %d runs before the failed one", fail, workers, got, fail)
+			}
+			for i := 0; runtime.NumGoroutine() > before; i++ {
+				if i == 500 {
+					t.Fatalf("run %d, workers %d: %d goroutines live after the load, %d before", fail, workers, runtime.NumGoroutine(), before)
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		}
 	}
 }
 

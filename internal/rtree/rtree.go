@@ -44,11 +44,12 @@ type Config struct {
 	// accesses per 1 % region query (7.80 against 8.39, lower on every
 	// seed) and 9 % fewer leaves, at twice the time per insert.
 	ForcedReinsert bool
-	// Workers bounds the goroutines bulk loads may use (write-behind page
-	// emission; packers add their own sort parallelism on top). It is a
+	// Workers bounds the goroutines bulk loads may use: encoding the
+	// entries, and packing each ordered level into pages, runs of nodes at
+	// a time (packers add their own sort parallelism on top). It is a
 	// runtime knob, not persisted: trees reopened later default to 1.
-	// Values < 1 mean 1. The packed tree bytes are identical for every
-	// setting.
+	// Values < 1 mean 1. The packed tree bytes, and the pager calls that
+	// write them, are identical for every setting.
 	Workers int
 }
 
@@ -79,7 +80,7 @@ type Tree struct {
 	height   int // number of levels; 0 = empty, 1 = root is a leaf
 	count    uint64
 	free     []storage.PageID
-	// writeErr is the first page write a bulk load lost (pageWriter.close);
+	// writeErr is the first page write a bulk load lost (packer.pack);
 	// every Flush after it returns it.
 	writeErr error
 
@@ -363,7 +364,7 @@ func (t *Tree) Flush() error {
 // reservePage takes a page id for a new node, recycling freed pages first,
 // and does no I/O either way: a fresh id is the pager's bookkeeping, and the
 // page is the job of whoever fills it (newPage's frame, or the bulk
-// loader's page writer).
+// loader's packer).
 func (t *Tree) reservePage() (id storage.PageID, fresh bool, err error) {
 	if n := len(t.free); n > 0 {
 		id = t.free[n-1]

@@ -68,10 +68,9 @@ func TestBulkLoadOrderedMatchesBulkLoad(t *testing.T) {
 }
 
 // TestBulkLoadOrderedSourceMayReuseRect: a source may yield every record in
-// one buffer it overwrites between calls. The loader appends each record to
-// its leaf's records as it arrives, so the file is the one a source of
-// fresh records gives, written inline and behind the write-behind queue
-// alike.
+// one buffer it overwrites between calls. The loader copies each record
+// into its run of leaves as it arrives, so the file is the one a source of
+// fresh records gives, at one worker and at two alike.
 func TestBulkLoadOrderedSourceMayReuseRect(t *testing.T) {
 	entries := randRects(3000, 83)
 	xSortOrderer{}.Order(entries, 16, 0)

@@ -236,14 +236,17 @@ func TestLayersBufferShards(t *testing.T) {
 	}
 }
 
-// tracePager records the sequence of WritePage calls passing through it.
+// tracePager records the sequence of WritePage calls passing through it:
+// each call's first page, and beside it how many pages it wrote.
 type tracePager struct {
 	storage.Pager
 	writes []storage.PageID
+	pages  []int
 }
 
 func (p *tracePager) WritePage(id storage.PageID, buf []byte) error {
 	p.writes = append(p.writes, id)
+	p.pages = append(p.pages, len(buf)/p.PageSize())
 	return p.Pager.WritePage(id, buf)
 }
 
@@ -278,7 +281,7 @@ func TestLayersFlushOrderDeterministic(t *testing.T) {
 				}
 			}
 		}
-		tp.writes = nil
+		tp.writes, tp.pages = nil, nil
 		if err := ls.Flush(); err != nil {
 			t.Fatal(err)
 		}

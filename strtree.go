@@ -154,8 +154,9 @@ type Options struct {
 	// 5.3).
 	ForcedReinsert bool
 	// Workers bounds the goroutines a bulk load may use: the packing
-	// algorithms' parallel sorts plus the builder's write-behind page
-	// emission. 0 means GOMAXPROCS; 1 forces a fully sequential build.
+	// algorithms' parallel sorts plus the loader's encoding of the items
+	// and its packing of each level into pages, runs of nodes at a time.
+	// 0 means GOMAXPROCS; 1 forces a fully sequential build.
 	// The packed tree is byte-for-byte identical for every setting — the
 	// sort kernel's index tie-break makes the ordering worker-count
 	// independent — so this knob trades only wall time, never layout.
@@ -519,10 +520,10 @@ type BuildStats = rtree.BuildStats
 
 // LastBuildStats returns where the most recent BulkLoad or
 // BulkLoadExternal on this tree spent its time (zero if none ran): wall
-// time inside the packing sort, cumulative page-fill time (frame
-// adoption, eviction write-back and the copy of each node's records, all
-// overlapping the sort when Workers > 1), pages written, and the write-behind queue's
-// high-water mark.
+// time inside the packing sort; the time packing each ordered level into
+// pages — node MBRs, page images and pager writes, which take no buffer
+// frame — summed over the workers, after that level's sort, not beside
+// it; and the pages written. QueuePeak is always 0.
 func (t *Tree) LastBuildStats() BuildStats { return t.inner.LastBuildStats() }
 
 // ExternalSortStats reports the external sorter's activity during a
