@@ -1,6 +1,7 @@
 package strtree
 
 import (
+	"path/filepath"
 	"testing"
 
 	"strtree/internal/query"
@@ -134,6 +135,18 @@ func TestSearchBatchShardedStats(t *testing.T) {
 // or shard count from the caller is an error from every constructor that
 // builds a buffer, never a panic.
 func TestBufferShardsValidation(t *testing.T) {
+	dir := t.TempDir()
+	valid := filepath.Join(dir, "valid.str")
+	built, err := Create(valid, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := built.BulkLoad(randItems(100, 62), PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	if err := built.Close(); err != nil {
+		t.Fatal(err)
+	}
 	for _, opts := range []Options{
 		{BufferPages: -1},
 		{BufferShards: -2},
@@ -143,8 +156,11 @@ func TestBufferShardsValidation(t *testing.T) {
 		if _, err := New(opts); err == nil {
 			t.Errorf("New(%+v) accepted", opts)
 		}
-		if _, err := NewLayers(opts); err == nil {
-			t.Errorf("NewLayers(%+v) accepted", opts)
+		if _, err := Create(filepath.Join(dir, "new.str"), opts); err == nil {
+			t.Errorf("Create(%+v) accepted", opts)
+		}
+		if _, err := Open(valid, opts); err == nil {
+			t.Errorf("Open(%+v) accepted", opts)
 		}
 	}
 	tree, err := New(Options{BufferPages: 64, BufferShards: 16})

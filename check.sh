@@ -32,8 +32,14 @@
 #                     buffer.Sharded and type Sharded (buffer.Pool is the
 #                     one buffer type at any shard count), parallelPass
 #                     (the sort splits on its top digit, then finishes
-#                     each bucket in cache) and fillPage( (a build writes
-#                     runs of pages past the pool, pinning no frame) —
+#                     each bucket in cache), fillPage( (a build writes
+#                     runs of pages past the pool, pinning no frame) and
+#                     the wrappers beside Tree and the many-trees-per-pager
+#                     plumbing under them: SafeTree, NewSafe, NewCollection,
+#                     Collection[, LayerSet, NewLayers, CreateLayers,
+#                     OpenLayers, CreateAt and OpenAt (a pager holds one
+#                     tree, whose meta page is page 0; geojson.Collection(
+#                     is a reader, not a wrapper, and passes) —
 #                     and a fourth:
 #                     the external build holds page records from source
 #                     to leaf, so no non-test file of internal/extsort but
@@ -159,7 +165,7 @@ echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
 if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/\|^./internal/rtree/check\.go:'; then echo "library code writes pages from records; only Check's round trip may call node.Marshal" >&2; exit 1; fi
-if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded\|parallelPass\|fillPage(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way, the sort splits on its top digit, a build writes page runs past the pool (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded\|parallelPass\|fillPage(\|SafeTree\|NewSafe\|NewCollection\|Collection\[\|LayerSet\|NewLayers\|CreateLayers\|OpenLayers\|CreateAt\|OpenAt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way, the sort splits on its top digit, a build writes page runs past the pool, Tree is the one tree type and a pager holds one tree (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -nw 'node\.Entry' internal/extsort/*.go internal/pack/external.go internal/rtree/stream.go | grep -v '_test\.go:\|^internal/extsort/entries\.go:'; then echo "the external build moves page records, not node.Entry values; only extsort's Sort adapter (entries.go) takes entries" >&2; exit 1; fi
 
 echo "== strlint"

@@ -1,8 +1,9 @@
 package strtree_test
 
 // The documents are held to what they cite: a citation of a DESIGN.md or
-// EXPERIMENTS.md section names a heading that exists, a path the README or
-// DESIGN.md §1–§16 names exists, and CHANGES.md is one short entry per PR.
+// EXPERIMENTS.md section names a heading that exists, a path or a bare Go
+// file name the README or DESIGN.md §1–§16 names exists, and CHANGES.md is
+// one short entry per PR.
 
 import (
 	"fmt"
@@ -30,7 +31,10 @@ var (
 
 	backtickRE = regexp.MustCompile("`([^`\n]+)`")
 	pathRE     = regexp.MustCompile(`^(?:internal|cmd|scripts|examples|\.github)/[^\s:'` + "`" + `]*`)
-	braceRE    = regexp.MustCompile(`\{([^{}]*)\}`)
+	// bareGoRE is a Go file named without its directory, with or
+	// without a line number: `strtree.go:221`.
+	bareGoRE = regexp.MustCompile(`^([A-Za-z][\w.-]*\.go)(?::\d+)?$`)
+	braceRE  = regexp.MustCompile(`\{([^{}]*)\}`)
 	// selectorRE splits a package path from an identifier it qualifies,
 	// as in internal/node.View.
 	selectorRE  = regexp.MustCompile(`^(.*/[^/.]+)\.[A-Z]\w*$`)
@@ -72,11 +76,10 @@ func hasTitle(titles []string, title string) bool {
 	return false
 }
 
-// citingFiles returns the files whose citations are checked: every .go,
-// .sh and .yml file outside bench/ (the frozen benchmark) and outside
-// hidden directories other than .github, plus the three documents.
-func citingFiles(t *testing.T) []string {
-	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+// moduleFiles returns every file outside bench/ (the frozen benchmark, a
+// module of its own) and outside hidden directories other than .github.
+func moduleFiles(t *testing.T) []string {
+	var files []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -87,14 +90,24 @@ func citingFiles(t *testing.T) []string {
 			}
 			return nil
 		}
-		switch filepath.Ext(path) {
-		case ".go", ".sh", ".yml":
-			files = append(files, path)
-		}
+		files = append(files, path)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	return files
+}
+
+// citingFiles returns the files whose citations are checked: every .go,
+// .sh and .yml file of moduleFiles, plus the three documents.
+func citingFiles(t *testing.T) []string {
+	files := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"}
+	for _, path := range moduleFiles(t) {
+		switch filepath.Ext(path) {
+		case ".go", ".sh", ".yml":
+			files = append(files, path)
+		}
 	}
 	return files
 }
@@ -158,8 +171,18 @@ func TestDocsPathsExist(t *testing.T) {
 		t.Fatal("DESIGN.md: no §1 … §17 headings")
 	}
 	docs := map[string]string{"README.md": readDoc(t, "README.md"), "DESIGN.md §1–§16": design[start:end]}
+	basenames := map[string]bool{}
+	for _, path := range moduleFiles(t) {
+		basenames[filepath.Base(path)] = true
+	}
 	for name, text := range docs {
 		for _, m := range backtickRE.FindAllStringSubmatch(text, -1) {
+			if b := bareGoRE.FindStringSubmatch(m[1]); b != nil {
+				if !basenames[b[1]] {
+					t.Errorf("%s names `%s`: no file %s in the module", name, m[1], b[1])
+				}
+				continue
+			}
 			p := pathRE.FindString(m[1])
 			if p == "" {
 				continue

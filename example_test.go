@@ -134,30 +134,6 @@ func ExampleJoinWithin() {
 	// hydrant 1 serves building 7
 }
 
-// ExampleLayerSet stores two named indexes in one store and joins them.
-func ExampleLayerSet() {
-	ls, err := strtree.NewLayers(strtree.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	parcels, _ := ls.Create("parcels")
-	floods, _ := ls.Create("floods")
-	_ = parcels.Insert(strtree.R2(0.1, 0.1, 0.3, 0.3), 100)
-	_ = parcels.Insert(strtree.R2(0.6, 0.6, 0.8, 0.8), 200)
-	_ = floods.Insert(strtree.R2(0.2, 0.2, 0.7, 0.7), 1)
-	fmt.Println("layers:", ls.Names())
-	if err := strtree.Join(parcels, floods, func(p, f strtree.Item) bool {
-		fmt.Println("parcel in flood zone:", p.ID)
-		return true
-	}); err != nil {
-		log.Fatal(err)
-	}
-	// Output:
-	// layers: [floods parcels]
-	// parcel in flood zone: 100
-	// parcel in flood zone: 200
-}
-
 // ExampleTree_Stats shows the paper's disk-access metric for one query.
 func ExampleTree_Stats() {
 	tree, err := strtree.New(strtree.Options{Capacity: 4, BufferPages: 8})

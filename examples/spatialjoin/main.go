@@ -1,6 +1,7 @@
-// Spatial-join example: overlay two named layers of one LayerSet store —
-// land parcels and flood zones — to find every parcel touched by a flood
-// zone, using the synchronized-traversal join. Then demonstrates STR-based
+// Spatial-join example: overlay two index files — land parcels and flood
+// zones — to find every parcel touched by a flood zone, using the
+// synchronized-traversal join. Each data set is one file: both are built,
+// closed and reopened before the join. Then demonstrates STR-based
 // compaction: after a burst of dynamic edits the parcels layer is
 // repacked, recovering bulk-loaded utilization (the maintenance pattern
 // behind the paper's proposed dynamic STR variants).
@@ -10,24 +11,37 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"strtree"
 )
 
+// build writes items, STR-packed, to a new index file at path and closes it.
+func build(path string, items []strtree.Item) {
+	tree, err := strtree.Create(path, strtree.Options{Capacity: 100})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := tree.BulkLoad(items, strtree.PackSTR); err != nil {
+		log.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		log.Fatal(err)
+	}
+}
+
 func main() {
 	rng := rand.New(rand.NewSource(1))
-
-	// One store, two named layers sharing a buffer pool.
-	store, err := strtree.NewLayers(strtree.Options{Capacity: 100})
+	dir, err := os.MkdirTemp("", "spatialjoin")
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer os.RemoveAll(dir)
+	parcelsPath := filepath.Join(dir, "parcels.str")
+	floodsPath := filepath.Join(dir, "floods.str")
 
-	// Layer 1: 40,000 parcels, small rectangles tiling the region.
-	parcels, err := store.Create("parcels")
-	if err != nil {
-		log.Fatal(err)
-	}
+	// File 1: 40,000 parcels, small rectangles tiling the region.
 	var parcelItems []strtree.Item
 	for i := 0; i < 40000; i++ {
 		x, y := rng.Float64()*0.995, rng.Float64()*0.995
@@ -36,16 +50,10 @@ func main() {
 			ID:   uint64(i),
 		})
 	}
-	if err := parcels.BulkLoad(parcelItems, strtree.PackSTR); err != nil {
-		log.Fatal(err)
-	}
+	build(parcelsPath, parcelItems)
 
-	// Layer 2: 60 flood zones, larger irregular boxes along a "river"
+	// File 2: 60 flood zones, larger irregular boxes along a "river"
 	// running diagonally across the region.
-	floods, err := store.Create("floods")
-	if err != nil {
-		log.Fatal(err)
-	}
 	var floodItems []strtree.Item
 	for i := 0; i < 60; i++ {
 		t := float64(i) / 60
@@ -59,14 +67,25 @@ func main() {
 		}
 		floodItems = append(floodItems, strtree.Item{Rect: r, ID: uint64(i)})
 	}
-	if err := floods.BulkLoad(floodItems, strtree.PackSTR); err != nil {
+	build(floodsPath, floodItems)
+
+	// Reopen both files, each behind its own buffer.
+	parcels, err := strtree.Open(parcelsPath, strtree.Options{})
+	if err != nil {
 		log.Fatal(err)
 	}
-
-	fmt.Printf("store layers: %v\n", store.Names())
+	defer parcels.Close()
+	floods, err := strtree.Open(floodsPath, strtree.Options{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer floods.Close()
+	fmt.Printf("index files: %s (%d items), %s (%d items)\n",
+		filepath.Base(parcelsPath), parcels.Len(), filepath.Base(floodsPath), floods.Len())
 
 	// The join: every (parcel, flood zone) intersection.
 	parcels.ResetStats()
+	floods.ResetStats()
 	affected := map[uint64]bool{}
 	pairs := 0
 	if err := strtree.Join(parcels, floods, func(p, f strtree.Item) bool {
@@ -78,8 +97,8 @@ func main() {
 	}
 	fmt.Printf("join: %d intersecting pairs, %d distinct parcels in flood zones\n",
 		pairs, len(affected))
-	fmt.Printf("join cost: %d page requests over %d parcels x %d zones\n",
-		parcels.Stats().LogicalReads, len(parcelItems), len(floodItems))
+	fmt.Printf("join cost: %d + %d page requests over %d parcels x %d zones\n",
+		parcels.Stats().LogicalReads, floods.Stats().LogicalReads, len(parcelItems), len(floodItems))
 
 	// Simulate a year of edits: delete a tenth of the parcels, add new
 	// subdivided ones dynamically.

@@ -27,7 +27,7 @@ var droppedErrTargets = map[string]bool{
 
 // deterministicLayers are the packages on the bulk-load build path whose
 // output must be byte-identical at any worker count (the PR-4 contract):
-// the root strtree package (layer registry, catalog encoding), the packing
+// the root strtree package (the bulk-load facade), the packing
 // pipeline and its sorters, and the tree writer. The maporder and timerand
 // checks only fire here: map iteration order, wall-clock time and random
 // numbers must never influence what these layers write.

@@ -117,7 +117,7 @@ func (t *Tree) Check(cfg CheckConfig) error {
 	var (
 		// live holds every page the walk has reached, plus the meta page;
 		// pending every page referenced and not reached yet.
-		live    = map[storage.PageID]bool{t.metaPage: true}
+		live    = map[storage.PageID]bool{metaPage: true}
 		pending = map[storage.PageID]parent{}
 		// nodes and entries per level, indexed by level (0 = leaf).
 		nodes   = make([]int, t.height)

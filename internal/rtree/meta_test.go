@@ -1,6 +1,6 @@
 package rtree
 
-// A file is outside input: OpenAt must refuse every meta page CreateAt could
+// A file is outside input: Open must refuse every meta page Create could
 // not have written (checkShape, the root and free-list bounds), and must go on
 // reading the bytes that once selected a variant since removed.
 

@@ -75,11 +75,10 @@ type Tree struct {
 	buildStats     BuildStats
 	everywhere     geom.Rect // the window holding every rectangle (Scan, bankNode); read-only
 
-	metaPage storage.PageID
-	root     storage.PageID
-	height   int // number of levels; 0 = empty, 1 = root is a leaf
-	count    uint64
-	free     []storage.PageID
+	root   storage.PageID
+	height int // number of levels; 0 = empty, 1 = root is a leaf
+	count  uint64
+	free   []storage.PageID
 	// writeErr is the first page write a bulk load lost (packer.pack);
 	// every Flush after it returns it.
 	writeErr error
@@ -125,9 +124,10 @@ type Tree struct {
 }
 
 const (
-	metaMagic   uint32 = 0x4D525453 // "STRM"
-	metaVersion byte   = 1
-	metaFixed          = 28 // bytes before the free-page list
+	metaPage    storage.PageID = 0          // a pager holds one tree; its metadata is page 0
+	metaMagic   uint32         = 0x4D525453 // "STRM"
+	metaVersion byte           = 1
+	metaFixed                  = 28 // bytes before the free-page list
 )
 
 // Errors returned by tree operations.
@@ -138,20 +138,11 @@ var (
 )
 
 // Create initializes a new empty tree on the pool's pager. The pager must
-// be empty: the tree claims page 0 for its metadata. To place several
-// trees on one pager (each with its own meta page), use CreateAt.
+// be empty: the tree claims page 0 (metaPage) for its metadata.
 func Create(pool buffer.Manager, cfg Config) (*Tree, error) {
 	if pool.Pager().NumPages() != 0 {
 		return nil, fmt.Errorf("rtree: pager already holds %d pages", pool.Pager().NumPages())
 	}
-	return CreateAt(pool, cfg)
-}
-
-// CreateAt initializes a new empty tree whose meta page is freshly
-// allocated from the pool's pager, wherever that lands. Callers (e.g. a
-// multi-layer catalog) record the returned tree's MetaPage to reopen it
-// later with OpenAt.
-func CreateAt(pool buffer.Manager, cfg Config) (*Tree, error) {
 	pageSize := pool.Pager().PageSize()
 	if cfg.Capacity == 0 {
 		cfg.Capacity = node.Capacity(pageSize, cfg.Dims)
@@ -178,7 +169,6 @@ func CreateAt(pool buffer.Manager, cfg Config) (*Tree, error) {
 		forcedReinsert: cfg.ForcedReinsert,
 		workers:        workers,
 		everywhere:     everywhere(cfg.Dims),
-		metaPage:       f.ID(),
 		root:           storage.NilPage,
 	}
 	t.encodeMeta(f.Data())
@@ -187,23 +177,17 @@ func CreateAt(pool buffer.Manager, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// Open loads an existing tree whose meta page is page 0 (the single-tree
-// layout written by Create).
+// Open loads the tree Create wrote on the pool's pager.
 func Open(pool buffer.Manager) (*Tree, error) {
-	return OpenAt(pool, 0)
-}
-
-// OpenAt loads an existing tree from the given meta page.
-func OpenAt(pool buffer.Manager, metaPage storage.PageID) (*Tree, error) {
-	if int(metaPage) >= pool.Pager().NumPages() {
-		return nil, fmt.Errorf("%w: meta page %d out of range", ErrBadMeta, metaPage)
+	if pool.Pager().NumPages() == 0 {
+		return nil, fmt.Errorf("%w: no meta page", ErrBadMeta)
 	}
 	f, err := pool.Fetch(metaPage)
 	if err != nil {
 		return nil, err
 	}
 	defer pool.Release(f)
-	t := &Tree{pool: pool, metaPage: metaPage, workers: 1}
+	t := &Tree{pool: pool, workers: 1}
 	if err := t.decodeMeta(f.Data()); err != nil {
 		return nil, err
 	}
@@ -212,8 +196,8 @@ func OpenAt(pool buffer.Manager, metaPage storage.PageID) (*Tree, error) {
 }
 
 // checkShape is the range check on a tree's dimensionality, node capacity and
-// minimum fill. CreateAt applies it to a configuration and decodeMeta to a
-// meta page, so OpenAt admits no shape CreateAt would refuse: a file is
+// minimum fill. Create applies it to a configuration and decodeMeta to a
+// meta page, so Open admits no shape Create would refuse: a file is
 // outside input, and a capacity of 0 or beyond what a page holds would
 // otherwise surface as a panic in a packer or a half-done Insert.
 func checkShape(pageSize, dims, capacity, minFill int) error {
@@ -245,9 +229,6 @@ func (t *Tree) SetWorkers(w int) {
 
 // Workers returns the tree's bulk-load goroutine bound.
 func (t *Tree) Workers() int { return t.workers }
-
-// MetaPage returns the page holding the tree's metadata.
-func (t *Tree) MetaPage() storage.PageID { return t.metaPage }
 
 func (t *Tree) encodeMeta(page []byte) {
 	binary.LittleEndian.PutUint32(page[0:], metaMagic)
@@ -315,7 +296,7 @@ func (t *Tree) decodeMeta(page []byte) error {
 
 // writeMeta persists the in-memory metadata to the meta page.
 func (t *Tree) writeMeta() error {
-	f, err := t.pool.Fetch(t.metaPage)
+	f, err := t.pool.Fetch(metaPage)
 	if err != nil {
 		return err
 	}

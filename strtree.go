@@ -130,7 +130,7 @@ type Options struct {
 	// BufferShards splits the LRU buffer into this power-of-two number of
 	// independently locked shards so concurrent queries (SearchBatch,
 	// goroutines sharing the tree) stop serializing behind one buffer
-	// mutex; a LayerSet's shared buffer is split the same way. 0 means 1:
+	// mutex. 0 means 1:
 	// the single deterministic LRU whose miss counts reproduce the paper's
 	// tables; more shards change eviction locality, so access counts under
 	// memory pressure can differ slightly. BufferPages must be at least
@@ -209,21 +209,18 @@ type Metrics struct {
 }
 
 // Tree is a paged R-tree. Mutations (Insert, Delete, BulkLoad) are safe
-// from one goroutine only; wrap the tree with NewSafe for mixed
-// read/write sharing. Read-only access is safe from many goroutines at
-// once while no mutation runs — Search and friends touch only immutable
-// tree state and the buffer, whose pin protocol keeps every fetched page
-// stable until released. For parallel read throughput set
-// Options.BufferShards and use SearchBatch, or give each goroutine its
-// own View.
+// from one goroutine only; for mixed read/write sharing, hold a
+// sync.RWMutex around the tree, as internal/server's treeMu does.
+// Read-only access is safe from many goroutines at once while no mutation
+// runs — Search and friends touch only immutable tree state and the
+// buffer, whose pin protocol keeps every fetched page stable until
+// released. For parallel read throughput set Options.BufferShards and use
+// SearchBatch, or give each goroutine its own View.
 type Tree struct {
 	inner    *rtree.Tree
 	pool     *buffer.Pool
 	pager    storage.Pager
 	readonly bool
-	// shared trees (views, layers) do not own the pager; Close releases
-	// only their own state.
-	shared bool
 	// batchMetrics aggregates batch-executor activity across every
 	// SearchBatch/SearchBatchCount on this handle, for BatchExecStats.
 	batchMetrics query.ExecMetrics
@@ -256,14 +253,8 @@ func Create(path string, opts Options) (*Tree, error) {
 	return t, nil
 }
 
-// newBuffer builds the buffer of a tree or layer set per opts (after
-// withDefaults). The constructor rejects a bad page or shard count.
-func newBuffer(pg storage.Pager, opts Options) (*buffer.Pool, error) {
-	return buffer.NewSharded(pg, opts.BufferPages, opts.BufferShards)
-}
-
 func create(pg storage.Pager, opts Options) (*Tree, error) {
-	pool, err := newBuffer(pg, opts)
+	pool, err := buffer.NewSharded(pg, opts.BufferPages, opts.BufferShards)
 	if err != nil {
 		return nil, err
 	}
@@ -289,7 +280,7 @@ func Open(path string, opts Options) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	pool, err := newBuffer(pg, opts)
+	pool, err := buffer.NewSharded(pg, opts.BufferPages, opts.BufferShards)
 	if err != nil {
 		return nil, errors.Join(err, pg.Close())
 	}
@@ -594,11 +585,6 @@ func (t *Tree) Flush() error {
 func (t *Tree) Close() error {
 	if t.readonly {
 		return t.pool.Invalidate()
-	}
-	if t.shared {
-		// A layer: flush through the shared pool but leave it open for
-		// the other layers.
-		return t.Flush()
 	}
 	flushErr := t.Flush()
 	syncErr := t.pager.Sync()
