@@ -45,7 +45,15 @@
 #                     to leaf, so no non-test file of internal/extsort but
 #                     entries.go (Sorter.Sort, the one entry adapter),
 #                     internal/pack/external.go or internal/rtree/stream.go
-#                     mentions node.Entry
+#                     mentions node.Entry — and a fifth: the serving
+#                     proofs are tests, so no non-test .go file mentions
+#                     selftest, adminsmoke or seriesexpect in any letter
+#                     case (the deleted in-process harnesses, their config
+#                     structs, flags and admin smoke); the
+#                     load, admin, identity, pruning and kill assertions
+#                     are internal/server's TestServerMutateConcurrent…
+#                     and TestAdmin… and internal/router's
+#                     TestRoutedTopology
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -68,11 +76,13 @@
 #                     write-pin protocol), the packers, the parallel sort
 #                     kernel, the concurrent external sorter, the batch
 #                     executor, the query server (admission, deadlines,
-#                     drain, admin scrapes, mutation/query exclusion),
+#                     drain, admin scrapes, mutation/query exclusion, a
+#                     32-client load with no request failed),
 #                     the lock-free latency histogram, the metrics
 #                     registry (updates racing expositions), the lint
 #                     engine (parallel per-package driver), the fan-out
-#                     router (scatter-gather, health probing, drain), the
+#                     router (scatter-gather, health probing, drain, the
+#                     routed-topology identity, pruning and kill proof), the
 #                     dynamic write path's differential oracle harness
 #                     (internal/rtree …Mutate… and the root-package
 #                     equivalent), internal/rtree's cold-buffer concurrent
@@ -167,6 +177,8 @@ if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' -
 if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/\|^./internal/rtree/check\.go:'; then echo "library code writes pages from records; only Check's round trip may call node.Marshal" >&2; exit 1; fi
 if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded\|parallelPass\|fillPage(\|SafeTree\|NewSafe\|NewCollection\|Collection\[\|LayerSet\|NewLayers\|CreateLayers\|OpenLayers\|CreateAt\|OpenAt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way, the sort splits on its top digit, a build writes page runs past the pool, Tree is the one tree type and a pager holds one tree (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -nw 'node\.Entry' internal/extsort/*.go internal/pack/external.go internal/rtree/stream.go | grep -v '_test\.go:\|^internal/extsort/entries\.go:'; then echo "the external build moves page records, not node.Entry values; only extsort's Sort adapter (entries.go) takes entries" >&2; exit 1; fi
+
+if grep -rni 'selftest\|adminsmoke\|seriesexpect' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "the serving proofs are tests (internal/server, internal/router _test.go files), not a harness in the library or a flag of a binary" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

@@ -12,8 +12,6 @@
 //	          [-max-inflight 64] [-timeout 5s] [-max-timeout 60s]
 //	          [-backend-conc 4] [-fail-threshold 3] [-probe 2s]
 //	          [-drain-timeout 10s] [-drain-grace 2s]
-//	strrouter -selftest [-shards 3] [-size 6000] [-queries 60] [-seed 1]
-//	          [-admin 127.0.0.1:0]
 //
 // -map is the shards.json manifest written by strload build -shards N.
 // If the manifest does not carry backend addresses (strload leaves Addrs
@@ -27,13 +25,6 @@
 // /healthz flips to 503, -drain-grace lets load balancers route away,
 // new connections are refused, in-flight fan-outs finish under
 // -drain-timeout, and backend client pools close last.
-//
-// -selftest builds an in-process topology — N strserve backends over an
-// STR-partitioned dataset plus this router — and proves the three router
-// contracts: answers identical to a single unsharded tree, fan-out
-// pruned to overlapping shards (verified by backend request counters),
-// and a killed backend surfacing as StatusUnavailable quickly rather
-// than a hang.
 package main
 
 import (
@@ -65,25 +56,11 @@ func main() {
 		dialTimeout  = flag.Duration("dial-timeout", 2*time.Second, "backend connection establishment cap")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "grace period for in-flight fan-outs on shutdown")
 		drainGrace   = flag.Duration("drain-grace", 0, "delay between flipping /healthz to 503 and starting the drain")
-
-		selftest = flag.Bool("selftest", false, "run the in-process topology proof and exit")
-		shards   = flag.Int("shards", 3, "selftest: backend count")
-		size     = flag.Int("size", 6000, "selftest: indexed items")
-		queries  = flag.Int("queries", 60, "selftest: window/point/kNN probes")
-		seed     = flag.Int64("seed", 1, "selftest: data and workload seed")
 	)
 	flag.Parse()
 
 	var err error
 	switch {
-	case *selftest:
-		err = router.Selftest(os.Stdout, router.SelftestConfig{
-			Shards:    *shards,
-			Size:      *size,
-			Queries:   *queries,
-			Seed:      *seed,
-			AdminAddr: *adminAddr,
-		})
 	case *mapPath != "":
 		err = serve(*mapPath, *backends, *addr, serveConfig{
 			adminAddr:    *adminAddr,
@@ -98,7 +75,7 @@ func main() {
 			drainGrace:   *drainGrace,
 		})
 	default:
-		fmt.Fprintln(os.Stderr, "usage: strrouter -map shards.json [-backends a,b,c] | -selftest")
+		fmt.Fprintln(os.Stderr, "usage: strrouter -map shards.json [-backends a,b,c]")
 		os.Exit(2)
 	}
 	if err != nil {

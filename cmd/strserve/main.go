@@ -11,17 +11,13 @@
 //	strserve -query x0,y0,x1,y1 [-addr host:7070]
 //	strserve -count x0,y0,x1,y1 [-addr host:7070]
 //	strserve -stats [-addr host:7070]
-//	strserve -selftest [-clients 32] [-queries 200] [-size 20000]
-//	         [-admin 127.0.0.1:0]
 //
 // The serving mode runs until SIGTERM or SIGINT, then drains gracefully:
 // it flips the admin health check to 503, waits -drain-grace so load
 // balancers stop routing here, stops accepting connections, refuses new
 // requests, finishes in-flight queries under -drain-timeout, and closes
 // the index. -query, -count and -stats are one-shot clients against a
-// running server (used by CI's loopback smoke test). -selftest runs an
-// in-process server-plus-clients load harness and reports throughput and
-// latency percentiles.
+// running server (used by CI's loopback smoke test).
 //
 // -admin binds an operational HTTP endpoint serving Prometheus /metrics,
 // a JSON /stats mirror, the drain-aware /healthz and /debug/pprof. Bind
@@ -72,26 +68,11 @@ func main() {
 		stats      = flag.Bool("stats", false, "one-shot client: print server stats")
 		insertSpec = flag.String("insert", "", "one-shot client: insert item x0,y0,x1,y1:id (server must run -mutable)")
 		deleteSpec = flag.String("delete", "", "one-shot client: delete item x0,y0,x1,y1:id, exact match (server must run -mutable)")
-
-		selftest = flag.Bool("selftest", false, "run the in-process load harness and exit")
-		clients  = flag.Int("clients", 32, "selftest: concurrent clients")
-		queries  = flag.Int("queries", 200, "selftest: queries per client")
-		size     = flag.Int("size", 20000, "selftest: indexed items")
-		seed     = flag.Int64("seed", 1, "selftest: data and workload seed")
 	)
 	flag.Parse()
 
 	var err error
 	switch {
-	case *selftest:
-		err = server.Selftest(os.Stdout, server.SelftestConfig{
-			Clients:          *clients,
-			QueriesPerClient: *queries,
-			Size:             *size,
-			Shards:           *shards,
-			Seed:             *seed,
-			AdminAddr:        *adminAddr,
-		})
 	case *queryRect != "":
 		err = runClientQuery(*addr, *queryRect, false)
 	case *countRect != "":
@@ -122,7 +103,7 @@ func main() {
 			})
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "usage: strserve -idx index.str | -query rect | -count rect | -stats | -selftest")
+		fmt.Fprintln(os.Stderr, "usage: strserve -idx index.str | -query rect | -count rect | -stats")
 		os.Exit(2)
 	}
 	if err != nil {

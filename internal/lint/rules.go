@@ -62,15 +62,16 @@ var deterministicLayers = map[string]bool{
 //	experiments                        -> everything below
 //	strtree (root)                     -> the public surface's needs
 //	router/shardmap                    -> geom, node, pack
-//	server                             -> strtree root, geom, histo, obs, query, server/wire
-//	router                             -> strtree root, geom, histo, node, obs, router/shardmap, server, server/wire
+//	server                             -> strtree root, geom, histo, obs, server/wire
+//	router                             -> histo, obs, router/shardmap, server, server/wire
 //	lint                               (standalone: no internal imports)
 //
-// internal/server and internal/router sit ABOVE the root: they serve the
-// public Tree API over the network (the router multiplying it across a
-// shard fleet, reusing server's client and connection I/O). That is safe
-// (the root never imports them back) and keeps the serving layers off
-// the paper-reproduction core's dependency graph. router/shardmap, by
+// internal/server sits ABOVE the root: it serves the public Tree API over
+// the network. That is safe (the root never imports it back) and keeps
+// the serving layer off the paper-reproduction core's dependency graph.
+// internal/router sits beside the root, not above it: it multiplies a
+// server across a shard fleet through server's client, frame and wire
+// codec, and never touches a tree or a page. router/shardmap, by
 // contrast, is a low layer: it only partitions entries with pack's STR
 // tiling, so index-building tools can shard without touching the
 // serving stack.
@@ -134,10 +135,7 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/pack": true,
 	},
 	"internal/router": {
-		"":                         true, // root strtree: the selftest builds backend trees
-		"internal/geom":            true,
 		"internal/histo":           true,
-		"internal/node":            true,
 		"internal/obs":             true,
 		"internal/router/shardmap": true,
 		"internal/server":          true,
@@ -148,7 +146,6 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/geom":        true,
 		"internal/histo":       true,
 		"internal/obs":         true,
-		"internal/query":       true,
 		"internal/server/wire": true,
 	},
 	"": { // the root strtree package

@@ -3,13 +3,13 @@ package server
 import (
 	"context"
 
-	"demo/internal/query"
+	"demo/internal/geom"
 )
 
 // LookupRemote must not fire: ctxprop looks for a function's Context
 // sibling in the package under check only (for a method, on the value it
-// is called on), and query.Ping belongs to another package.
+// is called on), and geom.Ping belongs to another package.
 func LookupRemote(ctx context.Context) int {
 	_ = ctx
-	return query.Ping()
+	return geom.Ping()
 }

@@ -46,8 +46,8 @@ type BatchExecutor struct {
 	// Observe, when non-nil, receives each query's index and wall-clock
 	// latency as it completes. With more than one worker it is called
 	// concurrently and must be safe for concurrent use. Latency-histogram
-	// consumers (strbench -concurrency, the serving layer's selftest)
-	// hang their percentile accounting here.
+	// consumers (strbench -concurrency) hang their percentile accounting
+	// here.
 	Observe func(i int, d time.Duration)
 	// Metrics, when non-nil, receives the executor's activity counters
 	// and gauges. One ExecMetrics may be shared by many executors (a

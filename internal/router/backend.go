@@ -101,7 +101,7 @@ func (b *backend) close() {
 }
 
 // BackendStats is one backend's health and counter snapshot, exposed for
-// the admin endpoint and the selftest's pruning assertions.
+// the admin endpoint and TestRoutedTopology's pruning assertions.
 type BackendStats struct {
 	Addr      string
 	Ejected   bool

@@ -9,7 +9,7 @@ import (
 )
 
 // BenchmarkRoutedRoundTrip is the serving path end to end as a Go
-// benchmark: one client -> router -> 3 STR shards of the selftest data,
+// benchmark: one client -> router -> 3 STR shards of uniform squares,
 // all in-process over loopback, one request at a time. fan1 requests
 // reach one shard and never leave the router connection's goroutine;
 // fan3 starts two goroutines beside it. check.sh runs one iteration,
@@ -19,7 +19,7 @@ import (
 // box). The measurement of record for latency is bench/'s serve workload
 // (open loop, phase B), where threads are parked between requests.
 func BenchmarkRoutedRoundTrip(b *testing.B) {
-	topo, err := buildTopology(selftestItems(30_000, 7), 3, nil)
+	topo, err := buildTopology(testItems(30_000, 7), 3)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,47 +5,227 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math/rand"
 	"net"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"strtree"
 	"strtree/internal/geom"
 	"strtree/internal/router/shardmap"
 	"strtree/internal/server"
 	"strtree/internal/server/wire"
 )
 
-// TestSelftest runs the full in-process topology proof: identity with
-// the unsharded tree across all ops, pruning via backend counters, and
-// the kill-one-backend failure path — including the admin smoke checks.
-func TestSelftest(t *testing.T) {
-	var out bytes.Buffer
-	err := Selftest(&out, SelftestConfig{
-		Shards:    3,
-		Size:      4000,
-		Queries:   40,
-		Seed:      42,
-		AdminAddr: "127.0.0.1:0",
-	})
+// TestRoutedTopology proves the router's three contracts end to end on
+// an in-process topology (3 STR shards of 8 000 items, 60 probes per op),
+// against one unsharded tree of the same items:
+//
+//  1. Identity: search, count, point search, kNN and batch answer exactly
+//     what the unsharded tree answers (searches as ID sets, kNN as
+//     (distance, ID) sequences, counts exactly).
+//  2. Pruning: per-backend request counters equal the shard-MBR overlap
+//     prediction, and some windows do skip a shard.
+//  3. Failure: a killed backend answers ErrUnavailable in under 3 s, its
+//     ejection is counted (in BackendStats and on /metrics), and the other
+//     shards keep answering.
+//
+// Around them the admin surface: /healthz 200 while serving, 503 from
+// MarkNotReady through a clean drain.
+func TestRoutedTopology(t *testing.T) {
+	const shards, size, queries = 3, 8000, 60
+	items := testItems(size, 1)
+	ref, err := strtree.New(strtree.Options{BufferPages: 256})
 	if err != nil {
-		t.Fatalf("selftest failed: %v\n%s", err, out.String())
+		t.Fatal(err)
 	}
-	for _, want := range []string{"identity:", "pruning:", "failure:", "ejections=", "drain:"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("selftest report missing %q:\n%s", want, out.String())
+	defer func() { _ = ref.Close() }()
+	if err := ref.BulkLoad(items, strtree.PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	topo, err := buildTopology(items, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer topo.close()
+	rt, cl := topo.router, topo.client
+	healthz := func() int {
+		rec := httptest.NewRecorder()
+		rt.AdminHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		return rec.Code
+	}
+	if code := healthz(); code != 200 {
+		t.Fatalf("/healthz while serving = %d, want 200", code)
+	}
+
+	// Identity, and the fan-out each op should have.
+	rng := rand.New(rand.NewSource(2))
+	expected := make([]uint64, shards) // predicted per-backend requests
+	narrow := 0                        // windows that skipped at least one shard
+	for q := 0; q < queries; q++ {
+		x, y := rng.Float64()*0.9, rng.Float64()*0.9
+		win := geom.R2(x, y, x+0.1, y+0.1) // a 1 % window
+		pt := geom.Pt2(rng.Float64(), rng.Float64())
+		k := 1 + rng.Intn(10)
+		hit := topo.m.OverlapRect(win)
+		for _, id := range hit {
+			expected[id] += 2 // search + count
 		}
+		if len(hit) < shards {
+			narrow++
+		}
+		for _, id := range topo.m.OverlapPoint(pt) {
+			expected[id]++
+		}
+		for _, id := range topo.m.All() {
+			expected[id]++ // nearest broadcasts
+		}
+
+		want := refIDs(t, ref, win)
+		got, err := cl.Search(win)
+		if err != nil || !slices.Equal(itemIDs(got), want) {
+			t.Fatalf("search %d: sharded %d items (%v), unsharded %d, or IDs differ", q, len(got), err, len(want))
+		}
+		if n, err := cl.Count(win); err != nil || n != uint64(len(want)) {
+			t.Fatalf("count %d: sharded %d (%v), unsharded %d", q, n, err, len(want))
+		}
+		gotPt, err := cl.SearchPoint(pt)
+		if err != nil || !slices.Equal(itemIDs(gotPt), refIDs(t, ref, strtree.PointRect(pt))) {
+			t.Fatalf("searchpoint %d: results differ (%v)", q, err)
+		}
+		gotNb, err := cl.Nearest(pt, k)
+		if err != nil {
+			t.Fatalf("nearest %d: %v", q, err)
+		}
+		wantNb, wantDists, err := ref.NearestK(pt, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(gotNb) != len(wantNb) {
+			t.Fatalf("nearest %d: sharded %d neighbors, unsharded %d", q, len(gotNb), len(wantNb))
+		}
+		for i := range gotNb {
+			// The merge promises bit-identical distances to the unsharded tree.
+			if gotNb[i].Item.ID != wantNb[i].ID || gotNb[i].Dist != wantDists[i] {
+				t.Fatalf("nearest %d[%d]: sharded (%d, %g), unsharded (%d, %g)",
+					q, i, gotNb[i].Item.ID, gotNb[i].Dist, wantNb[i].ID, wantDists[i])
+			}
+		}
+	}
+	batch := make([]geom.Rect, 8)
+	batchHit := map[int]bool{}
+	for i := range batch {
+		x, y := rng.Float64()*0.9, rng.Float64()*0.9
+		batch[i] = geom.R2(x, y, x+0.1, y+0.1)
+		for _, id := range topo.m.OverlapRect(batch[i]) {
+			batchHit[id] = true
+		}
+	}
+	for id := range batchHit {
+		expected[id]++
+	}
+	gotBatch, err := cl.Batch(batch)
+	if err != nil {
+		t.Fatalf("batch: %v", err)
+	}
+	for i, q := range batch {
+		if !slices.Equal(itemIDs(gotBatch[i]), refIDs(t, ref, q)) {
+			t.Fatalf("batch[%d]: results differ", i)
+		}
+	}
+	// Stats is a cluster aggregate, not comparable to the reference tree:
+	// it fans out to every backend and must report work done.
+	for _, id := range topo.m.All() {
+		expected[id]++
+	}
+	if st, err := cl.Stats(); err != nil || st.Completed == 0 || st.LogicalReads == 0 {
+		t.Fatalf("stats: aggregate reports no work (completed=%d logical=%d, %v)", st.Completed, st.LogicalReads, err)
+	}
+
+	// Pruning: no shard was asked anything the map could prove empty.
+	if narrow == 0 {
+		t.Fatal("no window skipped a shard; the geometry gives pruning nothing to prove")
+	}
+	for i, b := range rt.BackendStats() {
+		if b.Requests != expected[i] {
+			t.Errorf("backend %d (%s) saw %d requests, shard-MBR prediction is %d", i, b.Addr, b.Requests, expected[i])
+		}
+		if b.Errors != 0 || b.Retries != 0 || b.Ejections != 0 {
+			t.Errorf("backend %d unhealthy before the kill: %+v", i, b)
+		}
+	}
+
+	// Kill backend 0: a window inside its MBR must answer unavailable
+	// promptly, not hang until a transport timeout.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := topo.backends[0].Shutdown(ctx); err != nil {
+		t.Fatalf("killing backend 0: %v", err)
+	}
+	middle := func(shard int) geom.Rect {
+		r := topo.m.Shards[shard].MBR.Rect()
+		cx, cy := (r.Min[0]+r.Max[0])/2, (r.Min[1]+r.Max[1])/2
+		return geom.R2(cx, cy, cx+1e-6, cy+1e-6)
+	}
+	t0 := time.Now()
+	if _, err := cl.Count(middle(0)); !errors.Is(err, server.ErrUnavailable) {
+		t.Fatalf("query into the killed shard: %v, want ErrUnavailable", err)
+	}
+	if d := time.Since(t0); d > 3*time.Second {
+		t.Fatalf("unavailable answer took %v; it must fail fast, not hang", d)
+	}
+	if b := rt.BackendStats()[0]; b.Ejections == 0 {
+		t.Fatalf("backend 0 not ejected after the kill: %+v", b)
+	}
+	if _, err := cl.Count(middle(shards - 1)); err != nil {
+		t.Fatalf("healthy shard stopped answering after an unrelated kill: %v", err)
+	}
+	var metrics bytes.Buffer
+	if err := rt.Registry().WritePrometheus(&metrics); err != nil {
+		t.Fatal(err)
+	}
+	requestSeries, ejected := 0, false
+	for _, line := range strings.Split(metrics.String(), "\n") {
+		if strings.HasPrefix(line, "strrouter_backend_requests_total{") {
+			requestSeries++
+		}
+		if strings.HasPrefix(line, "strrouter_backend_ejections_total{") && !strings.HasSuffix(line, " 0") {
+			ejected = true
+		}
+	}
+	if requestSeries != shards || !ejected {
+		t.Fatalf("/metrics after the kill: %d strrouter_backend_requests_total samples (want %d), non-zero ejections %v\n%s",
+			requestSeries, shards, ejected, metrics.String())
+	}
+	for _, family := range []string{"strrouter_backend_requests_total", "strrouter_backend_ejections_total"} {
+		if !strings.Contains(metrics.String(), "# TYPE "+family+" counter\n") {
+			t.Errorf("/metrics: %s is not typed a counter", family)
+		}
+	}
+
+	// The readiness flip, then a clean drain behind it.
+	rt.MarkNotReady()
+	if code := healthz(); code != 503 {
+		t.Fatalf("/healthz after MarkNotReady = %d, want 503", code)
+	}
+	if err := rt.Shutdown(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if code := healthz(); code != 503 {
+		t.Fatalf("/healthz after the drain = %d, want 503", code)
 	}
 }
 
-// TestRouterEdges drives the running topology through the edges the
-// selftest's randomized workload does not pin down: a query outside
+// TestRouterEdges drives the running topology through the edges
+// TestRoutedTopology's randomized workload does not pin down: a query outside
 // every shard (empty fan-out), a dimensionality mismatch, and a window
 // spanning all shards.
 func TestRouterEdges(t *testing.T) {
-	items := selftestItems(500, 7)
-	topo, err := buildTopology(items, 2, nil)
+	items := testItems(500, 7)
+	topo, err := buildTopology(items, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +275,7 @@ func TestNewRejectsBadMaps(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil map accepted")
 	}
-	items := selftestItems(100, 1)
+	items := testItems(100, 1)
 	m, _, err := partitionItems(items, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +289,8 @@ func TestNewRejectsBadMaps(t *testing.T) {
 // TestRouterAdminSurface exercises the admin handler directly: metrics
 // exposition, the JSON stats mirror, and the readiness flip.
 func TestRouterAdminSurface(t *testing.T) {
-	items := selftestItems(300, 3)
-	topo, err := buildTopology(items, 2, nil)
+	items := testItems(300, 3)
+	topo, err := buildTopology(items, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

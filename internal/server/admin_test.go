@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -78,6 +79,20 @@ func newAdminFixture(t *testing.T, cfg Config) *adminFixture {
 	cl := Dial(ln.Addr().String())
 	t.Cleanup(func() { _ = cl.Close() })
 	return &adminFixture{srv: srv, admin: admin, cl: cl, logs: logs}
+}
+
+// httpGet fetches one admin URL, returning status code and body.
+func httpGet(url string) (int, string, error) {
+	resp, err := http.Get(url)
+	if err != nil {
+		return 0, "", err
+	}
+	defer func() { _ = resp.Body.Close() }()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return 0, "", err
+	}
+	return resp.StatusCode, string(body), nil
 }
 
 func (f *adminFixture) get(t *testing.T, path string) (int, string) {

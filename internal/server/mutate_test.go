@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"strtree"
 	"strtree/internal/geom"
 )
 
@@ -110,65 +111,97 @@ func TestServerMutateDimsMismatch(t *testing.T) {
 // TestServerMutateConcurrentWithQueries hammers the tree lock: writer
 // goroutines insert and delete through the wire while reader goroutines
 // query, and the tree must come out consistent. Run under -race this is
-// the serving layer's mutation/query exclusion proof.
+// the serving layer's mutation/query exclusion proof. The load row is
+// the read path alone at full width: 32 clients of 100 counts each over
+// a sharded pool, admission at twice the clients, every answer OK and no
+// request failed server-side.
 func TestServerMutateConcurrentWithQueries(t *testing.T) {
-	tree := buildTree(t, 300)
-	defer func() { _ = tree.Close() }()
-	_, addr := startServer(t, tree, Config{Mutable: true, MaxInFlight: 32})
+	churnRead := func(cl *Client, rng *rand.Rand) error {
+		lo := rng.Float64() * 5
+		if _, err := cl.Search(geom.R2(lo, lo, lo+1, lo+1)); err != nil {
+			return err
+		}
+		_, err := cl.Count(geom.R2(0, 0, 6, 6))
+		return err
+	}
+	countRead := func(cl *Client, rng *rand.Rand) error {
+		x, y := rng.Float64()*0.9, rng.Float64()*0.9
+		_, err := cl.Count(geom.R2(x, y, x+0.1, y+0.1)) // a 1 % window
+		return err
+	}
+	for _, tc := range []struct {
+		name                      string
+		opts                      strtree.Options
+		items, maxInFlight        int
+		writers, readers, opsEach int
+		read                      func(*Client, *rand.Rand) error
+	}{
+		{"churn", strtree.Options{Capacity: 16, BufferPages: 64}, 300, 32, 2, 4, 40, churnRead},
+		{"load", strtree.Options{BufferPages: 256, BufferShards: 8}, 10_000, 64, 0, 32, 100, countRead},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tree, err := strtree.New(tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = tree.Close() }()
+			if err := tree.BulkLoad(uniformItems(tc.items, 42), strtree.PackSTR); err != nil {
+				t.Fatal(err)
+			}
+			srv, addr := startServer(t, tree, Config{Mutable: true, MaxInFlight: tc.maxInFlight})
 
-	const writers, readers, opsEach = 2, 4, 40
-	var wg sync.WaitGroup
-	errs := make(chan error, writers+readers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			cl := Dial(addr)
-			defer func() { _ = cl.Close() }()
-			rng := rand.New(rand.NewSource(int64(7000 + w)))
-			for i := 0; i < opsEach; i++ {
-				id := uint64(w)<<32 | uint64(i)
-				lo := rng.Float64() * 5
-				r := geom.R2(lo, lo, lo+0.1, lo+0.1)
-				if _, err := cl.Insert(r, id); err != nil {
-					errs <- err
-					return
-				}
-				if i%2 == 1 {
-					if _, _, err := cl.Delete(r, id); err != nil {
-						errs <- err
-						return
+			var wg sync.WaitGroup
+			errs := make(chan error, tc.writers+tc.readers)
+			for w := 0; w < tc.writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					cl := Dial(addr)
+					defer func() { _ = cl.Close() }()
+					rng := rand.New(rand.NewSource(int64(7000 + w)))
+					for i := 0; i < tc.opsEach; i++ {
+						id := uint64(w)<<32 | uint64(i)
+						lo := rng.Float64() * 5
+						r := geom.R2(lo, lo, lo+0.1, lo+0.1)
+						if _, err := cl.Insert(r, id); err != nil {
+							errs <- err
+							return
+						}
+						if i%2 == 1 {
+							if _, _, err := cl.Delete(r, id); err != nil {
+								errs <- err
+								return
+							}
+						}
 					}
-				}
+				}(w)
 			}
-		}(w)
-	}
-	for g := 0; g < readers; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			cl := Dial(addr)
-			defer func() { _ = cl.Close() }()
-			rng := rand.New(rand.NewSource(int64(8000 + g)))
-			for i := 0; i < opsEach; i++ {
-				lo := rng.Float64() * 5
-				if _, err := cl.Search(geom.R2(lo, lo, lo+1, lo+1)); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := cl.Count(geom.R2(0, 0, 6, 6)); err != nil {
-					errs <- err
-					return
-				}
+			for g := 0; g < tc.readers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					cl := Dial(addr)
+					defer func() { _ = cl.Close() }()
+					rng := rand.New(rand.NewSource(int64(8000 + g)))
+					for i := 0; i < tc.opsEach; i++ {
+						if err := tc.read(cl, rng); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}(g)
 			}
-		}(g)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatalf("post-churn invariants: %v", err)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+			if st := srv.Stats(); st.Failed != 0 {
+				t.Fatalf("%d requests failed server-side", st.Failed)
+			}
+			if err := tree.CheckInvariants(); err != nil {
+				t.Fatalf("post-churn invariants: %v", err)
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@
 // the handler the frame calls: one request executed against the tree.
 // The wire protocol lives in internal/server/wire; a Go client with
 // connection reuse in client.go; the run-until-signal loop of both
-// binaries in run.go; an in-process load harness in selftest.go.
+// binaries in run.go.
 package server
 
 import (

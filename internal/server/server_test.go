@@ -1,9 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
+	"math"
+	"math/rand"
 	"net"
 	"testing"
 	"time"
@@ -13,6 +14,23 @@ import (
 	"strtree/internal/server/wire"
 	"strtree/internal/storage"
 )
+
+// uniformItems generates n uniformly placed squares in the unit square,
+// the paper's UNIFORM distribution shape, sized for ~5% total coverage.
+func uniformItems(n int, seed int64) []strtree.Item {
+	rng := rand.New(rand.NewSource(seed))
+	side := 0.0
+	if n > 0 {
+		side = math.Sqrt(0.05 / float64(n))
+	}
+	items := make([]strtree.Item, n)
+	for i := range items {
+		x := rng.Float64() * (1 - side)
+		y := rng.Float64() * (1 - side)
+		items[i] = strtree.Item{Rect: geom.R2(x, y, x+side, y+side), ID: uint64(i)}
+	}
+	return items
+}
 
 // buildTree packs n uniform squares into an in-memory tree.
 func buildTree(t *testing.T, n int) *strtree.Tree {
@@ -210,18 +228,4 @@ func TestServerExecutionErrors(t *testing.T) {
 		t.Errorf("storage failure not logged: %q", logs.all())
 	}
 	fp.FailReads(nil)
-}
-
-// TestSelftest smoke-runs the in-process harness with small parameters.
-func TestSelftest(t *testing.T) {
-	var out bytes.Buffer
-	err := Selftest(&out, SelftestConfig{
-		Clients: 4, QueriesPerClient: 25, Size: 2000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatalf("selftest: %v\n%s", err, out.String())
-	}
-	if !bytes.Contains(out.Bytes(), []byte("qps")) {
-		t.Fatalf("report missing throughput:\n%s", out.String())
-	}
 }
