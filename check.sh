@@ -53,7 +53,14 @@
 #                     load, admin, identity, pruning and kill assertions
 #                     are internal/server's TestServerMutateConcurrent…
 #                     and TestAdmin… and internal/router's
-#                     TestRoutedTopology
+#                     TestRoutedTopology — and a sixth: each page-record
+#                     question has one kernel in internal/node (a k = 2
+#                     arm and one strided loop), so no non-test .go file
+#                     names a retired copy — unionRecords,
+#                     leastEnlargementEach, mbrInto, unionRecord(,
+#                     recordRect(, recordCenter(, RecordValid — and none
+#                     outside internal/node and bench/ calls the per-entry
+#                     references IntersectsQuery( or .MinDist(
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -179,6 +186,9 @@ if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPo
 if grep -nw 'node\.Entry' internal/extsort/*.go internal/pack/external.go internal/rtree/stream.go | grep -v '_test\.go:\|^internal/extsort/entries\.go:'; then echo "the external build moves page records, not node.Entry values; only extsort's Sort adapter (entries.go) takes entries" >&2; exit 1; fi
 
 if grep -rni 'selftest\|adminsmoke\|seriesexpect' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "the serving proofs are tests (internal/server, internal/router _test.go files), not a harness in the library or a flag of a binary" >&2; exit 1; fi
+
+if grep -rn 'unionRecords\|leastEnlargementEach\|mbrInto\|unionRecord(\|recordRect(\|recordCenter(\|RecordValid' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired copy of a page-record kernel is back outside _test.go: the MBR of a run of records is node.UnionRecords, a record's centre node.RecordCenter, its validity node.FirstInvalid, and each View kernel is a k = 2 arm plus one strided loop" >&2; exit 1; fi
+if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "IntersectsQuery and MinDist are per-entry references for tests and bench/: library code asks a page with AppendIntersecting, AppendMatches or AppendMinDist" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

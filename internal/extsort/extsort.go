@@ -39,8 +39,7 @@ func ByCenter(axis int) Key { return Key{axis: axis} }
 
 // of keys the record rec starts with by its centre, as psort.Perm does.
 func (k Key) of(rec []byte) uint64 {
-	lo, hi := node.RecordWord(rec, 2*k.axis), node.RecordWord(rec, 2*k.axis+1)
-	return psort.Float64Key(lo + (hi-lo)/2)
+	return psort.Float64Key(node.RecordCenter(rec, k.axis))
 }
 
 // prefetchBatch is how many records one merge read-ahead batch holds; each

@@ -28,7 +28,9 @@ import (
 //
 // The same inputs hold the header-only constructor to its two promises
 // (checkTrustedView): it never hands out a view an accessor can run off the
-// page with, and it never disagrees with MakeView about a page both accept.
+// page with, and it never disagrees with MakeView about a page both accept;
+// over its unvalidated words the kernels still match their references,
+// MBRInto the word loop among them.
 func FuzzViewEquivalence(f *testing.F) {
 	// Valid pages across levels, dimensionalities and fills.
 	for _, tc := range []struct{ level, dims, count int }{
@@ -184,6 +186,11 @@ func checkTrustedView(t *testing.T, page []byte, v View, vErr error) {
 		checkScan(t, tv, nil, scratch) // the last entry's words as the query
 		checkDists(t, tv, scratch.Max) // and as the point
 		tv.MBRInto(&scratch)
+		got := make([]byte, EntrySize(dims))
+		PutRecord(got, scratch, tv.EntryRef(0))
+		if want := recordsMBR(tv.records(), dims); !slices.Equal(got, want) {
+			t.Fatalf("dims %d count %d: MBRInto wrote % x, the word loop % x", dims, tv.Count(), got, want)
+		}
 	}
 	_, _ = tv.IsLeaf(), coords
 }

@@ -73,20 +73,6 @@ func Capacity(pageSize, dims int) int {
 // IsLeaf reports whether the node is at the leaf level.
 func (n *Node) IsLeaf() bool { return n.Level == 0 }
 
-// MBR returns the minimum bounding rectangle of the node's entries, the
-// rectangle stored for this node one level up.
-func (n *Node) MBR() geom.Rect {
-	if len(n.Entries) == 0 {
-		//strlint:ignore panics documented contract: an empty node has no MBR, and builders never produce one
-		panic("node: MBR of empty node")
-	}
-	m := n.Entries[0].Rect.Clone()
-	for _, e := range n.Entries[1:] {
-		m.UnionInPlace(e.Rect)
-	}
-	return m
-}
-
 // Reset clears the node for reuse, keeping allocated capacity.
 func (n *Node) Reset(level, dims int) {
 	n.Level = level
@@ -156,7 +142,7 @@ func seal(page []byte, level, dims, count, end int) {
 // path's one page writer (internal/rtree's split, forced reinsertion and
 // root growth). It keeps every check Marshal and MutableView.AppendEntry
 // make — dims, level and count in range, the records fit the page, every
-// record a valid rectangle (the stride walk MakeView runs) — and makes all
+// record a valid rectangle (FirstInvalid, as MakeView checks) — and makes all
 // of them before the first byte is written, so a failing fill leaves page
 // untouched. recs must not overlap page.
 func FillRecords(page []byte, level, dims int, recs []byte) error {
@@ -178,7 +164,7 @@ func FillRecords(page []byte, level, dims int, recs []byte) error {
 	if end > len(page) {
 		return fmt.Errorf("node: %d entries need %d bytes, page is %d", count, end, len(page))
 	}
-	if i := firstInvalid(recs, dims); i < count {
+	if i := FirstInvalid(recs, dims); i < count {
 		return fmt.Errorf("%w: record %d has an invalid rectangle", ErrCorrupt, i)
 	}
 	copy(page[HeaderSize:end], recs)

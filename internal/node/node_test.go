@@ -181,6 +181,20 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	}
 }
 
+// MBR returns the minimum bounding rectangle of the node's entries, grown
+// by geom.Rect.UnionInPlace from a clone of the first: the reference the
+// record kernels' MBRs are held to. It panics on an empty node.
+func (n *Node) MBR() geom.Rect {
+	if len(n.Entries) == 0 {
+		panic("node: MBR of empty node")
+	}
+	m := n.Entries[0].Rect.Clone()
+	for _, e := range n.Entries[1:] {
+		m.UnionInPlace(e.Rect)
+	}
+	return m
+}
+
 func TestNodeMBR(t *testing.T) {
 	n := &Node{Level: 0, Dims: 2, Entries: []Entry{
 		{Rect: geom.R2(0.1, 0.2, 0.3, 0.4)},

@@ -10,17 +10,19 @@ package node
 // the whole entry array — AppendIntersecting (which entries meet a window),
 // AppendMatches (the same test, banking each match's coordinates and ref as
 // it is found: the leaf arm of a search), AppendMinDist (every entry's
-// distance to a point: nearest-neighbour search) and LeastEnlargement (an
-// insert's descent). Each has a k = 2 arm that loads its argument once and
-// walks the entries by stride with no bounds check in the loop, and a
-// fallback for any other k built on the per-entry accessors below it
-// (IntersectsQuery, AppendEntryCoords, EntryRef, MinDist), which are also
-// the references the arms are tested against, word for word, on arbitrary
-// page bytes (view_test.go, FuzzViewEquivalence). MakeView's rectangle check
-// is the fifth kernel, with the same two arms (firstInvalid over
-// RecordValid), and FillRecords (node.go) runs it on the records it is
-// about to write; Unmarshal keeps its own per-entry check, because it is the
-// independent reference MakeView's verdicts are held to (FuzzViewRectCheck).
+// distance to a point: nearest-neighbour search), LeastEnlargement (an
+// insert's descent) and MBRInto (the page's MBR, by UnionRecords). MakeView's
+// rectangle check is FirstInvalid, which FillRecords (node.go) also runs on
+// the records it is about to write. Each kernel is two loops: a k = 2 arm
+// that loads its argument once and walks the entries by a constant stride
+// with no bounds check in the loop, and one strided walk over the record
+// array, an inner loop over the axes, for any other k. The per-entry
+// accessors (IntersectsQuery, AppendEntryCoords, EntryRef, MinDist,
+// EntryRectInto) answer for one entry; no kernel calls them, and they are
+// the references both loops are held to, word for word, on arbitrary page
+// bytes (view_test.go, FuzzViewEquivalence). Unmarshal keeps its own
+// per-entry rectangle check, the independent reference MakeView's verdicts
+// are held to (FuzzViewRectCheck).
 //
 // Lifetime contract: a View aliases the page slice it was created over and
 // is valid only as long as those bytes are stable — for a buffer-managed
@@ -85,45 +87,12 @@ func MakeView(page []byte) (View, error) {
 	if got, want := crc32.ChecksumIEEE(page[HeaderSize:end]), binary.LittleEndian.Uint32(page[8:]); got != want {
 		return View{}, fmt.Errorf("%w: crc %08x, header says %08x", ErrBadChecksum, got, want)
 	}
-	if i := firstInvalid(page[HeaderSize:end], v.dims); i < v.count {
+	if i := FirstInvalid(page[HeaderSize:end], v.dims); i < v.count {
 		// Materialize the offending rectangle only on the error path,
 		// to match Unmarshal's diagnostic.
 		return View{}, fmt.Errorf("%w: entry %d has invalid rectangle %v", ErrCorrupt, i, v.EntryRect(i))
 	}
 	return v, nil
-}
-
-// firstInvalid returns the index of the first record of recs — whole entries
-// of dims axes in the page layout — that is not a well-formed rectangle
-// (RecordValid false), or the number of records if every one is: MakeView's
-// rectangle check, and FillRecords'. At k = 2 the records are walked by
-// stride with no bounds check in the loop and one !(lo <= hi) per axis, which
-// is true for a NaN on either side and for an inversion — RecordValid's three
-// tests in one comparison, so the two agree on any words: 1.7 ns per entry.
-// Any other k runs RecordValid per record.
-func firstInvalid(recs []byte, dims int) int {
-	if dims != 2 {
-		size := EntrySize(dims)
-		n := len(recs) / size
-		for i := 0; i < n; i++ {
-			if !RecordValid(recs[i*size:], dims) {
-				return i
-			}
-		}
-		return n
-	}
-	const size = 2*16 + 8 // EntrySize(2): a constant stride proves every load in bounds
-	i := 0
-	for ents := recs; len(ents) >= size; i, ents = i+1, ents[size:] {
-		x0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[0:]))
-		x1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[8:]))
-		y0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[16:]))
-		y1 := math.Float64frombits(binary.LittleEndian.Uint64(ents[24:]))
-		if !(x0 <= x1) || !(y0 <= y1) {
-			return i
-		}
-	}
-	return i
 }
 
 // MakeTrustedView returns a view over a page whose payload the caller
@@ -157,21 +126,6 @@ func MakeTrustedView(page []byte) (View, error) {
 	return View{page: page, dims: dims, level: level, count: count}, nil
 }
 
-// RecordValid reports whether the record rec starts with decodes to a
-// well-formed rectangle: no NaN coordinates and Min <= Max on every axis
-// (geom.Rect.Valid over the wire words, without building the rectangle):
-// firstInvalid's step for k != 2, and the streaming bulk loader's check.
-func RecordValid(rec []byte, dims int) bool {
-	for d := 0; d < dims; d++ {
-		lo := math.Float64frombits(binary.LittleEndian.Uint64(rec[16*d:]))
-		hi := math.Float64frombits(binary.LittleEndian.Uint64(rec[16*d+8:]))
-		if math.IsNaN(lo) || math.IsNaN(hi) || lo > hi {
-			return false
-		}
-	}
-	return true
-}
-
 // Level returns the node's level (0 = leaf).
 func (v View) Level() int { return v.level }
 
@@ -194,20 +148,6 @@ func (v View) EntryRef(i int) uint64 {
 	return binary.LittleEndian.Uint64(v.page[off:])
 }
 
-// EntryID is EntryRef under its leaf-level meaning: the data object's
-// identifier. Provided so leaf-iterating code reads naturally.
-func (v View) EntryID(i int) uint64 { return v.EntryRef(i) }
-
-// EntryMin returns coordinate d of entry i's lower corner.
-func (v View) EntryMin(i, d int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.page[v.entryOff(i)+16*d:]))
-}
-
-// EntryMax returns coordinate d of entry i's upper corner.
-func (v View) EntryMax(i, d int) float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(v.page[v.entryOff(i)+16*d+8:]))
-}
-
 // EntryRect returns entry i's rectangle as a freshly allocated geom.Rect.
 // Hot paths should prefer EntryRectInto with reused storage; this form
 // exists for call sites where an owned rectangle is the point (error
@@ -223,12 +163,7 @@ func (v View) EntryRect(i int) geom.Rect {
 // allocation-free traversal decodes every emitted match into one scratch
 // rectangle.
 func (v View) EntryRectInto(i int, dst *geom.Rect) {
-	off := v.entryOff(i)
-	for d := 0; d < v.dims; d++ {
-		dst.Min[d] = math.Float64frombits(binary.LittleEndian.Uint64(v.page[off:]))
-		dst.Max[d] = math.Float64frombits(binary.LittleEndian.Uint64(v.page[off+8:]))
-		off += 16
-	}
+	RecordRectInto(v.page[v.entryOff(i):], dst)
 }
 
 // AppendEntryCoords appends entry i's coordinates to dst as Min[0..dims)
@@ -251,11 +186,11 @@ func (v View) AppendEntryCoords(dst []float64, i int) []float64 {
 
 // IntersectsQuery reports whether entry i's rectangle intersects q
 // (closed-box semantics, exactly geom.Rect.Intersects over the raw words)
-// for any dimensionality. It is the reference the page kernel is tested
-// against and the inner step of its k-dimensional fallback, not what a
-// traversal calls per entry: a call copies the View and q, re-derives the
-// entry offset and bounds-checks every load — 21 ns per entry on a 2-D page
-// (BenchmarkViewScan), most of a buffered query when the traversals used it.
+// for any dimensionality. It is the reference the window kernels are tested
+// against, not what a traversal calls per entry: a call copies the View and
+// q, re-derives the entry offset and bounds-checks every load — 21 ns per
+// entry on a 2-D page (BenchmarkViewScan), most of a buffered query when the
+// traversals used it.
 func (v View) IntersectsQuery(q geom.Rect, i int) bool {
 	off := v.entryOff(i)
 	miss := false
@@ -268,21 +203,40 @@ func (v View) IntersectsQuery(q geom.Rect, i int) bool {
 	return !miss
 }
 
+// records returns the page's entry array: Count whole records of Dims axes.
+func (v View) records() []byte {
+	return v.page[HeaderSize:v.entryOff(v.count)]
+}
+
+// meets reports whether the record rec starts with, of len(qlo) axes,
+// intersects the box [qlo, qhi]: IntersectsQuery's comparisons, stopping at
+// the first axis that misses. It is the window kernels' strided step for any
+// k.
+func meets(rec []byte, qlo, qhi []float64) bool {
+	for d := range qlo {
+		if RecordWord(rec, 2*d) > qhi[d] || qlo[d] > RecordWord(rec, 2*d+1) {
+			return false
+		}
+	}
+	return true
+}
+
 // AppendIntersecting appends to dst the indices, ascending, of the entries
 // whose rectangles intersect q — {i : IntersectsQuery(q, i)} — and returns
 // the extended slice: the window test of every visited page whose matches
 // are wanted by index (internal nodes, a count's leaves, FindLeaf), into
-// scratch the caller owns. At k = 2 the query bounds are loaded
-// once and the entry array, sliced once, is walked by stride with no bounds
-// check in the loop: 1.7 ns per entry. Any other k goes entry by entry
-// through IntersectsQuery. The comparisons are IntersectsQuery's own, so
-// the two agree on any words, NaNs included, and there is no early exit:
-// every entry of the page is tested, as the access counts assume.
+// scratch the caller owns. At k = 2 the query bounds are loaded once and
+// the entries walked by a constant stride: 1.7 ns per entry. Any other k
+// walks the records by stride with an inner loop over the axes. The
+// comparisons are IntersectsQuery's own, so the kernel agrees with it on
+// any words, NaNs included, and every entry of the page is tested, as the
+// access counts assume.
 func (v View) AppendIntersecting(dst []int32, q geom.Rect) []int32 {
 	if v.dims != 2 || len(q.Min) != 2 || len(q.Max) != 2 {
-		for i := 0; i < v.count; i++ {
-			if v.IntersectsQuery(q, i) {
-				dst = append(dst, int32(i))
+		size, qlo, qhi := EntrySize(v.dims), q.Min[:v.dims], q.Max[:v.dims]
+		for i, ents := int32(0), v.records(); len(ents) >= size; i, ents = i+1, ents[size:] {
+			if meets(ents, qlo, qhi) {
+				dst = append(dst, i)
 			}
 		}
 		return dst
@@ -310,15 +264,22 @@ func (v View) AppendIntersecting(dst []int32, q geom.Rect) []int32 {
 // Max[0..dims)), its ref to refs — so a leaf is read once instead of once
 // for the test and twice more per match. It returns both extended slices;
 // match j's rectangle is slab[2*dims*j : 2*dims*(j+1)] past slab's old
-// length. The k = 2 arm shares AppendIntersecting's loop; any other k goes
-// entry by entry through IntersectsQuery, AppendEntryCoords and EntryRef.
+// length. Both arms share AppendIntersecting's walk.
 func (v View) AppendMatches(slab []float64, refs []uint64, q geom.Rect) ([]float64, []uint64) {
 	if v.dims != 2 || len(q.Min) != 2 || len(q.Max) != 2 {
-		for i := 0; i < v.count; i++ {
-			if v.IntersectsQuery(q, i) {
-				slab = v.AppendEntryCoords(slab, i)
-				refs = append(refs, v.EntryRef(i))
+		k := v.dims
+		size, qlo, qhi := EntrySize(k), q.Min[:k], q.Max[:k]
+		for ents := v.records(); len(ents) >= size; ents = ents[size:] {
+			if !meets(ents, qlo, qhi) {
+				continue
 			}
+			for w := 0; w < 2*k; w += 2 {
+				slab = append(slab, RecordWord(ents, w))
+			}
+			for w := 1; w < 2*k; w += 2 {
+				slab = append(slab, RecordWord(ents, w))
+			}
+			refs = append(refs, RecordRef(ents, k))
 		}
 		return slab, refs
 	}
@@ -360,19 +321,31 @@ func (v View) CoveredBy(q geom.Rect, i int) bool {
 // LeastEnlargement returns the index of the entry whose rectangle needs the
 // least enlargement to cover r, ties broken by smaller area and then by lower
 // index (Guttman's ChooseLeaf step CL3): the one choice an insert's descent
-// makes per visited page. At k = 2 r is loaded once and the entry array walked
-// by stride, computing what geom.Rect.Enlargement and Area compute, operation
-// for operation — the conversions keep a compiler from fusing the multiply
-// into the subtract — so the choice is the per-entry loop's on any words.
-// Any other k runs that loop, decoding each entry into scratch (Dims long).
-// An empty page answers 0.
-func (v View) LeastEnlargement(r geom.Rect, scratch *geom.Rect) int {
+// makes per visited page. Both arms load r once and walk the entries by
+// stride, computing what geom.Rect.Enlargement and Area compute, operation
+// for operation — the conversions keep a compiler from fusing a multiply
+// into the subtract — so the choice is that of a loop over decoded entries
+// on any words (FuzzLeastEnlargement). An empty page answers 0.
+func (v View) LeastEnlargement(r geom.Rect) int {
+	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
 	if v.dims != 2 || len(r.Min) != 2 || len(r.Max) != 2 {
-		return v.leastEnlargementEach(r, scratch)
+		size, rlo, rhi := EntrySize(v.dims), r.Min[:v.dims], r.Max[:v.dims]
+		for i, ents := 0, v.records(); len(ents) >= size; i, ents = i+1, ents[size:] {
+			area, u := 1.0, 1.0
+			for d := range rlo {
+				lo, hi := RecordWord(ents, 2*d), RecordWord(ents, 2*d+1)
+				area = float64(area * (hi - lo))
+				u = float64(u * (max(hi, rhi[d]) - min(lo, rlo[d])))
+			}
+			//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
+			if enl := u - area; enl < bestEnl || (enl == bestEnl && area < bestArea) {
+				best, bestEnl, bestArea = i, enl, area
+			}
+		}
+		return best
 	}
 	const size = 2*16 + 8 // EntrySize(2)
 	rx0, ry0, rx1, ry1 := r.Min[0], r.Min[1], r.Max[0], r.Max[1]
-	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
 	ents := v.page[HeaderSize : HeaderSize+v.count*size]
 	for i := 0; len(ents) >= size; i, ents = i+1, ents[size:] {
 		x0 := math.Float64frombits(binary.LittleEndian.Uint64(ents[0:]))
@@ -389,26 +362,10 @@ func (v View) LeastEnlargement(r geom.Rect, scratch *geom.Rect) int {
 	return best
 }
 
-// leastEnlargementEach is LeastEnlargement for any dimensionality, one
-// decoded entry at a time: the fallback, and the reference the k = 2 arm is
-// tested against.
-func (v View) leastEnlargementEach(r geom.Rect, scratch *geom.Rect) int {
-	best, bestEnl, bestArea := 0, math.Inf(1), math.Inf(1)
-	for i := 0; i < v.count; i++ {
-		v.EntryRectInto(i, scratch)
-		enl, area := scratch.Enlargement(r), scratch.Area()
-		//strlint:ignore floateq exact tie-break on equal enlargement, per Guttman; a tolerance would misclassify near-ties
-		if enl < bestEnl || (enl == bestEnl && area < bestArea) {
-			best, bestEnl, bestArea = i, enl, area
-		}
-	}
-	return best
-}
-
 // MinDist returns the minimum Euclidean distance from point p to entry
 // i's rectangle (0 if p is inside), decoded in place: the reference
 // AppendMinDist, the nearest-neighbour traversal's page kernel, is tested
-// against, and the inner step of its k-dimensional fallback.
+// against.
 func (v View) MinDist(p geom.Point, i int) float64 {
 	off := v.entryOff(i)
 	sum := 0.0
@@ -431,14 +388,26 @@ func (v View) MinDist(p geom.Point, i int) float64 {
 // AppendMinDist appends MinDist(p, i) for every entry of the page, in entry
 // order, to dst and returns the extended slice: the one pass a best-first
 // nearest-neighbour search makes over a visited page, after which it touches
-// only the entries that can still win. At k = 2 p is loaded once and the
-// entry array walked by stride, computing what MinDist computes, operation
-// for operation, so the two agree on any words; any other k calls MinDist
-// per entry.
+// only the entries that can still win. p has Dims coordinates. Both arms
+// load p once and walk the entries by stride, computing what MinDist
+// computes, operation for operation, so the two agree on any words.
 func (v View) AppendMinDist(dst []float64, p geom.Point) []float64 {
 	if v.dims != 2 || len(p) != 2 {
-		for i := 0; i < v.count; i++ {
-			dst = append(dst, v.MinDist(p, i))
+		size, p := EntrySize(v.dims), p[:v.dims]
+		for ents := v.records(); len(ents) >= size; ents = ents[size:] {
+			sum := 0.0
+			for d, c := range p {
+				lo, hi := RecordWord(ents, 2*d), RecordWord(ents, 2*d+1)
+				var dd float64
+				switch {
+				case c < lo:
+					dd = lo - c
+				case c > hi:
+					dd = c - hi
+				}
+				sum += dd * dd
+			}
+			dst = append(dst, math.Sqrt(sum))
 		}
 		return dst
 	}
@@ -469,27 +438,15 @@ func (v View) AppendMinDist(dst []float64, p geom.Point) []float64 {
 }
 
 // MBRInto computes the minimum bounding rectangle of the page's entries
-// into dst, whose Min and Max must already have length Dims. It panics on
-// an empty page, matching Node.MBR's contract.
+// into dst, whose Min and Max must already have length Dims: the first
+// entry's rectangle grown over the rest by UnionRecords. It panics on an
+// empty page, which has no MBR.
 func (v View) MBRInto(dst *geom.Rect) {
 	if v.count == 0 {
-		//strlint:ignore panics documented contract: an empty node has no MBR, matching Node.MBR
+		//strlint:ignore panics documented contract: an empty node has no MBR, and no tree holds one
 		panic("node: MBR of empty view")
 	}
-	v.EntryRectInto(0, dst)
-	off := v.entryOff(1)
-	for i := 1; i < v.count; i++ {
-		for d := 0; d < v.dims; d++ {
-			lo := math.Float64frombits(binary.LittleEndian.Uint64(v.page[off:]))
-			hi := math.Float64frombits(binary.LittleEndian.Uint64(v.page[off+8:]))
-			if lo < dst.Min[d] {
-				dst.Min[d] = lo
-			}
-			if hi > dst.Max[d] {
-				dst.Max[d] = hi
-			}
-			off += 16
-		}
-		off += 8
-	}
+	recs := v.records()
+	RecordRectInto(recs, dst)
+	UnionRecords(dst, recs[EntrySize(v.dims):])
 }

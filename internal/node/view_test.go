@@ -25,6 +25,15 @@ func marshalSample(t testing.TB, level, dims, count int, seed int64) ([]byte, *N
 	return page, n
 }
 
+// EntryID is EntryRef under its leaf-level meaning, EntryMin and EntryMax
+// one word of entry i's lower and upper corner on axis d: the single-word
+// accessors the decoders are held to.
+func (v View) EntryID(i int) uint64 { return v.EntryRef(i) }
+
+func (v View) EntryMin(i, d int) float64 { return RecordWord(v.page[v.entryOff(i):], 2*d) }
+
+func (v View) EntryMax(i, d int) float64 { return RecordWord(v.page[v.entryOff(i):], 2*d+1) }
+
 func TestViewAccessorsMatchUnmarshal(t *testing.T) {
 	for _, tc := range []struct{ level, dims, count int }{
 		{0, 2, 0},
@@ -174,7 +183,7 @@ func checkDists(t *testing.T, v View, p geom.Point) {
 }
 
 // TestViewIntersectsQueryMatchesGeom pins the page kernels — each one's
-// k = 2 arm and its k-dimensional fallback — to the per-entry accessors and
+// k = 2 arm and its strided any-k loop — to the per-entry accessors and
 // those to geom over Unmarshal's entries (checkScan; checkDists takes every
 // query's corners as points): empty, single-entry and
 // full pages; random, touching-edge, just-missing, point, infinite and
@@ -244,7 +253,7 @@ func TestViewIntersectsQueryMatchesGeom(t *testing.T) {
 }
 
 // TestViewScanZeroAlloc: with warm destinations the page kernels allocate
-// nothing, on the k = 2 arm and on the fallback.
+// nothing, on the k = 2 arm and on the strided loop.
 func TestViewScanZeroAlloc(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		page, _ := marshalSample(t, 1, dims, Capacity(4096, dims), int64(dims))
@@ -383,7 +392,7 @@ type rectCase struct {
 }
 
 // rectCheckCases is the rectangle check's table, on a full page at k = 2
-// (MakeView's strided arm) and k = 3 (its per-entry loop): a NaN, quiet or
+// (FirstInvalid's k = 2 arm) and k = 3 (its strided loop): a NaN, quiet or
 // negative, in each word of an entry; an inversion on axis 0 and on axis 1;
 // a bad entry at the last index; the first of two bad entries; and ±Inf and
 // signed-zero bounds, which are valid (+0 <= -0), beside an inverted
@@ -491,7 +500,8 @@ func TestViewZeroAllocAccess(t *testing.T) {
 // dimensionality: "per-entry" is the reference loop of IntersectsQuery
 // calls, "page" the AppendIntersecting kernel, "AppendMatches" the same test
 // banking its matches (a search's leaves), "AppendMinDist" the distance pass
-// of a nearest-neighbour visit, "MakeView" the validation a buffer miss pays
+// of a nearest-neighbour visit, "MBRInto" the page's MBR (what a mutation
+// writes into the parent's entry), "MakeView" the validation a buffer miss pays
 // (CRC and rectangle check; also in ns/page, the in-package twin of the
 // ledger's node.makeview_ns_per_page). All report ns/entry. The queries
 // rotate so the branch predictor cannot learn one answer vector.
@@ -547,6 +557,13 @@ func BenchmarkViewScan(b *testing.B) {
 		b.Run(fmt.Sprintf("dims=%d/AppendMinDist", dims), func(b *testing.B) {
 			for n := 0; n < b.N; n++ {
 				dists = v.AppendMinDist(dists[:0], queries[n%len(queries)].Min)
+			}
+			report(b)
+		})
+		box := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+		b.Run(fmt.Sprintf("dims=%d/MBRInto", dims), func(b *testing.B) {
+			for n := 0; n < b.N; n++ {
+				v.MBRInto(&box)
 			}
 			report(b)
 		})

@@ -71,13 +71,6 @@ func sortByCenter(recs []byte, dims, axis, workers int) []byte {
 	return p.Apply(workers)
 }
 
-// recordCenter returns the centre on axis d of the record rec starts with,
-// as geom.Rect.CenterAxis computes it.
-func recordCenter(rec []byte, d int) float64 {
-	lo, hi := node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
-	return lo + (hi-lo)/2
-}
-
 func normWorkers(w int) int {
 	if w < 1 {
 		return 1
@@ -146,7 +139,7 @@ func (h HS) OrderRecords(recs []byte, dims, n, level int) []byte {
 	for i := 0; i < count; i++ {
 		rec := recs[i*size:]
 		for d := 0; d < dims; d++ {
-			c := recordCenter(rec, d)
+			c := node.RecordCenter(rec, d)
 			lo[d] = math.Min(lo[d], c)
 			hi[d] = math.Max(hi[d], c)
 		}
@@ -164,7 +157,7 @@ func (h HS) OrderRecords(recs []byte, dims, n, level int) []byte {
 		for i := clo; i < chi; i++ {
 			rec := recs[i*size:]
 			for d := 0; d < dims; d++ {
-				center[d] = recordCenter(rec, d)
+				center[d] = node.RecordCenter(rec, d)
 			}
 			m.CellInto(center, cell)
 			keys[i] = hilbert.Index(order, cell)

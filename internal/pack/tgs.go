@@ -106,60 +106,34 @@ func (t TGS) bestCut(recs []byte, dims, n, workers int) int {
 }
 
 // prefixMBRs returns, for each node-aligned prefix, the MBR of that prefix:
-// prefix[i] covers records [0, (i+1)*n).
+// prefix[i] covers records [0, (i+1)*n). One running rectangle, seeded with
+// the first record, grows over each node's chunk in turn.
 func prefixMBRs(recs []byte, dims, n int) []geom.Rect {
-	size := node.EntrySize(dims)
-	count := len(recs) / size
-	nodes := (count + n - 1) / n
-	out := make([]geom.Rect, 0, nodes-1)
-	cur := recordRect(recs, dims)
-	for i := 1; i < count; i++ {
-		if i%n == 0 {
-			out = append(out, cur.Clone())
-		}
-		unionRecord(&cur, recs[i*size:])
+	span := n * node.EntrySize(dims)
+	out := make([]geom.Rect, 0, (len(recs)+span-1)/span-1)
+	cur := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	node.RecordRectInto(recs, &cur)
+	for lo := 0; lo+span < len(recs); lo += span {
+		node.UnionRecords(&cur, recs[lo:lo+span])
+		out = append(out, cur.Clone())
 	}
 	return out
 }
 
 // suffixMBRs returns suffix MBRs aligned the same way: suffix[k] covers
-// records [k*n, len).
+// records [k*n, len). One running rectangle, seeded with the last record,
+// grows over each node's chunk in turn from the last. The records are
+// valid, and the least and greatest of NaN-free words depend on the order
+// only in the sign of a zero, which no cut's cost comparison can see.
 func suffixMBRs(recs []byte, dims, n int) []geom.Rect {
 	size := node.EntrySize(dims)
-	count := len(recs) / size
-	nodes := (count + n - 1) / n
-	out := make([]geom.Rect, nodes)
-	cur := recordRect(recs[(count-1)*size:], dims)
-	next := nodes - 1
-	for i := count - 1; i >= 0; i-- {
-		unionRecord(&cur, recs[i*size:])
-		if i == next*n {
-			out[next] = cur.Clone()
-			next--
-		}
+	span := n * size
+	out := make([]geom.Rect, (len(recs)+span-1)/span)
+	cur := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	node.RecordRectInto(recs[len(recs)-size:], &cur)
+	for k := len(out) - 1; k >= 0; k-- {
+		node.UnionRecords(&cur, recs[k*span:min(k*span+span, len(recs))])
+		out[k] = cur.Clone()
 	}
 	return out
-}
-
-// recordRect returns the rectangle of the record rec starts with, in
-// storage of its own.
-func recordRect(rec []byte, dims int) geom.Rect {
-	r := geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
-	for d := 0; d < dims; d++ {
-		r.Min[d], r.Max[d] = node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
-	}
-	return r
-}
-
-// unionRecord grows r to cover the record rec starts with, comparing as
-// geom.Rect.UnionInPlace does.
-func unionRecord(r *geom.Rect, rec []byte) {
-	for d := range r.Min {
-		if lo := node.RecordWord(rec, 2*d); lo < r.Min[d] {
-			r.Min[d] = lo
-		}
-		if hi := node.RecordWord(rec, 2*d+1); hi > r.Max[d] {
-			r.Max[d] = hi
-		}
-	}
 }

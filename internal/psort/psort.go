@@ -30,7 +30,6 @@
 package psort
 
 import (
-	"encoding/binary"
 	"math"
 	"math/bits"
 	"sync"
@@ -119,17 +118,13 @@ func (p *Perm) SortByCenter(lo, hi, axis, workers int) {
 	sortPairs(ps, p.tmp[lo:hi], false, workers)
 }
 
-// keyByCenter keys each pair by its record's centre on axis, Min + (Max −
-// Min)/2 as geom.Rect.CenterAxis computes it, read by stride off the record
-// array: two words per key, no pointer to chase.
+// keyByCenter keys each pair by its record's centre on axis
+// (node.RecordCenter), read by stride off the record array: two words per
+// key, no pointer to chase.
 func (p *Perm) keyByCenter(ps []pair, axis int) {
-	size, off := node.EntrySize(p.dims), 16*axis
+	size := node.EntrySize(p.dims)
 	for i := range ps {
-		j := ps[i].idx*size + off
-		w := p.recs[j : j+16 : j+16]
-		lo := math.Float64frombits(binary.LittleEndian.Uint64(w))
-		hi := math.Float64frombits(binary.LittleEndian.Uint64(w[8:]))
-		ps[i].key = Float64Key(lo + (hi-lo)/2)
+		ps[i].key = Float64Key(node.RecordCenter(p.recs[ps[i].idx*size:], axis))
 	}
 }
 

@@ -2,9 +2,7 @@ package rtree
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -161,11 +159,12 @@ func (t *Tree) packUp(p *packer, recs []byte, level int, count uint64, o Orderer
 const runPages = 64
 
 // packer packs the levels of one bulk load into pages. It keeps what
-// outlives a level: each worker's stage, the page-id scratch and the
-// build's statistics.
+// outlives a level: each worker's stage and MBR scratch, the page-id
+// scratch and the build's statistics.
 type packer struct {
 	t      *Tree
 	stages [][]byte
+	mbrs   []geom.Rect // mbrs[w] is the scratch of stages[w]'s worker
 	ids    []storage.PageID
 	stats  BuildStats
 }
@@ -200,6 +199,7 @@ func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
 	workers := min(t.workers, runs)
 	for len(p.stages) < workers {
 		p.stages = append(p.stages, make([]byte, runPages*t.pool.Pager().PageSize()))
+		p.mbrs = append(p.mbrs, geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)})
 	}
 	var (
 		claimed atomic.Int64 // runs handed out so far
@@ -211,11 +211,11 @@ func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
 		// run and advancing next, so no lock is held across the pager.
 		err error
 	)
-	work := func(stage []byte) {
+	work := func(stage []byte, mbr *geom.Rect) {
 		var spent time.Duration
 		for r := int(claimed.Add(1)) - 1; r < runs; r = int(claimed.Add(1)) - 1 {
 			lo, hi := r*runPages, min(r*runPages+runPages, nodes)
-			ferr := timed(&spent, func() error { return p.fill(stage, out, recs, lo, hi, level) })
+			ferr := timed(&spent, func() error { return p.fill(stage, mbr, out, recs, lo, hi, level) })
 			mu.Lock()
 			for next != r {
 				turn.Wait()
@@ -237,14 +237,14 @@ func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
 		mu.Unlock()
 	}
 	var wg sync.WaitGroup
-	for _, stage := range p.stages[1:workers] {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			work(stage)
+			work(p.stages[w], &p.mbrs[w])
 		}()
 	}
-	work(p.stages[0])
+	work(p.stages[0], &p.mbrs[0])
 	wg.Wait()
 	if err != nil {
 		t.writeErr = err
@@ -254,14 +254,16 @@ func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
 	return parents, nil
 }
 
-// fill computes the parent records of nodes lo … hi-1 into out and their
-// page images into stage, in order.
-func (p *packer) fill(stage, out, recs []byte, lo, hi, level int) error {
+// fill computes the parent records of nodes lo … hi-1 into out, each node's
+// MBR grown in mbr, and their page images into stage, in order.
+func (p *packer) fill(stage []byte, mbr *geom.Rect, out, recs []byte, lo, hi, level int) error {
 	dims, size := p.t.dims, node.EntrySize(p.t.dims)
 	span, page := p.t.capacity*size, len(stage)/runPages
 	for i := lo; i < hi; i++ {
 		n := recs[i*span : min(i*span+span, len(recs))]
-		appendMBR(out[i*size:i*size], n, dims, uint64(p.ids[i]))
+		node.RecordRectInto(n, mbr)
+		node.UnionRecords(mbr, n[size:])
+		node.PutRecord(out[i*size:], *mbr, uint64(p.ids[i]))
 		if err := node.FillRecords(stage[(i-lo)*page:(i-lo+1)*page], level, dims, n); err != nil {
 			return err
 		}
@@ -292,68 +294,4 @@ func timed(d *time.Duration, f func() error) error {
 	//strlint:ignore timerand build durations feed BuildStats reporting only; tree shape and page bytes are time-independent
 	*d += time.Since(t0)
 	return err
-}
-
-// appendMBR appends to dst the record (MBR of recs, ref): per axis the
-// least Min and the greatest Max, compared in record order as
-// geom.Rect.UnionInPlace grows a clone of the first rectangle, so the
-// stored words are exactly those of that MBR. Two axes, the common case,
-// take a strided arm that holds the four bounds in registers; any other
-// count the word loop it must equal (FuzzAppendMBR).
-func appendMBR(dst, recs []byte, dims int, ref uint64) []byte {
-	size := node.EntrySize(dims)
-	at := len(dst)
-	dst = append(dst, recs[:size]...)
-	mbr := dst[at : at+size]
-	if dims == 2 {
-		unionRecords2(mbr, recs[size:])
-	} else {
-		unionRecords(mbr, recs[size:], dims)
-	}
-	binary.LittleEndian.PutUint64(mbr[16*dims:], ref)
-	return dst
-}
-
-// unionRecords grows the MBR record mbr of dims axes over the records recs
-// word by word, copying a record's word wherever it is less than mbr's Min
-// or greater than its Max.
-func unionRecords(mbr, recs []byte, dims int) {
-	size := node.EntrySize(dims)
-	for rec := recs; len(rec) >= size; rec = rec[size:] {
-		for w := 0; w < 2*dims; w += 2 {
-			if lo := node.RecordWord(rec, w); lo < node.RecordWord(mbr, w) {
-				copy(mbr[8*w:8*w+8], rec[8*w:])
-			}
-			if hi := node.RecordWord(rec, w+1); hi > node.RecordWord(mbr, w+1) {
-				copy(mbr[8*w+8:8*w+16], rec[8*w+8:])
-			}
-		}
-	}
-}
-
-// unionRecords2 is unionRecords for two axes, reading each 40-byte record
-// at a fixed stride. A comparison with NaN is false either way, so a NaN
-// bound stays and a NaN word is passed over, as in the word loop.
-func unionRecords2(mbr, recs []byte) {
-	const size = 40
-	x0, x1 := node.RecordWord(mbr, 0), node.RecordWord(mbr, 1)
-	y0, y1 := node.RecordWord(mbr, 2), node.RecordWord(mbr, 3)
-	for ; len(recs) >= size; recs = recs[size:] {
-		r := recs[:size:size]
-		if v := node.RecordWord(r, 0); v < x0 {
-			x0 = v
-		}
-		if v := node.RecordWord(r, 1); v > x1 {
-			x1 = v
-		}
-		if v := node.RecordWord(r, 2); v < y0 {
-			y0 = v
-		}
-		if v := node.RecordWord(r, 3); v > y1 {
-			y1 = v
-		}
-	}
-	for w, v := range [4]float64{x0, x1, y0, y1} {
-		binary.LittleEndian.PutUint64(mbr[8*w:], math.Float64bits(v))
-	}
 }

@@ -64,6 +64,17 @@ func pageNode(t *testing.T, tr *Tree, id storage.PageID) node.Node {
 	return n
 }
 
+// nodeMBR is the MBR of a decoded node's entries, grown by
+// geom.Rect.UnionInPlace from a clone of the first: the geometry the
+// library computes from page records (node.UnionRecords).
+func nodeMBR(n node.Node) geom.Rect {
+	m := n.Entries[0].Rect.Clone()
+	for _, e := range n.Entries[1:] {
+		m.UnionInPlace(e.Rect)
+	}
+	return m
+}
+
 // corruptPage decodes page id, hands the node to mutate, and writes the
 // re-serialized node back through the pager so the CRC stays valid: the
 // corruption is structural, not a storage fault, and must be caught by the
@@ -191,7 +202,7 @@ func TestDetectsCountMismatch(t *testing.T) {
 	// leaf's MBR so the tightness check stays satisfied.
 	leafID := leftmostLeaf(t, tr)
 	leaf := pageNode(t, tr, leafID)
-	mbr := leaf.MBR()
+	mbr := nodeMBR(leaf)
 	drop := -1
 	for i, e := range leaf.Entries {
 		inner := true

@@ -133,7 +133,7 @@ func (t *Tree) choosePath(r geom.Rect, level int) ([]mutStep, error) {
 		at = v.Level()
 		s := mutStep{id: id, count: v.Count()}
 		if at != level {
-			s.idx = v.LeastEnlargement(r, &t.mut.rect)
+			s.idx = v.LeastEnlargement(r)
 			id = storage.PageID(v.EntryRef(s.idx))
 		}
 		t.pool.Release(f)

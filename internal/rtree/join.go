@@ -48,7 +48,6 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 	var visitsB visitTally // tr.n holds a's
 	defer b.publish(&visitsB)
 	dims := a.dims
-	filter := tr.rectScratch(dims)
 	tr.pairs = append(tr.pairs[:0], pagePair{a: a.root, b: b.root})
 	for len(tr.pairs) > 0 {
 		top := len(tr.pairs) - 1
@@ -79,20 +78,18 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 		case na.level > 0 && (nb.level == 0 || na.level >= nb.level):
 			// Descend the taller (or internal) side a: expand each child of
 			// na within the join distance of nb's MBR against the same nb.
-			nb.mbrInto(&filter, dims)
 			base := len(tr.pairs)
 			for i := 0; i < na.count; i++ {
-				if joinNear(dist, filter, na.rect(i, dims)) {
+				if joinNear(dist, nb.mbr, na.rect(i, dims)) {
 					tr.pairs = append(tr.pairs, pagePair{a: storage.PageID(na.refs[i]), b: pr.b})
 				}
 			}
 			reversePairs(tr.pairs[base:])
 
 		default:
-			na.mbrInto(&filter, dims)
 			base := len(tr.pairs)
 			for i := 0; i < nb.count; i++ {
-				if joinNear(dist, filter, nb.rect(i, dims)) {
+				if joinNear(dist, na.mbr, nb.rect(i, dims)) {
 					tr.pairs = append(tr.pairs, pagePair{a: pr.a, b: storage.PageID(nb.refs[i])})
 				}
 			}

@@ -2,7 +2,6 @@ package rtree
 
 import (
 	"context"
-	"math"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
@@ -66,23 +65,4 @@ func (t *Tree) nearestK(ctx context.Context, p geom.Point, k int) ([]node.Entry,
 		return len(entries) < k
 	})
 	return entries, dists, err
-}
-
-// minDist returns the squared-free Euclidean distance from a point to the
-// nearest point of a rectangle (0 if the point is inside). node.View's
-// MinDist kernel runs this exact float sequence over the wire words; the
-// equivalence tests compare against this reference.
-func minDist(p geom.Point, r geom.Rect) float64 {
-	sum := 0.0
-	for i := range p {
-		var d float64
-		switch {
-		case p[i] < r.Min[i]:
-			d = r.Min[i] - p[i]
-		case p[i] > r.Max[i]:
-			d = p[i] - r.Max[i]
-		}
-		sum += d * d
-	}
-	return math.Sqrt(sum)
 }

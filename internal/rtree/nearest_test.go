@@ -487,3 +487,22 @@ func BenchmarkJoin(b *testing.B) {
 		}
 	}
 }
+
+// minDist returns the Euclidean distance from a point to the nearest point
+// of a rectangle (0 if the point is inside): the reference the nearest
+// searches are held to. node.View's AppendMinDist kernel runs this exact
+// float sequence over the wire words.
+func minDist(p geom.Point, r geom.Rect) float64 {
+	sum := 0.0
+	for i := range p {
+		var d float64
+		switch {
+		case p[i] < r.Min[i]:
+			d = r.Min[i] - p[i]
+		case p[i] > r.Max[i]:
+			d = p[i] - r.Max[i]
+		}
+		sum += d * d
+	}
+	return math.Sqrt(sum)
+}

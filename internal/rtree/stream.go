@@ -56,13 +56,13 @@ func (t *Tree) BulkLoadOrdered(next func() ([]byte, bool, error), o Orderer) err
 	return t.packUp(p, parents, 1, count, o)
 }
 
-// checkRecord is checkEntry's test on a page record, read by stride: the
-// tree's record size, and a well-formed rectangle (node.RecordValid).
+// checkRecord is checkEntry's test on a page record: the tree's record
+// size, and a well-formed rectangle (node.FirstInvalid on a run of one).
 func (t *Tree) checkRecord(rec []byte) error {
 	if size := node.EntrySize(t.dims); len(rec) != size {
 		return fmt.Errorf("rtree: record of %d bytes, a %d-D tree's are %d", len(rec), t.dims, size)
 	}
-	if !node.RecordValid(rec, t.dims) {
+	if node.FirstInvalid(rec, t.dims) == 0 {
 		return fmt.Errorf("rtree: invalid rectangle, ref %d: Min > Max or NaN on an axis", node.RecordRef(rec, t.dims))
 	}
 	return nil

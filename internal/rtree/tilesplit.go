@@ -123,10 +123,8 @@ func (st *stage) splitTile(dims int, lbox, rbox *geom.Rect) (left, right []byte,
 	best := math.Inf(1)
 	for a := 0; a < dims; a++ {
 		for i := range st.cur {
-			rec := st.recs[i*size:]
-			lo, hi := node.RecordWord(rec, 2*a), node.RecordWord(rec, 2*a+1)
 			key := uint64(0)
-			if c := lo + (hi-lo)/2; !math.IsNaN(c) {
+			if c := node.RecordCenter(st.recs[i*size:], a); !math.IsNaN(c) {
 				key = psort.Float64Key(c)
 			}
 			st.cur[i] = tilePair{key: key, idx: int32(i)}
@@ -290,9 +288,8 @@ func (st *stage) evictFarthest(dims, count int, box *geom.Rect) (evicted []node.
 		rec := st.recs[i*size:]
 		d := 0.0
 		for axis := 0; axis < dims; axis++ {
-			lo, hi := node.RecordWord(rec, 2*axis), node.RecordWord(rec, 2*axis+1)
 			center := all.Min[axis] + (all.Max[axis]-all.Min[axis])/2
-			delta := lo + (hi-lo)/2 - center
+			delta := node.RecordCenter(rec, axis) - center
 			d += delta * delta
 		}
 		st.scores = append(st.scores, scored{idx: i, dist: d})

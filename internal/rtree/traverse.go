@@ -107,8 +107,6 @@ type traverser struct {
 	refs  []uint64   // banked refs parallel to slab
 	bankA banked     // join: node from tree a
 	bankB banked     // join: node from tree b
-	min   geom.Point // scratch rectangle backing (join MBR filters)
-	max   geom.Point
 	n     visitTally // this query's node visits, published by putTraverser
 }
 
@@ -156,16 +154,6 @@ func (t *Tree) putTraverser(tr *traverser) {
 	tr.slab = tr.slab[:0]
 	tr.refs = tr.refs[:0]
 	travPool.Put(tr)
-}
-
-// rectScratch returns a reusable rectangle of the given dimensionality
-// backed by the traverser's scratch points.
-func (tr *traverser) rectScratch(dims int) geom.Rect {
-	if cap(tr.min) < dims {
-		tr.min = make(geom.Point, dims)
-		tr.max = make(geom.Point, dims)
-	}
-	return geom.Rect{Min: tr.min[:dims], Max: tr.max[:dims]}
 }
 
 // fetchView pins page id and returns a view over its validated bytes.
@@ -548,9 +536,10 @@ type banked struct {
 	count  int
 	coords []float64
 	refs   []uint64
+	mbr    geom.Rect // the node's MBR; stale when count is 0
 }
 
-// bankNode fetches page id and copies its level, refs, and coordinates
+// bankNode fetches page id and copies its level, refs, coordinates and MBR
 // into dst, releasing the pin before returning.
 func (t *Tree) bankNode(id storage.PageID, dst *banked, n *visitTally) error {
 	f, v, err := t.fetchView(id, n)
@@ -560,6 +549,12 @@ func (t *Tree) bankNode(id storage.PageID, dst *banked, n *visitTally) error {
 	dst.level = v.Level()
 	dst.count = v.Count()
 	dst.coords, dst.refs = v.AppendMatches(dst.coords[:0], dst.refs[:0], t.everywhere)
+	if dims := v.Dims(); len(dst.mbr.Min) != dims {
+		dst.mbr = geom.Rect{Min: make(geom.Point, dims), Max: make(geom.Point, dims)}
+	}
+	if dst.count > 0 {
+		v.MBRInto(&dst.mbr)
+	}
 	t.pool.Release(f)
 	return nil
 }
@@ -567,22 +562,4 @@ func (t *Tree) bankNode(id storage.PageID, dst *banked, n *visitTally) error {
 // rect slices entry i's rectangle out of the bank.
 func (b *banked) rect(i, dims int) geom.Rect {
 	return slabRect(b.coords, i, dims)
-}
-
-// mbrInto computes the bank's minimum bounding rectangle into dst, whose
-// Min and Max must have length dims. The bank must be non-empty.
-func (b *banked) mbrInto(dst *geom.Rect, dims int) {
-	copy(dst.Min, b.coords[:dims])
-	copy(dst.Max, b.coords[dims:2*dims])
-	for i := 1; i < b.count; i++ {
-		off := i * 2 * dims
-		for d := 0; d < dims; d++ {
-			if lo := b.coords[off+d]; lo < dst.Min[d] {
-				dst.Min[d] = lo
-			}
-			if hi := b.coords[off+dims+d]; hi > dst.Max[d] {
-				dst.Max[d] = hi
-			}
-		}
-	}
 }

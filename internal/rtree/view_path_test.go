@@ -521,7 +521,7 @@ func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
 			}
 			return true, nil
 		case !na.IsLeaf() && (nb.IsLeaf() || na.Level >= nb.Level):
-			mbr := nb.MBR()
+			mbr := nodeMBR(nb)
 			var kids []storage.PageID
 			for _, e := range na.Entries {
 				if near(mbr, e.Rect) {
@@ -536,7 +536,7 @@ func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
 			}
 			return true, nil
 		default:
-			mbr := na.MBR()
+			mbr := nodeMBR(na)
 			var kids []storage.PageID
 			for _, e := range nb.Entries {
 				if near(mbr, e.Rect) {
