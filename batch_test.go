@@ -1,10 +1,13 @@
 package strtree
 
 import (
+	"errors"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"strtree/internal/query"
+	"strtree/internal/storage"
 )
 
 // batchTree builds a packed tree with the given buffer geometry over a
@@ -131,6 +134,63 @@ func TestSearchBatchShardedStats(t *testing.T) {
 	}
 }
 
+// TestSearchBatchGauges reads the counters strserve exports as
+// strserve_batch_*: after a batch, clean or aborted by a page-read error,
+// nothing is left queued or active and every batch started is done; a
+// clean batch counts each of its queries once.
+func TestSearchBatchGauges(t *testing.T) {
+	settled := func(workers int, s BatchExecStats) {
+		t.Helper()
+		if s.QueuedQueries != 0 || s.ActiveWorkers != 0 || s.BatchesStarted != s.BatchesDone {
+			t.Fatalf("workers=%d: gauges left at %+v", workers, s)
+		}
+	}
+	qs := batchQueries(100)
+	for _, workers := range []int{1, 4} {
+		tree, _ := batchTree(t, 64, 4)
+		if _, err := tree.SearchBatchCount(qs, workers); err != nil {
+			t.Fatal(err)
+		}
+		s := tree.BatchExecStats()
+		settled(workers, s)
+		if s.BatchesDone != 1 || s.QueriesDone != uint64(len(qs)) {
+			t.Fatalf("workers=%d: %+v, want one batch of %d queries", workers, s, len(qs))
+		}
+	}
+
+	fp := storage.NewFaultyPager(storage.NewMemPager(storage.DefaultPageSize))
+	tree, err := NewOnPager(fp, Options{Capacity: 16, BufferPages: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.BulkLoad(randItems(5000, 61), PackSTR); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected read failure")
+	var reads atomic.Int64
+	fp.FailReads(func(storage.PageID) error {
+		if reads.Add(1) > 200 {
+			return boom
+		}
+		return nil
+	})
+	for _, workers := range []int{1, 4} {
+		if err := tree.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		reads.Store(0)
+		before := tree.BatchExecStats()
+		if _, err := tree.SearchBatchCount(qs, workers); !errors.Is(err, boom) {
+			t.Fatalf("workers=%d: batch err = %v, want the injected failure", workers, err)
+		}
+		s := tree.BatchExecStats()
+		settled(workers, s)
+		if done := s.QueriesDone - before.QueriesDone; done == 0 || done >= uint64(len(qs)) {
+			t.Fatalf("workers=%d: %d of %d queries ran; the batch did not stop mid-way", workers, done, len(qs))
+		}
+	}
+}
+
 // TestBufferShardsValidation pins the Options contract: a bad buffer size
 // or shard count from the caller is an error from every constructor that
 // builds a buffer, never a panic.
@@ -166,9 +226,6 @@ func TestBufferShardsValidation(t *testing.T) {
 	tree, err := New(Options{BufferPages: 64, BufferShards: 16})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := tree.View(-1); err == nil {
-		t.Error("View(-1) accepted")
 	}
 	if err := tree.BulkLoad(randItems(500, 63), PackSTR); err != nil {
 		t.Fatal(err)

@@ -315,7 +315,7 @@ func BenchmarkConcurrentQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkConcurrentQueryBatch measures the BatchExecutor end to end: one
+// BenchmarkConcurrentQueryBatch measures SearchBatchCount end to end: one
 // op is a 256-query batch fanned across GOMAXPROCS workers. Run with
 // -cpu 1,4,8.
 func BenchmarkConcurrentQueryBatch(b *testing.B) {

@@ -11,7 +11,7 @@
 #                     and GOOS=darwin over internal/storage — the unmapped
 #                     read path (mmap_other.go), which no linux/amd64 build
 #                     compiles
-#   3. go build       the whole module compiles, and three greps: no non-test
+#   3. go build       the whole module compiles, and greps: no non-test
 #                     .go file outside internal/node and bench/ mentions
 #                     node.Unmarshal or readNode — library code reads a
 #                     page through node.View only, so the second decoder
@@ -61,6 +61,13 @@
 #                     recordRect(, recordCenter(, RecordValid — and none
 #                     outside internal/node and bench/ calls the per-entry
 #                     references IntersectsQuery( or .MinDist(
+#                     — and a seventh: wall-clock numbers have one harness
+#                     (bench/) and a tree one parallel read path, so no .go
+#                     file names STRTiming, SearchBatchCountTimed,
+#                     BatchExecutor, runBuildBench, runConcurrency,
+#                     ErrReadOnly or func (t *Tree) View( (strbench's
+#                     -build and -concurrency modes, the hooks only they
+#                     called, the batch executor struct and Tree.View)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -189,6 +196,7 @@ if grep -rni 'selftest\|adminsmoke\|seriesexpect' --include='*.go' --exclude='*_
 
 if grep -rn 'unionRecords\|leastEnlargementEach\|mbrInto\|unionRecord(\|recordRect(\|recordCenter(\|RecordValid' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired copy of a page-record kernel is back outside _test.go: the MBR of a run of records is node.UnionRecords, a record's centre node.RecordCenter, its validity node.FirstInvalid, and each View kernel is a k = 2 arm plus one strided loop" >&2; exit 1; fi
 if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "IntersectsQuery and MinDist are per-entry references for tests and bench/: library code asks a page with AppendIntersecting, AppendMatches or AppendMinDist" >&2; exit 1; fi
+if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is one query.Run, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

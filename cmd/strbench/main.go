@@ -4,8 +4,6 @@
 // Usage:
 //
 //	strbench [-exp table2,fig9|all] [-scale 0.2] [-queries 500] [-full] [-seed 1]
-//	strbench -concurrency [-workers 1,2,4,8] [-shards 8] [-scale 0.2] [-queries 500] [-concurrency-out sweep.json]
-//	strbench -build [-n 1000000] [-extn 200000] [-runsize 65536] [-workers 1,2,4,8]
 //	strbench -ci BENCH_CI.json [-baseline BENCH_BASELINE.json]
 //	strbench -replay slow.jsonl -idx index.str [-buffer 256] [-k 10]
 //	strbench -plot 2,3,4,5,6|all [-o .] [-seed 1] [-n 0]
@@ -15,16 +13,6 @@
 // the paper's data and buffer sizes so it finishes in minutes; -full uses
 // the paper's exact configuration (hundreds of millions of page requests —
 // expect a long run).
-//
-// -concurrency benchmarks the concurrent query path instead: it builds one
-// packed tree over a sharded buffer and sweeps the batch executor's worker
-// count, reporting throughput, scaling and accesses per query.
-//
-// -build benchmarks the bulk-load pipeline instead: it sweeps the worker
-// count over an in-memory STR build and an external (bounded-memory) STR
-// build, reporting entries/sec, the sort/tile/write phase split, and a
-// checksum over the packed tree's pages — the run exits non-zero if any
-// worker count produces different tree bytes.
 //
 // -ci runs a fixed deterministic experiment slice and writes the results
 // as JSON; with -baseline it compares against a committed report and exits
@@ -40,7 +28,6 @@
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -62,16 +49,6 @@ func main() {
 		trials  = flag.Int("trials", 1, "trials to average per experiment (different seeds)")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 
-		concurrency    = flag.Bool("concurrency", false, "run the concurrent query benchmark instead of the paper suite")
-		workers        = flag.String("workers", "1,2,4,8", "worker counts to sweep in -concurrency and -build modes (comma-separated)")
-		shards         = flag.Int("shards", 8, "buffer shards in -concurrency mode (power of two)")
-		concurrencyOut = flag.String("concurrency-out", "", "with -concurrency: also write the sweep as a JSON artifact to this file")
-
-		build   = flag.Bool("build", false, "run the bulk-load throughput benchmark instead of the paper suite")
-		n       = flag.Int("n", 0, "entries: of the in-memory sweep in -build mode (0 = 1000000), of each data set in -plot mode (0 = the paper's sizes)")
-		extN    = flag.Int("extn", 200000, "entries for the external sweep in -build mode (0 skips it)")
-		runSize = flag.Int("runsize", 1<<16, "external sort run size in -build mode")
-
 		ci       = flag.String("ci", "", "write a deterministic benchmark report (JSON) to this file and exit")
 		baseline = flag.String("baseline", "", "with -ci: compare the report against this baseline, exit 1 on drift")
 
@@ -83,6 +60,7 @@ func main() {
 
 		plot    = flag.String("plot", "", "render the paper's figures as SVG instead of the suite: 2,3,4,5,6 or all")
 		plotDir = flag.String("o", ".", "with -plot: output directory")
+		n       = flag.Int("n", 0, "with -plot: entries of each data set (0 = the paper's sizes)")
 	)
 	flag.Parse()
 
@@ -110,48 +88,6 @@ func main() {
 
 	if *ci != "" {
 		if err := runCI(*ci, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "strbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *build {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "strbench: -workers: %v\n", err)
-			os.Exit(2)
-		}
-		err = runBuildBench(os.Stdout, buildConfig{
-			N:        cmp.Or(*n, 1000000),
-			ExtN:     *extN,
-			RunSize:  *runSize,
-			Capacity: 100,
-			Workers:  ws,
-			Seed:     *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "strbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *concurrency {
-		ws, err := parseWorkers(*workers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "strbench: -workers: %v\n", err)
-			os.Exit(2)
-		}
-		err = runConcurrency(os.Stdout, concurrencyConfig{
-			Scale:   *scale,
-			Queries: *queries,
-			Seed:    *seed,
-			Shards:  *shards,
-			Workers: ws,
-			OutPath: *concurrencyOut,
-		})
-		if err != nil {
 			fmt.Fprintf(os.Stderr, "strbench: %v\n", err)
 			os.Exit(1)
 		}

@@ -9,7 +9,6 @@ package strtree
 
 import (
 	"context"
-	"time"
 
 	"strtree/internal/node"
 	"strtree/internal/storage"
@@ -55,38 +54,7 @@ func (t *Tree) NearestKContext(ctx context.Context, p Point, k int) ([]Item, []f
 // aborts the batch and is returned wrapped with the failing query's
 // index.
 func (t *Tree) SearchBatchContext(ctx context.Context, qs []Rect, workers int) ([][]Item, error) {
-	ex := t.batchExecutor(workers)
-	ex.Search = func(q Rect, emit func(e node.Entry) bool) error {
-		return t.inner.SearchContext(ctx, q, emit)
-	}
-	res, err := ex.Run(qs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]Item, len(res))
-	for i, entries := range res {
-		if entries == nil {
-			continue
-		}
-		items := make([]Item, len(entries))
-		for j, e := range entries {
-			items[j] = Item{Rect: e.Rect, ID: e.Ref}
-		}
-		out[i] = items
-	}
-	return out, nil
-}
-
-// SearchBatchCountTimed is SearchBatchCount with per-query latency
-// observation: observe receives each query's index and wall-clock
-// duration, called from the worker goroutines as queries complete — it
-// must be safe for concurrent use. cmd/strbench -concurrency feeds an
-// internal/histo histogram through this to report percentiles comparable
-// with the serving layer's.
-func (t *Tree) SearchBatchCountTimed(qs []Rect, workers int, observe func(i int, d time.Duration)) ([]int, error) {
-	ex := t.batchExecutor(workers)
-	ex.Observe = observe
-	return ex.RunCount(qs)
+	return t.searchBatch(ctx, qs, workers)
 }
 
 // NewOnPager creates an empty tree on a caller-supplied pager. The pager

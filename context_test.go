@@ -3,9 +3,7 @@ package strtree
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"strtree/internal/storage"
 )
@@ -147,33 +145,6 @@ func TestSearchBatchContext(t *testing.T) {
 	cancel()
 	if _, err := tree.SearchBatchContext(ctx, qs, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch err = %v", err)
-	}
-}
-
-// TestSearchBatchCountTimed checks the latency hook fires once per query
-// through the public wrapper.
-func TestSearchBatchCountTimed(t *testing.T) {
-	tree := buildCtxTree(t)
-	defer func() { _ = tree.Close() }()
-	qs := []Rect{R2(0, 0, 0.5, 0.5), R2(0.5, 0.5, 1, 1), R2(0, 0, 1, 1), R2(0.1, 0.1, 0.2, 0.2)}
-	var observed atomic.Int64
-	counts, err := tree.SearchBatchCountTimed(qs, 2, func(i int, d time.Duration) {
-		observed.Add(1)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if observed.Load() != int64(len(qs)) {
-		t.Fatalf("%d observations for %d queries", observed.Load(), len(qs))
-	}
-	want, err := tree.SearchBatchCount(qs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("counts = %v, want %v", counts, want)
-		}
 	}
 }
 

@@ -202,13 +202,6 @@ func TestBulkLoadExternalGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := t2.View(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := v.BulkLoadExternal(itemSource(nil), ExternalOptions{}); err != ErrReadOnly {
-		t.Fatalf("view external load: %v", err)
-	}
 	// Non-empty tree rejected through the stream path too.
 	if err := t2.Insert(R2(0, 0, 0.1, 0.1), 1); err != nil {
 		t.Fatal(err)

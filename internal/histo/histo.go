@@ -1,8 +1,7 @@
 // Package histo provides a fixed-size, log-bucketed latency histogram
-// safe for concurrent observation without locks. It is the measurement
-// substrate shared by the serving layer (internal/server's per-op request
-// latencies) and the benchmark harness (cmd/strbench -concurrency's
-// per-query percentiles), so the two report comparable numbers.
+// safe for concurrent observation without locks. It is the serving
+// layer's measurement substrate — internal/server's per-op request
+// latencies, internal/router's merge times — and internal/obs exports it.
 //
 // Buckets follow the classic log-linear scheme: values below 2^subBits
 // nanoseconds get exact unit buckets; above that, every power-of-two
@@ -159,17 +158,6 @@ func (h *Histogram) Quantiles(qs ...float64) []time.Duration {
 		out[qi] = time.Duration(upper)
 	}
 	return out
-}
-
-// Reset zeroes all counters. Not atomic with respect to concurrent
-// Observe calls: reset during a quiet period.
-func (h *Histogram) Reset() {
-	h.count.Store(0)
-	h.sum.Store(0)
-	h.max.Store(0)
-	for i := range h.buckets {
-		h.buckets[i].Store(0)
-	}
 }
 
 // Summary is a fixed-size digest of a histogram, the form the serving

@@ -51,7 +51,7 @@ var deterministicLayers = map[string]bool{
 //	geom, hilbert, storage, svg, histo (foundations: no internal imports)
 //	node, wkt, geojson, server/wire    -> geom
 //	obs                                -> histo
-//	query                              -> geom, node
+//	query                              -> geom
 //	buffer, trace                      -> storage
 //	datagen                            -> geom, node
 //	psort                              -> geom, node
@@ -87,7 +87,7 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/histo":   {},
 	"internal/obs":     {"internal/histo": true},
 	"internal/node":    {"internal/geom": true},
-	"internal/query":   {"internal/geom": true, "internal/node": true},
+	"internal/query":   {"internal/geom": true},
 	"internal/wkt":     {"internal/geom": true},
 	"internal/geojson": {"internal/geom": true},
 	"internal/buffer":  {"internal/storage": true},

@@ -24,8 +24,6 @@ package pack
 import (
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"strtree/internal/hilbert"
 	"strtree/internal/node"
@@ -166,19 +164,6 @@ func (h HS) OrderRecords(recs []byte, dims, n, level int) []byte {
 	return psort.ByKeys(recs, dims, keys, workers)
 }
 
-// STRTiming accumulates the wall time an STR build spends in its two
-// ordering phases, for strbench's per-phase breakdown; the two add up to
-// the time spent in Order. Counters are atomic so one STRTiming can be
-// shared across levels and goroutines.
-type STRTiming struct {
-	// SortNanos is the time in the dominant first-axis sort.
-	SortNanos atomic.Int64
-	// TileNanos is the time spent tiling — slab partitioning plus the
-	// per-slab sorts on the remaining axes — and in the one move of the
-	// records into the finished order.
-	TileNanos atomic.Int64
-}
-
 // STR is the paper's Sort-Tile-Recursive packing order.
 //
 // For k = 2 (paper Section 2.2): with P = ceil(r/n) leaf pages, sort the
@@ -198,8 +183,6 @@ type STR struct {
 	// paper's future-work section anticipates). The resulting order is
 	// identical for every setting.
 	Workers int
-	// Timing, when non-nil, accumulates per-phase wall time.
-	Timing *STRTiming
 }
 
 // Name implements rtree.Orderer.
@@ -217,25 +200,12 @@ func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
 		//strlint:ignore panics documented contract: a capacity below 1 is a builder bug, not a data condition
 		panic("pack: node capacity < 1")
 	}
-	//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
-	t0 := time.Now()
 	p := psort.NewPerm(recs, dims)
 	p.SortByCenter(0, p.Len(), 0, s.workers())
-	if s.Timing != nil {
-		//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
-		s.Timing.SortNanos.Add(int64(time.Since(t0)))
-	}
-	//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
-	t0 = time.Now()
 	if dims > 1 {
 		s.tile(p, 0, p.Len(), n, 1, dims, s.workers())
 	}
-	out := p.Apply(s.workers())
-	if s.Timing != nil {
-		//strlint:ignore timerand sort/build phase durations feed BuildStats reporting only; no timed value reaches page bytes (guarded by the strbench -ci zero-drift gate)
-		s.Timing.TileNanos.Add(int64(time.Since(t0)))
-	}
-	return out
+	return p.Apply(s.workers())
 }
 
 // tile cuts positions [lo, hi) of p, sorted on axis-1, into the STR slab

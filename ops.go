@@ -87,9 +87,6 @@ func (t *Tree) Items() ([]Item, error) {
 // performance — the maintenance pattern behind the paper's proposed
 // STR-based dynamic variants.
 func (t *Tree) CompactInto(dst *Tree, p Packing) error {
-	if dst.readonly {
-		return ErrReadOnly
-	}
 	o, err := p.orderer(dst.inner.Workers())
 	if err != nil {
 		return err
@@ -118,9 +115,6 @@ func (t *Tree) Utilization() (float64, error) { return t.inner.Utilization() }
 // one by one, so the tree stays valid even if the callback-free bulk
 // operation is interrupted by an error partway.
 func (t *Tree) DeleteRange(q Rect) (int, error) {
-	if t.readonly {
-		return 0, ErrReadOnly
-	}
 	victims, err := t.All(q)
 	if err != nil {
 		return 0, err
@@ -221,9 +215,6 @@ type ExternalOptions struct {
 // it when the data set does not fit in RAM; for in-memory slices BulkLoad
 // is faster. The tree must be empty.
 func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) error {
-	if t.readonly {
-		return ErrReadOnly
-	}
 	workers := opts.Workers
 	if workers == 0 {
 		workers = t.inner.Workers()

@@ -296,14 +296,6 @@ func TestDeleteRange(t *testing.T) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Read-only views refuse.
-	v, err := tree.View(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.DeleteRange(q); err != ErrReadOnly {
-		t.Fatalf("view DeleteRange: %v", err)
-	}
 }
 
 func TestSaveTo(t *testing.T) {

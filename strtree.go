@@ -20,6 +20,7 @@
 package strtree
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -215,22 +216,18 @@ type Metrics struct {
 // runs — Search and friends touch only immutable tree state and the
 // buffer, whose pin protocol keeps every fetched page stable until
 // released. For parallel read throughput set Options.BufferShards and use
-// SearchBatch, or give each goroutine its own View.
+// SearchBatch.
 type Tree struct {
-	inner    *rtree.Tree
-	pool     *buffer.Pool
-	pager    storage.Pager
-	readonly bool
-	// batchMetrics aggregates batch-executor activity across every
-	// SearchBatch/SearchBatchCount on this handle, for BatchExecStats.
+	inner *rtree.Tree
+	pool  *buffer.Pool
+	pager storage.Pager
+	// batchMetrics aggregates the activity of every batch query on this
+	// tree, for BatchExecStats.
 	batchMetrics query.ExecMetrics
 	// extSortStats holds the external sorter's counters from the most
 	// recent BulkLoadExternal, for LastExternalSortStats.
 	extSortStats pack.SortStats
 }
-
-// ErrReadOnly is returned by mutations on a read-only View.
-var ErrReadOnly = errors.New("strtree: tree view is read-only")
 
 // New creates an empty in-memory tree.
 func New(opts Options) (*Tree, error) {
@@ -297,9 +294,6 @@ func Open(path string, opts Options) (*Tree, error) {
 // giving near-100% space utilization. This is the paper's preprocessing
 // path and produces far better trees than repeated Insert.
 func (t *Tree) BulkLoad(items []Item, p Packing) error {
-	if t.readonly {
-		return ErrReadOnly
-	}
 	o, err := p.orderer(t.inner.Workers())
 	if err != nil {
 		return err
@@ -309,18 +303,12 @@ func (t *Tree) BulkLoad(items []Item, p Packing) error {
 
 // Insert adds one item dynamically (Guttman's algorithm).
 func (t *Tree) Insert(r Rect, id uint64) error {
-	if t.readonly {
-		return ErrReadOnly
-	}
 	return t.inner.Insert(r, id)
 }
 
 // Delete removes the item with exactly this rectangle and id, reporting
 // whether it was found.
 func (t *Tree) Delete(r Rect, id uint64) (bool, error) {
-	if t.readonly {
-		return false, ErrReadOnly
-	}
 	return t.inner.Delete(r, id)
 }
 
@@ -337,16 +325,6 @@ func (t *Tree) SearchPoint(p Point, fn func(Item) bool) error {
 	return t.Search(Rect{Min: p, Max: p}, fn) // aliases p: see rtree.SearchPoint
 }
 
-// batchExecutor builds the worker pool for one batch call.
-func (t *Tree) batchExecutor(workers int) *query.BatchExecutor {
-	return &query.BatchExecutor{
-		Workers: workers,
-		Search:  t.inner.Search,
-		Count:   t.inner.Count,
-		Metrics: &t.batchMetrics,
-	}
-}
-
 // SearchBatch executes qs concurrently across a pool of workers sharing
 // this tree's buffer and returns each query's matches in input order.
 // workers < 1 means GOMAXPROCS; workers == 1 runs sequentially with the
@@ -357,30 +335,41 @@ func (t *Tree) batchExecutor(workers int) *query.BatchExecutor {
 // is returned. Merged access statistics accumulate in Stats, aggregated
 // across all workers and buffer shards.
 func (t *Tree) SearchBatch(qs []Rect, workers int) ([][]Item, error) {
-	res, err := t.batchExecutor(workers).Run(qs)
+	return t.searchBatch(nil, qs, workers) // nil: no cancellation checks, as in Search
+}
+
+// searchBatch is SearchBatch and SearchBatchContext: each query's matches
+// are copied out of their pinned pages as Items, every rectangle of one
+// query into one slab (a query runs on one worker). A query with no
+// matches keeps a nil slice.
+func (t *Tree) searchBatch(ctx context.Context, qs []Rect, workers int) ([][]Item, error) {
+	out := make([][]Item, len(qs))
+	err := query.Run(qs, workers, &t.batchMetrics, func(i int, q Rect) error {
+		var slab geom.Slab
+		return t.inner.SearchContext(ctx, q, func(e node.Entry) bool {
+			out[i] = append(out[i], Item{Rect: slab.Clone(e.Rect), ID: e.Ref})
+			return true
+		})
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([][]Item, len(res))
-	for i, entries := range res {
-		if entries == nil {
-			continue
-		}
-		items := make([]Item, len(entries))
-		for j, e := range entries {
-			items[j] = Item{Rect: e.Rect, ID: e.Ref}
-		}
-		out[i] = items
 	}
 	return out, nil
 }
 
 // SearchBatchCount is SearchBatch without materializing matches: it
-// returns each query's intersection count in input order. This is the
-// shape the paper's access-count experiments (and cmd/strbench
-// -concurrency) use.
+// returns each query's intersection count in input order, the shape the
+// paper's access-count experiments use.
 func (t *Tree) SearchBatchCount(qs []Rect, workers int) ([]int, error) {
-	return t.batchExecutor(workers).RunCount(qs)
+	counts := make([]int, len(qs))
+	err := query.Run(qs, workers, &t.batchMetrics, func(i int, q Rect) (err error) {
+		counts[i], err = t.inner.Count(q)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return counts, nil
 }
 
 // Count returns the number of items intersecting q.
@@ -465,16 +454,18 @@ type BatchExecStats struct {
 	QueuedQueries, ActiveWorkers             int64
 }
 
-// BatchExecStats snapshots the counters accumulated by every SearchBatch
-// and SearchBatchCount on this handle (views keep their own).
+// BatchExecStats snapshots the counters accumulated by every SearchBatch,
+// SearchBatchContext and SearchBatchCount on this tree. The fields are
+// read independently, so the snapshot is coherent only to within
+// in-flight updates — fine for monitoring, not for invariant checks.
 func (t *Tree) BatchExecStats() BatchExecStats {
-	s := t.batchMetrics.Stats()
+	m := &t.batchMetrics
 	return BatchExecStats{
-		BatchesStarted: s.BatchesStarted,
-		BatchesDone:    s.BatchesDone,
-		QueriesDone:    s.QueriesDone,
-		QueuedQueries:  s.QueuedQueries,
-		ActiveWorkers:  s.ActiveWorkers,
+		BatchesStarted: m.BatchesStarted.Load(),
+		BatchesDone:    m.BatchesDone.Load(),
+		QueriesDone:    m.QueriesDone.Load(),
+		QueuedQueries:  m.QueuedQueries.Load(),
+		ActiveWorkers:  m.ActiveWorkers.Load(),
 	}
 }
 
@@ -571,47 +562,13 @@ func (t *Tree) CheckPackedInvariants() error {
 }
 
 // Flush writes all buffered dirty pages and metadata through to storage.
-// On a read-only View it is a no-op.
-func (t *Tree) Flush() error {
-	if t.readonly {
-		return nil
-	}
-	return t.inner.Flush()
-}
+func (t *Tree) Flush() error { return t.inner.Flush() }
 
 // Close flushes and releases the underlying storage. The tree is unusable
-// afterwards. Closing a View releases only the view's buffer pool and
-// leaves the shared storage open.
+// afterwards.
 func (t *Tree) Close() error {
-	if t.readonly {
-		return t.pool.Invalidate()
-	}
 	flushErr := t.Flush()
 	syncErr := t.pager.Sync()
 	closeErr := t.pager.Close()
 	return errors.Join(flushErr, syncErr, closeErr)
-}
-
-// View returns an independent read-only handle over the same storage with
-// its own buffer pool of bufferPages (0 means 256) and its own Stats.
-// Views make concurrent querying safe: each goroutine queries through its
-// own view while no goroutine mutates the tree. The view observes the
-// tree as of this call; Flush is performed here so the storage is
-// current. Mutating methods on a view return ErrReadOnly.
-func (t *Tree) View(bufferPages int) (*Tree, error) {
-	if bufferPages == 0 {
-		bufferPages = 256
-	}
-	pool, err := buffer.NewSharded(t.pager, bufferPages, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := t.Flush(); err != nil {
-		return nil, err
-	}
-	inner, err := rtree.Open(pool)
-	if err != nil {
-		return nil, err
-	}
-	return &Tree{inner: inner, pool: pool, pager: t.pager, readonly: true}, nil
 }

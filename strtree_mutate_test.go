@@ -307,27 +307,3 @@ func TestMutateStatsSplitPublicAPI(t *testing.T) {
 		t.Fatal("no insert split a node; workload too small")
 	}
 }
-
-// TestMutateReadOnlyViewRejected pins that the write path respects the
-// read-only view contract.
-func TestMutateReadOnlyViewRejected(t *testing.T) {
-	tree, err := New(Options{})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	defer tree.Close()
-	if err := tree.BulkLoad(randItems(100, 4300), PackSTR); err != nil {
-		t.Fatalf("BulkLoad: %v", err)
-	}
-	v, err := tree.View(16)
-	if err != nil {
-		t.Fatalf("View: %v", err)
-	}
-	defer v.Close()
-	if err := v.Insert(R2(0, 0, 1, 1), 999); err != ErrReadOnly {
-		t.Fatalf("view Insert error = %v, want ErrReadOnly", err)
-	}
-	if _, err := v.Delete(R2(0, 0, 1, 1), 999); err != ErrReadOnly {
-		t.Fatalf("view Delete error = %v, want ErrReadOnly", err)
-	}
-}
