@@ -76,8 +76,9 @@ func TestSearchViewZeroAlloc(t *testing.T) {
 	if countAllocs != 0 {
 		t.Errorf("warm Count allocated %.1f times per query, want 0", countAllocs)
 	}
-	// The point query, and its context twin: the degenerate rectangle they
-	// build must not cost what geom.PointRect's two clones did.
+	// The point query, and the server's form of it under a context: the
+	// degenerate rectangle they build must not cost what geom.PointRect's
+	// two clones did.
 	p, matched := Pt2(0.45, 0.45), 0
 	if allocs := testing.AllocsPerRun(50, func() {
 		if err := tr.SearchPoint(p, func(Item) bool { matched++; return true }); err != nil {
@@ -88,11 +89,11 @@ func TestSearchViewZeroAlloc(t *testing.T) {
 	}
 	ctx := context.Background()
 	if allocs := testing.AllocsPerRun(50, func() {
-		if err := tr.SearchPointContext(ctx, p, func(Item) bool { matched++; return true }); err != nil {
+		if err := tr.SearchContext(ctx, Rect{Min: p, Max: p}, func(Item) bool { matched++; return true }); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm SearchPointContext allocated %.1f times per query, want 0", allocs)
+		t.Errorf("warm SearchContext on a point allocated %.1f times per query, want 0", allocs)
 	}
 	if matched == 0 {
 		t.Fatal("point query matched nothing; the gate exercised no emission path")

@@ -68,6 +68,14 @@
 #                     ErrReadOnly or func (t *Tree) View( (strbench's
 #                     -build and -concurrency modes, the hooks only they
 #                     called, the batch executor struct and Tree.View)
+#                     — and an eighth: fanning independent work out over
+#                     goroutines is one loop, internal/par's Each, so no
+#                     .go file names forEachSlab(, eachChunk( or the
+#                     retired context twins SearchPointContext and
+#                     NearestContext(, and no file of internal/psort or
+#                     internal/query, nor internal/pack/pack.go,
+#                     internal/pack/tgs.go or internal/rtree/build.go,
+#                     declares a sync.WaitGroup
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -85,7 +93,8 @@
 #                     -run, -bench and -fuzz name this script and the two
 #                     workflows run exists, since go test exits 0 on a
 #                     pattern that matches nothing)
-#   6. go test -race  the concurrency-sensitive packages: the buffer pool
+#   6. go test -race  the concurrency-sensitive packages: the fan-out loop
+#                     (internal/par), the buffer pool
 #                     (incl. the sharded pool's eviction hammer and the
 #                     write-pin protocol), the packers, the parallel sort
 #                     kernel, the concurrent external sorter, the batch
@@ -197,6 +206,8 @@ if grep -rni 'selftest\|adminsmoke\|seriesexpect' --include='*.go' --exclude='*_
 if grep -rn 'unionRecords\|leastEnlargementEach\|mbrInto\|unionRecord(\|recordRect(\|recordCenter(\|RecordValid' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired copy of a page-record kernel is back outside _test.go: the MBR of a run of records is node.UnionRecords, a record's centre node.RecordCenter, its validity node.FirstInvalid, and each View kernel is a k = 2 arm plus one strided loop" >&2; exit 1; fi
 if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "IntersectsQuery and MinDist are per-entry references for tests and bench/: library code asks a page with AppendIntersecting, AppendMatches or AppendMinDist" >&2; exit 1; fi
 if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is one query.Run, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -rn 'forEachSlab(\|eachChunk(\|SearchPointContext\|NearestContext(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired worker pool or context twin is back: independent work fans out through par.Each (par.Chunks for static ranges), a point query under a context is SearchContext on a degenerate rectangle, and a nearest query under a context is NearestKContext (DESIGN.md §10)" >&2; exit 1; fi
+if grep -rn 'sync\.WaitGroup' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs and query.Run fan out through par.Each; none keeps a WaitGroup of its own (DESIGN.md §10)" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)
@@ -206,8 +217,8 @@ echo "strlint: $(($(date +%s) - strlint_start)) s wall, building it included"
 echo "== go test"
 go test ./...
 
-echo "== go test -race (storage, buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, parallel run packing, concurrent root tests)"
-go test -race ./internal/storage/... ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
+echo "== go test -race (par, storage, buffer, pack, psort, extsort, query, server, router, histo, obs, lint, mutation oracle, parallel run packing, concurrent root tests)"
+go test -race ./internal/par/... ./internal/storage/... ./internal/buffer/... ./internal/pack/... ./internal/psort/... ./internal/extsort/... ./internal/query/... ./internal/server/... ./internal/router/... ./internal/histo/... ./internal/obs/... ./internal/lint/...
 go test -race -run 'Mutate|ConcurrentReaders|BulkLoad' ./internal/rtree
 go test -race -run 'Concurrent|Batch|Sharded|View|Mutate|Parallel|BulkLoad' .
 

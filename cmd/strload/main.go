@@ -12,7 +12,9 @@
 //	strload trace record|simulate [flags]
 //
 // The CSV rows are "x0,y0,x1,y1[,id]"; a missing id defaults to the row
-// number. Query prints one matching item per line (id and rectangle)
+// number. -wkt and -geojson read WKT lines and GeoJSON documents instead;
+// -external takes CSV or WKT. A malformed row fails every build, naming
+// the file and the row. Query prints one matching item per line (id and rectangle)
 // followed by the disk-access count for the query. -metrics appends an
 // end-of-build JSON report with phase times, pages written, external-sort
 // spill counts and buffer I/O counters.
@@ -30,6 +32,7 @@ package main
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/csv"
 	"encoding/json"
 	"flag"
@@ -109,7 +112,7 @@ func runBuild(args []string) error {
 	out := fs.String("out", "index.str", "output index file")
 	packName := fs.String("pack", "STR", "packing algorithm: "+strings.Join(packingNames(), ", "))
 	capacity := fs.Int("cap", 100, "node capacity (entries per page)")
-	external := fs.Bool("external", false, "bounded-memory STR build (for inputs larger than RAM; STR only)")
+	external := fs.Bool("external", false, "bounded-memory STR build (for inputs larger than RAM; STR only; reads -in or -wkt a line at a time)")
 	runSize := fs.Int("runsize", 1<<20, "max items in memory during an -external build")
 	workers := fs.Int("workers", 0, "goroutines for the build's sort and page-write phases (0 = GOMAXPROCS); the index bytes are identical for every value")
 	verify := fs.Bool("verify", false, "after building, re-walk the index and check every structural invariant (balance, MBR tightness, packed fill, page round-trips)")
@@ -125,8 +128,8 @@ func runBuild(args []string) error {
 	if inputs != 1 {
 		return fmt.Errorf("build: exactly one of -in, -wkt or -geojson is required")
 	}
-	if *external && *in == "" {
-		return fmt.Errorf("build: -external works with -in CSV input only")
+	if *external && *geojsonIn != "" {
+		return fmt.Errorf("build: -external reads -in CSV or -wkt a line at a time; -geojson is parsed whole and needs the in-memory build")
 	}
 
 	packing, err := parsePacking(*packName)
@@ -143,16 +146,7 @@ func runBuild(args []string) error {
 		if packing != strtree.PackSTR {
 			return fmt.Errorf("build: -shards partitions by STR slabs and packs each shard by STR; -pack %s is not supported with it", packing)
 		}
-		var items []strtree.Item
-		var err error
-		switch {
-		case *wktIn != "":
-			items, err = readWKTItems(*wktIn)
-		case *geojsonIn != "":
-			items, err = readGeoJSONItems(*geojsonIn)
-		default:
-			items, err = readItems(*in)
-		}
+		items, err := readInput(*in, *wktIn, *geojsonIn)
 		if err != nil {
 			return err
 		}
@@ -164,39 +158,16 @@ func runBuild(args []string) error {
 		return err
 	}
 	if *external {
-		src, closeSrc, srcErr, err := streamItems(*in)
-		if err != nil {
-			tree.Close()
-			return err
-		}
-		err = tree.BulkLoadExternal(src, strtree.ExternalOptions{RunSize: *runSize})
-		closeSrc()
-		if err == nil {
-			err = srcErr() // surface a CSV read error that ended the stream early
-		}
-		if err != nil {
-			tree.Close()
-			return err
-		}
+		err = loadExternal(tree, *in, *wktIn, *runSize)
 	} else {
 		var items []strtree.Item
-		var err error
-		switch {
-		case *wktIn != "":
-			items, err = readWKTItems(*wktIn)
-		case *geojsonIn != "":
-			items, err = readGeoJSONItems(*geojsonIn)
-		default:
-			items, err = readItems(*in)
+		if items, err = readInput(*in, *wktIn, *geojsonIn); err == nil {
+			err = tree.BulkLoad(items, packing)
 		}
-		if err != nil {
-			tree.Close()
-			return err
-		}
-		if err := tree.BulkLoad(items, packing); err != nil {
-			tree.Close()
-			return err
-		}
+	}
+	if err != nil {
+		tree.Close()
+		return err
 	}
 	if *verify {
 		if err := tree.CheckPackedInvariants(); err != nil {
@@ -450,98 +421,100 @@ func runMutate(args []string) error {
 	return nil
 }
 
-// readGeoJSONItems parses a GeoJSON document into indexable items.
-func readGeoJSONItems(path string) ([]strtree.Item, error) {
-	data, err := os.ReadFile(path)
+// source is an input file read as a pull source: each call returns the
+// next item, io.EOF after the last, or the error that ends the input — a
+// malformed CSV row or WKT line among them, named by file and row. Every
+// build reads its input through one: the in-memory and -shards builds
+// collect it (readInput), the -external build pulls it (loadExternal).
+type source func() (strtree.Item, error)
+
+// openInput opens whichever of -in (CSV), -wkt and -geojson is set and
+// returns it as a source, with the file to close once the source is done.
+// CSV and WKT are read a row at a time; GeoJSON is parsed whole here.
+func openInput(csvPath, wktPath, geojsonPath string) (source, io.Closer, error) {
+	path, open := csvPath, csvSource
+	switch {
+	case wktPath != "":
+		path, open = wktPath, wktSource
+	case geojsonPath != "":
+		path, open = geojsonPath, geojsonSource
+	}
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	features, err := geojson.Collection(data)
+	src, err := open(f, path)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		f.Close()
+		return nil, nil, err
 	}
-	items := make([]strtree.Item, len(features))
-	for i, f := range features {
-		items[i] = strtree.Item{Rect: f.Rect, ID: f.ID}
-	}
-	return items, nil
+	return src, f, nil
 }
 
-// readWKTItems parses a file of WKT geometries, one per line, optionally
-// prefixed with "id<TAB>". Blank lines and lines starting with '#' are
-// skipped; each geometry is indexed by its minimum bounding rectangle.
-func readWKTItems(path string) ([]strtree.Item, error) {
-	f, err := os.Open(path)
+// readInput collects openInput's source.
+func readInput(csvPath, wktPath, geojsonPath string) ([]strtree.Item, error) {
+	src, f, err := openInput(csvPath, wktPath, geojsonPath)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	var items []strtree.Item
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24) // polygons can be long
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for {
+		it, err := src()
+		if err == io.EOF {
+			return items, nil
 		}
-		id := uint64(len(items))
-		body := line
-		if tab := strings.IndexByte(line, '\t'); tab >= 0 {
-			parsed, err := strconv.ParseUint(strings.TrimSpace(line[:tab]), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%s line %d: id: %w", path, lineNo, err)
-			}
-			id = parsed
-			body = line[tab+1:]
-		}
-		mbr, err := wkt.MBR(body)
 		if err != nil {
-			return nil, fmt.Errorf("%s line %d: %w", path, lineNo, err)
+			return nil, err
 		}
-		items = append(items, strtree.Item{Rect: mbr, ID: id})
+		items = append(items, it)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return items, nil
 }
 
-// streamItems opens the CSV and returns a pull source for it, so an
-// external build never holds the whole file in memory. Malformed rows are
-// skipped with a warning; a reader error ends the stream and is surfaced
-// through srcErr so the caller fails the build instead of silently
-// indexing a truncated file.
-func streamItems(path string) (src func() (strtree.Item, bool), closeFn func(), srcErr func() error, err error) {
-	f, err := os.Open(path)
+// loadExternal bulk-loads tree from the CSV or WKT input by the
+// bounded-memory external build, pulling the source a row at a time. An
+// input error ends the stream and fails the build.
+func loadExternal(tree *strtree.Tree, csvPath, wktPath string, runSize int) error {
+	src, f, err := openInput(csvPath, wktPath, "")
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1
-	row := 0
-	var readErr error
-	src = func() (strtree.Item, bool) {
-		for {
-			rec, err := r.Read()
-			if err == io.EOF {
-				return strtree.Item{}, false
+	defer f.Close()
+	var srcErr error
+	err = tree.BulkLoadExternal(func() (strtree.Item, bool) {
+		it, err := src()
+		if err != nil {
+			if err != io.EOF {
+				srcErr = err
 			}
-			if err != nil {
-				readErr = fmt.Errorf("%s: %w", path, err)
-				return strtree.Item{}, false
-			}
-			row++
-			it, perr := parseItem(rec, row)
-			if perr != nil {
-				fmt.Fprintf(os.Stderr, "strload: %s row %d skipped: %v\n", path, row, perr)
-				continue
-			}
-			return it, true
+			return strtree.Item{}, false
 		}
-	}
-	return src, func() { f.Close() }, func() error { return readErr }, nil
+		return it, true
+	}, strtree.ExternalOptions{RunSize: runSize})
+	return cmp.Or(srcErr, err)
+}
+
+// csvSource reads CSV rows "x0,y0,x1,y1[,id]"; a missing id is the row's
+// index.
+func csvSource(r io.Reader, path string) (source, error) {
+	cr := csv.NewReader(r)
+	cr.FieldsPerRecord = -1
+	row := 0
+	return func() (strtree.Item, error) {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			return strtree.Item{}, err
+		}
+		if err != nil {
+			return strtree.Item{}, fmt.Errorf("%s: %w", path, err)
+		}
+		row++
+		it, err := parseItem(rec, row)
+		if err != nil {
+			return strtree.Item{}, fmt.Errorf("%s row %d: %w", path, row, err)
+		}
+		return it, nil
+	}, nil
 }
 
 // parseItem converts one CSV record into an item.
@@ -572,33 +545,62 @@ func parseItem(rec []string, row int) (strtree.Item, error) {
 	return strtree.Item{Rect: rect, ID: id}, nil
 }
 
-// readItems parses the CSV rectangle file.
-func readItems(path string) ([]strtree.Item, error) {
-	f, err := os.Open(path)
+// wktSource reads WKT geometries, one per line, optionally prefixed with
+// "id<TAB>"; a missing id is the geometry's index. Blank lines and lines
+// starting with '#' are skipped; each geometry is indexed by its minimum
+// bounding rectangle.
+func wktSource(r io.Reader, path string) (source, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<16), 1<<24) // polygons can be long
+	line, items := 0, uint64(0)
+	return func() (strtree.Item, error) {
+		for sc.Scan() {
+			line++
+			text := strings.TrimSpace(sc.Text())
+			if text == "" || strings.HasPrefix(text, "#") {
+				continue
+			}
+			id, body := items, text
+			if tab := strings.IndexByte(text, '\t'); tab >= 0 {
+				parsed, err := strconv.ParseUint(strings.TrimSpace(text[:tab]), 10, 64)
+				if err != nil {
+					return strtree.Item{}, fmt.Errorf("%s line %d: id: %w", path, line, err)
+				}
+				id, body = parsed, text[tab+1:]
+			}
+			mbr, err := wkt.MBR(body)
+			if err != nil {
+				return strtree.Item{}, fmt.Errorf("%s line %d: %w", path, line, err)
+			}
+			items++
+			return strtree.Item{Rect: mbr, ID: id}, nil
+		}
+		if err := sc.Err(); err != nil {
+			return strtree.Item{}, fmt.Errorf("%s: %w", path, err)
+		}
+		return strtree.Item{}, io.EOF
+	}, nil
+}
+
+// geojsonSource parses a whole GeoJSON document (FeatureCollection,
+// Feature or Geometry) and hands out its features.
+func geojsonSource(r io.Reader, path string) (source, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	defer f.Close()
-	r := csv.NewReader(f)
-	r.FieldsPerRecord = -1
-	var items []strtree.Item
-	row := 0
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", path, err)
-		}
-		row++
-		it, err := parseItem(rec, row)
-		if err != nil {
-			return nil, fmt.Errorf("%s row %d: %w", path, row, err)
-		}
-		items = append(items, it)
+	features, err := geojson.Collection(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return items, nil
+	return func() (strtree.Item, error) {
+		if len(features) == 0 {
+			return strtree.Item{}, io.EOF
+		}
+		f := features[0]
+		features = features[1:]
+		return strtree.Item{Rect: f.Rect, ID: f.ID}, nil
+	}, nil
 }
 
 func parseRect(s string) (strtree.Rect, error) {

@@ -21,7 +21,7 @@ func writeCSV(t *testing.T, content string) string {
 
 func TestReadItems(t *testing.T) {
 	path := writeCSV(t, "0.1,0.1,0.2,0.2\n0.5,0.5,0.6,0.6,99\n")
-	items, err := readItems(path)
+	items, err := readInput(path, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestReadItems(t *testing.T) {
 
 func TestReadItemsReordersCorners(t *testing.T) {
 	path := writeCSV(t, "0.9,0.9,0.1,0.1\n")
-	items, err := readItems(path)
+	items, err := readInput(path, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,11 @@ func TestReadItemsErrors(t *testing.T) {
 		"NaN rect":          "NaN,0,1,1\n",
 	}
 	for name, content := range cases {
-		if _, err := readItems(writeCSV(t, content)); err == nil {
+		if _, err := readInput(writeCSV(t, content), "", ""); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := readItems(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
+	if _, err := readInput(filepath.Join(t.TempDir(), "missing.csv"), "", ""); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -132,7 +132,7 @@ func TestBuildVerifyFlag(t *testing.T) {
 
 func TestReadWKTItems(t *testing.T) {
 	path := writeCSV(t, "# comment\nPOINT (1 2)\n\n7\tLINESTRING (0 0, 4 4)\nPOLYGON ((0 0, 2 0, 2 2, 0 0))\n")
-	items, err := readWKTItems(path)
+	items, err := readInput("", path, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestReadWKTItems(t *testing.T) {
 }
 
 func TestReadWKTItemsErrors(t *testing.T) {
-	if _, err := readWKTItems(writeCSV(t, "CIRCLE (1 2 3)\n")); err == nil {
+	if _, err := readInput("", writeCSV(t, "CIRCLE (1 2 3)\n"), ""); err == nil {
 		t.Error("unsupported geometry accepted")
 	}
-	if _, err := readWKTItems(writeCSV(t, "x\tPOINT (1 2)\n")); err == nil {
+	if _, err := readInput("", writeCSV(t, "x\tPOINT (1 2)\n"), ""); err == nil {
 		t.Error("bad id accepted")
 	}
-	if _, err := readWKTItems(filepath.Join(t.TempDir(), "missing.wkt")); err == nil {
+	if _, err := readInput("", filepath.Join(t.TempDir(), "missing.wkt"), ""); err == nil {
 		t.Error("missing file accepted")
 	}
 }
@@ -242,6 +242,61 @@ func TestBuildExternalFromCSV(t *testing.T) {
 	}
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBuildExternalRejectsMalformedRow holds every build to one CSV
+// policy: a malformed row fails the in-memory, -shards and -external builds
+// alike, and the error names the file and the row.
+func TestBuildExternalRejectsMalformedRow(t *testing.T) {
+	csvPath := writeCSV(t, "0.1,0.1,0.2,0.2\n0.3,0.3,0.4\n0.5,0.5,0.6,0.6\n")
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-external", "-runsize", "2"},
+		{},
+		{"-shards", "2"},
+	} {
+		err := runBuild(append([]string{"-in", csvPath, "-out", filepath.Join(dir, "x.str")}, args...))
+		if err == nil {
+			t.Fatalf("build %v indexed a file with a malformed row", args)
+		}
+		if want := csvPath + " row 2:"; !strings.Contains(err.Error(), want) {
+			t.Fatalf("build %v: error %q does not name %q", args, err, want)
+		}
+	}
+}
+
+// TestBuildExternalFromWKT runs the -external build over a WKT file, read a
+// line at a time, to the tree the in-memory build makes of it; -geojson,
+// parsed whole, is refused.
+func TestBuildExternalFromWKT(t *testing.T) {
+	var sb strings.Builder
+	for i := 0; i < 300; i++ {
+		x, y := float64(i%20)/20, float64(i/20)/20
+		fmt.Fprintf(&sb, "%d\tPOLYGON ((%g %g, %g %g, %g %g, %g %g))\n", 1000+i, x, y, x+0.01, y, x+0.01, y+0.01, x, y)
+	}
+	path := writeCSV(t, sb.String())
+	dir := t.TempDir()
+	ext, mem := filepath.Join(dir, "ext.str"), filepath.Join(dir, "mem.str")
+	if err := runBuild([]string{"-wkt", path, "-out", ext, "-external", "-runsize", "64", "-cap", "20"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := runBuild([]string{"-wkt", path, "-out", mem, "-cap", "20"}); err != nil {
+		t.Fatal(err)
+	}
+	a, err := os.ReadFile(ext)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(a) != string(b) {
+		t.Fatal("-external and in-memory builds of one WKT file differ")
+	}
+	if err := runBuild([]string{"-geojson", path, "-out", ext, "-external"}); err == nil {
+		t.Fatal("-external accepted -geojson")
 	}
 }
 

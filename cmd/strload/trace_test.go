@@ -69,7 +69,7 @@ func TestGenWritesBuildableCSV(t *testing.T) {
 	if err := runGen([]string{"-set", "uniform", "-n", "500", "-seed", "7", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
-	items, err := readItems(out)
+	items, err := readInput(out, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

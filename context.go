@@ -24,11 +24,6 @@ func (t *Tree) SearchContext(ctx context.Context, q Rect, fn func(Item) bool) er
 	})
 }
 
-// SearchPointContext is SearchPoint under a context.
-func (t *Tree) SearchPointContext(ctx context.Context, p Point, fn func(Item) bool) error {
-	return t.SearchContext(ctx, Rect{Min: p, Max: p}, fn) // aliases p: see rtree.SearchPoint
-}
-
 // CountContext is Count under a context.
 func (t *Tree) CountContext(ctx context.Context, q Rect) (int, error) {
 	return t.inner.CountContext(ctx, q)

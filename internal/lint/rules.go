@@ -28,12 +28,14 @@ var droppedErrTargets = map[string]bool{
 // deterministicLayers are the packages on the bulk-load build path whose
 // output must be byte-identical at any worker count (the PR-4 contract):
 // the root strtree package (the bulk-load facade), the packing
-// pipeline and its sorters, and the tree writer. The maporder and timerand
+// pipeline, its sorters and the fan-out loop they share, and the tree
+// writer. The maporder and timerand
 // checks only fire here: map iteration order, wall-clock time and random
 // numbers must never influence what these layers write.
 var deterministicLayers = map[string]bool{
 	"":                 true, // the root strtree package
 	"internal/pack":    true,
+	"internal/par":     true,
 	"internal/psort":   true,
 	"internal/extsort": true,
 	"internal/rtree":   true,
@@ -48,16 +50,17 @@ var deterministicLayers = map[string]bool{
 // may import ("" is the root strtree package). Anything else is a layering
 // violation. The layering is strictly bottom-up:
 //
-//	geom, hilbert, storage, svg, histo (foundations: no internal imports)
+//	geom, hilbert, storage, svg, histo,
+//	par                                (foundations: no internal imports)
 //	node, wkt, geojson, server/wire    -> geom
 //	obs                                -> histo
-//	query                              -> geom
+//	query                              -> geom, par
 //	buffer, trace                      -> storage
 //	datagen                            -> geom, node
-//	psort                              -> geom, node
+//	psort                              -> geom, node, par
 //	extsort                            -> geom, node, psort
-//	pack                               -> extsort, geom, hilbert, node, psort
-//	rtree                              -> buffer, geom, node, psort, storage
+//	pack                               -> extsort, geom, hilbert, node, par, psort
+//	rtree                              -> buffer, geom, node, par, psort, storage
 //	metrics                            -> geom, node, rtree, storage
 //	experiments                        -> everything below
 //	strtree (root)                     -> the public surface's needs
@@ -85,28 +88,31 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/svg":     {},
 	"internal/lint":    {},
 	"internal/histo":   {},
+	"internal/par":     {},
 	"internal/obs":     {"internal/histo": true},
 	"internal/node":    {"internal/geom": true},
-	"internal/query":   {"internal/geom": true},
+	"internal/query":   {"internal/geom": true, "internal/par": true},
 	"internal/wkt":     {"internal/geom": true},
 	"internal/geojson": {"internal/geom": true},
 	"internal/buffer":  {"internal/storage": true},
 	"internal/trace":   {"internal/storage": true},
 	"internal/datagen": {"internal/geom": true, "internal/node": true},
 	"internal/extsort": {"internal/geom": true, "internal/node": true, "internal/psort": true},
-	"internal/psort":   {"internal/geom": true, "internal/node": true},
+	"internal/psort":   {"internal/geom": true, "internal/node": true, "internal/par": true},
 	"internal/pack": {
 		"internal/extsort": true,
 		"internal/geom":    true,
 		"internal/hilbert": true,
 		"internal/node":    true,
+		"internal/par":     true,
 		"internal/psort":   true,
 	},
 	"internal/rtree": {
 		"internal/buffer":  true,
 		"internal/geom":    true,
 		"internal/node":    true,
-		"internal/psort":   true, // Chunks: the bulk loader's parallel encode and check
+		"internal/par":     true,
+		"internal/psort":   true, // Float64Key: the tile cut's sort keys
 		"internal/storage": true,
 	},
 	"internal/metrics": {

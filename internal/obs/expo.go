@@ -89,13 +89,13 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				buf = append(buf, f.name...)
 				buf = appendLabels(buf, s.labels)
 				buf = append(buf, ' ')
-				buf = strconv.AppendUint(buf, s.sampleCounter(), 10)
+				buf = strconv.AppendUint(buf, s.counterFn(), 10)
 				buf = append(buf, '\n')
 			case KindGauge:
 				buf = append(buf, f.name...)
 				buf = appendLabels(buf, s.labels)
 				buf = append(buf, ' ')
-				buf = append(buf, formatValue(s.sampleGauge())...)
+				buf = append(buf, formatValue(s.gaugeFn())...)
 				buf = append(buf, '\n')
 			case KindSummary:
 				sum := s.sampleSummary()
@@ -162,10 +162,10 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 			switch f.kind {
 			case KindCounter:
 				buf = append(buf, ",\"value\":"...)
-				buf = strconv.AppendUint(buf, s.sampleCounter(), 10)
+				buf = strconv.AppendUint(buf, s.counterFn(), 10)
 			case KindGauge:
 				buf = append(buf, ",\"value\":"...)
-				buf = appendJSONFloat(buf, s.sampleGauge())
+				buf = appendJSONFloat(buf, s.gaugeFn())
 			case KindSummary:
 				sum := s.sampleSummary()
 				buf = append(buf, ",\"count\":"...)

@@ -9,11 +9,11 @@
 // Design:
 //
 //   - A Registry holds metric families; a family holds one or more series
-//     distinguished by label sets. Registration returns live handles
-//     (Counter, Gauge) whose updates are lock-free atomics, or binds
-//     callbacks (CounterFunc, GaugeFunc, HistogramFunc) that sample an
-//     existing source at exposition time — the natural fit for the many
-//     atomic counters the server, buffer and executor layers already keep.
+//     distinguished by label sets. Registration binds a source the calling
+//     layer already keeps (CounterFunc, GaugeFunc, HistogramFunc), sampled
+//     at exposition time: every series the server, frame and router export
+//     reads an atomic or a histogram that layer keeps, so the registry
+//     holds no value of its own.
 //   - Histograms ride on internal/histo's lock-free log-bucketed
 //     histogram and are exposed as Prometheus summaries (quantile series
 //     plus _sum and _count), in seconds per Prometheus convention.
@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"strtree/internal/histo"
@@ -73,45 +72,6 @@ type Label struct {
 // L is shorthand for building a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing counter. The zero value is ready
-// to use, but counters are normally created through Registry.Counter so
-// they are exported.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64 // float64 bits
-}
-
-// Set stores the gauge's value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the gauge by delta (which may be negative). It is a CAS
-// loop, safe for concurrent use.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		newV := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, newV) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
-
 // summaryQuantiles are the quantiles every summary exposes, ascending as
 // histo.Quantiles requires.
 var summaryQuantiles = []float64{0.5, 0.95, 0.99}
@@ -122,11 +82,9 @@ type series struct {
 	key    string  // canonical label signature, the sort key
 
 	// Exactly one of the following backs the series, per the family kind.
-	counter     *Counter
 	counterFn   func() uint64
-	gauge       *Gauge
 	gaugeFn     func() float64
-	hist        *histo.Histogram // owned or borrowed; summaries only
+	hist        *histo.Histogram // summaries only
 	scaleToSecs bool             // render histogram nanoseconds as seconds
 }
 
@@ -141,8 +99,8 @@ type family struct {
 }
 
 // Registry is a set of metric families. All methods are safe for
-// concurrent use; metric updates through returned handles never take the
-// registry lock.
+// concurrent use; the sources a series samples are the registering
+// layer's, and their updates never take the registry lock.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family // guarded by mu
@@ -245,14 +203,6 @@ func (r *Registry) register(name, help string, kind Kind, s *series) {
 	f.sorted[i] = s
 }
 
-// Counter registers and returns a counter series.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	ls, key := canonLabels(name, labels)
-	r.register(name, help, KindCounter, &series{labels: ls, key: key, counter: c})
-	return c
-}
-
 // CounterFunc registers a counter whose value is sampled from fn at
 // exposition time. fn must be monotone and safe for concurrent use — the
 // shape of an existing atomic counter's Load.
@@ -261,27 +211,11 @@ func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...La
 	r.register(name, help, KindCounter, &series{labels: ls, key: key, counterFn: fn})
 }
 
-// Gauge registers and returns a gauge series.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	g := &Gauge{}
-	ls, key := canonLabels(name, labels)
-	r.register(name, help, KindGauge, &series{labels: ls, key: key, gauge: g})
-	return g
-}
-
 // GaugeFunc registers a gauge sampled from fn at exposition time. fn must
 // be safe for concurrent use.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
 	ls, key := canonLabels(name, labels)
 	r.register(name, help, KindGauge, &series{labels: ls, key: key, gaugeFn: fn})
-}
-
-// Histogram registers a new latency histogram exposed as a summary in
-// seconds, returning the histogram for the caller to Observe into.
-func (r *Registry) Histogram(name, help string, labels ...Label) *histo.Histogram {
-	h := &histo.Histogram{}
-	r.HistogramFunc(name, help, h, labels...)
-	return h
 }
 
 // HistogramFunc registers an existing histogram — the serving layer's
@@ -315,22 +249,6 @@ type familySnap struct {
 	help   string
 	kind   Kind
 	series []*series
-}
-
-// sampleCounter reads a counter series' current value.
-func (s *series) sampleCounter() uint64 {
-	if s.counterFn != nil {
-		return s.counterFn()
-	}
-	return s.counter.Value()
-}
-
-// sampleGauge reads a gauge series' current value.
-func (s *series) sampleGauge() float64 {
-	if s.gaugeFn != nil {
-		return s.gaugeFn()
-	}
-	return s.gauge.Value()
 }
 
 // summarySample is a summary series' digest at exposition time.

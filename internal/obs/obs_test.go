@@ -5,9 +5,29 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"strtree/internal/histo"
 )
+
+// counter registers a counter series that reads v.
+func counter(r *Registry, name, help string, v uint64, labels ...Label) {
+	r.CounterFunc(name, help, func() uint64 { return v }, labels...)
+}
+
+// gauge registers a gauge series that reads v.
+func gauge(r *Registry, name, help string, v float64, labels ...Label) {
+	r.GaugeFunc(name, help, func() float64 { return v }, labels...)
+}
+
+// histogram registers a new histogram as a summary series and returns it.
+func histogram(r *Registry, name, help string, labels ...Label) *histo.Histogram {
+	h := &histo.Histogram{}
+	r.HistogramFunc(name, help, h, labels...)
+	return h
+}
 
 // gather renders the registry's Prometheus text exposition as a string.
 func gather(t *testing.T, r *Registry) string {
@@ -31,7 +51,7 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "counter no labels",
 			build: func(r *Registry) {
-				r.Counter("requests_total", "Requests served.").Add(3)
+				counter(r, "requests_total", "Requests served.", 3)
 			},
 			want: "# HELP requests_total Requests served.\n" +
 				"# TYPE requests_total counter\n" +
@@ -40,7 +60,7 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "labels sorted by key regardless of registration order",
 			build: func(r *Registry) {
-				r.Counter("hits_total", "Hits.", L("zone", "b"), L("app", "x")).Inc()
+				counter(r, "hits_total", "Hits.", 1, L("zone", "b"), L("app", "x"))
 			},
 			want: "# HELP hits_total Hits.\n" +
 				"# TYPE hits_total counter\n" +
@@ -49,9 +69,9 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "series sorted within a family",
 			build: func(r *Registry) {
-				r.Counter("ops_total", "Ops.", L("op", "search")).Add(2)
-				r.Counter("ops_total", "Ops.", L("op", "count")).Add(5)
-				r.Counter("ops_total", "Ops.", L("op", "batch")).Add(1)
+				counter(r, "ops_total", "Ops.", 2, L("op", "search"))
+				counter(r, "ops_total", "Ops.", 5, L("op", "count"))
+				counter(r, "ops_total", "Ops.", 1, L("op", "batch"))
 			},
 			want: "# HELP ops_total Ops.\n" +
 				"# TYPE ops_total counter\n" +
@@ -62,8 +82,8 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "families sorted by name",
 			build: func(r *Registry) {
-				r.Gauge("zz_gauge", "Last.").Set(1)
-				r.Counter("aa_total", "First.").Inc()
+				gauge(r, "zz_gauge", "Last.", 1)
+				counter(r, "aa_total", "First.", 1)
 			},
 			want: "# HELP aa_total First.\n" +
 				"# TYPE aa_total counter\n" +
@@ -75,7 +95,7 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "label value escaping: quote, backslash, newline",
 			build: func(r *Registry) {
-				r.Gauge("g", "Gauge.", L("path", `C:\tmp`), L("q", "say \"hi\"\nbye")).Set(2.5)
+				gauge(r, "g", "Gauge.", 2.5, L("path", `C:\tmp`), L("q", "say \"hi\"\nbye"))
 			},
 			want: "# HELP g Gauge.\n" +
 				"# TYPE g gauge\n" +
@@ -84,7 +104,7 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "help escaping: backslash and newline, not quotes",
 			build: func(r *Registry) {
-				r.Counter("c_total", "line one\nline \\two \"quoted\"").Inc()
+				counter(r, "c_total", "line one\nline \\two \"quoted\"", 1)
 			},
 			want: "# HELP c_total line one\\nline \\\\two \"quoted\"\n" +
 				"# TYPE c_total counter\n" +
@@ -107,7 +127,7 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "empty summary renders NaN quantiles and zero count",
 			build: func(r *Registry) {
-				r.Histogram("lat_seconds", "Latency.", L("op", "search"))
+				histogram(r, "lat_seconds", "Latency.", L("op", "search"))
 			},
 			want: "# HELP lat_seconds Latency.\n" +
 				"# TYPE lat_seconds summary\n" +
@@ -120,7 +140,7 @@ func TestPrometheusExposition(t *testing.T) {
 		{
 			name: "summary observations in seconds",
 			build: func(r *Registry) {
-				h := r.Histogram("dur_seconds", "Duration.")
+				h := histogram(r, "dur_seconds", "Duration.")
 				// One exact-bucket observation: quantile == value.
 				h.Observe(7 * time.Nanosecond)
 			},
@@ -152,11 +172,11 @@ func TestExpositionDeterministic(t *testing.T) {
 		r := NewRegistry()
 		type reg func(*Registry)
 		regs := []reg{
-			func(r *Registry) { r.Counter("b_total", "B.", L("op", "x")).Add(1) },
-			func(r *Registry) { r.Counter("b_total", "B.", L("op", "y")).Add(2) },
-			func(r *Registry) { r.Gauge("a", "A.", L("shard", "1")).Set(3) },
-			func(r *Registry) { r.Gauge("a", "A.", L("shard", "0")).Set(4) },
-			func(r *Registry) { r.Histogram("c_seconds", "C.") },
+			func(r *Registry) { counter(r, "b_total", "B.", 1, L("op", "x")) },
+			func(r *Registry) { counter(r, "b_total", "B.", 2, L("op", "y")) },
+			func(r *Registry) { gauge(r, "a", "A.", 3, L("shard", "1")) },
+			func(r *Registry) { gauge(r, "a", "A.", 4, L("shard", "0")) },
+			func(r *Registry) { histogram(r, "c_seconds", "C.") },
 		}
 		for _, i := range perm {
 			regs[i](r)
@@ -182,14 +202,14 @@ func TestExpositionDeterministic(t *testing.T) {
 }
 
 // TestJSONExposition checks the JSON mirror parses and carries the same
-// values as the handles report.
+// values as the sources report.
 func TestJSONExposition(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reqs_total", "Requests.", L("op", "search")).Add(11)
-	r.Gauge("in_flight", "In flight.").Set(2)
-	h := r.Histogram("lat_seconds", "Latency.")
+	counter(r, "reqs_total", "Requests.", 11, L("op", "search"))
+	gauge(r, "in_flight", "In flight.", 2)
+	h := histogram(r, "lat_seconds", "Latency.")
 	h.Observe(5 * time.Nanosecond)
-	r.Histogram("idle_seconds", "Never observed.")
+	histogram(r, "idle_seconds", "Never observed.")
 
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
@@ -240,21 +260,23 @@ func TestRegistrationContracts(t *testing.T) {
 		fn()
 	}
 	r := NewRegistry()
-	mustPanic("invalid metric name", func() { r.Counter("9bad", "x") })
-	mustPanic("invalid label key", func() { r.Counter("ok_total", "x", L("9k", "v")) })
-	mustPanic("duplicate label key", func() { r.Counter("ok2_total", "x", L("k", "a"), L("k", "b")) })
-	r.Counter("dup_total", "x", L("op", "a"))
-	mustPanic("duplicate series", func() { r.Counter("dup_total", "x", L("op", "a")) })
-	mustPanic("kind conflict", func() { r.Gauge("dup_total", "x", L("op", "b")) })
+	mustPanic("invalid metric name", func() { counter(r, "9bad", "x", 0) })
+	mustPanic("invalid label key", func() { counter(r, "ok_total", "x", 0, L("9k", "v")) })
+	mustPanic("duplicate label key", func() { counter(r, "ok2_total", "x", 0, L("k", "a"), L("k", "b")) })
+	counter(r, "dup_total", "x", 0, L("op", "a"))
+	mustPanic("duplicate series", func() { counter(r, "dup_total", "x", 0, L("op", "a")) })
+	mustPanic("kind conflict", func() { gauge(r, "dup_total", "x", 0, L("op", "b")) })
 }
 
-// TestConcurrentUpdatesAndScrapes exercises handle updates racing with
+// TestConcurrentUpdatesAndScrapes exercises source updates racing with
 // exposition under -race.
 func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total", "C.")
-	g := r.Gauge("g", "G.")
-	h := r.Histogram("h_seconds", "H.")
+	var c atomic.Uint64
+	var g atomic.Int64
+	r.CounterFunc("c_total", "C.", c.Load)
+	r.GaugeFunc("g", "G.", func() float64 { return float64(g.Load()) })
+	h := histogram(r, "h_seconds", "H.")
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for i := 0; i < 4; i++ {
@@ -262,7 +284,7 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 2000; j++ {
-				c.Inc()
+				c.Add(1)
 				g.Add(1)
 				g.Add(-1)
 				h.Observe(time.Duration(j))
@@ -289,19 +311,19 @@ func TestConcurrentUpdatesAndScrapes(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	swg.Wait()
-	if c.Value() != 8000 {
-		t.Fatalf("counter = %d, want 8000", c.Value())
+	if c.Load() != 8000 {
+		t.Fatalf("counter = %d, want 8000", c.Load())
 	}
-	if g.Value() != 0 {
-		t.Fatalf("gauge = %v, want 0", g.Value())
+	if g.Load() != 0 {
+		t.Fatalf("gauge = %v, want 0", g.Load())
 	}
 }
 
 // TestGaugeNonFinite pins the text rendering of the IEEE edge values.
 func TestGaugeNonFinite(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("weird", "W.", L("v", "nan")).Set(math.NaN())
-	r.Gauge("weird", "W.", L("v", "pinf")).Set(math.Inf(1))
+	gauge(r, "weird", "W.", math.NaN(), L("v", "nan"))
+	gauge(r, "weird", "W.", math.Inf(1), L("v", "pinf"))
 	want := "# HELP weird W.\n# TYPE weird gauge\n" +
 		"weird{v=\"nan\"} NaN\n" +
 		"weird{v=\"pinf\"} +Inf\n"

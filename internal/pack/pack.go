@@ -23,10 +23,10 @@ package pack
 
 import (
 	"math"
-	"sync"
 
 	"strtree/internal/hilbert"
 	"strtree/internal/node"
+	"strtree/internal/par"
 	"strtree/internal/psort"
 )
 
@@ -74,31 +74,6 @@ func normWorkers(w int) int {
 		return 1
 	}
 	return w
-}
-
-// forEachSlab cuts [0, total) into consecutive slabs of the given size
-// (the last one short) and invokes fn for each, running up to workers
-// slabs concurrently. Slabs are disjoint, so the concurrent and
-// sequential schedules produce identical data.
-func forEachSlab(total, slab, workers int, fn func(start, end int)) {
-	if workers <= 1 {
-		for start := 0; start < total; start += slab {
-			fn(start, min(start+slab, total))
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for start := 0; start < total; start += slab {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(start, end int) {
-			defer wg.Done()
-			fn(start, end)
-			<-sem
-		}(start, min(start+slab, total))
-	}
-	wg.Wait()
 }
 
 // HS is the Hilbert-Sort packing order: rectangle centers sorted by their
@@ -149,7 +124,7 @@ func (h HS) OrderRecords(recs []byte, dims, n, level int) []byte {
 		return sortByCenter(recs, dims, 0, workers)
 	}
 	keys := make([]uint64, count)
-	psort.Chunks(count, workers, func(clo, chi int) {
+	par.Chunks(count, workers, func(clo, chi int) {
 		center := make([]float64, dims)
 		cell := make([]uint32, dims)
 		for i := clo; i < chi; i++ {
@@ -208,18 +183,21 @@ func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
 	return p.Apply(s.workers())
 }
 
-// tile cuts positions [lo, hi) of p, sorted on axis-1, into the STR slab
-// sizes, sorts each slab on axis and recurses on it while axes remain.
-// Slab contents are independent after the partitioning sort, so the
-// outermost call runs its slabs on up to workers goroutines, everything
-// inside a slab sequentially, with output identical to the sequential
-// schedule.
+// tile cuts positions [lo, hi) of p, sorted on axis-1, into consecutive
+// slabs of the STR slab size (the last one short), sorts each slab on axis
+// and recurses on it while axes remain. Slabs are disjoint after the
+// partitioning sort, so the outermost call runs them on up to workers
+// goroutines, everything inside a slab sequentially, with output identical
+// to the sequential schedule.
 func (s STR) tile(p *psort.Perm, lo, hi, n, axis, dims, workers int) {
-	forEachSlab(hi-lo, slabSize(hi-lo, n, dims-axis+1), workers, func(start, end int) {
-		p.SortByCenter(lo+start, lo+end, axis, 1)
+	slab := slabSize(hi-lo, n, dims-axis+1)
+	par.Each((hi-lo+slab-1)/slab, workers, func(_, i int) error {
+		start, end := lo+i*slab, min(lo+i*slab+slab, hi)
+		p.SortByCenter(start, end, axis, 1)
 		if axis+1 < dims {
-			s.tile(p, lo+start, lo+end, n, axis+1, dims, 1)
+			s.tile(p, start, end, n, axis+1, dims, 1)
 		}
+		return nil
 	})
 }
 

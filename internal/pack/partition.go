@@ -8,7 +8,11 @@ package pack
 // properties — tight, near-disjoint MBRs and balanced counts — which is
 // what makes shard-MBR pruning effective in the fan-out router.
 
-import "strtree/internal/node"
+import (
+	"runtime"
+
+	"strtree/internal/node"
+)
 
 // STRPartition reorders entries in place exactly as the STR packing sort
 // would for a node capacity of ceil(len(entries)/parts), and returns the
@@ -27,6 +31,9 @@ func STRPartition(entries []node.Entry, parts, workers int) [][2]int {
 	}
 	if parts > n {
 		parts = n
+	}
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	per := (n + parts - 1) / parts
 	STR{Workers: workers}.Order(entries, per, 0)

@@ -2,10 +2,10 @@ package pack
 
 import (
 	"math"
-	"sync"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/par"
 )
 
 // TGS is the Top-down Greedy Split bulk-loading order of García, López
@@ -62,15 +62,14 @@ func (t TGS) split(recs []byte, dims, n, workers int) {
 	cut := t.bestCut(recs, dims, n, workers) * size
 	left, right := recs[:cut], recs[cut:]
 	if workers > 1 && len(left) > n*size && len(right) > n*size {
-		lw := workers / 2
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t.split(left, dims, n, lw)
-		}()
-		t.split(right, dims, n, workers-lw)
-		wg.Wait()
+		par.Each(2, 2, func(_, i int) error {
+			if i == 0 {
+				t.split(left, dims, n, workers/2)
+			} else {
+				t.split(right, dims, n, workers-workers/2)
+			}
+			return nil
+		})
 		return
 	}
 	t.split(left, dims, n, workers)

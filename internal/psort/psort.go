@@ -21,8 +21,8 @@
 // Determinism: each digit pass is stable, so the result is the stable sort
 // by key — ties stay in the order the pairs had, which for a fresh Perm is
 // the entries' own. The stable sort of a sequence is unique, and the
-// parallel split keeps it: worker w counts and scatters the w-th chunk of
-// the input at the prefix sum over (digit value, worker), so equal digits
+// parallel split keeps it: the c-th chunk of the input is counted and
+// scattered at the prefix sum over (digit value, chunk), so equal digits
 // land in input order whatever the chunking, and the workers then sort
 // whole buckets, disjoint ranges. The kernel's output is therefore
 // byte-for-byte identical for every worker count; packed trees built at
@@ -32,17 +32,16 @@ package psort
 import (
 	"math"
 	"math/bits"
-	"sync"
-	"sync/atomic"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/par"
 )
 
 const (
-	// seqMin is the fewest items worth a goroutine of their own — below it
-	// the handoff costs more than it saves. Chunks splits nothing smaller,
-	// and a sort takes one worker per seqMin pairs.
+	// seqMin is the fewest pairs worth a goroutine of their own — below it
+	// the handoff costs more than it saves: a sort takes one worker per
+	// seqMin pairs.
 	seqMin = 4096
 	// insertionMax is the range length up to which a stable insertion sort
 	// beats eight passes over a 256-bucket histogram: on random keys the two
@@ -113,7 +112,7 @@ func (p *Perm) SortByCenter(lo, hi, axis, workers int) {
 		// No closure on this path: a caller's per-slab sorts do not allocate.
 		p.keyByCenter(ps, axis)
 	} else {
-		Chunks(len(ps), workers, func(clo, chi int) { p.keyByCenter(ps[clo:chi], axis) })
+		par.Chunks(len(ps), workers, func(clo, chi int) { p.keyByCenter(ps[clo:chi], axis) })
 	}
 	sortPairs(ps, p.tmp[lo:hi], false, workers)
 }
@@ -136,7 +135,7 @@ func (p *Perm) Apply(workers int) []byte {
 	if workers <= 1 {
 		p.gather(out, 0, len(p.ps))
 	} else {
-		Chunks(len(p.ps), workers, func(lo, hi int) { p.gather(out, lo, hi) })
+		par.Chunks(len(p.ps), workers, func(lo, hi int) { p.gather(out, lo, hi) })
 	}
 	return out
 }
@@ -218,7 +217,7 @@ func Encode(entries []node.Entry, workers int) (recs []byte, dims int) {
 	dims = entries[0].Rect.Dim()
 	size := node.EntrySize(dims)
 	recs = make([]byte, len(entries)*size)
-	Chunks(len(entries), workers, func(lo, hi int) {
+	par.Chunks(len(entries), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r := entries[i].Rect
 			if len(r.Min) != dims || len(r.Max) != dims {
@@ -243,7 +242,7 @@ func Decode(entries []node.Entry, recs []byte, dims, workers int) {
 func decode(entries []node.Entry, recs []byte, dims int, ps []pair, workers int) {
 	size, w := node.EntrySize(dims), 2*dims
 	coords := make([]float64, w*len(entries))
-	Chunks(len(entries), workers, func(lo, hi int) {
+	par.Chunks(len(entries), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			j := i
 			if ps != nil {
@@ -257,41 +256,6 @@ func decode(entries []node.Entry, recs []byte, dims int, ps []pair, workers int)
 			entries[i] = node.Entry{Rect: geom.Rect{Min: c[:dims:dims], Max: c[dims:]}, Ref: node.RecordRef(rec, dims)}
 		}
 	})
-}
-
-// Chunks invokes f over consecutive [lo, hi) ranges covering [0, n),
-// concurrently when workers > 1 and n is worth splitting. Exported for
-// callers that precompute keys (e.g. the Hilbert packers).
-func Chunks(n, workers int, f func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < seqMin {
-		f(0, n)
-		return
-	}
-	eachChunk(n, workers, func(_, lo, hi int) { f(lo, hi) })
-}
-
-// eachChunk runs f(w, lo, hi) on its own goroutine for each of the workers
-// consecutive ranges n*w/workers .. n*(w+1)/workers and waits for them.
-func eachChunk(n, workers int, f func(w, lo, hi int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := n*w/workers, n*(w+1)/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			f(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
 }
 
 // sortPairs stably sorts the pairs of a by key and leaves them in b when
@@ -362,12 +326,14 @@ func split(a, b []pair, toB bool, workers int) {
 	}
 }
 
-// scatterParallel is split's scatter with each of workers chunks of a
-// counted and scattered on its own goroutine.
+// scatterParallel is split's scatter over workers static chunks of a,
+// each counted and then scattered concurrently: chunk c keeps its own
+// histogram and offsets whichever goroutine takes it.
 func scatterParallel(a, b []pair, workers int) (bound bounds, ok bool) {
 	hs := make([]histogram, workers)
 	diffs := make([]uint64, workers)
-	eachChunk(len(a), workers, func(w, lo, hi int) { diffs[w] = tally(&hs[w], a[lo:hi], a[0].key) })
+	chunk := func(c int) []pair { return a[len(a)*c/workers : len(a)*(c+1)/workers] }
+	par.Each(workers, workers, func(_, c int) error { diffs[c] = tally(&hs[c], chunk(c), a[0].key); return nil })
 	var differ uint64
 	for _, d := range diffs {
 		differ |= d
@@ -377,12 +343,12 @@ func scatterParallel(a, b []pair, workers int) (bound bounds, ok bool) {
 	}
 	d := (63 - bits.LeadingZeros64(differ)) / digitBits
 	bound = offsets(hs, d, len(a))
-	eachChunk(len(a), workers, func(w, lo, hi int) { scatter(b, a[lo:hi], d*digitBits, &hs[w][d]) })
+	par.Each(workers, workers, func(_, c int) error { scatter(b, chunk(c), d*digitBits, &hs[c][d]); return nil })
 	return bound, true
 }
 
 // sortBuckets sorts split's buckets on workers goroutines, each taking the
-// next bucket off a shared counter. A bucket of more than 1/workers of the
+// next bucket as it frees up. A bucket of more than 1/workers of the
 // pairs would keep one worker busy while the others idle — centres in
 // [0, 1) differ in their top digit only below 2⁻¹⁶ — so it goes first, to
 // all workers.
@@ -393,13 +359,11 @@ func sortBuckets(a, b []pair, bound bounds, toB bool, workers int) {
 			sortPairs(b[lo:hi], a[lo:hi], !toB, workers)
 		}
 	}
-	var next atomic.Int32
-	eachChunk(workers, workers, func(int, int, int) {
-		for v := next.Add(1) - 1; v < 1<<digitBits; v = next.Add(1) - 1 {
-			if lo, hi := bound[v], bound[v+1]; hi-lo <= big {
-				sortPairs(b[lo:hi], a[lo:hi], !toB, 1)
-			}
+	par.Each(1<<digitBits, workers, func(_, v int) error {
+		if lo, hi := bound[v], bound[v+1]; hi-lo <= big {
+			sortPairs(b[lo:hi], a[lo:hi], !toB, 1)
 		}
+		return nil
 	})
 }
 
@@ -427,9 +391,9 @@ func tally(h *histogram, src []pair, ref uint64) (differ uint64) {
 	return differ
 }
 
-// offsets turns the workers' counts of n keys at digit position d into each
-// worker's first output position per digit value — the prefix sum in (digit
-// value, worker) order, which keeps the scatter stable across chunks — and
+// offsets turns the chunks' counts of n keys at digit position d into each
+// chunk's first output position per digit value — the prefix sum in (digit
+// value, chunk) order, which keeps the scatter stable across chunks — and
 // returns the bounds of the digit values' runs.
 func offsets(hs []histogram, d, n int) (bound bounds) {
 	sum := 0

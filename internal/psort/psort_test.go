@@ -238,30 +238,6 @@ func TestFloat64Key(t *testing.T) {
 	}
 }
 
-// TestChunksCovers checks the parallel range helper covers [0, n) exactly
-// once for awkward worker/size combinations.
-func TestChunksCovers(t *testing.T) {
-	for _, n := range []int{0, 1, 5, seqMin, seqMin + 3, 100003} {
-		for _, workers := range []int{1, 2, 3, 7, 64, 100005} {
-			hits := make([]int32, n)
-			var mu chan struct{} = make(chan struct{}, 1)
-			mu <- struct{}{}
-			Chunks(n, workers, func(lo, hi int) {
-				<-mu
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-				mu <- struct{}{}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}
-
 func BenchmarkByCenter(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	entries := make([]node.Entry, 1<<20)

@@ -10,10 +10,10 @@ package query
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"strtree/internal/geom"
+	"strtree/internal/par"
 )
 
 // ExecMetrics aggregates batch activity across batches for the
@@ -41,28 +41,33 @@ type ExecMetrics struct {
 // safe for concurrent use, but distinct calls never share an index, so it
 // may write the i-th slot of a result slice without a lock. One worker
 // runs the batch strictly in order on the calling goroutine, preserving
-// deterministic buffer accounting. Workers claim queries from a shared
-// counter, so a slow query does not idle the rest of the pool. The first
-// error stops the batch: remaining queries are abandoned and the error —
-// a page read failure, typically — is returned wrapped as "query %d: ..."
-// so logs can identify the offending request; errors.Is/As still reach
-// the cause. (Making the caller worker 0 of the pool, as the router's
-// fan-out does, was measured and not kept: EXPERIMENTS.md, PR 23.)
+// deterministic buffer accounting. Workers take queries as they free up
+// (par.Each), so a slow query does not idle the rest of the pool. The
+// first error stops the batch: remaining queries are abandoned and the
+// error — a page read failure, typically — is returned wrapped as
+// "query %d: ..." so logs can identify the offending request; errors.Is/As
+// still reach the cause. (Making the caller worker 0 of the pool, as the
+// router's fan-out does, was measured and not kept: EXPERIMENTS.md,
+// PR 23.)
 func Run(qs []geom.Rect, workers int, m *ExecMetrics, do func(i int, q geom.Rect) error) error {
 	n := len(qs)
 	if n == 0 {
 		return nil
 	}
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	m.BatchesStarted.Add(1)
 	m.QueuedQueries.Add(int64(n))
-	claimed := 0 // queries handed to a worker, for the queue-gauge drain
+	var claimed atomic.Int64 // queries handed to a worker, for the queue-gauge drain
 	defer func() {
 		// An aborted batch abandons its unclaimed queries; they must leave
 		// the queue gauge with it or the gauge leaks upward.
-		m.QueuedQueries.Add(int64(claimed - n))
+		m.QueuedQueries.Add(claimed.Load() - int64(n))
 		m.BatchesDone.Add(1)
 	}()
-	run := func(i int) error {
+	return par.Each(n, workers, func(_, i int) error {
+		claimed.Add(1)
 		m.QueuedQueries.Add(-1)
 		m.ActiveWorkers.Add(1)
 		err := do(i, qs[i])
@@ -72,48 +77,5 @@ func Run(qs []geom.Rect, workers int, m *ExecMetrics, do func(i int, q geom.Rect
 			return fmt.Errorf("query %d: %w", i, err)
 		}
 		return nil
-	}
-
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
-		for i := range qs {
-			claimed = i + 1
-			if err := run(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		cursor   atomic.Int64
-		stop     atomic.Bool
-		errOnce  sync.Once
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	wg.Add(workers)
-	for g := 0; g < workers; g++ {
-		go func() {
-			defer wg.Done()
-			for !stop.Load() {
-				i := int(cursor.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := run(i); err != nil {
-					errOnce.Do(func() { firstErr = err })
-					stop.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	claimed = min(int(cursor.Load()), n)
-	return firstErr
+	})
 }

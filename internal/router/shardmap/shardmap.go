@@ -169,7 +169,7 @@ func (m *Map) All() []int {
 // ceil(len/shards). It returns the resulting map — MBRs computed from
 // the actual members, Index names left for the caller — and the entry
 // slice of each shard (sub-slices of the reordered input). The partition
-// is deterministic and identical at every worker count.
+// is deterministic and identical at every worker count (0 = GOMAXPROCS).
 func Partition(entries []node.Entry, shards, workers int) (*Map, [][]node.Entry, error) {
 	if len(entries) == 0 {
 		return nil, nil, fmt.Errorf("shardmap: cannot partition an empty dataset")

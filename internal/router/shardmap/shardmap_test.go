@@ -146,6 +146,32 @@ func TestPartitionCoversAndBounds(t *testing.T) {
 	}
 }
 
+// TestPartitionWorkersIdentical holds the partition to one answer at every
+// worker count, 0 (GOMAXPROCS) included: the same map and the same parts,
+// entry for entry. 40 000 entries take the parallel split of the sort.
+func TestPartitionWorkersIdentical(t *testing.T) {
+	var (
+		want      *Map
+		wantParts [][]node.Entry
+	)
+	for _, workers := range []int{1, 0, 4} {
+		m, parts, err := Partition(randomEntries(40000, 5), 5, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want, wantParts = m, parts
+			continue
+		}
+		if !reflect.DeepEqual(m, want) {
+			t.Fatalf("workers=%d: map differs from workers=1", workers)
+		}
+		if !reflect.DeepEqual(parts, wantParts) {
+			t.Fatalf("workers=%d: parts differ from workers=1", workers)
+		}
+	}
+}
+
 func TestPartitionErrors(t *testing.T) {
 	if _, _, err := Partition(nil, 3, 1); err == nil {
 		t.Error("empty partition accepted")

@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
-	"strtree/internal/psort"
+	"strtree/internal/par"
 	"strtree/internal/storage"
 )
 
@@ -111,7 +110,7 @@ func (t *Tree) encodeRecords(n int, at func(i int) (geom.Rect, uint64)) ([]byte,
 		first = n
 		err   error
 	)
-	psort.Chunks(n, t.workers, func(lo, hi int) {
+	par.Chunks(n, t.workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			r, ref := at(i)
 			if cerr := t.checkEntry(r); cerr != nil {
@@ -173,13 +172,13 @@ type packer struct {
 // level, writes the nodes' pages and appends their parent records (MBR,
 // page id) to parents. It reserves the level's page ids first, in the order
 // a node-by-node build takes them: recycled pages, then fresh ones. Then up
-// to t.workers goroutines, the caller's among them, claim runs of runPages
-// nodes in order; each computes its run's parent records at their fixed
-// offsets and fills its pages into a stage of its own, and the runs reach
-// the pager strictly in run order, one Pool.WritePages call per stretch of
-// consecutive ids. The pager thus sees the same calls, in the same order,
-// at every worker count. No run after a failed one reaches the pager, and
-// the failure stays in t.writeErr for every later Flush.
+// to t.workers goroutines take runs of runPages nodes in order (par.Each);
+// each computes its run's parent records at their fixed offsets and fills
+// its pages into its worker's stage, and the runs reach the pager strictly
+// in run order, one Pool.WritePages call per stretch of consecutive ids.
+// The pager thus sees the same calls, in the same order, at every worker
+// count. No run after a failed one reaches the pager, and the failure stays
+// in t.writeErr for every later Flush.
 func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
 	t, size := p.t, node.EntrySize(p.t.dims)
 	span := t.capacity * size
@@ -202,50 +201,35 @@ func (p *packer) pack(parents, recs []byte, level int) ([]byte, error) {
 		p.mbrs = append(p.mbrs, geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)})
 	}
 	var (
-		claimed atomic.Int64 // runs handed out so far
-		mu      sync.Mutex
-		turn    = sync.NewCond(&mu)
-		next    int // guarded by mu: the run whose turn it is to write
-		// err, the first failure in run order, belongs to the worker whose
-		// turn it is: it reads and sets it between seeing next reach its
-		// run and advancing next, so no lock is held across the pager.
-		err error
+		mu   sync.Mutex
+		turn = sync.NewCond(&mu)
+		next int // guarded by mu: the run whose turn it is to write
+		// failed, the first failure in run order, belongs to the run whose
+		// turn it is: it reads and sets it between seeing next reach it and
+		// advancing next, so no lock is held across the pager. Every later
+		// run returns it too, so it is what par.Each returns.
+		failed error
 	)
-	work := func(stage []byte, mbr *geom.Rect) {
+	err := par.Each(runs, workers, func(w, r int) error {
 		var spent time.Duration
-		for r := int(claimed.Add(1)) - 1; r < runs; r = int(claimed.Add(1)) - 1 {
-			lo, hi := r*runPages, min(r*runPages+runPages, nodes)
-			ferr := timed(&spent, func() error { return p.fill(stage, mbr, out, recs, lo, hi, level) })
-			mu.Lock()
-			for next != r {
-				turn.Wait()
-			}
-			mu.Unlock()
-			if err = cmp.Or(err, ferr); err == nil {
-				err = timed(&spent, func() error { return p.write(stage, p.ids[lo:hi]) })
-			}
-			if err != nil {
-				claimed.Store(int64(runs)) // no one claims another run
-			}
-			mu.Lock()
-			next++
-			turn.Broadcast()
-			mu.Unlock()
-		}
+		lo, hi := r*runPages, min(r*runPages+runPages, nodes)
+		ferr := timed(&spent, func() error { return p.fill(p.stages[w], &p.mbrs[w], out, recs, lo, hi, level) })
 		mu.Lock()
-		p.stats.Write += spent
+		for next != r {
+			turn.Wait()
+		}
 		mu.Unlock()
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(p.stages[w], &p.mbrs[w])
-		}()
-	}
-	work(p.stages[0], &p.mbrs[0])
-	wg.Wait()
+		if failed = cmp.Or(failed, ferr); failed == nil {
+			failed = timed(&spent, func() error { return p.write(p.stages[w], p.ids[lo:hi]) })
+		}
+		err := failed
+		mu.Lock()
+		next++
+		p.stats.Write += spent
+		turn.Broadcast()
+		mu.Unlock()
+		return err
+	})
 	if err != nil {
 		t.writeErr = err
 		return parents, err

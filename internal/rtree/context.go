@@ -30,13 +30,8 @@ func (t *Tree) CountContext(ctx context.Context, q geom.Rect) (int, error) {
 	return t.searchView(ctx, q, false, nil)
 }
 
-// NearestContext is Nearest with cooperative cancellation, checked once
+// NearestKContext is NearestK with cooperative cancellation, checked once
 // per priority-queue pop — i.e. at least once per node read.
-func (t *Tree) NearestContext(ctx context.Context, p geom.Point, fn func(e node.Entry, dist float64) bool) error {
-	return t.nearestView(ctx, p, 0, fn)
-}
-
-// NearestKContext is NearestK under a context, checked like NearestContext.
 func (t *Tree) NearestKContext(ctx context.Context, p geom.Point, k int) ([]node.Entry, []float64, error) {
 	return t.nearestK(ctx, p, k)
 }

@@ -328,7 +328,7 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn fun
 }
 
 // nearestView is the shared implementation behind Nearest, NearestK and
-// their context variants: best-first search over a pooled typed heap. A
+// NearestKContext: best-first search over a pooled typed heap. A
 // visited page is read once, by node.View.AppendMinDist; a data entry's
 // coordinates are banked into the traverser's slab when it is pushed (the
 // heap outlives the pin).

@@ -707,7 +707,7 @@ func TestViewPathNoPinLeaks(t *testing.T) {
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if err := tr.NearestContext(ctx2, geom.Pt2(0.5, 0.5), func(node.Entry, float64) bool { return true }); err != context.Canceled {
+	if _, _, err := tr.NearestKContext(ctx2, geom.Pt2(0.5, 0.5), 1); err != context.Canceled {
 		t.Fatalf("cancelled nearest returned %v", err)
 	}
 	// Join early stop.

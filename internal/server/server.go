@@ -206,7 +206,7 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 		if req.Op == wire.OpSearch {
 			err = s.tree.SearchContext(ctx, req.Query, collect)
 		} else {
-			err = s.tree.SearchPointContext(ctx, req.Point, collect)
+			err = s.tree.SearchContext(ctx, geom.Rect{Min: req.Point, Max: req.Point}, collect) // aliases the point: see rtree.SearchPoint
 		}
 		if err != nil {
 			return nil, err
