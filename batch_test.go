@@ -30,18 +30,14 @@ func batchQueries(n int) []Rect {
 }
 
 // TestSearchBatchMatchesSequential checks batched results equal per-query
-// All calls — same matches, same per-query order — across worker counts,
+// Search calls — same matches, same per-query order — across worker counts,
 // on a sharded buffer small enough to evict constantly.
 func TestSearchBatchMatchesSequential(t *testing.T) {
 	tree, _ := batchTree(t, 64, 8)
 	qs := batchQueries(200)
 	want := make([][]Item, len(qs))
 	for i, q := range qs {
-		var err error
-		want[i], err = tree.All(q)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want[i] = searchItems(t, tree, q)
 	}
 	for _, workers := range []int{1, 4, 8} {
 		got, err := tree.SearchBatch(qs, workers)

@@ -75,7 +75,13 @@
 #                     NearestContext(, and no file of internal/psort or
 #                     internal/query, nor internal/pack/pack.go,
 #                     internal/pack/tgs.go or internal/rtree/build.go,
-#                     declares a sync.WaitGroup
+#                     declares a sync.WaitGroup — and a ninth: the root
+#                     API keeps only what its callers call, so no non-test
+#                     .go file names SearchWithin, DeleteRange, SaveTo(,
+#                     DumpDOT, JoinWithin or joinNear (the containment
+#                     query, range delete, backup, Graphviz dump and
+#                     within-distance join no caller outside a test used;
+#                     api_test.go pins the rest of the surface)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     all nine checks plus its directive validator:
 #                     float ==, dropped errors, library panics,
@@ -208,6 +214,7 @@ if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go
 if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is one query.Run, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -rn 'forEachSlab(\|eachChunk(\|SearchPointContext\|NearestContext(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired worker pool or context twin is back: independent work fans out through par.Each (par.Chunks for static ranges), a point query under a context is SearchContext on a degenerate rectangle, and a nearest query under a context is NearestKContext (DESIGN.md §10)" >&2; exit 1; fi
 if grep -rn 'sync\.WaitGroup' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs and query.Run fan out through par.Each; none keeps a WaitGroup of its own (DESIGN.md §10)" >&2; exit 1; fi
+if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a root entry point no caller outside a test used is back: containment is Search plus Rect.Contains, a range delete is Search then Delete, a backup is Create plus CompactInto, Join is the one join (DESIGN.md §17)" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

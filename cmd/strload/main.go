@@ -14,8 +14,10 @@
 // The CSV rows are "x0,y0,x1,y1[,id]"; a missing id defaults to the row
 // number. -wkt and -geojson read WKT lines and GeoJSON documents instead;
 // -external takes CSV or WKT. A malformed row fails every build, naming
-// the file and the row. Query prints one matching item per line (id and rectangle)
-// followed by the disk-access count for the query. -metrics appends an
+// the file and the row. Without -shards the index is written beside -out
+// and renamed over it, so a failed build leaves -out as it was. Query
+// prints one matching item per line (id and rectangle) followed by the
+// disk-access count for the query. -metrics appends an
 // end-of-build JSON report with phase times, pages written, external-sort
 // spill counts and buffer I/O counters.
 // -shards N STR-partitions the dataset into N spatial slabs, builds one
@@ -153,7 +155,13 @@ func runBuild(args []string) error {
 		return buildShards(items, *out, *shards, *capacity, *workers, *verify)
 	}
 
-	tree, err := strtree.Create(*out, strtree.Options{Capacity: *capacity, Workers: *workers})
+	// The index is built beside -out and renamed over it once complete, so
+	// a build that fails leaves the index already at -out as it was. The
+	// deferred remove deletes a failed build's file; after the rename there
+	// is none, and a failed build reports its own error, not the remove's.
+	tmpPath := *out + ".tmp"
+	defer func() { _ = os.Remove(tmpPath) }()
+	tree, err := strtree.Create(tmpPath, strtree.Options{Capacity: *capacity, Workers: *workers})
 	if err != nil {
 		return err
 	}
@@ -179,6 +187,9 @@ func runBuild(args []string) error {
 	n := tree.Len()
 	report := buildReport(tree, n, h, packing, *external)
 	if err := tree.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmpPath, *out); err != nil {
 		return err
 	}
 	fmt.Printf("built %s: %d items, height %d, packing %s", *out, n, h, packing)
@@ -340,8 +351,12 @@ func runMutate(args []string) error {
 
 	// The live-item list doubles as the delete pool and keeps inserted
 	// IDs unique above everything already in the index.
-	live, err := tree.Items()
-	if err != nil {
+	live := make([]strtree.Item, 0, tree.Len())
+	if err := tree.Scan(func(it strtree.Item) bool {
+		it.Rect = it.Rect.Clone()
+		live = append(live, it)
+		return true
+	}); err != nil {
 		return err
 	}
 	nextID := uint64(1)

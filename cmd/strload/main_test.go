@@ -240,7 +240,7 @@ func TestBuildExternalFromCSV(t *testing.T) {
 	if tree.Len() != 500 {
 		t.Fatalf("len = %d", tree.Len())
 	}
-	if err := tree.Validate(); err != nil {
+	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -262,6 +262,38 @@ func TestBuildExternalRejectsMalformedRow(t *testing.T) {
 		}
 		if want := csvPath + " row 2:"; !strings.Contains(err.Error(), want) {
 			t.Fatalf("build %v: error %q does not name %q", args, err, want)
+		}
+	}
+}
+
+// TestFailedBuildKeepsIndex rebuilds a 2-item index from a CSV whose row 2
+// is short: the in-memory and the -external build both fail, and the index
+// at -out still opens with its 2 items, no temporary file left beside it.
+func TestFailedBuildKeepsIndex(t *testing.T) {
+	dir := t.TempDir()
+	idx := filepath.Join(dir, "idx.str")
+	good := writeCSV(t, "0.1,0.1,0.2,0.2\n0.3,0.3,0.4,0.4\n")
+	if err := runBuild([]string{"-in", good, "-out", idx}); err != nil {
+		t.Fatal(err)
+	}
+	bad := writeCSV(t, "0.1,0.1,0.2,0.2\n0.3,0.3,0.4\n0.5,0.5,0.6,0.6\n")
+	for _, args := range [][]string{{}, {"-external", "-runsize", "2"}} {
+		if err := runBuild(append([]string{"-in", bad, "-out", idx}, args...)); err == nil {
+			t.Fatalf("build %v indexed a file with a malformed row", args)
+		}
+		tree, err := strtree.Open(idx, strtree.Options{})
+		if err != nil {
+			t.Fatalf("build %v: prior index no longer opens: %v", args, err)
+		}
+		n := tree.Len()
+		if err := tree.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 {
+			t.Fatalf("build %v: prior index holds %d items, want 2", args, n)
+		}
+		if names, err := filepath.Glob(filepath.Join(dir, "*")); err != nil || len(names) != 1 {
+			t.Fatalf("build %v: directory holds %v (%v), want the index alone", args, names, err)
 		}
 	}
 }

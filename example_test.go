@@ -94,46 +94,6 @@ func ExampleJoin() {
 	// parcel 2 intersects flood zone 1
 }
 
-// ExampleTree_SearchWithin contrasts containment with intersection
-// semantics.
-func ExampleTree_SearchWithin() {
-	tree, err := strtree.New(strtree.Options{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	_ = tree.Insert(strtree.R2(0.1, 0.1, 0.2, 0.2), 1) // inside the window
-	_ = tree.Insert(strtree.R2(0.3, 0.3, 0.7, 0.7), 2) // straddles its edge
-	w := strtree.R2(0, 0, 0.5, 0.5)
-	n, _ := tree.Count(w)
-	fmt.Println("intersecting:", n)
-	if err := tree.SearchWithin(w, func(it strtree.Item) bool {
-		fmt.Println("contained:", it.ID)
-		return true
-	}); err != nil {
-		log.Fatal(err)
-	}
-	// Output:
-	// intersecting: 2
-	// contained: 1
-}
-
-// ExampleJoinWithin finds pairs within a distance threshold.
-func ExampleJoinWithin() {
-	hydrants, _ := strtree.New(strtree.Options{})
-	buildings, _ := strtree.New(strtree.Options{})
-	_ = hydrants.Insert(strtree.PointRect(strtree.Pt2(0.10, 0.10)), 1)
-	_ = hydrants.Insert(strtree.PointRect(strtree.Pt2(0.90, 0.90)), 2)
-	_ = buildings.Insert(strtree.R2(0.15, 0.10, 0.20, 0.15), 7)
-	if err := strtree.JoinWithin(hydrants, buildings, 0.06, func(h, b strtree.Item) bool {
-		fmt.Printf("hydrant %d serves building %d\n", h.ID, b.ID)
-		return true
-	}); err != nil {
-		log.Fatal(err)
-	}
-	// Output:
-	// hydrant 1 serves building 7
-}
-
 // ExampleTree_Stats shows the paper's disk-access metric for one query.
 func ExampleTree_Stats() {
 	tree, err := strtree.New(strtree.Options{Capacity: 4, BufferPages: 8})

@@ -66,7 +66,7 @@ func main() {
 		log.Fatalf("delete failed: ok=%v err=%v", ok, err)
 	}
 	fmt.Printf("\nafter one insert and one delete: %d items, tree still valid: %v\n",
-		tree.Len(), tree.Validate() == nil)
+		tree.Len(), tree.CheckInvariants() == nil)
 
 	// The paper's metrics: disk accesses and MBR geometry.
 	tree.ResetStats()

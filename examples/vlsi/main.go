@@ -73,8 +73,12 @@ func main() {
 	// Overlap check: report geometry pairs that intersect within a window
 	// of the die — a simplified design-rule screen.
 	window := strtree.R2(0.45, 0.45, 0.55, 0.55)
-	inWindow, err := packed.All(window)
-	if err != nil {
+	var inWindow []strtree.Item
+	if err := packed.Search(window, func(it strtree.Item) bool {
+		it.Rect = it.Rect.Clone()
+		inWindow = append(inWindow, it)
+		return true
+	}); err != nil {
 		log.Fatal(err)
 	}
 	packed.ResetStats()

@@ -60,16 +60,16 @@ func Each(n, workers int, fn func(w, i int) error) error {
 	return first
 }
 
-// Chunks calls f over consecutive ranges [lo, hi) covering [0, n): with
-// workers ≤ 1 or fewer than chunkMin items, once, f(0, n), on the caller;
-// otherwise over the min(workers, n) static ranges n·c/workers …
-// n·(c+1)/workers, concurrently through Each. The ranges depend on n and
+// Chunks calls f over consecutive ranges [lo, hi) covering [0, n): over
+// the w = min(workers, n/chunkMin) static ranges n·c/w … n·(c+1)/w,
+// concurrently through Each, so no range is narrower than chunkMin; when w
+// is at most 1, once, f(0, n), on the caller. The ranges depend on n and
 // workers alone, never on which goroutine runs them.
 func Chunks(n, workers int, f func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if workers = min(workers, n); workers <= 1 || n < chunkMin {
+	if workers = min(workers, n/chunkMin); workers <= 1 {
 		f(0, n)
 		return
 	}

@@ -134,15 +134,24 @@ func TestEachFirstError(t *testing.T) {
 }
 
 // TestChunksCovers checks the static ranges cover [0, n) exactly once for
-// awkward worker/size combinations.
+// awkward worker/size combinations, in at most max(1, n/chunkMin) calls,
+// none narrower than chunkMin when there is more than one.
 func TestChunksCovers(t *testing.T) {
-	for _, n := range []int{0, 1, 5, chunkMin, chunkMin + 3, 100003} {
+	for _, n := range []int{0, 1, 5, chunkMin, chunkMin + 3, 2*chunkMin - 1, 2 * chunkMin, 100003} {
 		for _, workers := range []int{1, 2, 3, 7, 64, 100005} {
 			hits := make([]int32, n)
-			var mu sync.Mutex
+			var (
+				mu     sync.Mutex
+				calls  int
+				narrow int // calls under chunkMin items wide
+			)
 			Chunks(n, workers, func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
+				calls++
+				if hi-lo < chunkMin {
+					narrow++
+				}
 				for i := lo; i < hi; i++ {
 					hits[i]++
 				}
@@ -151,6 +160,12 @@ func TestChunksCovers(t *testing.T) {
 				if h != 1 {
 					t.Fatalf("n=%d workers=%d: index %d covered %d times", n, workers, i, h)
 				}
+			}
+			if limit := max(1, n/chunkMin); calls > limit {
+				t.Fatalf("n=%d workers=%d: %d calls, want at most %d", n, workers, calls, limit)
+			}
+			if calls > 1 && narrow > 0 {
+				t.Fatalf("n=%d workers=%d: %d of %d ranges under %d items", n, workers, narrow, calls, chunkMin)
 			}
 		}
 	}

@@ -150,13 +150,12 @@ func itemIDs(items []wire.Item) []uint64 {
 // refIDs is itemIDs for the unsharded reference tree's answer.
 func refIDs(t *testing.T, ref *strtree.Tree, q geom.Rect) []uint64 {
 	t.Helper()
-	items, err := ref.All(q)
-	if err != nil {
+	var ids []uint64
+	if err := ref.Search(q, func(it strtree.Item) bool {
+		ids = append(ids, it.ID)
+		return true
+	}); err != nil {
 		t.Fatal(err)
-	}
-	ids := make([]uint64, len(items))
-	for i, it := range items {
-		ids[i] = it.ID
 	}
 	slices.Sort(ids)
 	return ids

@@ -14,9 +14,9 @@ import (
 	"strtree/internal/storage"
 )
 
-// The three CheckConfig values the public API runs: Validate,
-// CheckInvariants, CheckPackedInvariants. strict turns on every check; a
-// healthy bulk-loaded tree must pass it.
+// Three CheckConfig values: plain turns on no option, roundTrip and strict
+// are what the public CheckInvariants and CheckPackedInvariants run. strict
+// turns on every check; a healthy bulk-loaded tree must pass it.
 var (
 	plain     = CheckConfig{}
 	roundTrip = CheckConfig{RoundTrip: true}
@@ -110,9 +110,9 @@ func leftmostLeaf(t *testing.T, tr *Tree) storage.PageID {
 	}
 }
 
-// wantCheckError holds all three public verifier configurations to the same
-// sentinel: Validate (the plain config) fails a corrupt tree with the typed
-// error CheckInvariants gives, not an untyped string of its own.
+// wantCheckError holds all three verifier configurations to the same
+// sentinel: the plain config fails a corrupt tree with the typed error
+// CheckInvariants gives, not an untyped string of its own.
 func wantCheckError(t *testing.T, tr *Tree, want error) {
 	t.Helper()
 	for _, cfg := range []CheckConfig{plain, roundTrip, strict} {

@@ -264,7 +264,7 @@ func TestCorruptionRejectedAfterEveryChange(t *testing.T) {
 					}
 				}
 				if err := tr.Check(CheckConfig{}); err == nil {
-					t.Fatal("Validate accepted the page")
+					t.Fatal("Check accepted the page")
 				}
 			})
 		}
@@ -275,7 +275,7 @@ func TestCorruptionRejectedAfterEveryChange(t *testing.T) {
 // bytes changed in a resident frame outside the pin protocol — no
 // MarkDirty, no write pin — keep the verdict of the image they replaced, so
 // the next traversal no longer re-checksums them. The checkers that exist
-// to distrust memory never consult the mark: Validate still reports it.
+// to distrust memory never consult the mark: Check still reports it.
 func TestStrayWriteCaughtByFullDecode(t *testing.T) {
 	tr := newTree(t, 8)
 	if err := tr.BulkLoad(randRects(300, 5), xSortOrderer{}); err != nil {
@@ -291,7 +291,7 @@ func TestStrayWriteCaughtByFullDecode(t *testing.T) {
 	f.Data()[100] ^= 0xFF
 	tr.Pool().Release(f)
 	if err := tr.Check(CheckConfig{}); !errors.Is(err, node.ErrBadChecksum) {
-		t.Fatalf("Validate: err %v, want %v", err, node.ErrBadChecksum)
+		t.Fatalf("Check: err %v, want %v", err, node.ErrBadChecksum)
 	}
 }
 

@@ -64,10 +64,7 @@ func TestInsertSurfacesAllocError(t *testing.T) {
 
 func TestDeleteSurfacesReadError(t *testing.T) {
 	tr, fp := faultyTree(t, 300)
-	entries, err := tr.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	entries := scanEntries(t, tr)
 	if err := tr.Pool().Invalidate(); err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +76,7 @@ func TestDeleteSurfacesReadError(t *testing.T) {
 		}
 		return nil
 	})
-	_, err = tr.Delete(entries[0].Rect, entries[0].Ref)
+	_, err := tr.Delete(entries[0].Rect, entries[0].Ref)
 	if !errors.Is(err, errInjected) {
 		t.Fatalf("delete did not surface the read error: %v", err)
 	}

@@ -3,7 +3,6 @@ package rtree
 import (
 	"fmt"
 
-	"strtree/internal/geom"
 	"strtree/internal/node"
 	"strtree/internal/storage"
 )
@@ -17,26 +16,15 @@ import (
 // Joining a tree with itself reports symmetric pairs twice and every entry
 // paired with itself; callers wanting unordered distinct pairs should
 // filter on ea.Ref < eb.Ref.
-func Join(a, b *Tree, fn func(ea, eb node.Entry) bool) error {
-	return JoinWithin(a, b, 0, fn)
-}
-
-// JoinWithin reports every pair of data entries whose rectangles lie
-// within Euclidean distance dist of each other (dist 0 reduces to the
-// intersection join). Node pairs farther apart than dist are pruned
-// before their subtrees are read.
 //
 // The traversal runs on the zero-copy read path: each popped node pair is
 // banked out of its pinned views into pooled buffers (one pin at a time,
 // both pages fetched per pair, exactly like the recursive reference), so
 // a steady-state join allocates nothing. The entries passed to fn alias
 // those pooled buffers and are valid only during the callback.
-func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
+func Join(a, b *Tree, fn func(ea, eb node.Entry) bool) error {
 	if a.dims != b.dims {
 		return fmt.Errorf("rtree: join dimensions disagree: %d vs %d", a.dims, b.dims)
-	}
-	if dist < 0 {
-		return fmt.Errorf("rtree: negative join distance %g", dist)
 	}
 	if a.height == 0 || b.height == 0 {
 		return nil
@@ -66,7 +54,7 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 				ra := na.rect(i, dims)
 				for k := 0; k < nb.count; k++ {
 					rb := nb.rect(k, dims)
-					if !joinNear(dist, ra, rb) {
+					if !ra.Intersects(rb) {
 						continue
 					}
 					if !fn(node.Entry{Rect: ra, Ref: na.refs[i]}, node.Entry{Rect: rb, Ref: nb.refs[k]}) {
@@ -77,10 +65,10 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 
 		case na.level > 0 && (nb.level == 0 || na.level >= nb.level):
 			// Descend the taller (or internal) side a: expand each child of
-			// na within the join distance of nb's MBR against the same nb.
+			// na that intersects nb's MBR against the same nb.
 			base := len(tr.pairs)
 			for i := 0; i < na.count; i++ {
-				if joinNear(dist, nb.mbr, na.rect(i, dims)) {
+				if nb.mbr.Intersects(na.rect(i, dims)) {
 					tr.pairs = append(tr.pairs, pagePair{a: storage.PageID(na.refs[i]), b: pr.b})
 				}
 			}
@@ -89,7 +77,7 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 		default:
 			base := len(tr.pairs)
 			for i := 0; i < nb.count; i++ {
-				if joinNear(dist, na.mbr, nb.rect(i, dims)) {
+				if na.mbr.Intersects(nb.rect(i, dims)) {
 					tr.pairs = append(tr.pairs, pagePair{a: pr.a, b: storage.PageID(nb.refs[i])})
 				}
 			}
@@ -97,15 +85,6 @@ func JoinWithin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error
 		}
 	}
 	return nil
-}
-
-// joinNear reports whether two rectangles are within the join distance.
-func joinNear(dist float64, a, b geom.Rect) bool {
-	//strlint:ignore floateq 0 is the exact sentinel selecting an intersection join
-	if dist == 0 {
-		return a.Intersects(b)
-	}
-	return a.Dist(b) <= dist
 }
 
 // reversePairs reverses s in place, so pairs pushed in entry order pop in

@@ -7,38 +7,27 @@ import (
 	"strtree/internal/node"
 )
 
-// Nearest streams data entries in order of increasing distance from p
-// (branch-and-bound best-first search in the style of Hjaltason and
-// Samet). Distance is the minimum Euclidean distance from p to the entry's
-// rectangle, so entries containing p arrive first with distance 0.
-// Returning false from fn stops the search; a k-nearest-neighbor query
-// returns false after consuming k entries.
-//
-// The search runs on the zero-copy read path (traverse.go): the priority
-// queue and the coordinate slab backing emitted rectangles are pooled, so
-// a steady-state Nearest allocates nothing. The entry passed to fn aliases
-// that pooled storage and is valid only during the callback; Clone its
-// rectangle to retain it (NearestK copies it out).
-//
-// Entries at equal distance arrive in ascending Ref order, and an entry
-// before any node at its distance is opened, so the stream — and the pages
-// read to produce a prefix of it — is a function of the tree and p alone.
-//
-// Like Search, every node visited costs one buffer fetch, so the pool's
-// DiskReads delta measures the query's I/O.
-func (t *Tree) Nearest(p geom.Point, fn func(e node.Entry, dist float64) bool) error {
-	return t.nearestView(nil, p, 0, fn)
-}
-
 // NearestK collects the k nearest entries to p, nearest first, with their
-// distances: exactly the first k entries Nearest streams, ties and
-// duplicates included, found by reading the same pages in the same order.
-// Knowing k lets the traversal skip what cannot be among them: once k
-// entries are queued, an entry or subtree strictly farther than the k-th
-// nearest of them is neither copied nor queued (one tied with it is kept,
-// so ties resolve as in Nearest). The returned entries are deep copies,
-// their coordinates in one geom.Slab chunk allocated with the result (more
-// than one past 4096 coordinates), and safe to retain.
+// distances (branch-and-bound best-first search in the style of Hjaltason
+// and Samet). Distance is the minimum Euclidean distance from p to the
+// entry's rectangle, so entries containing p come first with distance 0.
+//
+// The result is exactly the first k entries of the unbounded best-first
+// stream (nearestView with k ≤ 0), ties and duplicates included, found by
+// reading the same pages in the same order: entries at equal distance come
+// in ascending Ref order, and an entry before any node at its distance is
+// opened, so the result — and the pages read to produce it — is a function
+// of the tree, p and k alone. Knowing k lets the traversal skip what cannot
+// be among them: once k entries are queued, an entry or subtree strictly
+// farther than the k-th nearest of them is neither copied nor queued (one
+// tied with it is kept, so ties resolve as in the stream).
+//
+// The traversal runs on the zero-copy read path (traverse.go), its
+// priority queue and coordinate slab pooled. The returned entries are deep
+// copies, their coordinates in one geom.Slab chunk allocated with the
+// result (more than one past 4096 coordinates), and safe to retain. Like
+// Search, every node visited costs one buffer fetch, so the pool's
+// DiskReads delta measures the query's I/O.
 func (t *Tree) NearestK(p geom.Point, k int) ([]node.Entry, []float64, error) {
 	return t.nearestK(nil, p, k)
 }

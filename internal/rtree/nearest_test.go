@@ -80,7 +80,7 @@ func TestNearestFullDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[uint64]bool{}
-	if err := tr.Nearest(geom.Pt2(0.5, 0.5), func(e node.Entry, d float64) bool {
+	if err := tr.nearestView(nil, geom.Pt2(0.5, 0.5), 0, func(e node.Entry, d float64) bool {
 		if seen[e.Ref] {
 			t.Fatalf("ref %d visited twice", e.Ref)
 		}
@@ -96,13 +96,13 @@ func TestNearestFullDrain(t *testing.T) {
 
 func TestNearestEmptyAndErrors(t *testing.T) {
 	tr := newTree(t, 4)
-	if err := tr.Nearest(geom.Pt2(0.5, 0.5), func(node.Entry, float64) bool {
+	if err := tr.nearestView(nil, geom.Pt2(0.5, 0.5), 0, func(node.Entry, float64) bool {
 		t.Fatal("callback on empty tree")
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Nearest(geom.Point{0.5, 0.5, 0.5}, func(node.Entry, float64) bool { return true }); err == nil {
+	if err := tr.nearestView(nil, geom.Point{0.5, 0.5, 0.5}, 0, func(node.Entry, float64) bool { return true }); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 	entries, dists, err := tr.NearestK(geom.Pt2(0, 0), 0)
@@ -230,40 +230,6 @@ func TestJoinDifferentHeights(t *testing.T) {
 	}
 }
 
-func TestJoinWithinMatchesBruteForce(t *testing.T) {
-	ta := newTree(t, 8)
-	ea := randRects(250, 91)
-	if err := ta.BulkLoad(append([]node.Entry(nil), ea...), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	tb := newTree(t, 8)
-	eb := randRects(200, 92)
-	if err := tb.BulkLoad(append([]node.Entry(nil), eb...), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, dist := range []float64{0, 0.01, 0.05, 0.2} {
-		want := 0
-		for _, a := range ea {
-			for _, b := range eb {
-				if a.Rect.Dist(b.Rect) <= dist {
-					want++
-				}
-			}
-		}
-		got := 0
-		if err := JoinWithin(ta, tb, dist, func(a, b node.Entry) bool { got++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("dist %g: join found %d pairs, brute force %d", dist, got, want)
-		}
-	}
-	// Negative distance rejected.
-	if err := JoinWithin(ta, tb, -1, func(a, b node.Entry) bool { return true }); err == nil {
-		t.Fatal("negative distance accepted")
-	}
-}
-
 func TestJoinEarlyStopAndErrors(t *testing.T) {
 	ta := newTree(t, 4)
 	if err := ta.BulkLoad(randRects(100, 45), xSortOrderer{}); err != nil {
@@ -319,13 +285,10 @@ func TestScanAndEntries(t *testing.T) {
 	if n != 5 {
 		t.Fatalf("scan early stop at %d", n)
 	}
-	// Entries returns deep copies matching the originals.
-	got, err := tr.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Cloned rectangles outlive the scan and match the originals.
+	got := scanEntries(t, tr)
 	if len(got) != 200 {
-		t.Fatalf("Entries returned %d", len(got))
+		t.Fatalf("scan collected %d", len(got))
 	}
 	byRef := map[uint64]geom.Rect{}
 	for _, e := range entries {

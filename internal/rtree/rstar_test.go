@@ -175,61 +175,3 @@ func TestRStarBeatsLinearOnOverlap(t *testing.T) {
 		t.Fatalf("tile cut leaf area %.4f against R*'s %.4f", areaT, areaR)
 	}
 }
-
-func TestSearchWithin(t *testing.T) {
-	tr := newTree(t, 8)
-	entries := []node.Entry{
-		{Rect: geom.R2(0.1, 0.1, 0.2, 0.2), Ref: 1},    // inside q
-		{Rect: geom.R2(0.25, 0.25, 0.5, 0.5), Ref: 2},  // straddles q's edge
-		{Rect: geom.R2(0.7, 0.7, 0.8, 0.8), Ref: 3},    // outside q
-		{Rect: geom.R2(0.3, 0.05, 0.35, 0.45), Ref: 4}, // straddles q's top edge
-	}
-	if err := tr.BulkLoad(append([]node.Entry(nil), entries...), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	q := geom.R2(0.0, 0.0, 0.4, 0.4)
-	var within []uint64
-	if err := tr.SearchWithin(q, func(e node.Entry) bool {
-		within = append(within, e.Ref)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(within) != 1 || within[0] != 1 {
-		t.Fatalf("SearchWithin = %v, want [1]", within)
-	}
-	// Intersection search over the same window sees three.
-	n, err := tr.Count(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("intersection count = %d, want 3", n)
-	}
-}
-
-func TestSearchWithinMatchesBrute(t *testing.T) {
-	tr := newTree(t, 8)
-	entries := randRects(400, 76)
-	if err := tr.BulkLoad(append([]node.Entry(nil), entries...), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 30; trial++ {
-		x, y := rng.Float64()*0.7, rng.Float64()*0.7
-		q := geom.R2(x, y, x+0.3, y+0.3)
-		want := 0
-		for _, e := range entries {
-			if q.Contains(e.Rect) {
-				want++
-			}
-		}
-		got := 0
-		if err := tr.SearchWithin(q, func(node.Entry) bool { got++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("trial %d: within = %d, want %d", trial, got, want)
-		}
-	}
-}

@@ -57,6 +57,20 @@ func randRects(n int, seed int64) []node.Entry {
 	return out
 }
 
+// scanEntries collects deep copies of every data entry, in Scan's leaf
+// order.
+func scanEntries(t testing.TB, tr *Tree) []node.Entry {
+	t.Helper()
+	out := make([]node.Entry, 0, tr.Len())
+	if err := tr.Scan(func(e node.Entry) bool {
+		out = append(out, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // bruteSearch returns the refs of entries intersecting q.
 func bruteSearch(entries []node.Entry, q geom.Rect) map[uint64]bool {
 	out := map[uint64]bool{}
@@ -495,12 +509,12 @@ func TestCountAndAll(t *testing.T) {
 	if got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
-	all, err := tr.All(q)
-	if err != nil {
+	n := 0
+	if err := tr.Search(q, func(node.Entry) bool { n++; return true }); err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != want {
-		t.Fatalf("All returned %d, want %d", len(all), want)
+	if n != want {
+		t.Fatalf("Search reported %d, want %d", n, want)
 	}
 }
 

@@ -9,21 +9,10 @@ import "strtree/internal/node"
 // preorder of Walk, no internal node tests its entries, and the pooled
 // state makes a steady-state Scan allocation-free. The entry's rectangle
 // aliases pooled traversal storage and is only valid during the callback;
-// Clone it to retain it (Entries does).
+// Clone it to retain it (CompactInto does).
 func (t *Tree) Scan(fn func(e node.Entry) bool) error {
 	_, err := t.searchView(nil, t.everywhere, true, fn)
 	return err
-}
-
-// Entries collects deep copies of every data entry in the tree, the input
-// needed to repack it (CompactInto).
-func (t *Tree) Entries() ([]node.Entry, error) {
-	out := make([]node.Entry, 0, t.count)
-	err := t.Scan(func(e node.Entry) bool {
-		out = append(out, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
-		return true
-	})
-	return out, err
 }
 
 // CompactInto repacks this tree's current contents into dst, which must be
@@ -33,8 +22,11 @@ func (t *Tree) Entries() ([]node.Entry, error) {
 // dynamic updates against a tree, then periodically rebuild it packed to
 // recover near-100% utilization and query quality.
 func (t *Tree) CompactInto(dst *Tree, o Orderer) error {
-	entries, err := t.Entries()
-	if err != nil {
+	entries := make([]node.Entry, 0, t.count)
+	if err := t.Scan(func(e node.Entry) bool {
+		entries = append(entries, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
+		return true
+	}); err != nil {
 		return err
 	}
 	return dst.BulkLoad(entries, o)

@@ -26,19 +26,6 @@ func (t *Tree) Search(q geom.Rect, fn func(e node.Entry) bool) error {
 	return err
 }
 
-// SearchWithin reports every data entry whose rectangle is fully
-// contained in q (window containment, as opposed to Search's
-// intersection semantics). The traversal still descends by intersection:
-// a subtree whose MBR merely overlaps q can hold fully contained entries.
-func (t *Tree) SearchWithin(q geom.Rect, fn func(e node.Entry) bool) error {
-	return t.Search(q, func(e node.Entry) bool {
-		if !q.Contains(e.Rect) {
-			return true
-		}
-		return fn(e)
-	})
-}
-
 // SearchPoint reports every data entry whose rectangle contains p: the
 // paper's "point query". The query rectangle aliases p on both corners — no
 // traversal writes its query — where geom.PointRect's two clones would
@@ -57,16 +44,4 @@ func (t *Tree) SearchPoint(p geom.Point, fn func(e node.Entry) bool) error {
 // verifies; on a tree that breaks it, Count and Search can disagree.
 func (t *Tree) Count(q geom.Rect) (int, error) {
 	return t.searchView(nil, q, false, nil)
-}
-
-// All collects every data entry intersecting q. For large result sets
-// prefer Search with a streaming callback.
-func (t *Tree) All(q geom.Rect) ([]node.Entry, error) {
-	var out []node.Entry
-	err := t.Search(q, func(e node.Entry) bool {
-		e.Rect = e.Rect.Clone()
-		out = append(out, e)
-		return true
-	})
-	return out, err
 }

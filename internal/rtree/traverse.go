@@ -64,7 +64,7 @@ import (
 // visit, so a sample taken mid-query does not include that query yet.
 type ReadStats struct {
 	// Queries is the number of view-path traversals started
-	// (Search/Count/Nearest/Scan families, plus one per side of a Join).
+	// (Search/Count/NearestK/Scan families, plus one per side of a Join).
 	Queries uint64
 	// ViewPages is the number of pages decoded through node.View — the
 	// unit of decode work, one per node visit of a query and of an Insert
@@ -327,7 +327,7 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn fun
 	return matches, nil
 }
 
-// nearestView is the shared implementation behind Nearest, NearestK and
+// nearestView is the shared implementation behind NearestK and
 // NearestKContext: best-first search over a pooled typed heap. A
 // visited page is read once, by node.View.AppendMinDist; a data entry's
 // coordinates are banked into the traverser's slab when it is pushed (the
@@ -342,7 +342,8 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn fun
 // because distHeap pops in a total order that does not depend on what else
 // is queued, the first k entries emitted — and the pages fetched to find
 // them — are exactly those of the unpruned stream, ties included. k <= 0
-// (the streaming Nearest, whose caller may stop anywhere) prunes nothing.
+// (the unbounded stream, whose caller may stop anywhere: the reference the
+// tests hold NearestK to) prunes nothing.
 func (t *Tree) nearestView(ctx context.Context, p geom.Point, k int, fn func(e node.Entry, dist float64) bool) error {
 	if len(p) != t.dims {
 		return t.checkEntry(geom.PointRect(p)) // produces the dimension error

@@ -451,7 +451,7 @@ func TestNearestMatchesReference(t *testing.T) {
 			for _, k := range []int{1 + rng.Intn(40), 1, 10, 40, len(entries) + 5} {
 				var got, want, gotK []hit
 				gotSeq := traceFetches(tr.Pool(), func() {
-					if err := tr.Nearest(p, take(&got, k)); err != nil {
+					if err := tr.nearestView(nil, p, 0, take(&got, k)); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -493,15 +493,8 @@ func TestNearestMatchesReference(t *testing.T) {
 }
 
 // refJoin is the retired recursive join, kept as the oracle.
-func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
+func refJoin(a, b *Tree, fn func(ea, eb node.Entry) bool) error {
 	var visit func(pa, pb storage.PageID) (bool, error)
-	near := func(x, y geom.Rect) bool {
-		//strlint:ignore floateq 0 is the exact intersection-join sentinel
-		if dist == 0 {
-			return x.Intersects(y)
-		}
-		return x.Dist(y) <= dist
-	}
 	visit = func(pa, pb storage.PageID) (bool, error) {
 		var na, nb node.Node
 		if err := a.unmarshalNode(pa, &na); err != nil {
@@ -514,7 +507,7 @@ func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
 		case na.IsLeaf() && nb.IsLeaf():
 			for _, ea := range na.Entries {
 				for _, eb := range nb.Entries {
-					if near(ea.Rect, eb.Rect) && !fn(ea, eb) {
+					if ea.Rect.Intersects(eb.Rect) && !fn(ea, eb) {
 						return false, nil
 					}
 				}
@@ -524,7 +517,7 @@ func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
 			mbr := nodeMBR(nb)
 			var kids []storage.PageID
 			for _, e := range na.Entries {
-				if near(mbr, e.Rect) {
+				if mbr.Intersects(e.Rect) {
 					kids = append(kids, storage.PageID(e.Ref))
 				}
 			}
@@ -539,7 +532,7 @@ func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
 			mbr := nodeMBR(na)
 			var kids []storage.PageID
 			for _, e := range nb.Entries {
-				if near(mbr, e.Rect) {
+				if mbr.Intersects(e.Rect) {
 					kids = append(kids, storage.PageID(e.Ref))
 				}
 			}
@@ -561,8 +554,8 @@ func refJoin(a, b *Tree, dist float64, fn func(ea, eb node.Entry) bool) error {
 
 // TestJoinMatchesReference pins the pair-stack view-path join to the
 // recursive reference: identical pair stream and identical per-tree fetch
-// sequences, for intersection and within-distance joins across trees of
-// different heights.
+// sequences, across trees of different heights and a tree joined with
+// itself.
 func TestJoinMatchesReference(t *testing.T) {
 	ta := newTree(t, 8)
 	if err := ta.BulkLoad(randRects(500, 3), xSortOrderer{}); err != nil {
@@ -572,38 +565,36 @@ func TestJoinMatchesReference(t *testing.T) {
 	if err := tb.BulkLoad(randRects(60, 4), xSortOrderer{}); err != nil {
 		t.Fatal(err)
 	}
-	for _, dist := range []float64{0, 0.05} {
-		for _, pair := range [][2]*Tree{{ta, tb}, {tb, ta}, {ta, ta}} {
-			a, b := pair[0], pair[1]
-			type match struct{ ra, rb uint64 }
-			var got, want []match
-			gotA := traceFetches(a.Pool(), func() {
-				if err := JoinWithin(a, b, dist, func(ea, eb node.Entry) bool {
-					got = append(got, match{ea.Ref, eb.Ref})
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			wantA := traceFetches(a.Pool(), func() {
-				if err := refJoin(a, b, dist, func(ea, eb node.Entry) bool {
-					want = append(want, match{ea.Ref, eb.Ref})
-					return true
-				}); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if len(got) != len(want) {
-				t.Fatalf("dist=%g: view join emitted %d pairs, reference %d", dist, len(got), len(want))
+	for _, pair := range [][2]*Tree{{ta, tb}, {tb, ta}, {ta, ta}} {
+		a, b := pair[0], pair[1]
+		type match struct{ ra, rb uint64 }
+		var got, want []match
+		gotA := traceFetches(a.Pool(), func() {
+			if err := Join(a, b, func(ea, eb node.Entry) bool {
+				got = append(got, match{ea.Ref, eb.Ref})
+				return true
+			}); err != nil {
+				t.Fatal(err)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("dist=%g: pair %d diverged: %v vs %v", dist, i, got[i], want[i])
-				}
+		})
+		wantA := traceFetches(a.Pool(), func() {
+			if err := refJoin(a, b, func(ea, eb node.Entry) bool {
+				want = append(want, match{ea.Ref, eb.Ref})
+				return true
+			}); err != nil {
+				t.Fatal(err)
 			}
-			if !samePages(gotA, wantA) {
-				t.Fatalf("dist=%g: fetch sequence on tree a diverged", dist)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("view join emitted %d pairs, reference %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("pair %d diverged: %v vs %v", i, got[i], want[i])
 			}
+		}
+		if !samePages(gotA, wantA) {
+			t.Fatal("fetch sequence on tree a diverged")
 		}
 	}
 }
@@ -701,8 +692,8 @@ func TestViewPathNoPinLeaks(t *testing.T) {
 	if err != context.Canceled {
 		t.Fatalf("cancelled search returned %v", err)
 	}
-	// Nearest early stop and cancellation.
-	if err := tr.Nearest(geom.Pt2(0.5, 0.5), func(node.Entry, float64) bool { return false }); err != nil {
+	// Nearest stream early stop and NearestK cancellation.
+	if err := tr.nearestView(nil, geom.Pt2(0.5, 0.5), 0, func(node.Entry, float64) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -790,17 +781,17 @@ func TestNearestZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := geom.Pt2(0.5, 0.5)
-	if err := tr.Nearest(p, func(node.Entry, float64) bool { return false }); err != nil {
+	if err := tr.nearestView(nil, p, 0, func(node.Entry, float64) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	k := 0
 	if allocs := testing.AllocsPerRun(50, func() {
 		k = 0
-		if err := tr.Nearest(p, func(node.Entry, float64) bool { k++; return k < 10 }); err != nil {
+		if err := tr.nearestView(nil, p, 0, func(node.Entry, float64) bool { k++; return k < 10 }); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs != 0 {
-		t.Errorf("warm Nearest allocated %.1f times per query, want 0", allocs)
+		t.Errorf("warm nearest stream allocated %.1f times per query, want 0", allocs)
 	}
 	if k != 10 {
 		t.Fatalf("nearest emitted %d entries, want 10", k)

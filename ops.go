@@ -3,29 +3,18 @@ package strtree
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"strtree/internal/node"
 	"strtree/internal/pack"
 	"strtree/internal/rtree"
-	"strtree/internal/storage"
 )
 
-// Nearest streams items in order of increasing Euclidean distance from p
-// (distance from p to the item's rectangle; items containing p come first
-// with distance 0). Returning false from fn stops the search. This is the
-// incremental best-first nearest-neighbor search of Hjaltason and Samet
-// over the same paged tree the range queries use.
-func (t *Tree) Nearest(p Point, fn func(it Item, dist float64) bool) error {
-	return t.inner.Nearest(p, func(e node.Entry, d float64) bool {
-		return fn(Item{Rect: e.Rect, ID: e.Ref}, d)
-	})
-}
-
 // NearestK returns the k items nearest to p and their distances, closest
-// first: exactly the first k items Nearest streams (items at one distance
-// come in ascending ID order), found by a traversal that, knowing k, skips
-// what lies strictly beyond the k-th. The items are copies, safe to retain.
+// first (distance from p to the item's rectangle; items containing p come
+// first with distance 0, items at one distance in ascending ID order). It
+// is the best-first nearest-neighbor search of Hjaltason and Samet over the
+// same paged tree the range queries use, which, knowing k, skips what lies
+// strictly beyond the k-th. The items are copies, safe to retain.
 func (t *Tree) NearestK(p Point, k int) ([]Item, []float64, error) {
 	entries, dists, err := t.inner.NearestK(p, k)
 	if err != nil {
@@ -49,16 +38,6 @@ func Join(a, b *Tree, fn func(ia, ib Item) bool) error {
 	})
 }
 
-// JoinWithin streams every pair of items from the two trees whose
-// rectangles lie within Euclidean distance dist of each other — the
-// within-distance spatial join ("all hydrants within 100m of a building").
-// dist 0 is the intersection join.
-func JoinWithin(a, b *Tree, dist float64, fn func(ia, ib Item) bool) error {
-	return rtree.JoinWithin(a.inner, b.inner, dist, func(ea, eb node.Entry) bool {
-		return fn(Item{Rect: ea.Rect, ID: ea.Ref}, Item{Rect: eb.Rect, ID: eb.Ref})
-	})
-}
-
 // Scan streams every item in leaf order (the packing order for
 // bulk-loaded trees). Returning false stops the scan. The item's rectangle
 // is only valid during the callback; Clone it to retain it.
@@ -66,19 +45,6 @@ func (t *Tree) Scan(fn func(it Item) bool) error {
 	return t.inner.Scan(func(e node.Entry) bool {
 		return fn(Item{Rect: e.Rect, ID: e.Ref})
 	})
-}
-
-// Items collects a deep copy of every item in the tree.
-func (t *Tree) Items() ([]Item, error) {
-	entries, err := t.inner.Entries()
-	if err != nil {
-		return nil, err
-	}
-	items := make([]Item, len(entries))
-	for i, e := range entries {
-		items[i] = Item{Rect: e.Rect, ID: e.Ref}
-	}
-	return items, nil
 }
 
 // CompactInto repacks this tree's contents into dst (an empty tree of the
@@ -94,14 +60,6 @@ func (t *Tree) CompactInto(dst *Tree, p Packing) error {
 	return t.inner.CompactInto(dst.inner, o)
 }
 
-// SearchWithin streams every item whose rectangle is fully contained in q
-// (window containment, versus Search's intersection semantics).
-func (t *Tree) SearchWithin(q Rect, fn func(it Item) bool) error {
-	return t.inner.SearchWithin(q, func(e node.Entry) bool {
-		return fn(Item{Rect: e.Rect, ID: e.Ref})
-	})
-}
-
 // Bounds returns the bounding rectangle of everything in the tree, and
 // false when the tree is empty.
 func (t *Tree) Bounds() (Rect, bool, error) { return t.inner.Bounds() }
@@ -109,79 +67,6 @@ func (t *Tree) Bounds() (Rect, bool, error) { return t.inner.Bounds() }
 // Utilization returns the average leaf fill fraction (1.0 = every leaf
 // full, the hallmark of a packed tree).
 func (t *Tree) Utilization() (float64, error) { return t.inner.Utilization() }
-
-// DeleteRange removes every item whose rectangle intersects q and returns
-// how many were removed. It collects the matches first, then deletes them
-// one by one, so the tree stays valid even if the callback-free bulk
-// operation is interrupted by an error partway.
-func (t *Tree) DeleteRange(q Rect) (int, error) {
-	victims, err := t.All(q)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, it := range victims {
-		ok, err := t.Delete(it.Rect, it.ID)
-		if err != nil {
-			return removed, err
-		}
-		if ok {
-			removed++
-		}
-	}
-	return removed, nil
-}
-
-// SaveTo writes a compacted copy of the tree to a new index file at path,
-// repacked with the given algorithm — a backup that is also a defragment.
-// The original tree is unchanged.
-func (t *Tree) SaveTo(path string, p Packing) error {
-	dst, err := Create(path, Options{
-		Dims:     t.Dims(),
-		PageSize: t.pager.PageSize(),
-		Capacity: t.Capacity(),
-	})
-	if err != nil {
-		return err
-	}
-	if err := t.CompactInto(dst, p); err != nil {
-		dst.Close()
-		return err
-	}
-	return dst.Close()
-}
-
-// DumpDOT writes the tree's structure in Graphviz DOT format: one box per
-// node showing its page, level and fill, with edges to children. Render
-// with `dot -Tsvg`. Intended for debugging and teaching; large trees make
-// large graphs.
-func (t *Tree) DumpDOT(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "digraph rtree {"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, `  node [shape=box, fontname="monospace"];`); err != nil {
-		return err
-	}
-	var werr error
-	err := t.inner.Walk(func(id storage.PageID, v node.View) bool {
-		_, werr = fmt.Fprintf(w, "  p%d [label=\"page %d\\nlevel %d\\n%d/%d entries\"];\n",
-			id, id, v.Level(), v.Count(), t.Capacity())
-		if !v.IsLeaf() {
-			for i := 0; i < v.Count() && werr == nil; i++ {
-				_, werr = fmt.Fprintf(w, "  p%d -> p%d;\n", id, storage.PageID(v.EntryRef(i)))
-			}
-		}
-		return werr == nil
-	})
-	if err == nil {
-		err = werr
-	}
-	if err != nil {
-		return err
-	}
-	_, err = fmt.Fprintln(w, "}")
-	return err
-}
 
 // ExternalOptions bound the memory used by BulkLoadExternal.
 type ExternalOptions struct {

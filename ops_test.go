@@ -1,12 +1,8 @@
 package strtree
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"math"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"strtree/internal/node"
@@ -35,13 +31,17 @@ func TestNearestPublic(t *testing.T) {
 			t.Fatalf("distances unsorted: %v", dists)
 		}
 	}
-	// Streaming form stops on demand.
-	n := 0
-	if err := tree.Nearest(p, func(Item, float64) bool { n++; return n < 3 }); err != nil {
+	// A smaller k answers with a prefix of the larger one.
+	head, headDists, err := tree.NearestK(p, 3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 3 {
-		t.Fatalf("streaming nearest visited %d", n)
+	for i := range head {
+		//strlint:ignore floateq both calls run the identical float sequence
+		if head[i].ID != got[i].ID || headDists[i] != dists[i] {
+			t.Fatalf("NearestK(3)[%d] = %d at %g, NearestK(5)[%d] = %d at %g",
+				i, head[i].ID, headDists[i], i, got[i].ID, dists[i])
+		}
 	}
 }
 
@@ -73,39 +73,6 @@ func TestJoinPublic(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("join pairs = %d, want %d", got, want)
-	}
-}
-
-func TestJoinWithinPublic(t *testing.T) {
-	a, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Insert(R2(0.1, 0.1, 0.2, 0.2), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Insert(R2(0.3, 0.1, 0.4, 0.2), 2); err != nil { // 0.1 away in x
-		t.Fatal(err)
-	}
-	count := func(dist float64) int {
-		n := 0
-		if err := JoinWithin(a, b, dist, func(Item, Item) bool { n++; return true }); err != nil {
-			t.Fatal(err)
-		}
-		return n
-	}
-	if count(0.05) != 0 {
-		t.Fatal("pair 0.1 apart matched at dist 0.05")
-	}
-	if count(0.15) != 1 {
-		t.Fatal("pair 0.1 apart missed at dist 0.15")
-	}
-	if count(0) != 0 {
-		t.Fatal("non-intersecting pair matched at dist 0")
 	}
 }
 
@@ -156,12 +123,15 @@ func TestScanAndItems(t *testing.T) {
 	if len(seen) != 300 {
 		t.Fatalf("scan saw %d items", len(seen))
 	}
-	all, err := tree.Items()
-	if err != nil {
-		t.Fatal(err)
+	// Cloned rectangles outlive the scan.
+	want := map[uint64]Rect{}
+	for _, it := range items {
+		want[it.ID] = it.Rect
 	}
-	if len(all) != 300 {
-		t.Fatalf("Items returned %d", len(all))
+	for _, it := range scanItems(t, tree) {
+		if !it.Rect.Equal(want[it.ID]) {
+			t.Fatalf("item %d: scanned %v, loaded %v", it.ID, it.Rect, want[it.ID])
+		}
 	}
 }
 
@@ -203,7 +173,7 @@ func TestCompactIntoPublic(t *testing.T) {
 	if dstM.LeafNodes >= srcM.LeafNodes {
 		t.Fatalf("compaction grew leaves: %d -> %d", srcM.LeafNodes, dstM.LeafNodes)
 	}
-	if err := dst.Validate(); err != nil {
+	if err := dst.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	// Unknown packing propagates.
@@ -269,142 +239,6 @@ func mustTree(t *testing.T, opts Options) *Tree {
 	return tree
 }
 
-func TestDeleteRange(t *testing.T) {
-	tree := mustTree(t, Options{Capacity: 16})
-	items := randItems(600, 73)
-	if err := tree.BulkLoad(items, PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	q := R2(0.25, 0.25, 0.75, 0.75)
-	want, err := tree.Count(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := tree.DeleteRange(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != want {
-		t.Fatalf("removed %d, expected %d", removed, want)
-	}
-	if left, err := tree.Count(q); err != nil || left != 0 {
-		t.Fatalf("range not emptied: %d err %v", left, err)
-	}
-	if tree.Len() != 600-removed {
-		t.Fatalf("Len = %d", tree.Len())
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSaveTo(t *testing.T) {
-	tree := mustTree(t, Options{Capacity: 16})
-	items := randItems(400, 74)
-	for _, it := range items {
-		if err := tree.Insert(it.Rect, it.ID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "backup.str")
-	if err := tree.SaveTo(path, PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	// Original unchanged.
-	if tree.Len() != 400 {
-		t.Fatalf("original len = %d", tree.Len())
-	}
-	re, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Len() != 400 || re.Capacity() != 16 {
-		t.Fatalf("backup len %d cap %d", re.Len(), re.Capacity())
-	}
-	if err := re.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	a, err := tree.Count(R2(0.2, 0.2, 0.5, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := re.Count(R2(0.2, 0.2, 0.5, 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("backup answers differ: %d vs %d", a, b)
-	}
-}
-
-func TestDumpDOT(t *testing.T) {
-	tree := mustTree(t, Options{Capacity: 4})
-	if err := tree.BulkLoad(randItems(64, 75), PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tree.DumpDOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.HasPrefix(s, "digraph rtree {") || !strings.HasSuffix(strings.TrimSpace(s), "}") {
-		t.Fatal("not a DOT document")
-	}
-	// 64 items at capacity 4: 16 leaves + 4 internal + root = 21 nodes.
-	if got := strings.Count(s, "[label="); got != 21 {
-		t.Fatalf("dot shows %d nodes, want 21", got)
-	}
-	if got := strings.Count(s, "->"); got != 20 {
-		t.Fatalf("dot shows %d edges, want 20", got)
-	}
-}
-
-// failingWriter accepts room bytes, then fails every write, counting the
-// writes attempted after the first failure.
-type failingWriter struct {
-	room  int
-	after int
-	fail  bool
-}
-
-var errWriterFull = errors.New("writer full")
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	if w.fail {
-		w.after++
-		return 0, errWriterFull
-	}
-	if len(p) > w.room {
-		w.fail = true
-		return w.room, errWriterFull
-	}
-	w.room -= len(p)
-	return len(p), nil
-}
-
-// TestDumpDOTStopsAtWriteError: a write that fails inside the walk ends the
-// walk and is the error returned — no further writes, no further pages.
-func TestDumpDOTStopsAtWriteError(t *testing.T) {
-	tree := mustTree(t, Options{Capacity: 4})
-	if err := tree.BulkLoad(randItems(64, 75), PackSTR); err != nil {
-		t.Fatal(err)
-	}
-	var full bytes.Buffer
-	if err := tree.DumpDOT(&full); err != nil {
-		t.Fatal(err)
-	}
-	for _, room := range []int{0, 20, 100, full.Len() / 2, full.Len() - 1} {
-		w := &failingWriter{room: room}
-		if err := tree.DumpDOT(w); !errors.Is(err, errWriterFull) {
-			t.Fatalf("room %d: DumpDOT returned %v, want the write error", room, err)
-		}
-		if w.after != 0 {
-			t.Fatalf("room %d: %d writes attempted after the failed one", room, w.after)
-		}
-	}
-}
-
 // TestWholeTreeReadersRejectLyingPages crafts pages that carry a valid CRC
 // but lie about the structure — a leaf claiming a level above the root, a
 // root referencing itself — and holds every whole-tree reader of the public
@@ -457,12 +291,10 @@ func TestWholeTreeReadersRejectLyingPages(t *testing.T) {
 			_, metricsErr := tree.Metrics()
 			_, utilErr := tree.Utilization()
 			for reader, err := range map[string]error{
-				"Validate":              tree.Validate(),
 				"CheckInvariants":       tree.CheckInvariants(),
 				"CheckPackedInvariants": tree.CheckPackedInvariants(),
 				"Metrics":               metricsErr,
 				"Utilization":           utilErr,
-				"DumpDOT":               tree.DumpDOT(io.Discard),
 			} {
 				if !errors.Is(err, node.ErrCorrupt) {
 					t.Errorf("%s: want an error wrapping node.ErrCorrupt, got: %v", reader, err)

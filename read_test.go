@@ -55,26 +55,3 @@ func TestConcurrentReaders(t *testing.T) {
 		t.Fatal("the tree fit the buffer; nothing was evicted")
 	}
 }
-
-func TestSearchWithinPublic(t *testing.T) {
-	tree, err := New(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Insert(R2(0.1, 0.1, 0.2, 0.2), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tree.Insert(R2(0.15, 0.15, 0.5, 0.5), 2); err != nil {
-		t.Fatal(err)
-	}
-	var got []uint64
-	if err := tree.SearchWithin(R2(0, 0, 0.3, 0.3), func(it Item) bool {
-		got = append(got, it.ID)
-		return true
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0] != 1 {
-		t.Fatalf("SearchWithin = %v", got)
-	}
-}

@@ -141,9 +141,6 @@ type Options struct {
 	BufferShards int
 	// Capacity caps entries per node (the paper's n); 0 fills the page.
 	Capacity int
-	// MinFill is the minimum entries per non-root node maintained by
-	// deletes; 0 means 40% of Capacity.
-	MinFill int
 	// ForcedReinsert enables R*-style forced reinsertion: the first time a
 	// node overflows at each level during one Insert, the 30 % of its
 	// entries farthest from its centre are inserted again instead of the
@@ -258,7 +255,6 @@ func create(pg storage.Pager, opts Options) (*Tree, error) {
 	inner, err := rtree.Create(pool, rtree.Config{
 		Dims:           opts.Dims,
 		Capacity:       opts.Capacity,
-		MinFill:        opts.MinFill,
 		ForcedReinsert: opts.ForcedReinsert,
 		Workers:        resolveWorkers(opts.Workers),
 	})
@@ -374,17 +370,6 @@ func (t *Tree) SearchBatchCount(qs []Rect, workers int) ([]int, error) {
 
 // Count returns the number of items intersecting q.
 func (t *Tree) Count(q Rect) (int, error) { return t.inner.Count(q) }
-
-// All collects every item intersecting q.
-func (t *Tree) All(q Rect) ([]Item, error) {
-	var out []Item
-	err := t.Search(q, func(it Item) bool {
-		it.Rect = it.Rect.Clone()
-		out = append(out, it)
-		return true
-	})
-	return out, err
-}
 
 // Len returns the number of items in the tree.
 func (t *Tree) Len() int { return t.inner.Len() }
@@ -535,10 +520,6 @@ func (t *Tree) Metrics() (Metrics, error) {
 		Nodes: m.Nodes, LeafNodes: m.LeafNodes,
 	}, nil
 }
-
-// Validate checks the tree's structural invariants (balance, tight MBRs,
-// fill bounds, no page shared between subtrees).
-func (t *Tree) Validate() error { return t.inner.Check(rtree.CheckConfig{}) }
 
 // CheckInvariants runs the full structural verifier over every page of the
 // tree: height balance, exact MBR tightness at every internal entry, fill

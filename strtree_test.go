@@ -20,6 +20,35 @@ func randItems(n int, seed int64) []Item {
 	return out
 }
 
+// searchItems collects deep copies of the items Search reports for q, in
+// its order.
+func searchItems(t testing.TB, tree *Tree, q Rect) []Item {
+	t.Helper()
+	var out []Item
+	if err := tree.Search(q, func(it Item) bool {
+		it.Rect = it.Rect.Clone()
+		out = append(out, it)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// scanItems collects deep copies of every item, in Scan's leaf order.
+func scanItems(t testing.TB, tree *Tree) []Item {
+	t.Helper()
+	out := make([]Item, 0, tree.Len())
+	if err := tree.Scan(func(it Item) bool {
+		it.Rect = it.Rect.Clone()
+		out = append(out, it)
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	tree, err := New(Options{})
 	if err != nil {
@@ -31,9 +60,6 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	if tree.Len() != 5000 || tree.Dims() != 2 || tree.Capacity() != 102 {
 		t.Fatalf("len %d dims %d cap %d", tree.Len(), tree.Dims(), tree.Capacity())
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
 	}
 	if err := tree.CheckPackedInvariants(); err != nil {
 		t.Fatal(err)
@@ -52,12 +78,8 @@ func TestQuickstartFlow(t *testing.T) {
 	if got != want {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
-	all, err := tree.All(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != want {
-		t.Fatalf("All = %d items", len(all))
+	if all := searchItems(t, tree, q); len(all) != want {
+		t.Fatalf("Search = %d items", len(all))
 	}
 }
 
@@ -71,9 +93,6 @@ func TestAllPackingsBuildEquivalentContent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := tree.BulkLoad(items, p); err != nil {
-			t.Fatalf("%v: %v", p, err)
-		}
-		if err := tree.Validate(); err != nil {
 			t.Fatalf("%v: %v", p, err)
 		}
 		if err := tree.CheckPackedInvariants(); err != nil {
@@ -126,7 +145,7 @@ func TestDynamicInsertDelete(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := tree.Validate(); err != nil {
+	if err := tree.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 	for _, it := range items[:250] {
@@ -140,9 +159,6 @@ func TestDynamicInsertDelete(t *testing.T) {
 	}
 	if tree.Len() != 250 {
 		t.Fatalf("Len = %d", tree.Len())
-	}
-	if err := tree.Validate(); err != nil {
-		t.Fatal(err)
 	}
 	// The universal invariants (not the packed fill factor) must survive
 	// arbitrary insert/delete churn.
@@ -209,7 +225,7 @@ func TestFileBackedCreateOpen(t *testing.T) {
 	if got != wantCount {
 		t.Fatalf("count after reopen = %d, want %d", got, wantCount)
 	}
-	if err := re.Validate(); err != nil {
+	if err := re.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
