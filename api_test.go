@@ -11,10 +11,10 @@ import (
 )
 
 // TestExportedSurface pins the package's public names: the exported
-// top-level functions, types and values, the methods on *Tree and the fields
-// of Options, read from the non-test sources with go/parser. A name added to
-// or removed from the API fails here until the lists below change with it,
-// so the surface grows only by a visible diff.
+// top-level functions, types and values and the methods on *Tree, read from
+// the non-test sources with go/parser. A name added to or removed from the
+// API fails here until the lists below change with it, so the surface grows
+// only by a visible diff. TestSettingsFields does the same for Options.
 func TestExportedSurface(t *testing.T) {
 	want := map[string][]string{
 		"func": {"Create", "Join", "New", "NewOnPager", "Open", "Pt2", "R2"},
@@ -34,58 +34,36 @@ func TestExportedSurface(t *testing.T) {
 			"SearchBatchCount", "SearchContext", "SearchPoint", "ShardStats", "Stats",
 			"Utilization",
 		},
-		"Options field": {"BufferPages", "BufferShards", "Capacity", "Dims", "ForcedReinsert", "PageSize", "Workers"},
 	}
 	got := map[string][]string{}
-	files, err := filepath.Glob("*.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	for _, name := range files {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, decl := range f.Decls {
-			switch d := decl.(type) {
-			case *ast.FuncDecl:
-				switch {
-				case !d.Name.IsExported():
-				case d.Recv == nil:
-					got["func"] = append(got["func"], d.Name.Name)
-				case isTreePointer(d.Recv.List[0].Type):
-					got["*Tree method"] = append(got["*Tree method"], d.Name.Name)
-				}
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						if s.Name.IsExported() {
-							got["type"] = append(got["type"], s.Name.Name)
-						}
-						if st, ok := s.Type.(*ast.StructType); ok && s.Name.Name == "Options" {
-							for _, field := range st.Fields.List {
-								for _, n := range field.Names {
-									got["Options field"] = append(got["Options field"], n.Name)
-								}
-							}
-						}
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							if n.IsExported() {
-								got["value"] = append(got["value"], n.Name)
-							}
+	for _, decl := range decls(t, ".") {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			switch {
+			case !d.Name.IsExported():
+			case d.Recv == nil:
+				got["func"] = append(got["func"], d.Name.Name)
+			case isTreePointer(d.Recv.List[0].Type):
+				got["*Tree method"] = append(got["*Tree method"], d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					if s.Name.IsExported() {
+						got["type"] = append(got["type"], s.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						if n.IsExported() {
+							got["value"] = append(got["value"], n.Name)
 						}
 					}
 				}
 			}
 		}
 	}
-	for _, kind := range []string{"func", "type", "value", "*Tree method", "Options field"} {
+	for _, kind := range []string{"func", "type", "value", "*Tree method"} {
 		names, have := want[kind], got[kind]
 		for _, n := range have {
 			if !slices.Contains(names, n) {
@@ -98,6 +76,71 @@ func TestExportedSurface(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSettingsFields pins the fields of every settings struct a caller
+// fills in: the root Options and the configurations of the tree, its
+// verifier and the query server beneath it. Each field is a value someone
+// can set, so one is added only by a visible diff here, and a setting with
+// one value in use becomes a constant instead (DESIGN.md §17).
+func TestSettingsFields(t *testing.T) {
+	for _, c := range []struct {
+		dir, typ string
+		want     []string
+	}{
+		{".", "Options", []string{"BufferPages", "BufferShards", "Capacity", "Dims", "ForcedReinsert", "Workers"}},
+		{"internal/rtree", "Config", []string{"Capacity", "Dims", "ForcedReinsert", "Workers"}},
+		{"internal/rtree", "CheckConfig", []string{"Packed"}},
+		{"internal/server", "Config", []string{"DefaultTimeout", "Logf", "MaxInFlight", "Mutable", "SlowLogJSON", "SlowQueryThreshold"}},
+	} {
+		got := structFields(t, c.dir, c.typ)
+		slices.Sort(got)
+		if !slices.Equal(got, c.want) {
+			t.Errorf("%s fields %v, want %v", filepath.Join(c.dir, c.typ), got, c.want)
+		}
+	}
+}
+
+// structFields lists the field names of the struct type typ declared in
+// the non-test Go files of dir.
+func structFields(t *testing.T, dir, typ string) (fields []string) {
+	for _, decl := range decls(t, dir) {
+		ast.Inspect(decl, func(n ast.Node) bool {
+			if s, ok := n.(*ast.TypeSpec); ok && s.Name.Name == typ {
+				for _, f := range s.Type.(*ast.StructType).Fields.List {
+					for _, name := range f.Names {
+						fields = append(fields, name.Name)
+					}
+				}
+			}
+			_, fn := n.(*ast.FuncDecl)
+			return !fn
+		})
+	}
+	return fields
+}
+
+// decls returns the top-level declarations of the non-test Go files in
+// dir, read with go/parser.
+func decls(t *testing.T, dir string) []ast.Decl {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []ast.Decl
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, f.Decls...)
+	}
+	return out
 }
 
 // isTreePointer reports whether a receiver type is *Tree.

@@ -15,11 +15,12 @@
 #                     .go file outside internal/node and bench/ mentions
 #                     node.Unmarshal or readNode — library code reads a
 #                     page through node.View only, so the second decoder
-#                     cannot creep back — none outside internal/node,
-#                     bench/ and internal/rtree/check.go (Check's round
-#                     trip) mentions node.Marshal — every page the library
+#                     cannot creep back — none outside internal/node and
+#                     bench/ mentions node.Marshal — every page the library
 #                     writes is filled from page records (node.FillRecords,
-#                     MutableView), so no builder stages node.Nodes again —
+#                     MutableView), and Check's round trip re-fills each
+#                     page from its own records the same way, so nothing
+#                     stages node.Nodes again —
 #                     and none mentions a variant the
 #                     measurements retired (DESIGN.md, "Tried and
 #                     dropped"): splitLinear, splitQuadratic, distribute(
@@ -203,7 +204,7 @@ GOOS=darwin go vet ./internal/storage
 echo "== go build"
 go build ./...
 if grep -rn 'node\.Unmarshal\|readNode' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code reads pages through node.View only" >&2; exit 1; fi
-if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/\|^./internal/rtree/check\.go:'; then echo "library code writes pages from records; only Check's round trip may call node.Marshal" >&2; exit 1; fi
+if grep -rn 'node\.Marshal' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "library code writes pages from records (node.FillRecords, MutableView), and Check re-fills a page to compare it: no library code calls node.Marshal" >&2; exit 1; fi
 if grep -rn 'splitLinear\|splitQuadratic\|distribute(\|splitRStar\|NewPoolWithPolicy\|evictClock\|SetResident\|Serpentine\|SliceFactor\|buffer\.Sharded\|type Sharded\|parallelPass\|fillPage(\|SafeTree\|NewSafe\|NewCollection\|Collection\[\|LayerSet\|NewLayers\|CreateLayers\|OpenLayers\|CreateAt\|OpenAt' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired variant is back outside _test.go: a node overflows by the tile cut, the buffer evicts by LRU and is one type, STR slices one way, the sort splits on its top digit, a build writes page runs past the pool, Tree is the one tree type and a pager holds one tree (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -nw 'node\.Entry' internal/extsort/*.go internal/pack/external.go internal/rtree/stream.go | grep -v '_test\.go:\|^internal/extsort/entries\.go:'; then echo "the external build moves page records, not node.Entry values; only extsort's Sort adapter (entries.go) takes entries" >&2; exit 1; fi
 

@@ -77,7 +77,10 @@ func TestRunReplaySkipsBadRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"nearest","point":[0.5,0.5],"duration_ns":1,"results":0,"status":"ok"}` + "\n"); err != nil {
+	// A nearest record without k, and one whose k is past the protocol's
+	// bound: no server could have received either, so neither runs.
+	if _, err := f.WriteString(`{"op":"nearest","point":[0.5,0.5],"duration_ns":1,"results":0,"status":"ok"}` + "\n" +
+		`{"op":"nearest","point":[0.5,0.5],"k":1048577,"duration_ns":1,"results":0,"status":"ok"}` + "\n"); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -87,8 +90,8 @@ func TestRunReplaySkipsBadRecords(t *testing.T) {
 	if err := runReplay(&out, logPath, replayConfig{idx: idxPath, bufPages: 64, shards: 1}); err != nil {
 		t.Fatalf("replay failed: %v\n%s", err, out.String())
 	}
-	if !strings.Contains(out.String(), "1 skipped") {
-		t.Errorf("missing-k record not skipped:\n%s", out.String())
+	if !strings.Contains(out.String(), "2 skipped") {
+		t.Errorf("missing-k and oversized-k records not both skipped:\n%s", out.String())
 	}
 }
 

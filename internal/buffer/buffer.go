@@ -90,9 +90,6 @@ type Frame struct {
 	prev, next int32 // LRU list links: slot numbers in the shard, under its mutex
 }
 
-// ID returns the page the frame holds.
-func (f *Frame) ID() storage.PageID { return f.id }
-
 // Data returns the page bytes. Valid only while the frame is pinned.
 func (f *Frame) Data() []byte { return f.data }
 
@@ -137,7 +134,6 @@ type Pool struct {
 	pager  storage.Pager
 	shards []*shard
 	shift  uint // 64 - log2(len(shards)); selects the hash's top bits
-	total  int  // total capacity across shards
 }
 
 // shard is one LRU cache of the pool's pages behind one mutex. Its frames
@@ -193,7 +189,6 @@ func NewSharded(pager storage.Pager, capacity, shards int) (*Pool, error) {
 		pager:  pager,
 		shards: make([]*shard, shards),
 		shift:  64,
-		total:  capacity,
 	}
 	for bits := 0; 1<<bits < shards; bits++ {
 		p.shift--
@@ -226,9 +221,6 @@ const chunkSlots = 64
 func (p *Pool) shard(id storage.PageID) *shard {
 	return p.shards[(uint64(id)*0x9E3779B97F4A7C15)>>p.shift]
 }
-
-// Capacity returns the pool size in pages, summed over the shards.
-func (p *Pool) Capacity() int { return p.total }
 
 // Pager returns the underlying pager shared by all shards.
 func (p *Pool) Pager() storage.Pager { return p.pager }

@@ -23,8 +23,8 @@ func TestFetchHitAndMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.ID() != 3 || f.Data()[0] != 3 {
-		t.Fatalf("frame id=%d data[0]=%d", f.ID(), f.Data()[0])
+	if f.id != 3 || f.Data()[0] != 3 {
+		t.Fatalf("frame id=%d data[0]=%d", f.id, f.Data()[0])
 	}
 	p.Release(f)
 	// Second fetch is a hit.
@@ -153,8 +153,8 @@ func TestCreate(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if f.ID() != storage.PageID(i) {
-					t.Fatalf("created page id = %d, want %d", f.ID(), i)
+				if f.id != storage.PageID(i) {
+					t.Fatalf("created page id = %d, want %d", f.id, i)
 				}
 				f.Data()[0] = 0xA0 | byte(i)
 				p.Release(f)
@@ -203,8 +203,8 @@ func TestAdopt(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if f.ID() != first || !f.dirty || f.pins != 1 || f.Checked() {
-			t.Fatalf("%s: adopted frame: id %d dirty %v pins %d checked %v", name, f.ID(), f.dirty, f.pins, f.Checked())
+		if f.id != first || !f.dirty || f.pins != 1 || f.Checked() {
+			t.Fatalf("%s: adopted frame: id %d dirty %v pins %d checked %v", name, f.id, f.dirty, f.pins, f.Checked())
 		}
 		for _, b := range f.Data() {
 			if b != 0 {
@@ -292,8 +292,8 @@ func TestReleaseUnpinnedPanics(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	pg := storage.NewMemPager(64)
 	p := NewPool(pg, 7)
-	if p.Capacity() != 7 {
-		t.Fatalf("Capacity = %d", p.Capacity())
+	if len(p.shards) != 1 || p.shards[0].capacity != 7 {
+		t.Fatalf("%d shards, the first of capacity %d", len(p.shards), p.shards[0].capacity)
 	}
 	if p.Pager() != pg {
 		t.Fatal("Pager accessor wrong")

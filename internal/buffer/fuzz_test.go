@@ -149,7 +149,7 @@ func runTwins(data []byte, shards int) error {
 				continue
 			}
 			k := int(arg) % len(reads)
-			what = fmt.Sprintf("Release(%d)", reads[k].f.ID())
+			what = fmt.Sprintf("Release(%d)", reads[k].f.id)
 			p.Release(reads[k].f)
 			ref.Release(reads[k].r)
 			reads = slices.Delete(reads, k, k+1)
@@ -168,7 +168,7 @@ func runTwins(data []byte, shards int) error {
 				continue
 			}
 			k := int(arg) % len(writes)
-			what = fmt.Sprintf("ReleaseMut(%d)", writes[k].f.ID())
+			what = fmt.Sprintf("ReleaseMut(%d)", writes[k].f.id)
 			perr = p.ReleaseMut(writes[k].f)
 			rerr = ref.ReleaseMut(writes[k].r)
 			writes = slices.Delete(writes, k, k+1)
@@ -178,7 +178,7 @@ func runTwins(data []byte, shards int) error {
 				continue
 			}
 			h := held[int(arg)%len(held)]
-			what = fmt.Sprintf("MarkDirty(%d)", h.f.ID())
+			what = fmt.Sprintf("MarkDirty(%d)", h.f.id)
 			stamp++
 			h.f.Data()[0], h.r.data[0] = stamp, stamp
 			h.f.MarkDirty()

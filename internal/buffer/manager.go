@@ -56,8 +56,6 @@ type Manager interface {
 	ResetStats()
 	// Pager returns the underlying pager.
 	Pager() storage.Pager
-	// Capacity returns the total buffer size in pages.
-	Capacity() int
 	// Len returns how many frames are currently cached.
 	Len() int
 }

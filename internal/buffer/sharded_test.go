@@ -93,8 +93,8 @@ func TestShardedValidation(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewSharded(64, %d): %v", ok, err)
 		}
-		if len(s.shards) != ok || s.Capacity() != 64 {
-			t.Fatalf("shards=%d capacity=%d, want %d/64", len(s.shards), s.Capacity(), ok)
+		if len(s.shards) != ok || s.shards[0].capacity*ok != 64 {
+			t.Fatalf("shards=%d of capacity %d, want %d of %d", len(s.shards), s.shards[0].capacity, ok, 64/ok)
 		}
 	}
 }

@@ -21,7 +21,7 @@ func newWritePinPool(t *testing.T, capacity, shards, pages int) (*Pool, []storag
 		if err != nil {
 			t.Fatalf("create page %d: %v", i, err)
 		}
-		ids[i] = f.ID()
+		ids[i] = f.id
 		p.Release(f)
 	}
 	if err := p.Invalidate(); err != nil {

@@ -42,12 +42,6 @@ type Config struct {
 	Seed int64
 }
 
-// Default is a configuration that runs the full suite in minutes: one
-// fifth of the paper's data sizes and a quarter of its query count.
-func Default() Config {
-	return Config{Scale: 0.2, Queries: 500, Capacity: 100, Seed: 1}
-}
-
 // Full is the paper's exact configuration.
 func Full() Config {
 	return Config{Scale: 1, Queries: 2000, Capacity: 100, Seed: 1}

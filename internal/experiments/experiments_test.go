@@ -19,12 +19,14 @@ func tinyConfig() Config {
 
 func TestRegistryComplete(t *testing.T) {
 	// Every table and figure of the paper's evaluation must be present.
+	// So must every experiment beyond them.
 	want := []string{
 		"table1", "table2", "table3", "table4", "table5",
 		"table6", "table7", "table8", "table9", "table10",
 		"fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+		"ext3d", "extdynamic", "extsplits", "extwarmup", "extmodel",
+		"extpolicy", "extqorder", "extpackers", "extlevels",
 	}
-	want = append(want, ExtensionIDs()...)
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
 			t.Errorf("experiment %q not registered", id)
@@ -190,7 +192,7 @@ func TestConfigScaling(t *testing.T) {
 		t.Fatalf("bufPages floor: %d, want 3", got)
 	}
 	full := Full()
-	if full.Scale != 1 || full.Queries != query.PaperCount || full.Capacity != 100 {
+	if full.Scale != 1 || full.Queries != 2000 || full.Capacity != 100 {
 		t.Fatalf("Full() = %+v", full)
 	}
 }
@@ -261,13 +263,6 @@ func TestFprintCSV(t *testing.T) {
 	}
 	if sb.String() != "a,b\n1,2\n3,4\n" {
 		t.Fatalf("csv = %q", sb.String())
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	d := Default()
-	if d.Scale != 0.2 || d.Queries != 500 || d.Capacity != 100 {
-		t.Fatalf("Default() = %+v", d)
 	}
 }
 

@@ -24,15 +24,6 @@ func init() {
 	Register("extmodel", ExtModel)
 }
 
-// ExtensionIDs lists the experiments that go beyond the paper's tables
-// and figures.
-func ExtensionIDs() []string {
-	return []string{
-		"ext3d", "extdynamic", "extsplits", "extwarmup", "extmodel",
-		"extpolicy", "extqorder", "extpackers", "extlevels",
-	}
-}
-
 // Ext3D evaluates the k = 3 generalization of STR (paper Section 2.2
 // describes the recursion for k > 2 but evaluates only k = 2): disk
 // accesses for cube queries on uniform 3-D points, STR vs HS vs NX.

@@ -21,9 +21,6 @@ type Point []float64
 // Pt2 returns a 2-D point.
 func Pt2(x, y float64) Point { return Point{x, y} }
 
-// Dim reports the dimensionality of the point.
-func (p Point) Dim() int { return len(p) }
-
 // Equal reports whether p and q have identical coordinates.
 func (p Point) Equal(q Point) bool {
 	if len(p) != len(q) {
@@ -126,16 +123,6 @@ func (r Rect) Clone() Rect {
 // Equal reports whether r and s are the same rectangle.
 func (r Rect) Equal(s Rect) bool {
 	return r.Min.Equal(s.Min) && r.Max.Equal(s.Max)
-}
-
-// Center returns the center point of r. The paper sorts rectangles by the
-// coordinates of their centers in all three packing algorithms.
-func (r Rect) Center() Point {
-	c := make(Point, len(r.Min))
-	for i := range r.Min {
-		c[i] = r.Min[i] + (r.Max[i]-r.Min[i])/2
-	}
-	return c
 }
 
 // CenterAxis returns the center coordinate along one axis without
@@ -250,38 +237,6 @@ func (r Rect) Enlargement(s Rect) float64 {
 		u *= math.Max(r.Max[i], s.Max[i]) - math.Min(r.Min[i], s.Min[i])
 	}
 	return u - r.Area()
-}
-
-// Dist returns the minimum Euclidean distance between two rectangles
-// (zero when they intersect).
-func (r Rect) Dist(s Rect) float64 {
-	sum := 0.0
-	for i := range r.Min {
-		var d float64
-		switch {
-		case s.Min[i] > r.Max[i]:
-			d = s.Min[i] - r.Max[i]
-		case r.Min[i] > s.Max[i]:
-			d = r.Min[i] - s.Max[i]
-		}
-		sum += d * d
-	}
-	return math.Sqrt(sum)
-}
-
-// Expand returns r grown by d on every side (shrunk for negative d; sides
-// collapse to the center rather than inverting).
-func (r Rect) Expand(d float64) Rect {
-	out := Rect{Min: make(Point, len(r.Min)), Max: make(Point, len(r.Max))}
-	for i := range r.Min {
-		lo, hi := r.Min[i]-d, r.Max[i]+d
-		if lo > hi {
-			mid := r.Min[i] + (r.Max[i]-r.Min[i])/2
-			lo, hi = mid, mid
-		}
-		out.Min[i], out.Max[i] = lo, hi
-	}
-	return out
 }
 
 // MBR returns the minimum bounding rectangle of a non-empty set of

@@ -9,8 +9,8 @@ import (
 
 func TestPt2AndDim(t *testing.T) {
 	p := Pt2(0.25, 0.75)
-	if p.Dim() != 2 {
-		t.Fatalf("Dim() = %d, want 2", p.Dim())
+	if r := PointRect(p); r.Dim() != 2 {
+		t.Fatalf("PointRect(p).Dim() = %d, want 2", r.Dim())
 	}
 	if p[0] != 0.25 || p[1] != 0.75 {
 		t.Fatalf("Pt2 coords = %v", p)
@@ -123,9 +123,6 @@ func TestAreaMargin3D(t *testing.T) {
 
 func TestCenter(t *testing.T) {
 	r := R2(0, 1, 2, 3)
-	if !r.Center().Equal(Pt2(1, 2)) {
-		t.Fatalf("Center = %v, want (1, 2)", r.Center())
-	}
 	if r.CenterAxis(0) != 1 || r.CenterAxis(1) != 2 {
 		t.Fatalf("CenterAxis = (%g, %g)", r.CenterAxis(0), r.CenterAxis(1))
 	}
@@ -258,71 +255,6 @@ func TestRectString(t *testing.T) {
 	}
 }
 
-func TestDist(t *testing.T) {
-	a := R2(0, 0, 1, 1)
-	cases := []struct {
-		b    Rect
-		want float64
-	}{
-		{R2(0.5, 0.5, 2, 2), 0},      // overlapping
-		{R2(1, 1, 2, 2), 0},          // touching
-		{R2(2, 0, 3, 1), 1},          // 1 apart in x
-		{R2(0, 3, 1, 4), 2},          // 2 apart in y
-		{R2(2, 2, 3, 3), math.Sqrt2}, // diagonal corner gap of (1,1)
-		{R2(4, 5, 6, 7), 5},          // 3-4-5 triangle
-	}
-	for i, c := range cases {
-		if got := a.Dist(c.b); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("case %d: Dist = %g, want %g", i, got, c.want)
-		}
-		if got := c.b.Dist(a); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("case %d: Dist not symmetric", i)
-		}
-	}
-}
-
-func TestExpand(t *testing.T) {
-	r := R2(0.25, 0.5, 0.5, 0.75)
-	if got := r.Expand(0.25); !got.Equal(R2(0, 0.25, 0.75, 1)) {
-		t.Fatalf("Expand(0.25) = %v", got)
-	}
-	// Shrinking past the center collapses to the center.
-	if got := r.Expand(-1); !got.Equal(R2(0.375, 0.625, 0.375, 0.625)) {
-		t.Fatalf("Expand(-1) = %v", got)
-	}
-	// Original untouched.
-	if !r.Equal(R2(0.25, 0.5, 0.5, 0.75)) {
-		t.Fatal("Expand mutated the receiver")
-	}
-}
-
-func TestPropDistExpandConsistency(t *testing.T) {
-	// Expand is the L-infinity inflation, Dist the L2 distance, so:
-	// Dist <= d implies Expand(d) intersects, and Expand(d) intersecting
-	// implies Dist <= d*sqrt(2) (in 2-D). Both directions must hold.
-	rng := rand.New(rand.NewSource(6))
-	f := func() bool {
-		a, b := randRect(rng), randRect(rng)
-		d := rng.Float64() * 5
-		dist := a.Dist(b)
-		overlapExpanded := a.Expand(d).Intersects(b)
-		if dist <= d && !overlapExpanded {
-			return false
-		}
-		if overlapExpanded && dist > d*math.Sqrt2+1e-9 {
-			return false
-		}
-		// Dist symmetry and zero-on-intersection.
-		if a.Intersects(b) && dist != 0 {
-			return false
-		}
-		return dist == b.Dist(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // randRect produces a valid random rectangle in roughly [-10,10]^2 for
 // property tests.
 func randRect(rng *rand.Rand) Rect {
@@ -383,7 +315,8 @@ func TestPropContainmentImpliesIntersection(t *testing.T) {
 		}
 		u := a.Union(b)
 		// Center of each rect must be inside the union.
-		return u.ContainsPoint(a.Center()) && u.ContainsPoint(b.Center())
+		return u.ContainsPoint(Pt2(a.CenterAxis(0), a.CenterAxis(1))) &&
+			u.ContainsPoint(Pt2(b.CenterAxis(0), b.CenterAxis(1)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

@@ -53,7 +53,7 @@ func bucketIndex(v int64) int {
 }
 
 // bucketUpper returns the largest value mapping to bucket idx, the bound
-// Quantile reports (quantiles are pessimistic, never underestimates).
+// Quantiles reports (quantiles are pessimistic, never underestimates).
 func bucketUpper(idx int) int64 {
 	if idx < subCount {
 		return int64(idx)
@@ -99,26 +99,20 @@ func (h *Histogram) Mean() time.Duration {
 	return time.Duration(h.sum.Load() / n)
 }
 
-// NoData is the sentinel Quantile and Quantiles return for every
-// requested quantile of an empty histogram. A zero return would be
-// indistinguishable from "all observations were zero", and the serving
-// layer's dashboards must tell an idle op (no data) apart from a very
-// fast one (real 0ns measurements). NoData is negative, which no real
+// NoData is the sentinel Quantiles returns for every requested quantile
+// of an empty histogram. A zero return would be indistinguishable from
+// "all observations were zero", and the serving layer's dashboards must
+// tell an idle op (no data) apart from a very fast one (real 0ns
+// measurements). NoData is negative, which no real
 // observation can produce (Observe clamps negatives to zero), so
 // `q == NoData` — or simply `q < 0` — is a reliable emptiness test.
 const NoData = time.Duration(-1)
 
-// Quantile returns an upper bound for the q-quantile (q in [0, 1]) of the
-// observed durations, within one bucket width. It returns NoData when the
-// histogram is empty. Quantile(0.5) is the median, Quantile(0.99) the p99.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	return h.Quantiles(q)[0]
-}
-
-// Quantiles computes several quantiles from one consistent snapshot of the
-// buckets, cheaper and more coherent than repeated Quantile calls under
-// concurrent writes. qs must be ascending; results match qs positionally.
-// Every result is NoData when the histogram is empty.
+// Quantiles returns an upper bound for each q-quantile (q in [0, 1]) of
+// the observed durations, within one bucket width, all from one consistent
+// snapshot of the buckets. qs must be ascending; results match qs
+// positionally: Quantiles(0.5, 0.99) is the median and the p99. Every
+// result is NoData when the histogram is empty.
 func (h *Histogram) Quantiles(qs ...float64) []time.Duration {
 	var snap [numBuckets]int64
 	total := int64(0)

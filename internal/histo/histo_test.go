@@ -64,8 +64,8 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 	// Quantiles of an empty histogram are the documented NoData sentinel,
 	// not zero: a zero would be indistinguishable from real 0ns samples.
-	if q := h.Quantile(0.5); q != NoData {
-		t.Fatalf("empty Quantile(0.5) = %v, want NoData", q)
+	if q := h.Quantiles(0.5)[0]; q != NoData {
+		t.Fatalf("empty Quantiles(0.5) = %v, want NoData", q)
 	}
 	for i, q := range h.Quantiles(0, 0.5, 0.99, 1) {
 		if q != NoData {
@@ -81,8 +81,8 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 	// One zero-duration observation must be distinguishable from empty.
 	h.Observe(0)
-	if q := h.Quantile(0.5); q != 0 {
-		t.Fatalf("Quantile(0.5) after Observe(0) = %v, want 0", q)
+	if q := h.Quantiles(0.5)[0]; q != 0 {
+		t.Fatalf("Quantiles(0.5) after Observe(0) = %v, want 0", q)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestQuantileConcurrentWriters(t *testing.T) {
 	if got := h.Count(); got != writers*perG {
 		t.Fatalf("count = %d, want %d", got, writers*perG)
 	}
-	if q := h.Quantile(1.0); q == NoData || q < 0 {
+	if q := h.Quantiles(1.0)[0]; q == NoData || q < 0 {
 		t.Fatalf("final p100 = %v", q)
 	}
 }
@@ -167,7 +167,7 @@ func TestQuantileAccuracy(t *testing.T) {
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99} {
 		rank := int(q*float64(n) + 0.5)
 		exact := vals[rank-1]
-		got := int64(h.Quantile(q))
+		got := int64(h.Quantiles(q)[0])
 		if got < exact {
 			t.Errorf("q=%v: got %d below exact %d", q, got, exact)
 		}
@@ -184,7 +184,7 @@ func TestQuantileAccuracy(t *testing.T) {
 }
 
 // TestQuantilesSinglePass checks the multi-quantile path agrees with the
-// one-shot path and respects ascending order.
+// one-quantile path and respects ascending order.
 func TestQuantilesSinglePass(t *testing.T) {
 	var h Histogram
 	for i := 1; i <= 1000; i++ {
@@ -195,8 +195,8 @@ func TestQuantilesSinglePass(t *testing.T) {
 		t.Fatalf("quantiles not ascending: %v", qs)
 	}
 	for i, q := range []float64{0.5, 0.95, 0.99} {
-		if single := h.Quantile(q); single != qs[i] {
-			t.Errorf("Quantile(%v) = %v, Quantiles gave %v", q, single, qs[i])
+		if single := h.Quantiles(q)[0]; single != qs[i] {
+			t.Errorf("Quantiles(%v) = %v, the batch gave %v", q, single, qs[i])
 		}
 	}
 }
@@ -241,8 +241,8 @@ func TestConcurrentObserve(t *testing.T) {
 	if h.Max() != time.Duration(workers*per-1) {
 		t.Fatalf("max = %v", h.Max())
 	}
-	if h.Quantile(1.0) > h.Max() {
-		t.Fatalf("p100 %v above max %v", h.Quantile(1.0), h.Max())
+	if h.Quantiles(1.0)[0] > h.Max() {
+		t.Fatalf("p100 %v above max %v", h.Quantiles(1.0)[0], h.Max())
 	}
 }
 

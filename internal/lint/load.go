@@ -80,9 +80,6 @@ func Load(root string) (*Analyzer, error) {
 	return a, nil
 }
 
-// Module returns the module path from go.mod.
-func (a *Analyzer) Module() string { return a.module }
-
 // Packages returns the loaded packages' module-relative import paths,
 // sorted ("" is the root package).
 func (a *Analyzer) Packages() []string {

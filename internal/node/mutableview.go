@@ -12,14 +12,14 @@ package node
 // materialized, because its entries outlive the page as orphans.
 //
 // Byte determinism is the load-bearing contract: after any sequence of
-// MutableView operations the page bytes are exactly what Marshal would have
-// produced for the equivalent Node. The structural verifier's RoundTrip check
-// (rtree.Check) re-marshals every page's entries and compares byte-for-byte against the raw
-// page, so any divergence — a stale CRC, a non-zeroed vacated slot — is a
-// test failure, not a latent mismatch. That works because Marshal zeroes the
-// page tail, so the bytes beyond the payload are zero on every page this
-// package ever wrote; AppendEntry writes over zeros and RemoveEntry restores
-// them.
+// MutableView operations the page bytes are exactly what FillRecords would
+// have produced from the page's own records. The structural verifier's page
+// round trip (rtree.Check) re-fills every page that way and compares it
+// byte-for-byte against the raw page, so any divergence — a stale CRC, a
+// non-zeroed vacated slot — is a test failure, not a latent mismatch. That
+// works because every fill zeroes the page tail, so the bytes beyond the
+// payload are zero on every page this package ever wrote; AppendEntry writes
+// over zeros and RemoveEntry restores them.
 //
 // Lifetime is the same pin-scope contract as View: a MutableView aliases the
 // page slice and is valid only while those bytes are stable — for a
@@ -120,7 +120,7 @@ func (m *MutableView) SetEntryRect(i int, r geom.Rect) error {
 }
 
 // RemoveEntry deletes entry i, shifting later entries left one slot, zeroing
-// the vacated slot (restoring Marshal's zeroed-tail invariant), decrementing
+// the vacated slot (restoring the zeroed-tail invariant), decrementing
 // the header count, and recomputing the payload CRC.
 func (m *MutableView) RemoveEntry(i int) error {
 	if i < 0 || i >= m.count {

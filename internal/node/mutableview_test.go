@@ -25,7 +25,7 @@ func randRect(rng *rand.Rand, dims int) geom.Rect {
 // TestMutableViewByteIdentity drives a MutableView and a materialized Node
 // through the same random operation sequence and asserts the patched page is
 // byte-for-byte what Marshal produces from the Node at every step. This is
-// the contract the invariant verifier's RoundTrip check relies on.
+// the contract the invariant verifier's page round trip relies on.
 func TestMutableViewByteIdentity(t *testing.T) {
 	for _, dims := range []int{1, 2, 3, 5} {
 		for _, pageSize := range []int{256, 1024, 4096} {

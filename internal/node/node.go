@@ -70,16 +70,6 @@ func Capacity(pageSize, dims int) int {
 	return (pageSize - HeaderSize) / EntrySize(dims)
 }
 
-// IsLeaf reports whether the node is at the leaf level.
-func (n *Node) IsLeaf() bool { return n.Level == 0 }
-
-// Reset clears the node for reuse, keeping allocated capacity.
-func (n *Node) Reset(level, dims int) {
-	n.Level = level
-	n.Dims = dims
-	n.Entries = n.Entries[:0]
-}
-
 // Marshal serializes the node into page, which must be large enough for the
 // header plus all entries. Every precondition is checked before the first
 // byte is written: a failing Marshal leaves page untouched, never a new
@@ -140,10 +130,11 @@ func seal(page []byte, level, dims, count, end int) {
 // CRC and a zeroed tail — byte for byte what Marshal writes for the entries
 // recs decodes to, without a detour through Entry headers: the dynamic write
 // path's one page writer (internal/rtree's split, forced reinsertion and
-// root growth). It keeps every check Marshal and MutableView.AppendEntry
-// make — dims, level and count in range, the records fit the page, every
-// record a valid rectangle (FirstInvalid, as MakeView checks) — and makes all
-// of them before the first byte is written, so a failing fill leaves page
+// root growth), and the canonical image rtree.Check compares each page
+// with. It keeps every check Marshal and MutableView.AppendEntry make —
+// dims, level and count in range, the records fit the page, every record a
+// valid rectangle (FirstInvalid, as MakeView checks) — and makes all of
+// them before the first byte is written, so a failing fill leaves page
 // untouched. recs must not overlap page.
 func FillRecords(page []byte, level, dims int, recs []byte) error {
 	if dims <= 0 || dims > 255 {

@@ -211,17 +211,6 @@ func TestNodeMBR(t *testing.T) {
 	(&Node{Dims: 2}).MBR()
 }
 
-func TestIsLeafAndReset(t *testing.T) {
-	n := &Node{Level: 0, Dims: 2, Entries: make([]Entry, 5)}
-	if !n.IsLeaf() {
-		t.Error("level 0 not leaf")
-	}
-	n.Reset(2, 3)
-	if n.IsLeaf() || n.Level != 2 || n.Dims != 3 || len(n.Entries) != 0 {
-		t.Errorf("after Reset: %+v", n)
-	}
-}
-
 func TestMarshalDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	n := sampleNode(2, 2, 30, rng)

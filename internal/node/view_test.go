@@ -57,7 +57,7 @@ func TestViewAccessorsMatchUnmarshal(t *testing.T) {
 			t.Fatalf("header mismatch: view (%d,%d,%d) vs node (%d,%d,%d)",
 				v.Level(), v.Dims(), v.Count(), n.Level, n.Dims, len(n.Entries))
 		}
-		if v.IsLeaf() != n.IsLeaf() {
+		if v.IsLeaf() != (n.Level == 0) {
 			t.Fatal("IsLeaf mismatch")
 		}
 		scratch := geom.Rect{Min: make(geom.Point, v.Dims()), Max: make(geom.Point, v.Dims())}

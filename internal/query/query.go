@@ -12,9 +12,6 @@ import (
 	"strtree/internal/geom"
 )
 
-// PaperCount is the number of queries per experiment in the paper.
-const PaperCount = 2000
-
 // Paper extents: a region query of extent e covers e*e of the unit square.
 const (
 	// Extent1Pct gives region queries covering 1% of the data space.

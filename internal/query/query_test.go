@@ -100,9 +100,6 @@ func TestRegionsInRestrictedBox(t *testing.T) {
 }
 
 func TestPaperConstants(t *testing.T) {
-	if PaperCount != 2000 {
-		t.Fatal("paper runs 2000 queries per experiment")
-	}
 	if math.Abs(Extent1Pct*Extent1Pct-0.01) > 1e-12 {
 		t.Fatal("1% extent wrong")
 	}

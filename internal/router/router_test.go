@@ -92,14 +92,11 @@ func TestRoutedTopology(t *testing.T) {
 		if n, err := cl.Count(win); err != nil || n != uint64(len(want)) {
 			t.Fatalf("count %d: sharded %d (%v), unsharded %d", q, n, err, len(want))
 		}
-		gotPt, err := cl.SearchPoint(pt)
-		if err != nil || !slices.Equal(itemIDs(gotPt), refIDs(t, ref, strtree.PointRect(pt))) {
-			t.Fatalf("searchpoint %d: results differ (%v)", q, err)
+		gotPt := ask(t, cl, wire.Request{Op: wire.OpSearchPoint, Point: pt}).Items
+		if !slices.Equal(itemIDs(gotPt), refIDs(t, ref, strtree.PointRect(pt))) {
+			t.Fatalf("searchpoint %d: results differ", q)
 		}
-		gotNb, err := cl.Nearest(pt, k)
-		if err != nil {
-			t.Fatalf("nearest %d: %v", q, err)
-		}
+		gotNb := ask(t, cl, wire.Request{Op: wire.OpNearest, Point: pt, K: uint32(k)}).Neighbors
 		wantNb, wantDists, err := ref.NearestK(pt, k)
 		if err != nil {
 			t.Fatal(err)
@@ -127,10 +124,7 @@ func TestRoutedTopology(t *testing.T) {
 	for id := range batchHit {
 		expected[id]++
 	}
-	gotBatch, err := cl.Batch(batch)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
+	gotBatch := ask(t, cl, wire.Request{Op: wire.OpBatch, Batch: batch}).Batch
 	for i, q := range batch {
 		if !slices.Equal(itemIDs(gotBatch[i]), refIDs(t, ref, q)) {
 			t.Fatalf("batch[%d]: results differ", i)

@@ -135,6 +135,17 @@ func (t *topology) close() {
 	}
 }
 
+// ask sends req over cl and returns the answer, failing the test on a
+// transport error or a status other than OK.
+func ask(t *testing.T, cl *server.Client, req wire.Request) *wire.Response {
+	t.Helper()
+	resp, err := cl.Do(&req)
+	if err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("%v: %v, answer %+v", req.Op, err, resp)
+	}
+	return resp
+}
+
 // itemIDs canonicalizes a search result for comparison: sorted object
 // IDs (rectangles are determined by the ID; order differs legitimately
 // between tree traversal and shard concatenation).

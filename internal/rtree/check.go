@@ -19,10 +19,10 @@ package rtree
 //     every node to exactly n entries except the last node of each level
 //     — ceil(p/n) nodes per level — which is what gives packing its
 //     near-100% space utilization (Section 2.2, "General Algorithm").
-//   - Page round-trip (optional, CheckConfig.RoundTrip): re-serializing
-//     each page's entries reproduces the stored page byte for byte, so
-//     what the verifier saw is exactly what is on disk ("one node per
-//     page", Section 2.1).
+//   - Page round-trip: re-filling a page from its own records
+//     (node.FillRecords) reproduces the stored page byte for byte — the
+//     header, the CRC and a zeroed tail — so what the verifier saw is
+//     exactly what is on disk ("one node per page", Section 2.1).
 //   - Accounting: no page is referenced twice, no free-list page is live,
 //     and the number of data entries found equals the tree's recorded
 //     count.
@@ -58,8 +58,8 @@ var (
 	// ErrPackedFill reports a bulk-loaded level that is not packed to
 	// capacity (only the last node of a level may be short).
 	ErrPackedFill = errors.New("rtree: packed fill violated")
-	// ErrPageRoundTrip reports a page whose re-serialization differs from
-	// the stored bytes.
+	// ErrPageRoundTrip reports a page whose re-fill from its own records
+	// differs from the stored bytes.
 	ErrPageRoundTrip = errors.New("rtree: page round-trip mismatch")
 	// ErrPageShared reports a page referenced from two places.
 	ErrPageShared = errors.New("rtree: page referenced twice")
@@ -75,16 +75,13 @@ var (
 	ErrFreeListLive = errors.New("rtree: free-list page is referenced by the tree")
 )
 
-// CheckConfig selects Check's optional strict checks.
+// CheckConfig selects Check's optional strict check.
 type CheckConfig struct {
 	// Packed additionally asserts the STR packing fill factor: every node
 	// except the last of each level holds exactly capacity entries. True
 	// for freshly bulk-loaded trees (any packing algorithm); false for
 	// trees mutated by Insert/Delete.
 	Packed bool
-	// RoundTrip additionally re-serializes every page and compares it
-	// against the stored bytes.
-	RoundTrip bool
 }
 
 // dimsError is what the tree-dims gate of every page read (viewOf,
@@ -123,13 +120,9 @@ func (t *Tree) Check(cfg CheckConfig) error {
 		nodes   = make([]int, t.height)
 		entries = make([]int, t.height)
 		mbr     = geom.Rect{Min: make(geom.Point, t.dims), Max: make(geom.Point, t.dims)}
-		staged  node.Node
-		scratch []byte
+		scratch = make([]byte, t.pool.Pager().PageSize())
 		err     error
 	)
-	if cfg.RoundTrip {
-		scratch = make([]byte, t.pool.Pager().PageSize())
-	}
 	visit := func(id storage.PageID, page []byte, v node.View) error {
 		if live[id] {
 			return fmt.Errorf("%w: page %d", ErrPageShared, id)
@@ -141,15 +134,12 @@ func (t *Tree) Check(cfg CheckConfig) error {
 		if v.Count() == 0 && id != t.root {
 			return fmt.Errorf("%w: page %d", ErrEmptyNode, id)
 		}
-		if cfg.RoundTrip {
-			staged.Level, staged.Dims = v.Level(), v.Dims()
-			staged.Entries, _ = appendEntries(staged.Entries[:0], nil, v)
-			if merr := node.Marshal(&staged, scratch); merr != nil {
-				return fmt.Errorf("%w: page %d: %v", ErrPageRoundTrip, id, merr)
-			}
-			if !bytes.Equal(page, scratch) {
-				return fmt.Errorf("%w: page %d re-serializes differently", ErrPageRoundTrip, id)
-			}
+		recs := page[node.HeaderSize : node.HeaderSize+v.Count()*node.EntrySize(v.Dims())]
+		if ferr := node.FillRecords(scratch, v.Level(), v.Dims(), recs); ferr != nil {
+			return fmt.Errorf("%w: page %d: %v", ErrPageRoundTrip, id, ferr)
+		}
+		if !bytes.Equal(page, scratch) {
+			return fmt.Errorf("%w: page %d re-fills differently", ErrPageRoundTrip, id)
 		}
 		nodes[v.Level()]++
 		entries[v.Level()] += v.Count()

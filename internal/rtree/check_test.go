@@ -14,13 +14,12 @@ import (
 	"strtree/internal/storage"
 )
 
-// Three CheckConfig values: plain turns on no option, roundTrip and strict
-// are what the public CheckInvariants and CheckPackedInvariants run. strict
-// turns on every check; a healthy bulk-loaded tree must pass it.
+// The two CheckConfig values, what the public CheckInvariants and
+// CheckPackedInvariants run. strict turns on every check; a healthy
+// bulk-loaded tree must pass it.
 var (
-	plain     = CheckConfig{}
-	roundTrip = CheckConfig{RoundTrip: true}
-	strict    = CheckConfig{Packed: true, RoundTrip: true}
+	plain  = CheckConfig{}
+	strict = CheckConfig{Packed: true}
 )
 
 // packedTree bulk-loads count random rectangles at capacity 8 so even
@@ -103,19 +102,19 @@ func leftmostLeaf(t *testing.T, tr *Tree) storage.PageID {
 	id := tr.Root()
 	for {
 		n := pageNode(t, tr, id)
-		if n.IsLeaf() {
+		if n.Level == 0 {
 			return id
 		}
 		id = storage.PageID(n.Entries[0].Ref)
 	}
 }
 
-// wantCheckError holds all three verifier configurations to the same
+// wantCheckError holds both verifier configurations to the same
 // sentinel: the plain config fails a corrupt tree with the typed error
-// CheckInvariants gives, not an untyped string of its own.
+// the strict one gives, not an untyped string of its own.
 func wantCheckError(t *testing.T, tr *Tree, want error) {
 	t.Helper()
-	for _, cfg := range []CheckConfig{plain, roundTrip, strict} {
+	for _, cfg := range []CheckConfig{plain, strict} {
 		err := tr.Check(cfg)
 		if !errors.Is(err, want) {
 			t.Fatalf("Check(%+v): want %v, got: %v", cfg, want, err)
@@ -144,7 +143,7 @@ func TestDynamicTreePassesCheck(t *testing.T) {
 	}
 	// Insert-built trees satisfy every universal invariant but not the
 	// packed fill factor.
-	if err := tr.Check(roundTrip); err != nil {
+	if err := tr.Check(plain); err != nil {
 		t.Errorf("healthy dynamic tree rejected: %v", err)
 	}
 	if err := tr.Check(strict); !errors.Is(err, ErrPackedFill) {
@@ -257,7 +256,7 @@ func TestDetectsRoundTripMismatch(t *testing.T) {
 	tr := packedTree(t, 1000)
 	// A stray byte in the zeroed tail of a page: every field decodes the
 	// same, the CRC covers only the entries, so nothing but the byte
-	// comparison sees it.
+	// comparison with the page's re-fill from its own records sees it.
 	id := leftmostLeaf(t, tr)
 	buf := make([]byte, tr.pool.Pager().PageSize())
 	if err := tr.pool.Pager().ReadPage(id, buf); err != nil {
@@ -270,12 +269,7 @@ func TestDetectsRoundTripMismatch(t *testing.T) {
 	if err := tr.pool.Invalidate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Check(plain); err != nil {
-		t.Fatalf("plain check sees the tail byte: %v", err)
-	}
-	if err := tr.Check(roundTrip); !errors.Is(err, ErrPageRoundTrip) {
-		t.Fatalf("want ErrPageRoundTrip, got: %v", err)
-	}
+	wantCheckError(t, tr, ErrPageRoundTrip)
 }
 
 // TestDistinctErrors pins the acceptance criterion that each corruption

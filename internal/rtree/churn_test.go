@@ -146,8 +146,8 @@ func TestMutateLedgerMixNeverDissolves(t *testing.T) {
 
 	atMinFill := 0
 	for _, set := range overflows {
-		left, right := splitLinear(set, tr.MinFill())
-		if min(len(left), len(right)) == tr.MinFill() {
+		left, right := splitLinear(set, tr.minFill)
+		if min(len(left), len(right)) == tr.minFill {
 			atMinFill++
 		}
 		if left, right = tileCut(set); len(right) != tr.Capacity()/2 || len(left)+len(right) != len(set) {

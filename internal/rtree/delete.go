@@ -203,9 +203,9 @@ func (t *Tree) collapseRoot() (bool, error) {
 
 // appendEntries appends copies of v's entries to dst, their coordinates in
 // slab, which is empty and lends its capacity: the one place a page's whole
-// entry set leaves the page as entries, for the node a delete dissolves and
-// for Check's round trip (onto the heap, slab nil). slab is grown before the
-// first rectangle is sliced out of it, so the copies outlive the pin.
+// entry set leaves the page as entries, for the node a delete dissolves
+// (onto the heap, slab nil). slab is grown before the first rectangle is
+// sliced out of it, so the copies outlive the pin.
 func appendEntries(dst []node.Entry, slab []float64, v node.View) ([]node.Entry, []float64) {
 	dims := v.Dims()
 	dst = slices.Grow(dst, v.Count())

@@ -101,7 +101,7 @@ func FuzzMutateInvariants(f *testing.F) {
 					}
 				}
 			}
-			if err := tr.Check(CheckConfig{RoundTrip: true}); err != nil {
+			if err := tr.Check(CheckConfig{}); err != nil {
 				t.Fatalf("op %d: invariants violated: %v", op, err)
 			}
 			if tr.Len() != len(o.entries) {

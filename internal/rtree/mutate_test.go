@@ -176,7 +176,7 @@ func TestSplitRespectsReadPin(t *testing.T) {
 	}
 	check := func() {
 		t.Helper()
-		if err := tr.Check(CheckConfig{RoundTrip: true}); err != nil {
+		if err := tr.Check(CheckConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -197,7 +197,7 @@ func runMutateOracle(t *testing.T, c mutOracleConfig) *Tree {
 		}
 
 		if c.checkEvery == 0 || op%c.checkEvery == 0 || op == c.ops-1 {
-			if err := tr.Check(CheckConfig{RoundTrip: true}); err != nil {
+			if err := tr.Check(CheckConfig{}); err != nil {
 				t.Fatalf("%v: op %d: invariants violated: %v", c, op, err)
 			}
 		}

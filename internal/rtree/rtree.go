@@ -32,9 +32,6 @@ type Config struct {
 	// Capacity is the maximum entries per node, the paper's n (100 in all
 	// its experiments). Zero means "as many as fit in a page".
 	Capacity int
-	// MinFill is the minimum entries per non-root node enforced by dynamic
-	// deletes, Guttman's m <= M/2. Zero means 40% of Capacity.
-	MinFill int
 	// ForcedReinsert enables the R*-tree's forced reinsertion: the first
 	// time a node overflows at each level during one insertion, the 30%
 	// of its entries farthest from the node center are reinserted instead
@@ -133,7 +130,6 @@ const (
 // Errors returned by tree operations.
 var (
 	ErrNotEmpty = errors.New("rtree: tree is not empty")
-	ErrEmpty    = errors.New("rtree: tree is empty")
 	ErrBadMeta  = errors.New("rtree: bad meta page")
 )
 
@@ -147,10 +143,11 @@ func Create(pool buffer.Manager, cfg Config) (*Tree, error) {
 	if cfg.Capacity == 0 {
 		cfg.Capacity = node.Capacity(pageSize, cfg.Dims)
 	}
-	if cfg.MinFill == 0 {
-		cfg.MinFill = max(cfg.Capacity*2/5, 1)
-	}
-	if err := checkShape(pageSize, cfg.Dims, cfg.Capacity, cfg.MinFill); err != nil {
+	// The minimum fill dynamic deletes enforce (Guttman's m <= M/2) is 40 %
+	// of the capacity. The meta page stores it, so Open reads it back, and
+	// accepts any value checkShape allows.
+	minFill := max(cfg.Capacity*2/5, 1)
+	if err := checkShape(pageSize, cfg.Dims, cfg.Capacity, minFill); err != nil {
 		return nil, fmt.Errorf("rtree: %w", err)
 	}
 	f, err := pool.Create()
@@ -165,7 +162,7 @@ func Create(pool buffer.Manager, cfg Config) (*Tree, error) {
 		pool:           pool,
 		dims:           cfg.Dims,
 		capacity:       cfg.Capacity,
-		minFill:        cfg.MinFill,
+		minFill:        minFill,
 		forcedReinsert: cfg.ForcedReinsert,
 		workers:        workers,
 		everywhere:     everywhere(cfg.Dims),
@@ -311,9 +308,6 @@ func (t *Tree) Dims() int { return t.dims }
 
 // Capacity returns the maximum entries per node (the paper's n).
 func (t *Tree) Capacity() int { return t.capacity }
-
-// MinFill returns the minimum entries per non-root node.
-func (t *Tree) MinFill() int { return t.minFill }
 
 // Height returns the number of levels (0 for an empty tree, 1 when the
 // root is a leaf).

@@ -126,16 +126,13 @@ func TestCreateValidation(t *testing.T) {
 	if _, err := Create(mk(), Config{Dims: 2, Capacity: 500}); err == nil {
 		t.Error("capacity beyond page accepted")
 	}
-	if _, err := Create(mk(), Config{Dims: 2, Capacity: 100, MinFill: 90}); err == nil {
-		t.Error("minFill > capacity/2 accepted")
-	}
 	// Defaults.
 	tr, err := Create(mk(), Config{Dims: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Capacity() != 102 || tr.MinFill() != 40 {
-		t.Errorf("defaults: capacity %d minFill %d", tr.Capacity(), tr.MinFill())
+	if tr.Capacity() != 102 || tr.minFill != 40 {
+		t.Errorf("defaults: capacity %d minFill %d", tr.Capacity(), tr.minFill)
 	}
 	// Non-empty pager rejected.
 	pool := mk()
@@ -365,6 +362,17 @@ func TestDeleteAllEmptiesTree(t *testing.T) {
 	}
 }
 
+// takeRandom swap-removes a uniformly chosen entry of live and returns the
+// shortened slice and the entry. Drawing the index from rng makes a random
+// delete sequence a function of the seed alone; taking the first key a map
+// range yields would leave it to Go's randomized map order.
+func takeRandom(rng *rand.Rand, live []node.Entry) ([]node.Entry, node.Entry) {
+	i := rng.Intn(len(live))
+	e := live[i]
+	live[i] = live[len(live)-1]
+	return live[:len(live)-1], e
+}
+
 func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 	pool := buffer.NewPool(storage.NewMemPager(4096), 256)
 	tr, err := Create(pool, Config{Dims: 2, Capacity: 6})
@@ -372,7 +380,7 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	live := map[uint64]geom.Rect{}
+	var live []node.Entry
 	nextRef := uint64(0)
 	for op := 0; op < 2000; op++ {
 		if len(live) == 0 || rng.Intn(3) > 0 {
@@ -381,22 +389,19 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 			if err := tr.Insert(r, nextRef); err != nil {
 				t.Fatal(err)
 			}
-			live[nextRef] = r
+			live = append(live, node.Entry{Rect: r, Ref: nextRef})
 			nextRef++
 		} else {
 			// Delete a random live entry.
-			var ref uint64
-			for ref = range live {
-				break
-			}
-			ok, err := tr.Delete(live[ref], ref)
+			var e node.Entry
+			live, e = takeRandom(rng, live)
+			ok, err := tr.Delete(e.Rect, e.Ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				t.Fatalf("live ref %d not found", ref)
+				t.Fatalf("live ref %d not found", e.Ref)
 			}
-			delete(live, ref)
 		}
 		if op%100 == 99 {
 			if err := tr.Check(CheckConfig{}); err != nil {
@@ -408,11 +413,7 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 		}
 	}
 	// Final full check.
-	var entries []node.Entry
-	for ref, r := range live {
-		entries = append(entries, node.Entry{Rect: r, Ref: ref})
-	}
-	checkSearchAgainstBrute(t, tr, entries, 12)
+	checkSearchAgainstBrute(t, tr, live, 12)
 }
 
 // TestDeleteDeepCollapseStress hammers a skinny tree (capacity 3,
@@ -421,12 +422,12 @@ func TestMixedInsertDeleteAgainstReference(t *testing.T) {
 // root and must itself be dissolved during reinsertion.
 func TestDeleteDeepCollapseStress(t *testing.T) {
 	pool := buffer.NewPool(storage.NewMemPager(4096), 512)
-	tr, err := Create(pool, Config{Dims: 2, Capacity: 3, MinFill: 1})
+	tr, err := Create(pool, Config{Dims: 2, Capacity: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(321))
-	live := map[uint64]geom.Rect{}
+	var live []node.Entry
 	next := uint64(0)
 	for round := 0; round < 6; round++ {
 		// Grow tall.
@@ -436,24 +437,21 @@ func TestDeleteDeepCollapseStress(t *testing.T) {
 			if err := tr.Insert(r, next); err != nil {
 				t.Fatal(err)
 			}
-			live[next] = r
+			live = append(live, node.Entry{Rect: r, Ref: next})
 			next++
 		}
 		// Shrink almost to nothing, forcing repeated multi-level
 		// collapses and orphan cascades.
 		for len(live) > 3 {
-			var ref uint64
-			for ref = range live {
-				break
-			}
-			ok, err := tr.Delete(live[ref], ref)
+			var e node.Entry
+			live, e = takeRandom(rng, live)
+			ok, err := tr.Delete(e.Rect, e.Ref)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !ok {
-				t.Fatalf("live ref %d not found (entries lost)", ref)
+				t.Fatalf("live ref %d not found (entries lost)", e.Ref)
 			}
-			delete(live, ref)
 		}
 		if err := tr.Check(CheckConfig{}); err != nil {
 			t.Fatalf("round %d: %v", round, err)
@@ -462,16 +460,16 @@ func TestDeleteDeepCollapseStress(t *testing.T) {
 			t.Fatalf("round %d: Len %d, model %d", round, tr.Len(), len(live))
 		}
 		// Every survivor findable.
-		for ref, r := range live {
+		for _, want := range live {
 			found := false
-			if err := tr.Search(r, func(e node.Entry) bool {
-				found = found || e.Ref == ref
+			if err := tr.Search(want.Rect, func(e node.Entry) bool {
+				found = found || e.Ref == want.Ref
 				return !found
 			}); err != nil {
 				t.Fatal(err)
 			}
 			if !found {
-				t.Fatalf("round %d: survivor %d unfindable", round, ref)
+				t.Fatalf("round %d: survivor %d unfindable", round, want.Ref)
 			}
 		}
 	}
@@ -731,14 +729,27 @@ func TestNumNodes(t *testing.T) {
 
 func TestSplitDistributionRespectsMinFill(t *testing.T) {
 	// Pathological input: identical rectangles, which stress the
-	// tie-breaking paths. The tile cut through the tree, at the default
-	// minimum fill and at the largest legal one, capacity/2.
+	// tie-breaking paths. The tile cut through the tree, at the derived
+	// minimum fill and at the largest legal one, capacity/2, which only a
+	// meta page can hold: Open takes any legal stored value.
 	for _, minFill := range []int{4, 5} {
 		t.Run(fmt.Sprintf("tile/minfill=%d", minFill), func(t *testing.T) {
 			pool := buffer.NewPool(storage.NewMemPager(4096), 256)
-			tr, err := Create(pool, Config{Dims: 2, Capacity: 10, MinFill: minFill})
+			tr, err := Create(pool, Config{Dims: 2, Capacity: 10})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if minFill != tr.minFill {
+				tr.minFill = minFill
+				if err := tr.writeMeta(); err != nil {
+					t.Fatal(err)
+				}
+				if tr, err = Open(pool); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tr.minFill != minFill {
+				t.Fatalf("tree min fill %d, want %d", tr.minFill, minFill)
 			}
 			for i := 0; i < 200; i++ {
 				if err := tr.Insert(geom.R2(0.5, 0.5, 0.6, 0.6), uint64(i)); err != nil {

@@ -29,7 +29,7 @@ func (t *Tree) searchRec(id storage.PageID, q geom.Rect, fn func(node.Entry) boo
 	if err := t.unmarshalNode(id, &n); err != nil {
 		return false, err
 	}
-	if n.IsLeaf() {
+	if n.Level == 0 {
 		for _, e := range n.Entries {
 			if !q.Intersects(e.Rect) {
 				continue
@@ -89,7 +89,7 @@ func (t *Tree) walkRec(id storage.PageID, fn func(storage.PageID, *node.Node) bo
 	if !fn(id, &n) {
 		return false, nil
 	}
-	if n.IsLeaf() {
+	if n.Level == 0 {
 		return true, nil
 	}
 	for _, e := range n.Entries {

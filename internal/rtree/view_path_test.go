@@ -157,7 +157,7 @@ func readCountTree(t *testing.T, tr *Tree) countTree {
 	ct := countTree{tr: tr, inner: make([][]geom.Rect, tr.Height())}
 	if err := tr.WalkUnmarshal(func(_ storage.PageID, n *node.Node) bool {
 		for _, e := range n.Entries {
-			if n.IsLeaf() {
+			if n.Level == 0 {
 				ct.entries = append(ct.entries, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
 			} else {
 				ct.inner[n.Level] = append(ct.inner[n.Level], e.Rect.Clone())
@@ -350,7 +350,7 @@ func refNearest(t *Tree, p geom.Point, fn func(e node.Entry, dist float64) bool)
 		}
 		for _, e := range n.Entries {
 			d := minDist(p, e.Rect)
-			if n.IsLeaf() {
+			if n.Level == 0 {
 				heap.Push(pq, refDistItem{dist: d, entry: node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref}, seq: seq})
 				seq++
 			} else {
@@ -504,7 +504,7 @@ func refJoin(a, b *Tree, fn func(ea, eb node.Entry) bool) error {
 			return false, err
 		}
 		switch {
-		case na.IsLeaf() && nb.IsLeaf():
+		case na.Level == 0 && nb.Level == 0:
 			for _, ea := range na.Entries {
 				for _, eb := range nb.Entries {
 					if ea.Rect.Intersects(eb.Rect) && !fn(ea, eb) {
@@ -513,7 +513,7 @@ func refJoin(a, b *Tree, fn func(ea, eb node.Entry) bool) error {
 				}
 			}
 			return true, nil
-		case !na.IsLeaf() && (nb.IsLeaf() || na.Level >= nb.Level):
+		case na.Level != 0 && (nb.Level == 0 || na.Level >= nb.Level):
 			mbr := nodeMBR(nb)
 			var kids []storage.PageID
 			for _, e := range na.Entries {
@@ -615,7 +615,7 @@ func TestScanMatchesWalk(t *testing.T) {
 	})
 	wantSeq := traceFetches(tr.Pool(), func() {
 		if err := tr.WalkUnmarshal(func(_ storage.PageID, n *node.Node) bool {
-			if n.IsLeaf() {
+			if n.Level == 0 {
 				for _, e := range n.Entries {
 					want = append(want, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
 				}

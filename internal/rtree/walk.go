@@ -48,7 +48,7 @@ func (t *Tree) Walk(fn func(id storage.PageID, v node.View) bool) error {
 }
 
 // walk is Walk with the page's raw bytes beside the view, for Check's
-// round-trip comparison.
+// comparison of each page with its re-fill.
 func (t *Tree) walk(fn func(id storage.PageID, page []byte, v node.View) bool) error {
 	if t.height == 0 {
 		return nil

@@ -254,15 +254,6 @@ func (c *Client) Search(q geom.Rect) ([]wire.Item, error) {
 	return resp.Items, nil
 }
 
-// SearchPoint returns every indexed item containing p.
-func (c *Client) SearchPoint(p geom.Point) ([]wire.Item, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpSearchPoint, Point: p})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Items, nil
-}
-
 // Count returns the number of indexed items intersecting q.
 func (c *Client) Count(q geom.Rect) (uint64, error) {
 	resp, err := c.roundTrip(&wire.Request{Op: wire.OpCount, Query: q})
@@ -270,25 +261,6 @@ func (c *Client) Count(q geom.Rect) (uint64, error) {
 		return 0, err
 	}
 	return resp.Count, nil
-}
-
-// Nearest returns the k nearest indexed items to p with distances.
-func (c *Client) Nearest(p geom.Point, k int) ([]wire.Neighbor, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpNearest, Point: p, K: uint32(k)})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
-// Batch runs many window queries in one round trip, results in input
-// order.
-func (c *Client) Batch(qs []geom.Rect) ([][]wire.Item, error) {
-	resp, err := c.roundTrip(&wire.Request{Op: wire.OpBatch, Batch: qs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Batch, nil
 }
 
 // Insert adds one item to the served tree and returns the tree's length

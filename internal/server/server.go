@@ -52,11 +52,9 @@ type Config struct {
 	// 0 means 64.
 	MaxInFlight int
 	// DefaultTimeout applies to requests that carry no deadline of their
-	// own. 0 means 5s.
+	// own. 0 means 5s. A deadline a client asks for is capped at 60s, the
+	// frame's MaxTimeout default, so a hostile client cannot park a worker.
 	DefaultTimeout time.Duration
-	// MaxTimeout caps client-requested deadlines so a hostile client
-	// cannot park a worker forever. 0 means 60s.
-	MaxTimeout time.Duration
 	// Mutable enables the mutation ops (OpInsert/OpDelete). Mutations
 	// take an exclusive tree lock while queries share a read lock, so a
 	// mutation waits for running queries and vice versa. When false
@@ -120,7 +118,6 @@ func New(tree *strtree.Tree, cfg Config) *Server {
 		Name:           "strserve",
 		MaxInFlight:    cfg.MaxInFlight,
 		DefaultTimeout: cfg.DefaultTimeout,
-		MaxTimeout:     cfg.MaxTimeout,
 		Logf:           cfg.Logf,
 	}, s.handle)
 	s.registerTreeSeries()

@@ -107,22 +107,23 @@ func TestServerOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptItems, err := cl.SearchPoint(p)
+	ptResp, err := cl.roundTrip(&wire.Request{Op: wire.OpSearchPoint, Point: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ptItems) != wantPt {
-		t.Fatalf("SearchPoint returned %d items, want %d", len(ptItems), wantPt)
+	if len(ptResp.Items) != wantPt {
+		t.Fatalf("SearchPoint returned %d items, want %d", len(ptResp.Items), wantPt)
 	}
 
 	wantNb, wantD, err := tree.NearestK(p, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbs, err := cl.Nearest(p, 5)
+	nbResp, err := cl.roundTrip(&wire.Request{Op: wire.OpNearest, Point: p, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	nbs := nbResp.Neighbors
 	if len(nbs) != len(wantNb) {
 		t.Fatalf("Nearest returned %d, want %d", len(nbs), len(wantNb))
 	}
@@ -138,10 +139,11 @@ func TestServerOps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := cl.Batch(qs)
+	batchResp, err := cl.roundTrip(&wire.Request{Op: wire.OpBatch, Batch: qs})
 	if err != nil {
 		t.Fatal(err)
 	}
+	batch := batchResp.Batch
 	if len(batch) != len(wantBatch) {
 		t.Fatalf("batch has %d results, want %d", len(batch), len(wantBatch))
 	}

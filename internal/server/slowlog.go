@@ -26,15 +26,6 @@ type RectJSON struct {
 	Max []float64 `json:"max"`
 }
 
-// ToRect converts back to a geometry rectangle, validating shape.
-func (r RectJSON) ToRect() (geom.Rect, error) {
-	rect := geom.Rect{Min: geom.Point(r.Min), Max: geom.Point(r.Max)}
-	if !rect.Valid() {
-		return geom.Rect{}, fmt.Errorf("invalid rect min=%v max=%v", r.Min, r.Max)
-	}
-	return rect, nil
-}
-
 // FromRect converts a geometry rectangle to its JSON shape.
 func FromRect(r geom.Rect) RectJSON {
 	return RectJSON{Min: append([]float64(nil), r.Min...), Max: append([]float64(nil), r.Max...)}
@@ -124,55 +115,30 @@ func ReadSlowLog(r io.Reader) ([]SlowQuery, error) {
 }
 
 // Request converts a captured record back into the wire request it was
-// logged from, validating geometry the way the protocol parser would.
+// logged from and validates it with the client's own encoder
+// (wire.AppendRequest), so a record no server could have received — bad
+// geometry, a k, batch or dimensionality beyond the protocol's bounds — is
+// an error, not a replayed query. Insert and delete records are not
+// replayed.
 func (q *SlowQuery) Request() (*wire.Request, error) {
-	req := &wire.Request{}
-	switch q.Op {
-	case wire.OpSearch.String():
-		req.Op = wire.OpSearch
-	case wire.OpSearchPoint.String():
-		req.Op = wire.OpSearchPoint
-	case wire.OpCount.String():
-		req.Op = wire.OpCount
-	case wire.OpNearest.String():
-		req.Op = wire.OpNearest
-	case wire.OpBatch.String():
-		req.Op = wire.OpBatch
-	case wire.OpStats.String():
-		req.Op = wire.OpStats
-	default:
+	req := &wire.Request{Point: geom.Point(q.Point), K: q.K}
+	// The replayable ops are 1 through OpStats; insert and delete follow.
+	for op := wire.OpSearch; op <= wire.OpStats; op++ {
+		if q.Op == op.String() {
+			req.Op = op
+		}
+	}
+	if req.Op == 0 {
 		return nil, fmt.Errorf("slowlog: unknown op %q", q.Op)
 	}
-	switch req.Op {
-	case wire.OpSearch, wire.OpCount:
-		if q.Rect == nil {
-			return nil, fmt.Errorf("slowlog: %s record missing rect", q.Op)
-		}
-		rect, err := q.Rect.ToRect()
-		if err != nil {
-			return nil, fmt.Errorf("slowlog: %s: %w", q.Op, err)
-		}
-		req.Query = rect
-	case wire.OpSearchPoint, wire.OpNearest:
-		if len(q.Point) == 0 {
-			return nil, fmt.Errorf("slowlog: %s record missing point", q.Op)
-		}
-		req.Point = geom.Point(q.Point)
-		if req.Op == wire.OpNearest {
-			if q.K < 1 {
-				return nil, fmt.Errorf("slowlog: nearest record missing k")
-			}
-			req.K = q.K
-		}
-	case wire.OpBatch:
-		req.Batch = make([]geom.Rect, len(q.Batch))
-		for i, rj := range q.Batch {
-			rect, err := rj.ToRect()
-			if err != nil {
-				return nil, fmt.Errorf("slowlog: batch[%d]: %w", i, err)
-			}
-			req.Batch[i] = rect
-		}
+	if q.Rect != nil {
+		req.Query = geom.Rect{Min: q.Rect.Min, Max: q.Rect.Max}
+	}
+	for _, rj := range q.Batch {
+		req.Batch = append(req.Batch, geom.Rect{Min: rj.Min, Max: rj.Max})
+	}
+	if _, err := wire.AppendRequest(nil, req); err != nil {
+		return nil, fmt.Errorf("slowlog: %s record: %w", q.Op, err)
 	}
 	return req, nil
 }

@@ -54,14 +54,14 @@ func TestSlowLogCapture(t *testing.T) {
 	if _, err := cl.Count(window); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.SearchPoint(geom.Point{0.5, 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Nearest(geom.Point{0.5, 0.5}, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Batch([]geom.Rect{window, geom.R2(0.6, 0.6, 0.7, 0.7)}); err != nil {
-		t.Fatal(err)
+	for _, req := range []wire.Request{
+		{Op: wire.OpSearchPoint, Point: geom.Point{0.5, 0.5}},
+		{Op: wire.OpNearest, Point: geom.Point{0.5, 0.5}, K: 3},
+		{Op: wire.OpBatch, Batch: []geom.Rect{window, geom.R2(0.6, 0.6, 0.7, 0.7)}},
+	} {
+		if _, err := cl.roundTrip(&req); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	records, err := ReadSlowLog(strings.NewReader(log.String()))
@@ -127,6 +127,10 @@ func TestSlowLogThresholdFilters(t *testing.T) {
 }
 
 func TestSlowQueryRequestErrors(t *testing.T) {
+	tooMany := make([]RectJSON, wire.MaxBatch+1)
+	for i := range tooMany {
+		tooMany[i] = RectJSON{Min: []float64{0, 0}, Max: []float64{1, 1}}
+	}
 	cases := []SlowQuery{
 		{Op: "bogus"},
 		{Op: "search"}, // missing rect
@@ -134,6 +138,12 @@ func TestSlowQueryRequestErrors(t *testing.T) {
 		{Op: "searchpoint"},                     // missing point
 		{Op: "nearest", Point: []float64{0, 0}}, // missing k
 		{Op: "batch", Batch: []RectJSON{{Min: []float64{1}, Max: []float64{0}}}},
+		// Records no server could have received: the wire encoder refuses
+		// each, so a replay must skip it rather than run it.
+		{Op: "nearest", Point: []float64{0, 0}, K: wire.MaxK + 1},
+		{Op: "batch", Batch: tooMany},
+		{Op: "searchpoint", Point: make([]float64, wire.MaxDims+1)},
+		{Op: "insert", Rect: &RectJSON{Min: []float64{0, 0}, Max: []float64{1, 1}}}, // mutations are not replayed
 	}
 	for i, rec := range cases {
 		if _, err := rec.Request(); err == nil {
@@ -160,11 +170,12 @@ func TestReadSlowLogRejectsGarbage(t *testing.T) {
 
 func TestRectJSONRoundTrip(t *testing.T) {
 	r := geom.R2(0.25, 0.5, 0.75, 1)
-	back, err := FromRect(r).ToRect()
-	if err != nil || !back.Equal(r) {
-		t.Fatalf("round trip: %v, %v", back, err)
+	rj := FromRect(r)
+	if req, err := (&SlowQuery{Op: "search", Rect: &rj}).Request(); err != nil || !req.Query.Equal(r) {
+		t.Fatalf("round trip: %v, %v", req, err)
 	}
-	if _, err := (RectJSON{Min: []float64{0, 0}, Max: []float64{1}}).ToRect(); err == nil {
+	bad := RectJSON{Min: []float64{0, 0}, Max: []float64{1}}
+	if _, err := (&SlowQuery{Op: "search", Rect: &bad}).Request(); err == nil {
 		t.Error("mismatched corner dims accepted")
 	}
 }

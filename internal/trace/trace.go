@@ -34,9 +34,6 @@ func (r *Recorder) Observe(id storage.PageID, hit bool) {
 // Trace returns the accesses recorded so far.
 func (r *Recorder) Trace() Trace { return r.t }
 
-// Reset clears the recorder.
-func (r *Recorder) Reset() { r.t = r.t[:0] }
-
 // traceMagic identifies a serialized trace stream.
 const traceMagic uint32 = 0x53545254 // "TRTS"
 

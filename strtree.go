@@ -124,8 +124,6 @@ func (p Packing) orderer(workers int) (rtree.Orderer, error) {
 type Options struct {
 	// Dims is the dimensionality; 0 means 2.
 	Dims int
-	// PageSize in bytes; 0 means 4096. One tree node occupies one page.
-	PageSize int
 	// BufferPages is the LRU pool capacity in pages; 0 means 256.
 	BufferPages int
 	// BufferShards splits the LRU buffer into this power-of-two number of
@@ -177,9 +175,6 @@ func (o Options) withDefaults() Options {
 	if o.Dims == 0 {
 		o.Dims = 2
 	}
-	if o.PageSize == 0 {
-		o.PageSize = storage.DefaultPageSize
-	}
 	if o.BufferPages == 0 {
 		o.BufferPages = 256
 	}
@@ -229,14 +224,14 @@ type Tree struct {
 // New creates an empty in-memory tree.
 func New(opts Options) (*Tree, error) {
 	opts = opts.withDefaults()
-	return create(storage.NewMemPager(opts.PageSize), opts)
+	return create(storage.NewMemPager(storage.DefaultPageSize), opts)
 }
 
 // Create creates an empty tree stored in a new file at path (truncating
 // any existing file).
 func Create(path string, opts Options) (*Tree, error) {
 	opts = opts.withDefaults()
-	pg, err := storage.CreateFilePager(path, opts.PageSize)
+	pg, err := storage.CreateFilePager(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -264,12 +259,12 @@ func create(pg storage.Pager, opts Options) (*Tree, error) {
 	return &Tree{inner: inner, pool: pool, pager: pg}, nil
 }
 
-// Open opens a tree previously written with Create. Only PageSize,
-// BufferPages, BufferShards and Workers from opts are used; structural
-// parameters come from the file.
+// Open opens a tree previously written with Create. Only BufferPages,
+// BufferShards and Workers from opts are used; structural parameters come
+// from the file.
 func Open(path string, opts Options) (*Tree, error) {
 	opts = opts.withDefaults()
-	pg, err := storage.OpenFilePager(path, opts.PageSize)
+	pg, err := storage.OpenFilePager(path, storage.DefaultPageSize)
 	if err != nil {
 		return nil, err
 	}
@@ -523,13 +518,13 @@ func (t *Tree) Metrics() (Metrics, error) {
 
 // CheckInvariants runs the full structural verifier over every page of the
 // tree: height balance, exact MBR tightness at every internal entry, fill
-// bounds, entry-count accounting, and a byte-for-byte page serialization
-// round-trip. It holds for any consistent tree, packed or dynamically
+// bounds, entry-count accounting, and a byte-for-byte page round trip (each
+// page re-filled from its own records). It holds for any consistent tree, packed or dynamically
 // built, and returns a descriptive error naming the first violated
 // invariant and the offending page. The walk reads the whole tree, so it
 // perturbs Stats.
 func (t *Tree) CheckInvariants() error {
-	return t.inner.Check(rtree.CheckConfig{RoundTrip: true})
+	return t.inner.Check(rtree.CheckConfig{})
 }
 
 // CheckPackedInvariants runs CheckInvariants plus the STR packing fill
@@ -539,7 +534,7 @@ func (t *Tree) CheckInvariants() error {
 // trees later mutated by Insert or Delete keep the universal invariants
 // but generally lose this one.
 func (t *Tree) CheckPackedInvariants() error {
-	return t.inner.Check(rtree.CheckConfig{Packed: true, RoundTrip: true})
+	return t.inner.Check(rtree.CheckConfig{Packed: true})
 }
 
 // Flush writes all buffered dirty pages and metadata through to storage.

@@ -15,6 +15,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"strtree/internal/storage"
 )
 
 // mutOracle is the ground truth: a flat slice scanned linearly.
@@ -94,14 +96,13 @@ func randMutRect(rng *rand.Rand, dims int, dupHeavy bool) Rect {
 func runMutHarness(t *testing.T, cfg mutHarnessConfig) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(cfg.seed))
-	tree, err := New(Options{
+	tree, err := NewOnPager(storage.NewMemPager(cfg.pageSize), Options{
 		Dims:           cfg.dims,
-		PageSize:       cfg.pageSize,
 		BufferPages:    64,
 		ForcedReinsert: cfg.reinsert,
 	})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewOnPager: %v", err)
 	}
 	defer tree.Close()
 
@@ -235,9 +236,9 @@ func TestMutateOraclePublicAPI(t *testing.T) {
 // tree ends empty and can be grown again.
 func TestMutateDrainPublicAPI(t *testing.T) {
 	rng := rand.New(rand.NewSource(4100))
-	tree, err := New(Options{PageSize: 256, BufferPages: 64})
+	tree, err := NewOnPager(storage.NewMemPager(256), Options{BufferPages: 64})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewOnPager: %v", err)
 	}
 	defer tree.Close()
 	items := randItems(600, 4101)
@@ -283,9 +284,9 @@ func TestMutateDrainPublicAPI(t *testing.T) {
 // one that forces splits and condensation takes the structural path, and
 // the two sums account for every op.
 func TestMutateStatsSplitPublicAPI(t *testing.T) {
-	tree, err := New(Options{PageSize: 256, BufferPages: 64})
+	tree, err := NewOnPager(storage.NewMemPager(256), Options{BufferPages: 64})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("NewOnPager: %v", err)
 	}
 	defer tree.Close()
 	rng := rand.New(rand.NewSource(4200))
