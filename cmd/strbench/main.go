@@ -46,7 +46,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "random seed for data and queries")
 		format  = flag.String("format", "table", "output format: table or csv")
 		jobs    = flag.Int("j", 1, "experiments to run concurrently")
-		trials  = flag.Int("trials", 1, "trials to average per experiment (different seeds)")
 		list    = flag.Bool("list", false, "list available experiments and exit")
 
 		ci       = flag.String("ci", "", "write a deterministic benchmark report (JSON) to this file and exit")
@@ -141,7 +140,7 @@ func main() {
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			start := time.Now()
-			table, err := experiments.RunTrials(runners[i], cfg, *trials)
+			table, err := runners[i](cfg)
 			results[i] <- result{table: table, err: err, elapsed: time.Since(start)}
 		}(i)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"strtree"
 	"strtree/internal/geom"
+	"strtree/internal/server/wire"
 )
 
 // writeReplayFixture builds a small packed index and a slow-query
@@ -92,6 +93,9 @@ func TestRunReplaySkipsBadRecords(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "2 skipped") {
 		t.Errorf("missing-k and oversized-k records not both skipped:\n%s", out.String())
+	}
+	if got := strings.Count(out.String(), wire.ErrBadK.Error()); got != 2 {
+		t.Errorf("%d skip lines name k's range, want 2:\n%s", got, out.String())
 	}
 }
 

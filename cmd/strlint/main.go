@@ -9,18 +9,17 @@
 //
 // Usage:
 //
-//	strlint [-checks c1,c2] [-format text|sarif] [-fix] [packages]
+//	strlint [-format text|sarif]
 //
-// Packages are module-relative paths or Go-style patterns: "./...", ".",
-// "./internal/geom", "internal/geom". With no arguments, the whole module
-// is checked. Exit status is 1 when findings are reported, 2 on usage or
+// strlint checks the module that holds the working directory, every
+// package of it with every check, and rewrites nothing; it takes no
+// arguments. Exit status is 1 when findings are reported, 2 on usage or
 // load errors — a module that does not parse or type-check is a load
 // error, printed one file:line:col line per error.
 //
-// -fix applies every suggested fix and re-runs the analysis; applying
-// fixes twice is a no-op. -format sarif emits SARIF 2.1.0 for GitHub
-// code-scanning annotations. A finding is suppressed only by an in-source
-// directive on the same or the preceding line:
+// -format sarif emits SARIF 2.1.0 for GitHub code-scanning annotations.
+// A finding is suppressed only by an in-source directive on the same or
+// the preceding line:
 //
 //	//strlint:ignore <check>[,<check>...] <reason>
 package main
@@ -30,27 +29,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"strtree/internal/lint"
 )
 
 func main() {
-	checksFlag := flag.String("checks", "", "comma-separated checks to run (default: all)")
-	listFlag := flag.Bool("list", false, "list available checks and exit")
-	fixFlag := flag.Bool("fix", false, "apply suggested fixes, then re-run the analysis")
 	formatFlag := flag.String("format", "text", "output format: text or sarif")
 	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: strlint [-checks c1,c2] [-format text|sarif] [-fix] [packages]")
+		fmt.Fprintln(os.Stderr, "usage: strlint [-format text|sarif]")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *listFlag {
-		for _, c := range lint.Checks() {
-			fmt.Printf("%-12s %s\n", c.Name, c.Doc)
-		}
-		return
+	if flag.NArg() > 0 {
+		fail(fmt.Errorf("unexpected arguments %q: strlint checks the whole module", flag.Args()))
 	}
 	switch *formatFlag {
 	case "text", "sarif":
@@ -62,36 +53,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var checks []string
-	if *checksFlag != "" {
-		checks = strings.Split(*checksFlag, ",")
-	}
-
-	findings, err := analyze(root, checks, flag.Args())
+	a, err := lint.Load(root)
 	if err != nil {
 		fail(err)
 	}
-
-	if *fixFlag {
-		changed, err := lint.ApplyFixes(findings)
-		if err != nil {
-			fail(err)
-		}
-		for _, name := range changed {
-			if rel, err := filepath.Rel(root, name); err == nil {
-				name = rel
-			}
-			fmt.Fprintf(os.Stderr, "strlint: fixed %s\n", name)
-		}
-		// Re-run on the rewritten sources so the report below reflects
-		// what is actually left.
-		if len(changed) > 0 {
-			findings, err = analyze(root, checks, flag.Args())
-			if err != nil {
-				fail(err)
-			}
-		}
-	}
+	findings := a.Run()
 
 	if *formatFlag == "sarif" {
 		if err := lint.WriteSARIF(os.Stdout, findings, root); err != nil {
@@ -110,20 +76,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "strlint: %d finding(s)\n", len(findings))
 		os.Exit(1)
 	}
-}
-
-// analyze loads the module and runs the selected checks over the
-// requested packages.
-func analyze(root string, checks, patterns []string) ([]lint.Finding, error) {
-	a, err := lint.Load(root)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := resolvePatterns(a, patterns)
-	if err != nil {
-		return nil, err
-	}
-	return a.Run(pkgs, checks)
 }
 
 func fail(err error) {
@@ -147,56 +99,4 @@ func findModuleRoot() (string, error) {
 		}
 		dir = parent
 	}
-}
-
-// resolvePatterns maps command-line package patterns onto loaded package
-// paths. Supported forms: "./...", "all", ".", "dir/...", "./dir", "dir".
-func resolvePatterns(a *lint.Analyzer, args []string) ([]string, error) {
-	if len(args) == 0 {
-		return nil, nil // all packages
-	}
-	known := a.Packages()
-	var out []string
-	seen := map[string]bool{}
-	add := func(p string) {
-		if !seen[p] {
-			seen[p] = true
-			out = append(out, p)
-		}
-	}
-	for _, arg := range args {
-		norm := strings.TrimPrefix(filepath.ToSlash(arg), "./")
-		switch {
-		case norm == "..." || norm == "all":
-			return nil, nil
-		case strings.HasSuffix(norm, "/..."):
-			prefix := strings.TrimSuffix(norm, "/...")
-			matched := false
-			for _, p := range known {
-				if p == prefix || strings.HasPrefix(p, prefix+"/") {
-					add(p)
-					matched = true
-				}
-			}
-			if !matched {
-				return nil, fmt.Errorf("pattern %q matches no packages", arg)
-			}
-		default:
-			if norm == "." {
-				norm = ""
-			}
-			found := false
-			for _, p := range known {
-				if p == norm {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil, fmt.Errorf("package %q not found in module", arg)
-			}
-			add(norm)
-		}
-	}
-	return out, nil
 }

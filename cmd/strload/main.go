@@ -9,7 +9,7 @@
 //	strload stats -idx index.str
 //	strload mutate -idx index.str [-ops 1000] [-seed 1] [-verify]
 //	strload gen [-set uniform] [-n 0] [-seed 1] [-out rects.csv]
-//	strload trace record|simulate [flags]
+//	strload trace -idx index.str [-queries 2000] [-extent 0.1] [-seed 1] [-buffers 10,25,50,100,250]
 //
 // The CSV rows are "x0,y0,x1,y1[,id]"; a missing id defaults to the row
 // number. -wkt and -geojson read WKT lines and GeoJSON documents instead;
@@ -28,8 +28,9 @@
 // the structural invariants, and prints how many ops took the in-place
 // page-patch path versus the structural split/condense path. Gen writes
 // one of the paper's data-set families as build's CSV (gen.go); trace
-// records an index's page accesses and replays them against LRU, Clock
-// and Belady's OPT (trace.go).
+// records an index's page accesses under the paper's region queries and
+// prints their per-query misses under LRU, Clock and Belady's OPT
+// (trace.go).
 package main
 
 import (
@@ -67,7 +68,7 @@ func main() {
 	case "gen":
 		err = runGen(os.Args[2:])
 	case "trace":
-		err = runTrace(os.Args[2:])
+		err = runTrace(os.Stdout, os.Args[2:])
 	default:
 		usage()
 	}

@@ -1,15 +1,18 @@
 package main
 
 import (
-	"os"
+	"bytes"
+	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"strtree"
-	"strtree/internal/trace"
 )
 
+// TestRecordSimulateEndToEnd runs strload trace over a built index: one
+// call records the queries' page accesses and prints a row per buffer size.
 func TestRecordSimulateEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	idx := filepath.Join(dir, "idx.str")
@@ -30,37 +33,27 @@ func TestRecordSimulateEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := filepath.Join(dir, "a.trace")
-	if err := runTrace([]string{"record", "-idx", idx, "-queries", "100", "-extent", "0.05", "-out", out}); err != nil {
+	var out bytes.Buffer
+	if err := runTrace(&out, []string{"-idx", idx, "-queries", "100", "-extent", "0.05", "-buffers", "5,10"}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	var accesses int
+	if _, err := fmt.Sscanf(lines[0], "trace: %d accesses", &accesses); err != nil || accesses == 0 {
+		t.Fatalf("no page accesses recorded:\n%s", out.String())
 	}
-	tr, err := trace.Load(f)
-	f.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) == 0 {
-		t.Fatal("empty trace recorded")
-	}
-	if err := runTrace([]string{"simulate", "-trace", out, "-buffers", "5,10", "-queries", "100"}); err != nil {
-		t.Fatal(err)
+	if len(lines) != 5 || !strings.HasPrefix(lines[3], "5 ") || !strings.HasPrefix(lines[4], "10 ") {
+		t.Fatalf("want a header and one row per buffer size (5, 10):\n%s", out.String())
 	}
 	// Bad inputs.
-	if err := runSimulate([]string{"-trace", out, "-buffers", "0"}); err == nil {
-		t.Fatal("buffer size 0 accepted")
-	}
-	if err := runSimulate([]string{"-trace", filepath.Join(dir, "missing.trace")}); err == nil {
-		t.Fatal("missing trace accepted")
-	}
-	if err := runRecord([]string{"-idx", filepath.Join(dir, "missing.str"), "-out", out}); err == nil {
-		t.Fatal("missing index accepted")
-	}
-	if err := runTrace([]string{"replay"}); err == nil {
-		t.Fatal("unknown trace mode accepted")
+	for _, args := range [][]string{
+		{"-idx", idx, "-buffers", "0"},
+		{"-idx", idx, "-queries", "0"},
+		{"-idx", filepath.Join(dir, "missing.str")},
+	} {
+		if err := runTrace(io.Discard, args); err == nil {
+			t.Errorf("%q accepted", args)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"strings"
 	"text/tabwriter"
 
@@ -121,70 +120,6 @@ func (t *Table) Fprint(w io.Writer) error {
 
 // Runner is an experiment entry point.
 type Runner func(Config) (*Table, error)
-
-// RunTrials executes the runner `trials` times with consecutive seeds and
-// averages every numeric cell, leaving non-numeric cells (labels,
-// percentages, ratios rendered as "-") from the first trial. The paper
-// runs each configuration once and warns that "differences of less than
-// a few percent should not be considered significant"; averaging trials
-// tightens that.
-func RunTrials(r Runner, cfg Config, trials int) (*Table, error) {
-	if trials <= 1 {
-		return r(cfg)
-	}
-	var base *Table
-	var sums [][]float64
-	var numeric [][]bool
-	for trial := 0; trial < trials; trial++ {
-		c := cfg
-		c.Seed = cfg.Seed + int64(trial*1000)
-		tbl, err := r(c)
-		if err != nil {
-			return nil, fmt.Errorf("trial %d: %w", trial, err)
-		}
-		if base == nil {
-			base = tbl
-			sums = make([][]float64, len(tbl.Rows))
-			numeric = make([][]bool, len(tbl.Rows))
-			for i, row := range tbl.Rows {
-				sums[i] = make([]float64, len(row))
-				numeric[i] = make([]bool, len(row))
-				for j, cell := range row {
-					if v, err := strconv.ParseFloat(cell, 64); err == nil {
-						numeric[i][j] = true
-						sums[i][j] = v
-					}
-				}
-			}
-			continue
-		}
-		if len(tbl.Rows) != len(base.Rows) {
-			return nil, fmt.Errorf("trial %d produced %d rows, first trial %d", trial, len(tbl.Rows), len(base.Rows))
-		}
-		for i, row := range tbl.Rows {
-			for j, cell := range row {
-				if !numeric[i][j] {
-					continue
-				}
-				v, err := strconv.ParseFloat(cell, 64)
-				if err != nil {
-					numeric[i][j] = false
-					continue
-				}
-				sums[i][j] += v
-			}
-		}
-	}
-	for i := range base.Rows {
-		for j := range base.Rows[i] {
-			if numeric[i][j] {
-				base.Rows[i][j] = f2(sums[i][j] / float64(trials))
-			}
-		}
-	}
-	base.Note = fmt.Sprintf("%s; mean of %d trials", base.Note, trials)
-	return base, nil
-}
 
 // registry maps experiment ids (lower-case, no space: "table2", "fig9")
 // to runners. Populated by init functions in the per-experiment files.

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 	"testing"
@@ -210,44 +209,6 @@ func TestPaperAlgorithmsOrder(t *testing.T) {
 	algs := PaperAlgorithms()
 	if len(algs) != 3 || algs[0].Name != "STR" || algs[1].Name != "HS" || algs[2].Name != "NX" {
 		t.Fatalf("algorithms = %+v", algs)
-	}
-}
-
-func TestRunTrialsAverages(t *testing.T) {
-	calls := 0
-	r := func(cfg Config) (*Table, error) {
-		calls++
-		v := fmt.Sprintf("%d", cfg.Seed) // numeric cell varying by seed
-		return &Table{
-			ID: "T", Title: "t", Note: "n",
-			Header: []string{"label", "value"},
-			Rows:   [][]string{{"row", v}},
-		}, nil
-	}
-	tbl, err := RunTrials(r, Config{Seed: 10}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls != 3 {
-		t.Fatalf("runner called %d times", calls)
-	}
-	// Seeds 10, 1010, 2010: mean 1010.
-	if tbl.Rows[0][1] != "1010.00" {
-		t.Fatalf("averaged cell = %q", tbl.Rows[0][1])
-	}
-	if tbl.Rows[0][0] != "row" {
-		t.Fatalf("label cell mutated: %q", tbl.Rows[0][0])
-	}
-	if !strings.Contains(tbl.Note, "mean of 3 trials") {
-		t.Fatalf("note = %q", tbl.Note)
-	}
-	// trials <= 1 passes through.
-	calls = 0
-	if _, err := RunTrials(r, Config{Seed: 5}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("pass-through called %d times", calls)
 	}
 }
 

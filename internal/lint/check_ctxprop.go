@@ -64,19 +64,9 @@ func checkCtxVariants(p *pass, fd *ast.FuncDecl) {
 		if fn == nil || strings.HasSuffix(fn.Name(), "Context") || !hasContextSibling(p, call, fn) {
 			return true
 		}
-		// The mechanical fix: rename the callee to its Context variant and
-		// pass the incoming context first.
-		name, id := fn.Name(), calleeIdent(call)
-		edits := []Edit{p.replaceEdit(id.Pos(), id.End(), name+"Context")}
-		if len(call.Args) > 0 {
-			edits = append(edits, p.insertEdit(call.Args[0].Pos(), ctx.Name()+", "))
-		} else {
-			edits = append(edits, p.insertEdit(call.Rparen, ctx.Name()))
-		}
-		p.report(call.Pos(), "ctxprop", &Fix{
-			Message: "call the Context variant with the incoming context",
-			Edits:   edits,
-		}, "call to %s ignores the incoming context; use %sContext(%s, ...) so cancellation propagates", name, name, ctx.Name())
+		name := fn.Name()
+		p.reportf(call.Pos(), "ctxprop",
+			"call to %s ignores the incoming context; use %sContext(%s, ...) so cancellation propagates", name, name, ctx.Name())
 		return true
 	})
 }

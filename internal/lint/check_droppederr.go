@@ -3,7 +3,6 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 var droppederrCheck = &Check{
@@ -45,18 +44,7 @@ var droppederrCheck = &Check{
 			if how != "" {
 				verb = how + " call"
 			}
-			// A plain statement call can be fixed mechanically by
-			// blanking every result; go/defer calls need a real
-			// handler, so no fix is offered there.
-			var fix *Fix
-			if how == "" {
-				blanks := strings.Repeat("_, ", results.Len()-1) + "_ = "
-				fix = &Fix{
-					Message: "discard the error explicitly",
-					Edits:   []Edit{p.insertEdit(call.Pos(), blanks)},
-				}
-			}
-			p.report(call.Pos(), "droppederr", fix,
+			p.reportf(call.Pos(), "droppederr",
 				"error from %s %s %s is discarded; handle it, or discard explicitly with _ =", pkg, verb, calleeName(call))
 			return true
 		})

@@ -1,5 +1,5 @@
 // Package lint implements strlint, the repository's own static analyzer
-// (run as `go run ./cmd/strlint ./...`). It is built on the standard
+// (run as `go run ./cmd/strlint`). It is built on the standard
 // library only, matching the module's stdlib-only rule: go/parser and
 // go/ast for syntax, go/build for build constraints, and go/types —
 // with the standard library type-checked from source — as the only source
@@ -11,9 +11,9 @@
 //
 // The package is organized as an analyzer registry (registry.go): each
 // check is a self-contained analyzer with a name, a doc string, and a
-// per-package run function over the package's AST and types.Info,
-// optionally attaching suggested fixes that `strlint -fix` applies as
-// text edits. The registered checks:
+// per-package run function over the package's AST and types.Info. Every
+// run applies every check to every package of the module, and reports;
+// it rewrites nothing. The registered checks:
 //
 //	floateq     ==/!= between floating-point values.
 //	droppederr  discarded errors from the error-critical packages
@@ -54,7 +54,8 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
+
+	"strtree/internal/par"
 )
 
 // Finding is one diagnostic produced by a check.
@@ -62,8 +63,6 @@ type Finding struct {
 	Pos     token.Position
 	Check   string
 	Message string
-	// Fix, when non-nil, is a suggested fix `strlint -fix` can apply.
-	Fix *Fix
 }
 
 // String renders the finding in the conventional file:line:col form.
@@ -71,73 +70,22 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", f.Pos.Filename, f.Pos.Line, f.Pos.Column, f.Check, f.Message)
 }
 
-// Fix is a suggested repair for a finding: a set of byte-range text
-// edits within a single file.
-type Fix struct {
-	// Message describes the repair, e.g. "discard the error explicitly".
-	Message string
-	Edits   []Edit
-}
-
-// Edit replaces the byte range [Offset, End) of Filename with Text.
-// Offset == End inserts.
-type Edit struct {
-	Filename string
-	Offset   int
-	End      int
-	Text     string
-}
-
-// Run executes the named checks (nil means all) over the given packages
-// (import paths relative to the module root; nil means every loaded
-// package) and returns the surviving findings sorted by position.
-// Packages are analyzed in parallel; output order is deterministic.
-func (a *Analyzer) Run(pkgPaths, checks []string) ([]Finding, error) {
-	var enabled []*Check
-	if len(checks) == 0 {
-		enabled = registry
-	} else {
-		for _, name := range checks {
-			c := checkByName(name)
-			if c == nil {
-				return nil, fmt.Errorf("lint: unknown check %q (have %s)", name, strings.Join(AllChecks(), ", "))
-			}
-			enabled = append(enabled, c)
+// Run executes every check over every loaded package and returns the
+// surviving findings sorted by position. Packages are analyzed in
+// parallel; output order is deterministic.
+func (a *Analyzer) Run() []Finding {
+	paths := a.Packages()
+	// The syntax and the type information are read-only after Load, so
+	// checks for different packages never share mutable state.
+	perPkg := make([][]Finding, len(paths))
+	par.Each(len(paths), runtime.GOMAXPROCS(0), func(_, i int) error {
+		ps := &pass{a: a, pkg: a.pkgs[paths[i]]}
+		for _, c := range registry {
+			c.run(ps)
 		}
-	}
-	if len(pkgPaths) == 0 {
-		pkgPaths = a.Packages()
-	}
-	var pkgs []*pkgInfo
-	for _, path := range pkgPaths {
-		p, ok := a.pkgs[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: package %q not found in module %s", path, a.module)
-		}
-		pkgs = append(pkgs, p)
-	}
-	slices.SortFunc(pkgs, func(a, b *pkgInfo) int { return strings.Compare(a.path, b.path) })
-
-	// One goroutine per package, bounded by GOMAXPROCS. The syntax and the
-	// type information are read-only after Load, so checks for different
-	// packages never share mutable state.
-	perPkg := make([][]Finding, len(pkgs))
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for i, p := range pkgs {
-		wg.Add(1)
-		go func(i int, p *pkgInfo) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			ps := &pass{a: a, pkg: p}
-			for _, c := range enabled {
-				c.run(ps)
-			}
-			perPkg[i] = ps.out
-		}(i, p)
-	}
-	wg.Wait()
+		perPkg[i] = ps.out
+		return nil
+	})
 
 	var all []Finding
 	for _, fs := range perPkg {
@@ -156,7 +104,7 @@ func (a *Analyzer) Run(pkgPaths, checks []string) ([]Finding, error) {
 		}
 		return strings.Compare(a.Check, b.Check)
 	})
-	return all, nil
+	return all
 }
 
 // suppress drops findings covered by an ignore directive and validates the

@@ -8,15 +8,6 @@ import (
 	"strtree/internal/lint"
 )
 
-func runAll(t *testing.T, a *lint.Analyzer) []lint.Finding {
-	t.Helper()
-	findings, err := a.Run(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return findings
-}
-
 // byCheck buckets findings per check name.
 func byCheck(findings []lint.Finding) map[string][]lint.Finding {
 	out := map[string][]lint.Finding{}
@@ -43,7 +34,7 @@ func TestLoadDemoModule(t *testing.T) {
 // TestEveryCheckFires proves every registered check is live, with the
 // exact finding count each fixture was written for.
 func TestEveryCheckFires(t *testing.T) {
-	found := byCheck(runAll(t, lint.DemoModule(t)))
+	found := byCheck(lint.DemoModule(t).Run())
 	wantCounts := map[string]int{
 		"floateq":    5, // two live in demo.go + promoted field of a map element + one under the malformed directive + the platform file
 		"droppederr": 8, // plain call, defer, encoding/binary, go call, goroutine body, intra-package call, dropped write-pin release, embedded-interface method
@@ -78,7 +69,7 @@ func TestEveryCheckFires(t *testing.T) {
 }
 
 func TestFindingDetails(t *testing.T) {
-	findings := runAll(t, lint.DemoModule(t))
+	findings := lint.DemoModule(t).Run()
 	wantSubstrings := []string{
 		"panic in library function Explode",
 		"internal/geom must not import internal/storage",
@@ -121,7 +112,7 @@ func TestFindingDetails(t *testing.T) {
 // the preceding line and a file-ignore both silence findings, while a
 // malformed one silences nothing.
 func TestSuppression(t *testing.T) {
-	findings := runAll(t, lint.DemoModule(t))
+	findings := lint.DemoModule(t).Run()
 	for _, f := range findings {
 		base := filepath.Base(f.Pos.Filename)
 		if base == "fileignore.go" {
@@ -138,51 +129,11 @@ func TestSuppression(t *testing.T) {
 	}
 }
 
-// TestCheckSelection proves the -checks filter restricts the run.
-func TestCheckSelection(t *testing.T) {
-	a := lint.DemoModule(t)
-	findings, err := a.Run(nil, []string{"panics"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if f.Check != "panics" {
-			t.Errorf("selected panics only, got %s", f)
-		}
-	}
-	if len(findings) != 1 {
-		t.Errorf("panics findings = %d, want 1", len(findings))
-	}
-	if _, err := a.Run(nil, []string{"nosuch"}); err == nil {
-		t.Error("unknown check name accepted")
-	}
-}
-
-// TestPackageSelection proves the package filter restricts the run.
-func TestPackageSelection(t *testing.T) {
-	a := lint.DemoModule(t)
-	findings, err := a.Run([]string{"internal/widget"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range findings {
-		if !strings.Contains(filepath.ToSlash(f.Pos.Filename), "internal/widget/") {
-			t.Errorf("finding outside selected package: %s", f)
-		}
-	}
-	if len(findings) != 2 { // panics + missing-from-table
-		t.Errorf("widget findings = %d, want 2", len(findings))
-	}
-	if _, err := a.Run([]string{"internal/nosuch"}, nil); err == nil {
-		t.Error("unknown package accepted")
-	}
-}
-
 // TestRealModuleIsClean is the repository's own gate: strlint over the
 // actual source tree must be silent. Any new finding needs a fix or a
 // reasoned //strlint:ignore on the line it covers.
 func TestRealModuleIsClean(t *testing.T) {
-	for _, f := range runAll(t, lint.RealModule(t)) {
+	for _, f := range lint.RealModule(t).Run() {
 		t.Errorf("%s", f)
 	}
 }

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// pass carries one package through the enabled checks: its syntax, its
+// pass carries one package through the checks: its syntax, its
 // go/types information and the finding sink. A pass is used by one
 // goroutine at a time.
 type pass struct {
@@ -19,17 +19,7 @@ type pass struct {
 
 // reportf records a finding at pos.
 func (p *pass) reportf(pos token.Pos, check, format string, args ...any) {
-	p.report(pos, check, nil, format, args...)
-}
-
-// report records a finding at pos with an optional suggested fix.
-func (p *pass) report(pos token.Pos, check string, fix *Fix, format string, args ...any) {
-	p.out = append(p.out, Finding{
-		Pos:     p.a.fset.Position(pos),
-		Check:   check,
-		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
-	})
+	p.reportAt(p.a.fset.Position(pos), check, format, args...)
 }
 
 // reportAt records a finding at an already-resolved position (used by the
@@ -93,25 +83,6 @@ func calleeName(call *ast.CallExpr) string {
 		return f.Sel.Name
 	}
 	return "(call)"
-}
-
-// offsetOf translates a token.Pos into (filename, byte offset) for fix
-// edits.
-func (p *pass) offsetOf(pos token.Pos) (string, int) {
-	position := p.a.fset.Position(pos)
-	return position.Filename, position.Offset
-}
-
-// replaceEdit builds an edit replacing [from, to) with text.
-func (p *pass) replaceEdit(from, to token.Pos, text string) Edit {
-	name, off := p.offsetOf(from)
-	_, end := p.offsetOf(to)
-	return Edit{Filename: name, Offset: off, End: end, Text: text}
-}
-
-// insertEdit builds an edit inserting text at pos.
-func (p *pass) insertEdit(pos token.Pos, text string) Edit {
-	return p.replaceEdit(pos, pos, text)
 }
 
 // libraryPackage reports whether path is library code (the root package or

@@ -1,16 +1,14 @@
 package lint
 
 // The analyzer registry. Every check is a self-contained analyzer: a
-// name, a one-paragraph doc string (surfaced by `strlint -list` and as
-// the rule description in SARIF output), and a run function invoked once
-// per package against its AST and go/types information.
-// Checks report through the pass and may attach suggested fixes, which
-// `strlint -fix` applies as text edits.
+// name, a one-paragraph doc string (the rule description in SARIF
+// output), and a run function invoked once per package against its AST
+// and go/types information. Checks report through the pass.
 
 // Check is one registered analyzer.
 type Check struct {
-	// Name is the check's identifier, used in -checks selection,
-	// //strlint:ignore directives and SARIF rule ids.
+	// Name is the check's identifier, used in //strlint:ignore
+	// directives and SARIF rule ids.
 	Name string
 	// Doc explains what the check flags and why, in one paragraph.
 	Doc string
@@ -59,13 +57,4 @@ func knownCheck(name string) bool {
 		}
 	}
 	return false
-}
-
-func checkByName(name string) *Check {
-	for _, c := range registry {
-		if c.Name == name {
-			return c
-		}
-	}
-	return nil
 }

@@ -54,6 +54,7 @@ var deterministicLayers = map[string]bool{
 //	par                                (foundations: no internal imports)
 //	node, wkt, geojson, server/wire    -> geom
 //	obs                                -> histo
+//	lint                               -> par
 //	query                              -> geom, par
 //	buffer, trace                      -> storage
 //	datagen                            -> geom, node
@@ -67,7 +68,6 @@ var deterministicLayers = map[string]bool{
 //	router/shardmap                    -> geom, node, pack
 //	server                             -> strtree root, geom, histo, obs, server/wire
 //	router                             -> histo, obs, router/shardmap, server, server/wire
-//	lint                               (standalone: no internal imports)
 //
 // internal/server sits ABOVE the root: it serves the public Tree API over
 // the network. That is safe (the root never imports it back) and keeps
@@ -86,10 +86,10 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/hilbert": {},
 	"internal/storage": {},
 	"internal/svg":     {},
-	"internal/lint":    {},
 	"internal/histo":   {},
 	"internal/par":     {},
 	"internal/obs":     {"internal/histo": true},
+	"internal/lint":    {"internal/par": true},
 	"internal/node":    {"internal/geom": true},
 	"internal/query":   {"internal/geom": true, "internal/par": true},
 	"internal/wkt":     {"internal/geom": true},

@@ -401,7 +401,7 @@ func TestWalkMatchesUnmarshal(t *testing.T) {
 			var got, want []visit
 			gotSeq := coldTrace(func() {
 				if err := tr.Walk(func(id storage.PageID, v node.View) bool {
-					entries, _ := appendEntries(nil, nil, v)
+					entries := copyEntries(v)
 					got = append(got, visit{id, v.Level(), entries})
 					return true
 				}); err != nil {

@@ -56,7 +56,7 @@ func overflowingLeaf(t *testing.T, tr *Tree, e node.Entry) []node.Entry {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, _ := appendEntries(nil, nil, v)
+	entries := copyEntries(v)
 	tr.pool.Release(f)
 	return append(entries, e)
 }

@@ -1,8 +1,6 @@
 package rtree
 
 import (
-	"slices"
-
 	"strtree/internal/geom"
 	"strtree/internal/node"
 	"strtree/internal/storage"
@@ -158,7 +156,7 @@ func (t *Tree) dissolve(s mutStep, orphans []orphan) ([]orphan, error) {
 	if err != nil {
 		return orphans, err
 	}
-	entries, _ := appendEntries(nil, nil, v)
+	entries := copyEntries(v)
 	for i, e := range entries {
 		if i != s.idx {
 			orphans = append(orphans, orphan{level: v.Level(), entry: e})
@@ -201,18 +199,18 @@ func (t *Tree) collapseRoot() (bool, error) {
 	}
 }
 
-// appendEntries appends copies of v's entries to dst, their coordinates in
-// slab, which is empty and lends its capacity: the one place a page's whole
-// entry set leaves the page as entries, for the node a delete dissolves
-// (onto the heap, slab nil). slab is grown before the first rectangle is
-// sliced out of it, so the copies outlive the pin.
-func appendEntries(dst []node.Entry, slab []float64, v node.View) ([]node.Entry, []float64) {
-	dims := v.Dims()
-	dst = slices.Grow(dst, v.Count())
-	slab = slices.Grow(slab, 2*dims*v.Count())
-	for i := 0; i < v.Count(); i++ {
+// copyEntries returns copies of v's entries, their coordinates in one
+// slab of their own: the one place a page's whole entry set leaves the page
+// as entries, for the node a delete dissolves. The slab is sized up front,
+// so no append moves a rectangle already sliced out of it, and the copies
+// outlive the pin.
+func copyEntries(v node.View) []node.Entry {
+	dims, n := v.Dims(), v.Count()
+	entries := make([]node.Entry, 0, n)
+	slab := make([]float64, 0, 2*dims*n)
+	for i := 0; i < n; i++ {
 		slab = v.AppendEntryCoords(slab, i)
-		dst = append(dst, node.Entry{Rect: slabRect(slab, i, dims), Ref: v.EntryRef(i)})
+		entries = append(entries, node.Entry{Rect: slabRect(slab, i, dims), Ref: v.EntryRef(i)})
 	}
-	return dst, slab
+	return entries
 }

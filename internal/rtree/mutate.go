@@ -16,7 +16,7 @@ package rtree
 // written back as whole pages (fillNode: one node.FillRecords under a write
 // pin), so a split allocates nothing and builds no node.Entry; a new root is
 // written the same way. A dissolved node's entries go onto the heap
-// (appendEntries), where its orphans wait. No write path serializes a
+// (copyEntries), where its orphans wait. No write path serializes a
 // node.Node: MutableView and FillRecords leave exactly the bytes the
 // reference serializer would, so which of them touched a page is invisible
 // in the file

@@ -164,6 +164,7 @@ var (
 	ErrBadStatus     = errors.New("wire: unknown status")
 	ErrBadGeometry   = errors.New("wire: invalid geometry")
 	ErrTooLarge      = errors.New("wire: length field exceeds protocol bound")
+	ErrBadK          = fmt.Errorf("wire: nearest k outside [1, %d]", MaxK)
 )
 
 // Request is one decoded client request. Fields beyond Op and
@@ -526,7 +527,7 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 			return nil, err
 		}
 		if req.K < 1 || req.K > MaxK {
-			return nil, ErrTooLarge
+			return nil, ErrBadK
 		}
 		dst = appendPoint(dst, req.Point)
 		dst = appendU32(dst, req.K)
@@ -575,7 +576,7 @@ func ParseRequest(payload []byte) (*Request, error) {
 		req.Point = r.point()
 		req.K = r.u32()
 		if r.err == nil && (req.K < 1 || req.K > MaxK) {
-			return nil, ErrTooLarge
+			return nil, ErrBadK
 		}
 	case OpBatch:
 		n := r.u32()

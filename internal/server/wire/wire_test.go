@@ -147,9 +147,16 @@ func TestParseRequestRejects(t *testing.T) {
 	if _, err := ParseRequest(nan); !errors.Is(err, ErrBadGeometry) {
 		t.Errorf("NaN corner: err = %v", err)
 	}
-	// Nearest with k = 0.
-	if _, err := AppendRequest(nil, &Request{Op: OpNearest, Point: geom.Pt2(0, 0), K: 0}); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("k=0 encode: err = %v", err)
+	// Nearest with k outside [1, MaxK], both ways: the encoder refuses it,
+	// and the parser refuses it in a payload hand-built the same way.
+	for _, k := range []uint32{0, MaxK + 1} {
+		if _, err := AppendRequest(nil, &Request{Op: OpNearest, Point: geom.Pt2(0, 0), K: k}); !errors.Is(err, ErrBadK) {
+			t.Errorf("k=%d encode: err = %v, want %v", k, err, ErrBadK)
+		}
+		payload := appendU32(appendPoint(append([]byte{Version, uint8(OpNearest)}, 0, 0, 0, 0), geom.Pt2(0, 0)), k)
+		if _, err := ParseRequest(payload); !errors.Is(err, ErrBadK) {
+			t.Errorf("k=%d parse: err = %v, want %v", k, err, ErrBadK)
+		}
 	}
 	// Dims out of range.
 	wide := append([]byte{Version, uint8(OpSearchPoint)}, 0, 0, 0, 0)

@@ -7,11 +7,7 @@
 package trace
 
 import (
-	"bufio"
 	"container/heap"
-	"encoding/binary"
-	"fmt"
-	"io"
 
 	"strtree/internal/storage"
 )
@@ -33,54 +29,6 @@ func (r *Recorder) Observe(id storage.PageID, hit bool) {
 
 // Trace returns the accesses recorded so far.
 func (r *Recorder) Trace() Trace { return r.t }
-
-// traceMagic identifies a serialized trace stream.
-const traceMagic uint32 = 0x53545254 // "TRTS"
-
-// Save writes the trace in a compact binary form.
-func (t Trace) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(len(t)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var buf [4]byte
-	for _, id := range t {
-		binary.LittleEndian.PutUint32(buf[:], uint32(id))
-		if _, err := bw.Write(buf[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Load reads a trace written by Save.
-func Load(r io.Reader) (Trace, error) {
-	br := bufio.NewReader(r)
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: short header: %w", err)
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	n := binary.LittleEndian.Uint64(hdr[4:])
-	const maxReasonable = 1 << 32
-	if n > maxReasonable {
-		return nil, fmt.Errorf("trace: implausible length %d", n)
-	}
-	t := make(Trace, n)
-	var buf [4]byte
-	for i := range t {
-		if _, err := io.ReadFull(br, buf[:]); err != nil {
-			return nil, fmt.Errorf("trace: truncated at access %d: %w", i, err)
-		}
-		t[i] = storage.PageID(binary.LittleEndian.Uint32(buf[:]))
-	}
-	return t, nil
-}
 
 // SimulateLRU returns the miss count of an LRU buffer of the given
 // capacity over the trace.

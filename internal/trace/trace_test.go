@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 
@@ -21,43 +20,6 @@ func randTrace(n, pages int, seed int64) Trace {
 		}
 	}
 	return t
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := randTrace(1000, 50, 1)
-	var buf bytes.Buffer
-	if err := tr.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(tr) {
-		t.Fatalf("loaded %d of %d", len(got), len(tr))
-	}
-	for i := range tr {
-		if got[i] != tr[i] {
-			t.Fatalf("access %d differs", i)
-		}
-	}
-}
-
-func TestLoadErrors(t *testing.T) {
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
-	}
-	if _, err := Load(bytes.NewReader(make([]byte, 12))); err == nil {
-		t.Error("bad magic accepted")
-	}
-	var buf bytes.Buffer
-	if err := (Trace{1, 2, 3}).Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	short := buf.Bytes()[:buf.Len()-2]
-	if _, err := Load(bytes.NewReader(short)); err == nil {
-		t.Error("truncated stream accepted")
-	}
 }
 
 // TestSimulateLRUMatchesRealPool is the load-bearing cross-check: the
