@@ -10,6 +10,7 @@ package strtree
 
 import (
 	"context"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -225,7 +226,7 @@ func BenchmarkSearchZeroAlloc(b *testing.B) {
 // escapes to the heap costs tens of allocations per entry — the builder
 // this pipeline replaced made about 81 — where the pipeline itself needs
 // well under one: run buffers, sort-kernel scratch, read-ahead batches and
-// pages, each amortised over hundreds of entries (measured: 0.09).
+// pages, each amortised over hundreds of entries (measured: 0.03).
 func TestBulkLoadExternalAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -280,6 +281,74 @@ func TestBulkLoadExternalBytesBound(t *testing.T) {
 		t.Errorf("external build allocated %.0f bytes per entry, bound %d", perEntry, perEntryBound)
 	} else {
 		t.Logf("external build: %.0f bytes per entry", perEntry)
+	}
+}
+
+// buildBytes returns the bytes one build of a fresh file tree allocates,
+// Create to Close: on a file the pages are written, not held, so what is
+// left is the build's own working memory.
+func buildBytes(t *testing.T, opts Options, load func(*Tree) error) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tree, err := Create(filepath.Join(t.TempDir(), "index.str"), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := load(tree); err != nil {
+		t.Fatal(err)
+	}
+	if err := tree.Close(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestBulkLoadExternalSpilledBytesBound gates the bytes of the build
+// ledger's external build: 131 072 items (5.2 MB of records), RunSize
+// 2^14, so the first-axis sort spills eight runs and every slab fits one,
+// at Workers 2, on a file. Each sort reuses the run arrays, sort pairs and
+// sorted copies of the sorts before it, and each merge reader its batches:
+// the build allocates about 6.5 MB. Allocated afresh they cost 29.4 MB.
+func TestBulkLoadExternalSpilledBytesBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const bound = 10e6
+	items := randItems(131072, 41)
+	got := buildBytes(t, Options{Workers: 2}, func(tr *Tree) error {
+		return tr.BulkLoadExternal(itemSource(items), ExternalOptions{RunSize: 1 << 14, TmpDir: t.TempDir()})
+	})
+	if got > bound {
+		t.Errorf("spilled external build allocated %.1f MB, bound %.0f MB", float64(got)/1e6, bound/1e6)
+	} else {
+		t.Logf("spilled external build: %.1f MB", float64(got)/1e6)
+	}
+}
+
+// TestBulkLoadExternalUnspilledBytesBound: an external build whose input
+// fits one run allocates at most 1.25 times what BulkLoad allocates for the
+// same items. BulkLoad's bytes are the records, the sort pairs and the
+// sorted copy; the external build's are the run, filled in chunks and
+// copied once into one array, and the same sort pairs, the records being
+// read off the permutation a piece at a time. Sorting the run as a spilled input's would add a sorted copy
+// and the slab sorts' arrays: 129 MB against BulkLoad's 57 MB for these
+// 500 000 items.
+func TestBulkLoadExternalUnspilledBytesBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const ratio = 1.25
+	items := randItems(500000, 42)
+	mem := buildBytes(t, Options{Workers: 2}, func(tr *Tree) error { return tr.BulkLoad(items, PackSTR) })
+	ext := buildBytes(t, Options{Workers: 2}, func(tr *Tree) error {
+		return tr.BulkLoadExternal(itemSource(items), ExternalOptions{TmpDir: t.TempDir()})
+	})
+	if got := float64(ext) / float64(mem); got > ratio {
+		t.Errorf("unspilled external build allocated %.1f MB, %.2f times BulkLoad's %.1f MB; bound %.2f", float64(ext)/1e6, got, float64(mem)/1e6, ratio)
+	} else {
+		t.Logf("unspilled external build: %.1f MB, %.2f times BulkLoad's %.1f MB", float64(ext)/1e6, got, float64(mem)/1e6)
 	}
 }
 

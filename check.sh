@@ -75,8 +75,11 @@
 #                     retired context twins SearchPointContext and
 #                     NearestContext(, and no file of internal/psort or
 #                     internal/query, nor internal/pack/pack.go,
-#                     internal/pack/tgs.go, internal/rtree/build.go or
-#                     internal/lint/lint.go, declares a sync.WaitGroup —
+#                     internal/pack/tgs.go, internal/rtree/build.go,
+#                     internal/lint/lint.go or cmd/strbench/main.go (the
+#                     -j experiment runner), declares a sync.WaitGroup
+#                     or a semaphore channel, make(chan struct{}, or
+#                     starts a goroutine of its own, go func —
 #                     and a ninth: the root
 #                     API keeps only what its callers call, so no non-test
 #                     .go file names SearchWithin, DeleteRange, SaveTo(,
@@ -222,7 +225,7 @@ if grep -rn 'unionRecords\|leastEnlargementEach\|mbrInto\|unionRecord(\|recordRe
 if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "IntersectsQuery and MinDist are per-entry references for tests and bench/: library code asks a page with AppendIntersecting, AppendMatches or AppendMinDist" >&2; exit 1; fi
 if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is one query.Run, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -rn 'forEachSlab(\|eachChunk(\|SearchPointContext\|NearestContext(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired worker pool or context twin is back: independent work fans out through par.Each (par.Chunks for static ranges), a point query under a context is SearchContext on a degenerate rectangle, and a nearest query under a context is NearestKContext (DESIGN.md §10)" >&2; exit 1; fi
-if grep -rn 'sync\.WaitGroup' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go internal/lint/lint.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs, query.Run and lint.Run fan out through par.Each; none keeps a WaitGroup of its own (DESIGN.md §10)" >&2; exit 1; fi
+if grep -rn 'sync\.WaitGroup\|make(chan struct{}\|go func' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go internal/lint/lint.go cmd/strbench/main.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs, query.Run, lint.Run and strbench's -j runner fan out through par.Each; none keeps a WaitGroup, a semaphore or goroutines of its own (DESIGN.md §10)" >&2; exit 1; fi
 if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a root entry point no caller outside a test used is back: containment is Search plus Rect.Contains, a range delete is Search then Delete, a backup is Create plus CompactInto, Join is the one join (DESIGN.md §17)" >&2; exit 1; fi
 if grep -rn 'ApplyFixes\|Fixable\|resolvePatterns\|RunTrials\|trace\.Load\|traceMagic' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired tool mode is back: strlint checks the whole module with every check and rewrites nothing, strbench runs each experiment once, and strload trace replays its trace in memory (DESIGN.md §14)" >&2; exit 1; fi
 

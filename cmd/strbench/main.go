@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"strtree/internal/experiments"
+	"strtree/internal/par"
 )
 
 func main() {
@@ -126,27 +127,23 @@ func main() {
 		runners[i] = runner
 	}
 
-	// Run with bounded concurrency, emitting results in request order.
+	// Run -j at a time, each result kept at its index and printed in
+	// request order once all have run.
 	type result struct {
 		table   *experiments.Table
 		err     error
 		elapsed time.Duration
 	}
-	results := make([]chan result, len(ids))
-	sem := make(chan struct{}, maxInt(*jobs, 1))
-	for i := range ids {
-		results[i] = make(chan result, 1)
-		go func(i int) {
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			table, err := runners[i](cfg)
-			results[i] <- result{table: table, err: err, elapsed: time.Since(start)}
-		}(i)
-	}
+	results := make([]result, len(ids))
+	_ = par.Each(len(ids), *jobs, func(_, i int) error { // each error is kept in results[i]
+		start := time.Now()
+		table, err := runners[i](cfg)
+		results[i] = result{table: table, err: err, elapsed: time.Since(start)}
+		return nil
+	})
 
 	for i, id := range ids {
-		res := <-results[i]
+		res := results[i]
 		if res.err != nil {
 			fmt.Fprintf(os.Stderr, "strbench: %s: %v\n", id, res.err)
 			os.Exit(1)
@@ -171,11 +168,4 @@ func main() {
 			os.Exit(2)
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -4,12 +4,21 @@
 //
 // It is the classical two-phase external merge sort behind one pull-based
 // primitive: Ingest reads a source into sorted runs and returns a Stream
-// over their k-way merge. It sorts page records (node.EntrySize(dims)
-// bytes, the layout pages store) and never decodes one: a run is one record
-// array, sorted by the psort kernel and spilled with one Write by a bounded
-// worker pool while ingest keeps streaming; each spilled run's prefetch
-// reader keeps raw record batches ahead of a heap of (key, run) pairs. Only
-// this package writes entries to temporary files.
+// over their k-way merge, and IngestStream does the same with the next n
+// records of another Stream, merged straight into its runs. It sorts page
+// records (node.EntrySize(dims) bytes, the layout pages store) and never
+// decodes one: a run is one record array, sorted by the psort kernel and
+// spilled with one Write by a bounded worker pool while ingest keeps
+// streaming; each spilled run's prefetch reader keeps raw record batches
+// ahead of a heap of (key, run) pairs. Only this package writes entries to
+// temporary files.
+//
+// Nothing is allocated twice while a Sorter lives: run arrays, sorted
+// copies and sort pairs go back to the Sorter once a sort is done with
+// them, and each prefetch reader refills the batches the merge has
+// released. A batch is released on the call after the one that returned
+// records from it, so what Next and NextRun return stays valid until the
+// next call and no longer.
 //
 // Determinism: runs are cut by input order and run size alone and sorted
 // stably, and the merge breaks key ties by run sequence number, so the
@@ -42,9 +51,14 @@ func (k Key) of(rec []byte) uint64 {
 	return psort.Float64Key(node.RecordCenter(rec, k.axis))
 }
 
-// prefetchBatch is how many records one merge read-ahead batch holds; each
-// run keeps up to two batches in flight.
-const prefetchBatch = 512
+const (
+	// prefetchBatch is how many records one merge read-ahead batch holds;
+	// each run keeps up to two batches in flight.
+	prefetchBatch = 512
+	// chunkRecords is how many records a run's fill puts in one chunk
+	// once the run's array is full.
+	chunkRecords = 1 << 12
+)
 
 // Sorter sorts streams of page records, spilling to disk when a run exceeds
 // the in-memory budget.
@@ -59,9 +73,14 @@ type Sorter struct {
 	// identical for every setting; only wall time changes.
 	Workers int
 
-	// spare holds sorted runs' arrays for any sort's next run, so one is
-	// allocated only when none is spare: 8 slots cover 7 Workers' runs.
+	// spare holds run arrays no sort needs any more — filled runs once
+	// sorted, sorted runs once written or read — for any sort's next run or
+	// sorted copy, and perms the sort-pair arrays of finished sorts, so
+	// either is allocated only when none is spare. Eight slots hold what
+	// four spill workers, the run being filled and a slab sorted ahead
+	// release at once; past that an array is dropped.
 	spare chan []byte
+	perms chan *psort.Perm
 
 	// Cumulative counters across every sort on this Sorter (a build reuses
 	// one for every axis and slab). Atomics, so a monitoring goroutine may
@@ -109,7 +128,7 @@ func NewSorter(dims, runSize int, tmpDir string) (*Sorter, error) {
 	if runSize < 2 {
 		return nil, fmt.Errorf("extsort: run size %d too small", runSize)
 	}
-	return &Sorter{dims: dims, runSize: runSize, tmpDir: tmpDir, spare: make(chan []byte, 8)}, nil
+	return &Sorter{dims: dims, runSize: runSize, tmpDir: tmpDir, spare: make(chan []byte, 8), perms: make(chan *psort.Perm, 8)}, nil
 }
 
 func (s *Sorter) workers() int {
@@ -129,16 +148,33 @@ func (s *Sorter) getRun() []byte {
 	}
 }
 
-// sortRun returns the records of run in key order, stably, in a new array,
-// sorted on workers goroutines, and offers run's array to the next run.
-func (s *Sorter) sortRun(run []byte, key Key, workers int) []byte {
-	p := psort.NewPerm(run, s.dims)
-	p.SortByCenter(0, p.Len(), key.axis, workers)
-	sorted := p.Apply(workers)
+// putRun offers run's array to the next run; nothing may read or write it
+// afterwards.
+func (s *Sorter) putRun(run []byte) {
 	select {
 	case s.spare <- run:
 	default:
 	}
+}
+
+// sortRun returns the records of run in key order, stably, in a spare
+// array, sorted on workers goroutines with spare sort pairs, and offers
+// run's array to the next run.
+func (s *Sorter) sortRun(run []byte, key Key, workers int) []byte {
+	var p *psort.Perm
+	select {
+	case p = <-s.perms:
+	default:
+		p = new(psort.Perm)
+	}
+	p.Reset(run, s.dims)
+	p.SortByCenter(0, p.Len(), key.axis, workers)
+	sorted := p.Apply(s.getRun(), workers)
+	select {
+	case s.perms <- p:
+	default:
+	}
+	s.putRun(run)
 	return sorted
 }
 
@@ -148,6 +184,7 @@ func (s *Sorter) sortRun(run []byte, key Key, workers int) []byte {
 // written file.
 func (s *Sorter) spillRun(run []byte, key Key) (_ *os.File, err error) {
 	sorted := s.sortRun(run, key, 1)
+	defer s.putRun(sorted)
 	f, err := os.CreateTemp(s.tmpDir, "extsort-run-*")
 	if err != nil {
 		return nil, err
@@ -178,6 +215,9 @@ type Stream struct {
 	rwg     sync.WaitGroup
 	key     Key
 	heap    mergeHeap
+	buf     []byte    // the records NextRun merged last
+	spent   []byte    // a batch a returned record lies in, released on the next call
+	spentBy *prefetch // the run spent came from
 }
 
 // Len is the number of records the stream holds in total, known as soon
@@ -196,7 +236,103 @@ type spill struct {
 // copied on ingest, so next may reuse its buffer; one of the wrong length is
 // an error. next is only called from the calling goroutine. On error every
 // run file is already gone.
-func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, err error) {
+func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (*Stream, error) {
+	st, run, err := s.Spill(key, next)
+	if err != nil || st != nil {
+		return st, err
+	}
+	return s.loneRun(key, run), nil
+}
+
+// Spill is Ingest, except that an input that fits one run is neither
+// sorted nor counted: Spill returns it as run, a nil stream beside it, and
+// the array is the caller's to sort as it likes. A spilled input comes back
+// as the stream of its runs' merge, run nil.
+func (s *Sorter) Spill(key Key, next func() ([]byte, bool, error)) (*Stream, []byte, error) {
+	size := node.EntrySize(s.dims)
+	return s.ingest(key, func(run []byte, room int) ([]byte, error) {
+		// Records go into run while it has room, then into chunks, copied
+		// once into an array of exactly their size when the fill ends: a
+		// run grown by doubling would cost two to four times its size.
+		var (
+			chunks [][]byte
+			n      int // bytes in chunks
+		)
+		for ; room > 0; room-- {
+			rec, ok, err := next()
+			if err != nil {
+				return run, err
+			}
+			if !ok {
+				break
+			}
+			if len(rec) != size {
+				return run, fmt.Errorf("extsort: record of %d bytes, a %d-D sorter's are %d", len(rec), s.dims, size)
+			}
+			if len(chunks) == 0 && cap(run)-len(run) >= size {
+				run = append(run, rec...)
+				continue
+			}
+			if len(chunks) == 0 || cap(chunks[len(chunks)-1]) == len(chunks[len(chunks)-1]) {
+				chunks = append(chunks, make([]byte, 0, min(room, chunkRecords)*size))
+			}
+			last := &chunks[len(chunks)-1]
+			*last = append(*last, rec...)
+			n += size
+		}
+		if len(chunks) == 0 {
+			return run, nil
+		}
+		whole := append(make([]byte, 0, len(run)+n), run...)
+		for _, c := range chunks {
+			whole = append(whole, c...)
+		}
+		s.putRun(run)
+		return whole, nil
+	})
+}
+
+// IngestStream sorts the next n records of from by key, as Ingest sorts a
+// source's: they are merged straight into runs, with no call per record, and
+// n of them or fewer make one run sorted in memory. from must not be read
+// meanwhile.
+func (s *Sorter) IngestStream(key Key, from *Stream, n int) (*Stream, error) {
+	st, run, err := s.ingest(key, func(run []byte, room int) ([]byte, error) {
+		take := min(room, n)
+		n -= take
+		return from.appendNext(run, take)
+	})
+	if err != nil || st != nil {
+		return st, err
+	}
+	return s.loneRun(key, run), nil
+}
+
+// loneRun sorts run, an input that fit one run, on every worker and returns
+// it as a stream of one batch, no file and no reader: a run without a file.
+func (s *Sorter) loneRun(key Key, run []byte) *Stream {
+	st := &Stream{size: node.EntrySize(s.dims), key: key, total: len(run) / node.EntrySize(s.dims)}
+	s.sorts.Add(1)
+	s.entriesSorted.Add(uint64(st.total))
+	if st.total == 0 {
+		s.putRun(run)
+		return st
+	}
+	sorted := s.sortRun(run, key, s.workers())
+	done := make(chan runBatch)
+	close(done)
+	// Spent, the sorted array goes back to the spares.
+	st.readers = []*prefetch{{batches: done, free: s.spare, batch: sorted, whole: sorted}}
+	st.heap = mergeHeap{{key: key.of(sorted)}}
+	return st
+}
+
+// ingest reads records through fill into runs of runSize, each full one
+// sorted and spilled by the worker pool while reading goes on, and returns
+// the stream of the spilled runs' merge — or, when the input fit one run,
+// no stream and that run unsorted. fill appends up to room records to run
+// and returns fewer only at the end of its input.
+func (s *Sorter) ingest(key Key, fill func(run []byte, room int) ([]byte, error)) (_ *Stream, lone []byte, err error) {
 	size := node.EntrySize(s.dims)
 	st := &Stream{size: size, key: key}
 	defer func() {
@@ -205,7 +341,7 @@ func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, 
 		}
 	}()
 
-	// The loop keeps calling next while up to `workers` goroutines spill.
+	// The loop keeps filling while up to `workers` goroutines spill.
 	var (
 		wg     sync.WaitGroup
 		spills []*spill // by run sequence number: merge order = spill order
@@ -228,28 +364,30 @@ func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, 
 		}()
 	}
 
+	// A full run is spilled once the next one holds a record: a run is
+	// spilled unless it is the whole input.
 	run, full := s.getRun(), s.runSize*size
 	for !failed.Load() {
-		rec, ok, nerr := next()
-		if nerr != nil || !ok {
-			err = nerr
+		before := len(run)
+		run, err = fill(run, (full-len(run))/size)
+		st.total += (len(run) - before) / size
+		if err != nil || len(run) < full {
 			break
 		}
-		if len(rec) != size {
-			err = fmt.Errorf("extsort: record of %d bytes, a %d-D sorter's are %d", len(rec), s.dims, size)
+		next := s.getRun()
+		if next == nil {
+			// The input filled a run: the next one will very likely
+			// fill too, so it starts at its full size.
+			next = make([]byte, 0, full)
+		}
+		next, ferr := fill(next, 1)
+		st.total += len(next) / size
+		if err = ferr; err != nil || len(next) == 0 {
+			s.putRun(next)
 			break
 		}
-		if cap(run)-len(run) < size {
-			// Double, up to a full run: append's gentler growth of a large
-			// slice would copy a run five times over on its way up.
-			run = slices.Grow(run, min(max(cap(run), prefetchBatch*size), full-len(run)))
-		}
-		run = append(run, rec...)
-		st.total++
-		if len(run) >= full {
-			spawnSpill(run)
-			run = s.getRun()
-		}
+		spawnSpill(run)
+		run = next
 	}
 	if len(spills) > 0 && len(run) > 0 && err == nil && !failed.Load() {
 		spawnSpill(run)
@@ -262,31 +400,28 @@ func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, 
 		err = errors.Join(err, sp.err)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if len(spills) == 0 {
+		return nil, run, nil
 	}
 	s.sorts.Add(1)
 	s.entriesSorted.Add(uint64(st.total))
-
-	if len(spills) == 0 {
-		// One in-memory run, sorted by every worker: no file, no reader,
-		// one batch.
-		p := newPrefetch()
-		p.batches <- runBatch{recs: s.sortRun(run, key, s.workers())}
-		close(p.batches)
-		st.readers = append(st.readers, p)
-	} else {
-		s.runsSpilled.Add(uint64(len(spills)))
-		s.merges.Add(1)
-	}
+	s.runsSpilled.Add(uint64(len(spills)))
+	s.merges.Add(1)
 
 	// K-way merge with per-run read-ahead. Each run file gets a background
 	// reader that stays up to two batches ahead of the heap, so merge CPU
 	// overlaps run I/O.
 	for _, f := range st.files {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		p := newPrefetch()
+		p := &prefetch{
+			batches: make(chan runBatch, 2), // the read-ahead depth
+			free:    make(chan []byte, 2),   // as many batches come back as are queued
+			stop:    make(chan struct{}),
+		}
 		st.readers = append(st.readers, p)
 		st.rwg.Add(1)
 		go func(f *os.File) {
@@ -294,57 +429,136 @@ func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (_ *Stream, 
 			p.read(f, size)
 		}(f)
 	}
+	// Heap the runs by their head records.
 	for src, p := range st.readers {
-		ok, err := p.advance(size)
+		ok, _, err := p.refill()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if ok {
-			st.heap = append(st.heap, mergeItem{key: key.of(p.head(size)), src: src})
+			st.heap = append(st.heap, mergeItem{key: key.of(p.batch), src: src})
 		}
 	}
 	for i := len(st.heap)/2 - 1; i >= 0; i-- {
 		st.heap.down(i)
 	}
-	return st, nil
+	return st, nil, nil
 }
 
 // Next returns the next record in order, false at the end of the stream,
-// or the read error that cut a run short. The stream never reuses the
-// storage of a record it returned.
+// or the read error that cut a run short. The record stays valid until the
+// next call to Next, NextRun or Close, and no longer: the stream then
+// reuses its storage.
 func (st *Stream) Next() ([]byte, bool, error) {
+	st.release()
 	if len(st.heap) == 0 {
-		if st.emitted != st.total {
-			return nil, false, fmt.Errorf("extsort: emitted %d of %d records", st.emitted, st.total)
-		}
-		return nil, false, nil
+		return nil, false, st.end()
 	}
+	rec, err := st.pop(1)
+	return rec, err == nil, err
+}
+
+// NextRun returns the next records in order, one or more, false at the end
+// of the stream, or the read error that cut a run short: once one run is
+// left, as a run that never spilled always is, the rest of its current
+// batch in one piece; before that, up to a batch merged into a buffer the
+// stream reuses. The records stay valid until the next call to Next,
+// NextRun or Close, and no longer.
+func (st *Stream) NextRun() ([]byte, bool, error) {
+	st.release()
+	switch len(st.heap) {
+	case 0:
+		return nil, false, st.end()
+	case 1:
+		recs, err := st.pop(st.total)
+		return recs, err == nil, err
+	}
+	var err error
+	st.buf, err = st.appendNext(st.buf[:0], prefetchBatch)
+	return st.buf, err == nil, err
+}
+
+// appendNext appends the next n records in order to dst, fewer only at the
+// end of the stream, and returns it.
+func (st *Stream) appendNext(dst []byte, n int) ([]byte, error) {
+	n = min(n, st.total-st.emitted)
+	dst = slices.Grow(dst, n*st.size)
+	for n > 0 && len(st.heap) > 0 {
+		recs, err := st.pop(n)
+		dst = append(dst, recs...)
+		st.release() // copied: the batch may go
+		if err != nil {
+			return dst, err
+		}
+		n -= len(recs) / st.size
+	}
+	if n > 0 {
+		return dst, st.end()
+	}
+	return dst, nil
+}
+
+// pop takes records off the head of the run at the top of the heap and
+// restores the heap: one, or up to max and the rest of the batch when that
+// run is the last, since no other run's record can come between. A batch
+// pop empties is held in st.spent until release, as what pop returns lies
+// in it.
+func (st *Stream) pop(max int) ([]byte, error) {
 	top := &st.heap[0]
 	p := st.readers[top.src]
-	rec := p.head(st.size)
-	ok, err := p.advance(st.size)
-	if err != nil {
-		return nil, false, err
+	k := 1
+	if len(st.heap) == 1 {
+		k = min(max, len(p.batch)/st.size)
 	}
-	if ok {
-		top.key = st.key.of(p.head(st.size))
-	} else {
-		last := len(st.heap) - 1
-		st.heap[0] = st.heap[last]
-		st.heap = st.heap[:last]
+	recs := p.batch[: k*st.size : k*st.size]
+	p.batch = p.batch[k*st.size:]
+	st.emitted += k
+	if len(p.batch) == 0 {
+		ok, spent, err := p.refill()
+		st.spent, st.spentBy = spent, p
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			last := len(st.heap) - 1
+			st.heap[0] = st.heap[last]
+			st.heap = st.heap[:last]
+			st.heap.down(0)
+			return recs, nil
+		}
 	}
+	top.key = st.key.of(p.batch)
 	st.heap.down(0)
-	st.emitted++
-	return rec, true, nil
+	return recs, nil
+}
+
+// release hands the batch the last call's records lay in back to its run.
+func (st *Stream) release() {
+	if st.spent != nil {
+		st.spentBy.release(st.spent)
+		st.spent, st.spentBy = nil, nil
+	}
+}
+
+// end is the error of a stream that ran dry, nil when it emitted every
+// record.
+func (st *Stream) end() error {
+	if st.emitted != st.total {
+		return fmt.Errorf("extsort: emitted %d of %d records", st.emitted, st.total)
+	}
+	return nil
 }
 
 // Close stops the run readers, then closes and removes every run file,
 // reporting rather than dropping close and remove failures. It may be
 // called at any point of the stream, and more than once.
 func (st *Stream) Close() (err error) {
+	st.release()
 	// Readers first: the files must not be closed out from under them.
 	for _, p := range st.readers {
-		close(p.stop)
+		if p.stop != nil {
+			close(p.stop)
+		}
 	}
 	st.rwg.Wait()
 	for _, f := range st.files {
@@ -365,46 +579,60 @@ type runBatch struct {
 }
 
 // prefetch is the merge loop's view of one run: a channel of read-ahead
-// batches and the rest of the batch being consumed, the run's head record
-// first.
+// batches, the free list the reader refills them from, and the rest of the
+// batch being consumed, the run's head record first. A run that never
+// spilled has one batch, no reader and the sorter's spares for a free
+// list.
 type prefetch struct {
 	batches chan runBatch
+	free    chan []byte // batches the merge is done with
 	stop    chan struct{}
-	batch   []byte
+	batch   []byte // the rest of the current batch
+	whole   []byte // the current batch, whole
 }
 
-func newPrefetch() *prefetch {
-	return &prefetch{batches: make(chan runBatch, 2) /* the read-ahead depth */, stop: make(chan struct{})}
-}
-
-// head returns the run's head record.
-func (p *prefetch) head(size int) []byte { return p.batch[:size:size] }
-
-// advance drops the run's head record (none on the first call), waiting on
-// the reader only when the read-ahead is empty; false at the run's end.
-func (p *prefetch) advance(size int) (bool, error) {
+// refill makes the run's next batch current once the current one is
+// empty, waiting on the reader only when the read-ahead is: false at the
+// run's end. It returns the emptied batch, which the caller releases once
+// nothing it handed out lies in it.
+func (p *prefetch) refill() (ok bool, spent []byte, err error) {
 	if len(p.batch) > 0 {
-		p.batch = p.batch[size:]
+		return true, nil, nil
 	}
+	spent, p.whole = p.whole, nil
 	for len(p.batch) == 0 {
 		b, ok := <-p.batches
 		if !ok {
-			return false, nil
+			return false, spent, nil
 		}
 		if b.err != nil {
-			return false, b.err
+			return false, spent, b.err
 		}
-		p.batch = b.recs
+		p.batch, p.whole = b.recs, b.recs
 	}
-	return true, nil
+	return true, spent, nil
+}
+
+// release offers a spent batch to the run's free list.
+func (p *prefetch) release(batch []byte) {
+	select {
+	case p.free <- batch[:cap(batch)]:
+	default:
+	}
 }
 
 // read is a run file's prefetch goroutine: it sends f's records, batch by
-// batch, until the run ends, a read fails, or p.stop is closed.
+// batch, until the run ends, a read fails, or p.stop is closed. A batch
+// comes off the free list when one is there.
 func (p *prefetch) read(f *os.File, size int) {
 	defer close(p.batches)
 	for {
-		buf := make([]byte, prefetchBatch*size)
+		var buf []byte
+		select {
+		case buf = <-p.free:
+		default:
+			buf = make([]byte, prefetchBatch*size)
+		}
 		n, err := io.ReadFull(f, buf)
 		if err == io.EOF {
 			return

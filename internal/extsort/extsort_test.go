@@ -115,7 +115,7 @@ func TestIngestYieldsSortedRecords(t *testing.T) {
 	recs, _ := psort.Encode(entries, 1)
 	p := psort.NewPerm(recs, 2)
 	p.SortByCenter(0, p.Len(), 0, 1)
-	want := p.Apply(1)
+	want := p.Apply(nil, 1)
 	size := node.EntrySize(2)
 	for _, runSize := range []int{4096, 1500, 999, 100} {
 		for _, workers := range []int{1, 3} {

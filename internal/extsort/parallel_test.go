@@ -12,6 +12,7 @@ import (
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 )
 
 // dupEntries makes entries whose sort keys collide heavily (only 16
@@ -293,4 +294,60 @@ func TestSortLeavesNoTempFiles(t *testing.T) {
 		t.Fatalf("stats after one spilling sort: %+v", got)
 	}
 	checkReleased(t, dir, before)
+}
+
+// TestStreamRecordLifetime holds every record Next returns and every run
+// NextRun returns and checks that its bytes stay as returned until the next
+// call, while the readers refill batches the merge has released: over a
+// merge of five runs, each sixteen read-ahead batches long so that its
+// reader reuses the batches it gets back, and over a lone run, at Workers
+// 1 and 4, calling Next, NextRun or the two in turn. The records are the
+// in-memory sort's all the same.
+func TestStreamRecordLifetime(t *testing.T) {
+	entries := dupEntries(40000)
+	recs, _ := psort.Encode(entries, 1)
+	p := psort.NewPerm(recs, 2)
+	p.SortByCenter(0, p.Len(), 0, 1)
+	want := p.Apply(nil, 1)
+	for _, runSize := range []int{16 * prefetchBatch, 1 << 16} {
+		for _, workers := range []int{1, 4} {
+			for _, mode := range []string{"Next", "NextRun", "both"} {
+				s, err := NewSorter(2, runSize, t.TempDir())
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.Workers = workers
+				st, err := s.Ingest(ByCenter(0), recordSource(entries))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var held, kept, got []byte
+				for call := 0; ; call++ {
+					runtime.Gosched() // let the readers run ahead
+					if !bytes.Equal(held, kept) {
+						t.Fatalf("run size %d, workers %d, %s: the records call %d returned changed before call %d", runSize, workers, mode, call-1, call)
+					}
+					next := st.Next
+					if mode == "NextRun" || mode == "both" && call%2 == 1 {
+						next = st.NextRun
+					}
+					recs, ok, err := next()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					held, kept = recs, append(kept[:0], recs...)
+					got = append(got, recs...)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("run size %d, workers %d, %s: the stream differs from the in-memory sort", runSize, workers, mode)
+				}
+			}
+		}
+	}
 }

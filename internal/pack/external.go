@@ -5,6 +5,8 @@ import (
 	"fmt"
 
 	"strtree/internal/extsort"
+	"strtree/internal/node"
+	"strtree/internal/psort"
 )
 
 // STRExternal performs the STR ordering of k-D page records over external
@@ -14,15 +16,25 @@ import (
 // RAM — the preprocessing-over-files setting the paper's packing
 // algorithms are meant for.
 //
-// Memory is bounded by RunSize and Workers, not by the input. A sort holds
-// the run it is filling and up to Workers runs being sorted, each of those
-// with 32 B of sort pairs a record and a sorted copy; once it has spilled,
-// its merge holds up to four 512-record batches a run (one being merged,
-// two queued, one being read). Each axis keeps its current range: one that
-// fit a single run stays in memory whole, a spilled one costs its merge
-// batches. With Workers > 1 the stream holds one slab more: the last
-// axis's next slab, sorted on a background goroutine while the current one
-// is read, at most RunSize of its records in memory and the rest spilled.
+// Memory is bounded by RunSize and Workers, not by the input, phase by
+// phase:
+//   - The first-axis sort reads the input into runs of RunSize records.
+//     An input that fits one run is ordered in memory, by STR's own sorts:
+//     it holds that run and 32 B of sort pairs a record, and hands its
+//     records on a piece at a time. A larger input holds the run being
+//     filled and up to Workers runs being sorted, each with 32 B of sort
+//     pairs a record and a sorted copy; its merge then holds up to six
+//     512-record batches a run (one being merged, two queued, one being
+//     read, two back for reuse).
+//   - Each later axis sorts one slab at a time. A slab that fits one run is
+//     merged into one run array, sorted in memory (sort pairs and a sorted
+//     copy) and handed on whole; a larger one is sorted as a larger input
+//     is. With Workers > 1 the stream holds one slab more: the last axis's
+//     next slab, sorted on a background goroutine while the current one is
+//     read.
+//
+// Arrays a sort is done with serve the next one, so a build allocates about
+// what its largest phase holds.
 type STRExternal struct {
 	// RunSize is the maximum number of records one sort run holds in
 	// memory. Zero means 1 << 20.
@@ -60,33 +72,63 @@ func (s STRExternal) Open(dims, n int, src func() ([]byte, bool, error)) (*STRSt
 		return nil, err
 	}
 	sorter.Workers = s.Workers
-	x, err := sorter.Ingest(extsort.ByCenter(0), src)
+	x, recs, err := sorter.Spill(extsort.ByCenter(0), src)
 	if err != nil {
 		return nil, err
 	}
-	p := &STRStream{sorter: sorter, n: n, workers: s.Workers, levels: make([]level, dims)}
+	p := &STRStream{sorter: sorter, n: n, workers: s.Workers}
+	if x == nil {
+		// The input fit one run: STR.OrderRecords' own sorts order it, and
+		// the records move once, a piece at a time, as they are read.
+		count := len(recs) / node.EntrySize(dims)
+		p.perm = STR{Workers: s.Workers}.perm(recs, dims, n)
+		p.inMemory = SortStats{Sorts: tileSorts(count, n, dims), EntriesSorted: uint64(dims * count)}
+		return p, nil
+	}
+	p.levels = make([]level, dims)
 	for a := range p.levels {
-		p.levels[a].st = new(extsort.Stream) // empty: the first Next refills it
+		p.levels[a].st = new(extsort.Stream) // empty: the first NextRun refills it
 	}
 	p.setLevel(0, x)
 	p.readAhead()
 	return p, nil
 }
 
-// STRStream yields page records in STR packing order, off the last of its
-// levels: levels[a] is sorted on axis a, the whole input at a = 0, else the
-// current slab of level a−1, sorted when it is reached.
+// tileSorts is how many sorts STR makes of count records with rem axes to
+// go: this one, then STR.tile's, one per slab on each later axis.
+func tileSorts(count, n, rem int) uint64 {
+	if rem == 1 {
+		return 1
+	}
+	slab := slabSize(count, n, rem)
+	sorts := 1 + uint64(count/slab)*tileSorts(slab, n, rem-1)
+	if count%slab > 0 {
+		sorts += tileSorts(count%slab, n, rem-1)
+	}
+	return sorts
+}
+
+// STRStream yields page records in STR packing order. An input that fit
+// one run is ordered in memory, as STR orders it, and read off its
+// permutation; a spilled one is read off the last of the stream's levels:
+// levels[a] is sorted on axis a, the whole input at a = 0, else the current
+// slab of level a−1, sorted when it is reached.
 //
 // With workers > 1 a read-ahead goroutine refills the last level one slab
-// ahead of Next. While it runs it alone touches the levels above the last,
-// and Next only the last level's stream; the hand-off over ahead orders
-// the two.
+// ahead of NextRun. While it runs it alone touches the levels above the
+// last, and NextRun only the last level's stream; the hand-off over ahead
+// orders the two.
 type STRStream struct {
 	sorter  *extsort.Sorter
 	n       int
 	workers int
 	levels  []level
 	ahead   chan slab // the running read-ahead's result; nil when none runs
+
+	perm     *psort.Perm // the order of an input that fit one run, else nil
+	pos      int         // records of perm read so far
+	piece    []byte      // the records of perm NextRun returned last
+	inMemory SortStats   // the sorts perm took
 }
 
 // level is one axis of the recursion.
@@ -103,6 +145,10 @@ type slab struct {
 	err error
 }
 
+// pieceRecords is how many records NextRun gathers at a time off an
+// in-memory order.
+const pieceRecords = 1 << 12
+
 // setLevel makes st level a's range, cut below in STR.tile's slab sizes.
 func (p *STRStream) setLevel(a int, st *extsort.Stream) {
 	p.levels[a] = level{st: st, left: st.Len(), slab: slabSize(st.Len(), p.n, len(p.levels)-a)}
@@ -110,14 +156,28 @@ func (p *STRStream) setLevel(a int, st *extsort.Stream) {
 
 // Stats is the cumulative activity of the stream's sorts so far: one for
 // the first axis plus one per slab reached on every later axis.
-func (p *STRStream) Stats() SortStats { return p.sorter.Stats() }
+func (p *STRStream) Stats() SortStats {
+	st := p.sorter.Stats()
+	st.Sorts += p.inMemory.Sorts
+	st.EntriesSorted += p.inMemory.EntriesSorted
+	return st
+}
 
-// Next returns the next record in packing order, false at the end.
-func (p *STRStream) Next() ([]byte, bool, error) {
+// NextRun returns the next records in packing order, one or more, false at
+// the end: the rest of a slab that was sorted in memory in one piece, else
+// a merged batch, else a piece of the in-memory order. They stay valid
+// until the next call to NextRun or Close, and no longer.
+func (p *STRStream) NextRun() ([]byte, bool, error) {
+	if p.perm != nil {
+		hi := min(p.pos+pieceRecords, p.perm.Len())
+		p.piece = p.perm.AppendRange(p.piece[:0], p.pos, hi)
+		p.pos = hi
+		return p.piece, len(p.piece) > 0, nil
+	}
 	last := len(p.levels) - 1
 	for {
-		if rec, ok, err := p.levels[last].st.Next(); ok || err != nil {
-			return rec, ok, err
+		if recs, ok, err := p.levels[last].st.NextRun(); ok || err != nil {
+			return recs, ok, err
 		}
 		if err := p.levels[last].st.Close(); err != nil {
 			return nil, false, err
@@ -132,7 +192,7 @@ func (p *STRStream) Next() ([]byte, bool, error) {
 }
 
 // readAhead starts refilling the last level on a goroutine when workers >
-// 1; wait collects the slab.
+// 1; wait collects the slab, and with it the goroutine's end.
 func (p *STRStream) readAhead() {
 	if p.workers <= 1 {
 		return
@@ -173,19 +233,13 @@ func (p *STRStream) refill(a int) slab {
 	}
 	take := min(up.slab, up.left)
 	up.left -= take
-	st, err := p.sorter.Ingest(extsort.ByCenter(a), func() ([]byte, bool, error) {
-		if take == 0 {
-			return nil, false, nil
-		}
-		take--
-		return up.st.Next()
-	})
+	st, err := p.sorter.IngestStream(extsort.ByCenter(a), up.st, take)
 	return slab{st: st, err: err}
 }
 
 // Close waits for a running read-ahead and closes the slab it sorted, then
 // releases every level's run files; it may be called at any point of the
-// stream, and more than once.
+// stream, and more than once. No goroutine the stream started outlives it.
 func (p *STRStream) Close() (err error) {
 	if p.ahead != nil {
 		if next := p.wait(); next.st != nil {

@@ -42,7 +42,7 @@ func collectPack(t *testing.T, s STRExternal, dims, n int, entries []node.Entry)
 	}
 	var out []byte
 	for {
-		rec, ok, err := ordered.Next()
+		rec, ok, err := ordered.NextRun()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,10 +113,12 @@ func TestExternalSTRAbandonedMidSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
-		if _, ok, err := ordered.Next(); !ok || err != nil {
-			t.Fatalf("entry %d: ok %v, err %v", i, ok, err)
+	for read := 0; read < 1000; {
+		run, ok, err := ordered.NextRun()
+		if !ok || err != nil {
+			t.Fatalf("entry %d: ok %v, err %v", read, ok, err)
 		}
+		read += len(run) / node.EntrySize(2)
 	}
 	if err := ordered.Close(); err != nil {
 		t.Fatal(err)
@@ -180,7 +182,7 @@ func TestExternalSTRReadAheadLifecycle(t *testing.T) {
 				}
 				var got []byte
 				for len(got) < stop*node.EntrySize(dims) {
-					rec, ok, err := ordered.Next()
+					rec, ok, err := ordered.NextRun()
 					if !ok || err != nil {
 						t.Fatalf("%d-D, workers=%d: record %d: ok %v, err %v", dims, workers, len(got)/node.EntrySize(dims), ok, err)
 					}
@@ -190,7 +192,7 @@ func TestExternalSTRReadAheadLifecycle(t *testing.T) {
 					t.Fatalf("%d-D, workers=%d: the first %d records differ from STR.OrderRecords'", dims, workers, stop)
 				}
 				if stop == len(entries) {
-					if _, ok, err := ordered.Next(); ok || err != nil {
+					if _, ok, err := ordered.NextRun(); ok || err != nil {
 						t.Fatalf("%d-D, workers=%d: past the end: ok %v, err %v", dims, workers, ok, err)
 					}
 				}
@@ -224,7 +226,7 @@ func TestExternalSTRSlabSortError(t *testing.T) {
 			}
 		}
 		for {
-			_, ok, err := ordered.Next()
+			_, ok, err := ordered.NextRun()
 			if err != nil {
 				if !errors.Is(err, fs.ErrNotExist) {
 					t.Fatalf("workers=%d: %v, want a failed run-file create", workers, err)
@@ -310,14 +312,14 @@ func BenchmarkSTRExternal(b *testing.B) {
 				}
 				n := 0
 				for {
-					_, ok, err := ordered.Next()
+					run, ok, err := ordered.NextRun()
 					if err != nil {
 						b.Fatal(err)
 					}
 					if !ok {
 						break
 					}
-					n++
+					n += len(run) / size
 				}
 				if err := ordered.Close(); err != nil {
 					b.Fatal(err)
@@ -328,5 +330,48 @@ func BenchmarkSTRExternal(b *testing.B) {
 			}
 			b.ReportMetric(float64(len(entries))*float64(b.N)/b.Elapsed().Seconds(), "entries/s")
 		})
+	}
+}
+
+// TestExternalSTRRunLifetime holds every run NextRun returns and checks
+// that its bytes stay as returned until the next call, while the
+// read-ahead sorts the next slab into arrays the stream released: with
+// every sort spilling (RunSize 16), with the first-axis sort alone
+// spilling, each 800-record slab merged into one run sorted in memory
+// (RunSize 1024), and with nothing spilling, at Workers 1 and 4. The runs
+// are STR.OrderRecords' order all the same.
+func TestExternalSTRRunLifetime(t *testing.T) {
+	entries := uniformSquares(5000, 96)
+	recs, _ := psort.Encode(entries, 1)
+	want := STR{}.OrderRecords(recs, 2, 100, 0)
+	for _, runSize := range []int{16, 1024, 1 << 20} {
+		for _, workers := range []int{1, 4} {
+			ordered, err := STRExternal{RunSize: runSize, TmpDir: t.TempDir(), Workers: workers}.Open(2, 100, sliceSource(entries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held, kept, got []byte
+			for call := 0; ; call++ {
+				runtime.Gosched() // let the read-ahead run
+				if !bytes.Equal(held, kept) {
+					t.Fatalf("run size %d, workers %d: the run call %d returned changed before call %d", runSize, workers, call-1, call)
+				}
+				run, ok, err := ordered.NextRun()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				held, kept = run, append(kept[:0], run...)
+				got = append(got, run...)
+			}
+			if err := ordered.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("run size %d, workers %d: the stream differs from STR.OrderRecords", runSize, workers)
+			}
+		}
 	}
 }

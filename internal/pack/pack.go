@@ -66,7 +66,7 @@ func orderEntries(o interface {
 func sortByCenter(recs []byte, dims, axis, workers int) []byte {
 	p := psort.NewPerm(recs, dims)
 	p.SortByCenter(0, p.Len(), axis, workers)
-	return p.Apply(workers)
+	return p.Apply(nil, workers)
 }
 
 func normWorkers(w int) int {
@@ -171,6 +171,12 @@ func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
 	if len(recs) < 2*node.EntrySize(dims) {
 		return recs
 	}
+	return s.perm(recs, dims, n).Apply(nil, s.workers())
+}
+
+// perm returns the STR order of recs for node capacity n as a permutation
+// not yet applied: the first-axis sort, then the slabs' sorts.
+func (s STR) perm(recs []byte, dims, n int) *psort.Perm {
 	if n < 1 {
 		//strlint:ignore panics documented contract: a capacity below 1 is a builder bug, not a data condition
 		panic("pack: node capacity < 1")
@@ -180,7 +186,7 @@ func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
 	if dims > 1 {
 		s.tile(p, 0, p.Len(), n, 1, dims, s.workers())
 	}
-	return p.Apply(s.workers())
+	return p
 }
 
 // tile cuts positions [lo, hi) of p, sorted on axis-1, into consecutive

@@ -32,6 +32,7 @@ package psort
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"strtree/internal/geom"
 	"strtree/internal/node"
@@ -88,17 +89,29 @@ type Perm struct {
 	recs    []byte
 	dims    int
 	ps, tmp []pair
+	buf     []pair // ps and tmp, kept whole so Reset can reuse them
 }
 
 // NewPerm returns the identity permutation of recs, whole page records of
 // dims axes (node.EntrySize(dims) bytes each). recs is only read.
 func NewPerm(recs []byte, dims int) *Perm {
+	p := new(Perm)
+	p.Reset(recs, dims)
+	return p
+}
+
+// Reset makes p the identity permutation of recs, as NewPerm does, in the
+// pair arrays p already holds when they are long enough.
+func (p *Perm) Reset(recs []byte, dims int) {
 	n := len(recs) / node.EntrySize(dims)
-	buf := make([]pair, 2*n)
+	if cap(p.buf) < 2*n {
+		p.buf = make([]pair, 2*n)
+	}
+	buf := p.buf[:2*n]
 	for i := range buf[:n] {
 		buf[i].idx = i
 	}
-	return &Perm{recs: recs, dims: dims, ps: buf[:n], tmp: buf[n:]}
+	p.recs, p.dims, p.ps, p.tmp = recs, dims, buf[:n], buf[n:]
 }
 
 // Len returns the number of records permuted.
@@ -128,33 +141,49 @@ func (p *Perm) keyByCenter(ps []pair, axis int) {
 }
 
 // Apply carries out the permutation — the one pass in which a sort moves
-// records — and returns the records in their new order: one new array,
-// each record copied whole, the input left as it was.
-func (p *Perm) Apply(workers int) []byte {
-	out := make([]byte, len(p.recs))
+// records — and returns the records in their new order: in dst's array when
+// it holds them all, else in a new one, each record copied whole, the input
+// left as it was. dst must not overlap the input.
+func (p *Perm) Apply(dst []byte, workers int) []byte {
+	out := dst[:0]
+	if cap(out) < len(p.recs) {
+		out = make([]byte, len(p.recs))
+	}
+	out = out[:len(p.recs)]
 	if workers <= 1 {
-		p.gather(out, 0, len(p.ps))
+		p.gather(out, 0, len(p.ps)) // no closure: a slab's Apply does not allocate
 	} else {
-		par.Chunks(len(p.ps), workers, func(lo, hi int) { p.gather(out, lo, hi) })
+		size := node.EntrySize(p.dims)
+		par.Chunks(len(p.ps), workers, func(lo, hi int) { p.gather(out[lo*size:], lo, hi) })
 	}
 	return out
 }
 
-// gather copies the records of positions [lo, hi) into out. At k = 2 a
-// record is a fixed 40-byte array, so the copy is five word moves rather
-// than a call.
+// AppendRange appends the records of positions [lo, hi), in their new
+// order, to dst: Apply a piece at a time, into a buffer the caller reuses.
+func (p *Perm) AppendRange(dst []byte, lo, hi int) []byte {
+	size := node.EntrySize(p.dims)
+	n := len(dst)
+	dst = slices.Grow(dst, (hi-lo)*size)[:n+(hi-lo)*size]
+	p.gather(dst[n:], lo, hi)
+	return dst
+}
+
+// gather copies the records of positions [lo, hi), in order, to the start
+// of out. At k = 2 a record is a fixed 40-byte array, so the copy is five
+// word moves rather than a call.
 func (p *Perm) gather(out []byte, lo, hi int) {
 	const size2 = 2*16 + 8 // node.EntrySize(2)
 	if p.dims == 2 {
-		for i := lo; i < hi; i++ {
-			*(*[size2]byte)(out[i*size2:]) = *(*[size2]byte)(p.recs[p.ps[i].idx*size2:])
+		for i, o := lo, 0; i < hi; i, o = i+1, o+size2 {
+			*(*[size2]byte)(out[o:]) = *(*[size2]byte)(p.recs[p.ps[i].idx*size2:])
 		}
 		return
 	}
 	size := node.EntrySize(p.dims)
-	for i := lo; i < hi; i++ {
+	for i, o := lo, 0; i < hi; i, o = i+1, o+size {
 		j := p.ps[i].idx * size
-		copy(out[i*size:(i+1)*size], p.recs[j:j+size])
+		copy(out[o:o+size], p.recs[j:j+size])
 	}
 }
 
@@ -172,7 +201,7 @@ func ByKeys(recs []byte, dims int, keys []uint64, workers int) []byte {
 		p.ps[i].key = keys[i]
 	}
 	sortPairs(p.ps, p.tmp, false, workers)
-	return p.Apply(workers)
+	return p.Apply(nil, workers)
 }
 
 // ByCenter permutes entries into ascending order of the center coordinate

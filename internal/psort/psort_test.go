@@ -344,7 +344,7 @@ func TestApplyMovesCoordinates(t *testing.T) {
 					p := NewPerm(recs, dims)
 					p.SortByCenter(0, p.Len(), 0, w)
 					eachNestedRange(p.Len(), func(lo, hi, depth int) { p.SortByCenter(lo, hi, axisAt(e, depth), 1) })
-					return p.Apply(w)
+					return p.Apply(nil, w)
 				})
 			},
 			func(e []node.Entry) {

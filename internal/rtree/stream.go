@@ -7,15 +7,16 @@ import (
 )
 
 // BulkLoadOrdered builds the tree bottom-up from a stream of page records
-// already in packing order (e.g. a pack.STRStream). Only one run of leaves'
-// records plus the parent records of the levels above are held in memory —
-// at fan-out 100 that is under 2% of the data set — so trees can be packed
-// from inputs far larger than RAM. Each run of leaves is packed, written
+// already in packing order (e.g. a pack.STRStream), which next returns in
+// runs of one or more whole records. Only one run of leaves' records plus
+// the parent records of the levels above are held in memory — at fan-out
+// 100 that is under 2% of the data set — so trees can be packed from
+// inputs far larger than RAM. Each run of leaves is packed, written
 // included, as soon as its records have arrived, by the packer BulkLoad
-// uses, so the tree bytes and the pager calls are BulkLoad's; levels above
-// the leaves are ordered by o, exactly as in BulkLoad. Each record is
-// checked (checkRecord) and copied before next is called again, so next
-// may reuse its buffer.
+// uses, so the tree bytes and the pager calls are BulkLoad's whatever the
+// runs next returns; levels above the leaves are ordered by o, exactly as
+// in BulkLoad. Each run is checked (checkRun) and copied before next is
+// called again, so next may reuse its buffer.
 func (t *Tree) BulkLoadOrdered(next func() ([]byte, bool, error), o Orderer) error {
 	if t.height != 0 {
 		return ErrNotEmpty
@@ -27,25 +28,32 @@ func (t *Tree) BulkLoadOrdered(next func() ([]byte, bool, error), o Orderer) err
 		count   uint64
 	)
 	for {
-		rec, ok, err := next()
+		run, ok, err := next()
 		if err != nil {
 			return err
 		}
-		if ok {
-			if err := t.checkRecord(rec); err != nil {
-				return fmt.Errorf("entry %d: %w", count, err)
-			}
-			leaves = append(leaves, rec...)
-			count++
-		}
-		if len(leaves) == cap(leaves) || !ok && len(leaves) > 0 {
-			if parents, err = p.pack(parents, leaves, 0); err != nil {
-				return err
-			}
-			leaves = leaves[:0]
-		}
 		if !ok {
 			break
+		}
+		if err := t.checkRun(run, count); err != nil {
+			return err
+		}
+		count += uint64(len(run) / node.EntrySize(t.dims))
+		for len(run) > 0 {
+			n := copy(leaves[len(leaves):cap(leaves)], run)
+			leaves, run = leaves[:len(leaves)+n], run[n:]
+			if len(leaves) == cap(leaves) {
+				if parents, err = p.pack(parents, leaves, 0); err != nil {
+					return err
+				}
+				leaves = leaves[:0]
+			}
+		}
+	}
+	if len(leaves) > 0 {
+		var err error
+		if parents, err = p.pack(parents, leaves, 0); err != nil {
+			return err
 		}
 	}
 	if count == 0 {
@@ -56,14 +64,17 @@ func (t *Tree) BulkLoadOrdered(next func() ([]byte, bool, error), o Orderer) err
 	return t.packUp(p, parents, 1, count, o)
 }
 
-// checkRecord is checkEntry's test on a page record: the tree's record
-// size, and a well-formed rectangle (node.FirstInvalid on a run of one).
-func (t *Tree) checkRecord(rec []byte) error {
-	if size := node.EntrySize(t.dims); len(rec) != size {
-		return fmt.Errorf("rtree: record of %d bytes, a %d-D tree's are %d", len(rec), t.dims, size)
+// checkRun is checkEntry's test on a run of page records, the first of
+// which is entry first of the stream: whole records of the tree's size, and
+// well-formed rectangles (one node.FirstInvalid over the run). An error
+// names the entry at fault.
+func (t *Tree) checkRun(run []byte, first uint64) error {
+	size := node.EntrySize(t.dims)
+	if len(run)%size != 0 {
+		return fmt.Errorf("entry %d: rtree: a run of %d bytes from here, not whole records of a %d-D tree's %d bytes", first, len(run), t.dims, size)
 	}
-	if node.FirstInvalid(rec, t.dims) == 0 {
-		return fmt.Errorf("rtree: invalid rectangle, ref %d: Min > Max or NaN on an axis", node.RecordRef(rec, t.dims))
+	if i := node.FirstInvalid(run, t.dims); i < len(run)/size {
+		return fmt.Errorf("entry %d: rtree: invalid rectangle, ref %d: Min > Max or NaN on an axis", first+uint64(i), node.RecordRef(run[i*size:], t.dims))
 	}
 	return nil
 }

@@ -73,7 +73,8 @@ type ExternalOptions struct {
 	// RunSize is the maximum number of items one sort run holds in memory.
 	// A run holds each item as a page record of 16·dims + 8 bytes, so the
 	// default, 1 << 20, is 40 MB of 2-D records a run; sorting one takes
-	// as much again plus 32 B an item.
+	// as much again plus 32 B an item, and an input that fits one run is
+	// ordered with 32 B an item beside it.
 	RunSize int
 	// TmpDir hosts the spill files ("" = the OS temporary directory).
 	TmpDir string
@@ -91,11 +92,15 @@ type ExternalOptions struct {
 // memory bounded by ExternalOptions.RunSize and Workers regardless of
 // input size: the STR sort phases run as external merge sorts that spill
 // sorted runs to temporary files, and leaves are written as the ordered
-// stream is pulled off the merge. A sort phase holds the run being filled
-// and up to Workers runs being sorted, each with its sorted copy; a
-// spilled phase's merge holds a few 512-item batches per run. With
-// Workers > 1 one more slab, sorted ahead of the loader, is held: at most
-// RunSize of its items in memory, the rest spilled. It writes the file
+// stream is pulled off the merge. An input that fits one run is ordered in
+// memory, as BulkLoad orders it, holding the run and 32 B an item. A
+// larger one is sorted in phases: the first-axis sort holds the run being
+// filled and up to Workers runs being sorted, each with its sorted copy,
+// and its merge a few 512-item batches per run; then each slab is sorted
+// in turn, in memory when it fits one run. With Workers > 1 one more slab,
+// sorted ahead of the loader, is held: at most RunSize of its items in
+// memory, the rest spilled. Buffers a phase is done with serve the next,
+// so the build allocates about what it holds. It writes the file
 // BulkLoad(PackSTR) writes from the same items, at any dimensionality. Use
 // it when the data set does not fit in RAM; for in-memory slices BulkLoad
 // is faster. The tree must be empty.
@@ -122,7 +127,7 @@ func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) 
 	if err != nil {
 		return err
 	}
-	err = errors.Join(t.inner.BulkLoadOrdered(ordered.Next, pack.STR{Workers: workers}), ordered.Close())
+	err = errors.Join(t.inner.BulkLoadOrdered(ordered.NextRun, pack.STR{Workers: workers}), ordered.Close())
 	if err == nil {
 		t.extSortStats = ordered.Stats()
 	}
