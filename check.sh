@@ -92,7 +92,12 @@
 #                     resolvePatterns, RunTrials, trace.Load or
 #                     traceMagic (strlint's autofix engine and package
 #                     patterns, strbench's -trials averaging, and the
-#                     trace file strload trace no longer writes)
+#                     trace file strload trace no longer writes) — and an
+#                     eleventh: the external merge reads each spilled run
+#                     on the goroutine that pulls the stream, so no file
+#                     of internal/extsort names runBatch, rwg, spentBy or
+#                     prefetch (the per-run reader goroutines, the batches
+#                     they sent, their join and the batch hand-back)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     over the whole module (it takes no arguments),
 #                     all nine checks plus its directive validator:
@@ -228,6 +233,7 @@ if grep -rn 'forEachSlab(\|eachChunk(\|SearchPointContext\|NearestContext(' --in
 if grep -rn 'sync\.WaitGroup\|make(chan struct{}\|go func' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go internal/lint/lint.go cmd/strbench/main.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs, query.Run, lint.Run and strbench's -j runner fan out through par.Each; none keeps a WaitGroup, a semaphore or goroutines of its own (DESIGN.md §10)" >&2; exit 1; fi
 if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a root entry point no caller outside a test used is back: containment is Search plus Rect.Contains, a range delete is Search then Delete, a backup is Create plus CompactInto, Join is the one join (DESIGN.md §17)" >&2; exit 1; fi
 if grep -rn 'ApplyFixes\|Fixable\|resolvePatterns\|RunTrials\|trace\.Load\|traceMagic' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired tool mode is back: strlint checks the whole module with every check and rewrites nothing, strbench runs each experiment once, and strload trace replays its trace in memory (DESIGN.md §14)" >&2; exit 1; fi
+if grep -rn 'runBatch\|rwg\|spentBy\|prefetch' internal/extsort; then echo "a retired merge reader is back: each spilled run is read, two batches in turn, on the goroutine that pulls the stream (DESIGN.md §11, §17)" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

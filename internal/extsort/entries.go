@@ -13,7 +13,8 @@ import (
 // one reused record on the way in and decoded into one reused rectangle on
 // the way out, so the entry emit receives is valid only for the call.
 func (s *Sorter) Sort(key Key, next func() (node.Entry, bool), emit func(node.Entry) error) (err error) {
-	rec := make([]byte, node.EntrySize(s.dims))
+	size := node.EntrySize(s.dims)
+	rec := make([]byte, size)
 	st, err := s.Ingest(key, func() ([]byte, bool, error) {
 		e, ok := next()
 		if !ok {
@@ -31,15 +32,17 @@ func (s *Sorter) Sort(key Key, next func() (node.Entry, bool), emit func(node.En
 	defer func() { err = errors.Join(err, st.Close()) }()
 	r := geom.Rect{Min: make(geom.Point, s.dims), Max: make(geom.Point, s.dims)}
 	for {
-		rec, ok, err := st.Next()
+		recs, ok, err := st.NextRun()
 		if err != nil || !ok {
 			return err
 		}
-		for d := range r.Min {
-			r.Min[d], r.Max[d] = node.RecordWord(rec, 2*d), node.RecordWord(rec, 2*d+1)
-		}
-		if err := emit(node.Entry{Rect: r, Ref: node.RecordRef(rec, s.dims)}); err != nil {
-			return err
+		for ; len(recs) > 0; recs = recs[size:] {
+			for d := range r.Min {
+				r.Min[d], r.Max[d] = node.RecordWord(recs, 2*d), node.RecordWord(recs, 2*d+1)
+			}
+			if err := emit(node.Entry{Rect: r, Ref: node.RecordRef(recs, s.dims)}); err != nil {
+				return err
+			}
 		}
 	}
 }

@@ -9,16 +9,16 @@
 // records (node.EntrySize(dims) bytes, the layout pages store) and never
 // decodes one: a run is one record array, sorted by the psort kernel and
 // spilled with one Write by a bounded worker pool while ingest keeps
-// streaming; each spilled run's prefetch reader keeps raw record batches
-// ahead of a heap of (key, run) pairs. Only this package writes entries to
-// temporary files.
+// streaming; the merge reads each spilled run's file, a batch of raw
+// records at a time, on the goroutine that pulls the stream, behind a heap
+// of (key, run) pairs. Only this package writes entries to temporary files.
 //
 // Nothing is allocated twice while a Sorter lives: run arrays, sorted
 // copies and sort pairs go back to the Sorter once a sort is done with
-// them, and each prefetch reader refills the batches the merge has
-// released. A batch is released on the call after the one that returned
-// records from it, so what Next and NextRun return stays valid until the
-// next call and no longer.
+// them, and each spilled run reads its batches into two buffers in turn.
+// A batch is overwritten, and a lone run's array handed back, only on the
+// call after the one that returned records from it, so what NextRun
+// returns stays valid until the next call and no longer.
 //
 // Determinism: runs are cut by input order and run size alone and sorted
 // stably, and the merge breaks key ties by run sequence number, so the
@@ -52,9 +52,9 @@ func (k Key) of(rec []byte) uint64 {
 }
 
 const (
-	// prefetchBatch is how many records one merge read-ahead batch holds;
-	// each run keeps up to two batches in flight.
-	prefetchBatch = 512
+	// mergeBatch is how many records one read of a spilled run fills
+	// (each run holds two such batches) and one merged NextRun returns.
+	mergeBatch = 512
 	// chunkRecords is how many records a run's fill puts in one chunk
 	// once the run's array is full.
 	chunkRecords = 1 << 12
@@ -210,14 +210,12 @@ type Stream struct {
 	size    int // bytes per record
 	total   int
 	emitted int
-	files   []*os.File  // spilled runs, in spill order
-	readers []*prefetch // one per run
-	rwg     sync.WaitGroup
+	runs    []mergeRun // in spill order
 	key     Key
 	heap    mergeHeap
-	buf     []byte    // the records NextRun merged last
-	spent   []byte    // a batch a returned record lies in, released on the next call
-	spentBy *prefetch // the run spent came from
+	buf     []byte  // the records NextRun merged last
+	sorter  *Sorter // a lone run's, to take its array back
+	spent   []byte  // a lone run's array, back to the sorter on the next call
 }
 
 // Len is the number of records the stream holds in total, known as soon
@@ -309,9 +307,9 @@ func (s *Sorter) IngestStream(key Key, from *Stream, n int) (*Stream, error) {
 }
 
 // loneRun sorts run, an input that fit one run, on every worker and returns
-// it as a stream of one batch, no file and no reader: a run without a file.
+// it as a stream of one batch: a run without a file.
 func (s *Sorter) loneRun(key Key, run []byte) *Stream {
-	st := &Stream{size: node.EntrySize(s.dims), key: key, total: len(run) / node.EntrySize(s.dims)}
+	st := &Stream{size: node.EntrySize(s.dims), key: key, total: len(run) / node.EntrySize(s.dims), sorter: s}
 	s.sorts.Add(1)
 	s.entriesSorted.Add(uint64(st.total))
 	if st.total == 0 {
@@ -319,10 +317,7 @@ func (s *Sorter) loneRun(key Key, run []byte) *Stream {
 		return st
 	}
 	sorted := s.sortRun(run, key, s.workers())
-	done := make(chan runBatch)
-	close(done)
-	// Spent, the sorted array goes back to the spares.
-	st.readers = []*prefetch{{batches: done, free: s.spare, batch: sorted, whole: sorted}}
+	st.runs = []mergeRun{{batch: sorted, cur: sorted}}
 	st.heap = mergeHeap{{key: key.of(sorted)}}
 	return st
 }
@@ -395,7 +390,7 @@ func (s *Sorter) ingest(key Key, fill func(run []byte, room int) ([]byte, error)
 	wg.Wait()
 	for _, sp := range spills {
 		if sp.f != nil {
-			st.files = append(st.files, sp.f)
+			st.runs = append(st.runs, mergeRun{f: sp.f})
 		}
 		err = errors.Join(err, sp.err)
 	}
@@ -410,33 +405,18 @@ func (s *Sorter) ingest(key Key, fill func(run []byte, room int) ([]byte, error)
 	s.runsSpilled.Add(uint64(len(spills)))
 	s.merges.Add(1)
 
-	// K-way merge with per-run read-ahead. Each run file gets a background
-	// reader that stays up to two batches ahead of the heap, so merge CPU
-	// overlaps run I/O.
-	for _, f := range st.files {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
+	// K-way merge: heap the runs by their head records.
+	for src := range st.runs {
+		r := &st.runs[src]
+		if _, err := r.f.Seek(0, io.SeekStart); err != nil {
 			return nil, nil, err
 		}
-		p := &prefetch{
-			batches: make(chan runBatch, 2), // the read-ahead depth
-			free:    make(chan []byte, 2),   // as many batches come back as are queued
-			stop:    make(chan struct{}),
-		}
-		st.readers = append(st.readers, p)
-		st.rwg.Add(1)
-		go func(f *os.File) {
-			defer st.rwg.Done()
-			p.read(f, size)
-		}(f)
-	}
-	// Heap the runs by their head records.
-	for src, p := range st.readers {
-		ok, _, err := p.refill()
+		ok, err := r.refill(size)
 		if err != nil {
 			return nil, nil, err
 		}
 		if ok {
-			st.heap = append(st.heap, mergeItem{key: key.of(p.batch), src: src})
+			st.heap = append(st.heap, mergeItem{key: key.of(r.batch), src: src})
 		}
 	}
 	for i := len(st.heap)/2 - 1; i >= 0; i-- {
@@ -445,25 +425,12 @@ func (s *Sorter) ingest(key Key, fill func(run []byte, room int) ([]byte, error)
 	return st, nil, nil
 }
 
-// Next returns the next record in order, false at the end of the stream,
-// or the read error that cut a run short. The record stays valid until the
-// next call to Next, NextRun or Close, and no longer: the stream then
-// reuses its storage.
-func (st *Stream) Next() ([]byte, bool, error) {
-	st.release()
-	if len(st.heap) == 0 {
-		return nil, false, st.end()
-	}
-	rec, err := st.pop(1)
-	return rec, err == nil, err
-}
-
 // NextRun returns the next records in order, one or more, false at the end
 // of the stream, or the read error that cut a run short: once one run is
 // left, as a run that never spilled always is, the rest of its current
 // batch in one piece; before that, up to a batch merged into a buffer the
-// stream reuses. The records stay valid until the next call to Next,
-// NextRun or Close, and no longer.
+// stream reuses. The records stay valid until the next call to NextRun or
+// Close, and no longer: the stream then reuses their storage.
 func (st *Stream) NextRun() ([]byte, bool, error) {
 	st.release()
 	switch len(st.heap) {
@@ -474,7 +441,7 @@ func (st *Stream) NextRun() ([]byte, bool, error) {
 		return recs, err == nil, err
 	}
 	var err error
-	st.buf, err = st.appendNext(st.buf[:0], prefetchBatch)
+	st.buf, err = st.appendNext(st.buf[:0], mergeBatch)
 	return st.buf, err == nil, err
 }
 
@@ -486,7 +453,7 @@ func (st *Stream) appendNext(dst []byte, n int) ([]byte, error) {
 	for n > 0 && len(st.heap) > 0 {
 		recs, err := st.pop(n)
 		dst = append(dst, recs...)
-		st.release() // copied: the batch may go
+		st.release() // copied: a lone run's array may go
 		if err != nil {
 			return dst, err
 		}
@@ -500,26 +467,28 @@ func (st *Stream) appendNext(dst []byte, n int) ([]byte, error) {
 
 // pop takes records off the head of the run at the top of the heap and
 // restores the heap: one, or up to max and the rest of the batch when that
-// run is the last, since no other run's record can come between. A batch
-// pop empties is held in st.spent until release, as what pop returns lies
-// in it.
+// run is the last, since no other run's record can come between. A lone
+// run's array, once pop empties it, is held in st.spent until release, as
+// what pop returns lies in it.
 func (st *Stream) pop(max int) ([]byte, error) {
 	top := &st.heap[0]
-	p := st.readers[top.src]
+	r := &st.runs[top.src]
 	k := 1
 	if len(st.heap) == 1 {
-		k = min(max, len(p.batch)/st.size)
+		k = min(max, len(r.batch)/st.size)
 	}
-	recs := p.batch[: k*st.size : k*st.size]
-	p.batch = p.batch[k*st.size:]
+	recs := r.batch[: k*st.size : k*st.size]
+	r.batch = r.batch[k*st.size:]
 	st.emitted += k
-	if len(p.batch) == 0 {
-		ok, spent, err := p.refill()
-		st.spent, st.spentBy = spent, p
+	if len(r.batch) == 0 {
+		ok, err := r.refill(st.size)
 		if err != nil {
 			return nil, err
 		}
 		if !ok {
+			if r.f == nil {
+				st.spent = r.cur
+			}
 			last := len(st.heap) - 1
 			st.heap[0] = st.heap[last]
 			st.heap = st.heap[:last]
@@ -527,16 +496,17 @@ func (st *Stream) pop(max int) ([]byte, error) {
 			return recs, nil
 		}
 	}
-	top.key = st.key.of(p.batch)
+	top.key = st.key.of(r.batch)
 	st.heap.down(0)
 	return recs, nil
 }
 
-// release hands the batch the last call's records lay in back to its run.
+// release hands a lone run's array, which the last call's records lay in,
+// back to the sorter.
 func (st *Stream) release() {
 	if st.spent != nil {
-		st.spentBy.release(st.spent)
-		st.spent, st.spentBy = nil, nil
+		st.sorter.putRun(st.spent)
+		st.spent = nil
 	}
 }
 
@@ -549,106 +519,57 @@ func (st *Stream) end() error {
 	return nil
 }
 
-// Close stops the run readers, then closes and removes every run file,
-// reporting rather than dropping close and remove failures. It may be
-// called at any point of the stream, and more than once.
+// Close closes and removes every run file, reporting rather than dropping
+// close and remove failures. It may be called at any point of the stream,
+// and more than once.
 func (st *Stream) Close() (err error) {
 	st.release()
-	// Readers first: the files must not be closed out from under them.
-	for _, p := range st.readers {
-		if p.stop != nil {
-			close(p.stop)
+	for _, r := range st.runs {
+		if r.f == nil {
+			continue
 		}
-	}
-	st.rwg.Wait()
-	for _, f := range st.files {
-		err = errors.Join(err, f.Close())
-		if rmErr := os.Remove(f.Name()); rmErr != nil {
+		err = errors.Join(err, r.f.Close())
+		if rmErr := os.Remove(r.f.Name()); rmErr != nil {
 			err = errors.Join(err, rmErr)
 		}
 	}
-	st.readers, st.files, st.heap = nil, nil, nil
+	st.runs, st.heap = nil, nil
 	return err
 }
 
-// runBatch is one block of whole records handed from a prefetch reader to
-// the merge loop; err terminates the run.
-type runBatch struct {
-	recs []byte
-	err  error
+// mergeRun is one run of the merge. A run that never spilled has no file,
+// and its one batch is its whole sorted array.
+type mergeRun struct {
+	f     *os.File
+	batch []byte // the rest of the current batch, the run's head record first
+	cur   []byte // the current batch, whole
+	next  []byte // the buffer refill reads the next batch into
 }
 
-// prefetch is the merge loop's view of one run: a channel of read-ahead
-// batches, the free list the reader refills them from, and the rest of the
-// batch being consumed, the run's head record first. A run that never
-// spilled has one batch, no reader and the sorter's spares for a free
-// list.
-type prefetch struct {
-	batches chan runBatch
-	free    chan []byte // batches the merge is done with
-	stop    chan struct{}
-	batch   []byte // the rest of the current batch
-	whole   []byte // the current batch, whole
-}
-
-// refill makes the run's next batch current once the current one is
-// empty, waiting on the reader only when the read-ahead is: false at the
-// run's end. It returns the emptied batch, which the caller releases once
-// nothing it handed out lies in it.
-func (p *prefetch) refill() (ok bool, spent []byte, err error) {
-	if len(p.batch) > 0 {
-		return true, nil, nil
+// refill reads the run's next batch into the buffer the current batch is
+// not in, and makes it current: the records last taken off the run stay
+// as they were until the refill after. It reports false at the run's end,
+// and an error for a failed read or a file that ends inside a record.
+func (r *mergeRun) refill(size int) (bool, error) {
+	if r.f == nil {
+		return false, nil
 	}
-	spent, p.whole = p.whole, nil
-	for len(p.batch) == 0 {
-		b, ok := <-p.batches
-		if !ok {
-			return false, spent, nil
-		}
-		if b.err != nil {
-			return false, spent, b.err
-		}
-		p.batch, p.whole = b.recs, b.recs
+	if r.next == nil {
+		r.next = make([]byte, mergeBatch*size)
 	}
-	return true, spent, nil
-}
-
-// release offers a spent batch to the run's free list.
-func (p *prefetch) release(batch []byte) {
-	select {
-	case p.free <- batch[:cap(batch)]:
-	default:
+	n, err := io.ReadFull(r.f, r.next[:cap(r.next)])
+	if err == io.EOF {
+		return false, nil
 	}
-}
-
-// read is a run file's prefetch goroutine: it sends f's records, batch by
-// batch, until the run ends, a read fails, or p.stop is closed. A batch
-// comes off the free list when one is there.
-func (p *prefetch) read(f *os.File, size int) {
-	defer close(p.batches)
-	for {
-		var buf []byte
-		select {
-		case buf = <-p.free:
-		default:
-			buf = make([]byte, prefetchBatch*size)
-		}
-		n, err := io.ReadFull(f, buf)
-		if err == io.EOF {
-			return
-		}
-		if err == io.ErrUnexpectedEOF && n%size == 0 {
-			err = nil // the run's last batch; the next read reports EOF
-		}
-		select {
-		case p.batches <- runBatch{recs: buf[:n], err: err}:
-		case <-p.stop:
-			return
-		}
-		if err != nil {
-			return
-		}
+	if err == io.ErrUnexpectedEOF && n%size == 0 {
+		err = nil // the run's last batch; the next read reports EOF
 	}
+	if err != nil {
+		return false, err
+	}
+	r.cur, r.next = r.next[:n], r.cur
+	r.batch = r.cur
+	return true, nil
 }
 
 // mergeItem is one run's place in the merge heap: its head record's key.

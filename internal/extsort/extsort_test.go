@@ -108,7 +108,7 @@ func TestSortMatchesStableSort(t *testing.T) {
 
 // TestIngestYieldsSortedRecords holds the record pipeline to the in-memory
 // kernel byte for byte: at every run size — one in-memory run, runs of
-// several read-ahead batches, runs shorter than one — and worker count, the
+// several merge batches, runs shorter than one — and worker count, the
 // stream yields exactly the records psort.Perm's stable sort gathers.
 func TestIngestYieldsSortedRecords(t *testing.T) {
 	entries := dupEntries(3000)
@@ -128,24 +128,8 @@ func TestIngestYieldsSortedRecords(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			i := 0
-			for ; ; i++ {
-				rec, ok, err := st.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				if i >= len(entries) || !bytes.Equal(rec, want[i*size:(i+1)*size]) {
-					t.Fatalf("run size %d, workers %d: record %d differs from the in-memory sort's", runSize, workers, i)
-				}
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if i != len(entries) {
-				t.Fatalf("run size %d, workers %d: %d of %d records", runSize, workers, i, len(entries))
+			if got := drain(t, st); !bytes.Equal(got, want) {
+				t.Fatalf("run size %d, workers %d: %d records, not the in-memory sort's %d", runSize, workers, len(got)/size, len(entries))
 			}
 		}
 	}

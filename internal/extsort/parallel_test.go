@@ -80,7 +80,7 @@ func TestLoneRunWorkersIdentical(t *testing.T) {
 			}
 			recs = node.AppendRecord(recs, geom.Rect{Min: lo, Max: hi}, uint64(i))
 		}
-		drain := func(runSize, workers int) ([]byte, Stats) {
+		sortRecs := func(runSize, workers int) ([]byte, Stats) {
 			s, err := NewSorter(dims, runSize, t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -97,25 +97,11 @@ func TestLoneRunWorkersIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var out []byte
-			for {
-				rec, ok, err := st.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				out = append(out, rec...)
-			}
-			if err := st.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return out, s.Stats()
+			return drain(t, st), s.Stats()
 		}
-		want, _ := drain(1024, 1)
+		want, _ := sortRecs(1024, 1)
 		for _, workers := range []int{1, 4} {
-			got, stats := drain(2*n, workers)
+			got, stats := sortRecs(2*n, workers)
 			if stats.RunsSpilled != 0 {
 				t.Fatalf("%d-D, workers=%d: %d runs spilled at RunSize 2n", dims, workers, stats.RunsSpilled)
 			}
@@ -127,9 +113,9 @@ func TestLoneRunWorkersIdentical(t *testing.T) {
 }
 
 // checkReleased fails the test if dir still holds a run file or more
-// goroutines are live than before the sort started. Close waits for the
-// prefetch readers, so at most their final return is still in flight — but
-// on a loaded machine (the race detector, other test binaries on few cores)
+// goroutines are live than before the sort started. Ingest waits for its
+// spill workers, so at most their final return is still in flight — but on
+// a loaded machine (the race detector, other test binaries on few cores)
 // that return can take a while to be scheduled, so the count is polled up to
 // a wall-clock deadline rather than for a fixed number of yields. A goroutine
 // that never exits still fails the test, at the deadline.
@@ -150,6 +136,27 @@ func checkReleased(t *testing.T, dir string, goroutinesBefore int) {
 		runtime.Gosched()
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// drain reads st to its end through NextRun, closes it and returns its
+// records.
+func drain(t *testing.T, st *Stream) []byte {
+	t.Helper()
+	var out []byte
+	for {
+		recs, ok, err := st.NextRun()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, recs...)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // spillingSorter is a 2-D sorter that cuts a 1000-entry input into ~16
@@ -182,7 +189,7 @@ func recordSource(entries []node.Entry) func() ([]byte, bool, error) {
 // TestSortEmitErrorCleansSpills stops a merge partway — an emit error, a
 // stream abandoned with Close, a second sort fed from the live merge that
 // cannot spill — and checks that the error comes back in-band and every
-// run file and prefetch reader is gone.
+// run file and goroutine is gone.
 func TestSortEmitErrorCleansSpills(t *testing.T) {
 	boom := errors.New("emit failed")
 	t.Run("emit error", func(t *testing.T) {
@@ -207,12 +214,10 @@ func TestSortEmitErrorCleansSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Len() != 1000 {
-			t.Fatalf("Len() = %d before the first Next, want 1000", st.Len())
+			t.Fatalf("Len() = %d before the first NextRun, want 1000", st.Len())
 		}
-		for i := 0; i < 100; i++ {
-			if _, ok, err := st.Next(); !ok || err != nil {
-				t.Fatalf("entry %d: ok %v, err %v", i, ok, err)
-			}
+		if recs, ok, err := st.NextRun(); !ok || err != nil || len(recs) == 1000*node.EntrySize(2) {
+			t.Fatalf("first NextRun: %d bytes, ok %v, err %v; want part of the stream", len(recs), ok, err)
 		}
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -232,14 +237,7 @@ func TestSortEmitErrorCleansSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.tmpDir = filepath.Join(dir, "gone")
-		take := 300
-		y, err := s.Ingest(ByCenter(1), func() ([]byte, bool, error) {
-			if take == 0 {
-				return nil, false, nil
-			}
-			take--
-			return x.Next()
-		})
+		y, err := s.IngestStream(ByCenter(1), x, 300)
 		if !errors.Is(err, os.ErrNotExist) || y != nil {
 			t.Fatalf("y-sort into a missing directory: stream %v, error %v", y, err)
 		}
@@ -282,6 +280,59 @@ func TestSortIngestErrorCleansSpills(t *testing.T) {
 	}
 }
 
+// TestStreamTruncatedRun cuts one of four spilled run files short once
+// ingest has returned, halfway through — inside a record, and on a record
+// boundary — and requires the merge to report an error, never to end as a
+// clean but shorter stream, and Close to leave no run file behind.
+func TestStreamTruncatedRun(t *testing.T) {
+	const runSize = 1 << 13 // sixteen merge batches
+	size := node.EntrySize(2)
+	for _, tc := range []struct {
+		name string
+		cut  int
+	}{
+		{"mid-record", runSize/2*size + size/2},
+		{"record boundary", runSize / 2 * size},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, before := t.TempDir(), runtime.NumGoroutine()
+			s, err := NewSorter(2, runSize, dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Workers = 2
+			st, err := s.Ingest(ByCenter(0), recordSource(randEntries(4*runSize, 7)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			names, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 4 {
+				t.Fatalf("%d run files, want 4", len(names))
+			}
+			if err := os.Truncate(filepath.Join(dir, names[1].Name()), int64(tc.cut)); err != nil {
+				t.Fatal(err)
+			}
+			for n := 0; ; {
+				recs, ok, err := st.NextRun()
+				if err != nil {
+					break
+				}
+				if !ok {
+					t.Fatalf("the stream ended cleanly after %d of %d records", n, st.Len())
+				}
+				n += len(recs) / size
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			checkReleased(t, dir, before)
+		})
+	}
+}
+
 // TestSortLeavesNoTempFiles pins the other half of the cleanup contract:
 // a successful spilling sort removes every run file it created.
 func TestSortLeavesNoTempFiles(t *testing.T) {
@@ -296,57 +347,49 @@ func TestSortLeavesNoTempFiles(t *testing.T) {
 	checkReleased(t, dir, before)
 }
 
-// TestStreamRecordLifetime holds every record Next returns and every run
-// NextRun returns and checks that its bytes stay as returned until the next
-// call, while the readers refill batches the merge has released: over a
-// merge of five runs, each sixteen read-ahead batches long so that its
-// reader reuses the batches it gets back, and over a lone run, at Workers
-// 1 and 4, calling Next, NextRun or the two in turn. The records are the
-// in-memory sort's all the same.
+// TestStreamRecordLifetime holds every run NextRun returns and checks that
+// its bytes stay as returned until the next call, while each spilled run
+// reads its batches into two buffers in turn and a lone run's array goes
+// back to the sorter: over a merge of five runs, each sixteen batches long
+// so that every buffer is read into many times, and over a lone run, at
+// Workers 1 and 4. The records are the in-memory sort's all the same.
 func TestStreamRecordLifetime(t *testing.T) {
 	entries := dupEntries(40000)
 	recs, _ := psort.Encode(entries, 1)
 	p := psort.NewPerm(recs, 2)
 	p.SortByCenter(0, p.Len(), 0, 1)
 	want := p.Apply(nil, 1)
-	for _, runSize := range []int{16 * prefetchBatch, 1 << 16} {
+	for _, runSize := range []int{16 * mergeBatch, 1 << 16} {
 		for _, workers := range []int{1, 4} {
-			for _, mode := range []string{"Next", "NextRun", "both"} {
-				s, err := NewSorter(2, runSize, t.TempDir())
+			s, err := NewSorter(2, runSize, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Workers = workers
+			st, err := s.Ingest(ByCenter(0), recordSource(entries))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var held, kept, got []byte
+			for call := 0; ; call++ {
+				if !bytes.Equal(held, kept) {
+					t.Fatalf("run size %d, workers %d: the records call %d returned changed before call %d", runSize, workers, call-1, call)
+				}
+				recs, ok, err := st.NextRun()
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.Workers = workers
-				st, err := s.Ingest(ByCenter(0), recordSource(entries))
-				if err != nil {
-					t.Fatal(err)
+				if !ok {
+					break
 				}
-				var held, kept, got []byte
-				for call := 0; ; call++ {
-					runtime.Gosched() // let the readers run ahead
-					if !bytes.Equal(held, kept) {
-						t.Fatalf("run size %d, workers %d, %s: the records call %d returned changed before call %d", runSize, workers, mode, call-1, call)
-					}
-					next := st.Next
-					if mode == "NextRun" || mode == "both" && call%2 == 1 {
-						next = st.NextRun
-					}
-					recs, ok, err := next()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !ok {
-						break
-					}
-					held, kept = recs, append(kept[:0], recs...)
-					got = append(got, recs...)
-				}
-				if err := st.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("run size %d, workers %d, %s: the stream differs from the in-memory sort", runSize, workers, mode)
-				}
+				held, kept = recs, append(kept[:0], recs...)
+				got = append(got, recs...)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("run size %d, workers %d: the stream differs from the in-memory sort", runSize, workers)
 			}
 		}
 	}

@@ -23,9 +23,9 @@ import (
 //     it holds that run and 32 B of sort pairs a record, and hands its
 //     records on a piece at a time. A larger input holds the run being
 //     filled and up to Workers runs being sorted, each with 32 B of sort
-//     pairs a record and a sorted copy; its merge then holds up to six
-//     512-record batches a run (one being merged, two queued, one being
-//     read, two back for reuse).
+//     pairs a record and a sorted copy; its merge then holds two
+//     512-record batches a run (the one being merged and the one read
+//     next).
 //   - Each later axis sorts one slab at a time. A slab that fits one run is
 //     merged into one run array, sorted in memory (sort pairs and a sorted
 //     copy) and handed on whole; a larger one is sorted as a larger input
