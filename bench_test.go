@@ -222,7 +222,8 @@ func BenchmarkMutateChurn(b *testing.B) {
 }
 
 // BenchmarkBuildExternal measures the bounded-memory pipeline: concurrent
-// run generation and spilling, merge read-ahead, and leaves packed run by
+// run generation and spilling, the last axis's slabs merged and sorted
+// ahead of the loader on goroutines of their own, and leaves packed run by
 // run. Run with -cpu 1,4,8.
 func BenchmarkBuildExternal(b *testing.B) {
 	b.ReportAllocs()

@@ -97,7 +97,13 @@
 #                     on the goroutine that pulls the stream, so no file
 #                     of internal/extsort names runBatch, rwg, spentBy or
 #                     prefetch (the per-run reader goroutines, the batches
-#                     they sent, their join and the batch hand-back)
+#                     they sent, their join and the batch hand-back) — and
+#                     a twelfth: the external build's goroutines are the
+#                     stages DESIGN.md §11 names, so
+#                     internal/pack/external.go starts exactly two, go func
+#                     (the read-ahead that merges a last-axis slab and the
+#                     slab's sort), and internal/extsort/extsort.go exactly
+#                     one (the spill pool)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     over the whole module (it takes no arguments),
 #                     all nine checks plus its directive validator:
@@ -234,6 +240,7 @@ if grep -rn 'sync\.WaitGroup\|make(chan struct{}\|go func' internal/psort intern
 if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a root entry point no caller outside a test used is back: containment is Search plus Rect.Contains, a range delete is Search then Delete, a backup is Create plus CompactInto, Join is the one join (DESIGN.md §17)" >&2; exit 1; fi
 if grep -rn 'ApplyFixes\|Fixable\|resolvePatterns\|RunTrials\|trace\.Load\|traceMagic' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired tool mode is back: strlint checks the whole module with every check and rewrites nothing, strbench runs each experiment once, and strload trace replays its trace in memory (DESIGN.md §14)" >&2; exit 1; fi
 if grep -rn 'runBatch\|rwg\|spentBy\|prefetch' internal/extsort; then echo "a retired merge reader is back: each spilled run is read, two batches in turn, on the goroutine that pulls the stream (DESIGN.md §11, §17)" >&2; exit 1; fi
+if [ "$(grep -c 'go func' internal/pack/external.go)" -ne 2 ] || [ "$(grep -c 'go func' internal/extsort/extsort.go)" -ne 1 ]; then echo "the external build's goroutines are the stages DESIGN.md §11 names: pack/external.go starts the read-ahead and the slab sort, extsort.go the spill pool, and no other" >&2; exit 1; fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

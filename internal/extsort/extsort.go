@@ -5,7 +5,9 @@
 // It is the classical two-phase external merge sort behind one pull-based
 // primitive: Ingest reads a source into sorted runs and returns a Stream
 // over their k-way merge, and IngestStream does the same with the next n
-// records of another Stream, merged straight into its runs. It sorts page
+// records of another Stream, merged straight into its runs. Spill and
+// IngestStream hand a take that fits one run back unsorted, for the caller
+// to sort when and where it likes (SortLone). It sorts page
 // records (node.EntrySize(dims) bytes, the layout pages store) and never
 // decodes one: a run is one record array, sorted by the psort kernel and
 // spilled with one Write by a bounded worker pool while ingest keeps
@@ -77,8 +79,8 @@ type Sorter struct {
 	// sorted, sorted runs once written or read — for any sort's next run or
 	// sorted copy, and perms the sort-pair arrays of finished sorts, so
 	// either is allocated only when none is spare. Eight slots hold what
-	// four spill workers, the run being filled and a slab sorted ahead
-	// release at once; past that an array is dropped.
+	// four spill workers, the run being filled and the slabs merged and
+	// sorted ahead release at once; past that an array is dropped.
 	spare chan []byte
 	perms chan *psort.Perm
 
@@ -216,6 +218,7 @@ type Stream struct {
 	buf     []byte  // the records NextRun merged last
 	sorter  *Sorter // a lone run's, to take its array back
 	spent   []byte  // a lone run's array, back to the sorter on the next call
+	err     error   // the first error the stream met; every later call returns it
 }
 
 // Len is the number of records the stream holds in total, known as soon
@@ -239,7 +242,7 @@ func (s *Sorter) Ingest(key Key, next func() ([]byte, bool, error)) (*Stream, er
 	if err != nil || st != nil {
 		return st, err
 	}
-	return s.loneRun(key, run), nil
+	return s.SortLone(key, run), nil
 }
 
 // Spill is Ingest, except that an input that fits one run is neither
@@ -290,25 +293,24 @@ func (s *Sorter) Spill(key Key, next func() ([]byte, bool, error)) (*Stream, []b
 	})
 }
 
-// IngestStream sorts the next n records of from by key, as Ingest sorts a
-// source's: they are merged straight into runs, with no call per record, and
-// n of them or fewer make one run sorted in memory. from must not be read
-// meanwhile.
-func (s *Sorter) IngestStream(key Key, from *Stream, n int) (*Stream, error) {
-	st, run, err := s.ingest(key, func(run []byte, room int) ([]byte, error) {
+// IngestStream sorts the next n records of from by key, as Spill sorts a
+// source's: they are merged straight into runs, with no call per record.
+// More than one run's worth come back as the stream of the runs' merge,
+// run nil; n of them or fewer as run, unsorted, beside a nil stream, for
+// SortLone. from must not be read meanwhile.
+func (s *Sorter) IngestStream(key Key, from *Stream, n int) (*Stream, []byte, error) {
+	return s.ingest(key, func(run []byte, room int) ([]byte, error) {
 		take := min(room, n)
 		n -= take
 		return from.appendNext(run, take)
 	})
-	if err != nil || st != nil {
-		return st, err
-	}
-	return s.loneRun(key, run), nil
 }
 
-// loneRun sorts run, an input that fit one run, on every worker and returns
-// it as a stream of one batch: a run without a file.
-func (s *Sorter) loneRun(key Key, run []byte) *Stream {
+// SortLone sorts run, a take Spill or IngestStream handed back unsorted,
+// on every worker and returns it as a stream of one batch: a run without
+// a file. It touches no stream, so it may run beside another sort's ingest
+// on the same Sorter.
+func (s *Sorter) SortLone(key Key, run []byte) *Stream {
 	st := &Stream{size: node.EntrySize(s.dims), key: key, total: len(run) / node.EntrySize(s.dims), sorter: s}
 	s.sorts.Add(1)
 	s.entriesSorted.Add(uint64(st.total))
@@ -430,15 +432,21 @@ func (s *Sorter) ingest(key Key, fill func(run []byte, room int) ([]byte, error)
 // left, as a run that never spilled always is, the rest of its current
 // batch in one piece; before that, up to a batch merged into a buffer the
 // stream reuses. The records stay valid until the next call to NextRun or
-// Close, and no longer: the stream then reuses their storage.
+// Close, and no longer: the stream then reuses their storage. An error
+// sticks: every later call returns it.
 func (st *Stream) NextRun() ([]byte, bool, error) {
+	if st.err != nil {
+		return nil, false, st.err
+	}
 	st.release()
 	switch len(st.heap) {
 	case 0:
-		return nil, false, st.end()
+		st.err = st.end()
+		return nil, false, st.err
 	case 1:
-		recs, err := st.pop(st.total)
-		return recs, err == nil, err
+		var recs []byte
+		recs, st.err = st.pop(st.total)
+		return recs, st.err == nil, st.err
 	}
 	var err error
 	st.buf, err = st.appendNext(st.buf[:0], mergeBatch)
@@ -446,8 +454,11 @@ func (st *Stream) NextRun() ([]byte, bool, error) {
 }
 
 // appendNext appends the next n records in order to dst, fewer only at the
-// end of the stream, and returns it.
+// end of the stream, and returns it, with the stream's error, which sticks.
 func (st *Stream) appendNext(dst []byte, n int) ([]byte, error) {
+	if st.err != nil {
+		return dst, st.err
+	}
 	n = min(n, st.total-st.emitted)
 	dst = slices.Grow(dst, n*st.size)
 	for n > 0 && len(st.heap) > 0 {
@@ -455,14 +466,15 @@ func (st *Stream) appendNext(dst []byte, n int) ([]byte, error) {
 		dst = append(dst, recs...)
 		st.release() // copied: a lone run's array may go
 		if err != nil {
+			st.err = err
 			return dst, err
 		}
 		n -= len(recs) / st.size
 	}
 	if n > 0 {
-		return dst, st.end()
+		st.err = st.end()
 	}
-	return dst, nil
+	return dst, st.err
 }
 
 // pop takes records off the head of the run at the top of the heap and

@@ -237,9 +237,9 @@ func TestSortEmitErrorCleansSpills(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.tmpDir = filepath.Join(dir, "gone")
-		y, err := s.IngestStream(ByCenter(1), x, 300)
-		if !errors.Is(err, os.ErrNotExist) || y != nil {
-			t.Fatalf("y-sort into a missing directory: stream %v, error %v", y, err)
+		y, run, err := s.IngestStream(ByCenter(1), x, 300)
+		if !errors.Is(err, os.ErrNotExist) || y != nil || run != nil {
+			t.Fatalf("y-sort into a missing directory: stream %v, %d-byte run, error %v", y, len(run), err)
 		}
 		if err := x.Close(); err != nil {
 			t.Fatal(err)
@@ -283,7 +283,8 @@ func TestSortIngestErrorCleansSpills(t *testing.T) {
 // TestStreamTruncatedRun cuts one of four spilled run files short once
 // ingest has returned, halfway through — inside a record, and on a record
 // boundary — and requires the merge to report an error, never to end as a
-// clean but shorter stream, and Close to leave no run file behind.
+// clean but shorter stream, the error to stick through three more calls
+// and a take off the stream, and Close to leave no run file behind.
 func TestStreamTruncatedRun(t *testing.T) {
 	const runSize = 1 << 13 // sixteen merge batches
 	size := node.EntrySize(2)
@@ -315,15 +316,22 @@ func TestStreamTruncatedRun(t *testing.T) {
 			if err := os.Truncate(filepath.Join(dir, names[1].Name()), int64(tc.cut)); err != nil {
 				t.Fatal(err)
 			}
-			for n := 0; ; {
+			var first error
+			for n := 0; first == nil; {
 				recs, ok, err := st.NextRun()
-				if err != nil {
-					break
-				}
-				if !ok {
+				if first = err; err == nil && !ok {
 					t.Fatalf("the stream ended cleanly after %d of %d records", n, st.Len())
 				}
 				n += len(recs) / size
+			}
+			for call := 1; call <= 3; call++ {
+				if recs, ok, err := st.NextRun(); !errors.Is(err, first) || ok || len(recs) > 0 {
+					t.Fatalf("call %d after the error %q: %d bytes, ok %v, error %v", call, first, len(recs), ok, err)
+				}
+			}
+			// A slab sort merging off the failed stream meets the same error.
+			if y, run, err := s.IngestStream(ByCenter(1), st, 10); !errors.Is(err, first) || y != nil || run != nil {
+				t.Fatalf("a take off the failed stream: stream %v, %d-byte run, error %v", y, len(run), err)
 			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)

@@ -29,9 +29,9 @@ import (
 //   - Each later axis sorts one slab at a time. A slab that fits one run is
 //     merged into one run array, sorted in memory (sort pairs and a sorted
 //     copy) and handed on whole; a larger one is sorted as a larger input
-//     is. With Workers > 1 the stream holds one slab more: the last axis's
-//     next slab, sorted on a background goroutine while the current one is
-//     read.
+//     is. With Workers > 1 the last axis is a pipeline of three slabs: one
+//     being merged, one being sorted and the one being read, each with at
+//     most RunSize records in memory.
 //
 // Arrays a sort is done with serve the next one, so a build allocates about
 // what its largest phase holds.
@@ -43,9 +43,9 @@ type STRExternal struct {
 	TmpDir string
 	// Workers bounds the goroutines each sort uses to sort and spill runs
 	// while its input streams on, and sorts a run that never spills with
-	// that many. Above 1, one more goroutine reads and sorts the next slab
-	// of the last axis while the current one is read. < 1 means 1. The
-	// emitted order is identical for every setting.
+	// that many. Above 1, one more goroutine sorts the last axis's next
+	// slab and another merges the one after it while the current one is
+	// read. < 1 means 1. The emitted order is identical for every setting.
 	Workers int
 }
 
@@ -114,16 +114,21 @@ func tileSorts(count, n, rem int) uint64 {
 // levels[a] is sorted on axis a, the whole input at a = 0, else the current
 // slab of level a−1, sorted when it is reached.
 //
-// With workers > 1 a read-ahead goroutine refills the last level one slab
-// ahead of NextRun. While it runs it alone touches the levels above the
-// last, and NextRun only the last level's stream; the hand-off over ahead
-// orders the two.
+// With workers > 1 each slab of the last level reaches NextRun through two
+// stages, each on a goroutine of its own: the read-ahead merges it off the
+// levels above, then a sort sorts it. The pipeline holds three slabs: one
+// merging, one sorting and the one NextRun reads. A read-ahead alone
+// touches the levels above the last while it runs, a sort only its own
+// slab, and NextRun only the last level's stream; the hand-overs on merged
+// and sorted order them.
 type STRStream struct {
 	sorter  *extsort.Sorter
 	n       int
 	workers int
 	levels  []level
-	ahead   chan slab // the running read-ahead's result; nil when none runs
+	merged  chan slab // the running merge's slab; nil when none runs
+	sorted  chan slab // the running sort's slab; nil when none runs
+	err     error     // the first error of any stage; every later NextRun returns it
 
 	perm     *psort.Perm // the order of an input that fit one run, else nil
 	pos      int         // records of perm read so far
@@ -138,10 +143,12 @@ type level struct {
 	slab int             // the size of the next level's slabs
 }
 
-// slab is one refill of the last level: the next slab sorted, or a nil
-// stream once level 0 is spent or on error.
+// slab is one refill of a level: the next slab as a sorted stream, or as a
+// run still to sort when it fit one; neither once level 0 is spent or on
+// error.
 type slab struct {
 	st  *extsort.Stream
+	run []byte
 	err error
 }
 
@@ -166,8 +173,12 @@ func (p *STRStream) Stats() SortStats {
 // NextRun returns the next records in packing order, one or more, false at
 // the end: the rest of a slab that was sorted in memory in one piece, else
 // a merged batch, else a piece of the in-memory order. They stay valid
-// until the next call to NextRun or Close, and no longer.
+// until the next call to NextRun or Close, and no longer. An error of any
+// stage sticks: every later call returns it.
 func (p *STRStream) NextRun() ([]byte, bool, error) {
+	if p.err != nil {
+		return nil, false, p.err
+	}
 	if p.perm != nil {
 		hi := min(p.pos+pieceRecords, p.perm.Len())
 		p.piece = p.perm.AppendRange(p.piece[:0], p.pos, hi)
@@ -176,47 +187,75 @@ func (p *STRStream) NextRun() ([]byte, bool, error) {
 	}
 	last := len(p.levels) - 1
 	for {
-		if recs, ok, err := p.levels[last].st.NextRun(); ok || err != nil {
+		recs, ok, err := p.levels[last].st.NextRun()
+		if ok || err != nil {
+			p.err = err
 			return recs, ok, err
 		}
-		if err := p.levels[last].st.Close(); err != nil {
-			return nil, false, err
+		if p.err = p.levels[last].st.Close(); p.err != nil {
+			return nil, false, p.err
 		}
 		next := p.wait()
 		if next.st == nil {
-			return nil, false, next.err
+			p.err = next.err
+			return nil, false, p.err
 		}
 		p.setLevel(last, next.st)
-		p.readAhead()
 	}
 }
 
-// readAhead starts refilling the last level on a goroutine when workers >
-// 1; wait collects the slab, and with it the goroutine's end.
+// readAhead starts merging the last level's next slab off the levels
+// above on a goroutine when workers > 1; wait collects it.
 func (p *STRStream) readAhead() {
 	if p.workers <= 1 {
 		return
 	}
-	ahead := make(chan slab, 1)
-	p.ahead = ahead
-	go func() { ahead <- p.refill(len(p.levels) - 1) }()
+	merged := make(chan slab, 1)
+	p.merged = merged
+	go func() { merged <- p.merge(len(p.levels) - 1) }()
 }
 
-// wait returns the last level's next slab: the running read-ahead's, else
-// refilled inline.
+// sortAhead starts sorting s, a merged slab of the last level, on a
+// goroutine of its own; wait collects it.
+func (p *STRStream) sortAhead(s slab) {
+	sorted := make(chan slab, 1)
+	p.sorted = sorted
+	go func() { sorted <- p.sort(len(p.levels)-1, s) }()
+}
+
+// wait returns the last level's next slab, sorted. With workers > 1 it is
+// the running sort's: wait first takes the running merge's slab, starts
+// the next merge and this slab's sort, so that the loader packs slab k
+// while slab k+1 is sorted and slab k+2 merged, then joins the sort. The first call
+// fills the pipeline: it takes two merges before it joins a sort. Without
+// a merge or a sort running, the slab is merged and sorted inline.
 func (p *STRStream) wait() slab {
-	if p.ahead == nil {
-		return p.refill(len(p.levels) - 1)
+	last := len(p.levels) - 1
+	for {
+		sorting := p.sorted
+		p.sorted = nil
+		if p.merged != nil {
+			next := <-p.merged
+			p.merged = nil
+			if next.st != nil || next.run != nil {
+				p.readAhead()
+			}
+			p.sortAhead(next)
+		}
+		switch {
+		case sorting != nil:
+			return <-sorting
+		case p.sorted == nil:
+			return p.sort(last, p.merge(last))
+		}
 	}
-	next := <-p.ahead
-	p.ahead = nil
-	return next
 }
 
-// refill pulls the next slab of level a−1 and sorts it on axis a,
-// refilling level a−1 first if it is spent; a nil stream once level 0 is
-// spent. It touches only the levels above a.
-func (p *STRStream) refill(a int) slab {
+// merge takes the next slab of level a−1 off its stream into a run, or
+// into a spilled sort when it is larger than one run, refilling level a−1
+// first if it is spent; nothing once level 0 is spent. It touches only the
+// levels above a.
+func (p *STRStream) merge(a int) slab {
 	if a == 0 {
 		return slab{}
 	}
@@ -225,7 +264,7 @@ func (p *STRStream) refill(a int) slab {
 		if err := up.st.Close(); err != nil {
 			return slab{err: err}
 		}
-		next := p.refill(a - 1)
+		next := p.sort(a-1, p.merge(a-1))
 		if next.st == nil {
 			return next
 		}
@@ -233,21 +272,36 @@ func (p *STRStream) refill(a int) slab {
 	}
 	take := min(up.slab, up.left)
 	up.left -= take
-	st, err := p.sorter.IngestStream(extsort.ByCenter(a), up.st, take)
-	return slab{st: st, err: err}
+	st, run, err := p.sorter.IngestStream(extsort.ByCenter(a), up.st, take)
+	return slab{st: st, run: run, err: err}
 }
 
-// Close waits for a running read-ahead and closes the slab it sorted, then
-// releases every level's run files; it may be called at any point of the
-// stream, and more than once. No goroutine the stream started outlives it.
+// sort makes a merged slab of level a a stream sorted on axis a: a run is
+// sorted in memory, a spilled sort's stream is sorted already. It touches
+// no level.
+func (p *STRStream) sort(a int, s slab) slab {
+	if s.run != nil {
+		s.st, s.run = p.sorter.SortLone(extsort.ByCenter(a), s.run), nil
+	}
+	return s
+}
+
+// Close waits for a running merge and sort and closes the slabs they
+// made, then releases every level's run files; it may be called at any
+// point of the stream, and more than once. No goroutine the stream started
+// outlives it.
 func (p *STRStream) Close() (err error) {
-	if p.ahead != nil {
-		if next := p.wait(); next.st != nil {
-			err = next.st.Close()
-		} else {
-			err = next.err
+	for _, ahead := range []chan slab{p.merged, p.sorted} {
+		if ahead == nil {
+			continue
+		}
+		next := <-ahead
+		err = errors.Join(err, next.err)
+		if next.st != nil {
+			err = errors.Join(err, next.st.Close())
 		}
 	}
+	p.merged, p.sorted = nil, nil
 	for _, lv := range p.levels {
 		err = errors.Join(err, lv.st.Close())
 	}

@@ -3,9 +3,11 @@ package pack
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -105,28 +107,32 @@ func TestExternalSTRMatchesInMemory(t *testing.T) {
 	}
 }
 
-// TestExternalSTRAbandonedMidSlab closes the stream while both the x-merge
-// and a spilled y-sort hold run files open.
+// TestExternalSTRAbandonedMidSlab closes the stream while the x-merge holds
+// run files open and the next slab is on its way: a spilled y-sort holding
+// run files of its own (RunSize 16), or a slab merged into one run and
+// sorted in memory beside the next one's merge (RunSize 1024).
 func TestExternalSTRAbandonedMidSlab(t *testing.T) {
-	dir, before := t.TempDir(), runtime.NumGoroutine()
-	ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: 4}.Open(2, 100, sliceSource(uniformSquares(5000, 93)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for read := 0; read < 1000; {
-		run, ok, err := ordered.NextRun()
-		if !ok || err != nil {
-			t.Fatalf("entry %d: ok %v, err %v", read, ok, err)
+	for _, runSize := range []int{16, 1024} {
+		dir, before := t.TempDir(), runtime.NumGoroutine()
+		ordered, err := STRExternal{RunSize: runSize, TmpDir: dir, Workers: 4}.Open(2, 100, sliceSource(uniformSquares(5000, 93)))
+		if err != nil {
+			t.Fatal(err)
 		}
-		read += len(run) / node.EntrySize(2)
+		for read := 0; read < 1000; {
+			run, ok, err := ordered.NextRun()
+			if !ok || err != nil {
+				t.Fatalf("run size %d, entry %d: ok %v, err %v", runSize, read, ok, err)
+			}
+			read += len(run) / node.EntrySize(2)
+		}
+		if err := ordered.Close(); err != nil {
+			t.Fatalf("run size %d: %v", runSize, err)
+		}
+		if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+			t.Fatalf("run size %d: %d run files left after Close (ReadDir error %v)", runSize, len(names), err)
+		}
+		checkGoroutines(t, before)
 	}
-	if err := ordered.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
-		t.Fatalf("%d run files left after Close (ReadDir error %v)", len(names), err)
-	}
-	checkGoroutines(t, before)
 }
 
 // checkGoroutines fails the test unless the live goroutine count falls back
@@ -161,50 +167,102 @@ func uniformBoxes(n, dims int, seed int64) []node.Entry {
 }
 
 // TestExternalSTRReadAheadLifecycle closes a read-ahead stream at three
-// points: before its first Next, mid-slab while the read-ahead sorts a
-// spilled slab, and after its end. At k = 3 the read-ahead also refills
-// the slab of slabs above the last axis. Close returns nil every time, and
-// no run file and no goroutine outlives it.
+// points: before its first Next, mid-slab while the next slabs are merged
+// and sorted, and after its end. RunSize 16 spills every slab: 800 records
+// a slab at k = 2, 1400 a slab and 400 a sub-slab at k = 3. RunSize 1024
+// spills the first axis (and at k = 3 the 1400-record slabs) while every
+// last-axis slab fits one run, so Close lands while a lone slab is sorted
+// on its own goroutine beside the next one's merge. At k = 3 the read-ahead
+// also refills the slab of slabs above the last axis. Close returns nil
+// every time, and no run file and no goroutine outlives it.
 func TestExternalSTRReadAheadLifecycle(t *testing.T) {
 	const n = 100
 	for _, dims := range []int{2, 3} {
 		entries := uniformBoxes(5000, dims, 94)
 		recs, _ := psort.Encode(entries, 1)
 		want := STR{}.OrderRecords(recs, dims, n, 0)
-		for _, workers := range []int{2, 4} {
-			for _, stop := range []int{0, 1000, len(entries)} {
-				dir, before := t.TempDir(), runtime.NumGoroutine()
-				// RunSize 16 spills every slab: 800 records a slab at k = 2,
-				// 1400 a slab and 400 a sub-slab at k = 3.
-				ordered, err := STRExternal{RunSize: 16, TmpDir: dir, Workers: workers}.Open(dims, n, sliceSource(entries))
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []byte
-				for len(got) < stop*node.EntrySize(dims) {
-					rec, ok, err := ordered.NextRun()
-					if !ok || err != nil {
-						t.Fatalf("%d-D, workers=%d: record %d: ok %v, err %v", dims, workers, len(got)/node.EntrySize(dims), ok, err)
+		for _, runSize := range []int{16, 1024} {
+			for _, workers := range []int{2, 4} {
+				for _, stop := range []int{0, 1000, len(entries)} {
+					name := fmt.Sprintf("%d-D, run size %d, workers=%d, closed after %d", dims, runSize, workers, stop)
+					dir, before := t.TempDir(), runtime.NumGoroutine()
+					ordered, err := STRExternal{RunSize: runSize, TmpDir: dir, Workers: workers}.Open(dims, n, sliceSource(entries))
+					if err != nil {
+						t.Fatal(err)
 					}
-					got = append(got, rec...)
-				}
-				if !bytes.Equal(got, want[:len(got)]) {
-					t.Fatalf("%d-D, workers=%d: the first %d records differ from STR.OrderRecords'", dims, workers, stop)
-				}
-				if stop == len(entries) {
-					if _, ok, err := ordered.NextRun(); ok || err != nil {
-						t.Fatalf("%d-D, workers=%d: past the end: ok %v, err %v", dims, workers, ok, err)
+					var got []byte
+					for len(got) < stop*node.EntrySize(dims) {
+						rec, ok, err := ordered.NextRun()
+						if !ok || err != nil {
+							t.Fatalf("%s: record %d: ok %v, err %v", name, len(got)/node.EntrySize(dims), ok, err)
+						}
+						got = append(got, rec...)
 					}
+					if !bytes.Equal(got, want[:len(got)]) {
+						t.Fatalf("%s: the records read differ from STR.OrderRecords'", name)
+					}
+					if stop == len(entries) {
+						if _, ok, err := ordered.NextRun(); ok || err != nil {
+							t.Fatalf("%s: past the end: ok %v, err %v", name, ok, err)
+						}
+					}
+					if err := ordered.Close(); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+						t.Fatalf("%s: %d run files left (ReadDir error %v)", name, len(names), err)
+					}
+					checkGoroutines(t, before)
 				}
-				if err := ordered.Close(); err != nil {
-					t.Fatalf("%d-D, workers=%d, closed after %d: %v", dims, workers, stop, err)
-				}
-				if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
-					t.Fatalf("%d-D, workers=%d, closed after %d: %d run files left (ReadDir error %v)", dims, workers, stop, len(names), err)
-				}
-				checkGoroutines(t, before)
 			}
 		}
+	}
+}
+
+// TestExternalSTRTruncatedRun cuts a first-axis run file short once Open
+// has returned, inside a record of its second batch, at the lone-slab
+// shape (RunSize 1024: five first-axis runs, every 800-record slab merged
+// into one run and sorted in memory). The merge that reaches the cut ends
+// the stream with a read error, whether the read-ahead or NextRun itself
+// met it; three more calls return the same error; Close succeeds and
+// leaves no run file and no goroutine behind.
+func TestExternalSTRTruncatedRun(t *testing.T) {
+	size := node.EntrySize(2)
+	for _, workers := range []int{1, 2, 4} {
+		dir, before := t.TempDir(), runtime.NumGoroutine()
+		ordered, err := STRExternal{RunSize: 1024, TmpDir: dir, Workers: workers}.Open(2, 100, sliceSource(uniformSquares(5000, 97)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The first slab's merge needs no run's second batch, so no read
+		// of the file can have passed the cut yet.
+		names, err := os.ReadDir(dir)
+		if err != nil || len(names) != 5 {
+			t.Fatalf("workers=%d: %d run files (ReadDir error %v), want 5", workers, len(names), err)
+		}
+		if err := os.Truncate(filepath.Join(dir, names[2].Name()), int64(700*size+size/2)); err != nil {
+			t.Fatal(err)
+		}
+		var first error
+		for read := 0; first == nil; {
+			run, ok, err := ordered.NextRun()
+			if first = err; err == nil && !ok {
+				t.Fatalf("workers=%d: the stream ended cleanly after %d records", workers, read)
+			}
+			read += len(run) / size
+		}
+		for call := 1; call <= 3; call++ {
+			if run, ok, err := ordered.NextRun(); !errors.Is(err, first) || ok || len(run) > 0 {
+				t.Fatalf("workers=%d: call %d after the error %q: %d bytes, ok %v, error %v", workers, call, first, len(run), ok, err)
+			}
+		}
+		if err := ordered.Close(); err != nil {
+			t.Fatalf("workers=%d: Close: %v", workers, err)
+		}
+		if names, err := os.ReadDir(dir); err != nil || len(names) != 0 {
+			t.Fatalf("workers=%d: %d run files left after Close (ReadDir error %v)", workers, len(names), err)
+		}
+		checkGoroutines(t, before)
 	}
 }
 
@@ -334,8 +392,8 @@ func BenchmarkSTRExternal(b *testing.B) {
 }
 
 // TestExternalSTRRunLifetime holds every run NextRun returns and checks
-// that its bytes stay as returned until the next call, while the
-// read-ahead sorts the next slab into arrays the stream released: with
+// that its bytes stay as returned until the next call, while the next
+// slabs are merged and sorted into arrays the stream released: with
 // every sort spilling (RunSize 16), with the first-axis sort alone
 // spilling, each 800-record slab merged into one run sorted in memory
 // (RunSize 1024), and with nothing spilling, at Workers 1 and 4. The runs

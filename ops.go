@@ -81,10 +81,10 @@ type ExternalOptions struct {
 	// Workers bounds the goroutines each sort phase uses: up to Workers
 	// runs are sorted and spilled, one goroutine each, while the next one
 	// fills, and a phase that fits one run is sorted by all of them. Above
-	// 1, one more goroutine sorts the next slab of the last axis while the
-	// current one is packed. 0 means the tree's Workers setting
-	// (Options.Workers). The packed tree is byte-for-byte identical for
-	// every setting.
+	// 1, the last axis's next slab is sorted on one more goroutine and the
+	// one after it merged on another while the current one is packed. 0
+	// means the tree's Workers setting (Options.Workers). The packed tree
+	// is byte-for-byte identical for every setting.
 	Workers int
 }
 
@@ -97,13 +97,13 @@ type ExternalOptions struct {
 // larger one is sorted in phases: the first-axis sort holds the run being
 // filled and up to Workers runs being sorted, each with its sorted copy,
 // and its merge a few 512-item batches per run; then each slab is sorted
-// in turn, in memory when it fits one run. With Workers > 1 one more slab,
-// sorted ahead of the loader, is held: at most RunSize of its items in
-// memory, the rest spilled. Buffers a phase is done with serve the next,
-// so the build allocates about what it holds. It writes the file
-// BulkLoad(PackSTR) writes from the same items, at any dimensionality. Use
-// it when the data set does not fit in RAM; for in-memory slices BulkLoad
-// is faster. The tree must be empty.
+// in turn, in memory when it fits one run. With Workers > 1 two more slabs
+// are held, one being merged and one being sorted ahead of the loader: at
+// most RunSize of each one's items in memory, the rest spilled. Buffers a
+// phase is done with serve the next, so the build allocates about what it
+// holds. It writes the file BulkLoad(PackSTR) writes from the same items,
+// at any dimensionality. Use it when the data set does not fit in RAM; for
+// in-memory slices BulkLoad is faster. The tree must be empty.
 func (t *Tree) BulkLoadExternal(next func() (Item, bool), opts ExternalOptions) error {
 	workers := opts.Workers
 	if workers == 0 {

@@ -62,10 +62,13 @@ func TestParallelBuildByteIdentical(t *testing.T) {
 
 // TestParallelExternalBuildByteIdentical asserts the same guarantee for
 // the bounded-memory external build, whose sort phases spill runs from
-// concurrent workers and whose last axis is sorted a slab ahead on another
-// goroutine: at k = 2 and k = 3, with every slab spilled (RunSize 2048) and
-// with nothing spilled (RunSize above the item count), Workers 1, 2 and 8
-// write the file a sequential in-memory BulkLoad writes.
+// concurrent workers and whose last axis is merged and sorted slabs ahead
+// on other goroutines. At 20 000 items and capacity 16 a slab is 576
+// records at k = 2; at k = 3 a slab is 1 872 and a sub-slab 176. So RunSize
+// 2048 spills the first axis alone, every later slab merged into one run
+// and sorted in memory; RunSize 256 spills the slabs too (all but k = 3's
+// sub-slabs); a RunSize above the item count spills nothing. At each,
+// Workers 1, 2 and 8 write the file a sequential in-memory BulkLoad writes.
 func TestParallelExternalBuildByteIdentical(t *testing.T) {
 	entries := datagen.UniformSquares(20000, 5.0, 4)
 	squares := make([]strtree.Item, len(entries))
@@ -101,7 +104,7 @@ func TestParallelExternalBuildByteIdentical(t *testing.T) {
 		want := build(dims, items, 1, func(tree *strtree.Tree) error {
 			return tree.BulkLoad(append([]strtree.Item(nil), items...), strtree.PackSTR)
 		})
-		for _, runSize := range []int{2048, 1 << 20} {
+		for _, runSize := range []int{256, 2048, 1 << 20} {
 			for _, workers := range []int{1, 2, 8} {
 				got := build(dims, items, workers, func(tree *strtree.Tree) error {
 					i := 0
