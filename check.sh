@@ -76,7 +76,8 @@
 #                     NearestContext(, and no file of internal/psort or
 #                     internal/query, nor internal/pack/pack.go,
 #                     internal/pack/tgs.go, internal/rtree/build.go,
-#                     internal/lint/lint.go or cmd/strbench/main.go (the
+#                     internal/rtree/stream.go, internal/lint/lint.go or
+#                     cmd/strbench/main.go (the
 #                     -j experiment runner), declares a sync.WaitGroup
 #                     or a semaphore channel, make(chan struct{}, or
 #                     starts a goroutine of its own, go func —
@@ -103,7 +104,12 @@
 #                     internal/pack/external.go starts exactly two, go func
 #                     (the read-ahead that merges a last-axis slab and the
 #                     slab's sort), and internal/extsort/extsort.go exactly
-#                     one (the spill pool)
+#                     one (the spill pool) — and a thirteenth: the leaf
+#                     level has one path, so packUp( has exactly one call
+#                     site outside its definition, in the leaf loader (load,
+#                     internal/rtree/build.go), and BulkLoadFunc calls
+#                     neither packUp( nor p.pack(: BulkLoad and
+#                     BulkLoadOrdered both reach the leaves through load
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     over the whole module (it takes no arguments),
 #                     all nine checks plus its directive validator:
@@ -236,11 +242,17 @@ if grep -rn 'unionRecords\|leastEnlargementEach\|mbrInto\|unionRecord(\|recordRe
 if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "IntersectsQuery and MinDist are per-entry references for tests and bench/: library code asks a page with AppendIntersecting, AppendMatches or AppendMinDist" >&2; exit 1; fi
 if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is one query.Run, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
 if grep -rn 'forEachSlab(\|eachChunk(\|SearchPointContext\|NearestContext(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired worker pool or context twin is back: independent work fans out through par.Each (par.Chunks for static ranges), a point query under a context is SearchContext on a degenerate rectangle, and a nearest query under a context is NearestKContext (DESIGN.md §10)" >&2; exit 1; fi
-if grep -rn 'sync\.WaitGroup\|make(chan struct{}\|go func' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go internal/lint/lint.go cmd/strbench/main.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs, query.Run, lint.Run and strbench's -j runner fan out through par.Each; none keeps a WaitGroup, a semaphore or goroutines of its own (DESIGN.md §10)" >&2; exit 1; fi
+if grep -rn 'sync\.WaitGroup\|make(chan struct{}\|go func' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go internal/rtree/stream.go internal/lint/lint.go cmd/strbench/main.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs, query.Run, lint.Run and strbench's -j runner fan out through par.Each; none keeps a WaitGroup, a semaphore or goroutines of its own (DESIGN.md §10)" >&2; exit 1; fi
 if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a root entry point no caller outside a test used is back: containment is Search plus Rect.Contains, a range delete is Search then Delete, a backup is Create plus CompactInto, Join is the one join (DESIGN.md §17)" >&2; exit 1; fi
 if grep -rn 'ApplyFixes\|Fixable\|resolvePatterns\|RunTrials\|trace\.Load\|traceMagic' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired tool mode is back: strlint checks the whole module with every check and rewrites nothing, strbench runs each experiment once, and strload trace replays its trace in memory (DESIGN.md §14)" >&2; exit 1; fi
 if grep -rn 'runBatch\|rwg\|spentBy\|prefetch' internal/extsort; then echo "a retired merge reader is back: each spilled run is read, two batches in turn, on the goroutine that pulls the stream (DESIGN.md §11, §17)" >&2; exit 1; fi
 if [ "$(grep -c 'go func' internal/pack/external.go)" -ne 2 ] || [ "$(grep -c 'go func' internal/extsort/extsort.go)" -ne 1 ]; then echo "the external build's goroutines are the stages DESIGN.md §11 names: pack/external.go starts the read-ahead and the slab sort, extsort.go the spill pool, and no other" >&2; exit 1; fi
+packup_calls=$(grep -rn 'packUp(' --include='*.go' --exclude-dir=.bench_build . | grep -v ':[[:space:]]*//' | grep -v 'func (t \*Tree) packUp(' || true)
+if [ "$(echo "$packup_calls" | grep -c .)" -ne 1 ] ||
+    ! awk '/^func \(t \*Tree\) load\(/ {f = 1} f && /^}/ {f = 0} f && /packUp\(/ {n++} END {exit (n != 1)}' internal/rtree/build.go ||
+    awk '/^func \(t \*Tree\) BulkLoadFunc\(/ {f = 1} f && /^}/ {f = 0} f && /packUp\(|\.pack\(/ {n++} END {exit (n == 0)}' internal/rtree/build.go; then
+    echo "the leaf level has one path: packUp( is called once, by the leaf loader (load in internal/rtree/build.go), and BulkLoadFunc reaches the leaves through load, calling neither packUp( nor p.pack( (DESIGN.md §10); calls: $packup_calls" >&2; exit 1
+fi
 
 echo "== strlint"
 strlint_start=$(date +%s)

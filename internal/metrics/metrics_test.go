@@ -24,10 +24,10 @@ func (xOrder) Order(entries []node.Entry, n, level int) {
 }
 
 // OrderRecords runs Order over the records decoded into entries.
-func (o xOrder) OrderRecords(recs []byte, dims, n, level int) []byte {
+func (o xOrder) OrderRecords(recs []byte, dims, n int) []byte {
 	entries := make([]node.Entry, len(recs)/node.EntrySize(dims))
 	psort.Decode(entries, recs, dims, 1)
-	o.Order(entries, n, level)
+	o.Order(entries, n, 0)
 	recs, _ = psort.Encode(entries, 1)
 	return recs
 }

@@ -94,7 +94,7 @@ func TestExternalSTRMatchesInMemory(t *testing.T) {
 	} {
 		dims := in.entries[0].Rect.Dim()
 		recs, _ := psort.Encode(in.entries, 1)
-		want := STR{}.OrderRecords(recs, dims, n, 0)
+		want := STR{}.OrderRecords(recs, dims, n)
 		for _, runSize := range []int{256, 16} {
 			got, stats := collectPack(t, STRExternal{RunSize: runSize, TmpDir: t.TempDir()}, dims, n, in.entries)
 			if !bytes.Equal(got, want) {
@@ -180,7 +180,7 @@ func TestExternalSTRReadAheadLifecycle(t *testing.T) {
 	for _, dims := range []int{2, 3} {
 		entries := uniformBoxes(5000, dims, 94)
 		recs, _ := psort.Encode(entries, 1)
-		want := STR{}.OrderRecords(recs, dims, n, 0)
+		want := STR{}.OrderRecords(recs, dims, n)
 		for _, runSize := range []int{16, 1024} {
 			for _, workers := range []int{2, 4} {
 				for _, stop := range []int{0, 1000, len(entries)} {
@@ -401,7 +401,7 @@ func BenchmarkSTRExternal(b *testing.B) {
 func TestExternalSTRRunLifetime(t *testing.T) {
 	entries := uniformSquares(5000, 96)
 	recs, _ := psort.Encode(entries, 1)
-	want := STR{}.OrderRecords(recs, 2, 100, 0)
+	want := STR{}.OrderRecords(recs, 2, 100)
 	for _, runSize := range []int{16, 1024, 1 << 20} {
 		for _, workers := range []int{1, 4} {
 			ordered, err := STRExternal{RunSize: runSize, TmpDir: t.TempDir(), Workers: workers}.Open(2, 100, sliceSource(entries))

@@ -45,20 +45,20 @@ type NX struct {
 func (NX) Name() string { return "NX" }
 
 // Order implements rtree.Orderer.
-func (o NX) Order(entries []node.Entry, n, level int) { orderEntries(o, entries, n, level, o.Workers) }
+func (o NX) Order(entries []node.Entry, n, level int) { orderEntries(o, entries, n, o.Workers) }
 
 // OrderRecords implements rtree.Orderer.
-func (o NX) OrderRecords(recs []byte, dims, n, level int) []byte {
+func (o NX) OrderRecords(recs []byte, dims, n int) []byte {
 	return sortByCenter(recs, dims, 0, normWorkers(o.Workers))
 }
 
 // orderEntries is every orderer's Order: its OrderRecords over the entries
 // encoded as records, decoded back by psort.OrderEntries.
 func orderEntries(o interface {
-	OrderRecords(recs []byte, dims, n, level int) []byte
-}, entries []node.Entry, n, level, workers int) {
+	OrderRecords(recs []byte, dims, n int) []byte
+}, entries []node.Entry, n, workers int) {
 	psort.OrderEntries(entries, normWorkers(workers), func(recs []byte, dims int) []byte {
-		return o.OrderRecords(recs, dims, n, level)
+		return o.OrderRecords(recs, dims, n)
 	})
 }
 
@@ -91,10 +91,10 @@ type HS struct {
 func (HS) Name() string { return "HS" }
 
 // Order implements rtree.Orderer.
-func (h HS) Order(entries []node.Entry, n, level int) { orderEntries(h, entries, n, level, h.Workers) }
+func (h HS) Order(entries []node.Entry, n, level int) { orderEntries(h, entries, n, h.Workers) }
 
 // OrderRecords implements rtree.Orderer.
-func (h HS) OrderRecords(recs []byte, dims, n, level int) []byte {
+func (h HS) OrderRecords(recs []byte, dims, n int) []byte {
 	size := node.EntrySize(dims)
 	count := len(recs) / size
 	if count < 2 {
@@ -164,10 +164,10 @@ type STR struct {
 func (STR) Name() string { return "STR" }
 
 // Order implements rtree.Orderer.
-func (s STR) Order(entries []node.Entry, n, level int) { orderEntries(s, entries, n, level, s.Workers) }
+func (s STR) Order(entries []node.Entry, n, level int) { orderEntries(s, entries, n, s.Workers) }
 
 // OrderRecords implements rtree.Orderer.
-func (s STR) OrderRecords(recs []byte, dims, n, level int) []byte {
+func (s STR) OrderRecords(recs []byte, dims, n int) []byte {
 	if len(recs) < 2*node.EntrySize(dims) {
 		return recs
 	}

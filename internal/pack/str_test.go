@@ -88,7 +88,7 @@ func TestSTROrderAllocBound(t *testing.T) {
 	for _, size := range []int{25000, 100000} { // 16 and 32 slabs of capacity-100 nodes
 		recs, dims := psort.Encode(uniformSquares(size, 3), 1)
 		allocs := testing.AllocsPerRun(3, func() {
-			STR{Workers: 1}.OrderRecords(recs, dims, 100, 0)
+			STR{Workers: 1}.OrderRecords(recs, dims, 100)
 		})
 		t.Logf("%d entries: %v allocations per OrderRecords", size, allocs)
 		if allocs > bound {

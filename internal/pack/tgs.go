@@ -33,11 +33,11 @@ type TGS struct {
 func (TGS) Name() string { return "TGS" }
 
 // Order implements rtree.Orderer.
-func (t TGS) Order(entries []node.Entry, n, level int) { orderEntries(t, entries, n, level, t.Workers) }
+func (t TGS) Order(entries []node.Entry, n, level int) { orderEntries(t, entries, n, t.Workers) }
 
 // OrderRecords implements rtree.Orderer. It reorders recs in place and
 // returns it.
-func (t TGS) OrderRecords(recs []byte, dims, n, level int) []byte {
+func (t TGS) OrderRecords(recs []byte, dims, n int) []byte {
 	if len(recs) < 2*node.EntrySize(dims) {
 		return recs
 	}

@@ -16,21 +16,21 @@ import (
 // Orderer is a packing algorithm: it permutes entries into the sequence in
 // which they will be cut into nodes of capacity n. The paper's three
 // algorithms (NX, HS, STR) differ only in this ordering; the surrounding
-// build is identical (Section 2.2, "General Algorithm"). The level argument
-// lets an implementation behave differently above the leaves, though none
-// of the paper's algorithms do.
+// build is identical at every level (Section 2.2, "General Algorithm"), so
+// an orderer is not told which level it orders.
 type Orderer interface {
 	// OrderRecords orders recs, whole page records of dims axes
 	// (node.EntrySize(dims) bytes each, per axis the Min then the Max word,
 	// then the ref), and returns them in packing order: in a new array or
 	// in recs itself, which it may reorder in place. n is the node
-	// capacity; level is the tree level being packed (0 = leaf). It is what
-	// the bulk loader calls.
-	OrderRecords(recs []byte, dims, n, level int) []byte
+	// capacity. It is what the bulk loader calls, on the data entries and
+	// on each level's parent records.
+	OrderRecords(recs []byte, dims, n int) []byte
 	// Order is OrderRecords for entries: it permutes them in place, and
 	// afterwards their rectangles live in one slab the call allocated
 	// (psort.OrderEntries is the shared adapter); only the values are the
-	// caller's.
+	// caller's. level is passed through for callers that name it; no
+	// orderer reads it.
 	Order(entries []node.Entry, n int, level int)
 	// Name identifies the algorithm in reports ("STR", "HS", "NX", ...).
 	Name() string
@@ -79,11 +79,12 @@ func (t *Tree) BulkLoad(entries []node.Entry, o Orderer) error {
 // which it may call concurrently. The build holds one representation from
 // here to the page: at's rectangles are validated and encoded, on Workers
 // goroutines, into one array of page records, which the orderer sorts and
-// the packer (packer.pack) cuts into nodes, each node's MBR written into
-// its parent's record and its records copied onto its page
-// (node.FillRecords), on Workers goroutines again. The resulting tree bytes
-// and the pager calls that write them are identical at every worker count,
-// and a build takes no buffer frame, reads no page and writes each once.
+// the leaf loader (load) packs as one run: its whole chunks of runPages
+// nodes where they lie, on Workers goroutines again, each node's MBR written
+// into its parent's record and its records copied onto its page
+// (node.FillRecords). The resulting tree bytes and the pager calls that
+// write them are identical at every worker count, and a build takes no
+// buffer frame, reads no page and writes each once.
 func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer) error {
 	if t.height != 0 {
 		return ErrNotEmpty
@@ -92,10 +93,12 @@ func (t *Tree) BulkLoadFunc(n int, at func(i int) (geom.Rect, uint64), o Orderer
 	if err != nil {
 		return err
 	}
-	if n == 0 {
-		return t.writeMeta()
-	}
-	return t.packUp(&packer{t: t}, recs, 0, uint64(n), o)
+	p := &packer{t: t}
+	timed(&p.stats.Order, func() error { recs = o.OrderRecords(recs, t.dims, t.capacity); return nil })
+	return t.load(p, func() (run []byte, ok bool, err error) {
+		run, recs = recs, nil
+		return run, run != nil, nil
+	}, nil, o)
 }
 
 // encodeRecords validates the n data entries at returns, as Insert would,
@@ -127,23 +130,73 @@ func (t *Tree) encodeRecords(n int, at func(i int) (geom.Rect, uint64)) ([]byte,
 	return recs, err
 }
 
-// packUp is the General Algorithm's loop from a given level to the root,
-// and the build's epilogue. recs holds the records destined for nodes at
-// level: the data entries for level 0, else the (MBR, page) records of the
-// nodes already written one level down. Data entries always need a node;
-// above the leaves a level is packed only while more than one node remains
-// below it, and the last node standing is the root. count is the number of
-// data entries in the tree.
-func (t *Tree) packUp(p *packer, recs []byte, level int, count uint64, o Orderer) error {
-	size := node.EntrySize(t.dims)
-	for level == 0 || len(recs) > size {
-		timed(&p.stats.Order, func() error { recs = o.OrderRecords(recs, t.dims, t.capacity, level); return nil })
+// load is the one way data entries become leaves, and the General Algorithm
+// from there up (packUp). next returns their page records in packing order,
+// in runs of whole records, each vetted by check unless it is nil. A run's
+// whole chunks of runPages nodes are packed where they lie, in one
+// packer.pack call shared by the workers; a ragged tail is copied into the
+// chunk the next run tops up. Chunks start at multiples of runPages nodes,
+// so the pages and the pager calls do not depend on how next cuts the runs.
+func (t *Tree) load(p *packer, next func() ([]byte, bool, error), check func(run []byte, first uint64) error, o Orderer) error {
+	var (
+		leaves  = make([]byte, 0, runPages*t.capacity*node.EntrySize(t.dims))
+		parents []byte
+		count   uint64
+	)
+	for {
+		run, ok, err := next()
+		if ok && err == nil && check != nil {
+			err = check(run, count)
+		}
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		count += uint64(len(run) / node.EntrySize(t.dims))
+		for len(run) > 0 {
+			if whole := len(run) - len(run)%cap(leaves); len(leaves) == 0 && whole > 0 {
+				if parents, err = p.pack(parents, run[:whole], 0); err != nil {
+					return err
+				}
+				run = run[whole:]
+				continue
+			}
+			n := copy(leaves[len(leaves):cap(leaves)], run)
+			leaves, run = leaves[:len(leaves)+n], run[n:]
+			if len(leaves) == cap(leaves) {
+				if parents, err = p.pack(parents, leaves, 0); err != nil {
+					return err
+				}
+				leaves = leaves[:0]
+			}
+		}
+	}
+	parents, err := p.pack(parents, leaves, 0)
+	if err != nil {
+		return err
+	}
+	if count == 0 {
+		return t.writeMeta()
+	}
+	return t.packUp(p, parents, count, o)
+}
+
+// packUp is the General Algorithm's loop from level 1 to the root, and the
+// build's epilogue. recs holds the (MBR, page) records of the leaves. A
+// level is packed while more than one node remains below it, and the last
+// node standing is the root. count is the number of data entries in the
+// tree.
+func (t *Tree) packUp(p *packer, recs []byte, count uint64, o Orderer) error {
+	level := 1
+	for ; len(recs) > node.EntrySize(t.dims); level++ {
+		timed(&p.stats.Order, func() error { recs = o.OrderRecords(recs, t.dims, t.capacity); return nil })
 		parents, err := p.pack(nil, recs, level)
 		if err != nil {
 			return err
 		}
 		recs = parents
-		level++
 	}
 	t.root = storage.PageID(node.RecordRef(recs, t.dims))
 	t.height = level

@@ -10,6 +10,7 @@ import (
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 	"strtree/internal/storage"
 )
 
@@ -94,9 +95,11 @@ func (p *callLog) WritePage(id storage.PageID, buf []byte) error {
 	return p.Pager.WritePage(id, buf)
 }
 
-// TestBulkLoadSurfacesWriteError fails the first run a bulk load writes, a
-// middle one and the last, at Workers 1, 2 and 8, over a leaf level of 16
-// runs and a level above it of 4. BulkLoad and every later Flush return the
+// TestBulkLoadSurfacesWriteError fails one run a bulk load writes, at
+// Workers 1, 2 and 8, over a leaf level of 16 runs and a level above it of
+// 4: for BulkLoad the first, a middle one and the last; for BulkLoadOrdered,
+// fed runs of 2.5 chunks, a chunk it packs where it lies and one it carries
+// over from the run before. The load and three more Flushes return the
 // injected error; the runs before the failed one reach the pager, in order,
 // and none after it does, however far the other workers had got; and no
 // goroutine of the build outlives it.
@@ -115,7 +118,28 @@ func TestBulkLoadSurfacesWriteError(t *testing.T) {
 	if len(runs) < 20 {
 		t.Fatalf("the build wrote %d runs, want 16 leaf runs and more above", len(runs))
 	}
-	for _, fail := range []int{0, len(runs) / 2, len(runs) - 1} {
+	bulk := func(tr *Tree) error { return tr.BulkLoad(entries, xSortOrderer{}) }
+	recs, _ := psort.Encode(entries, 1)
+	recs = xSortOrderer{}.OrderRecords(recs, 2, cfg.Capacity)
+	// Runs of 2.5 chunks: the loader packs chunks 0-1 where they lie and
+	// carries half of chunk 2, which the second run completes before chunks
+	// 3-4 are packed where they lie. So chunk 6 is packed where it lies, in
+	// one call with chunk 5, and chunk 7 is carried like chunk 2.
+	streamed := func(tr *Tree) error {
+		return tr.BulkLoadOrdered(runStream(recs, 5*runPages*cfg.Capacity/2), xSortOrderer{})
+	}
+	loads := []struct {
+		name string
+		load func(*Tree) error
+		fail int
+	}{
+		{"BulkLoad", bulk, 0},
+		{"BulkLoad", bulk, len(runs) / 2},
+		{"BulkLoad", bulk, len(runs) - 1},
+		{"BulkLoadOrdered, a chunk packed in place", streamed, 6},
+		{"BulkLoadOrdered, a carried chunk", streamed, 7},
+	}
+	for _, l := range loads {
 		for _, workers := range []int{1, 2, 8} {
 			before := runtime.NumGoroutine()
 			seen := &callLog{Pager: storage.NewMemPager(4096)}
@@ -126,25 +150,25 @@ func TestBulkLoadSurfacesWriteError(t *testing.T) {
 				t.Fatal(err)
 			}
 			fp.FailWrites(func(id storage.PageID) error {
-				if int(id) == runs[fail][0] {
+				if int(id) == runs[l.fail][0] {
 					return errInjected
 				}
 				return nil
 			})
-			if err := tr.BulkLoad(entries, xSortOrderer{}); !errors.Is(err, errInjected) {
-				t.Fatalf("run %d, workers %d: BulkLoad = %v, want the injected error", fail, workers, err)
+			if err := l.load(tr); !errors.Is(err, errInjected) {
+				t.Fatalf("%s, run %d, workers %d: load = %v, want the injected error", l.name, l.fail, workers, err)
 			}
-			for range 2 {
+			for range 3 {
 				if err := tr.Flush(); !errors.Is(err, errInjected) {
-					t.Fatalf("run %d, workers %d: Flush = %v, want the injected error", fail, workers, err)
+					t.Fatalf("%s, run %d, workers %d: Flush = %v, want the injected error", l.name, l.fail, workers, err)
 				}
 			}
-			if got := seen.calls; !slices.Equal(got, runs[:fail]) {
-				t.Fatalf("run %d, workers %d: the pager saw the writes %v, want the %d runs before the failed one", fail, workers, got, fail)
+			if got := seen.calls; !slices.Equal(got, runs[:l.fail]) {
+				t.Fatalf("%s, run %d, workers %d: the pager saw the writes %v, want the %d runs before the failed one", l.name, l.fail, workers, got, l.fail)
 			}
 			for i := 0; runtime.NumGoroutine() > before; i++ {
 				if i == 500 {
-					t.Fatalf("run %d, workers %d: %d goroutines live after the load, %d before", fail, workers, runtime.NumGoroutine(), before)
+					t.Fatalf("%s, run %d, workers %d: %d goroutines live after the load, %d before", l.name, l.fail, workers, runtime.NumGoroutine(), before)
 				}
 				time.Sleep(10 * time.Millisecond)
 			}

@@ -27,10 +27,10 @@ func (xSortOrderer) Order(entries []node.Entry, n, level int) {
 }
 
 // OrderRecords runs Order over the records decoded into entries.
-func (o xSortOrderer) OrderRecords(recs []byte, dims, n, level int) []byte {
+func (o xSortOrderer) OrderRecords(recs []byte, dims, n int) []byte {
 	entries := make([]node.Entry, len(recs)/node.EntrySize(dims))
 	psort.Decode(entries, recs, dims, 1)
-	o.Order(entries, n, level)
+	o.Order(entries, n, 0)
 	recs, _ = psort.Encode(entries, 1)
 	return recs
 }

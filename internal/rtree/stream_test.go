@@ -3,12 +3,14 @@ package rtree
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"strtree/internal/buffer"
 	"strtree/internal/geom"
 	"strtree/internal/node"
+	"strtree/internal/psort"
 	"strtree/internal/storage"
 )
 
@@ -31,38 +33,62 @@ func sliceStream(entries []node.Entry) func() ([]byte, bool, error) {
 	}
 }
 
-func TestBulkLoadOrderedMatchesBulkLoad(t *testing.T) {
-	entries := randRects(1234, 81)
-	ordered := append([]node.Entry(nil), entries...)
-	xSortOrderer{}.Order(ordered, 16, 0)
+// runStream yields recs in runs of per records (the last one short), each
+// copied into one buffer that the next call overwrites.
+func runStream(recs []byte, per int) func() ([]byte, bool, error) {
+	buf := make([]byte, per*node.EntrySize(2))
+	return func() ([]byte, bool, error) {
+		if len(recs) == 0 {
+			return nil, false, nil
+		}
+		n := copy(buf, recs)
+		recs = recs[n:]
+		return buf[:n], true, nil
+	}
+}
 
-	a := newTree(t, 16)
-	if err := a.BulkLoad(append([]node.Entry(nil), entries...), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	b := newTree(t, 16)
-	if err := b.BulkLoadOrdered(sliceStream(ordered), xSortOrderer{}); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != a.Len() || b.Height() != a.Height() {
-		t.Fatalf("stream build: len %d/%d height %d/%d", b.Len(), a.Len(), b.Height(), a.Height())
-	}
-	if err := b.Check(CheckConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []geom.Rect{
-		geom.R2(0, 0, 0.3, 0.3), geom.R2(0.4, 0.4, 0.8, 0.9), geom.UnitSquare(),
-	} {
-		ca, err := a.Count(q)
+// TestBulkLoadOrderedMatchesBulkLoad streams BulkLoad's leaf order in runs
+// of every shape about a chunk of runPages leaves: runs shorter than a
+// chunk, which the loader copies; runs of whole chunks, which it packs
+// where they lie; and runs that straddle a boundary, whose tails it carries
+// into the next run's chunk. Each shape, at one worker and at four, writes
+// BulkLoad's page bytes through BulkLoad's pager calls — the same first
+// page and page count per call, in the same order.
+func TestBulkLoadOrderedMatchesBulkLoad(t *testing.T) {
+	const capacity = 8
+	entries := randRects(3000, 81)
+	recs, _ := psort.Encode(entries, 1)
+	recs = xSortOrderer{}.OrderRecords(recs, 2, capacity)
+	chunk := runPages * capacity
+	build := func(workers int, load func(*Tree) error) ([][2]int, uint64) {
+		log := &callLog{Pager: storage.NewMemPager(4096)}
+		tr, err := Create(buffer.NewPool(log, 64), Config{Dims: 2, Capacity: capacity, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cb, err := b.Count(q)
-		if err != nil {
+		if err := load(tr); err != nil {
 			t.Fatal(err)
 		}
-		if ca != cb {
-			t.Fatalf("counts differ for %v: %d vs %d", q, ca, cb)
+		if err := tr.Check(CheckConfig{}); err != nil {
+			t.Fatal(err)
+		}
+		return log.calls, pagerDigest(t, tr)
+	}
+	wantCalls, want := build(1, func(tr *Tree) error { return tr.BulkLoad(entries, xSortOrderer{}) })
+	if leaves := len(entries) / capacity; leaves < 5*runPages {
+		t.Fatalf("%d leaves, too few chunks to straddle", leaves)
+	}
+	for _, per := range []int{1, chunk - 1, chunk, chunk + 1, 5 * chunk / 2, len(entries)} {
+		for _, workers := range []int{1, 4} {
+			calls, got := build(workers, func(tr *Tree) error {
+				return tr.BulkLoadOrdered(runStream(recs, per), xSortOrderer{})
+			})
+			if !slices.Equal(calls, wantCalls) {
+				t.Errorf("runs of %d records, workers %d: pager calls %v, BulkLoad's %v", per, workers, calls, wantCalls)
+			}
+			if got != want {
+				t.Errorf("runs of %d records, workers %d: digest %#016x, BulkLoad's %#016x", per, workers, got, want)
+			}
 		}
 	}
 }
