@@ -64,6 +64,15 @@ type Rect struct {
 	Min, Max Point
 }
 
+// Item is one indexed object: its bounding rectangle and an opaque
+// identifier. The tree's facade (strtree.Item) and the wire codec
+// (wire.Item) both name this type, so a result list passes from the tree
+// to the codec as it is.
+type Item struct {
+	Rect Rect
+	ID   uint64
+}
+
 // R2 returns the 2-D rectangle [x0,x1] x [y0,y1]. It panics if x0 > x1 or
 // y0 > y1; use NewRect for checked construction.
 func R2(x0, y0, x1, y1 float64) Rect {

@@ -36,10 +36,12 @@ type ExecMetrics struct {
 	ActiveWorkers atomic.Int64
 }
 
-// Run calls do(i, qs[i]) once for every query on up to workers goroutines
-// (workers < 1 means GOMAXPROCS) and accounts the batch in m. do must be
-// safe for concurrent use, but distinct calls never share an index, so it
-// may write the i-th slot of a result slice without a lock. One worker
+// Run calls do(w, i, qs[i]) once for every query on up to workers
+// goroutines (workers < 1 means GOMAXPROCS) and accounts the batch in m.
+// do must be safe for concurrent use, but distinct calls never share an
+// index, so it may write the i-th slot of a result slice without a lock,
+// and calls with the same w run one after another on one goroutine, so it
+// may reuse scratch kept per worker (w < min(workers, len(qs))). One worker
 // runs the batch strictly in order on the calling goroutine, preserving
 // deterministic buffer accounting. Workers take queries as they free up
 // (par.Each), so a slow query does not idle the rest of the pool. The
@@ -49,7 +51,7 @@ type ExecMetrics struct {
 // still reach the cause. (Making the caller worker 0 of the pool, as the
 // router's fan-out does, was measured and not kept: EXPERIMENTS.md,
 // PR 23.)
-func Run(qs []geom.Rect, workers int, m *ExecMetrics, do func(i int, q geom.Rect) error) error {
+func Run(qs []geom.Rect, workers int, m *ExecMetrics, do func(w, i int, q geom.Rect) error) error {
 	n := len(qs)
 	if n == 0 {
 		return nil
@@ -66,11 +68,11 @@ func Run(qs []geom.Rect, workers int, m *ExecMetrics, do func(i int, q geom.Rect
 		m.QueuedQueries.Add(claimed.Load() - int64(n))
 		m.BatchesDone.Add(1)
 	}()
-	return par.Each(n, workers, func(_, i int) error {
+	return par.Each(n, workers, func(w, i int) error {
 		claimed.Add(1)
 		m.QueuedQueries.Add(-1)
 		m.ActiveWorkers.Add(1)
-		err := do(i, qs[i])
+		err := do(w, i, qs[i])
 		m.ActiveWorkers.Add(-1)
 		m.QueriesDone.Add(1)
 		if err != nil {

@@ -37,7 +37,7 @@ func grid(n int) []geom.Rect {
 
 // run is Run on a fresh ExecMetrics.
 func run(qs []geom.Rect, workers int, do func(i int, q geom.Rect) error) error {
-	return Run(qs, workers, &ExecMetrics{}, do)
+	return Run(qs, workers, &ExecMetrics{}, func(_, i int, q geom.Rect) error { return do(i, q) })
 }
 
 func TestBatchRunMatchesSequentialOracle(t *testing.T) {
@@ -94,7 +94,7 @@ func TestBatchRunCount(t *testing.T) {
 
 func TestBatchEmpty(t *testing.T) {
 	var m ExecMetrics
-	if err := Run(nil, 4, &m, func(int, geom.Rect) error {
+	if err := Run(nil, 4, &m, func(int, int, geom.Rect) error {
 		t.Fatal("query run for an empty batch")
 		return nil
 	}); err != nil {

@@ -26,7 +26,7 @@ func BenchmarkBatchRunCount(b *testing.B) {
 			b.ReportAllocs()
 			var m ExecMetrics
 			counts := make([]int, len(qs))
-			count := func(i int, q geom.Rect) error {
+			count := func(_, i int, q geom.Rect) error {
 				counts[i] = 0
 				for _, r := range items {
 					if q.Intersects(r) {

@@ -467,3 +467,45 @@ func TestMergedResponseTooLarge(t *testing.T) {
 		t.Errorf("%d log lines, want 1", logged.Load())
 	}
 }
+
+// TestShortBatchAnswerIsAFailure: a backend that answers a 16-window batch
+// with 15 lists would leave one window without its matches and nobody the
+// wiser. The client refuses the answer and drops the connection, as for
+// an op mismatch; the router counts a failed backend call, has no other
+// replica and answers StatusUnavailable in-band; the next request gets
+// through on a fresh connection.
+func TestShortBatchAnswerIsAFailure(t *testing.T) {
+	short := func(_ context.Context, req *wire.Request) *wire.Response {
+		if req.Op == wire.OpBatch {
+			return &wire.Response{Status: wire.StatusOK, Op: req.Op, Batch: make([][]wire.Item, len(req.Batch)-1)}
+		}
+		return &wire.Response{Status: wire.StatusOK, Op: req.Op, Count: 7}
+	}
+	s := startStub(t, short)
+	m := stripes(s.addr)
+	batch := &wire.Request{Op: wire.OpBatch, Batch: make([]geom.Rect, 16)}
+	for i := range batch.Batch {
+		batch.Batch[i] = window(m, 0, 0)
+	}
+
+	direct := server.Dial(s.addr)
+	defer direct.Close()
+	if resp, err := direct.Do(batch); err == nil || !strings.Contains(err.Error(), "15 result lists for a batch of 16 windows") {
+		t.Fatalf("15 lists for 16 windows: %+v, %v; want an error naming both counts", resp, err)
+	}
+	if n, err := direct.Count(window(m, 0, 0)); err != nil || n != 7 {
+		t.Fatalf("count after a refused answer = %d, %v; want 7", n, err)
+	}
+
+	rt, cl := startRouter(t, Config{Map: m})
+	resp, err := cl.Do(batch)
+	if err != nil || resp.Status != wire.StatusUnavailable {
+		t.Fatalf("routed short batch = %+v, %v; want StatusUnavailable", resp, err)
+	}
+	if st := rt.BackendStats()[0]; st.Errors != 1 {
+		t.Fatalf("backend errors = %d, want 1 failed call", st.Errors)
+	}
+	if n, err := cl.Count(window(m, 0, 0)); err != nil || n != 7 {
+		t.Fatalf("routed count after it = %d, %v; want 7", n, err)
+	}
+}

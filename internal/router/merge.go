@@ -15,19 +15,24 @@ import (
 // mergeResponses folds the per-shard responses (aligned with targets,
 // which is in shard-manifest order) into the client's response. A shard
 // failure wins over data: the first non-OK response in shard order is
-// returned as-is, so errors are deterministic too.
+// returned as-is, so errors are deterministic too. One shard's answer is
+// the client's as it is, with no copy, unless it is a nearest-neighbour
+// list, which the merge puts into (distance, ID) order and cuts at k.
+// Several shards' lists are concatenated into lists sized once; a batch
+// answer has one list per window, which server.Client checked.
 func mergeResponses(req *wire.Request, results []*wire.Response, k int) *wire.Response {
 	for _, r := range results {
 		if r.Status != wire.StatusOK {
 			return r
 		}
 	}
+	if len(results) == 1 && req.Op != wire.OpNearest {
+		return results[0]
+	}
 	out := &wire.Response{Status: wire.StatusOK, Op: req.Op}
 	switch req.Op {
 	case wire.OpSearch, wire.OpSearchPoint:
-		for _, r := range results {
-			out.Items = append(out.Items, r.Items...)
-		}
+		out.Items = concat(results, func(r *wire.Response) []wire.Item { return r.Items })
 	case wire.OpCount:
 		for _, r := range results {
 			out.Count += r.Count
@@ -40,12 +45,8 @@ func mergeResponses(req *wire.Request, results []*wire.Response, k int) *wire.Re
 		out.Neighbors = mergeNeighbors(lists, k)
 	case wire.OpBatch:
 		out.Batch = make([][]wire.Item, len(req.Batch))
-		for _, r := range results {
-			for i, items := range r.Batch {
-				if i < len(out.Batch) {
-					out.Batch[i] = append(out.Batch[i], items...)
-				}
-			}
+		for i := range out.Batch {
+			out.Batch[i] = concat(results, func(r *wire.Response) []wire.Item { return r.Batch[i] })
 		}
 	case wire.OpStats:
 		stats := make([]wire.Stats, len(results))
@@ -53,6 +54,23 @@ func mergeResponses(req *wire.Request, results []*wire.Response, k int) *wire.Re
 			stats[i] = r.Stats
 		}
 		out.Stats = mergeStats(stats)
+	}
+	return out
+}
+
+// concat joins the list of each result in shard order into one slice,
+// allocated once at its final size; no items at all is nil.
+func concat(results []*wire.Response, list func(*wire.Response) []wire.Item) []wire.Item {
+	n := 0
+	for _, r := range results {
+		n += len(list(r))
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]wire.Item, 0, n)
+	for _, r := range results {
+		out = append(out, list(r)...)
 	}
 	return out
 }

@@ -206,3 +206,32 @@ func TestMergeSummaryUpperBoundFold(t *testing.T) {
 		t.Fatalf("identity fold (right) = %+v, want %+v", got, a)
 	}
 }
+
+// TestMergeResponsesOneShard: a request that reached one shard is
+// answered with that shard's parsed response itself, for every op but
+// nearest, whose list the merge orders by (distance, ID) and cuts at k.
+// Passing it through allocates nothing.
+func TestMergeResponsesOneShard(t *testing.T) {
+	for _, r := range []*wire.Response{
+		{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{{ID: 5}, {ID: 1}}},
+		{Status: wire.StatusOK, Op: wire.OpSearchPoint, Items: []wire.Item{{ID: 2}}},
+		{Status: wire.StatusOK, Op: wire.OpCount, Count: 3},
+		{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{{ID: 1}}, nil}},
+	} {
+		req := &wire.Request{Op: r.Op, Batch: make([]geom.Rect, len(r.Batch))}
+		results := []*wire.Response{r}
+		if got := mergeResponses(req, results, 0); got != r {
+			t.Errorf("%v: one shard's response was not passed through", r.Op)
+		}
+		if !raceEnabled {
+			if allocs := testing.AllocsPerRun(100, func() { mergeResponses(req, results, 0) }); allocs != 0 {
+				t.Errorf("%v: passing one shard's response through = %v allocs, want 0", r.Op, allocs)
+			}
+		}
+	}
+	nearest := &wire.Response{Status: wire.StatusOK, Op: wire.OpNearest, Neighbors: []wire.Neighbor{nb(9, 0.2), nb(3, 0.2), nb(1, 0.5)}}
+	got := mergeResponses(&wire.Request{Op: wire.OpNearest, K: 2}, []*wire.Response{nearest}, 2)
+	if want := []wire.Neighbor{nb(3, 0.2), nb(9, 0.2)}; !reflect.DeepEqual(got.Neighbors, want) {
+		t.Fatalf("one shard's nearest = %v, want %v", got.Neighbors, want)
+	}
+}

@@ -125,8 +125,10 @@ func (c *Client) connectLocked() error {
 // in-band refusals (non-OK statuses) as responses rather than errors —
 // the raw exchange the fan-out router forwards. A transport or protocol
 // failure returns an error and drops the connection so the next call
-// redials; per the protocol, draining and bad-request answers also drop
-// it (the server closes its side after those). req is only read.
+// redials; so does an answer that does not fit the request (another op,
+// or a batch answer whose list count is not the window count). Per the
+// protocol, draining and bad-request answers also drop it (the server
+// closes its side after those). req is only read.
 func (c *Client) Do(req *wire.Request) (*wire.Response, error) {
 	//strlint:ignore ctxprop Do is the round trip of a caller that has no context; Background's nil Done arms nothing in DoContext
 	return c.DoContext(context.Background(), req)
@@ -205,6 +207,11 @@ func (c *Client) DoContext(ctx context.Context, req *wire.Request) (resp *wire.R
 	if resp.Op != req.Op {
 		_ = c.dropLocked()
 		return nil, fmt.Errorf("strserve: response op %v for %v request", resp.Op, req.Op)
+	}
+	if resp.Status == wire.StatusOK && req.Op == wire.OpBatch && len(resp.Batch) != len(req.Batch) {
+		// A list short would lose a window's matches without a word.
+		_ = c.dropLocked()
+		return nil, fmt.Errorf("strserve: %d result lists for a batch of %d windows", len(resp.Batch), len(req.Batch))
 	}
 	if resp.Status == wire.StatusDraining || resp.Status == wire.StatusBadRequest {
 		_ = c.dropLocked()

@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -196,7 +195,8 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 		var slab geom.Slab
 		var items []wire.Item
 		collect := func(it strtree.Item) bool {
-			items = append(items, wire.Item{Rect: slab.Clone(it.Rect), ID: it.ID})
+			it.Rect = slab.Clone(it.Rect)
+			items = append(items, it)
 			return true
 		}
 		var err error
@@ -222,24 +222,18 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 		}
 		resp.Neighbors = make([]wire.Neighbor, len(items))
 		for i, it := range items {
-			resp.Neighbors[i] = wire.Neighbor{Item: wire.Item{Rect: it.Rect, ID: it.ID}, Dist: dists[i]}
+			resp.Neighbors[i] = wire.Neighbor{Item: it, Dist: dists[i]}
 		}
 	case wire.OpBatch:
-		results, err := s.tree.SearchBatchContext(ctx, req.Batch, runtime.GOMAXPROCS(0))
+		// One worker: the server's other connections keep the cores busy,
+		// and a batch fanned over GOMAXPROCS workers served no faster
+		// (DESIGN.md §17). The tree's item lists are the answer's:
+		// strtree.Item is wire.Item.
+		results, err := s.tree.SearchBatchContext(ctx, req.Batch, 1)
 		if err != nil {
 			return nil, err
 		}
-		resp.Batch = make([][]wire.Item, len(results))
-		for i, items := range results {
-			if items == nil {
-				continue
-			}
-			out := make([]wire.Item, len(items))
-			for j, it := range items {
-				out[j] = wire.Item{Rect: it.Rect, ID: it.ID}
-			}
-			resp.Batch[i] = out
-		}
+		resp.Batch = results
 	case wire.OpStats:
 		resp.Stats = s.Stats()
 	}

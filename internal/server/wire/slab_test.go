@@ -26,9 +26,37 @@ func searchResponse(t testing.TB, n int) []byte {
 	return enc
 }
 
+// batchResponse is an encoded OpBatch answer of lists lists of n items.
+func batchResponse(t testing.TB, lists, n int) []byte {
+	t.Helper()
+	resp := &Response{Op: OpBatch, Batch: make([][]Item, lists)}
+	for l := range resp.Batch {
+		resp.Batch[l] = make([]Item, n)
+		for i := range resp.Batch[l] {
+			x := float64(l*n + i)
+			resp.Batch[l][i] = Item{Rect: geom.R2(x, x+0.25, x+0.5, x+0.75), ID: uint64(l*n + i)}
+		}
+	}
+	enc, err := AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+func mustParse(t testing.TB, payload []byte) *Response {
+	t.Helper()
+	resp, err := ParseResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
 // TestParseAllocs is the codec's allocation gate: what a parsed message
 // costs is a small fixed count — the message, its item slice and one
-// coordinate chunk per 4 096 coordinates — not two per rectangle.
+// coordinate chunk per 4 096 coordinates — not two per rectangle — and
+// an encoder into a buffer with room allocates nothing.
 func TestParseAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -48,6 +76,34 @@ func TestParseAllocs(t *testing.T) {
 	// 300 more items are 1 200 more coordinates: within one more chunk.
 	if large-small > 1 {
 		t.Errorf("ParseResponse of 400 items = %v allocs, %v at 100: the count grows with the items", large, small)
+	}
+
+	// A 16-window batch answer: one allocation a list (its items) plus the
+	// message, its list slice and the coordinate chunks, whatever the items.
+	fewBatch, manyBatch := parse(batchResponse(t, 16, 10)), parse(batchResponse(t, 16, 120))
+	t.Logf("ParseResponse: %v allocs for 16 lists of 10 items, %v for 16 of 120", fewBatch, manyBatch)
+	if fewBatch > 16+3 {
+		t.Errorf("ParseResponse of 16 lists of 10 items = %v allocs, want <= 19", fewBatch)
+	}
+	// 1 760 more items are 7 040 more coordinates: two more chunks at most.
+	if manyBatch-fewBatch > 2 {
+		t.Errorf("ParseResponse of 16 lists of 120 items = %v allocs, %v with 10 each: the count grows with the items", manyBatch, fewBatch)
+	}
+
+	// Encoding into a buffer with room allocates nothing.
+	for _, resp := range []*Response{
+		mustParse(t, searchResponse(t, 100)),
+		mustParse(t, batchResponse(t, 16, 120)),
+		{Op: OpNearest, Neighbors: []Neighbor{{Item: Item{Rect: geom.R2(0, 0, 1, 1), ID: 3}, Dist: 0.5}}},
+	} {
+		buf := make([]byte, 0, 1<<20)
+		if got := testing.AllocsPerRun(100, func() {
+			if _, err := AppendResponse(buf, resp); err != nil {
+				t.Fatal(err)
+			}
+		}); got != 0 {
+			t.Errorf("AppendResponse(%v) into a buffer with room = %v allocs, want 0", resp.Op, got)
+		}
 	}
 
 	windows := make([]geom.Rect, 16)

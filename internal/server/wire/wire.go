@@ -48,6 +48,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"strtree/internal/geom"
 )
@@ -183,11 +184,10 @@ type Request struct {
 	ID uint64
 }
 
-// Item is one query match: the indexed rectangle and its object ID.
-type Item struct {
-	Rect geom.Rect
-	ID   uint64
-}
+// Item is one query match: the indexed rectangle and its object ID. It
+// is the tree's own item type (strtree.Item), so the server encodes a
+// result list as the tree returned it.
+type Item = geom.Item
 
 // Neighbor is one nearest-neighbor match with its distance.
 type Neighbor struct {
@@ -309,6 +309,8 @@ func (r *reader) coords(n int) []float64 {
 	return r.slab.Alloc(n, r.left(8))
 }
 
+// fail records err unless an error is recorded already; a nil err is no
+// error.
 func (r *reader) fail(err error) {
 	if r.err == nil {
 		r.err = err
@@ -384,33 +386,149 @@ func (r *reader) point() geom.Point {
 	return p
 }
 
+// rect decodes one rectangle: a list of one record with no tail.
 func (r *reader) rect() geom.Rect {
-	dims := int(r.u8())
+	l := r.list(1, 0)
+	if l.n == 0 {
+		r.fail(l.err)
+		return geom.Rect{}
+	}
+	c, _ := l.next()
+	lo, hi := corners(c)
+	return geom.Rect{Min: lo, Max: hi}
+}
+
+// A list record is a rectangle followed by tail bytes: the dims byte,
+// 2·dims coordinates (min corner then max corner) and the tail (an item's
+// ID, a neighbour's ID and distance, nothing for a batch window).
+func stride(dims, tail int) int { return 1 + 16*dims + tail }
+
+// records is a cursor over the valid records of one list, opened by
+// reader.list with their rectangles decoded already.
+type records struct {
+	n      int       // valid records
+	buf    []byte    // the records, back to back, from the next one on
+	coords []float64 // their coordinates, in record order
+	tail   int
+	// err is the error the record after the n valid ones earns, nil if
+	// there are count valid records. It stands only when no tail of the n
+	// is invalid, which is the caller's to check, as a field-by-field read
+	// would find.
+	err error
+}
+
+// list opens a list of n records with tail bytes each, in two passes
+// over the payload. The first walks the records' dims bytes to find how
+// many are whole (at most n, however large n is), so that one slab
+// allocation holds all their coordinates; the second decodes those
+// coordinates in record order and stops at the first rectangle that is
+// not finite and ordered. The reader is left past the whole records. The
+// caller takes the l.n valid records with next, then fails the reader
+// with l.err.
+func (r *reader) list(n uint32, tail int) records {
 	if r.err != nil {
-		return geom.Rect{}
+		return records{}
 	}
-	if dims < 1 || dims > MaxDims {
-		r.fail(ErrBadGeometry)
-		return geom.Rect{}
+	buf := r.buf[r.off:]
+	end, coords := 0, 0
+	var l records
+	for ; uint32(l.n) < n; l.n++ {
+		if end == len(buf) {
+			l.err = ErrTruncated
+			break
+		}
+		d := int(buf[end])
+		if d < 1 || d > MaxDims {
+			l.err = ErrBadGeometry
+			break
+		}
+		s := stride(d, tail)
+		if s > len(buf)-end {
+			l.err = cutErr(buf[end:], d)
+			break
+		}
+		end += s
+		coords += 2 * d
 	}
-	c := r.coords(2 * dims)
-	lo, hi := geom.Point(c[:dims:dims]), geom.Point(c[dims:])
-	for i := range lo {
-		lo[i] = r.finite(r.f64())
+	r.off += end
+	l.buf, l.tail = buf[:end], tail
+	l.coords = r.coords(coords)
+	c := l.coords
+	for i, p := 0, l.buf; i < l.n; i++ {
+		d := int(p[0])
+		if !getCoords(c[:2*d], p[1:]) || !ordered(c[:2*d]) {
+			l.n, l.err = i, ErrBadGeometry
+			break
+		}
+		c, p = c[2*d:], p[stride(d, tail):]
 	}
-	for i := range hi {
-		hi[i] = r.finite(r.f64())
+	return l
+}
+
+// cutErr is the error a record cut short earns, dims byte read: what a
+// field-by-field read meets first — a whole coordinate before the cut that
+// is not finite, or all coordinates there and the corners inverted, is
+// ErrBadGeometry; the cut itself is ErrTruncated.
+func cutErr(rec []byte, dims int) error {
+	var c [2 * MaxDims]float64
+	whole := min((len(rec)-1)/8, 2*dims)
+	if !getCoords(c[:whole], rec[1:]) || (whole == 2*dims && !ordered(c[:whole])) {
+		return ErrBadGeometry
 	}
-	if r.err != nil {
-		return geom.Rect{}
+	return ErrTruncated
+}
+
+// next cuts the next valid record off the list: its decoded coordinates,
+// min corner then max, and its tail bytes.
+func (l *records) next() (c []float64, tail []byte) {
+	d := int(l.buf[0])
+	s := stride(d, l.tail)
+	tail, l.buf = l.buf[1+16*d:s], l.buf[s:]
+	c, l.coords = l.coords[:2*d:2*d], l.coords[2*d:]
+	return c, tail
+}
+
+// corners splits a rectangle's coordinates c into its min and max
+// corners, each with cap == len so that an append to one cannot reach the
+// other.
+func corners(c []float64) (lo, hi geom.Point) {
+	d := len(c) / 2
+	return c[:d:d], c[d:]
+}
+
+// getCoords fills c from the little-endian float64s p starts with and
+// reports whether all are finite.
+func getCoords(c []float64, p []byte) bool {
+	finite := true
+	for i := range c {
+		u := binary.LittleEndian.Uint64(p)
+		p = p[8:]
+		if u&expBits == expBits {
+			finite = false
+		}
+		c[i] = math.Float64frombits(u)
 	}
+	return finite
+}
+
+// expBits are a float64's exponent bits, all of them set in NaN and the
+// infinities alone.
+const expBits = 0x7FF << 52
+
+// isFinite reports whether v is neither NaN nor infinite.
+func isFinite(v float64) bool { return math.Float64bits(v)&expBits != expBits }
+
+// ordered reports whether the corners c holds, min then max, are ordered
+// on every axis.
+func ordered(c []float64) bool {
+	d := len(c) / 2
+	lo, hi := c[:d], c[d:2*d]
 	for i := range lo {
 		if lo[i] > hi[i] {
-			r.fail(ErrBadGeometry)
-			return geom.Rect{}
+			return false
 		}
 	}
-	return geom.Rect{Min: lo, Max: hi}
+	return true
 }
 
 func (r *reader) str() string {
@@ -457,15 +575,28 @@ func appendPoint(dst []byte, p geom.Point) []byte {
 	return dst
 }
 
-func appendRect(dst []byte, q geom.Rect) []byte {
-	dst = append(dst, uint8(len(q.Min)))
+// appendRect appends q's record: the dims byte and the corners, min then
+// max. q is checked as the parser would check it, so nothing is written
+// that would not parse.
+func appendRect(dst []byte, q geom.Rect) ([]byte, error) {
+	d := len(q.Min)
+	if d < 1 || d > MaxDims || len(q.Max) != d {
+		return nil, ErrBadGeometry
+	}
+	for i, lo := range q.Min {
+		hi := q.Max[i]
+		if !isFinite(lo) || !isFinite(hi) || lo > hi {
+			return nil, ErrBadGeometry
+		}
+	}
+	dst = append(dst, uint8(d))
 	for _, v := range q.Min {
 		dst = appendF64(dst, v)
 	}
 	for _, v := range q.Max {
 		dst = appendF64(dst, v)
 	}
-	return dst
+	return dst, nil
 }
 
 func appendStr(dst []byte, s string) []byte {
@@ -486,20 +617,6 @@ func checkPoint(p geom.Point) error {
 	return nil
 }
 
-// checkRect validates a rectangle for encoding, mirroring the parser.
-func checkRect(q geom.Rect) error {
-	if len(q.Min) < 1 || len(q.Min) > MaxDims || len(q.Min) != len(q.Max) {
-		return ErrBadGeometry
-	}
-	for i := range q.Min {
-		lo, hi := q.Min[i], q.Max[i]
-		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(hi) || math.IsInf(hi, 0) || lo > hi {
-			return ErrBadGeometry
-		}
-	}
-	return nil
-}
-
 // ------------------------------------------------------------- requests
 
 // AppendRequest encodes req onto dst and returns the extended slice. The
@@ -511,19 +628,19 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 	}
 	dst = append(dst, Version, uint8(req.Op))
 	dst = appendU32(dst, req.TimeoutMillis)
+	var err error
 	switch req.Op {
 	case OpSearch, OpCount:
-		if err := checkRect(req.Query); err != nil {
+		if dst, err = appendRect(dst, req.Query); err != nil {
 			return nil, err
 		}
-		dst = appendRect(dst, req.Query)
 	case OpSearchPoint:
-		if err := checkPoint(req.Point); err != nil {
+		if err = checkPoint(req.Point); err != nil {
 			return nil, err
 		}
 		dst = appendPoint(dst, req.Point)
 	case OpNearest:
-		if err := checkPoint(req.Point); err != nil {
+		if err = checkPoint(req.Point); err != nil {
 			return nil, err
 		}
 		if req.K < 1 || req.K > MaxK {
@@ -535,20 +652,21 @@ func AppendRequest(dst []byte, req *Request) ([]byte, error) {
 		if len(req.Batch) > MaxBatch {
 			return nil, ErrTooLarge
 		}
+		if len(req.Batch) > 0 {
+			dst = growList(dst, len(req.Batch), len(req.Batch[0].Min), 0)
+		}
 		dst = appendU32(dst, uint32(len(req.Batch)))
 		for _, q := range req.Batch {
-			if err := checkRect(q); err != nil {
+			if dst, err = appendRect(dst, q); err != nil {
 				return nil, err
 			}
-			dst = appendRect(dst, q)
 		}
 	case OpStats:
 		// no body
 	case OpInsert, OpDelete:
-		if err := checkRect(req.Query); err != nil {
+		if dst, err = appendRect(dst, req.Query); err != nil {
 			return nil, err
 		}
-		dst = appendRect(dst, req.Query)
 		dst = appendU64(dst, req.ID)
 	}
 	return dst, nil
@@ -584,10 +702,7 @@ func ParseRequest(payload []byte) (*Request, error) {
 			return nil, ErrTooLarge
 		}
 		if r.err == nil && n > 0 {
-			req.Batch = make([]geom.Rect, 0, min(int(n), r.left(1+2*8)))
-			for i := uint32(0); i < n && r.err == nil; i++ {
-				req.Batch = append(req.Batch, r.rect())
-			}
+			req.Batch = r.windows(n)
 		}
 	case OpStats:
 		// no body
@@ -603,36 +718,103 @@ func ParseRequest(payload []byte) (*Request, error) {
 
 // ------------------------------------------------------------ responses
 
+// growList makes room in dst for a list of n records with tail bytes
+// each whose rectangles all have dims dimensions — every list a tree
+// answers — so that writing it grows dst at most once; a list of mixed
+// dims grows further as append does.
+func growList(dst []byte, n, dims, tail int) []byte {
+	return slices.Grow(dst, 4+n*stride(min(dims, MaxDims), tail))
+}
+
+// appendItems appends a list of items: the count, then one record per
+// item, the ID its tail.
 func appendItems(dst []byte, items []Item) ([]byte, error) {
+	if len(items) > 0 {
+		dst = growList(dst, len(items), len(items[0].Rect.Min), 8)
+	}
 	dst = appendU32(dst, uint32(len(items)))
+	var err error
 	for _, it := range items {
-		if err := checkRect(it.Rect); err != nil {
+		if dst, err = appendRect(dst, it.Rect); err != nil {
 			return nil, err
 		}
-		dst = appendRect(dst, it.Rect)
 		dst = appendU64(dst, it.ID)
 	}
 	return dst, nil
 }
 
-// minItemBytes is the shortest item on the wire: a 1-d rectangle and an ID.
-const minItemBytes = 1 + 2*8 + 8
+// appendNeighbors is appendItems for nearest neighbours: each record's
+// tail is the ID, then the distance.
+func appendNeighbors(dst []byte, nbs []Neighbor) ([]byte, error) {
+	if len(nbs) > 0 {
+		dst = growList(dst, len(nbs), len(nbs[0].Item.Rect.Min), 16)
+	}
+	dst = appendU32(dst, uint32(len(nbs)))
+	var err error
+	for _, nb := range nbs {
+		if !isFinite(nb.Dist) {
+			return nil, ErrBadGeometry
+		}
+		if dst, err = appendRect(dst, nb.Item.Rect); err != nil {
+			return nil, err
+		}
+		dst = appendF64(appendU64(dst, nb.Item.ID), nb.Dist)
+	}
+	return dst, nil
+}
 
+// items decodes a list of items, sized exactly.
 func (r *reader) items() []Item {
 	n := r.u32()
+	l := r.list(n, 8)
 	if r.err != nil {
 		return nil
 	}
-	// Bound the pre-allocation, not the count: large result sets arrive
-	// in frames already capped by MaxFrame.
-	out := make([]Item, 0, min(int(n), r.left(minItemBytes)))
-	for i := uint32(0); i < n && r.err == nil; i++ {
-		rect := r.rect()
-		id := r.u64()
-		if r.err == nil {
-			out = append(out, Item{Rect: rect, ID: id})
-		}
+	out := make([]Item, l.n)
+	for i := range out {
+		// Field by field: storing a whole Item is a typed copy with a bulk
+		// write barrier, a third slower.
+		c, tail := l.next()
+		it := &out[i]
+		it.Rect.Min, it.Rect.Max = corners(c)
+		it.ID = binary.LittleEndian.Uint64(tail)
 	}
+	r.fail(l.err)
+	return out
+}
+
+// neighbors decodes a list of nearest neighbours, sized exactly.
+func (r *reader) neighbors() []Neighbor {
+	n := r.u32()
+	l := r.list(n, 16)
+	if r.err != nil {
+		return nil
+	}
+	out := make([]Neighbor, l.n)
+	for i := range out {
+		c, tail := l.next()
+		dist := math.Float64frombits(binary.LittleEndian.Uint64(tail[8:]))
+		if !isFinite(dist) {
+			r.fail(ErrBadGeometry)
+			return nil
+		}
+		nb := &out[i]
+		nb.Item.Rect.Min, nb.Item.Rect.Max = corners(c)
+		nb.Item.ID, nb.Dist = binary.LittleEndian.Uint64(tail), dist
+	}
+	r.fail(l.err)
+	return out
+}
+
+// windows decodes a batch request's n windows, sized exactly.
+func (r *reader) windows(n uint32) []geom.Rect {
+	l := r.list(n, 0)
+	out := make([]geom.Rect, l.n)
+	for i := range out {
+		c, _ := l.next()
+		out[i].Min, out[i].Max = corners(c)
+	}
+	r.fail(l.err)
 	return out
 }
 
@@ -729,17 +911,8 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	case OpCount:
 		dst = appendU64(dst, resp.Count)
 	case OpNearest:
-		dst = appendU32(dst, uint32(len(resp.Neighbors)))
-		for _, nb := range resp.Neighbors {
-			if err := checkRect(nb.Item.Rect); err != nil {
-				return nil, err
-			}
-			if math.IsNaN(nb.Dist) || math.IsInf(nb.Dist, 0) {
-				return nil, ErrBadGeometry
-			}
-			dst = appendRect(dst, nb.Item.Rect)
-			dst = appendU64(dst, nb.Item.ID)
-			dst = appendF64(dst, nb.Dist)
+		if dst, err = appendNeighbors(dst, resp.Neighbors); err != nil {
+			return nil, err
 		}
 	case OpBatch:
 		if len(resp.Batch) > MaxBatch {
@@ -795,19 +968,7 @@ func ParseResponse(payload []byte) (*Response, error) {
 	case OpCount:
 		resp.Count = r.u64()
 	case OpNearest:
-		n := r.u32()
-		if r.err == nil {
-			out := make([]Neighbor, 0, min(int(n), r.left(minItemBytes+8)))
-			for i := uint32(0); i < n && r.err == nil; i++ {
-				rect := r.rect()
-				id := r.u64()
-				dist := r.finite(r.f64())
-				if r.err == nil {
-					out = append(out, Neighbor{Item: Item{Rect: rect, ID: id}, Dist: dist})
-				}
-			}
-			resp.Neighbors = out
-		}
+		resp.Neighbors = r.neighbors()
 	case OpBatch:
 		n := r.u32()
 		if r.err == nil && n > MaxBatch {

@@ -59,11 +59,9 @@ func R2(x0, y0, x1, y1 float64) Rect { return geom.R2(x0, y0, x1, y1) }
 func Pt2(x, y float64) Point { return geom.Pt2(x, y) }
 
 // Item is one indexed object: its bounding rectangle and an opaque
-// identifier the caller uses to locate the actual object.
-type Item struct {
-	Rect Rect
-	ID   uint64
-}
+// identifier the caller uses to locate the actual object. It is the type
+// the query server's codec sends, so a result is served without a copy.
+type Item = geom.Item
 
 // Packing selects the bulk-loading algorithm.
 type Packing int
@@ -330,17 +328,34 @@ func (t *Tree) SearchBatch(qs []Rect, workers int) ([][]Item, error) {
 }
 
 // searchBatch is SearchBatch and SearchBatchContext: each query's matches
-// are copied out of their pinned pages as Items, every rectangle of one
-// query into one slab (a query runs on one worker). A query with no
-// matches keeps a nil slice.
+// are copied out of their pinned pages as Items. A worker gathers a
+// query's items in a slice it reuses and copies them into one of their
+// exact size, and clones the rectangles of all its queries into one slab.
+// A query with no matches keeps a nil slice.
 func (t *Tree) searchBatch(ctx context.Context, qs []Rect, workers int) ([][]Item, error) {
 	out := make([][]Item, len(qs))
-	err := query.Run(qs, workers, &t.batchMetrics, func(i int, q Rect) error {
-		var slab geom.Slab
-		return t.inner.SearchContext(ctx, q, func(e node.Entry) bool {
-			out[i] = append(out[i], Item{Rect: slab.Clone(e.Rect), ID: e.Ref})
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	type scratch struct {
+		items []Item
+		slab  geom.Slab
+	}
+	perWorker := make([]scratch, min(workers, len(qs)))
+	err := query.Run(qs, workers, &t.batchMetrics, func(w, i int, q Rect) error {
+		s := &perWorker[w]
+		s.items = s.items[:0]
+		err := t.inner.SearchContext(ctx, q, func(e node.Entry) bool {
+			r := s.slab.Clone(e.Rect)
+			s.items = append(s.items, Item{ID: e.Ref})
+			it := &s.items[len(s.items)-1]
+			it.Rect.Min, it.Rect.Max = r.Min, r.Max // field by field: no typed copy of the whole Item
 			return true
 		})
+		if len(s.items) > 0 {
+			out[i] = append(make([]Item, 0, len(s.items)), s.items...)
+		}
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -353,7 +368,7 @@ func (t *Tree) searchBatch(ctx context.Context, qs []Rect, workers int) ([][]Ite
 // paper's access-count experiments use.
 func (t *Tree) SearchBatchCount(qs []Rect, workers int) ([]int, error) {
 	counts := make([]int, len(qs))
-	err := query.Run(qs, workers, &t.batchMetrics, func(i int, q Rect) (err error) {
+	err := query.Run(qs, workers, &t.batchMetrics, func(_, i int, q Rect) (err error) {
 		counts[i], err = t.inner.Count(q)
 		return err
 	})
