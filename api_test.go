@@ -19,13 +19,13 @@ func TestExportedSurface(t *testing.T) {
 	want := map[string][]string{
 		"func": {"Create", "Join", "New", "NewOnPager", "Open", "Pt2", "R2"},
 		"type": {
-			"BatchExecStats", "BuildStats", "ExternalOptions", "ExternalSortStats",
+			"BuildStats", "ExternalOptions", "ExternalSortStats",
 			"IOStats", "Item", "Metrics", "MutatePathStats", "Options", "Packing",
 			"Point", "ReadPathStats", "Rect", "ShardIOStats", "Tree",
 		},
 		"value": {"MBR", "NewRect", "PackHilbert", "PackNearestX", "PackSTR", "PackTGS", "PointRect"},
 		"*Tree method": {
-			"BatchExecStats", "Bounds", "BulkLoad", "BulkLoadExternal", "Capacity",
+			"Bounds", "BulkLoad", "BulkLoadExternal", "Capacity",
 			"CheckInvariants", "CheckPackedInvariants", "Close", "CompactInto", "Count",
 			"CountContext", "Delete", "Dims", "DropCaches", "Flush", "Height", "Insert",
 			"LastBuildStats", "LastExternalSortStats", "Len", "Metrics",

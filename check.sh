@@ -110,6 +110,14 @@
 #                     internal/rtree/build.go), and BulkLoadFunc calls
 #                     neither packUp( nor p.pack(: BulkLoad and
 #                     BulkLoadOrdered both reach the leaves through load
+#                     — and a fourteenth: a batch is par.Each over its
+#                     queries and a kept answer leaves the tree through
+#                     one collecting read (rtree's Collect), so no .go
+#                     file names ExecMetrics, BatchExecStats or query.Run(
+#                     (the batch executor, its gauges and the tree's
+#                     accessor for them), and no file of internal/geom
+#                     declares ) Clone(r Rect) (the slab's per-rectangle
+#                     clone the hand-written collectors called)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     over the whole module (it takes no arguments),
 #                     all nine checks plus its directive validator:
@@ -132,8 +140,8 @@
 #                     (internal/par), the buffer pool
 #                     (incl. the sharded pool's eviction hammer and the
 #                     write-pin protocol), the packers, the parallel sort
-#                     kernel, the concurrent external sorter, the batch
-#                     executor, the query server (admission, deadlines,
+#                     kernel, the concurrent external sorter, the query
+#                     server (admission, deadlines,
 #                     drain, admin scrapes, mutation/query exclusion, a
 #                     32-client load with no request failed),
 #                     the lock-free latency histogram, the metrics
@@ -153,7 +161,8 @@
 #                     root package's …BulkLoad…, TestBulkLoadWriteSequence
 #                     among them, and …Parallel…BuildByteIdentical) — and
 #                     the root package's concurrent Search/SearchBatch
-#                     tests, and internal/storage (four readers of a
+#                     tests (the batch's order, empty batch, first error
+#                     and stress tests among them), and internal/storage (four readers of a
 #                     FilePager's mapping beside a writer that grows it). The zero-alloc gates
 #                     (…View…, …Mutate…ZeroAlloc) run here for their
 #                     traversal coverage but skip their allocation
@@ -240,7 +249,8 @@ if grep -rni 'selftest\|adminsmoke\|seriesexpect' --include='*.go' --exclude='*_
 
 if grep -rn 'unionRecords\|leastEnlargementEach\|mbrInto\|unionRecord(\|recordRect(\|recordCenter(\|RecordValid' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a retired copy of a page-record kernel is back outside _test.go: the MBR of a run of records is node.UnionRecords, a record's centre node.RecordCenter, its validity node.FirstInvalid, and each View kernel is a k = 2 arm plus one strided loop" >&2; exit 1; fi
 if grep -rn 'IntersectsQuery(\|\.MinDist(' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . | grep -v '^./internal/node/'; then echo "IntersectsQuery and MinDist are per-entry references for tests and bench/: library code asks a page with AppendIntersecting, AppendMatches or AppendMinDist" >&2; exit 1; fi
-if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is one query.Run, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -rn 'STRTiming\|SearchBatchCountTimed\|BatchExecutor\|runBuildBench\|runConcurrency\|ErrReadOnly\|func (t \*Tree) View(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired harness or read path is back: wall-clock numbers come from bench/ and the root benchmarks at -cpu, a batch is par.Each over its queries, and a *Tree serves concurrent readers itself (DESIGN.md, Tried and dropped)" >&2; exit 1; fi
+if grep -rn 'ExecMetrics\|BatchExecStats\|query\.Run(' --include='*.go' --exclude-dir=.bench_build . || grep -rn ') Clone(r Rect)' internal/geom; then echo "a retired collector or batch executor is back: a batch is par.Each over its queries with no gauges, and a kept answer is copied out once, by rtree's collecting read (DESIGN.md §6, §10)" >&2; exit 1; fi
 if grep -rn 'forEachSlab(\|eachChunk(\|SearchPointContext\|NearestContext(' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired worker pool or context twin is back: independent work fans out through par.Each (par.Chunks for static ranges), a point query under a context is SearchContext on a degenerate rectangle, and a nearest query under a context is NearestKContext (DESIGN.md §10)" >&2; exit 1; fi
 if grep -rn 'sync\.WaitGroup\|make(chan struct{}\|go func' internal/psort internal/query internal/pack/pack.go internal/pack/tgs.go internal/rtree/build.go internal/rtree/stream.go internal/lint/lint.go cmd/strbench/main.go; then echo "the sort kernel, STR, TGS, the bulk loader's page runs, query.Run, lint.Run and strbench's -j runner fan out through par.Each; none keeps a WaitGroup, a semaphore or goroutines of its own (DESIGN.md §10)" >&2; exit 1; fi
 if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then echo "a root entry point no caller outside a test used is back: containment is Search plus Rect.Contains, a range delete is Search then Delete, a backup is Create plus CompactInto, Join is the one join (DESIGN.md §17)" >&2; exit 1; fi

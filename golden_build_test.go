@@ -136,3 +136,34 @@ func edgeItems(n int, seed int64) []Item {
 	}
 	return out
 }
+
+// TestCompactIntoGoldenDigests pins the file CompactInto writes from a
+// churned tree, at one worker and at four: the collecting read hands the
+// loader the entries in Scan's leaf order, as the per-entry clone loop it
+// replaced did, so the constant is the one that loop's file had.
+func TestCompactIntoGoldenDigests(t *testing.T) {
+	const want = "621dc4e7414ce1f7"
+	for _, workers := range []int{1, 4} {
+		src := churnedTree(t, 20_000, 72)
+		path := filepath.Join(t.TempDir(), "compact.str")
+		dst, err := Create(path, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.CompactInto(dst, PackSTR); err != nil {
+			t.Fatal(err)
+		}
+		if err := dst.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(data)
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want {
+			t.Errorf("workers %d: compacted file (%d bytes) has FNV-64a %s, want %s", workers, len(data), got, want)
+		}
+	}
+}

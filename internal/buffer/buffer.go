@@ -116,8 +116,8 @@ func (f *Frame) SetChecked() { f.checked.Store(true) }
 // The pool is split into a power-of-two number of shards selected by a
 // page-number hash. Each shard is one LRU list behind its own mutex with
 // its own counters, so fetches of pages in different shards proceed in
-// parallel — the property the concurrent read path (query.Run under
-// SearchBatch) needs to scale past one core. With one shard every
+// parallel — the property the concurrent read path (SearchBatch's
+// par.Each) needs to scale past one core. With one shard every
 // eviction decision, and therefore every counter, is a deterministic
 // function of the fetch sequence: the same trace always produces the same
 // miss counts, which is what the paper-reproduction experiments rely on.

@@ -2,57 +2,44 @@ package geom
 
 import "testing"
 
-// TestSlab pins the slab's contract: a clone is equal and independent,
-// every corner has cap == len so an append cannot reach its neighbour,
-// no chunk handed out is moved or reused by later allocations, and the
-// chunk count grows with the logarithm of the rectangles, not with them.
+// TestSlab pins the slab's contract: what Alloc hands out is zeroed, has
+// cap == len so an append cannot reach its neighbour, is never moved or
+// reused by later allocations, and comes in chunks of the caller's size,
+// capped at slabLast, or of the request when that is larger.
 func TestSlab(t *testing.T) {
 	var s Slab
-	src := make([]Rect, 3000)
-	out := make([]Rect, len(src))
-	for i := range src {
-		x := float64(i)
-		src[i] = R2(x, x+1, x+2, x+3)
-		out[i] = s.Clone(src[i])
-	}
-	for i, r := range out {
-		if cap(r.Min) != 2 || cap(r.Max) != 2 {
-			t.Fatalf("clone %d: cap(Min) %d, cap(Max) %d", i, cap(r.Min), cap(r.Max))
+	out := make([][]float64, 3000)
+	for i := range out {
+		c := s.Alloc(4, 4*len(out))
+		for j, v := range c {
+			if v != 0 {
+				t.Fatalf("allocation %d: coordinate %d is %v, want 0", i, j, v)
+			}
+			c[j] = float64(4*i + j)
 		}
-		_ = append(r.Min, -1)
-		_ = append(r.Max, -1)
-	}
-	for i, r := range out {
-		if !r.Equal(src[i]) {
-			t.Fatalf("clone %d = %v, want %v", i, r, src[i])
+		if cap(c) != 4 {
+			t.Fatalf("allocation %d: cap %d, want 4", i, cap(c))
 		}
+		_ = append(c, -1)
+		out[i] = c
 	}
-	out[0].Min[0] = -5
-	if src[0].Min[0] != 0 || out[1].Min[0] != 1 {
-		t.Fatal("a clone shares storage with its source or its neighbour")
+	for i, c := range out {
+		for j, v := range c {
+			if v != float64(4*i+j) {
+				t.Fatalf("allocation %d moved or was overwritten: %v", i, c)
+			}
+		}
 	}
 
-	allocs := testing.AllocsPerRun(10, func() {
+	// 12 000 coordinates asked for in chunks of 12 000 come in chunks of
+	// slabLast: three of them.
+	if n := testing.AllocsPerRun(10, func() {
 		var s Slab
-		for i := range src {
-			out[i] = s.Clone(src[i])
+		for range out {
+			s.Alloc(4, 4*len(out))
 		}
-	})
-	// 12 000 coordinates: chunks of 32, 64, ..., 4096, 4096.
-	if allocs > 9 {
-		t.Errorf("3000 clones cost %v allocations", allocs)
-	}
-
-	// Chunks stop growing at slabLast and stay there: 100 000 clones are
-	// 400 000 coordinates in some hundred chunks.
-	many := testing.AllocsPerRun(3, func() {
-		var s Slab
-		for i := 0; i < 100_000; i++ {
-			s.Clone(src[i%len(src)])
-		}
-	})
-	if many < 90 || many > 110 {
-		t.Errorf("100 000 clones cost %v allocations, want about 400 000/%d", many, slabLast)
+	}); n != 3 {
+		t.Errorf("12 000 coordinates cost %v allocations, want 3", n)
 	}
 
 	// Alloc honours the caller's chunk size, and a request larger than it.

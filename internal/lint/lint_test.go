@@ -19,7 +19,7 @@ func byCheck(findings []lint.Finding) map[string][]lint.Finding {
 
 func TestLoadDemoModule(t *testing.T) {
 	a := lint.DemoModule(t)
-	want := []string{"", "internal/buffer", "internal/geom", "internal/pack", "internal/query", "internal/router", "internal/rtree", "internal/server", "internal/storage", "internal/widget"}
+	want := []string{"", "internal/buffer", "internal/geom", "internal/pack", "internal/router", "internal/rtree", "internal/server", "internal/storage", "internal/widget"}
 	got := a.Packages()
 	if len(got) != len(want) {
 		t.Fatalf("packages = %v, want %v", got, want)
@@ -77,12 +77,12 @@ func TestFindingDetails(t *testing.T) {
 		"package internal/widget missing from the strlint layering table",
 		"error from internal/storage defer call p.Close is discarded",
 		"error from encoding/binary call binary.Write is discarded",
-		"error from internal/query go call ex.Run is discarded",
+		"error from internal/storage go call p.Flush is discarded",
 		"error from internal/server call Shutdown is discarded",
 		// The two cases below need exact types: a method reached through
 		// an embedded interface, a promoted field of a map element.
-		"demo.go:110:2: droppederr: error from internal/storage call d.Flush is discarded",
-		"demo.go:124:21: floateq: == on float operands",
+		"demo.go:109:2: droppederr: error from internal/storage call d.Flush is discarded",
+		"demo.go:123:21: floateq: == on float operands",
 		"malformed directive",
 		`unknown check "floatqe"`,
 		`unknown strlint directive "ignored"`,

@@ -7,9 +7,8 @@ package lint
 // droppedErrTargets are the packages whose error returns must never be
 // silently discarded: the storage and buffer layers (a dropped error there
 // corrupts a persistent tree), encoding/binary (a short read/write yields
-// a garbage page), the query layer (a batch executor's error carries a
-// worker's page-read failure — dropping it, especially on a `go` call,
-// silently truncates query results), and the serving layer (a dropped
+// a garbage page), the query layer (it returns no error today; the entry
+// keeps any it gains checked), and the serving layer (a dropped
 // drain or shutdown error hides requests that were cut off mid-response).
 // Keys are module-relative paths or stdlib paths. The check fires on
 // plain, defer and go calls alike, and inside goroutine bodies — including
@@ -55,7 +54,7 @@ var deterministicLayers = map[string]bool{
 //	node, wkt, geojson, server/wire    -> geom
 //	obs                                -> histo
 //	lint                               -> par
-//	query                              -> geom, par
+//	query                              -> geom
 //	buffer, trace                      -> storage
 //	datagen                            -> geom, node
 //	psort                              -> geom, node, par
@@ -91,7 +90,7 @@ var layerAllowed = map[string]map[string]bool{
 	"internal/obs":     {"internal/histo": true},
 	"internal/lint":    {"internal/par": true},
 	"internal/node":    {"internal/geom": true},
-	"internal/query":   {"internal/geom": true, "internal/par": true},
+	"internal/query":   {"internal/geom": true},
 	"internal/wkt":     {"internal/geom": true},
 	"internal/geojson": {"internal/geom": true},
 	"internal/buffer":  {"internal/storage": true},
@@ -160,7 +159,7 @@ var layerAllowed = map[string]map[string]bool{
 		"internal/metrics": true,
 		"internal/node":    true,
 		"internal/pack":    true,
-		"internal/query":   true,
+		"internal/par":     true,
 		"internal/rtree":   true,
 		"internal/storage": true,
 	},

@@ -7,7 +7,6 @@ import (
 	"encoding/binary"
 
 	"demo/internal/buffer"
-	"demo/internal/query"
 	"demo/internal/storage"
 )
 
@@ -48,12 +47,12 @@ func DropIntended(p *storage.Pager) {
 }
 
 // DropBatch fires droppederr two more ways, both goroutine-shaped: a
-// batch executor fired off with a bare go statement (its error — a
-// worker's page-read failure — vanishes with the goroutine), and a
-// dropped error inside a goroutine body.
-func DropBatch(ex *query.Executor, p *storage.Pager) {
+// flush fired off with a bare go statement (its error — a failed page
+// write — vanishes with the goroutine), and a dropped error inside a
+// goroutine body.
+func DropBatch(p *storage.Pager) {
 	//strlint:ignore waitpair fixture isolates droppederr; the leak is the point
-	go ex.Run() // want droppederr
+	go p.Flush() // want droppederr
 	//strlint:ignore waitpair fixture isolates droppederr; the leak is the point
 	go func() {
 		p.Flush() // want droppederr
@@ -82,12 +81,12 @@ func DropWritePinHandled(p *buffer.Pool) error {
 }
 
 // DropBatchHandled must not fire: both goroutines consume their errors.
-func DropBatchHandled(ex *query.Executor, errs chan<- error) {
+func DropBatchHandled(p *storage.Pager, errs chan<- error) {
 	go func() {
-		errs <- ex.Run()
+		errs <- p.Flush()
 	}()
 	go func() {
-		if err := ex.Drain(); err != nil {
+		if err := p.Close(); err != nil {
 			errs <- err
 		}
 	}()

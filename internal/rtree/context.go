@@ -21,13 +21,13 @@ import (
 // context.DeadlineExceeded — is returned as soon as it is observed.
 // Matches already emitted stay emitted; the traversal simply stops.
 func (t *Tree) SearchContext(ctx context.Context, q geom.Rect, fn func(e node.Entry) bool) error {
-	_, err := t.searchView(ctx, q, false, fn)
+	_, err := t.searchView(ctx, q, false, fn, nil)
 	return err
 }
 
 // CountContext is Count under a context.
 func (t *Tree) CountContext(ctx context.Context, q geom.Rect) (int, error) {
-	return t.searchView(ctx, q, false, nil)
+	return t.searchView(ctx, q, false, nil, nil)
 }
 
 // NearestKContext is NearestK with cooperative cancellation, checked once

@@ -1,6 +1,9 @@
 package rtree
 
-import "strtree/internal/node"
+import (
+	"strtree/internal/geom"
+	"strtree/internal/node"
+)
 
 // Scan streams every data entry in the tree in leaf order (for packed
 // trees, the packing order). Returning false from fn stops the scan. It is
@@ -9,9 +12,9 @@ import "strtree/internal/node"
 // preorder of Walk, no internal node tests its entries, and the pooled
 // state makes a steady-state Scan allocation-free. The entry's rectangle
 // aliases pooled traversal storage and is only valid during the callback;
-// Clone it to retain it (CompactInto does).
+// Clone it to retain it.
 func (t *Tree) Scan(fn func(e node.Entry) bool) error {
-	_, err := t.searchView(nil, t.everywhere, true, fn)
+	_, err := t.searchView(nil, t.everywhere, true, fn, nil)
 	return err
 }
 
@@ -20,14 +23,13 @@ func (t *Tree) Scan(fn func(e node.Entry) bool) error {
 // This realizes the maintenance strategy behind the paper's proposed
 // "dynamic R-tree variants based on the STR packing algorithm": run
 // dynamic updates against a tree, then periodically rebuild it packed to
-// recover near-100% utilization and query quality.
+// recover near-100% utilization and query quality. The contents are read
+// in Scan's order by the collecting read (Collect's traversal from a
+// covered root), so each leaf costs one allocation, not each entry.
 func (t *Tree) CompactInto(dst *Tree, o Orderer) error {
-	entries := make([]node.Entry, 0, t.count)
-	if err := t.Scan(func(e node.Entry) bool {
-		entries = append(entries, node.Entry{Rect: e.Rect.Clone(), Ref: e.Ref})
-		return true
-	}); err != nil {
+	var items []geom.Item
+	if _, err := t.searchView(nil, t.everywhere, true, nil, &items); err != nil {
 		return err
 	}
-	return dst.BulkLoad(entries, o)
+	return dst.BulkLoadFunc(len(items), func(i int) (geom.Rect, uint64) { return items[i].Rect, items[i].ID }, o)
 }

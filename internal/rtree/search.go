@@ -1,6 +1,8 @@
 package rtree
 
 import (
+	"context"
+
 	"strtree/internal/geom"
 	"strtree/internal/node"
 )
@@ -22,7 +24,7 @@ import (
 // The entry passed to fn aliases pooled traversal storage and is valid
 // only during the callback; Clone its rectangle to retain it.
 func (t *Tree) Search(q geom.Rect, fn func(e node.Entry) bool) error {
-	_, err := t.searchView(nil, q, false, fn)
+	_, err := t.searchView(nil, q, false, fn, nil)
 	return err
 }
 
@@ -43,5 +45,19 @@ func (t *Tree) SearchPoint(p geom.Point, fn func(e node.Entry) bool) error {
 // parent's rectangle containing its child's rectangles, which Check
 // verifies; on a tree that breaks it, Count and Search can disagree.
 func (t *Tree) Count(q geom.Rect) (int, error) {
-	return t.searchView(nil, q, false, nil)
+	return t.searchView(nil, q, false, nil, nil)
+}
+
+// Collect returns every data entry intersecting q, in Search's order, as
+// items that own their memory: the one read whose answer is kept. It is
+// the window traversal with no callback (searchView): each leaf's matches
+// are written once, by node.View.AppendMatches, into a slice of their exact
+// size, and every corner has cap == len. A nil ctx is never consulted; a
+// non-nil one is checked before every node read. No match returns nil.
+func (t *Tree) Collect(ctx context.Context, q geom.Rect) ([]geom.Item, error) {
+	var items []geom.Item
+	if _, err := t.searchView(ctx, q, false, nil, &items); err != nil {
+		return nil, err
+	}
+	return items, nil
 }

@@ -17,7 +17,9 @@
 // (SearchUnmarshal in search_ref_test.go), which the differential tests pin.
 //
 // Emitted node.Entry rectangles alias the traverser's slab and are valid
-// only during the callback; Clone to retain.
+// only during the callback. A read that keeps its answer is Collect, the
+// same traversal with no callback: each leaf's matches are written once,
+// under the pin, into memory the answer owns.
 //
 // What a visit reads. The pages a query fetches, and their order, are the
 // paper's procedure and the tests' references; how many words of a fetched
@@ -97,17 +99,18 @@ func (t *Tree) ReadStats() ReadStats {
 // out of travPool, uses it, and returns it; none of its buffers shrink, so
 // after a few queries of a given shape no traversal allocates.
 type traverser struct {
-	stack []pageRef  // DFS work list (search, count, scan)
-	pairs []pagePair // synchronized-traversal work list (join)
-	pq    distHeap   // best-first queue (nearest)
-	kth   kthHeap    // the k smallest entry distances queued (bounded nearest)
-	dists []float64  // one page's entry distances (nearest)
-	hits  []int32    // one page's intersecting entry indices (search, count)
-	slab  []float64  // banked rectangle coordinates (mins then maxes per entry)
-	refs  []uint64   // banked refs parallel to slab
-	bankA banked     // join: node from tree a
-	bankB banked     // join: node from tree b
-	n     visitTally // this query's node visits, published by putTraverser
+	stack []pageRef   // DFS work list (search, count, scan)
+	pairs []pagePair  // synchronized-traversal work list (join)
+	pq    distHeap    // best-first queue (nearest)
+	kth   kthHeap     // the k smallest entry distances queued (bounded nearest)
+	dists []float64   // one page's entry distances (nearest)
+	hits  []int32     // one page's intersecting entry indices (search, count)
+	slab  []float64   // banked rectangle coordinates (mins then maxes per entry)
+	refs  []uint64    // banked refs parallel to slab, or to segs (collect)
+	segs  [][]float64 // collect: each leaf's matched coordinates, owned by the answer
+	bankA banked      // join: node from tree a
+	bankB banked      // join: node from tree b
+	n     visitTally  // this query's node visits, published by putTraverser
 }
 
 // visitTally counts one operation's node visits and full validations off
@@ -153,6 +156,8 @@ func (t *Tree) putTraverser(tr *traverser) {
 	tr.pq = tr.pq[:0]
 	tr.slab = tr.slab[:0]
 	tr.refs = tr.refs[:0]
+	clear(tr.segs) // the answer's memory: the pool must not keep it alive
+	tr.segs = tr.segs[:0]
 	travPool.Put(tr)
 }
 
@@ -213,10 +218,12 @@ func (t *Tree) viewOf(f *buffer.Frame, n *visitTally) (node.View, error) {
 }
 
 // slabRect slices entry i's rectangle out of a coordinate slab laid out by
-// node.View.AppendMatches (dims mins then dims maxes per entry).
+// node.View.AppendMatches (dims mins then dims maxes per entry). Each corner
+// has cap == len, so an append to one reallocates instead of overwriting
+// its neighbour.
 func slabRect(slab []float64, i, dims int) geom.Rect {
 	off := i * 2 * dims
-	return geom.Rect{Min: geom.Point(slab[off : off+dims]), Max: geom.Point(slab[off+dims : off+2*dims])}
+	return geom.Rect{Min: geom.Point(slab[off : off+dims : off+dims]), Max: geom.Point(slab[off+dims : off+2*dims : off+2*dims])}
 }
 
 // everywhere returns the rectangle every rectangle of the given
@@ -243,9 +250,13 @@ type pageRef struct {
 // are pushed last to first, so the leftmost pops first). A nil ctx skips
 // cancellation checks; a non-nil ctx is consulted once per node visit,
 // before the fetch, like searchRec's context variant always did. A nil fn
-// makes it a count: the leaf arm tallies matches under the pin and banks
-// nothing — no user code runs, so there is nothing to release the pin for —
-// and the tally is returned. With an fn the returned count is unused.
+// makes it a count: the leaf arm tallies matches under the pin — no user
+// code runs, so there is nothing to release the pin for — and the tally is
+// returned. With an fn the returned count is unused. A nil fn and a non-nil
+// out make it the collecting read (Collect): the count's leaf arm, which
+// knows each leaf's matches before it copies any, also writes them with
+// node.View.AppendMatches into a slice of exactly that many rectangles,
+// owned by the answer, and *out is set to their items on success.
 //
 // Covered subtrees. Each work-list entry says whether the rectangle its
 // parent holds for it lies inside q (node.View.CoveredBy, asked at the
@@ -260,8 +271,8 @@ type pageRef struct {
 // entry. The page is still fetched, in the same order, through the same
 // fetchView: the paper's metric counts node visits, and a visit saved here
 // would be a different tree, not a faster read. A covered leaf that is
-// emitted takes the same AppendMatches pass as any other.
-func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn func(node.Entry) bool) (int, error) {
+// emitted or collected takes the same AppendMatches pass as any other.
+func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn func(node.Entry) bool, out *[]geom.Item) (int, error) {
 	if err := t.checkEntry(q); err != nil {
 		return 0, err
 	}
@@ -291,13 +302,18 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn fun
 		}
 		switch {
 		case v.IsLeaf() && fn == nil:
-			// Count: no callback will run, so tally under the pin.
-			if top.covered {
-				matches += v.Count()
-			} else {
+			// Count or collect: no callback will run, so work under the pin.
+			n := v.Count()
+			if !top.covered {
 				tr.hits = v.AppendIntersecting(tr.hits[:0], q)
-				matches += len(tr.hits)
+				n = len(tr.hits)
 			}
+			if out != nil && n > 0 {
+				var seg []float64
+				seg, tr.refs = v.AppendMatches(make([]float64, 0, n*2*dims), tr.refs, q)
+				tr.segs = append(tr.segs, seg)
+			}
+			matches += n
 			t.pool.Release(f)
 		case v.IsLeaf():
 			// Bank the matches, release the pin, then emit: callbacks run
@@ -324,7 +340,28 @@ func (t *Tree) searchView(ctx context.Context, q geom.Rect, covered bool, fn fun
 			t.pool.Release(f)
 		}
 	}
+	if out != nil {
+		*out = tr.collected(dims)
+	}
 	return matches, nil
+}
+
+// collected returns the items of a collecting read: one per banked ref, its
+// rectangle sliced out of the leaf slice AppendMatches wrote it into. No
+// match leaves nil.
+func (tr *traverser) collected(dims int) []geom.Item {
+	if len(tr.refs) == 0 {
+		return nil
+	}
+	items := make([]geom.Item, len(tr.refs))
+	i := 0
+	for _, seg := range tr.segs {
+		for j := range len(seg) / (2 * dims) {
+			items[i] = geom.Item{Rect: slabRect(seg, j, dims), ID: tr.refs[i]}
+			i++
+		}
+	}
+	return items
 }
 
 // nearestView is the shared implementation behind NearestK and

@@ -224,7 +224,9 @@ func (ct countTree) windows(t *testing.T, rng *rand.Rand) []geom.Rect {
 // entries Search emits equals a linear scan of what the tree holds, Search's
 // entries are the Unmarshal reference's in its order, and Count fetches
 // exactly the pages the reference fetches, in its order (the paper's metric:
-// a covered subtree is still visited page by page). The trees: a packed one
+// a covered subtree is still visited page by page). Collect, which sizes
+// each leaf's copy by Count's tally, is held to the same entries, order and
+// fetches. The trees: a packed one
 // per dimensionality (the 3-D tree runs every visit through the kernels'
 // k-dimensional fallback arms), an STR-packed one at the paper's node size,
 // a four-level one, and one left by the mutation oracle's churn, whose
@@ -315,6 +317,22 @@ func TestCountMatchesReference(t *testing.T) {
 				}
 				if !samePages(searchSeq, wantSeq) {
 					t.Fatalf("window %d %v: fetch sequence diverged: search %v, reference %v", i, q, searchSeq, wantSeq)
+				}
+				var items []geom.Item
+				collectSeq := traceFetches(tr.Pool(), func() {
+					if items, err = tr.Collect(nil, q); err != nil {
+						t.Fatal(err)
+					}
+				})
+				got = got[:0]
+				for _, it := range items {
+					got = append(got, node.Entry{Rect: it.Rect, Ref: it.ID})
+				}
+				if !sameEntries(got, want) {
+					t.Fatalf("window %d %v: Collect returned %d entries, reference %d (or contents differ)", i, q, len(got), len(want))
+				}
+				if !samePages(collectSeq, wantSeq) {
+					t.Fatalf("window %d %v: fetch sequence diverged: collect %v, reference %v", i, q, collectSeq, wantSeq)
 				}
 			}
 		})

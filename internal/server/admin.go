@@ -1,9 +1,11 @@
 package server
 
 // This file registers strserve's own series next to the frame's: the
-// per-op breakdowns, the served tree's buffer, read-path and batch
-// counters, and its shape. The admin endpoint that serves them is the
-// frame's (frame.go).
+// per-op breakdowns, the batch windows executed, the served tree's buffer
+// and read-path counters, and its shape. A batch runs as par.Each over the
+// tree's collecting read with no gauges of its own, so its one series is a
+// counter the handler adds to per request. The admin endpoint that serves
+// them is the frame's (frame.go).
 
 import (
 	"strconv"
@@ -12,7 +14,7 @@ import (
 	"strtree/internal/server/wire"
 )
 
-// registerTreeSeries adds the executor's, buffer's and batch executor's
+// registerTreeSeries adds the executor's, buffer's and read path's
 // counters to the frame's registry, Func-backed like the frame's own.
 func (s *Server) registerTreeSeries() {
 	r := s.Registry()
@@ -58,15 +60,8 @@ func (s *Server) registerTreeSeries() {
 	r.CounterFunc("strserve_traverser_allocs_total", "Traversal-state pool misses, i.e. heap allocations of query state.",
 		func() uint64 { return s.tree.ReadPathStats().TraverserAllocs })
 
-	// Batch executor activity (OpBatch requests).
-	r.CounterFunc("strserve_batch_batches_total", "Batch requests completed by the executor.",
-		func() uint64 { return s.tree.BatchExecStats().BatchesDone })
-	r.CounterFunc("strserve_batch_queries_total", "Individual queries completed inside batches.",
-		func() uint64 { return s.tree.BatchExecStats().QueriesDone })
-	r.GaugeFunc("strserve_batch_queued_queries", "Batch queries admitted but not yet claimed by a worker.",
-		func() float64 { return float64(s.tree.BatchExecStats().QueuedQueries) })
-	r.GaugeFunc("strserve_batch_active_workers", "Batch workers currently executing a query.",
-		func() float64 { return float64(s.tree.BatchExecStats().ActiveWorkers) })
+	// Windows carried by batch requests (OpBatch), counted per request.
+	r.CounterFunc("strserve_batch_queries_total", "Queries carried by the batch requests executed.", s.batchQueries.Load)
 
 	// Served-tree shape, for dashboards joining load to index size.
 	r.GaugeFunc("strserve_tree_items", "Items in the served tree.",

@@ -14,6 +14,8 @@ import (
 	"time"
 
 	"strtree"
+	"strtree/internal/geom"
+	"strtree/internal/server/wire"
 )
 
 // adminFixture is a served tree plus an httptest server over the admin
@@ -105,8 +107,9 @@ func (f *adminFixture) get(t *testing.T, path string) (int, string) {
 }
 
 // TestAdminRoundTrip drives real requests through the wire protocol and
-// asserts the admin surface reflects them: request counters, per-shard
-// buffer series, latency summaries, JSON stats and a healthy /healthz.
+// asserts the admin surface reflects them: request counters, the windows
+// of the batch requests, per-shard buffer series, latency summaries, JSON
+// stats and a healthy /healthz.
 func TestAdminRoundTrip(t *testing.T) {
 	f := newAdminFixture(t, Config{})
 
@@ -122,6 +125,15 @@ func TestAdminRoundTrip(t *testing.T) {
 	if _, err := f.cl.Search(strtree.R2(0.4, 0.4, 0.5, 0.5)); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
+	for _, n := range []int{3, 2} {
+		batch := make([]geom.Rect, n)
+		for i := range batch {
+			batch[i] = strtree.R2(0.1, 0.1, 0.2, 0.2)
+		}
+		if _, err := f.cl.Do(&wire.Request{Op: wire.OpBatch, Batch: batch}); err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+	}
 
 	status, body := f.get(t, "/metrics")
 	if status != http.StatusOK {
@@ -131,13 +143,16 @@ func TestAdminRoundTrip(t *testing.T) {
 		"# TYPE strserve_requests_total counter\n",
 		"strserve_requests_total{op=\"count\"} 5\n",
 		"strserve_requests_total{op=\"search\"} 1\n",
+		"strserve_requests_total{op=\"batch\"} 2\n",
+		"# TYPE strserve_batch_queries_total counter\n",
+		"strserve_batch_queries_total 5\n",
 		"# TYPE strserve_op_latency_seconds summary\n",
 		"strserve_op_latency_seconds_count{op=\"count\"} 5\n",
 		"strserve_buffer_hits_total{shard=\"0\"}",
 		"strserve_buffer_hits_total{shard=\"3\"}",
 		"strserve_buffer_pinned_frames{shard=\"0\"} 0\n",
 		"# TYPE strserve_read_queries_total counter\n",
-		"strserve_read_queries_total 6\n",
+		"strserve_read_queries_total 11\n",
 		"# TYPE strserve_view_pages_total counter\n",
 		"# TYPE strserve_checked_pages_total counter\n",
 		"# TYPE strserve_traverser_allocs_total counter\n",

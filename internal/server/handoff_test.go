@@ -24,10 +24,9 @@ import (
 // must not depend on it, responses too large for it, callers that share a
 // request, and peers that answer late or not at all.
 
-// gridTree packs side*side unit-spaced points, ID = y*side + x: a window
+// gridItems is side*side unit-spaced points, ID = y*side + x: a window
 // [0, w-1]^2 matches exactly w*w of them.
-func gridTree(t testing.TB, side int) *strtree.Tree {
-	t.Helper()
+func gridItems(side int) []strtree.Item {
 	items := make([]strtree.Item, 0, side*side)
 	for y := 0; y < side; y++ {
 		for x := 0; x < side; x++ {
@@ -35,16 +34,25 @@ func gridTree(t testing.TB, side int) *strtree.Tree {
 			items = append(items, strtree.Item{Rect: geom.Rect{Min: p, Max: p}, ID: uint64(y*side + x)})
 		}
 	}
-	tree, err := strtree.New(strtree.Options{BufferPages: 256})
+	return items
+}
+
+// gridTreeBuffer packs gridItems(side) behind a buffer of the given pages.
+func gridTreeBuffer(t testing.TB, side, bufferPages int) *strtree.Tree {
+	t.Helper()
+	tree, err := strtree.New(strtree.Options{BufferPages: bufferPages})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.BulkLoad(items, strtree.PackSTR); err != nil {
+	if err := tree.BulkLoad(gridItems(side), strtree.PackSTR); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = tree.Close() })
 	return tree
 }
+
+// gridTree packs gridItems(side) behind a buffer that holds them all.
+func gridTree(t testing.TB, side int) *strtree.Tree { return gridTreeBuffer(t, side, 256) }
 
 // window matches w*w points of a gridTree.
 func window(w int) geom.Rect { return geom.R2(0, 0, float64(w-1), float64(w-1)) }
@@ -243,26 +251,74 @@ func checkOwnCorners(t *testing.T, what string, items []wire.Item) {
 // TestSharedSlabHygiene: the rectangles of one response share storage on
 // the shard and again in the client, and nobody can tell — not by
 // appending to a corner, not by keeping a result across the next request
-// on the same connection.
+// on the same connection. On the shard, a search, a point search and a
+// batch are kept across more requests and a DropCaches of a four-page
+// buffer, which reuse every frame and traversal buffer the answers were
+// read from, and must still equal a linear scan of the grid.
 func TestSharedSlabHygiene(t *testing.T) {
-	srv, addr := startServer(t, gridTree(t, 40), Config{})
-	for _, req := range []*wire.Request{
+	const side = 40
+	tree := gridTreeBuffer(t, side, 4)
+	srv, addr := startServer(t, tree, Config{})
+	reqs := []*wire.Request{
 		{Op: wire.OpSearch, Query: window(20)},
 		{Op: wire.OpSearchPoint, Point: geom.Pt2(3, 4)},
-		{Op: wire.OpBatch, Batch: []geom.Rect{window(12), window(3)}},
-	} {
+		{Op: wire.OpBatch, Batch: []geom.Rect{window(12), window(3), geom.R2(25, 30, 39, 33)}},
+	}
+	type keptList struct {
+		q     geom.Rect
+		items []wire.Item
+	}
+	var answers []keptList
+	for _, req := range reqs {
 		resp, err := srv.execute(context.Background(), req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		items := resp.Items
-		for _, b := range resp.Batch {
-			items = append(items, b...)
+		switch req.Op {
+		case wire.OpSearch:
+			answers = append(answers, keptList{req.Query, resp.Items})
+		case wire.OpSearchPoint:
+			answers = append(answers, keptList{geom.PointRect(req.Point), resp.Items})
+		case wire.OpBatch:
+			for i, b := range resp.Batch {
+				items = append(items, b...)
+				answers = append(answers, keptList{req.Batch[i], b})
+			}
 		}
 		if len(items) == 0 {
 			t.Fatalf("%v matched nothing", req.Op)
 		}
 		checkOwnCorners(t, "shard "+req.Op.String(), items)
+	}
+	for _, req := range []*wire.Request{
+		{Op: wire.OpSearch, Query: geom.R2(0, 20, 39, 39)},
+		{Op: wire.OpSearchPoint, Point: geom.Pt2(30, 30)},
+		{Op: wire.OpBatch, Batch: []geom.Rect{geom.R2(20, 0, 39, 39), window(side)}},
+	} {
+		if _, err := srv.execute(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tree.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	grid := gridItems(side)
+	for _, k := range answers {
+		want := map[uint64]geom.Rect{}
+		for _, it := range grid {
+			if it.Rect.Intersects(k.q) {
+				want[it.ID] = it.Rect
+			}
+		}
+		if len(k.items) != len(want) {
+			t.Fatalf("kept answer to %v: %d items, a linear scan finds %d", k.q, len(k.items), len(want))
+		}
+		for _, it := range k.items {
+			if r, ok := want[it.ID]; !ok || !r.Equal(it.Rect) {
+				t.Fatalf("kept answer to %v: item %d %v, a linear scan has %v", k.q, it.ID, it.Rect, r)
+			}
+		}
 	}
 
 	cl := dial(t, addr)

@@ -96,6 +96,8 @@ type Server struct {
 	mutApplied uint64
 
 	slow atomic.Uint64
+	// batchQueries counts the windows of the batch requests executed.
+	batchQueries atomic.Uint64
 
 	// Per-op breakdowns, indexed by Op-1: requests executed, failures
 	// (internal errors), and deadline/cancellation expiries.
@@ -134,6 +136,9 @@ func (s *Server) handle(ctx context.Context, req *wire.Request) *wire.Response {
 	elapsed := time.Since(start)
 	s.latOp[req.Op-1].Observe(elapsed)
 	s.reqOp[req.Op-1].Add(1)
+	if req.Op == wire.OpBatch {
+		s.batchQueries.Add(uint64(len(req.Batch)))
+	}
 
 	switch {
 	case err == nil:
@@ -189,26 +194,28 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 	defer s.treeMu.RUnlock()
 	resp := &wire.Response{Status: wire.StatusOK, Op: req.Op}
 	switch req.Op {
-	case wire.OpSearch, wire.OpSearchPoint:
-		// A hit's rectangle lives in a pinned page: it is copied out, all of
-		// one response's into one slab.
-		var slab geom.Slab
-		var items []wire.Item
-		collect := func(it strtree.Item) bool {
-			it.Rect = slab.Clone(it.Rect)
-			items = append(items, it)
-			return true
+	case wire.OpSearch, wire.OpSearchPoint, wire.OpBatch:
+		// A search is a one-window batch. The tree's collecting read copies
+		// each hit out of its pinned page once, into the answer: its item
+		// lists are the response's (strtree.Item is wire.Item). One worker:
+		// the server's other connections keep the cores busy, and a batch
+		// fanned over GOMAXPROCS workers served no faster (DESIGN.md §17).
+		qs := req.Batch
+		switch req.Op {
+		case wire.OpSearch:
+			qs = []geom.Rect{req.Query}
+		case wire.OpSearchPoint:
+			qs = []geom.Rect{{Min: req.Point, Max: req.Point}} // aliases the point: see rtree.SearchPoint
 		}
-		var err error
-		if req.Op == wire.OpSearch {
-			err = s.tree.SearchContext(ctx, req.Query, collect)
-		} else {
-			err = s.tree.SearchContext(ctx, geom.Rect{Min: req.Point, Max: req.Point}, collect) // aliases the point: see rtree.SearchPoint
-		}
+		results, err := s.tree.SearchBatchContext(ctx, qs, 1)
 		if err != nil {
 			return nil, err
 		}
-		resp.Items = items
+		if req.Op == wire.OpBatch {
+			resp.Batch = results
+		} else {
+			resp.Items = results[0]
+		}
 	case wire.OpCount:
 		n, err := s.tree.CountContext(ctx, req.Query)
 		if err != nil {
@@ -224,16 +231,6 @@ func (s *Server) execute(ctx context.Context, req *wire.Request) (*wire.Response
 		for i, it := range items {
 			resp.Neighbors[i] = wire.Neighbor{Item: it, Dist: dists[i]}
 		}
-	case wire.OpBatch:
-		// One worker: the server's other connections keep the cores busy,
-		// and a batch fanned over GOMAXPROCS workers served no faster
-		// (DESIGN.md §17). The tree's item lists are the answer's:
-		// strtree.Item is wire.Item.
-		results, err := s.tree.SearchBatchContext(ctx, req.Batch, 1)
-		if err != nil {
-			return nil, err
-		}
-		resp.Batch = results
 	case wire.OpStats:
 		resp.Stats = s.Stats()
 	}

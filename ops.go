@@ -16,15 +16,7 @@ import (
 // same paged tree the range queries use, which, knowing k, skips what lies
 // strictly beyond the k-th. The items are copies, safe to retain.
 func (t *Tree) NearestK(p Point, k int) ([]Item, []float64, error) {
-	entries, dists, err := t.inner.NearestK(p, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	items := make([]Item, len(entries))
-	for i, e := range entries {
-		items[i] = Item{Rect: e.Rect, ID: e.Ref}
-	}
-	return items, dists, nil
+	return t.NearestKContext(nil, p, k) // nil: no cancellation checks, as in Search
 }
 
 // Join streams every intersecting pair of items between two trees using a

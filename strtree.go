@@ -30,7 +30,7 @@ import (
 	"strtree/internal/metrics"
 	"strtree/internal/node"
 	"strtree/internal/pack"
-	"strtree/internal/query"
+	"strtree/internal/par"
 	"strtree/internal/rtree"
 	"strtree/internal/storage"
 )
@@ -211,9 +211,6 @@ type Tree struct {
 	inner *rtree.Tree
 	pool  *buffer.Pool
 	pager storage.Pager
-	// batchMetrics aggregates the activity of every batch query on this
-	// tree, for BatchExecStats.
-	batchMetrics query.ExecMetrics
 	// extSortStats holds the external sorter's counters from the most
 	// recent BulkLoadExternal, for LastExternalSortStats.
 	extSortStats pack.SortStats
@@ -321,41 +318,28 @@ func (t *Tree) SearchPoint(p Point, fn func(Item) bool) error {
 // safe while no goroutine mutates the tree; for parallel speed-up open
 // the tree with Options.BufferShards > 1, otherwise workers serialize on
 // the single buffer mutex. The first page-read error aborts the batch and
-// is returned. Merged access statistics accumulate in Stats, aggregated
-// across all workers and buffer shards.
+// is returned wrapped with the failing query's index. The items own their
+// memory, each corner with cap == len. Merged access statistics accumulate
+// in Stats, aggregated across all workers and buffer shards.
 func (t *Tree) SearchBatch(qs []Rect, workers int) ([][]Item, error) {
 	return t.searchBatch(nil, qs, workers) // nil: no cancellation checks, as in Search
 }
 
-// searchBatch is SearchBatch and SearchBatchContext: each query's matches
-// are copied out of their pinned pages as Items. A worker gathers a
-// query's items in a slice it reuses and copies them into one of their
-// exact size, and clones the rectangles of all its queries into one slab.
-// A query with no matches keeps a nil slice.
+// searchBatch is SearchBatch and SearchBatchContext: par.Each over the
+// queries, each answered by the collecting read (rtree's Collect), whose
+// items own their memory. A query with no matches keeps a nil slice. One
+// worker runs the batch in order on the caller. The first error stops the
+// batch and is returned as "query %d: …"; errors.Is and As reach the cause.
 func (t *Tree) searchBatch(ctx context.Context, qs []Rect, workers int) ([][]Item, error) {
-	out := make([][]Item, len(qs))
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	type scratch struct {
-		items []Item
-		slab  geom.Slab
-	}
-	perWorker := make([]scratch, min(workers, len(qs)))
-	err := query.Run(qs, workers, &t.batchMetrics, func(w, i int, q Rect) error {
-		s := &perWorker[w]
-		s.items = s.items[:0]
-		err := t.inner.SearchContext(ctx, q, func(e node.Entry) bool {
-			r := s.slab.Clone(e.Rect)
-			s.items = append(s.items, Item{ID: e.Ref})
-			it := &s.items[len(s.items)-1]
-			it.Rect.Min, it.Rect.Max = r.Min, r.Max // field by field: no typed copy of the whole Item
-			return true
-		})
-		if len(s.items) > 0 {
-			out[i] = append(make([]Item, 0, len(s.items)), s.items...)
+	out := make([][]Item, len(qs))
+	err := par.Each(len(qs), workers, func(_, i int) (err error) {
+		if out[i], err = t.inner.Collect(ctx, qs[i]); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
 		}
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -365,12 +349,18 @@ func (t *Tree) searchBatch(ctx context.Context, qs []Rect, workers int) ([][]Ite
 
 // SearchBatchCount is SearchBatch without materializing matches: it
 // returns each query's intersection count in input order, the shape the
-// paper's access-count experiments use.
+// paper's access-count experiments use. Workers and errors are as in
+// SearchBatch.
 func (t *Tree) SearchBatchCount(qs []Rect, workers int) ([]int, error) {
+	if workers < 1 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	counts := make([]int, len(qs))
-	err := query.Run(qs, workers, &t.batchMetrics, func(_, i int, q Rect) (err error) {
-		counts[i], err = t.inner.Count(q)
-		return err
+	err := par.Each(len(qs), workers, func(_, i int) (err error) {
+		if counts[i], err = t.inner.Count(qs[i]); err != nil {
+			return fmt.Errorf("query %d: %w", i, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -438,30 +428,6 @@ func (t *Tree) ShardStats() []ShardIOStats {
 		}
 	}
 	return out
-}
-
-// BatchExecStats is the cumulative batch-query activity of one tree
-// handle: batches and queries completed, plus two point-in-time gauges —
-// queries admitted but not yet claimed by a worker, and workers currently
-// executing.
-type BatchExecStats struct {
-	BatchesStarted, BatchesDone, QueriesDone uint64
-	QueuedQueries, ActiveWorkers             int64
-}
-
-// BatchExecStats snapshots the counters accumulated by every SearchBatch,
-// SearchBatchContext and SearchBatchCount on this tree. The fields are
-// read independently, so the snapshot is coherent only to within
-// in-flight updates — fine for monitoring, not for invariant checks.
-func (t *Tree) BatchExecStats() BatchExecStats {
-	m := &t.batchMetrics
-	return BatchExecStats{
-		BatchesStarted: m.BatchesStarted.Load(),
-		BatchesDone:    m.BatchesDone.Load(),
-		QueriesDone:    m.QueriesDone.Load(),
-		QueuedQueries:  m.QueuedQueries.Load(),
-		ActiveWorkers:  m.ActiveWorkers.Load(),
-	}
 }
 
 // ReadPathStats counts zero-copy read-path activity: queries run,
