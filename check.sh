@@ -117,7 +117,12 @@
 #                     (the batch executor, its gauges and the tree's
 #                     accessor for them), and no file of internal/geom
 #                     declares ) Clone(r Rect) (the slab's per-rectangle
-#                     clone the hand-written collectors called)
+#                     clone the hand-written collectors called) — and a
+#                     fifteenth: the router forwards search, point and
+#                     batch answers as the bytes it scanned, so no non-test
+#                     file of internal/router calls concat( (the []Item
+#                     merge) or ParseResponse (its backend round trip is
+#                     Client.Relay, which scans)
 #   4. strlint        the repo's own static analyzer (internal/lint),
 #                     over the whole module (it takes no arguments),
 #                     all nine checks plus its directive validator:
@@ -257,6 +262,7 @@ if grep -rn 'SearchWithin\|DeleteRange\|SaveTo(\|DumpDOT\|JoinWithin\|joinNear' 
 if grep -rn 'ApplyFixes\|Fixable\|resolvePatterns\|RunTrials\|trace\.Load\|traceMagic' --include='*.go' --exclude-dir=.bench_build .; then echo "a retired tool mode is back: strlint checks the whole module with every check and rewrites nothing, strbench runs each experiment once, and strload trace replays its trace in memory (DESIGN.md §14)" >&2; exit 1; fi
 if grep -rn 'runBatch\|rwg\|spentBy\|prefetch' internal/extsort; then echo "a retired merge reader is back: each spilled run is read, two batches in turn, on the goroutine that pulls the stream (DESIGN.md §11, §17)" >&2; exit 1; fi
 if [ "$(grep -c 'go func' internal/pack/external.go)" -ne 2 ] || [ "$(grep -c 'go func' internal/extsort/extsort.go)" -ne 1 ]; then echo "the external build's goroutines are the stages DESIGN.md §11 names: pack/external.go starts the read-ahead and the slab sort, extsort.go the spill pool, and no other" >&2; exit 1; fi
+if grep -rn 'concat(\|ParseResponse' --include='*.go' --exclude='*_test.go' internal/router; then echo "the router joins shard answers as bytes: its round trip is Client.Relay (wire.ScanResponse) and a merge of lists is wire.JoinLists, never parsed items concatenated and re-encoded (DESIGN.md §5)" >&2; exit 1; fi
 packup_calls=$(grep -rn 'packUp(' --include='*.go' --exclude-dir=.bench_build . | grep -v ':[[:space:]]*//' | grep -v 'func (t \*Tree) packUp(' || true)
 if [ "$(echo "$packup_calls" | grep -c .)" -ne 1 ] ||
     ! awk '/^func \(t \*Tree\) load\(/ {f = 1} f && /^}/ {f = 0} f && /packUp\(/ {n++} END {exit (n != 1)}' internal/rtree/build.go ||

@@ -34,10 +34,12 @@ func grid(n int) []geom.Rect {
 }
 
 // gridTree packs the cells into a small-node tree, each item's ID its
-// index in cells.
+// index in cells. Each of its four buffer shards holds 8 frames, one for
+// each of the most workers a test here runs (Options.BufferShards: a
+// shard must cover the pages pinned at once, one a querying goroutine).
 func gridTree(t *testing.T, cells []geom.Rect) *strtree.Tree {
 	t.Helper()
-	tree, err := strtree.New(strtree.Options{Capacity: 8, BufferPages: 16, BufferShards: 4})
+	tree, err := strtree.New(strtree.Options{Capacity: 8, BufferPages: 32, BufferShards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

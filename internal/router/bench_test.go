@@ -12,8 +12,10 @@ import (
 // benchmark: one client -> router -> 3 STR shards of uniform squares,
 // all in-process over loopback, one request at a time. fan1 requests
 // reach one shard and never leave the router connection's goroutine (the
-// shard's parsed answer is the router's, fan1/batch a 16-window batch);
-// fan3 starts two goroutines beside it. Each case reports its items/op. check.sh runs one iteration,
+// shard's scanned answer is the router's, fan1/batch a 16-window batch);
+// fan3 starts two goroutines beside it, and fan3/batch, 16 windows over
+// all three shards (≈ 2 000 items: the serve ledger's p99 request), joins
+// three answers' bytes. Each case reports its items/op. check.sh runs one iteration,
 // nightly.yml times it. Read its allocs/op; its µs/op is one closed-loop
 // client, whose round trip depends on whether a runtime thread happens
 // to be spinning when each reply lands (two modes, 2x apart, on a 2-core
@@ -45,6 +47,16 @@ func BenchmarkRoutedRoundTrip(b *testing.B) {
 	if got := topo.m.OverlapRect(geom.MBR(windows)); len(got) != 1 {
 		b.Fatalf("the batch overlaps shards %v", got)
 	}
+	// The same windows on a 4 × 4 grid over the whole square: the batch
+	// reaches every shard.
+	spread := make([]geom.Rect, 16)
+	for i := range spread {
+		x, y := 0.125+0.25*float64(i%4), 0.125+0.25*float64(i/4)
+		spread[i] = geom.R2(x-0.032, y-0.032, x+0.032, y+0.032)
+	}
+	if got := topo.m.OverlapRect(geom.MBR(spread)); len(got) != 3 {
+		b.Fatalf("the spread batch overlaps shards %v", got)
+	}
 	for _, bc := range []struct {
 		name string
 		req  wire.Request
@@ -53,6 +65,7 @@ func BenchmarkRoutedRoundTrip(b *testing.B) {
 		{"fan1/search", wire.Request{Op: wire.OpSearch, Query: inside}},
 		{"fan1/batch", wire.Request{Op: wire.OpBatch, Batch: windows}},
 		{"fan3/nearest", wire.Request{Op: wire.OpNearest, Point: geom.Pt2(0.5, 0.5), K: 10}},
+		{"fan3/batch", wire.Request{Op: wire.OpBatch, Batch: spread}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -18,8 +18,10 @@ import (
 // returned as-is, so errors are deterministic too. One shard's answer is
 // the client's as it is, with no copy, unless it is a nearest-neighbour
 // list, which the merge puts into (distance, ID) order and cuts at k.
-// Several shards' lists are concatenated into lists sized once; a batch
-// answer has one list per window, which server.Client checked.
+// Search, point and batch answers arrive scanned (server.Client.Relay):
+// several shards' lists are joined as bytes, each list's counts summed
+// and its records concatenated in shard order, and a batch answer has
+// one list per window, which the client checked.
 func mergeResponses(req *wire.Request, results []*wire.Response, k int) *wire.Response {
 	for _, r := range results {
 		if r.Status != wire.StatusOK {
@@ -29,10 +31,15 @@ func mergeResponses(req *wire.Request, results []*wire.Response, k int) *wire.Re
 	if len(results) == 1 && req.Op != wire.OpNearest {
 		return results[0]
 	}
+	if req.Op == wire.OpSearch || req.Op == wire.OpSearchPoint || req.Op == wire.OpBatch {
+		joined, err := wire.JoinLists(results)
+		if err != nil {
+			return &wire.Response{Status: wire.StatusInternal, Op: req.Op, Err: err.Error()}
+		}
+		return joined
+	}
 	out := &wire.Response{Status: wire.StatusOK, Op: req.Op}
 	switch req.Op {
-	case wire.OpSearch, wire.OpSearchPoint:
-		out.Items = concat(results, func(r *wire.Response) []wire.Item { return r.Items })
 	case wire.OpCount:
 		for _, r := range results {
 			out.Count += r.Count
@@ -43,34 +50,12 @@ func mergeResponses(req *wire.Request, results []*wire.Response, k int) *wire.Re
 			lists[i] = r.Neighbors
 		}
 		out.Neighbors = mergeNeighbors(lists, k)
-	case wire.OpBatch:
-		out.Batch = make([][]wire.Item, len(req.Batch))
-		for i := range out.Batch {
-			out.Batch[i] = concat(results, func(r *wire.Response) []wire.Item { return r.Batch[i] })
-		}
 	case wire.OpStats:
 		stats := make([]wire.Stats, len(results))
 		for i, r := range results {
 			stats[i] = r.Stats
 		}
 		out.Stats = mergeStats(stats)
-	}
-	return out
-}
-
-// concat joins the list of each result in shard order into one slice,
-// allocated once at its final size; no items at all is nil.
-func concat(results []*wire.Response, list func(*wire.Response) []wire.Item) []wire.Item {
-	n := 0
-	for _, r := range results {
-		n += len(list(r))
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]wire.Item, 0, n)
-	for _, r := range results {
-		out = append(out, list(r)...)
 	}
 	return out
 }

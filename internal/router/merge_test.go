@@ -2,6 +2,7 @@ package router
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"strtree/internal/geom"
@@ -105,13 +106,45 @@ func TestMergeResponsesErrorWins(t *testing.T) {
 	}
 }
 
+// scanned is what a backend's answer is at the router: resp encoded, then
+// scanned back off the bytes.
+func scanned(t testing.TB, resp *wire.Response) *wire.Response {
+	t.Helper()
+	b, err := wire.AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := wire.ScanResponse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// reparsed is what the router's client reads of resp: its encoding, parsed.
+func reparsed(t testing.TB, resp *wire.Response) *wire.Response {
+	t.Helper()
+	b, err := wire.AppendResponse(nil, resp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := wire.ParseResponse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// it is an item whose rectangle encodes: the unit square.
+func it(id uint64) wire.Item { return wire.Item{Rect: geom.R2(0, 0, 1, 1), ID: id} }
+
 func TestMergeResponsesConcatAndSum(t *testing.T) {
 	req := &wire.Request{Op: wire.OpSearch}
 	results := []*wire.Response{
-		{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{{ID: 5}, {ID: 1}}},
-		{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{{ID: 9}}},
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{it(5), it(1)}}),
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{it(9)}}),
 	}
-	got := mergeResponses(req, results, 0)
+	got := reparsed(t, mergeResponses(req, results, 0))
 	want := []uint64{5, 1, 9} // shard-manifest order, within-shard order preserved
 	if len(got.Items) != len(want) {
 		t.Fatalf("items = %v", got.Items)
@@ -135,10 +168,10 @@ func TestMergeResponsesConcatAndSum(t *testing.T) {
 func TestMergeResponsesBatch(t *testing.T) {
 	req := &wire.Request{Op: wire.OpBatch, Batch: make([]geom.Rect, 2)}
 	results := []*wire.Response{
-		{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{{ID: 1}}, nil}},
-		{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{{ID: 2}}, {{ID: 3}}}},
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{it(1)}, nil}}),
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{it(2)}, {it(3)}}}),
 	}
-	got := mergeResponses(req, results, 0)
+	got := reparsed(t, mergeResponses(req, results, 0))
 	if len(got.Batch) != 2 {
 		t.Fatalf("batch len = %d", len(got.Batch))
 	}
@@ -147,6 +180,74 @@ func TestMergeResponsesBatch(t *testing.T) {
 	}
 	if len(got.Batch[1]) != 1 || got.Batch[1][0].ID != 3 {
 		t.Fatalf("batch[1] = %v, want [3]", got.Batch[1])
+	}
+}
+
+// TestMergeResponsesRefusesParsedLists: the byte join takes scanned
+// answers only, so a parsed list reaching it is a router bug, answered
+// StatusInternal rather than encoded wrong.
+func TestMergeResponsesRefusesParsedLists(t *testing.T) {
+	req := &wire.Request{Op: wire.OpSearch}
+	results := []*wire.Response{
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{it(5)}}),
+		{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{it(9)}},
+	}
+	if got := mergeResponses(req, results, 0); got.Status != wire.StatusInternal {
+		t.Fatalf("a parsed part joined: %+v", got)
+	}
+}
+
+// fan3Batch is three shards' scanned answers to a 16-window batch in the
+// shape of the serve ledger's p99 request: about 1 900 items in all.
+func fan3Batch(t testing.TB) (*wire.Request, []*wire.Response) {
+	req := &wire.Request{Op: wire.OpBatch, Batch: make([]geom.Rect, 16)}
+	results := make([]*wire.Response, 3)
+	id := uint64(0)
+	for s := range results {
+		lists := make([][]wire.Item, len(req.Batch))
+		for w := range lists {
+			for range 40 {
+				x := float64(id%1000) / 1000
+				lists[w] = append(lists[w], wire.Item{Rect: geom.R2(x, x, x+0.001, x+0.001), ID: id})
+				id++
+			}
+		}
+		results[s] = scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpBatch, Batch: lists})
+	}
+	return req, results
+}
+
+// TestMergeJoinAllocs is the byte merge's allocation gate: three shards'
+// batch answers of 1 920 items merge and encode into a reused frame buffer
+// with one allocation, the joined Response. Merging them as parsed items
+// took 18 allocations and ≈ 110 kB, most of it the concatenated []Item
+// lists, one a window.
+func TestMergeJoinAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	req, results := fan3Batch(t)
+	frame, err := wire.AppendResponse(nil, mergeResponses(req, results, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	merge := func() {
+		if frame, err = wire.AppendResponse(frame[:0], mergeResponses(req, results, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, merge)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		merge()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("three-shard batch merge: %.1f allocs, %.0f bytes", allocs, bytes)
+	if allocs > 1 || bytes > 1024 {
+		t.Errorf("three-shard batch merge = %.1f allocs, %.0f bytes; want <= 1 and <= 1024", allocs, bytes)
 	}
 }
 
@@ -208,17 +309,18 @@ func TestMergeSummaryUpperBoundFold(t *testing.T) {
 }
 
 // TestMergeResponsesOneShard: a request that reached one shard is
-// answered with that shard's parsed response itself, for every op but
-// nearest, whose list the merge orders by (distance, ID) and cuts at k.
-// Passing it through allocates nothing.
+// answered with that shard's response itself — a search, point or batch
+// answer as scanned, a count as parsed — for every op but nearest, whose
+// list the merge orders by (distance, ID) and cuts at k. Passing it
+// through allocates nothing.
 func TestMergeResponsesOneShard(t *testing.T) {
 	for _, r := range []*wire.Response{
-		{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{{ID: 5}, {ID: 1}}},
-		{Status: wire.StatusOK, Op: wire.OpSearchPoint, Items: []wire.Item{{ID: 2}}},
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpSearch, Items: []wire.Item{it(5), it(1)}}),
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpSearchPoint, Items: []wire.Item{it(2)}}),
 		{Status: wire.StatusOK, Op: wire.OpCount, Count: 3},
-		{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{{ID: 1}}, nil}},
+		scanned(t, &wire.Response{Status: wire.StatusOK, Op: wire.OpBatch, Batch: [][]wire.Item{{it(1)}, nil}}),
 	} {
-		req := &wire.Request{Op: r.Op, Batch: make([]geom.Rect, len(r.Batch))}
+		req := &wire.Request{Op: r.Op, Batch: make([]geom.Rect, r.Lists())}
 		results := []*wire.Response{r}
 		if got := mergeResponses(req, results, 0); got != r {
 			t.Errorf("%v: one shard's response was not passed through", r.Op)

@@ -423,7 +423,7 @@ func (r *Router) tryBackend(ctx context.Context, b *backend, req *wire.Request) 
 		return deadlineResponse(ctx, req), false
 	}
 	b.requests.Add(1)
-	out, err := cl.DoContext(ctx, req)
+	out, err := cl.Relay(ctx, req)
 	b.pool <- cl
 	if err != nil {
 		b.errors.Add(1)

@@ -52,6 +52,7 @@ type topology struct {
 	backends []*server.Server
 	trees    []*strtree.Tree
 	router   *Router
+	addr     string // the router's
 	client   *server.Client
 }
 
@@ -113,6 +114,7 @@ func buildTopology(items []strtree.Item, shards int) (*topology, error) {
 		t.close()
 		return nil, err
 	}
+	t.addr = addr
 	t.client = server.Dial(addr)
 	return t, nil
 }

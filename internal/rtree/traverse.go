@@ -96,8 +96,9 @@ func (t *Tree) ReadStats() ReadStats {
 }
 
 // traverser is the reusable per-query traversal state. A query checks one
-// out of travPool, uses it, and returns it; none of its buffers shrink, so
-// after a few queries of a given shape no traversal allocates.
+// out of travPool, uses it, and returns it; its buffers keep what they
+// grew to up to pooledBytes each, so after a few queries of a given shape
+// no traversal allocates.
 type traverser struct {
 	stack []pageRef   // DFS work list (search, count, scan)
 	pairs []pagePair  // synchronized-traversal work list (join)
@@ -146,18 +147,36 @@ func (t *Tree) getTraverser() *traverser {
 	return v.(*traverser)
 }
 
+// pooledBytes bounds each of the traverser buffers a whole answer can
+// grow, refs, slab and segs: four 4 KiB pages' worth. What one page puts
+// there stays well under it (a page holds at most 170 entries: 1.4 kB of
+// refs, under 4 kB of coordinates), so a Search or Scan keeps its buffers,
+// while a collecting read (CompactInto of 100 000 entries: an 800 kB refs
+// array) lets its own go with the answer instead of parking them in the
+// pool.
+const pooledBytes = 4 * storage.DefaultPageSize
+
+// keep returns buf emptied, or nil if its array, of elements of size
+// bytes, is larger than pooledBytes.
+func keep[T any](buf []T, size int) []T {
+	if cap(buf)*size > pooledBytes {
+		return nil
+	}
+	return buf[:0]
+}
+
 // putTraverser publishes tr's visit tally and returns it to the pool with
-// lengths reset but capacities kept, so the next query reuses the grown
-// buffers.
+// lengths reset and capacities kept up to pooledBytes, so the next query
+// reuses the grown buffers.
 func (t *Tree) putTraverser(tr *traverser) {
 	t.publish(&tr.n)
 	tr.stack = tr.stack[:0]
 	tr.pairs = tr.pairs[:0]
 	tr.pq = tr.pq[:0]
-	tr.slab = tr.slab[:0]
-	tr.refs = tr.refs[:0]
-	clear(tr.segs) // the answer's memory: the pool must not keep it alive
-	tr.segs = tr.segs[:0]
+	tr.slab = keep(tr.slab, 8)
+	tr.refs = keep(tr.refs, 8)
+	clear(tr.segs)              // the answer's memory: the pool must not keep it alive
+	tr.segs = keep(tr.segs, 24) // a slice header
 	travPool.Put(tr)
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -1006,3 +1007,45 @@ const (
 	mixedTapeViewPages    = 4306
 	mixedTapeCheckedPages = 2727
 )
+
+// TestPooledBuffersBounded: a collecting read returns its traverser with
+// no buffer past pooledBytes, so the pool does not keep an answer-sized
+// refs array alive after CompactInto; a Search's per-page buffers stay.
+func TestPooledBuffersBounded(t *testing.T) {
+	src := newTree(t, 64)
+	entries := randRects(20_000, 11)
+	if err := src.BulkLoad(entries, xSortOrderer{}); err != nil {
+		t.Fatal(err)
+	}
+	tr := src.getTraverser()
+	tr.refs = make([]uint64, 0, 100_000)
+	tr.slab = make([]float64, 0, 1_000)
+	src.putTraverser(tr)
+	if cap(tr.refs) != 0 || cap(tr.slab) != 1_000 {
+		t.Fatalf("put kept refs of cap %d (want 0), slab of cap %d (want 1000)", cap(tr.refs), cap(tr.slab))
+	}
+
+	// A collection between the put and the Gets below would empty the pool
+	// and leave nothing to check.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := src.CompactInto(newTree(t, 64), xSortOrderer{}); err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for v := travPool.Get(); v != nil; v = travPool.Get() {
+		tr := v.(*traverser)
+		seen++
+		if b := 8 * cap(tr.refs); b > pooledBytes {
+			t.Errorf("a pooled traverser holds %d bytes of refs after CompactInto of %d entries, bound %d", b, len(entries), pooledBytes)
+		}
+		if b := 8 * cap(tr.slab); b > pooledBytes {
+			t.Errorf("a pooled traverser holds %d bytes of coordinates, bound %d", b, pooledBytes)
+		}
+		if b := 24 * cap(tr.segs); b > pooledBytes {
+			t.Errorf("a pooled traverser holds %d bytes of segments, bound %d", b, pooledBytes)
+		}
+	}
+	if seen == 0 && !raceEnabled { // -race drops a quarter of all Puts
+		t.Fatal("no traverser in the pool after CompactInto")
+	}
+}

@@ -142,7 +142,21 @@ var longAgo = time.Unix(1, 0)
 // blocked read or write fails, the connection is dropped and the error
 // returned wraps ctx's. Nothing is armed for a context that can never
 // end.
-func (c *Client) DoContext(ctx context.Context, req *wire.Request) (resp *wire.Response, err error) {
+func (c *Client) DoContext(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	return c.exchange(ctx, req, false)
+}
+
+// Relay is DoContext for a hop that forwards the answer rather than reads
+// it: an OK search, point or batch answer comes back scanned
+// (wire.ScanResponse), validated as a parse would validate it but not
+// decoded, and owning the frame it arrived in; the client reads its next
+// answer into a buffer of its own. Every other answer is parsed.
+func (c *Client) Relay(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	return c.exchange(ctx, req, true)
+}
+
+// exchange is one round trip of DoContext, or of Relay when scan is set.
+func (c *Client) exchange(ctx context.Context, req *wire.Request, scan bool) (resp *wire.Response, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -199,19 +213,26 @@ func (c *Client) DoContext(ctx context.Context, req *wire.Request) (resp *wire.R
 		return nil, err
 	}
 	c.inBuf = in
-	resp, err = wire.ParseResponse(in)
+	if scan {
+		resp, err = wire.ScanResponse(in)
+	} else {
+		resp, err = wire.ParseResponse(in)
+	}
 	if err != nil {
 		_ = c.dropLocked()
 		return nil, err
+	}
+	if resp.Scanned() {
+		c.inBuf = nil // the answer keeps the frame
 	}
 	if resp.Op != req.Op {
 		_ = c.dropLocked()
 		return nil, fmt.Errorf("strserve: response op %v for %v request", resp.Op, req.Op)
 	}
-	if resp.Status == wire.StatusOK && req.Op == wire.OpBatch && len(resp.Batch) != len(req.Batch) {
+	if resp.Status == wire.StatusOK && req.Op == wire.OpBatch && resp.Lists() != len(req.Batch) {
 		// A list short would lose a window's matches without a word.
 		_ = c.dropLocked()
-		return nil, fmt.Errorf("strserve: %d result lists for a batch of %d windows", len(resp.Batch), len(req.Batch))
+		return nil, fmt.Errorf("strserve: %d result lists for a batch of %d windows", resp.Lists(), len(req.Batch))
 	}
 	if resp.Status == wire.StatusDraining || resp.Status == wire.StatusBadRequest {
 		_ = c.dropLocked()

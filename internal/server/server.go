@@ -169,16 +169,10 @@ func resultCount(resp *wire.Response) uint64 {
 		return 0
 	case resp.Op == wire.OpCount:
 		return resp.Count
-	case resp.Op == wire.OpBatch:
-		n := uint64(0)
-		for _, items := range resp.Batch {
-			n += uint64(len(items))
-		}
-		return n
 	case resp.Op == wire.OpNearest:
 		return uint64(len(resp.Neighbors))
 	default:
-		return uint64(len(resp.Items))
+		return resp.Matches()
 	}
 }
 

@@ -39,7 +39,10 @@
 // (the frame buffer is reused for the next message), and all its points
 // and rectangles share one coordinate slab (geom.Slab): every corner has
 // cap == len, and the message costs a handful of allocations whatever
-// the number of items it carries.
+// the number of items it carries. A hop that forwards answers scans them
+// instead (ScanResponse): the same checks, no items decoded, and a list
+// answer keeps its payload, to be written back or joined with others as
+// bytes.
 package wire
 
 import (
@@ -237,6 +240,75 @@ type Response struct {
 	// Found reports whether OpDelete removed an item; exact-match misses
 	// are StatusOK with Found false, not an error.
 	Found bool
+
+	// An OK search, point or batch answer that ScanResponse validated is
+	// held as it came: raw is its whole payload and, for a batch, ends[i]
+	// the offset where list i ends. One that JoinLists made holds the
+	// scanned answers whose lists it concatenates, in order, in parts.
+	// Items and Batch are empty in both.
+	raw   []byte
+	ends  []int32
+	parts []*Response
+}
+
+// Scanned reports whether resp is an answer ScanResponse held as bytes,
+// and so keeps the payload it was scanned from.
+func (resp *Response) Scanned() bool { return resp.raw != nil }
+
+// Lists is the number of result lists an OK search, point or batch answer
+// carries, however it is held: one for a search or point answer, one a
+// window for a batch. It is 0 for any other answer.
+func (resp *Response) Lists() int {
+	switch {
+	case resp.Status != StatusOK:
+		return 0
+	case resp.parts != nil:
+		return resp.parts[0].Lists()
+	case resp.Op == OpBatch && resp.raw != nil:
+		return len(resp.ends)
+	case resp.Op == OpBatch:
+		return len(resp.Batch)
+	case resp.Op == OpSearch || resp.Op == OpSearchPoint:
+		return 1
+	}
+	return 0
+}
+
+// Matches is the number of items the lists of an OK search, point or batch
+// answer hold, however it is held. It is 0 for any other answer.
+func (resp *Response) Matches() uint64 {
+	var n uint64
+	switch {
+	case resp.Lists() == 0:
+	case resp.parts != nil:
+		for _, p := range resp.parts {
+			n += p.Matches()
+		}
+	case resp.raw != nil:
+		for i := range resp.Lists() {
+			c, _ := resp.list(i)
+			n += uint64(c)
+		}
+	case resp.Op == OpBatch:
+		for _, items := range resp.Batch {
+			n += uint64(len(items))
+		}
+	default:
+		n = uint64(len(resp.Items))
+	}
+	return n
+}
+
+// list is list i of a scanned answer: its count and its records' bytes.
+func (resp *Response) list(i int) (count uint32, records []byte) {
+	start, end := respHead, len(resp.raw)
+	if resp.Op == OpBatch {
+		start, end = respHead+4, int(resp.ends[i])
+		if i > 0 {
+			start = int(resp.ends[i-1])
+		}
+	}
+	return binary.LittleEndian.Uint32(resp.raw[start:]), resp.raw[start+4 : end]
 }
 
 // ------------------------------------------------------------- framing
@@ -418,20 +490,43 @@ type records struct {
 }
 
 // list opens a list of n records with tail bytes each, in two passes
-// over the payload. The first walks the records' dims bytes to find how
-// many are whole (at most n, however large n is), so that one slab
-// allocation holds all their coordinates; the second decodes those
-// coordinates in record order and stops at the first rectangle that is
-// not finite and ordered. The reader is left past the whole records. The
-// caller takes the l.n valid records with next, then fails the reader
+// over the payload. The first (walk) finds how many are whole, so that one
+// slab allocation holds all their coordinates; the second (check) decodes
+// those coordinates in record order and stops at the first rectangle that
+// is not finite and ordered. The reader is left past the whole records.
+// The caller takes the l.n valid records with next, then fails the reader
 // with l.err.
 func (r *reader) list(n uint32, tail int) records {
 	if r.err != nil {
 		return records{}
 	}
+	l, coords := r.walk(n, tail)
+	l.coords = r.coords(coords)
+	l.check(l.coords, true)
+	return l
+}
+
+// skip is list for a reader that keeps nothing: the same two passes, each
+// rectangle decoded over the last in a scratch array, and the list's error
+// recorded on the reader. A scan accepts what a parse accepts, with the
+// same error, because both run these checks.
+func (r *reader) skip(n uint32, tail int) {
+	if r.err != nil {
+		return
+	}
+	l, _ := r.walk(n, tail)
+	var c [2 * MaxDims]float64
+	l.check(c[:], false)
+	r.fail(l.err)
+}
+
+// walk steps over the dims bytes of up to n records with tail bytes each
+// from the reader's offset, however large n is, and moves the reader past
+// the whole ones. It returns them, with the error the first record that is
+// not whole earns, and the number of coordinates they hold.
+func (r *reader) walk(n uint32, tail int) (l records, coords int) {
 	buf := r.buf[r.off:]
-	end, coords := 0, 0
-	var l records
+	end := 0
 	for ; uint32(l.n) < n; l.n++ {
 		if end == len(buf) {
 			l.err = ErrTruncated
@@ -452,17 +547,43 @@ func (r *reader) list(n uint32, tail int) records {
 	}
 	r.off += end
 	l.buf, l.tail = buf[:end], tail
-	l.coords = r.coords(coords)
-	c := l.coords
+	return l, coords
+}
+
+// check decodes the rectangles of l's records in record order and cuts l
+// at the first that is not finite and ordered. The coordinates go into c
+// back to back when keep is set, each rectangle's over the last otherwise.
+func (l *records) check(c []float64, keep bool) {
 	for i, p := 0, l.buf; i < l.n; i++ {
 		d := int(p[0])
+		if d == 2 {
+			// Every 2-D list's arm: four words loaded at fixed offsets, no
+			// loop.
+			lo0, lo1 := binary.LittleEndian.Uint64(p[1:]), binary.LittleEndian.Uint64(p[9:])
+			hi0, hi1 := binary.LittleEndian.Uint64(p[17:]), binary.LittleEndian.Uint64(p[25:])
+			x0, y0 := math.Float64frombits(lo0), math.Float64frombits(lo1)
+			x1, y1 := math.Float64frombits(hi0), math.Float64frombits(hi1)
+			if lo0&expBits == expBits || lo1&expBits == expBits || hi0&expBits == expBits || hi1&expBits == expBits ||
+				x0 > x1 || y0 > y1 {
+				l.n, l.err = i, ErrBadGeometry
+				return
+			}
+			if keep {
+				c[0], c[1], c[2], c[3] = x0, y0, x1, y1
+				c = c[4:]
+			}
+			p = p[33+l.tail:]
+			continue
+		}
 		if !getCoords(c[:2*d], p[1:]) || !ordered(c[:2*d]) {
 			l.n, l.err = i, ErrBadGeometry
-			break
+			return
 		}
-		c, p = c[2*d:], p[stride(d, tail):]
+		if keep {
+			c = c[2*d:]
+		}
+		p = p[stride(d, l.tail):]
 	}
-	return l
 }
 
 // cutErr is the error a record cut short earns, dims byte read: what a
@@ -887,7 +1008,14 @@ func (r *reader) stats() Stats {
 	return s
 }
 
-// AppendResponse encodes resp onto dst and returns the extended slice.
+// respHead is the size of a response payload's head: version, status and
+// op.
+const respHead = 3
+
+// AppendResponse encodes resp onto dst and returns the extended slice. A
+// scanned answer's body was validated when it was scanned and is written
+// as it stands; a joined answer's, as its parts' list bytes behind the
+// summed counts.
 func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	if !resp.Op.valid() {
 		return nil, ErrBadOp
@@ -901,6 +1029,12 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 			return nil, ErrTooLarge
 		}
 		return appendStr(dst, resp.Err), nil
+	}
+	switch {
+	case resp.raw != nil:
+		return append(dst, resp.raw[respHead:]...), nil
+	case resp.parts != nil:
+		return appendJoined(dst, resp), nil
 	}
 	var err error
 	switch resp.Op {
@@ -939,9 +1073,79 @@ func AppendResponse(dst []byte, resp *Response) ([]byte, error) {
 	return dst, nil
 }
 
+// appendJoined writes the body of a joined answer: for each list, the
+// sum of the parts' counts, then each part's records in order — what
+// encoding the parts' items, concatenated list by list, would write.
+func appendJoined(dst []byte, resp *Response) []byte {
+	size := 0
+	for _, p := range resp.parts {
+		size += len(p.raw)
+	}
+	dst = slices.Grow(dst, size)
+	n := resp.Lists()
+	if resp.Op == OpBatch {
+		dst = appendU32(dst, uint32(n))
+	}
+	for i := range n {
+		var count uint32
+		for _, p := range resp.parts {
+			c, _ := p.list(i)
+			count += c
+		}
+		dst = appendU32(dst, count)
+		for _, p := range resp.parts {
+			_, records := p.list(i)
+			dst = append(dst, records...)
+		}
+	}
+	return dst
+}
+
+// errJoin refuses a join of answers that are not scanned OK lists to one
+// request.
+var errJoin = errors.New("wire: join of answers that are not scanned lists of one shape")
+
+// JoinLists is the answer whose every list is the concatenation, in the
+// order of parts, of the parts' lists: the bytes AppendResponse writes for
+// it are those of parsing each part, appending their items list by list
+// and encoding the result, but no part is decoded and nothing is copied
+// until AppendResponse copies the parts' list bytes into its frame. The
+// parts must be scanned OK answers with one op and one number of lists;
+// the answer keeps them and the slice.
+func JoinLists(parts []*Response) (*Response, error) {
+	if len(parts) == 0 {
+		return nil, errJoin
+	}
+	op, n := parts[0].Op, parts[0].Lists()
+	for _, p := range parts {
+		if !p.Scanned() || p.Op != op || p.Lists() != n {
+			return nil, errJoin
+		}
+	}
+	return &Response{Status: StatusOK, Op: op, parts: parts}, nil
+}
+
 // ParseResponse decodes one response payload with the same strictness as
 // ParseRequest.
 func ParseResponse(payload []byte) (*Response, error) {
+	return decodeResponse(payload, false)
+}
+
+// ScanResponse is ParseResponse for a hop that forwards an answer rather
+// than reads it. It accepts exactly the payloads ParseResponse accepts
+// and fails the rest with the same error, by the same checks (reader.skip
+// runs reader.list's), but it decodes no OK search, point or batch answer:
+// that Response holds payload itself, with each list's count and span, and
+// keeps it, so the caller must not reuse payload; its Items and Batch are
+// empty. AppendResponse writes such an answer back byte for byte and
+// JoinLists concatenates several. Any other answer is parsed and shares
+// nothing with payload.
+func ScanResponse(payload []byte) (*Response, error) {
+	return decodeResponse(payload, true)
+}
+
+// decodeResponse is ParseResponse, or ScanResponse when scan is set.
+func decodeResponse(payload []byte, scan bool) (*Response, error) {
 	r := &reader{buf: payload}
 	if v := r.u8(); r.err == nil && v != Version {
 		return nil, ErrVersion
@@ -964,7 +1168,12 @@ func ParseResponse(payload []byte) (*Response, error) {
 	}
 	switch op {
 	case OpSearch, OpSearchPoint:
-		resp.Items = r.items()
+		if scan {
+			r.skip(r.u32(), 8)
+			resp.raw = payload
+		} else {
+			resp.Items = r.items()
+		}
 	case OpCount:
 		resp.Count = r.u64()
 	case OpNearest:
@@ -974,7 +1183,16 @@ func ParseResponse(payload []byte) (*Response, error) {
 		if r.err == nil && n > MaxBatch {
 			return nil, ErrTooLarge
 		}
-		if r.err == nil {
+		switch {
+		case r.err != nil:
+		case scan:
+			resp.ends = make([]int32, 0, min(int(n), r.left(4)))
+			for i := uint32(0); i < n && r.err == nil; i++ {
+				r.skip(r.u32(), 8)
+				resp.ends = append(resp.ends, int32(r.off))
+			}
+			resp.raw = payload
+		default:
 			resp.Batch = make([][]Item, 0, min(int(n), r.left(4)))
 			for i := uint32(0); i < n && r.err == nil; i++ {
 				resp.Batch = append(resp.Batch, r.items())
